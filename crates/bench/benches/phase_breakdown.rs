@@ -1,8 +1,8 @@
 //! Phase breakdown with placement merges on vs off: split/task/merge
 //! fractions for the Black Scholes (MKL) and Nashville (ImageMagick)
 //! workloads under `Config::placement_merge = true` (preallocated
-//! outputs, workers write pieces in place, overlapped final merges)
-//! and `false` (the historic collect-then-concat ablation).
+//! outputs, workers write pieces in place) and `false` (the historic
+//! collect-then-concat ablation).
 //!
 //! Nashville is the workload the fast path targets — its split/merge
 //! used to copy every pixel twice — so the bench *asserts* that its
@@ -22,6 +22,13 @@
 //! `plans_verified`, zero with it off), must not perturb outputs
 //! (bit-identical checksums), and must stay within 1.05x of the
 //! unverified wall time.
+//!
+//! A fifth pair runs Crime Index with every intermediate handle held
+//! across the one read of the scalar total vs dropped before it:
+//! demand-driven materialization must make holding a handle nearly
+//! free (live-but-undemanded outputs stay pieces, nothing is merged),
+//! so the bench asserts equal checksums, `deferred_outputs > 0` only in
+//! the held arm, and a held/dropped wall ratio of at most 1.15.
 //!
 //! Emits `bench_results/BENCH_phases.json`. Set
 //! `MOZART_TRACE_EXPORT=<file.json>` to additionally record every
@@ -112,14 +119,14 @@ fn json_entry(m: &Measured, matches: bool) -> String {
     let (split, task, merge) = fractions(&m.stats);
     format!(
         "{{ \"split\": {split:.4}, \"task\": {task:.4}, \"merge\": {merge:.4}, \
-         \"seconds\": {:.6}, \"placement_writes\": {}, \"overlapped_merges\": {}, \
+         \"seconds\": {:.6}, \"placement_writes\": {}, \
          \"split_form_handoffs\": {}, \"split_form_reslices\": {}, \
-         \"checksum_matches_baseline\": {matches} }}",
+         \"deferred_outputs\": {}, \"checksum_matches_baseline\": {matches} }}",
         m.seconds,
         m.stats.placement_writes,
-        m.stats.overlapped_merges,
         m.stats.split_form_handoffs,
-        m.stats.split_form_reslices
+        m.stats.split_form_reslices,
+        m.stats.deferred_outputs
     )
 }
 
@@ -129,14 +136,14 @@ fn print_pair(name: &str, labels: [&str; 2], on: &Measured, off: &Measured) {
         let (split, task, merge) = fractions(&m.stats);
         println!(
             "{label}: split {:5.1}%  task {:5.1}%  merge {:5.1}%  ({:.4}s/eval, \
-             {} placement writes, {} overlapped merges, {} split-form hand-offs)",
+             {} placement writes, {} split-form hand-offs, {} deferred outputs)",
             split * 100.0,
             task * 100.0,
             merge * 100.0,
             m.seconds,
             m.stats.placement_writes,
-            m.stats.overlapped_merges,
-            m.stats.split_form_handoffs
+            m.stats.split_form_handoffs,
+            m.stats.deferred_outputs
         );
     }
     let (_, _, merge_on) = fractions(&on.stats);
@@ -246,6 +253,33 @@ fn main() {
         (run(true), run(false))
     };
 
+    // ---- Crime Index handle ablation: the application holds eight
+    // intermediate handles across its one read (`mozart`) or drops them
+    // first (`mozart_handles_dropped`). Held handles used to force
+    // eight merges nobody read; deferred outputs make them near free.
+    let (ci_held, ci_dropped, ci_base) = {
+        use workloads::crime_index as ci;
+        let df = ci::generate(opts.size(1 << 20), 7);
+        let base = ci::base(&df).index_sum;
+        let run = |held: bool| {
+            run_workload(
+                threads,
+                evals,
+                recorder.clone(),
+                |_| {},
+                |ctx| {
+                    let run = if held {
+                        ci::mozart
+                    } else {
+                        ci::mozart_handles_dropped
+                    };
+                    run(&df, ctx).expect("run").index_sum
+                },
+            )
+        };
+        (run(true), run(false), base)
+    };
+
     print_pair(
         "black_scholes",
         ["placement on ", "placement off"],
@@ -282,6 +316,15 @@ fn main() {
         vp_on.seconds / vp_off.seconds.max(f64::EPSILON)
     );
 
+    print_pair(
+        "crime_index (handle ablation)",
+        ["handles held   ", "handles dropped"],
+        &ci_held,
+        &ci_dropped,
+    );
+    let ci_ratio = ci_held.seconds / ci_dropped.seconds.max(f64::EPSILON);
+    println!("wall ratio (held/dropped): {ci_ratio:.3}x");
+
     let bs_match = close(bs_on.checksum, bs_base) && close(bs_off.checksum, bs_base);
     let na_match = close(na_on.checksum, na_base) && close(na_off.checksum, na_base);
     // The split-form arms must be *bit*-identical to each other — the
@@ -292,6 +335,10 @@ fn main() {
     // The verifier only reads the plan; its arms must be bit-identical.
     let vp_match =
         vp_on.checksum.to_bits() == vp_off.checksum.to_bits() && close(vp_on.checksum, na_base);
+
+    // The reduction folds per-worker partials in claim order, so the two
+    // arms agree to the last ulps, not bits (see `MergeStrategy::Commutative`).
+    let ci_match = close(ci_held.checksum, ci_dropped.checksum) && close(ci_held.checksum, ci_base);
 
     let mut json = String::from("{\n  \"figure\": \"phase_breakdown\",\n");
     json.push_str(&format!(
@@ -315,11 +362,17 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"nashville_verify\": {{ \"verify_on\": {}, \"verify_off\": {}, \
-         \"plans_verified\": {}, \"wall_ratio\": {:.4} }}\n",
+         \"plans_verified\": {}, \"wall_ratio\": {:.4} }},\n",
         json_entry(&vp_on, vp_match),
         json_entry(&vp_off, vp_match),
         vp_on.stats.plans_verified,
         vp_on.seconds / vp_off.seconds.max(f64::EPSILON)
+    ));
+    json.push_str(&format!(
+        "    \"crime_index_handles\": {{ \"held\": {}, \"dropped\": {}, \
+         \"wall_ratio\": {ci_ratio:.4} }}\n",
+        json_entry(&ci_held, ci_match),
+        json_entry(&ci_dropped, ci_match),
     ));
     let na_merge_on = na_on.stats.merge_fraction();
     let na_merge_off = na_off.stats.merge_fraction();
@@ -422,6 +475,30 @@ fn main() {
         vp_on.seconds,
         vp_off.seconds
     );
+    // Handle-ablation gates: holding handles must defer (not merge) the
+    // intermediates, change nothing, and cost at most 15% wall (plus
+    // the same 2ms smoke-run allowance).
+    assert!(
+        ci_match,
+        "crime_index handle ablation checksums diverged: held {} vs dropped {} (baseline {ci_base})",
+        ci_held.checksum, ci_dropped.checksum
+    );
+    assert!(
+        ci_held.stats.deferred_outputs > 0 && ci_dropped.stats.deferred_outputs == 0,
+        "only held handles defer outputs: held {:?} vs dropped {:?}",
+        ci_held.stats,
+        ci_dropped.stats
+    );
+    assert_eq!(
+        ci_held.stats.bytes_merged, ci_dropped.stats.bytes_merged,
+        "held handles must not merge anything the dropped arm does not"
+    );
+    assert!(
+        ci_held.seconds <= ci_dropped.seconds * 1.15 + 2e-3,
+        "holding handles costs more than 1.15x: {:.4}s/eval held vs {:.4}s/eval dropped",
+        ci_held.seconds,
+        ci_dropped.seconds
+    );
     println!("\nchecksums match the copying baseline; nashville merge fraction");
     println!(
         "placement on {:.2}% vs off {:.2}% — gate passed.",
@@ -434,6 +511,11 @@ fn main() {
         sf_on.stats.split_form_handoffs,
         sm_on * 100.0,
         sm_off * 100.0
+    );
+    println!(
+        "crime_index: {} outputs/eval-run deferred instead of merged; held handles \
+         cost {ci_ratio:.3}x dropped (≤1.15x) — gate passed.",
+        ci_held.stats.deferred_outputs
     );
     println!(
         "plan verification: {} plans proved at {:.3}x unverified wall \

@@ -8,6 +8,15 @@
 //! accessed, or (2) a buffer mutated by a pending call is read through
 //! its safe API — the Rust analogue of the paper's memory-protection
 //! trick (see [`crate::buffer`]).
+//!
+//! Every evaluation executes *all* pending calls but carries the
+//! [`Demand`] of the read that triggered it: `Future::get` asks for its
+//! one value, a protected-buffer read for nothing but in-place storage,
+//! an explicit [`MozartContext::evaluate`] for every live `Future`.
+//! Outputs that are alive but not asked for stay held as pieces
+//! (`OutputKind::Deferred`) and are merged under the context lock by
+//! the first read that does ask — or dropped with their `Future`. See
+//! "Demand-driven materialization" in [`crate::planner`].
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,9 +29,12 @@ use crate::annotation::Annotation;
 use crate::buffer::EvalTrigger;
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::executor::{execute_stage, DeferredMerge};
+use crate::executor::{duration_ns, execute_stage, materialize_held, ExecEnv};
 use crate::graph::{DataflowGraph, FutureToken, Node, ValueEntry, ValueId, ValueOrigin};
-use crate::planner::{plan_next_stage, PlanCache, PlanCacheStats, PlanRecorder};
+use crate::planner::{
+    plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, Planned,
+    StagePlan,
+};
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::stats::{PhaseStats, PoolStats};
 use crate::trace::{SpanKind, TraceCtx, TraceId, SERVICE_WORKER};
@@ -73,7 +85,7 @@ impl EvalTrigger for ContextInner {
         // Errors surface on explicit `Future::get` / `evaluate` calls;
         // a protected read cannot return them, so they poison the state.
         let mut st = self.state.lock();
-        let _ = evaluate_locked(self, &mut st);
+        let _ = evaluate_locked(&mut st, Demand::Nothing);
     }
 }
 
@@ -288,7 +300,7 @@ impl MozartContext {
                 },
                 data: Some(dv.clone()),
                 ready: false,
-                split_form: None,
+                held: None,
                 consumers: Vec::new(),
                 user_token: None,
             });
@@ -314,7 +326,7 @@ impl MozartContext {
                 origin: ValueOrigin::Ret(node_id),
                 data: None,
                 ready: false,
-                split_form: None,
+                held: None,
                 consumers: Vec::new(),
                 user_token: Some(Arc::downgrade(&token)),
             });
@@ -337,10 +349,13 @@ impl MozartContext {
         Ok(future)
     }
 
-    /// Evaluate all pending calls (the paper's `evaluate()`).
+    /// Evaluate all pending calls (the paper's `evaluate()`) and make
+    /// every value the application holds a `Future` for whole —
+    /// including pieces an earlier, narrower read left deferred.
     pub fn evaluate(&self) -> Result<()> {
         let mut st = self.inner.state.lock();
-        evaluate_locked(&self.inner, &mut st)
+        evaluate_locked(&mut st, Demand::AllLive)?;
+        flush_deferred(&mut st)
     }
 
     /// Data of a graph value, if it has been produced.
@@ -348,23 +363,22 @@ impl MozartContext {
         self.inner.state.lock().graph.value_data(id).cloned()
     }
 
-    /// Force evaluation and fetch the data of a value.
+    /// Force evaluation, demanding only this value, and fetch its data.
     pub fn force_value(&self, id: ValueId) -> Result<DataValue> {
-        if let Some(d) = self.value_data(id) {
-            return Ok(d);
-        }
-        self.evaluate()?;
-        {
-            // Defensive: values observed through live Futures are never
-            // handed off in split form (the planner checks liveness),
-            // but a raw `ValueId` fetch bypasses that — materialize on
-            // demand rather than report the value unavailable.
-            let mut st = self.inner.state.lock();
-            if st.graph.materialize_split_form(id)? {
-                st.stats.split_form_fallbacks += 1;
+        let mut st = self.inner.state.lock();
+        if st.graph.value_data(id).is_none() {
+            evaluate_locked(&mut st, Demand::Value(id))?;
+            // Still pieces: an output an earlier read left deferred, or
+            // a hand-off fetched by raw `ValueId`. Merge it now; on
+            // failure the pieces stay, so the read can be retried.
+            if materialize(&mut st, id)? {
+                st.stats.deferred_materialized += 1;
             }
         }
-        self.value_data(id).ok_or(Error::ValueUnavailable)
+        st.graph
+            .value_data(id)
+            .cloned()
+            .ok_or(Error::ValueUnavailable)
     }
 
     /// Cumulative phase statistics.
@@ -398,58 +412,88 @@ impl MozartContext {
     }
 }
 
-fn evaluate_locked(inner: &ContextInner, st: &mut State) -> Result<()> {
+/// The span recorder + trace id evaluations of `st` record under:
+/// minted on first use (serving layers install theirs up front via
+/// `set_trace_id`). `None` when tracing is off — the only cost then is
+/// this branch and an `Option` check per span site.
+fn trace_ctx(st: &mut State) -> Option<TraceCtx> {
+    let recorder = st.config.tracing.clone()?;
+    if st.trace_id == 0 {
+        st.trace_id = recorder.mint();
+    }
+    Some(TraceCtx {
+        recorder,
+        trace: st.trace_id,
+    })
+}
+
+impl State {
+    /// Split borrow for one executor call: the graph and stats it
+    /// mutates, and the read-only environment it runs in.
+    fn exec_parts<'a>(
+        &'a mut self,
+        trace: Option<&'a TraceCtx>,
+    ) -> (&'a mut DataflowGraph, &'a mut PhaseStats, ExecEnv<'a>) {
+        let env = ExecEnv {
+            config: &self.config,
+            pool: self
+                .attached_pool
+                .as_ref()
+                .or(self.pool.as_ref())
+                .map(|h| &**h),
+            session: self.session_tag,
+            cancel: self.cancel.as_ref(),
+            trace,
+        };
+        (&mut self.graph, &mut self.stats, env)
+    }
+}
+
+/// Merge value `id` whole if it is held as pieces; whether a merge ran.
+/// A failure leaves the pieces in place and does not poison the
+/// context: nothing executed, so there is no half-updated state.
+fn materialize(st: &mut State, id: ValueId) -> Result<bool> {
+    let trace = trace_ctx(st);
+    let (graph, stats, env) = st.exec_parts(trace.as_ref());
+    materialize_held(graph, id, stats, &env)
+}
+
+/// Merge every still-held deferred output somebody can still reach (a
+/// live `Future`, a pending call) and drop the pieces of the rest. Runs
+/// for an explicit `evaluate()` and before any stage that mutates
+/// storage in place: held pieces may be zero-copy views of that
+/// storage, where an eager merge would have copied before the write.
+fn flush_deferred(st: &mut State) -> Result<()> {
+    // Popped only once handled, so a failed merge stays listed.
+    while let Some(&id) = st.graph.deferred.last() {
+        if !st.graph.values[id.0 as usize].observable() {
+            st.graph.release(id);
+        }
+        if materialize(st, id)? {
+            st.stats.deferred_materialized += 1;
+        }
+        st.graph.deferred.pop();
+    }
+    Ok(())
+}
+
+fn evaluate_locked(st: &mut State, demand: Demand) -> Result<()> {
     if let Some(e) = &st.poisoned {
         return Err(e.clone());
     }
     if st.graph.fully_executed() {
         return Ok(());
     }
-    // Overlapped final merges dispatched to the pool by stages of this
-    // evaluation. Joined unconditionally before returning — success or
-    // failure — so no side job outlives the evaluation that spawned it
-    // and every user-visible value is materialized when control returns.
-    let mut deferred: Vec<DeferredMerge> = Vec::new();
-    let result = evaluate_pending(inner, st, &mut deferred);
-    let joined = join_deferred(st, deferred);
-    result.and(joined)
-}
-
-/// Join every overlapped final merge, materializing its value into the
-/// graph. The first join error poisons the context (like any stage
-/// failure), but all merges are still joined.
-fn join_deferred(st: &mut State, deferred: Vec<DeferredMerge>) -> Result<()> {
-    let mut result = Ok(());
-    for d in deferred {
-        let State { graph, stats, .. } = st;
-        if let Err(e) = d.join(graph, stats) {
-            if result.is_ok() {
-                st.poisoned = Some(e.clone());
-                result = Err(e);
-            }
-        }
-    }
+    let first_node = st.graph.next_unplanned;
+    let result = evaluate_pending(st, demand);
+    // Whatever this evaluation executed, release what nobody can reach
+    // any more (see `DataflowGraph::release_unreachable`).
+    st.graph.release_unreachable(first_node);
     result
 }
 
-fn evaluate_pending(
-    inner: &ContextInner,
-    st: &mut State,
-    deferred: &mut Vec<DeferredMerge>,
-) -> Result<()> {
-    // Tracing: mint a trace id on first use (serving layers install
-    // theirs up front via `set_trace_id`) and carry the recorder + id
-    // into every stage. `None` when tracing is off — the only cost then
-    // is this branch and an `Option` check per span site.
-    let trace = st.config.tracing.clone().map(|recorder| {
-        if st.trace_id == 0 {
-            st.trace_id = recorder.mint();
-        }
-        TraceCtx {
-            recorder,
-            trace: st.trace_id,
-        }
-    });
+fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
+    let trace = trace_ctx(st);
     let planner_before = st.stats.planner;
     let mut planner_cpu = std::time::Duration::ZERO;
     let eval_start_ns = trace.as_ref().map(|t| t.recorder.now_ns());
@@ -480,8 +524,6 @@ fn evaluate_pending(
         );
     }
 
-    let _ = inner; // reserved for future per-context callbacks
-
     // Make sure the persistent pool matches the configured parallelism:
     // the calling thread participates in every stage, so the pool holds
     // `workers - 1` threads. An attached shared pool always wins — the
@@ -510,6 +552,12 @@ fn evaluate_pending(
     // segment's plan when every stage executed cleanly.
     let cache = st.plan_cache.clone();
     let mut recorder: Option<PlanRecorder> = None;
+    // Zero-duration marker span for the lookup's outcome.
+    let mark = |kind: SpanKind| {
+        if let Some(t) = &trace {
+            t.emit(kind, SERVICE_WORKER, 0, 0, t.recorder.now_ns(), 0, 0);
+        }
+    };
     if let Some(cache) = &cache {
         let t1 = Instant::now();
         let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
@@ -536,7 +584,8 @@ fn evaluate_pending(
                     for idx in 0..plan.stage_count() {
                         let t1 = Instant::now();
                         let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
-                        let bound = plan.bind_stage(idx, &st.graph, &shape.values, &st.config);
+                        let bound =
+                            plan.bind_stage(idx, &st.graph, &shape.values, &st.config, demand);
                         st.stats.planner += t1.elapsed();
                         if let Some(c1) = c1 {
                             planner_cpu +=
@@ -544,8 +593,7 @@ fn evaluate_pending(
                         }
                         match bound {
                             Ok(stage) => {
-                                if let Err(e) = execute_locked(st, &stage, trace.as_ref(), deferred)
-                                {
+                                if let Err(e) = execute_locked(st, &stage, demand, trace.as_ref()) {
                                     // Execution failures poison the
                                     // context either way; drop the entry
                                     // so the next identical request
@@ -573,28 +621,15 @@ fn evaluate_pending(
                     } else {
                         cache.note_miss();
                     }
-                    if let Some(t) = &trace {
-                        let kind = if replayed {
-                            SpanKind::PlanCacheHit
-                        } else {
-                            SpanKind::PlanCacheMiss
-                        };
-                        t.emit(kind, SERVICE_WORKER, 0, 0, t.recorder.now_ns(), 0, 0);
-                    }
+                    mark(if replayed {
+                        SpanKind::PlanCacheHit
+                    } else {
+                        SpanKind::PlanCacheMiss
+                    });
                 }
                 _ => {
                     cache.note_miss();
-                    if let Some(t) = &trace {
-                        t.emit(
-                            SpanKind::PlanCacheMiss,
-                            SERVICE_WORKER,
-                            0,
-                            0,
-                            t.recorder.now_ns(),
-                            0,
-                            0,
-                        );
-                    }
+                    mark(SpanKind::PlanCacheMiss);
                     recorder = Some(PlanRecorder::new(&shape));
                 }
             }
@@ -604,30 +639,28 @@ fn evaluate_pending(
     while !st.graph.fully_executed() {
         let t1 = Instant::now();
         let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
-        // The planner takes the graph mutably (for the split-form
-        // materialization fallback) next to the config and the
-        // fallback counter — disjoint fields of `st`.
-        let plan = plan_next_stage(
-            &mut st.graph,
-            &st.config,
-            &mut st.stats.split_form_fallbacks,
-        );
+        let plan = plan_next_stage(&st.graph, &st.config, demand);
         st.stats.planner += t1.elapsed();
         if let Some(c1) = c1 {
             planner_cpu += crate::cputime::cpu_elapsed(c1, crate::cputime::thread_cpu_now());
         }
         let stage = match plan {
-            Ok(Some(stage)) => stage,
-            Ok(None) => break,
-            Err(e) => {
-                st.poisoned = Some(e.clone());
-                return Err(e);
+            Ok(Some(Planned::Stage(stage))) => stage,
+            Ok(Some(Planned::NeedsWhole(values))) => {
+                for id in values {
+                    if materialize(st, id).map_err(|e| poison(st, e))? {
+                        st.stats.split_form_fallbacks += 1;
+                    }
+                }
+                continue;
             }
+            Ok(None) => break,
+            Err(e) => return Err(poison(st, e)),
         };
         if let Some(r) = &mut recorder {
             r.record(&stage, &st.graph);
         }
-        execute_locked(st, &stage, trace.as_ref(), deferred)?;
+        execute_locked(st, &stage, demand, trace.as_ref())?;
     }
     if let (Some(cache), Some(recorder)) = (cache, recorder) {
         let fingerprint = recorder.fingerprint();
@@ -651,57 +684,34 @@ fn evaluate_pending(
     Ok(())
 }
 
-/// Saturating `Duration -> u64` nanoseconds for span fields.
-fn duration_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+/// Record `e` as the context's poison and hand it back.
+fn poison(st: &mut State, e: Error) -> Error {
+    st.poisoned = Some(e.clone());
+    e
 }
 
 /// Execute one planned stage against the locked state, poisoning the
 /// context on failure.
 fn execute_locked(
     st: &mut State,
-    stage: &crate::planner::StagePlan,
+    stage: &StagePlan,
+    demand: Demand,
     trace: Option<&TraceCtx>,
-    deferred: &mut Vec<DeferredMerge>,
 ) -> Result<()> {
-    // Borrow split: executor needs &mut graph + &config + &mut stats.
-    let State {
-        graph,
-        config,
-        stats,
-        pool,
-        attached_pool,
-        session_tag,
-        cancel,
-        ..
-    } = st;
     // Layer-2 static check: prove the plan sound before anything
     // executes. This single site covers both fresh plans and
     // plan-cache replay binds — both funnel through here.
-    if config.verify_plans {
-        if let Err(v) = crate::verify::verify_stage(graph, stage, config) {
-            let e = Error::Verify(v);
-            st.poisoned = Some(e.clone());
-            return Err(e);
+    if st.config.verify_plans {
+        if let Err(v) = crate::verify::verify_stage(&st.graph, stage, &st.config, demand) {
+            return Err(poison(st, Error::Verify(v)));
         }
-        stats.plans_verified += 1;
+        st.stats.plans_verified += 1;
     }
-    let pool = attached_pool.as_ref().or(pool.as_ref()).map(|h| &**h);
-    if let Err(e) = execute_stage(
-        graph,
-        stage,
-        config,
-        stats,
-        pool,
-        *session_tag,
-        cancel.as_ref(),
-        trace,
-        deferred,
-    ) {
-        st.poisoned = Some(e.clone());
-        return Err(e);
+    if stage.outputs.iter().any(|o| o.kind == OutputKind::InPlace) {
+        flush_deferred(st).map_err(|e| poison(st, e))?;
     }
-    Ok(())
+    let (graph, stats, env) = st.exec_parts(trace);
+    execute_stage(graph, stage, stats, &env).map_err(|e| poison(st, e))
 }
 
 /// An untyped lazy result handle (the paper's `Future<T>` before
@@ -711,6 +721,18 @@ pub struct FutureHandle {
     ctx: MozartContext,
     value: ValueId,
     _token: Arc<FutureToken>,
+}
+
+impl Drop for FutureHandle {
+    /// Dropping the handle drops what only it could reach: the value's
+    /// data and held pieces, unless a pending call still reads them.
+    /// Best effort — if the context is busy evaluating, the end of that
+    /// (or the next) evaluation releases it instead.
+    fn drop(&mut self) {
+        if let Some(mut st) = self.ctx.inner.state.try_lock() {
+            st.graph.release(self.value);
+        }
+    }
 }
 
 impl std::fmt::Debug for FutureHandle {

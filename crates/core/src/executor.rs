@@ -52,21 +52,23 @@
 //! and a `NULL`-split tail shrinks the output to the written prefix via
 //! [`truncate_merged`](crate::split::Placement::truncate_merged).
 //!
-//! Outputs whose split type declines placement still avoid serial tail
-//! latency where possible: a final merge whose value no later node
-//! consumes ([`StageOutput::last_use`](crate::planner::StageOutput)) is
-//! dispatched to the worker pool as a one-shot side job and joined only
-//! when evaluation finishes, overlapping the merge with planning and
-//! executing subsequent stages.
-//!
-//! # Split-form hand-offs
+//! # Held pieces: split-form hand-offs and deferred outputs
 //!
 //! When the planner marks an output [`OutputKind::SplitForm`] (see the
-//! split-form rewrite in [`crate::planner`]), the merge is elided
-//! entirely: worker batch pieces are collected with their element
-//! ranges (never locally merged, placement disabled) and stored on the
-//! value entry as a [`SplitForm`] — an ordered, contiguous piece set.
-//! The *consuming* stage's `build_exec_stage` recognizes the form and
+//! split-form rewrite in [`crate::planner`]) or
+//! [`OutputKind::Deferred`] (alive, but the triggering read did not ask
+//! for it), the merge is elided entirely: worker batch pieces are
+//! collected with their element ranges (never locally merged, placement
+//! disabled) and stored on the value entry as a [`SplitForm`] — an
+//! ordered, contiguous piece set. A deferred set is merged by
+//! `materialize_held` when something does ask for the value: an
+//! *identity stage* — no calls, the pieces as its one split input, the
+//! value as its one merge output — run through the same driver loop,
+//! so it is placement-written in parallel on the pool when the type has
+//! the capability and classically merged otherwise, with the
+//! cancellation checks, fault points, panic isolation and spans of any
+//! other stage. For a hand-off, the
+//! *consuming* stage's `build_exec_stage` recognizes the form and
 //! serves its batches from [`SplitForm::slice`] instead of calling the
 //! split type's `split` on a materialized value: a batch range landing
 //! on piece boundaries is a clone of the piece (the common case, since
@@ -79,7 +81,7 @@
 //! replaces where batch pieces come from and where result pieces go.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::annotation::Invocation;
@@ -89,7 +91,7 @@ use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
 use crate::graph::{DataflowGraph, ValueId};
 use crate::planner::{OutputKind, StagePlan};
-use crate::pool::{run_stage_scoped, Job, SideJob, WorkerPool};
+use crate::pool::{run_stage_scoped, Job, WorkerPool};
 use crate::split::{Placement, SplitForm, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
@@ -97,7 +99,7 @@ use crate::value::DataValue;
 
 /// Saturating `Duration -> u64` nanoseconds for span fields.
 #[inline]
-fn duration_ns(d: Duration) -> u64 {
+pub(crate) fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -142,6 +144,56 @@ pub(crate) struct ExecStage {
     trace: Option<TraceCtx>,
 }
 
+impl ExecStage {
+    /// A stage over `total_elements` elements in batches of `batch`
+    /// with nothing to split, call or merge yet: the sizing and the
+    /// environment every stage shares.
+    fn sized(total_elements: u64, batch: u64, stage_idx: u64, env: &ExecEnv<'_>) -> ExecStage {
+        let config = env.config;
+        let num_batches = total_elements.div_ceil(batch.max(1)).max(1);
+        ExecStage {
+            nodes: Vec::new(),
+            inputs: Vec::new(),
+            broadcast: Vec::new(),
+            merge_outputs: Vec::new(),
+            produced_slots: Vec::new(),
+            num_slots: 0,
+            total_elements,
+            sum_elem_bytes: 0,
+            batch,
+            participants: config.workers.max(1).min(num_batches as usize),
+            log_calls: config.log_calls,
+            pedantic: config.pedantic,
+            stage_idx,
+            faults: config.fault_plan.clone(),
+            cancel: env.cancel.cloned(),
+            trace: env.trace.cloned(),
+        }
+    }
+
+    /// When a traced phase starts on the wall clock; `None` untraced.
+    fn span_start(&self) -> Option<u64> {
+        self.trace.as_ref().map(|t| t.recorder.now_ns())
+    }
+
+    /// Record one phase span that started at `w0` (from
+    /// [`span_start`](Self::span_start)) and used `cpu` of this thread.
+    fn span(&self, kind: SpanKind, worker: u32, arg: u64, w0: Option<u64>, cpu: Duration) {
+        if let (Some(t), Some(w0)) = (&self.trace, w0) {
+            let wall = t.recorder.now_ns().saturating_sub(w0);
+            t.emit(
+                kind,
+                worker,
+                self.stage_idx,
+                arg,
+                w0,
+                wall,
+                duration_ns(cpu),
+            );
+        }
+    }
+}
+
 struct ExecInput {
     slot: u32,
     instance: SplitInstance,
@@ -179,20 +231,59 @@ struct MergeOutput {
     instance: SplitInstance,
     /// Cached: whether the merge strategy is commutative.
     commutative: bool,
-    /// Whether no unexecuted node outside the stage consumes the value
-    /// (see [`crate::planner::StageOutput`]); such final merges may be
-    /// overlapped with subsequent planning.
-    last_use: bool,
     /// Placement-merge capability + probe state; `None` when the config
     /// disables placement or the split type's merge strategy carries no
     /// placement capability (commutative merges never do — partial
     /// results have no meaningful element offsets).
     placement: Option<PlacementMerge>,
-    /// `true` for [`OutputKind::SplitForm`] outputs: the pieces are
-    /// never merged — they are collected (each batch piece its own run,
-    /// placement disabled) and handed to the consuming stage as a
+    /// [`OutputKind::Merge`], or one of the two kinds whose pieces are
+    /// never merged here ([`OutputKind::SplitForm`],
+    /// [`OutputKind::Deferred`]): those are collected (each batch piece
+    /// its own run, placement disabled) and stored on the value as a
     /// [`SplitForm`].
-    split_form: bool,
+    kind: OutputKind,
+}
+
+impl MergeOutput {
+    fn new(
+        slot: u32,
+        value: ValueId,
+        instance: SplitInstance,
+        kind: OutputKind,
+        config: &Config,
+    ) -> Self {
+        let strategy = instance.merge_strategy();
+        // The placement capability comes straight from the merge
+        // strategy probe (`MergeStrategy::Concat { placement }`).
+        // `unknown` outputs (filters, anything whose pieces do not
+        // correspond to input elements, §3.2) compact: a piece may
+        // hold fewer elements than the batch that produced it, so
+        // batch offsets are meaningless there and the merger must
+        // concatenate; commutative strategies cannot carry placement
+        // by construction. Held outputs never take placement — the
+        // whole point is that no merged value is allocated.
+        let placement =
+            (config.placement_merge && !instance.is_unknown() && kind == OutputKind::Merge)
+                .then(|| strategy.placement().cloned())
+                .flatten()
+                .map(|cap| PlacementMerge {
+                    cap,
+                    state: PlacementState::new(),
+                });
+        MergeOutput {
+            slot,
+            value,
+            commutative: strategy.commutative(),
+            placement,
+            kind,
+            instance,
+        }
+    }
+
+    /// Whether the pieces are kept as pieces instead of merged.
+    fn held(&self) -> bool {
+        self.kind != OutputKind::Merge
+    }
 }
 
 /// One output's placement merge: the split type's capability object and
@@ -224,53 +315,6 @@ impl PlacementState {
             written: AtomicU64::new(0),
             high: AtomicU64::new(0),
         }
-    }
-}
-
-/// `(merge result, merge duration)` slot a side job fills in.
-type MergeSlot = Arc<Mutex<Option<(Result<DataValue>, Duration)>>>;
-
-/// A final merge dispatched to the pool as a side job, joined when the
-/// evaluation finishes (see the module docs on overlapped merges).
-pub(crate) struct DeferredMerge {
-    value: ValueId,
-    side: Arc<SideJob>,
-    /// Result slot written by the side job.
-    result: MergeSlot,
-    /// Split instance of the merged output, for byte accounting at join.
-    instance: SplitInstance,
-}
-
-impl DeferredMerge {
-    /// Wait for the merge (running it inline if no pool worker picked
-    /// it up), materialize the value, and account the merge time.
-    pub(crate) fn join(self, graph: &mut DataflowGraph, stats: &mut PhaseStats) -> Result<()> {
-        self.side.join();
-        // An empty slot after join means the merge closure panicked so
-        // hard its own phase wrapper could not record a result (the
-        // side job's outer catch keeps the submitter from blocking
-        // forever); surface it as a typed merge panic.
-        let (result, took) = self
-            .result
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-            .unwrap_or_else(|| {
-                (
-                    Err(Error::TaskPanicked {
-                        stage: FaultPhase::Merge,
-                        payload: "overlapped final merge panicked on a pool worker".into(),
-                    }),
-                    Duration::ZERO,
-                )
-            });
-        stats.merge += took;
-        let merged = result?;
-        stats.bytes_merged += merged_bytes(&self.instance, &merged);
-        let entry = &mut graph.values[self.value.0 as usize];
-        entry.data = Some(merged);
-        entry.ready = true;
-        Ok(())
     }
 }
 
@@ -337,6 +381,7 @@ pub(crate) struct PieceRun {
 }
 
 /// Per-worker result: pre-merged partial runs and phase timings.
+#[derive(Default)]
 pub(crate) struct WorkerOut {
     /// Per merge output: runs in increasing element order.
     partials: Vec<Vec<PieceRun>>,
@@ -358,42 +403,100 @@ pub(crate) struct WorkerOut {
     pub(crate) stolen: u64,
 }
 
+/// The read-only environment a stage runs in, borrowed from the owning
+/// context for one executor call.
+pub(crate) struct ExecEnv<'a> {
+    pub(crate) config: &'a Config,
+    pub(crate) pool: Option<&'a WorkerPool>,
+    /// Tags pool jobs for per-session fairness accounting when the pool
+    /// is shared between contexts (see
+    /// [`PoolStats::sessions`](crate::stats::PoolStats)).
+    pub(crate) session: u64,
+    pub(crate) cancel: Option<&'a Arc<CancelToken>>,
+    pub(crate) trace: Option<&'a TraceCtx>,
+}
+
 /// Execute one stage, materializing its outputs into the graph.
-///
-/// `session` tags the pool job for per-session fairness accounting when
-/// the pool is shared between contexts (see
-/// [`PoolStats::sessions`](crate::stats::PoolStats)). Final merges that
-/// can be overlapped with subsequent planning are pushed onto
-/// `deferred` instead of running here; the caller must join every
-/// [`DeferredMerge`] before the evaluation returns.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_stage(
     graph: &mut DataflowGraph,
     stage: &StagePlan,
-    config: &Config,
     stats: &mut PhaseStats,
-    pool: Option<&WorkerPool>,
-    session: u64,
-    cancel: Option<&Arc<CancelToken>>,
-    trace: Option<&TraceCtx>,
-    deferred: &mut Vec<DeferredMerge>,
+    env: &ExecEnv<'_>,
 ) -> Result<()> {
-    let stage_idx = stats.stages;
-    if let Some(c) = cancel {
-        if c.is_cancelled() {
-            return Err(Error::Cancelled(format!(
-                "evaluation abandoned before stage {stage_idx}"
-            )));
+    let exec = build_exec_stage(graph, stage, stats.stages, env)?;
+    let total_elements = exec.total_elements;
+    let sum_elem_bytes = exec.sum_elem_bytes;
+    run_exec(graph, exec, stats, env)?;
+
+    // Materialize in-place and discarded outputs.
+    for out in &stage.outputs {
+        let entry = &mut graph.values[out.value.0 as usize];
+        match out.kind {
+            OutputKind::InPlace => entry.ready = true,
+            OutputKind::Discard => entry.ready = false,
+            // Stored by `run_exec`.
+            OutputKind::Merge | OutputKind::SplitForm | OutputKind::Deferred => {}
         }
     }
-    let exec = build_exec_stage(
-        graph,
-        stage,
-        config,
-        stage_idx,
-        cancel.cloned(),
-        trace.cloned(),
-    )?;
+
+    for &n in &stage.nodes {
+        graph.nodes[n.0 as usize].executed = true;
+    }
+    graph.next_unplanned += stage.nodes.len();
+    stats.stages += 1;
+    stats.bytes_split += total_elements.saturating_mul(sum_elem_bytes);
+    Ok(())
+}
+
+/// Merge the pieces value `id` is held as into the whole value, if it
+/// is held — the on-demand half of `OutputKind::Deferred` and the
+/// fallback for a hand-off some consumer needs whole. Returns whether a
+/// merge ran.
+///
+/// Runs as an *identity stage* (module docs): the held pieces are the
+/// one split input, served at their own boundaries so every batch is a
+/// piece clone, and the value is the one merge output.
+pub(crate) fn materialize_held(
+    graph: &mut DataflowGraph,
+    id: ValueId,
+    stats: &mut PhaseStats,
+    env: &ExecEnv<'_>,
+) -> Result<bool> {
+    let Some(sf) = graph.held(id).cloned() else {
+        return Ok(false);
+    };
+    let instance = sf.instance().clone();
+    let mut exec = ExecStage::sized(sf.total(), sf.piece_len(), stats.stages, env);
+    // `sum_elem_bytes` stays 0: nothing is split, the pieces exist.
+    exec.num_slots = 1;
+    let output = MergeOutput::new(0, id, instance.clone(), OutputKind::Merge, env.config);
+    exec.merge_outputs.push(output);
+    let data = InputData::Pieces(sf);
+    exec.inputs.push(ExecInput {
+        slot: 0,
+        instance,
+        data,
+    });
+    run_exec(graph, exec, stats, env)?;
+    graph.values[id.0 as usize].held = None;
+    Ok(true)
+}
+
+/// Run a built stage — driver loop on the participants, then the final
+/// merge on the calling thread — storing every merge output on its
+/// graph value, whole or (for held kinds) as pieces.
+fn run_exec(
+    graph: &mut DataflowGraph,
+    exec: ExecStage,
+    stats: &mut PhaseStats,
+    env: &ExecEnv<'_>,
+) -> Result<()> {
+    let stage_idx = exec.stage_idx;
+    if env.cancel.is_some_and(|c| c.is_cancelled()) {
+        return Err(Error::Cancelled(format!(
+            "evaluation abandoned before stage {stage_idx}"
+        )));
+    }
 
     // Stage-start placement allocation: split types whose parameters
     // determine the output layout allocate (and pre-fault) the merged
@@ -416,11 +519,11 @@ pub(crate) fn execute_stage(
     }
     let prealloc = cpu_elapsed(t_alloc, thread_cpu_now());
 
-    let job = Job::new(exec, session);
+    let job = Job::new(exec, env.session);
 
     let mut outs: Vec<WorkerOut> = if job.exec.participants <= 1 {
         vec![run_worker(&job.exec, &job.cursor, &job.failed, 0)?]
-    } else if let Some(pool) = pool {
+    } else if let Some(pool) = env.pool {
         // Whatever `config.reuse_pool` says, a provided pool is used:
         // an attached shared pool must never be bypassed by a session
         // config that happens to disable context-owned pools.
@@ -436,16 +539,17 @@ pub(crate) fn execute_stage(
     // Final merge on the calling thread (§5.2 step 3): order every
     // worker's partial runs by element offset, then merge once.
     // Placement outputs skip all of this — their pieces already live in
-    // the preallocated value — and non-placement outputs nothing later
-    // consumes are dispatched to the pool instead of merged here.
+    // the preallocated value — and held outputs keep the ordered runs.
     let t0 = thread_cpu_now();
-    let w0 = trace.map(|t| t.recorder.now_ns());
+    let w0 = exec.span_start();
     for (i, mo) in exec.merge_outputs.iter().enumerate() {
-        if let Some(merged) = finish_placement(mo, exec.total_elements)? {
+        let mut store = |merged: DataValue, stats: &mut PhaseStats| {
             stats.bytes_merged += merged_bytes(&mo.instance, &merged);
             let entry = &mut graph.values[mo.value.0 as usize];
-            entry.data = Some(merged);
-            entry.ready = true;
+            (entry.data, entry.ready) = (Some(merged), true);
+        };
+        if let Some(merged) = finish_placement(mo, exec.total_elements)? {
+            store(merged, stats);
             continue;
         }
         // Take ownership of the runs out of the worker results instead
@@ -466,126 +570,29 @@ pub(crate) fn execute_stage(
             });
         }
         runs.sort_by_key(|r| r.start);
-        if mo.split_form {
-            // Split-form hand-off: no merge at all. The ordered piece
-            // set (with element ranges) is stored on the value entry for
-            // the consuming stage's split phase to slice from;
-            // `SplitForm::new` validates contiguity, so an interior gap
-            // a concat would have silently closed fails loudly here.
-            let pieces: Vec<(u64, u64, DataValue)> = runs
-                .into_iter()
-                .map(|r| (r.start, r.end, r.piece))
-                .collect();
-            let piece_count = pieces.len() as u64;
-            // Per-element footprint via the split info API on the first
-            // piece (the info contract covers pieces; elem size is
-            // range-independent). Zero when the info call declines —
-            // byte-budget degradation, not a correctness issue.
-            let elem_size = mo
-                .instance
-                .splitter
-                .info(&pieces[0].2, &mo.instance.params)
-                .map(|i| i.elem_size_bytes)
-                .unwrap_or(0);
-            let sf = SplitForm::new(pieces, exec.total_elements, mo.instance.clone(), elem_size)?;
-            let entry = &mut graph.values[mo.value.0 as usize];
-            entry.split_form = Some(Arc::new(sf));
-            entry.data = None;
-            entry.ready = false;
-            stats.split_form_handoffs += 1;
-            if let Some(t) = trace {
-                // Near-zero-duration marker span: the elided-merge
-                // analogue of FinalMerge (arg = stage, link = pieces).
-                let now = t.recorder.now_ns();
-                t.emit(
-                    SpanKind::SplitFormHandoff,
-                    SERVICE_WORKER,
-                    stage_idx,
-                    piece_count,
-                    now,
-                    0,
-                    0,
-                );
-            }
+        if mo.held() {
+            hold_pieces(graph, mo, runs, exec, stats)?;
             continue;
         }
         let pieces: Vec<DataValue> = runs.into_iter().map(|r| r.piece).collect();
         // Merge-size hint (ROADMAP): the final merged value covers the
         // stage's whole element range, so concat-style mergers can
         // preallocate once instead of growing per piece.
-        if let (true, Some(pool)) = (config.placement_merge && mo.last_use, pool) {
-            // Overlapped final merge: nothing later in the graph reads
-            // this value, so the concat can ride on a pool worker while
-            // the caller plans and executes subsequent stages.
-            let instance = mo.instance.clone();
-            let total = exec.total_elements;
-            let result: MergeSlot = Arc::new(Mutex::new(None));
-            let result2 = Arc::clone(&result);
-            let side = SideJob::new(move || {
-                let t = thread_cpu_now();
-                // Phase-wrapped so a panicking foreign merge reaches
-                // the submitter as the typed error through the result
-                // slot (the side job's own catch would otherwise leave
-                // the slot empty and lose the payload).
-                let merged = catch_phase(FaultPhase::Merge, || {
-                    instance.splitter.merge(pieces, &instance.params, total)
-                });
-                let took = cpu_elapsed(t, thread_cpu_now());
-                *result2.lock().unwrap_or_else(|p| p.into_inner()) = Some((merged, took));
-            });
-            pool.submit_side(Arc::clone(&side));
-            deferred.push(DeferredMerge {
-                value: mo.value,
-                side,
-                result,
-                instance: mo.instance.clone(),
-            });
-            stats.overlapped_merges += 1;
-            continue;
-        }
         let merged = catch_phase(FaultPhase::Merge, || {
             mo.instance
                 .splitter
                 .merge(pieces, &mo.instance.params, exec.total_elements)
         })?;
-        stats.bytes_merged += merged_bytes(&mo.instance, &merged);
-        let entry = &mut graph.values[mo.value.0 as usize];
-        entry.data = Some(merged);
-        entry.ready = true;
+        store(merged, stats);
     }
     let final_merge = cpu_elapsed(t0, thread_cpu_now());
-    if let (Some(t), Some(w0)) = (trace, w0) {
-        // One final-merge span per stage on the calling thread; CPU time
-        // also folds in the stage-start placement preallocation, which
-        // is the placement path's share of merge work.
-        t.emit(
-            SpanKind::FinalMerge,
-            SERVICE_WORKER,
-            stage_idx,
-            0,
-            w0,
-            t.recorder.now_ns().saturating_sub(w0),
-            duration_ns(final_merge + prealloc),
-        );
-    }
-
-    // Materialize in-place and discarded outputs.
-    for out in &stage.outputs {
-        let entry = &mut graph.values[out.value.0 as usize];
-        match out.kind {
-            OutputKind::InPlace => entry.ready = true,
-            OutputKind::Discard => entry.ready = false,
-            OutputKind::Merge | OutputKind::SplitForm => {} // handled above
-        }
-    }
-
-    for &n in &stage.nodes {
-        graph.nodes[n.0 as usize].executed = true;
-    }
-    graph.next_unplanned += stage.nodes.len();
+    // One final-merge span per stage on the calling thread; CPU time
+    // also folds in the stage-start placement preallocation, which is
+    // the placement path's share of merge work.
+    let merge_cpu = final_merge + prealloc;
+    exec.span(SpanKind::FinalMerge, SERVICE_WORKER, 0, w0, merge_cpu);
 
     // Phase accounting: worker-parallel phases report the per-stage max.
-    stats.stages += 1;
     stats.split += outs.iter().map(|o| o.split).max().unwrap_or_default();
     stats.task += outs.iter().map(|o| o.task).max().unwrap_or_default();
     stats.merge += outs.iter().map(|o| o.merge).max().unwrap_or_default() + final_merge + prealloc;
@@ -593,7 +600,53 @@ pub(crate) fn execute_stage(
     stats.calls += outs.iter().map(|o| o.calls).sum::<u64>();
     stats.placement_writes += outs.iter().map(|o| o.placement_writes).sum::<u64>();
     stats.split_form_reslices += outs.iter().map(|o| o.split_form_reslices).sum::<u64>();
-    stats.bytes_split += exec.total_elements.saturating_mul(exec.sum_elem_bytes);
+    Ok(())
+}
+
+/// Store a held output's ordered runs on its value instead of merging
+/// them. `SplitForm::new` validates contiguity, so an interior gap a
+/// concat would have silently closed fails loudly here.
+fn hold_pieces(
+    graph: &mut DataflowGraph,
+    mo: &MergeOutput,
+    runs: Vec<PieceRun>,
+    exec: &ExecStage,
+    stats: &mut PhaseStats,
+) -> Result<()> {
+    let pieces: Vec<(u64, u64, DataValue)> = runs
+        .into_iter()
+        .map(|r| (r.start, r.end, r.piece))
+        .collect();
+    let piece_count = pieces.len() as u64;
+    // Per-element footprint via the split info API on the first piece
+    // (the info contract covers pieces; elem size is range-independent;
+    // `unknown` instances have no info contract). Zero when the info
+    // call declines — byte-budget degradation, not a correctness issue.
+    let elem_size = if mo.instance.is_unknown() {
+        0
+    } else {
+        mo.instance
+            .splitter
+            .info(&pieces[0].2, &mo.instance.params)
+            .map_or(0, |i| i.elem_size_bytes)
+    };
+    let sf = SplitForm::new(pieces, exec.total_elements, mo.instance.clone(), elem_size)?;
+    let entry = &mut graph.values[mo.value.0 as usize];
+    entry.held = Some(Arc::new(sf));
+    entry.data = None;
+    entry.ready = false;
+    if mo.kind == OutputKind::Deferred {
+        stats.deferred_outputs += 1;
+        graph.deferred.push(mo.value);
+    } else {
+        stats.split_form_handoffs += 1;
+        if let Some(t) = &exec.trace {
+            // Zero-duration marker span: the elided-merge analogue of
+            // FinalMerge (arg = stage, link = pieces).
+            let (kind, now) = (SpanKind::SplitFormHandoff, t.recorder.now_ns());
+            t.emit(kind, SERVICE_WORKER, exec.stage_idx, piece_count, now, 0, 0);
+        }
+    }
     Ok(())
 }
 
@@ -640,11 +693,10 @@ fn finish_placement(mo: &MergeOutput, total_elements: u64) -> Result<Option<Data
 fn build_exec_stage(
     graph: &DataflowGraph,
     stage: &StagePlan,
-    config: &Config,
     stage_idx: u64,
-    cancel: Option<Arc<CancelToken>>,
-    trace: Option<TraceCtx>,
+    env: &ExecEnv<'_>,
 ) -> Result<ExecStage> {
+    let config = env.config;
     let mut inputs = Vec::with_capacity(stage.inputs.len());
     let mut total: Option<u64> = None;
     let mut sum_elem_bytes: u64 = 0;
@@ -694,8 +746,6 @@ fn build_exec_stage(
     // `_`) executes as a single batch of one element.
     let total_elements = total.unwrap_or(1);
     let batch = config.batch_elements(sum_elem_bytes, total_elements);
-    let num_batches = total_elements.div_ceil(batch.max(1)).max(1);
-    let participants = config.workers.max(1).min(num_batches as usize);
 
     let mut broadcast = Vec::with_capacity(stage.broadcast.len());
     for vid in &stage.broadcast {
@@ -733,37 +783,15 @@ fn build_exec_stage(
     let merge_outputs = stage
         .outputs
         .iter()
-        .filter(|o| matches!(o.kind, OutputKind::Merge | OutputKind::SplitForm))
+        .filter(|o| !matches!(o.kind, OutputKind::InPlace | OutputKind::Discard))
         .map(|o| {
-            let split_form = o.kind == OutputKind::SplitForm;
-            let strategy = o.instance.merge_strategy();
-            let commutative = strategy.commutative();
-            // The placement capability comes straight from the merge
-            // strategy probe (`MergeStrategy::Concat { placement }`).
-            // `unknown` outputs (filters, anything whose pieces do not
-            // correspond to input elements, §3.2) compact: a piece may
-            // hold fewer elements than the batch that produced it, so
-            // batch offsets are meaningless there and the merger must
-            // concatenate; commutative strategies cannot carry
-            // placement by construction. Split-form outputs never take
-            // placement — the whole point is that no merged value is
-            // ever allocated.
-            let placement = (config.placement_merge && !o.instance.is_unknown() && !split_form)
-                .then(|| strategy.placement().cloned())
-                .flatten()
-                .map(|cap| PlacementMerge {
-                    cap,
-                    state: PlacementState::new(),
-                });
-            MergeOutput {
-                slot: stage.slot_of(o.value),
-                value: o.value,
-                commutative,
-                last_use: o.last_use,
-                placement,
-                split_form,
-                instance: o.instance.clone(),
-            }
+            MergeOutput::new(
+                stage.slot_of(o.value),
+                o.value,
+                o.instance.clone(),
+                o.kind,
+                config,
+            )
         })
         .collect();
 
@@ -774,16 +802,8 @@ fn build_exec_stage(
         merge_outputs,
         produced_slots,
         num_slots: stage.num_slots as usize,
-        total_elements,
         sum_elem_bytes,
-        batch,
-        participants,
-        log_calls: config.log_calls,
-        pedantic: config.pedantic,
-        stage_idx,
-        faults: config.fault_plan.clone(),
-        cancel,
-        trace,
+        ..ExecStage::sized(total_elements, batch, stage_idx, env)
     })
 }
 
@@ -797,18 +817,8 @@ pub(crate) fn run_worker(
     failed: &AtomicBool,
     worker_idx: usize,
 ) -> Result<WorkerOut> {
-    let mut out = WorkerOut {
-        partials: Vec::new(),
-        split: Duration::ZERO,
-        task: Duration::ZERO,
-        merge: Duration::ZERO,
-        batches: 0,
-        calls: 0,
-        placement_writes: 0,
-        split_form_reslices: 0,
-        claims: 0,
-        stolen: 0,
-    };
+    let mut out = WorkerOut::default();
+    let worker = worker_idx as u32;
     // Raw pieces per merge output, tagged `(start, end, piece)`. Claims
     // from the shared cursor are monotonic, so these stay sorted.
     let mut pending: Vec<Vec<(u64, u64, DataValue)>> = vec![Vec::new(); exec.merge_outputs.len()];
@@ -881,7 +891,7 @@ pub(crate) fn run_worker(
             // foreign split/task/merge code fails this job with the
             // typed `Error::TaskPanicked` and the thread survives.
             let t0 = thread_cpu_now();
-            let w0 = exec.trace.as_ref().map(|t| t.recorder.now_ns());
+            let w0 = exec.span_start();
             for &s in &exec.produced_slots {
                 slots[s as usize] = None;
             }
@@ -929,24 +939,14 @@ pub(crate) fn run_worker(
             });
             let split_cpu = cpu_elapsed(t0, thread_cpu_now());
             out.split += split_cpu;
-            if let (Some(t), Some(w0)) = (&exec.trace, w0) {
-                t.emit(
-                    SpanKind::Split,
-                    worker_idx as u32,
-                    exec.stage_idx,
-                    batch_idx,
-                    w0,
-                    t.recorder.now_ns().saturating_sub(w0),
-                    duration_ns(split_cpu),
-                );
-            }
+            exec.span(SpanKind::Split, worker, batch_idx, w0, split_cpu);
             if null_split? {
                 break 'driver;
             }
 
             // Run the pipeline on this batch's pieces.
             let t1 = thread_cpu_now();
-            let w1 = exec.trace.as_ref().map(|t| t.recorder.now_ns());
+            let w1 = exec.span_start();
             let task_result = catch_phase(FaultPhase::Task, || {
                 inject(exec, FaultPhase::Task, batch_idx, worker_idx)?;
                 for node in &exec.nodes {
@@ -996,17 +996,7 @@ pub(crate) fn run_worker(
             });
             let task_cpu = cpu_elapsed(t1, thread_cpu_now());
             out.task += task_cpu;
-            if let (Some(t), Some(w1)) = (&exec.trace, w1) {
-                t.emit(
-                    SpanKind::Task,
-                    worker_idx as u32,
-                    exec.stage_idx,
-                    batch_idx,
-                    w1,
-                    t.recorder.now_ns().saturating_sub(w1),
-                    duration_ns(task_cpu),
-                );
-            }
+            exec.span(SpanKind::Task, worker, batch_idx, w1, task_cpu);
             task_result?;
 
             // Stash pieces of observable outputs ("moved to a list of
@@ -1020,7 +1010,7 @@ pub(crate) fn run_worker(
                         Some(piece) => {
                             if let Some(pm) = &mo.placement {
                                 let t2 = thread_cpu_now();
-                                let w2 = exec.trace.as_ref().map(|t| t.recorder.now_ns());
+                                let w2 = exec.span_start();
                                 let mut alloc_err: Option<Error> = None;
                                 // Resolve the placement decision exactly
                                 // once, on the first piece any worker
@@ -1055,17 +1045,8 @@ pub(crate) fn run_worker(
                                     out.placement_writes += 1;
                                     let write_cpu = cpu_elapsed(t2, thread_cpu_now());
                                     out.merge += write_cpu;
-                                    if let (Some(t), Some(w2)) = (&exec.trace, w2) {
-                                        t.emit(
-                                            SpanKind::PlacementWrite,
-                                            worker_idx as u32,
-                                            exec.stage_idx,
-                                            batch_idx,
-                                            w2,
-                                            t.recorder.now_ns().saturating_sub(w2),
-                                            duration_ns(write_cpu),
-                                        );
-                                    }
+                                    let kind = SpanKind::PlacementWrite;
+                                    exec.span(kind, worker, batch_idx, w2, write_cpu);
                                     continue;
                                 }
                                 out.merge += cpu_elapsed(t2, thread_cpu_now());
@@ -1097,7 +1078,7 @@ pub(crate) fn run_worker(
     // sensitive merges fold each contiguous run so the final merge can
     // order them globally.
     let t2 = thread_cpu_now();
-    let w2 = exec.trace.as_ref().map(|t| t.recorder.now_ns());
+    let w2 = exec.span_start();
     let partials = catch_phase(FaultPhase::Merge, || {
         exec.merge_outputs
             .iter()
@@ -1107,18 +1088,8 @@ pub(crate) fn run_worker(
     });
     let merge_cpu = cpu_elapsed(t2, thread_cpu_now());
     out.merge += merge_cpu;
-    if let (Some(t), Some(w2)) = (&exec.trace, w2) {
-        if out.batches > 0 {
-            t.emit(
-                SpanKind::Merge,
-                worker_idx as u32,
-                exec.stage_idx,
-                0,
-                w2,
-                t.recorder.now_ns().saturating_sub(w2),
-                duration_ns(merge_cpu),
-            );
-        }
+    if out.batches > 0 {
+        exec.span(SpanKind::Merge, worker, 0, w2, merge_cpu);
     }
     out.partials = partials?;
     Ok(out)
@@ -1129,11 +1100,12 @@ fn local_merge(mo: &MergeOutput, pieces: Vec<(u64, u64, DataValue)>) -> Result<V
     if pieces.is_empty() {
         return Ok(Vec::new());
     }
-    if mo.split_form {
+    if mo.held() {
         // No merging at any level: each batch piece stays its own run,
-        // so the hand-off keeps per-batch granularity and the consuming
-        // stage's aligned batches take the clone fast path instead of
-        // re-slicing out of a worker-concatenated chunk.
+        // so the held set keeps per-batch granularity and aligned
+        // batches of whoever reads it next (a consuming stage, or the
+        // identity stage of an on-demand merge) take the clone fast
+        // path instead of re-slicing a worker-concatenated chunk.
         return Ok(pieces
             .into_iter()
             .map(|(start, end, piece)| PieceRun { start, end, piece })

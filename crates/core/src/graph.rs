@@ -56,16 +56,26 @@ pub struct ValueEntry {
     pub data: Option<DataValue>,
     /// Whether `data` reflects completed computation.
     pub ready: bool,
-    /// The value held *in split form* (pieces, not merged) after its
-    /// producing stage elided the merge — set instead of `data`/`ready`
-    /// when the planner chose `OutputKind::SplitForm`. Consumed by the
-    /// next stage's split phase, or materialized on demand if a
+    /// The value held *as pieces* (not merged) after its producing
+    /// stage skipped the merge — set instead of `data`/`ready` when the
+    /// planner chose `OutputKind::SplitForm` (consumed by the next
+    /// stage's split phase) or `OutputKind::Deferred` (alive but not
+    /// asked for). Merged on demand by the first read, or when a
     /// consumer turns out to need the whole value.
-    pub split_form: Option<Arc<SplitForm>>,
+    pub held: Option<Arc<SplitForm>>,
     /// Nodes that read this value.
     pub consumers: Vec<NodeId>,
     /// Liveness token for application-held `Future`s (return values only).
     pub user_token: Option<Weak<FutureToken>>,
+}
+
+impl ValueEntry {
+    /// Whether the application still holds a `Future` for the value.
+    pub fn observable(&self) -> bool {
+        self.user_token
+            .as_ref()
+            .is_some_and(|w| w.strong_count() > 0)
+    }
 }
 
 /// A captured annotated call.
@@ -98,6 +108,10 @@ pub struct DataflowGraph {
     pub identity_map: HashMap<DataIdentity, ValueId>,
     /// Index of the first node not yet executed.
     pub next_unplanned: usize,
+    /// Values stored as `OutputKind::Deferred` pieces and not known to
+    /// be merged since — what a stage that mutates storage in place
+    /// must flush first (the pieces may be views of that storage).
+    pub deferred: Vec<ValueId>,
 }
 
 impl DataflowGraph {
@@ -132,7 +146,7 @@ impl DataflowGraph {
                 origin: ValueOrigin::Source,
                 data: Some(dv.clone()),
                 ready: true,
-                split_form: None,
+                held: None,
                 consumers: Vec::new(),
                 user_token: None,
             });
@@ -144,7 +158,7 @@ impl DataflowGraph {
                 origin: ValueOrigin::Source,
                 data: Some(dv.clone()),
                 ready: true,
-                split_form: None,
+                held: None,
                 consumers: Vec::new(),
                 user_token: None,
             })
@@ -171,31 +185,47 @@ impl DataflowGraph {
         }
     }
 
-    /// The split-form piece set for a value, if its producing stage
-    /// elided the merge and the value has not been materialized since.
-    pub fn split_form(&self, id: ValueId) -> Option<&Arc<SplitForm>> {
+    /// The piece set a value is held as, if its producing stage skipped
+    /// the merge and the value has not been materialized since.
+    pub fn held(&self, id: ValueId) -> Option<&Arc<SplitForm>> {
         let e = self.values.get(id.0 as usize)?;
         if e.ready {
             None
         } else {
-            e.split_form.as_ref()
+            e.held.as_ref()
         }
     }
 
-    /// Materialize a split-form value through the classic merge,
-    /// storing the whole value on the entry. Returns `true` if a merge
-    /// actually ran (the fallback counter's trigger), `false` if the
-    /// value was not in split form.
-    pub fn materialize_split_form(&mut self, id: ValueId) -> crate::error::Result<bool> {
-        let e = match self.values.get_mut(id.0 as usize) {
-            Some(e) if !e.ready && e.split_form.is_some() => e,
-            _ => return Ok(false),
-        };
-        let sf = e.split_form.take().expect("checked above");
-        let merged = sf.materialize()?;
-        e.data = Some(merged);
-        e.ready = true;
-        Ok(true)
+    /// [`held`](Self::held) pieces a stage can bind as a split input:
+    /// only re-splittable sets qualify — `unknown` or concat-less
+    /// pieces must be merged whole first.
+    pub fn split_form(&self, id: ValueId) -> Option<&Arc<SplitForm>> {
+        self.held(id).filter(|sf| sf.resplittable())
+    }
+
+    /// Drop the payload (data or held pieces) of return value `id`
+    /// unless a pending call still reads it. The caller has established
+    /// that no `Future` can observe the value; sources and mut-versions
+    /// alias application storage and are never released.
+    pub fn release(&mut self, id: ValueId) {
+        release_value(&mut self.values, &self.nodes, id);
+    }
+
+    /// [`release`](Self::release) every return value the nodes executed
+    /// since `first_node` produced or read that no `Future` observes —
+    /// run at the end of each evaluation, so a long-lived context holds
+    /// only what the application can still reach.
+    pub fn release_unreachable(&mut self, first_node: usize) {
+        let (values, nodes) = (&mut self.values, &self.nodes);
+        for node in &nodes[first_node..self.next_unplanned] {
+            for &id in node.args.iter().chain(&node.ret) {
+                if !values[id.0 as usize].observable() {
+                    release_value(values, nodes, id);
+                }
+            }
+        }
+        self.deferred
+            .retain(|id| values[id.0 as usize].held.is_some());
     }
 
     /// Data captured for a value even if its producing call has not run.
@@ -325,6 +355,16 @@ impl DataflowGraph {
             h.u64(*p as u64);
         }
         Some(())
+    }
+}
+
+/// [`DataflowGraph::release`] over the graph's fields, so a caller
+/// iterating `nodes` can release values as it goes.
+fn release_value(values: &mut [ValueEntry], nodes: &[Node], id: ValueId) {
+    let e = &mut values[id.0 as usize];
+    let pending = |c: &NodeId| !nodes[c.0 as usize].executed;
+    if matches!(e.origin, ValueOrigin::Ret(_)) && !e.consumers.iter().any(pending) {
+        (e.data, e.held, e.ready) = (None, None, false);
     }
 }
 

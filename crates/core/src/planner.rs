@@ -33,10 +33,32 @@
 //! [`Concat`](crate::split::Concat) capability; or some consumer needs
 //! the value whole (a broadcast/`_` position, a mut argument, a
 //! split-type constructor argument) or under a different split type.
-//! Mispredictions are safe, not just rare: a node that cannot be
-//! scheduled over a split-form value falls back to materializing it
-//! through the classic merge ([`DataflowGraph::materialize_split_form`],
-//! counted as `split_form_fallbacks`) and is retried.
+//! Mispredictions are safe, not just rare: when a node cannot be
+//! scheduled over values still held as pieces, the planner asks its
+//! caller to merge them whole ([`Planned::NeedsWhole`], counted as
+//! `split_form_fallbacks`) and plans again.
+//!
+//! # Demand-driven materialization
+//!
+//! The paper's client library evaluates when a lazy value is
+//! *accessed* (§4); which value was accessed is the [`Demand`] every
+//! evaluation carries down to `finish_stage` and
+//! `CachedPlan::bind_stage`. A return value's [`OutputKind`] follows
+//! from three facts, re-derived on every plan and every replay (so the
+//! plan-cache fingerprint does not depend on them):
+//!
+//! | the value is … | kind |
+//! |---|---|
+//! | consumed by a pending node outside the stage | `SplitForm` if eligible and nobody can observe it, else `Merge` |
+//! | demanded by the read that triggered the evaluation | `Merge` |
+//! | only alive (a `Future` exists, nobody asked) | `Deferred` |
+//! | dead | `Discard` |
+//!
+//! A `Deferred` output costs no placement allocation, no worker-local
+//! pre-merge and no final concat: its range-tagged pieces are stored on
+//! the value exactly like a hand-off's, and the first later read of its
+//! `Future` merges them then. `MozartContext::evaluate` demands every
+//! live handle ([`Demand::AllLive`]) — the pre-demand behaviour.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,6 +87,37 @@ pub enum OutputKind {
     /// (and the consumer's re-split). See the module docs for the
     /// rewrite rule and `Config::split_form` for the gate.
     SplitForm,
+    /// A `Future` for the output is alive but the read that triggered
+    /// the evaluation did not ask for it, and no later node consumes
+    /// it: keep the pieces on the value and merge them when (if) the
+    /// `Future` is read. See "Demand-driven materialization" in the
+    /// module docs.
+    Deferred,
+}
+
+/// What the read that triggered an evaluation asks for — the set of
+/// user-visible values that must be whole when it returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Demand {
+    /// An explicit `MozartContext::evaluate`: every value the
+    /// application still holds a `Future` for.
+    AllLive,
+    /// `Future::get` / `MozartContext::force_value` of this one value.
+    Value(ValueId),
+    /// A read of protected storage: in-place results only.
+    Nothing,
+}
+
+impl Demand {
+    /// Whether `value` is demanded, given whether the application still
+    /// holds a `Future` for it.
+    pub fn wants(self, value: ValueId, live: bool) -> bool {
+        match self {
+            Demand::AllLive => live,
+            Demand::Value(v) => v == value,
+            Demand::Nothing => false,
+        }
+    }
 }
 
 /// One value a stage produces.
@@ -76,12 +129,6 @@ pub struct StageOutput {
     pub instance: SplitInstance,
     /// How to materialize it.
     pub kind: OutputKind,
-    /// `true` when no unexecuted node outside this stage consumes the
-    /// value — it is only observable through a user-held `Future`. The
-    /// executor may then defer the final merge (dispatch it to the pool
-    /// and overlap it with planning/executing subsequent stages): no
-    /// later stage can need the merged value before evaluation returns.
-    pub last_use: bool,
 }
 
 /// An executable stage: an ordered run of pipelinable calls.
@@ -160,19 +207,26 @@ enum AddOutcome {
     Incompatible,
 }
 
+/// One step of interleaved planning.
+pub enum Planned {
+    /// The next stage, ready to verify and execute.
+    Stage(StagePlan),
+    /// The next node cannot be scheduled — not even alone in a fresh
+    /// stage — while these arguments are held as pieces (needed whole,
+    /// under another split type, or not re-splittable). The caller
+    /// merges them and plans again: holding pieces is an optimization,
+    /// never a scheduling constraint.
+    NeedsWhole(Vec<ValueId>),
+}
+
 /// Plan the next stage starting at `graph.next_unplanned`.
 ///
-/// Returns `None` when there are no pending nodes. Takes the graph
-/// mutably for one reason only: a node that cannot be scheduled even in
-/// a fresh stage over split-form values falls back to materializing
-/// them (the classic merge, counted into `fallbacks`) and is retried —
-/// the split-form rewrite is an optimization, never a scheduling
-/// constraint.
+/// Returns `None` when there are no pending nodes.
 pub fn plan_next_stage(
-    graph: &mut DataflowGraph,
+    graph: &DataflowGraph,
     config: &Config,
-    fallbacks: &mut u64,
-) -> Result<Option<StagePlan>> {
+    demand: Demand,
+) -> Result<Option<Planned>> {
     if graph.fully_executed() {
         return Ok(None);
     }
@@ -180,56 +234,35 @@ pub fn plan_next_stage(
     let mut cursor = graph.next_unplanned;
     while cursor < graph.nodes.len() {
         let node_id = NodeId(cursor as u32);
-        let mut outcome = try_add(graph, &mut b, node_id)?;
-        if matches!(outcome, AddOutcome::Incompatible)
-            && b.nodes.is_empty()
-            && materialize_node_split_forms(graph, node_id, fallbacks)?
-        {
-            // The node may have been unschedulable only because an
-            // input was held in split form (e.g. needed whole, or
-            // under an incompatible type); with the inputs
-            // materialized, try once more.
-            outcome = try_add(graph, &mut b, node_id)?;
-        }
-        match outcome {
+        match try_add(graph, &mut b, node_id)? {
             AddOutcome::Added => {
                 cursor += 1;
                 if !config.pipeline {
                     break; // "-pipe" ablation: one function per stage.
                 }
             }
+            AddOutcome::Incompatible if !b.nodes.is_empty() => break,
             AddOutcome::Incompatible => {
-                if b.nodes.is_empty() {
-                    // A single node must always be schedulable by itself;
-                    // reaching this indicates a broken annotation.
-                    return Err(Error::Pedantic(format!(
-                        "node {} cannot be scheduled even in a fresh stage",
-                        graph.nodes[cursor].annot.name
-                    )));
+                let node = &graph.nodes[cursor];
+                let held: Vec<ValueId> = node
+                    .args
+                    .iter()
+                    .copied()
+                    .filter(|v| graph.held(*v).is_some())
+                    .collect();
+                if !held.is_empty() {
+                    return Ok(Some(Planned::NeedsWhole(held)));
                 }
-                break;
+                // A single node must always be schedulable by itself;
+                // reaching this indicates a broken annotation.
+                return Err(Error::Pedantic(format!(
+                    "node {} cannot be scheduled even in a fresh stage",
+                    node.annot.name
+                )));
             }
         }
     }
-    Ok(Some(finish_stage(graph, b, config)))
-}
-
-/// Materialize every split-form value `node_id` references, returning
-/// whether any merge actually ran (and counting each into `fallbacks`).
-fn materialize_node_split_forms(
-    graph: &mut DataflowGraph,
-    node_id: NodeId,
-    fallbacks: &mut u64,
-) -> Result<bool> {
-    let args = graph.nodes[node_id.0 as usize].args.clone();
-    let mut any = false;
-    for vid in args {
-        if graph.materialize_split_form(vid)? {
-            *fallbacks += 1;
-            any = true;
-        }
-    }
-    Ok(any)
+    Ok(Some(Planned::Stage(finish_stage(graph, b, config, demand))))
 }
 
 /// Attempt to add `node_id` to the stage; on success, commits the node's
@@ -546,8 +579,47 @@ fn split_form_eligible(
     true
 }
 
+/// How a stage materializes return value `value` — the rule table of
+/// "Demand-driven materialization" in the module docs. Shared by fresh
+/// planning and plan-cache replay, which re-derives it from the
+/// *current* liveness and demand.
+fn output_kind(
+    graph: &DataflowGraph,
+    node_set: &HashSet<NodeId>,
+    value: ValueId,
+    inst: &SplitInstance,
+    config: &Config,
+    demand: Demand,
+) -> OutputKind {
+    let entry = &graph.values[value.0 as usize];
+    let consumed_later = entry
+        .consumers
+        .iter()
+        .any(|c| !node_set.contains(c) && !graph.nodes[c.0 as usize].executed);
+    let live = entry.observable();
+    let demanded = demand.wants(value, live);
+    if consumed_later {
+        if !live && !demanded && split_form_eligible(graph, node_set, value, inst, config) {
+            OutputKind::SplitForm
+        } else {
+            OutputKind::Merge
+        }
+    } else if demanded {
+        OutputKind::Merge
+    } else if live {
+        OutputKind::Deferred
+    } else {
+        OutputKind::Discard
+    }
+}
+
 /// Close the stage: compute its outputs and their merge plans.
-fn finish_stage(graph: &DataflowGraph, b: StageBuilder, config: &Config) -> StagePlan {
+fn finish_stage(
+    graph: &DataflowGraph,
+    b: StageBuilder,
+    config: &Config,
+    demand: Demand,
+) -> StagePlan {
     let mut outputs = Vec::new();
     for &node_id in &b.nodes {
         let node = &graph.nodes[node_id.0 as usize];
@@ -557,37 +629,16 @@ fn finish_stage(graph: &DataflowGraph, b: StageBuilder, config: &Config) -> Stag
                     value: *mv,
                     instance: inst.clone(),
                     kind: OutputKind::InPlace,
-                    last_use: false,
                 });
             }
         }
         if let Some(rv) = node.ret {
             let inst = b.produced.get(&rv).expect("ret type was committed").clone();
-            let entry = &graph.values[rv.0 as usize];
-            let consumed_later = entry
-                .consumers
-                .iter()
-                .any(|c| !b.node_set.contains(c) && !graph.nodes[c.0 as usize].executed);
-            let user_visible = entry
-                .user_token
-                .as_ref()
-                .map(|w| w.strong_count() > 0)
-                .unwrap_or(false);
-            let kind = if consumed_later
-                && !user_visible
-                && split_form_eligible(graph, &b.node_set, rv, &inst, config)
-            {
-                OutputKind::SplitForm
-            } else if consumed_later || user_visible {
-                OutputKind::Merge
-            } else {
-                OutputKind::Discard
-            };
+            let kind = output_kind(graph, &b.node_set, rv, &inst, config, demand);
             outputs.push(StageOutput {
                 value: rv,
                 instance: inst,
                 kind,
-                last_use: !consumed_later,
             });
         }
     }
@@ -662,10 +713,11 @@ struct CachedInput {
     split_form: bool,
 }
 
-/// One stage output as recorded in a cached plan. The Merge-vs-Discard
-/// decision is *not* recorded: it depends on whether the application
-/// still holds a `Future` for the value, which is re-evaluated at bind
-/// time exactly like [`finish_stage`] does.
+/// One stage output as recorded in a cached plan. How a return value
+/// materializes is *not* recorded: it depends on whether the
+/// application still holds a `Future` for the value and on what the
+/// replaying read demands, so bind time re-derives it through the same
+/// `output_kind` rule [`finish_stage`] uses.
 struct CachedOutput {
     value: u32,
     instance: SplitInstance,
@@ -964,6 +1016,7 @@ impl CachedPlan {
         graph: &DataflowGraph,
         canon: &[ValueId],
         config: &Config,
+        demand: Demand,
     ) -> Result<StagePlan> {
         let cs = self.stages.get(idx).ok_or(Error::ValueUnavailable)?;
         let base = graph.next_unplanned;
@@ -1041,41 +1094,15 @@ impl CachedPlan {
         let mut outputs = Vec::with_capacity(cs.outputs.len());
         for co in &cs.outputs {
             let vid = get(co.value)?;
-            let (kind, last_use) = if co.in_place {
-                (OutputKind::InPlace, false)
+            let kind = if co.in_place {
+                OutputKind::InPlace
             } else {
-                // Same liveness rule as `finish_stage`, re-evaluated so
-                // dropped Futures still demote merges to discards.
-                let entry = &graph.values[vid.0 as usize];
-                let consumed_later = entry
-                    .consumers
-                    .iter()
-                    .any(|c| !node_set.contains(c) && !graph.nodes[c.0 as usize].executed);
-                let user_visible = entry
-                    .user_token
-                    .as_ref()
-                    .map(|w| w.strong_count() > 0)
-                    .unwrap_or(false);
-                // Same rewrite rule as `finish_stage`, re-evaluated so
-                // replayed skeletons preserve the split-form hand-off
-                // (and demote it when liveness or config changed).
-                let kind = if consumed_later
-                    && !user_visible
-                    && split_form_eligible(graph, &node_set, vid, &co.instance, config)
-                {
-                    OutputKind::SplitForm
-                } else if consumed_later || user_visible {
-                    OutputKind::Merge
-                } else {
-                    OutputKind::Discard
-                };
-                (kind, !consumed_later)
+                output_kind(graph, &node_set, vid, &co.instance, config, demand)
             };
             outputs.push(StageOutput {
                 value: vid,
                 instance: co.instance.clone(),
                 kind,
-                last_use,
             });
         }
 

@@ -177,86 +177,17 @@ impl Job {
     }
 }
 
-/// What parked workers wake up to: a FIFO of open stage jobs plus a
-/// FIFO of one-shot [`SideJob`]s (overlapped final merges). Multiple
-/// contexts sharing the pool may each have a job queued; workers drain
-/// side jobs first (they are short, and they unblock user-visible
-/// results of an *earlier* stage), then serve the oldest open stage
-/// job, which keeps sessions coarsely fair (no session's stage can be
-/// starved by later arrivals).
+/// What parked workers wake up to: a FIFO of open stage jobs. Multiple
+/// contexts sharing the pool may each have a job queued; workers serve
+/// the most-underserved session's open job (the oldest one under the
+/// FIFO ablation), so no session's stage is starved by later arrivals.
 struct Queue {
     jobs: VecDeque<Arc<Job>>,
-    side: VecDeque<Arc<SideJob>>,
     shutdown: bool,
     /// Join handles of workers the respawn supervisor created. Pushed
     /// under this lock *before* `shutdown` can be observed set, so
     /// [`WorkerPool`]'s `Drop` never misses one.
     respawned: Vec<JoinHandle<()>>,
-}
-
-/// A one-shot closure dispatched to the pool — the final merge of a
-/// stage output nothing later in the graph consumes, run concurrently
-/// with the caller planning and executing subsequent stages.
-///
-/// The closure is claimed (taken out of the `task` slot) by exactly one
-/// thread: either a pool worker that dequeued the job, or the
-/// submitting caller reclaiming it in [`SideJob::join`]. The reclaim
-/// path makes completion independent of pool size — on a zero-worker
-/// pool the caller simply runs the merge itself at join time, which is
-/// exactly the serial behavior overlapping replaces.
-pub(crate) struct SideJob {
-    /// The work, present until some thread claims it.
-    task: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    /// Set once the claimed closure has finished running.
-    done: Mutex<bool>,
-    done_cv: Condvar,
-}
-
-impl SideJob {
-    /// Wrap a closure for dispatch. Results travel through state the
-    /// closure captures (the executor uses a shared result slot).
-    pub(crate) fn new(f: impl FnOnce() + Send + 'static) -> Arc<SideJob> {
-        Arc::new(SideJob {
-            task: Mutex::new(Some(Box::new(f))),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    /// Claim and run the closure if no other thread has; returns
-    /// whether this call did the work. A panicking closure is caught
-    /// so `done` is always signalled — otherwise a merge that panics
-    /// on a pool worker would leave the submitter blocked in
-    /// [`SideJob::join`] forever. This catch is a backstop only: the
-    /// executor's side-job closures wrap the merge in `catch_phase`
-    /// themselves and store a typed [`Error::TaskPanicked`] in the
-    /// result slot, so the submitter sees the panic as a typed error,
-    /// not just a missing result (see `DeferredMerge::join`, whose
-    /// empty-slot fallback is also typed).
-    fn run_if_pending(&self) -> bool {
-        let f = lock(&self.task).take();
-        match f {
-            Some(f) => {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                *lock(&self.done) = true;
-                self.done_cv.notify_all();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Wait for the job to complete, reclaiming and running it inline
-    /// if no pool worker picked it up yet.
-    pub(crate) fn join(&self) {
-        if self.run_if_pending() {
-            return;
-        }
-        let mut done = lock(&self.done);
-        while !*done {
-            done = self.done_cv.wait(done).unwrap_or_else(|p| p.into_inner());
-        }
-    }
 }
 
 /// Per-session scheduling and accounting state (see the module docs on
@@ -318,7 +249,6 @@ pub const DEFICIT_CAP_BATCHES: u64 = 256;
 /// Monotonic counters aggregated across jobs (see [`PoolStats`]).
 struct Counters {
     jobs: AtomicU64,
-    side_jobs: AtomicU64,
     parks: AtomicU64,
     unparks: AtomicU64,
     stolen: AtomicU64,
@@ -473,14 +403,12 @@ impl WorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
-                side: VecDeque::new(),
                 shutdown: false,
                 respawned: Vec::new(),
             }),
             work_cv: Condvar::new(),
             counters: Counters {
                 jobs: AtomicU64::new(0),
-                side_jobs: AtomicU64::new(0),
                 parks: AtomicU64::new(0),
                 unparks: AtomicU64::new(0),
                 stolen: AtomicU64::new(0),
@@ -528,18 +456,6 @@ impl WorkerPool {
     /// for the `serve_throughput` benchmark.
     pub fn set_fair_scheduling(&self, fair: bool) {
         self.shared.fair.store(fair, Ordering::Relaxed);
-    }
-
-    /// Queue a one-shot side job (an overlapped final merge) for any
-    /// idle worker to pick up. The submitter later calls
-    /// [`SideJob::join`], which reclaims the closure and runs it inline
-    /// if no worker got to it first.
-    pub(crate) fn submit_side(&self, job: Arc<SideJob>) {
-        {
-            let mut q = lock(&self.shared.queue);
-            q.side.push_back(job);
-        }
-        self.shared.work_cv.notify_one();
     }
 
     /// Execute a multi-participant stage on the pool. The caller
@@ -622,7 +538,6 @@ impl WorkerPool {
         PoolStats {
             workers: self.handles.len(),
             jobs: c.jobs.load(Ordering::Relaxed),
-            side_jobs: c.side_jobs.load(Ordering::Relaxed),
             parks: c.parks.load(Ordering::Relaxed),
             unparks: c.unparks.load(Ordering::Relaxed),
             batches_stolen: c.stolen.load(Ordering::Relaxed),
@@ -725,12 +640,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Work a pool thread dequeued: a one-shot side job or an open stage.
-enum Work {
-    Side(Arc<SideJob>),
-    Stage(Arc<Job>),
-}
-
 /// Stack sentinel of a pool thread: if the thread unwinds (a panic
 /// escaped every phase wrapper, e.g. the fault injector's
 /// [`WorkerAbort`](crate::faultinject::WorkerAbort)), the sentinel's
@@ -784,18 +693,15 @@ fn worker_body(shared: Arc<PoolShared>, idx: usize) {
 }
 
 /// The body of one pool thread: park until the queue holds an open job,
-/// claim a participant ticket (or run a side job), repeat.
+/// claim a participant ticket, repeat.
 fn worker_main(shared: &PoolShared) {
     let c = &shared.counters;
     loop {
-        let work = {
+        let job = {
             let mut q = lock(&shared.queue);
             loop {
                 if q.shutdown {
                     return;
-                }
-                if let Some(side) = q.side.pop_front() {
-                    break Work::Side(side);
                 }
                 // Deficit-weighted round-robin (module docs): serve the
                 // open job of the most-underserved session; the FIFO
@@ -818,25 +724,11 @@ fn worker_main(shared: &PoolShared) {
                     q.jobs.iter().find(open)
                 };
                 if let Some(job) = picked {
-                    break Work::Stage(job.clone());
+                    break job.clone();
                 }
                 c.parks.fetch_add(1, Ordering::Relaxed);
                 q = shared.work_cv.wait(q).unwrap_or_else(|p| p.into_inner());
             }
-        };
-
-        let job = match work {
-            Work::Side(side) => {
-                // The submitter may have reclaimed the closure already
-                // (join under an empty pool moment); then this is a
-                // no-op dequeue.
-                if side.run_if_pending() {
-                    c.side_jobs.fetch_add(1, Ordering::Relaxed);
-                    c.unparks.fetch_add(1, Ordering::Relaxed);
-                }
-                continue;
-            }
-            Work::Stage(job) => job,
         };
 
         let ticket = job.tickets.fetch_add(1, Ordering::Relaxed);
@@ -1001,7 +893,6 @@ mod tests {
     fn counters() -> Counters {
         Counters {
             jobs: AtomicU64::new(0),
-            side_jobs: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             unparks: AtomicU64::new(0),
             stolen: AtomicU64::new(0),

@@ -465,27 +465,34 @@ impl std::fmt::Debug for SplitInstance {
     }
 }
 
-/// A value held across a stage boundary *in split form*: the ordered
-/// piece set the producing stage's workers left behind, with the
-/// element range each piece covers, instead of the merged whole.
+/// A value held *as pieces*: the ordered piece set the producing
+/// stage's workers left behind, with the element range each piece
+/// covers, instead of the merged whole. One representation serves both
+/// reasons the executor skips a merge:
 ///
-/// When the planner proves a stage's merge output is consumed only by
-/// later nodes that re-split it under the same split type (see
-/// `OutputKind::SplitForm` in the planner), the executor skips the
-/// final merge and stores one of these on the value entry. The
-/// consuming stage's split phase then serves batch ranges straight from
-/// the pieces: a range that lines up with one piece's boundaries is a
-/// clone of that piece — the dominant case, because batch sizing is a
-/// pure function of the element total and per-element size, both of
-/// which the hand-off preserves — and a misaligned range is re-sliced
-/// out of the overlapping pieces through the split type's [`Concat`]
-/// capability.
+/// * **Split-form hand-off** (`OutputKind::SplitForm`): the output is
+///   consumed only by later nodes that re-split it under the same split
+///   type. The consuming stage's split phase serves batch ranges
+///   straight from the pieces: a range that lines up with one piece's
+///   boundaries is a clone of that piece — the dominant case, because
+///   batch sizing is a pure function of the element total and
+///   per-element size, both of which the hand-off preserves — and a
+///   misaligned range is re-sliced out of the overlapping pieces
+///   through the split type's [`Concat`] capability. This is the
+///   *re-splittable* case ([`SplitForm::resplittable`]).
+/// * **Deferred output** (`OutputKind::Deferred`): a `Future` for the
+///   value is alive but the read that triggered the evaluation did not
+///   ask for it. The pieces wait on the value; the first later read
+///   merges them then. This works for every split type — `unknown`
+///   (compacting) pieces and types without a [`Concat`] capability are
+///   held too, they just cannot be bound as a split input.
 ///
 /// Invariants, validated by [`SplitForm::new`]: at least one piece,
 /// pieces sorted by start and contiguous from element 0, and the
 /// covered range ends at or before `total` (a shorter covered range is
-/// the paper's `NULL` under-fill, preserved faithfully across the
-/// boundary).
+/// the paper's `NULL` under-fill, preserved faithfully). Ranges are the
+/// *batch* ranges that produced the pieces; an `unknown` piece may hold
+/// fewer elements than its range.
 pub struct SplitForm {
     /// `(start, end, piece)` in element order, contiguous from 0.
     pieces: Vec<(u64, u64, DataValue)>,
@@ -494,16 +501,18 @@ pub struct SplitForm {
     /// The split type the pieces were produced under — and the type
     /// any consuming stage must bind the value at.
     instance: SplitInstance,
-    /// Concatenation capability used for misaligned re-slices.
-    concat: Arc<dyn Concat>,
+    /// Concatenation capability used for misaligned re-slices; `None`
+    /// when the pieces can only be merged
+    /// ([`SplitInstance::split_form_concat`] declined).
+    concat: Option<Arc<dyn Concat>>,
     /// Per-element size in bytes, for downstream batch sizing.
     elem_size_bytes: u64,
 }
 
 impl SplitForm {
-    /// Build a split-form value from an ordered piece set, validating
-    /// the contiguity invariants. `instance` must be split-form capable
-    /// ([`SplitInstance::split_form_concat`]).
+    /// Build a held piece set from an ordered piece list, validating
+    /// the contiguity invariants. It is re-splittable iff `instance` is
+    /// split-form capable ([`SplitInstance::split_form_concat`]).
     pub fn new(
         pieces: Vec<(u64, u64, DataValue)>,
         total: u64,
@@ -511,10 +520,6 @@ impl SplitForm {
         elem_size_bytes: u64,
     ) -> Result<SplitForm> {
         let split_type = instance.splitter.name();
-        let concat = instance.split_form_concat().ok_or_else(|| Error::Merge {
-            split_type,
-            message: "split type has no concat capability for split-form hand-off".into(),
-        })?;
         if pieces.is_empty() {
             return Err(Error::Merge {
                 split_type,
@@ -542,13 +547,7 @@ impl SplitForm {
                 ),
             });
         }
-        Ok(SplitForm {
-            pieces,
-            total,
-            instance,
-            concat,
-            elem_size_bytes,
-        })
+        SplitForm::new_unchecked(pieces, total, instance, elem_size_bytes)
     }
 
     /// Declared element total of the whole value.
@@ -578,6 +577,22 @@ impl SplitForm {
         self.pieces.len()
     }
 
+    /// Whether batch ranges can be served from the pieces
+    /// ([`SplitForm::slice`]) at boundaries other than the pieces' own
+    /// — the condition for binding the value as a split input.
+    pub fn resplittable(&self) -> bool {
+        self.concat.is_some()
+    }
+
+    /// Element length of the leading piece: the producing stage's batch
+    /// size, which every piece but the last shares. Serving ranges of
+    /// this length keeps [`SplitForm::slice`] on its clone fast path.
+    pub fn piece_len(&self) -> u64 {
+        self.pieces
+            .first()
+            .map_or(1, |&(start, end, _)| end - start)
+    }
+
     /// The element range each piece covers, in piece order — the view
     /// the [plan verifier](crate::verify) re-checks contiguity over.
     pub fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -595,15 +610,11 @@ impl SplitForm {
         instance: SplitInstance,
         elem_size_bytes: u64,
     ) -> Result<SplitForm> {
-        let concat = instance.split_form_concat().ok_or_else(|| Error::Merge {
-            split_type: instance.splitter.name(),
-            message: "split type has no concat capability for split-form hand-off".into(),
-        })?;
         Ok(SplitForm {
             pieces,
             total,
+            concat: instance.split_form_concat(),
             instance,
-            concat,
             elem_size_bytes,
         })
     }
@@ -634,6 +645,14 @@ impl SplitForm {
         }
         // Re-slice: take the overlap of every covering piece and
         // concatenate when the range spans more than one.
+        let concat = self.concat.as_ref().ok_or_else(|| Error::Split {
+            split_type: self.instance.splitter.name(),
+            message: format!(
+                "held pieces without a concat capability cannot serve the misaligned range \
+                 {}..{end}",
+                range.start
+            ),
+        })?;
         let first = self.pieces.partition_point(|&(_, e, _)| e <= range.start);
         let mut parts = Vec::new();
         for (start, piece_end, piece) in &self.pieces[first..] {
@@ -643,21 +662,20 @@ impl SplitForm {
             let lo = range.start.max(*start);
             let hi = end.min(*piece_end);
             if hi > lo {
-                parts.push(self.concat.slice_back(piece, lo - start, hi - lo)?);
+                parts.push(concat.slice_back(piece, lo - start, hi - lo)?);
             }
         }
         let piece = match parts.len() {
             0 => return Ok(None),
             1 => parts.pop().expect("len checked"),
-            _ => self.concat.concat(&parts)?.0,
+            _ => concat.concat(&parts)?.0,
         };
         Ok(Some((piece, true)))
     }
 
-    /// Merge the pieces into the whole value through the split type's
-    /// classic [`Splitter::merge`] — the fallback when a consumer turns
-    /// out to need the materialized value after all (observable as
-    /// `split_form_fallbacks` in the stats).
+    /// Merge the pieces into the whole value through one serial call
+    /// of the split type's classic [`Splitter::merge`] — the reference
+    /// the executor's on-demand materialization must agree with.
     pub fn materialize(&self) -> Result<DataValue> {
         let pieces: Vec<DataValue> = self.pieces.iter().map(|(_, _, v)| v.clone()).collect();
         self.instance

@@ -41,18 +41,14 @@ pub struct PhaseStats {
     /// [`Placement::write_piece`](crate::split::Placement::write_piece)),
     /// instead of being collected and re-copied by a final merge.
     pub placement_writes: u64,
-    /// Final merges dispatched to the worker pool and overlapped with
-    /// planning/executing subsequent stages instead of running serially
-    /// on the caller.
-    pub overlapped_merges: u64,
     /// Nominal bytes split across all stages: per stage,
     /// `total_elements · Σ elem_size_bytes` over the split inputs as
     /// reported by the split info API. The cost signal serving layers
     /// meter per-session byte budgets against.
     pub bytes_split: u64,
     /// Nominal bytes materialized by merge outputs (placement,
-    /// collected, and overlapped final merges), via the split info API
-    /// on the merged value.
+    /// collected, and on-demand merges of held pieces), via the split
+    /// info API on the merged value.
     pub bytes_merged: u64,
     /// Merge outputs handed to the next stage *in split form* — the
     /// merge (and the consuming stage's re-split) elided entirely (see
@@ -68,6 +64,15 @@ pub struct PhaseStats {
     /// all and were materialized through the classic merge (the
     /// conservative fallback; correctness-neutral, performance-visible).
     pub split_form_fallbacks: u64,
+    /// Outputs whose `Future` was alive but which the triggering read did
+    /// not ask for, left as held pieces instead of merged
+    /// (`OutputKind::Deferred`; see "Demand-driven materialization" in
+    /// [`crate::planner`]).
+    pub deferred_outputs: u64,
+    /// Held piece sets merged because something did ask: a later read
+    /// of their `Future`, an explicit `evaluate()`, or the flush before
+    /// a stage that mutates storage in place.
+    pub deferred_materialized: u64,
     /// Stage plans statically verified before execution (see
     /// [`verify_stage`](crate::verify::verify_stage) and
     /// `Config::verify_plans`). Zero when verification is off.
@@ -92,12 +97,13 @@ impl PhaseStats {
         self.batches += other.batches;
         self.calls += other.calls;
         self.placement_writes += other.placement_writes;
-        self.overlapped_merges += other.overlapped_merges;
         self.bytes_split += other.bytes_split;
         self.bytes_merged += other.bytes_merged;
         self.split_form_handoffs += other.split_form_handoffs;
         self.split_form_reslices += other.split_form_reslices;
         self.split_form_fallbacks += other.split_form_fallbacks;
+        self.deferred_outputs += other.deferred_outputs;
+        self.deferred_materialized += other.deferred_materialized;
         self.plans_verified += other.plans_verified;
     }
 
@@ -193,11 +199,6 @@ pub struct PoolStats {
     /// Batches claimed by a worker that static partitioning would have
     /// assigned to a different worker.
     pub batches_stolen: u64,
-    /// One-shot side jobs (overlapped final merges) executed by pool
-    /// workers. Side jobs a caller reclaimed and ran inline — because
-    /// every pool worker was busy when the caller needed the result —
-    /// are not counted.
-    pub side_jobs: u64,
     /// Batches processed per participant slot (index 0 is the calling
     /// thread; 1.. are pool workers in job-join order).
     pub per_worker_batches: Vec<u64>,

@@ -34,7 +34,10 @@
 //!   stage input, broadcast, or an earlier in-stage product) and never
 //!   a stale pre-mutation version; no value is bound both `mut` and
 //!   shared; `Discard` outputs are truly dead (no pending consumer, no
-//!   live user future); `InPlace` outputs are genuine mut-versions;
+//!   live user future); a user-visible value is `Merge` or `Deferred`,
+//!   and `Deferred` only when the triggering read did not demand it and
+//!   no pending node consumes it; `InPlace` outputs are genuine
+//!   mut-versions;
 //!   split inputs agree on one element total and the batch size
 //!   partitions `[0, total)` exactly (which makes the placement write
 //!   offsets a partition too); and split-form values — inputs and
@@ -52,7 +55,7 @@ use std::collections::{HashMap, HashSet};
 use crate::annotation::{Annotation, SplitTypeExpr};
 use crate::config::Config;
 use crate::graph::{DataflowGraph, ValueOrigin};
-use crate::planner::{OutputKind, StagePlan};
+use crate::planner::{Demand, OutputKind, StagePlan};
 use crate::split::MergeStrategy;
 
 /// A soundness violation found by the static verifier.
@@ -221,6 +224,22 @@ pub enum VerifyError {
         /// A pending consumer outside the stage, if that is the leak
         /// (`None` when the leak is a live user future).
         consumer: Option<u32>,
+    },
+    /// An output marked `Deferred` is demanded by the read that
+    /// triggered the evaluation: the reader would be handed pieces
+    /// where it was promised the whole value.
+    DeferredDemanded {
+        /// The demanded value left as pieces.
+        value: u32,
+    },
+    /// An output marked `Deferred` is still consumed by a pending node
+    /// outside the stage. Deferred pieces wait for a *read*; a consumer
+    /// needs the value merged or handed off in split form.
+    DeferredConsumed {
+        /// The wrongly deferred value.
+        value: u32,
+        /// A pending consumer outside the stage.
+        consumer: u32,
     },
     /// An output marked `InPlace` is not a mut-version — there is no
     /// aliased storage for it to recover, so the "output" would be
@@ -435,6 +454,16 @@ impl std::fmt::Display for VerifyError {
                      live future for it"
                 ),
             },
+            VerifyError::DeferredDemanded { value } => write!(
+                f,
+                "output v{value} is marked Deferred but the read that triggered \
+                 this evaluation demands it"
+            ),
+            VerifyError::DeferredConsumed { value, consumer } => write!(
+                f,
+                "output v{value} is marked Deferred but pending node n{consumer} \
+                 outside the stage still consumes it"
+            ),
             VerifyError::InPlaceNotMutVersion { value } => write!(
                 f,
                 "output v{value} is marked InPlace but is not a mut-version; \
@@ -641,13 +670,15 @@ pub fn lint_annotation(annot: &Annotation) -> Vec<VerifyError> {
 /// Layer 2: statically prove one stage plan sound against its graph.
 ///
 /// Run before execution (and on every plan-cache replay bind) when
-/// `Config::verify_plans` is set. Returns the first violation found;
+/// `Config::verify_plans` is set, against the [`Demand`] of the read
+/// that triggered the evaluation. Returns the first violation found;
 /// the caller surfaces it as [`Error::Verify`](crate::error::Error)
 /// and refuses to execute the stage.
 pub fn verify_stage(
     graph: &DataflowGraph,
     plan: &StagePlan,
     config: &Config,
+    demand: Demand,
 ) -> Result<(), VerifyError> {
     // --- Slot map integrity -------------------------------------------
     let mut slot_owner: HashMap<u32, u32> = HashMap::new();
@@ -762,26 +793,36 @@ pub fn verify_stage(
             return Err(VerifyError::OutputNotProduced { value: out.value.0 });
         }
         let entry = &graph.values[out.value.0 as usize];
+        let pending_consumer = || {
+            entry
+                .consumers
+                .iter()
+                .find(|c| !stage_nodes.contains(&c.0) && !graph.nodes[c.0 as usize].executed)
+        };
         match out.kind {
             OutputKind::Discard => {
-                for c in &entry.consumers {
-                    if !stage_nodes.contains(&c.0) && !graph.nodes[c.0 as usize].executed {
-                        return Err(VerifyError::DiscardedLive {
-                            value: out.value.0,
-                            consumer: Some(c.0),
-                        });
-                    }
+                if let Some(c) = pending_consumer() {
+                    return Err(VerifyError::DiscardedLive {
+                        value: out.value.0,
+                        consumer: Some(c.0),
+                    });
                 }
-                let user_visible = entry
-                    .user_token
-                    .as_ref()
-                    .map(|w| w.strong_count() > 0)
-                    .unwrap_or(false);
-                if user_visible {
+                if entry.observable() {
                     return Err(VerifyError::DiscardedLive {
                         value: out.value.0,
                         consumer: None,
                     });
+                }
+            }
+            OutputKind::Deferred => {
+                if let Some(c) = pending_consumer() {
+                    return Err(VerifyError::DeferredConsumed {
+                        value: out.value.0,
+                        consumer: c.0,
+                    });
+                }
+                if demand.wants(out.value, entry.observable()) {
+                    return Err(VerifyError::DeferredDemanded { value: out.value.0 });
                 }
             }
             OutputKind::InPlace => {
@@ -1171,7 +1212,8 @@ mod tests {
             slots: std::iter::once((ValueId(0), 0)).collect(),
             num_slots: 1,
         };
-        let err = verify_stage(&graph, &plan, &Config::with_workers(1)).unwrap_err();
+        let err =
+            verify_stage(&graph, &plan, &Config::with_workers(1), Demand::AllLive).unwrap_err();
         assert!(matches!(err, VerifyError::TerminalInput { .. }), "{err}");
     }
 }

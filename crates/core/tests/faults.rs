@@ -93,7 +93,7 @@ impl Splitter for ChunkSplit {
 
 /// Like [`ChunkSplit`], but `merge` panics while its budget lasts —
 /// models an organic panic inside foreign merge code (local worker
-/// merges and the overlapped final merge both route through here).
+/// merges and the final merge both route through here).
 struct FlakyMergeSplit {
     panic_budget: AtomicU64,
 }
@@ -509,10 +509,10 @@ fn organic_task_panic_fails_job_not_worker() {
 }
 
 #[test]
-fn organic_merge_panics_are_typed_with_and_without_overlap() {
+fn organic_merge_panics_are_typed_in_either_merge_mode() {
     // The flaky splitter panics on its first merge call — wherever that
-    // lands (worker-local merge, or the final merge that placement mode
-    // overlaps as a pool side job), it must surface typed.
+    // lands (worker-local merge or the caller's final merge), it must
+    // surface typed.
     for placement in [true, false] {
         let pool = PoolHandle::new(2);
         let splitter = Arc::new(FlakyMergeSplit {

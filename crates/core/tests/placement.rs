@@ -1,85 +1,16 @@
-//! Tests of the placement-merge fast path and the overlapped final
-//! merge: out-of-claim-order batches must land at the right element
-//! offsets, `NULL`-split tails must under-fill without corrupting
-//! neighbors, placement outputs must coexist with mut-alias outputs in
-//! one stage, and non-placement final merges must overlap on the pool
-//! without changing results.
+//! Tests of the placement-merge fast path: out-of-claim-order batches
+//! must land at the right element offsets, `NULL`-split tails must
+//! under-fill without corrupting neighbors, and placement outputs must
+//! coexist with mut-alias outputs in one stage.
 
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mozart_core::annotation::{concrete, missing, Annotation};
+use mozart_core::annotation::{concrete, Annotation};
 use mozart_core::buffer::SharedVec;
 use mozart_core::prelude::*;
 use mozart_core::ArraySplit;
-
-/// An owned chunk of floats without placement support (functional
-/// pieces, like a NumPy result); merge concatenates in order.
-#[derive(Debug, Clone)]
-struct Chunk(Arc<Vec<f64>>);
-
-impl mozart_core::value::DataObject for Chunk {
-    fn type_name(&self) -> &'static str {
-        "Chunk"
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-struct ChunkSplit;
-
-impl Splitter for ChunkSplit {
-    fn name(&self) -> &'static str {
-        "ChunkSplit"
-    }
-    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
-        let c = ctor_args[0]
-            .downcast_ref::<Chunk>()
-            .ok_or(Error::Library("ChunkSplit ctor".into()))?;
-        Ok(vec![c.0.len() as i64])
-    }
-    fn info(&self, _arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
-        Ok(RuntimeInfo {
-            total_elements: params[0] as u64,
-            elem_size_bytes: 8,
-        })
-    }
-    fn split(
-        &self,
-        arg: &DataValue,
-        range: Range<u64>,
-        params: &Params,
-    ) -> Result<Option<DataValue>> {
-        let c = arg
-            .downcast_ref::<Chunk>()
-            .ok_or(Error::Library("ChunkSplit split".into()))?;
-        let total = params[0] as u64;
-        if range.start >= total {
-            return Ok(None);
-        }
-        let end = range.end.min(total) as usize;
-        Ok(Some(DataValue::new(Chunk(Arc::new(
-            c.0[range.start as usize..end].to_vec(),
-        )))))
-    }
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _params: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        let mut out = Vec::new();
-        for p in pieces {
-            let c = p
-                .downcast_ref::<Chunk>()
-                .ok_or(Error::Library("ChunkSplit merge".into()))?;
-            out.extend_from_slice(&c.0);
-        }
-        Ok(DataValue::new(Chunk(Arc::new(out))))
-    }
-}
 
 /// A placement-capable splitter over [`VecValue`] that *over-reports*
 /// its element count by `claim_factor`: past the real length, `split`
@@ -263,6 +194,52 @@ fn clipped_final_piece_truncates_to_actual_elements() {
 }
 
 #[test]
+fn deferred_null_split_tail_underfills_like_the_eager_merge() {
+    // Two handles on the same under-filled (NULL-tailed, clipped)
+    // output shape; only the second is read first, so the other stays
+    // pieces covering [0, 37) of a claimed 74 and is merged on demand —
+    // by placement writes or the classic concat — to exactly what an
+    // `evaluate()`-first run reads.
+    let n = 37u64;
+    let expect: Vec<f64> = (0..n).map(|i| i as f64 * 2.0).collect();
+    for placement in [true, false] {
+        for eager in [true, false] {
+            let c = ctx(2, 8, placement);
+            let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 2 });
+            let annot = scaled_fresh_annotation(splitter, Duration::ZERO);
+            let first = c
+                .call(&annot, vec![vec_value(n as usize)])
+                .unwrap()
+                .unwrap();
+            let second = c
+                .call(&annot, vec![vec_value(n as usize)])
+                .unwrap()
+                .unwrap();
+            if eager {
+                c.evaluate().unwrap();
+            }
+            for fut in [&second, &first] {
+                let out = fut.get().unwrap();
+                let v = out.downcast_ref::<VecValue>().unwrap();
+                assert_eq!(
+                    v.0.as_slice(),
+                    &expect[..],
+                    "placement {placement} eager {eager}"
+                );
+            }
+            let stats = c.stats();
+            let deferred = if eager { (0, 0) } else { (1, 1) };
+            assert_eq!(
+                (stats.deferred_outputs, stats.deferred_materialized),
+                deferred,
+                "{stats:?}"
+            );
+            assert_eq!(stats.placement_writes > 0, placement, "{stats:?}");
+        }
+    }
+}
+
+#[test]
 fn placement_and_mut_alias_outputs_coexist_in_one_stage() {
     // One call both mutates an argument in place (the MKL convention:
     // an ArraySplit mut arg whose SliceView writes land in the parent)
@@ -306,89 +283,4 @@ fn placement_and_mut_alias_outputs_coexist_in_one_stage() {
         assert_eq!(squares.as_slice()[i], (i * i) as f64, "mut-alias {i}");
     }
     assert!(c.stats().placement_writes > 0);
-}
-
-#[test]
-fn non_placement_final_merge_overlaps_on_the_pool() {
-    // ChunkSplit has no placement support and the output is only
-    // observable through the user's Future (last use), so its final
-    // merge must dispatch to the pool as a side job — with identical
-    // results to the serial ablation.
-    let n = 64u64;
-    let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let run = |placement: bool| {
-        let c = ctx(4, 2, placement);
-        let annot = Annotation::new("offset", |inv| {
-            let ch = inv.arg::<Chunk>(0)?;
-            let k = inv.float(1)?;
-            Ok(Some(DataValue::new(Chunk(Arc::new(
-                ch.0.iter().map(|x| x + k).collect(),
-            )))))
-        })
-        .arg("xs", concrete(Arc::new(ChunkSplit), vec![0]))
-        .arg("k", missing())
-        .ret(concrete(Arc::new(ChunkSplit), vec![0]))
-        .build();
-        let fut = c
-            .call(
-                &annot,
-                vec![
-                    DataValue::new(Chunk(Arc::new(data.clone()))),
-                    DataValue::new(FloatValue(0.5)),
-                ],
-            )
-            .unwrap()
-            .unwrap();
-        let out = fut.get().unwrap();
-        let ch = out.downcast_ref::<Chunk>().unwrap().0.clone();
-        (ch, c.stats(), c.pool_stats())
-    };
-    let (on, stats_on, _pool_on) = run(true);
-    let (off, stats_off, _) = run(false);
-    assert_eq!(on, off, "overlapped merge must not change results");
-    let expect: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
-    assert_eq!(*on, expect);
-    assert_eq!(stats_on.overlapped_merges, 1, "{stats_on:?}");
-    assert_eq!(stats_on.placement_writes, 0, "ChunkSplit has no placement");
-    assert_eq!(stats_off.overlapped_merges, 0, "{stats_off:?}");
-}
-
-#[test]
-fn overlapped_merges_join_on_multi_stage_pipelines() {
-    // Several independent single-call stages in one evaluation: every
-    // stage's final merge defers, and every Future must still read the
-    // right value after evaluate().
-    let c = ctx(3, 2, true);
-    let annot = Annotation::new("neg", |inv| {
-        let ch = inv.arg::<Chunk>(0)?;
-        Ok(Some(DataValue::new(Chunk(Arc::new(
-            ch.0.iter().map(|x| -x).collect(),
-        )))))
-    })
-    .arg("xs", concrete(Arc::new(ChunkSplit), vec![0]))
-    .ret(concrete(Arc::new(ChunkSplit), vec![0]))
-    .build();
-    let mut futs = Vec::new();
-    for len in [7usize, 12, 19, 26] {
-        let data: Vec<f64> = (0..len).map(|i| i as f64).collect();
-        futs.push((
-            len,
-            c.call(&annot, vec![DataValue::new(Chunk(Arc::new(data)))])
-                .unwrap()
-                .unwrap(),
-        ));
-    }
-    c.evaluate().unwrap();
-    for (len, fut) in futs {
-        let out = fut.get().unwrap();
-        let ch = out.downcast_ref::<Chunk>().unwrap();
-        let expect: Vec<f64> = (0..len).map(|i| -(i as f64)).collect();
-        assert_eq!(*ch.0, expect);
-    }
-    let stats = c.stats();
-    assert_eq!(stats.stages, 4);
-    assert!(
-        stats.overlapped_merges >= 1,
-        "multi-batch stages defer their merges: {stats:?}"
-    );
 }

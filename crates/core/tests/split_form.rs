@@ -481,8 +481,28 @@ fn split_form_unit_invariants() {
         &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     );
 
-    // No concat capability → no split form.
+    // No concat capability → the pieces can be held and merged, and
+    // served at their own boundaries, but never re-sliced.
     let unknown_inst = SplitInstance::fresh_unknown(Arc::new(ArraySplit));
     assert!(unknown_inst.split_form_concat().is_none());
-    assert!(SplitForm::new(vec![(0, 2, p(&[0.0, 1.0]))], 2, unknown_inst, 8).is_err());
+    let held = SplitForm::new(
+        vec![(0, 2, p(&[0.0, 1.0])), (2, 4, p(&[2.0, 3.0]))],
+        4,
+        unknown_inst,
+        0,
+    )
+    .unwrap();
+    assert!(!held.resplittable() && sf.resplittable());
+    assert_eq!(held.piece_len(), 2);
+    assert!(matches!(held.slice(2..4), Ok(Some((_, false)))));
+    assert!(held.slice(1..3).is_err());
+    assert_eq!(
+        held.materialize()
+            .unwrap()
+            .downcast_ref::<VecValue>()
+            .unwrap()
+            .0
+            .as_slice(),
+        &[0.0, 1.0, 2.0, 3.0]
+    );
 }

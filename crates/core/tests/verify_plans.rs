@@ -1,7 +1,7 @@
 //! Property tests for the Layer-2 plan verifier: start from a valid
 //! graph + stage plan, apply one randomly-parameterized corruption
-//! (drop a slot, alias two slots, discard a live output, gap a
-//! split-form piece set, ...), and assert `verify_stage` rejects it
+//! (drop a slot, alias two slots, discard a live output, defer a
+//! demanded or consumed output, gap a split-form piece set, ...), and assert `verify_stage` rejects it
 //! with the matching typed [`VerifyError`] — never a panic, never a
 //! silent acceptance.
 //!
@@ -25,7 +25,7 @@ use mozart_core::error::{Error, Result};
 use mozart_core::graph::{
     DataflowGraph, FutureToken, Node, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
-use mozart_core::planner::{OutputKind, StageOutput, StagePlan};
+use mozart_core::planner::{Demand, OutputKind, StageOutput, StagePlan};
 use mozart_core::split::{MergeStrategy, Params, RuntimeInfo, SplitForm, SplitInstance, Splitter};
 use mozart_core::value::{DataValue, FloatValue, IntValue};
 use mozart_core::verify::{verify_stage, VerifyError};
@@ -129,7 +129,7 @@ fn source(data: DataValue) -> ValueEntry {
         origin: ValueOrigin::Source,
         data: Some(data),
         ready: true,
-        split_form: None,
+        held: None,
         consumers: Vec::new(),
         user_token: None,
     }
@@ -164,7 +164,7 @@ fn scenario() -> Scenario {
         },
         data: Some(vec_value(N)),
         ready: false,
-        split_form: None,
+        held: None,
         consumers: Vec::new(),
         user_token: Some(Arc::downgrade(&token)),
     });
@@ -187,7 +187,7 @@ fn scenario() -> Scenario {
         origin: ValueOrigin::Ret(NodeId(1)),
         data: None,
         ready: false,
-        split_form: None,
+        held: None,
         consumers: Vec::new(),
         user_token: None,
     });
@@ -224,13 +224,11 @@ fn scenario() -> Scenario {
                 value: v2,
                 instance: arr(N),
                 kind: OutputKind::InPlace,
-                last_use: false,
             },
             StageOutput {
                 value: v3,
                 instance: arr(N),
                 kind: OutputKind::Merge,
-                last_use: false,
             },
         ],
         slots,
@@ -260,6 +258,11 @@ enum Mutation {
     DiscardConsumedOutput,
     /// Discard v2 while the application holds a live future for it.
     DiscardUserVisibleOutput,
+    /// Defer v3 while pending n2 still consumes it.
+    DeferConsumedOutput,
+    /// Defer v3 — no longer consumed, but observed through a live
+    /// future — although the triggering read demands it.
+    DeferDemandedOutput,
     /// Mark the returned v3 as an InPlace output.
     InPlaceOnReturn,
     /// Resolve the InPlace output v2 to a commutative-merge instance.
@@ -296,6 +299,8 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         (0u32..8).prop_map(Mutation::BogusNode),
         Just(Mutation::DiscardConsumedOutput),
         Just(Mutation::DiscardUserVisibleOutput),
+        Just(Mutation::DeferConsumedOutput),
+        Just(Mutation::DeferDemandedOutput),
         Just(Mutation::InPlaceOnReturn),
         Just(Mutation::InPlaceBadStrategy),
         Just(Mutation::StaleRead),
@@ -324,7 +329,16 @@ fn set_split_form(graph: &mut DataflowGraph, pieces: Vec<(u64, u64)>, held: Spli
     let sf = SplitForm::new_unchecked(pieces, N, held, 8).expect("ArraySplit has concat");
     let entry = &mut graph.values[0];
     entry.ready = false;
-    entry.split_form = Some(Arc::new(sf));
+    entry.held = Some(Arc::new(sf));
+}
+
+/// Make v3 live-only — its consumer n2 has run, the application holds
+/// a future for it — and plan it `Deferred`: sound exactly when the
+/// triggering read does not demand it.
+fn defer_observed_v3(s: &mut Scenario) {
+    s.graph.nodes[2].executed = true;
+    s.graph.values[3].user_token = Some(Arc::downgrade(&s._token));
+    s.plan.outputs[1].kind = OutputKind::Deferred;
 }
 
 fn apply(s: &mut Scenario, m: &Mutation) {
@@ -353,6 +367,10 @@ fn apply(s: &mut Scenario, m: &Mutation) {
         Mutation::DiscardUserVisibleOutput => {
             s.plan.outputs[0].kind = OutputKind::Discard;
         }
+        Mutation::DeferConsumedOutput => {
+            s.plan.outputs[1].kind = OutputKind::Deferred;
+        }
+        Mutation::DeferDemandedOutput => defer_observed_v3(s),
         Mutation::InPlaceOnReturn => {
             s.plan.outputs[1].kind = OutputKind::InPlace;
         }
@@ -370,7 +388,6 @@ fn apply(s: &mut Scenario, m: &Mutation) {
                 value: ValueId(0),
                 instance: arr(N),
                 kind: OutputKind::Merge,
-                last_use: false,
             });
         }
         Mutation::TerminalInput => {
@@ -437,6 +454,16 @@ fn expected(err: &VerifyError, m: &Mutation) -> bool {
                 consumer: None,
             }
         ),
+        Mutation::DeferConsumedOutput => matches!(
+            err,
+            VerifyError::DeferredConsumed {
+                value: 3,
+                consumer: 2,
+            }
+        ),
+        Mutation::DeferDemandedOutput => {
+            matches!(err, VerifyError::DeferredDemanded { value: 3 })
+        }
         Mutation::InPlaceOnReturn => {
             matches!(err, VerifyError::InPlaceNotMutVersion { value: 3 })
         }
@@ -486,7 +513,25 @@ fn expected(err: &VerifyError, m: &Mutation) -> bool {
 fn valid_plan_verifies() {
     let s = scenario();
     let cfg = Config::with_workers(2);
-    verify_stage(&s.graph, &s.plan, &cfg).expect("the unmutated scenario must verify");
+    verify_stage(&s.graph, &s.plan, &cfg, Demand::AllLive)
+        .expect("the unmutated scenario must verify");
+}
+
+#[test]
+fn deferred_output_verifies_unless_demanded() {
+    let mut s = scenario();
+    let cfg = Config::with_workers(2);
+    defer_observed_v3(&mut s);
+    for demand in [Demand::Nothing, Demand::Value(ValueId(2))] {
+        verify_stage(&s.graph, &s.plan, &cfg, demand)
+            .expect("a live value nobody asked for may stay pieces");
+    }
+    for demand in [Demand::AllLive, Demand::Value(ValueId(3))] {
+        assert_eq!(
+            verify_stage(&s.graph, &s.plan, &cfg, demand),
+            Err(VerifyError::DeferredDemanded { value: 3 })
+        );
+    }
 }
 
 proptest! {
@@ -497,11 +542,11 @@ proptest! {
         let mut s = scenario();
         let cfg = Config::with_workers(2);
         prop_assert!(
-            verify_stage(&s.graph, &s.plan, &cfg).is_ok(),
+            verify_stage(&s.graph, &s.plan, &cfg, Demand::AllLive).is_ok(),
             "baseline scenario failed to verify"
         );
         apply(&mut s, &m);
-        match verify_stage(&s.graph, &s.plan, &cfg) {
+        match verify_stage(&s.graph, &s.plan, &cfg, Demand::AllLive) {
             Err(e) => prop_assert!(
                 expected(&e, &m),
                 "mutation {:?} produced unexpected rejection: {}",

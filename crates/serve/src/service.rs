@@ -416,6 +416,13 @@ pub struct ServiceStats {
     /// phase stats. Nonzero only for staged evaluation
     /// (`PIPELINE 0` sessions) with `Config::split_form` on.
     pub split_form_handoffs: u64,
+    /// Outputs a pipeline kept a `Future` for but did not read first,
+    /// left as held pieces instead of merged (`OutputKind::Deferred`),
+    /// accumulated like `split_form_handoffs`.
+    pub deferred_outputs: u64,
+    /// Of those, the piece sets a later read (or an in-place stage)
+    /// made the runtime merge after all.
+    pub deferred_materialized: u64,
 }
 
 /// The request-outcome counters of [`ServiceStats`], kept behind one
@@ -439,6 +446,8 @@ struct Counters {
     over_memory: u64,
     breaker_shed: u64,
     split_form_handoffs: u64,
+    deferred_outputs: u64,
+    deferred_materialized: u64,
 }
 
 /// One entry of the slow-request log (see
@@ -935,6 +944,8 @@ impl PipelineService {
             memory_live_bytes: membudget::live_bytes(),
             memory_ceiling_bytes: membudget::ceiling_bytes(),
             split_form_handoffs: c.split_form_handoffs,
+            deferred_outputs: c.deferred_outputs,
+            deferred_materialized: c.deferred_materialized,
         }
     }
 
@@ -1078,6 +1089,18 @@ impl PipelineService {
             "mozart_split_form_handoffs_total",
             "Stage-boundary intermediates handed across in split form",
             s.split_form_handoffs,
+        );
+        render_counter(
+            &mut out,
+            "mozart_deferred_outputs_total",
+            "Live but undemanded outputs left as held pieces instead of merged",
+            s.deferred_outputs,
+        );
+        render_counter(
+            &mut out,
+            "mozart_deferred_materialized_total",
+            "Deferred outputs merged on demand by a later read or in-place stage",
+            s.deferred_materialized,
         );
         render_counter(
             &mut out,
@@ -1584,9 +1607,7 @@ impl PipelineService {
                 o.record_phases(&stats);
             }
             bytes = bytes.saturating_add(stats.bytes_split.saturating_add(stats.bytes_merged));
-            if stats.split_form_handoffs > 0 {
-                lock(&inner.counters).split_form_handoffs += stats.split_form_handoffs;
-            }
+            self.note_held_outputs(&stats);
             match result {
                 Ok(resp) => return (Ok(resp), bytes),
                 Err(mozart_core::Error::Cancelled(_)) => {
@@ -1613,6 +1634,22 @@ impl PipelineService {
                     }
                 }
             }
+        }
+    }
+
+    /// Fold one attempt's held-pieces counters (split-form hand-offs,
+    /// deferred outputs) into the service totals.
+    fn note_held_outputs(&self, stats: &PhaseStats) {
+        let (handoffs, deferred, materialized) = (
+            stats.split_form_handoffs,
+            stats.deferred_outputs,
+            stats.deferred_materialized,
+        );
+        if handoffs + deferred + materialized > 0 {
+            let mut c = lock(&self.inner.counters);
+            c.split_form_handoffs += handoffs;
+            c.deferred_outputs += deferred;
+            c.deferred_materialized += materialized;
         }
     }
 
@@ -1939,9 +1976,7 @@ impl PipelineService {
                 o.record_phases(&stats);
             }
             bytes = bytes.saturating_add(stats.bytes_split.saturating_add(stats.bytes_merged));
-            if stats.split_form_handoffs > 0 {
-                lock(&self.inner.counters).split_form_handoffs += stats.split_form_handoffs;
-            }
+            self.note_held_outputs(&stats);
             match result {
                 // The pipeline declined (no segment support, a missing
                 // Concat capability, or the size bound): per-member

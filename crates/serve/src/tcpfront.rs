@@ -424,7 +424,7 @@ pub fn stats_body(service: &PipelineService) -> String {
          pool_panicked_batches={} pool_respawned_workers={} \
          admission_limit={} queue_shed={} over_memory={} breaker_shed={} \
          breaker_open={} memory_live_bytes={} memory_ceiling_bytes={} \
-         split_form_handoffs={}",
+         split_form_handoffs={} deferred_outputs={} deferred_materialized={}",
         s.started,
         s.completed,
         s.rejected,
@@ -453,6 +453,8 @@ pub fn stats_body(service: &PipelineService) -> String {
         s.memory_live_bytes,
         s.memory_ceiling_bytes,
         s.split_form_handoffs,
+        s.deferred_outputs,
+        s.deferred_materialized,
     )
 }
 

@@ -310,3 +310,78 @@ fn slow_requests_are_logged_with_trace_ids() {
         .unwrap();
     assert_eq!(service.slow_requests().len(), 1);
 }
+
+/// A pipeline that reads a second handle: the first read evaluates and
+/// leaves the other output as held pieces, the second read merges them
+/// on demand. That merge is executor work like any other — its spans
+/// land in the request's trace under the attempt, the coverage bar
+/// holds, and the deferred counters reach `STATS` and `METRICS`.
+#[test]
+fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
+    struct TwoReads;
+    impl Pipeline for TwoReads {
+        fn name(&self) -> &'static str {
+            "two_reads"
+        }
+        fn run(&self, ctx: &MozartContext, _req: &Request) -> mozart_core::Result<Response> {
+            use sa_dataframe as sa;
+            // Big enough that the request outweighs its bookkeeping gaps.
+            let df = workloads::crime_index::generate(1 << 18, 5);
+            let tp = sa::col(ctx, &df, "total_population")?;
+            let doubled = sa::mul_scalar(ctx, &tp, 2.0)?;
+            let shifted = sa::add_scalar(ctx, &tp, 1.0)?;
+            let first = sa::get_col(&doubled)?;
+            let merges_before = ctx.stats().deferred_materialized;
+            let second = sa::get_col(&shifted)?;
+            assert_eq!(ctx.stats().deferred_materialized, merges_before + 1);
+            Ok(Response::new(format!("{} {}", first.len(), second.len())))
+        }
+    }
+    let mut cfg = Config::with_workers(2);
+    cfg.batch_override = Some(512);
+    let service = PipelineService::builder()
+        .workers(2)
+        .session_config(cfg)
+        .tracing(true)
+        .pipeline(Arc::new(TwoReads))
+        .build();
+    let (resp, trace) = service.session().call_traced("two_reads", &Request::new());
+    resp.unwrap();
+    let trace = trace.expect("tracing is on");
+
+    let tree = service.trace_tree(trace).expect("spans were recorded");
+    let (e2e, covered) = (tree.e2e_ns(), tree.covered_ns());
+    assert!(
+        covered >= e2e / 100 * 95,
+        "covered {covered} ns of {e2e} ns\n{}",
+        tree.render_line()
+    );
+    // Two final-merge spans: the evaluation's one stage, then the
+    // on-demand merge of `shifted` (addressed as the next stage index).
+    let final_merges: Vec<u64> = service
+        .trace_spans(trace)
+        .iter()
+        .filter(|s| s.kind == SpanKind::FinalMerge)
+        .map(|s| s.arg)
+        .collect();
+    assert_eq!(final_merges, [0, 1], "{}", tree.render_line());
+
+    // `tp` and `shifted` were alive but not asked for by the first
+    // read; only `shifted` was read later.
+    let stats = service.stats();
+    assert_eq!(
+        (stats.deferred_outputs, stats.deferred_materialized),
+        (2, 1)
+    );
+    let page = service.metrics_text();
+    assert!(page.contains("mozart_deferred_outputs_total 2"), "{page}");
+    assert!(
+        page.contains("mozart_deferred_materialized_total 1"),
+        "{page}"
+    );
+    let line = mozart_serve::tcpfront::stats_body(&service);
+    assert!(
+        line.ends_with("deferred_outputs=2 deferred_materialized=1"),
+        "{line}"
+    );
+}

@@ -2,7 +2,7 @@
 //! average "crime index" from population and robbery statistics.
 
 use dataframe::{Column, DataFrame};
-use mozart_core::{MozartContext, Result};
+use mozart_core::{FutureHandle, MozartContext, Result};
 
 /// Population threshold for "big" cities.
 pub const BIG_CITY: f64 = 500_000.0;
@@ -47,9 +47,11 @@ pub fn base(df: &DataFrame) -> Summary {
     }
 }
 
-/// Mozart: filter (unknown split type) pipelining into generic Series
-/// arithmetic and a final reduction.
-pub fn mozart(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
+/// Capture the pipeline: filter (unknown split type) pipelining into
+/// generic Series arithmetic and a final reduction. Returns the lazy
+/// total and every intermediate handle an application written the
+/// natural way — one `let` per step — would still have in scope.
+fn capture(df: &DataFrame, ctx: &MozartContext) -> Result<(FutureHandle, Vec<FutureHandle>)> {
     use sa_dataframe as sa;
     let tp_col = sa::col(ctx, df, "total_population")?;
     let mask = sa::gt_scalar(ctx, &tp_col, BIG_CITY)?;
@@ -71,8 +73,29 @@ pub fn mozart(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
         sa::mask_assign(ctx, &c1, &lo, 0.0)?
     };
     let total = sa::sum(ctx, &clamped)?;
+    Ok((
+        total,
+        vec![tp_col, mask, big, tp, adult, rob, index, clamped],
+    ))
+}
+
+/// Mozart, as an application would write it: every intermediate handle
+/// stays alive across the one read, of the scalar total.
+pub fn mozart(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
+    let (total, intermediates) = capture(df, ctx)?;
+    let index_sum = sa_dataframe::get_scalar(&total)?;
+    drop(intermediates);
+    Ok(Summary { index_sum })
+}
+
+/// [`mozart`] with the intermediate handles dropped *before* the read,
+/// so the runtime discards their pieces outright — the comparison arm
+/// for what holding them costs (`phase_breakdown`, `tests/`).
+pub fn mozart_handles_dropped(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
+    let (total, intermediates) = capture(df, ctx)?;
+    drop(intermediates);
     Ok(Summary {
-        index_sum: sa::get_scalar(&total)?,
+        index_sum: sa_dataframe::get_scalar(&total)?,
     })
 }
 

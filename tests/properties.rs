@@ -13,7 +13,10 @@
 //! * `F(a, b, ...) = Merge(F(a1, b1, ...), F(a2, b2, ...), ...)` for
 //!   annotated functions under arbitrary split points;
 //! * Mozart execution equals eager library execution for arbitrary
-//!   operator sequences, worker counts, and batch sizes.
+//!   operator sequences, worker counts, and batch sizes;
+//! * demand-driven materialization (ISSUE 12): for generated pipelines
+//!   over the dataframe, ndarray and image wrappers, the order handles
+//!   are read in is invisible in the values read.
 
 use proptest::prelude::*;
 
@@ -494,4 +497,274 @@ fn apply_mozart(op: u8, c: &MozartContext, n: usize, buf: &SharedVec<f64>) -> Re
         3 => sa::vd_log1p(c, n, buf, buf),
         _ => sa::vd_sqr(c, n, buf, buf),
     }
+}
+
+// ---------------------------------------------------------------------
+// Demand-driven materialization (ISSUE 12): the order an application
+// reads its handles in is invisible in the values it reads.
+// ---------------------------------------------------------------------
+
+/// When the handles of a captured pipeline are read.
+#[derive(Debug, Clone, Copy)]
+enum ReadOrder {
+    /// Only the last handle triggers the evaluation; the rest are read
+    /// afterwards, from whatever the runtime kept for them.
+    LastOnly,
+    CaptureOrder,
+    Reversed,
+    /// `evaluate()` first: every live value is merged eagerly (the
+    /// reference behaviour).
+    EvaluateFirst,
+}
+
+/// Configuration axes the read-order property quantifies over.
+#[derive(Debug, Clone)]
+struct DemandAxes {
+    workers: usize,
+    batch: u64,
+    placement: bool,
+    split_form: bool,
+    pipeline: bool,
+}
+
+fn demand_axes() -> impl Strategy<Value = DemandAxes> {
+    (
+        1usize..3,
+        1u64..24,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(workers, batch, placement, split_form, pipeline)| DemandAxes {
+                workers,
+                batch,
+                placement,
+                split_form,
+                pipeline,
+            },
+        )
+}
+
+/// Capture a pipeline on a fresh context, read its handles per `order`,
+/// and return a bit-exact rendering of every handle's value.
+fn read_handles(
+    axes: &DemandAxes,
+    cache: &std::sync::Arc<PlanCache>,
+    order: ReadOrder,
+    capture: &dyn Fn(&MozartContext) -> Vec<FutureHandle>,
+    render: &dyn Fn(&DataValue) -> String,
+) -> Vec<String> {
+    mozart_repro::workloads::register_all_defaults();
+    let mut cfg = Config::with_workers(axes.workers);
+    cfg.batch_override = Some(axes.batch);
+    cfg.pedantic = true;
+    cfg.placement_merge = axes.placement;
+    cfg.split_form = axes.split_form;
+    cfg.pipeline = axes.pipeline;
+    let c = MozartContext::new(cfg);
+    c.attach_plan_cache(cache.clone());
+    let handles = capture(&c);
+    let n = handles.len();
+    let reads: Vec<usize> = match order {
+        ReadOrder::LastOnly => vec![n - 1],
+        ReadOrder::CaptureOrder => (0..n).collect(),
+        ReadOrder::Reversed => (0..n).rev().collect(),
+        ReadOrder::EvaluateFirst => {
+            c.evaluate().unwrap();
+            vec![]
+        }
+    };
+    for i in reads {
+        handles[i].get().unwrap();
+    }
+    handles.iter().map(|h| render(&h.get().unwrap())).collect()
+}
+
+/// Every read order — cold, then replaying the cached plan — reads
+/// exactly what `evaluate()`-then-read reads.
+fn check_read_orders(
+    axes: &DemandAxes,
+    capture: &dyn Fn(&MozartContext) -> Vec<FutureHandle>,
+    render: &dyn Fn(&DataValue) -> String,
+) {
+    let fresh = || std::sync::Arc::new(PlanCache::new(8));
+    let reference = read_handles(axes, &fresh(), ReadOrder::EvaluateFirst, capture, render);
+    for order in [
+        ReadOrder::LastOnly,
+        ReadOrder::CaptureOrder,
+        ReadOrder::Reversed,
+    ] {
+        let cache = fresh();
+        for warm in [false, true] {
+            let got = read_handles(axes, &cache, order, capture, render);
+            assert_eq!(got, reference, "{axes:?} {order:?} warm={warm}");
+        }
+    }
+}
+
+/// Bit-exact rendering of `f64`s (`Debug` would conflate NaN payloads).
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Dataframe wrappers: column arithmetic, masks, and filters (the
+    /// `unknown` split type) feeding further arithmetic; every handle
+    /// the program creates is kept.
+    #[test]
+    fn dataframe_read_order_is_invisible(
+        rows in prop::collection::vec((-50i32..50, any::<bool>()), 1..90),
+        program in prop::collection::vec(0u8..4, 1..7),
+        axes in demand_axes(),
+    ) {
+        use sa_dataframe as sa;
+        let n = rows.len();
+        // Row 0 is always kept: a stage over an empty frame produces no
+        // pieces, which every merge path rejects alike.
+        let keep = rows.iter().enumerate().map(|(i, r)| f64::from(u8::from(i == 0 || r.1)));
+        let df = DataFrame::from_cols(vec![
+            ("id", Column::from_i64((0..n as i64).collect())),
+            ("v", Column::from_f64(rows.iter().map(|r| f64::from(r.0)).collect())),
+            ("keep", Column::from_f64(keep.collect())),
+        ]);
+        let capture = |c: &MozartContext| {
+            let mut handles = vec![sa::col(c, &df, "v").unwrap()];
+            // Index of the filtered frame the running column belongs
+            // to; `None` while it still belongs to `df`.
+            let mut frame: Option<usize> = None;
+            for op in &program {
+                let col = handles.last().unwrap();
+                match op {
+                    0 => handles.push(sa::add_scalar(c, col, 1.5).unwrap()),
+                    1 => handles.push(sa::mul_scalar(c, col, -2.0).unwrap()),
+                    2 => handles.push(sa::mul(c, col, col).unwrap()),
+                    _ => {
+                        let flags = match frame {
+                            Some(f) => sa::col(c, &handles[f], "keep"),
+                            None => sa::col(c, &df, "keep"),
+                        }
+                        .unwrap();
+                        let mask = sa::gt_scalar(c, &flags, 0.5).unwrap();
+                        let kept = match frame {
+                            Some(f) => sa::filter(c, &handles[f], &mask),
+                            None => sa::filter(c, &df, &mask),
+                        }
+                        .unwrap();
+                        let kept_col = sa::col(c, &kept, "v").unwrap();
+                        frame = Some(handles.len() + 2);
+                        handles.extend([flags, mask, kept, kept_col]);
+                    }
+                }
+            }
+            handles
+        };
+        let render = |v: &DataValue| match v.downcast_ref::<sa::ColValue>() {
+            Some(col) if matches!(col.0, Column::F64(_)) => format!("{:?}", bits(col.0.f64s())),
+            Some(col) => format!("{:?}", col.0),
+            None => {
+                let d = &v.downcast_ref::<sa::DfValue>().unwrap().0;
+                format!("{:?} {:?}", d.col("id").i64s(), bits(d.col("v").f64s()))
+            }
+        };
+        check_read_orders(&axes, &capture, &render);
+    }
+
+    /// NdArray wrappers: elementwise chains over rank-2 arrays.
+    #[test]
+    fn ndarray_read_order_is_invisible(
+        rows in 1usize..70,
+        cols in 1usize..4,
+        program in prop::collection::vec(0u8..5, 1..7),
+        axes in demand_axes(),
+    ) {
+        use sa_ndarray as sa;
+        let src = ndarray_lite::NdArray::from_fn(&[rows, cols], |i| i as f64 * 0.25 - 3.0);
+        let capture = |c: &MozartContext| {
+            let mut handles = vec![sa::add_scalar(c, &src, 0.5).unwrap()];
+            for op in &program {
+                let prev = handles.last().unwrap();
+                handles.push(
+                    match op {
+                        0 => sa::mul_scalar(c, prev, -1.5),
+                        1 => sa::square(c, prev),
+                        2 => sa::abs(c, prev),
+                        3 => sa::add(c, prev, &src),
+                        _ => sa::sub(c, prev, &handles[0]),
+                    }
+                    .unwrap(),
+                );
+            }
+            handles
+        };
+        let render = |v: &DataValue| {
+            let a = &v.downcast_ref::<sa::NdValue>().unwrap().0;
+            format!("{:?} {:?}", a.shape(), bits(a.as_slice()))
+        };
+        check_read_orders(&axes, &capture, &render);
+    }
+
+    /// Image wrappers: per-pixel filter chains (row-band split type,
+    /// placement-written merged output).
+    #[test]
+    fn image_read_order_is_invisible(
+        w in 1usize..20,
+        h in 1usize..36,
+        seed in 0u64..32,
+        program in prop::collection::vec(0u8..3, 1..5),
+        axes in demand_axes(),
+    ) {
+        use sa_image as sa;
+        let img = imagelib::Image::synthetic(w, h, seed);
+        let capture = |c: &MozartContext| {
+            let mut handles = vec![sa::gamma(c, &img, 1.2).unwrap()];
+            for op in &program {
+                let prev = handles.last().unwrap();
+                handles.push(
+                    match op {
+                        0 => sa::gamma(c, prev, 0.8),
+                        1 => sa::contrast(c, prev, 3.0),
+                        _ => sa::modulate(c, prev, 100.0, 150.0, 100.0),
+                    }
+                    .unwrap(),
+                );
+            }
+            handles
+        };
+        let render = |v: &DataValue| {
+            let i = &v.downcast_ref::<sa::ImgValue>().unwrap().0;
+            let px: Vec<u32> = i.data().iter().map(|f| f.to_bits()).collect();
+            format!("{}x{} {px:?}", i.width(), i.height())
+        };
+        check_read_orders(&axes, &capture, &render);
+    }
+}
+
+/// Holding every intermediate handle across the read merges exactly
+/// the bytes that dropping them first merges — the demanded total and
+/// nothing else — and the 8 intermediates stay pieces.
+#[test]
+fn crime_index_held_handles_merge_no_extra_bytes() {
+    use mozart_repro::workloads::crime_index;
+    let df = crime_index::generate(5000, 11);
+    let run = |held: bool| {
+        let c = ctx(2, 256);
+        let f = if held {
+            crime_index::mozart
+        } else {
+            crime_index::mozart_handles_dropped
+        };
+        (f(&df, &c).unwrap().index_sum, c.stats())
+    };
+    let (held_sum, held) = run(true);
+    let (dropped_sum, dropped) = run(false);
+    assert!(mozart_repro::workloads::close(held_sum, dropped_sum, 1e-12));
+    assert_eq!(held.bytes_merged, dropped.bytes_merged);
+    assert_eq!((held.deferred_outputs, dropped.deferred_outputs), (8, 0));
+    assert_eq!(
+        held.deferred_materialized, 0,
+        "nobody read the intermediates"
+    );
 }
