@@ -12,6 +12,9 @@
 //! [`MergeStrategy::Concat`]). When the exemplar piece is a
 //! [`SliceView`] — the pieces already alias one final buffer — placement
 //! is declined, since recovering the parent is cheaper than any copy.
+//! A released target of the right length that nobody else holds any
+//! more is written over instead of allocating a new one
+//! ([`Placement::reuse`]).
 //!
 //! `ArraySplit` also exposes the [`Concat`] capability (the inverse of
 //! `split`): whole buffers concatenate end to end and element ranges
@@ -220,6 +223,24 @@ impl Placement for ArraySplit {
         // prefix), so the unspecified initial contents are never read.
         let out = unsafe { SharedVec::uninit_prefaulted(total_elements as usize) };
         Ok(Some(DataValue::new(VecValue(out))))
+    }
+
+    fn reuse(
+        &self,
+        spare: DataValue,
+        total_elements: u64,
+        _params: &Params,
+        exemplar: Option<&DataValue>,
+    ) -> Option<DataValue> {
+        // Same decision as `alloc_merged`: only fresh `VecValue` pieces
+        // are worth a placement target.
+        exemplar?.downcast_ref::<VecValue>()?;
+        let mut buf = spare.downcast_ref::<VecValue>()?.0.clone();
+        // Let go of the wrapper first: if it was the last one, `buf` is
+        // now the only handle a sole owner would have.
+        drop(spare);
+        (buf.len() as u64 == total_elements && buf.is_exclusive())
+            .then(|| DataValue::new(VecValue(buf)))
     }
 
     fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {

@@ -4,6 +4,10 @@
 //! repository use for dense numeric data (standing in for the raw C arrays
 //! that Intel MKL operates on). It provides:
 //!
+//! * O(1) *adoption*: [`SharedVec::from_vec`] takes a `Vec`'s allocation
+//!   as is — same address, no copy, no pass over the elements — so
+//!   wrapping application data costs nothing per byte, and
+//!   [`SharedVec::zeros`] is one zeroed allocation (`calloc`),
 //! * cheap cloning (handles share one allocation),
 //! * *disjoint* mutable range access from multiple worker threads, which
 //!   is what lets Mozart run unmodified kernels on split pieces in
@@ -135,7 +139,8 @@ impl<T: Copy + Send + Sync + 'static> Clone for SharedVec<T> {
 
 impl<T: Copy + Send + Sync + Default + 'static> SharedVec<T> {
     /// Allocate a zero-initialized (default-initialized) buffer of `len`
-    /// elements.
+    /// elements: for all-zero defaults (`f64`, integers) one zeroed
+    /// allocation (`calloc`), adopted without a pass over it.
     pub fn zeros(len: usize) -> Self {
         Self::from_vec(vec![T::default(); len])
     }
@@ -310,9 +315,20 @@ unsafe fn advise_hugepages(ptr: *mut u8, bytes: usize) {
 }
 
 impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
-    /// Take ownership of a `Vec`'s contents.
+    /// Take ownership of a `Vec`'s allocation: the buffer keeps the
+    /// vector's address and no element is read or written. A vector
+    /// with spare capacity (`capacity > len`) pays one shrinking
+    /// `realloc` first, as `Vec::into_boxed_slice` does.
     pub fn from_vec(v: Vec<T>) -> Self {
-        let storage: Box<[UnsafeCell<T>]> = v.into_iter().map(UnsafeCell::new).collect();
+        let storage = Box::into_raw(v.into_boxed_slice());
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
+        // `[T]` and `[UnsafeCell<T>]` have the same size, alignment and
+        // element layout, and the slice length rides along unchanged in
+        // the fat pointer. The pointer came from `Box::into_raw` just
+        // above, so it is uniquely owned and was allocated by the
+        // global allocator with exactly the layout the rebuilt
+        // `Box<[UnsafeCell<T>]>` will free it with.
+        let storage = unsafe { Box::from_raw(storage as *mut [UnsafeCell<T>]) };
         let bytes = storage.len() * std::mem::size_of::<T>();
         crate::membudget::note_alloc(bytes);
         SharedVec {
@@ -338,6 +354,16 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     /// identity for dependency tracking.
     pub fn storage_addr(&self) -> usize {
         Arc::as_ptr(&self.inner) as *const () as usize
+    }
+
+    /// Whether this handle is the only reference to its storage: no
+    /// clone, no [`SliceView`], no value wrapping a clone is alive
+    /// anywhere. `Arc::get_mut`-exact, so a `true` cannot go stale
+    /// while the caller keeps the handle to itself — the check a
+    /// [`Placement::reuse`](crate::split::Placement::reuse) makes
+    /// before writing a new result over a released one.
+    pub fn is_exclusive(&mut self) -> bool {
+        Arc::get_mut(&mut self.inner).is_some()
     }
 
     /// Whether two handles share the same backing storage.

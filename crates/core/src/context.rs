@@ -17,6 +17,13 @@
 //! (`OutputKind::Deferred`) and are merged under the context lock by
 //! the first read that does ask — or dropped with their `Future`. See
 //! "Demand-driven materialization" in [`crate::planner`].
+//!
+//! Whenever a context lets go of a placement-merged value — its
+//! `Future` is dropped, the end of an evaluation finds it unreachable,
+//! or the context itself goes away — the value's storage is *parked* in
+//! the attached plan cache for the next evaluation of the same plan to
+//! write over, instead of being freed (see "Merge-target spares" in
+//! [`crate::planner`]). Without a plan cache nothing is parked.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +37,12 @@ use crate::buffer::EvalTrigger;
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::executor::{duration_ns, execute_stage, materialize_held, ExecEnv};
-use crate::graph::{DataflowGraph, FutureToken, Node, ValueEntry, ValueId, ValueOrigin};
+use crate::graph::{
+    DataflowGraph, FutureToken, MergeOrigin, Node, ValueEntry, ValueId, ValueOrigin,
+};
 use crate::planner::{
-    plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, Planned,
-    StagePlan,
+    plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, PlanSite,
+    Planned, StagePlan,
 };
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::stats::{PhaseStats, PoolStats};
@@ -78,6 +87,21 @@ struct State {
 pub struct ContextInner {
     id: u64,
     state: Mutex<State>,
+}
+
+impl Drop for ContextInner {
+    /// The last handle to the context is gone: park the placement
+    /// targets its graph still holds before they are freed with it.
+    fn drop(&mut self) {
+        let State {
+            graph, plan_cache, ..
+        } = self.state.get_mut();
+        if let Some(cache) = plan_cache {
+            for (origin, target) in graph.take_merge_targets() {
+                cache.park(origin, target);
+            }
+        }
+    }
 }
 
 impl EvalTrigger for ContextInner {
@@ -301,6 +325,7 @@ impl MozartContext {
                 data: Some(dv.clone()),
                 ready: false,
                 held: None,
+                merge_origin: None,
                 consumers: Vec::new(),
                 user_token: None,
             });
@@ -327,6 +352,7 @@ impl MozartContext {
                 data: None,
                 ready: false,
                 held: None,
+                merge_origin: None,
                 consumers: Vec::new(),
                 user_token: Some(Arc::downgrade(&token)),
             });
@@ -429,10 +455,12 @@ fn trace_ctx(st: &mut State) -> Option<TraceCtx> {
 
 impl State {
     /// Split borrow for one executor call: the graph and stats it
-    /// mutates, and the read-only environment it runs in.
+    /// mutates, and the read-only environment it runs in. `site` is
+    /// where the stage sits in a cached (or being-recorded) plan.
     fn exec_parts<'a>(
         &'a mut self,
         trace: Option<&'a TraceCtx>,
+        site: Option<PlanSite>,
     ) -> (&'a mut DataflowGraph, &'a mut PhaseStats, ExecEnv<'a>) {
         let env = ExecEnv {
             config: &self.config,
@@ -444,8 +472,17 @@ impl State {
             session: self.session_tag,
             cancel: self.cancel.as_ref(),
             trace,
+            spares: self.plan_cache.as_deref().zip(site),
         };
         (&mut self.graph, &mut self.stats, env)
+    }
+
+    /// Park a placement target the graph just released (see
+    /// [`DataflowGraph::release`]) in the attached plan cache.
+    fn park(&self, released: Option<(MergeOrigin, DataValue)>) {
+        if let (Some(cache), Some((origin, target))) = (&self.plan_cache, released) {
+            cache.park(origin, target);
+        }
     }
 }
 
@@ -454,7 +491,7 @@ impl State {
 /// context: nothing executed, so there is no half-updated state.
 fn materialize(st: &mut State, id: ValueId) -> Result<bool> {
     let trace = trace_ctx(st);
-    let (graph, stats, env) = st.exec_parts(trace.as_ref());
+    let (graph, stats, env) = st.exec_parts(trace.as_ref(), None);
     materialize_held(graph, id, stats, &env)
 }
 
@@ -467,7 +504,8 @@ fn flush_deferred(st: &mut State) -> Result<()> {
     // Popped only once handled, so a failed merge stays listed.
     while let Some(&id) = st.graph.deferred.last() {
         if !st.graph.values[id.0 as usize].observable() {
-            st.graph.release(id);
+            let released = st.graph.release(id);
+            st.park(released);
         }
         if materialize(st, id)? {
             st.stats.deferred_materialized += 1;
@@ -488,7 +526,14 @@ fn evaluate_locked(st: &mut State, demand: Demand) -> Result<()> {
     let result = evaluate_pending(st, demand);
     // Whatever this evaluation executed, release what nobody can reach
     // any more (see `DataflowGraph::release_unreachable`).
-    st.graph.release_unreachable(first_node);
+    let State {
+        graph, plan_cache, ..
+    } = st;
+    graph.release_unreachable(first_node, |origin, target| {
+        if let Some(cache) = plan_cache {
+            cache.park(origin, target);
+        }
+    });
     result
 }
 
@@ -593,7 +638,13 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
                         }
                         match bound {
                             Ok(stage) => {
-                                if let Err(e) = execute_locked(st, &stage, demand, trace.as_ref()) {
+                                let site = PlanSite {
+                                    fingerprint: shape.fingerprint,
+                                    stage: idx as u32,
+                                };
+                                if let Err(e) =
+                                    execute_locked(st, &stage, demand, trace.as_ref(), Some(site))
+                                {
                                     // Execution failures poison the
                                     // context either way; drop the entry
                                     // so the next identical request
@@ -657,10 +708,11 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
             Ok(None) => break,
             Err(e) => return Err(poison(st, e)),
         };
+        let site = recorder.as_ref().map(PlanRecorder::next_site);
         if let Some(r) = &mut recorder {
             r.record(&stage, &st.graph);
         }
-        execute_locked(st, &stage, demand, trace.as_ref())?;
+        execute_locked(st, &stage, demand, trace.as_ref(), site)?;
     }
     if let (Some(cache), Some(recorder)) = (cache, recorder) {
         let fingerprint = recorder.fingerprint();
@@ -691,12 +743,14 @@ fn poison(st: &mut State, e: Error) -> Error {
 }
 
 /// Execute one planned stage against the locked state, poisoning the
-/// context on failure.
+/// context on failure. `site` is the stage's position in the cached or
+/// being-recorded plan, if there is one.
 fn execute_locked(
     st: &mut State,
     stage: &StagePlan,
     demand: Demand,
     trace: Option<&TraceCtx>,
+    site: Option<PlanSite>,
 ) -> Result<()> {
     // Layer-2 static check: prove the plan sound before anything
     // executes. This single site covers both fresh plans and
@@ -710,7 +764,7 @@ fn execute_locked(
     if stage.outputs.iter().any(|o| o.kind == OutputKind::InPlace) {
         flush_deferred(st).map_err(|e| poison(st, e))?;
     }
-    let (graph, stats, env) = st.exec_parts(trace);
+    let (graph, stats, env) = st.exec_parts(trace, site);
     execute_stage(graph, stage, stats, &env).map_err(|e| poison(st, e))
 }
 
@@ -725,12 +779,14 @@ pub struct FutureHandle {
 
 impl Drop for FutureHandle {
     /// Dropping the handle drops what only it could reach: the value's
-    /// data and held pieces, unless a pending call still reads them.
+    /// data and held pieces, unless a pending call still reads them (a
+    /// placement-merged value's storage is parked in the plan cache).
     /// Best effort — if the context is busy evaluating, the end of that
     /// (or the next) evaluation releases it instead.
     fn drop(&mut self) {
         if let Some(mut st) = self.ctx.inner.state.try_lock() {
-            st.graph.release(self.value);
+            let released = st.graph.release(self.value);
+            st.park(released);
         }
     }
 }

@@ -52,6 +52,15 @@
 //! and a `NULL`-split tail shrinks the output to the written prefix via
 //! [`truncate_merged`](crate::split::Placement::truncate_merged).
 //!
+//! Under an attached plan cache the preallocation itself is skipped
+//! where it can be: both allocation points first take the *spare* an
+//! earlier evaluation of the same cached plan parked for this stage
+//! output and offer it to [`Placement::reuse`], which hands it back
+//! only if nobody else holds its storage any more (see "Merge-target
+//! spares" in [`crate::planner`]). Every installed target records where
+//! it came from ([`MergeOrigin`]) so the context can park it in turn
+//! when it lets go of the value.
+//!
 //! # Held pieces: split-form hand-offs and deferred outputs
 //!
 //! When the planner marks an output [`OutputKind::SplitForm`] (see the
@@ -84,15 +93,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use parking_lot::Mutex;
+
 use crate::annotation::Invocation;
 use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now};
 use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
-use crate::graph::{DataflowGraph, ValueId};
-use crate::planner::{OutputKind, StagePlan};
+use crate::graph::{DataflowGraph, MergeOrigin, ValueId};
+use crate::planner::{OutputKind, PlanCache, PlanSite, StagePlan};
 use crate::pool::{run_stage_scoped, Job, WorkerPool};
-use crate::split::{Placement, SplitForm, SplitInstance};
+use crate::split::{Params, Placement, SplitForm, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
 use crate::value::DataValue;
@@ -228,6 +239,9 @@ struct ExecNode {
 struct MergeOutput {
     slot: u32,
     value: ValueId,
+    /// Index among the stage's planned outputs: with the stage's
+    /// [`PlanSite`], the key of this output's spare slot.
+    output: u32,
     instance: SplitInstance,
     /// Cached: whether the merge strategy is commutative.
     commutative: bool,
@@ -248,6 +262,7 @@ impl MergeOutput {
     fn new(
         slot: u32,
         value: ValueId,
+        output: u32,
         instance: SplitInstance,
         kind: OutputKind,
         config: &Config,
@@ -273,6 +288,7 @@ impl MergeOutput {
         MergeOutput {
             slot,
             value,
+            output,
             commutative: strategy.commutative(),
             placement,
             kind,
@@ -283,6 +299,11 @@ impl MergeOutput {
     /// Whether the pieces are kept as pieces instead of merged.
     fn held(&self) -> bool {
         self.kind != OutputKind::Merge
+    }
+
+    /// The placement target this output resolved to, if any.
+    fn target(&self) -> Option<&Target> {
+        self.placement.as_ref()?.state.out.get()?.as_ref()
     }
 }
 
@@ -296,12 +317,16 @@ struct PlacementMerge {
 /// Shared state of one output's placement merge, resolved exactly once
 /// across all workers.
 struct PlacementState {
-    /// `Some(out)` once a worker allocated the placement output (every
-    /// piece is then written in place); `None` once the split type
-    /// declined placement for this stage (pieces collect as usual).
-    /// Resolved on the first piece produced, whichever worker gets
-    /// there first.
-    out: OnceLock<Option<DataValue>>,
+    /// `Some(target)` once the placement output exists (every piece is
+    /// then written in place); `None` once the split type declined
+    /// placement for this stage (pieces collect as usual). Resolved at
+    /// stage start or on the first piece produced, whichever worker
+    /// gets there first.
+    out: OnceLock<Option<Target>>,
+    /// A spare taken from the plan cache at stage start that has to
+    /// wait for the first piece: it was resolved by exemplar when it
+    /// was new, so that is the call site that offers it for reuse.
+    spare: Mutex<Option<DataValue>>,
     /// Elements written across all pieces.
     written: AtomicU64,
     /// Highest element offset written (exclusive).
@@ -312,10 +337,20 @@ impl PlacementState {
     fn new() -> PlacementState {
         PlacementState {
             out: OnceLock::new(),
+            spare: Mutex::new(None),
             written: AtomicU64::new(0),
             high: AtomicU64::new(0),
         }
     }
+}
+
+/// A resolved placement output and how it came to be.
+struct Target {
+    out: DataValue,
+    /// Handed back by [`Placement::reuse`], not allocated.
+    reused: bool,
+    /// Resolved on the first piece rather than at stage start.
+    by_exemplar: bool,
 }
 
 /// Nominal size in bytes of a materialized merge output, via the split
@@ -414,6 +449,11 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) session: u64,
     pub(crate) cancel: Option<&'a Arc<CancelToken>>,
     pub(crate) trace: Option<&'a TraceCtx>,
+    /// The attached plan cache and where the stage sits in its plan:
+    /// the spare slots its placement outputs take from and are later
+    /// parked in. `None` without a cache, for uncacheable segments and
+    /// for on-demand merges of held pieces — those allocate as ever.
+    pub(crate) spares: Option<(&'a PlanCache, PlanSite)>,
 }
 
 /// Execute one stage, materializing its outputs into the graph.
@@ -469,7 +509,7 @@ pub(crate) fn materialize_held(
     let mut exec = ExecStage::sized(sf.total(), sf.piece_len(), stats.stages, env);
     // `sum_elem_bytes` stays 0: nothing is split, the pieces exist.
     exec.num_slots = 1;
-    let output = MergeOutput::new(0, id, instance.clone(), OutputKind::Merge, env.config);
+    let output = MergeOutput::new(0, id, 0, instance.clone(), OutputKind::Merge, env.config);
     exec.merge_outputs.push(output);
     let data = InputData::Pieces(sf);
     exec.inputs.push(ExecInput {
@@ -503,18 +543,27 @@ fn run_exec(
     // value here, on the calling thread while the pool is parked —
     // first-touch page faults taken inside worker merge windows would
     // contend with the parallel phase's own faults. Data-dependent
-    // layouts resolve later, on the first piece produced. Counted as
-    // merge time: it is the placement path's share of what the
+    // layouts resolve later, on the first piece produced. A spare the
+    // plan cache holds for the output is offered for reuse first, at
+    // whichever of the two points resolved it when it was new. Counted
+    // as merge time: it is the placement path's share of what the
     // collect-then-concat path pays inside its final merge.
     let t_alloc = thread_cpu_now();
     for mo in &exec.merge_outputs {
-        if let Some(pm) = &mo.placement {
-            if let Some(out) =
-                pm.cap
-                    .alloc_merged(exec.total_elements, &mo.instance.params, None)?
-            {
-                let _ = pm.state.out.set(Some(out));
+        let Some(pm) = &mo.placement else { continue };
+        let (total, params) = (exec.total_elements, &mo.instance.params);
+        let spare = env
+            .spares
+            .and_then(|(cache, site)| cache.take_spare(site, mo.output));
+        let spare = match spare {
+            Some((origin, target)) if origin.by_exemplar => {
+                *pm.state.spare.lock() = Some(target);
+                None
             }
+            other => other.map(|(_, target)| target),
+        };
+        if let Some(target) = resolve_target(pm, spare, total, params, None)? {
+            let _ = pm.state.out.set(Some(target));
         }
     }
     let prealloc = cpu_elapsed(t_alloc, thread_cpu_now());
@@ -543,13 +592,29 @@ fn run_exec(
     let t0 = thread_cpu_now();
     let w0 = exec.span_start();
     for (i, mo) in exec.merge_outputs.iter().enumerate() {
-        let mut store = |merged: DataValue, stats: &mut PhaseStats| {
-            stats.bytes_merged += merged_bytes(&mo.instance, &merged);
+        let mut store = |merged: DataValue, target: Option<&Target>, stats: &mut PhaseStats| {
+            let bytes = merged_bytes(&mo.instance, &merged);
+            stats.bytes_merged += bytes;
             let entry = &mut graph.values[mo.value.0 as usize];
             (entry.data, entry.ready) = (Some(merged), true);
+            // A placement target remembers its spare slot, so whoever
+            // lets go of the value can park it for the plan's next
+            // evaluation.
+            entry.merge_origin = env.spares.zip(target).map(|((_, site), t)| MergeOrigin {
+                fingerprint: site.fingerprint,
+                stage: site.stage,
+                output: mo.output,
+                by_exemplar: t.by_exemplar,
+                bytes,
+            });
         };
-        if let Some(merged) = finish_placement(mo, exec.total_elements)? {
-            store(merged, stats);
+        if let Some((merged, target)) = finish_placement(mo, exec.total_elements)? {
+            if target.reused {
+                stats.merge_targets_reused += 1;
+            } else {
+                stats.merge_targets_allocated += 1;
+            }
+            store(merged, Some(target), stats);
             continue;
         }
         // Take ownership of the runs out of the worker results instead
@@ -583,7 +648,7 @@ fn run_exec(
                 .splitter
                 .merge(pieces, &mo.instance.params, exec.total_elements)
         })?;
-        store(merged, stats);
+        store(merged, None, stats);
     }
     let final_merge = cpu_elapsed(t0, thread_cpu_now());
     // One final-merge span per stage on the calling thread; CPU time
@@ -633,7 +698,7 @@ fn hold_pieces(
     let sf = SplitForm::new(pieces, exec.total_elements, mo.instance.clone(), elem_size)?;
     let entry = &mut graph.values[mo.value.0 as usize];
     entry.held = Some(Arc::new(sf));
-    entry.data = None;
+    (entry.data, entry.merge_origin) = (None, None);
     entry.ready = false;
     if mo.kind == OutputKind::Deferred {
         stats.deferred_outputs += 1;
@@ -654,16 +719,13 @@ fn hold_pieces(
 /// pieces already live in the preallocated value, so the "merge" is a
 /// coverage check plus, for `NULL`-split tails, a truncation to the
 /// written prefix.
-fn finish_placement(mo: &MergeOutput, total_elements: u64) -> Result<Option<DataValue>> {
-    let Some(pm) = &mo.placement else {
-        return Ok(None);
-    };
-    let ps = &pm.state;
-    // `None` cell: no piece was ever produced (the no-pieces error on
+fn finish_placement(mo: &MergeOutput, total_elements: u64) -> Result<Option<(DataValue, &Target)>> {
+    // No target: no piece was ever produced (the no-pieces error on
     // the classic path below reports it) or the splitter declined.
-    let Some(Some(out)) = ps.out.get() else {
+    let (Some(pm), Some(target)) = (&mo.placement, mo.target()) else {
         return Ok(None);
     };
+    let (ps, out) = (&pm.state, &target.out);
     let written = ps.written.load(Ordering::Relaxed);
     let high = ps.high.load(Ordering::Relaxed);
     if written != high {
@@ -680,12 +742,12 @@ fn finish_placement(mo: &MergeOutput, total_elements: u64) -> Result<Option<Data
         });
     }
     if high == total_elements {
-        return Ok(Some(out.clone()));
+        return Ok(Some((out.clone(), target)));
     }
     // NULL-split tail: the sources dried up before the declared total.
     pm.cap
         .truncate_merged(out.clone(), high, &mo.instance.params)
-        .map(Some)
+        .map(|truncated| Some((truncated, target)))
 }
 
 /// Gather materialized data, run `Info`, size batches, and resolve every
@@ -783,11 +845,13 @@ fn build_exec_stage(
     let merge_outputs = stage
         .outputs
         .iter()
-        .filter(|o| !matches!(o.kind, OutputKind::InPlace | OutputKind::Discard))
-        .map(|o| {
+        .enumerate()
+        .filter(|(_, o)| !matches!(o.kind, OutputKind::InPlace | OutputKind::Discard))
+        .map(|(i, o)| {
             MergeOutput::new(
                 stage.slot_of(o.value),
                 o.value,
+                i as u32,
                 o.instance.clone(),
                 o.kind,
                 config,
@@ -1017,22 +1081,19 @@ pub(crate) fn run_worker(
                                 // produces — it serves as the exemplar for
                                 // data-dependent output layouts.
                                 let placed = pm.state.out.get_or_init(|| {
-                                    match pm.cap.alloc_merged(
-                                        exec.total_elements,
-                                        &mo.instance.params,
-                                        Some(piece),
-                                    ) {
-                                        Ok(v) => v,
-                                        Err(e) => {
+                                    let spare = pm.state.spare.lock().take();
+                                    let (total, params) =
+                                        (exec.total_elements, &mo.instance.params);
+                                    resolve_target(pm, spare, total, params, Some(piece))
+                                        .unwrap_or_else(|e| {
                                             alloc_err = Some(e);
                                             None
-                                        }
-                                    }
+                                        })
                                 });
                                 if let Some(e) = alloc_err {
                                     return Err(e);
                                 }
-                                if let Some(out_val) = placed {
+                                if let Some(Target { out: out_val, .. }) = placed {
                                     // Coverage tracks the piece's actual
                                     // element count, not the batch range:
                                     // a source that dries up mid-batch
@@ -1093,6 +1154,29 @@ pub(crate) fn run_worker(
     }
     out.partials = partials?;
     Ok(out)
+}
+
+/// Resolve an output's placement target at one of the two allocation
+/// points (stage start: `exemplar` is `None`; first piece: `Some`): a
+/// `spare` the split type accepts for reuse, else a fresh allocation,
+/// else `None` (placement declined at this point).
+fn resolve_target(
+    pm: &PlacementMerge,
+    spare: Option<DataValue>,
+    total_elements: u64,
+    params: &Params,
+    exemplar: Option<&DataValue>,
+) -> Result<Option<Target>> {
+    let target = |out, reused| Target {
+        out,
+        reused,
+        by_exemplar: exemplar.is_some(),
+    };
+    if let Some(out) = spare.and_then(|s| pm.cap.reuse(s, total_elements, params, exemplar)) {
+        return Ok(Some(target(out, true)));
+    }
+    let fresh = pm.cap.alloc_merged(total_elements, params, exemplar)?;
+    Ok(fresh.map(|out| target(out, false)))
 }
 
 /// First-level merge of one worker's pieces for one output.

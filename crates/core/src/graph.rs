@@ -46,6 +46,30 @@ pub enum ValueOrigin {
 #[derive(Debug, Default)]
 pub struct FutureToken;
 
+/// Where a placement-merged value's storage came from: the
+/// [`PlanCache`](crate::planner::PlanCache) spare slot of the stage
+/// output it was allocated (or reused) for. Recorded when the executor
+/// installs a placement target on a value, so that whichever path lets
+/// go of the value can park the storage for the next evaluation of the
+/// same plan instead of freeing it (see "Merge-target spares" in
+/// [`crate::planner`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeOrigin {
+    /// Fingerprint of the plan whose stage produced the value.
+    pub fingerprint: u64,
+    /// Index of the producing stage in that plan.
+    pub stage: u32,
+    /// Index of the value among that stage's outputs.
+    pub output: u32,
+    /// Whether the target was resolved on the first result piece
+    /// (`exemplar: Some(..)`) rather than at stage start — the call
+    /// site that will ask
+    /// [`Placement::reuse`](crate::split::Placement::reuse) for it.
+    pub by_exemplar: bool,
+    /// Nominal size of the merged value, from the split info API.
+    pub bytes: u64,
+}
+
 /// A value in the dataflow graph.
 pub struct ValueEntry {
     /// Provenance.
@@ -63,6 +87,9 @@ pub struct ValueEntry {
     /// asked for). Merged on demand by the first read, or when a
     /// consumer turns out to need the whole value.
     pub held: Option<Arc<SplitForm>>,
+    /// Set when `data` is a placement-merge target installed under an
+    /// attached plan cache: where to park it on release.
+    pub merge_origin: Option<MergeOrigin>,
     /// Nodes that read this value.
     pub consumers: Vec<NodeId>,
     /// Liveness token for application-held `Future`s (return values only).
@@ -147,6 +174,7 @@ impl DataflowGraph {
                 data: Some(dv.clone()),
                 ready: true,
                 held: None,
+                merge_origin: None,
                 consumers: Vec::new(),
                 user_token: None,
             });
@@ -159,6 +187,7 @@ impl DataflowGraph {
                 data: Some(dv.clone()),
                 ready: true,
                 held: None,
+                merge_origin: None,
                 consumers: Vec::new(),
                 user_token: None,
             })
@@ -206,26 +235,44 @@ impl DataflowGraph {
     /// Drop the payload (data or held pieces) of return value `id`
     /// unless a pending call still reads it. The caller has established
     /// that no `Future` can observe the value; sources and mut-versions
-    /// alias application storage and are never released.
-    pub fn release(&mut self, id: ValueId) {
-        release_value(&mut self.values, &self.nodes, id);
+    /// alias application storage and are never released. A released
+    /// placement target is handed back with its origin for the caller
+    /// to park.
+    pub fn release(&mut self, id: ValueId) -> Option<(MergeOrigin, DataValue)> {
+        release_value(&mut self.values, &self.nodes, id)
     }
 
     /// [`release`](Self::release) every return value the nodes executed
     /// since `first_node` produced or read that no `Future` observes —
     /// run at the end of each evaluation, so a long-lived context holds
-    /// only what the application can still reach.
-    pub fn release_unreachable(&mut self, first_node: usize) {
+    /// only what the application can still reach. Released placement
+    /// targets go to `park`.
+    pub fn release_unreachable(
+        &mut self,
+        first_node: usize,
+        mut park: impl FnMut(MergeOrigin, DataValue),
+    ) {
         let (values, nodes) = (&mut self.values, &self.nodes);
         for node in &nodes[first_node..self.next_unplanned] {
             for &id in node.args.iter().chain(&node.ret) {
                 if !values[id.0 as usize].observable() {
-                    release_value(values, nodes, id);
+                    if let Some((origin, target)) = release_value(values, nodes, id) {
+                        park(origin, target);
+                    }
                 }
             }
         }
         self.deferred
             .retain(|id| values[id.0 as usize].held.is_some());
+    }
+
+    /// Every placement target the graph still holds, with its origin —
+    /// what a context parks when it is dropped.
+    pub fn take_merge_targets(&mut self) -> impl Iterator<Item = (MergeOrigin, DataValue)> + '_ {
+        self.values.iter_mut().filter_map(|e| {
+            let origin = e.merge_origin.take()?;
+            Some((origin, e.data.take()?))
+        })
     }
 
     /// Data captured for a value even if its producing call has not run.
@@ -360,12 +407,19 @@ impl DataflowGraph {
 
 /// [`DataflowGraph::release`] over the graph's fields, so a caller
 /// iterating `nodes` can release values as it goes.
-fn release_value(values: &mut [ValueEntry], nodes: &[Node], id: ValueId) {
+fn release_value(
+    values: &mut [ValueEntry],
+    nodes: &[Node],
+    id: ValueId,
+) -> Option<(MergeOrigin, DataValue)> {
     let e = &mut values[id.0 as usize];
     let pending = |c: &NodeId| !nodes[c.0 as usize].executed;
-    if matches!(e.origin, ValueOrigin::Ret(_)) && !e.consumers.iter().any(pending) {
-        (e.data, e.held, e.ready) = (None, None, false);
+    if !matches!(e.origin, ValueOrigin::Ret(_)) || e.consumers.iter().any(pending) {
+        return None;
     }
+    let data = e.data.take();
+    (e.held, e.ready) = (None, false);
+    e.merge_origin.take().zip(data)
 }
 
 /// Canonical shape of a graph's pending segment: the plan-cache key and

@@ -59,6 +59,29 @@
 //! the value exactly like a hand-off's, and the first later read of its
 //! `Future` merges them then. `MozartContext::evaluate` demands every
 //! live handle ([`Demand::AllLive`]) — the pre-demand behaviour.
+//!
+//! # Merge-target spares
+//!
+//! A cached plan also keeps, per stage output, at most one *spare*
+//! placement-merge target: the merged value an earlier evaluation of
+//! the plan produced there and has since let go of (its `Future`
+//! dropped, the evaluation's end found it unreachable, or its context
+//! went away). The next evaluation's stage takes the spare and asks the
+//! split type's [`Placement::reuse`](crate::split::Placement::reuse)
+//! whether it can be written over — only if nobody else holds its
+//! storage *at that moment* and its layout is the one a fresh
+//! allocation would have; otherwise it is dropped and the stage
+//! allocates as if there had been none. A warm plan therefore stops
+//! paying the allocation, zeroing and first-touch page faults of its
+//! merge targets, which for buffers above the allocator's `mmap`
+//! threshold recur on every evaluation.
+//!
+//! Parked memory is bounded by construction: one spare per cached
+//! stage output, replaced (never accumulated) by a later release;
+//! spares die with their plan entry on eviction or invalidation;
+//! nothing is parked while [`membudget::pressured`](crate::membudget::pressured);
+//! and a context without a plan cache never parks. Stages without a
+//! placement output never consult the slots.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +90,7 @@ use std::sync::Mutex;
 use crate::annotation::{GenericId, SplitTypeExpr};
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::graph::{DataflowGraph, NodeId, SegmentShape, ValueId};
+use crate::graph::{DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId};
 use crate::registry::default_instance_for;
 use crate::split::SplitInstance;
 use crate::value::DataValue;
@@ -742,6 +765,19 @@ pub(crate) struct CachedPlan {
     /// count of the graph being replayed (guards fingerprint
     /// collisions).
     pub(crate) nodes_total: usize,
+    /// Parked merge targets, each with the origin it was released
+    /// under, by `(stage, output)`: see "Merge-target spares" in the
+    /// module docs. Living inside the entry is what makes them die
+    /// with it.
+    spares: Mutex<HashMap<(u32, u32), (MergeOrigin, DataValue)>>,
+}
+
+/// A stage's position in a cached (or being-recorded) plan: the key
+/// prefix of its outputs' spare slots.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlanSite {
+    pub(crate) fingerprint: u64,
+    pub(crate) stage: u32,
 }
 
 /// Counters and size of a [`PlanCache`].
@@ -756,6 +792,9 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
     /// Plans currently cached.
     pub entries: usize,
+    /// Nominal bytes (split info API) of the merge targets currently
+    /// parked for reuse, over all cached plans.
+    pub parked_bytes: u64,
 }
 
 impl PlanCacheStats {
@@ -783,6 +822,11 @@ impl PlanCacheStats {
 /// different split type, a different call sequence — changes the
 /// fingerprint, so stale plans are not replayed; entries that fail
 /// bind-time validation are additionally invalidated eagerly.
+///
+/// Each entry also holds at most one released placement-merge target
+/// per stage output for the plan's next evaluation to write over (see
+/// "Merge-target spares" in the module docs);
+/// [`PlanCacheStats::parked_bytes`] reports their size.
 ///
 /// Caching is refused (the segment simply plans fresh every time) when
 /// a value's shape cannot be characterized (no default splitter, not a
@@ -822,11 +866,21 @@ impl PlanCache {
 
     /// Snapshot of the cache counters.
     pub fn stats(&self) -> PlanCacheStats {
+        let entries = lock(&self.entries);
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries: lock(&self.entries).len(),
+            entries: entries.len(),
+            parked_bytes: entries
+                .values()
+                .map(|plan| {
+                    lock(&plan.spares)
+                        .values()
+                        .map(|(o, _)| o.bytes)
+                        .sum::<u64>()
+                })
+                .sum(),
         }
     }
 
@@ -835,18 +889,51 @@ impl PlanCache {
     }
 
     pub(crate) fn insert(&self, fingerprint: u64, plan: CachedPlan) {
+        // Displaced entries (and the spares that die with them) are
+        // freed after the map lock is released.
+        let mut displaced = Vec::new();
         let mut entries = lock(&self.entries);
         if entries.len() >= self.capacity && !entries.contains_key(&fingerprint) {
             if let Some(&evict) = entries.keys().next() {
-                entries.remove(&evict);
+                displaced.extend(entries.remove(&evict));
             }
         }
-        entries.insert(fingerprint, std::sync::Arc::new(plan));
+        displaced.extend(entries.insert(fingerprint, std::sync::Arc::new(plan)));
+        drop(entries);
     }
 
     pub(crate) fn invalidate(&self, fingerprint: u64) {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
-        lock(&self.entries).remove(&fingerprint);
+        let removed = lock(&self.entries).remove(&fingerprint);
+        drop(removed);
+    }
+
+    /// Park a released placement target in the spare slot of the stage
+    /// output it was allocated for, replacing (and freeing) whatever
+    /// was parked there. Dropped instead when the plan is no longer
+    /// cached or the process is under memory pressure.
+    pub(crate) fn park(&self, origin: MergeOrigin, target: DataValue) {
+        if crate::membudget::pressured() {
+            return;
+        }
+        let Some(plan) = self.lookup(origin.fingerprint) else {
+            return;
+        };
+        let replaced = lock(&plan.spares).insert((origin.stage, origin.output), (origin, target));
+        drop(replaced);
+    }
+
+    /// Take the spare parked for output `output` of the stage at
+    /// `site`, if any, with the origin it was released under. The slot
+    /// is left empty: whoever takes a spare reuses it or drops it.
+    pub(crate) fn take_spare(
+        &self,
+        site: PlanSite,
+        output: u32,
+    ) -> Option<(MergeOrigin, DataValue)> {
+        let plan = self.lookup(site.fingerprint)?;
+        let spare = lock(&plan.spares).remove(&(site.stage, output));
+        spare
     }
 
     pub(crate) fn note_hit(&self) {
@@ -904,6 +991,14 @@ impl PlanRecorder {
 
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Where the next recorded stage will sit in the plan.
+    pub(crate) fn next_site(&self) -> PlanSite {
+        PlanSite {
+            fingerprint: self.fingerprint,
+            stage: self.stages.len() as u32,
+        }
     }
 
     /// Record one planned stage. `graph` supplies the data the planner
@@ -991,6 +1086,7 @@ impl PlanRecorder {
         Some(CachedPlan {
             stages: self.stages,
             nodes_total: self.nodes_total,
+            spares: Mutex::new(HashMap::new()),
         })
     }
 }

@@ -203,9 +203,10 @@ pub trait Placement: Send + Sync {
     /// Allocate a placement output covering `total_elements` elements
     /// (in [`RuntimeInfo`] units), or `Ok(None)` to decline.
     ///
-    /// The executor calls this at most twice per output. Once at *stage
-    /// start* with `exemplar: None`, on the calling thread while the
-    /// pool is still parked: split types whose parameters fully
+    /// The executor calls this at most twice per output — and not at
+    /// all when [`reuse`](Placement::reuse) hands back a spare target
+    /// at the same point. Once at *stage start* with `exemplar: None`,
+    /// on the calling thread while the pool is still parked: split types whose parameters fully
     /// determine the output layout should allocate here, where the
     /// allocation's first-touch page faults run uncontended instead of
     /// spinning against the parallel phase's own faults inside worker
@@ -233,8 +234,52 @@ pub trait Placement: Send + Sync {
         exemplar: Option<&DataValue>,
     ) -> Result<Option<DataValue>>;
 
+    /// Offer a *spare* — the placement output an earlier evaluation of
+    /// the same cached plan produced for this very stage output and has
+    /// since let go of — in place of a fresh
+    /// [`alloc_merged`](Placement::alloc_merged) allocation. Called
+    /// with the arguments `alloc_merged` would get, immediately before
+    /// it, at the call site that resolved the spare when it was new: at
+    /// stage start (`exemplar: None`) for parameter-determined layouts,
+    /// on the first result piece otherwise. Returning `Some(out)` skips
+    /// the allocation (and its page faults); returning `None` drops the
+    /// spare, and `alloc_merged` runs as if there had been none. The
+    /// default never reuses.
+    ///
+    /// An implementation may return the spare only if, *at this
+    /// moment*,
+    ///
+    /// * its storage is **exclusively owned**: no application clone, no
+    ///   row/element view, no coalesced `slice_back` band of it is
+    ///   alive. The application may well have held the previous result
+    ///   when the runtime let go of it and dropped it since, which is
+    ///   why the check belongs here and not where the spare was parked.
+    ///   Take the library value out of `spare`, drop `spare`, and ask
+    ///   the library's `Arc::get_mut`-style query (e.g.
+    ///   [`SharedVec::is_exclusive`](crate::buffer::SharedVec::is_exclusive)):
+    ///   an exclusive handle cannot be shared behind the caller's back;
+    /// * it is a *whole* buffer of exactly the layout `alloc_merged`
+    ///   would produce for these arguments — not a `NULL`-tail
+    ///   truncation, not a different shape or dtype.
+    ///
+    /// The returned value is written by
+    /// [`write_piece`](Placement::write_piece) exactly like a fresh
+    /// one; its previous contents are never read (same coverage rule
+    /// as an uninitialized allocation).
+    fn reuse(
+        &self,
+        spare: DataValue,
+        total_elements: u64,
+        params: &Params,
+        exemplar: Option<&DataValue>,
+    ) -> Option<DataValue> {
+        let _ = (spare, total_elements, params, exemplar);
+        None
+    }
+
     /// Write `piece` into the placement output `out` (allocated by
-    /// [`alloc_merged`](Placement::alloc_merged)) starting at element
+    /// [`alloc_merged`](Placement::alloc_merged) or handed back by
+    /// [`reuse`](Placement::reuse)) starting at element
     /// `offset`, returning the number of elements written — the
     /// piece's actual element count, which may be *less* than the
     /// batch range that produced it when a source dried up mid-batch

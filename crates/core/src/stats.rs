@@ -77,6 +77,14 @@ pub struct PhaseStats {
     /// [`verify_stage`](crate::verify::verify_stage) and
     /// `Config::verify_plans`). Zero when verification is off.
     pub plans_verified: u64,
+    /// Placement-merge targets that were a spare parked by an earlier
+    /// evaluation of the same cached plan, written over instead of
+    /// allocated (see
+    /// [`Placement::reuse`](crate::split::Placement::reuse)).
+    pub merge_targets_reused: u64,
+    /// Placement-merge targets freshly allocated by
+    /// [`Placement::alloc_merged`](crate::split::Placement::alloc_merged).
+    pub merge_targets_allocated: u64,
 }
 
 impl PhaseStats {
@@ -105,6 +113,8 @@ impl PhaseStats {
         self.deferred_outputs += other.deferred_outputs;
         self.deferred_materialized += other.deferred_materialized;
         self.plans_verified += other.plans_verified;
+        self.merge_targets_reused += other.merge_targets_reused;
+        self.merge_targets_allocated += other.merge_targets_allocated;
     }
 
     /// Fraction of the accounted total spent in the merge phase

@@ -91,6 +91,20 @@ impl Placement for PlacedPlacement {
             total_elements as usize,
         )))))
     }
+    /// A spare is taken only if it is an exclusively owned buffer of
+    /// the stage's length (only ever offered under a plan cache).
+    fn reuse(
+        &self,
+        spare: DataValue,
+        total_elements: u64,
+        _params: &Params,
+        _exemplar: Option<&DataValue>,
+    ) -> Option<DataValue> {
+        let mut buf = spare.downcast_ref::<VecValue>()?.0.clone();
+        drop(spare);
+        (buf.len() as u64 == total_elements && buf.is_exclusive())
+            .then(|| DataValue::new(VecValue(buf)))
+    }
     fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
         Placement::write_piece(&ArraySplit, out, offset, piece)
     }
@@ -283,4 +297,248 @@ fn placement_and_mut_alias_outputs_coexist_in_one_stage() {
         assert_eq!(squares.as_slice()[i], (i * i) as f64, "mut-alias {i}");
     }
     assert!(c.stats().placement_writes > 0);
+}
+
+// ---------------------------------------------------------------------
+// Merge-target reuse (ISSUE 14): under an attached plan cache, a
+// released placement target is parked and the plan's next evaluation
+// writes over it — but only if nobody else holds its storage then.
+// ---------------------------------------------------------------------
+
+/// The two placement call sites: `PlacedSplit` resolves its target at
+/// stage start, `ArraySplit` on the first piece.
+fn reuse_annotations(claim_factor: i64) -> [(&'static str, Arc<Annotation>); 2] {
+    let at_start: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor });
+    // `ArraySplit` pieces are views; the fresh arrays the call returns
+    // are what its placement capability allocates a target for.
+    let split: Arc<dyn Splitter> = Arc::new(ArraySplit);
+    let by_exemplar = Annotation::new("scaled_fresh_array", |inv| {
+        let v = inv.arg::<mozart_core::SliceView>(0)?;
+        // SAFETY: the input piece is only read, by this batch alone.
+        let out: Vec<f64> = unsafe { v.as_slice() }.iter().map(|x| x * 2.0).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
+    })
+    .arg("xs", concrete(split.clone(), vec![0]))
+    .ret(concrete(split, vec![0]))
+    .build();
+    [
+        (
+            "stage start",
+            scaled_fresh_annotation(at_start, Duration::ZERO),
+        ),
+        ("first piece", by_exemplar),
+    ]
+}
+
+/// What an application keeps warm between evaluations: every evaluation
+/// is a fresh context on the shared plan cache, as in `mozart-serve`.
+struct Warm {
+    cache: Arc<PlanCache>,
+    config: Config,
+}
+
+impl Warm {
+    fn new(workers: usize, batch: u64) -> Warm {
+        ArraySplit::register_default();
+        let mut config = Config::with_workers(workers);
+        config.batch_override = Some(batch);
+        config.pedantic = true;
+        Warm {
+            cache: Arc::new(PlanCache::new(8)),
+            config,
+        }
+    }
+
+    /// One evaluation of `annot` over `0..n`: the merged buffer and the
+    /// evaluation's stats. The handle and the context are gone when it
+    /// returns; only the returned buffer keeps the result alive.
+    fn eval(&self, annot: &Arc<Annotation>, n: usize) -> Result<(SharedVec<f64>, PhaseStats)> {
+        let c = MozartContext::new(self.config.clone());
+        c.attach_plan_cache(self.cache.clone());
+        let fut = c.call(annot, vec![vec_value(n)])?.unwrap();
+        let out = fut.get()?;
+        let buf = out.downcast_ref::<VecValue>().unwrap().0.clone();
+        Ok((buf, c.stats()))
+    }
+}
+
+fn targets(stats: &PhaseStats) -> (u64, u64) {
+    (stats.merge_targets_reused, stats.merge_targets_allocated)
+}
+
+fn doubled(n: usize) -> Vec<f64> {
+    (0..n).map(|i| i as f64 * 2.0).collect()
+}
+
+#[test]
+fn a_held_result_is_never_written_over_and_a_dropped_one_is_reused() {
+    let n = 64;
+    for workers in [1, 2] {
+        for (site, annot) in reuse_annotations(1) {
+            let warm = Warm::new(workers, 8);
+            let what = format!("{site}, {workers} workers");
+
+            // Evaluation 1 allocates; its result stays with the caller.
+            let (first, stats) = warm.eval(&annot, n).unwrap();
+            assert_eq!(targets(&stats), (0, 1), "{what}");
+
+            // Evaluation 2 finds the parked target still shared with
+            // `first`: it must allocate, and `first` must not change.
+            let (second, stats) = warm.eval(&annot, n).unwrap();
+            assert_eq!(targets(&stats), (0, 1), "{what}");
+            assert_ne!(first.base_ptr(), second.base_ptr(), "{what}");
+            assert_eq!(first.as_slice(), &doubled(n)[..], "{what}");
+            assert_eq!(second.as_slice(), &doubled(n)[..], "{what}");
+
+            // Dropped first, the parked target is exclusive by the next
+            // evaluation, which writes its result over it.
+            let addr = second.base_ptr();
+            drop((first, second));
+            let (third, stats) = warm.eval(&annot, n).unwrap();
+            assert_eq!(targets(&stats), (1, 0), "{what}");
+            assert_eq!(third.base_ptr(), addr, "{what}: same storage");
+            assert_eq!(third.as_slice(), &doubled(n)[..], "{what}");
+            assert!(warm.cache.stats().parked_bytes >= (n * 8) as u64, "{what}");
+        }
+    }
+}
+
+#[test]
+fn warm_results_are_bit_identical_to_a_cold_cache() {
+    let n = 257;
+    let cold = doubled(n);
+    for workers in [1, 2] {
+        for (site, annot) in reuse_annotations(1) {
+            let warm = Warm::new(workers, 16);
+            let mut reused = 0;
+            for round in 0..4 {
+                let (out, stats) = warm.eval(&annot, n).unwrap();
+                assert_eq!(out.as_slice(), &cold[..], "{site} round {round}");
+                reused += stats.merge_targets_reused;
+            }
+            assert_eq!(reused, 3, "{site}: every warm evaluation reused");
+        }
+    }
+}
+
+#[test]
+fn a_shape_change_never_reuses_another_shapes_target() {
+    for (site, annot) in reuse_annotations(1) {
+        let warm = Warm::new(2, 8);
+        drop(warm.eval(&annot, 64).unwrap());
+        // Another length is another plan: nothing is parked for it.
+        let (out, stats) = warm.eval(&annot, 48).unwrap();
+        assert_eq!(targets(&stats), (0, 1), "{site}");
+        assert_eq!(out.as_slice(), &doubled(48)[..]);
+        drop(out);
+        // The first shape's spare was not disturbed.
+        let (out, stats) = warm.eval(&annot, 64).unwrap();
+        assert_eq!(targets(&stats), (1, 0), "{site}");
+        assert_eq!(out.as_slice(), &doubled(64)[..]);
+    }
+}
+
+#[test]
+fn a_null_split_truncated_output_is_never_reused() {
+    // The splitter claims 2n elements and serves n: the stored result is
+    // the truncated prefix, not a whole target of the stage's length.
+    let n = 40;
+    let (_, annot) = &reuse_annotations(2)[0];
+    let warm = Warm::new(2, 8);
+    for round in 0..3 {
+        let (out, stats) = warm.eval(annot, n).unwrap();
+        assert_eq!(out.as_slice(), &doubled(n)[..], "round {round}");
+        assert_eq!(targets(&stats), (0, 1), "round {round}");
+    }
+}
+
+#[test]
+fn eviction_and_invalidation_free_the_spare() {
+    let (_, annot) = &reuse_annotations(1)[1];
+    // A clone of the result shares its storage, so `is_exclusive` on it
+    // says whether the cache still holds the parked target.
+    let parked_probe = |warm: &Warm| {
+        let (out, _) = warm.eval(annot, 64).unwrap();
+        let mut probe = out.clone();
+        drop(out);
+        assert!(!probe.is_exclusive(), "the target is parked");
+        assert!(warm.cache.stats().parked_bytes > 0);
+        probe
+    };
+
+    // Eviction: a one-entry cache drops the plan, spare included, when
+    // another shape's plan comes in.
+    let mut warm = Warm::new(2, 8);
+    warm.cache = Arc::new(PlanCache::new(1));
+    let mut probe = parked_probe(&warm);
+    drop(warm.eval(annot, 48).unwrap());
+    assert!(probe.is_exclusive(), "eviction freed the spare");
+
+    // Invalidation: a failing replay drops the entry it replayed.
+    mozart_core::faultinject::silence_injected_panics();
+    let mut warm = Warm::new(2, 8);
+    let mut probe = parked_probe(&warm);
+    let plan = FaultPlan::new().point(FaultPoint::once(FaultPhase::Merge, FaultKind::Panic));
+    warm.config.fault_plan = Some(Arc::new(plan));
+    assert!(warm.eval(annot, 64).is_err());
+    assert_eq!(warm.cache.stats().parked_bytes, 0);
+    assert!(probe.is_exclusive(), "invalidation freed the spare");
+}
+
+#[test]
+fn a_merge_panic_in_the_reusing_stage_is_typed_and_the_retry_allocates() {
+    mozart_core::faultinject::silence_injected_panics();
+    for (site, annot) in reuse_annotations(1) {
+        let mut warm = Warm::new(2, 8);
+        drop(warm.eval(&annot, 64).unwrap());
+        let plan = FaultPlan::new().point(FaultPoint::once(FaultPhase::Merge, FaultKind::Panic));
+        warm.config.fault_plan = Some(Arc::new(plan));
+        match warm.eval(&annot, 64) {
+            Err(Error::TaskPanicked { stage, .. }) => assert_eq!(stage, FaultPhase::Merge),
+            other => panic!(
+                "{site}: expected a typed merge panic, got {:?}",
+                other.err()
+            ),
+        }
+        // The fault budget is spent: the retry runs clean, and the
+        // target the failed stage was writing over is gone with it.
+        let (out, stats) = warm.eval(&annot, 64).unwrap();
+        assert_eq!(targets(&stats), (0, 1), "{site}");
+        assert_eq!(out.as_slice(), &doubled(64)[..], "{site}");
+    }
+}
+
+#[test]
+fn without_a_plan_cache_nothing_is_parked_or_reused() {
+    let (_, annot) = &reuse_annotations(1)[0];
+    let c = ctx(2, 8, true);
+    for _ in 0..3 {
+        let fut = c.call(annot, vec![vec_value(64)]).unwrap().unwrap();
+        let out = fut.get().unwrap();
+        assert_eq!(
+            out.downcast_ref::<VecValue>().unwrap().0.as_slice(),
+            &doubled(64)[..]
+        );
+    }
+    assert_eq!(targets(&c.stats()), (0, 3));
+}
+
+#[test]
+fn a_long_lived_context_reuses_its_own_released_targets() {
+    // The other release paths: the handle is dropped before the *next*
+    // evaluation starts (`Drop for FutureHandle`), or while the context
+    // is busy, so the end of that evaluation releases it.
+    let (_, annot) = &reuse_annotations(1)[0];
+    let warm = Warm::new(2, 8);
+    let c = MozartContext::new(warm.config.clone());
+    c.attach_plan_cache(warm.cache.clone());
+    for round in 0..4u64 {
+        let fut = c.call(annot, vec![vec_value(64)]).unwrap().unwrap();
+        let out = fut.get().unwrap();
+        assert_eq!(
+            out.downcast_ref::<VecValue>().unwrap().0.as_slice(),
+            &doubled(64)[..]
+        );
+        assert_eq!(c.stats().merge_targets_reused, round, "round {round}");
+    }
 }

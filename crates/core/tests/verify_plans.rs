@@ -130,6 +130,7 @@ fn source(data: DataValue) -> ValueEntry {
         data: Some(data),
         ready: true,
         held: None,
+        merge_origin: None,
         consumers: Vec::new(),
         user_token: None,
     }
@@ -165,6 +166,7 @@ fn scenario() -> Scenario {
         data: Some(vec_value(N)),
         ready: false,
         held: None,
+        merge_origin: None,
         consumers: Vec::new(),
         user_token: Some(Arc::downgrade(&token)),
     });
@@ -188,6 +190,7 @@ fn scenario() -> Scenario {
         data: None,
         ready: false,
         held: None,
+        merge_origin: None,
         consumers: Vec::new(),
         user_token: None,
     });

@@ -46,31 +46,59 @@ impl<T: std::fmt::Debug + Clone> std::fmt::Debug for ColData<T> {
 }
 
 impl<T: Clone> ColData<T> {
-    /// Take ownership of values.
+    /// Take ownership of values by adopting `v`'s allocation as is:
+    /// same address, no pass over the rows (a vector with spare
+    /// capacity pays one shrinking `realloc` first, as
+    /// `Vec::into_boxed_slice` does).
     pub fn new(v: Vec<T>) -> Self {
         let len = v.len();
+        let raw = Box::into_raw(v.into_boxed_slice());
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
+        // `[T]` and `[UnsafeCell<T>]` have the same size, alignment and
+        // element layout (drop glue included: `UnsafeCell<T>` drops its
+        // `T`) and the fat pointer's length carries over. `raw` came
+        // from `Box::into_raw` just above: it is uniquely owned, and
+        // the rebuilt box frees it with the very layout the global
+        // allocator handed it out under.
+        let data = unsafe { Box::from_raw(raw as *mut [UnsafeCell<T>]) };
         ColData {
-            data: Arc::new(ColBuf(v.into_iter().map(UnsafeCell::new).collect())),
+            data: Arc::new(ColBuf(data)),
             start: 0,
             len,
         }
     }
 
+    /// Whether this handle is the only reference to its backing buffer
+    /// and views all of it: no clone and no [`ColData::slice`] of the
+    /// buffer is alive anywhere, and the handle is not itself a slice
+    /// of a longer column. `Arc::get_mut`-exact, so a `true` cannot go
+    /// stale while the caller keeps the handle to itself — what a
+    /// runtime checks before refilling a released placement target
+    /// through [`ColData::write_range`].
+    pub fn is_exclusive(&mut self) -> bool {
+        let len = self.len;
+        self.start == 0 && Arc::get_mut(&mut self.data).is_some_and(|b| b.0.len() == len)
+    }
+
     /// Allocate a default-initialized column of `len` rows, for use as
     /// a placement-merge target: disjoint row ranges of it can be
-    /// filled in parallel with [`ColData::write_range`].
+    /// filled in parallel with [`ColData::write_range`]. For
+    /// zero-default primitives this is one zeroed allocation
+    /// (`calloc`), adopted without a pass over it.
     pub fn alloc(len: usize) -> Self
     where
         T: Default,
     {
-        let col = Self::new((0..len).map(|_| T::default()).collect());
+        let col = Self::new(vec![T::default(); len]);
         // Pre-fault the backing pages (one volatile touch per 4K) so
         // the parallel placement writers never take concurrent
         // first-touch faults on one shared fresh mapping — those
         // serialize on kernel page-table locks. For non-trivial `T`
         // the construction above already wrote every slot; for
-        // zero-default primitives the compiler may have lowered it to
-        // a lazy zeroed allocation, which the volatile touches defeat.
+        // zero-default primitives it is a lazy zeroed allocation,
+        // which the volatile touches defeat. A *reused* target (see
+        // [`ColData::is_exclusive`]) never comes through here: its
+        // pages are resident already.
         let bytes = len * std::mem::size_of::<T>();
         let base = col.data.0.as_ptr() as *mut u8;
         let mut off = 0;
@@ -230,6 +258,17 @@ impl Column {
     /// Whether the column has zero rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether this handle is the only reference to its backing buffer
+    /// and views all of it (see [`ColData::is_exclusive`]).
+    pub fn is_exclusive(&mut self) -> bool {
+        match self {
+            Column::I64(c) => c.is_exclusive(),
+            Column::F64(c) => c.is_exclusive(),
+            Column::Str(c) => c.is_exclusive(),
+            Column::Bool(c) => c.is_exclusive(),
+        }
     }
 
     /// Short name of the column's data type.

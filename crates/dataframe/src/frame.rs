@@ -145,6 +145,13 @@ impl DataFrame {
         }
     }
 
+    /// Whether every column is the only reference to its backing buffer
+    /// and views all of it (see [`Column::is_exclusive`]): nothing but
+    /// this handle can observe a write into the frame.
+    pub fn is_exclusive(&mut self) -> bool {
+        self.cols.iter_mut().all(|(_, c)| c.is_exclusive())
+    }
+
     /// Allocate a default-initialized frame of `rows` rows with this
     /// frame's schema (a placement-merge target; see
     /// [`Column::alloc_like`]).

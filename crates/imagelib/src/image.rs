@@ -56,8 +56,18 @@ unsafe impl Sync for PixelBuf {}
 unsafe impl Send for PixelBuf {}
 
 impl PixelBuf {
+    /// Adopt `v`'s allocation as is: same address, no pass over the
+    /// pixels (a vector with spare capacity pays one shrinking
+    /// `realloc` first, as `Vec::into_boxed_slice` does).
     fn from_vec(v: Vec<f32>) -> PixelBuf {
-        PixelBuf(v.into_iter().map(UnsafeCell::new).collect())
+        let raw = Box::into_raw(v.into_boxed_slice());
+        // SAFETY: `UnsafeCell<f32>` is `repr(transparent)` over `f32`,
+        // so `[f32]` and `[UnsafeCell<f32>]` have the same size,
+        // alignment and element layout and the fat pointer's length
+        // carries over. `raw` came from `Box::into_raw` just above: it
+        // is uniquely owned, and the rebuilt box frees it with the very
+        // layout the global allocator handed it out under.
+        PixelBuf(unsafe { Box::from_raw(raw as *mut [UnsafeCell<f32>]) })
     }
 
     fn len(&self) -> usize {
@@ -131,7 +141,8 @@ impl Image {
 
     /// Allocate a zeroed image of the given dimensions, for use as a
     /// placement-merge target: disjoint row bands of it can be filled
-    /// in parallel with [`Image::write_rows_from`].
+    /// in parallel with [`Image::write_rows_from`]. One zeroed
+    /// allocation (`calloc`), adopted without a pass over it.
     pub fn alloc_rows(width: usize, height: usize) -> Self {
         Self::from_rgb(width, height, vec![0.0; width * height * Self::CHANNELS])
     }
@@ -202,6 +213,18 @@ impl Image {
             }
         }
         Self::from_rgb(width, height, data)
+    }
+
+    /// Whether this handle is the only reference to its pixel buffer
+    /// and views all of it: no clone and no [`Image::rows`] view of the
+    /// buffer is alive anywhere, and the handle is not itself a band of
+    /// a larger image. `Arc::get_mut`-exact, so a `true` cannot go
+    /// stale while the caller keeps the handle to itself — what a
+    /// runtime checks before refilling a released placement target
+    /// through [`Image::write_rows_from`].
+    pub fn is_exclusive(&mut self) -> bool {
+        let whole = self.width * self.height * Self::CHANNELS;
+        self.row_start == 0 && Arc::get_mut(&mut self.data).is_some_and(|b| b.len() == whole)
     }
 
     /// Image width in pixels.

@@ -26,8 +26,18 @@ unsafe impl Sync for Buf {}
 unsafe impl Send for Buf {}
 
 impl Buf {
+    /// Adopt `v`'s allocation as is: same address, no pass over the
+    /// elements (a vector with spare capacity pays one shrinking
+    /// `realloc` first, as `Vec::into_boxed_slice` does).
     fn from_vec(v: Vec<f64>) -> Buf {
-        Buf(v.into_iter().map(UnsafeCell::new).collect())
+        let raw = Box::into_raw(v.into_boxed_slice());
+        // SAFETY: `UnsafeCell<f64>` is `repr(transparent)` over `f64`,
+        // so `[f64]` and `[UnsafeCell<f64>]` have the same size,
+        // alignment and element layout and the fat pointer's length
+        // carries over. `raw` came from `Box::into_raw` just above: it
+        // is uniquely owned, and the rebuilt box frees it with the very
+        // layout the global allocator handed it out under.
+        Buf(unsafe { Box::from_raw(raw as *mut [UnsafeCell<f64>]) })
     }
 
     fn len(&self) -> usize {
@@ -315,6 +325,18 @@ impl NdArray {
             offset: self.offset,
             shape: shape.to_vec(),
         }
+    }
+
+    /// Whether this handle is the only reference to its backing buffer
+    /// and views all of it: no clone, row view or reshape of the buffer
+    /// is alive anywhere, and the handle is not itself a view into a
+    /// larger one. `Arc::get_mut`-exact, so a `true` cannot go stale
+    /// while the caller keeps the handle to itself — what a runtime
+    /// checks before refilling a released placement target through
+    /// [`NdArray::write_rows_at`].
+    pub fn is_exclusive(&mut self) -> bool {
+        let whole = self.len();
+        self.offset == 0 && Arc::get_mut(&mut self.data).is_some_and(|b| b.len() == whole)
     }
 
     /// Whether two arrays share backing storage (views of one buffer).

@@ -35,6 +35,7 @@ mod tests {
     use super::*;
     use dataframe::{Agg, AggSpec, Column, DataFrame};
     use mozart_core::prelude::*;
+    use std::sync::Arc;
 
     fn ctx() -> MozartContext {
         register_defaults();
@@ -183,5 +184,59 @@ mod tests {
         assert_eq!(out.num_rows(), d.num_rows());
         assert_eq!(out.col("half_age").f64s()[4], d.col("age").f64s()[4] * 0.5);
         assert_eq!(c.stats().stages, 1);
+    }
+    #[test]
+    fn released_frames_and_columns_are_reused_bit_identically() {
+        // Warm plan cache, fresh context per evaluation (the serving
+        // shape): a frame output (string column included) and a column
+        // output are written over their released predecessors, and the
+        // results never differ from the cold evaluation's.
+        let d = people();
+        let eval = |cache: &Arc<PlanCache>, workers: usize| {
+            register_defaults();
+            let mut cfg = Config::with_workers(workers);
+            cfg.batch_override = Some(7);
+            cfg.pedantic = true;
+            let c = MozartContext::new(cfg);
+            c.attach_plan_cache(cache.clone());
+            let age = col(&c, &d, "age").unwrap();
+            let scaled = mul_scalar(&c, &age, 0.5).unwrap();
+            let upper = str_upper(&c, &col(&c, &d, "city").unwrap()).unwrap();
+            let framed = with_column(&c, &d, "half_age", &scaled).unwrap();
+            // Only the two results stay observable (and get merged).
+            drop((age, scaled));
+            c.evaluate().unwrap();
+            let out = (get_df(&framed).unwrap(), get_col(&upper).unwrap());
+            (out, c.stats())
+        };
+        let same = |a: &(DataFrame, Column), b: &(DataFrame, Column)| {
+            a.0.col("half_age").f64s() == b.0.col("half_age").f64s()
+                && a.0.col("id").i64s() == b.0.col("id").i64s()
+                && a.0.col("city").strs() == b.0.col("city").strs()
+                && a.1.strs() == b.1.strs()
+        };
+        for workers in [1, 2] {
+            let (cold, _) = eval(&Arc::new(PlanCache::new(8)), workers);
+            let cache = Arc::new(PlanCache::new(8));
+            let (first, stats) = eval(&cache, workers);
+            assert_eq!(stats.merge_targets_reused, 0);
+            assert!(same(&first, &cold));
+            // `first` is held across the next evaluation: untouched,
+            // and nothing of it is reused.
+            let (second, stats) = eval(&cache, workers);
+            assert_eq!(stats.merge_targets_reused, 0, "{workers} workers");
+            assert!(same(&first, &cold) && same(&second, &cold));
+            let addr = second.0.col("half_age").f64s().as_ptr();
+            drop((first, second));
+            // Released: both targets are written over.
+            let (third, stats) = eval(&cache, workers);
+            assert_eq!(
+                (stats.merge_targets_reused, stats.merge_targets_allocated),
+                (2, 0),
+                "{workers} workers"
+            );
+            assert_eq!(third.0.col("half_age").f64s().as_ptr(), addr);
+            assert!(same(&third, &cold), "{workers} workers");
+        }
     }
 }

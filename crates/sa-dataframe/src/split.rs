@@ -6,6 +6,12 @@
 //! count carry the *same* split type `RowSplit<rows>` and pipeline
 //! freely (e.g. `df.col(...)` flows into Series arithmetic); `split`
 //! and `merge` dispatch on the concrete piece type.
+//!
+//! Merged frames and columns are placement-written into one
+//! preallocated target per output ([`Placement`]); on a warm plan cache
+//! a released target of the same schema and row count that nobody else
+//! holds any more is written over instead of allocating a new one
+//! ([`Placement::reuse`]).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -165,6 +171,42 @@ impl Placement for RowSplit {
         })
     }
 
+    fn reuse(
+        &self,
+        spare: DataValue,
+        total_elements: u64,
+        _params: &Params,
+        exemplar: Option<&DataValue>,
+    ) -> Option<DataValue> {
+        // Like `alloc_merged`, only the first piece says what the
+        // target must look like: same kind, schema and dtypes, the
+        // stage's row count, and storage nobody else holds — no
+        // application clone of the previous result, no row slice.
+        let exemplar = exemplar?;
+        let rows = total_elements as usize;
+        if let (Some(d), Some(e)) = (
+            spare.downcast_ref::<DfValue>(),
+            exemplar.downcast_ref::<DfValue>(),
+        ) {
+            let mut df = d.0.clone();
+            // Let go of the wrapper first: if it was the last one, `df`
+            // holds the only handles a sole owner would have.
+            drop(spare);
+            return (df.num_rows() == rows && same_schema(&df, &e.0) && df.is_exclusive())
+                .then(|| DataValue::new(DfValue(df)));
+        }
+        if let (Some(c), Some(e)) = (
+            spare.downcast_ref::<ColValue>(),
+            exemplar.downcast_ref::<ColValue>(),
+        ) {
+            let mut col = c.0.clone();
+            drop(spare);
+            return (col.len() == rows && col.dtype() == e.0.dtype() && col.is_exclusive())
+                .then(|| DataValue::new(ColValue(col)));
+        }
+        None
+    }
+
     fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
         let offset = offset as usize;
         if let (Some(dst), Some(src)) = (
@@ -175,13 +217,7 @@ impl Placement for RowSplit {
                 offset,
                 src.0.num_rows(),
                 dst.0.num_rows(),
-                src.0.names() == dst.0.names()
-                    && src
-                        .0
-                        .columns()
-                        .iter()
-                        .zip(dst.0.columns())
-                        .all(|((_, s), (_, d))| s.dtype() == d.dtype()),
+                same_schema(&src.0, &dst.0),
             )?;
             // SAFETY: the executor guarantees concurrent `write_piece`
             // calls cover disjoint row ranges of the not-yet-observable
@@ -275,6 +311,15 @@ impl Concat for RowSplit {
         }
         unreachable!("rows_of validated the type");
     }
+}
+
+/// Whether two frames have the same column names and dtypes, in order.
+fn same_schema(a: &DataFrame, b: &DataFrame) -> bool {
+    a.names() == b.names()
+        && a.columns()
+            .iter()
+            .zip(b.columns())
+            .all(|((_, x), (_, y))| x.dtype() == y.dtype())
 }
 
 /// Validate a placement write: schema/dtype agreement and row bounds.
@@ -451,5 +496,59 @@ mod tests {
         let c = DataValue::new(ColValue(Column::from_i64(vec![1, 2])));
         assert!(s.split(&c, 0..1, &vec![5]).is_err());
         assert!(s.merge(vec![], &vec![0], 0).is_err());
+    }
+    #[test]
+    fn reuse_takes_only_an_exclusive_target_of_the_same_schema_and_rows() {
+        let s = RowSplit;
+        let params = vec![10];
+        let piece = s
+            .split(&DataValue::new(DfValue(test_df())), 0..4, &params)
+            .unwrap()
+            .unwrap();
+        let fresh = || s.alloc_merged(10, &params, Some(&piece)).unwrap().unwrap();
+        let v_ptr = |v: &DataValue| {
+            v.downcast_ref::<DfValue>()
+                .unwrap()
+                .0
+                .col("v")
+                .f64s()
+                .as_ptr()
+        };
+
+        // Exclusive, same schema, same rows: handed back as is.
+        let out = fresh();
+        let addr = v_ptr(&out);
+        let reused = s.reuse(out, 10, &params, Some(&piece)).expect("exclusive");
+        assert_eq!(v_ptr(&reused), addr);
+        // No exemplar (the stage-start probe), another row count,
+        // another schema, a column offered for a frame.
+        assert!(s.reuse(fresh(), 10, &params, None).is_none());
+        assert!(s.reuse(fresh(), 12, &params, Some(&piece)).is_none());
+        let other = DataValue::new(DfValue(DataFrame::from_cols(vec![
+            ("id", Column::from_f64(vec![0.0; 4])),
+            ("v", Column::from_f64(vec![0.0; 4])),
+        ])));
+        assert!(s.reuse(fresh(), 10, &params, Some(&other)).is_none());
+        let col = DataValue::new(ColValue(Column::from_f64(vec![0.0; 4])));
+        assert!(s.reuse(fresh(), 10, &params, Some(&col)).is_none());
+        // One column still held by the application, or a row slice of
+        // the frame (a NULL-tail truncation, a coalesced request's band).
+        let out = fresh();
+        let held = out.downcast_ref::<DfValue>().unwrap().0.col("v").clone();
+        assert!(s.reuse(out, 10, &params, Some(&piece)).is_none());
+        drop(held);
+        let out = fresh();
+        let band = Concat::slice_back(&s, &out, 2, 3).unwrap();
+        assert!(s.reuse(out, 10, &params, Some(&piece)).is_none());
+        drop(band);
+        let truncated = s.truncate_merged(fresh(), 6, &params).unwrap();
+        assert!(s.reuse(truncated, 10, &params, Some(&piece)).is_none());
+
+        // Columns: dtype must match the exemplar's.
+        let cpiece = DataValue::new(ColValue(Column::from_strs(&["a", "b"])));
+        let cout = s.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
+        assert!(s.reuse(cout, 5, &params, Some(&col)).is_none());
+        let cout = s.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
+        assert!(s.reuse(cout, 5, &params, Some(&cpiece)).is_some());
     }
 }

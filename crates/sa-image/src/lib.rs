@@ -18,7 +18,12 @@
 //!   their row offsets (the [`Placement`] capability inside
 //!   [`MergeStrategy::Concat`]); the copying append remains only as
 //!   the fallback ([`Splitter::merge`]) for runtimes with
-//!   `placement_merge` disabled.
+//!   `placement_merge` disabled;
+//! * **the final image is written over, not re-allocated** — on a warm
+//!   plan cache the previous evaluation's released result image is
+//!   reused as the target when nobody else holds its pixels any more
+//!   ([`Placement::reuse`], checked with [`Image::is_exclusive`]), so
+//!   the multi-megabyte allocation and its page faults are paid once.
 //!
 //! `ImageSplit` also exposes the [`Concat`] capability (the inverse of
 //! `split`): whole images stack along the row axis and row bands slice
@@ -170,6 +175,28 @@ impl Placement for ImageSplit {
         // prefix), so the unspecified initial contents are never read.
         let img = unsafe { Image::alloc_rows_uninit(width, total_elements as usize) };
         Ok(Some(DataValue::new(ImgValue(img))))
+    }
+
+    fn reuse(
+        &self,
+        spare: DataValue,
+        total_elements: u64,
+        params: &Params,
+        _exemplar: Option<&DataValue>,
+    ) -> Option<DataValue> {
+        let mut img = spare.downcast_ref::<ImgValue>()?.0.clone();
+        // Let go of the wrapper first: if it was the last one, `img` is
+        // now the only handle a sole owner of the pixels would have.
+        drop(spare);
+        // The layout `alloc_merged` would produce, held by nobody else:
+        // not the application's clone of the previous result, not a
+        // row view, not a coalesced request's `slice_back` band.
+        let width = params.get(1).copied().unwrap_or(0).max(0) as usize;
+        (width > 0
+            && img.width() == width
+            && img.height() as u64 == total_elements
+            && img.is_exclusive())
+        .then(|| DataValue::new(ImgValue(img)))
     }
 
     fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
@@ -730,5 +757,111 @@ mod tests {
                 .mean_abs_diff(&imagelib::colorize(&img, [0.5, 0.1, 0.9], 0.4))
                 < 1e-7
         );
+    }
+    /// One Nashville-like evaluation on a fresh context attached to the
+    /// shared plan cache (what `mozart-serve` does per request): the
+    /// result image and the evaluation's stats.
+    fn warm_eval(
+        cache: &Arc<PlanCache>,
+        workers: usize,
+        img: &Image,
+    ) -> (Image, mozart_core::PhaseStats) {
+        register_defaults();
+        let mut cfg = Config::with_workers(workers);
+        cfg.batch_override = Some(5);
+        cfg.pedantic = true;
+        let c = MozartContext::new(cfg);
+        c.attach_plan_cache(cache.clone());
+        let t = colortone(&c, img, [0.13, 0.17, 0.43], false).unwrap();
+        let t = gamma(&c, &t, 1.3).unwrap();
+        let out = get_image(&t).unwrap();
+        drop(t);
+        (out, c.stats())
+    }
+
+    #[test]
+    fn released_result_image_is_reused_and_a_held_one_is_left_alone() {
+        let img = Image::synthetic(33, 57, 13);
+        let direct = imagelib::gamma(&imagelib::colortone(&img, [0.13, 0.17, 0.43], false), 1.3);
+        for workers in [1, 2] {
+            let cache = Arc::new(PlanCache::new(8));
+            // Cold cache: allocate.
+            let (first, stats) = warm_eval(&cache, workers, &img);
+            assert_eq!(
+                (stats.merge_targets_reused, stats.merge_targets_allocated),
+                (0, 1)
+            );
+            assert_eq!(first.data(), direct.data(), "cold result");
+            // `first` is still held: the parked target is shared, so
+            // the next evaluation allocates and `first` is untouched.
+            let (second, stats) = warm_eval(&cache, workers, &img);
+            assert_eq!(stats.merge_targets_reused, 0, "{workers} workers");
+            assert_ne!(first.data().as_ptr(), second.data().as_ptr());
+            assert_eq!(first.data(), direct.data(), "held result is bit-identical");
+            // Dropped first: the next evaluation writes over the same
+            // pixels, bit-identically to the cold result.
+            let addr = second.data().as_ptr();
+            drop((first, second));
+            let (third, stats) = warm_eval(&cache, workers, &img);
+            assert_eq!(
+                (stats.merge_targets_reused, stats.merge_targets_allocated),
+                (1, 0),
+                "{workers} workers"
+            );
+            assert_eq!(third.data().as_ptr(), addr, "same storage");
+            assert_eq!(third.data(), direct.data(), "warm result");
+            // Another geometry is another plan: nothing to reuse.
+            let (_, stats) = warm_eval(&cache, workers, &Image::synthetic(33, 40, 1));
+            assert_eq!(stats.merge_targets_reused, 0);
+        }
+    }
+
+    #[test]
+    fn reuse_takes_only_an_exclusive_whole_target_of_the_right_geometry() {
+        let s = ImageSplit;
+        let params = vec![20, 7];
+        let fresh = || s.alloc_merged(20, &params, None).unwrap().unwrap();
+        let fill = |out: &DataValue| {
+            let band = DataValue::new(ImgValue(Image::synthetic(7, 20, 3)));
+            s.write_piece(out, 0, &band).unwrap();
+        };
+        let pixels = |v: &DataValue| v.downcast_ref::<ImgValue>().unwrap().0.data().as_ptr();
+
+        // Exclusive, whole, right geometry: handed back as is.
+        let out = fresh();
+        let addr = pixels(&out);
+        let reused = s.reuse(out, 20, &params, None).expect("exclusive target");
+        assert_eq!(pixels(&reused), addr);
+
+        // An application clone of the image, or of the value handle.
+        let out = fresh();
+        let held = out.downcast_ref::<ImgValue>().unwrap().0.clone();
+        assert!(s.reuse(out, 20, &params, None).is_none());
+        drop(held);
+        let out = fresh();
+        let handle = out.clone();
+        assert!(s.reuse(out, 20, &params, None).is_none());
+        drop(handle);
+
+        // A NULL-split tail: the stored value is a view of the prefix.
+        let out = fresh();
+        fill(&out);
+        let truncated = s.truncate_merged(out, 12, &params).unwrap();
+        assert!(s.reuse(truncated, 20, &params, None).is_none());
+        assert!(
+            s.reuse(fresh(), 12, &params, None).is_none(),
+            "other height"
+        );
+        assert!(
+            s.reuse(fresh(), 20, &vec![20, 9], None).is_none(),
+            "other width"
+        );
+
+        // A coalesced output whose per-request `slice_back` band lives.
+        let out = fresh();
+        fill(&out);
+        let band = Concat::slice_back(&s, &out, 5, 10).unwrap();
+        assert!(s.reuse(out, 20, &params, None).is_none());
+        drop(band);
     }
 }

@@ -6,7 +6,9 @@
 //! so the runtime preallocates the merged array at stage start and
 //! workers copy their result rows in at their offsets
 //! ([`NdArray::write_rows_at`]) — no per-piece collection, no final
-//! O(total) concat. `NdSplit` also exposes the [`Concat`] capability
+//! O(total) concat; a released result array of the same shape that
+//! nobody else holds any more is written over instead of allocating a
+//! new one ([`Placement::reuse`]). `NdSplit` also exposes the [`Concat`] capability
 //! (the inverse of `split`) for the serving layer's generic
 //! cross-request coalescing.
 
@@ -170,6 +172,31 @@ impl Placement for NdSplit {
         // prefix), so the unspecified initial contents are never read.
         let out = unsafe { NdArray::alloc_rows_uninit(&shape) };
         Ok(Some(DataValue::new(NdValue(out))))
+    }
+
+    fn reuse(
+        &self,
+        spare: DataValue,
+        total_elements: u64,
+        params: &Params,
+        exemplar: Option<&DataValue>,
+    ) -> Option<DataValue> {
+        // The shape `alloc_merged` would allocate for these arguments
+        // (and `None` exactly where it would decline).
+        let d1 = params.get(1).copied().unwrap_or(0).max(0) as usize;
+        let shape: Vec<usize> = if d1 > 0 {
+            vec![total_elements as usize, d1]
+        } else {
+            match exemplar?.downcast_ref::<NdValue>()? {
+                e if e.0.ndim() == 1 => vec![total_elements as usize],
+                _ => return None,
+            }
+        };
+        let mut arr = spare.downcast_ref::<NdValue>()?.0.clone();
+        // Let go of the wrapper first: if it was the last one, `arr` is
+        // now the only handle a sole owner of the buffer would have.
+        drop(spare);
+        (arr.shape() == shape && arr.is_exclusive()).then(|| DataValue::new(NdValue(arr)))
     }
 
     fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
@@ -421,6 +448,46 @@ mod tests {
         assert_eq!(on, off, "placement must not change values");
         assert!(stats_on.placement_writes > 0, "{stats_on:?}");
         assert_eq!(stats_off.placement_writes, 0);
+    }
+
+    #[test]
+    fn released_result_arrays_are_reused_bit_identically() {
+        // Rank 1 resolves its target on the first piece, rank 2 at
+        // stage start: both write over the released previous result on
+        // a warm plan cache, never over one the caller still holds.
+        crate::register_defaults();
+        for shape in [vec![257usize], vec![64, 3]] {
+            let arr = NdArray::from_fn(&shape, |i| (i as f64).sin());
+            let eval = |cache: &Arc<mozart_core::PlanCache>, workers: usize| {
+                let mut cfg = mozart_core::Config::with_workers(workers);
+                cfg.batch_override = Some(16);
+                let ctx = mozart_core::MozartContext::new(cfg);
+                ctx.attach_plan_cache(cache.clone());
+                let h = crate::sqrt(&ctx, &crate::square(&ctx, &arr).unwrap()).unwrap();
+                let out = crate::get(&h).unwrap();
+                drop(h);
+                (out, ctx.stats())
+            };
+            for workers in [1, 2] {
+                let (cold, _) = eval(&Arc::new(mozart_core::PlanCache::new(4)), workers);
+                let cache = Arc::new(mozart_core::PlanCache::new(4));
+                let (first, _) = eval(&cache, workers);
+                let (second, stats) = eval(&cache, workers);
+                assert_eq!(stats.merge_targets_reused, 0, "{shape:?}: first is held");
+                assert!(!first.shares_storage(&second));
+                assert_eq!(first, cold);
+                let addr = second.storage_addr();
+                drop((first, second));
+                let (third, stats) = eval(&cache, workers);
+                assert_eq!(
+                    (stats.merge_targets_reused, stats.merge_targets_allocated),
+                    (1, 0),
+                    "{shape:?}, {workers} workers"
+                );
+                assert_eq!(third.storage_addr(), addr);
+                assert_eq!(third, cold);
+            }
+        }
     }
 
     #[test]

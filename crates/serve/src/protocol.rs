@@ -36,7 +36,8 @@
 //! plan_entries pool_workers pool_jobs pool_panicked_batches
 //! pool_respawned_workers admission_limit queue_shed over_memory
 //! breaker_shed breaker_open memory_live_bytes memory_ceiling_bytes
-//! split_form_handoffs deferred_outputs deferred_materialized`.
+//! split_form_handoffs deferred_outputs deferred_materialized
+//! merge_targets_reused merge_targets_allocated`.
 //! The request-outcome counters (`started`
 //! through `coalesced_requests`) come from **one** locked snapshot:
 //! a request is either entirely counted or entirely absent, so

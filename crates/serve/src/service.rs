@@ -423,6 +423,14 @@ pub struct ServiceStats {
     /// Of those, the piece sets a later read (or an in-place stage)
     /// made the runtime merge after all.
     pub deferred_materialized: u64,
+    /// Placement-merge targets that were a released target of the same
+    /// cached plan, written over instead of allocated
+    /// (`PhaseStats::merge_targets_reused`), accumulated like
+    /// `split_form_handoffs`. The bytes currently parked for reuse are
+    /// `plan_cache.parked_bytes`.
+    pub merge_targets_reused: u64,
+    /// Placement-merge targets freshly allocated.
+    pub merge_targets_allocated: u64,
 }
 
 /// The request-outcome counters of [`ServiceStats`], kept behind one
@@ -448,6 +456,8 @@ struct Counters {
     split_form_handoffs: u64,
     deferred_outputs: u64,
     deferred_materialized: u64,
+    merge_targets_reused: u64,
+    merge_targets_allocated: u64,
 }
 
 /// One entry of the slow-request log (see
@@ -946,6 +956,8 @@ impl PipelineService {
             split_form_handoffs: c.split_form_handoffs,
             deferred_outputs: c.deferred_outputs,
             deferred_materialized: c.deferred_materialized,
+            merge_targets_reused: c.merge_targets_reused,
+            merge_targets_allocated: c.merge_targets_allocated,
         }
     }
 
@@ -1104,6 +1116,18 @@ impl PipelineService {
         );
         render_counter(
             &mut out,
+            "mozart_merge_targets_reused_total",
+            "Placement-merge targets written over a released one instead of allocated",
+            s.merge_targets_reused,
+        );
+        render_counter(
+            &mut out,
+            "mozart_merge_targets_allocated_total",
+            "Placement-merge targets freshly allocated",
+            s.merge_targets_allocated,
+        );
+        render_counter(
+            &mut out,
             "mozart_requests_slow_total",
             "Requests that consumed at least 80% of their deadline",
             s.slow,
@@ -1150,6 +1174,12 @@ impl PipelineService {
             "mozart_plan_cache_entries",
             "Plans currently cached",
             s.plan_cache.entries as u64,
+        );
+        render_gauge(
+            &mut out,
+            "mozart_merge_targets_parked_bytes",
+            "Released merge targets parked in the plan cache for reuse (split info bytes)",
+            s.plan_cache.parked_bytes,
         );
         render_gauge(
             &mut out,
@@ -1607,7 +1637,7 @@ impl PipelineService {
                 o.record_phases(&stats);
             }
             bytes = bytes.saturating_add(stats.bytes_split.saturating_add(stats.bytes_merged));
-            self.note_held_outputs(&stats);
+            self.note_merge_outputs(&stats);
             match result {
                 Ok(resp) => return (Ok(resp), bytes),
                 Err(mozart_core::Error::Cancelled(_)) => {
@@ -1637,19 +1667,24 @@ impl PipelineService {
         }
     }
 
-    /// Fold one attempt's held-pieces counters (split-form hand-offs,
-    /// deferred outputs) into the service totals.
-    fn note_held_outputs(&self, stats: &PhaseStats) {
-        let (handoffs, deferred, materialized) = (
+    /// Fold one attempt's merge-output counters (split-form hand-offs,
+    /// deferred outputs, placement targets reused or allocated) into
+    /// the service totals.
+    fn note_merge_outputs(&self, stats: &PhaseStats) {
+        let (handoffs, deferred, materialized, reused, allocated) = (
             stats.split_form_handoffs,
             stats.deferred_outputs,
             stats.deferred_materialized,
+            stats.merge_targets_reused,
+            stats.merge_targets_allocated,
         );
-        if handoffs + deferred + materialized > 0 {
+        if handoffs + deferred + materialized + reused + allocated > 0 {
             let mut c = lock(&self.inner.counters);
             c.split_form_handoffs += handoffs;
             c.deferred_outputs += deferred;
             c.deferred_materialized += materialized;
+            c.merge_targets_reused += reused;
+            c.merge_targets_allocated += allocated;
         }
     }
 
@@ -1976,7 +2011,7 @@ impl PipelineService {
                 o.record_phases(&stats);
             }
             bytes = bytes.saturating_add(stats.bytes_split.saturating_add(stats.bytes_merged));
-            self.note_held_outputs(&stats);
+            self.note_merge_outputs(&stats);
             match result {
                 // The pipeline declined (no segment support, a missing
                 // Concat capability, or the size bound): per-member

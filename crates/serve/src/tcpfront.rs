@@ -424,7 +424,8 @@ pub fn stats_body(service: &PipelineService) -> String {
          pool_panicked_batches={} pool_respawned_workers={} \
          admission_limit={} queue_shed={} over_memory={} breaker_shed={} \
          breaker_open={} memory_live_bytes={} memory_ceiling_bytes={} \
-         split_form_handoffs={} deferred_outputs={} deferred_materialized={}",
+         split_form_handoffs={} deferred_outputs={} deferred_materialized={} \
+         merge_targets_reused={} merge_targets_allocated={}",
         s.started,
         s.completed,
         s.rejected,
@@ -455,6 +456,8 @@ pub fn stats_body(service: &PipelineService) -> String {
         s.split_form_handoffs,
         s.deferred_outputs,
         s.deferred_materialized,
+        s.merge_targets_reused,
+        s.merge_targets_allocated,
     )
 }
 

@@ -381,7 +381,54 @@ fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
     );
     let line = mozart_serve::tcpfront::stats_body(&service);
     assert!(
-        line.ends_with("deferred_outputs=2 deferred_materialized=1"),
+        line.contains(" deferred_outputs=2 deferred_materialized=1 "),
+        "{line}"
+    );
+}
+
+/// Merge-target reuse is visible on every surface: the second identical
+/// image request writes its result over the first one's released
+/// target, counted in `ServiceStats`, at the (appended) tail of `STATS`
+/// and on the metrics page, with the parked bytes as a gauge.
+#[test]
+fn merge_target_reuse_is_counted_on_every_surface() {
+    let service = traced_service(2);
+    let session = service.session();
+    let req = Request::new()
+        .with("width", 96)
+        .with("height", 64)
+        .with("seed", 3u64);
+    let first = session.call("nashville", &req).unwrap();
+    let stats = service.stats();
+    assert_eq!(
+        (stats.merge_targets_reused, stats.merge_targets_allocated),
+        (0, 1)
+    );
+    assert!(stats.plan_cache.parked_bytes >= 96 * 64 * 3 * 4);
+    assert_eq!(session.call("nashville", &req).unwrap(), first);
+    let stats = service.stats();
+    assert_eq!(
+        (stats.merge_targets_reused, stats.merge_targets_allocated),
+        (1, 1)
+    );
+
+    let page = service.metrics_text();
+    assert!(
+        page.contains("mozart_merge_targets_reused_total 1"),
+        "{page}"
+    );
+    assert!(
+        page.contains("mozart_merge_targets_allocated_total 1"),
+        "{page}"
+    );
+    let parked = format!(
+        "mozart_merge_targets_parked_bytes {}",
+        stats.plan_cache.parked_bytes
+    );
+    assert!(page.contains(&parked), "{page}");
+    let line = mozart_serve::tcpfront::stats_body(&service);
+    assert!(
+        line.ends_with("merge_targets_reused=1 merge_targets_allocated=1"),
         "{line}"
     );
 }
