@@ -1,8 +1,8 @@
 //! Figure 5: breakdown of total running time — client library
 //! registration, unprotect, planner, split, task execution, merge —
-//! for the Black Scholes (MKL) and Nashville workloads, plus a
-//! pool-reuse vs spawn-per-stage comparison on a multi-stage pipeline
-//! (the fixed per-stage overhead the persistent worker pool removes).
+//! for the Black Scholes (MKL) and Nashville workloads, plus the wall
+//! time of a short pipeline evaluated repeatedly on the persistent
+//! worker pool (the fixed per-stage orchestration cost).
 //!
 //! Emits `bench_results/fig5.csv` (the percentage breakdown) and
 //! `bench_results/BENCH_fig5.json` (a machine-readable snapshot, so PRs
@@ -43,65 +43,36 @@ fn main() {
         push_json(&mut json, "nashville", &p.percentages(), "\n  },\n");
     }
 
-    // ---- Pool reuse vs spawn-per-stage (multi-stage pipeline) ----
+    // ---- Per-stage orchestration (multi-stage pipeline) ----
     //
     // Repeated evaluations of a short pipeline maximize the per-stage
-    // fixed costs Figure 5 is about. `reuse_pool = false` restores the
-    // historic executor behavior (scoped threads spawned per stage) as
-    // a measured ablation against the persistent worker pool.
-    let (reuse_s, spawn_s, stages) = {
+    // fixed costs Figure 5 is about: dispatch to the parked pool
+    // workers, batch claiming, and the joins.
+    let (reuse_s, stages) = {
         use workloads::black_scholes as bs;
         let n = opts.size(1 << 16); // small input -> orchestration-bound
         let evals = 40;
         let inp = bs::generate(n, 42);
-
-        let run = |reuse_pool: bool| {
-            workloads::register_all_defaults();
-            let mut cfg = Config::with_workers(threads);
-            cfg.reuse_pool = reuse_pool;
-            let ctx = MozartContext::new(cfg);
-            let secs = time_min(opts.reps, || {
-                for _ in 0..evals {
-                    bs::mkl_mozart(&inp, &ctx).expect("run");
-                }
-            })
-            .as_secs_f64();
-            // `secs` is one 40-eval pass (min over reps); stages
-            // accumulated over all reps, so normalize.
-            (secs, ctx.take_stats().stages / opts.reps.max(1) as u64)
+        workloads::register_all_defaults();
+        let ctx = MozartContext::new(Config::with_workers(threads));
+        let pass = || {
+            for _ in 0..evals {
+                bs::mkl_mozart(&inp, &ctx).expect("run");
+            }
         };
-        // One untimed pass per mode first: the first evaluations fault
-        // in the input pages and warm the allocator, which otherwise
-        // biases whichever mode is measured first.
-        run(true);
-        run(false);
-        let (reuse_s, stages) = run(true);
-        let (spawn_s, _) = run(false);
-        (reuse_s, spawn_s, stages)
+        // One untimed pass first: the first evaluations fault in the
+        // input pages, spawn the pool and warm the allocator.
+        pass();
+        ctx.take_stats();
+        let secs = time_min(opts.reps, pass).as_secs_f64();
+        // `secs` is one 40-eval pass (min over reps); stages
+        // accumulated over all reps, so normalize.
+        (secs, ctx.take_stats().stages / opts.reps.max(1) as u64)
     };
     println!("\n=== fig5: per-stage orchestration (multi-stage pipeline) ===");
     println!("     pool reuse: {reuse_s:.4}s  ({stages} stages measured)");
-    println!("spawn-per-stage: {spawn_s:.4}s");
-    if reuse_s > 0.0 {
-        println!(
-            "        speedup: {:.2}x from reusing parked workers",
-            spawn_s / reuse_s
-        );
-    }
-    json.push_str(&format!(
-        "  \"pool_reuse_seconds\": {reuse_s:.6},\n  \"spawn_per_stage_seconds\": {spawn_s:.6},\n"
-    ));
-    json.push_str(&format!(
-        "  \"pool_reuse_speedup\": {:.4}\n}}\n",
-        if reuse_s > 0.0 {
-            spawn_s / reuse_s
-        } else {
-            0.0
-        }
-    ));
-    csv.push_str(&format!(
-        "pool_reuse_seconds,{reuse_s}\nspawn_per_stage_seconds,{spawn_s}\n"
-    ));
+    json.push_str(&format!("  \"pool_reuse_seconds\": {reuse_s:.6}\n}}\n"));
+    csv.push_str(&format!("pool_reuse_seconds,{reuse_s}\n"));
 
     write_results("fig5.csv", &csv);
     write_results("BENCH_fig5.json", &json);

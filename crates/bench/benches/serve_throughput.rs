@@ -21,11 +21,10 @@
 //! * **Fair-share**: 2 hot sessions (2 closed-loop threads each,
 //!   weight 1) flood the service while 1 cold session (1 thread,
 //!   weight 2) runs a fixed request count. The cold session's share of
-//!   served pool batches during its window is reported under
-//!   deficit-weighted round-robin and under the FIFO ablation; the
+//!   served pool batches during its window is reported; the
 //!   acceptance bar is cold share within 2x of its weight-proportional
-//!   share under DRR, with every response checksum identical to the
-//!   uncontended reference.
+//!   share under the pool's deficit-weighted round-robin, with every
+//!   response checksum identical to the uncontended reference.
 //! * **Coalescing**: concurrent fingerprint-identical requests
 //!   (same `n`, distinct seeds) against a `max_inflight=1` service.
 //!   Queued requests must coalesce (`coalesced_requests > 0` is
@@ -194,12 +193,7 @@ fn reference_body(n: usize, seed: u64) -> String {
 /// 2 hot sessions (2 threads each, weight 1) flood the service while a
 /// cold session (1 thread, weight 2) runs `cold_requests`; per-session
 /// batch shares are measured over the cold session's window.
-fn fair_share_run(
-    fair: bool,
-    cold_requests: usize,
-    n: usize,
-    session_config: &Config,
-) -> FairShare {
+fn fair_share_run(cold_requests: usize, n: usize, session_config: &Config) -> FairShare {
     // Fine-grained batches: many scheduling decisions per job, so the
     // measured shares reflect the pick policy rather than a handful of
     // coarse claims.
@@ -216,7 +210,6 @@ fn fair_share_run(
         .queue_depth(32)
         .session_config(session_config)
         .coalescing(false) // isolate scheduling from request merging
-        .fair_scheduling(fair)
         .builtin_pipelines()
         .build();
     let hot1 = Arc::new(service.session());
@@ -844,12 +837,11 @@ fn main() {
     let hit_rate_ok = hit_rate > 0.90;
     println!("acceptance: service > independent: {service_wins}; hit rate > 90%: {hit_rate_ok}");
 
-    // ---- Fair-share: 2 hot + 1 cold (weight 2), DRR vs FIFO ----
+    // ---- Fair-share: 2 hot + 1 cold (weight 2) ----
     // A long enough window that per-pick noise averages out even on
     // small hosts (each cold request is ~32 fine-grained batches).
     let cold_requests = (requests * 4).clamp(40, 240);
-    let fair = fair_share_run(true, cold_requests, n, &session_config);
-    let fifo = fair_share_run(false, cold_requests, n, &session_config);
+    let fair = fair_share_run(cold_requests, n, &session_config);
     // Cold holds weight 2 of 4 — its weight-proportional share of the
     // contended pool is 1/2, capped by its own closed-loop demand; the
     // bar is within 2x of that entitlement.
@@ -857,29 +849,24 @@ fn main() {
     let entitled = fair.cold_entitled_share(weight_share);
     let cold_within_2x = fair.cold_share() >= entitled / 2.0;
     println!("\nfair-share (2 hot sessions x 2 threads vs 1 cold thread, weights 1/1/2):");
-    for (name, run) in [("drr", &fair), ("fifo", &fifo)] {
-        println!(
-            "  {:>5}: batches hot={}/{} cold={}; worker-served hot={}/{} cold={} \
-             cold_share={:.3} cold_wall={:.3}s checksums_ok={}",
-            name,
-            run.batch_deltas[0],
-            run.batch_deltas[1],
-            run.batch_deltas[2],
-            run.worker_deltas[0],
-            run.worker_deltas[1],
-            run.worker_deltas[2],
-            run.cold_share(),
-            run.cold_wall.as_secs_f64(),
-            run.checksums_ok
-        );
-    }
+    println!(
+        "    drr: batches hot={}/{} cold={}; worker-served hot={}/{} cold={} \
+         cold_share={:.3} cold_wall={:.3}s checksums_ok={}",
+        fair.batch_deltas[0],
+        fair.batch_deltas[1],
+        fair.batch_deltas[2],
+        fair.worker_deltas[0],
+        fair.worker_deltas[1],
+        fair.worker_deltas[2],
+        fair.cold_share(),
+        fair.cold_wall.as_secs_f64(),
+        fair.checksums_ok
+    );
     println!(
         "  acceptance: cold share {:.3} within 2x of entitled share {entitled:.3} \
-         (= min(weight share {weight_share}, demand share {:.3})): {cold_within_2x} \
-         (fifo baseline {:.3})",
+         (= min(weight share {weight_share}, demand share {:.3})): {cold_within_2x}",
         fair.cold_share(),
-        fair.cold_demand_share(),
-        fifo.cold_share()
+        fair.cold_demand_share()
     );
     assert!(
         cold_within_2x,
@@ -887,8 +874,8 @@ fn main() {
         fair.cold_share()
     );
     assert!(
-        fair.checksums_ok && fifo.checksums_ok,
-        "fair-share runs must produce reference-identical responses"
+        fair.checksums_ok,
+        "the fair-share run must produce reference-identical responses"
     );
 
     // ---- Coalescing: fingerprint-identical requests share evaluations ----
@@ -1193,26 +1180,22 @@ fn main() {
         cache.hits, cache.misses, hit_rate, cache.entries
     ));
     json.push_str("  \"fair_share\": {\n");
-    for (name, run, comma) in [("drr", &fair, ","), ("fifo", &fifo, "")] {
-        json.push_str(&format!(
-            "    \"{}\": {{ \"hot1_batches\": {}, \"hot2_batches\": {}, \
-             \"cold_batches\": {}, \"hot1_worker_batches\": {}, \
-             \"hot2_worker_batches\": {}, \"cold_worker_batches\": {}, \
-             \"cold_share\": {:.4}, \"cold_wall_seconds\": {:.6}, \
-             \"checksums_ok\": {} }}{}\n",
-            name,
-            run.batch_deltas[0],
-            run.batch_deltas[1],
-            run.batch_deltas[2],
-            run.worker_deltas[0],
-            run.worker_deltas[1],
-            run.worker_deltas[2],
-            run.cold_share(),
-            run.cold_wall.as_secs_f64(),
-            run.checksums_ok,
-            comma
-        ));
-    }
+    json.push_str(&format!(
+        "    \"drr\": {{ \"hot1_batches\": {}, \"hot2_batches\": {}, \
+         \"cold_batches\": {}, \"hot1_worker_batches\": {}, \
+         \"hot2_worker_batches\": {}, \"cold_worker_batches\": {}, \
+         \"cold_share\": {:.4}, \"cold_wall_seconds\": {:.6}, \
+         \"checksums_ok\": {} }}\n",
+        fair.batch_deltas[0],
+        fair.batch_deltas[1],
+        fair.batch_deltas[2],
+        fair.worker_deltas[0],
+        fair.worker_deltas[1],
+        fair.worker_deltas[2],
+        fair.cold_share(),
+        fair.cold_wall.as_secs_f64(),
+        fair.checksums_ok
+    ));
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"coalescing\": {{ \"requests\": {}, \"coalesced_requests\": {}, \

@@ -1,22 +1,63 @@
 //! Table 3: integration effort — lines of code per library integration,
 //! measured directly from this repository's `sa-*` crates, split into
 //! SA/wrapper code vs splitting-API code, next to the paper's reported
-//! numbers for its Mozart and Weld integrations.
+//! numbers for its Mozart and Weld integrations — followed by the
+//! runtime's own size per layer, so a PR that grows or shrinks the
+//! machinery under the integrations shows it.
 
 use std::path::Path;
 
 use mozart_bench::write_results;
 
-/// Count non-empty, non-comment source lines in a file.
-fn loc(path: &Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return 0;
-    };
+/// Count non-empty, non-comment source lines.
+fn count(text: &str) -> usize {
     text.lines()
         .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("//!"))
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
         .count()
 }
+
+/// [`count`] of a file (0 if unreadable).
+fn loc(path: &Path) -> usize {
+    std::fs::read_to_string(path).map_or(0, |text| count(&text))
+}
+
+/// [`count`] of every `.rs` file under `dir`, each up to its first
+/// top-level `#[cfg(test)] mod` (test modules close their files in
+/// this repository).
+fn non_test_loc(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|entry| entry.path())
+        .map(|path| {
+            if path.is_dir() {
+                non_test_loc(&path)
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap_or_default();
+                count(text.split("\n#[cfg(test)]\nmod ").next().unwrap_or(""))
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+/// The runtime's layers, bottom up: `(layer, its crates)`.
+const LAYERS: &[(&str, &str)] = &[
+    (
+        "base libraries",
+        "dataframe imagelib ndarray-lite textproc vectormath",
+    ),
+    ("core", "core"),
+    (
+        "sa-*",
+        "sa-dataframe sa-image sa-ndarray sa-text sa-vectormath",
+    ),
+    ("serve", "serve"),
+];
 
 struct Integration {
     library: &'static str,
@@ -103,6 +144,18 @@ fn main() {
         ));
     }
     write_results("table3.csv", &csv);
+
+    println!("\n=== runtime size: non-test lines of code per layer ===");
+    let mut total = 0;
+    for (layer, crates) in LAYERS {
+        let lines: usize = crates
+            .split(' ')
+            .map(|c| non_test_loc(&root.join(c).join("src")))
+            .sum();
+        total += lines;
+        println!("{layer:<14} {lines:>8}");
+    }
+    println!("{:<14} {total:>8}", "total");
     println!("\nNote: this Rust reproduction's wrappers are more verbose than the");
     println!("paper's generated C headers / Python decorators, but stay 1-2 orders");
     println!("of magnitude below a Weld-style per-operator IR rewrite (paper: 2076");

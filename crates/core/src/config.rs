@@ -21,24 +21,17 @@ pub struct Config {
     /// parallelized per call but never pipelined across calls. This is
     /// the paper's "Mozart (-pipe)" ablation (Table 4).
     pub pipeline: bool,
-    /// When `true` (the default), stages run on the context's persistent
-    /// [worker pool](crate::pool): threads are created once and parked
-    /// between stages. When `false`, every stage spawns and joins scoped
-    /// threads — the historic behavior, kept as a measured ablation for
-    /// the `fig5_overheads` benchmark.
-    pub reuse_pool: bool,
     /// When `true` (the default), Merge outputs take the *placement*
     /// fast path where the split type supports it: the merged value is
     /// preallocated once and workers write result pieces directly at
     /// their element offsets inside the driver loop
     /// (the [`Placement`](crate::split::Placement) capability of its
-    /// [`merge_strategy`](crate::split::Splitter::merge_strategy)),
-    /// and final merges of non-placement outputs that nothing later in
-    /// the graph consumes are dispatched to the worker pool so they
-    /// overlap with planning and executing subsequent stages. When
-    /// `false`, every merge runs the historic collect-then-concat path
-    /// serially on the caller — kept as a measured ablation for the
-    /// `phase_breakdown` benchmark.
+    /// [`merge_strategy`](crate::split::Splitter::merge_strategy));
+    /// outputs of other split types are collected per worker and
+    /// concatenated once by the caller's final merge. When `false`,
+    /// every merge output takes that collect-then-concat path — the
+    /// reference path the placement tests compare against and the
+    /// ablation the `phase_breakdown` benchmark measures.
     pub placement_merge: bool,
     /// When `true` (the default), a stage's merge output that is only
     /// re-split by later nodes under the same split type is handed
@@ -65,8 +58,6 @@ pub struct Config {
     /// Verified stages are counted in
     /// [`PhaseStats::plans_verified`](crate::stats::PhaseStats).
     pub verify_plans: bool,
-    /// Log every function call on every split piece (§7.1 debugging aid).
-    pub log_calls: bool,
     /// Deterministic fault-injection schedule
     /// ([`FaultPlan`](crate::faultinject::FaultPlan)); `None` (the
     /// default) means no injection and costs one branch per batch
@@ -90,12 +81,10 @@ impl Default for Config {
             batch_constant: 1.0,
             batch_override: None,
             pipeline: true,
-            reuse_pool: true,
             placement_merge: true,
             split_form: true,
             pedantic: cfg!(debug_assertions),
             verify_plans: default_verify_plans(),
-            log_calls: false,
             fault_plan: None,
             tracing: None,
         }
@@ -222,12 +211,10 @@ mod tests {
             batch_constant: 1.0,
             batch_override: None,
             pipeline: true,
-            reuse_pool: true,
             placement_merge: true,
             split_form: true,
             pedantic: true,
             verify_plans: true,
-            log_calls: false,
             fault_plan: None,
             tracing: None,
         }

@@ -572,12 +572,10 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     // Make sure the persistent pool matches the configured parallelism:
     // the calling thread participates in every stage, so the pool holds
     // `workers - 1` threads. An attached shared pool always wins — the
-    // whole point of sharing is that this context spawns nothing. The
-    // spawn-per-stage ablation (`reuse_pool = false`) must not own idle
-    // pool threads, or it would misrepresent the no-pool baseline.
+    // whole point of sharing is that this context spawns nothing.
     if st.attached_pool.is_some() {
         st.pool = None;
-    } else if st.config.reuse_pool {
+    } else {
         let want_pool_workers = st.config.workers.max(1) - 1;
         let pool_matches = st
             .pool
@@ -586,8 +584,6 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
         if !pool_matches {
             st.pool = Some(PoolHandle::new(want_pool_workers));
         }
-    } else {
-        st.pool = None;
     }
 
     // Plan-cache lookup: fingerprint the pending segment once per

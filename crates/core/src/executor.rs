@@ -102,7 +102,7 @@ use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
 use crate::graph::{DataflowGraph, MergeOrigin, ValueId};
 use crate::planner::{OutputKind, PlanCache, PlanSite, StagePlan};
-use crate::pool::{run_stage_scoped, Job, WorkerPool};
+use crate::pool::{Job, WorkerPool};
 use crate::split::{Params, Placement, SplitForm, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
@@ -138,7 +138,6 @@ pub(crate) struct ExecStage {
     /// Worker count for this stage (callers + pool workers), already
     /// capped by the number of batches.
     pub(crate) participants: usize,
-    log_calls: bool,
     pedantic: bool,
     /// Index of this stage in the owning evaluation (0-based), the
     /// coordinate fault points address stages by.
@@ -173,7 +172,6 @@ impl ExecStage {
             sum_elem_bytes: 0,
             batch,
             participants: config.workers.max(1).min(num_batches as usize),
-            log_calls: config.log_calls,
             pedantic: config.pedantic,
             stage_idx,
             faults: config.fault_plan.clone(),
@@ -570,18 +568,12 @@ fn run_exec(
 
     let job = Job::new(exec, env.session);
 
-    let mut outs: Vec<WorkerOut> = if job.exec.participants <= 1 {
-        vec![run_worker(&job.exec, &job.cursor, &job.failed, 0)?]
-    } else if let Some(pool) = env.pool {
-        // Whatever `config.reuse_pool` says, a provided pool is used:
-        // an attached shared pool must never be bypassed by a session
-        // config that happens to disable context-owned pools.
-        pool.run_stage(&job)?
-    } else {
-        // Spawn-per-stage ablation for the fig5 overhead benchmark
-        // (`reuse_pool = false`, no attached pool): the context owns no
-        // pool in this mode.
-        run_stage_scoped(&job)?
+    let mut outs: Vec<WorkerOut> = match env.pool {
+        Some(pool) if job.exec.participants > 1 => pool.run_stage(&job)?,
+        // A single batch runs inline. (So would a stage with no pool,
+        // which `evaluate_pending` rules out: a context with no attached
+        // pool owns one.)
+        _ => vec![run_worker(&job.exec, &job.cursor, &job.failed, 0)?],
     };
     let exec = &job.exec;
 
@@ -1020,13 +1012,6 @@ pub(crate) fn run_worker(
                             Some(piece) => args.push(piece.clone()),
                             None => return Err(Error::ValueUnavailable),
                         }
-                    }
-                    if exec.log_calls {
-                        eprintln!(
-                    "mozart: worker {worker_idx} call {} on elements [{start}, {end}) ({} args)",
-                    node.name,
-                    args.len()
-                );
                     }
                     let inv = Invocation {
                         function: node.name,

@@ -70,7 +70,7 @@
 //!
 //! * [`PoolHandle`] / [`global_pool`]: a shareable worker pool. Any
 //!   number of contexts [`attach_pool`](MozartContext::attach_pool) the
-//!   same handle; concurrently submitted stages queue FIFO on one
+//!   same handle; concurrently submitted stages queue on one
 //!   machine-sized thread set instead of oversubscribing the host with
 //!   a pool per context, with per-session usage accounted in
 //!   [`PoolStats::sessions`].

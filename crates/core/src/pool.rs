@@ -42,10 +42,6 @@
 //!   own job, so even a session the scheduler never favors progresses
 //!   at single-thread speed — no session can be starved outright.
 //!
-//! [`WorkerPool::set_fair_scheduling`]`(false)` restores the historic
-//! FIFO scan as a measured ablation (the `serve_throughput` benchmark
-//! compares both).
-//!
 //! Scheduling within a job is dynamic: instead of carving the element
 //! range into one static span per worker, every participant claims the
 //! next cache-sized batch — or, when many batches remain, a *guided
@@ -60,10 +56,6 @@
 //! another worker, park/unpark transitions, per-session job and batch
 //! totals) is aggregated into [`PoolStats`]; see
 //! `MozartContext::pool_stats` and `PoolHandle::stats`.
-//!
-//! `run_stage_scoped` preserves the old spawn-per-stage behavior
-//! behind `Config::reuse_pool = false` as a measured ablation for the
-//! `fig5_overheads` benchmark; it is not used otherwise.
 //!
 //! # Panic isolation and worker respawn
 //!
@@ -177,10 +169,10 @@ impl Job {
     }
 }
 
-/// What parked workers wake up to: a FIFO of open stage jobs. Multiple
-/// contexts sharing the pool may each have a job queued; workers serve
-/// the most-underserved session's open job (the oldest one under the
-/// FIFO ablation), so no session's stage is starved by later arrivals.
+/// What parked workers wake up to: the open stage jobs, in submission
+/// order. Multiple contexts sharing the pool may each have a job
+/// queued; workers serve the most-underserved session's open job, so no
+/// session's stage is starved by later arrivals.
 struct Queue {
     jobs: VecDeque<Arc<Job>>,
     shutdown: bool,
@@ -382,9 +374,6 @@ struct PoolShared {
     queue: Mutex<Queue>,
     work_cv: Condvar,
     counters: Counters,
-    /// Deficit-weighted session scheduling (default); `false` restores
-    /// the historic FIFO queue scan as a measured ablation.
-    fair: AtomicBool,
 }
 
 /// A persistent set of worker threads shared by every context holding a
@@ -400,6 +389,7 @@ impl WorkerPool {
     /// `config.workers - 1` saturates `config.workers` cores for a
     /// single session.
     pub fn new(pool_workers: usize) -> WorkerPool {
+        crate::membudget::keep_freed_pieces_mapped();
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
@@ -418,7 +408,6 @@ impl WorkerPool {
                 per_worker_claims: (0..=pool_workers).map(|_| AtomicU64::new(0)).collect(),
                 sessions: Mutex::new(HashMap::new()),
             },
-            fair: AtomicBool::new(true),
         });
         let handles = (0..pool_workers)
             .map(|i| {
@@ -450,18 +439,11 @@ impl WorkerPool {
         session_entry(&mut sessions, session).weight = weight.max(1);
     }
 
-    /// Toggle deficit-weighted session scheduling (on by default). With
-    /// `false`, idle workers serve the oldest open job regardless of
-    /// session — the historic FIFO behavior, kept as a measured ablation
-    /// for the `serve_throughput` benchmark.
-    pub fn set_fair_scheduling(&self, fair: bool) {
-        self.shared.fair.store(fair, Ordering::Relaxed);
-    }
-
     /// Execute a multi-participant stage on the pool. The caller
     /// participates as worker 0 and blocks until every participant is
     /// done. Safe to call from many threads concurrently: each job is
-    /// queued and pool workers serve the oldest open job first.
+    /// queued and pool workers pick among the open jobs by session
+    /// (module docs).
     pub(crate) fn run_stage(&self, job: &Arc<Job>) -> Result<Vec<WorkerOut>> {
         debug_assert!(
             job.exec.participants >= 2,
@@ -704,24 +686,20 @@ fn worker_main(shared: &PoolShared) {
                     return;
                 }
                 // Deficit-weighted round-robin (module docs): serve the
-                // open job of the most-underserved session; the FIFO
-                // ablation serves the oldest open job. The nested
+                // open job of the most-underserved session. The nested
                 // sessions lock is fine — lock order is always
                 // queue -> sessions, never the reverse.
-                let open = |j: &&Arc<Job>| j.open.load(Ordering::Relaxed);
-                let picked = if shared.fair.load(Ordering::Relaxed) {
+                let picked = {
                     let sessions = lock(&shared.counters.sessions);
                     pick_fair(
                         q.jobs
                             .iter()
                             .enumerate()
-                            .filter(|(_, j)| open(j))
+                            .filter(|(_, j)| j.open.load(Ordering::Relaxed))
                             .map(|(i, j)| (i, j.session)),
                         &sessions,
                     )
                     .and_then(|i| q.jobs.get(i))
-                } else {
-                    q.jobs.iter().find(open)
                 };
                 if let Some(job) = picked {
                     break job.clone();
@@ -788,56 +766,6 @@ fn worker_main(shared: &PoolShared) {
             std::panic::resume_unwind(payload);
         }
     }
-}
-
-/// Spawn-per-stage ablation (`Config::reuse_pool = false`): run the same
-/// dynamic-scheduling driver loop, but on scoped threads created for
-/// this one stage. Exists so `fig5_overheads` can measure what the
-/// persistent pool saves; per-worker pool counters are not updated on
-/// this path.
-pub(crate) fn run_stage_scoped(job: &Arc<Job>) -> Result<Vec<WorkerOut>> {
-    let participants = job.exec.participants;
-    let mut outs = Vec::with_capacity(participants);
-    let mut results: Vec<Option<Result<WorkerOut>>> = Vec::new();
-    results.resize_with(participants - 1, || None);
-    let mine = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(participants - 1);
-        for w in 1..participants {
-            let job = job.clone();
-            handles.push(s.spawn(move || {
-                let out = run_worker(&job.exec, &job.cursor, &job.failed, w);
-                if out.is_err() {
-                    // Match the pool path's semantics: one participant
-                    // failing stops the others from claiming batches.
-                    job.failed.store(true, Ordering::Relaxed);
-                }
-                out
-            }));
-        }
-        let mine = run_worker(&job.exec, &job.cursor, &job.failed, 0);
-        if mine.is_err() {
-            job.failed.store(true, Ordering::Relaxed);
-        }
-        for (slot, h) in results.iter_mut().zip(handles) {
-            // A panicked scoped worker surfaces typed, like the pool
-            // path (regression for the historic stringly
-            // `Error::Library("worker thread panicked")`).
-            *slot = Some(h.join().unwrap_or_else(|payload| {
-                Err(Error::TaskPanicked {
-                    stage: FaultPhase::Worker,
-                    payload: panic_message(payload.as_ref()),
-                })
-            }));
-        }
-        mine
-    });
-    outs.push(mine?);
-    // Every slot was filled in the join loop above; `flatten` just
-    // avoids asserting it.
-    for r in results.into_iter().flatten() {
-        outs.push(r?);
-    }
-    Ok(outs)
 }
 
 #[cfg(test)]

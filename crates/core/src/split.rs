@@ -223,10 +223,14 @@ pub trait Placement: Send + Sync {
     /// Implementations that return `Some(out)` must support concurrent
     /// `write_piece` calls at disjoint element offsets from multiple
     /// threads, and the split type's `merge` semantics must be pure
-    /// concatenation in element order. Allocations should touch their
-    /// pages before returning (see
-    /// [`crate::buffer::SharedVec::zeros_prefaulted`]) so the parallel
-    /// writes are pure memory copies.
+    /// concatenation in element order. The contents need not be
+    /// initialized — the executor's coverage check lets no unwritten
+    /// element be read — but a *fresh* allocation should fault its
+    /// pages in before returning (see
+    /// [`crate::buffer::SharedVec::uninit_prefaulted`]): first-touch
+    /// faults taken by parallel writers on one new mapping serialize in
+    /// the kernel. Only this cold path pays for that; a target handed
+    /// back through [`reuse`](Placement::reuse) is resident already.
     fn alloc_merged(
         &self,
         total_elements: u64,

@@ -17,8 +17,8 @@
 //!   per-session usage is accounted in
 //!   [`PoolStats::sessions`](mozart_core::PoolStats).
 //! * **Deficit-weighted fair scheduling**: idle pool workers serve the
-//!   open job of the most-underserved session per unit weight instead
-//!   of scanning FIFO, so one hot tenant cannot monopolize the pool.
+//!   open job of the most-underserved session per unit weight, not the
+//!   oldest job, so one hot tenant cannot monopolize the pool.
 //!   Sessions carry weights ([`Session::set_weight`], the
 //!   builder's default, or the wire protocol's `WEIGHT` line);
 //!   starvation is bounded by a deficit cap and by caller
@@ -113,6 +113,7 @@ pub mod metrics;
 pub mod pipelines;
 pub mod protocol;
 mod service;
+pub mod stats;
 pub mod tcpfront;
 
 pub use adaptive::{AimdConfig, AimdController};
@@ -122,6 +123,7 @@ pub use metrics::{Histogram, HistogramSnapshot};
 pub use pipelines::builtin_pipelines;
 pub use service::{
     run_segment, Pipeline, PipelineService, Request, Response, Segment, SegmentEval, SegmentInput,
-    SegmentRespond, ServiceBuilder, ServiceConfig, ServiceMetrics, ServiceStats, Session,
-    SlowRequest, MAX_COALESCE, PHASE_NAMES,
+    SegmentRespond, ServiceBuilder, ServiceConfig, ServiceMetrics, Session, SlowRequest,
+    MAX_COALESCE, PHASE_NAMES,
 };
+pub use stats::{ServiceStats, StatKind, StatRow, STAT_TABLE};

@@ -28,21 +28,17 @@
 //!
 //! # Stable reply formats
 //!
-//! **`STATS`** replies `OK` followed by `key=value` pairs in this
-//! fixed order (new fields are appended, existing ones never move or
-//! change meaning): `started completed rejected failed over_budget
-//! deadline_shed retries slow draining coalesced_requests
-//! coalesce_waiting sessions inflight plan_hits plan_misses
-//! plan_entries pool_workers pool_jobs pool_panicked_batches
-//! pool_respawned_workers admission_limit queue_shed over_memory
-//! breaker_shed breaker_open memory_live_bytes memory_ceiling_bytes
-//! split_form_handoffs deferred_outputs deferred_materialized
-//! merge_targets_reused merge_targets_allocated`.
-//! The request-outcome counters (`started`
-//! through `coalesced_requests`) come from **one** locked snapshot:
-//! a request is either entirely counted or entirely absent, so
-//! `completed + failed + deadline_shed <= started` always holds within
-//! one reply.
+//! **`STATS`** replies `OK` followed by `key=value` pairs, one per
+//! [`STAT_TABLE`](crate::stats::STAT_TABLE) row that names a `STATS`
+//! key, ordered by the position the row declares. The table is the
+//! list of keys; clients may read the line positionally because a new
+//! key takes the next free position and an existing one never moves or
+//! changes meaning (`tests/obs.rs` pins the sequence). The
+//! request-outcome counters (the fields of
+//! [`ServiceStats`](crate::ServiceStats) from `started` through
+//! `engine`) come from **one** locked snapshot: a request is either
+//! entirely counted or entirely absent, so `completed + failed +
+//! deadline_shed <= started` always holds within one reply.
 //!
 //! **`METRICS`** is the protocol's only multi-line reply: `OK
 //! lines=<n>` followed by exactly `n` raw lines of the Prometheus text

@@ -1,9 +1,39 @@
 //! The in-process pipeline service: named pipelines, session handles,
-//! per-request contexts wired to the shared worker pool and plan cache,
-//! bounded admission with an adaptive concurrency limit, cross-request
-//! coalescing, per-session fair-share weights and byte budgets, a
-//! process-wide memory budget, per-pipeline circuit breakers, request
-//! deadlines, bounded retry of transient failures, and graceful drain.
+//! and the one lifecycle every request runs through.
+//!
+//! # The request lifecycle
+//!
+//! [`Session::call`] and [`Session::try_call`] both enter
+//! `execute_inner`, which runs these stages in order; each stage that
+//! turns a request away counts it and returns the typed error.
+//!
+//! 1. **drain** — a draining service sheds everything
+//!    ([`ServeError::Draining`]).
+//! 2. **lookup** — the named pipeline ([`ServeError::UnknownPipeline`]).
+//! 3. **budget** — the session's byte budget
+//!    ([`ServeError::OverBudget`]).
+//! 4. **breaker** — the pipeline's circuit breaker; the pass it hands
+//!    out is reported to in stage 9 ([`ServeError::CircuitOpen`]).
+//! 5. **memory** — the pipeline's estimated footprint against the
+//!    process ceiling ([`ServeError::OverMemory`]).
+//! 6. **coalesce role** (`coalesce_role`) — a blocking request with a
+//!    [`Pipeline::coalesce_key`] either *follows* the open batch of its
+//!    key (`follow`: park until the leader resolves it, then settle) or
+//!    publishes a batch and *leads* it. Everything else — `try_call`,
+//!    coalescing off, no key, memory pressure, a full or sealed batch —
+//!    is a batch of one that was never published.
+//! 7. **admit** (`admit`) — the evaluating request takes an admission
+//!    slot, waiting in the bounded queue (`call`) or not (`try_call`).
+//!    Followers join while a leader waits here.
+//! 8. **attempts** (`eval_batch` → `attempts`) — the batch's members
+//!    evaluate under that one slot: as one coalesced pipeline when there
+//!    are several and the pipeline can, else one by one; transient
+//!    failures retry with backoff.
+//! 9. **settle** (`settle`) — charge each member its share of the bytes,
+//!    report to the breaker, count the outcome, release the followers.
+//!
+//! `execute_traced` wraps all of it in the `Request` span, the
+//! end-to-end histogram, the slow-request log and the AIMD sample.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -17,18 +47,19 @@ use mozart_core::trace::{
     RetryCause, SpanKind, SpanRecord, SpanTree, TraceId, TraceRecorder, SERVICE_WORKER,
 };
 use mozart_core::{
-    CancelToken, Concat, Config, DataValue, MozartContext, PhaseStats, PlanCache, PlanCacheStats,
-    PoolHandle, PoolStats, Splitter,
+    CancelToken, Concat, Config, DataValue, MozartContext, PhaseStats, PlanCache, PoolHandle,
+    Splitter,
 };
 
 use crate::adaptive::{AimdConfig, AimdController};
-use crate::admission::{Admission, CodelCfg};
+use crate::admission::{Admission, AdmissionPermit, CodelCfg};
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerMap, BreakerPass, BreakerState};
 use crate::error::{Result, ServeError};
 use crate::metrics::{
     render_counter, render_gauge, render_gauge_labeled, render_histogram, Histogram,
     HistogramSnapshot,
 };
+use crate::stats::{ServiceStats, StatKind, STAT_TABLE};
 
 /// Most requests one coalesced evaluation may absorb (the leader plus
 /// `MAX_COALESCE - 1` followers). Bounds both the concatenated input
@@ -246,13 +277,17 @@ pub struct ServiceConfig {
     /// Worker threads available to an evaluation (the shared pool holds
     /// `workers - 1` threads; the evaluating thread participates).
     pub workers: usize,
-    /// Concurrent evaluations admitted (defaults to `workers`).
+    /// Concurrent evaluations admitted (defaults to `workers`). Left
+    /// at its default, this is only the *starting* limit: the service
+    /// adapts it by AIMD on measured end-to-end latency (see
+    /// [`crate::adaptive`]) and sheds standing queues CoDel-style
+    /// ([`ServeError::QueueShed`]). Pinned with
+    /// [`ServiceBuilder::max_inflight`], it is a static limit and
+    /// neither controller runs.
     pub max_inflight: usize,
     /// Callers allowed to wait for admission beyond `max_inflight`
     /// before [`ServeError::Saturated`] is returned.
     pub queue_depth: usize,
-    /// Plans the shared [`PlanCache`] retains.
-    pub plan_cache_capacity: usize,
     /// Default fair-share weight of new sessions (>= 1). Under the
     /// pool's deficit-weighted round-robin, a weight-`w` session is
     /// entitled to `w` times the contended batch share of a weight-1
@@ -266,11 +301,6 @@ pub struct ServiceConfig {
     /// requests with matching [`Pipeline::coalesce_key`]s evaluate as
     /// one pipeline over concatenated inputs.
     pub coalescing: bool,
-    /// Deficit-weighted session scheduling on the shared pool (on by
-    /// default); `false` restores the FIFO queue scan as a measured
-    /// ablation. Applied to the pool at build time, so it also affects
-    /// other users of an adopted pool handle.
-    pub fair_scheduling: bool,
     /// Retries of a request whose evaluation failed *transiently* — a
     /// caught panic ([`mozart_core::Error::TaskPanicked`]) or an
     /// injected fault ([`mozart_core::Error::Injected`]) — under the
@@ -285,25 +315,6 @@ pub struct ServiceConfig {
     /// default; see [`ServiceBuilder::tracing`]). When off, the request
     /// path records nothing — one `Option` branch per would-be span.
     pub tracing: bool,
-    /// Adaptive AIMD concurrency limiting (see [`crate::adaptive`]):
-    /// the in-flight limit starts at `max_inflight` and follows
-    /// measured end-to-end latency against a target seeded from the
-    /// live latency histograms (or [`ServiceConfig::aimd_target_ms`]).
-    /// On unless the operator pinned `max_inflight` explicitly — a
-    /// pinned limit is the static ablation. CoDel queue-sojourn
-    /// shedding ([`ServeError::QueueShed`]) is active exactly when the
-    /// adaptive limiter is.
-    pub adaptive_limit: bool,
-    /// Explicit AIMD latency target in milliseconds; 0 (the default)
-    /// seeds the target from the measured latency distribution instead
-    /// (median of a warmup window × a slowdown multiple).
-    pub aimd_target_ms: u64,
-    /// CoDel sojourn target in milliseconds: the acceptable standing
-    /// queue wait before head-of-line shedding arms.
-    pub codel_target_ms: u64,
-    /// CoDel interval in milliseconds: how long the head sojourn must
-    /// stay above target before the first shed.
-    pub codel_interval_ms: u64,
     /// Process-wide memory ceiling in bytes (0 = unlimited), installed
     /// into `mozart_core::membudget` at build time. Requests whose
     /// estimated footprint does not fit are shed with
@@ -325,139 +336,17 @@ impl Default for ServiceConfig {
             workers,
             max_inflight: workers,
             queue_depth: 4 * workers,
-            plan_cache_capacity: 256,
             session_weight: 1,
             session_byte_budget: 0,
             coalescing: true,
-            fair_scheduling: true,
             max_retries: 2,
             retry_backoff_ms: 5,
             tracing: false,
-            adaptive_limit: true,
-            aimd_target_ms: 0,
-            codel_target_ms: 50,
-            codel_interval_ms: 100,
             memory_ceiling_bytes: 0,
             breaker_threshold: 8,
             breaker_cooldown_ms: 200,
         }
     }
-}
-
-/// Cumulative service counters (see [`PipelineService::stats`]).
-#[derive(Debug, Clone, Default)]
-pub struct ServiceStats {
-    /// Requests admitted and started (followers served through a
-    /// coalesced evaluation included).
-    pub started: u64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests rejected by admission control.
-    pub rejected: u64,
-    /// Requests that failed inside the pipeline.
-    pub failed: u64,
-    /// Requests shed because their session exhausted its byte budget.
-    pub over_budget: u64,
-    /// Requests shed because their deadline passed — while queued for
-    /// admission, while parked in a coalesced batch, or mid-evaluation
-    /// (cooperative cancellation at batch-claim boundaries).
-    pub deadline_shed: u64,
-    /// Evaluation attempts re-run after a transient failure (see
-    /// [`ServiceConfig::max_retries`]).
-    pub retries: u64,
-    /// Requests (on a tracing-enabled service) that consumed at least
-    /// 80% of their deadline before resolving — the slow-request log's
-    /// counter ([`PipelineService::slow_requests`]). Always 0 when
-    /// tracing is off or requests carry no deadline.
-    pub slow: u64,
-    /// Whether [`PipelineService::drain`] has been called: admission is
-    /// closed and every new request is shed with
-    /// [`ServeError::Draining`].
-    pub draining: bool,
-    /// Requests served by piggybacking on another request's evaluation
-    /// (cross-request coalescing followers; the leader of a coalesced
-    /// batch is not counted).
-    pub coalesced_requests: u64,
-    /// Followers currently parked in open (not yet sealed) coalesced
-    /// batches, waiting for their leader's evaluation.
-    pub coalesce_waiting: usize,
-    /// Sessions opened.
-    pub sessions: u64,
-    /// Requests currently evaluating.
-    pub inflight: usize,
-    /// Callers currently waiting for admission.
-    pub waiting: usize,
-    /// Shared plan cache counters.
-    pub plan_cache: PlanCacheStats,
-    /// Shared worker pool counters (includes per-session fairness).
-    pub pool: PoolStats,
-    /// Current adaptive concurrency limit (equals the configured
-    /// `max_inflight` on a static-limit service).
-    pub admission_limit: usize,
-    /// Waiters shed by the CoDel sojourn controller
-    /// ([`ServeError::QueueShed`]).
-    pub queue_shed: u64,
-    /// Requests shed pre-admission by the process memory ceiling
-    /// ([`ServeError::OverMemory`]).
-    pub over_memory: u64,
-    /// Requests fast-failed by an open circuit breaker
-    /// ([`ServeError::CircuitOpen`]).
-    pub breaker_shed: u64,
-    /// Pipelines whose breaker is currently open (half-open counts as
-    /// not open: it is accepting a probe).
-    pub breaker_open: usize,
-    /// Live process-wide metered buffer bytes
-    /// (`mozart_core::membudget`).
-    pub memory_live_bytes: u64,
-    /// The process-wide memory ceiling (0 = unlimited).
-    pub memory_ceiling_bytes: u64,
-    /// Stage-boundary intermediates handed to the next stage in split
-    /// form (merge elided), accumulated from every request context's
-    /// phase stats. Nonzero only for staged evaluation
-    /// (`PIPELINE 0` sessions) with `Config::split_form` on.
-    pub split_form_handoffs: u64,
-    /// Outputs a pipeline kept a `Future` for but did not read first,
-    /// left as held pieces instead of merged (`OutputKind::Deferred`),
-    /// accumulated like `split_form_handoffs`.
-    pub deferred_outputs: u64,
-    /// Of those, the piece sets a later read (or an in-place stage)
-    /// made the runtime merge after all.
-    pub deferred_materialized: u64,
-    /// Placement-merge targets that were a released target of the same
-    /// cached plan, written over instead of allocated
-    /// (`PhaseStats::merge_targets_reused`), accumulated like
-    /// `split_form_handoffs`. The bytes currently parked for reuse are
-    /// `plan_cache.parked_bytes`.
-    pub merge_targets_reused: u64,
-    /// Placement-merge targets freshly allocated.
-    pub merge_targets_allocated: u64,
-}
-
-/// The request-outcome counters of [`ServiceStats`], kept behind one
-/// mutex so [`PipelineService::stats`] reads a single consistent
-/// snapshot: a request that just completed can never be counted in
-/// `completed` but not yet in `started`. The lock is uncontended in
-/// steady state (one lock per request outcome, held for a few
-/// increments); admission, plan-cache, and pool counters remain
-/// independently consistent and are documented as such.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    started: u64,
-    completed: u64,
-    rejected: u64,
-    failed: u64,
-    over_budget: u64,
-    coalesced: u64,
-    deadline_shed: u64,
-    retries: u64,
-    slow: u64,
-    over_memory: u64,
-    breaker_shed: u64,
-    split_form_handoffs: u64,
-    deferred_outputs: u64,
-    deferred_materialized: u64,
-    merge_targets_reused: u64,
-    merge_targets_allocated: u64,
 }
 
 /// One entry of the slow-request log (see
@@ -511,6 +400,17 @@ const AIMD_WARMUP_SAMPLES: u64 = 32;
 /// warm latency before cutting concurrency.
 const AIMD_TARGET_MULTIPLE: u64 = 8;
 
+/// CoDel sojourn control of an adaptive service's admission queue: the
+/// acceptable standing queue wait, and how long the head waiter's
+/// sojourn must stay above it before the first shed.
+const CODEL: CodelCfg = CodelCfg {
+    target: Duration::from_millis(50),
+    interval: Duration::from_millis(100),
+};
+
+/// Plans the shared [`PlanCache`] retains.
+const PLAN_CACHE_CAPACITY: usize = 256;
+
 /// Observability state of a tracing-enabled service: the shared span
 /// recorder plus the serve-side latency histograms and the slow-request
 /// log. Absent entirely when tracing is off.
@@ -524,8 +424,8 @@ struct Obs {
 }
 
 /// Start stamps of one serve-side span in flight; closed by
-/// [`Obs::span_end`]. Serve-side spans always run on the calling
-/// service thread and record under [`SERVICE_WORKER`].
+/// [`ServiceInner::span_end`]. Serve-side spans always run on the
+/// calling service thread and record under [`SERVICE_WORKER`].
 #[derive(Clone, Copy)]
 struct SpanTimer {
     start_ns: u64,
@@ -541,46 +441,6 @@ impl Obs {
             phases: std::array::from_fn(|_| Histogram::new()),
             slow: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAP)),
         }
-    }
-
-    fn span_start(&self) -> SpanTimer {
-        SpanTimer {
-            start_ns: self.recorder.now_ns(),
-            cpu0: cputime::thread_cpu_now(),
-        }
-    }
-
-    /// Record the span opened by `t`; returns its wall time in ns.
-    fn span_end(&self, trace: TraceId, kind: SpanKind, arg: u64, link: u64, t: SpanTimer) -> u64 {
-        let wall_ns = self.recorder.now_ns().saturating_sub(t.start_ns);
-        let cpu = cputime::cpu_elapsed(t.cpu0, cputime::thread_cpu_now());
-        self.recorder.record(SpanRecord {
-            seq: 0,
-            trace,
-            kind,
-            worker: SERVICE_WORKER,
-            arg,
-            link,
-            start_ns: t.start_ns,
-            wall_ns,
-            cpu_ns: duration_ns(cpu),
-        });
-        wall_ns
-    }
-
-    /// Record a zero-duration marker span (e.g. a deadline shed).
-    fn mark(&self, trace: TraceId, kind: SpanKind, arg: u64, link: u64) {
-        self.recorder.record(SpanRecord {
-            seq: 0,
-            trace,
-            kind,
-            worker: SERVICE_WORKER,
-            arg,
-            link,
-            start_ns: self.recorder.now_ns(),
-            wall_ns: 0,
-            cpu_ns: 0,
-        });
     }
 
     /// Feed one evaluation attempt's phase stats into the per-phase
@@ -604,7 +464,7 @@ impl Obs {
     /// Log the request if it consumed at least 80% of its deadline.
     fn note_slow(
         &self,
-        counters: &Mutex<Counters>,
+        counters: &Mutex<ServiceStats>,
         trace: TraceId,
         pipeline: &str,
         outcome: &'static str,
@@ -669,14 +529,14 @@ struct CoalesceState {
     reqs: Vec<Request>,
     /// Set once the leader takes the batch; no further joiners.
     sealed: bool,
-    /// The shared outcome: per-member results (in `reqs` order — they
-    /// can differ when a failed coalesced evaluation degraded to
-    /// per-member evaluation) plus the total byte cost, or a
-    /// batch-level error (admission failure) every member reports.
+    /// Set once by the leader; followers wait for it.
     outcome: Option<BatchOutcome>,
 }
 
-/// Resolved outcome of a coalesced batch (see [`CoalesceState`]).
+/// How a coalesced batch resolved: per-member results (in `reqs` order
+/// — they can differ when a failed coalesced evaluation degraded to
+/// per-member evaluation) plus each member's share of the byte cost,
+/// or the admission error that turned the whole batch away.
 type BatchOutcome = std::result::Result<(Vec<Result<Response>>, u64), ServeError>;
 
 impl CoalesceBatch {
@@ -723,6 +583,10 @@ impl CoalesceGuard<'_> {
 
     /// Resolve the batch and wake every follower.
     fn finish(mut self, outcome: BatchOutcome) {
+        self.resolve(outcome);
+    }
+
+    fn resolve(&mut self, outcome: BatchOutcome) {
         self.finished = true;
         self.seal();
         let mut st = lock(&self.batch.state);
@@ -736,19 +600,12 @@ impl CoalesceGuard<'_> {
 
 impl Drop for CoalesceGuard<'_> {
     fn drop(&mut self) {
-        if self.finished {
-            return;
+        if !self.finished {
+            // The leader unwound (pipeline panic): release the
+            // followers, who find no result of theirs and report the
+            // abort.
+            self.resolve(Ok((Vec::new(), 0)));
         }
-        // The leader unwound (pipeline panic): release the followers.
-        self.seal();
-        let mut st = lock(&self.batch.state);
-        if st.outcome.is_none() {
-            st.outcome = Some(Err(ServeError::Runtime(mozart_core::Error::Library(
-                "coalesced evaluation aborted by its leader".into(),
-            ))));
-        }
-        drop(st);
-        self.batch.cv.notify_all();
     }
 }
 
@@ -765,8 +622,16 @@ struct ServiceInner {
     /// Open coalesced batches, keyed by `(pipeline, coalesce_key)`.
     coalescer: Mutex<HashMap<(String, u64), Arc<CoalesceBatch>>>,
     session_counter: AtomicU64,
-    /// Request-outcome counters behind one lock (see [`Counters`]).
-    counters: Mutex<Counters>,
+    /// The locked half of [`ServiceStats`]: the request-outcome
+    /// counters (`started` through `engine`) live behind this one mutex
+    /// so [`PipelineService::stats`] reads a single consistent
+    /// snapshot — a request that just completed can never be counted in
+    /// `completed` but not yet in `started`. The lock is uncontended in
+    /// steady state (two locks per request, each held for a few
+    /// increments). The sampled half (admission, coalescer, plan cache,
+    /// pool, memory) stays at its defaults in here; `stats()` fills it
+    /// in from the components that own those figures.
+    counters: Mutex<ServiceStats>,
     draining: AtomicBool,
     /// Drain broadcast for sleepers: retry backoffs wait on this
     /// condvar instead of a bare `thread::sleep`, so `drain(timeout)`
@@ -788,6 +653,58 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
+    /// Open a serve-side span (`None` when tracing is off).
+    fn span_start(&self) -> Option<SpanTimer> {
+        let o = self.obs.as_ref()?;
+        Some(SpanTimer {
+            start_ns: o.recorder.now_ns(),
+            cpu0: cputime::thread_cpu_now(),
+        })
+    }
+
+    /// Record the span `t` opened; its wall time in ns when traced.
+    fn span_end(
+        &self,
+        t: Option<SpanTimer>,
+        trace: TraceId,
+        kind: SpanKind,
+        arg: u64,
+        link: u64,
+    ) -> Option<u64> {
+        let (o, t) = (self.obs.as_ref()?, t?);
+        let wall_ns = o.recorder.now_ns().saturating_sub(t.start_ns);
+        let cpu = cputime::cpu_elapsed(t.cpu0, cputime::thread_cpu_now());
+        o.recorder.record(SpanRecord {
+            seq: 0,
+            trace,
+            kind,
+            worker: SERVICE_WORKER,
+            arg,
+            link,
+            start_ns: t.start_ns,
+            wall_ns,
+            cpu_ns: duration_ns(cpu),
+        });
+        Some(wall_ns)
+    }
+
+    /// Record a zero-duration marker span (e.g. a deadline shed).
+    fn mark(&self, trace: TraceId, kind: SpanKind, arg: u64, link: u64) {
+        if let Some(o) = &self.obs {
+            o.recorder.record(SpanRecord {
+                seq: 0,
+                trace,
+                kind,
+                worker: SERVICE_WORKER,
+                arg,
+                link,
+                start_ns: o.recorder.now_ns(),
+                wall_ns: 0,
+                cpu_ns: 0,
+            });
+        }
+    }
+
     /// Update `pipeline`'s footprint EWMA with one request's measured
     /// byte cost (¼ new, ¾ old — a few requests re-center the estimate
     /// after a workload shift without letting one outlier swing it).
@@ -837,9 +754,7 @@ impl PipelineService {
             config: ServiceConfig::default(),
             max_inflight: None,
             queue_depth: None,
-            adaptive_limit: None,
             session_config: None,
-            pool: None,
             pipelines: Vec::new(),
         }
     }
@@ -864,9 +779,9 @@ impl PipelineService {
     /// ([`ServiceConfig::session_weight`] /
     /// [`ServiceConfig::session_byte_budget`]).
     ///
-    /// Session ids are allocated from a process-global counter: two
-    /// services sharing one pool (see [`ServiceBuilder::pool`]) must
-    /// not collide on the pool's per-session weights and accounting.
+    /// Session ids are allocated from a process-global counter, so a
+    /// session tag in pool accounting or a trace names one session of
+    /// the process, whichever service opened it.
     pub fn session(&self) -> Session {
         static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
         let inner = &self.inner;
@@ -909,7 +824,7 @@ impl PipelineService {
     }
 
     /// Snapshot of the service counters. The request-outcome counters
-    /// (`started` through `slow`) are read as **one** locked snapshot:
+    /// (`started` through `engine`) are read as **one** locked snapshot:
     /// a request that just resolved is either entirely in the snapshot
     /// or entirely absent, never counted in `completed` but missing
     /// from `started`. The admission, coalescer, plan-cache, and pool
@@ -923,18 +838,9 @@ impl PipelineService {
             .values()
             .map(|b| lock(&b.state).reqs.len().saturating_sub(1))
             .sum();
-        let c = *lock(&inner.counters);
+        let counted = lock(&inner.counters).clone();
         ServiceStats {
-            started: c.started,
-            completed: c.completed,
-            rejected: c.rejected,
-            failed: c.failed,
-            over_budget: c.over_budget,
-            deadline_shed: c.deadline_shed,
-            retries: c.retries,
-            slow: c.slow,
             draining: inner.draining.load(Ordering::Relaxed),
-            coalesced_requests: c.coalesced,
             coalesce_waiting,
             sessions: inner.session_counter.load(Ordering::Relaxed),
             inflight,
@@ -943,8 +849,6 @@ impl PipelineService {
             pool: inner.pool.stats(),
             admission_limit: inner.admission.limit(),
             queue_shed: inner.admission.queue_shed_total() as u64,
-            over_memory: c.over_memory,
-            breaker_shed: c.breaker_shed,
             breaker_open: inner
                 .breakers
                 .snapshot()
@@ -953,11 +857,7 @@ impl PipelineService {
                 .count(),
             memory_live_bytes: membudget::live_bytes(),
             memory_ceiling_bytes: membudget::ceiling_bytes(),
-            split_form_handoffs: c.split_form_handoffs,
-            deferred_outputs: c.deferred_outputs,
-            deferred_materialized: c.deferred_materialized,
-            merge_targets_reused: c.merge_targets_reused,
-            merge_targets_allocated: c.merge_targets_allocated,
+            ..counted
         }
     }
 
@@ -1040,207 +940,23 @@ impl PipelineService {
     }
 
     /// The service's metrics page in the Prometheus text exposition
-    /// format (see [`crate::metrics`] for the format contract): the
-    /// [`ServiceStats`] counters and gauges always; latency histograms,
+    /// format (see [`crate::metrics`] for the format contract): every
+    /// [`STAT_TABLE`] row with a metric name, in table order, and the
+    /// per-pipeline breaker gauges, always; latency histograms,
     /// per-span-kind wall/CPU totals, and the recorder's drop counter
     /// when tracing is enabled. Served verbatim by the `METRICS`
     /// protocol line and `serve_tcp --metrics-port`.
     pub fn metrics_text(&self) -> String {
         let mut out = String::with_capacity(4096);
         let s = self.stats();
-        render_counter(
-            &mut out,
-            "mozart_requests_started_total",
-            "Requests admitted and started (coalesced followers included)",
-            s.started,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_completed_total",
-            "Requests completed successfully",
-            s.completed,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_rejected_total",
-            "Requests rejected by admission control",
-            s.rejected,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_failed_total",
-            "Requests failed inside the pipeline",
-            s.failed,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_over_budget_total",
-            "Requests shed by session byte budgets",
-            s.over_budget,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_deadline_shed_total",
-            "Requests shed because their deadline passed",
-            s.deadline_shed,
-        );
-        render_counter(
-            &mut out,
-            "mozart_retries_total",
-            "Evaluation attempts re-run after a transient failure",
-            s.retries,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_coalesced_total",
-            "Requests served by piggybacking on another evaluation",
-            s.coalesced_requests,
-        );
-        render_counter(
-            &mut out,
-            "mozart_split_form_handoffs_total",
-            "Stage-boundary intermediates handed across in split form",
-            s.split_form_handoffs,
-        );
-        render_counter(
-            &mut out,
-            "mozart_deferred_outputs_total",
-            "Live but undemanded outputs left as held pieces instead of merged",
-            s.deferred_outputs,
-        );
-        render_counter(
-            &mut out,
-            "mozart_deferred_materialized_total",
-            "Deferred outputs merged on demand by a later read or in-place stage",
-            s.deferred_materialized,
-        );
-        render_counter(
-            &mut out,
-            "mozart_merge_targets_reused_total",
-            "Placement-merge targets written over a released one instead of allocated",
-            s.merge_targets_reused,
-        );
-        render_counter(
-            &mut out,
-            "mozart_merge_targets_allocated_total",
-            "Placement-merge targets freshly allocated",
-            s.merge_targets_allocated,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_slow_total",
-            "Requests that consumed at least 80% of their deadline",
-            s.slow,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_inflight",
-            "Requests currently evaluating",
-            s.inflight as u64,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_admission_waiting",
-            "Callers waiting for admission",
-            s.waiting as u64,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_coalesce_waiting",
-            "Followers parked in open coalesced batches",
-            s.coalesce_waiting as u64,
-        );
-        render_gauge(&mut out, "mozart_sessions", "Sessions opened", s.sessions);
-        render_gauge(
-            &mut out,
-            "mozart_draining",
-            "1 once drain() has been called",
-            u64::from(s.draining),
-        );
-        render_counter(
-            &mut out,
-            "mozart_plan_cache_hits_total",
-            "Evaluations replayed from a cached plan",
-            s.plan_cache.hits,
-        );
-        render_counter(
-            &mut out,
-            "mozart_plan_cache_misses_total",
-            "Evaluations planned from scratch",
-            s.plan_cache.misses,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_plan_cache_entries",
-            "Plans currently cached",
-            s.plan_cache.entries as u64,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_merge_targets_parked_bytes",
-            "Released merge targets parked in the plan cache for reuse (split info bytes)",
-            s.plan_cache.parked_bytes,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_pool_workers",
-            "Worker threads in the shared pool",
-            s.pool.workers as u64,
-        );
-        render_counter(
-            &mut out,
-            "mozart_pool_jobs_total",
-            "Stages dispatched to the shared pool",
-            s.pool.jobs,
-        );
-        render_counter(
-            &mut out,
-            "mozart_pool_panicked_batches_total",
-            "Batch runs that ended in a caught panic",
-            s.pool.panicked_batches,
-        );
-        render_counter(
-            &mut out,
-            "mozart_pool_respawned_workers_total",
-            "Pool workers respawned after dying",
-            s.pool.respawned_workers,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_admission_limit",
-            "Current (adaptive) concurrency limit",
-            s.admission_limit as u64,
-        );
-        render_counter(
-            &mut out,
-            "mozart_queue_shed_total",
-            "Waiters shed by the CoDel sojourn controller",
-            s.queue_shed,
-        );
-        render_counter(
-            &mut out,
-            "mozart_over_memory_total",
-            "Requests shed by the process memory ceiling",
-            s.over_memory,
-        );
-        render_counter(
-            &mut out,
-            "mozart_breaker_fastfail_total",
-            "Requests fast-failed by an open circuit breaker",
-            s.breaker_shed,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_memory_live_bytes",
-            "Live metered buffer bytes (process-wide)",
-            s.memory_live_bytes,
-        );
-        render_gauge(
-            &mut out,
-            "mozart_memory_ceiling_bytes",
-            "Process-wide memory ceiling (0 = unlimited)",
-            s.memory_ceiling_bytes,
-        );
+        for row in &STAT_TABLE {
+            let Some(name) = row.metric else { continue };
+            let render = match row.kind {
+                StatKind::Counter => render_counter,
+                StatKind::Gauge | StatKind::Flag => render_gauge,
+            };
+            render(&mut out, name, row.help, (row.get)(&s));
+        }
         let breakers = self.inner.breakers.snapshot();
         if !breakers.is_empty() {
             render_gauge_labeled(
@@ -1357,21 +1073,11 @@ impl PipelineService {
         ctx
     }
 
-    fn execute(
-        &self,
-        session: &Session,
-        pipeline: &str,
-        req: &Request,
-        wait: bool,
-    ) -> Result<Response> {
-        self.execute_traced(session, pipeline, req, wait).0
-    }
-
-    /// [`PipelineService::execute`], also minting and returning the
-    /// request's trace id when tracing is enabled. The outermost
-    /// [`SpanKind::Request`] span, the end-to-end histogram sample, and
-    /// the slow-request check all live here, wrapped around the whole
-    /// request lifetime (admission wait included).
+    /// Run one request end to end, minting and returning its trace id
+    /// when tracing is enabled. The outermost [`SpanKind::Request`]
+    /// span, the end-to-end histogram sample, and the slow-request
+    /// check all live here, wrapped around the whole request lifetime
+    /// (admission wait included).
     fn execute_traced(
         &self,
         session: &Session,
@@ -1382,7 +1088,7 @@ impl PipelineService {
         let inner = &self.inner;
         let obs = inner.obs.as_ref();
         let trace = obs.map_or(0, |o| o.recorder.mint());
-        let timer = obs.map(|o| o.span_start());
+        let timer = inner.span_start();
         // The request's deadline clock starts on arrival: an explicit
         // per-request deadline wins over the session's default.
         let deadline = req
@@ -1392,9 +1098,16 @@ impl PipelineService {
         // The AIMD controller needs e2e latency whether or not tracing
         // is on; one Instant pair is cheap enough to take always.
         let t0 = inner.aimd.as_ref().map(|_| Instant::now());
-        let result = self.execute_inner(session, pipeline, req, wait, deadline, trace);
-        if let (Some(o), Some(t)) = (obs, timer) {
-            let wall_ns = o.span_end(trace, SpanKind::Request, 0, 0, t);
+        let result = self.execute_inner(&Flight {
+            session,
+            pipeline,
+            req,
+            wait,
+            deadline,
+            trace,
+        });
+        let wall_ns = inner.span_end(timer, trace, SpanKind::Request, 0, 0);
+        if let (Some(o), Some(wall_ns)) = (obs, wall_ns) {
             o.e2e.record(wall_ns);
             let outcome = match &result {
                 Ok(_) => "ok",
@@ -1427,35 +1140,27 @@ impl PipelineService {
         (result, (trace != 0).then_some(trace))
     }
 
-    fn execute_inner(
-        &self,
-        session: &Session,
-        pipeline: &str,
-        req: &Request,
-        wait: bool,
-        deadline: Option<(Instant, u64)>,
-        trace: TraceId,
-    ) -> Result<Response> {
+    /// The lifecycle (module docs), stages 1–6, then the evaluating
+    /// request's stages 7–9 in [`PipelineService::run_batch`].
+    fn execute_inner(&self, rq: &Flight<'_>) -> Result<Response> {
         let inner = &self.inner;
-        let obs = inner.obs.as_ref();
         if inner.draining.load(Ordering::SeqCst) {
-            lock(&inner.counters).rejected += 1;
-            return Err(ServeError::Draining);
+            return Err(self.turn_away(ServeError::Draining, rq.trace));
         }
         let handler = read(&inner.pipelines)
-            .get(pipeline)
+            .get(rq.pipeline)
             .cloned()
-            .ok_or_else(|| ServeError::UnknownPipeline(pipeline.to_string()))?;
-        session.check_budget(inner)?;
+            .ok_or_else(|| ServeError::UnknownPipeline(rq.pipeline.to_string()))?;
+        rq.session.check_budget(inner)?;
 
         // Circuit breaker: a pipeline stuck in consecutive transient
         // failures fast-fails here — no admission permit, no pool time.
-        let breaker_pass = match inner.breakers.admit(pipeline) {
+        let breaker_pass = match inner.breakers.admit(rq.pipeline) {
             BreakerDecision::Proceed(pass) => pass,
             BreakerDecision::Reject => {
                 lock(&inner.counters).breaker_shed += 1;
                 return Err(ServeError::CircuitOpen {
-                    pipeline: pipeline.to_string(),
+                    pipeline: rq.pipeline.to_string(),
                 });
             }
         };
@@ -1463,7 +1168,7 @@ impl PipelineService {
         // Process memory ceiling: shed before admission when the
         // pipeline's estimated footprint (EWMA of its recent split +
         // merge byte traffic) does not fit under the global ceiling.
-        let estimated = inner.estimated_cost(pipeline);
+        let estimated = inner.estimated_cost(rq.pipeline);
         if membudget::would_exceed(estimated) {
             lock(&inner.counters).over_memory += 1;
             return Err(ServeError::OverMemory {
@@ -1473,219 +1178,269 @@ impl PipelineService {
             });
         }
 
-        // Cross-request coalescing: blocking requests whose coalesce
-        // keys match may share one evaluation. try_call requests never
-        // coalesce — joining a batch means waiting for its leader.
-        // Under memory pressure (live bytes ≥ ⅞ of the ceiling) the
-        // coalescer declines batch growth: a coalesced evaluation's
-        // concatenated inputs and outputs peak higher than any single
-        // member's, which is exactly the wrong shape near the ceiling.
-        if wait && inner.config.coalescing && !membudget::pressured() {
-            if let Some(key) = handler.coalesce_key(req) {
-                let key = (pipeline.to_string(), key);
-                // Join the open batch if one exists and has room.
-                let existing = lock(&inner.coalescer).get(&key).cloned();
-                if let Some(batch) = existing {
-                    if let Some(result) = self.join_batch(session, &batch, req, deadline, trace) {
-                        return result;
-                    }
-                    // Sealed or full: serve this request on its own
-                    // below rather than spinning on the next batch.
-                } else {
-                    // Publish a fresh batch and lead it; on an insert
-                    // race the other leader won and this request is
-                    // served on its own.
-                    let batch = Arc::new(CoalesceBatch::new(req.clone(), trace));
-                    let inserted = {
-                        let mut map = lock(&inner.coalescer);
-                        match map.entry(key.clone()) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(batch.clone());
-                                true
-                            }
-                            std::collections::hash_map::Entry::Occupied(_) => false,
-                        }
-                    };
-                    if inserted {
-                        return self.lead_batch(
-                            session,
-                            &*handler,
-                            key,
-                            batch,
-                            deadline,
-                            trace,
-                            breaker_pass,
-                        );
-                    }
-                }
-            }
-        }
+        let published = match self.coalesce_role(&*handler, rq) {
+            // A follower leaves its breaker pass untouched (neutral on
+            // drop): the leader is the one request that evaluates, so it
+            // alone reports on the pipeline's health.
+            Role::Follow(batch) => match self.follow(rq, &batch) {
+                Some(result) => return result,
+                // Sealed or full: serve this request on its own rather
+                // than spinning on the next batch.
+                None => None,
+            },
+            Role::Lead(guard) => Some(guard),
+            Role::Solo => None,
+        };
+        self.run_batch(rq, &*handler, breaker_pass, published)
+    }
 
-        // Plain single-request path.
-        let qt = obs.map(|o| o.span_start());
-        let permit = if wait {
-            inner.admission.acquire_deadline(deadline)
+    /// Stage 6 — cross-request coalescing: blocking requests whose
+    /// coalesce keys match may share one evaluation. `try_call`
+    /// requests never coalesce — joining a batch means waiting for its
+    /// leader. Under memory pressure (live bytes ≥ ⅞ of the ceiling)
+    /// the coalescer declines batch growth: a coalesced evaluation's
+    /// concatenated inputs and outputs peak higher than any single
+    /// member's, which is exactly the wrong shape near the ceiling.
+    fn coalesce_role(&self, handler: &dyn Pipeline, rq: &Flight<'_>) -> Role<'_> {
+        let inner = &self.inner;
+        if !rq.wait || !inner.config.coalescing || membudget::pressured() {
+            return Role::Solo;
+        }
+        let Some(key) = handler.coalesce_key(rq.req) else {
+            return Role::Solo;
+        };
+        let key = (rq.pipeline.to_string(), key);
+        let mut open = lock(&inner.coalescer);
+        if let Some(batch) = open.get(&key) {
+            return Role::Follow(batch.clone());
+        }
+        let batch = Arc::new(CoalesceBatch::new(rq.req.clone(), rq.trace));
+        open.insert(key.clone(), batch.clone());
+        Role::Lead(CoalesceGuard {
+            inner,
+            key,
+            batch,
+            finished: false,
+        })
+    }
+
+    /// Count a request no stage admitted — shed by its deadline (marked
+    /// on its trace) or rejected by admission — and hand the error back.
+    fn turn_away(&self, e: ServeError, trace: TraceId) -> ServeError {
+        let inner = &self.inner;
+        if let ServeError::DeadlineExceeded { deadline_ms } = e {
+            lock(&inner.counters).deadline_shed += 1;
+            inner.mark(trace, SpanKind::DeadlineShed, 0, deadline_ms);
+        } else {
+            lock(&inner.counters).rejected += 1;
+        }
+        e
+    }
+
+    /// Stage 7 — take an admission slot, queueing for it (`call`) or
+    /// not (`try_call`), and count the request started.
+    fn admit(&self, rq: &Flight<'_>) -> Result<AdmissionPermit<'_>> {
+        let inner = &self.inner;
+        let qt = inner.span_start();
+        let permit = if rq.wait {
+            inner.admission.acquire_deadline(rq.deadline)
         } else {
             inner.admission.try_acquire()
         };
-        if let (Some(o), Some(t)) = (obs, qt) {
-            let wall_ns = o.span_end(trace, SpanKind::QueueWait, 0, 0, t);
+        let wall_ns = inner.span_end(qt, rq.trace, SpanKind::QueueWait, 0, 0);
+        if let (Some(o), Some(wall_ns)) = (&inner.obs, wall_ns) {
             o.admission_wait.record(wall_ns);
         }
-        let _permit = match permit {
-            Ok(p) => p,
-            Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                lock(&inner.counters).deadline_shed += 1;
-                if let Some(o) = obs {
-                    o.mark(
-                        trace,
-                        SpanKind::DeadlineShed,
-                        0,
-                        deadline.map_or(0, |(_, ms)| ms),
-                    );
-                }
-                return Err(e);
-            }
+        let permit = permit.map_err(|e| self.turn_away(e, rq.trace))?;
+        lock(&inner.counters).started += 1;
+        rq.session.requests.fetch_add(1, Ordering::Relaxed);
+        Ok(permit)
+    }
+
+    /// Stages 7–9 for the request that evaluates. `published` is the
+    /// batch it leads; `None` is a batch of one the coalescer never
+    /// saw. The request carries the batch's breaker pass.
+    fn run_batch(
+        &self,
+        rq: &Flight<'_>,
+        handler: &dyn Pipeline,
+        breaker_pass: BreakerPass<'_>,
+        published: Option<CoalesceGuard<'_>>,
+    ) -> Result<Response> {
+        // Followers join while this blocks — the window where the
+        // service is busy is exactly the window coalescing pays off.
+        let _permit = match self.admit(rq) {
+            Ok(permit) => permit,
             Err(e) => {
-                lock(&inner.counters).rejected += 1;
+                if let Some(guard) = published {
+                    guard.finish(Err(e.clone()));
+                }
                 return Err(e);
             }
         };
-        {
-            let mut c = lock(&inner.counters);
-            c.started += 1;
-        }
-        session.requests.fetch_add(1, Ordering::Relaxed);
+        let sealed;
+        let reqs = match &published {
+            Some(guard) => {
+                sealed = guard.seal();
+                &sealed[..]
+            }
+            None => std::slice::from_ref(rq.req),
+        };
+        let mut spent = PhaseStats::default();
+        let results = self.eval_batch(rq, handler, reqs, &mut spent);
 
-        let (result, bytes) = self.run_attempts(session, &*handler, req, deadline, trace);
-        inner.note_cost(pipeline, bytes);
-        session.bytes_used.fetch_add(bytes, Ordering::Relaxed);
+        // The byte cost (failed work included) splits evenly across the
+        // members: it must not land on the leader's budget alone.
+        let share = spent.bytes_split.saturating_add(spent.bytes_merged) / reqs.len() as u64;
+        self.inner.note_cost(rq.pipeline, share);
+        let own = results.first().cloned().unwrap_or_else(|| Err(aborted()));
+        // Only post-retry transient failures move the breaker;
+        // deterministic errors say nothing about health.
+        match &own {
+            Ok(_) => breaker_pass.success(),
+            Err(e) if e.is_transient() => breaker_pass.failure(),
+            Err(_) => breaker_pass.neutral(),
+        }
+        self.settle(rq.session, &own, share, Some(&spent));
+        if let Some(guard) = published {
+            guard.finish(Ok((results, share)));
+        }
+        own
+    }
+
+    /// Stage 9 — close the books on a request that was evaluated, by
+    /// itself or by its leader: charge its byte share to the session
+    /// and count the outcome. `spent` is what the request's own
+    /// attempts cost the engine; a follower has none and is counted
+    /// started here, having never taken a slot of its own.
+    fn settle(
+        &self,
+        session: &Session,
+        result: &Result<Response>,
+        share: u64,
+        spent: Option<&PhaseStats>,
+    ) {
+        session.bytes_used.fetch_add(share, Ordering::Relaxed);
+        let mut c = lock(&self.inner.counters);
+        match spent {
+            Some(spent) => c.engine.accumulate(spent),
+            None => {
+                session.requests.fetch_add(1, Ordering::Relaxed);
+                c.started += 1;
+                c.coalesced_requests += 1;
+            }
+        }
         match result {
-            Ok(resp) => {
-                breaker_pass.success();
-                lock(&inner.counters).completed += 1;
-                Ok(resp)
-            }
-            Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                lock(&inner.counters).deadline_shed += 1;
-                Err(e)
-            }
-            Err(e) => {
-                // Only post-retry transient failures move the breaker;
-                // deterministic errors say nothing about health and
-                // fall through to the pass's neutral drop.
-                if e.is_transient() {
-                    breaker_pass.failure();
-                }
-                lock(&inner.counters).failed += 1;
-                Err(e)
-            }
+            Ok(_) => c.completed += 1,
+            Err(ServeError::DeadlineExceeded { .. }) => c.deadline_shed += 1,
+            Err(_) => c.failed += 1,
         }
     }
 
-    /// Evaluate one request under an already-held admission permit,
-    /// retrying transient failures (caught panics, injected faults) up
-    /// to [`ServiceConfig::max_retries`] times with jittered backoff.
-    /// Each attempt gets a fresh context — a panicked evaluation
-    /// poisons its context — carrying a deadline cancel token, so an
-    /// expired request stops claiming batches instead of running to
-    /// completion. Returns the final result plus the bytes split +
-    /// merged across *all* attempts (failed work still cost the
-    /// machine; the session's budget sees it).
-    fn run_attempts(
+    /// Stage 8 — evaluate under the held admission slot, retrying
+    /// transient failures (caught panics, injected faults) up to
+    /// [`ServiceConfig::max_retries`] times with jittered backoff.
+    /// `eval` is the evaluation: one request's pipeline, or a batch's
+    /// shared segment. Each attempt gets a fresh context — a panicked
+    /// evaluation poisons its context — carrying a deadline cancel
+    /// token, so an expired request stops claiming batches instead of
+    /// running to completion. Every attempt's phase stats land in
+    /// `spent`: failed work still cost the machine, and the session's
+    /// budget sees it.
+    fn attempts<T>(
         &self,
-        session: &Session,
-        handler: &dyn Pipeline,
-        req: &Request,
-        deadline: Option<(Instant, u64)>,
-        trace: TraceId,
-    ) -> (Result<Response>, u64) {
+        rq: &Flight<'_>,
+        spent: &mut PhaseStats,
+        mut eval: impl FnMut(&MozartContext) -> mozart_core::Result<T>,
+    ) -> Result<T> {
         let inner = &self.inner;
-        let obs = inner.obs.as_ref();
-        let mut bytes = 0u64;
+        let expired = |attempt: u32| {
+            let deadline_ms = rq.deadline.map_or(0, |(_, ms)| ms);
+            let arg = u64::from(attempt);
+            inner.mark(rq.trace, SpanKind::DeadlineShed, arg, deadline_ms);
+            ServeError::DeadlineExceeded { deadline_ms }
+        };
         let mut attempt: u32 = 0;
         // Cause of the previous attempt's failure, carried in the next
         // Attempt span's link field.
         let mut prev_cause = RetryCause::None;
         loop {
-            if let Some((d, ms)) = deadline {
-                if Instant::now() >= d {
-                    if let Some(o) = obs {
-                        o.mark(trace, SpanKind::DeadlineShed, u64::from(attempt), ms);
-                    }
-                    return (Err(ServeError::DeadlineExceeded { deadline_ms: ms }), bytes);
-                }
+            if rq.deadline.is_some_and(|(d, _)| Instant::now() >= d) {
+                return Err(expired(attempt));
             }
-            let at = obs.map(|o| o.span_start());
-            let ctx = self.request_context(session);
-            if trace != 0 {
-                ctx.set_trace_id(trace);
+            let at = inner.span_start();
+            let ctx = self.request_context(rq.session);
+            if rq.trace != 0 {
+                ctx.set_trace_id(rq.trace);
             }
-            if let Some((d, _)) = deadline {
+            if let Some((d, _)) = rq.deadline {
                 ctx.set_cancel_token(CancelToken::with_deadline(d));
             }
-            let result = handler.run(&ctx, req);
+            let result = eval(&ctx);
             let stats = ctx.stats();
-            if let (Some(o), Some(t)) = (obs, at) {
-                o.span_end(
-                    trace,
-                    SpanKind::Attempt,
-                    u64::from(attempt),
-                    prev_cause as u64,
-                    t,
-                );
+            let (arg, link) = (u64::from(attempt), prev_cause as u64);
+            inner.span_end(at, rq.trace, SpanKind::Attempt, arg, link);
+            if let Some(o) = &inner.obs {
                 o.record_phases(&stats);
             }
-            bytes = bytes.saturating_add(stats.bytes_split.saturating_add(stats.bytes_merged));
-            self.note_merge_outputs(&stats);
-            match result {
-                Ok(resp) => return (Ok(resp), bytes),
-                Err(mozart_core::Error::Cancelled(_)) => {
-                    // Cooperative abandonment: the deadline token fired
-                    // mid-evaluation. Never retried.
-                    let ms = deadline.map_or(0, |(_, ms)| ms);
-                    if let Some(o) = obs {
-                        o.mark(trace, SpanKind::DeadlineShed, u64::from(attempt), ms);
-                    }
-                    return (Err(ServeError::DeadlineExceeded { deadline_ms: ms }), bytes);
-                }
-                Err(e) => {
-                    let e = ServeError::Runtime(e);
-                    if !e.is_transient() || attempt >= inner.config.max_retries {
-                        return (Err(e), bytes);
-                    }
-                    prev_cause = retry_cause(&e);
-                    attempt += 1;
-                    lock(&inner.counters).retries += 1;
-                    let bt = obs.map(|o| o.span_start());
-                    self.backoff(session.id, attempt, deadline);
-                    if let (Some(o), Some(t)) = (obs, bt) {
-                        o.span_end(trace, SpanKind::Backoff, u64::from(attempt), 0, t);
-                    }
-                }
+            spent.accumulate(&stats);
+            let e = match result {
+                Ok(value) => return Ok(value),
+                // Cooperative abandonment: the deadline token fired
+                // mid-evaluation. Never retried.
+                Err(mozart_core::Error::Cancelled(_)) => return Err(expired(attempt)),
+                Err(e) => ServeError::Runtime(e),
+            };
+            if !e.is_transient() || attempt >= inner.config.max_retries {
+                return Err(e);
             }
+            prev_cause = retry_cause(&e);
+            attempt += 1;
+            lock(&inner.counters).retries += 1;
+            let bt = inner.span_start();
+            self.backoff(rq.session.id, attempt, rq.deadline);
+            inner.span_end(bt, rq.trace, SpanKind::Backoff, u64::from(attempt), 0);
         }
     }
 
-    /// Fold one attempt's merge-output counters (split-form hand-offs,
-    /// deferred outputs, placement targets reused or allocated) into
-    /// the service totals.
-    fn note_merge_outputs(&self, stats: &PhaseStats) {
-        let (handoffs, deferred, materialized, reused, allocated) = (
-            stats.split_form_handoffs,
-            stats.deferred_outputs,
-            stats.deferred_materialized,
-            stats.merge_targets_reused,
-            stats.merge_targets_allocated,
-        );
-        if handoffs + deferred + materialized + reused + allocated > 0 {
-            let mut c = lock(&self.inner.counters);
-            c.split_form_handoffs += handoffs;
-            c.deferred_outputs += deferred;
-            c.deferred_materialized += materialized;
-            c.merge_targets_reused += reused;
-            c.merge_targets_allocated += allocated;
+    /// Evaluate an admitted batch's member requests: several members
+    /// as **one** coalesced pipeline when the pipeline can, **degrading**
+    /// to per-member evaluation (each with its own retry budget, all
+    /// under the one admission slot) when it declines or the shared
+    /// evaluation keeps failing transiently — one fault must not
+    /// condemn the whole batch. Deterministic errors fail every member
+    /// identically. Returns per-member results in `reqs` order.
+    fn eval_batch(
+        &self,
+        rq: &Flight<'_>,
+        handler: &dyn Pipeline,
+        reqs: &[Request],
+        spent: &mut PhaseStats,
+    ) -> Vec<Result<Response>> {
+        if reqs.len() > 1 {
+            let shared = self.attempts(rq, spent, |ctx| coalesce_segments(ctx, handler, reqs));
+            let all = |e: ServeError| vec![Err(e); reqs.len()];
+            match shared {
+                Ok(Some(resps)) if resps.len() == reqs.len() => {
+                    return resps.into_iter().map(Ok).collect();
+                }
+                Ok(Some(resps)) => {
+                    return all(ServeError::Runtime(mozart_core::Error::Library(format!(
+                        "coalesced evaluation returned {} responses for {} requests",
+                        resps.len(),
+                        reqs.len()
+                    ))));
+                }
+                // Declined, or out of retries on a transient failure:
+                // isolate the fault per member.
+                Ok(None) => {}
+                Err(e) if e.is_transient() => {}
+                Err(e) => return all(e),
+            }
         }
+        reqs.iter()
+            .map(|req| self.attempts(rq, spent, |ctx| handler.run(ctx, req)))
+            .collect()
     }
 
     /// Jittered exponential backoff before retry `attempt`, clamped to
@@ -1732,60 +1487,43 @@ impl PipelineService {
         }
     }
 
-    /// Wait on a forming batch as a follower. Returns `None` if the
-    /// batch cannot be joined (sealed by its leader or at capacity).
-    /// A follower whose deadline passes while parked sheds itself with
-    /// [`ServeError::DeadlineExceeded`] without disturbing the batch
-    /// (its slot in the member list stays — indices into the leader's
-    /// per-member results must remain stable — it just goes unclaimed).
-    fn join_batch(
-        &self,
-        session: &Session,
-        batch: &Arc<CoalesceBatch>,
-        req: &Request,
-        deadline: Option<(Instant, u64)>,
-        trace: TraceId,
-    ) -> Option<Result<Response>> {
+    /// Stage 6, the follower's side: park on a forming batch until its
+    /// leader resolves it, then settle this member's result. Returns
+    /// `None` if the batch cannot be joined (sealed by its leader or at
+    /// capacity). A follower whose deadline passes while parked sheds
+    /// itself with [`ServeError::DeadlineExceeded`] without disturbing
+    /// the batch (its slot in the member list stays — indices into the
+    /// leader's per-member results must remain stable — it just goes
+    /// unclaimed).
+    fn follow(&self, rq: &Flight<'_>, batch: &CoalesceBatch) -> Option<Result<Response>> {
         let inner = &self.inner;
-        let obs = inner.obs.as_ref();
         let mut st = lock(&batch.state);
         if st.sealed || st.reqs.len() >= MAX_COALESCE {
             return None;
         }
-        if let Some((d, ms)) = deadline {
+        let shed = |ms| self.turn_away(ServeError::DeadlineExceeded { deadline_ms: ms }, rq.trace);
+        if let Some((d, ms)) = rq.deadline {
             if Instant::now() >= d {
-                lock(&inner.counters).deadline_shed += 1;
-                if let Some(o) = obs {
-                    o.mark(trace, SpanKind::DeadlineShed, 0, ms);
-                }
-                return Some(Err(ServeError::DeadlineExceeded { deadline_ms: ms }));
+                drop(st);
+                return Some(Err(shed(ms)));
             }
         }
         let idx = st.reqs.len();
-        st.reqs.push(req.clone());
+        st.reqs.push(rq.req.clone());
         // The follower's wait on its leader, linked to the leader's
         // trace — the span that ties this request's tree to the
         // evaluation that actually served it.
-        let wt = obs.map(|o| o.span_start());
+        let (wt, arg, link) = (inner.span_start(), idx as u64, batch.leader_trace);
+        let waited = || inner.span_end(wt, rq.trace, SpanKind::CoalesceWait, arg, link);
         while st.outcome.is_none() {
-            match deadline {
+            match rq.deadline {
                 None => st = batch.cv.wait(st).unwrap_or_else(|p| p.into_inner()),
                 Some((d, ms)) => {
                     let now = Instant::now();
                     if now >= d {
                         drop(st);
-                        lock(&inner.counters).deadline_shed += 1;
-                        if let (Some(o), Some(t)) = (obs, wt) {
-                            o.span_end(
-                                trace,
-                                SpanKind::CoalesceWait,
-                                idx as u64,
-                                batch.leader_trace,
-                                t,
-                            );
-                            o.mark(trace, SpanKind::DeadlineShed, 0, ms);
-                        }
-                        return Some(Err(ServeError::DeadlineExceeded { deadline_ms: ms }));
+                        waited();
+                        return Some(Err(shed(ms)));
                     }
                     st = batch
                         .cv
@@ -1795,311 +1533,86 @@ impl PipelineService {
                 }
             }
         }
-        if let (Some(o), Some(t)) = (obs, wt) {
-            o.span_end(
-                trace,
-                SpanKind::CoalesceWait,
-                idx as u64,
-                batch.leader_trace,
-                t,
-            );
-        }
-        let members = st.reqs.len() as u64;
-        let Some(outcome) = st.outcome.as_ref() else {
-            // Unreachable (the wait loop exits only once set); typed
-            // rather than panicking so a bug here fails one request.
-            return Some(Err(ServeError::Runtime(mozart_core::Error::Library(
-                "coalesced batch resolved without an outcome".into(),
-            ))));
+        waited();
+        let (own, share) = match &st.outcome {
+            // The batch never got an admission slot; the follower
+            // would have queued behind the same full (or closed) line,
+            // or died with the leader's deadline.
+            Some(Err(e)) => {
+                let e = e.clone();
+                drop(st);
+                return Some(Err(self.turn_away(e, rq.trace)));
+            }
+            Some(Ok((results, share))) => (results.get(idx).cloned(), *share),
+            None => (None, 0),
         };
-        Some(match outcome {
-            Ok((results, bytes)) => {
-                {
-                    let mut c = lock(&inner.counters);
-                    c.started += 1;
-                    c.coalesced += 1;
-                }
-                session.requests.fetch_add(1, Ordering::Relaxed);
-                session
-                    .bytes_used
-                    .fetch_add(bytes / members.max(1), Ordering::Relaxed);
-                let own = results.get(idx).cloned().unwrap_or_else(|| {
-                    Err(ServeError::Runtime(mozart_core::Error::Library(
-                        "coalesced batch outcome is missing this member's slot".into(),
-                    )))
-                });
-                {
-                    let mut c = lock(&inner.counters);
-                    match &own {
-                        Ok(_) => c.completed += 1,
-                        Err(ServeError::DeadlineExceeded { .. }) => c.deadline_shed += 1,
-                        Err(_) => c.failed += 1,
-                    }
-                }
-                own
-            }
-            Err(e @ (ServeError::Saturated { .. } | ServeError::Draining)) => {
-                // The batch never got an admission slot; the follower
-                // would have queued behind the same full (or closed)
-                // line.
-                lock(&inner.counters).rejected += 1;
-                Err(e.clone())
-            }
-            Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                // The leader's deadline expired before admission; the
-                // batch died with it.
-                lock(&inner.counters).deadline_shed += 1;
-                Err(e.clone())
-            }
-            Err(e) => {
-                {
-                    let mut c = lock(&inner.counters);
-                    c.started += 1;
-                    c.failed += 1;
-                }
-                session.requests.fetch_add(1, Ordering::Relaxed);
-                Err(e.clone())
-            }
-        })
+        drop(st);
+        let own = own.unwrap_or_else(|| Err(aborted()));
+        self.settle(rq.session, &own, share, None);
+        Some(own)
     }
+}
 
-    /// Acquire admission for a published batch, evaluate every member
-    /// request (as one coalesced pipeline when possible), and
-    /// distribute the per-member results. The leader carries the
-    /// batch's breaker pass: it is the one request that actually
-    /// evaluates, so it reports the pipeline-health outcome (followers
-    /// stay breaker-neutral).
-    #[allow(clippy::too_many_arguments)]
-    fn lead_batch(
-        &self,
-        session: &Session,
-        handler: &dyn Pipeline,
-        key: (String, u64),
-        batch: Arc<CoalesceBatch>,
-        deadline: Option<(Instant, u64)>,
-        trace: TraceId,
-        breaker_pass: BreakerPass<'_>,
-    ) -> Result<Response> {
-        let inner = &self.inner;
-        let obs = inner.obs.as_ref();
-        let guard = CoalesceGuard {
-            inner,
-            key,
-            batch,
-            finished: false,
-        };
-        // Followers join while this blocks — the window where the
-        // service is busy is exactly the window coalescing pays off.
-        let qt = obs.map(|o| o.span_start());
-        let permit = match inner.admission.acquire_deadline(deadline) {
-            Ok(p) => p,
-            Err(e) => {
-                if let (Some(o), Some(t)) = (obs, qt) {
-                    let wall_ns = o.span_end(trace, SpanKind::QueueWait, 0, 0, t);
-                    o.admission_wait.record(wall_ns);
-                }
-                if matches!(e, ServeError::DeadlineExceeded { .. }) {
-                    lock(&inner.counters).deadline_shed += 1;
-                    if let Some(o) = obs {
-                        o.mark(
-                            trace,
-                            SpanKind::DeadlineShed,
-                            0,
-                            deadline.map_or(0, |(_, ms)| ms),
-                        );
-                    }
-                } else {
-                    lock(&inner.counters).rejected += 1;
-                }
-                guard.finish(Err(e.clone()));
-                return Err(e);
-            }
-        };
-        if let (Some(o), Some(t)) = (obs, qt) {
-            let wall_ns = o.span_end(trace, SpanKind::QueueWait, 0, 0, t);
-            o.admission_wait.record(wall_ns);
-        }
-        let reqs = guard.seal();
-        lock(&inner.counters).started += 1;
-        session.requests.fetch_add(1, Ordering::Relaxed);
+/// What a member of a batch reports when the batch resolved without a
+/// result for it: its leader unwound mid-evaluation. Typed rather than
+/// a panic so a bug here fails one request.
+fn aborted() -> ServeError {
+    ServeError::Runtime(mozart_core::Error::Library(
+        "coalesced evaluation aborted by its leader".into(),
+    ))
+}
 
-        let (results, bytes) = self.eval_batch(session, handler, &reqs, deadline, trace);
-        drop(permit);
+/// What every lifecycle stage needs to know about the request in hand.
+struct Flight<'a> {
+    session: &'a Session,
+    pipeline: &'a str,
+    req: &'a Request,
+    /// `call` waits for admission and may coalesce; `try_call` does
+    /// neither.
+    wait: bool,
+    /// The instant the request expires, and the allowance in
+    /// milliseconds that put it there.
+    deadline: Option<(Instant, u64)>,
+    /// 0 when tracing is off.
+    trace: TraceId,
+}
 
-        // The batch's byte cost splits evenly across members (failed
-        // work included): it must not land on the leader's budget alone.
-        inner.note_cost(&guard.key.0, bytes / reqs.len() as u64);
-        session
-            .bytes_used
-            .fetch_add(bytes / reqs.len() as u64, Ordering::Relaxed);
-        let own = results.first().cloned().unwrap_or_else(|| {
-            Err(ServeError::Runtime(mozart_core::Error::Library(
-                "coalesced batch produced no leader result".into(),
-            )))
-        });
-        match &own {
-            Ok(_) => breaker_pass.success(),
-            Err(e) if e.is_transient() => breaker_pass.failure(),
-            Err(_) => breaker_pass.neutral(),
-        }
-        {
-            let mut c = lock(&inner.counters);
-            match &own {
-                Ok(_) => c.completed += 1,
-                Err(ServeError::DeadlineExceeded { .. }) => c.deadline_shed += 1,
-                Err(_) => c.failed += 1,
-            }
-        }
-        guard.finish(Ok((results, bytes)));
-        own
-    }
-
-    /// Evaluate a sealed batch's member requests, retrying transient
-    /// failures of the shared evaluation and **degrading** to
-    /// per-member individual evaluation (each with its own retry
-    /// budget, all under the leader's one admission slot) when the
-    /// shared evaluation keeps failing transiently or the pipeline
-    /// declines to coalesce — one fault must not condemn the whole
-    /// batch. Deterministic errors fail every member identically.
-    /// Returns per-member results in `reqs` order plus the total byte
-    /// cost of all attempts.
-    fn eval_batch(
-        &self,
-        session: &Session,
-        handler: &dyn Pipeline,
-        reqs: &[Request],
-        deadline: Option<(Instant, u64)>,
-        trace: TraceId,
-    ) -> (Vec<Result<Response>>, u64) {
-        let inner = &self.inner;
-        let obs = inner.obs.as_ref();
-        if reqs.len() == 1 {
-            let (r, b) = self.run_attempts(session, handler, &reqs[0], deadline, trace);
-            return (vec![r], b);
-        }
-        let mut bytes = 0u64;
-        let mut attempt: u32 = 0;
-        let mut prev_cause = RetryCause::None;
-        loop {
-            if let Some((d, ms)) = deadline {
-                if Instant::now() >= d {
-                    if let Some(o) = obs {
-                        o.mark(trace, SpanKind::DeadlineShed, u64::from(attempt), ms);
-                    }
-                    let e = ServeError::DeadlineExceeded { deadline_ms: ms };
-                    return (vec![Err(e); reqs.len()], bytes);
-                }
-            }
-            let at = obs.map(|o| o.span_start());
-            let ctx = self.request_context(session);
-            if trace != 0 {
-                ctx.set_trace_id(trace);
-            }
-            if let Some((d, _)) = deadline {
-                ctx.set_cancel_token(CancelToken::with_deadline(d));
-            }
-            let result = coalesce_segments(&ctx, handler, reqs);
-            let stats = ctx.stats();
-            if let (Some(o), Some(t)) = (obs, at) {
-                o.span_end(
-                    trace,
-                    SpanKind::Attempt,
-                    u64::from(attempt),
-                    prev_cause as u64,
-                    t,
-                );
-                o.record_phases(&stats);
-            }
-            bytes = bytes.saturating_add(stats.bytes_split.saturating_add(stats.bytes_merged));
-            self.note_merge_outputs(&stats);
-            match result {
-                // The pipeline declined (no segment support, a missing
-                // Concat capability, or the size bound): per-member
-                // evaluation below.
-                None => break,
-                Some(Ok(resps)) if resps.len() == reqs.len() => {
-                    return (resps.into_iter().map(Ok).collect(), bytes);
-                }
-                Some(Ok(resps)) => {
-                    let e = ServeError::Runtime(mozart_core::Error::Library(format!(
-                        "coalesced evaluation returned {} responses for {} requests",
-                        resps.len(),
-                        reqs.len()
-                    )));
-                    return (vec![Err(e); reqs.len()], bytes);
-                }
-                Some(Err(mozart_core::Error::Cancelled(_))) => {
-                    let ms = deadline.map_or(0, |(_, ms)| ms);
-                    if let Some(o) = obs {
-                        o.mark(trace, SpanKind::DeadlineShed, u64::from(attempt), ms);
-                    }
-                    let e = ServeError::DeadlineExceeded { deadline_ms: ms };
-                    return (vec![Err(e); reqs.len()], bytes);
-                }
-                Some(Err(e)) => {
-                    let e = ServeError::Runtime(e);
-                    if !e.is_transient() {
-                        return (vec![Err(e); reqs.len()], bytes);
-                    }
-                    if attempt >= inner.config.max_retries {
-                        break; // degrade: isolate the fault per member
-                    }
-                    prev_cause = retry_cause(&e);
-                    attempt += 1;
-                    lock(&inner.counters).retries += 1;
-                    let bt = obs.map(|o| o.span_start());
-                    self.backoff(session.id, attempt, deadline);
-                    if let (Some(o), Some(t)) = (obs, bt) {
-                        o.span_end(trace, SpanKind::Backoff, u64::from(attempt), 0, t);
-                    }
-                }
-            }
-        }
-        let mut results = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let (r, b) = self.run_attempts(session, handler, req, deadline, trace);
-            bytes = bytes.saturating_add(b);
-            results.push(r);
-        }
-        (results, bytes)
-    }
+/// A request's part in cross-request coalescing (lifecycle stage 6).
+enum Role<'a> {
+    /// Evaluate alone, unpublished.
+    Solo,
+    /// Evaluate the batch this request just published.
+    Lead(CoalesceGuard<'a>),
+    /// Wait on another request's open batch.
+    Follow(Arc<CoalesceBatch>),
 }
 
 /// The generic cross-request coalescer: evaluate several key-identical
 /// requests as **one** pipeline over split-layer-concatenated inputs
 /// and slice the outputs back per request.
 ///
-/// Returns `None` to decline — the pipeline exposes no segments, an
+/// Returns `Ok(None)` to decline — the pipeline exposes no segments, an
 /// input's split type exposes no [`Concat`] capability, or the combined
 /// element total exceeds the leader's bound — in which case the caller
-/// evaluates the members individually. `Some(Err(..))` fails the whole
-/// batch (every member sees the error, exactly like a failing shared
+/// evaluates the members individually. `Err(..)` fails the whole batch
+/// (every member sees the error, exactly like a failing shared
 /// evaluation).
 fn coalesce_segments(
     ctx: &MozartContext,
     handler: &dyn Pipeline,
     reqs: &[Request],
-) -> Option<mozart_core::Result<Vec<Response>>> {
+) -> mozart_core::Result<Option<Vec<Response>>> {
     let mut segments = Vec::with_capacity(reqs.len());
     for req in reqs {
-        match handler.segment(req)? {
-            Ok(s) => segments.push(s),
+        match handler.segment(req) {
+            None => return Ok(None),
             // Joining is gated on a parseable coalesce key, so a
             // member whose segment fails to build indicates a true
             // evaluation-input failure; it fails the batch like any
             // shared-evaluation error.
-            Err(e) => return Some(Err(e)),
+            Some(segment) => segments.push(segment?),
         }
     }
-    coalesce_built_segments(ctx, segments).transpose()
-}
-
-/// The fallible core of [`coalesce_segments`], once every member's
-/// segment exists. `Ok(None)` means "decline".
-fn coalesce_built_segments(
-    ctx: &MozartContext,
-    segments: Vec<Segment>,
-) -> mozart_core::Result<Option<Vec<Response>>> {
     let structural = |msg: String| mozart_core::Error::Library(format!("coalescing: {msg}"));
     let arity = segments[0].inputs.len();
     let out_arity = segments[0].outputs.len();
@@ -2201,11 +1714,7 @@ pub struct ServiceBuilder {
     /// without clobbering values the operator set.
     max_inflight: Option<usize>,
     queue_depth: Option<usize>,
-    /// Explicit adaptive-limit override; `None` derives it: adaptive
-    /// unless the operator pinned `max_inflight` (the static ablation).
-    adaptive_limit: Option<bool>,
     session_config: Option<Config>,
-    pool: Option<PoolHandle>,
     pipelines: Vec<Arc<dyn Pipeline>>,
 }
 
@@ -2218,38 +1727,13 @@ impl ServiceBuilder {
         self
     }
 
-    /// Concurrent evaluations admitted. Pinning this explicitly also
-    /// selects the **static** limit (the measured ablation) unless
-    /// [`ServiceBuilder::adaptive_limit`] re-enables the controller —
-    /// an operator who states a number usually means it.
+    /// Concurrent evaluations admitted, as a **static** limit: pinning
+    /// it turns off the adaptive AIMD limiter and the CoDel queue
+    /// shedding that an unpinned service runs (see
+    /// [`ServiceConfig::max_inflight`]) — an operator who states a
+    /// number usually means it.
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.max_inflight = Some(n.max(1));
-        self
-    }
-
-    /// Force the adaptive AIMD concurrency limiter on or off (see
-    /// [`ServiceConfig::adaptive_limit`]). Without this call the
-    /// limiter is on exactly when `max_inflight` was *not* pinned.
-    pub fn adaptive_limit(mut self, on: bool) -> Self {
-        self.adaptive_limit = Some(on);
-        self
-    }
-
-    /// Explicit AIMD latency target in milliseconds (0 = seed from the
-    /// measured latency distribution; see
-    /// [`ServiceConfig::aimd_target_ms`]).
-    pub fn aimd_target_ms(mut self, ms: u64) -> Self {
-        self.config.aimd_target_ms = ms;
-        self
-    }
-
-    /// CoDel queue-sojourn parameters: acceptable standing queue wait
-    /// and the persistence interval before the first head shed (see
-    /// [`ServeError::QueueShed`]). Active only with the adaptive
-    /// limiter.
-    pub fn codel_ms(mut self, target_ms: u64, interval_ms: u64) -> Self {
-        self.config.codel_target_ms = target_ms;
-        self.config.codel_interval_ms = interval_ms;
         self
     }
 
@@ -2275,12 +1759,6 @@ impl ServiceBuilder {
     /// Waiters allowed beyond `max_inflight` before `Saturated`.
     pub fn queue_depth(mut self, n: usize) -> Self {
         self.queue_depth = Some(n);
-        self
-    }
-
-    /// Plans the shared cache retains.
-    pub fn plan_cache_capacity(mut self, n: usize) -> Self {
-        self.config.plan_cache_capacity = n.max(1);
         self
     }
 
@@ -2321,13 +1799,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enable or disable deficit-weighted session scheduling on the
-    /// shared pool (on by default; `false` is the FIFO ablation).
-    pub fn fair_scheduling(mut self, on: bool) -> Self {
-        self.config.fair_scheduling = on;
-        self
-    }
-
     /// Enable end-to-end request tracing and latency histograms (off by
     /// default). A tracing service mints a [`TraceId`] per request,
     /// records spans for every wait and evaluation phase into lock-free
@@ -2338,13 +1809,6 @@ impl ServiceBuilder {
     /// branch per would-be span and records nothing.
     pub fn tracing(mut self, on: bool) -> Self {
         self.config.tracing = on;
-        self
-    }
-
-    /// Use an existing pool (e.g. [`mozart_core::global_pool`]) instead
-    /// of spawning one sized `workers - 1`.
-    pub fn pool(mut self, pool: PoolHandle) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -2369,8 +1833,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Build the service: spawns (or adopts) the shared pool, creates
-    /// the plan cache, registers the integrations' default split types.
+    /// Build the service: spawns the shared pool, creates the plan
+    /// cache, registers the integrations' default split types.
     ///
     /// # Panics
     ///
@@ -2384,13 +1848,10 @@ impl ServiceBuilder {
         config.max_inflight = self.max_inflight.unwrap_or(config.workers);
         config.queue_depth = self.queue_depth.unwrap_or(4 * config.workers);
         // Adaptive unless the operator pinned max_inflight: a pinned
-        // limit is the static ablation, an unpinned one is a guess the
-        // controller can do better than.
-        config.adaptive_limit = self.adaptive_limit.unwrap_or(self.max_inflight.is_none());
-        let pool = self
-            .pool
-            .unwrap_or_else(|| PoolHandle::new(config.workers.max(1) - 1));
-        pool.set_fair_scheduling(config.fair_scheduling);
+        // limit is meant, an unpinned one is a guess the controller can
+        // do better than.
+        let adaptive = self.max_inflight.is_none();
+        let pool = PoolHandle::new(config.workers.max(1) - 1);
         let mut session_config = self
             .session_config
             .unwrap_or_else(|| Config::with_workers(config.workers));
@@ -2412,19 +1873,12 @@ impl ServiceBuilder {
         if config.memory_ceiling_bytes > 0 {
             membudget::set_ceiling(config.memory_ceiling_bytes);
         }
-        let admission = if config.adaptive_limit {
-            Admission::with_codel(
-                config.max_inflight,
-                config.queue_depth,
-                CodelCfg {
-                    target: Duration::from_millis(config.codel_target_ms),
-                    interval: Duration::from_millis(config.codel_interval_ms),
-                },
-            )
+        let admission = if adaptive {
+            Admission::with_codel(config.max_inflight, config.queue_depth, CODEL)
         } else {
             Admission::new(config.max_inflight, config.queue_depth)
         };
-        let aimd = config.adaptive_limit.then(|| {
+        let aimd = adaptive.then(|| {
             AimdController::new(AimdConfig {
                 min_limit: 1,
                 // Headroom above the static default: the controller may
@@ -2432,21 +1886,22 @@ impl ServiceBuilder {
                 // evaluation per worker, but a runaway limit is capped.
                 max_limit: (4 * config.workers).max(8),
                 initial_limit: config.max_inflight,
-                target: (config.aimd_target_ms > 0)
-                    .then(|| Duration::from_millis(config.aimd_target_ms)),
+                // Seeded from the measured latency distribution: the
+                // median of a warmup window × a slowdown multiple.
+                target: None,
                 decrease_ratio_permille: 900,
             })
         });
         let service = PipelineService {
             inner: Arc::new(ServiceInner {
                 admission,
-                cache: Arc::new(PlanCache::new(config.plan_cache_capacity)),
+                cache: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
                 session_config,
                 pool,
                 pipelines: RwLock::new(HashMap::new()),
                 coalescer: Mutex::new(HashMap::new()),
                 session_counter: AtomicU64::new(0),
-                counters: Mutex::new(Counters::default()),
+                counters: Mutex::new(ServiceStats::default()),
                 draining: AtomicBool::new(false),
                 drain_mu: Mutex::new(false),
                 drain_cv: Condvar::new(),
@@ -2469,7 +1924,7 @@ impl ServiceBuilder {
 
 /// One client's handle onto a [`PipelineService`]. The session id tags
 /// every request context, so the shared pool's
-/// [`PoolStats::sessions`] fairness accounting aggregates per client
+/// [`PoolStats::sessions`](mozart_core::PoolStats) fairness accounting aggregates per client
 /// rather than per short-lived request context; the session also
 /// carries its fair-share weight and byte budget.
 pub struct Session {
@@ -2614,7 +2069,7 @@ impl Session {
     /// waiting, the request may coalesce with fingerprint-identical
     /// queued requests (see [`Pipeline::coalesce_key`]).
     pub fn call(&self, pipeline: &str, req: &Request) -> Result<Response> {
-        self.service.execute(self, pipeline, req, true)
+        self.service.execute_traced(self, pipeline, req, true).0
     }
 
     /// Like [`Session::call`], additionally returning the request's
@@ -2636,7 +2091,7 @@ impl Session {
     /// never waits (and never coalesces — joining a batch means waiting
     /// for its leader).
     pub fn try_call(&self, pipeline: &str, req: &Request) -> Result<Response> {
-        self.service.execute(self, pipeline, req, false)
+        self.service.execute_traced(self, pipeline, req, false).0
     }
 
     /// A fresh context wired like this session's request contexts

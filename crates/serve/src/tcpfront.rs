@@ -412,53 +412,16 @@ pub fn accept_loop(listener: TcpListener, service: PipelineService, cfg: Fronten
     }
 }
 
-/// `STATS` body in the stable field order documented in
-/// [`crate::protocol`]; new fields are appended, never inserted.
+/// `STATS` body: `key=value` for every [`crate::stats::STAT_TABLE`]
+/// row that names a key, in the rows' line positions — the stable
+/// order [`crate::protocol`] documents.
 pub fn stats_body(service: &PipelineService) -> String {
     let s = service.stats();
-    format!(
-        "started={} completed={} rejected={} failed={} over_budget={} \
-         deadline_shed={} retries={} slow={} draining={} \
-         coalesced_requests={} coalesce_waiting={} sessions={} inflight={} \
-         plan_hits={} plan_misses={} plan_entries={} pool_workers={} pool_jobs={} \
-         pool_panicked_batches={} pool_respawned_workers={} \
-         admission_limit={} queue_shed={} over_memory={} breaker_shed={} \
-         breaker_open={} memory_live_bytes={} memory_ceiling_bytes={} \
-         split_form_handoffs={} deferred_outputs={} deferred_materialized={} \
-         merge_targets_reused={} merge_targets_allocated={}",
-        s.started,
-        s.completed,
-        s.rejected,
-        s.failed,
-        s.over_budget,
-        s.deadline_shed,
-        s.retries,
-        s.slow,
-        s.draining,
-        s.coalesced_requests,
-        s.coalesce_waiting,
-        s.sessions,
-        s.inflight,
-        s.plan_cache.hits,
-        s.plan_cache.misses,
-        s.plan_cache.entries,
-        s.pool.workers,
-        s.pool.jobs,
-        s.pool.panicked_batches,
-        s.pool.respawned_workers,
-        s.admission_limit,
-        s.queue_shed,
-        s.over_memory,
-        s.breaker_shed,
-        s.breaker_open,
-        s.memory_live_bytes,
-        s.memory_ceiling_bytes,
-        s.split_form_handoffs,
-        s.deferred_outputs,
-        s.deferred_materialized,
-        s.merge_targets_reused,
-        s.merge_targets_allocated,
-    )
+    let pairs: Vec<String> = crate::stats::stats_line_rows()
+        .into_iter()
+        .map(|(key, row)| format!("{key}={}", row.stats_value(&s)))
+        .collect();
+    pairs.join(" ")
 }
 
 #[cfg(test)]

@@ -370,7 +370,10 @@ fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
     // read; only `shifted` was read later.
     let stats = service.stats();
     assert_eq!(
-        (stats.deferred_outputs, stats.deferred_materialized),
+        (
+            stats.engine.deferred_outputs,
+            stats.engine.deferred_materialized
+        ),
         (2, 1)
     );
     let page = service.metrics_text();
@@ -401,14 +404,20 @@ fn merge_target_reuse_is_counted_on_every_surface() {
     let first = session.call("nashville", &req).unwrap();
     let stats = service.stats();
     assert_eq!(
-        (stats.merge_targets_reused, stats.merge_targets_allocated),
+        (
+            stats.engine.merge_targets_reused,
+            stats.engine.merge_targets_allocated
+        ),
         (0, 1)
     );
     assert!(stats.plan_cache.parked_bytes >= 96 * 64 * 3 * 4);
     assert_eq!(session.call("nashville", &req).unwrap(), first);
     let stats = service.stats();
     assert_eq!(
-        (stats.merge_targets_reused, stats.merge_targets_allocated),
+        (
+            stats.engine.merge_targets_reused,
+            stats.engine.merge_targets_allocated
+        ),
         (1, 1)
     );
 
@@ -430,5 +439,305 @@ fn merge_target_reuse_is_counted_on_every_surface() {
     assert!(
         line.ends_with("merge_targets_reused=1 merge_targets_allocated=1"),
         "{line}"
+    );
+}
+
+/// `(metric name, # TYPE, # HELP text)` of every header pair on a
+/// metrics page, in page order.
+fn page_headers(page: &str) -> Vec<(String, String, String)> {
+    let mut lines = page.lines();
+    let mut out = Vec::new();
+    while let Some(line) = lines.next() {
+        let Some(rest) = line.strip_prefix("# HELP ") else {
+            continue;
+        };
+        let (name, help) = rest.split_once(' ').unwrap();
+        let ty = lines.next().unwrap();
+        let ty = ty
+            .strip_prefix(&format!("# TYPE {name} "))
+            .unwrap_or_else(|| panic!("{name}: HELP not followed by its TYPE: {ty}"));
+        out.push((name.to_string(), ty.to_string(), help.to_string()));
+    }
+    out
+}
+
+/// The wire contract, pinned as literals: every `STATS` key in reply
+/// order, and every metric of a fresh tracing service's page with its
+/// `# TYPE` and `# HELP`, in page order. Clients parse `STATS`
+/// positionally and dashboards key on metric names, so neither may
+/// move when the code that renders them is reorganized.
+#[test]
+fn stats_keys_and_metric_headers_are_pinned() {
+    const STATS_KEYS: [&str; 32] = [
+        "started",
+        "completed",
+        "rejected",
+        "failed",
+        "over_budget",
+        "deadline_shed",
+        "retries",
+        "slow",
+        "draining",
+        "coalesced_requests",
+        "coalesce_waiting",
+        "sessions",
+        "inflight",
+        "plan_hits",
+        "plan_misses",
+        "plan_entries",
+        "pool_workers",
+        "pool_jobs",
+        "pool_panicked_batches",
+        "pool_respawned_workers",
+        "admission_limit",
+        "queue_shed",
+        "over_memory",
+        "breaker_shed",
+        "breaker_open",
+        "memory_live_bytes",
+        "memory_ceiling_bytes",
+        "split_form_handoffs",
+        "deferred_outputs",
+        "deferred_materialized",
+        "merge_targets_reused",
+        "merge_targets_allocated",
+    ];
+    #[rustfmt::skip]
+    const METRICS: [(&str, &str, &str); 41] = [
+        ("mozart_requests_started_total", "counter", "Requests admitted and started (coalesced followers included)"),
+        ("mozart_requests_completed_total", "counter", "Requests completed successfully"),
+        ("mozart_requests_rejected_total", "counter", "Requests rejected by admission control"),
+        ("mozart_requests_failed_total", "counter", "Requests failed inside the pipeline"),
+        ("mozart_requests_over_budget_total", "counter", "Requests shed by session byte budgets"),
+        ("mozart_requests_deadline_shed_total", "counter", "Requests shed because their deadline passed"),
+        ("mozart_retries_total", "counter", "Evaluation attempts re-run after a transient failure"),
+        ("mozart_requests_coalesced_total", "counter", "Requests served by piggybacking on another evaluation"),
+        ("mozart_split_form_handoffs_total", "counter", "Stage-boundary intermediates handed across in split form"),
+        ("mozart_deferred_outputs_total", "counter", "Live but undemanded outputs left as held pieces instead of merged"),
+        ("mozart_deferred_materialized_total", "counter", "Deferred outputs merged on demand by a later read or in-place stage"),
+        ("mozart_merge_targets_reused_total", "counter", "Placement-merge targets written over a released one instead of allocated"),
+        ("mozart_merge_targets_allocated_total", "counter", "Placement-merge targets freshly allocated"),
+        ("mozart_requests_slow_total", "counter", "Requests that consumed at least 80% of their deadline"),
+        ("mozart_inflight", "gauge", "Requests currently evaluating"),
+        ("mozart_admission_waiting", "gauge", "Callers waiting for admission"),
+        ("mozart_coalesce_waiting", "gauge", "Followers parked in open coalesced batches"),
+        ("mozart_sessions", "gauge", "Sessions opened"),
+        ("mozart_draining", "gauge", "1 once drain() has been called"),
+        ("mozart_plan_cache_hits_total", "counter", "Evaluations replayed from a cached plan"),
+        ("mozart_plan_cache_misses_total", "counter", "Evaluations planned from scratch"),
+        ("mozart_plan_cache_entries", "gauge", "Plans currently cached"),
+        ("mozart_merge_targets_parked_bytes", "gauge", "Released merge targets parked in the plan cache for reuse (split info bytes)"),
+        ("mozart_pool_workers", "gauge", "Worker threads in the shared pool"),
+        ("mozart_pool_jobs_total", "counter", "Stages dispatched to the shared pool"),
+        ("mozart_pool_panicked_batches_total", "counter", "Batch runs that ended in a caught panic"),
+        ("mozart_pool_respawned_workers_total", "counter", "Pool workers respawned after dying"),
+        ("mozart_admission_limit", "gauge", "Current (adaptive) concurrency limit"),
+        ("mozart_queue_shed_total", "counter", "Waiters shed by the CoDel sojourn controller"),
+        ("mozart_over_memory_total", "counter", "Requests shed by the process memory ceiling"),
+        ("mozart_breaker_fastfail_total", "counter", "Requests fast-failed by an open circuit breaker"),
+        ("mozart_memory_live_bytes", "gauge", "Live metered buffer bytes (process-wide)"),
+        ("mozart_memory_ceiling_bytes", "gauge", "Process-wide memory ceiling (0 = unlimited)"),
+        ("mozart_request_seconds", "histogram", "End-to-end request latency"),
+        ("mozart_admission_wait_seconds", "histogram", "Time waiting for an admission slot"),
+        ("mozart_phase_unprotect_seconds", "histogram", "Per-attempt evaluation phase time"),
+        ("mozart_phase_planner_seconds", "histogram", "Per-attempt evaluation phase time"),
+        ("mozart_phase_split_seconds", "histogram", "Per-attempt evaluation phase time"),
+        ("mozart_phase_task_seconds", "histogram", "Per-attempt evaluation phase time"),
+        ("mozart_phase_merge_seconds", "histogram", "Per-attempt evaluation phase time"),
+        ("mozart_trace_spans_dropped_total", "counter", "Span records overwritten before being read"),
+    ];
+
+    let service = PipelineService::builder().workers(1).tracing(true).build();
+    let line = mozart_serve::tcpfront::stats_body(&service);
+    let keys: Vec<&str> = line
+        .split(' ')
+        .map(|pair| pair.split_once('=').expect("key=value").0)
+        .collect();
+    assert_eq!(keys, STATS_KEYS, "{line}");
+    assert!(line.contains(" draining=false "), "a flag, not 0/1: {line}");
+
+    let got = page_headers(&service.metrics_text());
+    let want: Vec<_> = METRICS
+        .iter()
+        .map(|(n, t, h)| (n.to_string(), t.to_string(), h.to_string()))
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// The serve-side spans directly under a trace's `Request` root, as
+/// `(kind, arg, link)` in start order.
+fn serve_spans(service: &PipelineService, trace: u64) -> Vec<(SpanKind, u64, u64)> {
+    let tree = service.trace_tree(trace).expect("spans were recorded");
+    assert_eq!(tree.root.span.kind, SpanKind::Request);
+    tree.root
+        .children
+        .iter()
+        .map(|n| (n.span.kind, n.span.arg, n.span.link))
+        .filter(|(kind, _, _)| {
+            matches!(
+                kind,
+                SpanKind::QueueWait
+                    | SpanKind::CoalesceWait
+                    | SpanKind::Attempt
+                    | SpanKind::Backoff
+                    | SpanKind::DeadlineShed
+            )
+        })
+        .collect()
+}
+
+/// One request, four ways through the service — solo (coalescing
+/// off), `try_call`, leader of a batch nobody joined, follower of
+/// somebody else's batch — is one lifecycle: the same body, `started`
+/// and `completed` each up by one per request, and a `Request` root
+/// over one wait span (`QueueWait` for whoever took the admission slot,
+/// `CoalesceWait` linked to the leader for the follower) followed by
+/// the one `Attempt` of whoever evaluated.
+#[test]
+fn every_role_runs_the_same_lifecycle() {
+    let req = Request::new().with("n", 2048).with("seed", 7u64);
+    let evaluated = vec![
+        (SpanKind::QueueWait, 0, 0),
+        (SpanKind::Attempt, 0, RetryCause::None as u64),
+    ];
+    let moved = |service: &PipelineService, before: &mozart_serve::ServiceStats| {
+        let after = service.stats();
+        assert_eq!(after.failed + after.rejected + after.deadline_shed, 0);
+        (
+            after.started - before.started,
+            after.completed - before.completed,
+        )
+    };
+
+    // Solo and try_call.
+    let service = traced_service(1);
+    let session = service.session();
+    let before = service.stats();
+    let (resp, trace) = session.call_traced("black_scholes", &req);
+    let want = resp.unwrap();
+    assert_eq!(serve_spans(&service, trace.unwrap()), evaluated, "solo");
+    assert_eq!(moved(&service, &before), (1, 1), "solo");
+    let before = service.stats();
+    assert_eq!(session.try_call("black_scholes", &req).unwrap(), want);
+    assert_eq!(moved(&service, &before), (1, 1), "try_call");
+    // try_call hands back no trace id; its trace is the newest one.
+    let newest = service
+        .recorder()
+        .unwrap()
+        .all_spans()
+        .iter()
+        .map(|s| s.trace)
+        .max()
+        .unwrap();
+    assert_eq!(serve_spans(&service, newest), evaluated, "try_call");
+
+    // Leader of a batch nobody joined, then leader + follower.
+    let started = Arc::new(AtomicU64::new(0));
+    let release = Arc::new(Barrier::new(2));
+    let mut cfg = Config::with_workers(1);
+    cfg.batch_override = Some(512);
+    let service = PipelineService::builder()
+        .workers(1)
+        .max_inflight(1)
+        .queue_depth(8)
+        .session_config(cfg)
+        .tracing(true)
+        .builtin_pipelines()
+        .pipeline(Arc::new(StallPipeline {
+            started: started.clone(),
+            release: release.clone(),
+        }))
+        .build();
+    let before = service.stats();
+    let (resp, trace) = service.session().call_traced("black_scholes", &req);
+    assert_eq!(resp.unwrap(), want);
+    assert_eq!(serve_spans(&service, trace.unwrap()), evaluated, "leader");
+    assert_eq!(moved(&service, &before), (1, 1), "lone leader");
+    assert_eq!(service.stats().coalesced_requests, 0);
+
+    let before = service.stats();
+    let (leader_trace, follower_trace) = std::thread::scope(|s| {
+        let svc = service.clone();
+        let occupant = s.spawn(move || svc.session().call("stall", &Request::new()).unwrap());
+        while started.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (svc, r) = (service.clone(), req.clone());
+        let leader = s.spawn(move || svc.session().call_traced("black_scholes", &r));
+        while service.stats().waiting == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (svc, r) = (service.clone(), req.clone());
+        let follower = s.spawn(move || svc.session().call_traced("black_scholes", &r));
+        while service.stats().coalesce_waiting == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.wait();
+        occupant.join().unwrap();
+        let (resp_a, trace_a) = leader.join().unwrap();
+        let (resp_b, trace_b) = follower.join().unwrap();
+        assert_eq!(resp_a.unwrap(), want);
+        assert_eq!(resp_b.unwrap(), want);
+        (trace_a.unwrap(), trace_b.unwrap())
+    });
+    assert_eq!(
+        moved(&service, &before),
+        (3, 3),
+        "stall + leader + follower"
+    );
+    assert_eq!(service.stats().coalesced_requests, 1);
+    assert_eq!(serve_spans(&service, leader_trace), evaluated, "leader");
+    assert_eq!(
+        serve_spans(&service, follower_trace),
+        [(SpanKind::CoalesceWait, 1, leader_trace)],
+        "the follower waits on its leader and evaluates nothing"
+    );
+}
+
+/// Walk [`mozart_serve::STAT_TABLE`]: every row shows exactly once on
+/// each surface it names — its key on the `STATS` line at the position
+/// it declares, its metric on the page under the `# TYPE` of its kind —
+/// and the positions are dense, so the line has no gaps or collisions.
+#[test]
+fn every_table_row_appears_once_on_each_surface_it_names() {
+    use mozart_serve::{StatKind, STAT_TABLE};
+    let service = PipelineService::builder().workers(1).build();
+    let line = mozart_serve::tcpfront::stats_body(&service);
+    let keys: Vec<&str> = line
+        .split(' ')
+        .map(|pair| pair.split_once('=').unwrap().0)
+        .collect();
+    let headers = page_headers(&service.metrics_text());
+    let mut positions = Vec::new();
+    for row in &STAT_TABLE {
+        assert!(row.stats.is_some() || row.metric.is_some(), "{}", row.help);
+        if let Some((pos, key)) = row.stats {
+            assert_eq!(keys.iter().filter(|k| **k == key).count(), 1, "{key}");
+            assert_eq!(keys[pos as usize], key);
+            positions.push(pos);
+        }
+        if let Some(metric) = row.metric {
+            let found: Vec<_> = headers.iter().filter(|h| h.0 == metric).collect();
+            assert_eq!(found.len(), 1, "{metric}");
+            let ty = match row.kind {
+                StatKind::Counter => "counter",
+                StatKind::Gauge | StatKind::Flag => "gauge",
+            };
+            assert_eq!((found[0].1.as_str(), found[0].2.as_str()), (ty, row.help));
+            // Counters are named `_total`, nothing else is.
+            assert_eq!(
+                metric.ends_with("_total"),
+                row.kind == StatKind::Counter,
+                "{metric}"
+            );
+        }
+    }
+    positions.sort_unstable();
+    assert_eq!(positions, (0..keys.len() as u8).collect::<Vec<_>>());
+    // An untraced service with no breaker touched serves the table and
+    // nothing else.
+    assert_eq!(
+        headers.len(),
+        STAT_TABLE.iter().filter(|r| r.metric.is_some()).count()
     );
 }
