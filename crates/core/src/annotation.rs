@@ -17,9 +17,11 @@
 //! commutativity and the optional placement capability from it. See
 //! the [`crate::split`] module docs for the v1 → v2 migration map.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::graph::WordHasher;
 use crate::split::Splitter;
 use crate::value::{DataObject, DataValue};
 
@@ -129,6 +131,12 @@ pub struct Annotation {
     pub ret: Option<SplitTypeExpr>,
     /// The function itself.
     pub func: LibFn,
+    /// Hash of everything the planner reads from the annotation — the
+    /// name, each argument's mutability and split type expression, the
+    /// return expression — computed once by
+    /// [`AnnotationBuilder::build`], so fingerprinting a captured call
+    /// costs one word instead of a walk over its split types.
+    pub(crate) signature: u64,
 }
 
 impl Annotation {
@@ -211,12 +219,48 @@ impl AnnotationBuilder {
 
     /// Finish, producing a shareable annotation.
     pub fn build(self) -> Arc<Annotation> {
+        let mut h = WordHasher::default();
+        h.bytes(self.name.as_bytes());
+        for a in &self.args {
+            h.word(a.mutable as u64);
+            hash_expr(&mut h, &a.ty);
+        }
+        match &self.ret {
+            Some(expr) => hash_expr(&mut h, expr),
+            None => h.word(0),
+        }
         Arc::new(Annotation {
             name: self.name,
             args: self.args,
             ret: self.ret,
             func: self.func,
+            signature: h.finish(),
         })
+    }
+}
+
+fn hash_expr(h: &mut WordHasher, expr: &SplitTypeExpr) {
+    match expr {
+        SplitTypeExpr::Concrete {
+            splitter,
+            ctor_args,
+        } => {
+            h.word(0x10);
+            h.bytes(splitter.name().as_bytes());
+            h.word(ctor_args.len() as u64);
+            for a in ctor_args {
+                h.word(*a as u64);
+            }
+        }
+        SplitTypeExpr::Generic(g) => {
+            h.word(0x20);
+            h.word(u64::from(*g));
+        }
+        SplitTypeExpr::Missing => h.word(0x30),
+        SplitTypeExpr::Unknown { merger } => {
+            h.word(0x40);
+            h.bytes(merger.name().as_bytes());
+        }
     }
 }
 
@@ -268,6 +312,34 @@ mod tests {
         let dbg = format!("{a:?}");
         assert!(dbg.contains("mut out"));
         assert!(dbg.contains("SizeSplit"));
+    }
+
+    #[test]
+    fn signature_covers_what_the_planner_reads() {
+        let build = |name, mutable: bool, ctor: usize, ret: Option<SplitTypeExpr>| {
+            let xs = concrete(Arc::new(SizeSplit), vec![ctor]);
+            let b = Annotation::new(name, |_inv| Ok(None));
+            let b = if mutable {
+                b.mut_arg("xs", xs)
+            } else {
+                b.arg("xs", xs)
+            };
+            let b = b.arg("n", missing());
+            match ret {
+                Some(r) => b.ret(r).build().signature,
+                None => b.build().signature,
+            }
+        };
+        let base = build("f", true, 1, None);
+        assert_eq!(base, build("f", true, 1, None), "rebuilt alike: equal");
+        for other in [
+            build("g", true, 1, None),
+            build("f", false, 1, None),
+            build("f", true, 0, None),
+            build("f", true, 1, Some(generic(0))),
+        ] {
+            assert_ne!(base, other);
+        }
     }
 
     #[test]

@@ -74,6 +74,19 @@ impl ProtectFlag {
         self.protected.load(Ordering::Acquire)
     }
 
+    /// Whether the storage is protected on behalf of the trigger at
+    /// address `owner`. The stored weak reference keeps its trigger's
+    /// allocation alive, so a match cannot be another trigger that
+    /// reused a dead one's address.
+    pub(crate) fn protected_by(&self, owner: *const ()) -> bool {
+        self.is_protected()
+            && self
+                .trigger
+                .lock()
+                .as_ref()
+                .is_some_and(|w| std::ptr::addr_eq(w.as_ptr(), owner))
+    }
+
     /// If protected, force the owning context to evaluate. Cheap when not
     /// protected (a single atomic load — this is the fast path every safe
     /// read takes).

@@ -27,7 +27,7 @@
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -38,7 +38,7 @@ use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::executor::{duration_ns, execute_stage, materialize_held, ExecEnv};
 use crate::graph::{
-    DataflowGraph, FutureToken, MergeOrigin, Node, ValueEntry, ValueId, ValueOrigin,
+    DataflowGraph, FutureToken, MergeOrigin, Node, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
 use crate::planner::{
     plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, PlanSite,
@@ -291,31 +291,34 @@ impl MozartContext {
             }
         }
 
-        // Resolve reads first so an in-place call (out == a) reads the
-        // pre-mutation version.
-        let mut arg_ids: Vec<ValueId> = Vec::with_capacity(args.len());
+        if args
+            .iter()
+            .any(|dv| matches!(dv, DataValue::Lazy { ctx_id, .. } if *ctx_id != self.inner.id))
+        {
+            return Err(Error::ForeignValue);
+        }
+
+        // The node's ids go straight into the graph's arena: arguments
+        // first — resolved before any mut-version exists, so an in-place
+        // call (out == a) reads the pre-mutation version — then the new
+        // version of each `mut` argument.
+        let ids = st.graph.node_ids.len();
         for dv in &args {
             let vid = match dv {
-                DataValue::Lazy { ctx_id, value } => {
-                    if *ctx_id != self.inner.id {
-                        return Err(Error::ForeignValue);
-                    }
-                    *value
-                }
+                DataValue::Lazy { value, .. } => *value,
                 _ => st.graph.resolve_arg(dv),
             };
-            arg_ids.push(vid);
+            st.graph.node_ids.push(vid);
         }
 
         // Create mut-versions and protect the mutated storage.
-        let node_id = crate::graph::NodeId(st.graph.nodes.len() as u32);
-        let mut mut_out: Vec<Option<ValueId>> = vec![None; args.len()];
+        let node_id = NodeId(st.graph.nodes.len() as u32);
         for (i, spec) in annot.args.iter().enumerate() {
             if !spec.mutable {
                 continue;
             }
             let dv = &args[i];
-            let prev = arg_ids[i];
+            let prev = st.graph.node_ids[ids + i];
             let mv = st.graph.push_value(ValueEntry {
                 origin: ValueOrigin::MutVersion {
                     node: node_id,
@@ -326,20 +329,25 @@ impl MozartContext {
                 ready: false,
                 held: None,
                 merge_origin: None,
-                consumers: Vec::new(),
+                last_consumer: None,
                 user_token: None,
             });
+            st.graph.node_ids.push(mv);
             if let Some(ident) = dv.identity() {
                 st.graph.identity_map.insert(ident, mv);
             }
-            if dv.protect_flag().is_some() {
-                let trigger: Arc<dyn EvalTrigger> = self.inner.clone();
-                dv.protect_flag()
-                    .expect("checked above")
-                    .protect(Arc::downgrade(&trigger));
-                st.protected.push(dv.clone());
+            // Storage this context already protects stays protected until
+            // its next evaluation, which runs this call too: one
+            // protection and one `protected` entry cover every pending
+            // call. Storage another context protects is taken over, so
+            // a read forces the context with the latest pending write.
+            if let Some(flag) = dv.protect_flag() {
+                if !flag.protected_by(Arc::as_ptr(&self.inner).cast()) {
+                    let trigger: Weak<ContextInner> = Arc::downgrade(&self.inner);
+                    flag.protect(trigger);
+                    st.protected.push(dv.clone());
+                }
             }
-            mut_out[i] = Some(mv);
         }
 
         // Create the return value and its liveness token.
@@ -353,7 +361,7 @@ impl MozartContext {
                 ready: false,
                 held: None,
                 merge_origin: None,
-                consumers: Vec::new(),
+                last_consumer: None,
                 user_token: Some(Arc::downgrade(&token)),
             });
             ret = Some(rv);
@@ -366,8 +374,7 @@ impl MozartContext {
 
         st.graph.push_node(Node {
             annot: annot.clone(),
-            args: arg_ids,
-            mut_out,
+            ids: ids as u32,
             ret,
             executed: false,
         });

@@ -21,10 +21,13 @@
 //! * **The driver loop is hash-free.** The planner assigns every
 //!   stage-local value a dense `u32` slot at plan time
 //!   ([`StagePlan::slots`]); arguments, returns, and mut-aliases are
-//!   resolved to slot offsets once per stage in `build_exec_stage`,
-//!   and the per-batch loop indexes a flat `Vec<Option<DataValue>>`.
+//!   resolved to slot offsets once per stage in `build_exec_stage`
+//!   (into two flat arrays for the whole stage, not a `Vec` per node),
+//!   and the per-batch loop indexes a flat `Vec<Option<DataValue>>`,
+//!   gathering each call's arguments into one buffer per worker.
 //!   Broadcast (`_`-typed) values are written once per worker, not once
-//!   per batch.
+//!   per batch, and phases are timed with one CPU-clock reading per
+//!   phase boundary (`cputime::PhaseClock`).
 //!
 //! Because batches may complete out of claim order, every stashed piece
 //! carries the element range that produced it. Workers pre-merge
@@ -97,7 +100,7 @@ use parking_lot::Mutex;
 
 use crate::annotation::Invocation;
 use crate::config::Config;
-use crate::cputime::{cpu_elapsed, thread_cpu_now};
+use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
 use crate::graph::{DataflowGraph, MergeOrigin, ValueId};
@@ -120,6 +123,11 @@ pub(crate) fn duration_ns(d: Duration) -> u64 {
 /// module docs.
 pub(crate) struct ExecStage {
     nodes: Vec<ExecNode>,
+    /// Every node's argument slots, back to back (see [`ExecNode::args`]).
+    arg_slots: Vec<u32>,
+    /// Every node's `(arg index, mut-version slot)` pairs, back to back:
+    /// after the call, the mut version aliases the argument's piece.
+    mut_aliases: Vec<(u32, u32)>,
     inputs: Vec<ExecInput>,
     /// Values passed whole to every batch, written once per worker.
     broadcast: Vec<(u32, DataValue)>,
@@ -163,6 +171,8 @@ impl ExecStage {
         let num_batches = total_elements.div_ceil(batch.max(1)).max(1);
         ExecStage {
             nodes: Vec::new(),
+            arg_slots: Vec::new(),
+            mut_aliases: Vec::new(),
             inputs: Vec::new(),
             broadcast: Vec::new(),
             merge_outputs: Vec::new(),
@@ -226,11 +236,11 @@ enum InputData {
 struct ExecNode {
     name: &'static str,
     func: crate::annotation::LibFn,
-    /// Argument slots, in annotation order.
-    args: Vec<u32>,
-    /// `(arg index, mut-version slot)`: after the call, the mut version
-    /// aliases the argument's piece.
-    mut_alias: Vec<(usize, u32)>,
+    /// Range of [`ExecStage::arg_slots`] holding the argument slots, in
+    /// annotation order.
+    args: std::ops::Range<usize>,
+    /// Range of [`ExecStage::mut_aliases`] holding the node's aliases.
+    muts: std::ops::Range<usize>,
     ret: Option<u32>,
 }
 
@@ -546,7 +556,7 @@ fn run_exec(
     // whichever of the two points resolved it when it was new. Counted
     // as merge time: it is the placement path's share of what the
     // collect-then-concat path pays inside its final merge.
-    let t_alloc = thread_cpu_now();
+    let mut clock = PhaseClock::start();
     for mo in &exec.merge_outputs {
         let Some(pm) = &mo.placement else { continue };
         let (total, params) = (exec.total_elements, &mo.instance.params);
@@ -564,24 +574,29 @@ fn run_exec(
             let _ = pm.state.out.set(Some(target));
         }
     }
-    let prealloc = cpu_elapsed(t_alloc, thread_cpu_now());
+    let prealloc = clock.lap();
 
-    let job = Job::new(exec, env.session);
-
-    let mut outs: Vec<WorkerOut> = match env.pool {
-        Some(pool) if job.exec.participants > 1 => pool.run_stage(&job)?,
-        // A single batch runs inline. (So would a stage with no pool,
-        // which `evaluate_pending` rules out: a context with no attached
-        // pool owns one.)
-        _ => vec![run_worker(&job.exec, &job.cursor, &job.failed, 0)?],
+    let job;
+    let (exec, mut outs) = match env.pool {
+        Some(pool) if exec.participants > 1 => {
+            job = Job::new(exec, env.session);
+            let outs = pool.run_stage(&job, &mut clock)?;
+            (&job.exec, outs)
+        }
+        // A single batch runs inline, with no pool job to hand out.
+        // (So would a stage with no pool, which `evaluate_pending`
+        // rules out: a context with no attached pool owns one.)
+        _ => {
+            let (cursor, failed) = (AtomicU64::new(0), AtomicBool::new(false));
+            let out = run_worker(&exec, &cursor, &failed, 0, &mut clock)?;
+            (&exec, vec![out])
+        }
     };
-    let exec = &job.exec;
 
     // Final merge on the calling thread (§5.2 step 3): order every
     // worker's partial runs by element offset, then merge once.
     // Placement outputs skip all of this — their pieces already live in
     // the preallocated value — and held outputs keep the ordered runs.
-    let t0 = thread_cpu_now();
     let w0 = exec.span_start();
     for (i, mo) in exec.merge_outputs.iter().enumerate() {
         let mut store = |merged: DataValue, target: Option<&Target>, stats: &mut PhaseStats| {
@@ -642,7 +657,7 @@ fn run_exec(
         })?;
         store(merged, None, stats);
     }
-    let final_merge = cpu_elapsed(t0, thread_cpu_now());
+    let final_merge = clock.lap();
     // One final-merge span per stage on the calling thread; CPU time
     // also folds in the stage-start placement preallocation, which is
     // the placement path's share of merge work.
@@ -810,27 +825,32 @@ fn build_exec_stage(
         broadcast.push((stage.slot_of(*vid), data));
     }
 
+    let nodes_of = || stage.nodes.iter().map(|n| &graph.nodes[n.0 as usize]);
+    let arity: usize = nodes_of().map(|node| node.annot.args.len()).sum();
     let mut nodes = Vec::with_capacity(stage.nodes.len());
-    let mut produced_slots: Vec<u32> = Vec::new();
-    for &nid in &stage.nodes {
-        let node = &graph.nodes[nid.0 as usize];
-        let mut_alias: Vec<(usize, u32)> = node
-            .mut_out
-            .iter()
-            .enumerate()
-            .filter_map(|(i, mv)| mv.map(|v| (i, stage.slot_of(v))))
-            .collect();
-        let ret = node.ret.map(|rv| stage.slot_of(rv));
-        produced_slots.extend(mut_alias.iter().map(|&(_, s)| s));
-        produced_slots.extend(ret);
+    let mut arg_slots = Vec::with_capacity(arity);
+    let mut mut_aliases = Vec::with_capacity(arity);
+    for node in nodes_of() {
+        let (args_at, muts_at) = (arg_slots.len(), mut_aliases.len());
+        arg_slots.extend(graph.args(node).iter().map(|&a| stage.slot_of(a)));
+        mut_aliases.extend(
+            graph
+                .mut_outs(node)
+                .map(|(i, mv)| (i as u32, stage.slot_of(mv))),
+        );
         nodes.push(ExecNode {
             name: node.annot.name,
             func: node.annot.func.clone(),
-            args: node.args.iter().map(|a| stage.slot_of(*a)).collect(),
-            mut_alias,
-            ret,
+            args: args_at..arg_slots.len(),
+            muts: muts_at..mut_aliases.len(),
+            ret: node.ret.map(|rv| stage.slot_of(rv)),
         });
     }
+    let mut produced_slots: Vec<u32> = mut_aliases
+        .iter()
+        .map(|&(_, s)| s)
+        .chain(nodes.iter().filter_map(|n| n.ret))
+        .collect();
     produced_slots.sort_unstable();
     produced_slots.dedup();
 
@@ -853,6 +873,8 @@ fn build_exec_stage(
 
     Ok(ExecStage {
         nodes,
+        arg_slots,
+        mut_aliases,
         inputs,
         broadcast,
         merge_outputs,
@@ -867,11 +889,14 @@ fn build_exec_stage(
 ///
 /// Claims batches from the shared `cursor` until the elements are
 /// exhausted, a split returns `NULL`, or another participant fails.
+/// Phases are timed on `clock`: the first split phase starts at its
+/// last reading, and it is left at the end of the worker-local merge.
 pub(crate) fn run_worker(
     exec: &ExecStage,
     cursor: &AtomicU64,
     failed: &AtomicBool,
     worker_idx: usize,
+    clock: &mut PhaseClock,
 ) -> Result<WorkerOut> {
     let mut out = WorkerOut::default();
     let worker = worker_idx as u32;
@@ -882,6 +907,9 @@ pub(crate) fn run_worker(
     for (slot, data) in &exec.broadcast {
         slots[*slot as usize] = Some(data.clone());
     }
+    // One argument buffer for every call this worker makes.
+    let max_args = exec.nodes.iter().map(|n| n.args.len()).max();
+    let mut args: Vec<DataValue> = Vec::with_capacity(max_args.unwrap_or(0));
     // The range a static partitioner would have given this worker, for
     // the steal counter.
     let static_share = exec
@@ -946,7 +974,6 @@ pub(crate) fn run_worker(
             // Each phase body runs under `catch_phase`: a panic in
             // foreign split/task/merge code fails this job with the
             // typed `Error::TaskPanicked` and the thread survives.
-            let t0 = thread_cpu_now();
             let w0 = exec.span_start();
             for &s in &exec.produced_slots {
                 slots[s as usize] = None;
@@ -993,7 +1020,7 @@ pub(crate) fn run_worker(
                 }
                 Ok(false)
             });
-            let split_cpu = cpu_elapsed(t0, thread_cpu_now());
+            let split_cpu = clock.lap();
             out.split += split_cpu;
             exec.span(SpanKind::Split, worker, batch_idx, w0, split_cpu);
             if null_split? {
@@ -1001,13 +1028,12 @@ pub(crate) fn run_worker(
             }
 
             // Run the pipeline on this batch's pieces.
-            let t1 = thread_cpu_now();
             let w1 = exec.span_start();
             let task_result = catch_phase(FaultPhase::Task, || {
                 inject(exec, FaultPhase::Task, batch_idx, worker_idx)?;
                 for node in &exec.nodes {
-                    let mut args: Vec<DataValue> = Vec::with_capacity(node.args.len());
-                    for &slot in &node.args {
+                    args.clear();
+                    for &slot in &exec.arg_slots[node.args.clone()] {
                         match &slots[slot as usize] {
                             Some(piece) => args.push(piece.clone()),
                             None => return Err(Error::ValueUnavailable),
@@ -1018,8 +1044,8 @@ pub(crate) fn run_worker(
                         args: &args,
                     };
                     let ret = (node.func)(&inv)?;
-                    for &(arg_idx, mv_slot) in &node.mut_alias {
-                        slots[mv_slot as usize] = Some(args[arg_idx].clone());
+                    for &(arg_idx, mv_slot) in &exec.mut_aliases[node.muts.clone()] {
+                        slots[mv_slot as usize] = Some(args[arg_idx as usize].clone());
                     }
                     match (ret, node.ret) {
                         (Some(piece), Some(rv_slot)) => {
@@ -1041,9 +1067,10 @@ pub(crate) fn run_worker(
                     }
                     out.calls += 1;
                 }
+                args.clear();
                 Ok(())
             });
-            let task_cpu = cpu_elapsed(t1, thread_cpu_now());
+            let task_cpu = clock.lap();
             out.task += task_cpu;
             exec.span(SpanKind::Task, worker, batch_idx, w1, task_cpu);
             task_result?;
@@ -1051,15 +1078,17 @@ pub(crate) fn run_worker(
             // Stash pieces of observable outputs ("moved to a list of
             // partial results", §5.2), tagged with their element range —
             // or, on the placement path, write them straight into the
-            // preallocated merge output at their element offset.
-            catch_phase(FaultPhase::Merge, || {
+            // preallocated merge output at their element offset. The
+            // whole phase is merge time.
+            let stashed = catch_phase(FaultPhase::Merge, || {
                 inject(exec, FaultPhase::Merge, batch_idx, worker_idx)?;
                 for (i, mo) in exec.merge_outputs.iter().enumerate() {
                     match &slots[mo.slot as usize] {
                         Some(piece) => {
                             if let Some(pm) = &mo.placement {
-                                let t2 = thread_cpu_now();
                                 let w2 = exec.span_start();
+                                // Per-write CPU time only feeds the span.
+                                let c2 = w2.map(|_| thread_cpu_now());
                                 let mut alloc_err: Option<Error> = None;
                                 // Resolve the placement decision exactly
                                 // once, on the first piece any worker
@@ -1089,13 +1118,13 @@ pub(crate) fn run_worker(
                                     pm.state.written.fetch_add(n, Ordering::Relaxed);
                                     pm.state.high.fetch_max(start + n, Ordering::Relaxed);
                                     out.placement_writes += 1;
-                                    let write_cpu = cpu_elapsed(t2, thread_cpu_now());
-                                    out.merge += write_cpu;
-                                    let kind = SpanKind::PlacementWrite;
-                                    exec.span(kind, worker, batch_idx, w2, write_cpu);
+                                    if let Some(c2) = c2 {
+                                        let cpu = cpu_elapsed(c2, thread_cpu_now());
+                                        let kind = SpanKind::PlacementWrite;
+                                        exec.span(kind, worker, batch_idx, w2, cpu);
+                                    }
                                     continue;
                                 }
-                                out.merge += cpu_elapsed(t2, thread_cpu_now());
                             }
                             pending[i].push((start, end, piece.clone()));
                         }
@@ -1109,7 +1138,9 @@ pub(crate) fn run_worker(
                     }
                 }
                 Ok(())
-            })?;
+            });
+            out.merge += clock.lap();
+            stashed?;
 
             if start / static_share != worker_idx as u64 {
                 out.stolen += 1;
@@ -1122,8 +1153,10 @@ pub(crate) fn run_worker(
     // Worker-local merge (§5.2 step 3, first level). Commutative merges
     // fold everything this worker produced into one partial; order-
     // sensitive merges fold each contiguous run so the final merge can
-    // order them globally.
-    let t2 = thread_cpu_now();
+    // order them globally. The last batch's pieces are freed first,
+    // inside this phase, rather than by whichever phase reads this
+    // thread's clock next.
+    drop((slots, args));
     let w2 = exec.span_start();
     let partials = catch_phase(FaultPhase::Merge, || {
         exec.merge_outputs
@@ -1132,7 +1165,7 @@ pub(crate) fn run_worker(
             .map(|(mo, pieces)| local_merge(mo, std::mem::take(pieces)))
             .collect::<Result<Vec<Vec<PieceRun>>>>()
     });
-    let merge_cpu = cpu_elapsed(t2, thread_cpu_now());
+    let merge_cpu = clock.lap();
     out.merge += merge_cpu;
     if out.batches > 0 {
         exec.span(SpanKind::Merge, worker, 0, w2, merge_cpu);

@@ -5,11 +5,18 @@
 //! in place (a `mut` argument), a new value version is created for the
 //! same storage, which is how read-after-write dependencies between
 //! black-box calls are represented without library cooperation.
+//!
+//! Capture allocates nothing per call beyond the graph's own growth: a
+//! node's argument and mut-version ids live in one arena shared by all
+//! nodes ([`DataflowGraph::node_ids`]), and a value records only its
+//! last reader ([`ValueEntry::last_consumer`]), which is all liveness
+//! needs because nodes execute in registration order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Weak};
 
-use crate::annotation::{Annotation, SplitTypeExpr};
+use crate::annotation::Annotation;
 use crate::split::SplitForm;
 use crate::value::{DataIdentity, DataValue};
 
@@ -90,8 +97,11 @@ pub struct ValueEntry {
     /// Set when `data` is a placement-merge target installed under an
     /// attached plan cache: where to park it on release.
     pub merge_origin: Option<MergeOrigin>,
-    /// Nodes that read this value.
-    pub consumers: Vec<NodeId>,
+    /// The last node that reads this value. Nodes execute in
+    /// registration order, so the value still has a pending reader iff
+    /// this node has not executed, and every reader past a stage is
+    /// found between the stage's end and this node.
+    pub last_consumer: Option<NodeId>,
     /// Liveness token for application-held `Future`s (return values only).
     pub user_token: Option<Weak<FutureToken>>,
 }
@@ -109,10 +119,11 @@ impl ValueEntry {
 pub struct Node {
     /// The call's annotation (split types, mutability, the function).
     pub annot: Arc<Annotation>,
-    /// Value read for each argument, in annotation order.
-    pub args: Vec<ValueId>,
-    /// For each argument, the new value version it produces if `mut`.
-    pub mut_out: Vec<Option<ValueId>>,
+    /// Offset of the node's value ids in [`DataflowGraph::node_ids`]:
+    /// the value read for each argument, in annotation order, then the
+    /// new version each `mut` argument produces, in argument order. Read
+    /// them with [`DataflowGraph::args`] and [`DataflowGraph::mut_outs`].
+    pub ids: u32,
     /// The return value, if the annotation declares one.
     pub ret: Option<ValueId>,
     /// Set once the node's stage has executed.
@@ -131,8 +142,11 @@ pub struct DataflowGraph {
     pub values: Vec<ValueEntry>,
     /// All nodes, indexed by [`NodeId`].
     pub nodes: Vec<Node>,
+    /// Every node's value ids, back to back in registration order (see
+    /// [`Node::ids`]).
+    pub node_ids: Vec<ValueId>,
     /// Maps live storage identities to their latest value version.
-    pub identity_map: HashMap<DataIdentity, ValueId>,
+    pub(crate) identity_map: WordMap<DataIdentity, ValueId>,
     /// Index of the first node not yet executed.
     pub next_unplanned: usize,
     /// Values stored as `OutputKind::Deferred` pieces and not known to
@@ -149,14 +163,49 @@ impl DataflowGraph {
         id
     }
 
-    /// Add a node, updating consumer lists, returning its id.
+    /// Add a node whose ids were pushed to [`node_ids`](Self::node_ids)
+    /// from `node.ids` on (see [`Node::ids`]), making it the last
+    /// consumer of every value it reads. Returns its id.
     pub fn push_node(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        for &arg in &node.args {
-            self.values[arg.0 as usize].consumers.push(id);
+        for &arg in node_args(&self.node_ids, &node) {
+            self.values[arg.0 as usize].last_consumer = Some(id);
         }
         self.nodes.push(node);
         id
+    }
+
+    /// The values `node` reads, one per argument, in annotation order.
+    pub fn args(&self, node: &Node) -> &[ValueId] {
+        node_args(&self.node_ids, node)
+    }
+
+    /// The new versions `node` writes: `(argument index, version)` for
+    /// each `mut` argument, in argument order.
+    pub fn mut_outs<'a>(&'a self, node: &'a Node) -> impl Iterator<Item = (usize, ValueId)> + 'a {
+        let versions = &self.node_ids[node.ids as usize + node.annot.args.len()..];
+        let mutable = node
+            .annot
+            .args
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.mutable);
+        mutable.map(|(i, _)| i).zip(versions.iter().copied())
+    }
+
+    /// The smallest and largest value id the (non-empty) node range
+    /// `nodes` reads or produces: their argument and mut-version ids
+    /// are one run of [`node_ids`](Self::node_ids), plus their returns.
+    pub(crate) fn id_window(&self, nodes: std::ops::Range<usize>) -> (u32, u32) {
+        let end = self
+            .nodes
+            .get(nodes.end)
+            .map_or(self.node_ids.len(), |n| n.ids as usize);
+        let ids = self.node_ids[self.nodes[nodes.start].ids as usize..end].iter();
+        let rets = self.nodes[nodes].iter().filter_map(|n| n.ret);
+        ids.copied()
+            .chain(rets)
+            .fold((u32::MAX, 0), |(lo, hi), v| (lo.min(v.0), hi.max(v.0)))
     }
 
     /// Resolve an argument `DataValue` to a graph value.
@@ -165,33 +214,25 @@ impl DataflowGraph {
     /// values resolve through the identity map (so the latest in-place
     /// version is used), or become new sources.
     pub fn resolve_arg(&mut self, dv: &DataValue) -> ValueId {
-        if let Some(ident) = dv.identity() {
-            if let Some(&vid) = self.identity_map.get(&ident) {
-                return vid;
-            }
-            let vid = self.push_value(ValueEntry {
-                origin: ValueOrigin::Source,
-                data: Some(dv.clone()),
-                ready: true,
-                held: None,
-                merge_origin: None,
-                consumers: Vec::new(),
-                user_token: None,
-            });
-            self.identity_map.insert(ident, vid);
-            vid
-        } else {
-            // Identity-less (e.g. a fresh scalar): always a new source.
-            self.push_value(ValueEntry {
-                origin: ValueOrigin::Source,
-                data: Some(dv.clone()),
-                ready: true,
-                held: None,
-                merge_origin: None,
-                consumers: Vec::new(),
-                user_token: None,
-            })
+        let ident = dv.identity();
+        if let Some(&vid) = ident.as_ref().and_then(|i| self.identity_map.get(i)) {
+            return vid;
         }
+        let vid = self.push_value(ValueEntry {
+            origin: ValueOrigin::Source,
+            data: Some(dv.clone()),
+            ready: true,
+            held: None,
+            merge_origin: None,
+            last_consumer: None,
+            user_token: None,
+        });
+        // Identity-less values (e.g. a fresh scalar) are always a new
+        // source.
+        if let Some(ident) = ident {
+            self.identity_map.insert(ident, vid);
+        }
+        vid
     }
 
     /// Whether all registered nodes have executed.
@@ -254,7 +295,7 @@ impl DataflowGraph {
     ) {
         let (values, nodes) = (&mut self.values, &self.nodes);
         for node in &nodes[first_node..self.next_unplanned] {
-            for &id in node.args.iter().chain(&node.ret) {
+            for &id in node_args(&self.node_ids, node).iter().chain(&node.ret) {
                 if !values[id.0 as usize].observable() {
                     if let Some((origin, target)) = release_value(values, nodes, id) {
                         park(origin, target);
@@ -301,60 +342,62 @@ impl DataflowGraph {
     /// Returns `None` when nothing is pending, or when some external
     /// value's shape cannot be characterized (no default splitter and
     /// not a known scalar) — such segments are simply not cacheable.
+    ///
+    /// The walk is word-hashed (`WordHasher`): per node, the
+    /// annotation's address and its [signature](Annotation) (hashed
+    /// once when it was built), then one word per value reference.
+    /// Canonical numbers live in a table indexed by [`ValueId`] over
+    /// the segment's id window, so nothing here hashes a value id.
     pub fn pending_shape(&self) -> Option<SegmentShape> {
         if self.fully_executed() {
             return None;
         }
-        let mut h = Fnv::new();
-        let mut numbering: HashMap<ValueId, u32> = HashMap::new();
-        let mut values: Vec<ValueId> = Vec::new();
-        let mut externals: Vec<bool> = Vec::new();
-        let mut intern =
-            |v: ValueId, values: &mut Vec<ValueId>, externals: &mut Vec<bool>, ext: bool| {
-                match numbering.get(&v) {
-                    Some(&c) => (c, false),
-                    None => {
-                        let c = values.len() as u32;
-                        numbering.insert(v, c);
-                        values.push(v);
-                        externals.push(ext);
-                        (c, true)
-                    }
-                }
-            };
-        for node in &self.nodes[self.next_unplanned..] {
+        let pending = self.next_unplanned..self.nodes.len();
+        let lo = self
+            .id_window(pending.clone())
+            .0
+            .min(self.values.len() as u32);
+        let window = self.values.len() - lo as usize;
+        let mut canon = vec![u32::MAX; window];
+        let mut values: Vec<ValueId> = Vec::with_capacity(window);
+        let mut externals: Vec<bool> = Vec::with_capacity(window);
+        let mut intern = |v: ValueId, ext: bool| {
+            let c = &mut canon[(v.0 - lo) as usize];
+            if *c != u32::MAX {
+                return (*c as u64, false);
+            }
+            *c = values.len() as u32;
+            values.push(v);
+            externals.push(ext);
+            (*c as u64, true)
+        };
+        let mut h = WordHasher::default();
+        for node in &self.nodes[pending] {
             // Annotation identity: the pointer (annotations are built
             // once and live in statics in the generated-wrapper idiom)
-            // plus the name, as insurance against address reuse by
+            // plus the signature — everything the planner reads from
+            // the annotation, and insurance against address reuse by
             // short-lived dynamic annotations.
-            h.usize(Arc::as_ptr(&node.annot) as *const () as usize);
-            h.bytes(node.annot.name.as_bytes());
-            for (i, spec) in node.annot.args.iter().enumerate() {
-                h.u64(spec.mutable as u64);
-                hash_expr(&mut h, &spec.ty);
-                let vid = node.args[i];
-                let (c, first) = intern(vid, &mut values, &mut externals, true);
-                h.u64(c as u64);
+            h.word(Arc::as_ptr(&node.annot) as *const () as usize as u64);
+            h.word(node.annot.signature);
+            for &vid in self.args(node) {
+                let (c, first) = intern(vid, true);
+                h.word(c);
                 if first {
                     // A value first seen as an argument was produced
                     // outside the segment: its shape is part of the key.
                     self.hash_external(&mut h, vid)?;
                 }
             }
-            for mv in node.mut_out.iter().flatten() {
-                let (c, _) = intern(*mv, &mut values, &mut externals, false);
-                h.u64(0x4d55_5456 ^ c as u64); // "MUTV"
+            for (_, mv) in self.mut_outs(node) {
+                h.word(0x4d55_5456 ^ intern(mv, false).0); // "MUTV"
             }
-            match (&node.annot.ret, node.ret) {
-                (Some(expr), Some(rv)) => {
-                    hash_expr(&mut h, expr);
-                    let (c, _) = intern(rv, &mut values, &mut externals, false);
-                    h.u64(0x5245_5456 ^ c as u64); // "RETV"
-                }
-                _ => h.u64(0),
+            match node.ret {
+                Some(rv) => h.word(0x5245_5456 ^ intern(rv, false).0), // "RETV"
+                None => h.word(0),
             }
         }
-        h.u64(self.pending_nodes() as u64);
+        h.word(self.pending_nodes() as u64);
         Some(SegmentShape {
             fingerprint: h.finish(),
             values,
@@ -365,44 +408,66 @@ impl DataflowGraph {
     /// Hash the shape signature of a value produced outside the pending
     /// segment. Returns `None` (uncacheable) when the value has no data
     /// yet or no way to characterize its shape.
-    fn hash_external(&self, h: &mut Fnv, vid: ValueId) -> Option<()> {
-        use crate::value::{BoolValue, FloatValue, IntValue, StrValue};
+    fn hash_external(&self, h: &mut WordHasher, vid: ValueId) -> Option<()> {
         let data = self.captured_data(vid)?;
-        h.bytes(data.type_name().as_bytes());
         // Scalars hash by value: they feed split type constructors
         // (array lengths, matrix dims) and function behavior directly.
-        if let Some(i) = data.downcast_ref::<IntValue>() {
-            h.u64(1);
-            h.u64(i.0 as u64);
+        if let Some(scalar) = Scalar::of(data) {
+            match scalar {
+                Scalar::Int(i) => (h.word(1), h.word(i as u64)),
+                Scalar::Float(x) => (h.word(2), h.word(x.to_bits())),
+                Scalar::Bool(b) => (h.word(3), h.word(b as u64)),
+                Scalar::Str(s) => (h.word(4), h.bytes(s.as_bytes())),
+            };
             return Some(());
         }
-        if let Some(x) = data.downcast_ref::<FloatValue>() {
-            h.u64(2);
-            h.u64(x.0.to_bits());
-            return Some(());
-        }
-        if let Some(b) = data.downcast_ref::<BoolValue>() {
-            h.u64(3);
-            h.u64(b.0 as u64);
-            return Some(());
-        }
-        if let Some(s) = data.downcast_ref::<StrValue>() {
-            h.u64(4);
-            h.bytes(s.0.as_bytes());
-            return Some(());
-        }
-        // Library values hash by their default split type's parameters —
-        // the annotator's own shape characterization (lengths, rows,
-        // dimensions). No default splitter means no shape key: refuse to
-        // cache rather than risk replaying a stale plan.
-        let inst = crate::registry::default_instance_for(data).ok()?;
-        h.u64(5);
-        h.bytes(inst.splitter.name().as_bytes());
-        for p in &inst.params {
-            h.u64(*p as u64);
+        // Library values hash by their type and their default split
+        // type's parameters — the annotator's own shape characterization
+        // (lengths, rows, dimensions). No default splitter means no shape
+        // key: refuse to cache rather than risk replaying a stale plan.
+        let splitter = crate::registry::default_splitter_for(data)?;
+        let params = splitter.default_params(data).ok()?;
+        h.word(5);
+        h.bytes(data.type_name().as_bytes());
+        h.bytes(splitter.name().as_bytes());
+        for p in params {
+            h.word(p as u64);
         }
         Some(())
     }
+}
+
+/// A scalar value, which [`DataflowGraph::pending_shape`] pins by value
+/// when the segment reads it from outside: nothing about it can differ
+/// between two segments with one fingerprint.
+pub(crate) enum Scalar<'a> {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+impl Scalar<'_> {
+    pub(crate) fn of(data: &DataValue) -> Option<Scalar<'_>> {
+        use crate::value::{BoolValue, FloatValue, IntValue, StrValue};
+        if let Some(i) = data.downcast_ref::<IntValue>() {
+            return Some(Scalar::Int(i.0));
+        }
+        if let Some(x) = data.downcast_ref::<FloatValue>() {
+            return Some(Scalar::Float(x.0));
+        }
+        if let Some(b) = data.downcast_ref::<BoolValue>() {
+            return Some(Scalar::Bool(b.0));
+        }
+        data.downcast_ref::<StrValue>().map(|s| Scalar::Str(&s.0))
+    }
+}
+
+/// [`DataflowGraph::args`] over the arena alone, for callers holding
+/// other graph fields mutably.
+fn node_args<'a>(node_ids: &'a [ValueId], node: &Node) -> &'a [ValueId] {
+    let at = node.ids as usize;
+    &node_ids[at..at + node.annot.args.len()]
 }
 
 /// [`DataflowGraph::release`] over the graph's fields, so a caller
@@ -413,8 +478,10 @@ fn release_value(
     id: ValueId,
 ) -> Option<(MergeOrigin, DataValue)> {
     let e = &mut values[id.0 as usize];
-    let pending = |c: &NodeId| !nodes[c.0 as usize].executed;
-    if !matches!(e.origin, ValueOrigin::Ret(_)) || e.consumers.iter().any(pending) {
+    let pending_reader = e
+        .last_consumer
+        .is_some_and(|c| !nodes[c.0 as usize].executed);
+    if !matches!(e.origin, ValueOrigin::Ret(_)) || pending_reader {
         return None;
     }
     let data = e.data.take();
@@ -439,57 +506,68 @@ pub struct SegmentShape {
     pub externals: Vec<bool>,
 }
 
-fn hash_expr(h: &mut Fnv, expr: &SplitTypeExpr) {
-    match expr {
-        SplitTypeExpr::Concrete {
-            splitter,
-            ctor_args,
-        } => {
-            h.u64(0x10);
-            h.bytes(splitter.name().as_bytes());
-            for a in ctor_args {
-                h.u64(*a as u64);
-            }
-        }
-        SplitTypeExpr::Generic(g) => {
-            h.u64(0x20);
-            h.u64(*g as u64);
-        }
-        SplitTypeExpr::Missing => h.u64(0x30),
-        SplitTypeExpr::Unknown { merger } => {
-            h.u64(0x40);
-            h.bytes(merger.name().as_bytes());
+/// The runtime's one hash function, for the plan-cache fingerprint and
+/// the maps the warm path touches (storage identities, cached plans,
+/// default splitters): a 64-bit word at a time, each folded in with one
+/// 64×64→128-bit multiply (the folded-multiply mix of wyhash and
+/// foldhash) — where byte-at-a-time FNV paid a multiply per byte and
+/// SipHash its rounds per word. Deterministic and unkeyed: every key is
+/// the runtime's own ids and shapes, never chosen by a remote peer.
+#[derive(Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        WordHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl WordHasher {
+    #[inline]
+    pub(crate) fn word(&mut self, w: u64) {
+        let p = u128::from(self.0 ^ w) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    /// The length, then the bytes in little-endian words (the last one
+    /// zero-padded).
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
         }
     }
 }
 
-/// FNV-1a, 64-bit: tiny, deterministic, dependency-free.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
+impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.word(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
 }
+
+/// A `HashMap` keyed through [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A `HashSet` keyed through [`WordHasher`].
+pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -83,14 +83,15 @@
 //! and a context without a plan cache never parks. Stages without a
 //! placement output never consult the slots.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::annotation::{GenericId, SplitTypeExpr};
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::graph::{DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId};
+use crate::graph::{
+    DataflowGraph, MergeOrigin, NodeId, Scalar, SegmentShape, ValueId, WordMap, WordSet,
+};
 use crate::registry::default_instance_for;
 use crate::split::SplitInstance;
 use crate::value::DataValue;
@@ -167,7 +168,7 @@ pub struct StagePlan {
     /// Dense slot index per stage-local value, assigned at plan time so
     /// the executor's driver loop addresses values by array offset
     /// instead of hashing `ValueId`s per batch (§5.2 overhead work).
-    pub slots: HashMap<ValueId, u32>,
+    pub slots: SlotTable,
     /// Number of slots (`slots` maps into `0..num_slots`).
     pub num_slots: u32,
 }
@@ -176,25 +177,106 @@ impl StagePlan {
     /// Slot of a stage-local value. Panics on values the planner never
     /// assigned, which would be a planning bug.
     pub fn slot_of(&self, value: ValueId) -> u32 {
-        *self
-            .slots
-            .get(&value)
+        self.slots
+            .get(value)
             .unwrap_or_else(|| panic!("value v{} has no stage slot", value.0))
     }
 }
 
-/// Incremental state while growing a stage.
+/// The `ValueId → slot` map of one stage, as a flat table over the
+/// window of value ids the stage touches: planning, replay binds and
+/// the executor address it by offset, never by hashing an id.
+#[derive(Clone, Debug, Default)]
+pub struct SlotTable {
+    /// Value id of `slots[0]`.
+    base: u32,
+    /// Slot per value id from `base` on, [`SlotTable::NONE`] where the
+    /// value has none.
+    slots: Vec<u32>,
+}
+
+impl SlotTable {
+    const NONE: u32 = u32::MAX;
+
+    /// An empty table sized for the ids `lo..=hi` (from
+    /// [`DataflowGraph::id_window`]).
+    fn window((lo, hi): (u32, u32)) -> SlotTable {
+        if lo > hi {
+            return SlotTable::default();
+        }
+        SlotTable {
+            base: lo,
+            slots: vec![Self::NONE; (hi - lo) as usize + 1],
+        }
+    }
+
+    /// The slot of `value`, if it has one.
+    pub fn get(&self, value: ValueId) -> Option<u32> {
+        let i = value.0.checked_sub(self.base)?;
+        self.slots
+            .get(i as usize)
+            .copied()
+            .filter(|&s| s != Self::NONE)
+    }
+
+    /// Assign `value` to `slot`, replacing any earlier assignment; the
+    /// window grows to cover `value` if it has to.
+    pub fn insert(&mut self, value: ValueId, slot: u32) {
+        if self.slots.is_empty() {
+            self.base = value.0;
+        }
+        if value.0 < self.base {
+            let grow = (self.base - value.0) as usize;
+            self.slots
+                .splice(0..0, std::iter::repeat_n(Self::NONE, grow));
+            self.base = value.0;
+        }
+        let i = (value.0 - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Self::NONE);
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Remove `value`'s assignment, returning its slot.
+    pub fn remove(&mut self, value: ValueId) -> Option<u32> {
+        let slot = self.get(value)?;
+        self.slots[(value.0 - self.base) as usize] = Self::NONE;
+        Some(slot)
+    }
+
+    /// Every assignment, by increasing value id.
+    pub fn iter(&self) -> impl Iterator<Item = (ValueId, u32)> + '_ {
+        let base = self.base;
+        (base..)
+            .zip(&self.slots)
+            .filter(|&(_, &s)| s != Self::NONE)
+            .map(|(v, &s)| (ValueId(v), s))
+    }
+}
+
+impl FromIterator<(ValueId, u32)> for SlotTable {
+    fn from_iter<I: IntoIterator<Item = (ValueId, u32)>>(iter: I) -> Self {
+        let mut table = SlotTable::default();
+        for (value, slot) in iter {
+            table.insert(value, slot);
+        }
+        table
+    }
+}
+
+/// Incremental state while growing a stage. Its nodes are always a
+/// contiguous run from `graph.next_unplanned`.
 struct StageBuilder {
     nodes: Vec<NodeId>,
-    node_set: HashSet<NodeId>,
     /// Required split type per stage input value.
-    input_types: HashMap<ValueId, SplitInstance>,
+    input_types: WordMap<ValueId, SplitInstance>,
     input_order: Vec<ValueId>,
-    broadcast: HashSet<ValueId>,
+    broadcast: WordSet<ValueId>,
     broadcast_order: Vec<ValueId>,
     /// Split types of values produced within the stage (rets and
     /// in-place mut versions).
-    produced: HashMap<ValueId, SplitInstance>,
+    produced: WordMap<ValueId, SplitInstance>,
     /// Total element count the stage's split inputs agreed on, once any
     /// split input exists. All split functions of a stage must produce
     /// the same number of splits (§3.4), so a call whose inputs have a
@@ -206,12 +288,11 @@ impl StageBuilder {
     fn new() -> Self {
         StageBuilder {
             nodes: Vec::new(),
-            node_set: HashSet::new(),
-            input_types: HashMap::new(),
+            input_types: WordMap::default(),
             input_order: Vec::new(),
-            broadcast: HashSet::new(),
+            broadcast: WordSet::default(),
             broadcast_order: Vec::new(),
-            produced: HashMap::new(),
+            produced: WordMap::default(),
             total_elements: None,
         }
     }
@@ -267,8 +348,8 @@ pub fn plan_next_stage(
             AddOutcome::Incompatible if !b.nodes.is_empty() => break,
             AddOutcome::Incompatible => {
                 let node = &graph.nodes[cursor];
-                let held: Vec<ValueId> = node
-                    .args
+                let held: Vec<ValueId> = graph
+                    .args(node)
                     .iter()
                     .copied()
                     .filter(|v| graph.held(*v).is_some())
@@ -293,15 +374,16 @@ pub fn plan_next_stage(
 fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Result<AddOutcome> {
     let node = &graph.nodes[node_id.0 as usize];
     let annot = &node.annot;
+    let args = graph.args(node);
 
-    let mut bindings: HashMap<GenericId, SplitInstance> = HashMap::new();
+    let mut bindings: WordMap<GenericId, SplitInstance> = WordMap::default();
 
     // Pass 1: bind generics from types already flowing into this node —
     // types produced or bound within the stage, and the held types of
     // split-form values arriving from earlier stages.
     for (i, spec) in annot.args.iter().enumerate() {
         if let SplitTypeExpr::Generic(g) = &spec.ty {
-            let vid = node.args[i];
+            let vid = args[i];
             let known = b
                 .known_type(vid)
                 .or_else(|| graph.split_form(vid).map(|sf| sf.instance()));
@@ -364,7 +446,7 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
     };
 
     for (i, spec) in annot.args.iter().enumerate() {
-        let vid = node.args[i];
+        let vid = args[i];
         match &spec.ty {
             SplitTypeExpr::Missing => {
                 if b.produced.contains_key(&vid) {
@@ -388,11 +470,10 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
                 splitter,
                 ctor_args,
             } => {
-                let inst =
-                    match construct_instance(graph, node.args.as_slice(), splitter, ctor_args)? {
-                        Some(i) => i,
-                        None => return Ok(AddOutcome::Incompatible),
-                    };
+                let inst = match construct_instance(graph, args, splitter, ctor_args)? {
+                    Some(i) => i,
+                    None => return Ok(AddOutcome::Incompatible),
+                };
                 if !check_use(b, &mut new_inputs, vid, &inst)? {
                     return Ok(AddOutcome::Incompatible);
                 }
@@ -433,7 +514,7 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
             SplitTypeExpr::Concrete {
                 splitter,
                 ctor_args,
-            } => match construct_instance(graph, node.args.as_slice(), splitter, ctor_args)? {
+            } => match construct_instance(graph, args, splitter, ctor_args)? {
                 Some(i) => i,
                 None => return Ok(AddOutcome::Incompatible),
             },
@@ -496,8 +577,8 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
         b.broadcast.insert(vid);
         b.broadcast_order.push(vid);
     }
-    for (i, inst) in arg_instances.iter().enumerate() {
-        if let (Some(mv), Some(inst)) = (node.mut_out[i], inst) {
+    for (i, mv) in graph.mut_outs(node) {
+        if let Some(inst) = &arg_instances[i] {
             b.produced.insert(mv, inst.clone());
         }
     }
@@ -505,7 +586,6 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
         b.produced.insert(rv, inst);
     }
     b.nodes.push(node_id);
-    b.node_set.insert(node_id);
     Ok(AddOutcome::Added)
 }
 
@@ -540,6 +620,7 @@ fn construct_instance(
 
 /// Decide whether a would-be `Merge` output may instead be handed to
 /// its consumers in split form (see the module docs for the full rule).
+/// `stage_end` is the index one past the producing stage's last node.
 ///
 /// The caller has already established the value is consumed by a later
 /// node and not user-visible. This check is a *prediction* about how
@@ -550,7 +631,7 @@ fn construct_instance(
 /// capability, terminal/unknown pieces) must be checked here.
 fn split_form_eligible(
     graph: &DataflowGraph,
-    node_set: &HashSet<NodeId>,
+    stage_end: usize,
     value: ValueId,
     inst: &SplitInstance,
     config: &Config,
@@ -561,10 +642,12 @@ fn split_form_eligible(
     if inst.split_form_concat().is_none() {
         return false;
     }
-    let entry = &graph.values[value.0 as usize];
-    for &c in &entry.consumers {
-        let node = &graph.nodes[c.0 as usize];
-        if node.executed || node_set.contains(&c) {
+    let last = graph.values[value.0 as usize]
+        .last_consumer
+        .map_or(0, |c| c.0 as usize + 1);
+    for node in graph.nodes.get(stage_end..last).unwrap_or_default() {
+        let args = graph.args(node);
+        if node.executed || !args.contains(&value) {
             continue;
         }
         // Every outside use must be a non-mutable split argument whose
@@ -572,7 +655,7 @@ fn split_form_eligible(
         // will bind to the held type) or a concrete expression of the
         // same split type.
         for (i, spec) in node.annot.args.iter().enumerate() {
-            if node.args[i] != value {
+            if args[i] != value {
                 continue;
             }
             if spec.mutable {
@@ -588,9 +671,9 @@ fn split_form_eligible(
         // Split type constructors inspect whole values (§3.2), so the
         // value must not feed any constructor argument of the consumer.
         let feeds_ctor = |expr: &SplitTypeExpr| match expr {
-            SplitTypeExpr::Concrete { ctor_args, .. } => ctor_args
-                .iter()
-                .any(|&idx| node.args.get(idx) == Some(&value)),
+            SplitTypeExpr::Concrete { ctor_args, .. } => {
+                ctor_args.iter().any(|&idx| args.get(idx) == Some(&value))
+            }
             _ => false,
         };
         if node.annot.args.iter().any(|s| feeds_ctor(&s.ty))
@@ -602,13 +685,13 @@ fn split_form_eligible(
     true
 }
 
-/// How a stage materializes return value `value` — the rule table of
-/// "Demand-driven materialization" in the module docs. Shared by fresh
-/// planning and plan-cache replay, which re-derives it from the
-/// *current* liveness and demand.
+/// How a stage ending before node `stage_end` materializes return
+/// value `value` — the rule table of "Demand-driven materialization"
+/// in the module docs. Shared by fresh planning and plan-cache replay,
+/// which re-derives it from the *current* liveness and demand.
 fn output_kind(
     graph: &DataflowGraph,
-    node_set: &HashSet<NodeId>,
+    stage_end: usize,
     value: ValueId,
     inst: &SplitInstance,
     config: &Config,
@@ -616,13 +699,12 @@ fn output_kind(
 ) -> OutputKind {
     let entry = &graph.values[value.0 as usize];
     let consumed_later = entry
-        .consumers
-        .iter()
-        .any(|c| !node_set.contains(c) && !graph.nodes[c.0 as usize].executed);
+        .last_consumer
+        .is_some_and(|c| c.0 as usize >= stage_end && !graph.nodes[c.0 as usize].executed);
     let live = entry.observable();
     let demanded = demand.wants(value, live);
     if consumed_later {
-        if !live && !demanded && split_form_eligible(graph, node_set, value, inst, config) {
+        if !live && !demanded && split_form_eligible(graph, stage_end, value, inst, config) {
             OutputKind::SplitForm
         } else {
             OutputKind::Merge
@@ -643,13 +725,14 @@ fn finish_stage(
     config: &Config,
     demand: Demand,
 ) -> StagePlan {
+    let first = b.nodes[0].0 as usize;
+    let stage = first..first + b.nodes.len();
     let mut outputs = Vec::new();
-    for &node_id in &b.nodes {
-        let node = &graph.nodes[node_id.0 as usize];
-        for mv in node.mut_out.iter().flatten() {
-            if let Some(inst) = b.produced.get(mv) {
+    for node in &graph.nodes[stage.clone()] {
+        for (_, mv) in graph.mut_outs(node) {
+            if let Some(inst) = b.produced.get(&mv) {
                 outputs.push(StageOutput {
-                    value: *mv,
+                    value: mv,
                     instance: inst.clone(),
                     kind: OutputKind::InPlace,
                 });
@@ -657,7 +740,7 @@ fn finish_stage(
         }
         if let Some(rv) = node.ret {
             let inst = b.produced.get(&rv).expect("ret type was committed").clone();
-            let kind = output_kind(graph, &b.node_set, rv, &inst, config, demand);
+            let kind = output_kind(graph, stage.end, rv, &inst, config, demand);
             outputs.push(StageOutput {
                 value: rv,
                 instance: inst,
@@ -669,30 +752,28 @@ fn finish_stage(
     // values first (written per worker), then everything the nodes read
     // or produce. The executor indexes a flat `Vec` with these, keeping
     // hash lookups out of the per-batch driver loop.
-    let mut slots: HashMap<ValueId, u32> = HashMap::new();
-    let assign = |slots: &mut HashMap<ValueId, u32>, v: ValueId| {
-        let next = slots.len() as u32;
-        slots.entry(v).or_insert(next);
-    };
-    for v in &b.input_order {
-        assign(&mut slots, *v);
-    }
-    for v in &b.broadcast_order {
-        assign(&mut slots, *v);
-    }
-    for &node_id in &b.nodes {
-        let node = &graph.nodes[node_id.0 as usize];
-        for &a in &node.args {
-            assign(&mut slots, a);
+    let mut slots = SlotTable::window(graph.id_window(stage.clone()));
+    let mut num_slots = 0;
+    let mut assign = |v: ValueId| {
+        if slots.get(v).is_none() {
+            slots.insert(v, num_slots);
+            num_slots += 1;
         }
-        for mv in node.mut_out.iter().flatten() {
-            assign(&mut slots, *mv);
+    };
+    for &v in b.input_order.iter().chain(&b.broadcast_order) {
+        assign(v);
+    }
+    for node in &graph.nodes[stage] {
+        for &a in graph.args(node) {
+            assign(a);
+        }
+        for (_, mv) in graph.mut_outs(node) {
+            assign(mv);
         }
         if let Some(rv) = node.ret {
-            assign(&mut slots, rv);
+            assign(rv);
         }
     }
-    let num_slots = slots.len() as u32;
 
     StagePlan {
         nodes: b.nodes,
@@ -734,6 +815,11 @@ struct CachedInput {
     /// analogue of re-derivation. A mismatch in either direction fails
     /// the bind, invalidating the entry.
     split_form: bool,
+    /// The input's element total, recorded when the input is a scalar
+    /// produced outside the segment: the fingerprint pins such a value
+    /// exactly, so replays bind the recorded instance and total without
+    /// re-deriving or re-asking either.
+    scalar_total: Option<u64>,
 }
 
 /// One stage output as recorded in a cached plan. How a return value
@@ -769,7 +855,7 @@ pub(crate) struct CachedPlan {
     /// under, by `(stage, output)`: see "Merge-target spares" in the
     /// module docs. Living inside the entry is what makes them die
     /// with it.
-    spares: Mutex<HashMap<(u32, u32), (MergeOrigin, DataValue)>>,
+    spares: Mutex<WordMap<(u32, u32), (MergeOrigin, DataValue)>>,
 }
 
 /// A stage's position in a cached (or being-recorded) plan: the key
@@ -838,7 +924,7 @@ impl PlanCacheStats {
 /// fingerprint pins by value — not from computed intermediates attached
 /// to a different input value.
 pub struct PlanCache {
-    entries: Mutex<HashMap<u64, std::sync::Arc<CachedPlan>>>,
+    entries: Mutex<WordMap<u64, std::sync::Arc<CachedPlan>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -856,7 +942,7 @@ impl PlanCache {
     /// arbitrary entry is evicted per insertion.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(WordMap::default()),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -954,9 +1040,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub(crate) struct PlanRecorder {
     fingerprint: u64,
     /// ValueId → canonical number, from the segment shape.
-    numbering: HashMap<ValueId, u32>,
+    numbering: WordMap<ValueId, u32>,
     /// ValueIds produced outside the segment (fingerprint-pinned).
-    external: std::collections::HashSet<ValueId>,
+    external: WordSet<ValueId>,
     stages: Vec<CachedStage>,
     nodes_total: usize,
     /// Set if a stage referenced a value outside the canonical
@@ -1034,21 +1120,28 @@ impl PlanRecorder {
                         && graph
                             .value_data(*v)
                             .and_then(|d| inst.splitter.default_params(d).ok())
-                            .is_some_and(|p| p == inst.params);
+                            .is_some_and(|p| p == *inst.params);
                     // A non-re-derivable instance over a value computed
                     // *inside* the segment (the interleaved-planning
                     // case: constructor args depending on earlier
                     // stages' results) carries parameters the
                     // fingerprint does not pin — refuse to cache the
                     // segment rather than risk replaying stale params.
-                    if !split_form && !rederive && !self.external.contains(v) {
+                    let external = self.external.contains(v);
+                    if !split_form && !rederive && !external {
                         poisoned = true;
                     }
+                    let scalar_total = graph
+                        .value_data(*v)
+                        .filter(|d| external && Scalar::of(d).is_some())
+                        .and_then(|d| inst.splitter.info(d, &inst.params).ok())
+                        .map(|info| info.total_elements);
                     CachedInput {
                         value: canon(*v, &mut poisoned),
                         instance: inst.clone(),
                         rederive,
                         split_form,
+                        scalar_total,
                     }
                 })
                 .collect(),
@@ -1069,7 +1162,7 @@ impl PlanRecorder {
             slots: plan
                 .slots
                 .iter()
-                .map(|(v, s)| (canon(*v, &mut poisoned), *s))
+                .map(|(v, s)| (canon(v, &mut poisoned), s))
                 .collect(),
             num_slots: plan.num_slots,
         };
@@ -1086,7 +1179,7 @@ impl PlanRecorder {
         Some(CachedPlan {
             stages: self.stages,
             nodes_total: self.nodes_total,
-            spares: Mutex::new(HashMap::new()),
+            spares: Mutex::new(WordMap::default()),
         })
     }
 }
@@ -1115,8 +1208,8 @@ impl CachedPlan {
         demand: Demand,
     ) -> Result<StagePlan> {
         let cs = self.stages.get(idx).ok_or(Error::ValueUnavailable)?;
-        let base = graph.next_unplanned;
-        if base + cs.node_count > graph.nodes.len() {
+        let stage = graph.next_unplanned..graph.next_unplanned + cs.node_count;
+        if stage.is_empty() || stage.end > graph.nodes.len() {
             return Err(Error::ValueUnavailable);
         }
         let get = |c: u32| -> Result<ValueId> {
@@ -1125,15 +1218,25 @@ impl CachedPlan {
                 .copied()
                 .ok_or(Error::ValueUnavailable)
         };
-        let nodes: Vec<NodeId> = (base..base + cs.node_count)
-            .map(|i| NodeId(i as u32))
-            .collect();
-        let node_set: HashSet<NodeId> = nodes.iter().copied().collect();
 
+        // All split inputs must agree on one element total.
         let mut total: Option<u64> = None;
+        let mut agree = |actual: u64| match total {
+            None => {
+                total = Some(actual);
+                Ok(())
+            }
+            Some(expected) if expected == actual => Ok(()),
+            Some(expected) => Err(Error::ElementMismatch { expected, actual }),
+        };
         let mut inputs = Vec::with_capacity(cs.inputs.len());
         for ci in &cs.inputs {
             let vid = get(ci.value)?;
+            if let Some(t) = ci.scalar_total {
+                agree(t)?;
+                inputs.push((vid, ci.instance.clone()));
+                continue;
+            }
             if ci.split_form {
                 // The value must again be held in split form under the
                 // same split type; instance and total come from the
@@ -1144,39 +1247,22 @@ impl CachedPlan {
                 if sf.instance().splitter.name() != ci.instance.splitter.name() {
                     return Err(Error::ValueUnavailable);
                 }
-                match total {
-                    None => total = Some(sf.total()),
-                    Some(t) if t == sf.total() => {}
-                    Some(t) => {
-                        return Err(Error::ElementMismatch {
-                            expected: t,
-                            actual: sf.total(),
-                        })
-                    }
-                }
+                agree(sf.total())?;
                 inputs.push((vid, sf.instance().clone()));
                 continue;
             }
             let data = graph.value_data(vid).ok_or(Error::ValueUnavailable)?;
-            let inst = if ci.rederive {
-                match ci.instance.splitter.default_params(data) {
-                    Ok(params) => SplitInstance::new(ci.instance.splitter.clone(), params),
-                    Err(_) => ci.instance.clone(),
-                }
-            } else {
-                ci.instance.clone()
+            let rederived = ci
+                .rederive
+                .then(|| ci.instance.splitter.default_params(data).ok())
+                .flatten()
+                // Unchanged parameters keep sharing the recorded ones.
+                .filter(|params| *params != *ci.instance.params);
+            let inst = match rederived {
+                Some(params) => SplitInstance::new(ci.instance.splitter.clone(), params),
+                None => ci.instance.clone(),
             };
-            let info = inst.splitter.info(data, &inst.params)?;
-            match total {
-                None => total = Some(info.total_elements),
-                Some(t) if t == info.total_elements => {}
-                Some(t) => {
-                    return Err(Error::ElementMismatch {
-                        expected: t,
-                        actual: info.total_elements,
-                    })
-                }
-            }
+            agree(inst.splitter.info(data, &inst.params)?.total_elements)?;
             inputs.push((vid, inst));
         }
 
@@ -1193,7 +1279,7 @@ impl CachedPlan {
             let kind = if co.in_place {
                 OutputKind::InPlace
             } else {
-                output_kind(graph, &node_set, vid, &co.instance, config, demand)
+                output_kind(graph, stage.end, vid, &co.instance, config, demand)
             };
             outputs.push(StageOutput {
                 value: vid,
@@ -1202,13 +1288,13 @@ impl CachedPlan {
             });
         }
 
-        let mut slots = HashMap::with_capacity(cs.slots.len());
-        for (c, s) in &cs.slots {
-            slots.insert(get(*c)?, *s);
+        let mut slots = SlotTable::window(graph.id_window(stage.clone()));
+        for &(c, s) in &cs.slots {
+            slots.insert(get(c)?, s);
         }
 
         Ok(StagePlan {
-            nodes,
+            nodes: stage.map(|i| NodeId(i as u32)).collect(),
             inputs,
             broadcast,
             outputs,

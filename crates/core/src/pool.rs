@@ -79,6 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
+use crate::cputime::PhaseClock;
 use crate::error::{Error, Result};
 use crate::executor::{run_worker, ExecStage, WorkerOut};
 use crate::faultinject::{panic_message, FaultPhase};
@@ -443,8 +444,14 @@ impl WorkerPool {
     /// participates as worker 0 and blocks until every participant is
     /// done. Safe to call from many threads concurrently: each job is
     /// queued and pool workers pick among the open jobs by session
-    /// (module docs).
-    pub(crate) fn run_stage(&self, job: &Arc<Job>) -> Result<Vec<WorkerOut>> {
+    /// (module docs). The caller's phases are timed on `clock`; the
+    /// submit before its driver loop and the join after it are not
+    /// counted as any phase.
+    pub(crate) fn run_stage(
+        &self,
+        job: &Arc<Job>,
+        clock: &mut PhaseClock,
+    ) -> Result<Vec<WorkerOut>> {
         debug_assert!(
             job.exec.participants >= 2,
             "single-worker stages run inline"
@@ -467,7 +474,8 @@ impl WorkerPool {
         self.shared.work_cv.notify_one();
 
         // Participate from the calling thread.
-        let mine = run_worker(&job.exec, &job.cursor, &job.failed, 0);
+        clock.lap();
+        let mine = run_worker(&job.exec, &job.cursor, &job.failed, 0, clock);
         c.bump_batches(0, &mine);
         job.record(mine);
 
@@ -496,6 +504,7 @@ impl WorkerPool {
         let worker_batches = job.worker_batches.load(Ordering::Relaxed);
         c.note_complete(job.session, batches, worker_batches, job.bytes);
 
+        clock.lap();
         match error {
             Some(e) => Err(e),
             None => Ok(outs),
@@ -735,7 +744,13 @@ fn worker_main(shared: &PoolShared) {
         // before this thread dies, or the submitter blocks forever on
         // `finished == joined`.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_worker(&job.exec, &job.cursor, &job.failed, ticket)
+            run_worker(
+                &job.exec,
+                &job.cursor,
+                &job.failed,
+                ticket,
+                &mut PhaseClock::start(),
+            )
         }));
         let (out, abort) = match caught {
             Ok(out) => (out, None),

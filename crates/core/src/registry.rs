@@ -6,17 +6,17 @@
 //! per data type". Integration crates register their defaults here.
 
 use std::any::TypeId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::annotation::Annotation;
 use crate::error::{Error, Result};
+use crate::graph::WordMap;
 use crate::split::{SplitInstance, Splitter};
 use crate::value::{DataObject, DataValue};
 
-static REGISTRY: RwLock<Option<HashMap<TypeId, Arc<dyn Splitter>>>> = RwLock::new(None);
+static REGISTRY: RwLock<Option<WordMap<TypeId, Arc<dyn Splitter>>>> = RwLock::new(None);
 
 static ANNOTATIONS: RwLock<Vec<Arc<Annotation>>> = RwLock::new(Vec::new());
 
@@ -27,7 +27,7 @@ static ANNOTATIONS: RwLock<Vec<Arc<Annotation>>> = RwLock::new(Vec::new());
 pub fn register_default_splitter<T: DataObject>(splitter: Arc<dyn Splitter>) {
     let mut guard = REGISTRY.write();
     guard
-        .get_or_insert_with(HashMap::new)
+        .get_or_insert_with(WordMap::default)
         .insert(TypeId::of::<T>(), splitter);
 }
 
@@ -82,7 +82,7 @@ mod tests {
         let v = DataValue::new(IntValue(12));
         let inst = default_instance_for(&v).unwrap();
         assert_eq!(inst.splitter.name(), "SizeSplit");
-        assert_eq!(inst.params, vec![12]);
+        assert_eq!(*inst.params, vec![12]);
     }
 
     #[test]

@@ -423,8 +423,10 @@ pub trait Splitter: Send + Sync + 'static {
 pub struct SplitInstance {
     /// The splitting API implementation.
     pub splitter: Arc<dyn Splitter>,
-    /// Concrete parameter values (empty for `unknown`).
-    pub params: Params,
+    /// Concrete parameter values (empty for `unknown`), shared: copies
+    /// of an instance (plan skeletons, bound stages, executor inputs
+    /// and outputs) bump a count instead of cloning the vector.
+    pub params: Arc<Params>,
     /// Uniqueness token for `unknown` instances.
     pub unique: Option<u64>,
 }
@@ -436,7 +438,7 @@ impl SplitInstance {
     pub fn new(splitter: Arc<dyn Splitter>, params: Params) -> Self {
         SplitInstance {
             splitter,
-            params,
+            params: Arc::new(params),
             unique: None,
         }
     }
@@ -445,7 +447,7 @@ impl SplitInstance {
     pub fn fresh_unknown(merger: Arc<dyn Splitter>) -> Self {
         SplitInstance {
             splitter: merger,
-            params: Params::new(),
+            params: Arc::default(),
             unique: Some(UNKNOWN_COUNTER.fetch_add(1, Ordering::Relaxed)),
         }
     }

@@ -54,7 +54,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::annotation::{Annotation, SplitTypeExpr};
 use crate::config::Config;
-use crate::graph::{DataflowGraph, ValueOrigin};
+use crate::graph::{DataflowGraph, NodeId, ValueOrigin};
 use crate::planner::{Demand, OutputKind, StagePlan};
 use crate::split::MergeStrategy;
 
@@ -683,8 +683,8 @@ pub fn verify_stage(
     // --- Slot map integrity -------------------------------------------
     let mut slot_owner: HashMap<u32, u32> = HashMap::new();
     let mut check_slot = |vid: crate::graph::ValueId| -> Result<(), VerifyError> {
-        let slot = match plan.slots.get(&vid) {
-            Some(&s) => s,
+        let slot = match plan.slots.get(vid) {
+            Some(s) => s,
             None => return Err(VerifyError::SlotMissing { value: vid.0 }),
         };
         if slot >= plan.num_slots {
@@ -718,11 +718,11 @@ pub fn verify_stage(
             .nodes
             .get(nid.0 as usize)
             .ok_or(VerifyError::NodeOutOfRange { node: nid.0 })?;
-        for &a in &node.args {
+        for &a in graph.args(node) {
             check_slot(a)?;
         }
-        for mv in node.mut_out.iter().flatten() {
-            check_slot(*mv)?;
+        for (_, mv) in graph.mut_outs(node) {
+            check_slot(mv)?;
         }
         if let Some(rv) = node.ret {
             check_slot(rv)?;
@@ -744,7 +744,7 @@ pub fn verify_stage(
 
     for &nid in &plan.nodes {
         let node = &graph.nodes[nid.0 as usize];
-        for (i, &a) in node.args.iter().enumerate() {
+        for (i, &a) in graph.args(node).iter().enumerate() {
             if !defined.contains(&a) {
                 return Err(VerifyError::UseBeforeDef {
                     node: nid.0,
@@ -764,21 +764,17 @@ pub fn verify_stage(
             // the same value are fine — one slot per value means both
             // positions see the identical range, the aliasing
             // elementwise annotations document as tolerated.
-            if node.mut_out.get(i).map(|m| m.is_some()).unwrap_or(false)
-                && plan.broadcast.contains(&a)
-            {
+            if node.annot.args[i].mutable && plan.broadcast.contains(&a) {
                 return Err(VerifyError::MutSharedAlias {
                     node: nid.0,
                     value: a.0,
                 });
             }
         }
-        for (i, mv) in node.mut_out.iter().enumerate() {
-            if let Some(mv) = mv {
-                mutated.insert(node.args[i], nid.0);
-                defined.insert(*mv);
-                produced.insert(*mv);
-            }
+        for (i, mv) in graph.mut_outs(node) {
+            mutated.insert(graph.args(node)[i], nid.0);
+            defined.insert(mv);
+            produced.insert(mv);
         }
         if let Some(rv) = node.ret {
             defined.insert(rv);
@@ -794,10 +790,13 @@ pub fn verify_stage(
         }
         let entry = &graph.values[out.value.0 as usize];
         let pending_consumer = || {
-            entry
-                .consumers
-                .iter()
-                .find(|c| !stage_nodes.contains(&c.0) && !graph.nodes[c.0 as usize].executed)
+            let last = entry.last_consumer.map_or(0, |c| c.0 + 1);
+            (0..last).map(NodeId).find(|c| {
+                let node = &graph.nodes[c.0 as usize];
+                !stage_nodes.contains(&c.0)
+                    && !node.executed
+                    && graph.args(node).contains(&out.value)
+            })
         };
         match out.kind {
             OutputKind::Discard => {

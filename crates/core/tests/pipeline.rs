@@ -655,3 +655,37 @@ fn argument_count_mismatch_is_reported_at_registration() {
     let err = ctx.call(&scale, vec![vec_value(&data)]).unwrap_err();
     assert!(matches!(err, Error::ArgCount { .. }));
 }
+
+#[test]
+fn a_read_forces_the_context_that_protected_the_storage_last() {
+    // A context re-registering `mut` calls over storage it already
+    // protects keeps the one protection it holds (ISSUE 21). It must
+    // compare *which* context protects the storage, not just whether
+    // one does: B's pending write over storage A protected takes the
+    // protection over, so a read forces B instead of returning the
+    // storage without B's write.
+    let scale = scale_annotation();
+    let data = SharedVec::from_vec(vec![1.0; 16]);
+    let call = |ctx: &MozartContext, k: f64| {
+        let args = vec![
+            vec_value(&data),
+            DataValue::new(FloatValue(k)),
+            int_len(&data),
+        ];
+        ctx.call(&scale, args).unwrap();
+    };
+
+    let a = small_batch_ctx(2);
+    call(&a, 2.0);
+    call(&a, 3.0);
+    assert_eq!(data.as_slice(), &[6.0; 16][..], "the read forces A");
+    assert_eq!(a.pending_calls(), 0);
+
+    call(&a, 2.0);
+    let b = small_batch_ctx(2);
+    call(&b, 10.0);
+    assert_eq!(data.as_slice(), &[60.0; 16][..], "the read forces B");
+    assert_eq!((a.pending_calls(), b.pending_calls()), (1, 0));
+    a.evaluate().unwrap();
+    assert_eq!(data.as_slice(), &[120.0; 16][..]);
+}

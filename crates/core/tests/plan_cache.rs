@@ -238,3 +238,143 @@ fn multi_worker_replay_is_correct() {
     assert_eq!(out2, expect);
     assert_eq!(cache.stats().hits, 1);
 }
+
+/// The scale kernel under an annotation built on the spot, always named
+/// `cache_dyn`: `xs` (mutable or not) is split by an `ArraySplit` built
+/// from argument `ctor` (`n` or its twin `m`), and `n` is broadcast or
+/// split by `SizeSplit`.
+fn dyn_scale(mutable: bool, ctor: usize, split_n: bool) -> Arc<Annotation> {
+    let b = Annotation::new("cache_dyn", |inv| {
+        let piece = inv.arg::<SliceView>(0)?;
+        let k = inv.float(1)?;
+        // SAFETY: the executor hands each worker disjoint ranges.
+        for x in unsafe { piece.as_slice_mut() } {
+            *x *= k;
+        }
+        Ok(None)
+    });
+    let xs = concrete(Arc::new(ArraySplit), vec![ctor]);
+    let b = if mutable {
+        b.mut_arg("xs", xs)
+    } else {
+        b.arg("xs", xs)
+    };
+    let n = if split_n {
+        concrete(Arc::new(SizeSplit), vec![2])
+    } else {
+        mozart_core::annotation::missing()
+    };
+    b.arg("k", mozart_core::annotation::missing())
+        .arg("n", n)
+        .arg("m", mozart_core::annotation::missing())
+        .build()
+}
+
+#[test]
+fn fingerprint_keys_every_planning_input() {
+    let cache = Arc::new(PlanCache::new(16));
+    // One evaluation of `annot` over `n` elements scaled by `k`, on a
+    // fresh context; returns the cache's (hits, misses) after it.
+    let run = |annot: &Arc<Annotation>, n: usize, k: f64| {
+        let ctx = cached_ctx(&cache, 1, 4);
+        let data = SharedVec::from_vec(vec![1.0; n]);
+        let len = || DataValue::new(IntValue(n as i64));
+        let args = vec![
+            DataValue::new(VecValue(data.clone())),
+            DataValue::new(FloatValue(k)),
+            len(),
+            len(),
+        ];
+        ctx.call(annot, args).unwrap();
+        ctx.evaluate().unwrap();
+        assert_eq!(data.as_slice(), vec![k; n].as_slice());
+        let s = cache.stats();
+        (s.hits, s.misses)
+    };
+
+    let base = dyn_scale(true, 2, false);
+    assert_eq!(run(&base, 16, 2.0), (0, 1));
+    assert_eq!(run(&base, 16, 2.0), (1, 1), "equal across contexts");
+    assert_eq!(run(&base, 16, 3.0), (1, 2), "a scalar is part of the key");
+    assert_eq!(run(&base, 24, 2.0), (1, 3), "so is a length");
+    drop(base);
+
+    // Same name, different declarations. Each annotation is dropped
+    // before the next is built, so the allocator may hand a later one
+    // an earlier one's address; its signature must still tell them
+    // apart.
+    let variants = [
+        (true, 3, false, "a split-type constructor argument"),
+        (false, 2, false, "mutability"),
+        (true, 2, true, "the split type of an argument"),
+    ];
+    for (i, (mutable, ctor, split_n, what)) in variants.into_iter().enumerate() {
+        let misses = 4 + i as u64;
+        assert_eq!(
+            run(&dyn_scale(mutable, ctor, split_n), 16, 2.0),
+            (1, misses),
+            "{what}"
+        );
+    }
+    assert_eq!(cache.stats().entries, 6);
+}
+
+/// `ys = xs * k`, returning a fresh array per batch: its output can be
+/// handed to a consuming stage as pieces.
+fn mul_annotation() -> Arc<Annotation> {
+    Annotation::new("cache_mul", |inv| {
+        let xs: Vec<f64> = match inv.args[0].downcast_ref::<SliceView>() {
+            // SAFETY: the executor hands each worker disjoint ranges.
+            Some(view) => unsafe { view.as_slice() }.to_vec(),
+            None => inv.arg::<VecValue>(0)?.0.to_vec(),
+        };
+        let k = inv.float(1)?;
+        let ys = xs.iter().map(|x| x * k).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
+    })
+    .arg("xs", mozart_core::annotation::generic(0))
+    .arg("k", mozart_core::annotation::missing())
+    .ret(mozart_core::annotation::generic(0))
+    .build()
+}
+
+#[test]
+fn a_replay_that_fails_to_bind_invalidates_and_replans() {
+    // Liveness is not part of the fingerprint: a plan recorded while
+    // the intermediate was dropped hands it to the next stage as
+    // pieces, and replaying it while the application holds that
+    // intermediate cannot bind the hand-off. The entry is invalidated
+    // and the evaluation plans afresh, with the right result.
+    let cache = Arc::new(PlanCache::new(16));
+    let mul = mul_annotation();
+    let run = |keep_intermediate: bool| {
+        let mut cfg = Config::with_workers(1);
+        (cfg.pipeline, cfg.split_form, cfg.batch_override) = (false, true, Some(4));
+        let ctx = MozartContext::new(cfg);
+        ctx.attach_plan_cache(cache.clone());
+        let xs = DataValue::new(VecValue(SharedVec::from_vec(vec![1.0; 16])));
+        let k = || DataValue::new(FloatValue(3.0));
+        let f1 = ctx.call(&mul, vec![xs, k()]).unwrap().unwrap();
+        let f2 = ctx.call(&mul, vec![f1.as_value(), k()]).unwrap().unwrap();
+        let kept = keep_intermediate.then_some(f1);
+        let out = f2
+            .get()
+            .unwrap()
+            .downcast_ref::<VecValue>()
+            .unwrap()
+            .0
+            .to_vec();
+        assert_eq!(out, vec![9.0; 16]);
+        drop(kept);
+        ctx.stats().split_form_handoffs
+    };
+    ArraySplit::register_default();
+    assert_eq!(
+        run(false),
+        1,
+        "the recorded plan hands the intermediate off"
+    );
+    assert_eq!(run(true), 0, "a held intermediate merges");
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses, s.invalidations), (0, 2, 1));
+}

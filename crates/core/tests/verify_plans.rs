@@ -11,7 +11,6 @@
 //! with a pending consumer `n2` and a live user future keeping both
 //! outputs observable.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -25,7 +24,7 @@ use mozart_core::error::{Error, Result};
 use mozart_core::graph::{
     DataflowGraph, FutureToken, Node, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
-use mozart_core::planner::{Demand, OutputKind, StageOutput, StagePlan};
+use mozart_core::planner::{Demand, OutputKind, SlotTable, StageOutput, StagePlan};
 use mozart_core::split::{MergeStrategy, Params, RuntimeInfo, SplitForm, SplitInstance, Splitter};
 use mozart_core::value::{DataValue, FloatValue, IntValue};
 use mozart_core::verify::{verify_stage, VerifyError};
@@ -124,6 +123,24 @@ fn vec_value(n: u64) -> DataValue {
     DataValue::new(VecValue(SharedVec::from_vec(vec![0.0f64; n as usize])))
 }
 
+/// Register a node whose value ids (arguments, then one version per
+/// `mut` argument) are `ids`.
+fn push_node(
+    graph: &mut DataflowGraph,
+    annot: Arc<Annotation>,
+    ids: &[ValueId],
+    ret: Option<ValueId>,
+) {
+    let at = graph.node_ids.len() as u32;
+    graph.node_ids.extend_from_slice(ids);
+    graph.push_node(Node {
+        annot,
+        ids: at,
+        ret,
+        executed: false,
+    });
+}
+
 fn source(data: DataValue) -> ValueEntry {
     ValueEntry {
         origin: ValueOrigin::Source,
@@ -131,7 +148,7 @@ fn source(data: DataValue) -> ValueEntry {
         ready: true,
         held: None,
         merge_origin: None,
-        consumers: Vec::new(),
+        last_consumer: None,
         user_token: None,
     }
 }
@@ -167,7 +184,7 @@ fn scenario() -> Scenario {
         ready: false,
         held: None,
         merge_origin: None,
-        consumers: Vec::new(),
+        last_consumer: None,
         user_token: Some(Arc::downgrade(&token)),
     });
 
@@ -177,13 +194,7 @@ fn scenario() -> Scenario {
         .mut_arg("xs", concrete(Arc::new(ArraySplit), vec![1]))
         .arg("n", missing())
         .build();
-    graph.push_node(Node {
-        annot: scale,
-        args: vec![v0, v1],
-        mut_out: vec![Some(v2), None],
-        ret: None,
-        executed: false,
-    });
+    push_node(&mut graph, scale, &[v0, v1, v2], None);
 
     let v3 = graph.push_value(ValueEntry {
         origin: ValueOrigin::Ret(NodeId(1)),
@@ -191,33 +202,21 @@ fn scenario() -> Scenario {
         ready: false,
         held: None,
         merge_origin: None,
-        consumers: Vec::new(),
+        last_consumer: None,
         user_token: None,
     });
     let square = Annotation::new("psquare", noop)
         .arg("x", generic(0))
         .ret(generic(0))
         .build();
-    graph.push_node(Node {
-        annot: square.clone(),
-        args: vec![v2],
-        mut_out: vec![None],
-        ret: Some(v3),
-        executed: false,
-    });
+    push_node(&mut graph, square.clone(), &[v2], Some(v3));
     // n2: pending consumer of v3, outside the stage.
-    graph.push_node(Node {
-        annot: square,
-        args: vec![v3],
-        mut_out: vec![None],
-        ret: None,
-        executed: false,
-    });
+    push_node(&mut graph, square, &[v3], None);
 
     // v4: spare source of a different length, not in the valid plan.
     graph.push_value(source(vec_value(N / 2)));
 
-    let slots: HashMap<ValueId, u32> = (0..4).map(|i| (ValueId(i), i)).collect();
+    let slots: SlotTable = (0..4).map(|i| (ValueId(i), i)).collect();
     let plan = StagePlan {
         nodes: vec![NodeId(0), NodeId(1)],
         inputs: vec![(v0, arr(N))],
@@ -347,7 +346,7 @@ fn defer_observed_v3(s: &mut Scenario) {
 fn apply(s: &mut Scenario, m: &Mutation) {
     match m {
         Mutation::UnslotValue(which) => {
-            s.plan.slots.remove(&ValueId(*which));
+            s.plan.slots.remove(ValueId(*which));
         }
         Mutation::SlotOutOfRange { which, off } => {
             let slot = s.plan.num_slots + off;
@@ -355,7 +354,7 @@ fn apply(s: &mut Scenario, m: &Mutation) {
         }
         Mutation::AliasSlots { base, delta } => {
             let other = (base + delta) % 4;
-            let slot = s.plan.slots[&ValueId(*base)];
+            let slot = s.plan.slots.get(ValueId(*base)).expect("slotted");
             s.plan.slots.insert(ValueId(other), slot);
         }
         Mutation::DropSplitInput => {
@@ -381,7 +380,8 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             s.plan.outputs[0].instance = commut_inst();
         }
         Mutation::StaleRead => {
-            s.graph.nodes[1].args = vec![ValueId(0)];
+            let at = s.graph.nodes[1].ids as usize;
+            s.graph.node_ids[at] = ValueId(0);
         }
         Mutation::MutSharedAlias => {
             s.plan.broadcast.push(ValueId(0));

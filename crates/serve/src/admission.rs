@@ -455,8 +455,14 @@ mod tests {
         let a = Arc::new(Admission::new(1, 4));
         let p = a.acquire().unwrap();
         let a2 = a.clone();
+        // The waiter holds its permit until told to let go: released
+        // the moment it was admitted, the slot could be legitimately
+        // free again between a `load` still reporting the waiter queued
+        // and the `try_acquire` that follows.
+        let (release, released) = std::sync::mpsc::channel::<()>();
         let waiter = std::thread::spawn(move || {
             let _p = a2.acquire().unwrap();
+            released.recv().unwrap();
         });
         while a.load().1 == 0 {
             std::thread::yield_now();
@@ -471,6 +477,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
+        release.send(()).unwrap();
         waiter.join().unwrap();
         // Queue drained and slot released: barging is fine again.
         assert!(a.try_acquire().is_ok());

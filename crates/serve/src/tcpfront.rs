@@ -277,14 +277,28 @@ impl<'a, R: Read> LineReader<'a, R> {
     }
 }
 
+/// Send `reply` and its newline in one write. `writeln!` on a socket
+/// issues a write per formatted piece, and under Nagle the trailing
+/// newline then waits for the peer to acknowledge the first segment —
+/// up to its 40 ms delayed-ACK timer, on every reply.
+fn send_line(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
+    let mut line = String::with_capacity(reply.len() + 1);
+    line.push_str(reply);
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
+
 /// Serve one connection end-to-end: one service session, one request
 /// per line, hardened per `cfg`. Returns when the peer quits, goes
-/// idle, stalls, overflows without resync, or closes.
+/// idle, stalls, overflows without resync, or closes. Every reply —
+/// multi-line `METRICS` pages included — leaves in one write on a
+/// `TCP_NODELAY` socket.
 pub fn serve_connection(
     stream: TcpStream,
     service: &PipelineService,
     cfg: &FrontendConfig,
 ) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let session = service.session();
     let mut writer = stream.try_clone()?;
     let mut reader = LineReader::new(stream.try_clone()?, cfg, Some(&stream));
@@ -296,7 +310,7 @@ pub fn serve_connection(
                     "request line exceeds {} bytes",
                     cfg.max_line_bytes.max(1)
                 ));
-                writeln!(writer, "{}", err_line(&e))?;
+                send_line(&mut writer, &err_line(&e))?;
                 if resynced {
                     continue;
                 }
@@ -304,7 +318,7 @@ pub fn serve_connection(
             }
             LineEvent::BadUtf8 => {
                 let e = ServeError::BadRequest("request line is not valid UTF-8".into());
-                writeln!(writer, "{}", err_line(&e))?;
+                send_line(&mut writer, &err_line(&e))?;
                 continue;
             }
             LineEvent::Stalled => {
@@ -312,7 +326,7 @@ pub fn serve_connection(
                     "request stalled mid-line past {:?}",
                     cfg.read_timeout
                 ));
-                let _ = writeln!(writer, "{}", err_line(&e));
+                let _ = send_line(&mut writer, &err_line(&e));
                 break;
             }
             LineEvent::Idle | LineEvent::Eof => break,
@@ -323,7 +337,7 @@ pub fn serve_connection(
         }
         let reply = match parse_line(&line) {
             Ok(ClientLine::Quit) => {
-                writeln!(writer, "{}", ok_line("bye"))?;
+                send_line(&mut writer, &ok_line("bye"))?;
                 break;
             }
             Ok(ClientLine::List) => ok_line(&service.pipeline_names().join(" ")),
@@ -355,12 +369,12 @@ pub fn serve_connection(
             Ok(ClientLine::Metrics) => {
                 // Multi-line reply: `OK lines=<n>` then n raw page lines.
                 let page = service.metrics_text();
-                let n = page.lines().count();
-                writeln!(writer, "{}", ok_line(&format!("lines={n}")))?;
+                let mut reply = ok_line(&format!("lines={}", page.lines().count()));
                 for metric_line in page.lines() {
-                    writeln!(writer, "{metric_line}")?;
+                    reply.push('\n');
+                    reply.push_str(metric_line);
                 }
-                continue;
+                reply
             }
             Ok(ClientLine::Trace(id)) => match service.trace_tree(id) {
                 Some(tree) => ok_line(&tree.render_line()),
@@ -377,7 +391,7 @@ pub fn serve_connection(
             },
             Err(e) => err_line(&e),
         };
-        writeln!(writer, "{reply}")?;
+        send_line(&mut writer, &reply)?;
     }
     Ok(())
 }
@@ -391,10 +405,12 @@ pub fn accept_loop(listener: TcpListener, service: PipelineService, cfg: Fronten
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
         let Some(guard) = limiter.try_enter() else {
-            let _ = writeln!(
-                stream,
-                "ERR saturated: connection limit {} reached; retry later",
-                cfg.max_connections
+            let _ = send_line(
+                &mut stream,
+                &format!(
+                    "ERR saturated: connection limit {} reached; retry later",
+                    cfg.max_connections
+                ),
             );
             continue;
         };

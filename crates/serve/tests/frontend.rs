@@ -204,3 +204,24 @@ fn verify_directive_toggles_per_session() {
     }
     assert!(roundtrip(&mut w, &mut r, "QUIT").starts_with("OK bye"));
 }
+
+#[test]
+fn replies_leave_in_one_segment() {
+    // Regression (ISSUE 21): a reply and its newline left as two
+    // segments, and the second waited out the client's 40 ms delayed
+    // ACK — every request from a default (Nagle-on) client took 40 ms.
+    let (addr, _service) = spawn_frontend(corpus_cfg());
+    let (mut w, mut r) = connect(addr);
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        w.write_all(b"LIST\n").expect("send");
+        let mut reply = String::new();
+        r.read_line(&mut reply).expect("recv");
+        assert_eq!(reply, "OK ping\n");
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 sequential LIST round trips took {elapsed:?}"
+    );
+}

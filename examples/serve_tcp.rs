@@ -312,7 +312,11 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         line: &str,
         expect: &str,
     ) -> String {
-        writeln!(writer, "{line}").expect("send");
+        // One write per request: `writeln!` would send the newline as
+        // a second segment that waits out the server's delayed ACK.
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("recv");
         print!("> {line}\n{reply}");
