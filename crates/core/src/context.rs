@@ -38,7 +38,7 @@ use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::executor::{duration_ns, execute_stage, materialize_held, ExecEnv};
 use crate::graph::{
-    DataflowGraph, FutureToken, MergeOrigin, Node, NodeId, ValueEntry, ValueId, ValueOrigin,
+    DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
 use crate::planner::{
     plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, PlanSite,
@@ -372,12 +372,7 @@ impl MozartContext {
             });
         }
 
-        st.graph.push_node(Node {
-            annot: annot.clone(),
-            ids: ids as u32,
-            ret,
-            executed: false,
-        });
+        st.graph.push_captured(annot.clone(), ids as u32, ret);
         st.stats.client += t0.elapsed();
         Ok(future)
     }

@@ -8,15 +8,18 @@
 //!
 //! Capture allocates nothing per call beyond the graph's own growth: a
 //! node's argument and mut-version ids live in one arena shared by all
-//! nodes ([`DataflowGraph::node_ids`]), and a value records only its
-//! last reader ([`ValueEntry::last_consumer`]), which is all liveness
-//! needs because nodes execute in registration order.
+//! nodes (read through [`DataflowGraph::args`] and
+//! [`DataflowGraph::mut_outs`]), and a value records only its last
+//! reader ([`ValueEntry::last_consumer`]), which is all liveness needs
+//! because nodes execute in registration order.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 use crate::annotation::Annotation;
+use crate::planner::SlotTable;
 use crate::split::SplitForm;
 use crate::value::{DataIdentity, DataValue};
 
@@ -123,7 +126,7 @@ pub struct Node {
     /// the value read for each argument, in annotation order, then the
     /// new version each `mut` argument produces, in argument order. Read
     /// them with [`DataflowGraph::args`] and [`DataflowGraph::mut_outs`].
-    pub ids: u32,
+    pub(crate) ids: u32,
     /// The return value, if the annotation declares one.
     pub ret: Option<ValueId>,
     /// Set once the node's stage has executed.
@@ -144,7 +147,7 @@ pub struct DataflowGraph {
     pub nodes: Vec<Node>,
     /// Every node's value ids, back to back in registration order (see
     /// [`Node::ids`]).
-    pub node_ids: Vec<ValueId>,
+    pub(crate) node_ids: Vec<ValueId>,
     /// Maps live storage identities to their latest value version.
     pub(crate) identity_map: WordMap<DataIdentity, ValueId>,
     /// Index of the first node not yet executed.
@@ -163,11 +166,36 @@ impl DataflowGraph {
         id
     }
 
-    /// Add a node whose ids were pushed to [`node_ids`](Self::node_ids)
-    /// from `node.ids` on (see [`Node::ids`]), making it the last
+    /// Add a pending call to `annot` whose value ids are `ids` — the
+    /// value read for each argument, in annotation order, then the new
+    /// version each `mut` argument produces — making it the last
     /// consumer of every value it reads. Returns its id.
-    pub fn push_node(&mut self, node: Node) -> NodeId {
+    pub fn push_node(
+        &mut self,
+        annot: Arc<Annotation>,
+        ids: &[ValueId],
+        ret: Option<ValueId>,
+    ) -> NodeId {
+        let at = self.node_ids.len() as u32;
+        self.node_ids.extend_from_slice(ids);
+        self.push_captured(annot, at, ret)
+    }
+
+    /// [`push_node`](Self::push_node) for a call whose ids capture
+    /// already wrote to [`node_ids`](Self::node_ids) from `ids` on.
+    pub(crate) fn push_captured(
+        &mut self,
+        annot: Arc<Annotation>,
+        ids: u32,
+        ret: Option<ValueId>,
+    ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        let node = Node {
+            annot,
+            ids,
+            ret,
+            executed: false,
+        };
         for &arg in node_args(&self.node_ids, &node) {
             self.values[arg.0 as usize].last_consumer = Some(id);
         }
@@ -193,19 +221,43 @@ impl DataflowGraph {
         mutable.map(|(i, _)| i).zip(versions.iter().copied())
     }
 
-    /// The smallest and largest value id the (non-empty) node range
-    /// `nodes` reads or produces: their argument and mut-version ids
-    /// are one run of [`node_ids`](Self::node_ids), plus their returns.
-    pub(crate) fn id_window(&self, nodes: std::ops::Range<usize>) -> (u32, u32) {
-        let end = self
-            .nodes
-            .get(nodes.end)
-            .map_or(self.node_ids.len(), |n| n.ids as usize);
-        let ids = self.node_ids[self.nodes[nodes.start].ids as usize..end].iter();
+    /// The window of value ids a [`SlotTable`] over the (non-empty) node
+    /// range `nodes` spans, ending one past the largest id the range
+    /// reads or produces. It starts at the oldest id the range reads if
+    /// that at most doubles it, else at the first value the range
+    /// produces (every mut-version and return it creates is at or above
+    /// it). Its size follows the range, not the graph: the few older
+    /// values a range reads — inputs a long-lived context has held since
+    /// its first evaluation — fall below it and take the table's
+    /// fallback, while a young graph needs none.
+    pub(crate) fn id_window(&self, nodes: Range<usize>) -> Range<u32> {
+        let run_end = |i: usize| {
+            self.nodes
+                .get(i + 1)
+                .map_or(self.node_ids.len(), |n| n.ids as usize)
+        };
+        // Ids grow in capture order: the first value the range produces
+        // is the first mut-version, else the return, of its first node
+        // with an output.
+        let first = nodes.clone().find_map(|i| {
+            let node = &self.nodes[i];
+            let versions = node.ids as usize + node.annot.args.len()..run_end(i);
+            self.node_ids[versions].first().copied().or(node.ret)
+        });
+        let ids = &self.node_ids[self.nodes[nodes.start].ids as usize..run_end(nodes.end - 1)];
         let rets = self.nodes[nodes].iter().filter_map(|n| n.ret);
-        ids.copied()
+        let (oldest, hi) = ids
+            .iter()
+            .copied()
             .chain(rets)
-            .fold((u32::MAX, 0), |(lo, hi), v| (lo.min(v.0), hi.max(v.0)))
+            .fold((u32::MAX, 0), |(lo, hi), v| (lo.min(v.0), hi.max(v.0 + 1)));
+        let first = first.map_or(hi, |v| v.0);
+        let oldest = oldest.min(first);
+        if first - oldest <= hi - first {
+            oldest..hi
+        } else {
+            first..hi
+        }
     }
 
     /// Resolve an argument `DataValue` to a graph value.
@@ -346,30 +398,28 @@ impl DataflowGraph {
     /// The walk is word-hashed (`WordHasher`): per node, the
     /// annotation's address and its [signature](Annotation) (hashed
     /// once when it was built), then one word per value reference.
-    /// Canonical numbers live in a table indexed by [`ValueId`] over
-    /// the segment's id window, so nothing here hashes a value id.
+    /// Canonical numbers live in a [`SlotTable`] over the segment's id
+    /// window, so only values much older than the segment hash their
+    /// id.
     pub fn pending_shape(&self) -> Option<SegmentShape> {
         if self.fully_executed() {
             return None;
         }
         let pending = self.next_unplanned..self.nodes.len();
-        let lo = self
-            .id_window(pending.clone())
-            .0
-            .min(self.values.len() as u32);
-        let window = self.values.len() - lo as usize;
-        let mut canon = vec![u32::MAX; window];
-        let mut values: Vec<ValueId> = Vec::with_capacity(window);
-        let mut externals: Vec<bool> = Vec::with_capacity(window);
+        let window = self.id_window(pending.clone());
+        let hint = window.len();
+        let mut canon = SlotTable::window(window);
+        let mut values: Vec<ValueId> = Vec::with_capacity(hint);
+        let mut externals: Vec<bool> = Vec::with_capacity(hint);
         let mut intern = |v: ValueId, ext: bool| {
-            let c = &mut canon[(v.0 - lo) as usize];
-            if *c != u32::MAX {
-                return (*c as u64, false);
+            if let Some(c) = canon.get(v) {
+                return (c as u64, false);
             }
-            *c = values.len() as u32;
+            let c = values.len() as u32;
+            canon.insert(v, c);
             values.push(v);
             externals.push(ext);
-            (*c as u64, true)
+            (c as u64, true)
         };
         let mut h = WordHasher::default();
         for node in &self.nodes[pending] {
@@ -409,16 +459,28 @@ impl DataflowGraph {
     /// segment. Returns `None` (uncacheable) when the value has no data
     /// yet or no way to characterize its shape.
     fn hash_external(&self, h: &mut WordHasher, vid: ValueId) -> Option<()> {
+        use crate::value::{BoolValue, FloatValue, IntValue, StrValue};
         let data = self.captured_data(vid)?;
         // Scalars hash by value: they feed split type constructors
         // (array lengths, matrix dims) and function behavior directly.
-        if let Some(scalar) = Scalar::of(data) {
-            match scalar {
-                Scalar::Int(i) => (h.word(1), h.word(i as u64)),
-                Scalar::Float(x) => (h.word(2), h.word(x.to_bits())),
-                Scalar::Bool(b) => (h.word(3), h.word(b as u64)),
-                Scalar::Str(s) => (h.word(4), h.bytes(s.as_bytes())),
-            };
+        if let Some(i) = data.downcast_ref::<IntValue>() {
+            h.word(1);
+            h.word(i.0 as u64);
+            return Some(());
+        }
+        if let Some(x) = data.downcast_ref::<FloatValue>() {
+            h.word(2);
+            h.word(x.0.to_bits());
+            return Some(());
+        }
+        if let Some(b) = data.downcast_ref::<BoolValue>() {
+            h.word(3);
+            h.word(b.0 as u64);
+            return Some(());
+        }
+        if let Some(s) = data.downcast_ref::<StrValue>() {
+            h.word(4);
+            h.bytes(s.0.as_bytes());
             return Some(());
         }
         // Library values hash by their type and their default split
@@ -434,32 +496,6 @@ impl DataflowGraph {
             h.word(p as u64);
         }
         Some(())
-    }
-}
-
-/// A scalar value, which [`DataflowGraph::pending_shape`] pins by value
-/// when the segment reads it from outside: nothing about it can differ
-/// between two segments with one fingerprint.
-pub(crate) enum Scalar<'a> {
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    Str(&'a str),
-}
-
-impl Scalar<'_> {
-    pub(crate) fn of(data: &DataValue) -> Option<Scalar<'_>> {
-        use crate::value::{BoolValue, FloatValue, IntValue, StrValue};
-        if let Some(i) = data.downcast_ref::<IntValue>() {
-            return Some(Scalar::Int(i.0));
-        }
-        if let Some(x) = data.downcast_ref::<FloatValue>() {
-            return Some(Scalar::Float(x.0));
-        }
-        if let Some(b) = data.downcast_ref::<BoolValue>() {
-            return Some(Scalar::Bool(b.0));
-        }
-        data.downcast_ref::<StrValue>().map(|s| Scalar::Str(&s.0))
     }
 }
 

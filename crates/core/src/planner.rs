@@ -89,9 +89,7 @@ use std::sync::Mutex;
 use crate::annotation::{GenericId, SplitTypeExpr};
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::graph::{
-    DataflowGraph, MergeOrigin, NodeId, Scalar, SegmentShape, ValueId, WordMap, WordSet,
-};
+use crate::graph::{DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId, WordMap, WordSet};
 use crate::registry::default_instance_for;
 use crate::split::SplitInstance;
 use crate::value::DataValue;
@@ -183,85 +181,75 @@ impl StagePlan {
     }
 }
 
-/// The `ValueId → slot` map of one stage, as a flat table over the
-/// window of value ids the stage touches: planning, replay binds and
-/// the executor address it by offset, never by hashing an id.
-#[derive(Clone, Debug, Default)]
+/// A `ValueId → u32` map over the window of value ids a node range
+/// touches (`DataflowGraph::id_window`): a stage's slots, and the
+/// canonical numbering of [`DataflowGraph::pending_shape`]. Ids inside
+/// the window are addressed by offset; the few outside it — values
+/// much older than the range that it reads — go to a small hashed
+/// map, so the table's size follows the range, not the graph.
+#[derive(Clone, Debug)]
 pub struct SlotTable {
     /// Value id of `slots[0]`.
     base: u32,
     /// Slot per value id from `base` on, [`SlotTable::NONE`] where the
     /// value has none.
     slots: Vec<u32>,
+    /// Slots of the ids outside `base..base + slots.len()`.
+    outside: WordMap<ValueId, u32>,
 }
 
 impl SlotTable {
     const NONE: u32 = u32::MAX;
 
-    /// An empty table sized for the ids `lo..=hi` (from
-    /// [`DataflowGraph::id_window`]).
-    fn window((lo, hi): (u32, u32)) -> SlotTable {
-        if lo > hi {
-            return SlotTable::default();
-        }
+    /// An empty table over the ids `ids`.
+    pub(crate) fn window(ids: std::ops::Range<u32>) -> SlotTable {
         SlotTable {
-            base: lo,
-            slots: vec![Self::NONE; (hi - lo) as usize + 1],
+            base: ids.start,
+            slots: vec![Self::NONE; ids.len()],
+            outside: WordMap::default(),
         }
+    }
+
+    /// A table giving `ValueId(i)` the slot `slots[i]`, for plans built
+    /// by hand (tests of the plan verifier).
+    pub fn from_slots(slots: &[Option<u32>]) -> SlotTable {
+        SlotTable {
+            base: 0,
+            slots: slots.iter().map(|s| s.unwrap_or(Self::NONE)).collect(),
+            outside: WordMap::default(),
+        }
+    }
+
+    fn offset(&self, value: ValueId) -> Option<usize> {
+        let i = value.0.checked_sub(self.base)? as usize;
+        (i < self.slots.len()).then_some(i)
     }
 
     /// The slot of `value`, if it has one.
     pub fn get(&self, value: ValueId) -> Option<u32> {
-        let i = value.0.checked_sub(self.base)?;
-        self.slots
-            .get(i as usize)
-            .copied()
-            .filter(|&s| s != Self::NONE)
+        match self.offset(value) {
+            Some(i) => Some(self.slots[i]).filter(|&s| s != Self::NONE),
+            None => self.outside.get(&value).copied(),
+        }
     }
 
-    /// Assign `value` to `slot`, replacing any earlier assignment; the
-    /// window grows to cover `value` if it has to.
-    pub fn insert(&mut self, value: ValueId, slot: u32) {
-        if self.slots.is_empty() {
-            self.base = value.0;
+    /// Assign `value` to `slot`, replacing any earlier assignment.
+    pub(crate) fn insert(&mut self, value: ValueId, slot: u32) {
+        match self.offset(value) {
+            Some(i) => self.slots[i] = slot,
+            None => {
+                self.outside.insert(value, slot);
+            }
         }
-        if value.0 < self.base {
-            let grow = (self.base - value.0) as usize;
-            self.slots
-                .splice(0..0, std::iter::repeat_n(Self::NONE, grow));
-            self.base = value.0;
-        }
-        let i = (value.0 - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, Self::NONE);
-        }
-        self.slots[i] = slot;
     }
 
-    /// Remove `value`'s assignment, returning its slot.
-    pub fn remove(&mut self, value: ValueId) -> Option<u32> {
-        let slot = self.get(value)?;
-        self.slots[(value.0 - self.base) as usize] = Self::NONE;
-        Some(slot)
-    }
-
-    /// Every assignment, by increasing value id.
-    pub fn iter(&self) -> impl Iterator<Item = (ValueId, u32)> + '_ {
-        let base = self.base;
-        (base..)
+    /// Every assignment.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ValueId, u32)> + '_ {
+        let inside = (self.base..)
             .zip(&self.slots)
             .filter(|&(_, &s)| s != Self::NONE)
-            .map(|(v, &s)| (ValueId(v), s))
-    }
-}
-
-impl FromIterator<(ValueId, u32)> for SlotTable {
-    fn from_iter<I: IntoIterator<Item = (ValueId, u32)>>(iter: I) -> Self {
-        let mut table = SlotTable::default();
-        for (value, slot) in iter {
-            table.insert(value, slot);
-        }
-        table
+            .map(|(v, &s)| (ValueId(v), s));
+        inside.chain(self.outside.iter().map(|(&v, &s)| (v, s)))
     }
 }
 
@@ -805,7 +793,9 @@ struct CachedInput {
     /// parameters, so replays rebind against *current* data where the
     /// splitter supports it and fall back to recorded parameters where
     /// it does not (e.g. `MatrixSplit`, whose dimensions come from
-    /// scalar arguments that the fingerprint already pins).
+    /// scalar arguments that the fingerprint already pins). Never set
+    /// for a scalar from outside the segment: the fingerprint pins its
+    /// value, so its recorded parameters are its current ones.
     rederive: bool,
     /// Whether the input was bound *in split form* at record time. On
     /// replay the value must again be held in split form (the previous
@@ -815,11 +805,6 @@ struct CachedInput {
     /// analogue of re-derivation. A mismatch in either direction fails
     /// the bind, invalidating the entry.
     split_form: bool,
-    /// The input's element total, recorded when the input is a scalar
-    /// produced outside the segment: the fingerprint pins such a value
-    /// exactly, so replays bind the recorded instance and total without
-    /// re-deriving or re-asking either.
-    scalar_total: Option<u64>,
 }
 
 /// One stage output as recorded in a cached plan. How a return value
@@ -1115,10 +1100,16 @@ impl PlanRecorder {
                     // upstream hand-off at bind time, which replays
                     // re-create — they are cache-safe by construction.
                     let split_form = graph.split_form(*v).is_some();
+                    let external = self.external.contains(v);
+                    let data = graph.value_data(*v);
+                    // A scalar from outside the segment is pinned by
+                    // value (see `pending_shape`): re-deriving from it
+                    // can only reproduce the recorded parameters.
+                    let pinned = external && data.is_some_and(crate::value::is_scalar);
                     let rederive = !split_form
+                        && !pinned
                         && !inst.is_unknown()
-                        && graph
-                            .value_data(*v)
+                        && data
                             .and_then(|d| inst.splitter.default_params(d).ok())
                             .is_some_and(|p| p == *inst.params);
                     // A non-re-derivable instance over a value computed
@@ -1127,21 +1118,14 @@ impl PlanRecorder {
                     // stages' results) carries parameters the
                     // fingerprint does not pin — refuse to cache the
                     // segment rather than risk replaying stale params.
-                    let external = self.external.contains(v);
                     if !split_form && !rederive && !external {
                         poisoned = true;
                     }
-                    let scalar_total = graph
-                        .value_data(*v)
-                        .filter(|d| external && Scalar::of(d).is_some())
-                        .and_then(|d| inst.splitter.info(d, &inst.params).ok())
-                        .map(|info| info.total_elements);
                     CachedInput {
                         value: canon(*v, &mut poisoned),
                         instance: inst.clone(),
                         rederive,
                         split_form,
-                        scalar_total,
                     }
                 })
                 .collect(),
@@ -1232,11 +1216,6 @@ impl CachedPlan {
         let mut inputs = Vec::with_capacity(cs.inputs.len());
         for ci in &cs.inputs {
             let vid = get(ci.value)?;
-            if let Some(t) = ci.scalar_total {
-                agree(t)?;
-                inputs.push((vid, ci.instance.clone()));
-                continue;
-            }
             if ci.split_form {
                 // The value must again be held in split form under the
                 // same split type; instance and total come from the

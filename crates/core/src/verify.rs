@@ -1200,7 +1200,7 @@ mod tests {
     #[test]
     fn terminal_input_instance_rejected_in_plan() {
         use crate::graph::{DataflowGraph, ValueId};
-        use crate::planner::StagePlan;
+        use crate::planner::{SlotTable, StagePlan};
         let graph = DataflowGraph::default();
         let inst = SplitInstance::new(Arc::new(TermReduce), vec![]);
         let plan = StagePlan {
@@ -1208,7 +1208,7 @@ mod tests {
             inputs: vec![(ValueId(0), inst)],
             broadcast: vec![],
             outputs: vec![],
-            slots: std::iter::once((ValueId(0), 0)).collect(),
+            slots: SlotTable::from_slots(&[Some(0)]),
             num_slots: 1,
         };
         let err =

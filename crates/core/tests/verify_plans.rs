@@ -21,9 +21,7 @@ use mozart_core::array_split::ArraySplit;
 use mozart_core::buffer::{SharedVec, VecValue};
 use mozart_core::config::Config;
 use mozart_core::error::{Error, Result};
-use mozart_core::graph::{
-    DataflowGraph, FutureToken, Node, NodeId, ValueEntry, ValueId, ValueOrigin,
-};
+use mozart_core::graph::{DataflowGraph, FutureToken, NodeId, ValueEntry, ValueId, ValueOrigin};
 use mozart_core::planner::{Demand, OutputKind, SlotTable, StageOutput, StagePlan};
 use mozart_core::split::{MergeStrategy, Params, RuntimeInfo, SplitForm, SplitInstance, Splitter};
 use mozart_core::value::{DataValue, FloatValue, IntValue};
@@ -123,24 +121,6 @@ fn vec_value(n: u64) -> DataValue {
     DataValue::new(VecValue(SharedVec::from_vec(vec![0.0f64; n as usize])))
 }
 
-/// Register a node whose value ids (arguments, then one version per
-/// `mut` argument) are `ids`.
-fn push_node(
-    graph: &mut DataflowGraph,
-    annot: Arc<Annotation>,
-    ids: &[ValueId],
-    ret: Option<ValueId>,
-) {
-    let at = graph.node_ids.len() as u32;
-    graph.node_ids.extend_from_slice(ids);
-    graph.push_node(Node {
-        annot,
-        ids: at,
-        ret,
-        executed: false,
-    });
-}
-
 fn source(data: DataValue) -> ValueEntry {
     ValueEntry {
         origin: ValueOrigin::Source,
@@ -169,6 +149,17 @@ struct Scenario {
 /// Nodes: n0 and n1 form the stage; n2 is a pending consumer of v3
 /// outside it.
 fn scenario() -> Scenario {
+    scenario_with_n1_reading(ValueId(2))
+}
+
+/// Value `i` in slot `i`: the valid plan's slot table, as a list to
+/// corrupt.
+fn valid_slots(values: u32) -> Vec<Option<u32>> {
+    (0..values).map(Some).collect()
+}
+
+/// [`scenario`], with n1 reading `n1_arg` instead of v2.
+fn scenario_with_n1_reading(n1_arg: ValueId) -> Scenario {
     let token = Arc::new(FutureToken);
     let mut graph = DataflowGraph::default();
 
@@ -194,7 +185,7 @@ fn scenario() -> Scenario {
         .mut_arg("xs", concrete(Arc::new(ArraySplit), vec![1]))
         .arg("n", missing())
         .build();
-    push_node(&mut graph, scale, &[v0, v1, v2], None);
+    graph.push_node(scale, &[v0, v1, v2], None);
 
     let v3 = graph.push_value(ValueEntry {
         origin: ValueOrigin::Ret(NodeId(1)),
@@ -209,14 +200,14 @@ fn scenario() -> Scenario {
         .arg("x", generic(0))
         .ret(generic(0))
         .build();
-    push_node(&mut graph, square.clone(), &[v2], Some(v3));
+    graph.push_node(square.clone(), &[n1_arg], Some(v3));
     // n2: pending consumer of v3, outside the stage.
-    push_node(&mut graph, square, &[v3], None);
+    graph.push_node(square, &[v3], None);
 
     // v4: spare source of a different length, not in the valid plan.
     graph.push_value(source(vec_value(N / 2)));
 
-    let slots: SlotTable = (0..4).map(|i| (ValueId(i), i)).collect();
+    let slots = SlotTable::from_slots(&valid_slots(4));
     let plan = StagePlan {
         nodes: vec![NodeId(0), NodeId(1)],
         inputs: vec![(v0, arr(N))],
@@ -346,16 +337,19 @@ fn defer_observed_v3(s: &mut Scenario) {
 fn apply(s: &mut Scenario, m: &Mutation) {
     match m {
         Mutation::UnslotValue(which) => {
-            s.plan.slots.remove(ValueId(*which));
+            let mut slots = valid_slots(4);
+            slots[*which as usize] = None;
+            s.plan.slots = SlotTable::from_slots(&slots);
         }
         Mutation::SlotOutOfRange { which, off } => {
-            let slot = s.plan.num_slots + off;
-            s.plan.slots.insert(ValueId(*which), slot);
+            let mut slots = valid_slots(4);
+            slots[*which as usize] = Some(s.plan.num_slots + off);
+            s.plan.slots = SlotTable::from_slots(&slots);
         }
         Mutation::AliasSlots { base, delta } => {
-            let other = (base + delta) % 4;
-            let slot = s.plan.slots.get(ValueId(*base)).expect("slotted");
-            s.plan.slots.insert(ValueId(other), slot);
+            let mut slots = valid_slots(4);
+            slots[((base + delta) % 4) as usize] = slots[*base as usize];
+            s.plan.slots = SlotTable::from_slots(&slots);
         }
         Mutation::DropSplitInput => {
             s.plan.inputs.clear();
@@ -379,10 +373,7 @@ fn apply(s: &mut Scenario, m: &Mutation) {
         Mutation::InPlaceBadStrategy => {
             s.plan.outputs[0].instance = commut_inst();
         }
-        Mutation::StaleRead => {
-            let at = s.graph.nodes[1].ids as usize;
-            s.graph.node_ids[at] = ValueId(0);
-        }
+        Mutation::StaleRead => *s = scenario_with_n1_reading(ValueId(0)),
         Mutation::MutSharedAlias => {
             s.plan.broadcast.push(ValueId(0));
         }
@@ -404,7 +395,7 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             // the mismatch magnitude varies per case.
             s.graph.values[4].data = Some(vec_value(*len));
             s.plan.inputs.push((ValueId(4), arr(*len)));
-            s.plan.slots.insert(ValueId(4), 4);
+            s.plan.slots = SlotTable::from_slots(&valid_slots(5));
             s.plan.num_slots = 5;
         }
         Mutation::SplitFormGap { split, skip } => {

@@ -281,11 +281,9 @@ impl<'a, R: Read> LineReader<'a, R> {
 /// issues a write per formatted piece, and under Nagle the trailing
 /// newline then waits for the peer to acknowledge the first segment —
 /// up to its 40 ms delayed-ACK timer, on every reply.
-fn send_line(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
-    let mut line = String::with_capacity(reply.len() + 1);
-    line.push_str(reply);
-    line.push('\n');
-    writer.write_all(line.as_bytes())
+fn send_line(writer: &mut impl Write, mut reply: String) -> std::io::Result<()> {
+    reply.push('\n');
+    writer.write_all(reply.as_bytes())
 }
 
 /// Serve one connection end-to-end: one service session, one request
@@ -310,7 +308,7 @@ pub fn serve_connection(
                     "request line exceeds {} bytes",
                     cfg.max_line_bytes.max(1)
                 ));
-                send_line(&mut writer, &err_line(&e))?;
+                send_line(&mut writer, err_line(&e))?;
                 if resynced {
                     continue;
                 }
@@ -318,7 +316,7 @@ pub fn serve_connection(
             }
             LineEvent::BadUtf8 => {
                 let e = ServeError::BadRequest("request line is not valid UTF-8".into());
-                send_line(&mut writer, &err_line(&e))?;
+                send_line(&mut writer, err_line(&e))?;
                 continue;
             }
             LineEvent::Stalled => {
@@ -326,7 +324,7 @@ pub fn serve_connection(
                     "request stalled mid-line past {:?}",
                     cfg.read_timeout
                 ));
-                let _ = send_line(&mut writer, &err_line(&e));
+                let _ = send_line(&mut writer, err_line(&e));
                 break;
             }
             LineEvent::Idle | LineEvent::Eof => break,
@@ -337,7 +335,7 @@ pub fn serve_connection(
         }
         let reply = match parse_line(&line) {
             Ok(ClientLine::Quit) => {
-                send_line(&mut writer, &ok_line("bye"))?;
+                send_line(&mut writer, ok_line("bye"))?;
                 break;
             }
             Ok(ClientLine::List) => ok_line(&service.pipeline_names().join(" ")),
@@ -391,7 +389,7 @@ pub fn serve_connection(
             },
             Err(e) => err_line(&e),
         };
-        send_line(&mut writer, &reply)?;
+        send_line(&mut writer, reply)?;
     }
     Ok(())
 }
@@ -407,7 +405,7 @@ pub fn accept_loop(listener: TcpListener, service: PipelineService, cfg: Fronten
         let Some(guard) = limiter.try_enter() else {
             let _ = send_line(
                 &mut stream,
-                &format!(
+                format!(
                     "ERR saturated: connection limit {} reached; retry later",
                     cfg.max_connections
                 ),
