@@ -31,7 +31,10 @@ pub struct Config {
     /// concatenated once by the caller's final merge. When `false`,
     /// every merge output takes that collect-then-concat path — the
     /// reference path the placement tests compare against and the
-    /// ablation the `phase_breakdown` benchmark measures.
+    /// ablation the `phase_breakdown` benchmark measures. The `Place`
+    /// and `Collect` rows of the executor's [output-path
+    /// table](crate::executor#output-paths) list what each path does,
+    /// records and counts.
     pub placement_merge: bool,
     /// When `true` (the default), a stage's merge output that is only
     /// re-split by later nodes under the same split type is handed
@@ -44,7 +47,8 @@ pub struct Config {
     /// application can still observe, terminal/unknown outputs, and
     /// mut-argument consumers always merge classically. When `false`,
     /// every merge materializes — kept as a measured ablation for the
-    /// `phase_breakdown` benchmark.
+    /// `phase_breakdown` benchmark. A hand-off is the `Hold` row of the
+    /// executor's [output-path table](crate::executor#output-paths).
     pub split_form: bool,
     /// Pedantic mode (§7.1): panic-free runtime checks that splits agree
     /// on element counts, pieces are non-NULL, etc., surfaced as errors.

@@ -36,61 +36,63 @@
 //! as reductions), and the final merge orders runs by element offset, so
 //! split types still observe pieces in element order (§3.4).
 //!
-//! # Placement merges
+//! # Output paths
 //!
-//! Concat-shaped outputs additionally support a *placement* fast path
-//! (`Config::placement_merge`, on by default): when a split type's
+//! Every stage output whose pieces need the executor —
+//! [`OutputKind::Merge`], [`OutputKind::SplitForm`] and
+//! [`OutputKind::Deferred`]; in-place and discarded outputs need
+//! nothing — gets a *sink* when the stage is built, and the sink alone
+//! decides where its pieces go. It has three transitions, and one
+//! `store` then writes the graph value for every kind:
+//!
+//! | Sink | Per batch (`accept`) | Worker end (`local`) | Caller (`finish`) | Spans | Counters |
+//! |------|----------------------|----------------------|-------------------|-------|----------|
+//! | `Place` | write the piece in place at its element offset | nothing to do | coverage check, truncation to the written prefix after a `NULL`-split tail | `PlacementWrite` per batch | `placement_writes`, `bytes_merged`, `merge_targets_{reused,allocated}` |
+//! | `Collect` | stash `(start, end, piece)` | merge each contiguous run, or fold everything when the merge is commutative | order the runs by offset, merge once | — | `bytes_merged` |
+//! | `Hold` | stash `(start, end, piece)` | keep one run per batch | build the [`SplitForm`] | `SplitFormHandoff` per hand-off | `split_form_handoffs` or `deferred_outputs` |
+//!
+//! All sinks share the phase spans: `Split` and `Task` per batch, one
+//! `Merge` per worker that ran a batch (its `local` window) and one
+//! `FinalMerge` per stage, on the caller.
+//!
+//! **`Place`** takes a `Merge` output when [`Config::placement_merge`]
+//! is on and the split type's
 //! [`merge_strategy`](crate::split::Splitter::merge_strategy) is
 //! [`MergeStrategy::Concat`](crate::split::MergeStrategy::Concat) with a
-//! [`Placement`] capability, the merged value
-//! is preallocated once — on the first result piece any worker
-//! produces, so data-dependent layouts (DataFrame schemas, column
-//! dtypes) size correctly — and every worker then
-//! [`write_piece`](crate::split::Placement::write_piece)s its results
-//! directly at their element offsets inside the driver loop. The
-//! worker-local pre-merge and the serial O(total) final concat both
-//! disappear: merging becomes parallel in-place writes, exactly like
-//! the mut-argument `SliceView` path that MKL-style outputs already
-//! take. Out-of-claim-order batches are harmless (offsets are absolute),
-//! and a `NULL`-split tail shrinks the output to the written prefix via
-//! [`truncate_merged`](crate::split::Placement::truncate_merged).
-//!
-//! Under an attached plan cache the preallocation itself is skipped
-//! where it can be: both allocation points first take the *spare* an
-//! earlier evaluation of the same cached plan parked for this stage
-//! output and offer it to [`Placement::reuse`], which hands it back
+//! [`Placement`] capability — never an `unknown` output, whose pieces
+//! may compact, and never a commutative merge, which cannot carry one.
+//! Its merged value is resolved once, at the first of two points: stage
+//! start, on the caller while the pool is parked, when the parameters
+//! determine the layout (first-touch page faults then run uncontended);
+//! else the first piece any worker produces, which serves as the
+//! exemplar for data-dependent layouts (DataFrame schemas, column
+//! dtypes). A split type that declines at both points collects instead.
+//! The worker-local pre-merge and the serial final concat disappear, and
+//! out-of-claim-order batches are harmless because offsets are absolute.
+//! Under an attached plan cache the point that resolved a target when it
+//! was new first offers the *spare* an earlier evaluation of the plan
+//! parked for the output to [`Placement::reuse`], which hands it back
 //! only if nobody else holds its storage any more (see "Merge-target
-//! spares" in [`crate::planner`]). Every installed target records where
-//! it came from ([`MergeOrigin`]) so the context can park it in turn
-//! when it lets go of the value.
+//! spares" in [`crate::planner`]); the stored value records its
+//! [`MergeOrigin`] so the context can park it in turn when it lets go.
 //!
-//! # Held pieces: split-form hand-offs and deferred outputs
-//!
-//! When the planner marks an output [`OutputKind::SplitForm`] (see the
-//! split-form rewrite in [`crate::planner`]) or
-//! [`OutputKind::Deferred`] (alive, but the triggering read did not ask
-//! for it), the merge is elided entirely: worker batch pieces are
-//! collected with their element ranges (never locally merged, placement
-//! disabled) and stored on the value entry as a [`SplitForm`] — an
-//! ordered, contiguous piece set. A deferred set is merged by
+//! **`Hold`** takes [`OutputKind::SplitForm`] (a hand-off, see the
+//! split-form rewrite in [`crate::planner`]) and [`OutputKind::Deferred`]
+//! (alive, but the read did not ask for it). Nothing is merged at any
+//! level, so the held set keeps per-batch granularity. A consuming
+//! stage's `build_exec_stage` serves its batches from
+//! [`SplitForm::slice`] instead of calling `split` on a materialized
+//! value: a clone when a batch range lands on piece boundaries (the
+//! common case, since batch sizing is deterministic in the element count
+//! and per-element footprint, both preserved by the hand-off), a
+//! re-slice through the split type's [`Concat`](crate::split::Concat)
+//! capability otherwise (counted in
+//! [`PhaseStats::split_form_reslices`]). A deferred set is merged by
 //! `materialize_held` when something does ask for the value: an
 //! *identity stage* — no calls, the pieces as its one split input, the
 //! value as its one merge output — run through the same driver loop,
-//! so it is placement-written in parallel on the pool when the type has
-//! the capability and classically merged otherwise, with the
-//! cancellation checks, fault points, panic isolation and spans of any
-//! other stage. For a hand-off, the
-//! *consuming* stage's `build_exec_stage` recognizes the form and
-//! serves its batches from [`SplitForm::slice`] instead of calling the
-//! split type's `split` on a materialized value: a batch range landing
-//! on piece boundaries is a clone of the piece (the common case, since
-//! batch sizing is deterministic in the element count and per-element
-//! footprint, both preserved by the hand-off), and a misaligned range
-//! is re-sliced through the split type's
-//! [`Concat`](crate::split::Concat) capability (counted in
-//! [`PhaseStats::split_form_reslices`]). Cancellation, fault injection,
-//! tracing, and pedantic checks all apply unchanged — the hand-off only
-//! replaces where batch pieces come from and where result pieces go.
+//! with the cancellation checks, fault points, panic isolation and spans
+//! of any other stage.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -104,9 +106,9 @@ use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
 use crate::graph::{DataflowGraph, MergeOrigin, ValueId};
-use crate::planner::{OutputKind, PlanCache, PlanSite, StagePlan};
+use crate::planner::{OutputKind, PlanCache, PlanSite, StageOutput, StagePlan};
 use crate::pool::{Job, WorkerPool};
-use crate::split::{Params, Placement, SplitForm, SplitInstance};
+use crate::split::{MergeStrategy, Params, Placement, RuntimeInfo, SplitForm, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
 use crate::value::DataValue;
@@ -117,10 +119,16 @@ pub(crate) fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// A result piece (or a merged run of them) with the element range
+/// `(start, end, piece)` that produced it — the shape
+/// [`SplitForm::new`] takes.
+type Piece = (u64, u64, DataValue);
+
 /// Immutable description of a stage shared across worker threads.
 ///
 /// All values are addressed by dense plan-time slot indices; see the
 /// module docs.
+#[derive(Default)]
 pub(crate) struct ExecStage {
     nodes: Vec<ExecNode>,
     /// Every node's argument slots, back to back (see [`ExecNode::args`]).
@@ -131,7 +139,7 @@ pub(crate) struct ExecStage {
     inputs: Vec<ExecInput>,
     /// Values passed whole to every batch, written once per worker.
     broadcast: Vec<(u32, DataValue)>,
-    /// Outputs whose pieces must be collected and merged.
+    /// Outputs whose pieces go to a sink (module docs, "Output paths").
     merge_outputs: Vec<MergeOutput>,
     /// Slots written by node execution, cleared at the top of every
     /// batch so output-presence checks see only this batch's pieces.
@@ -170,16 +178,7 @@ impl ExecStage {
         let config = env.config;
         let num_batches = total_elements.div_ceil(batch.max(1)).max(1);
         ExecStage {
-            nodes: Vec::new(),
-            arg_slots: Vec::new(),
-            mut_aliases: Vec::new(),
-            inputs: Vec::new(),
-            broadcast: Vec::new(),
-            merge_outputs: Vec::new(),
-            produced_slots: Vec::new(),
-            num_slots: 0,
             total_elements,
-            sum_elem_bytes: 0,
             batch,
             participants: config.workers.max(1).min(num_batches as usize),
             pedantic: config.pedantic,
@@ -187,6 +186,7 @@ impl ExecStage {
             faults: config.fault_plan.clone(),
             cancel: env.cancel.cloned(),
             trace: env.trace.cloned(),
+            ..ExecStage::default()
         }
     }
 
@@ -251,104 +251,84 @@ struct MergeOutput {
     /// [`PlanSite`], the key of this output's spare slot.
     output: u32,
     instance: SplitInstance,
-    /// Cached: whether the merge strategy is commutative.
-    commutative: bool,
-    /// Placement-merge capability + probe state; `None` when the config
-    /// disables placement or the split type's merge strategy carries no
-    /// placement capability (commutative merges never do — partial
-    /// results have no meaningful element offsets).
-    placement: Option<PlacementMerge>,
-    /// [`OutputKind::Merge`], or one of the two kinds whose pieces are
-    /// never merged here ([`OutputKind::SplitForm`],
-    /// [`OutputKind::Deferred`]): those are collected (each batch piece
-    /// its own run, placement disabled) and stored on the value as a
-    /// [`SplitForm`].
-    kind: OutputKind,
+    /// Where the output's pieces go (module docs, "Output paths").
+    sink: Sink,
 }
 
-impl MergeOutput {
-    fn new(
-        slot: u32,
-        value: ValueId,
-        output: u32,
-        instance: SplitInstance,
-        kind: OutputKind,
-        config: &Config,
-    ) -> Self {
-        let strategy = instance.merge_strategy();
-        // The placement capability comes straight from the merge
-        // strategy probe (`MergeStrategy::Concat { placement }`).
-        // `unknown` outputs (filters, anything whose pieces do not
-        // correspond to input elements, §3.2) compact: a piece may
-        // hold fewer elements than the batch that produced it, so
-        // batch offsets are meaningless there and the merger must
-        // concatenate; commutative strategies cannot carry placement
-        // by construction. Held outputs never take placement — the
-        // whole point is that no merged value is allocated.
-        let placement =
-            (config.placement_merge && !instance.is_unknown() && kind == OutputKind::Merge)
-                .then(|| strategy.placement().cloned())
-                .flatten()
-                .map(|cap| PlacementMerge {
-                    cap,
-                    state: PlacementState::new(),
-                });
-        MergeOutput {
-            slot,
-            value,
-            output,
-            commutative: strategy.commutative(),
-            placement,
-            kind,
-            instance,
-        }
-    }
-
-    /// Whether the pieces are kept as pieces instead of merged.
-    fn held(&self) -> bool {
-        self.kind != OutputKind::Merge
-    }
-
-    /// The placement target this output resolved to, if any.
-    fn target(&self) -> Option<&Target> {
-        self.placement.as_ref()?.state.out.get()?.as_ref()
-    }
+/// An output path (module docs), chosen once when the stage is built.
+enum Sink {
+    /// Written in place into one preallocated value; collected instead
+    /// if the split type declines the allocation.
+    Place(PlacementMerge),
+    /// Merged per worker, then once more on the caller.
+    Collect { commutative: bool },
+    /// Kept as pieces: a split-form hand-off, or a deferred output
+    /// merged when something asks for it.
+    Hold { deferred: bool },
 }
 
 /// One output's placement merge: the split type's capability object and
-/// the resolve-once probe state shared across workers.
+/// the resolve-once state shared across workers.
 struct PlacementMerge {
     cap: Arc<dyn Placement>,
-    state: PlacementState,
-}
-
-/// Shared state of one output's placement merge, resolved exactly once
-/// across all workers.
-struct PlacementState {
     /// `Some(target)` once the placement output exists (every piece is
-    /// then written in place); `None` once the split type declined
-    /// placement for this stage (pieces collect as usual). Resolved at
-    /// stage start or on the first piece produced, whichever worker
-    /// gets there first.
+    /// then written in place); `None` once the split type declined it
+    /// (pieces collect). Unset until [`resolve`](Self::resolve) decides.
     out: OnceLock<Option<Target>>,
-    /// A spare taken from the plan cache at stage start that has to
-    /// wait for the first piece: it was resolved by exemplar when it
-    /// was new, so that is the call site that offers it for reuse.
-    spare: Mutex<Option<DataValue>>,
+    /// A spare from the plan cache, tagged with the point that resolved
+    /// it when it was new (`true`: the first piece) and kept until that
+    /// point. The lock also makes the first-piece resolution run once.
+    spare: Mutex<Option<(bool, DataValue)>>,
     /// Elements written across all pieces.
     written: AtomicU64,
     /// Highest element offset written (exclusive).
     high: AtomicU64,
 }
 
-impl PlacementState {
-    fn new() -> PlacementState {
-        PlacementState {
-            out: OnceLock::new(),
-            spare: Mutex::new(None),
-            written: AtomicU64::new(0),
-            high: AtomicU64::new(0),
+impl PlacementMerge {
+    /// Resolve the target at one of its two points — stage start
+    /// (`exemplar` is `None`, `spare` is what the plan cache holds for
+    /// the output) or the first piece any worker produces — once across
+    /// workers, and return it: `None` while unresolved or once declined.
+    /// A spare the split type accepts for reuse wins over a fresh
+    /// allocation; a decline at stage start leaves the first piece to
+    /// decide.
+    fn resolve(
+        &self,
+        spare: Option<(MergeOrigin, DataValue)>,
+        exemplar: Option<&DataValue>,
+        total_elements: u64,
+        params: &Params,
+    ) -> Result<Option<&Target>> {
+        if let Some(resolved) = self.out.get() {
+            return Ok(resolved.as_ref());
         }
+        let mut parked = self.spare.lock();
+        if let Some(resolved) = self.out.get() {
+            return Ok(resolved.as_ref());
+        }
+        if let Some((origin, target)) = spare {
+            *parked = Some((origin.by_exemplar, target));
+        }
+        let by_exemplar = exemplar.is_some();
+        let offered = parked.take_if(|(at, _)| *at == by_exemplar);
+        let reused = offered.and_then(|(_, s)| self.cap.reuse(s, total_elements, params, exemplar));
+        let (out, reused) = match reused {
+            Some(out) => (Some(out), true),
+            None => (
+                self.cap.alloc_merged(total_elements, params, exemplar)?,
+                false,
+            ),
+        };
+        if out.is_none() && !by_exemplar {
+            return Ok(None);
+        }
+        let target = out.map(|out| Target {
+            out,
+            reused,
+            by_exemplar,
+        });
+        Ok(self.out.get_or_init(|| target).as_ref())
     }
 }
 
@@ -361,21 +341,290 @@ struct Target {
     by_exemplar: bool,
 }
 
-/// Nominal size in bytes of a materialized merge output, via the split
-/// info API (`total_elements · elem_size_bytes`); zero when the info
-/// call declines, since byte budgets are a load-shedding signal, not an
-/// exact meter.
-fn merged_bytes(instance: &SplitInstance, merged: &DataValue) -> u64 {
-    if instance.is_unknown() {
-        // `unknown` instances carry no params and only delegate their
-        // merge; their info contract does not cover merged values.
-        return 0;
+/// An output after its caller-side transition, ready to be stored.
+enum Finished<'a> {
+    /// The merged value, and the placement target it was written into.
+    Whole(DataValue, Option<&'a Target>),
+    /// The ordered piece set of a held output.
+    Held(SplitForm),
+}
+
+impl MergeOutput {
+    /// The planned output `output` of a stage, stored in `slot`, with its
+    /// sink — `None` for the kinds that need none (in place, discarded).
+    fn new(slot: u32, output: u32, planned: &StageOutput, config: &Config) -> Option<Self> {
+        let instance = planned.instance.clone();
+        let sink = match planned.kind {
+            OutputKind::InPlace | OutputKind::Discard => return None,
+            // Held outputs never take placement — the whole point is
+            // that no merged value is allocated.
+            OutputKind::SplitForm => Sink::Hold { deferred: false },
+            OutputKind::Deferred => Sink::Hold { deferred: true },
+            // The placement capability comes straight from the merge
+            // strategy probe (`MergeStrategy::Concat { placement }`).
+            // `unknown` outputs (filters, anything whose pieces do not
+            // correspond to input elements, §3.2) compact: a piece may
+            // hold fewer elements than the batch that produced it, so
+            // batch offsets are meaningless there and the merger must
+            // concatenate.
+            OutputKind::Merge => match instance.merge_strategy() {
+                MergeStrategy::Concat {
+                    placement: Some(cap),
+                } if config.placement_merge && !instance.is_unknown() => {
+                    Sink::Place(PlacementMerge {
+                        cap,
+                        out: OnceLock::new(),
+                        spare: Mutex::new(None),
+                        written: AtomicU64::new(0),
+                        high: AtomicU64::new(0),
+                    })
+                }
+                strategy => Sink::Collect {
+                    commutative: strategy.commutative(),
+                },
+            },
+        };
+        Some(MergeOutput {
+            slot,
+            value: planned.value,
+            output,
+            instance,
+            sink,
+        })
     }
-    instance
-        .splitter
-        .info(merged, &instance.params)
-        .map(|i| i.total_elements.saturating_mul(i.elem_size_bytes))
-        .unwrap_or(0)
+
+    /// Stage start, on the caller: take the output's spare from the
+    /// plan cache and resolve a placement target whose layout the
+    /// parameters determine.
+    fn start(&self, env: &ExecEnv<'_>, total_elements: u64) -> Result<()> {
+        if let Sink::Place(pm) = &self.sink {
+            let spare = env
+                .spares
+                .and_then(|(cache, site)| cache.take_spare(site, self.output));
+            pm.resolve(spare, None, total_elements, &self.instance.params)?;
+        }
+        Ok(())
+    }
+
+    /// Per batch: take this output's piece of the worker's batch and
+    /// write it in place at its element offset once a placement target
+    /// exists — the first piece resolves it — or stash it with the batch
+    /// range for the worker's [`local`](Self::local) merge. `i` is the
+    /// output's index among the stage's merge outputs.
+    fn accept(&self, w: &mut Worker<'_>, i: usize) -> Result<()> {
+        let exec = w.exec;
+        let Some(piece) = &w.slots[self.slot as usize] else {
+            if exec.pedantic {
+                return Err(Error::Pedantic(format!(
+                    "output of split type {} missing after batch [{}, {})",
+                    self.instance.splitter.name(),
+                    w.start,
+                    w.end
+                )));
+            }
+            return Ok(());
+        };
+        if let Sink::Place(pm) = &self.sink {
+            let w0 = exec.span_start();
+            // Per-write CPU time only feeds the span.
+            let c0 = w0.map(|_| thread_cpu_now());
+            let (total, params) = (exec.total_elements, &self.instance.params);
+            if let Some(target) = pm.resolve(None, Some(piece), total, params)? {
+                // Coverage tracks the piece's actual element count, not
+                // the batch range: a source that dries up mid-batch
+                // writes fewer elements, and the truncation in `finish`
+                // must not include the unwritten remainder.
+                let n = pm.cap.write_piece(&target.out, w.start, piece)?;
+                pm.written.fetch_add(n, Ordering::Relaxed);
+                pm.high.fetch_max(w.start + n, Ordering::Relaxed);
+                w.out.placement_writes += 1;
+                let cpu = c0.map_or(Duration::ZERO, |c0| cpu_elapsed(c0, thread_cpu_now()));
+                exec.span(SpanKind::PlacementWrite, w.worker as u32, w.index, w0, cpu);
+                return Ok(());
+            }
+        }
+        w.out.partials[i].push((w.start, w.end, piece.clone()));
+        Ok(())
+    }
+
+    /// At the end of each worker, over its stash (in claim order, which
+    /// is element order): keep one run per batch when held — so aligned
+    /// batches of whoever reads the set next take the clone fast path —
+    /// fold everything into one partial when the merge is commutative,
+    /// or merge each contiguous run for the caller to order.
+    fn local(&self, pieces: Vec<Piece>) -> Result<Vec<Piece>> {
+        let fold_all = match self.sink {
+            Sink::Hold { .. } => return Ok(pieces),
+            Sink::Collect { commutative } => commutative,
+            Sink::Place(_) => false,
+        };
+        // Merge a group of pieces covering `covered` elements, skipping
+        // the library call for singletons.
+        let (splitter, params) = (&self.instance.splitter, &self.instance.params);
+        let merge = |mut group: Vec<DataValue>, covered| match group.len() {
+            1 => Ok(group.pop().expect("one piece")),
+            _ => splitter.merge(group, params, covered),
+        };
+        let mut runs = Vec::new();
+        let mut group = Vec::new();
+        let (mut run_start, mut run_end, mut covered) = (0, 0, 0);
+        for (start, end, piece) in pieces {
+            if !group.is_empty() && !fold_all && start != run_end {
+                let merged = merge(std::mem::take(&mut group), covered)?;
+                runs.push((run_start, run_end, merged));
+            }
+            if group.is_empty() {
+                (run_start, covered) = (start, 0);
+            }
+            (run_end, covered) = (end, covered + end - start);
+            group.push(piece);
+        }
+        if !group.is_empty() {
+            runs.push((run_start, run_end, merge(group, covered)?));
+        }
+        Ok(runs)
+    }
+
+    /// On the caller, with every worker's runs: check a placement
+    /// target's coverage, or order the runs by element offset (§5.2
+    /// step 3) and build the held set or merge them once.
+    fn finish(&self, mut runs: Vec<Piece>, exec: &ExecStage) -> Result<Finished<'_>> {
+        let (split_type, params) = (self.instance.splitter.name(), &self.instance.params);
+        let total = exec.total_elements;
+        if let Some((pm, target)) = self.target() {
+            let written = pm.written.load(Ordering::Relaxed);
+            let high = pm.high.load(Ordering::Relaxed);
+            if written != high {
+                // A batch inside the written range produced no piece:
+                // the output has an interior hole, which a concat of
+                // collected pieces would have silently closed but an
+                // in-place buffer cannot. Fail loudly rather than return
+                // stale elements.
+                return Err(Error::Merge {
+                    split_type,
+                    message: format!(
+                        "placement output has interior gaps: {written} of {high} \
+                         leading elements written"
+                    ),
+                });
+            }
+            // A `NULL`-split tail: the sources dried up before the
+            // declared total.
+            let merged = if high == total {
+                target.out.clone()
+            } else {
+                pm.cap.truncate_merged(target.out.clone(), high, params)?
+            };
+            return Ok(Finished::Whole(merged, Some(target)));
+        }
+        if runs.is_empty() {
+            return Err(Error::Merge {
+                split_type,
+                message: format!(
+                    "stage {} produced no pieces for its {split_type} output \
+                     (v{}): every batch came back empty",
+                    exec.stage_idx, self.value.0
+                ),
+            });
+        }
+        runs.sort_by_key(|r| r.0);
+        if let Sink::Hold { .. } = self.sink {
+            // Per-element footprint of the first piece (elem size is
+            // range-independent). `SplitForm::new` validates contiguity,
+            // so an interior gap a concat would have silently closed
+            // fails loudly here.
+            let elem_size = self.info(&runs[0].2).map_or(0, |i| i.elem_size_bytes);
+            let sf = SplitForm::new(runs, total, self.instance.clone(), elem_size)?;
+            return Ok(Finished::Held(sf));
+        }
+        // The stage's element total is the merge-size hint: concat-style
+        // mergers preallocate once instead of growing per piece.
+        let pieces = runs.into_iter().map(|r| r.2).collect();
+        let merged = catch_phase(FaultPhase::Merge, || {
+            self.instance.splitter.merge(pieces, params, total)
+        })?;
+        Ok(Finished::Whole(merged, None))
+    }
+
+    /// The split info of one of this output's values, a piece or the
+    /// merged whole: `None` when the call declines or the output is
+    /// `unknown` (its instance carries no params and only delegates its
+    /// merge, so its info contract covers neither). Callers read `None`
+    /// as zero bytes: merged-byte accounting and a held set's element
+    /// size are load-shedding and batch-sizing signals, not exact
+    /// meters, so a declined call degrades them and never correctness.
+    fn info(&self, value: &DataValue) -> Option<RuntimeInfo> {
+        if self.instance.is_unknown() {
+            return None;
+        }
+        self.instance
+            .splitter
+            .info(value, &self.instance.params)
+            .ok()
+    }
+
+    /// The placement merge and the target it resolved to, if any.
+    fn target(&self) -> Option<(&PlacementMerge, &Target)> {
+        let Sink::Place(pm) = &self.sink else {
+            return None;
+        };
+        Some((pm, pm.out.get()?.as_ref()?))
+    }
+
+    /// Write a finished output to its graph value, with the counters
+    /// and the marker span of its path.
+    fn store(
+        &self,
+        finished: Finished<'_>,
+        graph: &mut DataflowGraph,
+        exec: &ExecStage,
+        env: &ExecEnv<'_>,
+        stats: &mut PhaseStats,
+    ) {
+        let entry = &mut graph.values[self.value.0 as usize];
+        match finished {
+            Finished::Whole(merged, target) => {
+                // Nominal size: `total_elements · elem_size_bytes`.
+                let info = self.info(&merged);
+                let bytes = info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes));
+                stats.bytes_merged += bytes;
+                (entry.data, entry.ready, entry.held) = (Some(merged), true, None);
+                // A placement target remembers its spare slot, so
+                // whoever lets go of the value can park it for the
+                // plan's next evaluation.
+                entry.merge_origin = env.spares.zip(target).map(|((_, site), t)| MergeOrigin {
+                    fingerprint: site.fingerprint,
+                    stage: site.stage,
+                    output: self.output,
+                    by_exemplar: t.by_exemplar,
+                    bytes,
+                });
+                match target {
+                    Some(t) if t.reused => stats.merge_targets_reused += 1,
+                    Some(_) => stats.merge_targets_allocated += 1,
+                    None => {}
+                }
+            }
+            Finished::Held(sf) => {
+                let pieces = sf.piece_count() as u64;
+                (entry.data, entry.ready, entry.merge_origin) = (None, false, None);
+                entry.held = Some(Arc::new(sf));
+                if let Sink::Hold { deferred: true } = self.sink {
+                    stats.deferred_outputs += 1;
+                    graph.deferred.push(self.value);
+                } else {
+                    stats.split_form_handoffs += 1;
+                    if let Some(t) = &exec.trace {
+                        // Zero-duration marker span: the elided-merge
+                        // analogue of FinalMerge (arg = stage, link =
+                        // pieces).
+                        let (kind, now) = (SpanKind::SplitFormHandoff, t.recorder.now_ns());
+                        t.emit(kind, SERVICE_WORKER, exec.stage_idx, pieces, now, 0, 0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Run one phase of the batch pipeline with panic isolation: a panic
@@ -414,20 +663,12 @@ fn inject(exec: &ExecStage, phase: FaultPhase, batch_idx: u64, worker_idx: usize
     Ok(())
 }
 
-/// A merged (or single) piece covering elements `[start, end)`. The
-/// classic merge path only orders by `start`; split-form hand-offs also
-/// need `end` to rebuild the piece set's element ranges.
-pub(crate) struct PieceRun {
-    start: u64,
-    end: u64,
-    piece: DataValue,
-}
-
 /// Per-worker result: pre-merged partial runs and phase timings.
 #[derive(Default)]
 pub(crate) struct WorkerOut {
-    /// Per merge output: runs in increasing element order.
-    partials: Vec<Vec<PieceRun>>,
+    /// Per merge output: the pieces stashed by the driver loop, then
+    /// the worker's runs in increasing element order.
+    partials: Vec<Vec<Piece>>,
     split: Duration,
     task: Duration,
     merge: Duration,
@@ -472,8 +713,7 @@ pub(crate) fn execute_stage(
     env: &ExecEnv<'_>,
 ) -> Result<()> {
     let exec = build_exec_stage(graph, stage, stats.stages, env)?;
-    let total_elements = exec.total_elements;
-    let sum_elem_bytes = exec.sum_elem_bytes;
+    let bytes_split = exec.total_elements.saturating_mul(exec.sum_elem_bytes);
     run_exec(graph, exec, stats, env)?;
 
     // Materialize in-place and discarded outputs.
@@ -492,7 +732,7 @@ pub(crate) fn execute_stage(
     }
     graph.next_unplanned += stage.nodes.len();
     stats.stages += 1;
-    stats.bytes_split += total_elements.saturating_mul(sum_elem_bytes);
+    stats.bytes_split += bytes_split;
     Ok(())
 }
 
@@ -513,20 +753,22 @@ pub(crate) fn materialize_held(
     let Some(sf) = graph.held(id).cloned() else {
         return Ok(false);
     };
-    let instance = sf.instance().clone();
+    let planned = StageOutput {
+        value: id,
+        instance: sf.instance().clone(),
+        kind: OutputKind::Merge,
+    };
     let mut exec = ExecStage::sized(sf.total(), sf.piece_len(), stats.stages, env);
     // `sum_elem_bytes` stays 0: nothing is split, the pieces exist.
     exec.num_slots = 1;
-    let output = MergeOutput::new(0, id, 0, instance.clone(), OutputKind::Merge, env.config);
-    exec.merge_outputs.push(output);
-    let data = InputData::Pieces(sf);
+    exec.merge_outputs
+        .extend(MergeOutput::new(0, 0, &planned, env.config));
     exec.inputs.push(ExecInput {
         slot: 0,
-        instance,
-        data,
+        instance: planned.instance,
+        data: InputData::Pieces(sf),
     });
     run_exec(graph, exec, stats, env)?;
-    graph.values[id.0 as usize].held = None;
     Ok(true)
 }
 
@@ -539,40 +781,20 @@ fn run_exec(
     stats: &mut PhaseStats,
     env: &ExecEnv<'_>,
 ) -> Result<()> {
-    let stage_idx = exec.stage_idx;
     if env.cancel.is_some_and(|c| c.is_cancelled()) {
         return Err(Error::Cancelled(format!(
-            "evaluation abandoned before stage {stage_idx}"
+            "evaluation abandoned before stage {}",
+            exec.stage_idx
         )));
     }
 
-    // Stage-start placement allocation: split types whose parameters
-    // determine the output layout allocate (and pre-fault) the merged
-    // value here, on the calling thread while the pool is parked —
-    // first-touch page faults taken inside worker merge windows would
-    // contend with the parallel phase's own faults. Data-dependent
-    // layouts resolve later, on the first piece produced. A spare the
-    // plan cache holds for the output is offered for reuse first, at
-    // whichever of the two points resolved it when it was new. Counted
-    // as merge time: it is the placement path's share of what the
-    // collect-then-concat path pays inside its final merge.
+    // Stage-start placement resolution (module docs), on the calling
+    // thread while the pool is parked. Counted as merge time: it is the
+    // placement path's share of what the collect-then-concat path pays
+    // inside its final merge.
     let mut clock = PhaseClock::start();
     for mo in &exec.merge_outputs {
-        let Some(pm) = &mo.placement else { continue };
-        let (total, params) = (exec.total_elements, &mo.instance.params);
-        let spare = env
-            .spares
-            .and_then(|(cache, site)| cache.take_spare(site, mo.output));
-        let spare = match spare {
-            Some((origin, target)) if origin.by_exemplar => {
-                *pm.state.spare.lock() = Some(target);
-                None
-            }
-            other => other.map(|(_, target)| target),
-        };
-        if let Some(target) = resolve_target(pm, spare, total, params, None)? {
-            let _ = pm.state.out.set(Some(target));
-        }
+        mo.start(env, exec.total_elements)?;
     }
     let prealloc = clock.lap();
 
@@ -593,69 +815,16 @@ fn run_exec(
         }
     };
 
-    // Final merge on the calling thread (§5.2 step 3): order every
-    // worker's partial runs by element offset, then merge once.
-    // Placement outputs skip all of this — their pieces already live in
-    // the preallocated value — and held outputs keep the ordered runs.
+    // Final merge on the calling thread (§5.2 step 3). Each output's
+    // runs are moved out of the worker results, not cloned into it.
     let w0 = exec.span_start();
     for (i, mo) in exec.merge_outputs.iter().enumerate() {
-        let mut store = |merged: DataValue, target: Option<&Target>, stats: &mut PhaseStats| {
-            let bytes = merged_bytes(&mo.instance, &merged);
-            stats.bytes_merged += bytes;
-            let entry = &mut graph.values[mo.value.0 as usize];
-            (entry.data, entry.ready) = (Some(merged), true);
-            // A placement target remembers its spare slot, so whoever
-            // lets go of the value can park it for the plan's next
-            // evaluation.
-            entry.merge_origin = env.spares.zip(target).map(|((_, site), t)| MergeOrigin {
-                fingerprint: site.fingerprint,
-                stage: site.stage,
-                output: mo.output,
-                by_exemplar: t.by_exemplar,
-                bytes,
-            });
-        };
-        if let Some((merged, target)) = finish_placement(mo, exec.total_elements)? {
-            if target.reused {
-                stats.merge_targets_reused += 1;
-            } else {
-                stats.merge_targets_allocated += 1;
-            }
-            store(merged, Some(target), stats);
-            continue;
-        }
-        // Take ownership of the runs out of the worker results instead
-        // of cloning every piece into the merge call.
-        let mut runs: Vec<PieceRun> = outs
+        let runs = outs
             .iter_mut()
             .flat_map(|o| std::mem::take(&mut o.partials[i]))
             .collect();
-        if runs.is_empty() {
-            return Err(Error::Merge {
-                split_type: mo.instance.splitter.name(),
-                message: format!(
-                    "stage {stage_idx} produced no pieces for its {} output \
-                     (v{}): every batch came back empty",
-                    mo.instance.splitter.name(),
-                    mo.value.0
-                ),
-            });
-        }
-        runs.sort_by_key(|r| r.start);
-        if mo.held() {
-            hold_pieces(graph, mo, runs, exec, stats)?;
-            continue;
-        }
-        let pieces: Vec<DataValue> = runs.into_iter().map(|r| r.piece).collect();
-        // Merge-size hint (ROADMAP): the final merged value covers the
-        // stage's whole element range, so concat-style mergers can
-        // preallocate once instead of growing per piece.
-        let merged = catch_phase(FaultPhase::Merge, || {
-            mo.instance
-                .splitter
-                .merge(pieces, &mo.instance.params, exec.total_elements)
-        })?;
-        store(merged, None, stats);
+        let finished = mo.finish(runs, exec)?;
+        mo.store(finished, graph, exec, env, stats);
     }
     let final_merge = clock.lap();
     // One final-merge span per stage on the calling thread; CPU time
@@ -673,88 +842,6 @@ fn run_exec(
     stats.placement_writes += outs.iter().map(|o| o.placement_writes).sum::<u64>();
     stats.split_form_reslices += outs.iter().map(|o| o.split_form_reslices).sum::<u64>();
     Ok(())
-}
-
-/// Store a held output's ordered runs on its value instead of merging
-/// them. `SplitForm::new` validates contiguity, so an interior gap a
-/// concat would have silently closed fails loudly here.
-fn hold_pieces(
-    graph: &mut DataflowGraph,
-    mo: &MergeOutput,
-    runs: Vec<PieceRun>,
-    exec: &ExecStage,
-    stats: &mut PhaseStats,
-) -> Result<()> {
-    let pieces: Vec<(u64, u64, DataValue)> = runs
-        .into_iter()
-        .map(|r| (r.start, r.end, r.piece))
-        .collect();
-    let piece_count = pieces.len() as u64;
-    // Per-element footprint via the split info API on the first piece
-    // (the info contract covers pieces; elem size is range-independent;
-    // `unknown` instances have no info contract). Zero when the info
-    // call declines — byte-budget degradation, not a correctness issue.
-    let elem_size = if mo.instance.is_unknown() {
-        0
-    } else {
-        mo.instance
-            .splitter
-            .info(&pieces[0].2, &mo.instance.params)
-            .map_or(0, |i| i.elem_size_bytes)
-    };
-    let sf = SplitForm::new(pieces, exec.total_elements, mo.instance.clone(), elem_size)?;
-    let entry = &mut graph.values[mo.value.0 as usize];
-    entry.held = Some(Arc::new(sf));
-    (entry.data, entry.merge_origin) = (None, None);
-    entry.ready = false;
-    if mo.kind == OutputKind::Deferred {
-        stats.deferred_outputs += 1;
-        graph.deferred.push(mo.value);
-    } else {
-        stats.split_form_handoffs += 1;
-        if let Some(t) = &exec.trace {
-            // Zero-duration marker span: the elided-merge analogue of
-            // FinalMerge (arg = stage, link = pieces).
-            let (kind, now) = (SpanKind::SplitFormHandoff, t.recorder.now_ns());
-            t.emit(kind, SERVICE_WORKER, exec.stage_idx, piece_count, now, 0, 0);
-        }
-    }
-    Ok(())
-}
-
-/// Complete a placement merge, if this output resolved to one: the
-/// pieces already live in the preallocated value, so the "merge" is a
-/// coverage check plus, for `NULL`-split tails, a truncation to the
-/// written prefix.
-fn finish_placement(mo: &MergeOutput, total_elements: u64) -> Result<Option<(DataValue, &Target)>> {
-    // No target: no piece was ever produced (the no-pieces error on
-    // the classic path below reports it) or the splitter declined.
-    let (Some(pm), Some(target)) = (&mo.placement, mo.target()) else {
-        return Ok(None);
-    };
-    let (ps, out) = (&pm.state, &target.out);
-    let written = ps.written.load(Ordering::Relaxed);
-    let high = ps.high.load(Ordering::Relaxed);
-    if written != high {
-        // A batch inside the written range produced no piece: the
-        // output has an interior hole, which a concat of collected
-        // pieces would have silently closed but an in-place buffer
-        // cannot. Fail loudly rather than return stale elements.
-        return Err(Error::Merge {
-            split_type: mo.instance.splitter.name(),
-            message: format!(
-                "placement output has interior gaps: {written} of {high} \
-                 leading elements written"
-            ),
-        });
-    }
-    if high == total_elements {
-        return Ok(Some((out.clone(), target)));
-    }
-    // NULL-split tail: the sources dried up before the declared total.
-    pm.cap
-        .truncate_merged(out.clone(), high, &mo.instance.params)
-        .map(|truncated| Some((truncated, target)))
 }
 
 /// Gather materialized data, run `Info`, size batches, and resolve every
@@ -793,16 +880,11 @@ fn build_exec_stage(
                 info.elem_size_bytes,
             )
         };
-        match total {
-            None => total = Some(input_total),
-            Some(t) if t == input_total => {}
-            Some(t) => {
-                return Err(Error::ElementMismatch {
-                    expected: t,
-                    actual: input_total,
-                })
-            }
+        if let Some(expected) = total.filter(|&t| t != input_total) {
+            let actual = input_total;
+            return Err(Error::ElementMismatch { expected, actual });
         }
+        total = Some(input_total);
         sum_elem_bytes += elem_bytes;
         inputs.push(ExecInput {
             slot: stage.slot_of(*vid),
@@ -854,21 +936,9 @@ fn build_exec_stage(
     produced_slots.sort_unstable();
     produced_slots.dedup();
 
-    let merge_outputs = stage
-        .outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| !matches!(o.kind, OutputKind::InPlace | OutputKind::Discard))
-        .map(|(i, o)| {
-            MergeOutput::new(
-                stage.slot_of(o.value),
-                o.value,
-                i as u32,
-                o.instance.clone(),
-                o.kind,
-                config,
-            )
-        })
+    let planned = stage.outputs.iter().enumerate();
+    let merge_outputs = planned
+        .filter_map(|(i, o)| MergeOutput::new(stage.slot_of(o.value), i as u32, o, config))
         .collect();
 
     Ok(ExecStage {
@@ -885,10 +955,152 @@ fn build_exec_stage(
     })
 }
 
-/// The driver loop (§5.2 step 2) for one participant.
+/// One participant's state in the driver loop.
+struct Worker<'a> {
+    exec: &'a ExecStage,
+    clock: &'a mut PhaseClock,
+    /// The participant index, and the index of the batch being run —
+    /// with the stage, the coordinates fault points and spans use.
+    worker: usize,
+    index: u64,
+    /// The batch's elements, `[start, end)`.
+    start: u64,
+    end: u64,
+    /// The batch's pieces by value slot (broadcast values stay put).
+    slots: Vec<Option<DataValue>>,
+    /// One argument buffer for every call this worker makes.
+    args: Vec<DataValue>,
+    out: WorkerOut,
+}
+
+impl Worker<'_> {
+    /// Run one phase of the batch: `body` behind the phase's fault point
+    /// under panic isolation — a panic in foreign split/task/merge code
+    /// fails this job with the typed `Error::TaskPanicked` and the
+    /// thread survives — timed into the phase's total and, for split
+    /// and task, recorded as a span. The stash phase records none of
+    /// its own; placement writes record theirs.
+    ///
+    /// Worker-parallel phases are timed on the per-thread CPU clock
+    /// (see `crate::cputime`): wall windows on an oversubscribed host
+    /// charge a phase for every preemption that lands in it, which
+    /// systematically misattributes scheduler noise to whichever phase
+    /// has the most windows.
+    fn phase<T>(&mut self, fault: FaultPhase, body: fn(&mut Self) -> Result<T>) -> Result<T> {
+        let (exec, worker, index) = (self.exec, self.worker, self.index);
+        let kind = match fault {
+            FaultPhase::Split => Some(SpanKind::Split),
+            FaultPhase::Task => Some(SpanKind::Task),
+            _ => None,
+        };
+        let w0 = kind.and_then(|_| exec.span_start());
+        let result = catch_phase(fault, || {
+            inject(exec, fault, index, worker)?;
+            body(self)
+        });
+        let cpu = self.clock.lap();
+        *match fault {
+            FaultPhase::Split => &mut self.out.split,
+            FaultPhase::Task => &mut self.out.task,
+            _ => &mut self.out.merge,
+        } += cpu;
+        if let Some(kind) = kind {
+            exec.span(kind, worker as u32, index, w0, cpu);
+        }
+        result
+    }
+
+    /// The split phase: cut every input's piece of the batch into its
+    /// slot. `true` is the paper's `NULL` return — no data here, stop
+    /// claiming.
+    fn split(&mut self) -> Result<bool> {
+        let (exec, range) = (self.exec, self.start..self.end);
+        for &s in &exec.produced_slots {
+            self.slots[s as usize] = None;
+        }
+        for (i, input) in exec.inputs.iter().enumerate() {
+            let (splitter, params) = (&input.instance.splitter, &input.instance.params);
+            // Split-form inputs never see a `split` call: their batches
+            // come straight from the hand-off piece set.
+            let piece = match &input.data {
+                InputData::Whole(data) => splitter.split(data, range.clone(), params)?,
+                InputData::Pieces(sf) => sf.slice(range.clone())?.map(|(piece, resliced)| {
+                    self.out.split_form_reslices += u64::from(resliced);
+                    piece
+                }),
+            };
+            let Some(piece) = piece else {
+                if exec.pedantic && i > 0 {
+                    return Err(Error::Pedantic(format!(
+                        "split type {} returned NULL for elements [{}, {}) \
+                         while other inputs produced pieces",
+                        splitter.name(),
+                        range.start,
+                        range.end
+                    )));
+                }
+                return Ok(true);
+            };
+            self.slots[input.slot as usize] = Some(piece);
+        }
+        Ok(false)
+    }
+
+    /// The task phase: call every node of the stage on the batch's
+    /// pieces.
+    fn call(&mut self) -> Result<()> {
+        let (exec, slots, args) = (self.exec, &mut self.slots, &mut self.args);
+        for node in &exec.nodes {
+            args.clear();
+            for &slot in &exec.arg_slots[node.args.clone()] {
+                let piece = slots[slot as usize].as_ref();
+                args.push(piece.ok_or(Error::ValueUnavailable)?.clone());
+            }
+            let inv = Invocation {
+                function: node.name,
+                args,
+            };
+            let ret = (node.func)(&inv)?;
+            for &(arg_idx, mv_slot) in &exec.mut_aliases[node.muts.clone()] {
+                slots[mv_slot as usize] = Some(args[arg_idx as usize].clone());
+            }
+            match (ret, node.ret) {
+                (Some(piece), Some(rv_slot)) => slots[rv_slot as usize] = Some(piece),
+                (None, None) => {}
+                (None, Some(_)) => {
+                    return Err(Error::Library(format!(
+                        "{} is annotated with a return split type but returned nothing",
+                        node.name
+                    )))
+                }
+                (Some(_), None) => {
+                    return Err(Error::Library(format!(
+                        "{} returned a value but its annotation declares none",
+                        node.name
+                    )))
+                }
+            }
+            self.out.calls += 1;
+        }
+        args.clear();
+        Ok(())
+    }
+
+    /// The stash phase ("moved to a list of partial results", §5.2):
+    /// hand each merge output's piece of the batch to its sink.
+    fn stash(&mut self) -> Result<()> {
+        for (i, mo) in self.exec.merge_outputs.iter().enumerate() {
+            mo.accept(self, i)?;
+        }
+        Ok(())
+    }
+}
+
+/// The driver loop (§5.2 step 2) for one participant: claim batches
+/// from the shared `cursor` until the elements are exhausted, a split
+/// returns `NULL`, or another participant fails; split, call and stash
+/// each one; then merge what this worker stashed.
 ///
-/// Claims batches from the shared `cursor` until the elements are
-/// exhausted, a split returns `NULL`, or another participant fails.
 /// Phases are timed on `clock`: the first split phase starts at its
 /// last reading, and it is left at the end of the worker-local merge.
 pub(crate) fn run_worker(
@@ -898,24 +1110,31 @@ pub(crate) fn run_worker(
     worker_idx: usize,
     clock: &mut PhaseClock,
 ) -> Result<WorkerOut> {
-    let mut out = WorkerOut::default();
-    let worker = worker_idx as u32;
-    // Raw pieces per merge output, tagged `(start, end, piece)`. Claims
-    // from the shared cursor are monotonic, so these stay sorted.
-    let mut pending: Vec<Vec<(u64, u64, DataValue)>> = vec![Vec::new(); exec.merge_outputs.len()];
-    let mut slots: Vec<Option<DataValue>> = vec![None; exec.num_slots];
-    for (slot, data) in &exec.broadcast {
-        slots[*slot as usize] = Some(data.clone());
-    }
-    // One argument buffer for every call this worker makes.
     let max_args = exec.nodes.iter().map(|n| n.args.len()).max();
-    let mut args: Vec<DataValue> = Vec::with_capacity(max_args.unwrap_or(0));
+    let mut w = Worker {
+        exec,
+        clock,
+        worker: worker_idx,
+        index: 0,
+        start: 0,
+        end: 0,
+        slots: vec![None; exec.num_slots],
+        args: Vec::with_capacity(max_args.unwrap_or(0)),
+        out: WorkerOut {
+            partials: vec![Vec::new(); exec.merge_outputs.len()],
+            ..WorkerOut::default()
+        },
+    };
+    for (slot, data) in &exec.broadcast {
+        w.slots[*slot as usize] = Some(data.clone());
+    }
     // The range a static partitioner would have given this worker, for
     // the steal counter.
     let static_share = exec
         .total_elements
         .div_ceil(exec.participants.max(1) as u64)
         .max(1);
+    let batch = exec.batch.max(1);
 
     'driver: loop {
         if failed.load(Ordering::Relaxed) {
@@ -927,7 +1146,6 @@ pub(crate) fn run_worker(
         // instead of once per batch; the halving keeps the tail fine-
         // grained for load balance. The estimate reads a possibly stale
         // cursor, which only affects span length, never claim ownership.
-        let batch = exec.batch.max(1);
         let span_batches = {
             let pos = cursor.load(Ordering::Relaxed);
             if pos >= exec.total_elements {
@@ -936,13 +1154,12 @@ pub(crate) fn run_worker(
             let remaining = (exec.total_elements - pos).div_ceil(batch);
             (remaining / (2 * exec.participants.max(1) as u64)).max(1)
         };
-        let start = cursor.fetch_add(span_batches * batch, Ordering::Relaxed);
+        let mut start = cursor.fetch_add(span_batches * batch, Ordering::Relaxed);
         if start >= exec.total_elements {
             break;
         }
         let claim_end = (start + span_batches * batch).min(exec.total_elements);
-        out.claims += 1;
-        let mut start = start;
+        w.out.claims += 1;
         while start < claim_end {
             if failed.load(Ordering::Relaxed) {
                 break 'driver;
@@ -951,310 +1168,44 @@ pub(crate) fn run_worker(
             // whose deadline passed stops burning pool time here, at
             // the claim boundary — a batch that already started always
             // runs to completion (library calls are never interrupted).
-            if let Some(c) = &exec.cancel {
-                if c.is_cancelled() {
-                    failed.store(true, Ordering::Relaxed);
-                    return Err(Error::Cancelled(format!(
-                        "deadline passed or token cancelled at stage {} \
-                         batch boundary",
-                        exec.stage_idx
-                    )));
-                }
+            if exec.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+                failed.store(true, Ordering::Relaxed);
+                return Err(Error::Cancelled(format!(
+                    "deadline passed or token cancelled at stage {} \
+                     batch boundary",
+                    exec.stage_idx
+                )));
             }
             let end = (start + batch).min(claim_end);
-            let batch_idx = start / batch;
-
-            // Split every input for this batch. Worker-parallel
-            // phases are timed on the per-thread CPU clock (see
-            // `crate::cputime`): wall windows on an oversubscribed
-            // host charge a phase for every preemption that lands in
-            // it, which systematically misattributes scheduler noise
-            // to whichever phase has the most windows.
-            //
-            // Each phase body runs under `catch_phase`: a panic in
-            // foreign split/task/merge code fails this job with the
-            // typed `Error::TaskPanicked` and the thread survives.
-            let w0 = exec.span_start();
-            for &s in &exec.produced_slots {
-                slots[s as usize] = None;
-            }
-            let null_split = catch_phase(FaultPhase::Split, || {
-                inject(exec, FaultPhase::Split, batch_idx, worker_idx)?;
-                let mut produced = 0usize;
-                for input in &exec.inputs {
-                    // Split-form inputs never see a `split` call — their
-                    // batches come straight from the hand-off piece set
-                    // (a clone when the range lands on piece boundaries,
-                    // a `Concat` re-slice otherwise).
-                    let piece = match &input.data {
-                        InputData::Whole(data) => input.instance.splitter.split(
-                            data,
-                            start..end,
-                            &input.instance.params,
-                        )?,
-                        InputData::Pieces(sf) => sf.slice(start..end)?.map(|(piece, resliced)| {
-                            if resliced {
-                                out.split_form_reslices += 1;
-                            }
-                            piece
-                        }),
-                    };
-                    match piece {
-                        Some(piece) => {
-                            slots[input.slot as usize] = Some(piece);
-                            produced += 1;
-                        }
-                        None => {
-                            if exec.pedantic && produced > 0 {
-                                return Err(Error::Pedantic(format!(
-                                    "split type {} returned NULL for elements [{start}, {end}) \
-                                 while other inputs produced pieces",
-                                    input.instance.splitter.name()
-                                )));
-                            }
-                            // The paper's NULL return: no data here,
-                            // stop claiming.
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            });
-            let split_cpu = clock.lap();
-            out.split += split_cpu;
-            exec.span(SpanKind::Split, worker, batch_idx, w0, split_cpu);
-            if null_split? {
+            (w.index, w.start, w.end) = (start / batch, start, end);
+            if w.phase(FaultPhase::Split, Worker::split)? {
                 break 'driver;
             }
-
-            // Run the pipeline on this batch's pieces.
-            let w1 = exec.span_start();
-            let task_result = catch_phase(FaultPhase::Task, || {
-                inject(exec, FaultPhase::Task, batch_idx, worker_idx)?;
-                for node in &exec.nodes {
-                    args.clear();
-                    for &slot in &exec.arg_slots[node.args.clone()] {
-                        match &slots[slot as usize] {
-                            Some(piece) => args.push(piece.clone()),
-                            None => return Err(Error::ValueUnavailable),
-                        }
-                    }
-                    let inv = Invocation {
-                        function: node.name,
-                        args: &args,
-                    };
-                    let ret = (node.func)(&inv)?;
-                    for &(arg_idx, mv_slot) in &exec.mut_aliases[node.muts.clone()] {
-                        slots[mv_slot as usize] = Some(args[arg_idx as usize].clone());
-                    }
-                    match (ret, node.ret) {
-                        (Some(piece), Some(rv_slot)) => {
-                            slots[rv_slot as usize] = Some(piece);
-                        }
-                        (None, None) => {}
-                        (None, Some(_)) => {
-                            return Err(Error::Library(format!(
-                                "{} is annotated with a return split type but returned nothing",
-                                node.name
-                            )))
-                        }
-                        (Some(_), None) => {
-                            return Err(Error::Library(format!(
-                                "{} returned a value but its annotation declares none",
-                                node.name
-                            )))
-                        }
-                    }
-                    out.calls += 1;
-                }
-                args.clear();
-                Ok(())
-            });
-            let task_cpu = clock.lap();
-            out.task += task_cpu;
-            exec.span(SpanKind::Task, worker, batch_idx, w1, task_cpu);
-            task_result?;
-
-            // Stash pieces of observable outputs ("moved to a list of
-            // partial results", §5.2), tagged with their element range —
-            // or, on the placement path, write them straight into the
-            // preallocated merge output at their element offset. The
-            // whole phase is merge time.
-            let stashed = catch_phase(FaultPhase::Merge, || {
-                inject(exec, FaultPhase::Merge, batch_idx, worker_idx)?;
-                for (i, mo) in exec.merge_outputs.iter().enumerate() {
-                    match &slots[mo.slot as usize] {
-                        Some(piece) => {
-                            if let Some(pm) = &mo.placement {
-                                let w2 = exec.span_start();
-                                // Per-write CPU time only feeds the span.
-                                let c2 = w2.map(|_| thread_cpu_now());
-                                let mut alloc_err: Option<Error> = None;
-                                // Resolve the placement decision exactly
-                                // once, on the first piece any worker
-                                // produces — it serves as the exemplar for
-                                // data-dependent output layouts.
-                                let placed = pm.state.out.get_or_init(|| {
-                                    let spare = pm.state.spare.lock().take();
-                                    let (total, params) =
-                                        (exec.total_elements, &mo.instance.params);
-                                    resolve_target(pm, spare, total, params, Some(piece))
-                                        .unwrap_or_else(|e| {
-                                            alloc_err = Some(e);
-                                            None
-                                        })
-                                });
-                                if let Some(e) = alloc_err {
-                                    return Err(e);
-                                }
-                                if let Some(Target { out: out_val, .. }) = placed {
-                                    // Coverage tracks the piece's actual
-                                    // element count, not the batch range:
-                                    // a source that dries up mid-batch
-                                    // writes fewer elements, and the
-                                    // truncation below must not include
-                                    // the unwritten remainder.
-                                    let n = pm.cap.write_piece(out_val, start, piece)?;
-                                    pm.state.written.fetch_add(n, Ordering::Relaxed);
-                                    pm.state.high.fetch_max(start + n, Ordering::Relaxed);
-                                    out.placement_writes += 1;
-                                    if let Some(c2) = c2 {
-                                        let cpu = cpu_elapsed(c2, thread_cpu_now());
-                                        let kind = SpanKind::PlacementWrite;
-                                        exec.span(kind, worker, batch_idx, w2, cpu);
-                                    }
-                                    continue;
-                                }
-                            }
-                            pending[i].push((start, end, piece.clone()));
-                        }
-                        None if exec.pedantic => {
-                            return Err(Error::Pedantic(format!(
-                                "output of split type {} missing after batch [{start}, {end})",
-                                mo.instance.splitter.name()
-                            )))
-                        }
-                        None => {}
-                    }
-                }
-                Ok(())
-            });
-            out.merge += clock.lap();
-            stashed?;
-
+            w.phase(FaultPhase::Task, Worker::call)?;
+            w.phase(FaultPhase::Merge, Worker::stash)?;
             if start / static_share != worker_idx as u64 {
-                out.stolen += 1;
+                w.out.stolen += 1;
             }
-            out.batches += 1;
+            w.out.batches += 1;
             start = end;
         }
     }
 
-    // Worker-local merge (§5.2 step 3, first level). Commutative merges
-    // fold everything this worker produced into one partial; order-
-    // sensitive merges fold each contiguous run so the final merge can
-    // order them globally. The last batch's pieces are freed first,
-    // inside this phase, rather than by whichever phase reads this
-    // thread's clock next.
-    drop((slots, args));
-    let w2 = exec.span_start();
-    let partials = catch_phase(FaultPhase::Merge, || {
-        exec.merge_outputs
-            .iter()
-            .zip(pending.iter_mut())
-            .map(|(mo, pieces)| local_merge(mo, std::mem::take(pieces)))
-            .collect::<Result<Vec<Vec<PieceRun>>>>()
+    // Worker-local merge (§5.2 step 3, first level; see `local`). The
+    // last batch's pieces are freed first, inside this phase, rather
+    // than by whichever phase reads this thread's clock next.
+    (w.slots, w.args) = (Vec::new(), Vec::new());
+    let w0 = exec.span_start();
+    let local = catch_phase(FaultPhase::Merge, || {
+        for (mo, pieces) in exec.merge_outputs.iter().zip(&mut w.out.partials) {
+            *pieces = mo.local(std::mem::take(pieces))?;
+        }
+        Ok(())
     });
-    let merge_cpu = clock.lap();
-    out.merge += merge_cpu;
-    if out.batches > 0 {
-        exec.span(SpanKind::Merge, worker, 0, w2, merge_cpu);
+    let merge_cpu = w.clock.lap();
+    w.out.merge += merge_cpu;
+    if w.out.batches > 0 {
+        exec.span(SpanKind::Merge, worker_idx as u32, 0, w0, merge_cpu);
     }
-    out.partials = partials?;
-    Ok(out)
-}
-
-/// Resolve an output's placement target at one of the two allocation
-/// points (stage start: `exemplar` is `None`; first piece: `Some`): a
-/// `spare` the split type accepts for reuse, else a fresh allocation,
-/// else `None` (placement declined at this point).
-fn resolve_target(
-    pm: &PlacementMerge,
-    spare: Option<DataValue>,
-    total_elements: u64,
-    params: &Params,
-    exemplar: Option<&DataValue>,
-) -> Result<Option<Target>> {
-    let target = |out, reused| Target {
-        out,
-        reused,
-        by_exemplar: exemplar.is_some(),
-    };
-    if let Some(out) = spare.and_then(|s| pm.cap.reuse(s, total_elements, params, exemplar)) {
-        return Ok(Some(target(out, true)));
-    }
-    let fresh = pm.cap.alloc_merged(total_elements, params, exemplar)?;
-    Ok(fresh.map(|out| target(out, false)))
-}
-
-/// First-level merge of one worker's pieces for one output.
-fn local_merge(mo: &MergeOutput, pieces: Vec<(u64, u64, DataValue)>) -> Result<Vec<PieceRun>> {
-    if pieces.is_empty() {
-        return Ok(Vec::new());
-    }
-    if mo.held() {
-        // No merging at any level: each batch piece stays its own run,
-        // so the held set keeps per-batch granularity and aligned
-        // batches of whoever reads it next (a consuming stage, or the
-        // identity stage of an on-demand merge) take the clone fast
-        // path instead of re-slicing a worker-concatenated chunk.
-        return Ok(pieces
-            .into_iter()
-            .map(|(start, end, piece)| PieceRun { start, end, piece })
-            .collect());
-    }
-    if mo.commutative {
-        let start = pieces[0].0;
-        let end = pieces.last().map(|&(_, e, _)| e).unwrap_or(start);
-        let covered: u64 = pieces.iter().map(|(s, e, _)| e - s).sum();
-        let piece = merge_group(mo, pieces.into_iter().map(|p| p.2).collect(), covered)?;
-        return Ok(vec![PieceRun { start, end, piece }]);
-    }
-    let mut runs = Vec::new();
-    let mut group: Vec<DataValue> = Vec::new();
-    let mut group_start = 0;
-    let mut group_end = 0;
-    for (start, end, piece) in pieces {
-        if !group.is_empty() && start != group_end {
-            runs.push(PieceRun {
-                start: group_start,
-                end: group_end,
-                piece: merge_group(mo, std::mem::take(&mut group), group_end - group_start)?,
-            });
-        }
-        if group.is_empty() {
-            group_start = start;
-        }
-        group_end = end;
-        group.push(piece);
-    }
-    if !group.is_empty() {
-        runs.push(PieceRun {
-            start: group_start,
-            end: group_end,
-            piece: merge_group(mo, group, group_end - group_start)?,
-        });
-    }
-    Ok(runs)
-}
-
-/// Merge a group of pieces covering `elements` elements, skipping the
-/// library call for singletons.
-fn merge_group(mo: &MergeOutput, mut group: Vec<DataValue>, elements: u64) -> Result<DataValue> {
-    if group.len() == 1 {
-        return Ok(group.pop().expect("len checked"));
-    }
-    mo.instance
-        .splitter
-        .merge(group, &mo.instance.params, elements)
+    local.map(|()| w.out)
 }

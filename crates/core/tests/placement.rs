@@ -1,13 +1,15 @@
 //! Tests of the placement-merge fast path: out-of-claim-order batches
 //! must land at the right element offsets, `NULL`-split tails must
 //! under-fill without corrupting neighbors, and placement outputs must
-//! coexist with mut-alias outputs in one stage.
+//! coexist with mut-alias outputs in one stage. The last test profiles
+//! every output path of the executor — placement, collect, commutative
+//! fold, split-form hand-off, deferred hold — by its spans and counters.
 
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mozart_core::annotation::{concrete, Annotation};
+use mozart_core::annotation::{concrete, generic, missing, unknown, Annotation};
 use mozart_core::buffer::SharedVec;
 use mozart_core::prelude::*;
 use mozart_core::ArraySplit;
@@ -540,5 +542,274 @@ fn a_long_lived_context_reuses_its_own_released_targets() {
             &doubled(64)[..]
         );
         assert_eq!(c.stats().merge_targets_reused, round, "round {round}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Output-path profile: every way a stage output can leave the driver
+// loop, observed through the spans it records and the counters it
+// bumps.
+// ---------------------------------------------------------------------
+
+/// Elements of an array piece: a view of a split input or a fresh
+/// per-batch array (what held pieces are).
+fn elems(v: &DataValue) -> Vec<f64> {
+    if let Some(view) = v.downcast_ref::<mozart_core::SliceView>() {
+        // SAFETY: the piece is only read, by the batch it belongs to.
+        return unsafe { view.as_slice() }.to_vec();
+    }
+    let owned = v.downcast_ref::<VecValue>().expect("an array piece");
+    owned.0.as_slice().to_vec()
+}
+
+/// `ys = xs * k`, a fresh array per batch.
+fn vmul() -> Arc<Annotation> {
+    Annotation::new("profile_vmul", |inv| {
+        let k = inv.float(1)?;
+        let ys = elems(&inv.args[0]).iter().map(|x| x * k).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
+    })
+    .arg("xs", generic(0))
+    .arg("k", missing())
+    .ret(generic(0))
+    .build()
+}
+
+/// Keeps every third element: an `unknown` output, whose pieces are
+/// collected and concatenated.
+fn every_third() -> Arc<Annotation> {
+    let split: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 1 });
+    Annotation::new("profile_every_third", |inv| {
+        let kept = elems(&inv.args[0])
+            .into_iter()
+            .filter(|x| *x as i64 % 3 == 0)
+            .collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(kept)))))
+    })
+    .arg("xs", concrete(split.clone(), vec![0]))
+    .ret(unknown(split))
+    .build()
+}
+
+/// Merge-only split type of a scalar sum: partial sums fold in any
+/// order.
+struct SumReduce;
+
+impl Splitter for SumReduce {
+    fn name(&self) -> &'static str {
+        "SumReduce"
+    }
+    fn construct(&self, _ctor_args: &[&DataValue]) -> Result<Params> {
+        Ok(vec![])
+    }
+    fn info(&self, _arg: &DataValue, _params: &Params) -> Result<RuntimeInfo> {
+        Err(Error::Library("SumReduce is merge-only".into()))
+    }
+    fn split(&self, _arg: &DataValue, _r: Range<u64>, _p: &Params) -> Result<Option<DataValue>> {
+        Err(Error::Library("SumReduce is merge-only".into()))
+    }
+    fn merge(&self, pieces: Vec<DataValue>, _p: &Params, _total: u64) -> Result<DataValue> {
+        let partial = |p: &DataValue| p.downcast_ref::<FloatValue>().map_or(0.0, |f| f.0);
+        Ok(DataValue::new(FloatValue(pieces.iter().map(partial).sum())))
+    }
+    fn merge_strategy(&self) -> MergeStrategy {
+        MergeStrategy::Commutative { terminal: true }
+    }
+}
+
+fn sum() -> Arc<Annotation> {
+    Annotation::new("profile_sum", |inv| {
+        let partial = elems(&inv.args[0]).iter().sum();
+        Ok(Some(DataValue::new(FloatValue(partial))))
+    })
+    .arg(
+        "xs",
+        concrete(Arc::new(PlacedSplit { claim_factor: 1 }), vec![0]),
+    )
+    .ret(concrete(Arc::new(SumReduce), vec![]))
+    .build()
+}
+
+fn call1(c: &MozartContext, annot: &Arc<Annotation>, args: Vec<DataValue>) -> FutureHandle {
+    c.call(annot, args).unwrap().expect("a return value")
+}
+
+fn times(x: DataValue, k: f64) -> Vec<DataValue> {
+    vec![x, DataValue::new(FloatValue(k))]
+}
+
+/// A read's result as floats (a scalar reads as one element).
+fn read(fut: &FutureHandle) -> Vec<f64> {
+    let v = fut.get().unwrap();
+    match v.downcast_ref::<FloatValue>() {
+        Some(f) => vec![f.0],
+        None => elems(&v),
+    }
+}
+
+/// What one evaluation left in its [`PhaseStats`], for the counters an
+/// output path owns.
+#[derive(Debug, PartialEq)]
+struct Profile {
+    stages: u64,
+    batches: u64,
+    placement_writes: u64,
+    bytes_merged: u64,
+    split_form_handoffs: u64,
+    /// `(deferred_outputs, deferred_materialized)`.
+    deferred: (u64, u64),
+    /// `(merge_targets_reused, merge_targets_allocated)`.
+    targets: (u64, u64),
+}
+
+impl Profile {
+    fn of(s: &PhaseStats) -> Profile {
+        Profile {
+            stages: s.stages,
+            batches: s.batches,
+            placement_writes: s.placement_writes,
+            bytes_merged: s.bytes_merged,
+            split_form_handoffs: s.split_form_handoffs,
+            deferred: (s.deferred_outputs, s.deferred_materialized),
+            targets: targets(s),
+        }
+    }
+}
+
+#[test]
+fn every_output_path_records_its_spans_and_counters() {
+    ArraySplit::register_default();
+    // 64 elements in batches of 8: 8 batches per stage.
+    const N: usize = 64;
+    let scaled = |k: f64| (0..N).map(|i| i as f64 * k).collect::<Vec<f64>>();
+    // One placement-written stage output of 64 `f64`s.
+    let placed = Profile {
+        stages: 1,
+        batches: 8,
+        placement_writes: 8,
+        bytes_merged: 8 * N as u64,
+        split_form_handoffs: 0,
+        deferred: (0, 0),
+        targets: (0, 1),
+    };
+    let collected = Profile {
+        placement_writes: 0,
+        bytes_merged: 0,
+        targets: (0, 0),
+        ..placed
+    };
+    type Run = fn(&MozartContext) -> Vec<f64>;
+    // (output path, pipeline, evaluation, its result, its counters)
+    let cases: [(&str, bool, Run, Vec<f64>, Profile); 6] = [
+        (
+            "placement resolved at stage start",
+            true,
+            |c| {
+                let split = Arc::new(PlacedSplit { claim_factor: 1 });
+                let annot = scaled_fresh_annotation(split, Duration::ZERO);
+                read(&call1(c, &annot, vec![vec_value(N)]))
+            },
+            scaled(2.0),
+            Profile { ..placed },
+        ),
+        (
+            "placement resolved by exemplar",
+            true,
+            |c| read(&call1(c, &vmul(), times(vec_value(N), 2.0))),
+            scaled(2.0),
+            Profile { ..placed },
+        ),
+        (
+            "collect in ordered runs",
+            true,
+            |c| read(&call1(c, &every_third(), vec![vec_value(N)])),
+            (0..N).step_by(3).map(|i| i as f64).collect(),
+            Profile { ..collected },
+        ),
+        (
+            "commutative fold",
+            true,
+            |c| read(&call1(c, &sum(), vec![vec_value(N)])),
+            vec![(N * (N - 1) / 2) as f64],
+            Profile { ..collected },
+        ),
+        (
+            "split-form hand-off",
+            false,
+            |c| {
+                let doubled = call1(c, &vmul(), times(vec_value(N), 2.0));
+                let out = call1(c, &vmul(), times(doubled.as_value(), 3.0));
+                drop(doubled);
+                read(&out)
+            },
+            scaled(6.0),
+            Profile {
+                stages: 2,
+                batches: 16,
+                split_form_handoffs: 1,
+                ..placed
+            },
+        ),
+        (
+            "deferred, then merged on demand",
+            true,
+            |c| {
+                let doubled = call1(c, &vmul(), times(vec_value(N), 2.0));
+                let tripled = call1(c, &vmul(), times(vec_value(N), 3.0));
+                let mut out = read(&tripled);
+                out.extend(read(&doubled));
+                out
+            },
+            [scaled(3.0), scaled(2.0)].concat(),
+            Profile {
+                batches: 16,
+                placement_writes: 16,
+                bytes_merged: 16 * N as u64,
+                deferred: (1, 1),
+                targets: (0, 2),
+                ..placed
+            },
+        ),
+    ];
+    for workers in [1, 2] {
+        for (path, pipeline, run, result, profile) in &cases {
+            let what = format!("{path}, {workers} workers");
+            let mut cfg = Config::with_workers(workers);
+            cfg.batch_override = Some(8);
+            cfg.pedantic = true;
+            cfg.pipeline = *pipeline;
+            let recorder = TraceRecorder::new();
+            cfg.tracing = Some(recorder.clone());
+            let c = MozartContext::new(cfg);
+            assert_eq!(run(&c), *result, "{what}");
+            let s = c.stats();
+            assert_eq!(Profile::of(&s), *profile, "{what}");
+
+            let spans = recorder.spans(c.trace_id().expect("a traced context"));
+            let count = |kind| spans.iter().filter(|r| r.kind == kind).count() as u64;
+            // Stages run by the executor: planned ones plus the identity
+            // stage of every on-demand merge.
+            let runs = s.stages + s.deferred_materialized;
+            assert_eq!(count(SpanKind::Split), s.batches, "{what}");
+            assert_eq!(count(SpanKind::Task), s.batches, "{what}");
+            assert_eq!(
+                count(SpanKind::PlacementWrite),
+                s.placement_writes,
+                "{what}"
+            );
+            assert_eq!(count(SpanKind::FinalMerge), runs, "{what}");
+            assert_eq!(
+                count(SpanKind::SplitFormHandoff),
+                s.split_form_handoffs,
+                "{what}"
+            );
+            // One worker-local merge window per participant that ran a
+            // batch.
+            let merges = count(SpanKind::Merge);
+            assert!(
+                (runs..=runs * workers as u64).contains(&merges),
+                "{what}: {merges} merge spans over {runs} stages"
+            );
+        }
     }
 }

@@ -349,25 +349,14 @@ impl Column {
         }
     }
 
-    /// Concatenate columns of the same type.
+    /// Concatenate columns of the same type. The output is allocated
+    /// once, at the parts' total length.
     ///
     /// # Panics
     ///
     /// Panics on empty input or mixed types.
     pub fn concat(parts: &[Column]) -> Column {
-        let rows = parts.iter().map(Column::len).sum();
-        Self::concat_hinted(parts, rows)
-    }
-
-    /// [`Column::concat`] with a known total row count: the output is
-    /// allocated once up front instead of growing per part (the
-    /// runtime's merge-size hint). A short hint only costs the usual
-    /// growth; it never truncates.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input or mixed types.
-    pub fn concat_hinted(parts: &[Column], total_rows: usize) -> Column {
+        let total_rows = parts.iter().map(Column::len).sum();
         assert!(!parts.is_empty(), "concat of zero columns");
         match &parts[0] {
             Column::I64(_) => {
@@ -506,15 +495,6 @@ mod tests {
             t.strs(),
             &["d".to_string(), "a".to_string(), "a".to_string()]
         );
-    }
-
-    #[test]
-    fn concat_hinted_matches_concat() {
-        let c = Column::from_i64((0..10).collect());
-        let parts = [c.slice(0, 4), c.slice(4, 10)];
-        assert_eq!(Column::concat_hinted(&parts, 10).i64s(), c.i64s());
-        // A wrong hint affects only the initial capacity, never content.
-        assert_eq!(Column::concat_hinted(&parts, 1).i64s(), c.i64s());
     }
 
     #[test]

@@ -187,23 +187,12 @@ impl DataFrame {
     }
 
     /// Concatenate frames with identical schemas, preserving row order.
+    /// Every column is allocated once, at the parts' total row count.
     ///
     /// # Panics
     ///
     /// Panics on empty input or schema mismatch.
     pub fn concat(parts: &[DataFrame]) -> DataFrame {
-        let rows = parts.iter().map(DataFrame::num_rows).sum();
-        Self::concat_hinted(parts, rows)
-    }
-
-    /// [`DataFrame::concat`] with a known total row count, so every
-    /// column is allocated once up front (the runtime's merge-size
-    /// hint).
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input or schema mismatch.
-    pub fn concat_hinted(parts: &[DataFrame], total_rows: usize) -> DataFrame {
         assert!(!parts.is_empty(), "concat of zero frames");
         let names = parts[0].names();
         for p in parts {
@@ -213,7 +202,7 @@ impl DataFrame {
             .iter()
             .map(|n| {
                 let pieces: Vec<Column> = parts.iter().map(|p| p.col(n).clone()).collect();
-                (n.to_string(), Column::concat_hinted(&pieces, total_rows))
+                (n.to_string(), Column::concat(&pieces))
             })
             .collect();
         DataFrame { cols }

@@ -321,31 +321,19 @@ impl Image {
         dst.copy_from_slice(src.data());
     }
 
-    /// Stack images vertically (the append API the merger uses).
+    /// Stack images vertically (the append API the merger uses). The
+    /// pixel buffer is allocated once, at the parts' total height.
     ///
     /// # Panics
     ///
     /// Panics on empty input or mismatched widths.
     pub fn append_rows(parts: &[Image]) -> Image {
-        let rows = parts.iter().map(Image::height).sum();
-        Self::append_rows_hinted(parts, rows)
-    }
-
-    /// [`Image::append_rows`] with a known total row count: the pixel
-    /// buffer is allocated once up front instead of growing per band
-    /// (the runtime's merge-size hint).
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input or mismatched widths.
-    pub fn append_rows_hinted(parts: &[Image], total_rows: usize) -> Image {
         assert!(!parts.is_empty(), "append of zero images");
         let width = parts[0].width;
-        let mut height = 0;
-        let mut data = Vec::with_capacity(width * total_rows * Self::CHANNELS);
+        let height = parts.iter().map(Image::height).sum();
+        let mut data = Vec::with_capacity(width * height * Self::CHANNELS);
         for p in parts {
             assert_eq!(p.width, width, "append: width mismatch");
-            height += p.height;
             data.extend_from_slice(p.data());
         }
         Image::from_rgb(width, height, data)
@@ -445,16 +433,6 @@ impl std::fmt::Debug for Image {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn append_rows_hinted_matches_append_rows() {
-        let a = Image::solid(3, 2, [0.1, 0.2, 0.3]);
-        let b = Image::solid(3, 4, [0.4, 0.5, 0.6]);
-        let plain = Image::append_rows(&[a.clone(), b.clone()]);
-        let hinted = Image::append_rows_hinted(&[a, b], 6);
-        assert_eq!(hinted.height(), 6);
-        assert_eq!(plain.data(), hinted.data());
-    }
 
     #[test]
     fn construction_and_pixels() {

@@ -124,12 +124,9 @@ impl Splitter for RowSplit {
         &self,
         pieces: Vec<DataValue>,
         _params: &Params,
-        total_elements: u64,
+        _total_elements: u64,
     ) -> Result<DataValue> {
-        // Elements are rows: the hint lets the concat allocate every
-        // column once instead of growing per piece (the runtime's
-        // merge-size hint).
-        merge_rows(pieces, Some(total_elements as usize))
+        merge_rows(pieces)
     }
 
     /// Row concatenation with placement: the exemplar piece supplies
@@ -286,9 +283,9 @@ impl Concat for RowSplit {
             offsets.push(rows);
             rows += Self::rows_of(v)? as u64;
         }
-        // Reuse the hinted merge: mixed piece types and schema
-        // mismatches surface as the same typed errors.
-        let cat = merge_rows(values.to_vec(), Some(rows as usize))?;
+        // Reuse the merge: mixed piece types and schema mismatches
+        // surface as the same typed errors.
+        let cat = merge_rows(values.to_vec())?;
         Ok((cat, offsets))
     }
 
@@ -336,7 +333,7 @@ fn check_fit(offset: usize, src_rows: usize, dst_rows: usize, schema_ok: bool) -
     Ok(())
 }
 
-fn merge_rows(pieces: Vec<DataValue>, rows_hint: Option<usize>) -> Result<DataValue> {
+fn merge_rows(pieces: Vec<DataValue>) -> Result<DataValue> {
     let first = pieces.first().ok_or_else(|| Error::Merge {
         split_type: "RowSplit",
         message: "no pieces".into(),
@@ -353,11 +350,7 @@ fn merge_rows(pieces: Vec<DataValue>, rows_hint: Option<usize>) -> Result<DataVa
                     })
             })
             .collect::<Result<_>>()?;
-        let merged = match rows_hint {
-            Some(rows) => DataFrame::concat_hinted(&frames, rows),
-            None => DataFrame::concat(&frames),
-        };
-        return Ok(DataValue::new(DfValue(merged)));
+        return Ok(DataValue::new(DfValue(DataFrame::concat(&frames))));
     }
     if first.downcast_ref::<ColValue>().is_some() {
         let cols: Vec<Column> = pieces
@@ -371,11 +364,7 @@ fn merge_rows(pieces: Vec<DataValue>, rows_hint: Option<usize>) -> Result<DataVa
                     })
             })
             .collect::<Result<_>>()?;
-        let merged = match rows_hint {
-            Some(rows) => Column::concat_hinted(&cols, rows),
-            None => Column::concat(&cols),
-        };
-        return Ok(DataValue::new(ColValue(merged)));
+        return Ok(DataValue::new(ColValue(Column::concat(&cols))));
     }
     Err(Error::Merge {
         split_type: "RowSplit",

@@ -126,14 +126,11 @@ impl Splitter for ImageSplit {
         &self,
         pieces: Vec<DataValue>,
         _params: &Params,
-        total_elements: u64,
+        _total_elements: u64,
     ) -> Result<DataValue> {
-        // Elements are rows: preallocate the appended image once (the
-        // runtime's merge-size hint) instead of growing band by band.
-        Ok(DataValue::new(ImgValue(Image::append_rows_hinted(
-            &band_pieces(&pieces)?,
-            total_elements as usize,
-        ))))
+        Ok(DataValue::new(ImgValue(Image::append_rows(&band_pieces(
+            &pieces,
+        )?))))
     }
 
     /// Row concatenation with placement: the `(height, width)`
@@ -271,7 +268,7 @@ impl Concat for ImageSplit {
             rows += b.height() as u64;
         }
         Ok((
-            DataValue::new(ImgValue(Image::append_rows_hinted(&bands, rows as usize))),
+            DataValue::new(ImgValue(Image::append_rows(&bands))),
             offsets,
         ))
     }

@@ -60,8 +60,12 @@ fn a_warm_evaluation_stays_within_its_allocation_budget() {
         .map(|v| SharedVec::from_vec(v.clone()));
     // The release-build configuration the benchmark measures: the plan
     // verifier and pedantic checks are on by default in debug builds.
+    // The cache size is pinned so that the host's L2 (or
+    // `MOZART_L2_BYTES`) cannot change the batch count: at 1 MiB every
+    // stage of the 512-element chain is one batch.
     let mut config = Config::with_workers(2);
     (config.verify_plans, config.pedantic) = (false, false);
+    config.l2_bytes = 1 << 20;
     let pool = PoolHandle::new(1);
     let cache = Arc::new(PlanCache::new(8));
 
