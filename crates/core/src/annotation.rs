@@ -137,6 +137,11 @@ pub struct Annotation {
     /// [`AnnotationBuilder::build`], so fingerprinting a captured call
     /// costs one word instead of a walk over its split types.
     pub(crate) signature: u64,
+    /// Per argument: an earlier argument whose concrete split type
+    /// expression — split type and constructor arguments — it repeats
+    /// (`ArraySplit(size)` for every array of an MKL-style call), so a
+    /// call run at registration constructs that split type once.
+    pub(crate) split_like: Vec<Option<usize>>,
 }
 
 impl Annotation {
@@ -229,13 +234,32 @@ impl AnnotationBuilder {
             Some(expr) => hash_expr(&mut h, expr),
             None => h.word(0),
         }
+        let split_like = self.args.iter().enumerate().map(|(i, a)| {
+            let expr = concrete_expr(a)?;
+            self.args[..i]
+                .iter()
+                .position(|b| concrete_expr(b) == Some(expr))
+        });
         Arc::new(Annotation {
             name: self.name,
+            split_like: split_like.collect(),
             args: self.args,
             ret: self.ret,
             func: self.func,
             signature: h.finish(),
         })
+    }
+}
+
+/// An argument's concrete split type expression: the split type's name
+/// and its constructor arguments.
+fn concrete_expr(arg: &ArgSpec) -> Option<(&'static str, &[usize])> {
+    match &arg.ty {
+        SplitTypeExpr::Concrete {
+            splitter,
+            ctor_args,
+        } => Some((splitter.name(), ctor_args)),
+        _ => None,
     }
 }
 
@@ -312,6 +336,25 @@ mod tests {
         let dbg = format!("{a:?}");
         assert!(dbg.contains("mut out"));
         assert!(dbg.contains("SizeSplit"));
+    }
+
+    #[test]
+    fn repeated_split_expressions_point_at_their_first_use() {
+        // The MKL idiom: every array split by `ArraySplit(size)`.
+        let array = || concrete(Arc::new(crate::ArraySplit), vec![0]);
+        let a = Annotation::new("f", |_inv| Ok(None))
+            .arg("size", concrete(Arc::new(SizeSplit), vec![0]))
+            .arg("a", array())
+            .arg("k", missing())
+            .arg("b", array())
+            .mut_arg("out", array())
+            .arg("c", concrete(Arc::new(crate::ArraySplit), vec![2]))
+            .build();
+        assert_eq!(
+            a.split_like,
+            [None, None, None, Some(1), Some(1), None],
+            "same type and constructor arguments only"
+        );
     }
 
     #[test]

@@ -8,14 +8,20 @@ pub struct Config {
     /// default is the machine's available parallelism.
     pub workers: usize,
     /// L2 cache size in bytes, the basis of the batch-size heuristic
-    /// `batch = C * L2 / Σ sizeof(element)` (§5.2 step 1).
+    /// `batch = C * L2 / Σ sizeof(element)` (§5.2 step 1) and of the
+    /// *work floor*: a call whose split arguments total at most
+    /// `l2_bytes / 16` bytes, in one batch, runs at registration instead
+    /// of being captured (see "Calls below the work floor" in
+    /// [`crate::context`]).
     pub l2_bytes: u64,
     /// The constant `C` in the batch-size heuristic. The paper found a
     /// fixed constant works well because intermediates still fit in the
     /// larger shared LLC.
     pub batch_constant: f64,
     /// Fixed batch size in elements, overriding the heuristic (used by
-    /// the Figure 6 batch-size sweep).
+    /// the Figure 6 batch-size sweep). The work floor is part of that
+    /// heuristic, so with an override set every call is captured and
+    /// batched as told, however small.
     pub batch_override: Option<u64>,
     /// When `false`, every function gets its own stage: data is split and
     /// parallelized per call but never pipelined across calls. This is
@@ -66,7 +72,9 @@ pub struct Config {
     /// ([`FaultPlan`](crate::faultinject::FaultPlan)); `None` (the
     /// default) means no injection and costs one branch per batch
     /// phase. Shared via `Arc` so clones of the config (e.g. every
-    /// request context of a serving session) draw from one budget.
+    /// request context of a serving session) draw from one budget. Fault
+    /// points address executor (stage, phase, batch) coordinates, so
+    /// with a plan set every call is captured and staged, however small.
     pub fault_plan: Option<std::sync::Arc<crate::faultinject::FaultPlan>>,
     /// Span recorder for per-request tracing
     /// ([`TraceRecorder`](crate::trace::TraceRecorder)). `None` (the

@@ -24,7 +24,53 @@
 //! the attached plan cache for the next evaluation of the same plan to
 //! write over, instead of being freed (see "Merge-target spares" in
 //! [`crate::planner`]). Without a plan cache nothing is parked.
+//!
+//! A lazy argument must be a value of the calling context that is ready
+//! or that an evaluation can still produce; a copy of one whose
+//! `Future` was dropped after it was released is refused with
+//! [`Error::ValueUnavailable`] and nothing is registered.
+//!
+//! # Calls below the work floor
+//!
+//! Pipelining and batching pay only once a pipeline's working set
+//! outgrows the cache. A call whose split arguments total at most
+//! `Config::l2_bytes / 16` bytes would be one batch of a one-batch
+//! stage unless its pipeline touched 16 times its bytes, and capturing,
+//! fingerprinting, planning and launching that stage costs as much as
+//! the call itself (the paper's Fig. 5 regime). Such a call runs at
+//! registration instead, on the caller: each split argument is split
+//! once over its whole range, the function runs under the same panic
+//! isolation as a stage's task phase, and a returned piece is merged
+//! through its split type and stored as a ready value behind the
+//! returned `Future`. That is the work a one-batch stage of the call
+//! does, over the same range in the same order, so results are
+//! bit-identical; the call leaves no graph node, plan or stage behind.
+//! It counts in [`PhaseStats::calls`] and [`PhaseStats::inline_calls`].
+//!
+//! A call runs at registration only when all of these hold, checked
+//! cheapest first; any other call is captured as ever:
+//!
+//! * nothing is pending in the context and it holds no deferred
+//!   pieces — which also keeps the rule that held pieces are flushed
+//!   before storage they may view is written in place;
+//! * every argument is materialized: library data, or a lazy value of
+//!   this context that is ready;
+//! * no argument's storage is protected by any context: a call over
+//!   storage with another context's pending write stays captured, so
+//!   the order of the two is what the captured path gives;
+//! * every split type comes from the call's own arguments as the
+//!   planner would bind it in a fresh stage, and the element totals
+//!   agree;
+//! * the split arguments' `total_elements · elem_size_bytes` sum to at
+//!   most `l2_bytes / 16`, in one batch of the batch heuristic;
+//! * neither `Config::batch_override` nor `Config::fault_plan` is set.
+//!
+//! A failure poisons the context as a failed stage does; an attached
+//! cancel token is polled first, as at a batch boundary. Deciding the
+//! call counts as planner time and running it as task time; under
+//! tracing it records one `Task` span.
 
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -32,11 +78,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::annotation::Annotation;
-use crate::buffer::EvalTrigger;
+use crate::annotation::{Annotation, GenericId, SplitTypeExpr};
+use crate::buffer::{EvalTrigger, ProtectFlag};
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::executor::{duration_ns, execute_stage, materialize_held, ExecEnv};
+use crate::executor::{
+    call_whole, duration_ns, execute_stage, materialize_held, split_whole, ExecEnv, WholeArg,
+};
 use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
@@ -45,9 +93,11 @@ use crate::planner::{
     Planned, StagePlan,
 };
 use crate::pool::{PoolHandle, WorkerPool};
+use crate::registry::default_instance_for;
+use crate::split::{SplitInstance, Splitter};
 use crate::stats::{PhaseStats, PoolStats};
 use crate::trace::{SpanKind, TraceCtx, TraceId, SERVICE_WORKER};
-use crate::value::{DataObject, DataValue};
+use crate::value::{DataObject, DataValue, IntValue};
 
 static CTX_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -81,6 +131,8 @@ struct State {
     protected: Vec<DataValue>,
     /// First evaluation error, if any, reported to later accessors.
     poisoned: Option<Error>,
+    /// The buffers of calls run at registration, empty between calls.
+    whole: WholeCall,
 }
 
 /// Shared interior of a context.
@@ -151,6 +203,7 @@ impl MozartContext {
                     trace_id: 0,
                     protected: Vec::new(),
                     poisoned,
+                    whole: WholeCall::default(),
                 }),
             }),
         }
@@ -291,11 +344,33 @@ impl MozartContext {
             }
         }
 
-        if args
-            .iter()
-            .any(|dv| matches!(dv, DataValue::Lazy { ctx_id, .. } if *ctx_id != self.inner.id))
-        {
-            return Err(Error::ForeignValue);
+        // A lazy argument must be a value of this context that is ready
+        // or that an evaluation can still produce: one whose `Future` was
+        // dropped after it was released is refused here, not left to
+        // fail the next evaluation.
+        let mut ready = true;
+        for dv in &args {
+            if let DataValue::Lazy { ctx_id, value } = dv {
+                if *ctx_id != self.inner.id {
+                    return Err(Error::ForeignValue);
+                }
+                ready &= st.graph.lazy_arg(*value)?.is_some();
+            }
+        }
+        if ready {
+            let mut whole = std::mem::take(&mut st.whole);
+            let ran = if whole.below_floor(&st.graph, &st.config, annot, &args) {
+                self.run_whole(&mut st, annot, &args, &mut whole, t0)
+            } else {
+                Ok(None)
+            };
+            whole.clear();
+            st.whole = whole;
+            // `None`: above the floor, or a split returned `NULL` and
+            // nothing ran — either way the call is captured.
+            if let Some(ran) = ran.transpose() {
+                return ran;
+            }
         }
 
         // The node's ids go straight into the graph's arena: arguments
@@ -377,6 +452,72 @@ impl MozartContext {
         Ok(future)
     }
 
+    /// Run a call below the work floor at registration (module docs),
+    /// failing the context as a failed stage would. `Ok(None)` when a
+    /// split returned `NULL`: nothing ran, and the caller captures the
+    /// call instead.
+    fn run_whole(
+        &self,
+        st: &mut State,
+        annot: &Annotation,
+        args: &[DataValue],
+        whole: &mut WholeCall,
+        t0: Instant,
+    ) -> Result<Option<Option<FutureHandle>>> {
+        // Deciding how the call runs — its split types and the floor —
+        // was its planning; what follows is its task.
+        let t1 = Instant::now();
+        st.stats.planner += t1 - t0;
+        // Polled once, as at a batch boundary.
+        if st.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            let e = Error::Cancelled("deadline passed or token cancelled at registration".into());
+            return Err(poison(st, e));
+        }
+        // Every lazy argument was ready when the call was filled in.
+        let value = |i: usize| whole_value(&st.graph, &args[i]).unwrap_or(&args[i]);
+        let ran = match split_whole(value, &whole.how, whole.total, &mut whole.pieces) {
+            Ok(true) => call_whole(annot, &whole.pieces, whole.ret.as_ref(), whole.total).map(Some),
+            split => split.map(|_| None),
+        };
+        let ret = match ran {
+            Ok(Some(ret)) => ret,
+            Ok(None) => return Ok(None),
+            Err(e) => return Err(poison(st, e)),
+        };
+        let t2 = Instant::now();
+        st.stats.task += t2 - t1;
+        // One task span for the call, from the same two readings. Its
+        // CPU time is taken as its wall time: the call runs on this
+        // thread without blocking, and two reads of the thread CPU
+        // clock would cost as much as a small call.
+        if let Some(t) = trace_ctx(st) {
+            let wall = duration_ns(t2 - t1);
+            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t1), wall, wall);
+        }
+        st.stats.calls += 1;
+        st.stats.inline_calls += 1;
+        st.stats.bytes_split += whole.bytes;
+        let future = ret.map(|merged| {
+            st.stats.bytes_merged += whole.merged_bytes(&merged);
+            let token = Arc::new(FutureToken);
+            let value = st.graph.push_value(ValueEntry {
+                origin: ValueOrigin::Source,
+                data: Some(merged),
+                ready: true,
+                held: None,
+                merge_origin: None,
+                last_consumer: None,
+                user_token: Some(Arc::downgrade(&token)),
+            });
+            FutureHandle {
+                ctx: self.clone(),
+                value,
+                _token: token,
+            }
+        });
+        Ok(Some(future))
+    }
+
     /// Evaluate all pending calls (the paper's `evaluate()`) and make
     /// every value the application holds a `Future` for whole —
     /// including pieces an earlier, narrower read left deferred.
@@ -453,6 +594,235 @@ fn trace_ctx(st: &mut State) -> Option<TraceCtx> {
         recorder,
         trace: st.trace_id,
     })
+}
+
+/// A call below the work floor (module docs): how its function takes
+/// each argument, as [`split_whole`] and [`call_whole`] read it, and
+/// what the floor was checked against. One lives on each context and is
+/// cleared after every call, so its buffers are allocated once per
+/// context, not per call.
+#[derive(Default)]
+struct WholeCall {
+    /// Per argument, in annotation order: how the function takes it.
+    how: Vec<WholeArg>,
+    /// Per argument: its storage's address, to find arguments over one
+    /// storage.
+    storage: Vec<Option<usize>>,
+    /// The pieces the function is called on, one per argument.
+    pieces: Vec<DataValue>,
+    /// The return value's split type, if the annotation declares one.
+    ret: Option<SplitInstance>,
+    /// The element count every split argument agreed on.
+    total: u64,
+    /// Nominal bytes split: `total · elem_size_bytes` summed over the
+    /// split arguments.
+    bytes: u64,
+}
+
+/// The whole value of call argument `dv`: itself, or the data of the
+/// ready lazy value it names.
+fn whole_value<'a>(graph: &'a DataflowGraph, dv: &'a DataValue) -> Option<&'a DataValue> {
+    match dv {
+        DataValue::Lazy { value, .. } => graph.value_data(*value),
+        data => Some(data),
+    }
+}
+
+impl WholeCall {
+    /// Fill in the call if it is below the work floor (module docs,
+    /// "Calls below the work floor"); `false` to capture it. Anything
+    /// the captured path would reject — a constructor or default-split
+    /// error, disagreeing element totals, one storage needed whole and
+    /// split — is captured too, so it fails where it always has.
+    fn below_floor(
+        &mut self,
+        graph: &DataflowGraph,
+        config: &Config,
+        annot: &Annotation,
+        args: &[DataValue],
+    ) -> bool {
+        if !graph.fully_executed()
+            || !graph.deferred.is_empty()
+            || config.batch_override.is_some()
+            || config.fault_plan.is_some()
+        {
+            return false;
+        }
+        self.fill(graph, annot, args)
+            .is_some_and(|elem_bytes| self.fits(config, elem_bytes))
+    }
+
+    /// Take how the function takes each argument and its return's split
+    /// type; the per-element bytes of the split arguments.
+    fn fill(
+        &mut self,
+        graph: &DataflowGraph,
+        annot: &Annotation,
+        args: &[DataValue],
+    ) -> Option<u64> {
+        for dv in args {
+            let data = whole_value(graph, dv)?;
+            // Storage some context has a pending write to stays
+            // captured, so that write is ordered before this call as it
+            // always was.
+            if data.protect_flag().is_some_and(ProtectFlag::is_protected) {
+                return None;
+            }
+            self.how.push(WholeArg::Broadcast);
+            self.storage.push(data.storage_addr());
+        }
+        let whole = |i: usize| whole_value(graph, &args[i]);
+
+        // Split types as `try_add` binds them in a fresh stage: concrete
+        // types from the call's own arguments, an unbound generic from
+        // its data's default split.
+        let mut generics: Vec<(GenericId, usize)> = Vec::new();
+        let (mut total, mut elem_bytes) = (None, 0u64);
+        for (i, spec) in annot.args.iter().enumerate() {
+            self.how[i] = match &spec.ty {
+                SplitTypeExpr::Missing => continue,
+                SplitTypeExpr::Concrete {
+                    splitter,
+                    ctor_args,
+                } => match annot.split_like[i] {
+                    Some(j) => WholeArg::SplitLike(j),
+                    None => WholeArg::Split(construct(splitter, ctor_args, whole)?),
+                },
+                SplitTypeExpr::Generic(g) => match generics.iter().find(|(id, _)| id == g) {
+                    Some(&(_, j)) => WholeArg::SplitLike(j),
+                    None => {
+                        generics.push((*g, i));
+                        WholeArg::Split(default_instance_for(whole(i)?).ok()?)
+                    }
+                },
+                SplitTypeExpr::Unknown { .. } => return None,
+            };
+            let inst = WholeArg::split_type(&self.how, i)?;
+            let info = inst.splitter.info(whole(i)?, &inst.params).ok()?;
+            if *total.get_or_insert(info.total_elements) != info.total_elements {
+                return None;
+            }
+            elem_bytes += info.elem_size_bytes;
+        }
+        // With no split argument, the call is one batch of one element.
+        self.total = total.unwrap_or(1);
+
+        // Arguments over one storage share one piece, as they share one
+        // stage input; needed whole and split, or split two ways, the
+        // call cannot be planned at all.
+        for i in 1..self.how.len() {
+            let same = |j: usize| {
+                self.storage[j] == self.storage[i]
+                    && whole(j).map(DataValue::identity) == whole(i).map(DataValue::identity)
+            };
+            let Some(first) = (0..i).find(|&j| same(j)) else {
+                continue;
+            };
+            let types = (
+                WholeArg::split_type(&self.how, first),
+                WholeArg::split_type(&self.how, i),
+            );
+            self.how[i] = match types {
+                (Some(a), Some(b)) if a.same_type(b) => WholeArg::SameAs(first),
+                (None, None) => continue,
+                _ => return None,
+            };
+        }
+
+        self.ret = match &annot.ret {
+            None => None,
+            Some(SplitTypeExpr::Concrete {
+                splitter,
+                ctor_args,
+            }) => Some(construct(splitter, ctor_args, whole)?),
+            Some(SplitTypeExpr::Generic(g)) => {
+                let &(_, j) = generics.iter().find(|(id, _)| id == g)?;
+                WholeArg::split_type(&self.how, j).cloned()
+            }
+            Some(SplitTypeExpr::Unknown { merger }) => {
+                Some(SplitInstance::fresh_unknown(merger.clone()))
+            }
+            Some(SplitTypeExpr::Missing) => return None,
+        };
+        Some(elem_bytes)
+    }
+
+    /// The floor itself: the split arguments' nominal bytes are at most
+    /// 1/16 of L2, and the batch heuristic gives them one batch.
+    fn fits(&mut self, config: &Config, elem_bytes: u64) -> bool {
+        self.bytes = self.total.saturating_mul(elem_bytes);
+        self.total > 0
+            && self.bytes <= config.l2_bytes / 16
+            && config.batch_elements(elem_bytes, self.total) >= self.total
+    }
+
+    /// Nominal size of the merged return value, as a stage output
+    /// counts it in [`PhaseStats::bytes_merged`] (0 for `unknown`).
+    fn merged_bytes(&self, merged: &DataValue) -> u64 {
+        let inst = self.ret.as_ref().filter(|i| !i.is_unknown());
+        let info = inst.and_then(|i| i.splitter.info(merged, &i.params).ok());
+        info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes))
+    }
+
+    /// Empty, keeping the buffers' capacity and no values.
+    fn clear(&mut self) {
+        self.how.clear();
+        self.storage.clear();
+        self.pieces.clear();
+        self.ret = None;
+    }
+}
+
+thread_local! {
+    /// Split types [`construct`] built on this thread from one integer
+    /// constructor argument, with their splitter and that integer. A few
+    /// dozen at most: cleared when full.
+    static BUILT: RefCell<Vec<(i64, SplitInstance)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A concrete split type constructed from the call's own arguments,
+/// `whole` giving each argument's whole value. One constructed from a
+/// single integer (`ArraySplit(size)`) is built once per thread and
+/// splitter and reused: a constructor is a function of its arguments'
+/// values — what the plan cache relies on for scalars too — and a call
+/// at registration would otherwise allocate its parameters every time.
+fn construct<'a>(
+    splitter: &Arc<dyn Splitter>,
+    ctor_args: &[usize],
+    whole: impl Fn(usize) -> Option<&'a DataValue>,
+) -> Option<SplitInstance> {
+    let int = match ctor_args {
+        [i] => whole(*i)?.downcast_ref::<IntValue>().map(|v| v.0),
+        _ => None,
+    };
+    let built = |n: i64| {
+        BUILT.with_borrow(|b| {
+            let (_, inst) = b
+                .iter()
+                .find(|(m, inst)| *m == n && Arc::ptr_eq(&inst.splitter, splitter))?;
+            Some(inst.clone())
+        })
+    };
+    if let Some(inst) = int.and_then(built) {
+        return Some(inst);
+    }
+    let params = match ctor_args {
+        [i] => splitter.construct(&[whole(*i)?]),
+        _ => {
+            let data: Option<Vec<&DataValue>> = ctor_args.iter().map(|&i| whole(i)).collect();
+            splitter.construct(&data?)
+        }
+    };
+    let inst = SplitInstance::new(splitter.clone(), params.ok()?);
+    if let Some(n) = int {
+        BUILT.with_borrow_mut(|b| {
+            if b.len() == 64 {
+                b.clear();
+            }
+            b.push((n, inst.clone()));
+        });
+    }
+    Some(inst)
 }
 
 impl State {

@@ -58,7 +58,7 @@
 //! **`Place`** takes a `Merge` output when [`Config::placement_merge`]
 //! is on and the split type's
 //! [`merge_strategy`](crate::split::Splitter::merge_strategy) is
-//! [`MergeStrategy::Concat`](crate::split::MergeStrategy::Concat) with a
+//! [`MergeStrategy::Concat`] with a
 //! [`Placement`] capability — never an `unknown` output, whose pieces
 //! may compact, and never a commutative merge, which cannot carry one.
 //! Its merged value is resolved once, at the first of two points: stage
@@ -100,7 +100,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::annotation::Invocation;
+use crate::annotation::{Annotation, Invocation};
 use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
@@ -1064,21 +1064,9 @@ impl Worker<'_> {
             for &(arg_idx, mv_slot) in &exec.mut_aliases[node.muts.clone()] {
                 slots[mv_slot as usize] = Some(args[arg_idx as usize].clone());
             }
-            match (ret, node.ret) {
-                (Some(piece), Some(rv_slot)) => slots[rv_slot as usize] = Some(piece),
-                (None, None) => {}
-                (None, Some(_)) => {
-                    return Err(Error::Library(format!(
-                        "{} is annotated with a return split type but returned nothing",
-                        node.name
-                    )))
-                }
-                (Some(_), None) => {
-                    return Err(Error::Library(format!(
-                        "{} returned a value but its annotation declares none",
-                        node.name
-                    )))
-                }
+            let piece = returned(node.name, ret, node.ret.is_some())?;
+            if let (Some(piece), Some(rv_slot)) = (piece, node.ret) {
+                slots[rv_slot as usize] = Some(piece);
             }
             self.out.calls += 1;
         }
@@ -1094,6 +1082,97 @@ impl Worker<'_> {
         }
         Ok(())
     }
+}
+
+/// What function `name` returned, checked against whether its
+/// annotation declares a return value.
+fn returned(name: &str, ret: Option<DataValue>, declared: bool) -> Result<Option<DataValue>> {
+    match (ret, declared) {
+        (Some(_), false) => Err(Error::Library(format!(
+            "{name} returned a value but its annotation declares none"
+        ))),
+        (None, true) => Err(Error::Library(format!(
+            "{name} is annotated with a return split type but returned nothing"
+        ))),
+        (ret, _) => Ok(ret),
+    }
+}
+
+/// How a call run whole at registration (see "Calls below the work
+/// floor" in [`crate::context`]) hands one argument to its function.
+pub(crate) enum WholeArg {
+    /// Whole (the `_` split type).
+    Broadcast,
+    /// As its piece `0..total` under this split type.
+    Split(SplitInstance),
+    /// As its piece `0..total` under the split type of an earlier
+    /// argument: one with the same concrete split type expression, or
+    /// the one that bound the generic they share.
+    SplitLike(usize),
+    /// As the piece of an earlier argument over the same storage: one
+    /// stage input serves both, as the planner's slots would.
+    SameAs(usize),
+}
+
+impl WholeArg {
+    /// The split type argument `i` of `how` is split by, if it is split.
+    pub(crate) fn split_type(how: &[WholeArg], i: usize) -> Option<&SplitInstance> {
+        match &how[i] {
+            WholeArg::Split(inst) => Some(inst),
+            WholeArg::SplitLike(j) | WholeArg::SameAs(j) => WholeArg::split_type(how, *j),
+            WholeArg::Broadcast => None,
+        }
+    }
+}
+
+/// The split phase of a call run whole at registration — what a
+/// one-batch stage of the call alone splits, in the same order: one
+/// piece per argument into `pieces`, given each argument's whole value
+/// (`whole`) and how its function takes it (`how`). `false` when a split
+/// returns the paper's `NULL`: there is nothing to call the function on.
+pub(crate) fn split_whole<'a>(
+    whole: impl Fn(usize) -> &'a DataValue,
+    how: &[WholeArg],
+    total: u64,
+    pieces: &mut Vec<DataValue>,
+) -> Result<bool> {
+    catch_phase(FaultPhase::Split, || {
+        for (i, arg) in how.iter().enumerate() {
+            let piece = match (arg, WholeArg::split_type(how, i)) {
+                (WholeArg::SameAs(j), _) => pieces[*j].clone(),
+                (_, Some(inst)) => match inst.splitter.split(whole(i), 0..total, &inst.params)? {
+                    Some(piece) => piece,
+                    None => return Ok(false),
+                },
+                (_, None) => whole(i).clone(),
+            };
+            pieces.push(piece);
+        }
+        Ok(true)
+    })
+}
+
+/// The task phase of a call run whole at registration, then the merge
+/// of the piece it returns through the return's split type `ret` — a
+/// one-piece final merge over the stage's `total` elements.
+pub(crate) fn call_whole(
+    annot: &Annotation,
+    pieces: &[DataValue],
+    ret: Option<&SplitInstance>,
+    total: u64,
+) -> Result<Option<DataValue>> {
+    let inv = Invocation {
+        function: annot.name,
+        args: pieces,
+    };
+    let piece = catch_phase(FaultPhase::Task, || (annot.func)(&inv))?;
+    let (Some(piece), Some(ret)) = (returned(annot.name, piece, ret.is_some())?, ret) else {
+        return Ok(None);
+    };
+    catch_phase(FaultPhase::Merge, || {
+        let merged = ret.splitter.merge(vec![piece], &ret.params, total)?;
+        Ok(Some(merged))
+    })
 }
 
 /// The driver loop (§5.2 step 2) for one participant: claim batches

@@ -19,6 +19,7 @@ use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 use crate::annotation::Annotation;
+use crate::error::{Error, Result};
 use crate::planner::SlotTable;
 use crate::split::SplitForm;
 use crate::value::{DataIdentity, DataValue};
@@ -35,7 +36,8 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone)]
 #[allow(missing_docs)] // variant docs describe the fields
 pub enum ValueOrigin {
-    /// Captured from the application (already materialized).
+    /// Captured from the application, or returned by a call that ran at
+    /// registration (already materialized).
     Source,
     /// The return value of a node.
     Ret(NodeId),
@@ -105,7 +107,8 @@ pub struct ValueEntry {
     /// this node has not executed, and every reader past a stage is
     /// found between the stage's end and this node.
     pub last_consumer: Option<NodeId>,
-    /// Liveness token for application-held `Future`s (return values only).
+    /// Liveness token for application-held `Future`s (call results only;
+    /// what makes a value releasable).
     pub user_token: Option<Weak<FutureToken>>,
 }
 
@@ -325,12 +328,37 @@ impl DataflowGraph {
         self.held(id).filter(|sf| sf.resplittable())
     }
 
-    /// Drop the payload (data or held pieces) of return value `id`
+    /// A lazy argument's value at registration: its data once produced,
+    /// `None` while an evaluation can still produce it (its call is
+    /// pending, or it is held as pieces), and
+    /// [`Error::ValueUnavailable`] once it is gone for good — its
+    /// `Future` was dropped and the value released, or an evaluation
+    /// discarded it — or was never a value of this graph.
+    pub(crate) fn lazy_arg(&self, id: ValueId) -> Result<Option<&DataValue>> {
+        let e = self
+            .values
+            .get(id.0 as usize)
+            .ok_or(Error::ValueUnavailable)?;
+        if let Some(data) = self.value_data(id) {
+            return Ok(Some(data));
+        }
+        let pending = match e.origin {
+            ValueOrigin::Ret(node) => !self.nodes[node.0 as usize].executed,
+            _ => e.data.is_some(),
+        };
+        if pending || e.held.is_some() {
+            Ok(None)
+        } else {
+            Err(Error::ValueUnavailable)
+        }
+    }
+
+    /// Drop the payload (data or held pieces) of result value `id`
     /// unless a pending call still reads it. The caller has established
-    /// that no `Future` can observe the value; sources and mut-versions
-    /// alias application storage and are never released. A released
-    /// placement target is handed back with its origin for the caller
-    /// to park.
+    /// that no `Future` can observe the value. Only values handed out
+    /// behind a `Future` are released: sources and mut-versions alias
+    /// application storage. A released placement target is handed back
+    /// with its origin for the caller to park.
     pub fn release(&mut self, id: ValueId) -> Option<(MergeOrigin, DataValue)> {
         release_value(&mut self.values, &self.nodes, id)
     }
@@ -517,7 +545,7 @@ fn release_value(
     let pending_reader = e
         .last_consumer
         .is_some_and(|c| !nodes[c.0 as usize].executed);
-    if !matches!(e.origin, ValueOrigin::Ret(_)) || pending_reader {
+    if e.user_token.is_none() || pending_reader {
         return None;
     }
     let data = e.data.take();

@@ -34,8 +34,15 @@ pub struct PhaseStats {
     pub stages: u64,
     /// Number of batches processed (summed over workers).
     pub batches: u64,
-    /// Number of library function invocations (per piece).
+    /// Number of library function invocations (per piece), including
+    /// the calls that ran at registration.
     pub calls: u64,
+    /// Calls below the work floor that ran at registration, whole, on
+    /// the caller — no graph node, plan or stage (see "Calls below the
+    /// work floor" in [`crate::context`]). The wall time of deciding
+    /// that (the call's split types and the floor) is counted in
+    /// [`planner`](Self::planner), the rest in [`task`](Self::task).
+    pub inline_calls: u64,
     /// Result pieces written directly into a preallocated merge output
     /// by the placement fast path (see
     /// [`Placement::write_piece`](crate::split::Placement::write_piece)),
@@ -104,6 +111,7 @@ impl PhaseStats {
         self.stages += other.stages;
         self.batches += other.batches;
         self.calls += other.calls;
+        self.inline_calls += other.inline_calls;
         self.placement_writes += other.placement_writes;
         self.bytes_split += other.bytes_split;
         self.bytes_merged += other.bytes_merged;
@@ -287,6 +295,7 @@ mod tests {
             task: Duration::from_millis(10),
             stages: 2,
             calls: 5,
+            inline_calls: 2,
             ..Default::default()
         };
         a.accumulate(&b);
@@ -294,6 +303,7 @@ mod tests {
         assert_eq!(a.task, Duration::from_millis(10));
         assert_eq!(a.stages, 3);
         assert_eq!(a.calls, 5);
+        assert_eq!(a.inline_calls, 2);
         assert_eq!(a.total(), Duration::from_millis(13));
     }
 

@@ -128,6 +128,19 @@ impl DataValue {
         }
     }
 
+    /// The address [`identity`](Self::identity) names the storage by —
+    /// one dynamic call where the whole identity takes three. Values
+    /// with equal identities have equal addresses.
+    pub(crate) fn storage_addr(&self) -> Option<usize> {
+        match self {
+            DataValue::Data(d) => Some(
+                d.stable_identity()
+                    .unwrap_or(Arc::as_ptr(d) as *const () as usize),
+            ),
+            DataValue::Lazy { .. } => None,
+        }
+    }
+
     /// Protection flag of the underlying storage, if any.
     pub fn protect_flag(&self) -> Option<&ProtectFlag> {
         match self {

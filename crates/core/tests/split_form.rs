@@ -14,7 +14,7 @@
 //! * values the application observes, `_`-typed consumers, and split
 //!   types without a `Concat` capability always merge classically.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use mozart_core::annotation::{generic, missing, unknown, Annotation};
@@ -46,18 +46,25 @@ fn piece_elems(v: &DataValue) -> Result<Vec<f64>> {
 }
 
 /// `ys = xs * k`, functional (returns a fresh array piece per batch).
+/// Built once: plan-cache fingerprints key on the annotation's address,
+/// so a chain rebuilt per context would replay only when the allocator
+/// happened to reuse the freed one's address.
 fn vmul() -> Arc<Annotation> {
-    Annotation::new("sf_vmul", |inv| {
-        let xs = piece_elems(&inv.args[0])?;
-        let k = inv.float(1)?;
-        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(
-            xs.iter().map(|x| x * k).collect(),
-        )))))
-    })
-    .arg("xs", generic(0))
-    .arg("k", missing())
-    .ret(generic(0))
-    .build()
+    static VMUL: OnceLock<Arc<Annotation>> = OnceLock::new();
+    let build = || {
+        Annotation::new("sf_vmul", |inv| {
+            let xs = piece_elems(&inv.args[0])?;
+            let k = inv.float(1)?;
+            Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(
+                xs.iter().map(|x| x * k).collect(),
+            )))))
+        })
+        .arg("xs", generic(0))
+        .arg("k", missing())
+        .ret(generic(0))
+        .build()
+    };
+    VMUL.get_or_init(build).clone()
 }
 
 /// `out = a + b`, functional.

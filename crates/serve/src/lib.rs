@@ -79,10 +79,17 @@
 //! ## Quickstart
 //!
 //! ```
+//! use mozart_core::Config;
 //! use mozart_serve::{PipelineService, Request};
 //!
 //! let service = PipelineService::builder()
 //!     .workers(2)
+//!     // With a 256 KiB L2 the work floor is 16 KiB: calls over more
+//!     // are captured and planned, smaller ones run at registration.
+//!     .session_config(Config {
+//!         l2_bytes: 256 << 10,
+//!         ..Config::default()
+//!     })
 //!     .builtin_pipelines() // black_scholes, haversine, nashville
 //!     .build();
 //! let session = service.session();

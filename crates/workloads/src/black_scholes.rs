@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn mkl_mozart_pipelines_into_one_stage() {
         let inp = generate(2000, 1);
-        let ctx = crate::mozart_context(2);
+        let ctx = crate::captured_context(2);
         mkl_mozart(&inp, &ctx).unwrap();
         let stats = ctx.stats();
         assert_eq!(

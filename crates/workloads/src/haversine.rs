@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn mkl_chain_is_one_stage() {
         let inp = generate(1000, 3);
-        let ctx = crate::mozart_context(2);
+        let ctx = crate::captured_context(2);
         mkl_mozart(&inp, &ctx).unwrap();
         assert_eq!(ctx.stats().stages, 1);
     }

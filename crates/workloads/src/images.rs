@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn image_pipeline_is_one_stage() {
         let img = generate(32, 40, 1);
-        let ctx = crate::mozart_context(2);
+        let ctx = crate::captured_context(2);
         nashville_mozart(&img, &ctx).unwrap();
         assert_eq!(ctx.stats().stages, 1);
     }

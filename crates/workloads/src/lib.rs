@@ -61,6 +61,17 @@ pub fn mozart_context_with(config: Config) -> MozartContext {
     MozartContext::new(config)
 }
 
+/// A context for unit tests that count stages: L2 pinned to 64 KiB, so
+/// the work floor (4 KiB) is below every call the tests make and each
+/// one is captured and planned, whatever the host's cache.
+#[cfg(test)]
+pub(crate) fn captured_context(workers: usize) -> MozartContext {
+    mozart_context_with(Config {
+        l2_bytes: 64 << 10,
+        ..Config::with_workers(workers)
+    })
+}
+
 /// Register the default split types of every integration. Idempotent.
 pub fn register_all_defaults() {
     sa_vectormath::register_defaults();

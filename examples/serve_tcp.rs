@@ -282,7 +282,10 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         ("WEIGHT 2", "OK"),
         ("BUDGET 500000000", "OK"),
         ("black_scholes n=2048", "OK"),
-        ("black_scholes n=2048", "OK"), // identical: plan-cache replay
+        // Identical, and above the work floor so it is planned: the
+        // second replays the cached plan.
+        ("black_scholes n=65536", "OK"),
+        ("black_scholes n=65536", "OK"),
         ("haversine n=1024 seed=3", "OK"),
         ("nashville width=64 height=48", "OK"),
         ("crime_index rows=512", "OK"),
@@ -410,11 +413,13 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
     // stage-boundary intermediates to the next stage in split form
     // instead of merging and re-splitting; the counter rides at the
     // stable end of STATS. PIPELINE 1 restores the fused default.
+    // The image is above the work floor: its calls are captured and
+    // staged rather than run at registration.
     exchange(&mut writer, &mut reader, "PIPELINE 0", "OK pipeline=0");
     exchange(
         &mut writer,
         &mut reader,
-        "nashville width=64 height=48",
+        "nashville width=512 height=384",
         "OK",
     );
     exchange(&mut writer, &mut reader, "PIPELINE 1", "OK pipeline=1");

@@ -52,6 +52,9 @@ fn planning_cost_stays_flat_on_a_reused_context() {
         .map(|v| SharedVec::from_vec(v.clone()));
     let mut config = Config::with_workers(2);
     (config.verify_plans, config.pedantic) = (false, false);
+    // At 8 KiB of L2 the work floor (512 B) is below the chain's
+    // smallest call (1 KiB), so every call is captured and planned.
+    config.l2_bytes = 8 << 10;
     let ctx = MozartContext::new(config);
     let cache = Arc::new(PlanCache::new(8));
     ctx.attach_pool(PoolHandle::new(1))
