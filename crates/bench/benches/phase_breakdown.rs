@@ -1,30 +1,22 @@
-//! Phase breakdown with placement merges on vs off: split/task/merge
-//! fractions for the Black Scholes (MKL) and Nashville (ImageMagick)
-//! workloads under `Config::placement_merge = true` (preallocated
-//! outputs, workers write pieces in place) and `false` (the historic
-//! collect-then-concat ablation).
+//! Phase breakdown: split/task/merge fractions of the Nashville
+//! (ImageMagick) and Crime Index (Pandas) workloads, with behaviour
+//! gates on what each run must do.
 //!
-//! Nashville is the workload the fast path targets — its split/merge
-//! used to copy every pixel twice — so the bench *asserts* that its
-//! merge fraction with placement on is at least 2x below the
-//! placement-off run, and that both configurations produce identical
-//! workload outputs (summary checksums against the copying baseline).
+//! Nashville runs on the default configuration: its concat-shaped image
+//! output must be placement-written (`placement_writes > 0`) with a
+//! checksum matching the plain library's. A staged run (`pipeline =
+//! false`, one stage per call) must hand its stage-boundary
+//! intermediates across in split form (`split_form_handoffs > 0`) with
+//! the same checksum.
 //!
-//! A third pair runs Nashville with per-call stage evaluation
-//! (`pipeline = false`) under `Config::split_form` on vs off: with the
-//! ablation on, stage-boundary intermediates cross in split form
-//! instead of merging and re-splitting, so the bench asserts the
-//! combined split+merge wall share drops measurably with bit-identical
-//! checksums and a nonzero `split_form_handoffs` count.
-//!
-//! A fourth pair runs Nashville with `Config::verify_plans` on vs off:
-//! the static plan verifier must prove every stage (nonzero
+//! A pair runs Nashville with `Config::verify_plans` on vs off: the
+//! static plan verifier must prove every stage (nonzero
 //! `plans_verified`, zero with it off), must not perturb outputs
 //! (bit-identical checksums), and must stay within 1.05x of the
 //! unverified wall time.
 //!
-//! A fifth pair runs Crime Index with every intermediate handle held
-//! across the one read of the scalar total vs dropped before it:
+//! A pair runs Crime Index with every intermediate handle held across
+//! the one read of the scalar total vs dropped before it:
 //! demand-driven materialization must make holding a handle nearly
 //! free (live-but-undemanded outputs stay pieces, nothing is merged),
 //! so the bench asserts equal checksums, `deferred_outputs > 0` only in
@@ -107,14 +99,6 @@ fn run_workload(
     }
 }
 
-/// Combined split + merge share of the accounted total — the wall
-/// share the split-form hand-off targets (it removes both the merge
-/// that produced the intermediate and the split that re-cut it).
-fn split_merge_share(p: &PhaseStats) -> f64 {
-    let (split, _, merge) = fractions(p);
-    split + merge
-}
-
 fn json_entry(m: &Measured, matches: bool) -> String {
     let (split, task, merge) = fractions(&m.stats);
     format!(
@@ -130,9 +114,9 @@ fn json_entry(m: &Measured, matches: bool) -> String {
     )
 }
 
-fn print_pair(name: &str, labels: [&str; 2], on: &Measured, off: &Measured) {
+fn print_runs(name: &str, runs: &[(&str, &Measured)]) {
     println!("\n=== phase_breakdown: {name} ===");
-    for (label, m) in [(labels[0], on), (labels[1], off)] {
+    for (label, m) in runs {
         let (split, task, merge) = fractions(&m.stats);
         println!(
             "{label}: split {:5.1}%  task {:5.1}%  merge {:5.1}%  ({:.4}s/eval, \
@@ -144,14 +128,6 @@ fn print_pair(name: &str, labels: [&str; 2], on: &Measured, off: &Measured) {
             m.stats.placement_writes,
             m.stats.split_form_handoffs,
             m.stats.deferred_outputs
-        );
-    }
-    let (_, _, merge_on) = fractions(&on.stats);
-    let (_, _, merge_off) = fractions(&off.stats);
-    if merge_on > 0.0 {
-        println!(
-            "merge fraction ratio (off/on): {:.1}x",
-            merge_off / merge_on
         );
     }
 }
@@ -166,92 +142,37 @@ fn main() {
     let trace_export = std::env::var("MOZART_TRACE_EXPORT").ok();
     let recorder = trace_export.as_ref().map(|_| TraceRecorder::new());
 
-    // ---- Black Scholes (MKL): outputs are mut-arg SliceViews that
-    // already write in place, so placement changes little — reported
-    // as the control.
-    let (bs_on, bs_off, bs_base) = {
-        use workloads::black_scholes as bs;
-        let n = opts.size(1 << 19);
-        let inp = bs::generate(n, 42);
-        let base = bs::mkl_base(&inp).call_sum;
-        let run = |placement: bool| {
-            run_workload(
-                threads,
-                evals,
-                recorder.clone(),
-                |cfg| cfg.placement_merge = placement,
-                |ctx| bs::mkl_mozart(&inp, ctx).expect("run").call_sum,
-            )
-        };
-        (run(true), run(false), base)
-    };
-
-    // ---- Nashville (ImageMagick): concat-shaped image output, the
-    // placement target. A sub-heuristic batch override keeps dozens of
-    // batches in flight even at smoke scales, so the merge phase is
-    // actually exercised.
+    // ---- Nashville (ImageMagick): concat-shaped image output, written
+    // in place. A sub-heuristic batch override keeps dozens of batches
+    // in flight even at smoke scales, so the merge phase is actually
+    // exercised.
     use workloads::images as im;
     let (w, h) = (opts.size(1600), opts.size(1200));
     let na_img = im::generate(w, h, 3);
     let na_base = im::nashville_base(&na_img).mean;
-    let (na_on, na_off) = {
-        let run = |placement: bool| {
-            run_workload(
-                threads,
-                evals,
-                recorder.clone(),
-                |cfg| {
-                    cfg.placement_merge = placement;
-                    cfg.batch_override = Some(32);
-                },
-                |ctx| im::nashville_mozart(&na_img, ctx).expect("run").mean,
-            )
-        };
-        (run(true), run(false))
+    let nashville = |configure: &dyn Fn(&mut Config)| {
+        run_workload(
+            threads,
+            evals,
+            recorder.clone(),
+            |cfg| {
+                cfg.batch_override = Some(32);
+                configure(cfg);
+            },
+            |ctx| im::nashville_mozart(&na_img, ctx).expect("run").mean,
+        )
     };
-
-    // ---- Nashville split-form ablation: with per-call stage
-    // evaluation (`pipeline = false`), every stage boundary used to
-    // merge the intermediate image and re-split it in the next stage;
-    // split-form hand-offs elide that round trip, so the combined
-    // split+merge wall share must drop while the output stays
-    // bit-identical.
-    let (sf_on, sf_off) = {
-        let run = |split_form: bool| {
-            run_workload(
-                threads,
-                evals,
-                recorder.clone(),
-                |cfg| {
-                    cfg.pipeline = false;
-                    cfg.split_form = split_form;
-                    cfg.batch_override = Some(32);
-                },
-                |ctx| im::nashville_mozart(&na_img, ctx).expect("run").mean,
-            )
-        };
-        (run(true), run(false))
-    };
+    let na = nashville(&|_| {});
+    // Staged: one stage per call, so every stage boundary is an
+    // intermediate image the next stage re-splits — handed across in
+    // split form instead of merged.
+    let staged = nashville(&|cfg| cfg.pipeline = false);
 
     // ---- Nashville verify ablation: the static plan verifier
     // (`verify_plans`) runs once per planned/replayed stage and must be
     // invisible — same bytes out, within 1.05x of the unverified wall.
-    let (vp_on, vp_off) = {
-        let run = |verify: bool| {
-            run_workload(
-                threads,
-                evals,
-                recorder.clone(),
-                |cfg| {
-                    cfg.placement_merge = true;
-                    cfg.batch_override = Some(32);
-                    cfg.verify_plans = verify;
-                },
-                |ctx| im::nashville_mozart(&na_img, ctx).expect("run").mean,
-            )
-        };
-        (run(true), run(false))
-    };
+    let vp_on = nashville(&|cfg| cfg.verify_plans = true);
+    let vp_off = nashville(&|cfg| cfg.verify_plans = false);
 
     // ---- Crime Index handle ablation: the application holds eight
     // intermediate handles across its one read (`mozart`) or drops them
@@ -280,34 +201,10 @@ fn main() {
         (run(true), run(false), base)
     };
 
-    print_pair(
-        "black_scholes",
-        ["placement on ", "placement off"],
-        &bs_on,
-        &bs_off,
-    );
-    print_pair(
-        "nashville",
-        ["placement on ", "placement off"],
-        &na_on,
-        &na_off,
-    );
-    print_pair(
-        "nashville (staged, split-form ablation)",
-        ["split-form on ", "split-form off"],
-        &sf_on,
-        &sf_off,
-    );
-    println!(
-        "split+merge share: split-form on {:.2}% vs off {:.2}%",
-        split_merge_share(&sf_on.stats) * 100.0,
-        split_merge_share(&sf_off.stats) * 100.0
-    );
-    print_pair(
+    print_runs("nashville", &[("default", &na), ("staged ", &staged)]);
+    print_runs(
         "nashville (plan-verify ablation)",
-        ["verify on ", "verify off"],
-        &vp_on,
-        &vp_off,
+        &[("verify on ", &vp_on), ("verify off", &vp_off)],
     );
     println!(
         "plans verified: on {} vs off {}; wall ratio (on/off): {:.3}x",
@@ -316,22 +213,18 @@ fn main() {
         vp_on.seconds / vp_off.seconds.max(f64::EPSILON)
     );
 
-    print_pair(
+    print_runs(
         "crime_index (handle ablation)",
-        ["handles held   ", "handles dropped"],
-        &ci_held,
-        &ci_dropped,
+        &[
+            ("handles held   ", &ci_held),
+            ("handles dropped", &ci_dropped),
+        ],
     );
     let ci_ratio = ci_held.seconds / ci_dropped.seconds.max(f64::EPSILON);
     println!("wall ratio (held/dropped): {ci_ratio:.3}x");
 
-    let bs_match = close(bs_on.checksum, bs_base) && close(bs_off.checksum, bs_base);
-    let na_match = close(na_on.checksum, na_base) && close(na_off.checksum, na_base);
-    // The split-form arms must be *bit*-identical to each other — the
-    // hand-off re-slices exactly the bytes the classic path merges.
-    let sf_match = sf_on.checksum.to_bits() == sf_off.checksum.to_bits()
-        && close(sf_on.checksum, na_base)
-        && close(sf_off.checksum, na_base);
+    let na_match = close(na.checksum, na_base);
+    let staged_match = close(staged.checksum, na_base);
     // The verifier only reads the plan; its arms must be bit-identical.
     let vp_match =
         vp_on.checksum.to_bits() == vp_off.checksum.to_bits() && close(vp_on.checksum, na_base);
@@ -346,19 +239,9 @@ fn main() {
     ));
     json.push_str("  \"workloads\": {\n");
     json.push_str(&format!(
-        "    \"black_scholes\": {{ \"placement_on\": {}, \"placement_off\": {} }},\n",
-        json_entry(&bs_on, bs_match),
-        json_entry(&bs_off, bs_match)
-    ));
-    json.push_str(&format!(
-        "    \"nashville\": {{ \"placement_on\": {}, \"placement_off\": {} }},\n",
-        json_entry(&na_on, na_match),
-        json_entry(&na_off, na_match)
-    ));
-    json.push_str(&format!(
-        "    \"nashville_staged\": {{ \"split_form_on\": {}, \"split_form_off\": {} }},\n",
-        json_entry(&sf_on, sf_match),
-        json_entry(&sf_off, sf_match)
+        "    \"nashville\": {},\n    \"nashville_staged\": {},\n",
+        json_entry(&na, na_match),
+        json_entry(&staged, staged_match)
     ));
     json.push_str(&format!(
         "    \"nashville_verify\": {{ \"verify_on\": {}, \"verify_off\": {}, \
@@ -374,22 +257,7 @@ fn main() {
         json_entry(&ci_held, ci_match),
         json_entry(&ci_dropped, ci_match),
     ));
-    let na_merge_on = na_on.stats.merge_fraction();
-    let na_merge_off = na_off.stats.merge_fraction();
-    let sm_on = split_merge_share(&sf_on.stats);
-    let sm_off = split_merge_share(&sf_off.stats);
-    json.push_str(&format!(
-        "  }},\n  \"nashville_merge_fraction_ratio\": {:.4},\n",
-        if na_merge_on > 0.0 {
-            na_merge_off / na_merge_on
-        } else {
-            f64::INFINITY
-        }
-    ));
-    json.push_str(&format!(
-        "  \"nashville_split_merge_share\": {{ \"split_form_on\": {sm_on:.4}, \
-         \"split_form_off\": {sm_off:.4} }}\n}}\n"
-    ));
+    json.push_str("  }\n}\n");
     write_results("BENCH_phases.json", &json);
 
     if let (Some(name), Some(rec)) = (&trace_export, &recorder) {
@@ -402,53 +270,25 @@ fn main() {
         );
     }
 
-    // CI gates: the fast path must be invisible in outputs and must
-    // actually shrink Nashville's merge share.
+    // CI gates: Nashville's output is placement-written, and staged
+    // Nashville's intermediates cross stage boundaries in split form;
+    // both produce the plain library's checksum.
     assert!(
-        bs_match && na_match,
-        "workload checksums diverged from the copying baseline: \
-         bs {} / {} vs {bs_base}; nashville {} / {} vs {na_base}",
-        bs_on.checksum,
-        bs_off.checksum,
-        na_on.checksum,
-        na_off.checksum
+        na_match && staged_match,
+        "nashville checksums diverged from the plain library: default {}, staged {} \
+         vs {na_base}",
+        na.checksum,
+        staged.checksum
     );
     assert!(
-        na_on.stats.placement_writes > 0,
+        na.stats.placement_writes > 0,
         "nashville never took the placement path: {:?}",
-        na_on.stats
+        na.stats
     );
     assert!(
-        na_merge_on * 2.0 <= na_merge_off,
-        "nashville merge fraction with placement on ({:.4}) must be at \
-         least 2x below placement off ({:.4})",
-        na_merge_on,
-        na_merge_off
-    );
-    // Split-form ablation gates: the hand-off must fire, the classic
-    // arm must not, outputs must be bit-identical, and the elision must
-    // visibly shrink the split+merge wall share.
-    assert!(
-        sf_match,
-        "split-form ablation checksums diverged: on {} vs off {} (baseline {na_base})",
-        sf_on.checksum, sf_off.checksum
-    );
-    assert!(
-        sf_on.stats.split_form_handoffs > 0,
+        staged.stats.split_form_handoffs > 0,
         "staged nashville never handed a value across in split form: {:?}",
-        sf_on.stats
-    );
-    assert_eq!(
-        sf_off.stats.split_form_handoffs, 0,
-        "split-form hand-offs fired with the ablation off: {:?}",
-        sf_off.stats
-    );
-    assert!(
-        sm_on < sm_off * 0.9,
-        "split-form on must drop nashville's split+merge wall share \
-         measurably below the ablation ({:.4} vs {:.4})",
-        sm_on,
-        sm_off
+        staged.stats
     );
     // Plan-verify gates: the verifier must actually run (and only when
     // asked), change nothing, and cost at most 5% wall (plus a 2ms
@@ -499,18 +339,10 @@ fn main() {
         ci_held.seconds,
         ci_dropped.seconds
     );
-    println!("\nchecksums match the copying baseline; nashville merge fraction");
     println!(
-        "placement on {:.2}% vs off {:.2}% — gate passed.",
-        na_merge_on * 100.0,
-        na_merge_off * 100.0
-    );
-    println!(
-        "split-form hand-offs elided {} merges/eval-run; split+merge share \
-         {:.2}% vs {:.2}% — gate passed.",
-        sf_on.stats.split_form_handoffs,
-        sm_on * 100.0,
-        sm_off * 100.0
+        "\nnashville matches the plain library with {} placement writes; staged, \
+         {} split-form hand-offs — gates passed.",
+        na.stats.placement_writes, staged.stats.split_form_handoffs
     );
     println!(
         "crime_index: {} outputs/eval-run deferred instead of merged; held handles \

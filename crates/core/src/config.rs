@@ -2,22 +2,23 @@
 //! aids).
 
 /// Configuration of a [`MozartContext`](crate::MozartContext).
+///
+/// How outputs leave a stage is not configurable: placement merges and
+/// split-form hand-offs are taken wherever the split type has the
+/// capability and the value allows it (the executor's [output-path
+/// table](crate::executor#output-paths)).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of worker threads. The paper leaves this to the user; the
     /// default is the machine's available parallelism.
     pub workers: usize,
     /// L2 cache size in bytes, the basis of the batch-size heuristic
-    /// `batch = C * L2 / Σ sizeof(element)` (§5.2 step 1) and of the
+    /// `batch = L2 / Σ sizeof(element)` (§5.2 step 1) and of the
     /// *work floor*: a call whose split arguments total at most
     /// `l2_bytes / 16` bytes, in one batch, runs at registration instead
     /// of being captured (see "Calls below the work floor" in
     /// [`crate::context`]).
     pub l2_bytes: u64,
-    /// The constant `C` in the batch-size heuristic. The paper found a
-    /// fixed constant works well because intermediates still fit in the
-    /// larger shared LLC.
-    pub batch_constant: f64,
     /// Fixed batch size in elements, overriding the heuristic (used by
     /// the Figure 6 batch-size sweep). The work floor is part of that
     /// heuristic, so with an override set every call is captured and
@@ -27,35 +28,6 @@ pub struct Config {
     /// parallelized per call but never pipelined across calls. This is
     /// the paper's "Mozart (-pipe)" ablation (Table 4).
     pub pipeline: bool,
-    /// When `true` (the default), Merge outputs take the *placement*
-    /// fast path where the split type supports it: the merged value is
-    /// preallocated once and workers write result pieces directly at
-    /// their element offsets inside the driver loop
-    /// (the [`Placement`](crate::split::Placement) capability of its
-    /// [`merge_strategy`](crate::split::Splitter::merge_strategy));
-    /// outputs of other split types are collected per worker and
-    /// concatenated once by the caller's final merge. When `false`,
-    /// every merge output takes that collect-then-concat path — the
-    /// reference path the placement tests compare against and the
-    /// ablation the `phase_breakdown` benchmark measures. The `Place`
-    /// and `Collect` rows of the executor's [output-path
-    /// table](crate::executor#output-paths) list what each path does,
-    /// records and counts.
-    pub placement_merge: bool,
-    /// When `true` (the default), a stage's merge output that is only
-    /// re-split by later nodes under the same split type is handed
-    /// across the stage boundary *in split form* — the worker-produced
-    /// piece set with element offsets
-    /// ([`SplitForm`](crate::split::SplitForm)) — eliding both the
-    /// merge and the downstream re-split, which are pure memory
-    /// traffic. Requires the split type to be concatenation-shaped with
-    /// a [`Concat`](crate::split::Concat) capability; outputs the
-    /// application can still observe, terminal/unknown outputs, and
-    /// mut-argument consumers always merge classically. When `false`,
-    /// every merge materializes — kept as a measured ablation for the
-    /// `phase_breakdown` benchmark. A hand-off is the `Hold` row of the
-    /// executor's [output-path table](crate::executor#output-paths).
-    pub split_form: bool,
     /// Pedantic mode (§7.1): panic-free runtime checks that splits agree
     /// on element counts, pieces are non-NULL, etc., surfaced as errors.
     pub pedantic: bool,
@@ -90,11 +62,8 @@ impl Default for Config {
         Config {
             workers: default_workers(),
             l2_bytes: detect_l2_bytes(),
-            batch_constant: 1.0,
             batch_override: None,
             pipeline: true,
-            placement_merge: true,
-            split_form: true,
             pedantic: cfg!(debug_assertions),
             verify_plans: default_verify_plans(),
             fault_plan: None,
@@ -115,16 +84,9 @@ impl Config {
     /// Check that every field the batch-size heuristic consumes is
     /// usable. Called when a config is attached to a
     /// [`MozartContext`](crate::MozartContext) (construction and
-    /// `set_config`), which poisons the context on failure — a NaN or
-    /// negative user-set `batch_constant` used to cast to 0 silently and
-    /// clamp every stage to pathological 1-element batches.
+    /// `set_config`), which poisons the context on failure instead of
+    /// letting a zero cache size mis-size every stage.
     pub fn validate(&self) -> crate::error::Result<()> {
-        if !self.batch_constant.is_finite() || self.batch_constant <= 0.0 {
-            return Err(crate::error::Error::InvalidConfig(format!(
-                "batch_constant must be a finite positive number, got {}",
-                self.batch_constant
-            )));
-        }
         if self.l2_bytes == 0 {
             return Err(crate::error::Error::InvalidConfig(
                 "l2_bytes must be nonzero (the batch heuristic divides by element bytes \
@@ -138,11 +100,8 @@ impl Config {
     /// Compute the batch size for a stage whose split inputs have the
     /// given total per-element footprint in bytes.
     ///
-    /// Returns a value clamped to `[1, total_elements]`. Defensive even
-    /// under an invalid (unvalidated) `batch_constant`: the heuristic
-    /// falls back to the default constant and the `f64 → u64` cast
-    /// saturates instead of wrapping, so scheduling degrades to the
-    /// stock heuristic rather than to 1-element batches.
+    /// Returns `l2_bytes / sum_elem_bytes` (or the override) clamped to
+    /// `[1, total_elements]`.
     pub fn batch_elements(&self, sum_elem_bytes: u64, total_elements: u64) -> u64 {
         if total_elements == 0 {
             return 1;
@@ -154,16 +113,7 @@ impl Config {
             // Nothing contributes to cache pressure: one batch.
             return total_elements;
         }
-        let constant = if self.batch_constant.is_finite() && self.batch_constant > 0.0 {
-            self.batch_constant
-        } else {
-            1.0
-        };
-        let raw = constant * self.l2_bytes as f64 / sum_elem_bytes as f64;
-        // `as` saturates (NaN -> 0, +inf -> u64::MAX); make the floor
-        // explicit so a sub-1.0 ratio still yields one element.
-        let b = if raw >= 1.0 { raw as u64 } else { 1 };
-        b.clamp(1, total_elements)
+        (self.l2_bytes / sum_elem_bytes).clamp(1, total_elements)
     }
 }
 
@@ -220,11 +170,8 @@ mod tests {
         Config {
             workers: 4,
             l2_bytes: 1 << 20,
-            batch_constant: 1.0,
             batch_override: None,
             pipeline: true,
-            placement_merge: true,
-            split_form: true,
             pedantic: true,
             verify_plans: true,
             fault_plan: None,
@@ -261,44 +208,5 @@ mod tests {
         let c = cfg();
         // One element is larger than L2: batch must still be >= 1.
         assert_eq!(c.batch_elements(1 << 22, 10), 1);
-    }
-
-    #[test]
-    fn validate_rejects_bad_batch_constant() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
-            let c = Config {
-                batch_constant: bad,
-                ..cfg()
-            };
-            let err = c.validate().expect_err("must reject");
-            assert!(err.to_string().contains("batch_constant"), "{err}");
-        }
-        assert!(cfg().validate().is_ok());
-        let c = Config {
-            l2_bytes: 0,
-            ..cfg()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn batch_elements_survives_invalid_constant() {
-        // Regression (ISSUE 4): NaN/negative batch_constant used to cast
-        // to 0 and clamp every stage to 1-element batches. The defensive
-        // path falls back to the default constant instead.
-        let sane = cfg().batch_elements(24, 1 << 30);
-        for bad in [f64::NAN, -3.0, 0.0] {
-            let c = Config {
-                batch_constant: bad,
-                ..cfg()
-            };
-            assert_eq!(c.batch_elements(24, 1 << 30), sane, "constant {bad}");
-        }
-        // An absurdly large constant saturates instead of wrapping.
-        let c = Config {
-            batch_constant: f64::MAX,
-            ..cfg()
-        };
-        assert_eq!(c.batch_elements(24, 1 << 30), 1 << 30);
     }
 }

@@ -70,7 +70,6 @@
 //! call counts as planner time and running it as task time; under
 //! tracing it records one `Task` span.
 
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -89,15 +88,15 @@ use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
 use crate::planner::{
-    plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, PlanSite,
-    Planned, StagePlan,
+    construct_instance, plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats,
+    PlanRecorder, PlanSite, Planned, StagePlan,
 };
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::registry::default_instance_for;
-use crate::split::{SplitInstance, Splitter};
+use crate::split::SplitInstance;
 use crate::stats::{PhaseStats, PoolStats};
 use crate::trace::{SpanKind, TraceCtx, TraceId, SERVICE_WORKER};
-use crate::value::{DataObject, DataValue, IntValue};
+use crate::value::{DataObject, DataValue};
 
 static CTX_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -672,6 +671,12 @@ impl WholeCall {
             self.storage.push(data.storage_addr());
         }
         let whole = |i: usize| whole_value(graph, &args[i]);
+        // What the planner would fail on is captured, to fail there.
+        let construct = |splitter, ctor_args| {
+            construct_instance(splitter, ctor_args, args.len(), whole)
+                .ok()
+                .flatten()
+        };
 
         // Split types as `try_add` binds them in a fresh stage: concrete
         // types from the call's own arguments, an unbound generic from
@@ -686,7 +691,7 @@ impl WholeCall {
                     ctor_args,
                 } => match annot.split_like[i] {
                     Some(j) => WholeArg::SplitLike(j),
-                    None => WholeArg::Split(construct(splitter, ctor_args, whole)?),
+                    None => WholeArg::Split(construct(splitter, ctor_args)?),
                 },
                 SplitTypeExpr::Generic(g) => match generics.iter().find(|(id, _)| id == g) {
                     Some(&(_, j)) => WholeArg::SplitLike(j),
@@ -734,7 +739,7 @@ impl WholeCall {
             Some(SplitTypeExpr::Concrete {
                 splitter,
                 ctor_args,
-            }) => Some(construct(splitter, ctor_args, whole)?),
+            }) => Some(construct(splitter, ctor_args)?),
             Some(SplitTypeExpr::Generic(g)) => {
                 let &(_, j) = generics.iter().find(|(id, _)| id == g)?;
                 WholeArg::split_type(&self.how, j).cloned()
@@ -771,58 +776,6 @@ impl WholeCall {
         self.pieces.clear();
         self.ret = None;
     }
-}
-
-thread_local! {
-    /// Split types [`construct`] built on this thread from one integer
-    /// constructor argument, with their splitter and that integer. A few
-    /// dozen at most: cleared when full.
-    static BUILT: RefCell<Vec<(i64, SplitInstance)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A concrete split type constructed from the call's own arguments,
-/// `whole` giving each argument's whole value. One constructed from a
-/// single integer (`ArraySplit(size)`) is built once per thread and
-/// splitter and reused: a constructor is a function of its arguments'
-/// values — what the plan cache relies on for scalars too — and a call
-/// at registration would otherwise allocate its parameters every time.
-fn construct<'a>(
-    splitter: &Arc<dyn Splitter>,
-    ctor_args: &[usize],
-    whole: impl Fn(usize) -> Option<&'a DataValue>,
-) -> Option<SplitInstance> {
-    let int = match ctor_args {
-        [i] => whole(*i)?.downcast_ref::<IntValue>().map(|v| v.0),
-        _ => None,
-    };
-    let built = |n: i64| {
-        BUILT.with_borrow(|b| {
-            let (_, inst) = b
-                .iter()
-                .find(|(m, inst)| *m == n && Arc::ptr_eq(&inst.splitter, splitter))?;
-            Some(inst.clone())
-        })
-    };
-    if let Some(inst) = int.and_then(built) {
-        return Some(inst);
-    }
-    let params = match ctor_args {
-        [i] => splitter.construct(&[whole(*i)?]),
-        _ => {
-            let data: Option<Vec<&DataValue>> = ctor_args.iter().map(|&i| whole(i)).collect();
-            splitter.construct(&data?)
-        }
-    };
-    let inst = SplitInstance::new(splitter.clone(), params.ok()?);
-    if let Some(n) = int {
-        BUILT.with_borrow_mut(|b| {
-            if b.len() == 64 {
-                b.clear();
-            }
-            b.push((n, inst.clone()));
-        });
-    }
-    Some(inst)
 }
 
 impl State {
@@ -981,15 +934,11 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
         }
         if let Some(mut shape) = shape {
             // Mix planning-relevant configuration into the key: the
-            // `pipeline` ablation changes stage grouping and the
-            // `split_form` ablation changes output rewrites, so a plan
+            // `pipeline` ablation changes stage grouping, so a plan
             // recorded under one setting must never replay under the
             // other (one shared cache can serve contexts with both).
             if !st.config.pipeline {
                 shape.fingerprint ^= 0x9e37_79b9_7f4a_7c15;
-            }
-            if !st.config.split_form {
-                shape.fingerprint ^= 0x85eb_ca6b_27d4_eb4f;
             }
             match cache.lookup(shape.fingerprint) {
                 Some(plan) if plan.nodes_total == st.graph.pending_nodes() => {
@@ -997,8 +946,7 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
                     for idx in 0..plan.stage_count() {
                         let t1 = Instant::now();
                         let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
-                        let bound =
-                            plan.bind_stage(idx, &st.graph, &shape.values, &st.config, demand);
+                        let bound = plan.bind_stage(idx, &st.graph, &shape.values, demand);
                         st.stats.planner += t1.elapsed();
                         if let Some(c1) = c1 {
                             planner_cpu +=

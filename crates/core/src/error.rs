@@ -83,10 +83,10 @@ pub enum Error {
     /// allocation or I/O failure). Treated as transient by the serving
     /// layer, like [`Error::TaskPanicked`].
     Injected(String),
-    /// A [`Config`](crate::Config) field holds an unusable value (e.g. a
-    /// NaN or non-positive `batch_constant`, which would silently clamp
-    /// every stage to pathological 1-element batches). Surfaced when the
-    /// config is attached to a context rather than mis-scheduling later.
+    /// A [`Config`](crate::Config) field holds an unusable value (a zero
+    /// `l2_bytes`, which the batch heuristic cannot size a stage by).
+    /// Surfaced when the config is attached to a context rather than
+    /// mis-scheduling later.
     InvalidConfig(String),
     /// The static verifier rejected an annotation or a stage plan
     /// before execution (see [`crate::verify`]); the context is

@@ -55,18 +55,18 @@
 //! `Merge` per worker that ran a batch (its `local` window) and one
 //! `FinalMerge` per stage, on the caller.
 //!
-//! **`Place`** takes a `Merge` output when [`Config::placement_merge`]
-//! is on and the split type's
+//! **`Place`** takes every `Merge` output whose split type's
 //! [`merge_strategy`](crate::split::Splitter::merge_strategy) is
-//! [`MergeStrategy::Concat`] with a
-//! [`Placement`] capability — never an `unknown` output, whose pieces
-//! may compact, and never a commutative merge, which cannot carry one.
-//! Its merged value is resolved once, at the first of two points: stage
-//! start, on the caller while the pool is parked, when the parameters
-//! determine the layout (first-touch page faults then run uncontended);
-//! else the first piece any worker produces, which serves as the
-//! exemplar for data-dependent layouts (DataFrame schemas, column
-//! dtypes). A split type that declines at both points collects instead.
+//! [`MergeStrategy::Concat`] with a [`Placement`] capability — never an
+//! `unknown` output, whose pieces may compact, and never a commutative
+//! merge, which cannot carry one; every other `Merge` output takes
+//! `Collect`. A placed output's merged value is resolved once, at the
+//! first of two points: stage start, on the caller while the pool is
+//! parked, when the parameters determine the layout (first-touch page
+//! faults then run uncontended); else the first piece any worker
+//! produces, which serves as the exemplar for data-dependent layouts
+//! (DataFrame schemas, column dtypes). A split type that declines at
+//! both points collects instead.
 //! The worker-local pre-merge and the serial final concat disappear, and
 //! out-of-claim-order batches are harmless because offsets are absolute.
 //! Under an attached plan cache the point that resolved a target when it
@@ -352,7 +352,7 @@ enum Finished<'a> {
 impl MergeOutput {
     /// The planned output `output` of a stage, stored in `slot`, with its
     /// sink — `None` for the kinds that need none (in place, discarded).
-    fn new(slot: u32, output: u32, planned: &StageOutput, config: &Config) -> Option<Self> {
+    fn new(slot: u32, output: u32, planned: &StageOutput) -> Option<Self> {
         let instance = planned.instance.clone();
         let sink = match planned.kind {
             OutputKind::InPlace | OutputKind::Discard => return None,
@@ -370,15 +370,13 @@ impl MergeOutput {
             OutputKind::Merge => match instance.merge_strategy() {
                 MergeStrategy::Concat {
                     placement: Some(cap),
-                } if config.placement_merge && !instance.is_unknown() => {
-                    Sink::Place(PlacementMerge {
-                        cap,
-                        out: OnceLock::new(),
-                        spare: Mutex::new(None),
-                        written: AtomicU64::new(0),
-                        high: AtomicU64::new(0),
-                    })
-                }
+                } if !instance.is_unknown() => Sink::Place(PlacementMerge {
+                    cap,
+                    out: OnceLock::new(),
+                    spare: Mutex::new(None),
+                    written: AtomicU64::new(0),
+                    high: AtomicU64::new(0),
+                }),
                 strategy => Sink::Collect {
                     commutative: strategy.commutative(),
                 },
@@ -761,8 +759,7 @@ pub(crate) fn materialize_held(
     let mut exec = ExecStage::sized(sf.total(), sf.piece_len(), stats.stages, env);
     // `sum_elem_bytes` stays 0: nothing is split, the pieces exist.
     exec.num_slots = 1;
-    exec.merge_outputs
-        .extend(MergeOutput::new(0, 0, &planned, env.config));
+    exec.merge_outputs.extend(MergeOutput::new(0, 0, &planned));
     exec.inputs.push(ExecInput {
         slot: 0,
         instance: planned.instance,
@@ -852,7 +849,6 @@ fn build_exec_stage(
     stage_idx: u64,
     env: &ExecEnv<'_>,
 ) -> Result<ExecStage> {
-    let config = env.config;
     let mut inputs = Vec::with_capacity(stage.inputs.len());
     let mut total: Option<u64> = None;
     let mut sum_elem_bytes: u64 = 0;
@@ -896,7 +892,7 @@ fn build_exec_stage(
     // A stage with no split inputs (e.g. a call whose arguments are all
     // `_`) executes as a single batch of one element.
     let total_elements = total.unwrap_or(1);
-    let batch = config.batch_elements(sum_elem_bytes, total_elements);
+    let batch = env.config.batch_elements(sum_elem_bytes, total_elements);
 
     let mut broadcast = Vec::with_capacity(stage.broadcast.len());
     for vid in &stage.broadcast {
@@ -938,7 +934,7 @@ fn build_exec_stage(
 
     let planned = stage.outputs.iter().enumerate();
     let merge_outputs = planned
-        .filter_map(|(i, o)| MergeOutput::new(stage.slot_of(o.value), i as u32, o, config))
+        .filter_map(|(i, o)| MergeOutput::new(stage.slot_of(o.value), i as u32, o))
         .collect();
 
     Ok(ExecStage {

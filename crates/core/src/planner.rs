@@ -26,13 +26,13 @@
 //! binds the value as a split input, `try_add` accepts the split form
 //! directly (`check_use` matches the held type; unbound generics bind
 //! to it; stage totals come from the form). The rewrite **declines** —
-//! the output merges classically — when any of these holds:
-//! `Config::split_form` is off; the value is user-visible (a live
-//! `Future` could observe it) or not consumed later at all; the split
-//! type is `unknown`, terminal, not concatenation-shaped, or lacks a
-//! [`Concat`](crate::split::Concat) capability; or some consumer needs
-//! the value whole (a broadcast/`_` position, a mut argument, a
-//! split-type constructor argument) or under a different split type.
+//! the output merges classically — when any of these holds: the value
+//! is user-visible (a live `Future` could observe it) or not consumed
+//! later at all; the split type is `unknown`, terminal, not
+//! concatenation-shaped, or lacks a [`Concat`](crate::split::Concat)
+//! capability; or some consumer needs the value whole (a broadcast/`_`
+//! position, a mut argument, a split-type constructor argument) or
+//! under a different split type.
 //! Mispredictions are safe, not just rare: when a node cannot be
 //! scheduled over values still held as pieces, the planner asks its
 //! caller to merge them whole ([`Planned::NeedsWhole`], counted as
@@ -83,16 +83,17 @@
 //! and a context without a plan cache never parks. Stages without a
 //! placement output never consult the slots.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::annotation::{GenericId, SplitTypeExpr};
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::graph::{DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId, WordMap, WordSet};
 use crate::registry::default_instance_for;
-use crate::split::SplitInstance;
-use crate::value::DataValue;
+use crate::split::{SplitInstance, Splitter};
+use crate::value::{DataValue, IntValue};
 
 /// How a merged stage output is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +108,7 @@ pub enum OutputKind {
     /// under the same split type: keep the worker-produced pieces as a
     /// [`crate::split::SplitForm`] on the value and elide the merge
     /// (and the consumer's re-split). See the module docs for the
-    /// rewrite rule and `Config::split_form` for the gate.
+    /// rewrite rule.
     SplitForm,
     /// A `Future` for the output is alive but the read that triggered
     /// the evaluation did not ask for it, and no later node consumes
@@ -354,7 +355,7 @@ pub fn plan_next_stage(
             }
         }
     }
-    Ok(Some(Planned::Stage(finish_stage(graph, b, config, demand))))
+    Ok(Some(Planned::Stage(finish_stage(graph, b, demand))))
 }
 
 /// Attempt to add `node_id` to the stage; on success, commits the node's
@@ -363,6 +364,7 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
     let node = &graph.nodes[node_id.0 as usize];
     let annot = &node.annot;
     let args = graph.args(node);
+    let captured = |i: usize| graph.captured_data(args[i]);
 
     let mut bindings: WordMap<GenericId, SplitInstance> = WordMap::default();
 
@@ -458,7 +460,7 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
                 splitter,
                 ctor_args,
             } => {
-                let inst = match construct_instance(graph, args, splitter, ctor_args)? {
+                let inst = match construct_instance(splitter, ctor_args, args.len(), captured)? {
                     Some(i) => i,
                     None => return Ok(AddOutcome::Incompatible),
                 };
@@ -502,7 +504,7 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
             SplitTypeExpr::Concrete {
                 splitter,
                 ctor_args,
-            } => match construct_instance(graph, args, splitter, ctor_args)? {
+            } => match construct_instance(splitter, ctor_args, args.len(), captured)? {
                 Some(i) => i,
                 None => return Ok(AddOutcome::Incompatible),
             },
@@ -577,33 +579,76 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
     Ok(AddOutcome::Added)
 }
 
-/// Evaluate a split type constructor against materialized argument data.
+thread_local! {
+    /// Split types [`construct_instance`] built on this thread from one
+    /// integer constructor argument, with their splitter and that
+    /// integer. A few dozen at most: cleared when full.
+    static BUILT: RefCell<Vec<(i64, SplitInstance)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Evaluate a concrete split type's constructor over the arguments of a
+/// call with `arity` arguments, `arg` giving each one's data — for the
+/// planner and for calls run at registration alike.
 ///
-/// Returns `Ok(None)` when a constructor argument is not yet materialized
-/// (the node must wait for the next stage).
-fn construct_instance(
-    graph: &DataflowGraph,
-    node_args: &[ValueId],
-    splitter: &std::sync::Arc<dyn crate::split::Splitter>,
+/// Returns `Ok(None)` when a constructor argument has no data yet (the
+/// node must wait for the next stage). One constructed from a single
+/// integer (`ArraySplit(size)`) is built once per thread and splitter
+/// and reused: a constructor is a function of its arguments' values —
+/// what the plan cache relies on for scalars too — and a call would
+/// otherwise allocate its parameters every time.
+pub(crate) fn construct_instance<'a>(
+    splitter: &Arc<dyn Splitter>,
     ctor_args: &[usize],
+    arity: usize,
+    arg: impl Fn(usize) -> Option<&'a DataValue>,
 ) -> Result<Option<SplitInstance>> {
-    let mut datas: Vec<DataValue> = Vec::with_capacity(ctor_args.len());
-    for &idx in ctor_args {
-        let vid = node_args
-            .get(idx)
-            .copied()
-            .ok_or_else(|| Error::Constructor {
-                split_type: splitter.name(),
-                message: format!("constructor references argument {idx} beyond arity"),
-            })?;
-        match graph.captured_data(vid) {
-            Some(d) => datas.push(d.clone()),
-            None => return Ok(None),
-        }
+    if let Some(idx) = ctor_args.iter().find(|&&i| i >= arity) {
+        return Err(Error::Constructor {
+            split_type: splitter.name(),
+            message: format!("constructor references argument {idx} beyond arity"),
+        });
     }
-    let refs: Vec<&DataValue> = datas.iter().collect();
-    let params = splitter.construct(&refs)?;
-    Ok(Some(SplitInstance::new(splitter.clone(), params)))
+    let int = match ctor_args {
+        [i] => arg(*i)
+            .and_then(|d| d.downcast_ref::<IntValue>())
+            .map(|v| v.0),
+        _ => None,
+    };
+    let built = |n: i64| {
+        BUILT.with_borrow(|b| {
+            let (_, inst) = b
+                .iter()
+                .find(|(m, inst)| *m == n && Arc::ptr_eq(&inst.splitter, splitter))?;
+            Some(inst.clone())
+        })
+    };
+    if let Some(inst) = int.and_then(built) {
+        return Ok(Some(inst));
+    }
+    let params = match ctor_args {
+        [i] => match arg(*i) {
+            Some(data) => splitter.construct(&[data])?,
+            None => return Ok(None),
+        },
+        _ => match ctor_args
+            .iter()
+            .map(|&i| arg(i))
+            .collect::<Option<Vec<_>>>()
+        {
+            Some(data) => splitter.construct(&data)?,
+            None => return Ok(None),
+        },
+    };
+    let inst = SplitInstance::new(splitter.clone(), params);
+    if let Some(n) = int {
+        BUILT.with_borrow_mut(|b| {
+            if b.len() == 64 {
+                b.clear();
+            }
+            b.push((n, inst.clone()));
+        });
+    }
+    Ok(Some(inst))
 }
 
 /// Decide whether a would-be `Merge` output may instead be handed to
@@ -622,12 +667,8 @@ fn split_form_eligible(
     stage_end: usize,
     value: ValueId,
     inst: &SplitInstance,
-    config: &Config,
 ) -> bool {
-    if !config.split_form || inst.is_unknown() || inst.terminal() {
-        return false;
-    }
-    if inst.split_form_concat().is_none() {
+    if inst.is_unknown() || inst.terminal() || inst.split_form_concat().is_none() {
         return false;
     }
     let last = graph.values[value.0 as usize]
@@ -682,7 +723,6 @@ fn output_kind(
     stage_end: usize,
     value: ValueId,
     inst: &SplitInstance,
-    config: &Config,
     demand: Demand,
 ) -> OutputKind {
     let entry = &graph.values[value.0 as usize];
@@ -692,7 +732,7 @@ fn output_kind(
     let live = entry.observable();
     let demanded = demand.wants(value, live);
     if consumed_later {
-        if !live && !demanded && split_form_eligible(graph, stage_end, value, inst, config) {
+        if !live && !demanded && split_form_eligible(graph, stage_end, value, inst) {
             OutputKind::SplitForm
         } else {
             OutputKind::Merge
@@ -707,12 +747,7 @@ fn output_kind(
 }
 
 /// Close the stage: compute its outputs and their merge plans.
-fn finish_stage(
-    graph: &DataflowGraph,
-    b: StageBuilder,
-    config: &Config,
-    demand: Demand,
-) -> StagePlan {
+fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> StagePlan {
     let first = b.nodes[0].0 as usize;
     let stage = first..first + b.nodes.len();
     let mut outputs = Vec::new();
@@ -728,7 +763,7 @@ fn finish_stage(
         }
         if let Some(rv) = node.ret {
             let inst = b.produced.get(&rv).expect("ret type was committed").clone();
-            let kind = output_kind(graph, stage.end, rv, &inst, config, demand);
+            let kind = output_kind(graph, stage.end, rv, &inst, demand);
             outputs.push(StageOutput {
                 value: rv,
                 instance: inst,
@@ -909,7 +944,7 @@ impl PlanCacheStats {
 /// fingerprint pins by value — not from computed intermediates attached
 /// to a different input value.
 pub struct PlanCache {
-    entries: Mutex<WordMap<u64, std::sync::Arc<CachedPlan>>>,
+    entries: Mutex<WordMap<u64, Arc<CachedPlan>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -955,7 +990,7 @@ impl PlanCache {
         }
     }
 
-    pub(crate) fn lookup(&self, fingerprint: u64) -> Option<std::sync::Arc<CachedPlan>> {
+    pub(crate) fn lookup(&self, fingerprint: u64) -> Option<Arc<CachedPlan>> {
         lock(&self.entries).get(&fingerprint).cloned()
     }
 
@@ -969,7 +1004,7 @@ impl PlanCache {
                 displaced.extend(entries.remove(&evict));
             }
         }
-        displaced.extend(entries.insert(fingerprint, std::sync::Arc::new(plan)));
+        displaced.extend(entries.insert(fingerprint, Arc::new(plan)));
         drop(entries);
     }
 
@@ -1188,7 +1223,6 @@ impl CachedPlan {
         idx: usize,
         graph: &DataflowGraph,
         canon: &[ValueId],
-        config: &Config,
         demand: Demand,
     ) -> Result<StagePlan> {
         let cs = self.stages.get(idx).ok_or(Error::ValueUnavailable)?;
@@ -1258,7 +1292,7 @@ impl CachedPlan {
             let kind = if co.in_place {
                 OutputKind::InPlace
             } else {
-                output_kind(graph, stage.end, vid, &co.instance, config, demand)
+                output_kind(graph, stage.end, vid, &co.instance, demand)
             };
             outputs.push(StageOutput {
                 value: vid,

@@ -39,7 +39,7 @@
 //! per-pipeline concatenation code.
 //!
 //! The same capability powers **split-form intermediates**
-//! ([`SplitForm`], `Config::split_form`): when a stage's merged output
+//! ([`SplitForm`]): when a stage's merged output
 //! would only be re-split by the next stage under the same split type,
 //! the executor keeps the piece set produced by the upstream workers
 //! and serves the downstream split phase straight from it, re-slicing
@@ -121,9 +121,9 @@ pub enum MergeStrategy {
     },
     /// [`Splitter::merge`] is pure concatenation in element order. The
     /// optional [`Placement`] capability enables the zero-copy merge
-    /// fast path (`Config::placement_merge`): the runtime preallocates
-    /// the output once and workers write pieces at their element
-    /// offsets. Never combine placement with a commutative merge —
+    /// fast path, which every such output takes: the runtime
+    /// preallocates the output once and workers write pieces at their
+    /// element offsets. Never combine placement with a commutative merge —
     /// partial results have no meaningful element offsets.
     Concat {
         /// Zero-copy placement-merge capability, or `None` to always

@@ -59,7 +59,7 @@ pub struct PhaseStats {
     pub bytes_merged: u64,
     /// Merge outputs handed to the next stage *in split form* — the
     /// merge (and the consuming stage's re-split) elided entirely (see
-    /// [`SplitForm`](crate::split::SplitForm) and `Config::split_form`).
+    /// [`SplitForm`](crate::split::SplitForm)).
     pub split_form_handoffs: u64,
     /// Downstream batch ranges that did not line up with a hand-off
     /// piece boundary and were re-sliced through the

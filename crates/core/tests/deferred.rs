@@ -7,8 +7,8 @@
 //!
 //! * reading handles in any order — only the last, all in capture
 //!   order, all reversed, none — is **bit-identical** to
-//!   `ctx.evaluate()`-then-read, across workers, placement, split-form,
-//!   pipelining and plan-cache replay;
+//!   `ctx.evaluate()`-then-read, across workers, pipelining and
+//!   plan-cache replay, over every output path;
 //! * a held handle merges nothing it was not asked for, and dropping it
 //!   drops its pieces;
 //! * `unknown`-typed (compacting) outputs and types with neither a
@@ -246,43 +246,33 @@ fn run(cfg: &Config, cache: &Arc<PlanCache>, reads: Reads) -> (Vec<Vec<f64>>, Ph
 fn every_read_order_matches_evaluate_then_read() {
     ArraySplit::register_default();
     for workers in [1, 2] {
-        for placement in [true, false] {
-            for split_form in [true, false] {
-                for pipeline in [true, false] {
-                    let mut cfg = Config::with_workers(workers);
-                    cfg.batch_override = Some(6);
-                    cfg.pedantic = true;
-                    cfg.placement_merge = placement;
-                    cfg.split_form = split_form;
-                    cfg.pipeline = pipeline;
-                    let label =
-                        format!("{workers}w placement={placement} sf={split_form} pipe={pipeline}");
-                    let reference_cache = Arc::new(PlanCache::new(8));
-                    let (reference, _) = run(&cfg, &reference_cache, Reads::EvaluateFirst);
+        for pipeline in [true, false] {
+            let mut cfg = Config::with_workers(workers);
+            cfg.batch_override = Some(6);
+            cfg.pedantic = true;
+            cfg.pipeline = pipeline;
+            let label = format!("{workers}w pipe={pipeline}");
+            let reference_cache = Arc::new(PlanCache::new(8));
+            let (reference, _) = run(&cfg, &reference_cache, Reads::EvaluateFirst);
+            assert_eq!(
+                reference[3],
+                [3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0, 33.0, 36.0, 39.0]
+            );
+            for reads in [Reads::LastOnly, Reads::CaptureOrder, Reads::Reversed] {
+                // Cold then warm: the second run replays the first's
+                // cached plan under the same demand.
+                let cache = Arc::new(PlanCache::new(8));
+                for warm in [false, true] {
+                    let (got, stats) = run(&cfg, &cache, reads);
+                    assert_eq!(got, reference, "{label} {reads:?} warm={warm}");
+                    assert!(stats.deferred_outputs > 0, "{label} {reads:?}: {stats:?}");
                     assert_eq!(
-                        reference[3],
-                        [
-                            3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0, 33.0, 36.0,
-                            39.0
-                        ]
+                        stats.deferred_outputs, stats.deferred_materialized,
+                        "{label} {reads:?}: every handle was eventually read: {stats:?}"
                     );
-                    for reads in [Reads::LastOnly, Reads::CaptureOrder, Reads::Reversed] {
-                        // Cold then warm: the second run replays the
-                        // first's cached plan under the same demand.
-                        let cache = Arc::new(PlanCache::new(8));
-                        for warm in [false, true] {
-                            let (got, stats) = run(&cfg, &cache, reads);
-                            assert_eq!(got, reference, "{label} {reads:?} warm={warm}");
-                            assert!(stats.deferred_outputs > 0, "{label} {reads:?}: {stats:?}");
-                            assert_eq!(
-                                stats.deferred_outputs, stats.deferred_materialized,
-                                "{label} {reads:?}: every handle was eventually read: {stats:?}"
-                            );
-                        }
-                        let s = cache.stats();
-                        assert_eq!((s.hits, s.misses), (1, 1), "{label} {reads:?}");
-                    }
                 }
+                let s = cache.stats();
+                assert_eq!((s.hits, s.misses), (1, 1), "{label} {reads:?}");
             }
         }
     }
@@ -489,30 +479,36 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
 // Failure behaviour of the on-demand merge.
 // ---------------------------------------------------------------------
 
-/// Two independent single-call stages over arrays; returns the context
-/// with the *second* read (so the first handle is deferred) and both
-/// handles.
-fn two_outputs(cfg: Config) -> (MozartContext, FutureHandle, FutureHandle) {
+/// Two independent single-call stages, over arrays (whose merges
+/// place) or chunks (whose merges collect); returns the context with the
+/// *second* read (so the first handle is deferred) and both handles.
+fn two_outputs(cfg: Config, chunks: bool) -> (MozartContext, FutureHandle, FutureHandle) {
     ArraySplit::register_default();
     let ctx = MozartContext::new(cfg);
-    let k = |k: f64| DataValue::new(FloatValue(k));
-    let first = ctx.call(&vmul(), vec![input(48), k(2.0)]).unwrap().unwrap();
-    let second = ctx.call(&vmul(), vec![input(48), k(3.0)]).unwrap().unwrap();
+    let call = |k: f64| {
+        let k = DataValue::new(FloatValue(k));
+        let (annot, x) = if chunks {
+            (chunk_offset(), chunk(48))
+        } else {
+            (vmul(), input(48))
+        };
+        ctx.call(&annot, vec![x, k]).unwrap().unwrap()
+    };
+    let (first, second) = (call(2.0), call(3.0));
     (ctx, first, second)
 }
 
 #[test]
 fn on_demand_merge_panics_are_typed_like_in_stage_ones_and_retryable() {
     silence_injected_panics();
-    let reference = {
-        let (_ctx, first, _second) = two_outputs(Config::with_workers(2));
-        elems(&first.get().unwrap())
-    };
-    for placement in [true, false] {
+    for chunks in [false, true] {
+        let reference = {
+            let (_ctx, first, _second) = two_outputs(Config::with_workers(2), chunks);
+            elems(&first.get().unwrap())
+        };
         let merge_panic_at = |stage: u64| {
             let mut cfg = Config::with_workers(2);
             cfg.batch_override = Some(7);
-            cfg.placement_merge = placement;
             cfg.fault_plan = Some(Arc::new(
                 FaultPlan::new()
                     .point(FaultPoint::once(FaultPhase::Merge, FaultKind::Panic).at_stage(stage)),
@@ -520,13 +516,13 @@ fn on_demand_merge_panics_are_typed_like_in_stage_ones_and_retryable() {
             cfg
         };
         // In-stage: the panic fires while stage 0 merges `first`.
-        let (_ctx, first, _second) = two_outputs(merge_panic_at(0));
+        let (_ctx, first, _second) = two_outputs(merge_panic_at(0), chunks);
         let in_stage = first.get().unwrap_err();
 
         // On demand: the one pipelined stage ran clean with `first`
         // deferred; the fault point addresses its on-demand merge by
         // the next stage index.
-        let (ctx, first, second) = two_outputs(merge_panic_at(1));
+        let (ctx, first, second) = two_outputs(merge_panic_at(1), chunks);
         second.get().unwrap();
         assert_eq!(ctx.stats().deferred_outputs, 1);
         let on_demand = first.get().unwrap_err();
@@ -539,17 +535,16 @@ fn on_demand_merge_panics_are_typed_like_in_stage_ones_and_retryable() {
                         ..
                     }
                 ),
-                "placement={placement}: {err:?}"
+                "chunks={chunks}: {err:?}"
             );
         }
         // The pieces are still there and the context is not poisoned:
-        // the budget is spent, so the retry merges clean.
-        assert_eq!(
-            elems(&first.get().unwrap()),
-            reference,
-            "placement={placement}"
-        );
-        assert_eq!(ctx.stats().deferred_materialized, 1);
+        // the budget is spent, so the retry merges clean — placed for
+        // arrays, collected for chunks.
+        assert_eq!(elems(&first.get().unwrap()), reference, "chunks={chunks}");
+        let stats = ctx.stats();
+        assert_eq!(stats.deferred_materialized, 1);
+        assert_eq!(stats.placement_writes > 0, !chunks, "{stats:?}");
     }
 }
 
@@ -557,7 +552,7 @@ fn on_demand_merge_panics_are_typed_like_in_stage_ones_and_retryable() {
 fn on_demand_merge_honours_the_deadline_and_is_retryable() {
     let mut cfg = Config::with_workers(2);
     cfg.batch_override = Some(7);
-    let (ctx, first, second) = two_outputs(cfg);
+    let (ctx, first, second) = two_outputs(cfg, false);
     second.get().unwrap();
     ctx.set_cancel_token(CancelToken::with_deadline(Instant::now()));
     let err = first.get().unwrap_err();

@@ -22,8 +22,10 @@ use mozart_core::faultinject::{silence_injected_panics, WorkerAbort};
 use mozart_core::prelude::*;
 
 // ---------------------------------------------------------------------
-// A toy functional library over owned chunks (merge by concatenation),
-// plus an in-place variant over `SharedVec` (placement-write path).
+// A toy functional library over owned chunks (no placement capability:
+// outputs are collected and concatenated), the same over `SharedVec`
+// arrays (outputs are written in place), and an in-place variant over
+// `SharedVec` (mut-argument views, nothing to merge).
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -91,11 +93,12 @@ impl Splitter for ChunkSplit {
     }
 }
 
-/// Like [`ChunkSplit`], but `merge` panics while its budget lasts —
-/// models an organic panic inside foreign merge code (local worker
-/// merges and the final merge both route through here).
+/// Like [`ChunkSplit`], but its `panic_at`-th `merge` call (counting
+/// from 1) panics — models an organic panic inside foreign merge code
+/// (local worker merges and the final merge both route through here).
 struct FlakyMergeSplit {
-    panic_budget: AtomicU64,
+    panic_at: u64,
+    calls: AtomicU64,
 }
 
 impl Splitter for FlakyMergeSplit {
@@ -112,11 +115,7 @@ impl Splitter for FlakyMergeSplit {
         ChunkSplit.split(arg, r, p)
     }
     fn merge(&self, pieces: Vec<DataValue>, p: &Params, total: u64) -> Result<DataValue> {
-        if self
-            .panic_budget
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-            .is_ok()
-        {
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.panic_at {
             panic!("organic merge panic (chaos test)");
         }
         ChunkSplit.merge(pieces, p, total)
@@ -178,9 +177,24 @@ fn chunk_scale_with(
     .build()
 }
 
-/// In-place scaling over `SharedVec` through `ArraySplit` — the
-/// placement-write merge strategy (zero-copy slice views, no functional
-/// merge at all when placement is on).
+/// Functional array scaling through `ArraySplit`, whose fresh result
+/// pieces are written in place into one preallocated output.
+fn array_scale() -> Arc<Annotation> {
+    Annotation::new("chaos_array_scale", |inv| {
+        let piece = inv.arg::<SliceView>(0)?;
+        let k = inv.float(1)?;
+        // SAFETY: the piece is only read, by the batch it belongs to.
+        let ys = unsafe { piece.as_slice() }.iter().map(|x| x * k).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
+    })
+    .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
+    .arg("k", missing())
+    .ret(concrete(Arc::new(ArraySplit), vec![0]))
+    .build()
+}
+
+/// In-place scaling over `SharedVec` through `ArraySplit`: mut-argument
+/// slice views, no merge at all.
 fn vec_scale() -> Arc<Annotation> {
     Annotation::new("chaos_vec_scale", |inv| {
         let piece = inv.arg::<SliceView>(0)?;
@@ -202,12 +216,10 @@ fn vec_scale() -> Arc<Annotation> {
 fn chaos_ctx(
     pool: Option<&PoolHandle>,
     workers: usize,
-    placement: bool,
     plan: Option<Arc<FaultPlan>>,
 ) -> MozartContext {
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(1);
-    cfg.placement_merge = placement;
     cfg.fault_plan = plan;
     let ctx = MozartContext::new(cfg);
     if let Some(p) = pool {
@@ -230,6 +242,25 @@ fn run_chunks(ctx: &MozartContext, annot: &Arc<Annotation>, n: u64, k: f64) -> R
         .downcast_ref::<Chunk>()
         .ok_or(Error::Library("not a Chunk".into()))?;
     Ok(c.0.as_ref().clone())
+}
+
+/// Run one placement-merged evaluation and return the output elements.
+fn run_array(ctx: &MozartContext, n: u64, k: f64) -> Result<Vec<f64>> {
+    let data = SharedVec::from_vec((0..n).map(|i| i as f64).collect());
+    let fut = ctx
+        .call(
+            &array_scale(),
+            vec![
+                DataValue::new(VecValue(data)),
+                DataValue::new(FloatValue(k)),
+            ],
+        )?
+        .ok_or(Error::ValueUnavailable)?;
+    let out = fut.get()?;
+    let v = out
+        .downcast_ref::<VecValue>()
+        .ok_or(Error::Library("not an array".into()))?;
+    Ok(v.0.as_slice().to_vec())
 }
 
 /// Run one in-place evaluation and return the mutated elements.
@@ -255,41 +286,51 @@ fn expected(n: u64, k: f64) -> Vec<f64> {
 // Tests
 // ---------------------------------------------------------------------
 
+/// How an evaluation's output leaves its stage.
+#[derive(Debug, Clone, Copy)]
+enum Output {
+    /// Written in place into a preallocated value (arrays).
+    Placed,
+    /// Collected and concatenated (chunks).
+    Collected,
+    /// A mutated argument: nothing to merge.
+    InPlace,
+}
+
+impl Output {
+    fn run(self, ctx: &MozartContext, n: u64, k: f64) -> Result<Vec<f64>> {
+        match self {
+            Output::Placed => run_array(ctx, n, k),
+            Output::Collected => run_chunks(ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, k),
+            Output::InPlace => run_vec(ctx, n, k),
+        }
+    }
+}
+
 #[test]
 fn injected_panics_surface_typed_in_every_phase_and_merge_mode() {
     silence_injected_panics();
     let pool = PoolHandle::new(2);
     let n = 16u64;
-    for placement in [true, false] {
-        for phase in [FaultPhase::Split, FaultPhase::Task, FaultPhase::Merge] {
-            for functional in [true, false] {
-                let plan =
-                    Arc::new(FaultPlan::new().point(FaultPoint::once(phase, FaultKind::Panic)));
-                let ctx = chaos_ctx(Some(&pool), 3, placement, Some(plan.clone()));
-                let err = if functional {
-                    run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 2.0)
-                        .unwrap_err()
-                } else {
-                    run_vec(&ctx, n, 2.0).unwrap_err()
-                };
-                match &err {
-                    Error::TaskPanicked { stage, payload } => {
-                        assert_eq!(*stage, phase, "panic attributed to its phase");
-                        assert!(payload.contains("injected"), "payload: {payload}");
-                    }
-                    other => panic!(
-                        "placement={placement} phase={phase} functional={functional}: \
-                         expected TaskPanicked, got {other:?}"
-                    ),
+    for phase in [FaultPhase::Split, FaultPhase::Task, FaultPhase::Merge] {
+        for output in [Output::Placed, Output::Collected, Output::InPlace] {
+            let plan = Arc::new(FaultPlan::new().point(FaultPoint::once(phase, FaultKind::Panic)));
+            let ctx = chaos_ctx(Some(&pool), 3, Some(plan.clone()));
+            match &output.run(&ctx, n, 2.0).unwrap_err() {
+                Error::TaskPanicked { stage, payload } => {
+                    assert_eq!(*stage, phase, "panic attributed to its phase");
+                    assert!(payload.contains("injected"), "payload: {payload}");
                 }
-                assert_eq!(plan.fired(), 1, "explicit point fires exactly once");
-
-                // The pool survived: a clean evaluation still works.
-                let ctx = chaos_ctx(Some(&pool), 3, placement, None);
-                let out =
-                    run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 3.0).unwrap();
-                assert_eq!(out, expected(n, 3.0));
+                other => panic!("{output:?} phase={phase}: expected TaskPanicked, got {other:?}"),
             }
+            assert_eq!(plan.fired(), 1, "explicit point fires exactly once");
+
+            // The pool survived: a clean evaluation still works.
+            let ctx = chaos_ctx(Some(&pool), 3, None);
+            assert_eq!(output.run(&ctx, n, 3.0).unwrap(), expected(n, 3.0));
+            let stats = ctx.stats();
+            let placed = matches!(output, Output::Placed);
+            assert_eq!(stats.placement_writes > 0, placed, "{output:?}: {stats:?}");
         }
     }
     assert_eq!(
@@ -305,7 +346,7 @@ fn injected_errors_are_typed_and_delays_only_slow_things_down() {
     let n = 8u64;
     let plan =
         Arc::new(FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, FaultKind::Error)));
-    let ctx = chaos_ctx(Some(&pool), 2, true, Some(plan));
+    let ctx = chaos_ctx(Some(&pool), 2, Some(plan));
     let err = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 2.0).unwrap_err();
     match &err {
         Error::Injected(m) => assert!(m.contains("task"), "{m}"),
@@ -316,7 +357,7 @@ fn injected_errors_are_typed_and_delays_only_slow_things_down() {
         FaultPhase::Task,
         FaultKind::Delay(Duration::from_millis(20)),
     )));
-    let ctx = chaos_ctx(Some(&pool), 2, true, Some(plan.clone()));
+    let ctx = chaos_ctx(Some(&pool), 2, Some(plan.clone()));
     let t0 = Instant::now();
     let out = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 2.0).unwrap();
     assert_eq!(out, expected(n, 2.0), "a delayed batch still computes");
@@ -330,17 +371,17 @@ fn retried_evaluation_is_bit_identical_to_fault_free() {
     let pool = PoolHandle::new(2);
     let n = 64u64;
     let clean = {
-        let ctx = chaos_ctx(Some(&pool), 3, true, None);
+        let ctx = chaos_ctx(Some(&pool), 3, None);
         run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 2.5).unwrap()
     };
     for kind in [FaultKind::Panic, FaultKind::Error] {
         // The once-budget is the retry contract: attempt 1 faults,
         // attempt 2 (fresh context, same plan) runs clean.
         let plan = Arc::new(FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, kind)));
-        let ctx = chaos_ctx(Some(&pool), 3, true, Some(plan.clone()));
+        let ctx = chaos_ctx(Some(&pool), 3, Some(plan.clone()));
         let err = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 2.5);
         assert!(err.is_err(), "first attempt must fault");
-        let retry_ctx = chaos_ctx(Some(&pool), 3, true, Some(plan));
+        let retry_ctx = chaos_ctx(Some(&pool), 3, Some(plan));
         let retried = run_chunks(
             &retry_ctx,
             &chunk_scale(Duration::ZERO, Misbehave::No),
@@ -360,7 +401,7 @@ fn retried_evaluation_is_bit_identical_to_fault_free() {
 fn deadline_token_cancels_mid_evaluation_at_a_batch_boundary() {
     let pool = PoolHandle::new(1);
     let n = 200u64;
-    let ctx = chaos_ctx(Some(&pool), 2, true, None);
+    let ctx = chaos_ctx(Some(&pool), 2, None);
     ctx.set_cancel_token(CancelToken::with_deadline(
         Instant::now() + Duration::from_millis(15),
     ));
@@ -381,7 +422,7 @@ fn deadline_token_cancels_mid_evaluation_at_a_batch_boundary() {
     );
 
     // An explicitly cancelled token sheds before any batch runs.
-    let ctx = chaos_ctx(Some(&pool), 2, true, None);
+    let ctx = chaos_ctx(Some(&pool), 2, None);
     let token = CancelToken::new();
     token.cancel();
     ctx.set_cancel_token(token);
@@ -397,7 +438,7 @@ fn killed_pool_workers_are_respawned_and_keep_serving() {
     // Pool threads unwind the WorkerAbort marker on their first batch
     // (the caller's own driver loop keeps going): the job must fail
     // typed, not hang, and the dead threads must be replaced.
-    let ctx = chaos_ctx(Some(&pool), 3, true, None);
+    let ctx = chaos_ctx(Some(&pool), 3, None);
     let err = run_chunks(
         &ctx,
         &chunk_scale(Duration::from_millis(1), Misbehave::KillPoolThreads),
@@ -425,7 +466,7 @@ fn killed_pool_workers_are_respawned_and_keep_serving() {
 
     // Liveness: the respawned threads serve follow-up work — a sleepy
     // multi-batch job on session 77 must see pool-side participation.
-    let ctx = chaos_ctx(Some(&pool), 3, true, None);
+    let ctx = chaos_ctx(Some(&pool), 3, None);
     ctx.set_session_tag(77);
     let out = run_chunks(
         &ctx,
@@ -456,7 +497,7 @@ fn injected_kill_worker_fault_fails_typed_and_pool_survives() {
     let plan = Arc::new(
         FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, FaultKind::KillWorker).times(n)),
     );
-    let ctx = chaos_ctx(Some(&pool), 3, true, Some(plan.clone()));
+    let ctx = chaos_ctx(Some(&pool), 3, Some(plan.clone()));
     let err = run_chunks(
         &ctx,
         &chunk_scale(Duration::from_millis(1), Misbehave::No),
@@ -471,7 +512,7 @@ fn injected_kill_worker_fault_fails_typed_and_pool_survives() {
     assert!(plan.fired() >= 1);
     // Whether the fault hit the caller (degraded to a caught panic) or
     // a pool thread (died, respawned), the pool keeps serving.
-    let ctx = chaos_ctx(Some(&pool), 3, true, None);
+    let ctx = chaos_ctx(Some(&pool), 3, None);
     let out = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 5.0).unwrap();
     assert_eq!(out, expected(n, 5.0));
 }
@@ -481,7 +522,7 @@ fn organic_task_panic_fails_job_not_worker() {
     let pool = PoolHandle::new(2);
     let n = 64u64;
     let before = pool.stats().respawned_workers;
-    let ctx = chaos_ctx(Some(&pool), 3, true, None);
+    let ctx = chaos_ctx(Some(&pool), 3, None);
     let err = run_chunks(
         &ctx,
         &chunk_scale(Duration::from_millis(1), Misbehave::PanicOnPoolThreads),
@@ -503,33 +544,36 @@ fn organic_task_panic_fails_job_not_worker() {
         "a caught panic must not cost a worker thread"
     );
     // Same pool, clean run.
-    let ctx = chaos_ctx(Some(&pool), 3, true, None);
+    let ctx = chaos_ctx(Some(&pool), 3, None);
     let out = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 3.0).unwrap();
     assert_eq!(out, expected(n, 3.0));
 }
 
 #[test]
 fn organic_merge_panics_are_typed_in_either_merge_mode() {
-    // The flaky splitter panics on its first merge call — wherever that
-    // lands (worker-local merge or the caller's final merge), it must
-    // surface typed.
-    for placement in [true, false] {
+    // The flaky splitter panics on its `panic_at`-th merge call. On one
+    // worker, every batch is one contiguous run: the first merge call is
+    // the worker-local merge, the second the caller's final merge.
+    // Wherever it lands, it must surface typed.
+    for panic_at in [1, 2] {
         let pool = PoolHandle::new(2);
         let splitter = Arc::new(FlakyMergeSplit {
-            panic_budget: AtomicU64::new(1),
+            panic_at,
+            calls: AtomicU64::new(0),
         });
         let annot = chunk_scale_with(splitter, Duration::ZERO, Misbehave::No);
-        let ctx = chaos_ctx(Some(&pool), 3, placement, None);
+        let ctx = chaos_ctx(Some(&pool), 1, None);
         let err = run_chunks(&ctx, &annot, 32, 2.0).unwrap_err();
         match &err {
             Error::TaskPanicked { stage, payload } => {
-                assert_eq!(*stage, FaultPhase::Merge, "placement={placement}");
+                assert_eq!(*stage, FaultPhase::Merge, "panic_at={panic_at}");
                 assert!(payload.contains("organic merge panic"), "{payload}");
             }
-            other => panic!("placement={placement}: expected TaskPanicked, got {other:?}"),
+            other => panic!("panic_at={panic_at}: expected TaskPanicked, got {other:?}"),
         }
-        // Budget spent: the retry merges cleanly and bit-identically.
-        let ctx = chaos_ctx(Some(&pool), 3, placement, None);
+        // The panic is spent: the retry merges cleanly and
+        // bit-identically.
+        let ctx = chaos_ctx(Some(&pool), 3, None);
         let out = run_chunks(&ctx, &annot, 32, 2.0).unwrap();
         assert_eq!(out, expected(32, 2.0));
     }
@@ -543,14 +587,14 @@ fn scoped_no_pool_path_reports_typed_panics() {
     // caller instead of reporting them as typed errors.
     let plan =
         Arc::new(FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, FaultKind::Panic)));
-    let ctx = chaos_ctx(None, 3, true, Some(plan));
+    let ctx = chaos_ctx(None, 3, Some(plan));
     let err = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), 32, 2.0).unwrap_err();
     assert!(
         matches!(err, Error::TaskPanicked { .. }),
         "expected TaskPanicked, got {err:?}"
     );
     // And the context stays usable afterwards.
-    let ctx = chaos_ctx(None, 3, true, None);
+    let ctx = chaos_ctx(None, 3, None);
     let out = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), 32, 2.0).unwrap();
     assert_eq!(out, expected(32, 2.0));
 }
@@ -560,11 +604,11 @@ fn quiet_fault_plan_perturbs_nothing() {
     let pool = PoolHandle::new(1);
     let n = 48u64;
     let clean = {
-        let ctx = chaos_ctx(Some(&pool), 2, true, None);
+        let ctx = chaos_ctx(Some(&pool), 2, None);
         run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 1.5).unwrap()
     };
     let plan = Arc::new(FaultPlan::seeded(9, 0, None, FaultKind::Panic));
-    let ctx = chaos_ctx(Some(&pool), 2, true, Some(plan.clone()));
+    let ctx = chaos_ctx(Some(&pool), 2, Some(plan.clone()));
     let out = run_chunks(&ctx, &chunk_scale(Duration::ZERO, Misbehave::No), n, 1.5).unwrap();
     assert_eq!(
         out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

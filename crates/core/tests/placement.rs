@@ -115,11 +115,35 @@ impl Placement for PlacedPlacement {
     }
 }
 
-fn ctx(workers: usize, batch: u64, placement: bool) -> MozartContext {
+/// [`PlacedSplit`] without its placement capability: its outputs are
+/// collected and concatenated.
+struct CollectedSplit(PlacedSplit);
+
+impl Splitter for CollectedSplit {
+    fn name(&self) -> &'static str {
+        "CollectedSplit"
+    }
+    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
+        self.0.construct(ctor_args)
+    }
+    fn info(&self, arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
+        self.0.info(arg, params)
+    }
+    fn split(&self, arg: &DataValue, r: Range<u64>, params: &Params) -> Result<Option<DataValue>> {
+        self.0.split(arg, r, params)
+    }
+    fn merge(&self, pieces: Vec<DataValue>, params: &Params, total: u64) -> Result<DataValue> {
+        self.0.merge(pieces, params, total)
+    }
+    fn merge_strategy(&self) -> MergeStrategy {
+        MergeStrategy::Concat { placement: None }
+    }
+}
+
+fn ctx(workers: usize, batch: u64) -> MozartContext {
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(batch);
     cfg.pedantic = true;
-    cfg.placement_merge = placement;
     MozartContext::new(cfg)
 }
 
@@ -149,7 +173,7 @@ fn out_of_order_placement_writes_land_at_their_offsets() {
     // enough that completion order differs from element order; the
     // placement output must still be in element order.
     let n = 48u64;
-    let c = ctx(4, 1, true);
+    let c = ctx(4, 1);
     let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 1 });
     let annot = scaled_fresh_annotation(splitter, Duration::from_micros(300));
     let fut = c
@@ -173,7 +197,7 @@ fn null_split_tail_underfills_without_corrupting_neighbors() {
     // past n see NULL and stop. The placement output must truncate to
     // exactly the written prefix, with every real element intact.
     let n = 40u64;
-    let c = ctx(4, 1, true);
+    let c = ctx(4, 1);
     let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 2 });
     let annot = scaled_fresh_annotation(splitter, Duration::from_micros(200));
     let fut = c
@@ -195,7 +219,7 @@ fn clipped_final_piece_truncates_to_actual_elements() {
     // actual length â a batch-range count would truncate to 40 and
     // leak 3 never-written elements.
     let n = 37u64;
-    let c = ctx(2, 8, true);
+    let c = ctx(2, 8);
     let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 2 });
     let annot = scaled_fresh_annotation(splitter, Duration::ZERO);
     let fut = c
@@ -220,8 +244,13 @@ fn deferred_null_split_tail_underfills_like_the_eager_merge() {
     let expect: Vec<f64> = (0..n).map(|i| i as f64 * 2.0).collect();
     for placement in [true, false] {
         for eager in [true, false] {
-            let c = ctx(2, 8, placement);
-            let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 2 });
+            let c = ctx(2, 8);
+            let placed = PlacedSplit { claim_factor: 2 };
+            let splitter: Arc<dyn Splitter> = if placement {
+                Arc::new(placed)
+            } else {
+                Arc::new(CollectedSplit(placed))
+            };
             let annot = scaled_fresh_annotation(splitter, Duration::ZERO);
             let first = c
                 .call(&annot, vec![vec_value(n as usize)])
@@ -262,7 +291,7 @@ fn placement_and_mut_alias_outputs_coexist_in_one_stage() {
     // and returns fresh pieces (merged by placement). Both outputs must
     // come out right from a single stage.
     let n = 32usize;
-    let c = ctx(3, 4, true);
+    let c = ctx(3, 4);
     let annot = Annotation::new("scale_and_square", |inv| {
         let xs = inv.arg::<VecValue>(0)?;
         let out = inv.arg::<mozart_core::SliceView>(1)?;
@@ -513,7 +542,7 @@ fn a_merge_panic_in_the_reusing_stage_is_typed_and_the_retry_allocates() {
 #[test]
 fn without_a_plan_cache_nothing_is_parked_or_reused() {
     let (_, annot) = &reuse_annotations(1)[0];
-    let c = ctx(2, 8, true);
+    let c = ctx(2, 8);
     for _ in 0..3 {
         let fut = c.call(annot, vec![vec_value(64)]).unwrap().unwrap();
         let out = fut.get().unwrap();

@@ -349,7 +349,7 @@ fn a_replay_that_fails_to_bind_invalidates_and_replans() {
     let mul = mul_annotation();
     let run = |keep_intermediate: bool| {
         let mut cfg = Config::with_workers(1);
-        (cfg.pipeline, cfg.split_form, cfg.batch_override) = (false, true, Some(4));
+        (cfg.pipeline, cfg.batch_override) = (false, Some(4));
         let ctx = MozartContext::new(cfg);
         ctx.attach_plan_cache(cache.clone());
         let xs = DataValue::new(VecValue(SharedVec::from_vec(vec![1.0; 16])));

@@ -288,11 +288,10 @@ fn evaluation_meters_split_bytes_in_phase_stats() {
 
 #[test]
 fn invalid_config_poisons_context_loudly() {
-    // Regression (ISSUE 4): a NaN batch_constant used to silently clamp
-    // every stage to 1-element batches; now it surfaces as a typed
-    // error on the first call.
+    // An unusable batch-heuristic input surfaces as a typed error on
+    // the first call instead of mis-sizing every stage.
     let mut cfg = Config::with_workers(2);
-    cfg.batch_constant = f64::NAN;
+    cfg.l2_bytes = 0;
     let ctx = MozartContext::new(cfg);
     let annot = scale_annotation(Duration::ZERO);
     let data = Chunk(Arc::new(vec![1.0; 8]));
@@ -309,7 +308,7 @@ fn invalid_config_poisons_context_loudly() {
     // set_config with a bad config poisons an existing context too...
     let ctx = MozartContext::with_workers(1);
     let mut bad = Config::with_workers(1);
-    bad.batch_constant = -1.0;
+    bad.l2_bytes = 0;
     ctx.set_config(bad);
     assert!(matches!(ctx.evaluate(), Err(Error::InvalidConfig(_))));
     // ...and attaching a valid config clears the poison (nothing was

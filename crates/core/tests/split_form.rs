@@ -6,7 +6,9 @@
 //! The invariants under test:
 //!
 //! * hand-offs elide the merge→re-split round-trip while producing
-//!   results **bit-identical** to the classic path (`split_form` off);
+//!   results **bit-identical** to the element-wise values and to the
+//!   classic path (the same chain with its intermediates held, so they
+//!   merge);
 //! * misaligned downstream batch boundaries re-slice through the split
 //!   type's `Concat` capability, still bit-identically;
 //! * hand-offs compose with placement merges, plan-cache replay,
@@ -128,12 +130,11 @@ fn whole_len() -> Arc<Annotation> {
     .build()
 }
 
-fn sf_ctx(workers: usize, batch: Option<u64>, split_form: bool) -> MozartContext {
+fn sf_ctx(workers: usize, batch: Option<u64>) -> MozartContext {
     ArraySplit::register_default();
     let mut cfg = Config::with_workers(workers);
     cfg.pipeline = false; // every call its own stage: boundaries to elide
     cfg.batch_override = batch;
-    cfg.split_form = split_form;
     cfg.pedantic = true;
     MozartContext::new(cfg)
 }
@@ -144,9 +145,10 @@ fn input(n: usize) -> DataValue {
     )))
 }
 
-/// Run `x*2 → *3 → *0.5` with intermediates dropped, returning the
-/// final elements.
-fn run_chain(ctx: &MozartContext, n: usize) -> Vec<f64> {
+/// Run `x*2 → *3 → *0.5`, returning the final elements. With
+/// intermediates dropped they are hand-off candidates; held, the
+/// application can observe them and they merge classically.
+fn run_chain(ctx: &MozartContext, n: usize, hold: bool) -> Vec<f64> {
     let m = vmul();
     let f1 = ctx
         .call(&m, vec![input(n), DataValue::new(FloatValue(2.0))])
@@ -160,13 +162,21 @@ fn run_chain(ctx: &MozartContext, n: usize) -> Vec<f64> {
         .call(&m, vec![f2.as_value(), DataValue::new(FloatValue(0.5))])
         .unwrap()
         .unwrap();
-    drop((f1, f2)); // intermediates unobservable: hand-off candidates
+    let held = hold.then_some((f1, f2));
     let out = f3.get().unwrap();
+    drop(held);
     out.downcast_ref::<VecValue>()
         .unwrap()
         .0
         .as_slice()
         .to_vec()
+}
+
+/// What [`run_chain`] computes, element by element.
+fn chain_values(n: usize) -> Vec<f64> {
+    let x = input(n);
+    let xs = x.downcast_ref::<VecValue>().unwrap().0.as_slice().to_vec();
+    xs.iter().map(|x| x * 2.0 * 3.0 * 0.5).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -176,19 +186,23 @@ fn run_chain(ctx: &MozartContext, n: usize) -> Vec<f64> {
 #[test]
 fn handoff_elides_merges_bit_identically() {
     let n = 48;
-    let on = sf_ctx(3, Some(7), true);
-    let got = run_chain(&on, n);
-    let off = sf_ctx(3, Some(7), false);
-    let baseline = run_chain(&off, n);
-    assert_eq!(got, baseline, "split-form must be bit-identical");
+    let handed = sf_ctx(3, Some(7));
+    let got = run_chain(&handed, n, false);
+    let merged = sf_ctx(3, Some(7));
+    let classic = run_chain(&merged, n, true);
+    assert_eq!(got, chain_values(n), "split-form must be bit-identical");
+    assert_eq!(classic, got);
 
-    let s_on = on.stats();
-    let s_off = off.stats();
+    let s_on = handed.stats();
     assert_eq!(
         s_on.split_form_handoffs, 2,
         "both dropped intermediates hand off"
     );
-    assert_eq!(s_off.split_form_handoffs, 0, "ablation must not hand off");
+    assert_eq!(
+        merged.stats().split_form_handoffs,
+        0,
+        "held intermediates merge"
+    );
     assert_eq!(
         s_on.split_form_reslices, 0,
         "identical batch geometry serves whole-piece clones"
@@ -209,51 +223,45 @@ fn misaligned_downstream_batches_reslice_through_concat() {
     // producer's piece size and every range needs a concat re-slice.
     ArraySplit::register_default();
     let n = 128usize;
-    let mk = |split_form: bool| {
-        let mut cfg = Config::with_workers(2);
-        cfg.pipeline = false;
-        cfg.l2_bytes = 512;
-        cfg.batch_constant = 1.0;
-        cfg.batch_override = None;
-        cfg.split_form = split_form;
-        cfg.pedantic = true;
-        MozartContext::new(cfg)
-    };
-    let run = |ctx: &MozartContext| {
-        let f1 = ctx
-            .call(&vmul(), vec![input(n), DataValue::new(FloatValue(2.0))])
-            .unwrap()
-            .unwrap();
-        let fz = ctx
-            .call(&vadd(), vec![f1.as_value(), input(n)])
-            .unwrap()
-            .unwrap();
-        drop(f1);
-        let out = fz.get().unwrap();
-        out.downcast_ref::<VecValue>()
-            .unwrap()
-            .0
-            .as_slice()
-            .to_vec()
-    };
-    let on = mk(true);
-    let got = run(&on);
-    let off = mk(false);
-    assert_eq!(got, run(&off), "re-sliced hand-off must be bit-identical");
-    let s = on.stats();
+    let mut cfg = Config::with_workers(2);
+    cfg.pipeline = false;
+    cfg.l2_bytes = 512;
+    cfg.batch_override = None;
+    cfg.pedantic = true;
+    let ctx = MozartContext::new(cfg);
+    let f1 = ctx
+        .call(&vmul(), vec![input(n), DataValue::new(FloatValue(2.0))])
+        .unwrap()
+        .unwrap();
+    let fz = ctx
+        .call(&vadd(), vec![f1.as_value(), input(n)])
+        .unwrap()
+        .unwrap();
+    drop(f1);
+    let out = fz.get().unwrap();
+    let got = out
+        .downcast_ref::<VecValue>()
+        .unwrap()
+        .0
+        .as_slice()
+        .to_vec();
+    let x = input(n);
+    let xs = x.downcast_ref::<VecValue>().unwrap().0.as_slice();
+    let want: Vec<f64> = xs.iter().map(|x| x * 2.0 + x).collect();
+    assert_eq!(got, want, "re-sliced hand-off must be bit-identical");
+    let s = ctx.stats();
     assert_eq!(s.split_form_handoffs, 1);
     assert!(
         s.split_form_reslices > 0,
         "halved downstream batches cannot reuse whole pieces: {s:?}"
     );
-    assert_eq!(off.stats().split_form_handoffs, 0);
 }
 
 #[test]
 fn observed_and_whole_value_consumers_merge_classically() {
     // A held future is user-visible: no hand-off even though a later
     // node re-splits it.
-    let ctx = sf_ctx(2, Some(8), true);
+    let ctx = sf_ctx(2, Some(8));
     let m = vmul();
     let f1 = ctx
         .call(&m, vec![input(32), DataValue::new(FloatValue(2.0))])
@@ -277,7 +285,7 @@ fn observed_and_whole_value_consumers_merge_classically() {
 
     // A `_`-typed consumer needs the whole value: the planner must
     // decline the rewrite up front (no hand-off, no fallback).
-    let ctx = sf_ctx(2, Some(8), true);
+    let ctx = sf_ctx(2, Some(8));
     let f1 = ctx
         .call(&m, vec![input(32), DataValue::new(FloatValue(2.0))])
         .unwrap()
@@ -300,15 +308,9 @@ fn plan_cache_replay_preserves_the_rewrite() {
     let n = 40;
     let mut results = Vec::new();
     for round in 0..2 {
-        ArraySplit::register_default();
-        let mut cfg = Config::with_workers(2);
-        cfg.pipeline = false;
-        cfg.batch_override = Some(9);
-        cfg.split_form = true;
-        cfg.pedantic = true;
-        let ctx = MozartContext::new(cfg);
+        let ctx = sf_ctx(2, Some(9));
         ctx.attach_plan_cache(cache.clone());
-        results.push(run_chain(&ctx, n));
+        results.push(run_chain(&ctx, n, false));
         assert_eq!(
             ctx.stats().split_form_handoffs,
             2,
@@ -325,26 +327,11 @@ fn plan_cache_replay_preserves_the_rewrite() {
 }
 
 #[test]
-fn split_form_off_fingerprints_separately() {
-    // The same pipeline under `split_form: false` must not replay a
-    // plan recorded with the rewrite applied (and vice versa).
-    let cache = Arc::new(PlanCache::new(8));
-    for (split_form, expect_handoffs) in [(true, 2), (false, 0)] {
-        let ctx = sf_ctx(2, Some(9), split_form);
-        ctx.attach_plan_cache(cache.clone());
-        run_chain(&ctx, 40);
-        assert_eq!(ctx.stats().split_form_handoffs, expect_handoffs);
-    }
-    let s = cache.stats();
-    assert_eq!((s.hits, s.misses), (0, 2), "ablation shares no plans");
-}
-
-#[test]
 fn handoff_composes_with_injected_faults() {
     silence_injected_panics();
     // A task panic in the consuming stage (stage 1 reads stage 0's
     // hand-off) surfaces typed, and a fault-free retry on a fresh
-    // context is bit-identical to the classic path.
+    // context is bit-identical to the element-wise values.
     let plan = Arc::new(
         FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, FaultKind::Panic).at_stage(1)),
     );
@@ -352,7 +339,6 @@ fn handoff_composes_with_injected_faults() {
     let mut cfg = Config::with_workers(2);
     cfg.pipeline = false;
     cfg.batch_override = Some(7);
-    cfg.split_form = true;
     cfg.fault_plan = Some(plan);
     let ctx = MozartContext::new(cfg);
     let m = vmul();
@@ -371,15 +357,14 @@ fn handoff_composes_with_injected_faults() {
         "expected TaskPanicked, got {err:?}"
     );
 
-    let retry = sf_ctx(2, Some(7), true);
-    let clean = sf_ctx(2, Some(7), false);
-    assert_eq!(run_chain(&retry, 48), run_chain(&clean, 48));
+    let retry = sf_ctx(2, Some(7));
+    assert_eq!(run_chain(&retry, 48, false), chain_values(48));
     assert!(retry.stats().split_form_handoffs > 0);
 }
 
 #[test]
 fn handoff_respects_cancellation() {
-    let ctx = sf_ctx(2, Some(4), true);
+    let ctx = sf_ctx(2, Some(4));
     let token = CancelToken::new();
     token.cancel();
     ctx.set_cancel_token(token);
@@ -402,7 +387,7 @@ fn slow_consumer_still_sheds_on_deadline() {
     // A deadline that expires mid-chain cancels at a batch boundary of
     // whichever stage is running — hand-offs must not bypass the
     // cancellation poll.
-    let ctx = sf_ctx(2, Some(1), true);
+    let ctx = sf_ctx(2, Some(1));
     ctx.set_cancel_token(CancelToken::with_deadline(
         std::time::Instant::now() + Duration::from_millis(10),
     ));

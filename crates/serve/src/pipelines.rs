@@ -22,12 +22,12 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use mozart_core::{ArraySplit, DataValue, MozartContext, SharedVec, VecValue};
+use mozart_core::{ArraySplit, DataValue, SharedVec, VecValue};
 use sa_dataframe::{DfValue, RowSplit};
 use sa_image::{ImageSplit, ImgValue};
 
 use crate::error::{Result, ServeError};
-use crate::service::{run_segment, Pipeline, Request, Response, Segment, SegmentInput};
+use crate::service::{Pipeline, Request, Response, Segment, SegmentInput};
 
 /// Largest accepted element count for array pipelines (128 Mi doubles
 /// per input vector would already be ~1 GiB across Black Scholes'
@@ -163,13 +163,6 @@ impl Pipeline for BlackScholesPipeline {
         "black_scholes"
     }
 
-    fn run(&self, ctx: &MozartContext, req: &Request) -> mozart_core::Result<Response> {
-        match self.segment(req) {
-            Some(seg) => run_segment(ctx, seg?),
-            None => unreachable!("black_scholes always builds a segment"),
-        }
-    }
-
     fn coalesce_key(&self, req: &Request) -> Option<u64> {
         shape_key(
             "black_scholes",
@@ -252,13 +245,6 @@ impl Pipeline for HaversinePipeline {
         "haversine"
     }
 
-    fn run(&self, ctx: &MozartContext, req: &Request) -> mozart_core::Result<Response> {
-        match self.segment(req) {
-            Some(seg) => run_segment(ctx, seg?),
-            None => unreachable!("haversine always builds a segment"),
-        }
-    }
-
     fn coalesce_key(&self, req: &Request) -> Option<u64> {
         shape_key("haversine", req, &[bounded(req, "n", 8192, MAX_ELEMENTS)])
     }
@@ -314,13 +300,6 @@ impl NashvillePipeline {
 impl Pipeline for NashvillePipeline {
     fn name(&self) -> &'static str {
         "nashville"
-    }
-
-    fn run(&self, ctx: &MozartContext, req: &Request) -> mozart_core::Result<Response> {
-        match self.segment(req) {
-            Some(seg) => run_segment(ctx, seg?),
-            None => unreachable!("nashville always builds a segment"),
-        }
     }
 
     fn coalesce_key(&self, req: &Request) -> Option<u64> {
@@ -403,13 +382,6 @@ impl CrimeIndexPipeline {
 impl Pipeline for CrimeIndexPipeline {
     fn name(&self) -> &'static str {
         "crime_index"
-    }
-
-    fn run(&self, ctx: &MozartContext, req: &Request) -> mozart_core::Result<Response> {
-        match self.segment(req) {
-            Some(seg) => run_segment(ctx, seg?),
-            None => unreachable!("crime_index always builds a segment"),
-        }
     }
 
     fn coalesce_key(&self, req: &Request) -> Option<u64> {

@@ -169,11 +169,20 @@ pub trait Pipeline: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Execute the pipeline through `ctx` (already wired to the
-    /// service's shared pool and plan cache). Pipelines that implement
-    /// [`Pipeline::segment`] can delegate to [`run_segment`], which
-    /// guarantees the single-request path and the coalesced path share
-    /// one evaluation body.
-    fn run(&self, ctx: &MozartContext, req: &Request) -> mozart_core::Result<Response>;
+    /// service's shared pool and plan cache). The default runs the
+    /// request's [`Pipeline::segment`] through [`run_segment`], so the
+    /// single-request path and the coalesced path share one evaluation
+    /// body; a pipeline with neither its own `run` nor a segment fails
+    /// with [`mozart_core::Error::Library`].
+    fn run(&self, ctx: &MozartContext, req: &Request) -> mozart_core::Result<Response> {
+        match self.segment(req) {
+            Some(seg) => run_segment(ctx, seg?),
+            None => Err(mozart_core::Error::Library(format!(
+                "pipeline {} implements neither run nor segment",
+                self.name()
+            ))),
+        }
+    }
 
     /// Coalescing key: requests with equal keys produce pending-segment
     /// fingerprints that match (the plan-cache key from

@@ -817,3 +817,22 @@ fn weighted_sessions_share_the_pool_without_starvation() {
         "cold session share {cold_share:.3} collapsed: {pool:?}"
     );
 }
+
+/// A pipeline with neither its own `run` nor a segment.
+struct HollowPipeline;
+
+impl Pipeline for HollowPipeline {
+    fn name(&self) -> &'static str {
+        "hollow"
+    }
+}
+
+#[test]
+fn a_pipeline_with_nothing_to_run_fails_typed() {
+    let ctx = MozartContext::with_workers(1);
+    let err = HollowPipeline.run(&ctx, &Request::new()).unwrap_err();
+    assert!(
+        matches!(&err, mozart_core::Error::Library(m) if m.contains("hollow")),
+        "{err:?}"
+    );
+}

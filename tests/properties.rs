@@ -522,28 +522,15 @@ enum ReadOrder {
 struct DemandAxes {
     workers: usize,
     batch: u64,
-    placement: bool,
-    split_form: bool,
     pipeline: bool,
 }
 
 fn demand_axes() -> impl Strategy<Value = DemandAxes> {
-    (
-        1usize..3,
-        1u64..24,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(workers, batch, placement, split_form, pipeline)| DemandAxes {
-                workers,
-                batch,
-                placement,
-                split_form,
-                pipeline,
-            },
-        )
+    (1usize..3, 1u64..24, any::<bool>()).prop_map(|(workers, batch, pipeline)| DemandAxes {
+        workers,
+        batch,
+        pipeline,
+    })
 }
 
 /// Capture a pipeline on a fresh context, read its handles per `order`,
@@ -559,8 +546,6 @@ fn read_handles(
     let mut cfg = Config::with_workers(axes.workers);
     cfg.batch_override = Some(axes.batch);
     cfg.pedantic = true;
-    cfg.placement_merge = axes.placement;
-    cfg.split_form = axes.split_form;
     cfg.pipeline = axes.pipeline;
     let c = MozartContext::new(cfg);
     c.attach_plan_cache(cache.clone());
