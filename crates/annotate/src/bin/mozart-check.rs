@@ -55,8 +55,8 @@ fn main() -> ExitCode {
             diagnostics += 1;
         }
         // Builtins must also be lint-clean: a Concat-strategy split
-        // type without its concat() capability silently disables the
-        // planner's split-form rewrite.
+        // type without its concat() capability silently disables
+        // request coalescing.
         for lint in mozart_core::verify::lint_annotation(annot) {
             eprintln!("mozart-check: builtin: {lint}");
             diagnostics += 1;

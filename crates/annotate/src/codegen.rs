@@ -114,8 +114,8 @@ fn generate_split_type(name: &str, params: &[String], file: &AnnotationFile) -> 
         "        // Some(Arc::new({name}Concat)) once the skeleton below is\n"
     ));
     for line in [
-        "        // implemented; keeping None disables split-form hand-offs and",
-        "        // request coalescing for this type.",
+        "        // implemented; keeping None disables request coalescing for",
+        "        // this type.",
         "        None",
         "    }",
         "}",
@@ -129,11 +129,9 @@ fn generate_split_type(name: &str, params: &[String], file: &AnnotationFile) -> 
 }
 
 /// Skeleton `Concat` capability impl for one declared split type: the
-/// `concat`/`slice_back` pair that lets the runtime hand split-form
-/// intermediates across stage boundaries (re-slicing pieces when
-/// downstream batch boundaries differ) and lets the serving layer
-/// coalesce requests. Delete it for types whose values cannot be
-/// concatenated outside the runtime.
+/// `concat`/`slice_back` pair that lets the serving layer coalesce
+/// requests into one evaluation over concatenated inputs. Delete it for
+/// types whose values cannot be concatenated outside the runtime.
 fn generate_concat(name: &str) -> String {
     let mut s = String::new();
     s.push_str(&format!(

@@ -49,7 +49,7 @@ fn codegen_matches_golden_v2_output() {
     assert!(generated.contains("fn merge_strategy(&self) -> MergeStrategy"));
     assert!(generated.contains("total_elements: u64"));
     // Every declared split type also gets a Concat capability skeleton
-    // so split-form hand-offs and request coalescing are one TODO away.
+    // so request coalescing is one TODO away.
     for ty in ["SizeSplit", "ArraySplit"] {
         assert!(
             generated.contains(&format!("impl Concat for {ty}Concat")),

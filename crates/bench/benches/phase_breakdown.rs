@@ -5,9 +5,9 @@
 //! Nashville runs on the default configuration: its concat-shaped image
 //! output must be placement-written (`placement_writes > 0`) with a
 //! checksum matching the plain library's. A staged run (`pipeline =
-//! false`, one stage per call) must hand its stage-boundary
-//! intermediates across in split form (`split_form_handoffs > 0`) with
-//! the same checksum.
+//! false`, the paper's "-pipe") must run one stage per call, merging
+//! every intermediate at its stage boundary (`split_form_handoffs ==
+//! 0`), with the same checksum.
 //!
 //! A pair runs Nashville with `Config::verify_plans` on vs off: the
 //! static plan verifier must prove every stage (nonzero
@@ -104,13 +104,9 @@ fn json_entry(m: &Measured, matches: bool) -> String {
     format!(
         "{{ \"split\": {split:.4}, \"task\": {task:.4}, \"merge\": {merge:.4}, \
          \"seconds\": {:.6}, \"placement_writes\": {}, \
-         \"split_form_handoffs\": {}, \"split_form_reslices\": {}, \
+         \"split_form_handoffs\": {}, \
          \"deferred_outputs\": {}, \"checksum_matches_baseline\": {matches} }}",
-        m.seconds,
-        m.stats.placement_writes,
-        m.stats.split_form_handoffs,
-        m.stats.split_form_reslices,
-        m.stats.deferred_outputs
+        m.seconds, m.stats.placement_writes, m.stats.split_form_handoffs, m.stats.deferred_outputs
     )
 }
 
@@ -120,13 +116,13 @@ fn print_runs(name: &str, runs: &[(&str, &Measured)]) {
         let (split, task, merge) = fractions(&m.stats);
         println!(
             "{label}: split {:5.1}%  task {:5.1}%  merge {:5.1}%  ({:.4}s/eval, \
-             {} placement writes, {} split-form hand-offs, {} deferred outputs)",
+             {} stages, {} placement writes, {} deferred outputs)",
             split * 100.0,
             task * 100.0,
             merge * 100.0,
             m.seconds,
+            m.stats.stages,
             m.stats.placement_writes,
-            m.stats.split_form_handoffs,
             m.stats.deferred_outputs
         );
     }
@@ -164,8 +160,7 @@ fn main() {
     };
     let na = nashville(&|_| {});
     // Staged: one stage per call, so every stage boundary is an
-    // intermediate image the next stage re-splits — handed across in
-    // split form instead of merged.
+    // intermediate image merged by one stage and re-split by the next.
     let staged = nashville(&|cfg| cfg.pipeline = false);
 
     // ---- Nashville verify ablation: the static plan verifier
@@ -271,8 +266,8 @@ fn main() {
     }
 
     // CI gates: Nashville's output is placement-written, and staged
-    // Nashville's intermediates cross stage boundaries in split form;
-    // both produce the plain library's checksum.
+    // Nashville runs its four calls as four stages that merge at every
+    // boundary; both produce the plain library's checksum.
     assert!(
         na_match && staged_match,
         "nashville checksums diverged from the plain library: default {}, staged {} \
@@ -286,8 +281,9 @@ fn main() {
         na.stats
     );
     assert!(
-        staged.stats.split_form_handoffs > 0,
-        "staged nashville never handed a value across in split form: {:?}",
+        staged.stats.stages == 4 * evals as u64 && staged.stats.split_form_handoffs == 0,
+        "staged nashville must run one stage per call ({evals} evals of 4 calls) \
+         and hand nothing across as pieces: {:?}",
         staged.stats
     );
     // Plan-verify gates: the verifier must actually run (and only when
@@ -341,8 +337,9 @@ fn main() {
     );
     println!(
         "\nnashville matches the plain library with {} placement writes; staged, \
-         {} split-form hand-offs — gates passed.",
-        na.stats.placement_writes, staged.stats.split_form_handoffs
+         {} stages per eval merging at every boundary — gates passed.",
+        na.stats.placement_writes,
+        staged.stats.stages / evals as u64
     );
     println!(
         "crime_index: {} outputs/eval-run deferred instead of merged; held handles \

@@ -3,10 +3,9 @@
 
 /// Configuration of a [`MozartContext`](crate::MozartContext).
 ///
-/// How outputs leave a stage is not configurable: placement merges and
-/// split-form hand-offs are taken wherever the split type has the
-/// capability and the value allows it (the executor's [output-path
-/// table](crate::executor#output-paths)).
+/// How outputs leave a stage is not configurable: placement merges are
+/// taken wherever the split type has the capability (the executor's
+/// [output-path table](crate::executor#output-paths)).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of worker threads. The paper leaves this to the user; the
@@ -25,8 +24,10 @@ pub struct Config {
     /// batched as told, however small.
     pub batch_override: Option<u64>,
     /// When `false`, every function gets its own stage: data is split and
-    /// parallelized per call but never pipelined across calls. This is
-    /// the paper's "Mozart (-pipe)" ablation (Table 4).
+    /// parallelized per call but never pipelined across calls, so every
+    /// value passed between calls is merged at the end of one stage and
+    /// re-split by the next. This is the paper's "Mozart (-pipe)"
+    /// ablation (Table 4).
     pub pipeline: bool,
     /// Pedantic mode (§7.1): panic-free runtime checks that splits agree
     /// on element counts, pieces are non-NULL, etc., surfaced as errors.

@@ -15,7 +15,8 @@
 //! an explicit [`MozartContext::evaluate`] for every live `Future`.
 //! Outputs that are alive but not asked for stay held as pieces
 //! (`OutputKind::Deferred`) and are merged under the context lock by
-//! the first read that does ask — or dropped with their `Future`. See
+//! the first read that does ask, or before the next evaluation of a call
+//! that reads them — or dropped with their `Future`. See
 //! "Demand-driven materialization" in [`crate::planner`].
 //!
 //! Whenever a context lets go of a placement-merged value — its
@@ -89,7 +90,7 @@ use crate::graph::{
 };
 use crate::planner::{
     construct_instance, plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats,
-    PlanRecorder, PlanSite, Planned, StagePlan,
+    PlanRecorder, PlanSite, StagePlan,
 };
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::registry::default_instance_for;
@@ -536,9 +537,9 @@ impl MozartContext {
         let mut st = self.inner.state.lock();
         if st.graph.value_data(id).is_none() {
             evaluate_locked(&mut st, Demand::Value(id))?;
-            // Still pieces: an output an earlier read left deferred, or
-            // a hand-off fetched by raw `ValueId`. Merge it now; on
-            // failure the pieces stay, so the read can be retried.
+            // Still pieces: an output an earlier read left deferred.
+            // Merge it now; on failure the pieces stay, so the read can
+            // be retried.
             if materialize(&mut st, id)? {
                 st.stats.deferred_materialized += 1;
             }
@@ -911,6 +912,20 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
         }
     }
 
+    // Pieces an earlier read left deferred are merged before a pending
+    // call reads them, so every stage input — planned or replayed — is
+    // a whole value.
+    let mut i = 0;
+    while let Some(&id) = st.graph.deferred.get(i) {
+        i += 1;
+        let reader = st.graph.values[id.0 as usize].last_consumer;
+        if reader.is_some_and(|c| !st.graph.nodes[c.0 as usize].executed)
+            && materialize(st, id).map_err(|e| poison(st, e))?
+        {
+            st.stats.deferred_materialized += 1;
+        }
+    }
+
     // Plan-cache lookup: fingerprint the pending segment once per
     // evaluation. A hit replays the memoized stage skeletons (re-binding
     // materialized values, re-validating element totals before anything
@@ -1012,15 +1027,7 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
             planner_cpu += crate::cputime::cpu_elapsed(c1, crate::cputime::thread_cpu_now());
         }
         let stage = match plan {
-            Ok(Some(Planned::Stage(stage))) => stage,
-            Ok(Some(Planned::NeedsWhole(values))) => {
-                for id in values {
-                    if materialize(st, id).map_err(|e| poison(st, e))? {
-                        st.stats.split_form_fallbacks += 1;
-                    }
-                }
-                continue;
-            }
+            Ok(Some(stage)) => stage,
             Ok(None) => break,
             Err(e) => return Err(poison(st, e)),
         };

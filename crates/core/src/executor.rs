@@ -39,17 +39,17 @@
 //! # Output paths
 //!
 //! Every stage output whose pieces need the executor —
-//! [`OutputKind::Merge`], [`OutputKind::SplitForm`] and
-//! [`OutputKind::Deferred`]; in-place and discarded outputs need
-//! nothing — gets a *sink* when the stage is built, and the sink alone
-//! decides where its pieces go. It has three transitions, and one
-//! `store` then writes the graph value for every kind:
+//! [`OutputKind::Merge`] and [`OutputKind::Deferred`]; in-place and
+//! discarded outputs need nothing — gets a *sink* when the stage is
+//! built, and the sink alone decides where its pieces go. It has three
+//! transitions, and one `store` then writes the graph value for every
+//! kind:
 //!
 //! | Sink | Per batch (`accept`) | Worker end (`local`) | Caller (`finish`) | Spans | Counters |
 //! |------|----------------------|----------------------|-------------------|-------|----------|
 //! | `Place` | write the piece in place at its element offset | nothing to do | coverage check, truncation to the written prefix after a `NULL`-split tail | `PlacementWrite` per batch | `placement_writes`, `bytes_merged`, `merge_targets_{reused,allocated}` |
 //! | `Collect` | stash `(start, end, piece)` | merge each contiguous run, or fold everything when the merge is commutative | order the runs by offset, merge once | — | `bytes_merged` |
-//! | `Hold` | stash `(start, end, piece)` | keep one run per batch | build the [`SplitForm`] | `SplitFormHandoff` per hand-off | `split_form_handoffs` or `deferred_outputs` |
+//! | `Hold` | stash `(start, end, piece)` | keep one run per batch | build the [`SplitForm`] | — | `deferred_outputs` |
 //!
 //! All sinks share the phase spans: `Split` and `Task` per batch, one
 //! `Merge` per worker that ran a batch (its `local` window) and one
@@ -76,23 +76,16 @@
 //! spares" in [`crate::planner`]); the stored value records its
 //! [`MergeOrigin`] so the context can park it in turn when it lets go.
 //!
-//! **`Hold`** takes [`OutputKind::SplitForm`] (a hand-off, see the
-//! split-form rewrite in [`crate::planner`]) and [`OutputKind::Deferred`]
-//! (alive, but the read did not ask for it). Nothing is merged at any
-//! level, so the held set keeps per-batch granularity. A consuming
-//! stage's `build_exec_stage` serves its batches from
-//! [`SplitForm::slice`] instead of calling `split` on a materialized
-//! value: a clone when a batch range lands on piece boundaries (the
-//! common case, since batch sizing is deterministic in the element count
-//! and per-element footprint, both preserved by the hand-off), a
-//! re-slice through the split type's [`Concat`](crate::split::Concat)
-//! capability otherwise (counted in
-//! [`PhaseStats::split_form_reslices`]). A deferred set is merged by
-//! `materialize_held` when something does ask for the value: an
-//! *identity stage* — no calls, the pieces as its one split input, the
-//! value as its one merge output — run through the same driver loop,
-//! with the cancellation checks, fault points, panic isolation and spans
-//! of any other stage.
+//! **`Hold`** takes [`OutputKind::Deferred`] (alive, but the read did
+//! not ask for it). Nothing is merged at any level, so the held set
+//! keeps per-batch granularity. It is merged by `materialize_held` when
+//! something does ask for the value — a read of its `Future`, or a
+//! pending call that reads it: an *identity stage* — no calls, the
+//! pieces as its one split input, served at their own boundaries by
+//! [`SplitForm::slice`], the value as its one merge output — run
+//! through the same driver loop, with the cancellation checks, fault
+//! points, panic isolation and spans of any other stage. Held pieces
+//! are only ever merged: no planned stage binds them as a split input.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -222,14 +215,11 @@ struct ExecInput {
 /// The backing storage a split input draws its batch pieces from.
 enum InputData {
     /// A materialized value; batches are cut by the split type's
-    /// `split` function (the classic path).
+    /// `split` function.
     Whole(DataValue),
-    /// A split-form hand-off from the producing stage
-    /// ([`OutputKind::SplitForm`]): batches are served from the piece
-    /// set by [`SplitForm::slice`] — a clone when batch boundaries line
-    /// up with piece boundaries (the common case, since batch sizing is
-    /// deterministic in the element count and footprint both preserved
-    /// by the hand-off), a `Concat`-capability re-slice otherwise.
+    /// The held pieces of a deferred output, the one input of the
+    /// identity stage that merges them: each batch is one piece, served
+    /// by [`SplitForm::slice`].
     Pieces(Arc<SplitForm>),
 }
 
@@ -262,9 +252,9 @@ enum Sink {
     Place(PlacementMerge),
     /// Merged per worker, then once more on the caller.
     Collect { commutative: bool },
-    /// Kept as pieces: a split-form hand-off, or a deferred output
-    /// merged when something asks for it.
-    Hold { deferred: bool },
+    /// Kept as pieces: a deferred output, merged when something asks
+    /// for it.
+    Hold,
 }
 
 /// One output's placement merge: the split type's capability object and
@@ -358,8 +348,7 @@ impl MergeOutput {
             OutputKind::InPlace | OutputKind::Discard => return None,
             // Held outputs never take placement — the whole point is
             // that no merged value is allocated.
-            OutputKind::SplitForm => Sink::Hold { deferred: false },
-            OutputKind::Deferred => Sink::Hold { deferred: true },
+            OutputKind::Deferred => Sink::Hold,
             // The placement capability comes straight from the merge
             // strategy probe (`MergeStrategy::Concat { placement }`).
             // `unknown` outputs (filters, anything whose pieces do not
@@ -446,13 +435,13 @@ impl MergeOutput {
     }
 
     /// At the end of each worker, over its stash (in claim order, which
-    /// is element order): keep one run per batch when held — so aligned
-    /// batches of whoever reads the set next take the clone fast path —
+    /// is element order): keep one run per batch when held — the
+    /// identity stage that merges the set serves one piece per batch —
     /// fold everything into one partial when the merge is commutative,
     /// or merge each contiguous run for the caller to order.
     fn local(&self, pieces: Vec<Piece>) -> Result<Vec<Piece>> {
         let fold_all = match self.sink {
-            Sink::Hold { .. } => return Ok(pieces),
+            Sink::Hold => return Ok(pieces),
             Sink::Collect { commutative } => commutative,
             Sink::Place(_) => false,
         };
@@ -526,13 +515,10 @@ impl MergeOutput {
             });
         }
         runs.sort_by_key(|r| r.0);
-        if let Sink::Hold { .. } = self.sink {
-            // Per-element footprint of the first piece (elem size is
-            // range-independent). `SplitForm::new` validates contiguity,
-            // so an interior gap a concat would have silently closed
-            // fails loudly here.
-            let elem_size = self.info(&runs[0].2).map_or(0, |i| i.elem_size_bytes);
-            let sf = SplitForm::new(runs, total, self.instance.clone(), elem_size)?;
+        if let Sink::Hold = self.sink {
+            // `SplitForm::new` validates contiguity, so an interior gap
+            // a concat would have silently closed fails loudly here.
+            let sf = SplitForm::new(runs, total, self.instance.clone())?;
             return Ok(Finished::Held(sf));
         }
         // The stage's element total is the merge-size hint: concat-style
@@ -544,13 +530,12 @@ impl MergeOutput {
         Ok(Finished::Whole(merged, None))
     }
 
-    /// The split info of one of this output's values, a piece or the
-    /// merged whole: `None` when the call declines or the output is
-    /// `unknown` (its instance carries no params and only delegates its
-    /// merge, so its info contract covers neither). Callers read `None`
-    /// as zero bytes: merged-byte accounting and a held set's element
-    /// size are load-shedding and batch-sizing signals, not exact
-    /// meters, so a declined call degrades them and never correctness.
+    /// The split info of this output's merged value: `None` when the
+    /// call declines or the output is `unknown` (its instance carries no
+    /// params and only delegates its merge, so its info contract does not
+    /// cover it). Callers read `None` as zero bytes: merged-byte
+    /// accounting is a load-shedding signal, not an exact meter, so a
+    /// declined call degrades it and never correctness.
     fn info(&self, value: &DataValue) -> Option<RuntimeInfo> {
         if self.instance.is_unknown() {
             return None;
@@ -569,13 +554,12 @@ impl MergeOutput {
         Some((pm, pm.out.get()?.as_ref()?))
     }
 
-    /// Write a finished output to its graph value, with the counters
-    /// and the marker span of its path.
+    /// Write a finished output to its graph value, with the counters of
+    /// its path.
     fn store(
         &self,
         finished: Finished<'_>,
         graph: &mut DataflowGraph,
-        exec: &ExecStage,
         env: &ExecEnv<'_>,
         stats: &mut PhaseStats,
     ) {
@@ -604,22 +588,10 @@ impl MergeOutput {
                 }
             }
             Finished::Held(sf) => {
-                let pieces = sf.piece_count() as u64;
                 (entry.data, entry.ready, entry.merge_origin) = (None, false, None);
                 entry.held = Some(Arc::new(sf));
-                if let Sink::Hold { deferred: true } = self.sink {
-                    stats.deferred_outputs += 1;
-                    graph.deferred.push(self.value);
-                } else {
-                    stats.split_form_handoffs += 1;
-                    if let Some(t) = &exec.trace {
-                        // Zero-duration marker span: the elided-merge
-                        // analogue of FinalMerge (arg = stage, link =
-                        // pieces).
-                        let (kind, now) = (SpanKind::SplitFormHandoff, t.recorder.now_ns());
-                        t.emit(kind, SERVICE_WORKER, exec.stage_idx, pieces, now, 0, 0);
-                    }
-                }
+                stats.deferred_outputs += 1;
+                graph.deferred.push(self.value);
             }
         }
     }
@@ -674,10 +646,6 @@ pub(crate) struct WorkerOut {
     calls: u64,
     /// Result pieces written in place by the placement fast path.
     placement_writes: u64,
-    /// Batch ranges served from a split-form input that did not line up
-    /// with a hand-off piece boundary and went through a
-    /// `Concat`-capability re-slice.
-    split_form_reslices: u64,
     /// Cursor claims (each covering a guided span of >= 1 batches).
     pub(crate) claims: u64,
     /// Batches this worker claimed that static partitioning would have
@@ -721,7 +689,7 @@ pub(crate) fn execute_stage(
             OutputKind::InPlace => entry.ready = true,
             OutputKind::Discard => entry.ready = false,
             // Stored by `run_exec`.
-            OutputKind::Merge | OutputKind::SplitForm | OutputKind::Deferred => {}
+            OutputKind::Merge | OutputKind::Deferred => {}
         }
     }
 
@@ -735,9 +703,8 @@ pub(crate) fn execute_stage(
 }
 
 /// Merge the pieces value `id` is held as into the whole value, if it
-/// is held — the on-demand half of `OutputKind::Deferred` and the
-/// fallback for a hand-off some consumer needs whole. Returns whether a
-/// merge ran.
+/// is held — the on-demand half of `OutputKind::Deferred`. Returns
+/// whether a merge ran.
 ///
 /// Runs as an *identity stage* (module docs): the held pieces are the
 /// one split input, served at their own boundaries so every batch is a
@@ -821,7 +788,7 @@ fn run_exec(
             .flat_map(|o| std::mem::take(&mut o.partials[i]))
             .collect();
         let finished = mo.finish(runs, exec)?;
-        mo.store(finished, graph, exec, env, stats);
+        mo.store(finished, graph, env, stats);
     }
     let final_merge = clock.lap();
     // One final-merge span per stage on the calling thread; CPU time
@@ -837,7 +804,6 @@ fn run_exec(
     stats.batches += outs.iter().map(|o| o.batches).sum::<u64>();
     stats.calls += outs.iter().map(|o| o.calls).sum::<u64>();
     stats.placement_writes += outs.iter().map(|o| o.placement_writes).sum::<u64>();
-    stats.split_form_reslices += outs.iter().map(|o| o.split_form_reslices).sum::<u64>();
     Ok(())
 }
 
@@ -854,38 +820,21 @@ fn build_exec_stage(
     let mut sum_elem_bytes: u64 = 0;
 
     for (vid, instance) in &stage.inputs {
-        // A split-form hand-off serves batches straight from its piece
-        // set; its element count and footprint come from the form (the
-        // producing stage's info results), never from a split call on
-        // the unmaterialized value.
-        let (data, input_total, elem_bytes) = if let Some(sf) = graph.split_form(*vid) {
-            (
-                InputData::Pieces(Arc::clone(sf)),
-                sf.total(),
-                sf.elem_size_bytes(),
-            )
-        } else {
-            let data = graph
-                .value_data(*vid)
-                .cloned()
-                .ok_or(Error::ValueUnavailable)?;
-            let info = instance.splitter.info(&data, &instance.params)?;
-            (
-                InputData::Whole(data),
-                info.total_elements,
-                info.elem_size_bytes,
-            )
-        };
-        if let Some(expected) = total.filter(|&t| t != input_total) {
-            let actual = input_total;
+        let data = graph
+            .value_data(*vid)
+            .cloned()
+            .ok_or(Error::ValueUnavailable)?;
+        let info = instance.splitter.info(&data, &instance.params)?;
+        if let Some(expected) = total.filter(|&t| t != info.total_elements) {
+            let actual = info.total_elements;
             return Err(Error::ElementMismatch { expected, actual });
         }
-        total = Some(input_total);
-        sum_elem_bytes += elem_bytes;
+        total = Some(info.total_elements);
+        sum_elem_bytes += info.elem_size_bytes;
         inputs.push(ExecInput {
             slot: stage.slot_of(*vid),
             instance: instance.clone(),
-            data,
+            data: InputData::Whole(data),
         });
     }
 
@@ -1016,14 +965,9 @@ impl Worker<'_> {
         }
         for (i, input) in exec.inputs.iter().enumerate() {
             let (splitter, params) = (&input.instance.splitter, &input.instance.params);
-            // Split-form inputs never see a `split` call: their batches
-            // come straight from the hand-off piece set.
             let piece = match &input.data {
                 InputData::Whole(data) => splitter.split(data, range.clone(), params)?,
-                InputData::Pieces(sf) => sf.slice(range.clone())?.map(|(piece, resliced)| {
-                    self.out.split_form_reslices += u64::from(resliced);
-                    piece
-                }),
+                InputData::Pieces(sf) => sf.slice(range.clone())?,
             };
             let Some(piece) = piece else {
                 if exec.pedantic && i > 0 {

@@ -94,10 +94,9 @@ pub struct ValueEntry {
     pub ready: bool,
     /// The value held *as pieces* (not merged) after its producing
     /// stage skipped the merge — set instead of `data`/`ready` when the
-    /// planner chose `OutputKind::SplitForm` (consumed by the next
-    /// stage's split phase) or `OutputKind::Deferred` (alive but not
-    /// asked for). Merged on demand by the first read, or when a
-    /// consumer turns out to need the whole value.
+    /// planner chose `OutputKind::Deferred` (alive but not asked for).
+    /// Merged on demand by the first read, or before the next
+    /// evaluation of a call that reads it.
     pub held: Option<Arc<SplitForm>>,
     /// Set when `data` is a placement-merge target installed under an
     /// attached plan cache: where to park it on release.
@@ -319,13 +318,6 @@ impl DataflowGraph {
         } else {
             e.held.as_ref()
         }
-    }
-
-    /// [`held`](Self::held) pieces a stage can bind as a split input:
-    /// only re-splittable sets qualify — `unknown` or concat-less
-    /// pieces must be merged whole first.
-    pub fn split_form(&self, id: ValueId) -> Option<&Arc<SplitForm>> {
-        self.held(id).filter(|sf| sf.resplittable())
     }
 
     /// A lazy argument's value at registration: its data once produced,

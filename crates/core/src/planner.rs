@@ -14,29 +14,10 @@
 //! (e.g. the length of a filtered table): by the time the consuming
 //! stage is planned, the value is materialized.
 //!
-//! # The split-form rewrite
-//!
-//! When a stage's return output would be merged only for later stages
-//! to immediately re-split it under the same split type, the merge and
-//! the re-split are pure memory traffic — exactly the movement the
-//! paper targets. `finish_stage` (and `CachedPlan::bind_stage` on
-//! replays) rewrites such `Merge` outputs to [`OutputKind::SplitForm`]:
-//! the executor keeps the worker-produced piece set
-//! ([`crate::split::SplitForm`]) on the value, and when a later stage
-//! binds the value as a split input, `try_add` accepts the split form
-//! directly (`check_use` matches the held type; unbound generics bind
-//! to it; stage totals come from the form). The rewrite **declines** —
-//! the output merges classically — when any of these holds: the value
-//! is user-visible (a live `Future` could observe it) or not consumed
-//! later at all; the split type is `unknown`, terminal, not
-//! concatenation-shaped, or lacks a [`Concat`](crate::split::Concat)
-//! capability; or some consumer needs the value whole (a broadcast/`_`
-//! position, a mut argument, a split-type constructor argument) or
-//! under a different split type.
-//! Mispredictions are safe, not just rare: when a node cannot be
-//! scheduled over values still held as pieces, the planner asks its
-//! caller to merge them whole ([`Planned::NeedsWhole`], counted as
-//! `split_form_fallbacks`) and plans again.
+//! Every value crossing a stage boundary is whole: the planner never
+//! sees pieces. Values an earlier evaluation left held as pieces
+//! (`Deferred` outputs) are merged before planning starts when a
+//! pending call reads them.
 //!
 //! # Demand-driven materialization
 //!
@@ -49,15 +30,15 @@
 //!
 //! | the value is … | kind |
 //! |---|---|
-//! | consumed by a pending node outside the stage | `SplitForm` if eligible and nobody can observe it, else `Merge` |
+//! | consumed by a pending node outside the stage | `Merge` |
 //! | demanded by the read that triggered the evaluation | `Merge` |
 //! | only alive (a `Future` exists, nobody asked) | `Deferred` |
 //! | dead | `Discard` |
 //!
 //! A `Deferred` output costs no placement allocation, no worker-local
 //! pre-merge and no final concat: its range-tagged pieces are stored on
-//! the value exactly like a hand-off's, and the first later read of its
-//! `Future` merges them then. `MozartContext::evaluate` demands every
+//! the value, and the first later read of its `Future` — or the next
+//! evaluation of a call that reads it — merges them then. `MozartContext::evaluate` demands every
 //! live handle ([`Demand::AllLive`]) — the pre-demand behaviour.
 //!
 //! # Merge-target spares
@@ -104,12 +85,6 @@ pub enum OutputKind {
     InPlace,
     /// The output is not observable (dead intermediate); drop the pieces.
     Discard,
-    /// The output is consumed only by later stages that re-split it
-    /// under the same split type: keep the worker-produced pieces as a
-    /// [`crate::split::SplitForm`] on the value and elide the merge
-    /// (and the consumer's re-split). See the module docs for the
-    /// rewrite rule.
-    SplitForm,
     /// A `Future` for the output is alive but the read that triggered
     /// the evaluation did not ask for it, and no later node consumes
     /// it: keep the pieces on the value and merge them when (if) the
@@ -300,18 +275,6 @@ enum AddOutcome {
     Incompatible,
 }
 
-/// One step of interleaved planning.
-pub enum Planned {
-    /// The next stage, ready to verify and execute.
-    Stage(StagePlan),
-    /// The next node cannot be scheduled — not even alone in a fresh
-    /// stage — while these arguments are held as pieces (needed whole,
-    /// under another split type, or not re-splittable). The caller
-    /// merges them and plans again: holding pieces is an optimization,
-    /// never a scheduling constraint.
-    NeedsWhole(Vec<ValueId>),
-}
-
 /// Plan the next stage starting at `graph.next_unplanned`.
 ///
 /// Returns `None` when there are no pending nodes.
@@ -319,7 +282,7 @@ pub fn plan_next_stage(
     graph: &DataflowGraph,
     config: &Config,
     demand: Demand,
-) -> Result<Option<Planned>> {
+) -> Result<Option<StagePlan>> {
     if graph.fully_executed() {
         return Ok(None);
     }
@@ -336,26 +299,16 @@ pub fn plan_next_stage(
             }
             AddOutcome::Incompatible if !b.nodes.is_empty() => break,
             AddOutcome::Incompatible => {
-                let node = &graph.nodes[cursor];
-                let held: Vec<ValueId> = graph
-                    .args(node)
-                    .iter()
-                    .copied()
-                    .filter(|v| graph.held(*v).is_some())
-                    .collect();
-                if !held.is_empty() {
-                    return Ok(Some(Planned::NeedsWhole(held)));
-                }
                 // A single node must always be schedulable by itself;
                 // reaching this indicates a broken annotation.
                 return Err(Error::Pedantic(format!(
                     "node {} cannot be scheduled even in a fresh stage",
-                    node.annot.name
+                    graph.nodes[cursor].annot.name
                 )));
             }
         }
     }
-    Ok(Some(Planned::Stage(finish_stage(graph, b, demand))))
+    Ok(Some(finish_stage(graph, b, demand)))
 }
 
 /// Attempt to add `node_id` to the stage; on success, commits the node's
@@ -369,15 +322,10 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
     let mut bindings: WordMap<GenericId, SplitInstance> = WordMap::default();
 
     // Pass 1: bind generics from types already flowing into this node —
-    // types produced or bound within the stage, and the held types of
-    // split-form values arriving from earlier stages.
+    // types produced or bound within the stage.
     for (i, spec) in annot.args.iter().enumerate() {
         if let SplitTypeExpr::Generic(g) = &spec.ty {
-            let vid = args[i];
-            let known = b
-                .known_type(vid)
-                .or_else(|| graph.split_form(vid).map(|sf| sf.instance()));
-            if let Some(t) = known {
+            if let Some(t) = b.known_type(args[i]) {
                 if t.terminal() {
                     // Partial results (reductions) must merge first.
                     return Ok(AddOutcome::Incompatible);
@@ -415,16 +363,6 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
         }
         if b.broadcast.contains(&vid) {
             // Used both whole and split within one stage: not pipelinable.
-            return Ok(false);
-        }
-        // A split-form value is a valid fresh input when the required
-        // type matches the form it is held in: the executor serves the
-        // split phase straight from the pieces (no merge, no re-split).
-        if let Some(sf) = graph.split_form(vid) {
-            if sf.instance().same_type(required) {
-                new_inputs.push((vid, required.clone()));
-                return Ok(true);
-            }
             return Ok(false);
         }
         // A fresh stage input must be materialized.
@@ -539,17 +477,11 @@ fn try_add(graph: &DataflowGraph, b: &mut StageBuilder, node_id: NodeId) -> Resu
     // splits (§3.4) and the pipeline would be ill-formed.
     let mut total = b.total_elements;
     for (vid, inst) in &new_inputs {
-        // Split-form inputs carry their element total on the hand-off;
-        // materialized inputs report it through the split info API.
-        let input_total = if let Some(sf) = graph.split_form(*vid) {
-            sf.total()
-        } else {
-            let data = match graph.captured_data(*vid) {
-                Some(d) => d,
-                None => return Ok(AddOutcome::Incompatible),
-            };
-            inst.splitter.info(data, &inst.params)?.total_elements
+        let data = match graph.captured_data(*vid) {
+            Some(d) => d,
+            None => return Ok(AddOutcome::Incompatible),
         };
+        let input_total = inst.splitter.info(data, &inst.params)?.total_elements;
         match total {
             None => total = Some(input_total),
             Some(t) if t == input_total => {}
@@ -651,69 +583,6 @@ pub(crate) fn construct_instance<'a>(
     Ok(Some(inst))
 }
 
-/// Decide whether a would-be `Merge` output may instead be handed to
-/// its consumers in split form (see the module docs for the full rule).
-/// `stage_end` is the index one past the producing stage's last node.
-///
-/// The caller has already established the value is consumed by a later
-/// node and not user-visible. This check is a *prediction* about how
-/// those consumers will bind the value — a wrong prediction is safe
-/// (the consumer falls back to materializing through the classic
-/// merge), so it only needs to be right in the common case, but every
-/// condition that makes the hand-off *impossible* (no concat
-/// capability, terminal/unknown pieces) must be checked here.
-fn split_form_eligible(
-    graph: &DataflowGraph,
-    stage_end: usize,
-    value: ValueId,
-    inst: &SplitInstance,
-) -> bool {
-    if inst.is_unknown() || inst.terminal() || inst.split_form_concat().is_none() {
-        return false;
-    }
-    let last = graph.values[value.0 as usize]
-        .last_consumer
-        .map_or(0, |c| c.0 as usize + 1);
-    for node in graph.nodes.get(stage_end..last).unwrap_or_default() {
-        let args = graph.args(node);
-        if node.executed || !args.contains(&value) {
-            continue;
-        }
-        // Every outside use must be a non-mutable split argument whose
-        // declared type can line up with the held form: a generic (it
-        // will bind to the held type) or a concrete expression of the
-        // same split type.
-        for (i, spec) in node.annot.args.iter().enumerate() {
-            if args[i] != value {
-                continue;
-            }
-            if spec.mutable {
-                return false;
-            }
-            match &spec.ty {
-                SplitTypeExpr::Generic(_) => {}
-                SplitTypeExpr::Concrete { splitter, .. }
-                    if splitter.name() == inst.splitter.name() => {}
-                _ => return false,
-            }
-        }
-        // Split type constructors inspect whole values (§3.2), so the
-        // value must not feed any constructor argument of the consumer.
-        let feeds_ctor = |expr: &SplitTypeExpr| match expr {
-            SplitTypeExpr::Concrete { ctor_args, .. } => {
-                ctor_args.iter().any(|&idx| args.get(idx) == Some(&value))
-            }
-            _ => false,
-        };
-        if node.annot.args.iter().any(|s| feeds_ctor(&s.ty))
-            || node.annot.ret.as_ref().is_some_and(feeds_ctor)
-        {
-            return false;
-        }
-    }
-    true
-}
-
 /// How a stage ending before node `stage_end` materializes return
 /// value `value` — the rule table of "Demand-driven materialization"
 /// in the module docs. Shared by fresh planning and plan-cache replay,
@@ -722,7 +591,6 @@ fn output_kind(
     graph: &DataflowGraph,
     stage_end: usize,
     value: ValueId,
-    inst: &SplitInstance,
     demand: Demand,
 ) -> OutputKind {
     let entry = &graph.values[value.0 as usize];
@@ -730,14 +598,7 @@ fn output_kind(
         .last_consumer
         .is_some_and(|c| c.0 as usize >= stage_end && !graph.nodes[c.0 as usize].executed);
     let live = entry.observable();
-    let demanded = demand.wants(value, live);
-    if consumed_later {
-        if !live && !demanded && split_form_eligible(graph, stage_end, value, inst) {
-            OutputKind::SplitForm
-        } else {
-            OutputKind::Merge
-        }
-    } else if demanded {
+    if consumed_later || demand.wants(value, live) {
         OutputKind::Merge
     } else if live {
         OutputKind::Deferred
@@ -762,12 +623,10 @@ fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> Stage
             }
         }
         if let Some(rv) = node.ret {
-            let inst = b.produced.get(&rv).expect("ret type was committed").clone();
-            let kind = output_kind(graph, stage.end, rv, &inst, demand);
             outputs.push(StageOutput {
                 value: rv,
-                instance: inst,
-                kind,
+                instance: b.produced.get(&rv).expect("ret type was committed").clone(),
+                kind: output_kind(graph, stage.end, rv, demand),
             });
         }
     }
@@ -832,14 +691,6 @@ struct CachedInput {
     /// for a scalar from outside the segment: the fingerprint pins its
     /// value, so its recorded parameters are its current ones.
     rederive: bool,
-    /// Whether the input was bound *in split form* at record time. On
-    /// replay the value must again be held in split form (the previous
-    /// stage's bind re-applies the same rewrite, so this holds unless
-    /// liveness changed) and the instance and element total are taken
-    /// from the current [`crate::split::SplitForm`] — the split-form
-    /// analogue of re-derivation. A mismatch in either direction fails
-    /// the bind, invalidating the entry.
-    split_form: bool,
 }
 
 /// One stage output as recorded in a cached plan. How a return value
@@ -1130,19 +981,13 @@ impl PlanRecorder {
                 .inputs
                 .iter()
                 .map(|(v, inst)| {
-                    // Split-form inputs have no materialized data to
-                    // re-derive from; their instance comes from the
-                    // upstream hand-off at bind time, which replays
-                    // re-create — they are cache-safe by construction.
-                    let split_form = graph.split_form(*v).is_some();
                     let external = self.external.contains(v);
                     let data = graph.value_data(*v);
                     // A scalar from outside the segment is pinned by
                     // value (see `pending_shape`): re-deriving from it
                     // can only reproduce the recorded parameters.
                     let pinned = external && data.is_some_and(crate::value::is_scalar);
-                    let rederive = !split_form
-                        && !pinned
+                    let rederive = !pinned
                         && !inst.is_unknown()
                         && data
                             .and_then(|d| inst.splitter.default_params(d).ok())
@@ -1153,14 +998,13 @@ impl PlanRecorder {
                     // stages' results) carries parameters the
                     // fingerprint does not pin — refuse to cache the
                     // segment rather than risk replaying stale params.
-                    if !split_form && !rederive && !external {
+                    if !rederive && !external {
                         poisoned = true;
                     }
                     CachedInput {
                         value: canon(*v, &mut poisoned),
                         instance: inst.clone(),
                         rederive,
-                        split_form,
                     }
                 })
                 .collect(),
@@ -1250,20 +1094,6 @@ impl CachedPlan {
         let mut inputs = Vec::with_capacity(cs.inputs.len());
         for ci in &cs.inputs {
             let vid = get(ci.value)?;
-            if ci.split_form {
-                // The value must again be held in split form under the
-                // same split type; instance and total come from the
-                // current hand-off. (If the previous stage's bind chose
-                // to merge this time — e.g. liveness changed — the form
-                // is absent and the replay is rejected.)
-                let sf = graph.split_form(vid).ok_or(Error::ValueUnavailable)?;
-                if sf.instance().splitter.name() != ci.instance.splitter.name() {
-                    return Err(Error::ValueUnavailable);
-                }
-                agree(sf.total())?;
-                inputs.push((vid, sf.instance().clone()));
-                continue;
-            }
             let data = graph.value_data(vid).ok_or(Error::ValueUnavailable)?;
             let rederived = ci
                 .rederive
@@ -1292,7 +1122,7 @@ impl CachedPlan {
             let kind = if co.in_place {
                 OutputKind::InPlace
             } else {
-                output_kind(graph, stage.end, vid, &co.instance, demand)
+                output_kind(graph, stage.end, vid, demand)
             };
             outputs.push(StageOutput {
                 value: vid,

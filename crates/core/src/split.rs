@@ -38,17 +38,6 @@
 //! inputs — the split/merge duality run in reverse, with zero
 //! per-pipeline concatenation code.
 //!
-//! The same capability powers **split-form intermediates**
-//! ([`SplitForm`]): when a stage's merged output
-//! would only be re-split by the next stage under the same split type,
-//! the executor keeps the piece set produced by the upstream workers
-//! and serves the downstream split phase straight from it, re-slicing
-//! through [`Concat::slice_back`]/[`Concat::concat`] only where batch
-//! boundaries differ — eliding the merge→re-split round-trip of pure
-//! memory traffic. A split type opts in simply by having
-//! [`MergeStrategy::Concat`] semantics and a [`Splitter::concat`]
-//! capability (probed by [`SplitInstance::split_form_concat`]).
-//!
 //! ## Migrating from the v1 trait
 //!
 //! | v1 | v2 |
@@ -486,25 +475,6 @@ impl SplitInstance {
             && self.splitter.name() == other.splitter.name()
             && self.params == other.params
     }
-
-    /// The concatenation capability this instance can use for
-    /// split-form hand-offs ([`SplitForm`]), or `None` when the value
-    /// must be merged classically.
-    ///
-    /// `Some` iff the instance is concrete (not `unknown` — unknown
-    /// pieces may compact, so their offsets are meaningless), its merge
-    /// is a pure concatenation in element order
-    /// ([`MergeStrategy::Concat`]), and the splitter exposes a
-    /// [`Concat`] capability to re-slice misaligned batch ranges with.
-    pub fn split_form_concat(&self) -> Option<Arc<dyn Concat>> {
-        if self.is_unknown() {
-            return None;
-        }
-        if !matches!(self.merge_strategy(), MergeStrategy::Concat { .. }) {
-            return None;
-        }
-        self.splitter.concat()
-    }
 }
 
 impl std::fmt::Debug for SplitInstance {
@@ -516,27 +486,14 @@ impl std::fmt::Debug for SplitInstance {
     }
 }
 
-/// A value held *as pieces*: the ordered piece set the producing
-/// stage's workers left behind, with the element range each piece
-/// covers, instead of the merged whole. One representation serves both
-/// reasons the executor skips a merge:
-///
-/// * **Split-form hand-off** (`OutputKind::SplitForm`): the output is
-///   consumed only by later nodes that re-split it under the same split
-///   type. The consuming stage's split phase serves batch ranges
-///   straight from the pieces: a range that lines up with one piece's
-///   boundaries is a clone of that piece — the dominant case, because
-///   batch sizing is a pure function of the element total and
-///   per-element size, both of which the hand-off preserves — and a
-///   misaligned range is re-sliced out of the overlapping pieces
-///   through the split type's [`Concat`] capability. This is the
-///   *re-splittable* case ([`SplitForm::resplittable`]).
-/// * **Deferred output** (`OutputKind::Deferred`): a `Future` for the
-///   value is alive but the read that triggered the evaluation did not
-///   ask for it. The pieces wait on the value; the first later read
-///   merges them then. This works for every split type — `unknown`
-///   (compacting) pieces and types without a [`Concat`] capability are
-///   held too, they just cannot be bound as a split input.
+/// The held piece set of a deferred output (`OutputKind::Deferred`): a
+/// `Future` for the value is alive but the read that triggered the
+/// evaluation did not ask for it, so the ordered pieces the producing
+/// stage's workers left behind wait on the value, each with the element
+/// range it covers, instead of the merged whole. The first later read
+/// of the `Future`, or the next evaluation of a call that reads the
+/// value, merges them. This works for every split type, `unknown`
+/// (compacting) pieces included.
 ///
 /// Invariants, validated by [`SplitForm::new`]: at least one piece,
 /// pieces sorted by start and contiguous from element 0, and the
@@ -549,32 +506,23 @@ pub struct SplitForm {
     pieces: Vec<(u64, u64, DataValue)>,
     /// Declared element total of the value (`>= covered()`).
     total: u64,
-    /// The split type the pieces were produced under — and the type
-    /// any consuming stage must bind the value at.
+    /// The split type the pieces were produced under, which merges them.
     instance: SplitInstance,
-    /// Concatenation capability used for misaligned re-slices; `None`
-    /// when the pieces can only be merged
-    /// ([`SplitInstance::split_form_concat`] declined).
-    concat: Option<Arc<dyn Concat>>,
-    /// Per-element size in bytes, for downstream batch sizing.
-    elem_size_bytes: u64,
 }
 
 impl SplitForm {
     /// Build a held piece set from an ordered piece list, validating
-    /// the contiguity invariants. It is re-splittable iff `instance` is
-    /// split-form capable ([`SplitInstance::split_form_concat`]).
+    /// the contiguity invariants.
     pub fn new(
         pieces: Vec<(u64, u64, DataValue)>,
         total: u64,
         instance: SplitInstance,
-        elem_size_bytes: u64,
     ) -> Result<SplitForm> {
         let split_type = instance.splitter.name();
         if pieces.is_empty() {
             return Err(Error::Merge {
                 split_type,
-                message: "split-form value has no pieces".into(),
+                message: "held value has no pieces".into(),
             });
         }
         let mut cursor = 0u64;
@@ -583,7 +531,7 @@ impl SplitForm {
                 return Err(Error::Merge {
                     split_type,
                     message: format!(
-                        "split-form pieces have an interior gap or overlap at element {cursor} \
+                        "held pieces have an interior gap or overlap at element {cursor} \
                          (piece covers {start}..{end})"
                     ),
                 });
@@ -593,12 +541,14 @@ impl SplitForm {
         if cursor > total {
             return Err(Error::Merge {
                 split_type,
-                message: format!(
-                    "split-form pieces cover {cursor} elements, more than total {total}"
-                ),
+                message: format!("held pieces cover {cursor} elements, more than total {total}"),
             });
         }
-        SplitForm::new_unchecked(pieces, total, instance, elem_size_bytes)
+        Ok(SplitForm {
+            pieces,
+            total,
+            instance,
+        })
     }
 
     /// Declared element total of the whole value.
@@ -612,116 +562,48 @@ impl SplitForm {
         self.pieces.last().map(|&(_, end, _)| end).unwrap_or(0)
     }
 
-    /// Per-element size in bytes (0 when unknown; batch sizing then
-    /// falls back to one batch).
-    pub fn elem_size_bytes(&self) -> u64 {
-        self.elem_size_bytes
-    }
-
     /// The split type the pieces are held under.
     pub fn instance(&self) -> &SplitInstance {
         &self.instance
     }
 
-    /// Number of pieces.
-    pub fn piece_count(&self) -> usize {
-        self.pieces.len()
-    }
-
-    /// Whether batch ranges can be served from the pieces
-    /// ([`SplitForm::slice`]) at boundaries other than the pieces' own
-    /// — the condition for binding the value as a split input.
-    pub fn resplittable(&self) -> bool {
-        self.concat.is_some()
-    }
-
     /// Element length of the leading piece: the producing stage's batch
-    /// size, which every piece but the last shares. Serving ranges of
-    /// this length keeps [`SplitForm::slice`] on its clone fast path.
+    /// size, which every piece but the last shares. Ranges of this
+    /// length from element 0 on are what [`SplitForm::slice`] serves.
     pub fn piece_len(&self) -> u64 {
         self.pieces
             .first()
             .map_or(1, |&(start, end, _)| end - start)
     }
 
-    /// The element range each piece covers, in piece order — the view
-    /// the [plan verifier](crate::verify) re-checks contiguity over.
-    pub fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pieces.iter().map(|&(start, end, _)| (start, end))
-    }
-
-    /// Build a split-form value **without** validating the contiguity
-    /// invariants. Exists so verifier tests can construct malformed
-    /// piece sets that [`SplitForm::new`] would reject; never call this
-    /// from runtime code.
-    #[doc(hidden)]
-    pub fn new_unchecked(
-        pieces: Vec<(u64, u64, DataValue)>,
-        total: u64,
-        instance: SplitInstance,
-        elem_size_bytes: u64,
-    ) -> Result<SplitForm> {
-        Ok(SplitForm {
-            pieces,
-            total,
-            concat: instance.split_form_concat(),
-            instance,
-            elem_size_bytes,
-        })
-    }
-
     /// Serve the element range `[range.start, range.end)` from the
-    /// piece set — the split-form analogue of [`Splitter::split`].
+    /// piece set: the piece that starts at `range.start` and ends at
+    /// `range.end` (or at the covered end, whichever comes first).
     ///
     /// Returns `Ok(None)` past the covered range (the `NULL` driver
-    /// stop), and otherwise the piece plus a flag that is `true` when
-    /// the range was *re-sliced* through the [`Concat`] capability
-    /// rather than served as a whole piece clone (observable as
-    /// `split_form_reslices` in the stats).
-    pub fn slice(&self, range: Range<u64>) -> Result<Option<(DataValue, bool)>> {
+    /// stop), and an error for a range that is not one piece — the
+    /// identity stage that merges the set asks only for its pieces.
+    pub fn slice(&self, range: Range<u64>) -> Result<Option<DataValue>> {
         let covered = self.covered();
         if range.start >= covered || range.end <= range.start {
             return Ok(None);
         }
         let end = range.end.min(covered);
-        // Fast path: the range is exactly one piece.
-        if let Ok(i) = self
+        let i = self
             .pieces
-            .binary_search_by(|probe| probe.0.cmp(&range.start))
-        {
-            let (_, piece_end, piece) = &self.pieces[i];
-            if *piece_end == end {
-                return Ok(Some((piece.clone(), false)));
+            .partition_point(|&(start, _, _)| start < range.start);
+        match self.pieces.get(i) {
+            Some((start, piece_end, piece)) if *start == range.start && *piece_end == end => {
+                Ok(Some(piece.clone()))
             }
+            _ => Err(Error::Split {
+                split_type: self.instance.splitter.name(),
+                message: format!(
+                    "held pieces serve only their own ranges, not {}..{end}",
+                    range.start
+                ),
+            }),
         }
-        // Re-slice: take the overlap of every covering piece and
-        // concatenate when the range spans more than one.
-        let concat = self.concat.as_ref().ok_or_else(|| Error::Split {
-            split_type: self.instance.splitter.name(),
-            message: format!(
-                "held pieces without a concat capability cannot serve the misaligned range \
-                 {}..{end}",
-                range.start
-            ),
-        })?;
-        let first = self.pieces.partition_point(|&(_, e, _)| e <= range.start);
-        let mut parts = Vec::new();
-        for (start, piece_end, piece) in &self.pieces[first..] {
-            if *start >= end {
-                break;
-            }
-            let lo = range.start.max(*start);
-            let hi = end.min(*piece_end);
-            if hi > lo {
-                parts.push(concat.slice_back(piece, lo - start, hi - lo)?);
-            }
-        }
-        let piece = match parts.len() {
-            0 => return Ok(None),
-            1 => parts.pop().expect("len checked"),
-            _ => concat.concat(&parts)?.0,
-        };
-        Ok(Some((piece, true)))
     }
 
     /// Merge the pieces into the whole value through one serial call

@@ -57,28 +57,20 @@ pub struct PhaseStats {
     /// collected, and on-demand merges of held pieces), via the split
     /// info API on the merged value.
     pub bytes_merged: u64,
-    /// Merge outputs handed to the next stage *in split form* — the
-    /// merge (and the consuming stage's re-split) elided entirely (see
-    /// [`SplitForm`](crate::split::SplitForm)).
+    /// Retired: always 0. Stage outputs are never handed to the next
+    /// stage as pieces; every value crossing a stage boundary is merged.
+    /// Kept because readers of the serving layer's `STATS` line take it
+    /// by position.
     pub split_form_handoffs: u64,
-    /// Downstream batch ranges that did not line up with a hand-off
-    /// piece boundary and were re-sliced through the
-    /// [`Concat`](crate::split::Concat) capability. Zero when the
-    /// consuming stage's batch size matches the producer's (the common
-    /// case).
-    pub split_form_reslices: u64,
-    /// Split-form values that a consumer turned out to need whole after
-    /// all and were materialized through the classic merge (the
-    /// conservative fallback; correctness-neutral, performance-visible).
-    pub split_form_fallbacks: u64,
     /// Outputs whose `Future` was alive but which the triggering read did
     /// not ask for, left as held pieces instead of merged
     /// (`OutputKind::Deferred`; see "Demand-driven materialization" in
     /// [`crate::planner`]).
     pub deferred_outputs: u64,
     /// Held piece sets merged because something did ask: a later read
-    /// of their `Future`, an explicit `evaluate()`, or the flush before
-    /// a stage that mutates storage in place.
+    /// of their `Future`, a pending call that reads them, an explicit
+    /// `evaluate()`, or the flush before a stage that mutates storage in
+    /// place.
     pub deferred_materialized: u64,
     /// Stage plans statically verified before execution (see
     /// [`verify_stage`](crate::verify::verify_stage) and
@@ -116,8 +108,6 @@ impl PhaseStats {
         self.bytes_split += other.bytes_split;
         self.bytes_merged += other.bytes_merged;
         self.split_form_handoffs += other.split_form_handoffs;
-        self.split_form_reslices += other.split_form_reslices;
-        self.split_form_fallbacks += other.split_form_fallbacks;
         self.deferred_outputs += other.deferred_outputs;
         self.deferred_materialized += other.deferred_materialized;
         self.plans_verified += other.plans_verified;

@@ -98,15 +98,10 @@ pub enum SpanKind {
     PlacementWrite = 13,
     /// Final merge of a stage on the calling thread (`arg` = stage).
     FinalMerge = 14,
-    /// A merge output handed to the next stage in split form instead of
-    /// being merged (`arg` = stage index, `link` = piece count). Near
-    /// zero-duration marker: the elided-merge analogue of
-    /// [`SpanKind::FinalMerge`].
-    SplitFormHandoff = 15,
 }
 
 /// Number of distinct [`SpanKind`]s (for per-kind aggregation arrays).
-pub const SPAN_KINDS: usize = 16;
+pub const SPAN_KINDS: usize = 15;
 
 /// Failure cause codes carried in an [`SpanKind::Attempt`] span's
 /// `link` field (the cause of the *previous* attempt's failure).
@@ -142,7 +137,6 @@ impl SpanKind {
             SpanKind::Merge => "merge",
             SpanKind::PlacementWrite => "placement_write",
             SpanKind::FinalMerge => "final_merge",
-            SpanKind::SplitFormHandoff => "split_form_handoff",
         }
     }
 
@@ -163,7 +157,6 @@ impl SpanKind {
             12 => SpanKind::Merge,
             13 => SpanKind::PlacementWrite,
             14 => SpanKind::FinalMerge,
-            15 => SpanKind::SplitFormHandoff,
             _ => return None,
         })
     }

@@ -3,8 +3,7 @@
 //! Mozart's runtime is only sound when annotations obey the paper's
 //! typing rules (§3) and the planner's stage plans respect the
 //! executor's memory discipline: placement merges write through raw
-//! offsets, split-form hand-offs serve batches straight from
-//! planner-derived piece ranges, and mut arguments alias user storage.
+//! offsets and mut arguments alias user storage.
 //! A bad annotation or a corrupted plan therefore fails *deep* in the
 //! executor — as a wrong answer or an out-of-bounds write — long after
 //! the mistake was made. This module rejects those inputs up front,
@@ -23,8 +22,8 @@
 //!   [`MergeStrategy::Concat`] — the v1→v2 migration rule); terminal
 //!   split types describe partial results and may not type arguments;
 //!   and a concatenation-strategy return should carry the
-//!   [`Concat`](crate::split::Concat) capability so the planner's
-//!   split-form rewrite is available.
+//!   [`Concat`](crate::split::Concat) capability so the serving layer
+//!   can coalesce requests over it.
 //!
 //! * **Layer 2 — [`verify_stage`]**: a structural proof over one
 //!   [`StagePlan`] against its [`DataflowGraph`], run before execution
@@ -40,9 +39,8 @@
 //!   mut-versions;
 //!   split inputs agree on one element total and the batch size
 //!   partitions `[0, total)` exactly (which makes the placement write
-//!   offsets a partition too); and split-form values — inputs and
-//!   elected outputs — are contiguous piece sets under a live
-//!   [`Concat`](crate::split::Concat) capability.
+//!   offsets a partition too); and no split input is a value still held
+//!   as pieces (held pieces are only ever merged).
 //!
 //! Verification is cheap (a few hash lookups per stage value, no
 //! allocation proportional to data) and is on by default in debug
@@ -145,9 +143,9 @@ pub enum VerifyError {
         split_type: String,
     },
     /// A return's split type declares [`MergeStrategy::Concat`] but
-    /// exposes no [`Concat`](crate::split::Concat) capability, so the
-    /// planner's split-form rewrite (elide merge→re-split) silently
-    /// never fires for it.
+    /// exposes no [`Concat`](crate::split::Concat) capability, so
+    /// request coalescing (one evaluation over concatenated inputs)
+    /// silently never applies to it.
     ConcatWithoutCapability {
         /// Annotated function name.
         annotation: String,
@@ -234,7 +232,7 @@ pub enum VerifyError {
     },
     /// An output marked `Deferred` is still consumed by a pending node
     /// outside the stage. Deferred pieces wait for a *read*; a consumer
-    /// needs the value merged or handed off in split form.
+    /// needs the value merged.
     DeferredConsumed {
         /// The wrongly deferred value.
         value: u32,
@@ -302,34 +300,12 @@ pub enum VerifyError {
         /// The terminal split type's name.
         split_type: String,
     },
-    /// A `SplitForm` output was elected for a split type without a
-    /// usable [`Concat`](crate::split::Concat) capability (not
-    /// concatenation-shaped, unknown, or no capability object) — the
-    /// consuming stage could never re-slice misaligned batches.
-    SplitFormNoConcat {
-        /// The output value.
+    /// A split input is a value still held as pieces (a deferred
+    /// output nobody merged): the executor splits whole values only, and
+    /// held pieces are merged before any stage reads them.
+    HeldInput {
+        /// The held input value.
         value: u32,
-        /// Its split type.
-        split_type: String,
-    },
-    /// A split-form input's piece set is not contiguous from element 0
-    /// or overruns its declared total — offsets into it would read the
-    /// wrong elements.
-    SplitFormGap {
-        /// The malformed split-form value.
-        value: u32,
-        /// First element where contiguity breaks.
-        at: u64,
-    },
-    /// A split-form input is bound under a different split type than
-    /// the one its pieces were produced under.
-    SplitFormTypeMismatch {
-        /// The rebound value.
-        value: u32,
-        /// The type the pieces carry.
-        held: String,
-        /// The type the plan binds.
-        bound: String,
     },
 }
 
@@ -395,8 +371,8 @@ impl std::fmt::Display for VerifyError {
             } => write!(
                 f,
                 "{annotation}: return split type {split_type} declares a Concat merge \
-                 strategy but exposes no concat() capability, so split-form hand-offs \
-                 can never fire"
+                 strategy but exposes no concat() capability, so requests over it can \
+                 never be coalesced"
             ),
             VerifyError::NodeOutOfRange { node } => {
                 write!(f, "plan references node n{node} which does not exist")
@@ -504,19 +480,10 @@ impl std::fmt::Display for VerifyError {
                 "stage input v{value} is typed with terminal split type \
                  {split_type}; partial results must merge before consumption"
             ),
-            VerifyError::SplitFormNoConcat { value, split_type } => write!(
+            VerifyError::HeldInput { value } => write!(
                 f,
-                "output v{value} was elected for split-form hand-off but split \
-                 type {split_type} has no usable concat capability"
-            ),
-            VerifyError::SplitFormGap { value, at } => write!(
-                f,
-                "split-form value v{value} has a gap or overlap at element {at}"
-            ),
-            VerifyError::SplitFormTypeMismatch { value, held, bound } => write!(
-                f,
-                "split-form value v{value} holds pieces under {held} but the plan \
-                 binds it as {bound}"
+                "split input v{value} is still held as pieces; held values must be \
+                 merged before a stage reads them"
             ),
         }
     }
@@ -639,7 +606,7 @@ pub fn check_annotation(annot: &Annotation) -> Vec<VerifyError> {
 /// capability still merges correctly through placement or
 /// [`Splitter::merge`](crate::split::Splitter::merge) — but
 /// `mozart-check` reports them so annotators
-/// notice that the planner's split-form rewrite can never fire.
+/// notice that requests over such a type can never be coalesced.
 pub fn lint_annotation(annot: &Annotation) -> Vec<VerifyError> {
     let mut lints = Vec::new();
     let exprs = annot
@@ -841,19 +808,11 @@ pub fn verify_stage(
                     });
                 }
             }
-            OutputKind::SplitForm => {
-                if out.instance.split_form_concat().is_none() {
-                    return Err(VerifyError::SplitFormNoConcat {
-                        value: out.value.0,
-                        split_type: out.instance.splitter.name().to_string(),
-                    });
-                }
-            }
             OutputKind::Merge => {}
         }
     }
 
-    // --- Element totals, batch partition, split-form inputs -----------
+    // --- Element totals, batch partition, held inputs ----------------
     let mut total: Option<u64> = None;
     let mut sum_elem_bytes: u64 = 0;
     for (vid, instance) in &plan.inputs {
@@ -863,58 +822,27 @@ pub fn verify_stage(
                 split_type: instance.splitter.name().to_string(),
             });
         }
-        let (input_total, elem_bytes) = if let Some(sf) = graph.split_form(*vid) {
-            if !sf.instance().same_type(instance) {
-                return Err(VerifyError::SplitFormTypeMismatch {
-                    value: vid.0,
-                    held: format!("{:?}", sf.instance()),
-                    bound: format!("{instance:?}"),
-                });
-            }
-            if sf.instance().split_form_concat().is_none() {
-                return Err(VerifyError::SplitFormNoConcat {
-                    value: vid.0,
-                    split_type: sf.instance().splitter.name().to_string(),
-                });
-            }
-            let mut cursor = 0u64;
-            for (start, end) in sf.ranges() {
-                if start != cursor || end < start {
-                    return Err(VerifyError::SplitFormGap {
+        if graph.held(*vid).is_some() {
+            return Err(VerifyError::HeldInput { value: vid.0 });
+        }
+        // Verification must work on *pending* plans: fall back to
+        // captured (pre-execution) data where the merged value does not
+        // exist yet, exactly like the planner's constructor pass. Values
+        // with no data at all (returns of earlier unexecuted stages)
+        // cannot be characterized here; skip them rather than reject —
+        // the executor re-checks totals when it binds real data.
+        let (input_total, elem_bytes) = match graph.captured_data(*vid) {
+            Some(data) => match instance.splitter.info(data, &instance.params) {
+                Ok(info) => (info.total_elements, info.elem_size_bytes),
+                Err(e) => {
+                    return Err(VerifyError::InfoUnavailable {
                         value: vid.0,
-                        at: cursor,
-                    });
+                        split_type: instance.splitter.name().to_string(),
+                        message: e.to_string(),
+                    })
                 }
-                cursor = end;
-            }
-            if cursor > sf.total() {
-                return Err(VerifyError::SplitFormGap {
-                    value: vid.0,
-                    at: sf.total(),
-                });
-            }
-            (sf.total(), sf.elem_size_bytes())
-        } else {
-            // Verification must work on *pending* plans: fall back to
-            // captured (pre-execution) data where the merged value does
-            // not exist yet, exactly like the planner's constructor
-            // pass. Values with no data at all (returns of earlier
-            // unexecuted stages) cannot be characterized here; skip
-            // them rather than reject — the executor re-checks totals
-            // when it binds real data.
-            match graph.captured_data(*vid) {
-                Some(data) => match instance.splitter.info(data, &instance.params) {
-                    Ok(info) => (info.total_elements, info.elem_size_bytes),
-                    Err(e) => {
-                        return Err(VerifyError::InfoUnavailable {
-                            value: vid.0,
-                            split_type: instance.splitter.name().to_string(),
-                            message: e.to_string(),
-                        })
-                    }
-                },
-                None => continue,
-            }
+            },
+            None => continue,
         };
         match total {
             None => total = Some(input_total),
@@ -1176,7 +1104,7 @@ mod tests {
             .build();
         // Legal at runtime: placement / Splitter::merge still work.
         assert!(check_annotation(&a).is_empty());
-        // But mozart-check reports the missed split-form rewrite.
+        // But mozart-check reports that requests over it cannot coalesce.
         let lints = lint_annotation(&a);
         assert!(
             matches!(lints[0], VerifyError::ConcatWithoutCapability { .. }),

@@ -15,6 +15,8 @@
 //!   placement nor a `Concat` capability defer and round-trip;
 //! * deferred pieces that are views of storage a later call mutates in
 //!   place are merged before the write (they read pre-mutation data);
+//! * a deferred value a later call reads is merged once, before that
+//!   call's stage is planned — held pieces are never a stage input;
 //! * an injected merge panic or an expired deadline during an
 //!   on-demand merge surfaces as the typed error an in-stage one does,
 //!   leaves the pieces in place, and a retry succeeds.
@@ -577,9 +579,8 @@ fn a_later_call_consumes_deferred_pieces() {
     handles[3].get().unwrap();
     assert_eq!(ctx.stats().deferred_outputs, 3, "a, b and lone");
 
-    // `b` (arrays: re-splittable) feeds a new call straight from its
-    // pieces; `lone` (chunks: no `Concat` capability) must be merged
-    // whole before a call can split it — the planner asks for that.
+    // `b` (arrays) and `lone` (chunks: no `Concat` capability) each feed
+    // a new call: both are merged whole before the calls' stage.
     let b_half = ctx
         .call(&vmul(), vec![handles[1].as_value(), k(0.5)])
         .unwrap()
@@ -592,15 +593,85 @@ fn a_later_call_consumes_deferred_pieces() {
     assert_eq!(thirds, elems(&handles[3].get().unwrap()));
     let stats = ctx.stats();
     assert_eq!(
-        stats.split_form_fallbacks, 1,
-        "lone merged for its consumer: {stats:?}"
-    );
-    assert_eq!(
-        stats.deferred_materialized, 0,
-        "nobody read a deferred handle yet"
+        stats.deferred_materialized, 2,
+        "b and lone merged for their consumers: {stats:?}"
     );
 
     let b = elems(&handles[1].get().unwrap());
     let half: Vec<f64> = b.iter().map(|x| x * 0.5).collect();
     assert_eq!(elems(&b_half.get().unwrap()), half);
+}
+
+#[test]
+fn held_piece_set_invariants() {
+    // Construction validates contiguity; slicing serves a set's own
+    // pieces and honours the NULL contract; materialization equals a
+    // classic merge, for `unknown` pieces too.
+    let p = |xs: &[f64]| DataValue::new(VecValue(SharedVec::from_vec(xs.to_vec())));
+    for inst in [
+        SplitInstance::new(Arc::new(ArraySplit), vec![6]),
+        SplitInstance::fresh_unknown(Arc::new(ArraySplit)),
+    ] {
+        let gap = vec![(0, 2, p(&[0.0, 1.0])), (3, 6, p(&[3.0, 4.0, 5.0]))];
+        assert!(
+            SplitForm::new(gap, 6, inst.clone()).is_err(),
+            "interior gap"
+        );
+        let over = vec![(0, 7, p(&[0.0; 7]))];
+        assert!(SplitForm::new(over, 6, inst.clone()).is_err(), "overrun");
+        assert!(
+            SplitForm::new(vec![], 6, inst.clone()).is_err(),
+            "no pieces"
+        );
+
+        let pieces = (0..3).map(|i| (2 * i, 2 * i + 2, p(&[2.0 * i as f64, 2.0 * i as f64 + 1.0])));
+        let sf = SplitForm::new(pieces.collect(), 6, inst).unwrap();
+        assert_eq!((sf.total(), sf.covered(), sf.piece_len()), (6, 6, 2));
+        assert_eq!(elems(&sf.slice(2..4).unwrap().unwrap()), [2.0, 3.0]);
+        // The last piece clamps the range to the covered end.
+        assert_eq!(elems(&sf.slice(4..9).unwrap().unwrap()), [4.0, 5.0]);
+        assert!(sf.slice(6..8).unwrap().is_none(), "NULL past the pieces");
+        assert!(sf.slice(1..3).is_err(), "a range that is not one piece");
+        assert_eq!(
+            elems(&sf.materialize().unwrap()),
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        );
+    }
+}
+
+#[test]
+fn a_deferred_input_is_merged_once_before_its_readers_stage() {
+    // The read of `second` leaves `first` deferred. A call captured over
+    // `first` afterwards finds it merged before its stage is fingerprinted
+    // and planned — the plan verifier rejects a stage that binds held
+    // pieces, and a held input would have no shape to cache the segment
+    // under — and a later read of `first` merges nothing again.
+    let cache = Arc::new(PlanCache::new(8));
+    let run = || {
+        let mut cfg = Config::with_workers(2);
+        (cfg.batch_override, cfg.verify_plans) = (Some(7), true);
+        let (ctx, first, second) = two_outputs(cfg, false);
+        ctx.attach_plan_cache(cache.clone());
+        second.get().unwrap();
+        let k = DataValue::new(FloatValue(0.5));
+        let half = ctx
+            .call(&vmul(), vec![first.as_value(), k])
+            .unwrap()
+            .unwrap();
+        let half = elems(&half.get().unwrap());
+        let s = ctx.stats();
+        let counts = (s.stages, s.deferred_outputs, s.deferred_materialized);
+        assert_eq!(counts, (2, 1, 1), "{s:?}");
+        let first = elems(&first.get().unwrap());
+        assert_eq!(ctx.stats().deferred_materialized, 1, "merged once");
+        (first, half)
+    };
+    let doubled: Vec<f64> = elems(&input(48)).iter().map(|x| x * 2.0).collect();
+    for _ in 0..2 {
+        let (first, half) = run();
+        assert_eq!(first, doubled);
+        assert_eq!(half, doubled.iter().map(|x| x * 0.5).collect::<Vec<_>>());
+    }
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses), (2, 2), "both segments cached: {s:?}");
 }

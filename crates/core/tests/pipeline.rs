@@ -338,6 +338,82 @@ fn pipe_ablation_runs_one_stage_per_function() {
     assert_eq!(data.as_slice()[0], 4.0);
 }
 
+/// `ys = xs * k` over `ArraySplit` arrays, returning a fresh array per
+/// batch, so a chain of calls has real intermediates to merge.
+fn vmul_annotation() -> Arc<Annotation> {
+    Annotation::new("pipe_vmul", |inv| {
+        let xs = match inv.args[0].downcast_ref::<SliceView>() {
+            // SAFETY: the executor hands each worker disjoint ranges and
+            // nobody mutates the parent during the task phase.
+            Some(view) => unsafe { view.as_slice() }.to_vec(),
+            None => inv.arg::<VecValue>(0)?.0.to_vec(),
+        };
+        let k = inv.float(1)?;
+        let ys = xs.iter().map(|x| x * k).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
+    })
+    .arg("xs", generic(0))
+    .arg("k", missing())
+    .ret(generic(0))
+    .build()
+}
+
+#[test]
+fn unpipelined_chain_merges_at_every_call_boundary() {
+    // The paper's "-pipe" ablation: with pipelining off, each call is
+    // its own stage and every value passed between calls is merged at
+    // the end of one stage and re-split by the next.
+    ArraySplit::register_default();
+    let n = 48usize;
+    let vmul = vmul_annotation();
+    let run = |pipeline: bool| {
+        let mut cfg = Config::with_workers(3);
+        (cfg.pipeline, cfg.batch_override, cfg.pedantic) = (pipeline, Some(7), true);
+        let ctx = MozartContext::new(cfg);
+        let xs = (0..n).map(|i| i as f64 - n as f64 / 3.0).collect();
+        let mut fut = ctx
+            .call(
+                &vmul,
+                vec![
+                    DataValue::new(VecValue(SharedVec::from_vec(xs))),
+                    DataValue::new(FloatValue(2.0)),
+                ],
+            )
+            .unwrap()
+            .unwrap();
+        for k in [3.0, 0.5] {
+            let next = ctx.call(&vmul, vec![fut.as_value(), DataValue::new(FloatValue(k))]);
+            fut = next.unwrap().unwrap();
+        }
+        let out = fut.get().unwrap();
+        let bits: Vec<u64> = out
+            .downcast_ref::<VecValue>()
+            .unwrap()
+            .0
+            .to_vec()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        (bits, ctx.stats())
+    };
+    let (staged, s) = run(false);
+    let (fused, f) = run(true);
+    assert_eq!(
+        staged, fused,
+        "-pipe must be bit-identical to the fused run"
+    );
+    assert_eq!(
+        (s.stages, f.stages),
+        (3, 1),
+        "one stage per call vs one stage"
+    );
+    assert_eq!(s.split_form_handoffs, 0);
+    // Eight bytes per element: the fused run merges only the result,
+    // the staged one also both intermediates.
+    let one = 8 * n as u64;
+    assert_eq!((s.bytes_merged, f.bytes_merged), (3 * one, one), "{s:?}");
+}
+
 #[test]
 fn generics_pipeline_binary_ops_and_detect_dependencies() {
     // Mirrors the Black Scholes snippet: in-place ops over shared buffers.

@@ -3,7 +3,7 @@
 //! under-fill without corrupting neighbors, and placement outputs must
 //! coexist with mut-alias outputs in one stage. The last test profiles
 //! every output path of the executor — placement, collect, commutative
-//! fold, split-form hand-off, deferred hold — by its spans and counters.
+//! fold, deferred hold — by its spans and counters.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -684,7 +684,6 @@ struct Profile {
     batches: u64,
     placement_writes: u64,
     bytes_merged: u64,
-    split_form_handoffs: u64,
     /// `(deferred_outputs, deferred_materialized)`.
     deferred: (u64, u64),
     /// `(merge_targets_reused, merge_targets_allocated)`.
@@ -698,7 +697,6 @@ impl Profile {
             batches: s.batches,
             placement_writes: s.placement_writes,
             bytes_merged: s.bytes_merged,
-            split_form_handoffs: s.split_form_handoffs,
             deferred: (s.deferred_outputs, s.deferred_materialized),
             targets: targets(s),
         }
@@ -717,7 +715,6 @@ fn every_output_path_records_its_spans_and_counters() {
         batches: 8,
         placement_writes: 8,
         bytes_merged: 8 * N as u64,
-        split_form_handoffs: 0,
         deferred: (0, 0),
         targets: (0, 1),
     };
@@ -728,11 +725,10 @@ fn every_output_path_records_its_spans_and_counters() {
         ..placed
     };
     type Run = fn(&MozartContext) -> Vec<f64>;
-    // (output path, pipeline, evaluation, its result, its counters)
-    let cases: [(&str, bool, Run, Vec<f64>, Profile); 6] = [
+    // (output path, evaluation, its result, its counters)
+    let cases: [(&str, Run, Vec<f64>, Profile); 5] = [
         (
             "placement resolved at stage start",
-            true,
             |c| {
                 let split = Arc::new(PlacedSplit { claim_factor: 1 });
                 let annot = scaled_fresh_annotation(split, Duration::ZERO);
@@ -743,45 +739,24 @@ fn every_output_path_records_its_spans_and_counters() {
         ),
         (
             "placement resolved by exemplar",
-            true,
             |c| read(&call1(c, &vmul(), times(vec_value(N), 2.0))),
             scaled(2.0),
             Profile { ..placed },
         ),
         (
             "collect in ordered runs",
-            true,
             |c| read(&call1(c, &every_third(), vec![vec_value(N)])),
             (0..N).step_by(3).map(|i| i as f64).collect(),
             Profile { ..collected },
         ),
         (
             "commutative fold",
-            true,
             |c| read(&call1(c, &sum(), vec![vec_value(N)])),
             vec![(N * (N - 1) / 2) as f64],
             Profile { ..collected },
         ),
         (
-            "split-form hand-off",
-            false,
-            |c| {
-                let doubled = call1(c, &vmul(), times(vec_value(N), 2.0));
-                let out = call1(c, &vmul(), times(doubled.as_value(), 3.0));
-                drop(doubled);
-                read(&out)
-            },
-            scaled(6.0),
-            Profile {
-                stages: 2,
-                batches: 16,
-                split_form_handoffs: 1,
-                ..placed
-            },
-        ),
-        (
             "deferred, then merged on demand",
-            true,
             |c| {
                 let doubled = call1(c, &vmul(), times(vec_value(N), 2.0));
                 let tripled = call1(c, &vmul(), times(vec_value(N), 3.0));
@@ -801,12 +776,11 @@ fn every_output_path_records_its_spans_and_counters() {
         ),
     ];
     for workers in [1, 2] {
-        for (path, pipeline, run, result, profile) in &cases {
+        for (path, run, result, profile) in &cases {
             let what = format!("{path}, {workers} workers");
             let mut cfg = Config::with_workers(workers);
             cfg.batch_override = Some(8);
             cfg.pedantic = true;
-            cfg.pipeline = *pipeline;
             let recorder = TraceRecorder::new();
             cfg.tracing = Some(recorder.clone());
             let c = MozartContext::new(cfg);
@@ -827,11 +801,6 @@ fn every_output_path_records_its_spans_and_counters() {
                 "{what}"
             );
             assert_eq!(count(SpanKind::FinalMerge), runs, "{what}");
-            assert_eq!(
-                count(SpanKind::SplitFormHandoff),
-                s.split_form_handoffs,
-                "{what}"
-            );
             // One worker-local merge window per participant that ran a
             // batch.
             let merges = count(SpanKind::Merge);

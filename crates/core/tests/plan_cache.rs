@@ -319,17 +319,25 @@ fn fingerprint_keys_every_planning_input() {
     assert_eq!(cache.stats().entries, 6);
 }
 
-/// `ys = xs * k`, returning a fresh array per batch: its output can be
-/// handed to a consuming stage as pieces.
+/// An array piece's elements, whether a view of a whole value or an
+/// owned batch result.
+fn piece_elems(piece: &DataValue) -> Result<Vec<f64>> {
+    Ok(match piece.downcast_ref::<SliceView>() {
+        // SAFETY: the executor hands each worker disjoint ranges.
+        Some(view) => unsafe { view.as_slice() }.to_vec(),
+        None => piece
+            .downcast_ref::<VecValue>()
+            .ok_or(Error::ValueUnavailable)?
+            .0
+            .to_vec(),
+    })
+}
+
+/// `ys = xs * k`, returning a fresh array per batch.
 fn mul_annotation() -> Arc<Annotation> {
     Annotation::new("cache_mul", |inv| {
-        let xs: Vec<f64> = match inv.args[0].downcast_ref::<SliceView>() {
-            // SAFETY: the executor hands each worker disjoint ranges.
-            Some(view) => unsafe { view.as_slice() }.to_vec(),
-            None => inv.arg::<VecValue>(0)?.0.to_vec(),
-        };
         let k = inv.float(1)?;
-        let ys = xs.iter().map(|x| x * k).collect();
+        let ys = piece_elems(&inv.args[0])?.iter().map(|x| x * k).collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
     })
     .arg("xs", mozart_core::annotation::generic(0))
@@ -338,43 +346,107 @@ fn mul_annotation() -> Arc<Annotation> {
     .build()
 }
 
+/// [`mul_annotation`] with its split type constructed from the array
+/// itself: a call over a value its own stage produces cannot join that
+/// stage.
+fn mul_own_len_annotation() -> Arc<Annotation> {
+    Annotation::new("cache_mul_own_len", |inv| {
+        let k = inv.float(1)?;
+        let ys = piece_elems(&inv.args[0])?.iter().map(|x| x * k).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
+    })
+    .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
+    .arg("k", mozart_core::annotation::missing())
+    .ret(concrete(Arc::new(ArraySplit), vec![0]))
+    .build()
+}
+
+/// Merger of [`positives_annotation`]'s output: concatenates owned
+/// pieces of any length.
+struct Compact;
+
+impl Splitter for Compact {
+    fn name(&self) -> &'static str {
+        "Compact"
+    }
+    fn construct(&self, _ctor_args: &[&DataValue]) -> Result<Params> {
+        Ok(vec![])
+    }
+    fn info(&self, _arg: &DataValue, _params: &Params) -> Result<RuntimeInfo> {
+        Err(Error::Library("merge-only".into()))
+    }
+    fn split(
+        &self,
+        _: &DataValue,
+        _: std::ops::Range<u64>,
+        _: &Params,
+    ) -> Result<Option<DataValue>> {
+        Err(Error::Library("merge-only".into()))
+    }
+    fn merge(&self, pieces: Vec<DataValue>, _params: &Params, _total: u64) -> Result<DataValue> {
+        let mut out = Vec::new();
+        for piece in &pieces {
+            out.extend(piece_elems(piece)?);
+        }
+        Ok(DataValue::new(VecValue(SharedVec::from_vec(out))))
+    }
+}
+
+/// The positive elements of an array: how many there are is data, not a
+/// shape the fingerprint pins.
+fn positives_annotation() -> Arc<Annotation> {
+    Annotation::new("cache_positives", |inv| {
+        let kept = piece_elems(&inv.args[0])?
+            .into_iter()
+            .filter(|x| *x > 0.0)
+            .collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(kept)))))
+    })
+    .arg("xs", mozart_core::annotation::generic(0))
+    .ret(mozart_core::annotation::unknown(Arc::new(Compact)))
+    .build()
+}
+
 #[test]
 fn a_replay_that_fails_to_bind_invalidates_and_replans() {
-    // Liveness is not part of the fingerprint: a plan recorded while
-    // the intermediate was dropped hands it to the next stage as
-    // pieces, and replaying it while the application holds that
-    // intermediate cannot bind the hand-off. The entry is invalidated
-    // and the evaluation plans afresh, with the right result.
+    // Only the shapes of a segment's inputs are in the fingerprint, not
+    // the lengths its stages compute. A plan recorded while a filtered
+    // array matched another input's length pipelines their consumers
+    // into one stage; replayed over data that filters to another length,
+    // that stage fails to bind. The entry is invalidated and the
+    // evaluation plans afresh, with the right result.
     let cache = Arc::new(PlanCache::new(16));
-    let mul = mul_annotation();
-    let run = |keep_intermediate: bool| {
+    let (keep, mul_own, mul) = (
+        positives_annotation(),
+        mul_own_len_annotation(),
+        mul_annotation(),
+    );
+    let run = |positives: usize| {
         let mut cfg = Config::with_workers(1);
-        (cfg.pipeline, cfg.batch_override) = (false, Some(4));
+        cfg.batch_override = Some(4);
         let ctx = MozartContext::new(cfg);
         ctx.attach_plan_cache(cache.clone());
-        let xs = DataValue::new(VecValue(SharedVec::from_vec(vec![1.0; 16])));
+        let array = |xs: Vec<f64>| DataValue::new(VecValue(SharedVec::from_vec(xs)));
         let k = || DataValue::new(FloatValue(3.0));
-        let f1 = ctx.call(&mul, vec![xs, k()]).unwrap().unwrap();
-        let f2 = ctx.call(&mul, vec![f1.as_value(), k()]).unwrap().unwrap();
-        let kept = keep_intermediate.then_some(f1);
-        let out = f2
-            .get()
+        let xs = (0..32).map(|i| if i < positives { 1.0 } else { -1.0 });
+        let ys = ctx.call(&keep, vec![array(xs.collect())]).unwrap().unwrap();
+        let a = ctx
+            .call(&mul_own, vec![ys.as_value(), k()])
             .unwrap()
-            .downcast_ref::<VecValue>()
+            .unwrap();
+        let b = ctx
+            .call(&mul, vec![array(vec![2.0; 16]), k()])
             .unwrap()
-            .0
-            .to_vec();
-        assert_eq!(out, vec![9.0; 16]);
-        drop(kept);
-        ctx.stats().split_form_handoffs
+            .unwrap();
+        ctx.evaluate().unwrap();
+        let read = |f: &FutureHandle| piece_elems(&f.get().unwrap()).unwrap();
+        assert_eq!(read(&a), vec![3.0; positives]);
+        assert_eq!(read(&b), vec![6.0; 16]);
+        ctx.stats().stages
     };
     ArraySplit::register_default();
-    assert_eq!(
-        run(false),
-        1,
-        "the recorded plan hands the intermediate off"
-    );
-    assert_eq!(run(true), 0, "a held intermediate merges");
+    assert_eq!(run(16), 2, "the recorded plan pipelines both products");
+    assert_eq!(run(12), 3, "the replan runs them apart");
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.invalidations), (0, 2, 1));
 }

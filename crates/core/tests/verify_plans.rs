@@ -1,9 +1,9 @@
 //! Property tests for the Layer-2 plan verifier: start from a valid
 //! graph + stage plan, apply one randomly-parameterized corruption
 //! (drop a slot, alias two slots, discard a live output, defer a
-//! demanded or consumed output, gap a split-form piece set, ...), and assert `verify_stage` rejects it
-//! with the matching typed [`VerifyError`] — never a panic, never a
-//! silent acceptance.
+//! demanded or consumed output, bind a held value as a split input,
+//! ...), and assert `verify_stage` rejects it with the matching typed
+//! [`VerifyError`] — never a panic, never a silent acceptance.
 //!
 //! The scenario mirrors the planner's output for a two-call pipeline:
 //! `n0` scales a vector in place (mut arg -> `InPlace` output) and
@@ -35,9 +35,9 @@ fn noop(_: &Invocation<'_>) -> Result<Option<DataValue>> {
 }
 
 /// Configurable stub splitter for the non-`ArraySplit` corruption
-/// cases: commutative merge (so `split_form_concat()` is `None` and
-/// the strategy cannot recover in-place views), optionally terminal,
-/// optionally refusing `info` like a merge-only reducer.
+/// cases: commutative merge (so the strategy cannot recover in-place
+/// views), optionally terminal, optionally refusing `info` like a
+/// merge-only reducer.
 struct Stub {
     name: &'static str,
     terminal: bool,
@@ -272,15 +272,9 @@ enum Mutation {
     InfoUnavailable,
     /// Add a second split input of `len != N` elements.
     ElementMismatch { len: u64 },
-    /// Hand v0 over in split form with a piece gap at `split`.
-    SplitFormGap { split: u64, skip: u64 },
-    /// Hand v0 over in split form covering `N + extra` of N elements.
-    SplitFormOverrun { extra: u64 },
-    /// Hand v0 over in split form held under different params than the
-    /// plan binds.
-    SplitFormTypeMismatch,
-    /// Elect v3 for split-form hand-off under a concat-less instance.
-    SplitFormOutputNoConcat,
+    /// Hold the split input v0 as `pieces` pieces instead of whole, as a
+    /// deferred output nobody merged.
+    HeldInput { pieces: u64 },
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
@@ -304,25 +298,8 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         (1u64..2 * N).prop_map(|len| Mutation::ElementMismatch {
             len: if len == N { N + N } else { len },
         }),
-        (1u64..N, 1u64..5).prop_map(|(split, skip)| Mutation::SplitFormGap { split, skip }),
-        (1u64..9).prop_map(|extra| Mutation::SplitFormOverrun { extra }),
-        Just(Mutation::SplitFormTypeMismatch),
-        Just(Mutation::SplitFormOutputNoConcat),
+        (1u64..N + 1).prop_map(|pieces| Mutation::HeldInput { pieces }),
     ]
-}
-
-/// Put v0 in split form holding `pieces` under `held`, as if its
-/// producing stage elided the merge.
-fn set_split_form(graph: &mut DataflowGraph, pieces: Vec<(u64, u64)>, held: SplitInstance) {
-    let dummy = DataValue::new(FloatValue(0.0));
-    let pieces = pieces
-        .into_iter()
-        .map(|(s, e)| (s, e, dummy.clone()))
-        .collect();
-    let sf = SplitForm::new_unchecked(pieces, N, held, 8).expect("ArraySplit has concat");
-    let entry = &mut graph.values[0];
-    entry.ready = false;
-    entry.held = Some(Arc::new(sf));
 }
 
 /// Make v3 live-only — its consumer n2 has run, the application holds
@@ -398,24 +375,16 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             s.plan.slots = SlotTable::from_slots(&valid_slots(5));
             s.plan.num_slots = 5;
         }
-        Mutation::SplitFormGap { split, skip } => {
-            set_split_form(
-                &mut s.graph,
-                vec![(0, *split), (*split + *skip, N.max(*split + *skip))],
-                arr(N),
-            );
-        }
-        Mutation::SplitFormOverrun { extra } => {
-            set_split_form(&mut s.graph, vec![(0, N + *extra)], arr(N));
-        }
-        Mutation::SplitFormTypeMismatch => {
-            // Pieces contiguous and complete, but held under different
-            // split parameters than the plan's binding.
-            set_split_form(&mut s.graph, vec![(0, N)], arr(N + 1));
-        }
-        Mutation::SplitFormOutputNoConcat => {
-            s.plan.outputs[1].kind = OutputKind::SplitForm;
-            s.plan.outputs[1].instance = commut_inst();
+        Mutation::HeldInput { pieces } => {
+            // Contiguous pieces of `len` elements covering all N, under
+            // the very split type the plan binds: only holding is wrong.
+            let len = N.div_ceil(*pieces);
+            let piece = DataValue::new(FloatValue(0.0));
+            let ranges = (0..N).step_by(len as usize);
+            let pieces = ranges.map(|s| (s, N.min(s + len), piece.clone())).collect();
+            let held = SplitForm::new(pieces, N, arr(N)).expect("contiguous pieces");
+            let entry = &mut s.graph.values[0];
+            (entry.data, entry.ready, entry.held) = (None, false, Some(Arc::new(held)));
         }
     }
 }
@@ -488,18 +457,7 @@ fn expected(err: &VerifyError, m: &Mutation) -> bool {
             err,
             VerifyError::ElementMismatch { value: 4, expected: N, actual } if actual == len
         ),
-        Mutation::SplitFormGap { split, .. } => {
-            matches!(err, VerifyError::SplitFormGap { value: 0, at } if at == split)
-        }
-        Mutation::SplitFormOverrun { .. } => {
-            matches!(err, VerifyError::SplitFormGap { value: 0, at: N })
-        }
-        Mutation::SplitFormTypeMismatch => {
-            matches!(err, VerifyError::SplitFormTypeMismatch { value: 0, .. })
-        }
-        Mutation::SplitFormOutputNoConcat => {
-            matches!(err, VerifyError::SplitFormNoConcat { value: 3, .. })
-        }
+        Mutation::HeldInput { .. } => matches!(err, VerifyError::HeldInput { value: 0 }),
     }
 }
 

@@ -8,8 +8,8 @@
 //! BUDGET <bytes>                 set this session's byte budget (0 = unlimited)
 //! DEADLINE <ms>                  set this session's default request deadline (0 = none)
 //! PIPELINE <0|1>                 set this session's stage evaluation mode (1 = fused
-//!                                pipelines, the default; 0 = per-call stages with
-//!                                split-form hand-offs across stage boundaries)
+//!                                pipelines, the default; 0 = per-call stages that
+//!                                merge and re-split at every call boundary)
 //! VERIFY <0|1>                   set this session's plan verification mode (1 = prove
 //!                                each stage plan sound before executing it; 0 = trust
 //!                                the planner; default = the service's `Config`)

@@ -2042,8 +2042,8 @@ impl Session {
     }
 
     /// This session's stage evaluation mode: `true` fuses whole
-    /// pipelines, `false` evaluates one stage per call with split-form
-    /// hand-offs across stage boundaries.
+    /// pipelines, `false` evaluates one stage per call, merging and
+    /// re-splitting at every call boundary (the paper's "-pipe").
     pub fn pipeline(&self) -> bool {
         self.pipeline.load(Ordering::Relaxed)
     }

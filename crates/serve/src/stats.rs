@@ -49,8 +49,8 @@ pub struct ServiceStats {
     pub breaker_shed: u64,
     /// The engine's own counters: every evaluation attempt's
     /// [`PhaseStats`] (failed attempts included), accumulated when the
-    /// request that ran them settles. Split-form hand-offs, deferred
-    /// outputs and reused merge targets are read from here.
+    /// request that ran them settles. Deferred outputs and reused merge
+    /// targets are read from here.
     pub engine: PhaseStats,
     /// Whether `PipelineService::drain` has been called: admission is
     /// closed and every new request is shed with
@@ -172,7 +172,7 @@ pub static STAT_TABLE: [StatRow; 34] = [
         "Requests served by piggybacking on another evaluation"),
     row(Some((27, "split_form_handoffs")), Counter, |s| s.engine.split_form_handoffs,
         Some("mozart_split_form_handoffs_total"),
-        "Stage-boundary intermediates handed across in split form"),
+        "Retired, always 0: stage outputs are merged, never handed across as pieces"),
     row(Some((28, "deferred_outputs")), Counter, |s| s.engine.deferred_outputs,
         Some("mozart_deferred_outputs_total"),
         "Live but undemanded outputs left as held pieces instead of merged"),

@@ -512,7 +512,7 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_requests_deadline_shed_total", "counter", "Requests shed because their deadline passed"),
         ("mozart_retries_total", "counter", "Evaluation attempts re-run after a transient failure"),
         ("mozart_requests_coalesced_total", "counter", "Requests served by piggybacking on another evaluation"),
-        ("mozart_split_form_handoffs_total", "counter", "Stage-boundary intermediates handed across in split form"),
+        ("mozart_split_form_handoffs_total", "counter", "Retired, always 0: stage outputs are merged, never handed across as pieces"),
         ("mozart_deferred_outputs_total", "counter", "Live but undemanded outputs left as held pieces instead of merged"),
         ("mozart_deferred_materialized_total", "counter", "Deferred outputs merged on demand by a later read or in-place stage"),
         ("mozart_merge_targets_reused_total", "counter", "Placement-merge targets written over a released one instead of allocated"),

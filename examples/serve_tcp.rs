@@ -75,10 +75,9 @@
 //!
 //! `PIPELINE <0|1>` picks the session's stage evaluation mode: `1`
 //! (the default) fuses whole pipelines, `0` evaluates one stage per
-//! call and hands intermediates across in split form — bit-identical
-//! responses, with the elided merges counted by the
-//! `split_form_handoffs` STATS field and the
-//! `mozart_split_form_handoffs_total` metric.
+//! call, merging and re-splitting every intermediate at its call
+//! boundary (the paper's "-pipe" ablation) — with bit-identical
+//! responses.
 //!
 //! Fault-tolerance controls: `DEADLINE <ms>` sets the session's default
 //! request deadline (0 clears it), a per-call `DEADLINE_MS=<ms>` pair
@@ -409,26 +408,23 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         http_reply.len()
     );
 
-    // Split-form hand-offs: staged evaluation (PIPELINE 0) hands
-    // stage-boundary intermediates to the next stage in split form
-    // instead of merging and re-splitting; the counter rides at the
-    // stable end of STATS. PIPELINE 1 restores the fused default.
-    // The image is above the work floor: its calls are captured and
-    // staged rather than run at registration.
+    // Staged evaluation: PIPELINE 0 runs one stage per call, merging
+    // and re-splitting every intermediate at its call boundary; its
+    // reply must be exactly the fused (PIPELINE 1) reply for the same
+    // seed. The image is above the work floor: its calls are captured
+    // and staged rather than run at registration.
+    let nashville = "nashville width=512 height=384 seed=5";
+    // The reply without its per-request trace id.
+    let body = |reply: String| {
+        let body = reply.split(" trace=").next().unwrap_or_default();
+        body.trim_end().to_string()
+    };
     exchange(&mut writer, &mut reader, "PIPELINE 0", "OK pipeline=0");
-    exchange(
-        &mut writer,
-        &mut reader,
-        "nashville width=512 height=384",
-        "OK",
-    );
+    let staged = body(exchange(&mut writer, &mut reader, nashville, "OK mean="));
     exchange(&mut writer, &mut reader, "PIPELINE 1", "OK pipeline=1");
+    let fused = body(exchange(&mut writer, &mut reader, nashville, "OK mean="));
+    assert_eq!(staged, fused, "staged and fused nashville replies differ");
     exchange(&mut writer, &mut reader, "PIPELINE 2", "ERR bad_request");
-    let stats = exchange(&mut writer, &mut reader, "STATS", "OK");
-    assert!(
-        field_u64(&stats, "split_form_handoffs") >= 1,
-        "staged nashville produced no split-form hand-offs: {stats:?}"
-    );
 
     // Drain handshake: the service empties (idle=true), then turns new
     // work away with the typed draining error.

@@ -6,10 +6,6 @@
 //!   registered splitter exposing the v2 `Concat` capability — the
 //!   inverse-of-split law the serving layer's generic cross-request
 //!   coalescing relies on;
-//! * split-form re-slicing (ISSUE 9): a value held as pieces at one
-//!   granularity, sliced at a different granularity through the
-//!   `Concat` capability, yields exactly what a fresh split of the
-//!   merged value would — for every concat-capable splitter;
 //! * `F(a, b, ...) = Merge(F(a1, b1, ...), F(a2, b2, ...), ...)` for
 //!   annotated functions under arbitrary split points;
 //! * Mozart execution equals eager library execution for arbitrary
@@ -297,181 +293,6 @@ proptest! {
         check_split_concat_roundtrip(&sa_text::CorpusSplit, &dv, &cut_points(n, cuts), |v| {
             v.downcast_ref::<sa_text::CorpusValue>().unwrap().0.as_ref().clone()
         });
-    }
-}
-
-/// The split-form re-slice law (ISSUE 9): hold a value as pieces cut at
-/// one granularity (`produce` points), then serve ranges cut at a
-/// *different* granularity (`consume` points) through
-/// [`SplitForm::slice`]. Every served range must equal a fresh split of
-/// the whole value over the same range — whether the range happened to
-/// land on a piece boundary (clone fast path) or was re-sliced through
-/// the `Concat` capability — and materialization must reproduce the
-/// whole value.
-fn check_split_form_reslice<T: Eq + std::fmt::Debug>(
-    splitter: std::sync::Arc<dyn Splitter>,
-    value: &DataValue,
-    n: usize,
-    produce: &[usize],
-    consume: &[usize],
-    extract: impl Fn(&DataValue) -> T,
-) {
-    let params = splitter.default_params(value).unwrap();
-    let inst = SplitInstance::new(splitter.clone(), params.clone());
-    let mut pieces = Vec::new();
-    for w in produce.windows(2) {
-        if w[0] < w[1] {
-            let p = splitter
-                .split(value, w[0] as u64..w[1] as u64, &params)
-                .unwrap()
-                .unwrap();
-            pieces.push((w[0] as u64, w[1] as u64, p));
-        }
-    }
-    let elem = splitter
-        .info(value, &params)
-        .map(|i| i.elem_size_bytes)
-        .unwrap_or(0);
-    let sf = SplitForm::new(pieces, n as u64, inst, elem).unwrap();
-    for w in consume.windows(2) {
-        if w[0] < w[1] {
-            let (got, _resliced) = sf
-                .slice(w[0] as u64..w[1] as u64)
-                .unwrap()
-                .expect("range inside the covered prefix");
-            let fresh = splitter
-                .split(value, w[0] as u64..w[1] as u64, &params)
-                .unwrap()
-                .unwrap();
-            prop_assert_eq!(
-                extract(&got),
-                extract(&fresh),
-                "range {}..{} must equal a fresh split",
-                w[0],
-                w[1]
-            );
-        }
-    }
-    // Past the covered range: the NULL driver stop.
-    prop_assert!(sf.slice(n as u64..n as u64 + 4).unwrap().is_none());
-    // Materialization (the conservative fallback) reproduces the value.
-    prop_assert_eq!(
-        extract(&sf.materialize().unwrap()),
-        extract(value),
-        "materialize == original"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// ArraySplit: split-form re-slice equals fresh split.
-    #[test]
-    fn array_split_form_reslice(
-        data in prop::collection::vec(-1e6f64..1e6, 1..160),
-        produce in prop::collection::vec(0usize..160, 0..5),
-        consume in prop::collection::vec(0usize..160, 0..5),
-    ) {
-        let n = data.len();
-        let dv = DataValue::new(VecValue(SharedVec::from_vec(data)));
-        let extract = |v: &DataValue| {
-            if let Some(v) = v.downcast_ref::<VecValue>() {
-                return v.0.to_vec().iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
-            }
-            let v = v.downcast_ref::<SliceView>().unwrap();
-            // SAFETY: single-threaded test, no concurrent mutation.
-            unsafe { v.as_slice() }.iter().map(|f| f.to_bits()).collect()
-        };
-        check_split_form_reslice(
-            std::sync::Arc::new(ArraySplit), &dv, n,
-            &cut_points(n, produce), &cut_points(n, consume), extract,
-        );
-    }
-
-    /// NdSplit: split-form re-slice equals fresh split (rank 1 and 2).
-    #[test]
-    fn nd_split_form_reslice(
-        rows in 1usize..80,
-        colsel in 0usize..4,
-        produce in prop::collection::vec(0usize..80, 0..5),
-        consume in prop::collection::vec(0usize..80, 0..5),
-    ) {
-        let arr = match colsel {
-            0 => ndarray_lite::NdArray::from_fn(&[rows], |i| i as f64 * 1.5),
-            c => ndarray_lite::NdArray::from_fn(&[rows, c], |i| i as f64 - 7.0),
-        };
-        let dv = DataValue::new(sa_ndarray::NdValue(arr));
-        check_split_form_reslice(
-            std::sync::Arc::new(sa_ndarray::NdSplit), &dv, rows,
-            &cut_points(rows, produce), &cut_points(rows, consume),
-            |v| {
-                let a = &v.downcast_ref::<sa_ndarray::NdValue>().unwrap().0;
-                (a.shape().to_vec(), a.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<u64>>())
-            },
-        );
-    }
-
-    /// RowSplit: split-form re-slice equals fresh split.
-    #[test]
-    fn row_split_form_reslice(
-        vals in prop::collection::vec(-1e3f64..1e3, 1..100),
-        produce in prop::collection::vec(0usize..100, 0..5),
-        consume in prop::collection::vec(0usize..100, 0..5),
-    ) {
-        let n = vals.len();
-        let df = DataFrame::from_cols(vec![
-            ("id", Column::from_i64((0..n as i64).collect())),
-            ("v", Column::from_f64(vals)),
-        ]);
-        let dv = sa_dataframe::dfv(&df);
-        check_split_form_reslice(
-            std::sync::Arc::new(sa_dataframe::RowSplit), &dv, n,
-            &cut_points(n, produce), &cut_points(n, consume),
-            |v| {
-                let d = &v.downcast_ref::<sa_dataframe::DfValue>().unwrap().0;
-                (
-                    d.col("id").i64s().to_vec(),
-                    d.col("v").f64s().iter().map(|f| f.to_bits()).collect::<Vec<u64>>(),
-                )
-            },
-        );
-    }
-
-    /// ImageSplit: split-form re-slice equals fresh split.
-    #[test]
-    fn image_split_form_reslice(
-        w in 1usize..24,
-        h in 1usize..40,
-        seed in 0u64..64,
-        produce in prop::collection::vec(0usize..40, 0..4),
-        consume in prop::collection::vec(0usize..40, 0..4),
-    ) {
-        let img = imagelib::Image::synthetic(w, h, seed);
-        let dv = DataValue::new(sa_image::ImgValue(img));
-        check_split_form_reslice(
-            std::sync::Arc::new(sa_image::ImageSplit), &dv, h,
-            &cut_points(h, produce), &cut_points(h, consume),
-            |v| {
-                let i = &v.downcast_ref::<sa_image::ImgValue>().unwrap().0;
-                (i.width(), i.height(), i.data().iter().map(|f| f.to_bits()).collect::<Vec<u32>>())
-            },
-        );
-    }
-
-    /// CorpusSplit: split-form re-slice equals fresh split.
-    #[test]
-    fn corpus_split_form_reslice(
-        docs in prop::collection::vec("[a-z ]{0,20}", 1..60),
-        produce in prop::collection::vec(0usize..60, 0..4),
-        consume in prop::collection::vec(0usize..60, 0..4),
-    ) {
-        let n = docs.len();
-        let dv = sa_text::corpus(&docs);
-        check_split_form_reslice(
-            std::sync::Arc::new(sa_text::CorpusSplit), &dv, n,
-            &cut_points(n, produce), &cut_points(n, consume),
-            |v| v.downcast_ref::<sa_text::CorpusValue>().unwrap().0.as_ref().clone(),
-        );
     }
 }
 
