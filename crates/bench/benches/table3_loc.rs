@@ -7,8 +7,6 @@
 
 use std::path::Path;
 
-use mozart_bench::write_results;
-
 /// Count non-empty, non-comment source lines.
 fn count(text: &str) -> usize {
     text.lines()
@@ -115,8 +113,6 @@ fn main() {
         "{:<14} {:>10} {:>12} {:>8} | {:>9} {:>10} {:>10}",
         "Library", "SAs", "Split.API", "Total", "paper-SA", "paper-API", "paper-Weld"
     );
-    let mut csv =
-        String::from("library,sa_loc,split_api_loc,total,paper_sa,paper_api,paper_weld\n");
     for i in INTEGRATIONS {
         let src = root.join(i.crate_dir).join("src");
         let sa: usize = i.sa_files.iter().map(|f| loc(&src.join(f))).sum();
@@ -132,18 +128,7 @@ fn main() {
             papi,
             pweld.map(|w| w.to_string()).unwrap_or_else(|| "-".into())
         );
-        csv.push_str(&format!(
-            "{},{},{},{},{},{},{}\n",
-            i.library,
-            sa,
-            split,
-            sa + split,
-            psa,
-            papi,
-            pweld.map(|w| w.to_string()).unwrap_or_default()
-        ));
     }
-    write_results("table3.csv", &csv);
 
     println!("\n=== runtime size: non-test lines of code per layer ===");
     let mut total = 0;

@@ -1,11 +1,14 @@
-//! Shared harness utilities for the figure/table benchmarks.
+//! Shared harness utilities for the benches that regenerate the paper's
+//! evaluation.
 //!
-//! Every bench target regenerates one table or figure of the paper:
-//! it prints the same rows/series the paper reports and writes a CSV
-//! under `bench_results/`. Sizes are scaled for a laptop-class machine;
-//! set `MOZART_BENCH_SCALE` (float) to grow them and
-//! `MOZART_BENCH_THREADS` (comma list) / `MOZART_BENCH_REPS` to adjust
-//! the sweep.
+//! `paper_figures` measures Figures 4–7 and Table 4 and writes them to
+//! `bench_results/paper.json`; `phase_breakdown` and `serve_throughput`
+//! write their own JSON snapshots there, and `table3_loc` prints Table 3.
+//! Sizes are scaled for a laptop-class machine; set `MOZART_BENCH_SCALE`
+//! (float) to grow them and `MOZART_BENCH_THREADS` (comma list) /
+//! `MOZART_BENCH_REPS` to adjust the sweep. The shape helpers below
+//! ([`losses`], [`within_of_best`], [`non_increasing`]) read the
+//! paper's claims off the measured numbers.
 
 #![warn(missing_docs)]
 
@@ -68,67 +71,6 @@ pub fn time_min(reps: usize, mut f: impl FnMut()) -> Duration {
     best
 }
 
-/// A measured series (one line in a figure).
-pub struct Series {
-    /// System name (e.g. "Mozart").
-    pub name: String,
-    /// `(threads, seconds)` points.
-    pub points: Vec<(usize, f64)>,
-}
-
-/// Print a figure's series in the paper's layout and write a CSV.
-pub fn report_figure(figure: &str, caption: &str, series: &[Series]) {
-    println!("\n=== {figure}: {caption} ===");
-    print!("{:>12}", "threads");
-    for s in series {
-        print!("{:>14}", s.name);
-    }
-    println!();
-    let threads: Vec<usize> = series
-        .first()
-        .map(|s| s.points.iter().map(|p| p.0).collect())
-        .unwrap_or_default();
-    for (row, &t) in threads.iter().enumerate() {
-        print!("{t:>12}");
-        for s in series {
-            print!("{:>13.4}s", s.points[row].1);
-        }
-        println!();
-    }
-    // Speedup annotation like the red labels in Figure 4: base vs
-    // Mozart at the largest thread count.
-    if let (Some(base), Some(moz)) = (
-        series
-            .iter()
-            .find(|s| s.name.contains("base") || s.name == "MKL" || s.name == "Base"),
-        series.iter().find(|s| s.name.contains("Mozart")),
-    ) {
-        if let (Some(b), Some(m)) = (base.points.last(), moz.points.last()) {
-            if m.1 > 0.0 {
-                println!(
-                    "    speedup (Mozart vs {} @ {} threads): {:.1}x",
-                    base.name,
-                    b.0,
-                    b.1 / m.1
-                );
-            }
-        }
-    }
-    let mut csv = String::from("threads");
-    for s in series {
-        csv.push_str(&format!(",{}", s.name));
-    }
-    csv.push('\n');
-    for (row, &t) in threads.iter().enumerate() {
-        csv.push_str(&t.to_string());
-        for s in series {
-            csv.push_str(&format!(",{}", s.points[row].1));
-        }
-        csv.push('\n');
-    }
-    write_results(&format!("{figure}.csv"), &csv);
-}
-
 /// Write a file under `bench_results/` (best effort).
 pub fn write_results(name: &str, contents: &str) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
@@ -156,6 +98,29 @@ pub fn with_image_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The workload families Mozart loses, as the paper lists its own:
+/// every `(name, base_seconds, mozart_seconds)` whose Mozart time is
+/// strictly worse than its base (a tie is not a loss), in input order.
+pub fn losses<'a>(families: &[(&'a str, f64, f64)]) -> Vec<&'a str> {
+    families
+        .iter()
+        .filter(|&&(_, base, mozart)| mozart > base)
+        .map(|&(name, _, _)| name)
+        .collect()
+}
+
+/// Whether `seconds` is within `tolerance` (a fraction, 0.1 = 10%) of
+/// the fastest point of a sweep. An empty sweep has no best to miss.
+pub fn within_of_best(seconds: f64, sweep: &[f64], tolerance: f64) -> bool {
+    let best = sweep.iter().copied().fold(f64::INFINITY, f64::min);
+    seconds <= best * (1.0 + tolerance)
+}
+
+/// Whether a series never rises from one point to the next.
+pub fn non_increasing(series: &[f64]) -> bool {
+    series.windows(2).all(|w| w[1] <= w[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,5 +140,40 @@ mod tests {
     fn time_min_measures() {
         let d = time_min(2, || std::thread::sleep(Duration::from_millis(2)));
         assert!(d >= Duration::from_millis(2));
+    }
+
+    #[test]
+    fn losses_lists_every_slower_family_and_no_ties() {
+        let families = [
+            ("Crime Index (Pandas)", 1.0, 2.0),
+            ("Black Scholes (MKL)", 2.0, 1.0),
+            ("Speech Tag (spaCy)", 1.5, 1.5),
+            ("Gotham (ImageMagick)", 0.5, 0.6),
+        ];
+        assert_eq!(
+            losses(&families),
+            ["Crime Index (Pandas)", "Gotham (ImageMagick)"]
+        );
+        assert!(losses(&[]).is_empty());
+    }
+
+    #[test]
+    fn within_of_best_allows_the_tolerance_and_no_more() {
+        let sweep = [0.5, 0.4, 0.8];
+        assert!(within_of_best(0.4, &sweep, 0.1));
+        assert!(within_of_best(0.44, &sweep, 0.1));
+        assert!(!within_of_best(0.45, &sweep, 0.1));
+        // One point: that point is the best.
+        assert!(within_of_best(1.05, &[1.0], 0.1));
+        assert!(!within_of_best(1.2, &[1.0], 0.1));
+    }
+
+    #[test]
+    fn non_increasing_accepts_flat_and_falling_series() {
+        assert!(non_increasing(&[3.0, 2.0, 2.0, 1.0]));
+        assert!(non_increasing(&[1.0]));
+        assert!(non_increasing(&[]));
+        assert!(!non_increasing(&[3.0, 2.0, 2.5]));
+        assert!(!non_increasing(&[1.0, 1.0001]));
     }
 }

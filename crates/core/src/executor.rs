@@ -49,7 +49,7 @@
 //! |------|----------------------|----------------------|-------------------|-------|----------|
 //! | `Place` | write the piece in place at its element offset | nothing to do | coverage check, truncation to the written prefix after a `NULL`-split tail | `PlacementWrite` per batch | `placement_writes`, `bytes_merged`, `merge_targets_{reused,allocated}` |
 //! | `Collect` | stash `(start, end, piece)` | merge each contiguous run, or fold everything when the merge is commutative | order the runs by offset, merge once | — | `bytes_merged` |
-//! | `Hold` | stash `(start, end, piece)` | keep one run per batch | build the [`SplitForm`] | — | `deferred_outputs` |
+//! | `Hold` | stash `(start, end, piece)` | keep one run per batch | build the [`HeldPieces`] | — | `deferred_outputs` |
 //!
 //! All sinks share the phase spans: `Split` and `Task` per batch, one
 //! `Merge` per worker that ran a batch (its `local` window) and one
@@ -82,7 +82,7 @@
 //! something does ask for the value — a read of its `Future`, or a
 //! pending call that reads it: an *identity stage* — no calls, the
 //! pieces as its one split input, served at their own boundaries by
-//! [`SplitForm::slice`], the value as its one merge output — run
+//! [`HeldPieces::slice`], the value as its one merge output — run
 //! through the same driver loop, with the cancellation checks, fault
 //! points, panic isolation and spans of any other stage. Held pieces
 //! are only ever merged: no planned stage binds them as a split input.
@@ -101,7 +101,7 @@ use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, Work
 use crate::graph::{DataflowGraph, MergeOrigin, ValueId};
 use crate::planner::{OutputKind, PlanCache, PlanSite, StageOutput, StagePlan};
 use crate::pool::{Job, WorkerPool};
-use crate::split::{MergeStrategy, Params, Placement, RuntimeInfo, SplitForm, SplitInstance};
+use crate::split::{HeldPieces, MergeStrategy, Params, Placement, RuntimeInfo, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
 use crate::value::DataValue;
@@ -114,7 +114,7 @@ pub(crate) fn duration_ns(d: Duration) -> u64 {
 
 /// A result piece (or a merged run of them) with the element range
 /// `(start, end, piece)` that produced it — the shape
-/// [`SplitForm::new`] takes.
+/// [`HeldPieces::new`] takes.
 type Piece = (u64, u64, DataValue);
 
 /// Immutable description of a stage shared across worker threads.
@@ -219,8 +219,8 @@ enum InputData {
     Whole(DataValue),
     /// The held pieces of a deferred output, the one input of the
     /// identity stage that merges them: each batch is one piece, served
-    /// by [`SplitForm::slice`].
-    Pieces(Arc<SplitForm>),
+    /// by [`HeldPieces::slice`].
+    Pieces(Arc<HeldPieces>),
 }
 
 struct ExecNode {
@@ -336,7 +336,7 @@ enum Finished<'a> {
     /// The merged value, and the placement target it was written into.
     Whole(DataValue, Option<&'a Target>),
     /// The ordered piece set of a held output.
-    Held(SplitForm),
+    Held(HeldPieces),
 }
 
 impl MergeOutput {
@@ -516,9 +516,9 @@ impl MergeOutput {
         }
         runs.sort_by_key(|r| r.0);
         if let Sink::Hold = self.sink {
-            // `SplitForm::new` validates contiguity, so an interior gap
+            // `HeldPieces::new` validates contiguity, so an interior gap
             // a concat would have silently closed fails loudly here.
-            let sf = SplitForm::new(runs, total, self.instance.clone())?;
+            let sf = HeldPieces::new(runs, total, self.instance.clone())?;
             return Ok(Finished::Held(sf));
         }
         // The stage's element total is the merge-size hint: concat-style

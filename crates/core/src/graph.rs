@@ -21,7 +21,7 @@ use std::sync::{Arc, Weak};
 use crate::annotation::Annotation;
 use crate::error::{Error, Result};
 use crate::planner::SlotTable;
-use crate::split::SplitForm;
+use crate::split::HeldPieces;
 use crate::value::{DataIdentity, DataValue};
 
 /// Index of a value in the graph.
@@ -97,7 +97,7 @@ pub struct ValueEntry {
     /// planner chose `OutputKind::Deferred` (alive but not asked for).
     /// Merged on demand by the first read, or before the next
     /// evaluation of a call that reads it.
-    pub held: Option<Arc<SplitForm>>,
+    pub held: Option<Arc<HeldPieces>>,
     /// Set when `data` is a placement-merge target installed under an
     /// attached plan cache: where to park it on release.
     pub merge_origin: Option<MergeOrigin>,
@@ -311,7 +311,7 @@ impl DataflowGraph {
 
     /// The piece set a value is held as, if its producing stage skipped
     /// the merge and the value has not been materialized since.
-    pub fn held(&self, id: ValueId) -> Option<&Arc<SplitForm>> {
+    pub fn held(&self, id: ValueId) -> Option<&Arc<HeldPieces>> {
         let e = self.values.get(id.0 as usize)?;
         if e.ready {
             None

@@ -495,13 +495,13 @@ impl std::fmt::Debug for SplitInstance {
 /// value, merges them. This works for every split type, `unknown`
 /// (compacting) pieces included.
 ///
-/// Invariants, validated by [`SplitForm::new`]: at least one piece,
+/// Invariants, validated by [`HeldPieces::new`]: at least one piece,
 /// pieces sorted by start and contiguous from element 0, and the
 /// covered range ends at or before `total` (a shorter covered range is
 /// the paper's `NULL` under-fill, preserved faithfully). Ranges are the
 /// *batch* ranges that produced the pieces; an `unknown` piece may hold
 /// fewer elements than its range.
-pub struct SplitForm {
+pub struct HeldPieces {
     /// `(start, end, piece)` in element order, contiguous from 0.
     pieces: Vec<(u64, u64, DataValue)>,
     /// Declared element total of the value (`>= covered()`).
@@ -510,14 +510,14 @@ pub struct SplitForm {
     instance: SplitInstance,
 }
 
-impl SplitForm {
+impl HeldPieces {
     /// Build a held piece set from an ordered piece list, validating
     /// the contiguity invariants.
     pub fn new(
         pieces: Vec<(u64, u64, DataValue)>,
         total: u64,
         instance: SplitInstance,
-    ) -> Result<SplitForm> {
+    ) -> Result<HeldPieces> {
         let split_type = instance.splitter.name();
         if pieces.is_empty() {
             return Err(Error::Merge {
@@ -544,7 +544,7 @@ impl SplitForm {
                 message: format!("held pieces cover {cursor} elements, more than total {total}"),
             });
         }
-        Ok(SplitForm {
+        Ok(HeldPieces {
             pieces,
             total,
             instance,
@@ -569,7 +569,7 @@ impl SplitForm {
 
     /// Element length of the leading piece: the producing stage's batch
     /// size, which every piece but the last shares. Ranges of this
-    /// length from element 0 on are what [`SplitForm::slice`] serves.
+    /// length from element 0 on are what [`HeldPieces::slice`] serves.
     pub fn piece_len(&self) -> u64 {
         self.pieces
             .first()
@@ -617,11 +617,11 @@ impl SplitForm {
     }
 }
 
-impl std::fmt::Debug for SplitForm {
+impl std::fmt::Debug for HeldPieces {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "SplitForm {{ {:?}, pieces: {}, covered: {}/{} }}",
+            "HeldPieces {{ {:?}, pieces: {}, covered: {}/{} }}",
             self.instance,
             self.pieces.len(),
             self.covered(),

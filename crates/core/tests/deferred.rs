@@ -614,18 +614,18 @@ fn held_piece_set_invariants() {
     ] {
         let gap = vec![(0, 2, p(&[0.0, 1.0])), (3, 6, p(&[3.0, 4.0, 5.0]))];
         assert!(
-            SplitForm::new(gap, 6, inst.clone()).is_err(),
+            HeldPieces::new(gap, 6, inst.clone()).is_err(),
             "interior gap"
         );
         let over = vec![(0, 7, p(&[0.0; 7]))];
-        assert!(SplitForm::new(over, 6, inst.clone()).is_err(), "overrun");
+        assert!(HeldPieces::new(over, 6, inst.clone()).is_err(), "overrun");
         assert!(
-            SplitForm::new(vec![], 6, inst.clone()).is_err(),
+            HeldPieces::new(vec![], 6, inst.clone()).is_err(),
             "no pieces"
         );
 
         let pieces = (0..3).map(|i| (2 * i, 2 * i + 2, p(&[2.0 * i as f64, 2.0 * i as f64 + 1.0])));
-        let sf = SplitForm::new(pieces.collect(), 6, inst).unwrap();
+        let sf = HeldPieces::new(pieces.collect(), 6, inst).unwrap();
         assert_eq!((sf.total(), sf.covered(), sf.piece_len()), (6, 6, 2));
         assert_eq!(elems(&sf.slice(2..4).unwrap().unwrap()), [2.0, 3.0]);
         // The last piece clamps the range to the covered end.

@@ -23,7 +23,7 @@ use mozart_core::config::Config;
 use mozart_core::error::{Error, Result};
 use mozart_core::graph::{DataflowGraph, FutureToken, NodeId, ValueEntry, ValueId, ValueOrigin};
 use mozart_core::planner::{Demand, OutputKind, SlotTable, StageOutput, StagePlan};
-use mozart_core::split::{MergeStrategy, Params, RuntimeInfo, SplitForm, SplitInstance, Splitter};
+use mozart_core::split::{HeldPieces, MergeStrategy, Params, RuntimeInfo, SplitInstance, Splitter};
 use mozart_core::value::{DataValue, FloatValue, IntValue};
 use mozart_core::verify::{verify_stage, VerifyError};
 
@@ -382,7 +382,7 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             let piece = DataValue::new(FloatValue(0.0));
             let ranges = (0..N).step_by(len as usize);
             let pieces = ranges.map(|s| (s, N.min(s + len), piece.clone())).collect();
-            let held = SplitForm::new(pieces, N, arr(N)).expect("contiguous pieces");
+            let held = HeldPieces::new(pieces, N, arr(N)).expect("contiguous pieces");
             let entry = &mut s.graph.values[0];
             (entry.data, entry.ready, entry.held) = (None, false, Some(Arc::new(held)));
         }

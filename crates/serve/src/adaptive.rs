@@ -22,13 +22,13 @@
 //!   the floor;
 //! * the limit is clamped to `[min_limit, max_limit]`.
 //!
-//! The target can be given explicitly, or **seeded from the live
-//! latency histograms** (PR 7's observability layer): the service waits
-//! for a warmup's worth of completions, reads the e2e histogram's
-//! median, and sets `target = median × target_multiple`. That makes the
-//! controller self-calibrating — the operator states a tolerable
-//! slowdown factor over the service's own unloaded latency rather than
-//! an absolute number that rots as pipelines change.
+//! The target can be given explicitly, or **seeded from live latency**:
+//! the controller holds its limit for a warmup window of completions,
+//! takes their exact median, and sets `target = median × 8`. That makes
+//! the controller self-calibrating — a tolerable slowdown factor over
+//! the service's own unloaded latency rather than an absolute number
+//! that rots as pipelines change. Every adaptive service seeds this
+//! way, whether or not its observability layer is on.
 //!
 //! The arithmetic is integer fixed-point (limit × 1000) so the
 //! controller is deterministic and cheaply shareable; the decision
@@ -51,9 +51,9 @@ pub struct AimdConfig {
     pub max_limit: usize,
     /// Starting limit.
     pub initial_limit: usize,
-    /// Explicit latency target. `None` defers to histogram seeding
-    /// ([`AimdController::seed_target_ns`]); until a target exists the
-    /// controller holds the limit steady.
+    /// Explicit latency target. `None` defers to self-seeding from the
+    /// warmup samples; until a target exists the controller holds the
+    /// limit steady.
     pub target: Option<Duration>,
     /// Multiplicative decrease ratio in per-mille (e.g. `900` = ×0.9).
     pub decrease_ratio_permille: u64,
@@ -80,14 +80,10 @@ struct AimdState {
     since_cut: u64,
     /// Warmup latency samples collected while no target exists; once
     /// full, the controller self-seeds `target = median × multiple`.
-    /// Services with the observability layer seed from the richer e2e
-    /// histogram instead (see `PipelineService`), which wins the race
-    /// harmlessly — `seed_target_ns` is first-writer-wins.
     warmup: Vec<u64>,
 }
 
-/// Internal warmup window size (matches the service's histogram-seeded
-/// warmup) and slowdown multiple for self-seeding.
+/// Warmup window size and slowdown multiple for self-seeding.
 const WARMUP_SAMPLES: usize = 32;
 const TARGET_MULTIPLE: u64 = 8;
 
@@ -149,8 +145,8 @@ impl AimdController {
         self.target_ns.load(Ordering::Relaxed) != 0
     }
 
-    /// Install a histogram-seeded target (no-op if a target already
-    /// exists — explicit configuration and the first seeding win).
+    /// Install a seeded target (no-op if a target already exists —
+    /// explicit configuration and the first seeding win).
     pub fn seed_target_ns(&self, ns: u64) {
         let _ = self
             .target_ns

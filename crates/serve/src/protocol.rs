@@ -83,7 +83,7 @@ pub enum ClientLine {
     Deadline(u64),
     /// Set the connection session's stage evaluation mode: `true`
     /// fuses whole pipelines (the default), `false` evaluates one
-    /// stage per call and hands intermediates across in split form.
+    /// stage per call and merges every intermediate at its boundary.
     Pipeline(bool),
     /// Set the connection session's plan verification mode: `true`
     /// statically proves each stage plan sound before executing it

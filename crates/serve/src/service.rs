@@ -400,15 +400,6 @@ pub const PHASE_NAMES: [&str; 5] = ["unprotect", "planner", "split", "task", "me
 /// Entries the slow-request log retains (oldest evicted first).
 const SLOW_LOG_CAP: usize = 64;
 
-/// Successful completions observed before the AIMD latency target is
-/// seeded from the e2e histogram's median.
-const AIMD_WARMUP_SAMPLES: u64 = 32;
-
-/// Seeded AIMD target = warmup median × this multiple: the controller
-/// tolerates this much queueing-induced slowdown over the service's own
-/// warm latency before cutting concurrency.
-const AIMD_TARGET_MULTIPLE: u64 = 8;
-
 /// CoDel sojourn control of an adaptive service's admission queue: the
 /// acceptable standing queue wait, and how long the head waiter's
 /// sojourn must stay above it before the first shed.
@@ -1127,21 +1118,10 @@ impl PipelineService {
         // Feed the limit controller with *successful* completions only:
         // a shed request's latency says nothing about evaluation speed
         // (rejections resolve instantly, queue sheds report pure wait).
+        // The controller seeds its own latency target from its first
+        // samples.
         if let (Some(aimd), Some(t0)) = (inner.aimd.as_ref(), t0) {
             if result.is_ok() {
-                if !aimd.has_target() {
-                    if let Some(o) = obs {
-                        // Seed the latency target from the live e2e
-                        // histogram (the PR 7 observability layer): the
-                        // warmup median times a tolerated slowdown.
-                        let snap = o.e2e.snapshot();
-                        if snap.count >= AIMD_WARMUP_SAMPLES {
-                            aimd.seed_target_ns(snap.p50().saturating_mul(AIMD_TARGET_MULTIPLE));
-                        }
-                    }
-                    // Tracing off: the controller self-seeds from its
-                    // internal warmup window.
-                }
                 aimd.on_sample(t0.elapsed());
                 inner.admission.set_limit(aimd.limit());
             }
@@ -1951,8 +1931,8 @@ pub struct Session {
     default_deadline_ms: AtomicU64,
     /// Stage evaluation mode for this session's request contexts:
     /// `true` fuses whole pipelines (`Config::pipeline`, the service
-    /// default), `false` evaluates one stage per call, handing
-    /// intermediates across in split form where eligible.
+    /// default), `false` evaluates one stage per call, merging every
+    /// intermediate at its boundary (the paper's "-pipe").
     pipeline: AtomicBool,
     /// Plan verification mode for this session's request contexts
     /// (`Config::verify_plans`): `true` statically proves each stage

@@ -210,9 +210,9 @@ fn over_memory_sheds_with_typed_error_and_recovers() {
 
 #[test]
 fn adaptive_service_seeds_its_target_from_live_latency() {
-    // No pinned max_inflight: the adaptive limiter is on. With tracing
-    // enabled the target seeds from the e2e histogram once a warmup's
-    // worth of requests (32) complete.
+    // No pinned max_inflight: the adaptive limiter is on. The controller
+    // seeds its target from the median of its first 32 completions,
+    // with tracing on as with it off.
     let service = PipelineService::builder()
         .workers(1)
         .tracing(true)
@@ -228,7 +228,7 @@ fn adaptive_service_seeds_its_target_from_live_latency() {
     assert!(limit >= 1);
     assert!(
         target.is_some(),
-        "target must seed from the e2e histogram after warmup"
+        "target must seed from the warmup completions"
     );
     assert!(service.stats().admission_limit >= 1);
 }
