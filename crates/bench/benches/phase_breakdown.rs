@@ -9,12 +9,6 @@
 //! every intermediate at its stage boundary (`split_form_handoffs ==
 //! 0`), with the same checksum.
 //!
-//! A pair runs Nashville with `Config::verify_plans` on vs off: the
-//! static plan verifier must prove every stage (nonzero
-//! `plans_verified`, zero with it off), must not perturb outputs
-//! (bit-identical checksums), and must stay within 1.05x of the
-//! unverified wall time.
-//!
 //! A pair runs Crime Index with every intermediate handle held across
 //! the one read of the scalar total vs dropped before it:
 //! demand-driven materialization must make holding a handle nearly
@@ -163,12 +157,6 @@ fn main() {
     // intermediate image merged by one stage and re-split by the next.
     let staged = nashville(&|cfg| cfg.pipeline = false);
 
-    // ---- Nashville verify ablation: the static plan verifier
-    // (`verify_plans`) runs once per planned/replayed stage and must be
-    // invisible — same bytes out, within 1.05x of the unverified wall.
-    let vp_on = nashville(&|cfg| cfg.verify_plans = true);
-    let vp_off = nashville(&|cfg| cfg.verify_plans = false);
-
     // ---- Crime Index handle ablation: the application holds eight
     // intermediate handles across its one read (`mozart`) or drops them
     // first (`mozart_handles_dropped`). Held handles used to force
@@ -197,16 +185,6 @@ fn main() {
     };
 
     print_runs("nashville", &[("default", &na), ("staged ", &staged)]);
-    print_runs(
-        "nashville (plan-verify ablation)",
-        &[("verify on ", &vp_on), ("verify off", &vp_off)],
-    );
-    println!(
-        "plans verified: on {} vs off {}; wall ratio (on/off): {:.3}x",
-        vp_on.stats.plans_verified,
-        vp_off.stats.plans_verified,
-        vp_on.seconds / vp_off.seconds.max(f64::EPSILON)
-    );
 
     print_runs(
         "crime_index (handle ablation)",
@@ -220,9 +198,6 @@ fn main() {
 
     let na_match = close(na.checksum, na_base);
     let staged_match = close(staged.checksum, na_base);
-    // The verifier only reads the plan; its arms must be bit-identical.
-    let vp_match =
-        vp_on.checksum.to_bits() == vp_off.checksum.to_bits() && close(vp_on.checksum, na_base);
 
     // The reduction folds per-worker partials in claim order, so the two
     // arms agree to the last ulps, not bits (see `MergeStrategy::Commutative`).
@@ -237,14 +212,6 @@ fn main() {
         "    \"nashville\": {},\n    \"nashville_staged\": {},\n",
         json_entry(&na, na_match),
         json_entry(&staged, staged_match)
-    ));
-    json.push_str(&format!(
-        "    \"nashville_verify\": {{ \"verify_on\": {}, \"verify_off\": {}, \
-         \"plans_verified\": {}, \"wall_ratio\": {:.4} }},\n",
-        json_entry(&vp_on, vp_match),
-        json_entry(&vp_off, vp_match),
-        vp_on.stats.plans_verified,
-        vp_on.seconds / vp_off.seconds.max(f64::EPSILON)
     ));
     json.push_str(&format!(
         "    \"crime_index_handles\": {{ \"held\": {}, \"dropped\": {}, \
@@ -286,34 +253,9 @@ fn main() {
          and hand nothing across as pieces: {:?}",
         staged.stats
     );
-    // Plan-verify gates: the verifier must actually run (and only when
-    // asked), change nothing, and cost at most 5% wall (plus a 2ms
-    // absolute allowance so micro smoke runs don't gate on noise).
-    assert!(
-        vp_match,
-        "verify ablation checksums diverged: on {} vs off {} (baseline {na_base})",
-        vp_on.checksum, vp_off.checksum
-    );
-    assert!(
-        vp_on.stats.plans_verified > 0,
-        "verify_plans on but no stage plan was verified: {:?}",
-        vp_on.stats
-    );
-    assert_eq!(
-        vp_off.stats.plans_verified, 0,
-        "verify_plans off but stages were verified anyway: {:?}",
-        vp_off.stats
-    );
-    assert!(
-        vp_on.seconds <= vp_off.seconds * 1.05 + 2e-3,
-        "plan verification overhead exceeds 1.05x: {:.4}s/eval verified \
-         vs {:.4}s/eval unverified",
-        vp_on.seconds,
-        vp_off.seconds
-    );
     // Handle-ablation gates: holding handles must defer (not merge) the
-    // intermediates, change nothing, and cost at most 15% wall (plus
-    // the same 2ms smoke-run allowance).
+    // intermediates, change nothing, and cost at most 15% wall (plus a
+    // 2ms absolute allowance so micro smoke runs don't gate on noise).
     assert!(
         ci_match,
         "crime_index handle ablation checksums diverged: held {} vs dropped {} (baseline {ci_base})",
@@ -345,11 +287,5 @@ fn main() {
         "crime_index: {} outputs/eval-run deferred instead of merged; held handles \
          cost {ci_ratio:.3}x dropped (≤1.15x) — gate passed.",
         ci_held.stats.deferred_outputs
-    );
-    println!(
-        "plan verification: {} plans proved at {:.3}x unverified wall \
-         (≤1.05x) — gate passed.",
-        vp_on.stats.plans_verified,
-        vp_on.seconds / vp_off.seconds.max(f64::EPSILON)
     );
 }

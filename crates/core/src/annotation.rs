@@ -123,7 +123,7 @@ pub type LibFn = Arc<dyn Fn(&Invocation<'_>) -> Result<Option<DataValue>> + Send
 
 /// A split annotation over one library function.
 pub struct Annotation {
-    /// Function name (diagnostics, logging, pedantic mode).
+    /// Function name (diagnostics, logging, error messages).
     pub name: &'static str,
     /// Argument specifications, in call order.
     pub args: Vec<ArgSpec>,
@@ -142,6 +142,11 @@ pub struct Annotation {
     /// (`ArraySplit(size)` for every array of an MKL-style call), so a
     /// call run at registration constructs that split type once.
     pub(crate) split_like: Vec<Option<usize>>,
+    /// The first violation of the paper's typing rules
+    /// ([`check_annotation`](crate::verify::check_annotation)), found
+    /// once by [`AnnotationBuilder::build`]: a call of an unsound
+    /// annotation is refused at registration without checking it again.
+    pub(crate) unsound: Option<crate::verify::VerifyError>,
 }
 
 impl Annotation {
@@ -240,14 +245,17 @@ impl AnnotationBuilder {
                 .iter()
                 .position(|b| concrete_expr(b) == Some(expr))
         });
-        Arc::new(Annotation {
+        let mut annot = Annotation {
             name: self.name,
             split_like: split_like.collect(),
             args: self.args,
             ret: self.ret,
             func: self.func,
             signature: h.finish(),
-        })
+            unsound: None,
+        };
+        annot.unsound = crate::verify::check_annotation(&annot).into_iter().next();
+        Arc::new(annot)
     }
 }
 

@@ -22,7 +22,7 @@
 //! cross-request coalescing rides on.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crate::buffer::{SharedVec, SliceView, VecValue};
 use crate::error::{Error, Result};
@@ -185,8 +185,11 @@ impl Splitter for ArraySplit {
     }
 
     fn merge_strategy(&self) -> MergeStrategy {
+        // One shared capability: the strategy is read for every input
+        // and output of every verified stage, so it must not allocate.
+        static PLACEMENT: LazyLock<Arc<ArraySplit>> = LazyLock::new(|| Arc::new(ArraySplit));
         MergeStrategy::Concat {
-            placement: Some(Arc::new(ArraySplit)),
+            placement: Some(PLACEMENT.clone()),
         }
     }
 

@@ -1,11 +1,15 @@
-//! Runtime configuration (worker count, batch-size heuristic, debugging
-//! aids).
+//! Runtime configuration (worker count, batch-size heuristic, fault
+//! injection, tracing).
 
 /// Configuration of a [`MozartContext`](crate::MozartContext).
 ///
 /// How outputs leave a stage is not configurable: placement merges are
 /// taken wherever the split type has the capability (the executor's
-/// [output-path table](crate::executor#output-paths)).
+/// [output-path table](crate::executor#output-paths)). Neither are the
+/// soundness checks: every annotation is checked against the paper's
+/// typing rules once, when it is built, every stage plan is verified
+/// before it executes (see [`crate::verify`]), and the executor's
+/// split-agreement checks (§7.1's "pedantic mode") always run.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of worker threads. The paper leaves this to the user; the
@@ -29,18 +33,6 @@ pub struct Config {
     /// re-split by the next. This is the paper's "Mozart (-pipe)"
     /// ablation (Table 4).
     pub pipeline: bool,
-    /// Pedantic mode (§7.1): panic-free runtime checks that splits agree
-    /// on element counts, pieces are non-NULL, etc., surfaced as errors.
-    pub pedantic: bool,
-    /// Statically verify every stage plan before it executes (and on
-    /// every plan-cache replay bind) — see
-    /// [`verify::verify_stage`](crate::verify::verify_stage) — and
-    /// check annotations against the paper's typing rules on
-    /// registration. On by default in debug builds and tests, opt-in
-    /// for release builds (overridable with `MOZART_VERIFY_PLANS=0/1`).
-    /// Verified stages are counted in
-    /// [`PhaseStats::plans_verified`](crate::stats::PhaseStats).
-    pub verify_plans: bool,
     /// Deterministic fault-injection schedule
     /// ([`FaultPlan`](crate::faultinject::FaultPlan)); `None` (the
     /// default) means no injection and costs one branch per batch
@@ -65,8 +57,6 @@ impl Default for Config {
             l2_bytes: detect_l2_bytes(),
             batch_override: None,
             pipeline: true,
-            pedantic: cfg!(debug_assertions),
-            verify_plans: default_verify_plans(),
             fault_plan: None,
             tracing: None,
         }
@@ -118,15 +108,6 @@ impl Config {
     }
 }
 
-/// Plan-verification default: `MOZART_VERIFY_PLANS` env var (`1`/`0`),
-/// else on in debug builds and off in release.
-pub fn default_verify_plans() -> bool {
-    if let Ok(s) = std::env::var("MOZART_VERIFY_PLANS") {
-        return s != "0";
-    }
-    cfg!(debug_assertions)
-}
-
 /// Worker-count default: `MOZART_WORKERS` env var, else available
 /// parallelism.
 pub fn default_workers() -> usize {
@@ -173,8 +154,6 @@ mod tests {
             l2_bytes: 1 << 20,
             batch_override: None,
             pipeline: true,
-            pedantic: true,
-            verify_plans: true,
             fault_plan: None,
             tracing: None,
         }

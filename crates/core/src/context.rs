@@ -334,14 +334,13 @@ impl MozartContext {
                 actual: args.len(),
             });
         }
-        // Layer-1 static check (§3 typing rules): reject unsound
-        // annotations at registration instead of failing deep in the
-        // executor. The call is refused but the context stays usable —
-        // nothing has been scheduled yet.
-        if st.config.verify_plans {
-            if let Some(err) = crate::verify::check_annotation(annot).into_iter().next() {
-                return Err(Error::Verify(err));
-            }
+        // Layer-1 static check (§3 typing rules), run once when the
+        // annotation was built: reject unsound annotations at
+        // registration instead of failing deep in the executor. The call
+        // is refused but the context stays usable — nothing has been
+        // scheduled yet.
+        if let Some(err) = &annot.unsound {
+            return Err(Error::Verify(err.clone()));
         }
 
         // A lazy argument must be a value of this context that is ready
@@ -1078,12 +1077,10 @@ fn execute_locked(
     // Layer-2 static check: prove the plan sound before anything
     // executes. This single site covers both fresh plans and
     // plan-cache replay binds — both funnel through here.
-    if st.config.verify_plans {
-        if let Err(v) = crate::verify::verify_stage(&st.graph, stage, &st.config, demand) {
-            return Err(poison(st, Error::Verify(v)));
-        }
-        st.stats.plans_verified += 1;
+    if let Err(v) = crate::verify::verify_stage(&st.graph, stage, &st.config, demand) {
+        return Err(poison(st, Error::Verify(v)));
     }
+    st.stats.plans_verified += 1;
     if stage.outputs.iter().any(|o| o.kind == OutputKind::InPlace) {
         flush_deferred(st).map_err(|e| poison(st, e))?;
     }

@@ -56,7 +56,11 @@ pub enum Error {
     /// A generic split type could not be inferred and no default splitter
     /// is registered for the argument's data type.
     NoDefaultSplit { type_name: &'static str },
-    /// A pedantic-mode invariant was violated (§7.1 "pedantic mode").
+    /// A runtime invariant of the annotation contract was violated: the
+    /// checks of the paper's §7.1 "pedantic mode", which here always run.
+    /// The split inputs of one batch disagree (one returned `NULL` where
+    /// another produced a piece), a batch left an output without a
+    /// piece, or the planner met a call it cannot type.
     Pedantic(String),
     /// The annotated library function itself reported a failure.
     Library(String),
@@ -146,7 +150,7 @@ impl fmt::Display for Error {
                 f,
                 "cannot infer split type and no default splitter registered for {type_name}"
             ),
-            Error::Pedantic(m) => write!(f, "pedantic mode violation: {m}"),
+            Error::Pedantic(m) => write!(f, "annotation contract violated: {m}"),
             Error::Library(m) => write!(f, "library function failed: {m}"),
             Error::TaskPanicked { stage, payload } => {
                 write!(f, "{stage} panicked during execution: {payload}")

@@ -147,7 +147,6 @@ pub(crate) struct ExecStage {
     /// Worker count for this stage (callers + pool workers), already
     /// capped by the number of batches.
     pub(crate) participants: usize,
-    pedantic: bool,
     /// Index of this stage in the owning evaluation (0-based), the
     /// coordinate fault points address stages by.
     stage_idx: u64,
@@ -174,7 +173,6 @@ impl ExecStage {
             total_elements,
             batch,
             participants: config.workers.max(1).min(num_batches as usize),
-            pedantic: config.pedantic,
             stage_idx,
             faults: config.fault_plan.clone(),
             cancel: env.cancel.cloned(),
@@ -401,15 +399,12 @@ impl MergeOutput {
     fn accept(&self, w: &mut Worker<'_>, i: usize) -> Result<()> {
         let exec = w.exec;
         let Some(piece) = &w.slots[self.slot as usize] else {
-            if exec.pedantic {
-                return Err(Error::Pedantic(format!(
-                    "output of split type {} missing after batch [{}, {})",
-                    self.instance.splitter.name(),
-                    w.start,
-                    w.end
-                )));
-            }
-            return Ok(());
+            return Err(Error::Pedantic(format!(
+                "output of split type {} missing after batch [{}, {})",
+                self.instance.splitter.name(),
+                w.start,
+                w.end
+            )));
         };
         if let Sink::Place(pm) = &self.sink {
             let w0 = exec.span_start();
@@ -970,7 +965,7 @@ impl Worker<'_> {
                 InputData::Pieces(sf) => sf.slice(range.clone())?,
             };
             let Some(piece) = piece else {
-                if exec.pedantic && i > 0 {
+                if i > 0 {
                     return Err(Error::Pedantic(format!(
                         "split type {} returned NULL for elements [{}, {}) \
                          while other inputs produced pieces",

@@ -73,8 +73,9 @@ pub struct PhaseStats {
     /// place.
     pub deferred_materialized: u64,
     /// Stage plans statically verified before execution (see
-    /// [`verify_stage`](crate::verify::verify_stage) and
-    /// `Config::verify_plans`). Zero when verification is off.
+    /// [`verify_stage`](crate::verify::verify_stage)). Every stage is
+    /// verified, so this equals [`stages`](Self::stages) unless a
+    /// verified stage then failed to execute.
     pub plans_verified: u64,
     /// Placement-merge targets that were a spare parked by an earlier
     /// evaluation of the same cached plan, written over instead of

@@ -23,17 +23,19 @@
 //!   split types describe partial results and may not type arguments;
 //!   and a concatenation-strategy return should carry the
 //!   [`Concat`](crate::split::Concat) capability so the serving layer
-//!   can coalesce requests over it.
+//!   can coalesce requests over it. It runs once per annotation, when
+//!   [`AnnotationBuilder::build`](crate::annotation::AnnotationBuilder::build)
+//!   finishes it; a call of an unsound annotation is refused at
+//!   registration with [`Error::Verify`](crate::error::Error).
 //!
 //! * **Layer 2 — [`verify_stage`]**: a structural proof over one
-//!   [`StagePlan`] against its [`DataflowGraph`], run before execution
-//!   and on every plan-cache replay bind (gated by
-//!   `Config::verify_plans`): slot assignments are dense, in range and
-//!   alias-free; every value a node reads is defined before use (a
-//!   stage input, broadcast, or an earlier in-stage product) and never
-//!   a stale pre-mutation version; no value is bound both `mut` and
-//!   shared; `Discard` outputs are truly dead (no pending consumer, no
-//!   live user future); a user-visible value is `Merge` or `Deferred`,
+//!   [`StagePlan`] against its [`DataflowGraph`], run before every
+//!   stage executes, planned or replayed from the plan cache: slot
+//!   assignments are dense, in range and alias-free; every value a node
+//!   reads is defined before use (a stage input, broadcast, or an
+//!   earlier in-stage product) and never a stale pre-mutation version;
+//!   no value is bound both `mut` and shared; `Discard` outputs are
+//!   truly dead (no pending consumer, no live user future); a user-visible value is `Merge` or `Deferred`,
 //!   and `Deferred` only when the triggering read did not demand it and
 //!   no pending node consumes it; `InPlace` outputs are genuine
 //!   mut-versions;
@@ -42,17 +44,17 @@
 //!   offsets a partition too); and no split input is a value still held
 //!   as pieces (held pieces are only ever merged).
 //!
-//! Verification is cheap (a few hash lookups per stage value, no
-//! allocation proportional to data) and is on by default in debug
-//! builds and tests; release builds opt in via `Config::verify_plans`
-//! or `MOZART_VERIFY_PLANS=1`. Verified stages are counted in
+//! Both layers always run; there is no switch. Layer 2 costs a few
+//! array reads per stage value — its tables are indexed by slot and by
+//! node, not hashed — and never allocates anything proportional to
+//! data. Verified stages are counted in
 //! [`PhaseStats::plans_verified`](crate::stats::PhaseStats).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::annotation::{Annotation, SplitTypeExpr};
 use crate::config::Config;
-use crate::graph::{DataflowGraph, NodeId, ValueOrigin};
+use crate::graph::{DataflowGraph, NodeId, ValueId, ValueOrigin};
 use crate::planner::{Demand, OutputKind, StagePlan};
 use crate::split::MergeStrategy;
 
@@ -634,140 +636,132 @@ pub fn lint_annotation(annot: &Annotation) -> Vec<VerifyError> {
     lints
 }
 
+/// What [`verify_stage`] has learned about one slot of the plan it
+/// checks. Once every value the stage touches holds a slot of its own, a
+/// fact about a slot is a fact about its value, so the proof reads rows
+/// of one array where it would otherwise hash value and node ids.
+#[derive(Clone, Copy, Default)]
+struct SlotFacts {
+    /// The value that claimed the slot.
+    owner: Option<ValueId>,
+    /// Readable by the stage's next node: a stage input, a broadcast, or
+    /// produced by an earlier node.
+    defined: bool,
+    /// Passed whole to every batch.
+    broadcast: bool,
+    /// A return or mut-version of a node of the stage.
+    produced: bool,
+    /// The node of the stage that has mutated the owner's storage in
+    /// place.
+    mutated_by: Option<NodeId>,
+    /// The first pending node outside the stage that reads the owner.
+    reader: Option<NodeId>,
+}
+
 /// Layer 2: statically prove one stage plan sound against its graph.
 ///
-/// Run before execution (and on every plan-cache replay bind) when
-/// `Config::verify_plans` is set, against the [`Demand`] of the read
-/// that triggered the evaluation. Returns the first violation found;
-/// the caller surfaces it as [`Error::Verify`](crate::error::Error)
-/// and refuses to execute the stage.
+/// Run before every stage executes — fresh plans and plan-cache replay
+/// binds alike — against the [`Demand`] of the read that triggered the
+/// evaluation. Returns the first violation found; the caller surfaces
+/// it as [`Error::Verify`](crate::error::Error) and refuses to execute
+/// the stage.
 pub fn verify_stage(
     graph: &DataflowGraph,
     plan: &StagePlan,
     config: &Config,
     demand: Demand,
 ) -> Result<(), VerifyError> {
-    // --- Slot map integrity -------------------------------------------
-    let mut slot_owner: HashMap<u32, u32> = HashMap::new();
-    let mut check_slot = |vid: crate::graph::ValueId| -> Result<(), VerifyError> {
-        let slot = match plan.slots.get(vid) {
-            Some(s) => s,
-            None => return Err(VerifyError::SlotMissing { value: vid.0 }),
-        };
-        if slot >= plan.num_slots {
-            return Err(VerifyError::SlotOutOfRange {
-                value: vid.0,
-                slot,
-                num_slots: plan.num_slots,
-            });
-        }
-        match slot_owner.get(&slot) {
-            Some(&owner) if owner != vid.0 => Err(VerifyError::SlotAliased {
-                slot,
-                first: owner,
-                second: vid.0,
-            }),
-            _ => {
-                slot_owner.insert(slot, vid.0);
-                Ok(())
-            }
-        }
-    };
-
+    // --- Slots, def-before-use, stale reads, mut/shared aliasing ------
+    // One pass in stage order. A slot error anywhere outranks a misuse
+    // found earlier in the pass, so the first misuse waits until every
+    // value the stage touches has claimed its slot.
+    let mut facts = vec![SlotFacts::default(); plan.num_slots as usize];
     for (vid, _) in &plan.inputs {
-        check_slot(*vid)?;
+        let s = claim(plan, &mut facts, *vid)?;
+        facts[s].defined = true;
     }
     for vid in &plan.broadcast {
-        check_slot(*vid)?;
+        let s = claim(plan, &mut facts, *vid)?;
+        (facts[s].defined, facts[s].broadcast) = (true, true);
     }
+    let mut misuse = None;
     for &nid in &plan.nodes {
         let node = graph
             .nodes
             .get(nid.0 as usize)
             .ok_or(VerifyError::NodeOutOfRange { node: nid.0 })?;
-        for &a in graph.args(node) {
-            check_slot(a)?;
-        }
-        for (_, mv) in graph.mut_outs(node) {
-            check_slot(mv)?;
-        }
-        if let Some(rv) = node.ret {
-            check_slot(rv)?;
-        }
-    }
-
-    // --- Def-before-use, stale reads, mut/shared aliasing -------------
-    let mut defined: HashSet<crate::graph::ValueId> = HashSet::new();
-    for (vid, _) in &plan.inputs {
-        defined.insert(*vid);
-    }
-    for vid in &plan.broadcast {
-        defined.insert(*vid);
-    }
-    // Base value -> node that mutated its storage earlier in the stage.
-    let mut mutated: HashMap<crate::graph::ValueId, u32> = HashMap::new();
-    // Everything a node in this stage produces (rets + mut versions).
-    let mut produced: HashSet<crate::graph::ValueId> = HashSet::new();
-
-    for &nid in &plan.nodes {
-        let node = &graph.nodes[nid.0 as usize];
-        for (i, &a) in graph.args(node).iter().enumerate() {
-            if !defined.contains(&a) {
-                return Err(VerifyError::UseBeforeDef {
-                    node: nid.0,
-                    value: a.0,
-                });
-            }
-            if let Some(&m) = mutated.get(&a) {
-                return Err(VerifyError::StaleRead {
-                    node: nid.0,
-                    value: a.0,
-                    mutated_by: m,
-                });
-            }
-            // A value bound mut (split, written in place) that is also
-            // broadcast whole to every worker: the whole-value readers
-            // race with the in-place writers. Two *split* bindings of
-            // the same value are fine — one slot per value means both
-            // positions see the identical range, the aliasing
-            // elementwise annotations document as tolerated.
-            if node.annot.args[i].mutable && plan.broadcast.contains(&a) {
-                return Err(VerifyError::MutSharedAlias {
-                    node: nid.0,
-                    value: a.0,
-                });
+        let args = graph.args(node);
+        for (&a, spec) in args.iter().zip(&node.annot.args) {
+            let s = claim(plan, &mut facts, a)?;
+            if misuse.is_none() {
+                misuse = misused(nid, a, facts[s], spec.mutable);
             }
         }
         for (i, mv) in graph.mut_outs(node) {
-            mutated.insert(graph.args(node)[i], nid.0);
-            defined.insert(mv);
-            produced.insert(mv);
+            let s = claim(plan, &mut facts, mv)?;
+            (facts[s].defined, facts[s].produced) = (true, true);
+            facts[plan.slot_of(args[i]) as usize].mutated_by = Some(nid);
         }
         if let Some(rv) = node.ret {
-            defined.insert(rv);
-            produced.insert(rv);
+            let s = claim(plan, &mut facts, rv)?;
+            (facts[s].defined, facts[s].produced) = (true, true);
+        }
+    }
+    if let Some(e) = misuse {
+        return Err(e);
+    }
+
+    // --- Pending readers ----------------------------------------------
+    // A `Discard` or `Deferred` output must have no pending reader
+    // outside the stage among the nodes up to its last consumer. One
+    // pass over those nodes records each stage value's first such
+    // reader.
+    let readers_end = plan
+        .outputs
+        .iter()
+        .filter(|o| matches!(o.kind, OutputKind::Discard | OutputKind::Deferred))
+        .filter_map(|o| graph.values.get(o.value.0 as usize)?.last_consumer)
+        .map(|c| c.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    if readers_end > 0 {
+        // Stage membership over the span of the stage's node ids (a
+        // planned stage is a contiguous run).
+        let first = plan.nodes.iter().map(|n| n.0 as usize).min().unwrap_or(0);
+        let span = plan.nodes.iter().map(|n| n.0 as usize + 1 - first).max();
+        let mut in_stage = vec![false; span.unwrap_or(0)];
+        for n in &plan.nodes {
+            in_stage[n.0 as usize - first] = true;
+        }
+        let nodes = graph.nodes.iter().zip(0..).take(readers_end);
+        for (node, c) in nodes {
+            let staged = c >= first && in_stage.get(c - first).copied().unwrap_or(false);
+            if node.executed || staged {
+                continue;
+            }
+            for &a in graph.args(node) {
+                let row = plan.slots.get(a).and_then(|s| facts.get_mut(s as usize));
+                if let Some(row) = row.filter(|row| row.owner == Some(a)) {
+                    row.reader.get_or_insert(NodeId(c as u32));
+                }
+            }
         }
     }
 
     // --- Output discipline --------------------------------------------
-    let stage_nodes: HashSet<u32> = plan.nodes.iter().map(|n| n.0).collect();
     for out in &plan.outputs {
-        if !produced.contains(&out.value) {
-            return Err(VerifyError::OutputNotProduced { value: out.value.0 });
-        }
+        let row = plan
+            .slots
+            .get(out.value)
+            .and_then(|s| facts.get(s as usize))
+            .filter(|row| row.owner == Some(out.value) && row.produced)
+            .ok_or(VerifyError::OutputNotProduced { value: out.value.0 })?;
         let entry = &graph.values[out.value.0 as usize];
-        let pending_consumer = || {
-            let last = entry.last_consumer.map_or(0, |c| c.0 + 1);
-            (0..last).map(NodeId).find(|c| {
-                let node = &graph.nodes[c.0 as usize];
-                !stage_nodes.contains(&c.0)
-                    && !node.executed
-                    && graph.args(node).contains(&out.value)
-            })
-        };
+        let last = entry.last_consumer.map_or(0, |c| c.0 + 1);
+        let pending_consumer = row.reader.filter(|c| c.0 < last);
         match out.kind {
             OutputKind::Discard => {
-                if let Some(c) = pending_consumer() {
+                if let Some(c) = pending_consumer {
                     return Err(VerifyError::DiscardedLive {
                         value: out.value.0,
                         consumer: Some(c.0),
@@ -781,7 +775,7 @@ pub fn verify_stage(
                 }
             }
             OutputKind::Deferred => {
-                if let Some(c) = pending_consumer() {
+                if let Some(c) = pending_consumer {
                     return Err(VerifyError::DeferredConsumed {
                         value: out.value.0,
                         consumer: c.0,
@@ -875,6 +869,56 @@ pub fn verify_stage(
     }
 
     Ok(())
+}
+
+/// Give `vid` its slot's row in `facts`, returning the slot, or reject
+/// the plan's slot map: no slot, one out of range, or one another value
+/// already holds.
+fn claim(plan: &StagePlan, facts: &mut [SlotFacts], vid: ValueId) -> Result<usize, VerifyError> {
+    let slot = plan
+        .slots
+        .get(vid)
+        .ok_or(VerifyError::SlotMissing { value: vid.0 })?;
+    let Some(row) = facts.get_mut(slot as usize) else {
+        return Err(VerifyError::SlotOutOfRange {
+            value: vid.0,
+            slot,
+            num_slots: plan.num_slots,
+        });
+    };
+    match row.owner {
+        Some(owner) if owner != vid => Err(VerifyError::SlotAliased {
+            slot,
+            first: owner.0,
+            second: vid.0,
+        }),
+        _ => {
+            row.owner = Some(vid);
+            Ok(slot as usize)
+        }
+    }
+}
+
+/// The misuse, if any, of `value` (whose facts are `row`) by node
+/// `node`, which reads it through a `mut` argument or a shared one.
+fn misused(node: NodeId, value: ValueId, row: SlotFacts, mutable: bool) -> Option<VerifyError> {
+    let (node, value) = (node.0, value.0);
+    if !row.defined {
+        return Some(VerifyError::UseBeforeDef { node, value });
+    }
+    if let Some(m) = row.mutated_by {
+        return Some(VerifyError::StaleRead {
+            node,
+            value,
+            mutated_by: m.0,
+        });
+    }
+    // A value bound mut (split, written in place) that is also broadcast
+    // whole to every worker: the whole-value readers race with the
+    // in-place writers. Two *split* bindings of the same value are fine
+    // — one slot per value means both positions see the identical range,
+    // the aliasing elementwise annotations document as tolerated.
+    (mutable && row.broadcast).then_some(VerifyError::MutSharedAlias { node, value })
 }
 
 #[cfg(test)]
@@ -1127,7 +1171,7 @@ mod tests {
 
     #[test]
     fn terminal_input_instance_rejected_in_plan() {
-        use crate::graph::{DataflowGraph, ValueId};
+        use crate::graph::DataflowGraph;
         use crate::planner::{SlotTable, StagePlan};
         let graph = DataflowGraph::default();
         let inst = SplitInstance::new(Arc::new(TermReduce), vec![]);

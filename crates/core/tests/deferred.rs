@@ -251,7 +251,6 @@ fn every_read_order_matches_evaluate_then_read() {
         for pipeline in [true, false] {
             let mut cfg = Config::with_workers(workers);
             cfg.batch_override = Some(6);
-            cfg.pedantic = true;
             cfg.pipeline = pipeline;
             let label = format!("{workers}w pipe={pipeline}");
             let reference_cache = Arc::new(PlanCache::new(8));
@@ -649,7 +648,7 @@ fn a_deferred_input_is_merged_once_before_its_readers_stage() {
     let cache = Arc::new(PlanCache::new(8));
     let run = || {
         let mut cfg = Config::with_workers(2);
-        (cfg.batch_override, cfg.verify_plans) = (Some(7), true);
+        cfg.batch_override = Some(7);
         let (ctx, first, second) = two_outputs(cfg, false);
         ctx.attach_plan_cache(cache.clone());
         second.get().unwrap();

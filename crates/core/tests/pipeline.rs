@@ -248,7 +248,6 @@ fn vec_value(data: &SharedVec<f64>) -> DataValue {
 fn small_batch_ctx(workers: usize) -> MozartContext {
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(7); // deliberately awkward batch size
-    cfg.pedantic = true;
     MozartContext::new(cfg)
 }
 
@@ -368,7 +367,7 @@ fn unpipelined_chain_merges_at_every_call_boundary() {
     let vmul = vmul_annotation();
     let run = |pipeline: bool| {
         let mut cfg = Config::with_workers(3);
-        (cfg.pipeline, cfg.batch_override, cfg.pedantic) = (pipeline, Some(7), true);
+        (cfg.pipeline, cfg.batch_override) = (pipeline, Some(7));
         let ctx = MozartContext::new(cfg);
         let xs = (0..n).map(|i| i as f64 - n as f64 / 3.0).collect();
         let mut fut = ctx

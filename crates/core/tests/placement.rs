@@ -143,7 +143,6 @@ impl Splitter for CollectedSplit {
 fn ctx(workers: usize, batch: u64) -> MozartContext {
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(batch);
-    cfg.pedantic = true;
     MozartContext::new(cfg)
 }
 
@@ -373,7 +372,6 @@ impl Warm {
         ArraySplit::register_default();
         let mut config = Config::with_workers(workers);
         config.batch_override = Some(batch);
-        config.pedantic = true;
         Warm {
             cache: Arc::new(PlanCache::new(8)),
             config,
@@ -780,7 +778,6 @@ fn every_output_path_records_its_spans_and_counters() {
             let what = format!("{path}, {workers} workers");
             let mut cfg = Config::with_workers(workers);
             cfg.batch_override = Some(8);
-            cfg.pedantic = true;
             let recorder = TraceRecorder::new();
             cfg.tracing = Some(recorder.clone());
             let c = MozartContext::new(cfg);

@@ -53,7 +53,6 @@ fn cached_ctx(cache: &Arc<PlanCache>, workers: usize, batch: u64) -> MozartConte
     ArraySplit::register_default();
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(batch);
-    cfg.pedantic = true;
     let ctx = MozartContext::new(cfg);
     ctx.attach_plan_cache(cache.clone());
     ctx

@@ -127,10 +127,9 @@ impl Splitter for TruncatedSplit {
     }
 }
 
-fn pedantic_ctx(workers: usize, batch: u64) -> MozartContext {
+fn batched_ctx(workers: usize, batch: u64) -> MozartContext {
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(batch);
-    cfg.pedantic = true;
     MozartContext::new(cfg)
 }
 
@@ -155,7 +154,7 @@ fn slow_scale_annotation(sleep_per_batch: Duration) -> Arc<Annotation> {
 fn skewed_batches_keep_every_worker_busy() {
     let workers = 4;
     let n = 64u64;
-    let ctx = pedantic_ctx(workers, 1); // 64 one-element batches
+    let ctx = batched_ctx(workers, 1); // 64 one-element batches
     let data = Chunk(Arc::new((0..n).map(|i| i as f64).collect()));
 
     // Deterministic rendezvous: the first batch each participant claims
@@ -245,7 +244,7 @@ fn pool_survives_many_tiny_stages() {
     // Stages of different lengths cannot pipeline with each other, so
     // this produces one stage per call — the spawn-per-stage worst case
     // the persistent pool exists for.
-    let ctx = pedantic_ctx(3, 4);
+    let ctx = batched_ctx(3, 4);
     let annot = slow_scale_annotation(Duration::ZERO);
     let mut futs = Vec::new();
     for len in 1..=24usize {
@@ -279,10 +278,10 @@ fn null_split_early_exit_with_out_of_order_batches() {
     // TruncatedSplit claims 2n elements but serves n: workers claiming
     // batches past n (in whatever order the cursor hands them out) see
     // NULL and stop; batches below n must all still be processed and
-    // merged in element order, with no pedantic violation.
+    // merged in element order, with no split-agreement violation.
     let workers = 4;
     let real = 40u64;
-    let ctx = pedantic_ctx(workers, 1);
+    let ctx = batched_ctx(workers, 1);
     let data = Chunk(Arc::new((0..real).map(|i| i as f64).collect()));
     let annot = Annotation::new("trunc_scale", |inv| {
         let c = inv.arg::<Chunk>(0)?;
@@ -309,10 +308,10 @@ fn null_split_early_exit_with_out_of_order_batches() {
 #[test]
 fn pedantic_mode_still_flags_disagreeing_splits() {
     // One input produces a piece, the other returns NULL for the same
-    // batch: pedantic mode must fail the stage whichever worker claims
-    // the offending batch, even out of order.
+    // batch: the always-on split-agreement check must fail the stage
+    // whichever worker claims the offending batch, even out of order.
     let real = 16u64;
-    let ctx = pedantic_ctx(3, 1);
+    let ctx = batched_ctx(3, 1);
     let full = Chunk(Arc::new((0..real * 2).map(|i| i as f64).collect()));
     let truncated = Chunk(Arc::new((0..real).map(|i| i as f64).collect()));
     let annot = Annotation::new("mismatch", |inv| {
@@ -335,7 +334,7 @@ fn pedantic_mode_still_flags_disagreeing_splits() {
     let err = fut.get().unwrap_err();
     assert!(
         matches!(err, Error::Pedantic(ref m) if m.contains("TruncatedSplit")),
-        "expected pedantic NULL-disagreement error, got {err:?}"
+        "expected a NULL-disagreement error, got {err:?}"
     );
 }
 
@@ -343,7 +342,7 @@ fn pedantic_mode_still_flags_disagreeing_splits() {
 fn worker_errors_stop_the_stage_quickly() {
     // A failing library call must poison the stage without hanging the
     // pool, and later evaluations must keep reporting the error.
-    let ctx = pedantic_ctx(4, 1);
+    let ctx = batched_ctx(4, 1);
     let n = 128u64;
     let calls = Arc::new(AtomicU64::new(0));
     let calls2 = calls.clone();

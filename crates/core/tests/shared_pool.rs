@@ -97,7 +97,6 @@ fn scale_annotation(sleep_per_batch: Duration) -> Arc<Annotation> {
 fn ctx_on(pool: &PoolHandle, workers: usize, batch: u64, session: u64) -> MozartContext {
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(batch);
-    cfg.pedantic = true;
     let ctx = MozartContext::new(cfg);
     ctx.attach_pool(pool.clone()).set_session_tag(session);
     ctx

@@ -15,10 +15,10 @@
 //! * a panic is typed and poisons the context; an expired deadline is
 //!   `Cancelled`; a traced call records one task span;
 //! * what must stay captured stays captured: storage another context
-//!   will write, an in-place call over a held deferred view, calls
-//!   under `batch_override` or a `fault_plan`, and a call whose split
-//!   type cannot be constructed (it fails typed where the planner
-//!   fails it);
+//!   will write, an in-place call over a held deferred view, and calls
+//!   under `batch_override` or a `fault_plan`;
+//! * an annotation whose split type names an argument beyond its arity
+//!   is refused at registration on both paths;
 //! * a lazy copy of a released value is refused with `ValueUnavailable`
 //!   on both paths, and the context stays usable.
 
@@ -450,25 +450,31 @@ fn batch_override_and_fault_plans_keep_calls_captured() {
 
 #[test]
 fn a_constructor_argument_beyond_the_arity_fails_typed_on_both_paths() {
-    // The annotation checker would refuse this at registration; with it
-    // off (the release default) the call is captured and its evaluation
-    // fails with the planner's typed error, not a panic in `call`.
+    // The annotation checker refuses the call at registration, on the
+    // work-floor path and the captured one alike: nothing is pending, and
+    // the context still evaluates. (`construct_instance` keeps its own
+    // arity check as a defence.)
     let bad = Annotation::new("wf_bad_ctor", |_inv| Ok(None))
         .arg("xs", concrete(Arc::new(ArraySplit), vec![3]))
         .build();
     let mut errors = Vec::new();
     for config in [below_floor(), captured()] {
-        let ctx = MozartContext::new(Config {
-            verify_plans: false,
-            ..config
-        });
-        ctx.call(&bad, vec![input(16)]).unwrap();
-        assert_eq!(ctx.pending_calls(), 1);
-        let err = ctx.evaluate().unwrap_err();
+        let ctx = MozartContext::new(config);
+        let err = ctx.call(&bad, vec![input(16)]).unwrap_err();
         assert!(
-            matches!(&err, Error::Constructor { message, .. } if message.contains("beyond arity")),
+            matches!(
+                &err,
+                Error::Verify(VerifyError::CtorArgOutOfRange {
+                    index: 3,
+                    arity: 1,
+                    ..
+                })
+            ),
             "{err:?}"
         );
+        assert_eq!(ctx.pending_calls(), 0);
+        let f = ctx.call(&vmul(), vec![input(16), k(2.0)]).unwrap().unwrap();
+        assert_eq!(elems(&f.get().unwrap())[..3], [2.0, 4.0, 6.0]);
         errors.push(err.to_string());
     }
     assert_eq!(errors[0], errors[1]);

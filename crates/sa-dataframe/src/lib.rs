@@ -41,7 +41,6 @@ mod tests {
         register_defaults();
         let mut cfg = Config::with_workers(2);
         cfg.batch_override = Some(7);
-        cfg.pedantic = true;
         MozartContext::new(cfg)
     }
 
@@ -196,7 +195,6 @@ mod tests {
             register_defaults();
             let mut cfg = Config::with_workers(workers);
             cfg.batch_override = Some(7);
-            cfg.pedantic = true;
             let c = MozartContext::new(cfg);
             c.attach_plan_cache(cache.clone());
             let age = col(&c, &d, "age").unwrap();

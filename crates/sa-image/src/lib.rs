@@ -611,7 +611,6 @@ mod tests {
         register_defaults();
         let mut cfg = Config::with_workers(2);
         cfg.batch_override = Some(5);
-        cfg.pedantic = true;
         MozartContext::new(cfg)
     }
 
@@ -672,7 +671,6 @@ mod tests {
         let img = Image::synthetic(33, 57, 13);
         let mut cfg = Config::with_workers(3);
         cfg.batch_override = Some(5);
-        cfg.pedantic = true;
         let c = MozartContext::new(cfg);
         let t = colortone(&c, &img, [0.13, 0.17, 0.43], false).unwrap();
         let t = gamma(&c, &t, 1.3).unwrap();
@@ -758,7 +756,6 @@ mod tests {
         register_defaults();
         let mut cfg = Config::with_workers(workers);
         cfg.batch_override = Some(5);
-        cfg.pedantic = true;
         let c = MozartContext::new(cfg);
         c.attach_plan_cache(cache.clone());
         let t = colortone(&c, img, [0.13, 0.17, 0.43], false).unwrap();

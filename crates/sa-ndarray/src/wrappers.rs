@@ -381,7 +381,6 @@ mod tests {
         crate::register_defaults();
         let mut cfg = Config::with_workers(2);
         cfg.batch_override = Some(9);
-        cfg.pedantic = true;
         MozartContext::new(cfg)
     }
 

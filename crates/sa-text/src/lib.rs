@@ -293,7 +293,6 @@ mod tests {
         register_defaults();
         let mut cfg = Config::with_workers(3);
         cfg.batch_override = Some(4);
-        cfg.pedantic = true;
         MozartContext::new(cfg)
     }
 

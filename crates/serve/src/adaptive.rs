@@ -20,7 +20,9 @@
 //!   (`× decrease_ratio`), rate-limited to one cut per window so a
 //!   single burst of queued slow requests doesn't collapse the limit to
 //!   the floor;
-//! * the limit is clamped to `[min_limit, max_limit]`.
+//! * the limit is clamped to `[min_limit, max_limit]`. A window pinned
+//!   at one size (`min_limit == max_limit`) is the static limit: the
+//!   service builds one for a pinned `max_inflight`.
 //!
 //! The target can be given explicitly, or **seeded from live latency**:
 //! the controller holds its limit for a warmup window of completions,
@@ -154,8 +156,13 @@ impl AimdController {
     }
 
     /// Record one end-to-end latency sample; returns the (possibly
-    /// updated) integer limit.
+    /// updated) integer limit. A pinned window (`min_limit ==
+    /// max_limit`) has nothing to learn: it ignores samples and never
+    /// seeds a target.
     pub fn on_sample(&self, latency: Duration) -> usize {
+        if self.cfg.min_limit == self.cfg.max_limit {
+            return self.cfg.min_limit;
+        }
         let lat = latency.as_nanos() as u64;
         let target = self.target_ns.load(Ordering::Relaxed);
         if target == 0 {
@@ -276,6 +283,21 @@ mod tests {
             c.on_sample(Duration::from_millis(1));
         }
         assert!(c.limit() > 4, "seeded target unlocks the controller");
+    }
+
+    #[test]
+    fn a_pinned_window_never_moves_or_seeds() {
+        let c = AimdController::new(AimdConfig {
+            min_limit: 3,
+            max_limit: 3,
+            initial_limit: 3,
+            ..AimdConfig::default()
+        });
+        for ms in [1, 1000].into_iter().cycle().take(200) {
+            assert_eq!(c.on_sample(Duration::from_millis(ms)), 3);
+        }
+        assert_eq!(c.limit(), 3);
+        assert!(!c.has_target());
     }
 
     #[test]

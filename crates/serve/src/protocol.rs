@@ -10,9 +10,6 @@
 //! PIPELINE <0|1>                 set this session's stage evaluation mode (1 = fused
 //!                                pipelines, the default; 0 = per-call stages that
 //!                                merge and re-split at every call boundary)
-//! VERIFY <0|1>                   set this session's plan verification mode (1 = prove
-//!                                each stage plan sound before executing it; 0 = trust
-//!                                the planner; default = the service's `Config`)
 //! DRAIN [timeout_ms]             gracefully drain the service (close admission,
 //!                                wait for in-flight work; default 5000 ms)
 //! LIST                           list registered pipelines
@@ -25,6 +22,11 @@
 //! Responses are single lines: `OK <body>` or `ERR <kind>: <message>`,
 //! with `<kind>` from [`ServeError::kind`]. Everything is UTF-8, no
 //! framing beyond `\n` — trivially scriptable with `nc`.
+//!
+//! Soundness checks are not a session setting: every stage plan is
+//! verified before it runs, whatever the connection asks. There is no
+//! `VERIFY` directive; a `VERIFY 1` line parses as a call whose operand
+//! is not `key=value` and replies `ERR bad_request`.
 //!
 //! # Stable reply formats
 //!
@@ -85,10 +87,6 @@ pub enum ClientLine {
     /// fuses whole pipelines (the default), `false` evaluates one
     /// stage per call and merges every intermediate at its boundary.
     Pipeline(bool),
-    /// Set the connection session's plan verification mode: `true`
-    /// statically proves each stage plan sound before executing it
-    /// (`Config::verify_plans`), `false` trusts the planner.
-    Verify(bool),
     /// Gracefully drain the service, waiting up to the given timeout
     /// (milliseconds) for in-flight work.
     Drain(u64),
@@ -157,13 +155,6 @@ pub fn parse_line(line: &str) -> Result<ClientLine, ServeError> {
             1 => Ok(ClientLine::Pipeline(true)),
             other => Err(ServeError::BadRequest(format!(
                 "PIPELINE operand must be 0 or 1, got {other}"
-            ))),
-        },
-        "VERIFY" => match parse_operand::<u64>(head, &mut words)? {
-            0 => Ok(ClientLine::Verify(false)),
-            1 => Ok(ClientLine::Verify(true)),
-            other => Err(ServeError::BadRequest(format!(
-                "VERIFY operand must be 0 or 1, got {other}"
             ))),
         },
         "DRAIN" => match words.next() {
@@ -295,10 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_verify_lines() {
-        assert_eq!(parse_line("VERIFY 0").unwrap(), ClientLine::Verify(false));
-        assert_eq!(parse_line("VERIFY 1").unwrap(), ClientLine::Verify(true));
-        for bad in ["VERIFY", "VERIFY 2", "VERIFY x", "VERIFY 0 1"] {
+    fn verify_lines_are_bad_requests() {
+        // Plan verification always runs; no line turns it on or off.
+        for bad in ["VERIFY 0", "VERIFY 1", "VERIFY x", "VERIFY 0 1"] {
             assert!(
                 matches!(parse_line(bad), Err(ServeError::BadRequest(_))),
                 "{bad:?} must be rejected"

@@ -291,8 +291,9 @@ pub struct ServiceConfig {
     /// adapts it by AIMD on measured end-to-end latency (see
     /// [`crate::adaptive`]) and sheds standing queues CoDel-style
     /// ([`ServeError::QueueShed`]). Pinned with
-    /// [`ServiceBuilder::max_inflight`], it is a static limit and
-    /// neither controller runs.
+    /// [`ServiceBuilder::max_inflight`], it is the AIMD window's floor
+    /// and ceiling alike, so the limit never moves, and the queue is
+    /// not shed.
     pub max_inflight: usize,
     /// Callers allowed to wait for admission beyond `max_inflight`
     /// before [`ServeError::Saturated`] is returned.
@@ -612,8 +613,8 @@ impl Drop for CoalesceGuard<'_> {
 struct ServiceInner {
     config: ServiceConfig,
     /// Template for per-request contexts (workers forced to
-    /// `config.workers`); lets operators tune batch sizing, pedantic
-    /// mode, etc. for every session at once.
+    /// `config.workers`); lets operators tune batch sizing, pipelining,
+    /// etc. for every session at once.
     session_config: Config,
     pool: PoolHandle,
     cache: Arc<PlanCache>,
@@ -639,8 +640,9 @@ struct ServiceInner {
     /// retry.
     drain_mu: Mutex<bool>,
     drain_cv: Condvar,
-    /// AIMD concurrency controller; `None` on a static-limit service.
-    aimd: Option<AimdController>,
+    /// AIMD concurrency controller; its window is pinned (min = max)
+    /// on a service built with [`ServiceBuilder::max_inflight`].
+    aimd: AimdController,
     /// Per-pipeline circuit breakers.
     breakers: BreakerMap,
     /// EWMA of per-request byte footprint per pipeline (split + merge
@@ -804,7 +806,6 @@ impl PipelineService {
             bytes_used: AtomicU64::new(0),
             default_deadline_ms: AtomicU64::new(0),
             pipeline: AtomicBool::new(inner.session_config.pipeline),
-            verify_plans: AtomicBool::new(inner.session_config.verify_plans),
         }
     }
 
@@ -874,13 +875,10 @@ impl PipelineService {
     }
 
     /// The current adaptive concurrency limit (the configured
-    /// `max_inflight` on a static-limit service) and, when adaptive,
-    /// the AIMD latency target once established.
+    /// `max_inflight` on a pinned service) and, when adaptive, the AIMD
+    /// latency target once established.
     pub fn admission_limit(&self) -> (usize, Option<Duration>) {
-        (
-            self.inner.admission.limit(),
-            self.inner.aimd.as_ref().and_then(|a| a.target()),
-        )
+        (self.inner.admission.limit(), self.inner.aimd.target())
     }
 
     /// Whether the service was built with tracing
@@ -1065,7 +1063,6 @@ impl PipelineService {
         let inner = &self.inner;
         let mut config = inner.session_config.clone();
         config.pipeline = session.pipeline.load(Ordering::Relaxed);
-        config.verify_plans = session.verify_plans.load(Ordering::Relaxed);
         let ctx = MozartContext::new(config);
         ctx.attach_pool(inner.pool.clone())
             .attach_plan_cache(inner.cache.clone())
@@ -1097,7 +1094,7 @@ impl PipelineService {
             .map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
         // The AIMD controller needs e2e latency whether or not tracing
         // is on; one Instant pair is cheap enough to take always.
-        let t0 = inner.aimd.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let result = self.execute_inner(&Flight {
             session,
             pipeline,
@@ -1120,11 +1117,9 @@ impl PipelineService {
         // (rejections resolve instantly, queue sheds report pure wait).
         // The controller seeds its own latency target from its first
         // samples.
-        if let (Some(aimd), Some(t0)) = (inner.aimd.as_ref(), t0) {
-            if result.is_ok() {
-                aimd.on_sample(t0.elapsed());
-                inner.admission.set_limit(aimd.limit());
-            }
+        if result.is_ok() {
+            inner.aimd.on_sample(t0.elapsed());
+            inner.admission.set_limit(inner.aimd.limit());
         }
         (result, (trace != 0).then_some(trace))
     }
@@ -1717,10 +1712,10 @@ impl ServiceBuilder {
     }
 
     /// Concurrent evaluations admitted, as a **static** limit: pinning
-    /// it turns off the adaptive AIMD limiter and the CoDel queue
-    /// shedding that an unpinned service runs (see
-    /// [`ServiceConfig::max_inflight`]) — an operator who states a
-    /// number usually means it.
+    /// it pins the AIMD window at `n` (its floor, ceiling and start)
+    /// and turns off the CoDel queue shedding that an unpinned service
+    /// runs (see [`ServiceConfig::max_inflight`]) — an operator who
+    /// states a number usually means it.
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.max_inflight = Some(n.max(1));
         self
@@ -1802,7 +1797,7 @@ impl ServiceBuilder {
     }
 
     /// Template [`Config`] for per-request contexts (batch sizing,
-    /// pedantic mode, ...). The worker count is overridden by
+    /// pipelining, ...). The worker count is overridden by
     /// [`ServiceBuilder::workers`].
     pub fn session_config(mut self, config: Config) -> Self {
         self.session_config = Some(config);
@@ -1839,7 +1834,7 @@ impl ServiceBuilder {
         // Adaptive unless the operator pinned max_inflight: a pinned
         // limit is meant, an unpinned one is a guess the controller can
         // do better than.
-        let adaptive = self.max_inflight.is_none();
+        let pinned = self.max_inflight.is_some();
         let pool = PoolHandle::new(config.workers.max(1) - 1);
         let mut session_config = self
             .session_config
@@ -1862,24 +1857,25 @@ impl ServiceBuilder {
         if config.memory_ceiling_bytes > 0 {
             membudget::set_ceiling(config.memory_ceiling_bytes);
         }
-        let admission = if adaptive {
-            Admission::with_codel(config.max_inflight, config.queue_depth, CODEL)
+        let (admission, min_limit, max_limit) = if pinned {
+            // A window of one size, and a queue that is never shed.
+            let n = config.max_inflight;
+            (Admission::new(n, config.queue_depth), n, n)
         } else {
-            Admission::new(config.max_inflight, config.queue_depth)
+            // Headroom above the default: the controller may discover
+            // the pool sustains more concurrency than one evaluation
+            // per worker, but a runaway limit is capped.
+            let codel = Admission::with_codel(config.max_inflight, config.queue_depth, CODEL);
+            (codel, 1, (4 * config.workers).max(8))
         };
-        let aimd = adaptive.then(|| {
-            AimdController::new(AimdConfig {
-                min_limit: 1,
-                // Headroom above the static default: the controller may
-                // discover the pool sustains more concurrency than one
-                // evaluation per worker, but a runaway limit is capped.
-                max_limit: (4 * config.workers).max(8),
-                initial_limit: config.max_inflight,
-                // Seeded from the measured latency distribution: the
-                // median of a warmup window × a slowdown multiple.
-                target: None,
-                decrease_ratio_permille: 900,
-            })
+        let aimd = AimdController::new(AimdConfig {
+            min_limit,
+            max_limit,
+            initial_limit: config.max_inflight,
+            // Seeded from the measured latency distribution: the
+            // median of a warmup window × a slowdown multiple.
+            target: None,
+            decrease_ratio_permille: 900,
         });
         let service = PipelineService {
             inner: Arc::new(ServiceInner {
@@ -1934,10 +1930,6 @@ pub struct Session {
     /// default), `false` evaluates one stage per call, merging every
     /// intermediate at its boundary (the paper's "-pipe").
     pipeline: AtomicBool,
-    /// Plan verification mode for this session's request contexts
-    /// (`Config::verify_plans`): `true` statically proves each stage
-    /// plan sound before executing it, `false` trusts the planner.
-    verify_plans: AtomicBool,
 }
 
 impl Session {
@@ -2034,22 +2026,6 @@ impl Session {
     /// performance knob, never a semantic one.
     pub fn set_pipeline(&self, pipeline: bool) {
         self.pipeline.store(pipeline, Ordering::Relaxed);
-    }
-
-    /// This session's plan verification mode: `true` statically proves
-    /// each stage plan sound ([`mozart_core::verify_stage`]) before the
-    /// executor touches it.
-    pub fn verify_plans(&self) -> bool {
-        self.verify_plans.load(Ordering::Relaxed)
-    }
-
-    /// Set this session's plan verification mode (the `VERIFY <0|1>`
-    /// wire directive). Takes effect on the next request. Verification
-    /// rejects unsound plans before execution; it never changes the
-    /// result of a sound one, so — like `PIPELINE` — this trades a
-    /// small per-stage check against planner trust.
-    pub fn set_verify_plans(&self, verify: bool) {
-        self.verify_plans.store(verify, Ordering::Relaxed);
     }
 
     /// Run `pipeline` with `req`, waiting in the bounded admission

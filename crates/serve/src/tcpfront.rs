@@ -356,10 +356,6 @@ pub fn serve_connection(
                 session.set_pipeline(fused);
                 ok_line(&format!("pipeline={}", u8::from(fused)))
             }
-            Ok(ClientLine::Verify(verify)) => {
-                session.set_verify_plans(verify);
-                ok_line(&format!("verify={}", u8::from(verify)))
-            }
             Ok(ClientLine::Drain(timeout_ms)) => {
                 let idle = service.drain(Duration::from_millis(timeout_ms));
                 ok_line(&format!("draining idle={idle}"))

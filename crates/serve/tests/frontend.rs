@@ -189,18 +189,18 @@ fn connection_cap_sheds_at_accept_time() {
 }
 
 #[test]
-fn verify_directive_toggles_per_session() {
+fn verify_directive_is_a_bad_request() {
     let (addr, _service) = spawn_frontend(corpus_cfg());
     let (mut w, mut r) = connect(addr);
-    // Both settings acknowledge and requests keep flowing under each.
-    assert!(roundtrip(&mut w, &mut r, "VERIFY 1").starts_with("OK verify=1"));
-    assert!(roundtrip(&mut w, &mut r, "ping").starts_with("OK pong"));
-    assert!(roundtrip(&mut w, &mut r, "VERIFY 0").starts_with("OK verify=0"));
-    assert!(roundtrip(&mut w, &mut r, "ping").starts_with("OK pong"));
-    // Malformed operands are typed bad_request, connection survives.
-    for bad in ["VERIFY", "VERIFY 2", "VERIFY on"] {
-        let reply = roundtrip(&mut w, &mut r, bad);
-        assert!(reply.starts_with("ERR bad_request"), "{bad:?} -> {reply:?}");
+    // Plan verification is not a session setting: the old directive is
+    // a malformed call, typed bad_request, and the connection serves on.
+    for line in ["VERIFY 1", "VERIFY 0"] {
+        let reply = roundtrip(&mut w, &mut r, line);
+        assert!(
+            reply.starts_with("ERR bad_request"),
+            "{line:?} -> {reply:?}"
+        );
+        assert!(roundtrip(&mut w, &mut r, "ping").starts_with("OK pong"));
     }
     assert!(roundtrip(&mut w, &mut r, "QUIT").starts_with("OK bye"));
 }

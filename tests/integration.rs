@@ -10,7 +10,6 @@ fn ctx_with(workers: usize, batch: Option<u64>, pipeline: bool) -> MozartContext
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = batch;
     cfg.pipeline = pipeline;
-    cfg.pedantic = true;
     MozartContext::new(cfg)
 }
 

@@ -24,7 +24,6 @@ fn ctx(workers: usize, batch: u64) -> MozartContext {
     mozart_repro::workloads::register_all_defaults();
     let mut cfg = Config::with_workers(workers);
     cfg.batch_override = Some(batch);
-    cfg.pedantic = true;
     MozartContext::new(cfg)
 }
 
@@ -366,7 +365,6 @@ fn read_handles(
     mozart_repro::workloads::register_all_defaults();
     let mut cfg = Config::with_workers(axes.workers);
     cfg.batch_override = Some(axes.batch);
-    cfg.pedantic = true;
     cfg.pipeline = axes.pipeline;
     let c = MozartContext::new(cfg);
     c.attach_plan_cache(cache.clone());

@@ -1,7 +1,8 @@
 //! Planning a long-lived context's next evaluation costs what that
 //! evaluation's own calls cost, however many came before it. The
-//! fingerprint's canonical numbering and every stage's slot table span
-//! only the value ids the pending calls produce; the inputs a context
+//! fingerprint's canonical numbering, every stage's slot table and the
+//! plan verifier's tables over it span only the value ids the pending
+//! calls produce; the inputs a context
 //! keeps reading since its first evaluation — whose value ids stay the
 //! graph's oldest — are looked up aside, not by widening the window
 //! down to them.
@@ -51,7 +52,6 @@ fn planning_cost_stays_flat_on_a_reused_context() {
     let inputs = [&inp.price, &inp.strike, &inp.t, &inp.rate, &inp.vol]
         .map(|v| SharedVec::from_vec(v.clone()));
     let mut config = Config::with_workers(2);
-    (config.verify_plans, config.pedantic) = (false, false);
     // At 8 KiB of L2 the work floor (512 B) is below the chain's
     // smallest call (1 KiB), so every call is captured and planned.
     config.l2_bytes = 8 << 10;
