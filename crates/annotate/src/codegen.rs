@@ -248,7 +248,7 @@ fn generate_fn(f: &AnnotatedFn) -> String {
     } else {
         s.push_str(") -> Result<()> {\n");
     }
-    s.push_str("    let args = vec![\n");
+    s.push_str("    let args = [\n");
     for p in &f.params {
         s.push_str(&format!(
             "        {}, // {}\n",
@@ -259,10 +259,10 @@ fn generate_fn(f: &AnnotatedFn) -> String {
     s.push_str("    ];\n");
     if returns {
         s.push_str(&format!(
-            "    Ok(ctx.call(&{upper}, args)?.expect(\"annotated return value\"))\n"
+            "    Ok(ctx.call(&{upper}, &args)?.expect(\"annotated return value\"))\n"
         ));
     } else {
-        s.push_str(&format!("    ctx.call(&{upper}, args)?;\n    Ok(())\n"));
+        s.push_str(&format!("    ctx.call(&{upper}, &args)?;\n    Ok(())\n"));
     }
     s.push_str("}\n");
     s
@@ -295,11 +295,11 @@ fn rust_param_type(ctype: &str) -> &'static str {
 
 fn wrap_param(ctype: &str, name: &str) -> String {
     if ctype.contains('*') {
-        format!("DataValue::new(VecValue({name}.clone()))")
+        format!("Arg::Vec({name})")
     } else if ctype.contains("double") || ctype.contains("float") {
-        format!("DataValue::new(FloatValue({name}))")
+        format!("Arg::Float({name})")
     } else {
-        format!("DataValue::new(IntValue({name}))")
+        format!("Arg::Int({name})")
     }
 }
 
@@ -326,7 +326,7 @@ mod tests {
         assert!(code.contains("impl Concat for ArraySplitConcat"));
         assert!(code.contains("fn slice_back(&self, out: &DataValue, offset: u64, len: u64)"));
         assert!(code.contains("// Some(Arc::new(ArraySplitConcat)) once the skeleton below is"));
-        assert!(code.contains("DataValue::new(VecValue(a.clone()))"));
+        assert!(code.contains("Arg::Vec(a), // double*"));
         assert!(
             !code.contains("-> Result<FutureHandle>"),
             "void fn returns unit"

@@ -147,6 +147,10 @@ pub struct Annotation {
     /// once by [`AnnotationBuilder::build`]: a call of an unsound
     /// annotation is refused at registration without checking it again.
     pub(crate) unsound: Option<crate::verify::VerifyError>,
+    /// How a call of each shape runs at registration, decided by its
+    /// first call (see "Calls below the work floor" in
+    /// [`crate::context`]).
+    pub(crate) floor: crate::floor::Decisions,
 }
 
 impl Annotation {
@@ -253,6 +257,7 @@ impl AnnotationBuilder {
             func: self.func,
             signature: h.finish(),
             unsound: None,
+            floor: Default::default(),
         };
         annot.unsound = crate::verify::check_annotation(&annot).into_iter().next();
         Arc::new(annot)

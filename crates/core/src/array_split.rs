@@ -196,6 +196,11 @@ impl Splitter for ArraySplit {
     fn concat(&self) -> Option<Arc<dyn Concat>> {
         Some(Arc::new(ArraySplit))
     }
+
+    fn whole_piece_stable(&self) -> bool {
+        // A piece is a view of the buffer, not a copy of its elements.
+        true
+    }
 }
 
 impl Placement for ArraySplit {

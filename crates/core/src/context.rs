@@ -67,9 +67,34 @@
 //! * neither `Config::batch_override` nor `Config::fault_plan` is set.
 //!
 //! A failure poisons the context as a failed stage does; an attached
-//! cancel token is polled first, as at a batch boundary. Deciding the
-//! call counts as planner time and running it as task time; under
-//! tracing it records one `Task` span.
+//! cancel token is polled first, as at a batch boundary.
+//!
+//! Such a call should cost what the library call costs, so the runtime
+//! decides once and splits once:
+//!
+//! * [`MozartContext::call`] borrows its arguments ([`Arg`]) and wraps
+//!   one as an owned [`DataValue`] only where it keeps it.
+//! * How a call takes each argument — the split types, element total
+//!   and bytes the checks above derive, which arguments share a piece,
+//!   the return's split type — is decided by the first call of each
+//!   shape and kept on its annotation, for every context. The shape is
+//!   each argument's kind with its length (arrays) or value (scalars),
+//!   and which arguments share storage. What can change between calls is
+//!   checked on every call: pending and deferred work, protect flags,
+//!   the config, and whether a default split type the decision looked up
+//!   has been replaced. A call with an argument of another kind decides
+//!   afresh. A first call makes the decision and then runs the same code
+//!   as every later one.
+//! * A split type that declares
+//!   [`Splitter::whole_piece_stable`](crate::split::Splitter::whole_piece_stable)
+//!   is split once per storage: the context keeps the whole piece,
+//!   holding the storage alive so that its address cannot name another,
+//!   until its next evaluation (a bounded number of pieces; a full memo
+//!   is emptied). Any other split type is split on every call.
+//!
+//! The call reads the clock twice, on entry and once it has run; all of
+//! it counts as task time (see [`PhaseStats::task`]), and under tracing
+//! it records one `Task` span over the same interval.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,26 +103,23 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::annotation::{Annotation, GenericId, SplitTypeExpr};
-use crate::buffer::{EvalTrigger, ProtectFlag};
+use crate::annotation::Annotation;
+use crate::buffer::EvalTrigger;
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::executor::{
-    call_whole, duration_ns, execute_stage, materialize_held, split_whole, ExecEnv, WholeArg,
-};
+use crate::executor::{call_whole, duration_ns, execute_stage, materialize_held, ExecEnv};
+use crate::floor::Floor;
 use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
 use crate::planner::{
-    construct_instance, plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats,
-    PlanRecorder, PlanSite, StagePlan,
+    plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, PlanSite,
+    StagePlan,
 };
 use crate::pool::{PoolHandle, WorkerPool};
-use crate::registry::default_instance_for;
-use crate::split::SplitInstance;
 use crate::stats::{PhaseStats, PoolStats};
 use crate::trace::{SpanKind, TraceCtx, TraceId, SERVICE_WORKER};
-use crate::value::{DataObject, DataValue};
+use crate::value::{Arg, DataObject, DataValue};
 
 static CTX_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -131,8 +153,10 @@ struct State {
     protected: Vec<DataValue>,
     /// First evaluation error, if any, reported to later accessors.
     poisoned: Option<Error>,
-    /// The buffers of calls run at registration, empty between calls.
-    whole: WholeCall,
+    /// The kept pieces and buffers of calls run at registration.
+    floor: Floor,
+    /// The arguments of the call being captured, empty between calls.
+    owned: Vec<DataValue>,
 }
 
 /// Shared interior of a context.
@@ -203,7 +227,8 @@ impl MozartContext {
                     trace_id: 0,
                     protected: Vec::new(),
                     poisoned,
-                    whole: WholeCall::default(),
+                    floor: Floor::default(),
+                    owned: Vec::new(),
                 }),
             }),
         }
@@ -317,11 +342,18 @@ impl MozartContext {
     /// Register a call to an annotated function (the paper's
     /// `register`). Returns a lazy handle to the return value if the
     /// annotation declares one.
-    pub fn call(
-        &self,
-        annot: &Arc<Annotation>,
-        args: Vec<DataValue>,
-    ) -> Result<Option<FutureHandle>> {
+    ///
+    /// The arguments are borrowed, in annotation order:
+    ///
+    /// ```text
+    /// ctx.call(&VD_ADD, &[Arg::Int(n), Arg::Vec(&a), Arg::Vec(&b), Arg::Vec(&out)])
+    /// ```
+    ///
+    /// A call below the work floor (module docs) runs before this
+    /// returns and keeps no argument beyond its kept pieces; any other
+    /// call is captured as a graph node, which holds each argument as an
+    /// owned [`DataValue`].
+    pub fn call(&self, annot: &Arc<Annotation>, args: &[Arg<'_>]) -> Result<Option<FutureHandle>> {
         let t0 = Instant::now();
         let mut st = self.inner.state.lock();
         if let Some(e) = &st.poisoned {
@@ -348,23 +380,22 @@ impl MozartContext {
         // dropped after it was released is refused here, not left to
         // fail the next evaluation.
         let mut ready = true;
-        for dv in &args {
-            if let DataValue::Lazy { ctx_id, value } = dv {
-                if *ctx_id != self.inner.id {
-                    return Err(Error::ForeignValue);
-                }
-                ready &= st.graph.lazy_arg(*value)?.is_some();
+        for arg in args {
+            let (ctx_id, value) = match *arg {
+                Arg::Future(f) => (f.ctx.id(), f.value),
+                Arg::Value(&DataValue::Lazy { ctx_id, value }) => (ctx_id, value),
+                _ => continue,
+            };
+            if ctx_id != self.inner.id {
+                return Err(Error::ForeignValue);
             }
+            ready &= st.graph.lazy_arg(value)?.is_some();
         }
         if ready {
-            let mut whole = std::mem::take(&mut st.whole);
-            let ran = if whole.below_floor(&st.graph, &st.config, annot, &args) {
-                self.run_whole(&mut st, annot, &args, &mut whole, t0)
-            } else {
-                Ok(None)
-            };
-            whole.clear();
-            st.whole = whole;
+            let mut floor = std::mem::take(&mut st.floor);
+            let ran = self.run_at_floor(&mut st, &mut floor, annot, args, t0);
+            floor.done();
+            st.floor = floor;
             // `None`: above the floor, or a split returned `NULL` and
             // nothing ran — either way the call is captured.
             if let Some(ran) = ran.transpose() {
@@ -376,8 +407,10 @@ impl MozartContext {
         // first — resolved before any mut-version exists, so an in-place
         // call (out == a) reads the pre-mutation version — then the new
         // version of each `mut` argument.
+        let mut owned = std::mem::take(&mut st.owned);
+        owned.extend(args.iter().map(Arg::to_value));
         let ids = st.graph.node_ids.len();
-        for dv in &args {
+        for dv in &owned {
             let vid = match dv {
                 DataValue::Lazy { value, .. } => *value,
                 _ => st.graph.resolve_arg(dv),
@@ -391,7 +424,7 @@ impl MozartContext {
             if !spec.mutable {
                 continue;
             }
-            let dv = &args[i];
+            let dv = &owned[i];
             let prev = st.graph.node_ids[ids + i];
             let mv = st.graph.push_value(ValueEntry {
                 origin: ValueOrigin::MutVersion {
@@ -423,6 +456,8 @@ impl MozartContext {
                 }
             }
         }
+        owned.clear();
+        st.owned = owned;
 
         // Create the return value and its liveness token.
         let mut future = None;
@@ -452,30 +487,27 @@ impl MozartContext {
     }
 
     /// Run a call below the work floor at registration (module docs),
-    /// failing the context as a failed stage would. `Ok(None)` when a
-    /// split returned `NULL`: nothing ran, and the caller captures the
-    /// call instead.
-    fn run_whole(
+    /// failing the context as a failed stage would. `Ok(None)` when the
+    /// call is above the floor, or a split returned `NULL` and nothing
+    /// ran: the caller captures the call instead.
+    fn run_at_floor(
         &self,
         st: &mut State,
+        floor: &mut Floor,
         annot: &Annotation,
-        args: &[DataValue],
-        whole: &mut WholeCall,
+        args: &[Arg<'_>],
         t0: Instant,
     ) -> Result<Option<Option<FutureHandle>>> {
-        // Deciding how the call runs — its split types and the floor —
-        // was its planning; what follows is its task.
-        let t1 = Instant::now();
-        st.stats.planner += t1 - t0;
+        let Some(plan) = floor.decide(&st.graph, &st.config, annot, args) else {
+            return Ok(None);
+        };
         // Polled once, as at a batch boundary.
         if st.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             let e = Error::Cancelled("deadline passed or token cancelled at registration".into());
             return Err(poison(st, e));
         }
-        // Every lazy argument was ready when the call was filled in.
-        let value = |i: usize| whole_value(&st.graph, &args[i]).unwrap_or(&args[i]);
-        let ran = match split_whole(value, &whole.how, whole.total, &mut whole.pieces) {
-            Ok(true) => call_whole(annot, &whole.pieces, whole.ret.as_ref(), whole.total).map(Some),
+        let ran = match floor.split(&st.graph, args, &plan) {
+            Ok(true) => call_whole(annot, floor.pieces(), plan.ret.as_ref(), plan.total).map(Some),
             split => split.map(|_| None),
         };
         let ret = match ran {
@@ -483,21 +515,23 @@ impl MozartContext {
             Ok(None) => return Ok(None),
             Err(e) => return Err(poison(st, e)),
         };
-        let t2 = Instant::now();
-        st.stats.task += t2 - t1;
+        // One clock pair for the whole call: the decision is a lookup,
+        // so all of it counts as task time (see `PhaseStats::task`).
+        let t1 = Instant::now();
+        st.stats.task += t1 - t0;
         // One task span for the call, from the same two readings. Its
         // CPU time is taken as its wall time: the call runs on this
         // thread without blocking, and two reads of the thread CPU
         // clock would cost as much as a small call.
         if let Some(t) = trace_ctx(st) {
-            let wall = duration_ns(t2 - t1);
-            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t1), wall, wall);
+            let wall = duration_ns(t1 - t0);
+            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t0), wall, wall);
         }
         st.stats.calls += 1;
         st.stats.inline_calls += 1;
-        st.stats.bytes_split += whole.bytes;
+        st.stats.bytes_split += plan.bytes();
         let future = ret.map(|merged| {
-            st.stats.bytes_merged += whole.merged_bytes(&merged);
+            st.stats.bytes_merged += plan.merged_bytes(&merged);
             let token = Arc::new(FutureToken);
             let value = st.graph.push_value(ValueEntry {
                 origin: ValueOrigin::Source,
@@ -595,189 +629,6 @@ fn trace_ctx(st: &mut State) -> Option<TraceCtx> {
     })
 }
 
-/// A call below the work floor (module docs): how its function takes
-/// each argument, as [`split_whole`] and [`call_whole`] read it, and
-/// what the floor was checked against. One lives on each context and is
-/// cleared after every call, so its buffers are allocated once per
-/// context, not per call.
-#[derive(Default)]
-struct WholeCall {
-    /// Per argument, in annotation order: how the function takes it.
-    how: Vec<WholeArg>,
-    /// Per argument: its storage's address, to find arguments over one
-    /// storage.
-    storage: Vec<Option<usize>>,
-    /// The pieces the function is called on, one per argument.
-    pieces: Vec<DataValue>,
-    /// The return value's split type, if the annotation declares one.
-    ret: Option<SplitInstance>,
-    /// The element count every split argument agreed on.
-    total: u64,
-    /// Nominal bytes split: `total · elem_size_bytes` summed over the
-    /// split arguments.
-    bytes: u64,
-}
-
-/// The whole value of call argument `dv`: itself, or the data of the
-/// ready lazy value it names.
-fn whole_value<'a>(graph: &'a DataflowGraph, dv: &'a DataValue) -> Option<&'a DataValue> {
-    match dv {
-        DataValue::Lazy { value, .. } => graph.value_data(*value),
-        data => Some(data),
-    }
-}
-
-impl WholeCall {
-    /// Fill in the call if it is below the work floor (module docs,
-    /// "Calls below the work floor"); `false` to capture it. Anything
-    /// the captured path would reject — a constructor or default-split
-    /// error, disagreeing element totals, one storage needed whole and
-    /// split — is captured too, so it fails where it always has.
-    fn below_floor(
-        &mut self,
-        graph: &DataflowGraph,
-        config: &Config,
-        annot: &Annotation,
-        args: &[DataValue],
-    ) -> bool {
-        if !graph.fully_executed()
-            || !graph.deferred.is_empty()
-            || config.batch_override.is_some()
-            || config.fault_plan.is_some()
-        {
-            return false;
-        }
-        self.fill(graph, annot, args)
-            .is_some_and(|elem_bytes| self.fits(config, elem_bytes))
-    }
-
-    /// Take how the function takes each argument and its return's split
-    /// type; the per-element bytes of the split arguments.
-    fn fill(
-        &mut self,
-        graph: &DataflowGraph,
-        annot: &Annotation,
-        args: &[DataValue],
-    ) -> Option<u64> {
-        for dv in args {
-            let data = whole_value(graph, dv)?;
-            // Storage some context has a pending write to stays
-            // captured, so that write is ordered before this call as it
-            // always was.
-            if data.protect_flag().is_some_and(ProtectFlag::is_protected) {
-                return None;
-            }
-            self.how.push(WholeArg::Broadcast);
-            self.storage.push(data.storage_addr());
-        }
-        let whole = |i: usize| whole_value(graph, &args[i]);
-        // What the planner would fail on is captured, to fail there.
-        let construct = |splitter, ctor_args| {
-            construct_instance(splitter, ctor_args, args.len(), whole)
-                .ok()
-                .flatten()
-        };
-
-        // Split types as `try_add` binds them in a fresh stage: concrete
-        // types from the call's own arguments, an unbound generic from
-        // its data's default split.
-        let mut generics: Vec<(GenericId, usize)> = Vec::new();
-        let (mut total, mut elem_bytes) = (None, 0u64);
-        for (i, spec) in annot.args.iter().enumerate() {
-            self.how[i] = match &spec.ty {
-                SplitTypeExpr::Missing => continue,
-                SplitTypeExpr::Concrete {
-                    splitter,
-                    ctor_args,
-                } => match annot.split_like[i] {
-                    Some(j) => WholeArg::SplitLike(j),
-                    None => WholeArg::Split(construct(splitter, ctor_args)?),
-                },
-                SplitTypeExpr::Generic(g) => match generics.iter().find(|(id, _)| id == g) {
-                    Some(&(_, j)) => WholeArg::SplitLike(j),
-                    None => {
-                        generics.push((*g, i));
-                        WholeArg::Split(default_instance_for(whole(i)?).ok()?)
-                    }
-                },
-                SplitTypeExpr::Unknown { .. } => return None,
-            };
-            let inst = WholeArg::split_type(&self.how, i)?;
-            let info = inst.splitter.info(whole(i)?, &inst.params).ok()?;
-            if *total.get_or_insert(info.total_elements) != info.total_elements {
-                return None;
-            }
-            elem_bytes += info.elem_size_bytes;
-        }
-        // With no split argument, the call is one batch of one element.
-        self.total = total.unwrap_or(1);
-
-        // Arguments over one storage share one piece, as they share one
-        // stage input; needed whole and split, or split two ways, the
-        // call cannot be planned at all.
-        for i in 1..self.how.len() {
-            let same = |j: usize| {
-                self.storage[j] == self.storage[i]
-                    && whole(j).map(DataValue::identity) == whole(i).map(DataValue::identity)
-            };
-            let Some(first) = (0..i).find(|&j| same(j)) else {
-                continue;
-            };
-            let types = (
-                WholeArg::split_type(&self.how, first),
-                WholeArg::split_type(&self.how, i),
-            );
-            self.how[i] = match types {
-                (Some(a), Some(b)) if a.same_type(b) => WholeArg::SameAs(first),
-                (None, None) => continue,
-                _ => return None,
-            };
-        }
-
-        self.ret = match &annot.ret {
-            None => None,
-            Some(SplitTypeExpr::Concrete {
-                splitter,
-                ctor_args,
-            }) => Some(construct(splitter, ctor_args)?),
-            Some(SplitTypeExpr::Generic(g)) => {
-                let &(_, j) = generics.iter().find(|(id, _)| id == g)?;
-                WholeArg::split_type(&self.how, j).cloned()
-            }
-            Some(SplitTypeExpr::Unknown { merger }) => {
-                Some(SplitInstance::fresh_unknown(merger.clone()))
-            }
-            Some(SplitTypeExpr::Missing) => return None,
-        };
-        Some(elem_bytes)
-    }
-
-    /// The floor itself: the split arguments' nominal bytes are at most
-    /// 1/16 of L2, and the batch heuristic gives them one batch.
-    fn fits(&mut self, config: &Config, elem_bytes: u64) -> bool {
-        self.bytes = self.total.saturating_mul(elem_bytes);
-        self.total > 0
-            && self.bytes <= config.l2_bytes / 16
-            && config.batch_elements(elem_bytes, self.total) >= self.total
-    }
-
-    /// Nominal size of the merged return value, as a stage output
-    /// counts it in [`PhaseStats::bytes_merged`] (0 for `unknown`).
-    fn merged_bytes(&self, merged: &DataValue) -> u64 {
-        let inst = self.ret.as_ref().filter(|i| !i.is_unknown());
-        let info = inst.and_then(|i| i.splitter.info(merged, &i.params).ok());
-        info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes))
-    }
-
-    /// Empty, keeping the buffers' capacity and no values.
-    fn clear(&mut self) {
-        self.how.clear();
-        self.storage.clear();
-        self.pieces.clear();
-        self.ret = None;
-    }
-}
-
 impl State {
     /// Split borrow for one executor call: the graph and stats it
     /// mutates, and the read-only environment it runs in. `site` is
@@ -841,6 +692,9 @@ fn flush_deferred(st: &mut State) -> Result<()> {
 }
 
 fn evaluate_locked(st: &mut State, demand: Demand) -> Result<()> {
+    // Pieces kept for calls at the floor hold their storage; an
+    // evaluation lets go of them.
+    st.floor.forget();
     if let Some(e) = &st.poisoned {
         return Err(e.clone());
     }

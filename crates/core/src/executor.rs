@@ -1033,60 +1033,6 @@ fn returned(name: &str, ret: Option<DataValue>, declared: bool) -> Result<Option
     }
 }
 
-/// How a call run whole at registration (see "Calls below the work
-/// floor" in [`crate::context`]) hands one argument to its function.
-pub(crate) enum WholeArg {
-    /// Whole (the `_` split type).
-    Broadcast,
-    /// As its piece `0..total` under this split type.
-    Split(SplitInstance),
-    /// As its piece `0..total` under the split type of an earlier
-    /// argument: one with the same concrete split type expression, or
-    /// the one that bound the generic they share.
-    SplitLike(usize),
-    /// As the piece of an earlier argument over the same storage: one
-    /// stage input serves both, as the planner's slots would.
-    SameAs(usize),
-}
-
-impl WholeArg {
-    /// The split type argument `i` of `how` is split by, if it is split.
-    pub(crate) fn split_type(how: &[WholeArg], i: usize) -> Option<&SplitInstance> {
-        match &how[i] {
-            WholeArg::Split(inst) => Some(inst),
-            WholeArg::SplitLike(j) | WholeArg::SameAs(j) => WholeArg::split_type(how, *j),
-            WholeArg::Broadcast => None,
-        }
-    }
-}
-
-/// The split phase of a call run whole at registration — what a
-/// one-batch stage of the call alone splits, in the same order: one
-/// piece per argument into `pieces`, given each argument's whole value
-/// (`whole`) and how its function takes it (`how`). `false` when a split
-/// returns the paper's `NULL`: there is nothing to call the function on.
-pub(crate) fn split_whole<'a>(
-    whole: impl Fn(usize) -> &'a DataValue,
-    how: &[WholeArg],
-    total: u64,
-    pieces: &mut Vec<DataValue>,
-) -> Result<bool> {
-    catch_phase(FaultPhase::Split, || {
-        for (i, arg) in how.iter().enumerate() {
-            let piece = match (arg, WholeArg::split_type(how, i)) {
-                (WholeArg::SameAs(j), _) => pieces[*j].clone(),
-                (_, Some(inst)) => match inst.splitter.split(whole(i), 0..total, &inst.params)? {
-                    Some(piece) => piece,
-                    None => return Ok(false),
-                },
-                (_, None) => whole(i).clone(),
-            };
-            pieces.push(piece);
-        }
-        Ok(true)
-    })
-}
-
 /// The task phase of a call run whole at registration, then the merge
 /// of the piece it returns through the return's split type `ret` — a
 /// one-piece final merge over the stage's `total` elements.

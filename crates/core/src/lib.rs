@@ -54,10 +54,9 @@
 //! // The application uses the wrapped function as always.
 //! let ctx = MozartContext::with_workers(2);
 //! let data = SharedVec::from_vec(vec![1.0, 2.0, 3.0, 4.0]);
-//! let n = DataValue::new(IntValue(4));
-//! let dv = DataValue::new(VecValue(data.clone()));
-//! ctx.call(&annot, vec![n.clone(), dv.clone()]).unwrap();
-//! ctx.call(&annot, vec![n, dv]).unwrap();
+//! // Arguments are borrowed: the buffer is not copied or wrapped.
+//! ctx.call(&annot, &[Arg::Int(4), Arg::Vec(&data)]).unwrap();
+//! ctx.call(&annot, &[Arg::Int(4), Arg::Vec(&data)]).unwrap();
 //! // Reading the buffer forces evaluation (the paper's mprotect trick).
 //! assert_eq!(data.as_slice(), &[4.0, 8.0, 12.0, 16.0]);
 //! ```
@@ -112,6 +111,7 @@ pub mod cputime;
 pub mod error;
 pub mod executor;
 pub mod faultinject;
+mod floor;
 pub mod graph;
 pub mod membudget;
 pub mod planner;
@@ -140,7 +140,7 @@ pub use stats::{PhaseStats, PoolStats, SessionPoolStats};
 pub use trace::{
     chrome_trace_json, SpanKind, SpanRecord, SpanTree, TraceCtx, TraceId, TraceRecorder,
 };
-pub use value::{BoolValue, DataValue, FloatValue, IntValue, StrValue};
+pub use value::{Arg, BoolValue, DataValue, FloatValue, IntValue, StrValue};
 pub use verify::{check_annotation, lint_annotation, verify_stage, VerifyError};
 
 /// Convenient glob-import surface for integrations and applications.
@@ -161,6 +161,6 @@ pub mod prelude {
     };
     pub use crate::stats::{PhaseStats, PoolStats, SessionPoolStats};
     pub use crate::trace::{SpanKind, SpanRecord, SpanTree, TraceId, TraceRecorder};
-    pub use crate::value::{BoolValue, DataValue, FloatValue, IntValue, StrValue};
+    pub use crate::value::{Arg, BoolValue, DataValue, FloatValue, IntValue, StrValue};
     pub use crate::verify::{check_annotation, lint_annotation, verify_stage, VerifyError};
 }

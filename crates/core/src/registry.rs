@@ -6,6 +6,7 @@
 //! per data type". Integration crates register their defaults here.
 
 use std::any::TypeId;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -18,6 +19,9 @@ use crate::value::{DataObject, DataValue};
 
 static REGISTRY: RwLock<Option<WordMap<TypeId, Arc<dyn Splitter>>>> = RwLock::new(None);
 
+/// See [`generation`].
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
 static ANNOTATIONS: RwLock<Vec<Arc<Annotation>>> = RwLock::new(Vec::new());
 
 /// Register `splitter` as the default split type for data type `T`.
@@ -26,9 +30,21 @@ static ANNOTATIONS: RwLock<Vec<Arc<Annotation>>> = RwLock::new(Vec::new());
 /// can override defaults).
 pub fn register_default_splitter<T: DataObject>(splitter: Arc<dyn Splitter>) {
     let mut guard = REGISTRY.write();
-    guard
+    let name = splitter.name();
+    let old = guard
         .get_or_insert_with(WordMap::default)
         .insert(TypeId::of::<T>(), splitter);
+    // Split types are equal when their names are (§3.2): registering the
+    // same one again, as every integration's setup does, changes nothing.
+    if old.is_none_or(|old| old.name() != name) {
+        GENERATION.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// Bumped whenever a type's default split type changes. Read before a
+/// lookup, it changes if the lookup's answer may have.
+pub(crate) fn generation() -> u64 {
+    GENERATION.load(Ordering::Acquire)
 }
 
 /// Look up the default splitter for a value's concrete type.

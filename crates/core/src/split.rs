@@ -400,6 +400,19 @@ pub trait Splitter: Send + Sync + 'static {
     fn concat(&self) -> Option<Arc<dyn Concat>> {
         None
     }
+
+    /// Whether the piece `split` returns for a value's whole range
+    /// `0..total` stays that value's whole piece for as long as its
+    /// storage lives, whatever is written into the storage meanwhile:
+    /// a view that aliases the storage (`ArraySplit`), or a piece that
+    /// depends on the parameters alone (`SizeSplit`). A call run at
+    /// registration (see "Calls below the work floor" in
+    /// [`crate::context`]) then splits each value once per evaluation
+    /// instead of once per call. The default, `false`, splits on every
+    /// call.
+    fn whole_piece_stable(&self) -> bool {
+        false
+    }
 }
 
 /// A fully-applied split type: implementation + concrete parameters.
@@ -689,6 +702,11 @@ impl Splitter for SizeSplit {
         // is trivially commutative; the sizes are a partition, not
         // partial results, so it is not terminal.
         MergeStrategy::Commutative { terminal: false }
+    }
+
+    fn whole_piece_stable(&self) -> bool {
+        // A piece is the length of its range, nothing else.
+        true
     }
 }
 

@@ -39,9 +39,8 @@ pub struct PhaseStats {
     pub calls: u64,
     /// Calls below the work floor that ran at registration, whole, on
     /// the caller — no graph node, plan or stage (see "Calls below the
-    /// work floor" in [`crate::context`]). The wall time of deciding
-    /// that (the call's split types and the floor) is counted in
-    /// [`planner`](Self::planner), the rest in [`task`](Self::task).
+    /// work floor" in [`crate::context`]). Their wall time is counted
+    /// in [`task`](Self::task).
     pub inline_calls: u64,
     /// Result pieces written directly into a preallocated merge output
     /// by the placement fast path (see

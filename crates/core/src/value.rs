@@ -9,7 +9,8 @@ use std::any::{Any, TypeId};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::buffer::ProtectFlag;
+use crate::buffer::{ProtectFlag, SharedVec, VecValue};
+use crate::context::FutureHandle;
 use crate::graph::ValueId;
 
 /// Identity of the underlying storage of a value.
@@ -128,19 +129,6 @@ impl DataValue {
         }
     }
 
-    /// The address [`identity`](Self::identity) names the storage by —
-    /// one dynamic call where the whole identity takes three. Values
-    /// with equal identities have equal addresses.
-    pub(crate) fn storage_addr(&self) -> Option<usize> {
-        match self {
-            DataValue::Data(d) => Some(
-                d.stable_identity()
-                    .unwrap_or(Arc::as_ptr(d) as *const () as usize),
-            ),
-            DataValue::Lazy { .. } => None,
-        }
-    }
-
     /// Protection flag of the underlying storage, if any.
     pub fn protect_flag(&self) -> Option<&ProtectFlag> {
         match self {
@@ -157,6 +145,38 @@ impl fmt::Debug for DataValue {
             DataValue::Lazy { ctx_id, value } => {
                 write!(f, "DataValue(lazy ctx={ctx_id} v={})", value.0)
             }
+        }
+    }
+}
+
+/// One argument of [`MozartContext::call`](crate::MozartContext::call),
+/// borrowed from the caller: a wrapper passes what it was given, and
+/// the runtime wraps it as a [`DataValue`] only where it keeps one — a
+/// captured call's graph node, or a piece a call at the work floor runs
+/// on.
+#[derive(Clone, Copy, Debug)]
+pub enum Arg<'a> {
+    /// A shared `f64` buffer, taken as a [`VecValue`].
+    Vec(&'a SharedVec<f64>),
+    /// An integer scalar, taken as an [`IntValue`].
+    Int(i64),
+    /// A floating-point scalar, taken as a [`FloatValue`].
+    Float(f64),
+    /// The lazy result of an earlier call.
+    Future(&'a FutureHandle),
+    /// Any other value, materialized or lazy.
+    Value(&'a DataValue),
+}
+
+impl Arg<'_> {
+    /// The argument as an owned value handle.
+    pub fn to_value(&self) -> DataValue {
+        match *self {
+            Arg::Vec(v) => DataValue::new(VecValue(v.clone())),
+            Arg::Int(i) => DataValue::new(IntValue(i)),
+            Arg::Float(x) => DataValue::new(FloatValue(x)),
+            Arg::Future(f) => f.as_value(),
+            Arg::Value(v) => v.clone(),
         }
     }
 }

@@ -104,7 +104,7 @@ fn scale(ys_type: SplitTypeExpr) -> Arc<Annotation> {
 fn scaled(ctx: &MozartContext, n: usize, k: f64) -> Result<Vec<f64>> {
     let f = ctx.call(
         &scale(missing()),
-        vec![rows(n), rows(n), DataValue::new(FloatValue(k))],
+        &[Arg::Value(&rows(n)), Arg::Value(&rows(n)), Arg::Float(k)],
     )?;
     let out = f.expect("a return").get()?;
     Ok(out.downcast_ref::<Rows>().expect("rows").0.to_vec())
@@ -130,7 +130,7 @@ fn an_unsound_annotation_is_refused_at_registration() {
     let err = ctx
         .call(
             &bad,
-            vec![rows(8), rows(8), DataValue::new(FloatValue(2.0))],
+            &[Arg::Value(&rows(8)), Arg::Value(&rows(8)), Arg::Float(2.0)],
         )
         .unwrap_err();
     assert!(
@@ -148,7 +148,7 @@ fn disagreeing_splits_fail_the_stage() {
     let f = ctx
         .call(
             &scale(split(true)),
-            vec![rows(8), rows(8), DataValue::new(FloatValue(2.0))],
+            &[Arg::Value(&rows(8)), Arg::Value(&rows(8)), Arg::Float(2.0)],
         )
         .unwrap()
         .unwrap();

@@ -190,19 +190,19 @@ fn elems(v: &DataValue) -> Vec<f64> {
 fn capture(ctx: &MozartContext) -> Vec<FutureHandle> {
     let x = input(53);
     let a = ctx
-        .call(&vmul(), vec![x.clone(), DataValue::new(FloatValue(2.0))])
+        .call(&vmul(), &[Arg::Value(&x.clone()), Arg::Float(2.0)])
         .unwrap()
         .unwrap();
-    let b = ctx.call(&vadd(), vec![a.as_value(), x]).unwrap().unwrap();
+    let b = ctx
+        .call(&vadd(), &[Arg::Value(&a.as_value()), Arg::Value(&x)])
+        .unwrap()
+        .unwrap();
     let c = ctx
-        .call(
-            &chunk_offset(),
-            vec![chunk(41), DataValue::new(FloatValue(1.0))],
-        )
+        .call(&chunk_offset(), &[Arg::Value(&chunk(41)), Arg::Float(1.0)])
         .unwrap()
         .unwrap();
     let kept = ctx
-        .call(&chunk_keep_thirds(), vec![c.as_value()])
+        .call(&chunk_keep_thirds(), &[Arg::Value(&c.as_value())])
         .unwrap()
         .unwrap();
     vec![a, b, c, kept]
@@ -353,8 +353,14 @@ fn dropping_a_deferred_handle_drops_its_pieces() {
     let mut cfg = Config::with_workers(2);
     cfg.batch_override = Some(6);
     let ctx = MozartContext::new(cfg);
-    let held = ctx.call(&tracked, vec![chunk(41)]).unwrap().unwrap();
-    let read = ctx.call(&tracked, vec![chunk(41)]).unwrap().unwrap();
+    let held = ctx
+        .call(&tracked, &[Arg::Value(&chunk(41))])
+        .unwrap()
+        .unwrap();
+    let read = ctx
+        .call(&tracked, &[Arg::Value(&chunk(41))])
+        .unwrap()
+        .unwrap();
     read.get().unwrap();
     assert_eq!(ctx.stats().deferred_outputs, 1);
     // `read` merged to its first piece; `held` keeps all 7 of its own.
@@ -423,9 +429,12 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
         let ctx = MozartContext::new(cfg);
         let buf = SharedVec::from_vec(original.clone());
         let xs = DataValue::new(VecValue(buf.clone()));
-        let view = ctx.call(&view_of, vec![xs.clone()]).unwrap().unwrap();
+        let view = ctx
+            .call(&view_of, &[Arg::Value(&xs.clone())])
+            .unwrap()
+            .unwrap();
         let other = ctx
-            .call(&vmul(), vec![xs.clone(), DataValue::new(FloatValue(1.0))])
+            .call(&vmul(), &[Arg::Value(&xs.clone()), Arg::Float(1.0)])
             .unwrap()
             .unwrap();
         if eager {
@@ -438,7 +447,8 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
         // Mutate the viewed storage in place, then read it (which
         // forces the evaluation): the flush must copy `view` first.
         let len = DataValue::new(IntValue(n as i64));
-        ctx.call(&double, vec![len, xs]).unwrap();
+        ctx.call(&double, &[Arg::Value(&len), Arg::Value(&xs)])
+            .unwrap();
         let doubled: Vec<f64> = original.iter().map(|x| x * 2.0).collect();
         assert_eq!(buf.as_slice(), &doubled[..]);
         assert_eq!(ctx.stats().deferred_materialized, u64::from(!eager));
@@ -457,17 +467,24 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
     let ctx = MozartContext::new(cfg);
     let buf = SharedVec::from_vec(original.clone());
     let xs = DataValue::new(VecValue(buf.clone()));
-    let view = ctx.call(&view_of, vec![xs.clone()]).unwrap().unwrap();
+    let view = ctx
+        .call(&view_of, &[Arg::Value(&xs.clone())])
+        .unwrap()
+        .unwrap();
     let k = |k: f64| DataValue::new(FloatValue(k));
     let other = ctx
-        .call(&vmul(), vec![xs.clone(), k(1.0)])
+        .call(&vmul(), &[Arg::Value(&xs.clone()), Arg::Value(&k(1.0))])
         .unwrap()
         .unwrap();
     other.get().unwrap();
     let len = DataValue::new(IntValue(n as i64));
-    ctx.call(&double, vec![len, xs]).unwrap();
+    ctx.call(&double, &[Arg::Value(&len), Arg::Value(&xs)])
+        .unwrap();
     let tripled = ctx
-        .call(&vmul(), vec![view.as_value(), k(3.0)])
+        .call(
+            &vmul(),
+            &[Arg::Value(&view.as_value()), Arg::Value(&k(3.0))],
+        )
         .unwrap()
         .unwrap();
     drop(view);
@@ -493,7 +510,9 @@ fn two_outputs(cfg: Config, chunks: bool) -> (MozartContext, FutureHandle, Futur
         } else {
             (vmul(), input(48))
         };
-        ctx.call(&annot, vec![x, k]).unwrap().unwrap()
+        ctx.call(&annot, &[Arg::Value(&x), Arg::Value(&k)])
+            .unwrap()
+            .unwrap()
     };
     let (first, second) = (call(2.0), call(3.0));
     (ctx, first, second)
@@ -572,7 +591,10 @@ fn a_later_call_consumes_deferred_pieces() {
     let k = |k: f64| DataValue::new(FloatValue(k));
     let handles = capture(&ctx);
     let lone = ctx
-        .call(&chunk_offset(), vec![chunk(41), k(1.0)])
+        .call(
+            &chunk_offset(),
+            &[Arg::Value(&chunk(41)), Arg::Value(&k(1.0))],
+        )
         .unwrap()
         .unwrap();
     handles[3].get().unwrap();
@@ -581,11 +603,14 @@ fn a_later_call_consumes_deferred_pieces() {
     // `b` (arrays) and `lone` (chunks: no `Concat` capability) each feed
     // a new call: both are merged whole before the calls' stage.
     let b_half = ctx
-        .call(&vmul(), vec![handles[1].as_value(), k(0.5)])
+        .call(
+            &vmul(),
+            &[Arg::Value(&handles[1].as_value()), Arg::Value(&k(0.5))],
+        )
         .unwrap()
         .unwrap();
     let lone_thirds = ctx
-        .call(&chunk_keep_thirds(), vec![lone.as_value()])
+        .call(&chunk_keep_thirds(), &[Arg::Value(&lone.as_value())])
         .unwrap()
         .unwrap();
     let thirds = elems(&lone_thirds.get().unwrap());
@@ -654,7 +679,7 @@ fn a_deferred_input_is_merged_once_before_its_readers_stage() {
         second.get().unwrap();
         let k = DataValue::new(FloatValue(0.5));
         let half = ctx
-            .call(&vmul(), vec![first.as_value(), k])
+            .call(&vmul(), &[Arg::Value(&first.as_value()), Arg::Value(&k)])
             .unwrap()
             .unwrap();
         let half = elems(&half.get().unwrap());

@@ -232,10 +232,7 @@ fn chaos_ctx(
 fn run_chunks(ctx: &MozartContext, annot: &Arc<Annotation>, n: u64, k: f64) -> Result<Vec<f64>> {
     let data = Chunk(Arc::new((0..n).map(|i| i as f64).collect()));
     let fut = ctx
-        .call(
-            annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(k))],
-        )?
+        .call(annot, &[Arg::Value(&DataValue::new(data)), Arg::Float(k)])?
         .ok_or(Error::ValueUnavailable)?;
     let out = fut.get()?;
     let c = out
@@ -250,10 +247,7 @@ fn run_array(ctx: &MozartContext, n: u64, k: f64) -> Result<Vec<f64>> {
     let fut = ctx
         .call(
             &array_scale(),
-            vec![
-                DataValue::new(VecValue(data)),
-                DataValue::new(FloatValue(k)),
-            ],
+            &[Arg::Value(&DataValue::new(VecValue(data))), Arg::Float(k)],
         )?
         .ok_or(Error::ValueUnavailable)?;
     let out = fut.get()?;
@@ -268,11 +262,7 @@ fn run_vec(ctx: &MozartContext, n: u64, k: f64) -> Result<Vec<f64>> {
     let data = SharedVec::from_vec((0..n).map(|i| i as f64).collect());
     ctx.call(
         &vec_scale(),
-        vec![
-            DataValue::new(VecValue(data.clone())),
-            DataValue::new(FloatValue(k)),
-            DataValue::new(IntValue(n as i64)),
-        ],
+        &[Arg::Vec(&data), Arg::Float(k), Arg::Int(n as i64)],
     )?;
     ctx.evaluate()?;
     Ok(data.as_slice().to_vec())

@@ -264,28 +264,28 @@ fn in_place_chain_pipelines_into_one_stage() {
 
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(3.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(3.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(0.5)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(0.5),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
@@ -316,19 +316,19 @@ fn pipe_ablation_runs_one_stage_per_function() {
     let scale = scale_annotation();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
@@ -373,15 +373,15 @@ fn unpipelined_chain_merges_at_every_call_boundary() {
         let mut fut = ctx
             .call(
                 &vmul,
-                vec![
-                    DataValue::new(VecValue(SharedVec::from_vec(xs))),
-                    DataValue::new(FloatValue(2.0)),
+                &[
+                    Arg::Value(&DataValue::new(VecValue(SharedVec::from_vec(xs)))),
+                    Arg::Float(2.0),
                 ],
             )
             .unwrap()
             .unwrap();
         for k in [3.0, 0.5] {
-            let next = ctx.call(&vmul, vec![fut.as_value(), DataValue::new(FloatValue(k))]);
+            let next = ctx.call(&vmul, &[Arg::Value(&fut.as_value()), Arg::Float(k)]);
             fut = next.unwrap().unwrap();
         }
         let out = fut.get().unwrap();
@@ -426,19 +426,33 @@ fn generics_pipeline_binary_ops_and_detect_dependencies() {
     let scale = scale_annotation();
 
     // out = a + b; out = out * 2; out = out + a
-    ctx.call(&add, vec![vec_value(&a), vec_value(&b), vec_value(&out)])
-        .unwrap();
     ctx.call(
-        &scale,
-        vec![
-            vec_value(&out),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&out),
+        &add,
+        &[
+            Arg::Value(&vec_value(&a)),
+            Arg::Value(&vec_value(&b)),
+            Arg::Value(&vec_value(&out)),
         ],
     )
     .unwrap();
-    ctx.call(&add, vec![vec_value(&out), vec_value(&a), vec_value(&out)])
-        .unwrap();
+    ctx.call(
+        &scale,
+        &[
+            Arg::Value(&vec_value(&out)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&out)),
+        ],
+    )
+    .unwrap();
+    ctx.call(
+        &add,
+        &[
+            Arg::Value(&vec_value(&out)),
+            Arg::Value(&vec_value(&a)),
+            Arg::Value(&vec_value(&out)),
+        ],
+    )
+    .unwrap();
     ctx.evaluate().unwrap();
 
     for i in 0..n {
@@ -459,7 +473,7 @@ fn reduction_merges_partials_across_workers_and_batches() {
     let data = SharedVec::from_vec((0..n).map(|i| i as f64).collect());
     let sum = sum_annotation();
     let fut = ctx
-        .call(&sum, vec![vec_value(&data)])
+        .call(&sum, &[Arg::Value(&vec_value(&data))])
         .unwrap()
         .expect("sum returns a value");
     let result = fut.get().unwrap();
@@ -476,14 +490,17 @@ fn scale_then_sum_pipelines_and_reduces() {
     let sum = sum_annotation();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(3.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(3.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
-    let fut = ctx.call(&sum, vec![vec_value(&data)]).unwrap().unwrap();
+    let fut = ctx
+        .call(&sum, &[Arg::Value(&vec_value(&data))])
+        .unwrap()
+        .unwrap();
     let got = fut.get().unwrap().downcast_ref::<FloatValue>().unwrap().0;
     assert_eq!(got, 192.0);
     assert_eq!(
@@ -502,14 +519,14 @@ fn unknown_output_pipelines_into_generic_but_not_concrete() {
     let cscale = chunk_scale_annotation();
 
     let filtered = ctx
-        .call(&filter, vec![DataValue::new(input)])
+        .call(&filter, &[Arg::Value(&DataValue::new(input))])
         .unwrap()
         .unwrap();
     // Generic function accepts the unknown value: pipelined in-stage.
     let scaled = ctx
         .call(
             &cscale,
-            vec![filtered.as_value(), DataValue::new(FloatValue(2.0))],
+            &[Arg::Value(&filtered.as_value()), Arg::Float(2.0)],
         )
         .unwrap()
         .unwrap();
@@ -550,10 +567,19 @@ fn two_unknowns_do_not_pipeline_together() {
     .ret(generic(0))
     .build();
 
-    let fa = ctx.call(&filter, vec![DataValue::new(a)]).unwrap().unwrap();
-    let fb = ctx.call(&filter, vec![DataValue::new(b)]).unwrap().unwrap();
+    let fa = ctx
+        .call(&filter, &[Arg::Value(&DataValue::new(a))])
+        .unwrap()
+        .unwrap();
+    let fb = ctx
+        .call(&filter, &[Arg::Value(&DataValue::new(b))])
+        .unwrap()
+        .unwrap();
     let fc = ctx
-        .call(&chunk_add, vec![fa.as_value(), fb.as_value()])
+        .call(
+            &chunk_add,
+            &[Arg::Value(&fa.as_value()), Arg::Value(&fb.as_value())],
+        )
         .unwrap()
         .unwrap();
     let out = fc.get().unwrap();
@@ -587,14 +613,17 @@ fn stage_breaks_when_split_value_needed_whole() {
 
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
-    let fut = ctx.call(&whole, vec![vec_value(&data)]).unwrap().unwrap();
+    let fut = ctx
+        .call(&whole, &[Arg::Value(&vec_value(&data))])
+        .unwrap()
+        .unwrap();
     let len = fut.get().unwrap();
     assert_eq!(len.downcast_ref::<IntValue>().unwrap().0, n as i64);
     assert_eq!(
@@ -613,12 +642,20 @@ fn arrays_of_different_lengths_do_not_pipeline() {
     let scale = scale_annotation();
     ctx.call(
         &scale,
-        vec![vec_value(&a), DataValue::new(FloatValue(2.0)), int_len(&a)],
+        &[
+            Arg::Value(&vec_value(&a)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&a)),
+        ],
     )
     .unwrap();
     ctx.call(
         &scale,
-        vec![vec_value(&b), DataValue::new(FloatValue(3.0)), int_len(&b)],
+        &[
+            Arg::Value(&vec_value(&b)),
+            Arg::Float(3.0),
+            Arg::Value(&int_len(&b)),
+        ],
     )
     .unwrap();
     ctx.evaluate().unwrap();
@@ -637,15 +674,12 @@ fn dead_intermediates_are_discarded() {
     let f1 = ctx
         .call(
             &cscale,
-            vec![DataValue::new(input), DataValue::new(FloatValue(2.0))],
+            &[Arg::Value(&DataValue::new(input)), Arg::Float(2.0)],
         )
         .unwrap()
         .unwrap();
     let f2 = ctx
-        .call(
-            &cscale,
-            vec![f1.as_value(), DataValue::new(FloatValue(3.0))],
-        )
+        .call(&cscale, &[Arg::Value(&f1.as_value()), Arg::Float(3.0)])
         .unwrap()
         .unwrap();
     drop(f1); // intermediate not observable by the user
@@ -659,12 +693,15 @@ fn foreign_lazy_values_are_rejected() {
     let ctx2 = small_batch_ctx(1);
     let sum = sum_annotation();
     let data = SharedVec::from_vec(vec![1.0; 8]);
-    let fut = ctx1.call(&sum, vec![vec_value(&data)]).unwrap().unwrap();
+    let fut = ctx1
+        .call(&sum, &[Arg::Value(&vec_value(&data))])
+        .unwrap()
+        .unwrap();
     let chunk_scale = chunk_scale_annotation();
     let err = ctx2
         .call(
             &chunk_scale,
-            vec![fut.as_value(), DataValue::new(FloatValue(1.0))],
+            &[Arg::Value(&fut.as_value()), Arg::Float(1.0)],
         )
         .unwrap_err();
     assert_eq!(err, Error::ForeignValue);
@@ -677,10 +714,10 @@ fn evaluate_is_idempotent_and_stats_accumulate() {
     let scale = scale_annotation();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
@@ -691,10 +728,10 @@ fn evaluate_is_idempotent_and_stats_accumulate() {
     // A second round of laziness on the same context.
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(5.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(5.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
@@ -711,10 +748,10 @@ fn many_workers_on_tiny_input_degrade_gracefully() {
     let scale = scale_annotation();
     ctx.call(
         &scale,
-        vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(2.0)),
-            int_len(&data),
+        &[
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(2.0),
+            Arg::Value(&int_len(&data)),
         ],
     )
     .unwrap();
@@ -727,7 +764,9 @@ fn argument_count_mismatch_is_reported_at_registration() {
     let ctx = small_batch_ctx(1);
     let scale = scale_annotation();
     let data = SharedVec::from_vec(vec![1.0]);
-    let err = ctx.call(&scale, vec![vec_value(&data)]).unwrap_err();
+    let err = ctx
+        .call(&scale, &[Arg::Value(&vec_value(&data))])
+        .unwrap_err();
     assert!(matches!(err, Error::ArgCount { .. }));
 }
 
@@ -742,12 +781,12 @@ fn a_read_forces_the_context_that_protected_the_storage_last() {
     let scale = scale_annotation();
     let data = SharedVec::from_vec(vec![1.0; 16]);
     let call = |ctx: &MozartContext, k: f64| {
-        let args = vec![
-            vec_value(&data),
-            DataValue::new(FloatValue(k)),
-            int_len(&data),
+        let args = [
+            Arg::Value(&vec_value(&data)),
+            Arg::Float(k),
+            Arg::Value(&int_len(&data)),
         ];
-        ctx.call(&scale, args).unwrap();
+        ctx.call(&scale, &args).unwrap();
     };
 
     let a = small_batch_ctx(2);

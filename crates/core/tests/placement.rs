@@ -176,7 +176,7 @@ fn out_of_order_placement_writes_land_at_their_offsets() {
     let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 1 });
     let annot = scaled_fresh_annotation(splitter, Duration::from_micros(300));
     let fut = c
-        .call(&annot, vec![vec_value(n as usize)])
+        .call(&annot, &[Arg::Value(&vec_value(n as usize))])
         .unwrap()
         .unwrap();
     let out = fut.get().unwrap();
@@ -200,7 +200,7 @@ fn null_split_tail_underfills_without_corrupting_neighbors() {
     let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 2 });
     let annot = scaled_fresh_annotation(splitter, Duration::from_micros(200));
     let fut = c
-        .call(&annot, vec![vec_value(n as usize)])
+        .call(&annot, &[Arg::Value(&vec_value(n as usize))])
         .unwrap()
         .unwrap();
     let out = fut.get().unwrap();
@@ -222,7 +222,7 @@ fn clipped_final_piece_truncates_to_actual_elements() {
     let splitter: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 2 });
     let annot = scaled_fresh_annotation(splitter, Duration::ZERO);
     let fut = c
-        .call(&annot, vec![vec_value(n as usize)])
+        .call(&annot, &[Arg::Value(&vec_value(n as usize))])
         .unwrap()
         .unwrap();
     let out = fut.get().unwrap();
@@ -252,11 +252,11 @@ fn deferred_null_split_tail_underfills_like_the_eager_merge() {
             };
             let annot = scaled_fresh_annotation(splitter, Duration::ZERO);
             let first = c
-                .call(&annot, vec![vec_value(n as usize)])
+                .call(&annot, &[Arg::Value(&vec_value(n as usize))])
                 .unwrap()
                 .unwrap();
             let second = c
-                .call(&annot, vec![vec_value(n as usize)])
+                .call(&annot, &[Arg::Value(&vec_value(n as usize))])
                 .unwrap()
                 .unwrap();
             if eager {
@@ -314,10 +314,7 @@ fn placement_and_mut_alias_outputs_coexist_in_one_stage() {
 
     let squares = SharedVec::<f64>::zeros(n);
     let fut = c
-        .call(
-            &annot,
-            vec![vec_value(n), DataValue::new(VecValue(squares.clone()))],
-        )
+        .call(&annot, &[Arg::Value(&vec_value(n)), Arg::Vec(&squares)])
         .unwrap()
         .unwrap();
     let ret = fut.get().unwrap();
@@ -384,7 +381,7 @@ impl Warm {
     fn eval(&self, annot: &Arc<Annotation>, n: usize) -> Result<(SharedVec<f64>, PhaseStats)> {
         let c = MozartContext::new(self.config.clone());
         c.attach_plan_cache(self.cache.clone());
-        let fut = c.call(annot, vec![vec_value(n)])?.unwrap();
+        let fut = c.call(annot, &[Arg::Value(&vec_value(n))])?.unwrap();
         let out = fut.get()?;
         let buf = out.downcast_ref::<VecValue>().unwrap().0.clone();
         Ok((buf, c.stats()))
@@ -542,7 +539,10 @@ fn without_a_plan_cache_nothing_is_parked_or_reused() {
     let (_, annot) = &reuse_annotations(1)[0];
     let c = ctx(2, 8);
     for _ in 0..3 {
-        let fut = c.call(annot, vec![vec_value(64)]).unwrap().unwrap();
+        let fut = c
+            .call(annot, &[Arg::Value(&vec_value(64))])
+            .unwrap()
+            .unwrap();
         let out = fut.get().unwrap();
         assert_eq!(
             out.downcast_ref::<VecValue>().unwrap().0.as_slice(),
@@ -562,7 +562,10 @@ fn a_long_lived_context_reuses_its_own_released_targets() {
     let c = MozartContext::new(warm.config.clone());
     c.attach_plan_cache(warm.cache.clone());
     for round in 0..4u64 {
-        let fut = c.call(annot, vec![vec_value(64)]).unwrap().unwrap();
+        let fut = c
+            .call(annot, &[Arg::Value(&vec_value(64))])
+            .unwrap()
+            .unwrap();
         let out = fut.get().unwrap();
         assert_eq!(
             out.downcast_ref::<VecValue>().unwrap().0.as_slice(),
@@ -658,7 +661,8 @@ fn sum() -> Arc<Annotation> {
 }
 
 fn call1(c: &MozartContext, annot: &Arc<Annotation>, args: Vec<DataValue>) -> FutureHandle {
-    c.call(annot, args).unwrap().expect("a return value")
+    let args: Vec<Arg> = args.iter().map(Arg::Value).collect();
+    c.call(annot, &args).unwrap().expect("a return value")
 }
 
 fn times(x: DataValue, k: f64) -> Vec<DataValue> {

@@ -64,10 +64,14 @@ fn run_scale(ctx: &MozartContext, annot: &Arc<Annotation>, n: usize, k: f64) -> 
     let nn = DataValue::new(IntValue(n as i64));
     ctx.call(
         annot,
-        vec![dv.clone(), DataValue::new(FloatValue(k)), nn.clone()],
+        &[
+            Arg::Value(&dv.clone()),
+            Arg::Float(k),
+            Arg::Value(&nn.clone()),
+        ],
     )
     .unwrap();
-    ctx.call(annot, vec![dv, DataValue::new(FloatValue(k)), nn])
+    ctx.call(annot, &[Arg::Value(&dv), Arg::Float(k), Arg::Value(&nn)])
         .unwrap();
     ctx.evaluate().unwrap();
     data.as_slice().to_vec()
@@ -111,11 +115,7 @@ fn repeated_evaluation_hits_within_one_context() {
     for _ in 0..3 {
         ctx.call(
             &annot,
-            vec![
-                dv.clone(),
-                DataValue::new(FloatValue(2.0)),
-                DataValue::new(IntValue(12)),
-            ],
+            &[Arg::Value(&dv.clone()), Arg::Float(2.0), Arg::Int(12)],
         )
         .unwrap();
         ctx.evaluate().unwrap();
@@ -159,11 +159,11 @@ fn pipeline_structure_change_misses() {
     let dv = DataValue::new(VecValue(data.clone()));
     ctx.call(
         &scale_shift_annotation(),
-        vec![
-            dv,
-            DataValue::new(FloatValue(2.0)),
-            DataValue::new(FloatValue(1.0)),
-            DataValue::new(IntValue(16)),
+        &[
+            Arg::Value(&dv),
+            Arg::Float(2.0),
+            Arg::Float(1.0),
+            Arg::Int(16),
         ],
     )
     .unwrap();
@@ -277,14 +277,9 @@ fn fingerprint_keys_every_planning_input() {
     let run = |annot: &Arc<Annotation>, n: usize, k: f64| {
         let ctx = cached_ctx(&cache, 1, 4);
         let data = SharedVec::from_vec(vec![1.0; n]);
-        let len = || DataValue::new(IntValue(n as i64));
-        let args = vec![
-            DataValue::new(VecValue(data.clone())),
-            DataValue::new(FloatValue(k)),
-            len(),
-            len(),
-        ];
-        ctx.call(annot, args).unwrap();
+        let len = Arg::Int(n as i64);
+        let args = [Arg::Vec(&data), Arg::Float(k), len, len];
+        ctx.call(annot, &args).unwrap();
         ctx.evaluate().unwrap();
         assert_eq!(data.as_slice(), vec![k; n].as_slice());
         let s = cache.stats();
@@ -428,13 +423,16 @@ fn a_replay_that_fails_to_bind_invalidates_and_replans() {
         let array = |xs: Vec<f64>| DataValue::new(VecValue(SharedVec::from_vec(xs)));
         let k = || DataValue::new(FloatValue(3.0));
         let xs = (0..32).map(|i| if i < positives { 1.0 } else { -1.0 });
-        let ys = ctx.call(&keep, vec![array(xs.collect())]).unwrap().unwrap();
+        let ys = ctx
+            .call(&keep, &[Arg::Value(&array(xs.collect()))])
+            .unwrap()
+            .unwrap();
         let a = ctx
-            .call(&mul_own, vec![ys.as_value(), k()])
+            .call(&mul_own, &[Arg::Value(&ys.as_value()), Arg::Value(&k())])
             .unwrap()
             .unwrap();
         let b = ctx
-            .call(&mul, vec![array(vec![2.0; 16]), k()])
+            .call(&mul, &[Arg::Value(&array(vec![2.0; 16])), Arg::Value(&k())])
             .unwrap()
             .unwrap();
         ctx.evaluate().unwrap();

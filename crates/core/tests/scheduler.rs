@@ -194,7 +194,7 @@ fn skewed_batches_keep_every_worker_busy() {
     let fut = ctx
         .call(
             &annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(2.0))],
+            &[Arg::Value(&DataValue::new(data)), Arg::Float(2.0)],
         )
         .unwrap()
         .unwrap();
@@ -252,7 +252,7 @@ fn pool_survives_many_tiny_stages() {
         let fut = ctx
             .call(
                 &annot,
-                vec![DataValue::new(data), DataValue::new(FloatValue(3.0))],
+                &[Arg::Value(&DataValue::new(data)), Arg::Float(3.0)],
             )
             .unwrap()
             .unwrap();
@@ -295,7 +295,7 @@ fn null_split_early_exit_with_out_of_order_batches() {
     .build();
 
     let fut = ctx
-        .call(&annot, vec![DataValue::new(data)])
+        .call(&annot, &[Arg::Value(&DataValue::new(data))])
         .unwrap()
         .unwrap();
     let out = fut.get().unwrap();
@@ -327,7 +327,10 @@ fn pedantic_mode_still_flags_disagreeing_splits() {
     let fut = ctx
         .call(
             &annot,
-            vec![DataValue::new(full), DataValue::new(truncated)],
+            &[
+                Arg::Value(&DataValue::new(full)),
+                Arg::Value(&DataValue::new(truncated)),
+            ],
         )
         .unwrap()
         .unwrap();
@@ -359,7 +362,7 @@ fn worker_errors_stop_the_stage_quickly() {
     .build();
 
     let fut = ctx
-        .call(&annot, vec![DataValue::new(data)])
+        .call(&annot, &[Arg::Value(&DataValue::new(data))])
         .unwrap()
         .unwrap();
     let err = fut.get().unwrap_err();

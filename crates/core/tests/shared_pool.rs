@@ -118,10 +118,7 @@ fn two_contexts_share_one_pool_concurrently() {
             for round in 0..4 {
                 let data = Chunk(Arc::new((0..n).map(|i| (i + round) as f64).collect()));
                 let fut = ctx
-                    .call(
-                        &annot,
-                        vec![DataValue::new(data), DataValue::new(FloatValue(k))],
-                    )
+                    .call(&annot, &[Arg::Value(&DataValue::new(data)), Arg::Float(k)])
                     .unwrap()
                     .unwrap();
                 let out = fut.get().unwrap();
@@ -167,7 +164,7 @@ fn shared_pool_survives_a_failing_session() {
     let bad = ctx_on(&pool, 2, 1, 7);
     let data = Chunk(Arc::new(vec![1.0; 16]));
     let fut = bad
-        .call(&fail, vec![DataValue::new(data)])
+        .call(&fail, &[Arg::Value(&DataValue::new(data))])
         .unwrap()
         .unwrap();
     assert!(matches!(fut.get(), Err(Error::Library(_))));
@@ -178,7 +175,7 @@ fn shared_pool_survives_a_failing_session() {
     let fut = good
         .call(
             &annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(5.0))],
+            &[Arg::Value(&DataValue::new(data)), Arg::Float(5.0)],
         )
         .unwrap()
         .unwrap();
@@ -199,7 +196,7 @@ fn guided_claim_spans_cut_cursor_claims() {
     let fut = ctx
         .call(
             &annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(1.5))],
+            &[Arg::Value(&DataValue::new(data)), Arg::Float(1.5)],
         )
         .unwrap()
         .unwrap();
@@ -228,7 +225,7 @@ fn session_stats_carry_weights_and_bytes() {
     let fut = ctx
         .call(
             &annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(2.0))],
+            &[Arg::Value(&DataValue::new(data)), Arg::Float(2.0)],
         )
         .unwrap()
         .unwrap();
@@ -267,7 +264,7 @@ fn evaluation_meters_split_bytes_in_phase_stats() {
     let fut = ctx
         .call(
             &annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(3.0))],
+            &[Arg::Value(&DataValue::new(data)), Arg::Float(3.0)],
         )
         .unwrap()
         .unwrap();
@@ -297,7 +294,7 @@ fn invalid_config_poisons_context_loudly() {
     let err = ctx
         .call(
             &annot,
-            vec![DataValue::new(data), DataValue::new(FloatValue(1.0))],
+            &[Arg::Value(&DataValue::new(data)), Arg::Float(1.0)],
         )
         .unwrap_err();
     assert!(

@@ -20,8 +20,13 @@
 //! * an annotation whose split type names an argument beyond its arity
 //!   is refused at registration on both paths;
 //! * a lazy copy of a released value is refused with `ValueUnavailable`
-//!   on both paths, and the context stays usable.
+//!   on both paths, and the context stays usable;
+//! * what a call keeps is sound against the plain library: a new buffer
+//!   where a dropped one was gets its own piece, a default split type
+//!   registered between two calls is honoured, and a split type that
+//!   does not declare a stable whole piece is split on every call.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
@@ -285,7 +290,7 @@ fn a_panic_at_registration_is_typed_and_poisons_the_context() {
     .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
     .build();
     let ctx = MozartContext::new(below_floor());
-    let err = ctx.call(&boom, vec![input(16)]).unwrap_err();
+    let err = ctx.call(&boom, &[Arg::Value(&input(16))]).unwrap_err();
     match &err {
         Error::TaskPanicked { stage, payload } => {
             assert_eq!(*stage, FaultPhase::Task);
@@ -294,7 +299,7 @@ fn a_panic_at_registration_is_typed_and_poisons_the_context() {
         other => panic!("expected TaskPanicked, got {other:?}"),
     }
     // Poisoned as a failed stage would leave it.
-    let next = ctx.call(&vmul(), vec![input(16), k(2.0)]);
+    let next = ctx.call(&vmul(), &[Arg::Value(&input(16)), Arg::Value(&k(2.0))]);
     assert!(matches!(next, Err(Error::TaskPanicked { .. })), "{next:?}");
     assert!(matches!(ctx.evaluate(), Err(Error::TaskPanicked { .. })));
 }
@@ -303,7 +308,9 @@ fn a_panic_at_registration_is_typed_and_poisons_the_context() {
 fn an_expired_deadline_cancels_the_call() {
     let ctx = MozartContext::new(below_floor());
     ctx.set_cancel_token(CancelToken::with_deadline(Instant::now()));
-    let err = ctx.call(&vmul(), vec![input(16), k(2.0)]).unwrap_err();
+    let err = ctx
+        .call(&vmul(), &[Arg::Value(&input(16)), Arg::Value(&k(2.0))])
+        .unwrap_err();
     assert!(matches!(err, Error::Cancelled(_)), "{err:?}");
     assert_eq!(ctx.stats().inline_calls, 0);
     assert!(matches!(ctx.evaluate(), Err(Error::Cancelled(_))));
@@ -316,7 +323,10 @@ fn a_traced_call_at_registration_records_one_task_span() {
         tracing: Some(recorder.clone()),
         ..below_floor()
     });
-    let f = ctx.call(&vmul(), vec![input(16), k(2.0)]).unwrap().unwrap();
+    let f = ctx
+        .call(&vmul(), &[Arg::Value(&input(16)), Arg::Value(&k(2.0))])
+        .unwrap()
+        .unwrap();
     assert_eq!(elems(&f.get().unwrap())[..2], [2.0, 4.0]);
     let spans = recorder.spans(ctx.trace_id().expect("a traced call mints an id"));
     let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
@@ -332,10 +342,15 @@ fn storage_another_context_will_write_stays_captured() {
     let buf = SharedVec::from_vec(vec![1.0; 16]);
     let xs = DataValue::new(VecValue(buf.clone()));
     let writer = MozartContext::new(captured());
-    writer.call(&double(), vec![len(16), xs.clone()]).unwrap();
+    writer
+        .call(&double(), &[Arg::Value(&len(16)), Arg::Value(&xs.clone())])
+        .unwrap();
 
     let reader = MozartContext::new(below_floor());
-    let tripled = reader.call(&vmul(), vec![xs, k(3.0)]).unwrap().unwrap();
+    let tripled = reader
+        .call(&vmul(), &[Arg::Value(&xs), Arg::Value(&k(3.0))])
+        .unwrap()
+        .unwrap();
     assert_eq!(
         reader.pending_calls(),
         1,
@@ -394,9 +409,12 @@ fn an_in_place_call_over_a_held_view_stays_captured() {
     // Captured, and only `other` read: `view` stays held as pieces
     // aliasing `buf`.
     let ctx = MozartContext::new(captured());
-    let view = ctx.call(&view_of, vec![xs.clone()]).unwrap().unwrap();
+    let view = ctx
+        .call(&view_of, &[Arg::Value(&xs.clone())])
+        .unwrap()
+        .unwrap();
     let other = ctx
-        .call(&vmul(), vec![xs.clone(), k(1.0)])
+        .call(&vmul(), &[Arg::Value(&xs.clone()), Arg::Value(&k(1.0))])
         .unwrap()
         .unwrap();
     assert_eq!(elems(&other.get().unwrap()), original);
@@ -406,7 +424,8 @@ fn an_in_place_call_over_a_held_view_stays_captured() {
     // pieces, so the write over their storage is captured and flushes
     // them first, as `deferred.rs` requires.
     ctx.set_config(below_floor());
-    ctx.call(&double(), vec![len(n), xs]).unwrap();
+    ctx.call(&double(), &[Arg::Value(&len(n)), Arg::Value(&xs)])
+        .unwrap();
     assert_eq!(ctx.pending_calls(), 1);
     let doubled: Vec<f64> = original.iter().map(|x| x * 2.0).collect();
     assert_eq!(buf.as_slice(), &doubled[..]);
@@ -419,11 +438,8 @@ fn an_in_place_call_over_a_held_view_stays_captured() {
     assert_eq!(ctx.stats().inline_calls, 0);
 
     // Nothing held any more: the next call runs at registration.
-    ctx.call(
-        &double(),
-        vec![len(n), DataValue::new(VecValue(buf.clone()))],
-    )
-    .unwrap();
+    ctx.call(&double(), &[Arg::Value(&len(n)), Arg::Vec(&buf)])
+        .unwrap();
     assert_eq!(ctx.pending_calls(), 0);
     assert_eq!(ctx.stats().inline_calls, 1);
     assert_eq!(buf.as_slice()[0], original[0] * 4.0);
@@ -441,7 +457,10 @@ fn batch_override_and_fault_plans_keep_calls_captured() {
     };
     for config in [overridden, faulty] {
         let ctx = MozartContext::new(config);
-        let f = ctx.call(&vmul(), vec![input(16), k(2.0)]).unwrap().unwrap();
+        let f = ctx
+            .call(&vmul(), &[Arg::Value(&input(16)), Arg::Value(&k(2.0))])
+            .unwrap()
+            .unwrap();
         assert_eq!(ctx.pending_calls(), 1);
         assert_eq!(elems(&f.get().unwrap())[..3], [2.0, 4.0, 6.0]);
         assert_captured(&ctx.stats());
@@ -460,7 +479,7 @@ fn a_constructor_argument_beyond_the_arity_fails_typed_on_both_paths() {
     let mut errors = Vec::new();
     for config in [below_floor(), captured()] {
         let ctx = MozartContext::new(config);
-        let err = ctx.call(&bad, vec![input(16)]).unwrap_err();
+        let err = ctx.call(&bad, &[Arg::Value(&input(16))]).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -473,7 +492,10 @@ fn a_constructor_argument_beyond_the_arity_fails_typed_on_both_paths() {
             "{err:?}"
         );
         assert_eq!(ctx.pending_calls(), 0);
-        let f = ctx.call(&vmul(), vec![input(16), k(2.0)]).unwrap().unwrap();
+        let f = ctx
+            .call(&vmul(), &[Arg::Value(&input(16)), Arg::Value(&k(2.0))])
+            .unwrap()
+            .unwrap();
         assert_eq!(elems(&f.get().unwrap())[..3], [2.0, 4.0, 6.0]);
         errors.push(err.to_string());
     }
@@ -501,5 +523,154 @@ fn a_released_value_is_refused_at_registration() {
         let twice = sa_ndarray::mul_scalar(&ctx, &x, 2.0).unwrap();
         let got = sa_ndarray::get(&twice).unwrap();
         assert_eq!(got.as_slice()[..3], [0.0, 2.0, 4.0]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// What a call at the floor keeps: its shape's decision, on the
+// annotation, and whole pieces, on the context until it evaluates.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_new_buffer_where_a_dropped_one_was_gets_its_own_piece() {
+    sa_vectormath::register_defaults();
+    let ctx = MozartContext::new(below_floor());
+    let n = 64;
+    let b = SharedVec::from_vec((0..n).map(|i| i as f64 * 0.5).collect());
+    for round in 0..4 {
+        // The same length as last round's input, dropped by now.
+        let a: Vec<f64> = (0..n).map(|i| (round * n + i) as f64).collect();
+        let out = SharedVec::zeros(n);
+        sa_vectormath::vd_add(&ctx, n, &SharedVec::from_vec(a.clone()), &b, &out).unwrap();
+        let mut want = vec![0.0; n];
+        vectormath::vd_add(&a, b.as_slice(), &mut want);
+        assert_eq!(bits(out.as_slice()), bits(&want), "round {round}");
+    }
+    assert_eq!(ctx.stats().inline_calls, 4);
+}
+
+/// A default split type for `FloatValue` whose merge adds `.1`, so a
+/// result shows which default split it.
+struct Bumped(&'static str, f64);
+
+impl Splitter for Bumped {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+    fn construct(&self, _ctor_args: &[&DataValue]) -> Result<Params> {
+        Ok(vec![])
+    }
+    fn info(&self, _arg: &DataValue, _p: &Params) -> Result<RuntimeInfo> {
+        Ok(RuntimeInfo {
+            total_elements: 1,
+            elem_size_bytes: 8,
+        })
+    }
+    fn split(
+        &self,
+        arg: &DataValue,
+        _r: std::ops::Range<u64>,
+        _p: &Params,
+    ) -> Result<Option<DataValue>> {
+        Ok(Some(arg.clone()))
+    }
+    fn merge(&self, pieces: Vec<DataValue>, _p: &Params, _total: u64) -> Result<DataValue> {
+        let x = pieces[0].downcast_ref::<FloatValue>().expect("a float").0;
+        Ok(DataValue::new(FloatValue(x + self.1)))
+    }
+}
+
+#[test]
+fn a_default_split_type_registered_between_calls_is_honoured() {
+    // The library function: `x * 2`, over a scalar split by its type's
+    // default.
+    let twice = Annotation::new("wf_twice", |inv| {
+        Ok(Some(DataValue::new(FloatValue(inv.float(0)? * 2.0))))
+    })
+    .arg("x", generic(0))
+    .ret(generic(0))
+    .build();
+    let ctx = MozartContext::new(below_floor());
+    let twice_of = |x: f64| {
+        let f = ctx.call(&twice, &[Arg::Float(x)]).unwrap().unwrap();
+        f.get().unwrap().downcast_ref::<FloatValue>().unwrap().0
+    };
+    register_default_splitter::<FloatValue>(Arc::new(Bumped("WfBumpOne", 1.0)));
+    assert_eq!(twice_of(3.0), 3.0 * 2.0 + 1.0);
+    assert_eq!(twice_of(3.0), 3.0 * 2.0 + 1.0, "the kept decision");
+    register_default_splitter::<FloatValue>(Arc::new(Bumped("WfBumpTen", 10.0)));
+    assert_eq!(twice_of(3.0), 3.0 * 2.0 + 10.0);
+    assert_eq!(ctx.stats().inline_calls, 3);
+}
+
+/// `ArraySplit`, counting its splits, with or without a stable whole
+/// piece.
+struct Counted {
+    stable: bool,
+    splits: AtomicUsize,
+}
+
+impl Splitter for Counted {
+    fn name(&self) -> &'static str {
+        "WfCounted"
+    }
+    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
+        ArraySplit.construct(ctor_args)
+    }
+    fn info(&self, arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
+        ArraySplit.info(arg, params)
+    }
+    fn split(
+        &self,
+        arg: &DataValue,
+        range: std::ops::Range<u64>,
+        params: &Params,
+    ) -> Result<Option<DataValue>> {
+        self.splits.fetch_add(1, Ordering::Relaxed);
+        ArraySplit.split(arg, range, params)
+    }
+    fn merge(&self, pieces: Vec<DataValue>, params: &Params, total: u64) -> Result<DataValue> {
+        ArraySplit.merge(pieces, params, total)
+    }
+    fn merge_strategy(&self) -> MergeStrategy {
+        ArraySplit.merge_strategy()
+    }
+    fn whole_piece_stable(&self) -> bool {
+        self.stable
+    }
+}
+
+#[test]
+fn only_a_stable_split_type_is_split_once_per_buffer() {
+    for stable in [false, true] {
+        let split = Arc::new(Counted {
+            stable,
+            splits: AtomicUsize::new(0),
+        });
+        let double = Annotation::new("wf_counted_double", |inv| {
+            let piece = inv.arg::<SliceView>(1)?;
+            // SAFETY: the call has the buffer to itself.
+            for x in unsafe { piece.as_slice_mut() } {
+                *x *= 2.0;
+            }
+            Ok(None)
+        })
+        .arg("n", missing())
+        .mut_arg("xs", concrete(split.clone(), vec![0]))
+        .build();
+        let ctx = MozartContext::new(below_floor());
+        let buf = SharedVec::from_vec(vec![1.0; 16]);
+        let splits = || split.splits.load(Ordering::Relaxed);
+        for _ in 0..3 {
+            ctx.call(&double, &[Arg::Int(16), Arg::Vec(&buf)]).unwrap();
+        }
+        assert_eq!(buf.as_slice(), &[8.0; 16]);
+        assert_eq!(splits(), if stable { 1 } else { 3 }, "stable: {stable}");
+        // An evaluation lets go of the kept piece.
+        ctx.evaluate().unwrap();
+        ctx.call(&double, &[Arg::Int(16), Arg::Vec(&buf)]).unwrap();
+        assert_eq!(splits(), if stable { 2 } else { 4 }, "stable: {stable}");
+        assert_eq!(buf.as_slice(), &[16.0; 16]);
+        assert_eq!(ctx.stats().inline_calls, 4);
     }
 }

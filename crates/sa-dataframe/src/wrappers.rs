@@ -111,7 +111,7 @@ macro_rules! series_sa_binary {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl DfArg, b: &impl DfArg) -> Result<FutureHandle> {
-            Ok(ctx.call(&$annot, vec![a.to_value(), b.to_value()])?.expect("returns"))
+            Ok(ctx.call(&$annot, &[Arg::Value(&a.to_value()), Arg::Value(&b.to_value())])?.expect("returns"))
         }
     };
 }
@@ -133,7 +133,7 @@ macro_rules! series_sa_scalar {
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl DfArg, k: f64) -> Result<FutureHandle> {
             Ok(ctx
-                .call(&$annot, vec![a.to_value(), DataValue::new(FloatValue(k))])?
+                .call(&$annot, &[Arg::Value(&a.to_value()), Arg::Float(k)])?
                 .expect("returns"))
         }
     };
@@ -153,7 +153,7 @@ macro_rules! series_sa_unary {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl DfArg) -> Result<FutureHandle> {
-            Ok(ctx.call(&$annot, vec![a.to_value()])?.expect("returns"))
+            Ok(ctx.call(&$annot, &[Arg::Value(&a.to_value())])?.expect("returns"))
         }
     };
 }
@@ -175,7 +175,7 @@ macro_rules! series_sa_str {
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl DfArg, s: &str) -> Result<FutureHandle> {
             Ok(ctx
-                .call(&$annot, vec![a.to_value(), DataValue::new(StrValue::new(s))])?
+                .call(&$annot, &[Arg::Value(&a.to_value()), Arg::Value(&DataValue::new(StrValue::new(s)))])?
                 .expect("returns"))
         }
     };
@@ -309,7 +309,11 @@ pub fn mask_assign(
     Ok(ctx
         .call(
             &MASK_ASSIGN,
-            vec![a.to_value(), mask.to_value(), DataValue::new(FloatValue(v))],
+            &[
+                Arg::Value(&a.to_value()),
+                Arg::Value(&mask.to_value()),
+                Arg::Float(v),
+            ],
         )?
         .expect("returns"))
 }
@@ -341,10 +345,10 @@ pub fn mask_assign_str(
     Ok(ctx
         .call(
             &MASK_ASSIGN_STR,
-            vec![
-                a.to_value(),
-                mask.to_value(),
-                DataValue::new(StrValue::new(v)),
+            &[
+                Arg::Value(&a.to_value()),
+                Arg::Value(&mask.to_value()),
+                Arg::Value(&DataValue::new(StrValue::new(v))),
             ],
         )?
         .expect("returns"))
@@ -377,10 +381,10 @@ pub fn str_slice(
     Ok(ctx
         .call(
             &STR_SLICE,
-            vec![
-                a.to_value(),
-                DataValue::new(IntValue(start as i64)),
-                DataValue::new(IntValue(end as i64)),
+            &[
+                Arg::Value(&a.to_value()),
+                Arg::Int(start as i64),
+                Arg::Int(end as i64),
             ],
         )?
         .expect("returns"))
@@ -407,7 +411,10 @@ pub fn col(ctx: &MozartContext, df: &impl DfArg, name: &str) -> Result<FutureHan
     Ok(ctx
         .call(
             &COL,
-            vec![df.to_value(), DataValue::new(StrValue::new(name))],
+            &[
+                Arg::Value(&df.to_value()),
+                Arg::Value(&DataValue::new(StrValue::new(name))),
+            ],
         )?
         .expect("returns"))
 }
@@ -437,10 +444,10 @@ pub fn with_column(
     Ok(ctx
         .call(
             &WITH_COLUMN,
-            vec![
-                df.to_value(),
-                DataValue::new(StrValue::new(name)),
-                c.to_value(),
+            &[
+                Arg::Value(&df.to_value()),
+                Arg::Value(&DataValue::new(StrValue::new(name))),
+                Arg::Value(&c.to_value()),
             ],
         )?
         .expect("returns"))
@@ -463,7 +470,10 @@ static FILTER: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 /// Annotated row filter by boolean mask.
 pub fn filter(ctx: &MozartContext, df: &impl DfArg, mask: &impl DfArg) -> Result<FutureHandle> {
     Ok(ctx
-        .call(&FILTER, vec![df.to_value(), mask.to_value()])?
+        .call(
+            &FILTER,
+            &[Arg::Value(&df.to_value()), Arg::Value(&mask.to_value())],
+        )?
         .expect("returns"))
 }
 
@@ -500,7 +510,11 @@ pub fn inner_join(
     Ok(ctx
         .call(
             &INNER_JOIN,
-            vec![left.to_value(), right_v, DataValue::new(StrValue::new(on))],
+            &[
+                Arg::Value(&left.to_value()),
+                Arg::Value(&right_v),
+                Arg::Value(&DataValue::new(StrValue::new(on))),
+            ],
         )?
         .expect("returns"))
 }
@@ -529,7 +543,9 @@ pub fn groupby_agg(
     .arg("df", generic(0))
     .ret(concrete(GroupSplit::shared(), vec![]))
     .build();
-    Ok(ctx.call(&annot, vec![df.to_value()])?.expect("returns"))
+    Ok(ctx
+        .call(&annot, &[Arg::Value(&df.to_value())])?
+        .expect("returns"))
 }
 
 // --------------------------- reductions ---------------------------------
@@ -594,7 +610,9 @@ static COL_SUM: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated NaN-skipping Series sum.
 pub fn sum(ctx: &MozartContext, a: &impl DfArg) -> Result<FutureHandle> {
-    Ok(ctx.call(&COL_SUM, vec![a.to_value()])?.expect("returns"))
+    Ok(ctx
+        .call(&COL_SUM, &[Arg::Value(&a.to_value())])?
+        .expect("returns"))
 }
 
 static COL_COUNT: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
@@ -611,7 +629,9 @@ static COL_COUNT: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated non-null count.
 pub fn count(ctx: &MozartContext, a: &impl DfArg) -> Result<FutureHandle> {
-    Ok(ctx.call(&COL_COUNT, vec![a.to_value()])?.expect("returns"))
+    Ok(ctx
+        .call(&COL_COUNT, &[Arg::Value(&a.to_value())])?
+        .expect("returns"))
 }
 
 /// Materialize a lazy scalar reduction.

@@ -363,7 +363,7 @@ macro_rules! img_sa_unary {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, img: &impl ImgArg) -> Result<FutureHandle> {
-            Ok(ctx.call(&$annot, vec![img.to_value()])?.expect("returns"))
+            Ok(ctx.call(&$annot, &[Arg::Value(&img.to_value())])?.expect("returns"))
         }
     };
 }
@@ -396,10 +396,7 @@ static GAMMA: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 /// Annotated gamma correction.
 pub fn gamma(ctx: &MozartContext, img: &impl ImgArg, g: f32) -> Result<FutureHandle> {
     Ok(ctx
-        .call(
-            &GAMMA,
-            vec![img.to_value(), DataValue::new(FloatValue(g as f64))],
-        )?
+        .call(&GAMMA, &[Arg::Value(&img.to_value()), Arg::Float(g as f64)])?
         .expect("returns"))
 }
 
@@ -422,7 +419,7 @@ pub fn contrast(ctx: &MozartContext, img: &impl ImgArg, amount: f32) -> Result<F
     Ok(ctx
         .call(
             &CONTRAST,
-            vec![img.to_value(), DataValue::new(FloatValue(amount as f64))],
+            &[Arg::Value(&img.to_value()), Arg::Float(amount as f64)],
         )?
         .expect("returns"))
 }
@@ -456,11 +453,11 @@ pub fn modulate(
     Ok(ctx
         .call(
             &MODULATE,
-            vec![
-                img.to_value(),
-                DataValue::new(FloatValue(brightness as f64)),
-                DataValue::new(FloatValue(saturation as f64)),
-                DataValue::new(FloatValue(hue as f64)),
+            &[
+                Arg::Value(&img.to_value()),
+                Arg::Float(brightness as f64),
+                Arg::Float(saturation as f64),
+                Arg::Float(hue as f64),
             ],
         )?
         .expect("returns"))
@@ -498,12 +495,12 @@ pub fn colorize(
     Ok(ctx
         .call(
             &COLORIZE,
-            vec![
-                img.to_value(),
-                DataValue::new(FloatValue(rgb[0] as f64)),
-                DataValue::new(FloatValue(rgb[1] as f64)),
-                DataValue::new(FloatValue(rgb[2] as f64)),
-                DataValue::new(FloatValue(alpha as f64)),
+            &[
+                Arg::Value(&img.to_value()),
+                Arg::Float(rgb[0] as f64),
+                Arg::Float(rgb[1] as f64),
+                Arg::Float(rgb[2] as f64),
+                Arg::Float(alpha as f64),
             ],
         )?
         .expect("returns"))
@@ -541,12 +538,12 @@ pub fn colortone(
     Ok(ctx
         .call(
             &COLORTONE,
-            vec![
-                img.to_value(),
-                DataValue::new(FloatValue(rgb[0] as f64)),
-                DataValue::new(FloatValue(rgb[1] as f64)),
-                DataValue::new(FloatValue(rgb[2] as f64)),
-                DataValue::new(IntValue(negate as i64)),
+            &[
+                Arg::Value(&img.to_value()),
+                Arg::Float(rgb[0] as f64),
+                Arg::Float(rgb[1] as f64),
+                Arg::Float(rgb[2] as f64),
+                Arg::Int(negate as i64),
             ],
         )?
         .expect("returns"))
@@ -578,10 +575,10 @@ pub fn levels(
     Ok(ctx
         .call(
             &LEVELS,
-            vec![
-                img.to_value(),
-                DataValue::new(FloatValue(black as f64)),
-                DataValue::new(FloatValue(white as f64)),
+            &[
+                Arg::Value(&img.to_value()),
+                Arg::Float(black as f64),
+                Arg::Float(white as f64),
             ],
         )?
         .expect("returns"))

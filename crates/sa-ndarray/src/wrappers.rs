@@ -33,7 +33,7 @@ macro_rules! nd_sa_binary {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl NdArg, b: &impl NdArg) -> Result<FutureHandle> {
-            let fut = ctx.call(&$annot, vec![a.to_value(), b.to_value()])?;
+            let fut = ctx.call(&$annot, &[Arg::Value(&a.to_value()), Arg::Value(&b.to_value())])?;
             Ok(fut.expect("binary op returns a value"))
         }
     };
@@ -53,7 +53,7 @@ macro_rules! nd_sa_unary {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl NdArg) -> Result<FutureHandle> {
-            let fut = ctx.call(&$annot, vec![a.to_value()])?;
+            let fut = ctx.call(&$annot, &[Arg::Value(&a.to_value())])?;
             Ok(fut.expect("unary op returns a value"))
         }
     };
@@ -76,7 +76,7 @@ macro_rules! nd_sa_scalar {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl NdArg, k: f64) -> Result<FutureHandle> {
-            let fut = ctx.call(&$annot, vec![a.to_value(), DataValue::new(FloatValue(k))])?;
+            let fut = ctx.call(&$annot, &[Arg::Value(&a.to_value()), Arg::Float(k)])?;
             Ok(fut.expect("scalar op returns a value"))
         }
     };
@@ -206,7 +206,10 @@ static ADD_ROWVEC: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated broadcast add of a row vector to every row of `a`.
 pub fn add_rowvec(ctx: &MozartContext, a: &impl NdArg, v: &impl NdArg) -> Result<FutureHandle> {
-    let fut = ctx.call(&ADD_ROWVEC, vec![a.to_value(), v.to_value()])?;
+    let fut = ctx.call(
+        &ADD_ROWVEC,
+        &[Arg::Value(&a.to_value()), Arg::Value(&v.to_value())],
+    )?;
     Ok(fut.expect("returns a value"))
 }
 
@@ -225,7 +228,10 @@ static MUL_ROWVEC: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated broadcast multiply of a row vector into every row of `a`.
 pub fn mul_rowvec(ctx: &MozartContext, a: &impl NdArg, v: &impl NdArg) -> Result<FutureHandle> {
-    let fut = ctx.call(&MUL_ROWVEC, vec![a.to_value(), v.to_value()])?;
+    let fut = ctx.call(
+        &MUL_ROWVEC,
+        &[Arg::Value(&a.to_value()), Arg::Value(&v.to_value())],
+    )?;
     Ok(fut.expect("returns a value"))
 }
 
@@ -247,7 +253,7 @@ static ROLL_AXIS1: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated circular shift within rows.
 pub fn roll_axis1(ctx: &MozartContext, a: &impl NdArg, k: i64) -> Result<FutureHandle> {
-    let fut = ctx.call(&ROLL_AXIS1, vec![a.to_value(), DataValue::new(IntValue(k))])?;
+    let fut = ctx.call(&ROLL_AXIS1, &[Arg::Value(&a.to_value()), Arg::Int(k)])?;
     Ok(fut.expect("returns a value"))
 }
 
@@ -267,7 +273,7 @@ macro_rules! nd_sa_full_reduce {
 
         $(#[$doc])*
         pub fn $name(ctx: &MozartContext, a: &impl NdArg) -> Result<FutureHandle> {
-            let fut = ctx.call(&$annot, vec![a.to_value()])?;
+            let fut = ctx.call(&$annot, &[Arg::Value(&a.to_value())])?;
             Ok(fut.expect("reduction returns a value"))
         }
     };
@@ -302,7 +308,7 @@ static MEAN: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 /// Annotated full mean; partials carry `(sum, count)` so unequal batch
 /// sizes merge correctly.
 pub fn mean(ctx: &MozartContext, a: &impl NdArg) -> Result<FutureHandle> {
-    let fut = ctx.call(&MEAN, vec![a.to_value()])?;
+    let fut = ctx.call(&MEAN, &[Arg::Value(&a.to_value())])?;
     Ok(fut.expect("mean returns a value"))
 }
 
@@ -325,7 +331,7 @@ static SUM_AXIS: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 pub fn sum_axis(ctx: &MozartContext, a: &impl NdArg, axis: usize) -> Result<FutureHandle> {
     let fut = ctx.call(
         &SUM_AXIS,
-        vec![a.to_value(), DataValue::new(IntValue(axis as i64))],
+        &[Arg::Value(&a.to_value()), Arg::Int(axis as i64)],
     )?;
     Ok(fut.expect("sum_axis returns a value"))
 }

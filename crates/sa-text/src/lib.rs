@@ -276,7 +276,9 @@ static TAG_CORPUS: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated part-of-speech tagging + feature extraction over a corpus.
 pub fn tag_corpus(ctx: &MozartContext, c: &Corpus) -> Result<FutureHandle> {
-    Ok(ctx.call(&TAG_CORPUS, vec![corpus(c)])?.expect("returns"))
+    Ok(ctx
+        .call(&TAG_CORPUS, &[Arg::Value(&corpus(c))])?
+        .expect("returns"))
 }
 
 /// Every annotation this integration defines, in declaration order —

@@ -40,13 +40,3 @@ pub fn register_defaults() {
         mozart_core::registry::register_annotation(a);
     }
 }
-
-/// Wrap a [`SharedVec<f64>`] as a Mozart argument.
-pub fn arr(v: &SharedVec<f64>) -> DataValue {
-    DataValue::new(VecValue(v.clone()))
-}
-
-/// Wrap a length as a Mozart argument.
-pub fn size(n: usize) -> DataValue {
-    DataValue::new(IntValue(n as i64))
-}

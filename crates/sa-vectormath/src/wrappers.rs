@@ -14,14 +14,19 @@ use mozart_core::prelude::*;
 
 use crate::matrix::MatrixSplit;
 use crate::reduce::AddReduce;
-use crate::{arr, size};
 
+// One splitter per split type for every annotation here: annotations
+// then share each constructed split type, and a call below the work
+// floor finds the piece another annotation kept for a buffer without
+// comparing split types by name.
 fn array_split() -> Arc<dyn Splitter> {
-    Arc::new(ArraySplit)
+    static ARRAY: LazyLock<Arc<dyn Splitter>> = LazyLock::new(|| Arc::new(ArraySplit));
+    ARRAY.clone()
 }
 
 fn size_split() -> Arc<dyn Splitter> {
-    Arc::new(SizeSplit)
+    static SIZE: LazyLock<Arc<dyn Splitter>> = LazyLock::new(|| Arc::new(SizeSplit));
+    SIZE.clone()
 }
 
 macro_rules! sa_binary {
@@ -57,7 +62,8 @@ macro_rules! sa_binary {
             b: &SharedVec<f64>,
             out: &SharedVec<f64>,
         ) -> Result<()> {
-            ctx.call(&$annot, vec![size(n), arr(a), arr(b), arr(out)])?;
+            let n = n as i64;
+            ctx.call(&$annot, &[Arg::Int(n), Arg::Vec(a), Arg::Vec(b), Arg::Vec(out)])?;
             Ok(())
         }
     };
@@ -90,7 +96,7 @@ macro_rules! sa_unary {
             a: &SharedVec<f64>,
             out: &SharedVec<f64>,
         ) -> Result<()> {
-            ctx.call(&$annot, vec![size(n), arr(a), arr(out)])?;
+            ctx.call(&$annot, &[Arg::Int(n as i64), Arg::Vec(a), Arg::Vec(out)])?;
             Ok(())
         }
     };
@@ -126,7 +132,8 @@ macro_rules! sa_scalar {
             k: f64,
             out: &SharedVec<f64>,
         ) -> Result<()> {
-            ctx.call(&$annot, vec![size(n), arr(a), DataValue::new(FloatValue(k)), arr(out)])?;
+            let n = n as i64;
+            ctx.call(&$annot, &[Arg::Int(n), Arg::Vec(a), Arg::Float(k), Arg::Vec(out)])?;
             Ok(())
         }
     };
@@ -258,9 +265,10 @@ pub fn daxpy(
     x: &SharedVec<f64>,
     y: &SharedVec<f64>,
 ) -> Result<()> {
+    let n = n as i64;
     ctx.call(
         &DAXPY,
-        vec![size(n), DataValue::new(FloatValue(alpha)), arr(x), arr(y)],
+        &[Arg::Int(n), Arg::Float(alpha), Arg::Vec(x), Arg::Vec(y)],
     )?;
     Ok(())
 }
@@ -281,7 +289,7 @@ static DDOT: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated `ddot`: parallel dot product via partial-sum merging.
 pub fn ddot(ctx: &MozartContext, x: &SharedVec<f64>, y: &SharedVec<f64>) -> Result<FutureHandle> {
-    let fut = ctx.call(&DDOT, vec![arr(x), arr(y)])?;
+    let fut = ctx.call(&DDOT, &[Arg::Vec(x), Arg::Vec(y)])?;
     Ok(fut.expect("ddot returns a value"))
 }
 
@@ -299,7 +307,7 @@ static DASUM: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
 
 /// Annotated `dasum`: parallel sum of absolute values.
 pub fn dasum(ctx: &MozartContext, x: &SharedVec<f64>) -> Result<FutureHandle> {
-    let fut = ctx.call(&DASUM, vec![arr(x)])?;
+    let fut = ctx.call(&DASUM, &[Arg::Vec(x)])?;
     Ok(fut.expect("dasum returns a value"))
 }
 
@@ -347,14 +355,14 @@ pub fn dgemv(
 ) -> Result<()> {
     ctx.call(
         &DGEMV,
-        vec![
-            size(m),
-            size(n),
-            DataValue::new(FloatValue(alpha)),
-            arr(a),
-            arr(x),
-            DataValue::new(FloatValue(beta)),
-            arr(y),
+        &[
+            Arg::Int(m as i64),
+            Arg::Int(n as i64),
+            Arg::Float(alpha),
+            Arg::Vec(a),
+            Arg::Vec(x),
+            Arg::Float(beta),
+            Arg::Vec(y),
         ],
     )?;
     Ok(())

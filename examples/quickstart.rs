@@ -85,22 +85,15 @@ fn main() {
 
     println!("registering 3 lazy calls over {n} elements ...");
     for (alpha, lo, hi) in [(2.0, 0.0, 2.5), (-0.5, 0.2, 2.0), (0.25, 0.0, 1.8)] {
-        ctx.call(
-            &saxpy,
-            vec![
-                DataValue::new(FloatValue(alpha)),
-                DataValue::new(VecValue(x.clone())),
-                DataValue::new(VecValue(y.clone())),
-            ],
-        )
-        .expect("register saxpy");
+        ctx.call(&saxpy, &[Arg::Float(alpha), Arg::Vec(&x), Arg::Vec(&y)])
+            .expect("register saxpy");
         ctx.call(
             &clamp,
-            vec![
-                DataValue::new(FloatValue(lo)),
-                DataValue::new(FloatValue(hi)),
-                DataValue::new(VecValue(y.clone())),
-                DataValue::new(IntValue(n as i64)),
+            &[
+                Arg::Float(lo),
+                Arg::Float(hi),
+                Arg::Vec(&y),
+                Arg::Int(n as i64),
             ],
         )
         .expect("register clamp");

@@ -1,7 +1,8 @@
 //! Calls below the work floor are cheap in heap allocations: one
 //! `bs_mkl.small` operation whose 30 calls all run at registration — a
 //! fresh context on a shared pool and plan cache, `bs::mkl_chain`, then
-//! `evaluate()` — stays within a fixed allocation budget.
+//! `evaluate()` — stays within a fixed allocation budget, and a second
+//! run of the chain within it allocates only for its new buffers.
 //! `tests/warm_allocations.rs` counts the same operation on the captured
 //! path's plan-cache hit.
 //!
@@ -47,11 +48,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The budget: the operation's own `SharedVec` temporaries and the
-/// wrappers' argument vectors and handles (~150), plus a piece per split
-/// argument of each call; split parameters are built once per thread.
-/// It made 244 when the budget was set.
-const BUDGET: usize = 260;
+/// The budget: the operation's seven `SharedVec` temporaries (two
+/// allocations each), one whole piece per buffer its 30 calls touch (12)
+/// plus one size piece and four scalar handles, and the context's own
+/// buffers. It made 51 when the budget was set, and 244 before calls
+/// borrowed their arguments and kept their decisions and pieces.
+const BUDGET: usize = 60;
 
 #[test]
 fn an_operation_at_registration_stays_within_its_allocation_budget() {
@@ -67,30 +69,56 @@ fn an_operation_at_registration_stays_within_its_allocation_budget() {
     config.l2_bytes = 2 << 20;
     let pool = PoolHandle::new(1);
     let cache = Arc::new(PlanCache::new(8));
+    let allocs = || ALLOCS.load(Ordering::Relaxed);
+    // What the chain's seven temporaries cost on their own.
+    let zeros = {
+        let before = allocs();
+        for _ in 0..7 {
+            drop(SharedVec::<f64>::zeros(512));
+        }
+        allocs() - before
+    };
 
     // Allocations of one operation, from context creation to the end of
-    // `evaluate()`.
+    // `evaluate()`, and of a second run of its chain over the same inputs
+    // within it.
     let op = || {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let ctx = MozartContext::new(config.clone());
         ctx.attach_pool(pool.clone())
             .attach_plan_cache(cache.clone());
         let [price, strike, t, rate, vol] = &inputs;
         let (call, put) = bs::mkl_chain(&ctx, price, strike, t, rate, vol).unwrap();
+        let first = allocs();
+        let (again_call, again_put) = bs::mkl_chain(&ctx, price, strike, t, rate, vol).unwrap();
+        let again = allocs() - first;
         ctx.evaluate().unwrap();
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let op = allocs() - before - again;
         let stats = ctx.stats();
-        assert_eq!((stats.inline_calls, stats.stages), (30, 0), "{stats:?}");
+        assert_eq!((stats.inline_calls, stats.stages), (60, 0), "{stats:?}");
         let got = bs::summarize_range(call.as_slice(), put.as_slice());
-        (allocs, got.call_sum + got.put_sum)
+        let got_again = bs::summarize_range(again_call.as_slice(), again_put.as_slice());
+        assert_eq!(
+            got.call_sum + got.put_sum,
+            got_again.call_sum + got_again.put_sum
+        );
+        (op, again, got.call_sum + got.put_sum)
     };
-    let (_, expect) = op();
+    let (_, _, expect) = op();
     for round in 0..5 {
-        let (allocs, got) = op();
+        let (op, again, got) = op();
         assert_eq!(got, expect, "round {round}: the result changed");
         assert!(
-            allocs <= BUDGET,
-            "round {round}: an operation made {allocs} heap allocations (budget {BUDGET})"
+            op <= BUDGET,
+            "round {round}: an operation made {op} heap allocations (budget {BUDGET})"
+        );
+        // The second chain's 30 calls allocate nothing of their own: only
+        // its seven new buffers do — each its storage, then once, when a
+        // call first splits it, a handle to split and its whole piece.
+        assert_eq!(
+            again,
+            zeros + 2 * 7,
+            "round {round}: the second chain made {again} allocations; its buffers make {zeros}"
         );
     }
     assert_eq!(
