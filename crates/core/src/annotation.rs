@@ -249,6 +249,7 @@ impl AnnotationBuilder {
                 .iter()
                 .position(|b| concrete_expr(b) == Some(expr))
         });
+        let floor = crate::floor::Decisions::new(&self.args, self.ret.as_ref());
         let mut annot = Annotation {
             name: self.name,
             split_like: split_like.collect(),
@@ -257,7 +258,7 @@ impl AnnotationBuilder {
             func: self.func,
             signature: h.finish(),
             unsound: None,
-            floor: Default::default(),
+            floor,
         };
         annot.unsound = crate::verify::check_annotation(&annot).into_iter().next();
         Arc::new(annot)

@@ -78,13 +78,16 @@
 //!   and bytes the checks above derive, which arguments share a piece,
 //!   the return's split type — is decided by the first call of each
 //!   shape and kept on its annotation, for every context. The shape is
-//!   each argument's kind with its length (arrays) or value (scalars),
-//!   and which arguments share storage. What can change between calls is
-//!   checked on every call: pending and deferred work, protect flags,
-//!   the config, and whether a default split type the decision looked up
-//!   has been replaced. A call with an argument of another kind decides
-//!   afresh. A first call makes the decision and then runs the same code
-//!   as every later one.
+//!   each argument's kind with its length (arrays), the value of each
+//!   scalar that is split or read by a split type's constructor, and
+//!   which arguments share storage; a scalar taken whole that no
+//!   constructor reads, such as a per-call factor, is wrapped afresh on
+//!   every call and does not split the memo. What can change between
+//!   calls is checked on every call: pending and deferred work, protect
+//!   flags, the config, and whether a default split type the decision
+//!   looked up has been replaced. A call with an argument of another
+//!   kind decides afresh. A first call makes the decision and then runs
+//!   the same code as every later one.
 //! * A split type that declares
 //!   [`Splitter::whole_piece_stable`](crate::split::Splitter::whole_piece_stable)
 //!   is split once per storage: the context keeps the whole piece,
@@ -92,9 +95,10 @@
 //!   until its next evaluation (a bounded number of pieces; a full memo
 //!   is emptied). Any other split type is split on every call.
 //!
-//! The call reads the clock twice, on entry and once it has run; all of
-//! it counts as task time (see [`PhaseStats::task`]), and under tracing
-//! it records one `Task` span over the same interval.
+//! The call reads the clock three times: on entry, once it is decided,
+//! and once it has run. Entry to decision counts as planner time (see
+//! [`PhaseStats::planner`]), the rest as task time, and under tracing
+//! the rest is one `Task` span.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -501,6 +505,10 @@ impl MozartContext {
         let Some(plan) = floor.decide(&st.graph, &st.config, annot, args) else {
             return Ok(None);
         };
+        // Deciding how the call runs — its checks and the lookup of its
+        // decision — was its planning; what follows is its task.
+        let t1 = Instant::now();
+        st.stats.planner += t1 - t0;
         // Polled once, as at a batch boundary.
         if st.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             let e = Error::Cancelled("deadline passed or token cancelled at registration".into());
@@ -515,17 +523,15 @@ impl MozartContext {
             Ok(None) => return Ok(None),
             Err(e) => return Err(poison(st, e)),
         };
-        // One clock pair for the whole call: the decision is a lookup,
-        // so all of it counts as task time (see `PhaseStats::task`).
-        let t1 = Instant::now();
-        st.stats.task += t1 - t0;
+        let t2 = Instant::now();
+        st.stats.task += t2 - t1;
         // One task span for the call, from the same two readings. Its
         // CPU time is taken as its wall time: the call runs on this
         // thread without blocking, and two reads of the thread CPU
         // clock would cost as much as a small call.
         if let Some(t) = trace_ctx(st) {
-            let wall = duration_ns(t1 - t0);
-            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t0), wall, wall);
+            let wall = duration_ns(t2 - t1);
+            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t1), wall, wall);
         }
         st.stats.calls += 1;
         st.stats.inline_calls += 1;

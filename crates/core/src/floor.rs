@@ -7,12 +7,11 @@
 use std::any::TypeId;
 use std::borrow::Cow;
 use std::hash::Hasher;
-use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::annotation::{Annotation, GenericId, SplitTypeExpr};
+use crate::annotation::{Annotation, ArgSpec, GenericId, SplitTypeExpr};
 use crate::buffer::{SharedVec, VecValue};
 use crate::config::Config;
 use crate::error::Result;
@@ -48,9 +47,9 @@ enum How {
     /// As the piece of an earlier argument over the same storage: one
     /// stage input serves both, as the planner's slots would.
     SameAs(usize),
-    /// As this piece, made when the call was decided: a scalar taken
-    /// whole or split by a stable split type is a function of the
-    /// shape, which holds its value.
+    /// As this piece, made when the call was decided: a scalar split by
+    /// a stable split type is a function of the shape, which holds its
+    /// value.
     Fixed(DataValue),
 }
 
@@ -131,25 +130,53 @@ struct Decision {
 }
 
 /// The decisions of one annotation, by call shape: each argument's kind
-/// with its length (arrays) or value (scalars), and which arguments
-/// share storage. That is all a decision reads from the arguments: the
-/// split types in this repository derive parameters, defaults and
-/// [`RuntimeInfo`](crate::split::RuntimeInfo) from no more. A call with
-/// any other kind of argument decides afresh and keeps nothing.
-#[derive(Default)]
-pub(crate) struct Decisions(Mutex<WordMap<u64, Decision>>);
+/// with its length (arrays), the value of each scalar the decision reads
+/// (one that is split, or that a constructor takes), and which arguments
+/// share storage. That is all a decision reads from the arguments, by
+/// the contract of [`Splitter::construct`](crate::split::Splitter::construct)
+/// and [`Splitter::info`](crate::split::Splitter::info). A scalar taken
+/// whole that no constructor reads counts by its kind alone, so calls
+/// that differ only in such a scalar share a decision. A call with any
+/// other kind of argument decides afresh and keeps nothing.
+pub(crate) struct Decisions {
+    /// Per argument: whether its value, if a scalar, is part of the
+    /// shape.
+    valued: Box<[bool]>,
+    map: Mutex<WordMap<u64, Decision>>,
+}
 
 impl Decisions {
+    pub(crate) fn new(args: &[ArgSpec], ret: Option<&SplitTypeExpr>) -> Decisions {
+        let ctors: Vec<usize> = args
+            .iter()
+            .map(|a| &a.ty)
+            .chain(ret)
+            .flat_map(|ty| match ty {
+                SplitTypeExpr::Concrete { ctor_args, .. } => ctor_args.as_slice(),
+                _ => &[],
+            })
+            .copied()
+            .collect();
+        let valued = args
+            .iter()
+            .enumerate()
+            .map(|(i, a)| !matches!(a.ty, SplitTypeExpr::Missing) || ctors.contains(&i));
+        Decisions {
+            valued: valued.collect(),
+            map: Mutex::default(),
+        }
+    }
+
     /// The plan for `shape`, if it was decided and nothing it looked up
     /// has changed since. The outer `None` is a miss.
     fn get(&self, hash: u64, shape: &[u64]) -> Option<Option<Arc<Plan>>> {
-        let map = self.0.lock();
+        let map = self.map.lock();
         let d = map.get(&hash)?;
         (*d.shape == *shape && d.registry.is_none_or(|g| g == generation())).then(|| d.plan.clone())
     }
 
     fn insert(&self, hash: u64, decision: Decision) {
-        let mut map = self.0.lock();
+        let mut map = self.map.lock();
         if map.len() >= SHAPES && !map.contains_key(&hash) {
             map.clear();
         }
@@ -236,12 +263,14 @@ impl<'a> Seen<'a> {
         }
     }
 
-    /// Two words of the call's shape; `None` for data of another kind.
-    fn shape(&self) -> Option<[u64; 2]> {
+    /// Two words of the call's shape, with a scalar's value only if it
+    /// is `valued`; `None` for data of another kind.
+    fn shape(&self, valued: bool) -> Option<[u64; 2]> {
+        let value = |bits: u64| if valued { bits } else { 0 };
         Some(match self.kind {
             Kind::Vec(v) => [1, v.len() as u64],
-            Kind::Int(i) => [2, i as u64],
-            Kind::Float(x) => [3, x.to_bits()],
+            Kind::Int(i) => [2, value(i as u64)],
+            Kind::Float(x) => [3, value(x.to_bits())],
             Kind::Other => return None,
         })
     }
@@ -285,13 +314,8 @@ struct Kept {
 #[derive(Default)]
 pub(crate) struct Floor {
     /// The pieces the current call's function runs on, one per
-    /// argument: bitwise copies, without a count of their own, of values
-    /// that outlive the call — a kept piece, a piece of its plan, a
-    /// value of its caller, or one in [`made`](Self::made). Cleared
-    /// without dropping by [`done`](Self::done).
-    pieces: Vec<ManuallyDrop<DataValue>>,
-    /// The pieces the current call made and keeps nowhere else.
-    made: Vec<DataValue>,
+    /// argument; emptied by [`done`](Self::done).
+    pieces: Vec<DataValue>,
     /// Whole-range pieces and whole values, by the storage of the
     /// argument and the key of its split type (0 for a whole value).
     kept: WordMap<(DataIdentity, u64), Kept>,
@@ -333,7 +357,7 @@ impl Floor {
             }
             let ident = seen.identity();
             self.idents.push(ident);
-            let Some([kind, word]) = seen.shape() else {
+            let Some([kind, word]) = seen.shape(annot.floor.valued[i]) else {
                 keep = false;
                 continue;
             };
@@ -378,14 +402,6 @@ impl Floor {
         args: &[Arg<'_>],
         plan: &Plan,
     ) -> Result<bool> {
-        // Room for every piece this call may keep, so that none it
-        // copies from is let go of before the call has run.
-        if self.kept.len() + plan.how.len() > PIECES {
-            self.kept.clear();
-        }
-        if self.kept.capacity() == 0 {
-            self.kept.reserve(PIECES);
-        }
         for (i, how) in plan.how.iter().enumerate() {
             let seen = Seen::of(&args[i], graph);
             let split = |inst: &SplitInstance| {
@@ -395,96 +411,81 @@ impl Floor {
                 })
             };
             let piece = match how {
-                How::Fixed(piece) => piece,
-                How::SameAs(j) => &*self.pieces[*j],
+                How::Fixed(piece) => Some(piece.clone()),
+                How::SameAs(j) => Some(self.pieces[*j].clone()),
                 How::Broadcast => match seen.value {
-                    Some(v) => v,
-                    None => match self.kept(seen, None, || Ok(Some(seen.whole().into_owned())))? {
-                        Some(piece) => piece,
-                        None => return Ok(false),
-                    },
+                    Some(v) => Some(v.clone()),
+                    None => self.kept(seen, None, || Ok(Some(seen.whole().into_owned())))?,
                 },
-                How::Split { inst, key, stable } if *stable => {
-                    match self.kept(seen, Some((inst, *key)), || split(inst))? {
-                        Some(piece) => piece,
-                        None => return Ok(false),
-                    }
-                }
-                How::Split { inst, .. } => match split(inst)? {
-                    Some(piece) => self.made(piece),
-                    None => return Ok(false),
-                },
+                How::Split {
+                    inst,
+                    key,
+                    stable: true,
+                } => self.kept(seen, Some((inst, *key)), || split(inst))?,
+                How::Split { inst, .. } => split(inst)?,
             };
-            // SAFETY: a bitwise copy that is never dropped (see
-            // `pieces`): the value it copies outlives the call — `plan`
-            // and the caller's arguments are borrowed across it, kept
-            // pieces are not let go of while a call runs (room was made
-            // above), and `made` is emptied only by `done`, after the
-            // call. Moving a value (as `made` may on growing) does not
-            // end it.
-            let copy = ManuallyDrop::new(unsafe { std::ptr::read(piece) });
-            self.pieces.push(copy);
+            let Some(piece) = piece else {
+                return Ok(false);
+            };
+            self.pieces.push(piece);
         }
         Ok(true)
     }
 
     /// The pieces of the current call, in argument order.
     pub(crate) fn pieces(&self) -> &[DataValue] {
-        let pieces: &[ManuallyDrop<DataValue>] = &self.pieces;
-        // SAFETY: `ManuallyDrop<T>` is `repr(transparent)` over `T`.
-        unsafe { &*(pieces as *const [ManuallyDrop<DataValue>] as *const [DataValue]) }
+        &self.pieces
     }
 
-    /// The current call is over: forget its pieces' copies and drop
-    /// what only it made.
+    /// The current call is over: let go of its pieces.
     pub(crate) fn done(&mut self) {
         self.pieces.clear();
-        self.made.clear();
     }
 
     /// The kept piece of `seen` under split type `inst` (`None`: the
-    /// whole value), made by `make` if there is none; `None` if `make`
-    /// returns the paper's `NULL`.
+    /// whole value), made by `make` and kept if there is none; `None` if
+    /// `make` returns the paper's `NULL`. Data with no storage of its
+    /// own (a scalar passed by value) is made every time.
     fn kept(
         &mut self,
         seen: Seen<'_>,
         inst: Option<(&SplitInstance, u64)>,
         make: impl FnOnce() -> Result<Option<DataValue>>,
-    ) -> Result<Option<&DataValue>> {
-        let key = seen.identity().map(|id| (id, inst.map_or(0, |(_, k)| k)));
+    ) -> Result<Option<DataValue>> {
+        let Some(id) = seen.identity() else {
+            return make();
+        };
+        let key = (id, inst.map_or(0, |(_, k)| k));
         let inst = inst.map(|(i, _)| i);
-        let same = |k: &Kept| match (&k.inst, inst) {
-            (Some(a), Some(b)) => Arc::ptr_eq(&a.params, &b.params) || a.same_type(b),
-            (a, b) => a.is_none() && b.is_none(),
-        };
-        let Some(key) = key else {
-            return Ok(make()?.map(|piece| self.made(piece)));
-        };
-        match self.kept.get(&key).map(same) {
-            Some(true) => {}
-            // The key is another split type's (the keys are hashes): an
-            // entry a copy may come from stays, and this piece is not
-            // kept.
-            Some(false) => return Ok(make()?.map(|piece| self.made(piece))),
-            None => {
-                let Some(piece) = make()? else {
-                    return Ok(None);
-                };
-                let kept = Kept {
-                    _owner: seen.owner(),
-                    inst: inst.cloned(),
-                    piece,
-                };
-                self.kept.insert(key, kept);
-            }
+        if let Some(k) = self.kept.get(&key) {
+            let same = match (&k.inst, inst) {
+                (Some(a), Some(b)) => Arc::ptr_eq(&a.params, &b.params) || a.same_type(b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            // Otherwise the key is another split type's (the keys are
+            // hashes), and this piece is not kept.
+            return if same {
+                Ok(Some(k.piece.clone()))
+            } else {
+                make()
+            };
         }
-        Ok(self.kept.get(&key).map(|k| &k.piece))
-    }
-
-    /// Hold a piece the current call made and keeps nowhere else.
-    fn made(&mut self, piece: DataValue) -> &DataValue {
-        self.made.push(piece);
-        self.made.last().expect("just pushed")
+        let Some(piece) = make()? else {
+            return Ok(None);
+        };
+        if self.kept.len() >= PIECES {
+            self.kept.clear();
+        }
+        if self.kept.capacity() == 0 {
+            self.kept.reserve(PIECES);
+        }
+        let kept = Kept {
+            _owner: seen.owner(),
+            inst: inst.cloned(),
+            piece: piece.clone(),
+        };
+        self.kept.insert(key, kept);
+        Ok(Some(piece))
     }
 
     /// Let go of every kept piece (the end of an evaluation).
@@ -582,11 +583,11 @@ fn make_plan(
         Some(SplitTypeExpr::Missing) => return None,
     };
 
-    // A scalar's piece is a function of the shape: make it once. A split
-    // that fails is left to fail where it always has, at the call.
+    // A split scalar's value is part of the shape, so a stable split
+    // type's piece of it is too: make it once. A split that fails is left
+    // to fail where it always has, at the call.
     for (i, h) in how.iter_mut().enumerate() {
         let piece = match h {
-            How::Broadcast if seen[i].scalar() => Ok(Some(wholes[i].clone().into_owned())),
             How::Split {
                 inst, stable: true, ..
             } if seen[i].scalar() => catch_phase(FaultPhase::Split, || {

@@ -28,6 +28,12 @@ static ANNOTATIONS: RwLock<Vec<Arc<Annotation>>> = RwLock::new(Vec::new());
 ///
 /// Later registrations for the same type replace earlier ones (so tests
 /// can override defaults).
+///
+/// A default for an `f64` buffer, an integer or a float must derive its
+/// parameters and [`RuntimeInfo`](crate::split::RuntimeInfo) from the
+/// buffer's length or the scalar's value alone (see
+/// [`Splitter::construct`]): a call below the work floor reuses what it
+/// decided for every later call of the same shape.
 pub fn register_default_splitter<T: DataObject>(splitter: Arc<dyn Splitter>) {
     let mut guard = REGISTRY.write();
     let name = splitter.name();

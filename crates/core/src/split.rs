@@ -342,6 +342,16 @@ pub trait Splitter: Send + Sync + 'static {
     /// The constructor `A0..An => V0..Vn`: map the designated function
     /// arguments to this type's parameter values. Must not modify its
     /// arguments.
+    ///
+    /// Of an `f64` buffer ([`VecValue`](crate::buffer::VecValue)) it may
+    /// read the length only, not the elements; of an [`IntValue`] or a
+    /// [`FloatValue`](crate::value::FloatValue), the value. A call below
+    /// the work floor (see [`crate::context`]) keeps its decision per
+    /// call shape — such lengths and values — and reuses it for every
+    /// later call of that shape, so parameters read from a buffer's
+    /// contents would be stale. The same holds for
+    /// [`default_params`](Splitter::default_params) and
+    /// [`info`](Splitter::info).
     fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params>;
 
     /// Derive default parameters directly from a value, used when type
@@ -352,6 +362,8 @@ pub trait Splitter: Send + Sync + 'static {
     }
 
     /// Runtime info for batch sizing. `arg` is the full (unsplit) value.
+    /// As with [`construct`](Splitter::construct), it may read only the
+    /// length of an `f64` buffer and the value of an integer or float.
     fn info(&self, arg: &DataValue, params: &Params) -> Result<RuntimeInfo>;
 
     /// Produce the piece covering elements `[range.start, range.end)` of

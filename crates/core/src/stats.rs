@@ -22,11 +22,15 @@ pub struct PhaseStats {
     pub client: Duration,
     /// Clearing protection flags at evaluation start.
     pub unprotect: Duration,
-    /// Converting the dataflow graph into stages.
+    /// Converting the dataflow graph into stages; for a call below the
+    /// work floor, from its entry to its decision (its checks and the
+    /// lookup of its kept decision).
     pub planner: Duration,
     /// Running split functions.
     pub split: Duration,
-    /// Running the library functions themselves.
+    /// Running the library functions themselves; for a call below the
+    /// work floor, everything after its decision (its splits, the
+    /// function and the merge of its return value).
     pub task: Duration,
     /// Running merge functions (worker-local and final).
     pub merge: Duration,
@@ -39,8 +43,8 @@ pub struct PhaseStats {
     pub calls: u64,
     /// Calls below the work floor that ran at registration, whole, on
     /// the caller — no graph node, plan or stage (see "Calls below the
-    /// work floor" in [`crate::context`]). Their wall time is counted
-    /// in [`task`](Self::task).
+    /// work floor" in [`crate::context`]). Their wall time is split
+    /// between [`planner`](Self::planner) and [`task`](Self::task).
     pub inline_calls: u64,
     /// Result pieces written directly into a preallocated merge output
     /// by the placement fast path (see

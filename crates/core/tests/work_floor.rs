@@ -23,8 +23,9 @@
 //!   on both paths, and the context stays usable;
 //! * what a call keeps is sound against the plain library: a new buffer
 //!   where a dropped one was gets its own piece, a default split type
-//!   registered between two calls is honoured, and a split type that
-//!   does not declare a stable whole piece is split on every call.
+//!   registered between two calls is honoured, a split type that
+//!   does not declare a stable whole piece is split on every call, and
+//!   a scalar taken whole is read afresh by every call of one shape.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -673,4 +674,22 @@ fn only_a_stable_split_type_is_split_once_per_buffer() {
         assert_eq!(buf.as_slice(), &[16.0; 16]);
         assert_eq!(ctx.stats().inline_calls, 4);
     }
+}
+
+#[test]
+fn a_scalar_taken_whole_is_read_on_every_call() {
+    sa_vectormath::register_defaults();
+    let ctx = MozartContext::new(below_floor());
+    let n = 64;
+    let a: Vec<f64> = (0..n).map(|i| i as f64 + 0.25).collect();
+    let shared = SharedVec::from_vec(a.clone());
+    // One call shape, a different factor on every call.
+    for k in [0.5, -3.0, 1e-3, 7.0] {
+        let out = SharedVec::zeros(n);
+        sa_vectormath::vd_scale(&ctx, n, &shared, k, &out).unwrap();
+        let mut want = vec![0.0; n];
+        vectormath::vd_scale(&a, k, &mut want);
+        assert_eq!(bits(out.as_slice()), bits(&want), "k = {k}");
+    }
+    assert_eq!(ctx.stats().inline_calls, 4);
 }

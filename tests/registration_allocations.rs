@@ -2,7 +2,8 @@
 //! `bs_mkl.small` operation whose 30 calls all run at registration — a
 //! fresh context on a shared pool and plan cache, `bs::mkl_chain`, then
 //! `evaluate()` — stays within a fixed allocation budget, and a second
-//! run of the chain within it allocates only for its new buffers.
+//! run of the chain within it allocates only for its new buffers and
+//! the factors its scaling calls take.
 //! `tests/warm_allocations.rs` counts the same operation on the captured
 //! path's plan-cache hit.
 //!
@@ -50,10 +51,15 @@ static ALLOCATOR: Counting = Counting;
 
 /// The budget: the operation's seven `SharedVec` temporaries (two
 /// allocations each), one whole piece per buffer its 30 calls touch (12)
-/// plus one size piece and four scalar handles, and the context's own
-/// buffers. It made 51 when the budget was set, and 244 before calls
-/// borrowed their arguments and kept their decisions and pieces.
+/// plus one size piece, a handle per factor of its eight scaling calls,
+/// and the context's own buffers. It made 52 when the budget was set,
+/// and 244 before calls borrowed their arguments and kept their
+/// decisions and pieces.
 const BUDGET: usize = 60;
+
+/// Calls of `bs::mkl_chain` that take a factor (`vd_scale`, `vd_shift`),
+/// which each call wraps as a value of its own.
+const FACTORS: usize = 8;
 
 #[test]
 fn an_operation_at_registration_stays_within_its_allocation_budget() {
@@ -112,12 +118,13 @@ fn an_operation_at_registration_stays_within_its_allocation_budget() {
             op <= BUDGET,
             "round {round}: an operation made {op} heap allocations (budget {BUDGET})"
         );
-        // The second chain's 30 calls allocate nothing of their own: only
-        // its seven new buffers do — each its storage, then once, when a
-        // call first splits it, a handle to split and its whole piece.
+        // The second chain's 30 calls allocate only for their factors:
+        // otherwise only its seven new buffers do — each its storage, then
+        // once, when a call first splits it, a handle to split and its
+        // whole piece.
         assert_eq!(
             again,
-            zeros + 2 * 7,
+            zeros + 2 * 7 + FACTORS,
             "round {round}: the second chain made {again} allocations; its buffers make {zeros}"
         );
     }
