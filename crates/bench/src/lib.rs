@@ -2,8 +2,7 @@
 //! evaluation.
 //!
 //! `paper_figures` measures Figures 4–7 and Table 4 and writes them to
-//! `bench_results/paper.json`; `phase_breakdown` and `serve_throughput`
-//! write their own JSON snapshots there, and `table3_loc` prints Table 3.
+//! `bench_results/paper.json`; `table3_loc` prints Table 3.
 //! Sizes are scaled for a laptop-class machine; set `MOZART_BENCH_SCALE`
 //! (float) to grow them and `MOZART_BENCH_THREADS` (comma list) /
 //! `MOZART_BENCH_REPS` to adjust the sweep. The shape helpers below

@@ -93,9 +93,8 @@
 //! ```
 //!
 //! See the `mozart-serve` crate for the full service front-end
-//! (sessions, admission control, the TCP example) and
-//! `crates/bench/benches/serve_throughput.rs` for the closed-loop
-//! serving benchmark.
+//! (sessions, admission control, the TCP example) and the `serve.mix`
+//! workload of the repository benchmark (`benchmark/`).
 //!
 //! [`PipelineService`]: https://docs.rs/mozart-serve
 

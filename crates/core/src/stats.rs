@@ -120,8 +120,8 @@ impl PhaseStats {
     }
 
     /// Fraction of the accounted total spent in the merge phase
-    /// (0 when nothing was measured) — the headline number of the
-    /// `phase_breakdown` benchmark.
+    /// (0 when nothing was measured): the benchmark's
+    /// `split.merge_share`.
     pub fn merge_fraction(&self) -> f64 {
         let t = self.total().as_secs_f64();
         if t == 0.0 {

@@ -105,9 +105,9 @@
 //! ```
 //!
 //! A thin TCP front-end speaking a line-delimited protocol (see
-//! [`protocol`]) lives in `examples/serve_tcp.rs`; the closed-loop
-//! throughput benchmark behind `bench_results/BENCH_serve.json` lives in
-//! `crates/bench/benches/serve_throughput.rs`.
+//! [`protocol`]) lives in `examples/serve_tcp.rs`; the repository
+//! benchmark (`benchmark/`) measures it end to end as its `serve.mix`
+//! workload.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -94,8 +94,8 @@ fn trace_tree_covers_end_to_end_latency_within_5_percent() {
     assert!(page.contains("mozart_span_task_total"));
 }
 
-/// An untraced service mints no ids, returns no trees, and serves a
-/// counters-only metrics page.
+/// An untraced service mints no ids, returns no trees, serves a
+/// counters-only metrics page, and replies what a traced one replies.
 #[test]
 fn tracing_off_records_nothing() {
     let mut cfg = Config::with_workers(1);
@@ -107,10 +107,14 @@ fn tracing_off_records_nothing() {
         .builtin_pipelines()
         .build();
     assert!(!service.tracing_enabled());
-    let (resp, trace) = service
-        .session()
-        .call_traced("black_scholes", &Request::new().with("n", 1024));
-    resp.unwrap();
+    let req = Request::new().with("n", 1024);
+    let (resp, trace) = service.session().call_traced("black_scholes", &req);
+    let traced = traced_service(1).session().call("black_scholes", &req);
+    assert_eq!(
+        resp.unwrap(),
+        traced.unwrap(),
+        "tracing must not perturb replies"
+    );
     assert_eq!(trace, None);
     assert!(service.metrics().is_none());
     assert!(service.recorder().is_none());

@@ -596,8 +596,9 @@ fn deterministic_failures_never_retry() {
 fn injected_runtime_faults_retry_bit_identically() {
     // The fault plan rides the session config into the per-attempt
     // evaluation context: attempt 1 hits the injected task fault
-    // (transient), attempt 2 runs clean — and the response must equal a
-    // fault-free service's, bit for bit.
+    // (transient, whether an error or a panic), attempt 2 runs clean —
+    // and the response must equal a fault-free service's, bit for bit.
+    mozart_core::faultinject::silence_injected_panics();
     let want = {
         let reference = small_service(1);
         let session = reference.session();
@@ -605,28 +606,30 @@ fn injected_runtime_faults_retry_bit_identically() {
             .call("black_scholes", &Request::new().with("n", 2048))
             .unwrap()
     };
-    let mut cfg = Config::with_workers(1);
-    cfg.batch_override = Some(512);
-    cfg.fault_plan = Some(Arc::new(
-        FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, FaultKind::Error)),
-    ));
-    let service = PipelineService::builder()
-        .workers(1)
-        .session_config(cfg)
-        .coalescing(false)
-        .max_retries(2)
-        .retry_backoff_ms(1)
-        .builtin_pipelines()
-        .build();
-    let resp = service
-        .session()
-        .call("black_scholes", &Request::new().with("n", 2048))
-        .unwrap();
-    assert_eq!(resp, want);
-    let stats = service.stats();
-    assert!(stats.retries >= 1, "{stats:?}");
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 0);
+    for kind in [FaultKind::Error, FaultKind::Panic] {
+        let mut cfg = Config::with_workers(1);
+        cfg.batch_override = Some(512);
+        cfg.fault_plan = Some(Arc::new(
+            FaultPlan::new().point(FaultPoint::once(FaultPhase::Task, kind.clone())),
+        ));
+        let service = PipelineService::builder()
+            .workers(1)
+            .session_config(cfg)
+            .coalescing(false)
+            .max_retries(2)
+            .retry_backoff_ms(1)
+            .builtin_pipelines()
+            .build();
+        let resp = service
+            .session()
+            .call("black_scholes", &Request::new().with("n", 2048))
+            .unwrap();
+        assert_eq!(resp, want, "{kind:?}");
+        let stats = service.stats();
+        assert!(stats.retries >= 1, "{kind:?}: {stats:?}");
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.failed, 0);
+    }
 }
 
 /// A fault inside a *coalesced* evaluation must not take the followers

@@ -90,7 +90,7 @@ pub fn mozart(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
 
 /// [`mozart`] with the intermediate handles dropped *before* the read,
 /// so the runtime discards their pieces outright — the comparison arm
-/// for what holding them costs (`phase_breakdown`, `tests/`).
+/// for what holding them costs (`tests/held_handles.rs`).
 pub fn mozart_handles_dropped(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
     let (total, intermediates) = capture(df, ctx)?;
     drop(intermediates);

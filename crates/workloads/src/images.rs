@@ -126,10 +126,22 @@ mod tests {
 
     #[test]
     fn image_pipeline_is_one_stage() {
+        // Pipelined, the four calls run as one stage; staged (the
+        // paper's "-pipe"), one stage per call, merging the image at
+        // every boundary. Both give the plain library's result.
         let img = generate(32, 40, 1);
-        let ctx = crate::captured_context(2);
-        nashville_mozart(&img, &ctx).unwrap();
-        assert_eq!(ctx.stats().stages, 1);
+        let base = nashville_base(&img).mean;
+        for (pipeline, stages) in [(true, 1), (false, 4)] {
+            // The L2 of `captured_context`: every call is captured.
+            let ctx = crate::mozart_context_with(mozart_core::Config {
+                l2_bytes: 64 << 10,
+                pipeline,
+                ..mozart_core::Config::with_workers(2)
+            });
+            let m = nashville_mozart(&img, &ctx).unwrap();
+            assert_eq!(ctx.stats().stages, stages, "pipeline = {pipeline}");
+            assert!(close(base, m.mean, 1e-5), "{base} vs {}", m.mean);
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub fn mozart_context(workers: usize) -> MozartContext {
 
 /// Build a Mozart context from an explicit configuration, with all
 /// integrations' default split types registered — the entry point
-/// benchmarks use to pin worker counts, batch sizes or pipelining
-/// (e.g. `phase_breakdown`'s staged `pipeline = false` run).
+/// benchmarks and tests use to pin worker counts, batch sizes or
+/// pipelining (e.g. a staged `pipeline = false` run).
 pub fn mozart_context_with(config: Config) -> MozartContext {
     register_all_defaults();
     MozartContext::new(config)
