@@ -1,6 +1,8 @@
 //! Runtime configuration (worker count, batch-size heuristic, fault
 //! injection, tracing).
 
+use std::sync::OnceLock;
+
 /// Configuration of a [`MozartContext`](crate::MozartContext).
 ///
 /// How outputs leave a stage is not configurable: placement merges are
@@ -123,25 +125,33 @@ pub fn default_workers() -> usize {
 
 /// Read the L2 cache size from sysfs, falling back to 256 KiB (the paper
 /// targets per-core L2). Overridable with `MOZART_L2_BYTES`.
+///
+/// Detected once per process: every `Config::default()` and
+/// [`Config::with_workers`] reads it, a caller may build a config per
+/// operation, and a sysfs read costs more than a small operation. Both
+/// sources are fixed for the life of the process.
 pub fn detect_l2_bytes() -> u64 {
-    if let Ok(s) = std::env::var("MOZART_L2_BYTES") {
-        if let Ok(n) = s.parse::<u64>() {
-            return n.max(4096);
+    static L2: OnceLock<u64> = OnceLock::new();
+    *L2.get_or_init(|| {
+        if let Ok(s) = std::env::var("MOZART_L2_BYTES") {
+            if let Ok(n) = s.parse::<u64>() {
+                return n.max(4096);
+            }
         }
-    }
-    if let Ok(s) = std::fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index2/size") {
-        let s = s.trim();
-        if let Some(kb) = s.strip_suffix('K').and_then(|n| n.parse::<u64>().ok()) {
-            return kb * 1024;
+        if let Ok(s) = std::fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index2/size") {
+            let s = s.trim();
+            if let Some(kb) = s.strip_suffix('K').and_then(|n| n.parse::<u64>().ok()) {
+                return kb * 1024;
+            }
+            if let Some(mb) = s.strip_suffix('M').and_then(|n| n.parse::<u64>().ok()) {
+                return mb * 1024 * 1024;
+            }
+            if let Ok(b) = s.parse::<u64>() {
+                return b;
+            }
         }
-        if let Some(mb) = s.strip_suffix('M').and_then(|n| n.parse::<u64>().ok()) {
-            return mb * 1024 * 1024;
-        }
-        if let Ok(b) = s.parse::<u64>() {
-            return b;
-        }
-    }
-    256 * 1024
+        256 * 1024
+    })
 }
 
 #[cfg(test)]

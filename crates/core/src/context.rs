@@ -13,10 +13,16 @@
 //! [`Demand`] of the read that triggered it: `Future::get` asks for its
 //! one value, a protected-buffer read for nothing but in-place storage,
 //! an explicit [`MozartContext::evaluate`] for every live `Future`.
-//! Outputs that are alive but not asked for stay held as pieces
-//! (`OutputKind::Deferred`) and are merged under the context lock by
-//! the first read that does ask, or before the next evaluation of a call
-//! that reads them — or dropped with their `Future`. See
+//! Outputs that are alive but not asked for are not merged. One made by
+//! calls that mutate nothing from values that cannot change (dataframe
+//! frames and columns, images, scalars) and merged by concatenation
+//! keeps only its lineage (`OutputKind::Lineage`): its pieces are
+//! dropped as a dead value's are, and the first read that asks
+//! recomputes it, calling the library on whole arguments. Any other,
+//! such as one over a `SharedVec` or a reduction, stays held as pieces
+//! (`OutputKind::Deferred`) and the first read that asks merges them. Both happen under the context lock, or before the next
+//! evaluation of a call that reads the value, or before a stage that
+//! writes storage in place; both are dropped with their `Future`. See
 //! "Demand-driven materialization" in [`crate::planner`].
 //!
 //! Whenever a context lets go of a placement-merged value — its
@@ -51,9 +57,10 @@
 //! A call runs at registration only when all of these hold, checked
 //! cheapest first; any other call is captured as ever:
 //!
-//! * nothing is pending in the context and it holds no deferred
-//!   pieces — which also keeps the rule that held pieces are flushed
-//!   before storage they may view is written in place;
+//! * nothing is pending in the context and it holds no value as
+//!   pieces or lineage — which also keeps the rule that held values are
+//!   materialized before storage they may view or read is written in
+//!   place;
 //! * every argument is materialized: library data, or a lazy value of
 //!   this context that is ready;
 //! * no argument's storage is protected by any context: a call over
@@ -111,7 +118,9 @@ use crate::annotation::Annotation;
 use crate::buffer::EvalTrigger;
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::executor::{call_whole, duration_ns, execute_stage, materialize_held, ExecEnv};
+use crate::executor::{
+    call_whole, duration_ns, execute_stage, materialize_held, replay_lineage, ExecEnv,
+};
 use crate::floor::Floor;
 use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
@@ -439,6 +448,7 @@ impl MozartContext {
                 data: Some(dv.clone()),
                 ready: false,
                 held: None,
+                recomputable: false,
                 merge_origin: None,
                 last_consumer: None,
                 user_token: None,
@@ -473,6 +483,7 @@ impl MozartContext {
                 data: None,
                 ready: false,
                 held: None,
+                recomputable: false,
                 merge_origin: None,
                 last_consumer: None,
                 user_token: Some(Arc::downgrade(&token)),
@@ -544,6 +555,7 @@ impl MozartContext {
                 data: Some(merged),
                 ready: true,
                 held: None,
+                recomputable: false,
                 merge_origin: None,
                 last_consumer: None,
                 user_token: Some(Arc::downgrade(&token)),
@@ -559,7 +571,7 @@ impl MozartContext {
 
     /// Evaluate all pending calls (the paper's `evaluate()`) and make
     /// every value the application holds a `Future` for whole —
-    /// including pieces an earlier, narrower read left deferred.
+    /// including values an earlier, narrower read left held.
     pub fn evaluate(&self) -> Result<()> {
         let mut st = self.inner.state.lock();
         evaluate_locked(&mut st, Demand::AllLive)?;
@@ -576,9 +588,9 @@ impl MozartContext {
         let mut st = self.inner.state.lock();
         if st.graph.value_data(id).is_none() {
             evaluate_locked(&mut st, Demand::Value(id))?;
-            // Still pieces: an output an earlier read left deferred.
-            // Merge it now; on failure the pieces stay, so the read can
-            // be retried.
+            // Still held: an output an earlier read left as pieces or
+            // lineage. Make it now; on failure it stays held, so the
+            // read can be retried.
             if materialize(&mut st, id)? {
                 st.stats.deferred_materialized += 1;
             }
@@ -659,35 +671,50 @@ impl State {
         (&mut self.graph, &mut self.stats, env)
     }
 
-    /// Park a placement target the graph just released (see
-    /// [`DataflowGraph::release`]) in the attached plan cache.
-    fn park(&self, released: Option<(MergeOrigin, DataValue)>) {
-        if let (Some(cache), Some((origin, target))) = (&self.plan_cache, released) {
+    /// Release value `id` (see [`DataflowGraph::release`]), parking the
+    /// placement targets it lets go of in the attached plan cache.
+    fn release(&mut self, id: ValueId) {
+        let State {
+            graph, plan_cache, ..
+        } = self;
+        graph.release(id, parker(plan_cache));
+    }
+}
+
+/// Where a released placement target goes: the attached plan cache.
+fn parker(cache: &Option<Arc<PlanCache>>) -> impl FnMut(MergeOrigin, DataValue) + '_ {
+    move |origin, target| {
+        if let Some(cache) = cache {
             cache.park(origin, target);
         }
     }
 }
 
-/// Merge value `id` whole if it is held as pieces; whether a merge ran.
-/// A failure leaves the pieces in place and does not poison the
-/// context: nothing executed, so there is no half-updated state.
+/// Make value `id` whole if it is held: merge its pieces, or replay its
+/// lineage. Whether either ran. A failure leaves the value held and
+/// does not poison the context: nothing was written, so there is no
+/// half-updated state.
 fn materialize(st: &mut State, id: ValueId) -> Result<bool> {
     let trace = trace_ctx(st);
+    let cache = st.plan_cache.clone();
     let (graph, stats, env) = st.exec_parts(trace.as_ref(), None);
+    if replay_lineage(graph, id, stats, &env, &mut parker(&cache))? {
+        return Ok(true);
+    }
     materialize_held(graph, id, stats, &env)
 }
 
-/// Merge every still-held deferred output somebody can still reach (a
-/// live `Future`, a pending call) and drop the pieces of the rest. Runs
-/// for an explicit `evaluate()` and before any stage that mutates
-/// storage in place: held pieces may be zero-copy views of that
-/// storage, where an eager merge would have copied before the write.
+/// Materialize every still-held output somebody can still reach (a
+/// live `Future`, a pending call) and drop the pieces or lineage of the
+/// rest. Runs for an explicit `evaluate()` and before any stage that
+/// mutates storage in place: held pieces may be zero-copy views of that
+/// storage, where an eager merge would have copied before the write,
+/// and a lineage replay must read its inputs as they were recorded.
 fn flush_deferred(st: &mut State) -> Result<()> {
     // Popped only once handled, so a failed merge stays listed.
     while let Some(&id) = st.graph.deferred.last() {
         if !st.graph.values[id.0 as usize].observable() {
-            let released = st.graph.release(id);
-            st.park(released);
+            st.release(id);
         }
         if materialize(st, id)? {
             st.stats.deferred_materialized += 1;
@@ -714,11 +741,7 @@ fn evaluate_locked(st: &mut State, demand: Demand) -> Result<()> {
     let State {
         graph, plan_cache, ..
     } = st;
-    graph.release_unreachable(first_node, |origin, target| {
-        if let Some(cache) = plan_cache {
-            cache.park(origin, target);
-        }
-    });
+    graph.release_unreachable(first_node, parker(plan_cache));
     result
 }
 
@@ -771,7 +794,7 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
         }
     }
 
-    // Pieces an earlier read left deferred are merged before a pending
+    // Values an earlier read left held are made whole before a pending
     // call reads them, so every stage input — planned or replayed — is
     // a whole value.
     let mut i = 0;
@@ -959,14 +982,13 @@ pub struct FutureHandle {
 
 impl Drop for FutureHandle {
     /// Dropping the handle drops what only it could reach: the value's
-    /// data and held pieces, unless a pending call still reads them (a
-    /// placement-merged value's storage is parked in the plan cache).
-    /// Best effort — if the context is busy evaluating, the end of that
-    /// (or the next) evaluation releases it instead.
+    /// data, held pieces or lineage, unless a pending call still reads
+    /// them (a placement-merged value's storage is parked in the plan
+    /// cache). Best effort — if the context is busy evaluating, the end
+    /// of that (or the next) evaluation releases it instead.
     fn drop(&mut self) {
         if let Some(mut st) = self.ctx.inner.state.try_lock() {
-            let released = st.graph.release(self.value);
-            st.park(released);
+            st.release(self.value);
         }
     }
 }

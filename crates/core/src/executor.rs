@@ -39,11 +39,11 @@
 //! # Output paths
 //!
 //! Every stage output whose pieces need the executor —
-//! [`OutputKind::Merge`] and [`OutputKind::Deferred`]; in-place and
-//! discarded outputs need nothing — gets a *sink* when the stage is
-//! built, and the sink alone decides where its pieces go. It has three
-//! transitions, and one `store` then writes the graph value for every
-//! kind:
+//! [`OutputKind::Merge`] and [`OutputKind::Deferred`]; in-place,
+//! discarded and lineage outputs need nothing — gets a *sink* when the
+//! stage is built, and the sink alone decides where its pieces go. It
+//! has three transitions, and one `store` then writes the graph value
+//! for every kind:
 //!
 //! | Sink | Per batch (`accept`) | Worker end (`local`) | Caller (`finish`) | Spans | Counters |
 //! |------|----------------------|----------------------|-------------------|-------|----------|
@@ -86,6 +86,16 @@
 //! through the same driver loop, with the cancellation checks, fault
 //! points, panic isolation and spans of any other stage. Held pieces
 //! are only ever merged: no planned stage binds them as a split input.
+//!
+//! **[`OutputKind::Lineage`]** has no sink: like a discarded output its
+//! pieces are dropped per batch, and the value is marked
+//! [`Held::Lineage`], pins what its replay reads and is counted in
+//! `deferred_outputs`. It is made by `replay_lineage` when something
+//! asks for it: its call, the calls its stage dropped for it, and the
+//! replay of each input held as lineage, each once, on the caller, in
+//! registration order, as the un-annotated library call over the whole
+//! arguments — no split, no merge. Each replayed call counts in `calls`
+//! and `recomputed_values`, and is one `Task` span.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -98,7 +108,9 @@ use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
-use crate::graph::{DataflowGraph, MergeOrigin, ValueId};
+use crate::graph::{
+    DataflowGraph, Held, MergeOrigin, NodeId, ValueId, ValueOrigin, WordMap, WordSet,
+};
 use crate::planner::{OutputKind, PlanCache, PlanSite, StageOutput, StagePlan};
 use crate::pool::{Job, WorkerPool};
 use crate::split::{HeldPieces, MergeStrategy, Params, Placement, RuntimeInfo, SplitInstance};
@@ -343,7 +355,7 @@ impl MergeOutput {
     fn new(slot: u32, output: u32, planned: &StageOutput) -> Option<Self> {
         let instance = planned.instance.clone();
         let sink = match planned.kind {
-            OutputKind::InPlace | OutputKind::Discard => return None,
+            OutputKind::InPlace | OutputKind::Discard | OutputKind::Lineage => return None,
             // Held outputs never take placement — the whole point is
             // that no merged value is allocated.
             OutputKind::Deferred => Sink::Hold,
@@ -582,13 +594,22 @@ impl MergeOutput {
                     None => {}
                 }
             }
-            Finished::Held(sf) => {
-                (entry.data, entry.ready, entry.merge_origin) = (None, false, None);
-                entry.held = Some(Arc::new(sf));
-                stats.deferred_outputs += 1;
-                graph.deferred.push(self.value);
-            }
+            Finished::Held(sf) => hold(graph, self.value, Held::Pieces(Arc::new(sf)), stats),
         }
+    }
+}
+
+/// Keep value `id` as `held` in place of its data, to be materialized
+/// when something asks for it.
+fn hold(graph: &mut DataflowGraph, id: ValueId, held: Held, stats: &mut PhaseStats) {
+    let lineage = matches!(held, Held::Lineage);
+    let entry = &mut graph.values[id.0 as usize];
+    (entry.data, entry.ready, entry.merge_origin) = (None, false, None);
+    entry.held = Some(held);
+    stats.deferred_outputs += 1;
+    graph.deferred.push(id);
+    if lineage {
+        graph.pin_inputs(id);
     }
 }
 
@@ -677,12 +698,12 @@ pub(crate) fn execute_stage(
     let bytes_split = exec.total_elements.saturating_mul(exec.sum_elem_bytes);
     run_exec(graph, exec, stats, env)?;
 
-    // Materialize in-place and discarded outputs.
+    // Materialize in-place, discarded and lineage outputs.
     for out in &stage.outputs {
-        let entry = &mut graph.values[out.value.0 as usize];
         match out.kind {
-            OutputKind::InPlace => entry.ready = true,
-            OutputKind::Discard => entry.ready = false,
+            OutputKind::InPlace => graph.values[out.value.0 as usize].ready = true,
+            OutputKind::Discard => graph.values[out.value.0 as usize].ready = false,
+            OutputKind::Lineage => hold(graph, out.value, Held::Lineage, stats),
             // Stored by `run_exec`.
             OutputKind::Merge | OutputKind::Deferred => {}
         }
@@ -710,7 +731,7 @@ pub(crate) fn materialize_held(
     stats: &mut PhaseStats,
     env: &ExecEnv<'_>,
 ) -> Result<bool> {
-    let Some(sf) = graph.held(id).cloned() else {
+    let Some(Held::Pieces(sf)) = graph.held(id).cloned() else {
         return Ok(false);
     };
     let planned = StageOutput {
@@ -728,6 +749,90 @@ pub(crate) fn materialize_held(
         data: InputData::Pieces(sf),
     });
     run_exec(graph, exec, stats, env)?;
+    Ok(true)
+}
+
+/// Recompute value `id` from its lineage, if it is held as lineage —
+/// the on-demand half of `OutputKind::Lineage` (module docs). Returns
+/// whether a replay ran. The slice is every value on the way back to
+/// ready data that has none: the value, what its stage dropped for it,
+/// and inputs held as lineage, in turn. The planner keeps a value as
+/// lineage only over inputs that outlast its stage, and those stay
+/// pinned while it is held (see `planner::output_kind` and
+/// [`DataflowGraph::pin_inputs`]), so the slice ends at the stage that
+/// made each value it holds. Held pieces on the way are merged. The
+/// value, and every value of the slice a `Future` still observes, is
+/// stored whole; what only the made values pinned is released into
+/// `park`.
+///
+/// A failure leaves the value held as lineage, so the read can be
+/// retried.
+pub(crate) fn replay_lineage(
+    graph: &mut DataflowGraph,
+    id: ValueId,
+    stats: &mut PhaseStats,
+    env: &ExecEnv<'_>,
+    park: &mut impl FnMut(MergeOrigin, DataValue),
+) -> Result<bool> {
+    if !matches!(graph.held(id), Some(Held::Lineage)) {
+        return Ok(false);
+    }
+    let mut slice: Vec<NodeId> = Vec::new();
+    let mut seen: WordSet<ValueId> = WordSet::default();
+    let mut unread = vec![id];
+    while let Some(v) = unread.pop() {
+        if !seen.insert(v) || graph.value_data(v).is_some() {
+            continue;
+        }
+        if materialize_held(graph, v, stats, env)? {
+            stats.deferred_materialized += 1;
+            continue;
+        }
+        let e = &graph.values[v.0 as usize];
+        let (&ValueOrigin::Ret(n), true) = (&e.origin, e.recomputable) else {
+            return Err(Error::ValueUnavailable);
+        };
+        slice.push(n);
+        unread.extend(graph.args(&graph.nodes[n.0 as usize]));
+    }
+    // Registration order is a topological order.
+    slice.sort_unstable();
+
+    let mut made: WordMap<ValueId, DataValue> = WordMap::default();
+    for &n in &slice {
+        if env.cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(Error::Cancelled(format!(
+                "deadline passed or token cancelled recomputing v{}",
+                id.0
+            )));
+        }
+        let node = &graph.nodes[n.0 as usize];
+        let data = graph
+            .args(node)
+            .iter()
+            .map(|a| graph.value_data(*a).or(made.get(a)).cloned())
+            .collect::<Option<Vec<DataValue>>>()
+            .ok_or(Error::ValueUnavailable)?;
+        let t0 = std::time::Instant::now();
+        let ret = call_library(&node.annot, &data, true)?.expect("a declared return");
+        let wall = t0.elapsed();
+        stats.task += wall;
+        if let Some(t) = env.trace {
+            let ns = duration_ns(wall);
+            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t0), ns, ns);
+        }
+        stats.calls += 1;
+        stats.recomputed_values += 1;
+        made.insert(node.ret.expect("a return value"), ret);
+    }
+    for n in slice {
+        let v = graph.nodes[n.0 as usize].ret.expect("a return value");
+        let e = &mut graph.values[v.0 as usize];
+        if v == id || e.observable() {
+            (e.data, e.ready, e.held) = (made.remove(&v), true, None);
+            graph.unpin_inputs(v, park);
+        }
+    }
     Ok(true)
 }
 
@@ -1042,18 +1147,28 @@ pub(crate) fn call_whole(
     ret: Option<&SplitInstance>,
     total: u64,
 ) -> Result<Option<DataValue>> {
-    let inv = Invocation {
-        function: annot.name,
-        args: pieces,
-    };
-    let piece = catch_phase(FaultPhase::Task, || (annot.func)(&inv))?;
-    let (Some(piece), Some(ret)) = (returned(annot.name, piece, ret.is_some())?, ret) else {
+    let (Some(piece), Some(ret)) = (call_library(annot, pieces, ret.is_some())?, ret) else {
         return Ok(None);
     };
     catch_phase(FaultPhase::Merge, || {
         let merged = ret.splitter.merge(vec![piece], &ret.params, total)?;
         Ok(Some(merged))
     })
+}
+
+/// The task phase alone: the annotated function called on `args`,
+/// which returns a value iff `declared`.
+fn call_library(
+    annot: &Annotation,
+    args: &[DataValue],
+    declared: bool,
+) -> Result<Option<DataValue>> {
+    let inv = Invocation {
+        function: annot.name,
+        args,
+    };
+    let ret = catch_phase(FaultPhase::Task, || (annot.func)(&inv))?;
+    returned(annot.name, ret, declared)
 }
 
 /// The driver loop (§5.2 step 2) for one participant: claim batches

@@ -12,6 +12,18 @@
 //! [`DataflowGraph::mut_outs`]), and a value records only its last
 //! reader ([`ValueEntry::last_consumer`]), which is all liveness needs
 //! because nodes execute in registration order.
+//!
+//! A return value also records at capture whether it is
+//! [recomputable](ValueEntry::recomputable): what a live output no read
+//! asked for needs to be kept as lineage instead of pieces (see
+//! "Demand-driven materialization" in [`crate::planner`]). A value held
+//! as lineage *pins* what its replay reads — walking back through the
+//! values its stage dropped, the first ready or held value on each path:
+//! while it is held, releasing one of them is put off, so a replay never
+//! reaches past the stage that made the value and the held values it
+//! reads. Whatever lets a long-lived context drop the graph's hold on
+//! sources and their versions (an open ROADMAP item) must honour the
+//! same pins.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -82,6 +94,19 @@ pub struct MergeOrigin {
     pub bytes: u64,
 }
 
+/// How a value the application holds but did not ask for is kept in
+/// place of its data (see "Demand-driven materialization" in
+/// [`crate::planner`]).
+#[derive(Clone)]
+pub enum Held {
+    /// As the pieces its producing stage made (`OutputKind::Deferred`),
+    /// merged by the first read.
+    Pieces(Arc<HeldPieces>),
+    /// As its lineage (`OutputKind::Lineage`): the graph's nodes and
+    /// inputs, replayed by the first read.
+    Lineage,
+}
+
 /// A value in the dataflow graph.
 pub struct ValueEntry {
     /// Provenance.
@@ -92,12 +117,22 @@ pub struct ValueEntry {
     pub data: Option<DataValue>,
     /// Whether `data` reflects completed computation.
     pub ready: bool,
-    /// The value held *as pieces* (not merged) after its producing
-    /// stage skipped the merge — set instead of `data`/`ready` when the
-    /// planner chose `OutputKind::Deferred` (alive but not asked for).
-    /// Merged on demand by the first read, or before the next
-    /// evaluation of a call that reads it.
-    pub held: Option<Arc<HeldPieces>>,
+    /// How the value is kept when its producing stage neither merged
+    /// nor dropped it — set instead of `data`/`ready` when the
+    /// planner chose `OutputKind::Deferred` or `OutputKind::Lineage`
+    /// (alive but not asked for). Materialized on demand by the first
+    /// read, before the next evaluation of a call that reads it, or
+    /// before a stage that writes storage in place.
+    pub held: Option<Held>,
+    /// Set at capture for a return value that can be recomputed from
+    /// the graph alone: its call mutates no argument, and each argument
+    /// is a recomputable value or a ready value the graph never lets go
+    /// of (no `Future` token) whose storage cannot change — no
+    /// [`protect_flag`](crate::value::DataObject::protect_flag), no
+    /// [`stable_identity`](crate::value::DataObject::stable_identity),
+    /// the purely functional values of [`crate::value::DataObject`]'s
+    /// contract.
+    pub recomputable: bool,
     /// Set when `data` is a placement-merge target installed under an
     /// attached plan cache: where to park it on release.
     pub merge_origin: Option<MergeOrigin>,
@@ -154,10 +189,14 @@ pub struct DataflowGraph {
     pub(crate) identity_map: WordMap<DataIdentity, ValueId>,
     /// Index of the first node not yet executed.
     pub next_unplanned: usize,
-    /// Values stored as `OutputKind::Deferred` pieces and not known to
-    /// be merged since — what a stage that mutates storage in place
-    /// must flush first (the pieces may be views of that storage).
+    /// Values stored as [`Held`] pieces or lineage and not known to be
+    /// materialized since — what a stage that mutates storage in place
+    /// must flush first (pieces may be views of that storage, and a
+    /// lineage replay must read its inputs as they were recorded).
     pub deferred: Vec<ValueId>,
+    /// Per value, how many values held as lineage read it (see
+    /// [`pin_inputs`](Self::pin_inputs)); absent when none does.
+    pub(crate) pins: WordMap<ValueId, u32>,
 }
 
 impl DataflowGraph {
@@ -198,8 +237,17 @@ impl DataflowGraph {
             ret,
             executed: false,
         };
+        let mut pure = !node.annot.args.iter().any(|a| a.mutable);
         for &arg in node_args(&self.node_ids, &node) {
-            self.values[arg.0 as usize].last_consumer = Some(id);
+            let e = &mut self.values[arg.0 as usize];
+            e.last_consumer = Some(id);
+            pure &= e.recomputable
+                || (e.ready
+                    && e.user_token.is_none()
+                    && e.data.as_ref().is_some_and(DataValue::immutable));
+        }
+        if let Some(rv) = ret {
+            self.values[rv.0 as usize].recomputable = pure;
         }
         self.nodes.push(node);
         id
@@ -277,6 +325,7 @@ impl DataflowGraph {
             data: Some(dv.clone()),
             ready: true,
             held: None,
+            recomputable: false,
             merge_origin: None,
             last_consumer: None,
             user_token: None,
@@ -309,9 +358,9 @@ impl DataflowGraph {
         }
     }
 
-    /// The piece set a value is held as, if its producing stage skipped
-    /// the merge and the value has not been materialized since.
-    pub fn held(&self, id: ValueId) -> Option<&Arc<HeldPieces>> {
+    /// How a value is held, if its producing stage kept it as pieces or
+    /// lineage and the value has not been materialized since.
+    pub fn held(&self, id: ValueId) -> Option<&Held> {
         let e = self.values.get(id.0 as usize)?;
         if e.ready {
             None
@@ -322,7 +371,7 @@ impl DataflowGraph {
 
     /// A lazy argument's value at registration: its data once produced,
     /// `None` while an evaluation can still produce it (its call is
-    /// pending, or it is held as pieces), and
+    /// pending, or it is held as pieces or lineage), and
     /// [`Error::ValueUnavailable`] once it is gone for good — its
     /// `Future` was dropped and the value released, or an evaluation
     /// discarded it — or was never a value of this graph.
@@ -345,14 +394,73 @@ impl DataflowGraph {
         }
     }
 
-    /// Drop the payload (data or held pieces) of result value `id`
-    /// unless a pending call still reads it. The caller has established
-    /// that no `Future` can observe the value. Only values handed out
-    /// behind a `Future` are released: sources and mut-versions alias
-    /// application storage. A released placement target is handed back
-    /// with its origin for the caller to park.
-    pub fn release(&mut self, id: ValueId) -> Option<(MergeOrigin, DataValue)> {
-        release_value(&mut self.values, &self.nodes, id)
+    /// Drop the payload (data, held pieces or lineage) of result value
+    /// `id` unless a pending call still reads it or the replay of a
+    /// value held as lineage does (a pin: the last one to go releases
+    /// it). A released lineage value is gone, as released pieces are,
+    /// and lets go of its own pins. The caller has established that no
+    /// `Future` can observe the value. Only values handed out behind a
+    /// `Future` are released: sources and mut-versions alias
+    /// application storage. Released placement targets go to `park`
+    /// with their origin.
+    pub fn release(&mut self, id: ValueId, mut park: impl FnMut(MergeOrigin, DataValue)) {
+        release_value(self, id, &mut park);
+    }
+
+    /// What a replay of value `id`, held as lineage, reads without
+    /// making it: walking back from its call through the values its
+    /// stage dropped, the first value on each path that is ready or
+    /// held. A dropped value has no reader past its stage, so the walk
+    /// stays in the stage that made `id`.
+    fn replay_inputs(&self, id: ValueId) -> Vec<ValueId> {
+        let (mut inputs, mut dropped, mut walked) = (Vec::new(), vec![id], Vec::new());
+        while let Some(v) = dropped.pop() {
+            let ValueOrigin::Ret(n) = self.values[v.0 as usize].origin else {
+                continue;
+            };
+            for &a in node_args(&self.node_ids, &self.nodes[n.0 as usize]) {
+                let e = &self.values[a.0 as usize];
+                if e.ready || e.held.is_some() {
+                    inputs.push(a);
+                } else if !walked.contains(&a) {
+                    walked.push(a);
+                    dropped.push(a);
+                }
+            }
+        }
+        inputs
+    }
+
+    /// Pin what a replay of value `id` reads ([`replay_inputs`]), now
+    /// that `id` is held as lineage: none of it is released before `id`
+    /// is made or released ([`unpin_inputs`](Self::unpin_inputs)).
+    ///
+    /// [`replay_inputs`]: Self::replay_inputs
+    pub(crate) fn pin_inputs(&mut self, id: ValueId) {
+        for a in self.replay_inputs(id) {
+            *self.pins.entry(a).or_default() += 1;
+        }
+    }
+
+    /// Undo [`pin_inputs`](Self::pin_inputs) for value `id`, no longer
+    /// held as lineage, releasing each input that was kept only by pins.
+    pub(crate) fn unpin_inputs(
+        &mut self,
+        id: ValueId,
+        park: &mut impl FnMut(MergeOrigin, DataValue),
+    ) {
+        for a in self.replay_inputs(id) {
+            let Some(pins) = self.pins.get_mut(&a) else {
+                continue;
+            };
+            *pins -= 1;
+            if *pins == 0 {
+                self.pins.remove(&a);
+                if !self.values[a.0 as usize].observable() {
+                    release_value(self, a, park);
+                }
+            }
+        }
     }
 
     /// [`release`](Self::release) every return value the nodes executed
@@ -365,16 +473,21 @@ impl DataflowGraph {
         first_node: usize,
         mut park: impl FnMut(MergeOrigin, DataValue),
     ) {
-        let (values, nodes) = (&mut self.values, &self.nodes);
-        for node in &nodes[first_node..self.next_unplanned] {
-            for &id in node_args(&self.node_ids, node).iter().chain(&node.ret) {
-                if !values[id.0 as usize].observable() {
-                    if let Some((origin, target)) = release_value(values, nodes, id) {
-                        park(origin, target);
-                    }
-                }
+        let mut unobserved = |graph: &mut Self, id: ValueId| {
+            if !graph.values[id.0 as usize].observable() {
+                release_value(graph, id, &mut park);
+            }
+        };
+        for n in first_node..self.next_unplanned {
+            let at = self.nodes[n].ids as usize;
+            for i in at..at + self.nodes[n].annot.args.len() {
+                unobserved(self, self.node_ids[i]);
+            }
+            if let Some(id) = self.nodes[n].ret {
+                unobserved(self, id);
             }
         }
+        let values = &self.values;
         self.deferred
             .retain(|id| values[id.0 as usize].held.is_some());
     }
@@ -529,20 +642,27 @@ fn node_args<'a>(node_ids: &'a [ValueId], node: &Node) -> &'a [ValueId] {
 /// [`DataflowGraph::release`] over the graph's fields, so a caller
 /// iterating `nodes` can release values as it goes.
 fn release_value(
-    values: &mut [ValueEntry],
-    nodes: &[Node],
+    graph: &mut DataflowGraph,
     id: ValueId,
-) -> Option<(MergeOrigin, DataValue)> {
-    let e = &mut values[id.0 as usize];
+    park: &mut impl FnMut(MergeOrigin, DataValue),
+) {
+    let nodes = &graph.nodes;
+    let e = &mut graph.values[id.0 as usize];
     let pending_reader = e
         .last_consumer
         .is_some_and(|c| !nodes[c.0 as usize].executed);
-    if e.user_token.is_none() || pending_reader {
-        return None;
+    if e.user_token.is_none() || pending_reader || graph.pins.contains_key(&id) {
+        return;
     }
     let data = e.data.take();
-    (e.held, e.ready) = (None, false);
-    e.merge_origin.take().zip(data)
+    let lineage = matches!(e.held.take(), Some(Held::Lineage));
+    e.ready = false;
+    if let Some((origin, target)) = e.merge_origin.take().zip(data) {
+        park(origin, target);
+    }
+    if lineage {
+        graph.unpin_inputs(id, park);
+    }
 }
 
 /// Canonical shape of a graph's pending segment: the plan-cache key and

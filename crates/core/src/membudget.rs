@@ -133,9 +133,14 @@ pub fn pressured() -> bool {
 /// from the heap, where the next batch reuses them; whole values above
 /// it keep their own zero-page mapping), and its trim threshold at
 /// 256 MiB (every participant's pieces many times over, small beside
-/// the values a workload holds). Once per process; without glibc, or
-/// under another global allocator, it changes nothing anyone uses.
-pub fn keep_freed_pieces_mapped() {
+/// the values a workload holds). Once per process.
+///
+/// Returns whether the process's `malloc` took both thresholds: `false`
+/// without glibc, or where something replaces glibc's `malloc` — an
+/// AddressSanitizer build's allocator refuses them — and freed pieces
+/// follow that allocator's own policy. Under another global allocator
+/// the thresholds change nothing anyone uses.
+pub fn keep_freed_pieces_mapped() -> bool {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         use std::os::raw::c_int;
@@ -144,14 +149,18 @@ pub fn keep_freed_pieces_mapped() {
         }
         const M_TRIM_THRESHOLD: c_int = -1;
         const M_MMAP_THRESHOLD: c_int = -3;
-        static ONCE: std::sync::Once = std::sync::Once::new();
+        static TAKEN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         // SAFETY: `mallopt` is glibc's thread-safe setter for these two
-        // parameters; it takes and returns plain integers.
-        ONCE.call_once(|| unsafe {
-            mallopt(M_MMAP_THRESHOLD, 32 << 20);
-            mallopt(M_TRIM_THRESHOLD, 256 << 20);
-        });
+        // parameters; it takes and returns plain integers (1 on
+        // success).
+        *TAKEN.get_or_init(|| unsafe {
+            let mmap = mallopt(M_MMAP_THRESHOLD, 32 << 20);
+            let trim = mallopt(M_TRIM_THRESHOLD, 256 << 20);
+            mmap == 1 && trim == 1
+        })
     }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    false
 }
 
 #[cfg(test)]

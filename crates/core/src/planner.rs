@@ -15,9 +15,9 @@
 //! stage is planned, the value is materialized.
 //!
 //! Every value crossing a stage boundary is whole: the planner never
-//! sees pieces. Values an earlier evaluation left held as pieces
-//! (`Deferred` outputs) are merged before planning starts when a
-//! pending call reads them.
+//! sees pieces. Values an earlier evaluation left held as pieces or
+//! lineage (`Deferred` and `Lineage` outputs) are materialized before
+//! planning starts when a pending call reads them.
 //!
 //! # Demand-driven materialization
 //!
@@ -25,21 +25,47 @@
 //! *accessed* (§4); which value was accessed is the [`Demand`] every
 //! evaluation carries down to `finish_stage` and
 //! `CachedPlan::bind_stage`. A return value's [`OutputKind`] follows
-//! from three facts, re-derived on every plan and every replay (so the
-//! plan-cache fingerprint does not depend on them):
+//! from the facts below, re-derived on every plan and every replay (so
+//! the plan-cache fingerprint does not depend on them) except
+//! *recomputable*, fixed when the call was captured
+//! ([`ValueEntry::recomputable`](crate::graph::ValueEntry::recomputable)).
+//! A value is *replayable* if it is recomputable, its split type merges
+//! by concatenation, and each input of its call outlasts the stage
+//! (it is ready, alive or read past the stage) or is a replayable value
+//! the stage drops:
 //!
 //! | the value is … | kind |
 //! |---|---|
 //! | consumed by a pending node outside the stage | `Merge` |
 //! | demanded by the read that triggered the evaluation | `Merge` |
-//! | only alive (a `Future` exists, nobody asked) | `Deferred` |
+//! | only alive (a `Future` exists, nobody asked), and replayable | `Lineage` |
+//! | only alive, and not replayable | `Deferred` |
 //! | dead | `Discard` |
 //!
-//! A `Deferred` output costs no placement allocation, no worker-local
-//! pre-merge and no final concat: its range-tagged pieces are stored on
-//! the value, and the first later read of its `Future` — or the next
-//! evaluation of a call that reads it — merges them then. `MozartContext::evaluate` demands every
-//! live handle ([`Demand::AllLive`]) — the pre-demand behaviour.
+//! A `Lineage` output costs what a dead one costs: its pieces are
+//! dropped, and the value keeps only the graph's record of how it was
+//! made — calls that mutate nothing, over values that cannot change.
+//! The first later read replays that record: the value's call, the
+//! calls its stage dropped for it, and the replay of each input held as
+//! lineage in turn, each once, in registration order, as un-annotated
+//! library calls over whole arguments (the paper's soundness
+//! contract). Concatenation makes that bit-equal to the merged pieces;
+//! a reduction's partial sums would group differently, so it stays
+//! `Deferred`. What a replay reads is pinned while the value is held
+//! ([`DataflowGraph::pin_inputs`](crate::graph::DataflowGraph)), so a
+//! replay never reaches past the stage that made the value and the
+//! held values it reads. It costs the calls on one core where the
+//! pieces cost a parallel write and a concat: reading every held value
+//! costs about what merging them did, reading one deep in a chain of
+//! held values costs more.
+//! A `Deferred` output — over storage that can change, such as a
+//! `SharedVec`, or a reduction — costs no placement allocation, no
+//! worker-local pre-merge and no final concat: its range-tagged pieces
+//! are stored on the value and merged then. Either is materialized by
+//! the first read of its `Future`, before the next evaluation of a call
+//! that reads it, or before a stage that writes storage in place.
+//! `MozartContext::evaluate` demands every live handle
+//! ([`Demand::AllLive`]) — the pre-demand behaviour.
 //!
 //! # Merge-target spares
 //!
@@ -71,9 +97,11 @@ use std::sync::{Arc, Mutex};
 use crate::annotation::{GenericId, SplitTypeExpr};
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::graph::{DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId, WordMap, WordSet};
+use crate::graph::{
+    DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId, ValueOrigin, WordMap, WordSet,
+};
 use crate::registry::default_instance_for;
-use crate::split::{SplitInstance, Splitter};
+use crate::split::{MergeStrategy, SplitInstance, Splitter};
 use crate::value::{DataValue, IntValue};
 
 /// How a merged stage output is produced.
@@ -91,6 +119,10 @@ pub enum OutputKind {
     /// `Future` is read. See "Demand-driven materialization" in the
     /// module docs.
     Deferred,
+    /// As `Deferred`, for a replayable value (module docs): drop the
+    /// pieces as `Discard` does and recompute the value when (if) the
+    /// `Future` is read.
+    Lineage,
 }
 
 /// What the read that triggered an evaluation asks for — the set of
@@ -584,26 +616,51 @@ pub(crate) fn construct_instance<'a>(
 }
 
 /// How a stage ending before node `stage_end` materializes return
-/// value `value` — the rule table of "Demand-driven materialization"
-/// in the module docs. Shared by fresh planning and plan-cache replay,
-/// which re-derives it from the *current* liveness and demand.
+/// value `value` of split type `instance` — the rule table of
+/// "Demand-driven materialization" in the module docs. Shared by fresh
+/// planning and plan-cache replay, which re-derives it from the
+/// *current* liveness and demand. Called for the stage's return values
+/// in node order; `dropped` collects those discarded that a replay may
+/// recompute.
 fn output_kind(
     graph: &DataflowGraph,
     stage_end: usize,
     value: ValueId,
+    instance: &SplitInstance,
     demand: Demand,
+    dropped: &mut Vec<ValueId>,
 ) -> OutputKind {
+    let consumed_later = |v: ValueId| {
+        graph.values[v.0 as usize]
+            .last_consumer
+            .is_some_and(|c| c.0 as usize >= stage_end && !graph.nodes[c.0 as usize].executed)
+    };
     let entry = &graph.values[value.0 as usize];
-    let consumed_later = entry
-        .last_consumer
-        .is_some_and(|c| c.0 as usize >= stage_end && !graph.nodes[c.0 as usize].executed);
     let live = entry.observable();
-    if consumed_later || demand.wants(value, live) {
-        OutputKind::Merge
-    } else if live {
-        OutputKind::Deferred
-    } else {
-        OutputKind::Discard
+    if consumed_later(value) || demand.wants(value, live) {
+        return OutputKind::Merge;
+    }
+    // Replayable: a whole call returns the bits the stage's pieces merge
+    // to (a concatenation), over inputs that outlast the stage — data, a
+    // live handle, a later reader — or that the stage drops and are
+    // replayable themselves.
+    let replayable = match entry.origin {
+        ValueOrigin::Ret(n) if entry.recomputable => {
+            graph.args(&graph.nodes[n.0 as usize]).iter().all(|&a| {
+                let e = &graph.values[a.0 as usize];
+                e.ready || e.observable() || consumed_later(a) || dropped.contains(&a)
+            }) && matches!(instance.merge_strategy(), MergeStrategy::Concat { .. })
+        }
+        _ => false,
+    };
+    match (live, replayable) {
+        (true, true) => OutputKind::Lineage,
+        (true, false) => OutputKind::Deferred,
+        (false, true) => {
+            dropped.push(value);
+            OutputKind::Discard
+        }
+        (false, false) => OutputKind::Discard,
     }
 }
 
@@ -611,7 +668,7 @@ fn output_kind(
 fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> StagePlan {
     let first = b.nodes[0].0 as usize;
     let stage = first..first + b.nodes.len();
-    let mut outputs = Vec::new();
+    let (mut outputs, mut dropped) = (Vec::new(), Vec::new());
     for node in &graph.nodes[stage.clone()] {
         for (_, mv) in graph.mut_outs(node) {
             if let Some(inst) = b.produced.get(&mv) {
@@ -623,10 +680,11 @@ fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> Stage
             }
         }
         if let Some(rv) = node.ret {
+            let instance = b.produced.get(&rv).expect("ret type was committed");
             outputs.push(StageOutput {
                 value: rv,
-                instance: b.produced.get(&rv).expect("ret type was committed").clone(),
-                kind: output_kind(graph, stage.end, rv, demand),
+                instance: instance.clone(),
+                kind: output_kind(graph, stage.end, rv, instance, demand, &mut dropped),
             });
         }
     }
@@ -1116,13 +1174,13 @@ impl CachedPlan {
             broadcast.push(vid);
         }
 
-        let mut outputs = Vec::with_capacity(cs.outputs.len());
+        let (mut outputs, mut dropped) = (Vec::with_capacity(cs.outputs.len()), Vec::new());
         for co in &cs.outputs {
             let vid = get(co.value)?;
             let kind = if co.in_place {
                 OutputKind::InPlace
             } else {
-                output_kind(graph, stage.end, vid, demand)
+                output_kind(graph, stage.end, vid, &co.instance, demand, &mut dropped)
             };
             outputs.push(StageOutput {
                 value: vid,

@@ -389,6 +389,10 @@ impl WorkerPool {
     /// joins its own stage as one extra participant, so a pool sized
     /// `config.workers - 1` saturates `config.workers` cores for a
     /// single session.
+    ///
+    /// Returns once every worker has started and parked, so whatever a
+    /// thread allocates as it starts is done before the pool is used:
+    /// a caller that counts its allocations counts none of its workers'.
     pub fn new(pool_workers: usize) -> WorkerPool {
         crate::membudget::keep_freed_pieces_mapped();
         let shared = Arc::new(PoolShared {
@@ -422,6 +426,10 @@ impl WorkerPool {
                 }
             })
             .collect();
+        // Each worker counts one park before it first blocks.
+        while shared.counters.parks.load(Ordering::Relaxed) < pool_workers as u64 {
+            std::thread::yield_now();
+        }
         WorkerPool { shared, handles }
     }
 

@@ -66,15 +66,19 @@ pub struct PhaseStats {
     /// by position.
     pub split_form_handoffs: u64,
     /// Outputs whose `Future` was alive but which the triggering read did
-    /// not ask for, left as held pieces instead of merged
-    /// (`OutputKind::Deferred`; see "Demand-driven materialization" in
-    /// [`crate::planner`]).
+    /// not ask for, left as held pieces or as lineage instead of merged
+    /// (`OutputKind::Deferred` and `OutputKind::Lineage`; see
+    /// "Demand-driven materialization" in [`crate::planner`]).
     pub deferred_outputs: u64,
-    /// Held piece sets merged because something did ask: a later read
+    /// Held values made whole because something did ask — a later read
     /// of their `Future`, a pending call that reads them, an explicit
     /// `evaluate()`, or the flush before a stage that mutates storage in
-    /// place.
+    /// place: piece sets merged, and lineage replayed.
     pub deferred_materialized: u64,
+    /// Values recomputed by lineage replays: each call of a replayed
+    /// slice that ran again, whole (`OutputKind::Lineage`; see
+    /// "Demand-driven materialization" in [`crate::planner`]).
+    pub recomputed_values: u64,
     /// Stage plans statically verified before execution (see
     /// [`verify_stage`](crate::verify::verify_stage)). Every stage is
     /// verified, so this equals [`stages`](Self::stages) unless a
@@ -114,6 +118,7 @@ impl PhaseStats {
         self.split_form_handoffs += other.split_form_handoffs;
         self.deferred_outputs += other.deferred_outputs;
         self.deferred_materialized += other.deferred_materialized;
+        self.recomputed_values += other.recomputed_values;
         self.plans_verified += other.plans_verified;
         self.merge_targets_reused += other.merge_targets_reused;
         self.merge_targets_allocated += other.merge_targets_allocated;
@@ -290,6 +295,7 @@ mod tests {
             stages: 2,
             calls: 5,
             inline_calls: 2,
+            recomputed_values: 3,
             ..Default::default()
         };
         a.accumulate(&b);
@@ -298,6 +304,7 @@ mod tests {
         assert_eq!(a.stages, 3);
         assert_eq!(a.calls, 5);
         assert_eq!(a.inline_calls, 2);
+        assert_eq!(a.recomputed_values, 3);
         assert_eq!(a.total(), Duration::from_millis(13));
     }
 

@@ -42,6 +42,13 @@ impl DataIdentity {
 /// compare equal) and [`DataObject::protect_flag`] (so reads of lazily
 /// mutated data force evaluation, Mozart's stand-in for the paper's
 /// `mprotect`-based laziness).
+///
+/// The runtime relies on that purity contract: a live output that no
+/// read asked for, computed by calls that mutate nothing from values
+/// that override neither method, is kept as its lineage and recomputed
+/// if it is read later (`OutputKind::Lineage`). A type whose contents
+/// can change behind a handle that keeps the defaults would read its new
+/// contents in such a replay.
 pub trait DataObject: Any + Send + Sync {
     /// Short, stable type name used in error messages.
     fn type_name(&self) -> &'static str;
@@ -134,6 +141,17 @@ impl DataValue {
         match self {
             DataValue::Data(d) => d.protect_flag(),
             DataValue::Lazy { .. } => None,
+        }
+    }
+
+    /// Whether this is materialized data whose type declares neither a
+    /// [`DataObject::stable_identity`] nor a [`DataObject::protect_flag`]:
+    /// purely functional by the trait's contract, so its contents never
+    /// change.
+    pub fn immutable(&self) -> bool {
+        match self {
+            DataValue::Data(d) => d.stable_identity().is_none() && d.protect_flag().is_none(),
+            DataValue::Lazy { .. } => false,
         }
     }
 }

@@ -35,9 +35,11 @@
 //!   reads is defined before use (a stage input, broadcast, or an
 //!   earlier in-stage product) and never a stale pre-mutation version;
 //!   no value is bound both `mut` and shared; `Discard` outputs are
-//!   truly dead (no pending consumer, no live user future); a user-visible value is `Merge` or `Deferred`,
-//!   and `Deferred` only when the triggering read did not demand it and
-//!   no pending node consumes it; `InPlace` outputs are genuine
+//!   truly dead (no pending consumer, no live user future); a
+//!   user-visible value is `Merge`, `Deferred` or `Lineage`, a held one
+//!   (`Deferred` or `Lineage`) only when the triggering read did not
+//!   demand it and no pending node consumes it, and `Lineage` only for
+//!   a value recomputable from the graph and merged by concatenation; `InPlace` outputs are genuine
 //!   mut-versions;
 //!   split inputs agree on one element total and the batch size
 //!   partitions `[0, total)` exactly (which makes the placement write
@@ -225,21 +227,30 @@ pub enum VerifyError {
         /// (`None` when the leak is a live user future).
         consumer: Option<u32>,
     },
-    /// An output marked `Deferred` is demanded by the read that
-    /// triggered the evaluation: the reader would be handed pieces
-    /// where it was promised the whole value.
+    /// An output marked `Deferred` or `Lineage` is demanded by the read
+    /// that triggered the evaluation: the reader would be handed pieces
+    /// or lineage where it was promised the whole value.
     DeferredDemanded {
-        /// The demanded value left as pieces.
+        /// The demanded value left held.
         value: u32,
     },
-    /// An output marked `Deferred` is still consumed by a pending node
-    /// outside the stage. Deferred pieces wait for a *read*; a consumer
-    /// needs the value merged.
+    /// An output marked `Deferred` or `Lineage` is still consumed by a
+    /// pending node outside the stage. A held value waits for a *read*;
+    /// a consumer needs the value whole.
     DeferredConsumed {
         /// The wrongly deferred value.
         value: u32,
         /// A pending consumer outside the stage.
         consumer: u32,
+    },
+    /// An output marked `Lineage` is not recomputable from the graph —
+    /// its call mutates an argument, or reads storage that can change,
+    /// so a replay could not make the value it stands for — or its
+    /// split type does not merge by concatenation, so a replay's whole
+    /// call could differ in the last bits from the merged pieces.
+    LineageNotRecomputable {
+        /// The mismarked value.
+        value: u32,
     },
     /// An output marked `InPlace` is not a mut-version — there is no
     /// aliased storage for it to recover, so the "output" would be
@@ -434,13 +445,18 @@ impl std::fmt::Display for VerifyError {
             },
             VerifyError::DeferredDemanded { value } => write!(
                 f,
-                "output v{value} is marked Deferred but the read that triggered \
-                 this evaluation demands it"
+                "output v{value} is held (Deferred or Lineage) but the read that \
+                 triggered this evaluation demands it"
             ),
             VerifyError::DeferredConsumed { value, consumer } => write!(
                 f,
-                "output v{value} is marked Deferred but pending node n{consumer} \
-                 outside the stage still consumes it"
+                "output v{value} is held (Deferred or Lineage) but pending node \
+                 n{consumer} outside the stage still consumes it"
+            ),
+            VerifyError::LineageNotRecomputable { value } => write!(
+                f,
+                "output v{value} is marked Lineage but is not recomputable or \
+                 not merged by concatenation; a replay could not make it"
             ),
             VerifyError::InPlaceNotMutVersion { value } => write!(
                 f,
@@ -712,14 +728,19 @@ pub fn verify_stage(
     }
 
     // --- Pending readers ----------------------------------------------
-    // A `Discard` or `Deferred` output must have no pending reader
-    // outside the stage among the nodes up to its last consumer. One
-    // pass over those nodes records each stage value's first such
+    // A `Discard`, `Deferred` or `Lineage` output must have no pending
+    // reader outside the stage among the nodes up to its last consumer.
+    // One pass over those nodes records each stage value's first such
     // reader.
     let readers_end = plan
         .outputs
         .iter()
-        .filter(|o| matches!(o.kind, OutputKind::Discard | OutputKind::Deferred))
+        .filter(|o| {
+            matches!(
+                o.kind,
+                OutputKind::Discard | OutputKind::Deferred | OutputKind::Lineage
+            )
+        })
         .filter_map(|o| graph.values.get(o.value.0 as usize)?.last_consumer)
         .map(|c| c.0 as usize + 1)
         .max()
@@ -774,7 +795,11 @@ pub fn verify_stage(
                     });
                 }
             }
-            OutputKind::Deferred => {
+            OutputKind::Deferred | OutputKind::Lineage => {
+                let concat = matches!(out.instance.merge_strategy(), MergeStrategy::Concat { .. });
+                if out.kind == OutputKind::Lineage && !(entry.recomputable && concat) {
+                    return Err(VerifyError::LineageNotRecomputable { value: out.value.0 });
+                }
                 if let Some(c) = pending_consumer {
                     return Err(VerifyError::DeferredConsumed {
                         value: out.value.0,

@@ -91,9 +91,16 @@ fn vadd() -> Arc<Annotation> {
 #[derive(Debug, Clone)]
 struct Chunk(Arc<Vec<f64>>);
 
+/// Chunks declare their storage, as a type written in place would, so a
+/// live chunk output nobody asked for is held as pieces — the path this
+/// file tests. Outputs of purely functional types are kept as lineage
+/// instead (`tests/lineage.rs` at the workspace root).
 impl mozart_core::value::DataObject for Chunk {
     fn type_name(&self) -> &'static str {
         "Chunk"
+    }
+    fn stable_identity(&self) -> Option<usize> {
+        Some(Arc::as_ptr(&self.0) as usize)
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self

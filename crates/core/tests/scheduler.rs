@@ -224,10 +224,12 @@ fn skewed_batches_keep_every_worker_busy() {
         "with a shared cursor, some claims must cross static ranges"
     );
 
-    // With the stage drained, every pool worker must eventually park.
+    // With the stage drained, every pool worker must eventually park
+    // again: once as the pool started, and once after the stage it
+    // worked on.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        if ctx.pool_stats().parks >= workers as u64 - 1 {
+        if ctx.pool_stats().parks >= 2 * (workers as u64 - 1) {
             break;
         }
         assert!(

@@ -21,7 +21,9 @@ use mozart_core::array_split::ArraySplit;
 use mozart_core::buffer::{SharedVec, VecValue};
 use mozart_core::config::Config;
 use mozart_core::error::{Error, Result};
-use mozart_core::graph::{DataflowGraph, FutureToken, NodeId, ValueEntry, ValueId, ValueOrigin};
+use mozart_core::graph::{
+    DataflowGraph, FutureToken, Held, NodeId, ValueEntry, ValueId, ValueOrigin,
+};
 use mozart_core::planner::{Demand, OutputKind, SlotTable, StageOutput, StagePlan};
 use mozart_core::split::{HeldPieces, MergeStrategy, Params, RuntimeInfo, SplitInstance, Splitter};
 use mozart_core::value::{DataValue, FloatValue, IntValue};
@@ -127,6 +129,7 @@ fn source(data: DataValue) -> ValueEntry {
         data: Some(data),
         ready: true,
         held: None,
+        recomputable: false,
         merge_origin: None,
         last_consumer: None,
         user_token: None,
@@ -174,6 +177,7 @@ fn scenario_with_n1_reading(n1_arg: ValueId) -> Scenario {
         data: Some(vec_value(N)),
         ready: false,
         held: None,
+        recomputable: false,
         merge_origin: None,
         last_consumer: None,
         user_token: Some(Arc::downgrade(&token)),
@@ -192,6 +196,7 @@ fn scenario_with_n1_reading(n1_arg: ValueId) -> Scenario {
         data: None,
         ready: false,
         held: None,
+        recomputable: false,
         merge_origin: None,
         last_consumer: None,
         user_token: None,
@@ -256,6 +261,12 @@ enum Mutation {
     /// Defer v3 — no longer consumed, but observed through a live
     /// future — although the triggering read demands it.
     DeferDemandedOutput,
+    /// Keep recomputable v3 as lineage while pending n2 still consumes
+    /// it.
+    LineageConsumedOutput,
+    /// Keep v3 — observed, not demanded — as lineage although it reads
+    /// the mutated storage of v2, so it is not recomputable.
+    LineageNotRecomputable,
     /// Mark the returned v3 as an InPlace output.
     InPlaceOnReturn,
     /// Resolve the InPlace output v2 to a commutative-merge instance.
@@ -288,6 +299,8 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         Just(Mutation::DiscardUserVisibleOutput),
         Just(Mutation::DeferConsumedOutput),
         Just(Mutation::DeferDemandedOutput),
+        Just(Mutation::LineageConsumedOutput),
+        Just(Mutation::LineageNotRecomputable),
         Just(Mutation::InPlaceOnReturn),
         Just(Mutation::InPlaceBadStrategy),
         Just(Mutation::StaleRead),
@@ -344,6 +357,14 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             s.plan.outputs[1].kind = OutputKind::Deferred;
         }
         Mutation::DeferDemandedOutput => defer_observed_v3(s),
+        Mutation::LineageConsumedOutput => {
+            s.graph.values[3].recomputable = true;
+            s.plan.outputs[1].kind = OutputKind::Lineage;
+        }
+        Mutation::LineageNotRecomputable => {
+            defer_observed_v3(s);
+            s.plan.outputs[1].kind = OutputKind::Lineage;
+        }
         Mutation::InPlaceOnReturn => {
             s.plan.outputs[1].kind = OutputKind::InPlace;
         }
@@ -384,7 +405,8 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             let pieces = ranges.map(|s| (s, N.min(s + len), piece.clone())).collect();
             let held = HeldPieces::new(pieces, N, arr(N)).expect("contiguous pieces");
             let entry = &mut s.graph.values[0];
-            (entry.data, entry.ready, entry.held) = (None, false, Some(Arc::new(held)));
+            (entry.data, entry.ready, entry.held) =
+                (None, false, Some(Held::Pieces(Arc::new(held))));
         }
     }
 }
@@ -426,6 +448,16 @@ fn expected(err: &VerifyError, m: &Mutation) -> bool {
         ),
         Mutation::DeferDemandedOutput => {
             matches!(err, VerifyError::DeferredDemanded { value: 3 })
+        }
+        Mutation::LineageConsumedOutput => matches!(
+            err,
+            VerifyError::DeferredConsumed {
+                value: 3,
+                consumer: 2,
+            }
+        ),
+        Mutation::LineageNotRecomputable => {
+            matches!(err, VerifyError::LineageNotRecomputable { value: 3 })
         }
         Mutation::InPlaceOnReturn => {
             matches!(err, VerifyError::InPlaceNotMutVersion { value: 3 })
@@ -484,6 +516,32 @@ fn deferred_output_verifies_unless_demanded() {
             Err(VerifyError::DeferredDemanded { value: 3 })
         );
     }
+}
+
+/// The lineage twin of the test above: a recomputable live value nobody
+/// asked for may be kept as lineage, and a demanded or still-consumed
+/// one may not.
+#[test]
+fn lineage_output_verifies_unless_demanded_or_consumed() {
+    let mut s = scenario();
+    let cfg = Config::with_workers(2);
+    defer_observed_v3(&mut s);
+    s.graph.values[3].recomputable = true;
+    s.plan.outputs[1].kind = OutputKind::Lineage;
+    verify_stage(&s.graph, &s.plan, &cfg, Demand::Nothing)
+        .expect("a recomputable live value nobody asked for may stay lineage");
+    assert_eq!(
+        verify_stage(&s.graph, &s.plan, &cfg, Demand::Value(ValueId(3))),
+        Err(VerifyError::DeferredDemanded { value: 3 })
+    );
+    s.graph.nodes[2].executed = false;
+    assert_eq!(
+        verify_stage(&s.graph, &s.plan, &cfg, Demand::Nothing),
+        Err(VerifyError::DeferredConsumed {
+            value: 3,
+            consumer: 2
+        })
+    );
 }
 
 proptest! {

@@ -145,7 +145,7 @@ const fn row(
 /// three lines: `STATS` position and key, kind, value; the page metric;
 /// the page's `# HELP` text.
 #[rustfmt::skip] // keeps a row to those three lines
-pub static STAT_TABLE: [StatRow; 34] = [
+pub static STAT_TABLE: [StatRow; 35] = [
     row(Some((0, "started")), Counter, |s| s.started,
         Some("mozart_requests_started_total"),
         "Requests admitted and started (coalesced followers included)"),
@@ -175,16 +175,19 @@ pub static STAT_TABLE: [StatRow; 34] = [
         "Retired, always 0: stage outputs are merged, never handed across as pieces"),
     row(Some((28, "deferred_outputs")), Counter, |s| s.engine.deferred_outputs,
         Some("mozart_deferred_outputs_total"),
-        "Live but undemanded outputs left as held pieces instead of merged"),
+        "Live but undemanded outputs held as pieces or as lineage instead of merged"),
     row(Some((29, "deferred_materialized")), Counter, |s| s.engine.deferred_materialized,
         Some("mozart_deferred_materialized_total"),
-        "Deferred outputs merged on demand by a later read or in-place stage"),
+        "Outputs held as pieces or as lineage, made whole on demand by a later read or in-place stage"),
     row(Some((30, "merge_targets_reused")), Counter, |s| s.engine.merge_targets_reused,
         Some("mozart_merge_targets_reused_total"),
         "Placement-merge targets written over a released one instead of allocated"),
     row(Some((31, "merge_targets_allocated")), Counter, |s| s.engine.merge_targets_allocated,
         Some("mozart_merge_targets_allocated_total"),
         "Placement-merge targets freshly allocated"),
+    row(Some((32, "recomputed_values")), Counter, |s| s.engine.recomputed_values,
+        Some("mozart_recomputed_values_total"),
+        "Values recomputed whole from their lineage by a later read"),
     row(Some((7, "slow")), Counter, |s| s.slow,
         Some("mozart_requests_slow_total"),
         "Requests that consumed at least 80% of their deadline"),

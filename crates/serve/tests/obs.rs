@@ -5,11 +5,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, LazyLock};
 use std::time::Duration;
 
+use mozart_core::annotation::{generic, missing, Annotation};
 use mozart_core::trace::{RetryCause, SpanKind};
-use mozart_core::{Config, FaultKind, FaultPhase, FaultPlan, FaultPoint, MozartContext};
+use mozart_core::{
+    Arg, ArraySplit, Config, DataValue, FaultKind, FaultPhase, FaultPlan, FaultPoint,
+    MozartContext, SharedVec, SliceView, VecValue,
+};
 use mozart_serve::{Pipeline, PipelineService, Request, Response};
 
 fn traced_service(workers: usize) -> PipelineService {
@@ -315,11 +319,54 @@ fn slow_requests_are_logged_with_trace_ids() {
     assert_eq!(service.slow_requests().len(), 1);
 }
 
-/// A pipeline that reads a second handle: the first read evaluates and
-/// leaves the other output as held pieces, the second read merges them
-/// on demand. That merge is executor work like any other — its spans
-/// land in the request's trace under the attempt, the coverage bar
-/// holds, and the deferred counters reach `STATS` and `METRICS`.
+/// `xs * k` over `f64` arrays, functional: a call over storage that can
+/// change (a `SharedVec`), so a live output of it nobody asked for is
+/// held as pieces. Built once: the plan cache keys on its identity.
+fn vscale() -> Arc<Annotation> {
+    static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
+        Annotation::new("obs_vscale", |inv| {
+            let k = inv.float(1)?;
+            let piece = &inv.args[0];
+            let xs = match (
+                piece.downcast_ref::<VecValue>(),
+                piece.downcast_ref::<SliceView>(),
+            ) {
+                (Some(v), _) => v.0.as_slice().to_vec(),
+                // SAFETY: the executor hands each batch a disjoint range
+                // and nothing writes the parent during the task phase.
+                (None, Some(view)) => unsafe { view.as_slice() }.to_vec(),
+                (None, None) => return Err(mozart_core::Error::Library("not an array".into())),
+            };
+            let out = xs.iter().map(|x| x * k).collect();
+            Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
+        })
+        .arg("xs", generic(0))
+        .arg("k", missing())
+        .ret(generic(0))
+        .build()
+    });
+    A.clone()
+}
+
+/// The service of the two second-read tests: a traced pool of 2 running
+/// `pipeline` in multi-batch stages.
+fn second_read_service(pipeline: Arc<dyn Pipeline>) -> PipelineService {
+    let mut cfg = Config::with_workers(2);
+    cfg.batch_override = Some(512);
+    PipelineService::builder()
+        .workers(2)
+        .session_config(cfg)
+        .tracing(true)
+        .pipeline(pipeline)
+        .build()
+}
+
+/// A pipeline over arrays that reads a second handle: the first read
+/// evaluates and leaves the other output as held pieces, the second
+/// read merges them on demand. That merge is executor work like any
+/// other — its spans land in the request's trace under the attempt, the
+/// coverage bar holds, and the deferred counters reach `STATS` and
+/// `METRICS`.
 #[test]
 fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
     struct TwoReads;
@@ -328,27 +375,22 @@ fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
             "two_reads"
         }
         fn run(&self, ctx: &MozartContext, _req: &Request) -> mozart_core::Result<Response> {
-            use sa_dataframe as sa;
+            ArraySplit::register_default();
             // Big enough that the request outweighs its bookkeeping gaps.
-            let df = workloads::crime_index::generate(1 << 18, 5);
-            let tp = sa::col(ctx, &df, "total_population")?;
-            let doubled = sa::mul_scalar(ctx, &tp, 2.0)?;
-            let shifted = sa::add_scalar(ctx, &tp, 1.0)?;
-            let first = sa::get_col(&doubled)?;
+            let xs = SharedVec::from_vec((0..1 << 18).map(|i| i as f64).collect());
+            let call = |x: Arg<'_>, k: f64| Ok(ctx.call(&vscale(), &[x, Arg::Float(k)])?.unwrap());
+            let ys = call(Arg::Vec(&xs), 0.5)?;
+            let doubled = call(Arg::Future(&ys), 2.0)?;
+            let shifted = call(Arg::Future(&ys), 3.0)?;
+            let first = doubled.get()?;
             let merges_before = ctx.stats().deferred_materialized;
-            let second = sa::get_col(&shifted)?;
+            let second = shifted.get()?;
             assert_eq!(ctx.stats().deferred_materialized, merges_before + 1);
-            Ok(Response::new(format!("{} {}", first.len(), second.len())))
+            let len = |v: &DataValue| v.downcast_ref::<VecValue>().map_or(0, |v| v.0.len());
+            Ok(Response::new(format!("{} {}", len(&first), len(&second))))
         }
     }
-    let mut cfg = Config::with_workers(2);
-    cfg.batch_override = Some(512);
-    let service = PipelineService::builder()
-        .workers(2)
-        .session_config(cfg)
-        .tracing(true)
-        .pipeline(Arc::new(TwoReads))
-        .build();
+    let service = second_read_service(Arc::new(TwoReads));
     let (resp, trace) = service.session().call_traced("two_reads", &Request::new());
     resp.unwrap();
     let trace = trace.expect("tracing is on");
@@ -370,15 +412,16 @@ fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
         .collect();
     assert_eq!(final_merges, [0, 1], "{}", tree.render_line());
 
-    // `tp` and `shifted` were alive but not asked for by the first
-    // read; only `shifted` was read later.
+    // `ys` and `shifted` were alive but not asked for by the first
+    // read; only `shifted` was read later. Arrays are never recomputed.
     let stats = service.stats();
     assert_eq!(
         (
             stats.engine.deferred_outputs,
-            stats.engine.deferred_materialized
+            stats.engine.deferred_materialized,
+            stats.engine.recomputed_values
         ),
-        (2, 1)
+        (2, 1, 0)
     );
     let page = service.metrics_text();
     assert!(page.contains("mozart_deferred_outputs_total 2"), "{page}");
@@ -391,6 +434,61 @@ fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
         line.contains(" deferred_outputs=2 deferred_materialized=1 "),
         "{line}"
     );
+}
+
+/// The same pipeline over dataframe columns, whose outputs are kept as
+/// lineage: the second read recomputes `shifted` and the `tp` it reads,
+/// each call whole on the caller as one `Task` span in the request's
+/// trace; the coverage bar holds, no merge runs for it, and the
+/// recomputed values reach `STATS` and `METRICS`.
+#[test]
+fn lineage_replay_of_a_second_read_is_traced_and_counted() {
+    struct TwoReads;
+    impl Pipeline for TwoReads {
+        fn name(&self) -> &'static str {
+            "two_reads"
+        }
+        fn run(&self, ctx: &MozartContext, _req: &Request) -> mozart_core::Result<Response> {
+            use sa_dataframe as sa;
+            let df = workloads::crime_index::generate(1 << 18, 5);
+            let tp = sa::col(ctx, &df, "total_population")?;
+            let doubled = sa::mul_scalar(ctx, &tp, 2.0)?;
+            let shifted = sa::add_scalar(ctx, &tp, 1.0)?;
+            let first = sa::get_col(&doubled)?;
+            let second = sa::get_col(&shifted)?;
+            assert_eq!(ctx.stats().recomputed_values, 2, "tp, then shifted");
+            Ok(Response::new(format!("{} {}", first.len(), second.len())))
+        }
+    }
+    let service = second_read_service(Arc::new(TwoReads));
+    let (resp, trace) = service.session().call_traced("two_reads", &Request::new());
+    assert_eq!(resp.unwrap().body, format!("{0} {0}", 1 << 18));
+    let trace = trace.expect("tracing is on");
+
+    let tree = service.trace_tree(trace).expect("spans were recorded");
+    let (e2e, covered) = (tree.e2e_ns(), tree.covered_ns());
+    assert!(
+        covered >= e2e / 100 * 95,
+        "covered {covered} ns of {e2e} ns\n{}",
+        tree.render_line()
+    );
+    let spans = service.trace_spans(trace);
+    let count = |kind| spans.iter().filter(|s| s.kind == kind).count() as u64;
+    let stats = service.stats();
+    assert_eq!(count(SpanKind::FinalMerge), 1, "{}", tree.render_line());
+    assert_eq!(count(SpanKind::Task), stats.engine.batches + 2);
+    assert_eq!(
+        (
+            stats.engine.deferred_outputs,
+            stats.engine.deferred_materialized,
+            stats.engine.recomputed_values
+        ),
+        (2, 1, 2)
+    );
+    let page = service.metrics_text();
+    assert!(page.contains("mozart_recomputed_values_total 2"), "{page}");
+    let line = mozart_serve::tcpfront::stats_body(&service);
+    assert!(line.ends_with(" recomputed_values=2"), "{line}");
 }
 
 /// Merge-target reuse is visible on every surface: the second identical
@@ -441,7 +539,7 @@ fn merge_target_reuse_is_counted_on_every_surface() {
     assert!(page.contains(&parked), "{page}");
     let line = mozart_serve::tcpfront::stats_body(&service);
     assert!(
-        line.ends_with("merge_targets_reused=1 merge_targets_allocated=1"),
+        line.ends_with("merge_targets_reused=1 merge_targets_allocated=1 recomputed_values=0"),
         "{line}"
     );
 }
@@ -472,7 +570,7 @@ fn page_headers(page: &str) -> Vec<(String, String, String)> {
 /// move when the code that renders them is reorganized.
 #[test]
 fn stats_keys_and_metric_headers_are_pinned() {
-    const STATS_KEYS: [&str; 32] = [
+    const STATS_KEYS: [&str; 33] = [
         "started",
         "completed",
         "rejected",
@@ -505,9 +603,10 @@ fn stats_keys_and_metric_headers_are_pinned() {
         "deferred_materialized",
         "merge_targets_reused",
         "merge_targets_allocated",
+        "recomputed_values",
     ];
     #[rustfmt::skip]
-    const METRICS: [(&str, &str, &str); 41] = [
+    const METRICS: [(&str, &str, &str); 42] = [
         ("mozart_requests_started_total", "counter", "Requests admitted and started (coalesced followers included)"),
         ("mozart_requests_completed_total", "counter", "Requests completed successfully"),
         ("mozart_requests_rejected_total", "counter", "Requests rejected by admission control"),
@@ -517,10 +616,11 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_retries_total", "counter", "Evaluation attempts re-run after a transient failure"),
         ("mozart_requests_coalesced_total", "counter", "Requests served by piggybacking on another evaluation"),
         ("mozart_split_form_handoffs_total", "counter", "Retired, always 0: stage outputs are merged, never handed across as pieces"),
-        ("mozart_deferred_outputs_total", "counter", "Live but undemanded outputs left as held pieces instead of merged"),
-        ("mozart_deferred_materialized_total", "counter", "Deferred outputs merged on demand by a later read or in-place stage"),
+        ("mozart_deferred_outputs_total", "counter", "Live but undemanded outputs held as pieces or as lineage instead of merged"),
+        ("mozart_deferred_materialized_total", "counter", "Outputs held as pieces or as lineage, made whole on demand by a later read or in-place stage"),
         ("mozart_merge_targets_reused_total", "counter", "Placement-merge targets written over a released one instead of allocated"),
         ("mozart_merge_targets_allocated_total", "counter", "Placement-merge targets freshly allocated"),
+        ("mozart_recomputed_values_total", "counter", "Values recomputed whole from their lineage by a later read"),
         ("mozart_requests_slow_total", "counter", "Requests that consumed at least 80% of their deadline"),
         ("mozart_inflight", "gauge", "Requests currently evaluating"),
         ("mozart_admission_waiting", "gauge", "Callers waiting for admission"),

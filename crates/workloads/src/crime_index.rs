@@ -50,8 +50,11 @@ pub fn base(df: &DataFrame) -> Summary {
 /// Capture the pipeline: filter (unknown split type) pipelining into
 /// generic Series arithmetic and a final reduction. Returns the lazy
 /// total and every intermediate handle an application written the
-/// natural way — one `let` per step — would still have in scope.
-fn capture(df: &DataFrame, ctx: &MozartContext) -> Result<(FutureHandle, Vec<FutureHandle>)> {
+/// natural way — one `let` per step — would still have in scope, in
+/// capture order: `tp_col`, `mask`, `big`, `tp`, `adult`, `rob`,
+/// `index`, `clamped`. The steps inside `index` and `clamped` are
+/// dropped as their blocks end.
+pub fn capture(df: &DataFrame, ctx: &MozartContext) -> Result<(FutureHandle, Vec<FutureHandle>)> {
     use sa_dataframe as sa;
     let tp_col = sa::col(ctx, df, "total_population")?;
     let mask = sa::gt_scalar(ctx, &tp_col, BIG_CITY)?;
@@ -90,7 +93,10 @@ pub fn mozart(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
 
 /// [`mozart`] with the intermediate handles dropped *before* the read,
 /// so the runtime discards their pieces outright — the comparison arm
-/// for what holding them costs (`tests/held_handles.rs`).
+/// for what holding them costs (`tests/held_handles.rs`). Holding costs
+/// the same: every intermediate is made by pure calls over the input
+/// frame, so a held one keeps only its lineage and drops its pieces as
+/// a dropped one does.
 pub fn mozart_handles_dropped(df: &DataFrame, ctx: &MozartContext) -> Result<Summary> {
     let (total, intermediates) = capture(df, ctx)?;
     drop(intermediates);

