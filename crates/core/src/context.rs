@@ -13,16 +13,16 @@
 //! [`Demand`] of the read that triggered it: `Future::get` asks for its
 //! one value, a protected-buffer read for nothing but in-place storage,
 //! an explicit [`MozartContext::evaluate`] for every live `Future`.
-//! Outputs that are alive but not asked for are not merged. One made by
-//! calls that mutate nothing from values that cannot change (dataframe
-//! frames and columns, images, scalars) and merged by concatenation
-//! keeps only its lineage (`OutputKind::Lineage`): its pieces are
+//! An output that is alive but not asked for, made by calls that mutate
+//! nothing from values that cannot change (dataframe frames and
+//! columns, images, scalars) and merged by concatenation, is not merged:
+//! it keeps only its lineage (`OutputKind::Lineage`), its pieces are
 //! dropped as a dead value's are, and the first read that asks
-//! recomputes it, calling the library on whole arguments. Any other,
-//! such as one over a `SharedVec` or a reduction, stays held as pieces
-//! (`OutputKind::Deferred`) and the first read that asks merges them. Both happen under the context lock, or before the next
-//! evaluation of a call that reads the value, or before a stage that
-//! writes storage in place; both are dropped with their `Future`. See
+//! recomputes it, calling the library on whole arguments — under the
+//! context lock, or before the next evaluation of a call that reads the
+//! value, or before a stage that writes storage in place. The lineage
+//! is dropped with its `Future`. Any other live output, such as one
+//! over a `SharedVec` or a reduction, is merged in its stage. See
 //! "Demand-driven materialization" in [`crate::planner`].
 //!
 //! Whenever a context lets go of a placement-merged value — its
@@ -58,9 +58,8 @@
 //! cheapest first; any other call is captured as ever:
 //!
 //! * nothing is pending in the context and it holds no value as
-//!   pieces or lineage — which also keeps the rule that held values are
-//!   materialized before storage they may view or read is written in
-//!   place;
+//!   lineage — which also keeps the rule that held values are made
+//!   before storage they read is written in place;
 //! * every argument is materialized: library data, or a lazy value of
 //!   this context that is ready;
 //! * no argument's storage is protected by any context: a call over
@@ -118,9 +117,7 @@ use crate::annotation::Annotation;
 use crate::buffer::EvalTrigger;
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::executor::{
-    call_whole, duration_ns, execute_stage, materialize_held, replay_lineage, ExecEnv,
-};
+use crate::executor::{call_whole, duration_ns, execute_stage, replay_lineage, ExecEnv};
 use crate::floor::Floor;
 use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
@@ -447,7 +444,7 @@ impl MozartContext {
                 },
                 data: Some(dv.clone()),
                 ready: false,
-                held: None,
+                lineage: false,
                 recomputable: false,
                 merge_origin: None,
                 last_consumer: None,
@@ -482,7 +479,7 @@ impl MozartContext {
                 origin: ValueOrigin::Ret(node_id),
                 data: None,
                 ready: false,
-                held: None,
+                lineage: false,
                 recomputable: false,
                 merge_origin: None,
                 last_consumer: None,
@@ -554,7 +551,7 @@ impl MozartContext {
                 origin: ValueOrigin::Source,
                 data: Some(merged),
                 ready: true,
-                held: None,
+                lineage: false,
                 recomputable: false,
                 merge_origin: None,
                 last_consumer: None,
@@ -588,9 +585,9 @@ impl MozartContext {
         let mut st = self.inner.state.lock();
         if st.graph.value_data(id).is_none() {
             evaluate_locked(&mut st, Demand::Value(id))?;
-            // Still held: an output an earlier read left as pieces or
-            // lineage. Make it now; on failure it stays held, so the
-            // read can be retried.
+            // Still held: an output an earlier read left as lineage.
+            // Make it now; on failure it stays held, so the read can be
+            // retried.
             if materialize(&mut st, id)? {
                 st.stats.deferred_materialized += 1;
             }
@@ -690,28 +687,24 @@ fn parker(cache: &Option<Arc<PlanCache>>) -> impl FnMut(MergeOrigin, DataValue) 
     }
 }
 
-/// Make value `id` whole if it is held: merge its pieces, or replay its
-/// lineage. Whether either ran. A failure leaves the value held and
-/// does not poison the context: nothing was written, so there is no
-/// half-updated state.
+/// Make value `id` whole if it is held as lineage, by replaying it.
+/// Whether a replay ran. A failure leaves the value held and does not
+/// poison the context: nothing was written, so there is no half-updated
+/// state.
 fn materialize(st: &mut State, id: ValueId) -> Result<bool> {
     let trace = trace_ctx(st);
     let cache = st.plan_cache.clone();
+    let mut park = parker(&cache);
     let (graph, stats, env) = st.exec_parts(trace.as_ref(), None);
-    if replay_lineage(graph, id, stats, &env, &mut parker(&cache))? {
-        return Ok(true);
-    }
-    materialize_held(graph, id, stats, &env)
+    replay_lineage(graph, id, stats, &env, &mut park)
 }
 
-/// Materialize every still-held output somebody can still reach (a
-/// live `Future`, a pending call) and drop the pieces or lineage of the
-/// rest. Runs for an explicit `evaluate()` and before any stage that
-/// mutates storage in place: held pieces may be zero-copy views of that
-/// storage, where an eager merge would have copied before the write,
-/// and a lineage replay must read its inputs as they were recorded.
+/// Make every still-held output somebody can still reach (a live
+/// `Future`, a pending call) and drop the lineage of the rest. Runs for
+/// an explicit `evaluate()` and before any stage that mutates storage
+/// in place: a replay must read its inputs as they were recorded.
 fn flush_deferred(st: &mut State) -> Result<()> {
-    // Popped only once handled, so a failed merge stays listed.
+    // Popped only once handled, so a failed replay stays listed.
     while let Some(&id) = st.graph.deferred.last() {
         if !st.graph.values[id.0 as usize].observable() {
             st.release(id);
@@ -982,10 +975,10 @@ pub struct FutureHandle {
 
 impl Drop for FutureHandle {
     /// Dropping the handle drops what only it could reach: the value's
-    /// data, held pieces or lineage, unless a pending call still reads
-    /// them (a placement-merged value's storage is parked in the plan
-    /// cache). Best effort — if the context is busy evaluating, the end
-    /// of that (or the next) evaluation releases it instead.
+    /// data or lineage, unless a pending call still reads them (a
+    /// placement-merged value's storage is parked in the plan cache).
+    /// Best effort — if the context is busy evaluating, the end of that
+    /// (or the next) evaluation releases it instead.
     fn drop(&mut self) {
         if let Some(mut st) = self.ctx.inner.state.try_lock() {
             st.release(self.value);

@@ -39,19 +39,17 @@
 //! # Output paths
 //!
 //! Every stage output whose pieces need the executor —
-//! [`OutputKind::Merge`] and [`OutputKind::Deferred`]; in-place,
-//! discarded and lineage outputs need nothing — gets a *sink* when the
-//! stage is built, and the sink alone decides where its pieces go. It
-//! has three transitions, and one `store` then writes the graph value
-//! for every kind:
+//! [`OutputKind::Merge`]; in-place, discarded and lineage outputs need
+//! nothing — gets a *sink* when the stage is built, and the sink alone
+//! decides where its pieces go. It has three transitions, and one
+//! `store` then writes the graph value:
 //!
 //! | Sink | Per batch (`accept`) | Worker end (`local`) | Caller (`finish`) | Spans | Counters |
 //! |------|----------------------|----------------------|-------------------|-------|----------|
 //! | `Place` | write the piece in place at its element offset | nothing to do | coverage check, truncation to the written prefix after a `NULL`-split tail | `PlacementWrite` per batch | `placement_writes`, `bytes_merged`, `merge_targets_{reused,allocated}` |
 //! | `Collect` | stash `(start, end, piece)` | merge each contiguous run, or fold everything when the merge is commutative | order the runs by offset, merge once | — | `bytes_merged` |
-//! | `Hold` | stash `(start, end, piece)` | keep one run per batch | build the [`HeldPieces`] | — | `deferred_outputs` |
 //!
-//! All sinks share the phase spans: `Split` and `Task` per batch, one
+//! Both sinks share the phase spans: `Split` and `Task` per batch, one
 //! `Merge` per worker that ran a batch (its `local` window) and one
 //! `FinalMerge` per stage, on the caller.
 //!
@@ -76,26 +74,16 @@
 //! spares" in [`crate::planner`]); the stored value records its
 //! [`MergeOrigin`] so the context can park it in turn when it lets go.
 //!
-//! **`Hold`** takes [`OutputKind::Deferred`] (alive, but the read did
-//! not ask for it). Nothing is merged at any level, so the held set
-//! keeps per-batch granularity. It is merged by `materialize_held` when
-//! something does ask for the value — a read of its `Future`, or a
-//! pending call that reads it: an *identity stage* — no calls, the
-//! pieces as its one split input, served at their own boundaries by
-//! [`HeldPieces::slice`], the value as its one merge output — run
-//! through the same driver loop, with the cancellation checks, fault
-//! points, panic isolation and spans of any other stage. Held pieces
-//! are only ever merged: no planned stage binds them as a split input.
-//!
 //! **[`OutputKind::Lineage`]** has no sink: like a discarded output its
 //! pieces are dropped per batch, and the value is marked
-//! [`Held::Lineage`], pins what its replay reads and is counted in
-//! `deferred_outputs`. It is made by `replay_lineage` when something
-//! asks for it: its call, the calls its stage dropped for it, and the
-//! replay of each input held as lineage, each once, on the caller, in
-//! registration order, as the un-annotated library call over the whole
-//! arguments — no split, no merge. Each replayed call counts in `calls`
-//! and `recomputed_values`, and is one `Task` span.
+//! [held as lineage](crate::graph::ValueEntry::lineage), pins what its
+//! replay reads and is counted in `deferred_outputs`. It is made by
+//! `replay_lineage` when something asks for it: its call, the calls its
+//! stage dropped for it, and the replay of each input held as lineage,
+//! each once, on the caller, in registration order, as the un-annotated
+//! library call over the whole arguments — no split, no merge. Each
+//! replayed call counts in `calls` and `recomputed_values`, and is one
+//! `Task` span.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -108,12 +96,10 @@ use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
-use crate::graph::{
-    DataflowGraph, Held, MergeOrigin, NodeId, ValueId, ValueOrigin, WordMap, WordSet,
-};
+use crate::graph::{DataflowGraph, MergeOrigin, NodeId, ValueId, ValueOrigin, WordMap, WordSet};
 use crate::planner::{OutputKind, PlanCache, PlanSite, StageOutput, StagePlan};
 use crate::pool::{Job, WorkerPool};
-use crate::split::{HeldPieces, MergeStrategy, Params, Placement, RuntimeInfo, SplitInstance};
+use crate::split::{MergeStrategy, Params, Placement, RuntimeInfo, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
 use crate::value::DataValue;
@@ -125,15 +111,13 @@ pub(crate) fn duration_ns(d: Duration) -> u64 {
 }
 
 /// A result piece (or a merged run of them) with the element range
-/// `(start, end, piece)` that produced it — the shape
-/// [`HeldPieces::new`] takes.
+/// `(start, end, piece)` that produced it.
 type Piece = (u64, u64, DataValue);
 
 /// Immutable description of a stage shared across worker threads.
 ///
 /// All values are addressed by dense plan-time slot indices; see the
 /// module docs.
-#[derive(Default)]
 pub(crate) struct ExecStage {
     nodes: Vec<ExecNode>,
     /// Every node's argument slots, back to back (see [`ExecNode::args`]).
@@ -175,24 +159,6 @@ pub(crate) struct ExecStage {
 }
 
 impl ExecStage {
-    /// A stage over `total_elements` elements in batches of `batch`
-    /// with nothing to split, call or merge yet: the sizing and the
-    /// environment every stage shares.
-    fn sized(total_elements: u64, batch: u64, stage_idx: u64, env: &ExecEnv<'_>) -> ExecStage {
-        let config = env.config;
-        let num_batches = total_elements.div_ceil(batch.max(1)).max(1);
-        ExecStage {
-            total_elements,
-            batch,
-            participants: config.workers.max(1).min(num_batches as usize),
-            stage_idx,
-            faults: config.fault_plan.clone(),
-            cancel: env.cancel.cloned(),
-            trace: env.trace.cloned(),
-            ..ExecStage::default()
-        }
-    }
-
     /// When a traced phase starts on the wall clock; `None` untraced.
     fn span_start(&self) -> Option<u64> {
         self.trace.as_ref().map(|t| t.recorder.now_ns())
@@ -219,18 +185,9 @@ impl ExecStage {
 struct ExecInput {
     slot: u32,
     instance: SplitInstance,
-    data: InputData,
-}
-
-/// The backing storage a split input draws its batch pieces from.
-enum InputData {
-    /// A materialized value; batches are cut by the split type's
-    /// `split` function.
-    Whole(DataValue),
-    /// The held pieces of a deferred output, the one input of the
-    /// identity stage that merges them: each batch is one piece, served
-    /// by [`HeldPieces::slice`].
-    Pieces(Arc<HeldPieces>),
+    /// The whole value; batches are cut by the split type's `split`
+    /// function.
+    data: DataValue,
 }
 
 struct ExecNode {
@@ -262,9 +219,6 @@ enum Sink {
     Place(PlacementMerge),
     /// Merged per worker, then once more on the caller.
     Collect { commutative: bool },
-    /// Kept as pieces: a deferred output, merged when something asks
-    /// for it.
-    Hold,
 }
 
 /// One output's placement merge: the split type's capability object and
@@ -341,24 +295,14 @@ struct Target {
     by_exemplar: bool,
 }
 
-/// An output after its caller-side transition, ready to be stored.
-enum Finished<'a> {
-    /// The merged value, and the placement target it was written into.
-    Whole(DataValue, Option<&'a Target>),
-    /// The ordered piece set of a held output.
-    Held(HeldPieces),
-}
-
 impl MergeOutput {
     /// The planned output `output` of a stage, stored in `slot`, with its
-    /// sink — `None` for the kinds that need none (in place, discarded).
+    /// sink — `None` for the kinds that need none (in place, discarded,
+    /// lineage).
     fn new(slot: u32, output: u32, planned: &StageOutput) -> Option<Self> {
         let instance = planned.instance.clone();
         let sink = match planned.kind {
             OutputKind::InPlace | OutputKind::Discard | OutputKind::Lineage => return None,
-            // Held outputs never take placement — the whole point is
-            // that no merged value is allocated.
-            OutputKind::Deferred => Sink::Hold,
             // The placement capability comes straight from the merge
             // strategy probe (`MergeStrategy::Concat { placement }`).
             // `unknown` outputs (filters, anything whose pieces do not
@@ -442,16 +386,11 @@ impl MergeOutput {
     }
 
     /// At the end of each worker, over its stash (in claim order, which
-    /// is element order): keep one run per batch when held — the
-    /// identity stage that merges the set serves one piece per batch —
-    /// fold everything into one partial when the merge is commutative,
-    /// or merge each contiguous run for the caller to order.
+    /// is element order): fold everything into one partial when the
+    /// merge is commutative, or merge each contiguous run for the
+    /// caller to order.
     fn local(&self, pieces: Vec<Piece>) -> Result<Vec<Piece>> {
-        let fold_all = match self.sink {
-            Sink::Hold => return Ok(pieces),
-            Sink::Collect { commutative } => commutative,
-            Sink::Place(_) => false,
-        };
+        let fold_all = matches!(self.sink, Sink::Collect { commutative: true });
         // Merge a group of pieces covering `covered` elements, skipping
         // the library call for singletons.
         let (splitter, params) = (&self.instance.splitter, &self.instance.params);
@@ -481,8 +420,13 @@ impl MergeOutput {
 
     /// On the caller, with every worker's runs: check a placement
     /// target's coverage, or order the runs by element offset (§5.2
-    /// step 3) and build the held set or merge them once.
-    fn finish(&self, mut runs: Vec<Piece>, exec: &ExecStage) -> Result<Finished<'_>> {
+    /// step 3) and merge them once. Returns the merged value and the
+    /// placement target it was written into.
+    fn finish(
+        &self,
+        mut runs: Vec<Piece>,
+        exec: &ExecStage,
+    ) -> Result<(DataValue, Option<&Target>)> {
         let (split_type, params) = (self.instance.splitter.name(), &self.instance.params);
         let total = exec.total_elements;
         if let Some((pm, target)) = self.target() {
@@ -509,7 +453,7 @@ impl MergeOutput {
             } else {
                 pm.cap.truncate_merged(target.out.clone(), high, params)?
             };
-            return Ok(Finished::Whole(merged, Some(target)));
+            return Ok((merged, Some(target)));
         }
         if runs.is_empty() {
             return Err(Error::Merge {
@@ -522,19 +466,13 @@ impl MergeOutput {
             });
         }
         runs.sort_by_key(|r| r.0);
-        if let Sink::Hold = self.sink {
-            // `HeldPieces::new` validates contiguity, so an interior gap
-            // a concat would have silently closed fails loudly here.
-            let sf = HeldPieces::new(runs, total, self.instance.clone())?;
-            return Ok(Finished::Held(sf));
-        }
         // The stage's element total is the merge-size hint: concat-style
         // mergers preallocate once instead of growing per piece.
         let pieces = runs.into_iter().map(|r| r.2).collect();
         let merged = catch_phase(FaultPhase::Merge, || {
             self.instance.splitter.merge(pieces, params, total)
         })?;
-        Ok(Finished::Whole(merged, None))
+        Ok((merged, None))
     }
 
     /// The split info of this output's merged value: `None` when the
@@ -561,56 +499,47 @@ impl MergeOutput {
         Some((pm, pm.out.get()?.as_ref()?))
     }
 
-    /// Write a finished output to its graph value, with the counters of
-    /// its path.
+    /// Write a merged output, and the placement target it was written
+    /// into, to its graph value, with the counters of its path.
     fn store(
         &self,
-        finished: Finished<'_>,
+        (merged, target): (DataValue, Option<&Target>),
         graph: &mut DataflowGraph,
         env: &ExecEnv<'_>,
         stats: &mut PhaseStats,
     ) {
         let entry = &mut graph.values[self.value.0 as usize];
-        match finished {
-            Finished::Whole(merged, target) => {
-                // Nominal size: `total_elements · elem_size_bytes`.
-                let info = self.info(&merged);
-                let bytes = info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes));
-                stats.bytes_merged += bytes;
-                (entry.data, entry.ready, entry.held) = (Some(merged), true, None);
-                // A placement target remembers its spare slot, so
-                // whoever lets go of the value can park it for the
-                // plan's next evaluation.
-                entry.merge_origin = env.spares.zip(target).map(|((_, site), t)| MergeOrigin {
-                    fingerprint: site.fingerprint,
-                    stage: site.stage,
-                    output: self.output,
-                    by_exemplar: t.by_exemplar,
-                    bytes,
-                });
-                match target {
-                    Some(t) if t.reused => stats.merge_targets_reused += 1,
-                    Some(_) => stats.merge_targets_allocated += 1,
-                    None => {}
-                }
-            }
-            Finished::Held(sf) => hold(graph, self.value, Held::Pieces(Arc::new(sf)), stats),
+        // Nominal size: `total_elements · elem_size_bytes`.
+        let info = self.info(&merged);
+        let bytes = info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes));
+        stats.bytes_merged += bytes;
+        (entry.data, entry.ready, entry.lineage) = (Some(merged), true, false);
+        // A placement target remembers its spare slot, so whoever lets
+        // go of the value can park it for the plan's next evaluation.
+        entry.merge_origin = env.spares.zip(target).map(|((_, site), t)| MergeOrigin {
+            fingerprint: site.fingerprint,
+            stage: site.stage,
+            output: self.output,
+            by_exemplar: t.by_exemplar,
+            bytes,
+        });
+        match target {
+            Some(t) if t.reused => stats.merge_targets_reused += 1,
+            Some(_) => stats.merge_targets_allocated += 1,
+            None => {}
         }
     }
 }
 
-/// Keep value `id` as `held` in place of its data, to be materialized
+/// Keep value `id` as its lineage in place of its data, to be replayed
 /// when something asks for it.
-fn hold(graph: &mut DataflowGraph, id: ValueId, held: Held, stats: &mut PhaseStats) {
-    let lineage = matches!(held, Held::Lineage);
+fn hold(graph: &mut DataflowGraph, id: ValueId, stats: &mut PhaseStats) {
     let entry = &mut graph.values[id.0 as usize];
     (entry.data, entry.ready, entry.merge_origin) = (None, false, None);
-    entry.held = Some(held);
+    entry.lineage = true;
     stats.deferred_outputs += 1;
     graph.deferred.push(id);
-    if lineage {
-        graph.pin_inputs(id);
-    }
+    graph.pin_inputs(id);
 }
 
 /// Run one phase of the batch pipeline with panic isolation: a panic
@@ -682,8 +611,8 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) trace: Option<&'a TraceCtx>,
     /// The attached plan cache and where the stage sits in its plan:
     /// the spare slots its placement outputs take from and are later
-    /// parked in. `None` without a cache, for uncacheable segments and
-    /// for on-demand merges of held pieces — those allocate as ever.
+    /// parked in. `None` without a cache and for uncacheable segments —
+    /// those allocate as ever.
     pub(crate) spares: Option<(&'a PlanCache, PlanSite)>,
 }
 
@@ -703,9 +632,9 @@ pub(crate) fn execute_stage(
         match out.kind {
             OutputKind::InPlace => graph.values[out.value.0 as usize].ready = true,
             OutputKind::Discard => graph.values[out.value.0 as usize].ready = false,
-            OutputKind::Lineage => hold(graph, out.value, Held::Lineage, stats),
+            OutputKind::Lineage => hold(graph, out.value, stats),
             // Stored by `run_exec`.
-            OutputKind::Merge | OutputKind::Deferred => {}
+            OutputKind::Merge => {}
         }
     }
 
@@ -718,40 +647,6 @@ pub(crate) fn execute_stage(
     Ok(())
 }
 
-/// Merge the pieces value `id` is held as into the whole value, if it
-/// is held — the on-demand half of `OutputKind::Deferred`. Returns
-/// whether a merge ran.
-///
-/// Runs as an *identity stage* (module docs): the held pieces are the
-/// one split input, served at their own boundaries so every batch is a
-/// piece clone, and the value is the one merge output.
-pub(crate) fn materialize_held(
-    graph: &mut DataflowGraph,
-    id: ValueId,
-    stats: &mut PhaseStats,
-    env: &ExecEnv<'_>,
-) -> Result<bool> {
-    let Some(Held::Pieces(sf)) = graph.held(id).cloned() else {
-        return Ok(false);
-    };
-    let planned = StageOutput {
-        value: id,
-        instance: sf.instance().clone(),
-        kind: OutputKind::Merge,
-    };
-    let mut exec = ExecStage::sized(sf.total(), sf.piece_len(), stats.stages, env);
-    // `sum_elem_bytes` stays 0: nothing is split, the pieces exist.
-    exec.num_slots = 1;
-    exec.merge_outputs.extend(MergeOutput::new(0, 0, &planned));
-    exec.inputs.push(ExecInput {
-        slot: 0,
-        instance: planned.instance,
-        data: InputData::Pieces(sf),
-    });
-    run_exec(graph, exec, stats, env)?;
-    Ok(true)
-}
-
 /// Recompute value `id` from its lineage, if it is held as lineage —
 /// the on-demand half of `OutputKind::Lineage` (module docs). Returns
 /// whether a replay ran. The slice is every value on the way back to
@@ -760,10 +655,9 @@ pub(crate) fn materialize_held(
 /// lineage only over inputs that outlast its stage, and those stay
 /// pinned while it is held (see `planner::output_kind` and
 /// [`DataflowGraph::pin_inputs`]), so the slice ends at the stage that
-/// made each value it holds. Held pieces on the way are merged. The
-/// value, and every value of the slice a `Future` still observes, is
-/// stored whole; what only the made values pinned is released into
-/// `park`.
+/// made each value it holds. The value, and every value of the slice a
+/// `Future` still observes, is stored whole; what only the made values
+/// pinned is released into `park`.
 ///
 /// A failure leaves the value held as lineage, so the read can be
 /// retried.
@@ -774,7 +668,7 @@ pub(crate) fn replay_lineage(
     env: &ExecEnv<'_>,
     park: &mut impl FnMut(MergeOrigin, DataValue),
 ) -> Result<bool> {
-    if !matches!(graph.held(id), Some(Held::Lineage)) {
+    if !graph.held(id) {
         return Ok(false);
     }
     let mut slice: Vec<NodeId> = Vec::new();
@@ -782,10 +676,6 @@ pub(crate) fn replay_lineage(
     let mut unread = vec![id];
     while let Some(v) = unread.pop() {
         if !seen.insert(v) || graph.value_data(v).is_some() {
-            continue;
-        }
-        if materialize_held(graph, v, stats, env)? {
-            stats.deferred_materialized += 1;
             continue;
         }
         let e = &graph.values[v.0 as usize];
@@ -829,7 +719,7 @@ pub(crate) fn replay_lineage(
         let v = graph.nodes[n.0 as usize].ret.expect("a return value");
         let e = &mut graph.values[v.0 as usize];
         if v == id || e.observable() {
-            (e.data, e.ready, e.held) = (made.remove(&v), true, None);
+            (e.data, e.ready, e.lineage) = (made.remove(&v), true, false);
             graph.unpin_inputs(v, park);
         }
     }
@@ -838,7 +728,7 @@ pub(crate) fn replay_lineage(
 
 /// Run a built stage — driver loop on the participants, then the final
 /// merge on the calling thread — storing every merge output on its
-/// graph value, whole or (for held kinds) as pieces.
+/// graph value.
 fn run_exec(
     graph: &mut DataflowGraph,
     exec: ExecStage,
@@ -887,8 +777,8 @@ fn run_exec(
             .iter_mut()
             .flat_map(|o| std::mem::take(&mut o.partials[i]))
             .collect();
-        let finished = mo.finish(runs, exec)?;
-        mo.store(finished, graph, env, stats);
+        let merged = mo.finish(runs, exec)?;
+        mo.store(merged, graph, env, stats);
     }
     let final_merge = clock.lap();
     // One final-merge span per stage on the calling thread; CPU time
@@ -934,14 +824,16 @@ fn build_exec_stage(
         inputs.push(ExecInput {
             slot: stage.slot_of(*vid),
             instance: instance.clone(),
-            data: InputData::Whole(data),
+            data,
         });
     }
 
     // A stage with no split inputs (e.g. a call whose arguments are all
     // `_`) executes as a single batch of one element.
     let total_elements = total.unwrap_or(1);
-    let batch = env.config.batch_elements(sum_elem_bytes, total_elements);
+    let config = env.config;
+    let batch = config.batch_elements(sum_elem_bytes, total_elements);
+    let num_batches = total_elements.div_ceil(batch.max(1)).max(1);
 
     let mut broadcast = Vec::with_capacity(stage.broadcast.len());
     for vid in &stage.broadcast {
@@ -995,8 +887,14 @@ fn build_exec_stage(
         merge_outputs,
         produced_slots,
         num_slots: stage.num_slots as usize,
+        total_elements,
         sum_elem_bytes,
-        ..ExecStage::sized(total_elements, batch, stage_idx, env)
+        batch,
+        participants: config.workers.max(1).min(num_batches as usize),
+        stage_idx,
+        faults: config.fault_plan.clone(),
+        cancel: env.cancel.cloned(),
+        trace: env.trace.cloned(),
     })
 }
 
@@ -1065,11 +963,7 @@ impl Worker<'_> {
         }
         for (i, input) in exec.inputs.iter().enumerate() {
             let (splitter, params) = (&input.instance.splitter, &input.instance.params);
-            let piece = match &input.data {
-                InputData::Whole(data) => splitter.split(data, range.clone(), params)?,
-                InputData::Pieces(sf) => sf.slice(range.clone())?,
-            };
-            let Some(piece) = piece else {
+            let Some(piece) = splitter.split(&input.data, range.clone(), params)? else {
                 if i > 0 {
                     return Err(Error::Pedantic(format!(
                         "split type {} returned NULL for elements [{}, {}) \

@@ -44,8 +44,7 @@ pub enum FaultPhase {
     Split,
     /// The annotated library function invocation itself.
     Task,
-    /// A merge: local per-worker accumulation, the final merge, or the
-    /// on-demand merge of held pieces.
+    /// A merge: local per-worker accumulation or the final merge.
     Merge,
     /// Outside any attributable phase: the worker driver loop itself
     /// (used when a panic escapes the per-phase wrappers and is caught

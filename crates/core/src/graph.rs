@@ -15,7 +15,7 @@
 //!
 //! A return value also records at capture whether it is
 //! [recomputable](ValueEntry::recomputable): what a live output no read
-//! asked for needs to be kept as lineage instead of pieces (see
+//! asked for needs to be kept as lineage instead of merged (see
 //! "Demand-driven materialization" in [`crate::planner`]). A value held
 //! as lineage *pins* what its replay reads — walking back through the
 //! values its stage dropped, the first ready or held value on each path:
@@ -33,7 +33,6 @@ use std::sync::{Arc, Weak};
 use crate::annotation::Annotation;
 use crate::error::{Error, Result};
 use crate::planner::SlotTable;
-use crate::split::HeldPieces;
 use crate::value::{DataIdentity, DataValue};
 
 /// Index of a value in the graph.
@@ -94,19 +93,6 @@ pub struct MergeOrigin {
     pub bytes: u64,
 }
 
-/// How a value the application holds but did not ask for is kept in
-/// place of its data (see "Demand-driven materialization" in
-/// [`crate::planner`]).
-#[derive(Clone)]
-pub enum Held {
-    /// As the pieces its producing stage made (`OutputKind::Deferred`),
-    /// merged by the first read.
-    Pieces(Arc<HeldPieces>),
-    /// As its lineage (`OutputKind::Lineage`): the graph's nodes and
-    /// inputs, replayed by the first read.
-    Lineage,
-}
-
 /// A value in the dataflow graph.
 pub struct ValueEntry {
     /// Provenance.
@@ -117,13 +103,13 @@ pub struct ValueEntry {
     pub data: Option<DataValue>,
     /// Whether `data` reflects completed computation.
     pub ready: bool,
-    /// How the value is kept when its producing stage neither merged
-    /// nor dropped it — set instead of `data`/`ready` when the
-    /// planner chose `OutputKind::Deferred` or `OutputKind::Lineage`
-    /// (alive but not asked for). Materialized on demand by the first
-    /// read, before the next evaluation of a call that reads it, or
-    /// before a stage that writes storage in place.
-    pub held: Option<Held>,
+    /// Set instead of `data`/`ready` when the producing stage kept the
+    /// value as its lineage (`OutputKind::Lineage`: alive but not asked
+    /// for) — the graph's nodes and inputs, replayed on demand by the
+    /// first read, before the next evaluation of a call that reads it,
+    /// or before a stage that writes storage in place. See
+    /// "Demand-driven materialization" in [`crate::planner`].
+    pub lineage: bool,
     /// Set at capture for a return value that can be recomputed from
     /// the graph alone: its call mutates no argument, and each argument
     /// is a recomputable value or a ready value the graph never lets go
@@ -189,10 +175,10 @@ pub struct DataflowGraph {
     pub(crate) identity_map: WordMap<DataIdentity, ValueId>,
     /// Index of the first node not yet executed.
     pub next_unplanned: usize,
-    /// Values stored as [`Held`] pieces or lineage and not known to be
-    /// materialized since — what a stage that mutates storage in place
-    /// must flush first (pieces may be views of that storage, and a
-    /// lineage replay must read its inputs as they were recorded).
+    /// Values held as [lineage](ValueEntry::lineage) and not known to be
+    /// made since — what a stage that mutates storage in place must
+    /// flush first (a replay must read its inputs as they were
+    /// recorded).
     pub deferred: Vec<ValueId>,
     /// Per value, how many values held as lineage read it (see
     /// [`pin_inputs`](Self::pin_inputs)); absent when none does.
@@ -324,7 +310,7 @@ impl DataflowGraph {
             origin: ValueOrigin::Source,
             data: Some(dv.clone()),
             ready: true,
-            held: None,
+            lineage: false,
             recomputable: false,
             merge_origin: None,
             last_consumer: None,
@@ -358,20 +344,17 @@ impl DataflowGraph {
         }
     }
 
-    /// How a value is held, if its producing stage kept it as pieces or
-    /// lineage and the value has not been materialized since.
-    pub fn held(&self, id: ValueId) -> Option<&Held> {
-        let e = self.values.get(id.0 as usize)?;
-        if e.ready {
-            None
-        } else {
-            e.held.as_ref()
-        }
+    /// Whether its producing stage kept the value as lineage and the
+    /// value has not been made since.
+    pub fn held(&self, id: ValueId) -> bool {
+        self.values
+            .get(id.0 as usize)
+            .is_some_and(|e| e.lineage && !e.ready)
     }
 
     /// A lazy argument's value at registration: its data once produced,
     /// `None` while an evaluation can still produce it (its call is
-    /// pending, or it is held as pieces or lineage), and
+    /// pending, or it is held as lineage), and
     /// [`Error::ValueUnavailable`] once it is gone for good — its
     /// `Future` was dropped and the value released, or an evaluation
     /// discarded it — or was never a value of this graph.
@@ -387,22 +370,21 @@ impl DataflowGraph {
             ValueOrigin::Ret(node) => !self.nodes[node.0 as usize].executed,
             _ => e.data.is_some(),
         };
-        if pending || e.held.is_some() {
+        if pending || e.lineage {
             Ok(None)
         } else {
             Err(Error::ValueUnavailable)
         }
     }
 
-    /// Drop the payload (data, held pieces or lineage) of result value
-    /// `id` unless a pending call still reads it or the replay of a
-    /// value held as lineage does (a pin: the last one to go releases
-    /// it). A released lineage value is gone, as released pieces are,
-    /// and lets go of its own pins. The caller has established that no
-    /// `Future` can observe the value. Only values handed out behind a
-    /// `Future` are released: sources and mut-versions alias
-    /// application storage. Released placement targets go to `park`
-    /// with their origin.
+    /// Drop the payload (data or lineage) of result value `id` unless a
+    /// pending call still reads it or the replay of a value held as
+    /// lineage does (a pin: the last one to go releases it). A released
+    /// lineage value is gone, as released data is, and lets go of its
+    /// own pins. The caller has established that no `Future` can observe
+    /// the value. Only values handed out behind a `Future` are released:
+    /// sources and mut-versions alias application storage. Released
+    /// placement targets go to `park` with their origin.
     pub fn release(&mut self, id: ValueId, mut park: impl FnMut(MergeOrigin, DataValue)) {
         release_value(self, id, &mut park);
     }
@@ -420,7 +402,7 @@ impl DataflowGraph {
             };
             for &a in node_args(&self.node_ids, &self.nodes[n.0 as usize]) {
                 let e = &self.values[a.0 as usize];
-                if e.ready || e.held.is_some() {
+                if e.ready || e.lineage {
                     inputs.push(a);
                 } else if !walked.contains(&a) {
                     walked.push(a);
@@ -488,8 +470,7 @@ impl DataflowGraph {
             }
         }
         let values = &self.values;
-        self.deferred
-            .retain(|id| values[id.0 as usize].held.is_some());
+        self.deferred.retain(|id| values[id.0 as usize].lineage);
     }
 
     /// Every placement target the graph still holds, with its origin —
@@ -655,7 +636,7 @@ fn release_value(
         return;
     }
     let data = e.data.take();
-    let lineage = matches!(e.held.take(), Some(Held::Lineage));
+    let lineage = std::mem::take(&mut e.lineage);
     e.ready = false;
     if let Some((origin, target)) = e.merge_origin.take().zip(data) {
         park(origin, target);

@@ -132,8 +132,7 @@ pub use faultinject::{CancelToken, FaultKind, FaultPhase, FaultPlan, FaultPoint}
 pub use planner::{PlanCache, PlanCacheStats};
 pub use pool::{global_pool, PoolHandle, WorkerPool, OVERFLOW_SESSION};
 pub use split::{
-    Concat, HeldPieces, MergeStrategy, Params, Placement, RuntimeInfo, SizeSplit, SplitInstance,
-    Splitter,
+    Concat, MergeStrategy, Params, Placement, RuntimeInfo, SizeSplit, SplitInstance, Splitter,
 };
 pub use stats::{PhaseStats, PoolStats, SessionPoolStats};
 pub use trace::{
@@ -155,8 +154,7 @@ pub mod prelude {
     pub use crate::pool::{global_pool, PoolHandle};
     pub use crate::registry::{register_annotation, register_default_splitter};
     pub use crate::split::{
-        Concat, HeldPieces, MergeStrategy, Params, Placement, RuntimeInfo, SizeSplit,
-        SplitInstance, Splitter,
+        Concat, MergeStrategy, Params, Placement, RuntimeInfo, SizeSplit, SplitInstance, Splitter,
     };
     pub use crate::stats::{PhaseStats, PoolStats, SessionPoolStats};
     pub use crate::trace::{SpanKind, SpanRecord, SpanTree, TraceId, TraceRecorder};

@@ -15,9 +15,9 @@
 //! stage is planned, the value is materialized.
 //!
 //! Every value crossing a stage boundary is whole: the planner never
-//! sees pieces. Values an earlier evaluation left held as pieces or
-//! lineage (`Deferred` and `Lineage` outputs) are materialized before
-//! planning starts when a pending call reads them.
+//! sees pieces. Values an earlier evaluation left held as lineage
+//! (`Lineage` outputs) are replayed before planning starts when a
+//! pending call reads them.
 //!
 //! # Demand-driven materialization
 //!
@@ -39,7 +39,7 @@
 //! | consumed by a pending node outside the stage | `Merge` |
 //! | demanded by the read that triggered the evaluation | `Merge` |
 //! | only alive (a `Future` exists, nobody asked), and replayable | `Lineage` |
-//! | only alive, and not replayable | `Deferred` |
+//! | only alive, and not replayable | `Merge` |
 //! | dead | `Discard` |
 //!
 //! A `Lineage` output costs what a dead one costs: its pieces are
@@ -50,20 +50,19 @@
 //! lineage in turn, each once, in registration order, as un-annotated
 //! library calls over whole arguments (the paper's soundness
 //! contract). Concatenation makes that bit-equal to the merged pieces;
-//! a reduction's partial sums would group differently, so it stays
-//! `Deferred`. What a replay reads is pinned while the value is held
+//! a reduction's partial sums would group differently, so it is merged
+//! in its stage. What a replay reads is pinned while the value is held
 //! ([`DataflowGraph::pin_inputs`](crate::graph::DataflowGraph)), so a
 //! replay never reaches past the stage that made the value and the
 //! held values it reads. It costs the calls on one core where the
 //! pieces cost a parallel write and a concat: reading every held value
 //! costs about what merging them did, reading one deep in a chain of
-//! held values costs more.
-//! A `Deferred` output — over storage that can change, such as a
-//! `SharedVec`, or a reduction — costs no placement allocation, no
-//! worker-local pre-merge and no final concat: its range-tagged pieces
-//! are stored on the value and merged then. Either is materialized by
-//! the first read of its `Future`, before the next evaluation of a call
-//! that reads it, or before a stage that writes storage in place.
+//! held values costs more. A lineage value is made by the first read of
+//! its `Future`, before the next evaluation of a call that reads it, or
+//! before a stage that writes storage in place.
+//! A live output that is not replayable — over storage that can
+//! change, such as a `SharedVec`, or a reduction — is merged in its
+//! stage as a demanded one is: a later read finds it whole.
 //! `MozartContext::evaluate` demands every live handle
 //! ([`Demand::AllLive`]) — the pre-demand behaviour.
 //!
@@ -114,14 +113,10 @@ pub enum OutputKind {
     /// The output is not observable (dead intermediate); drop the pieces.
     Discard,
     /// A `Future` for the output is alive but the read that triggered
-    /// the evaluation did not ask for it, and no later node consumes
-    /// it: keep the pieces on the value and merge them when (if) the
-    /// `Future` is read. See "Demand-driven materialization" in the
-    /// module docs.
-    Deferred,
-    /// As `Deferred`, for a replayable value (module docs): drop the
-    /// pieces as `Discard` does and recompute the value when (if) the
-    /// `Future` is read.
+    /// the evaluation did not ask for it, no later node consumes it, and
+    /// it is replayable (see "Demand-driven materialization" in the
+    /// module docs): drop the pieces as `Discard` does and recompute the
+    /// value when (if) the `Future` is read.
     Lineage,
 }
 
@@ -655,7 +650,7 @@ fn output_kind(
     };
     match (live, replayable) {
         (true, true) => OutputKind::Lineage,
-        (true, false) => OutputKind::Deferred,
+        (true, false) => OutputKind::Merge,
         (false, true) => {
             dropped.push(value);
             OutputKind::Discard

@@ -511,150 +511,6 @@ impl std::fmt::Debug for SplitInstance {
     }
 }
 
-/// The held piece set of a deferred output (`OutputKind::Deferred`): a
-/// `Future` for the value is alive but the read that triggered the
-/// evaluation did not ask for it, so the ordered pieces the producing
-/// stage's workers left behind wait on the value, each with the element
-/// range it covers, instead of the merged whole. The first later read
-/// of the `Future`, or the next evaluation of a call that reads the
-/// value, merges them. This works for every split type, `unknown`
-/// (compacting) pieces included.
-///
-/// Invariants, validated by [`HeldPieces::new`]: at least one piece,
-/// pieces sorted by start and contiguous from element 0, and the
-/// covered range ends at or before `total` (a shorter covered range is
-/// the paper's `NULL` under-fill, preserved faithfully). Ranges are the
-/// *batch* ranges that produced the pieces; an `unknown` piece may hold
-/// fewer elements than its range.
-pub struct HeldPieces {
-    /// `(start, end, piece)` in element order, contiguous from 0.
-    pieces: Vec<(u64, u64, DataValue)>,
-    /// Declared element total of the value (`>= covered()`).
-    total: u64,
-    /// The split type the pieces were produced under, which merges them.
-    instance: SplitInstance,
-}
-
-impl HeldPieces {
-    /// Build a held piece set from an ordered piece list, validating
-    /// the contiguity invariants.
-    pub fn new(
-        pieces: Vec<(u64, u64, DataValue)>,
-        total: u64,
-        instance: SplitInstance,
-    ) -> Result<HeldPieces> {
-        let split_type = instance.splitter.name();
-        if pieces.is_empty() {
-            return Err(Error::Merge {
-                split_type,
-                message: "held value has no pieces".into(),
-            });
-        }
-        let mut cursor = 0u64;
-        for (start, end, _) in &pieces {
-            if *start != cursor || *end < *start {
-                return Err(Error::Merge {
-                    split_type,
-                    message: format!(
-                        "held pieces have an interior gap or overlap at element {cursor} \
-                         (piece covers {start}..{end})"
-                    ),
-                });
-            }
-            cursor = *end;
-        }
-        if cursor > total {
-            return Err(Error::Merge {
-                split_type,
-                message: format!("held pieces cover {cursor} elements, more than total {total}"),
-            });
-        }
-        Ok(HeldPieces {
-            pieces,
-            total,
-            instance,
-        })
-    }
-
-    /// Declared element total of the whole value.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Elements actually covered by pieces (`<= total`; less only when
-    /// the producing split under-filled with a `NULL` return).
-    pub fn covered(&self) -> u64 {
-        self.pieces.last().map(|&(_, end, _)| end).unwrap_or(0)
-    }
-
-    /// The split type the pieces are held under.
-    pub fn instance(&self) -> &SplitInstance {
-        &self.instance
-    }
-
-    /// Element length of the leading piece: the producing stage's batch
-    /// size, which every piece but the last shares. Ranges of this
-    /// length from element 0 on are what [`HeldPieces::slice`] serves.
-    pub fn piece_len(&self) -> u64 {
-        self.pieces
-            .first()
-            .map_or(1, |&(start, end, _)| end - start)
-    }
-
-    /// Serve the element range `[range.start, range.end)` from the
-    /// piece set: the piece that starts at `range.start` and ends at
-    /// `range.end` (or at the covered end, whichever comes first).
-    ///
-    /// Returns `Ok(None)` past the covered range (the `NULL` driver
-    /// stop), and an error for a range that is not one piece — the
-    /// identity stage that merges the set asks only for its pieces.
-    pub fn slice(&self, range: Range<u64>) -> Result<Option<DataValue>> {
-        let covered = self.covered();
-        if range.start >= covered || range.end <= range.start {
-            return Ok(None);
-        }
-        let end = range.end.min(covered);
-        let i = self
-            .pieces
-            .partition_point(|&(start, _, _)| start < range.start);
-        match self.pieces.get(i) {
-            Some((start, piece_end, piece)) if *start == range.start && *piece_end == end => {
-                Ok(Some(piece.clone()))
-            }
-            _ => Err(Error::Split {
-                split_type: self.instance.splitter.name(),
-                message: format!(
-                    "held pieces serve only their own ranges, not {}..{end}",
-                    range.start
-                ),
-            }),
-        }
-    }
-
-    /// Merge the pieces into the whole value through one serial call
-    /// of the split type's classic [`Splitter::merge`] — the reference
-    /// the executor's on-demand materialization must agree with.
-    pub fn materialize(&self) -> Result<DataValue> {
-        let pieces: Vec<DataValue> = self.pieces.iter().map(|(_, _, v)| v.clone()).collect();
-        self.instance
-            .splitter
-            .merge(pieces, &self.instance.params, self.covered())
-    }
-}
-
-impl std::fmt::Debug for HeldPieces {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "HeldPieces {{ {:?}, pieces: {}, covered: {}/{} }}",
-            self.instance,
-            self.pieces.len(),
-            self.covered(),
-            self.total
-        )
-    }
-}
-
 /// The paper's `SizeSplit` (§2.1, Listing 2): splits an integer length
 /// argument so that each piece carries the length of the corresponding
 /// array piece. Parameter: the total size.

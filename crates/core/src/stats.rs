@@ -56,9 +56,8 @@ pub struct PhaseStats {
     /// reported by the split info API. The cost signal serving layers
     /// meter per-session byte budgets against.
     pub bytes_split: u64,
-    /// Nominal bytes materialized by merge outputs (placement,
-    /// collected, and on-demand merges of held pieces), via the split
-    /// info API on the merged value.
+    /// Nominal bytes materialized by merge outputs (placement and
+    /// collected), via the split info API on the merged value.
     pub bytes_merged: u64,
     /// Retired: always 0. Stage outputs are never handed to the next
     /// stage as pieces; every value crossing a stage boundary is merged.
@@ -66,14 +65,14 @@ pub struct PhaseStats {
     /// by position.
     pub split_form_handoffs: u64,
     /// Outputs whose `Future` was alive but which the triggering read did
-    /// not ask for, left as held pieces or as lineage instead of merged
-    /// (`OutputKind::Deferred` and `OutputKind::Lineage`; see
-    /// "Demand-driven materialization" in [`crate::planner`]).
+    /// not ask for, held as lineage instead of merged
+    /// (`OutputKind::Lineage`; see "Demand-driven materialization" in
+    /// [`crate::planner`]).
     pub deferred_outputs: u64,
     /// Held values made whole because something did ask — a later read
     /// of their `Future`, a pending call that reads them, an explicit
     /// `evaluate()`, or the flush before a stage that mutates storage in
-    /// place: piece sets merged, and lineage replayed.
+    /// place: their lineage replayed.
     pub deferred_materialized: u64,
     /// Values recomputed by lineage replays: each call of a replayed
     /// slice that ran again, whole (`OutputKind::Lineage`; see

@@ -36,15 +36,14 @@
 //!   earlier in-stage product) and never a stale pre-mutation version;
 //!   no value is bound both `mut` and shared; `Discard` outputs are
 //!   truly dead (no pending consumer, no live user future); a
-//!   user-visible value is `Merge`, `Deferred` or `Lineage`, a held one
-//!   (`Deferred` or `Lineage`) only when the triggering read did not
-//!   demand it and no pending node consumes it, and `Lineage` only for
-//!   a value recomputable from the graph and merged by concatenation; `InPlace` outputs are genuine
-//!   mut-versions;
-//!   split inputs agree on one element total and the batch size
-//!   partitions `[0, total)` exactly (which makes the placement write
-//!   offsets a partition too); and no split input is a value still held
-//!   as pieces (held pieces are only ever merged).
+//!   user-visible value is `Merge` or `Lineage`, and `Lineage` only when
+//!   the triggering read did not demand it, no pending node consumes it,
+//!   and it is recomputable from the graph and merged by concatenation;
+//!   `InPlace` outputs are genuine mut-versions; split inputs agree on
+//!   one element total and the batch size partitions `[0, total)`
+//!   exactly (which makes the placement write offsets a partition too);
+//!   and no split input is a value still held as lineage (held values
+//!   are replayed before any stage reads them).
 //!
 //! Both layers always run; there is no switch. Layer 2 costs a few
 //! array reads per stage value — its tables are indexed by slot and by
@@ -227,16 +226,16 @@ pub enum VerifyError {
         /// (`None` when the leak is a live user future).
         consumer: Option<u32>,
     },
-    /// An output marked `Deferred` or `Lineage` is demanded by the read
-    /// that triggered the evaluation: the reader would be handed pieces
-    /// or lineage where it was promised the whole value.
+    /// An output marked `Lineage` is demanded by the read that
+    /// triggered the evaluation: the reader would be handed lineage
+    /// where it was promised the whole value.
     DeferredDemanded {
         /// The demanded value left held.
         value: u32,
     },
-    /// An output marked `Deferred` or `Lineage` is still consumed by a
-    /// pending node outside the stage. A held value waits for a *read*;
-    /// a consumer needs the value whole.
+    /// An output marked `Lineage` is still consumed by a pending node
+    /// outside the stage. A held value waits for a *read*; a consumer
+    /// needs the value whole.
     DeferredConsumed {
         /// The wrongly deferred value.
         value: u32,
@@ -313,9 +312,9 @@ pub enum VerifyError {
         /// The terminal split type's name.
         split_type: String,
     },
-    /// A split input is a value still held as pieces (a deferred
-    /// output nobody merged): the executor splits whole values only, and
-    /// held pieces are merged before any stage reads them.
+    /// A split input is a value still held as lineage (an output nobody
+    /// replayed): the executor splits whole values only, and held values
+    /// are replayed before any stage reads them.
     HeldInput {
         /// The held input value.
         value: u32,
@@ -445,12 +444,12 @@ impl std::fmt::Display for VerifyError {
             },
             VerifyError::DeferredDemanded { value } => write!(
                 f,
-                "output v{value} is held (Deferred or Lineage) but the read that \
+                "output v{value} is held as lineage but the read that \
                  triggered this evaluation demands it"
             ),
             VerifyError::DeferredConsumed { value, consumer } => write!(
                 f,
-                "output v{value} is held (Deferred or Lineage) but pending node \
+                "output v{value} is held as lineage but pending node \
                  n{consumer} outside the stage still consumes it"
             ),
             VerifyError::LineageNotRecomputable { value } => write!(
@@ -500,8 +499,8 @@ impl std::fmt::Display for VerifyError {
             ),
             VerifyError::HeldInput { value } => write!(
                 f,
-                "split input v{value} is still held as pieces; held values must be \
-                 merged before a stage reads them"
+                "split input v{value} is still held as lineage; held values must be \
+                 replayed before a stage reads them"
             ),
         }
     }
@@ -728,19 +727,14 @@ pub fn verify_stage(
     }
 
     // --- Pending readers ----------------------------------------------
-    // A `Discard`, `Deferred` or `Lineage` output must have no pending
+    // A `Discard` or `Lineage` output must have no pending
     // reader outside the stage among the nodes up to its last consumer.
     // One pass over those nodes records each stage value's first such
     // reader.
     let readers_end = plan
         .outputs
         .iter()
-        .filter(|o| {
-            matches!(
-                o.kind,
-                OutputKind::Discard | OutputKind::Deferred | OutputKind::Lineage
-            )
-        })
+        .filter(|o| matches!(o.kind, OutputKind::Discard | OutputKind::Lineage))
         .filter_map(|o| graph.values.get(o.value.0 as usize)?.last_consumer)
         .map(|c| c.0 as usize + 1)
         .max()
@@ -795,9 +789,9 @@ pub fn verify_stage(
                     });
                 }
             }
-            OutputKind::Deferred | OutputKind::Lineage => {
+            OutputKind::Lineage => {
                 let concat = matches!(out.instance.merge_strategy(), MergeStrategy::Concat { .. });
-                if out.kind == OutputKind::Lineage && !(entry.recomputable && concat) {
+                if !(entry.recomputable && concat) {
                     return Err(VerifyError::LineageNotRecomputable { value: out.value.0 });
                 }
                 if let Some(c) = pending_consumer {
@@ -841,7 +835,7 @@ pub fn verify_stage(
                 split_type: instance.splitter.name().to_string(),
             });
         }
-        if graph.held(*vid).is_some() {
+        if graph.held(*vid) {
             return Err(VerifyError::HeldInput { value: vid.0 });
         }
         // Verification must work on *pending* plans: fall back to

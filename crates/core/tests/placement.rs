@@ -3,7 +3,7 @@
 //! under-fill without corrupting neighbors, and placement outputs must
 //! coexist with mut-alias outputs in one stage. The last test profiles
 //! every output path of the executor — placement, collect, commutative
-//! fold, deferred hold — by its spans and counters.
+//! fold, a live output nobody read — by its spans and counters.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -235,10 +235,10 @@ fn clipped_final_piece_truncates_to_actual_elements() {
 #[test]
 fn deferred_null_split_tail_underfills_like_the_eager_merge() {
     // Two handles on the same under-filled (NULL-tailed, clipped)
-    // output shape; only the second is read first, so the other stays
-    // pieces covering [0, 37) of a claimed 74 and is merged on demand —
-    // by placement writes or the classic concat — to exactly what an
-    // `evaluate()`-first run reads.
+    // output shape; only the second is read first, so the other, alive
+    // but not asked for, is merged in the same stage from pieces
+    // covering [0, 37) of a claimed 74 — by placement writes or the
+    // classic concat — to exactly what an `evaluate()`-first run reads.
     let n = 37u64;
     let expect: Vec<f64> = (0..n).map(|i| i as f64 * 2.0).collect();
     for placement in [true, false] {
@@ -272,10 +272,9 @@ fn deferred_null_split_tail_underfills_like_the_eager_merge() {
                 );
             }
             let stats = c.stats();
-            let deferred = if eager { (0, 0) } else { (1, 1) };
             assert_eq!(
                 (stats.deferred_outputs, stats.deferred_materialized),
-                deferred,
+                (0, 0),
                 "{stats:?}"
             );
             assert_eq!(stats.placement_writes > 0, placement, "{stats:?}");
@@ -582,7 +581,7 @@ fn a_long_lived_context_reuses_its_own_released_targets() {
 // ---------------------------------------------------------------------
 
 /// Elements of an array piece: a view of a split input or a fresh
-/// per-batch array (what held pieces are).
+/// per-batch array.
 fn elems(v: &DataValue) -> Vec<f64> {
     if let Some(view) = v.downcast_ref::<mozart_core::SliceView>() {
         // SAFETY: the piece is only read, by the batch it belongs to.
@@ -758,7 +757,7 @@ fn every_output_path_records_its_spans_and_counters() {
             Profile { ..collected },
         ),
         (
-            "deferred, then merged on demand",
+            "alive but not read, merged in its stage",
             |c| {
                 let doubled = call1(c, &vmul(), times(vec_value(N), 2.0));
                 let tripled = call1(c, &vmul(), times(vec_value(N), 3.0));
@@ -768,10 +767,8 @@ fn every_output_path_records_its_spans_and_counters() {
             },
             [scaled(3.0), scaled(2.0)].concat(),
             Profile {
-                batches: 16,
                 placement_writes: 16,
                 bytes_merged: 16 * N as u64,
-                deferred: (1, 1),
                 targets: (0, 2),
                 ..placed
             },
@@ -791,9 +788,7 @@ fn every_output_path_records_its_spans_and_counters() {
 
             let spans = recorder.spans(c.trace_id().expect("a traced context"));
             let count = |kind| spans.iter().filter(|r| r.kind == kind).count() as u64;
-            // Stages run by the executor: planned ones plus the identity
-            // stage of every on-demand merge.
-            let runs = s.stages + s.deferred_materialized;
+            let runs = s.stages;
             assert_eq!(count(SpanKind::Split), s.batches, "{what}");
             assert_eq!(count(SpanKind::Task), s.batches, "{what}");
             assert_eq!(

@@ -1,7 +1,8 @@
 //! Property tests for the Layer-2 plan verifier: start from a valid
 //! graph + stage plan, apply one randomly-parameterized corruption
-//! (drop a slot, alias two slots, discard a live output, defer a
-//! demanded or consumed output, bind a held value as a split input,
+//! (drop a slot, alias two slots, discard a live output, hold a
+//! demanded or consumed output as lineage, bind a held value as a split
+//! input,
 //! ...), and assert `verify_stage` rejects it with the matching typed
 //! [`VerifyError`] — never a panic, never a silent acceptance.
 //!
@@ -21,12 +22,10 @@ use mozart_core::array_split::ArraySplit;
 use mozart_core::buffer::{SharedVec, VecValue};
 use mozart_core::config::Config;
 use mozart_core::error::{Error, Result};
-use mozart_core::graph::{
-    DataflowGraph, FutureToken, Held, NodeId, ValueEntry, ValueId, ValueOrigin,
-};
+use mozart_core::graph::{DataflowGraph, FutureToken, NodeId, ValueEntry, ValueId, ValueOrigin};
 use mozart_core::planner::{Demand, OutputKind, SlotTable, StageOutput, StagePlan};
-use mozart_core::split::{HeldPieces, MergeStrategy, Params, RuntimeInfo, SplitInstance, Splitter};
-use mozart_core::value::{DataValue, FloatValue, IntValue};
+use mozart_core::split::{MergeStrategy, Params, RuntimeInfo, SplitInstance, Splitter};
+use mozart_core::value::{DataValue, IntValue};
 use mozart_core::verify::{verify_stage, VerifyError};
 
 /// Element count of the scenario's vector values.
@@ -128,7 +127,7 @@ fn source(data: DataValue) -> ValueEntry {
         origin: ValueOrigin::Source,
         data: Some(data),
         ready: true,
-        held: None,
+        lineage: false,
         recomputable: false,
         merge_origin: None,
         last_consumer: None,
@@ -176,7 +175,7 @@ fn scenario_with_n1_reading(n1_arg: ValueId) -> Scenario {
         },
         data: Some(vec_value(N)),
         ready: false,
-        held: None,
+        lineage: false,
         recomputable: false,
         merge_origin: None,
         last_consumer: None,
@@ -195,7 +194,7 @@ fn scenario_with_n1_reading(n1_arg: ValueId) -> Scenario {
         origin: ValueOrigin::Ret(NodeId(1)),
         data: None,
         ready: false,
-        held: None,
+        lineage: false,
         recomputable: false,
         merge_origin: None,
         last_consumer: None,
@@ -256,11 +255,10 @@ enum Mutation {
     DiscardConsumedOutput,
     /// Discard v2 while the application holds a live future for it.
     DiscardUserVisibleOutput,
-    /// Defer v3 while pending n2 still consumes it.
-    DeferConsumedOutput,
-    /// Defer v3 — no longer consumed, but observed through a live
-    /// future — although the triggering read demands it.
-    DeferDemandedOutput,
+    /// Keep recomputable v3 — no longer consumed, but observed through
+    /// a live future — as lineage although the triggering read demands
+    /// it.
+    LineageDemandedOutput,
     /// Keep recomputable v3 as lineage while pending n2 still consumes
     /// it.
     LineageConsumedOutput,
@@ -283,9 +281,9 @@ enum Mutation {
     InfoUnavailable,
     /// Add a second split input of `len != N` elements.
     ElementMismatch { len: u64 },
-    /// Hold the split input v0 as `pieces` pieces instead of whole, as a
-    /// deferred output nobody merged.
-    HeldInput { pieces: u64 },
+    /// Hold the split input v0 as lineage instead of whole, as an output
+    /// nobody replayed.
+    HeldInput,
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
@@ -297,8 +295,7 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         (0u32..8).prop_map(Mutation::BogusNode),
         Just(Mutation::DiscardConsumedOutput),
         Just(Mutation::DiscardUserVisibleOutput),
-        Just(Mutation::DeferConsumedOutput),
-        Just(Mutation::DeferDemandedOutput),
+        Just(Mutation::LineageDemandedOutput),
         Just(Mutation::LineageConsumedOutput),
         Just(Mutation::LineageNotRecomputable),
         Just(Mutation::InPlaceOnReturn),
@@ -311,17 +308,18 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         (1u64..2 * N).prop_map(|len| Mutation::ElementMismatch {
             len: if len == N { N + N } else { len },
         }),
-        (1u64..N + 1).prop_map(|pieces| Mutation::HeldInput { pieces }),
+        Just(Mutation::HeldInput),
     ]
 }
 
-/// Make v3 live-only — its consumer n2 has run, the application holds
-/// a future for it — and plan it `Deferred`: sound exactly when the
-/// triggering read does not demand it.
-fn defer_observed_v3(s: &mut Scenario) {
+/// Make v3 recomputable and live-only — its consumer n2 has run, the
+/// application holds a future for it — and plan it `Lineage`: sound
+/// exactly when the triggering read does not demand it.
+fn hold_observed_v3(s: &mut Scenario) {
     s.graph.nodes[2].executed = true;
     s.graph.values[3].user_token = Some(Arc::downgrade(&s._token));
-    s.plan.outputs[1].kind = OutputKind::Deferred;
+    s.graph.values[3].recomputable = true;
+    s.plan.outputs[1].kind = OutputKind::Lineage;
 }
 
 fn apply(s: &mut Scenario, m: &Mutation) {
@@ -353,17 +351,14 @@ fn apply(s: &mut Scenario, m: &Mutation) {
         Mutation::DiscardUserVisibleOutput => {
             s.plan.outputs[0].kind = OutputKind::Discard;
         }
-        Mutation::DeferConsumedOutput => {
-            s.plan.outputs[1].kind = OutputKind::Deferred;
-        }
-        Mutation::DeferDemandedOutput => defer_observed_v3(s),
+        Mutation::LineageDemandedOutput => hold_observed_v3(s),
         Mutation::LineageConsumedOutput => {
             s.graph.values[3].recomputable = true;
             s.plan.outputs[1].kind = OutputKind::Lineage;
         }
         Mutation::LineageNotRecomputable => {
-            defer_observed_v3(s);
-            s.plan.outputs[1].kind = OutputKind::Lineage;
+            hold_observed_v3(s);
+            s.graph.values[3].recomputable = false;
         }
         Mutation::InPlaceOnReturn => {
             s.plan.outputs[1].kind = OutputKind::InPlace;
@@ -396,17 +391,11 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             s.plan.slots = SlotTable::from_slots(&valid_slots(5));
             s.plan.num_slots = 5;
         }
-        Mutation::HeldInput { pieces } => {
-            // Contiguous pieces of `len` elements covering all N, under
-            // the very split type the plan binds: only holding is wrong.
-            let len = N.div_ceil(*pieces);
-            let piece = DataValue::new(FloatValue(0.0));
-            let ranges = (0..N).step_by(len as usize);
-            let pieces = ranges.map(|s| (s, N.min(s + len), piece.clone())).collect();
-            let held = HeldPieces::new(pieces, N, arr(N)).expect("contiguous pieces");
+        Mutation::HeldInput => {
+            // Under the very split type the plan binds: only holding is
+            // wrong.
             let entry = &mut s.graph.values[0];
-            (entry.data, entry.ready, entry.held) =
-                (None, false, Some(Held::Pieces(Arc::new(held))));
+            (entry.data, entry.ready, entry.lineage) = (None, false, true);
         }
     }
 }
@@ -439,14 +428,7 @@ fn expected(err: &VerifyError, m: &Mutation) -> bool {
                 consumer: None,
             }
         ),
-        Mutation::DeferConsumedOutput => matches!(
-            err,
-            VerifyError::DeferredConsumed {
-                value: 3,
-                consumer: 2,
-            }
-        ),
-        Mutation::DeferDemandedOutput => {
+        Mutation::LineageDemandedOutput => {
             matches!(err, VerifyError::DeferredDemanded { value: 3 })
         }
         Mutation::LineageConsumedOutput => matches!(
@@ -489,7 +471,7 @@ fn expected(err: &VerifyError, m: &Mutation) -> bool {
             err,
             VerifyError::ElementMismatch { value: 4, expected: N, actual } if actual == len
         ),
-        Mutation::HeldInput { .. } => matches!(err, VerifyError::HeldInput { value: 0 }),
+        Mutation::HeldInput => matches!(err, VerifyError::HeldInput { value: 0 }),
     }
 }
 
@@ -501,14 +483,16 @@ fn valid_plan_verifies() {
         .expect("the unmutated scenario must verify");
 }
 
+/// An output left unmaterialized (held as lineage) is sound exactly
+/// when the triggering read does not demand it.
 #[test]
 fn deferred_output_verifies_unless_demanded() {
     let mut s = scenario();
     let cfg = Config::with_workers(2);
-    defer_observed_v3(&mut s);
+    hold_observed_v3(&mut s);
     for demand in [Demand::Nothing, Demand::Value(ValueId(2))] {
         verify_stage(&s.graph, &s.plan, &cfg, demand)
-            .expect("a live value nobody asked for may stay pieces");
+            .expect("a recomputable live value nobody asked for may stay lineage");
     }
     for demand in [Demand::AllLive, Demand::Value(ValueId(3))] {
         assert_eq!(
@@ -518,16 +502,14 @@ fn deferred_output_verifies_unless_demanded() {
     }
 }
 
-/// The lineage twin of the test above: a recomputable live value nobody
-/// asked for may be kept as lineage, and a demanded or still-consumed
-/// one may not.
+/// The lineage counterpart of the test above: a recomputable live value
+/// nobody asked for may be kept as lineage, and a demanded or
+/// still-consumed one may not.
 #[test]
 fn lineage_output_verifies_unless_demanded_or_consumed() {
     let mut s = scenario();
     let cfg = Config::with_workers(2);
-    defer_observed_v3(&mut s);
-    s.graph.values[3].recomputable = true;
-    s.plan.outputs[1].kind = OutputKind::Lineage;
+    hold_observed_v3(&mut s);
     verify_stage(&s.graph, &s.plan, &cfg, Demand::Nothing)
         .expect("a recomputable live value nobody asked for may stay lineage");
     assert_eq!(

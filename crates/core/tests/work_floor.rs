@@ -15,8 +15,9 @@
 //! * a panic is typed and poisons the context; an expired deadline is
 //!   `Cancelled`; a traced call records one task span;
 //! * what must stay captured stays captured: storage another context
-//!   will write, an in-place call over a held deferred view, and calls
-//!   under `batch_override` or a `fault_plan`;
+//!   will write, an in-place call while the context holds lineage that
+//!   reads the storage it writes, and calls under `batch_override` or a
+//!   `fault_plan`;
 //! * an annotation whose split type names an argument beyond its arity
 //!   is refused at registration on both paths;
 //! * a lazy copy of a released value is refused with `ValueUnavailable`
@@ -364,66 +365,110 @@ fn storage_another_context_will_write_stays_captured() {
     assert_captured(&reader.stats());
 }
 
-/// Split type of [`view_of`]'s result: the pieces are views of the
-/// argument's buffer, and merging them copies the viewed elements out.
-struct ViewCopySplit;
+/// A library type that keeps `DataObject`'s defaults — no declared
+/// storage, no protection — over a `SharedVec` an in-place call writes:
+/// a live output over it that nobody read is held as lineage.
+#[derive(Clone)]
+struct Cells(SharedVec<f64>);
 
-impl Splitter for ViewCopySplit {
+impl mozart_core::value::DataObject for Cells {
+    fn type_name(&self) -> &'static str {
+        "WfCells"
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+fn cells(v: &DataValue) -> Result<Vec<f64>> {
+    let c = v
+        .downcast_ref::<Cells>()
+        .ok_or_else(|| Error::Library(format!("expected cells, got {}", v.type_name())))?;
+    Ok(c.0.as_slice().to_vec())
+}
+
+/// Pieces are copies of their range; merging concatenates them.
+struct CellSplit;
+
+impl Splitter for CellSplit {
     fn name(&self) -> &'static str {
-        "WfViewCopySplit"
+        "WfCellSplit"
     }
     fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
-        ArraySplit.construct(ctor_args)
+        Ok(vec![cells(ctor_args[0])?.len() as i64])
     }
-    fn info(&self, arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
-        ArraySplit.info(arg, params)
+    fn info(&self, _arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
+        Ok(RuntimeInfo {
+            total_elements: params[0] as u64,
+            elem_size_bytes: 8,
+        })
     }
     fn split(
         &self,
-        _arg: &DataValue,
-        _r: std::ops::Range<u64>,
-        _p: &Params,
+        arg: &DataValue,
+        r: std::ops::Range<u64>,
+        params: &Params,
     ) -> Result<Option<DataValue>> {
-        Err(Error::Library("WfViewCopySplit is merge-only".into()))
+        let total = params[0] as u64;
+        if r.start >= total {
+            return Ok(None);
+        }
+        let piece = cells(arg)?[r.start as usize..r.end.min(total) as usize].to_vec();
+        Ok(Some(DataValue::new(Cells(SharedVec::from_vec(piece)))))
+    }
+    fn merge_strategy(&self) -> MergeStrategy {
+        MergeStrategy::Concat { placement: None }
     }
     fn merge(&self, pieces: Vec<DataValue>, _p: &Params, _total: u64) -> Result<DataValue> {
         let mut out = Vec::new();
         for p in &pieces {
-            out.extend(piece_elems(p)?);
+            out.extend(cells(p)?);
         }
-        Ok(DataValue::new(VecValue(SharedVec::from_vec(out))))
+        Ok(DataValue::new(Cells(SharedVec::from_vec(out))))
     }
+}
+
+/// `c + k` over cells.
+fn cells_offset() -> Arc<Annotation> {
+    static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
+        Annotation::new("wf_cells_offset", |inv| {
+            let k = inv.float(1)?;
+            let out = cells(&inv.args[0])?.iter().map(|x| x + k).collect();
+            Ok(Some(DataValue::new(Cells(SharedVec::from_vec(out)))))
+        })
+        .arg("c", concrete(Arc::new(CellSplit), vec![0]))
+        .arg("k", missing())
+        .ret(concrete(Arc::new(CellSplit), vec![0]))
+        .build()
+    });
+    A.clone()
 }
 
 #[test]
 fn an_in_place_call_over_a_held_view_stays_captured() {
-    // Returns its argument's piece itself: a zero-copy view.
-    let view_of = Annotation::new("wf_view_of", |inv| Ok(Some(inv.args[0].clone())))
-        .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
-        .ret(concrete(Arc::new(ViewCopySplit), vec![0]))
-        .build();
     let n = 40;
     let original: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
     let buf = SharedVec::from_vec(original.clone());
     let xs = DataValue::new(VecValue(buf.clone()));
+    let over_buf = DataValue::new(Cells(buf.clone()));
 
-    // Captured, and only `other` read: `view` stays held as pieces
-    // aliasing `buf`.
+    // Captured, and only `other` read: `held` is kept as its lineage,
+    // which reads `buf`.
     let ctx = MozartContext::new(captured());
-    let view = ctx
-        .call(&view_of, &[Arg::Value(&xs.clone())])
-        .unwrap()
-        .unwrap();
-    let other = ctx
-        .call(&vmul(), &[Arg::Value(&xs.clone()), Arg::Value(&k(1.0))])
-        .unwrap()
-        .unwrap();
-    assert_eq!(elems(&other.get().unwrap()), original);
+    let offset = |k: f64| {
+        ctx.call(&cells_offset(), &[Arg::Value(&over_buf), Arg::Float(k)])
+            .unwrap()
+            .unwrap()
+    };
+    let held = offset(0.0);
+    let other = offset(1.0);
+    let plus_one: Vec<f64> = original.iter().map(|x| x + 1.0).collect();
+    assert_eq!(cells(&other.get().unwrap()).unwrap(), plus_one);
     assert_eq!(ctx.stats().deferred_outputs, 1);
 
-    // Below the floor from here on — but the context holds deferred
-    // pieces, so the write over their storage is captured and flushes
-    // them first, as `deferred.rs` requires.
+    // Below the floor from here on — but the context holds lineage, so
+    // the write over the storage it reads is captured and replays it
+    // first.
     ctx.set_config(below_floor());
     ctx.call(&double(), &[Arg::Value(&len(n)), Arg::Value(&xs)])
         .unwrap();
@@ -432,7 +477,7 @@ fn an_in_place_call_over_a_held_view_stays_captured() {
     assert_eq!(buf.as_slice(), &doubled[..]);
     assert_eq!(ctx.stats().deferred_materialized, 1);
     assert_eq!(
-        elems(&view.get().unwrap()),
+        cells(&held.get().unwrap()).unwrap(),
         original,
         "read before the write"
     );

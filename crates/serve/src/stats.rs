@@ -175,10 +175,10 @@ pub static STAT_TABLE: [StatRow; 35] = [
         "Retired, always 0: stage outputs are merged, never handed across as pieces"),
     row(Some((28, "deferred_outputs")), Counter, |s| s.engine.deferred_outputs,
         Some("mozart_deferred_outputs_total"),
-        "Live but undemanded outputs held as pieces or as lineage instead of merged"),
+        "Live but undemanded outputs held as lineage instead of merged"),
     row(Some((29, "deferred_materialized")), Counter, |s| s.engine.deferred_materialized,
         Some("mozart_deferred_materialized_total"),
-        "Outputs held as pieces or as lineage, made whole on demand by a later read or in-place stage"),
+        "Outputs held as lineage, made whole on demand by a later read or in-place stage"),
     row(Some((30, "merge_targets_reused")), Counter, |s| s.engine.merge_targets_reused,
         Some("mozart_merge_targets_reused_total"),
         "Placement-merge targets written over a released one instead of allocated"),

@@ -5,15 +5,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, LazyLock};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use mozart_core::annotation::{generic, missing, Annotation};
 use mozart_core::trace::{RetryCause, SpanKind};
-use mozart_core::{
-    Arg, ArraySplit, Config, DataValue, FaultKind, FaultPhase, FaultPlan, FaultPoint,
-    MozartContext, SharedVec, SliceView, VecValue,
-};
+use mozart_core::{Config, FaultKind, FaultPhase, FaultPlan, FaultPoint, MozartContext};
 use mozart_serve::{Pipeline, PipelineService, Request, Response};
 
 fn traced_service(workers: usize) -> PipelineService {
@@ -319,36 +315,7 @@ fn slow_requests_are_logged_with_trace_ids() {
     assert_eq!(service.slow_requests().len(), 1);
 }
 
-/// `xs * k` over `f64` arrays, functional: a call over storage that can
-/// change (a `SharedVec`), so a live output of it nobody asked for is
-/// held as pieces. Built once: the plan cache keys on its identity.
-fn vscale() -> Arc<Annotation> {
-    static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
-        Annotation::new("obs_vscale", |inv| {
-            let k = inv.float(1)?;
-            let piece = &inv.args[0];
-            let xs = match (
-                piece.downcast_ref::<VecValue>(),
-                piece.downcast_ref::<SliceView>(),
-            ) {
-                (Some(v), _) => v.0.as_slice().to_vec(),
-                // SAFETY: the executor hands each batch a disjoint range
-                // and nothing writes the parent during the task phase.
-                (None, Some(view)) => unsafe { view.as_slice() }.to_vec(),
-                (None, None) => return Err(mozart_core::Error::Library("not an array".into())),
-            };
-            let out = xs.iter().map(|x| x * k).collect();
-            Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
-        })
-        .arg("xs", generic(0))
-        .arg("k", missing())
-        .ret(generic(0))
-        .build()
-    });
-    A.clone()
-}
-
-/// The service of the two second-read tests: a traced pool of 2 running
+/// The service of the second-read test: a traced pool of 2 running
 /// `pipeline` in multi-batch stages.
 fn second_read_service(pipeline: Arc<dyn Pipeline>) -> PipelineService {
     let mut cfg = Config::with_workers(2);
@@ -361,86 +328,12 @@ fn second_read_service(pipeline: Arc<dyn Pipeline>) -> PipelineService {
         .build()
 }
 
-/// A pipeline over arrays that reads a second handle: the first read
-/// evaluates and leaves the other output as held pieces, the second
-/// read merges them on demand. That merge is executor work like any
-/// other — its spans land in the request's trace under the attempt, the
-/// coverage bar holds, and the deferred counters reach `STATS` and
-/// `METRICS`.
-#[test]
-fn on_demand_merge_of_a_second_read_is_traced_and_counted() {
-    struct TwoReads;
-    impl Pipeline for TwoReads {
-        fn name(&self) -> &'static str {
-            "two_reads"
-        }
-        fn run(&self, ctx: &MozartContext, _req: &Request) -> mozart_core::Result<Response> {
-            ArraySplit::register_default();
-            // Big enough that the request outweighs its bookkeeping gaps.
-            let xs = SharedVec::from_vec((0..1 << 18).map(|i| i as f64).collect());
-            let call = |x: Arg<'_>, k: f64| Ok(ctx.call(&vscale(), &[x, Arg::Float(k)])?.unwrap());
-            let ys = call(Arg::Vec(&xs), 0.5)?;
-            let doubled = call(Arg::Future(&ys), 2.0)?;
-            let shifted = call(Arg::Future(&ys), 3.0)?;
-            let first = doubled.get()?;
-            let merges_before = ctx.stats().deferred_materialized;
-            let second = shifted.get()?;
-            assert_eq!(ctx.stats().deferred_materialized, merges_before + 1);
-            let len = |v: &DataValue| v.downcast_ref::<VecValue>().map_or(0, |v| v.0.len());
-            Ok(Response::new(format!("{} {}", len(&first), len(&second))))
-        }
-    }
-    let service = second_read_service(Arc::new(TwoReads));
-    let (resp, trace) = service.session().call_traced("two_reads", &Request::new());
-    resp.unwrap();
-    let trace = trace.expect("tracing is on");
-
-    let tree = service.trace_tree(trace).expect("spans were recorded");
-    let (e2e, covered) = (tree.e2e_ns(), tree.covered_ns());
-    assert!(
-        covered >= e2e / 100 * 95,
-        "covered {covered} ns of {e2e} ns\n{}",
-        tree.render_line()
-    );
-    // Two final-merge spans: the evaluation's one stage, then the
-    // on-demand merge of `shifted` (addressed as the next stage index).
-    let final_merges: Vec<u64> = service
-        .trace_spans(trace)
-        .iter()
-        .filter(|s| s.kind == SpanKind::FinalMerge)
-        .map(|s| s.arg)
-        .collect();
-    assert_eq!(final_merges, [0, 1], "{}", tree.render_line());
-
-    // `ys` and `shifted` were alive but not asked for by the first
-    // read; only `shifted` was read later. Arrays are never recomputed.
-    let stats = service.stats();
-    assert_eq!(
-        (
-            stats.engine.deferred_outputs,
-            stats.engine.deferred_materialized,
-            stats.engine.recomputed_values
-        ),
-        (2, 1, 0)
-    );
-    let page = service.metrics_text();
-    assert!(page.contains("mozart_deferred_outputs_total 2"), "{page}");
-    assert!(
-        page.contains("mozart_deferred_materialized_total 1"),
-        "{page}"
-    );
-    let line = mozart_serve::tcpfront::stats_body(&service);
-    assert!(
-        line.contains(" deferred_outputs=2 deferred_materialized=1 "),
-        "{line}"
-    );
-}
-
-/// The same pipeline over dataframe columns, whose outputs are kept as
-/// lineage: the second read recomputes `shifted` and the `tp` it reads,
-/// each call whole on the caller as one `Task` span in the request's
-/// trace; the coverage bar holds, no merge runs for it, and the
-/// recomputed values reach `STATS` and `METRICS`.
+/// A pipeline over dataframe columns that reads a second handle: the
+/// first read evaluates and leaves the outputs it did not ask for held
+/// as lineage; the second read recomputes `shifted` and the `tp` it
+/// reads, each call whole on the caller as one `Task` span in the
+/// request's trace; the coverage bar holds, no merge runs for it, and
+/// the recomputed values reach `STATS` and `METRICS`.
 #[test]
 fn lineage_replay_of_a_second_read_is_traced_and_counted() {
     struct TwoReads;
@@ -616,8 +509,8 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_retries_total", "counter", "Evaluation attempts re-run after a transient failure"),
         ("mozart_requests_coalesced_total", "counter", "Requests served by piggybacking on another evaluation"),
         ("mozart_split_form_handoffs_total", "counter", "Retired, always 0: stage outputs are merged, never handed across as pieces"),
-        ("mozart_deferred_outputs_total", "counter", "Live but undemanded outputs held as pieces or as lineage instead of merged"),
-        ("mozart_deferred_materialized_total", "counter", "Outputs held as pieces or as lineage, made whole on demand by a later read or in-place stage"),
+        ("mozart_deferred_outputs_total", "counter", "Live but undemanded outputs held as lineage instead of merged"),
+        ("mozart_deferred_materialized_total", "counter", "Outputs held as lineage, made whole on demand by a later read or in-place stage"),
         ("mozart_merge_targets_reused_total", "counter", "Placement-merge targets written over a released one instead of allocated"),
         ("mozart_merge_targets_allocated_total", "counter", "Placement-merge targets freshly allocated"),
         ("mozart_recomputed_values_total", "counter", "Values recomputed whole from their lineage by a later read"),

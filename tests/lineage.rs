@@ -14,22 +14,31 @@
 //! * so is each of them when the filter keeps no rows;
 //! * an input whose handle is dropped stays pinned while a value held
 //!   as lineage reads it, and is released once that value is made;
-//! * a reduction and an output over a `SharedVec` are still held as
-//!   pieces;
+//! * a live reduction, and a live output over a `SharedVec`, nobody
+//!   asked for is merged in its stage: a later read runs nothing;
 //! * an in-place stage after a narrow read replays lineage before it
 //!   writes, so the value read afterwards is the one its inputs gave
 //!   when it was recorded;
+//! * a value held as lineage that a later call reads is replayed once,
+//!   before that call's stage is planned and cached;
+//! * a replay whose library call panics fails with the typed
+//!   `TaskPanicked`, and one past its deadline with `Cancelled`; either
+//!   leaves the value held and the context usable, and a retry reads
+//!   the evaluated bits;
 //! * dropping a lineage handle releases it: a later lazy use fails with
 //!   `ValueUnavailable`.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock};
+use std::time::Instant;
 
-use mozart_repro::core::annotation::{concrete, missing, Annotation};
+use mozart_repro::core::annotation::{concrete, missing, Annotation, Invocation};
+use mozart_repro::core::prelude::register_default_splitter;
 use mozart_repro::core::value::DataObject;
 use mozart_repro::core::{
-    Arg, Config, DataValue, Error, FutureHandle, MergeStrategy, MozartContext, Params, Result,
-    RuntimeInfo, SharedVec, Splitter,
+    Arg, CancelToken, Config, DataValue, Error, FaultPhase, FloatValue, FutureHandle,
+    MergeStrategy, MozartContext, Params, PlanCache, Result, RuntimeInfo, SharedVec, Splitter,
 };
 use mozart_repro::dataframe::{Column, DataFrame};
 use mozart_repro::sa_dataframe::{self as sa, ColValue, DfValue};
@@ -171,53 +180,103 @@ fn a_dropped_input_stays_pinned_until_what_stands_on_it_is_made() {
 
 #[test]
 fn a_held_reduction_is_merged_from_its_pieces() {
-    let df = crime_index::generate(1 << 14, 3);
-    let sum_of = |ctx: &MozartContext, held: bool| {
+    // Whole numbers, so every grouping of the partial sums has the same
+    // bits and an `evaluate()`d sum is a reference for them.
+    let tp = Column::from_f64((0..1 << 14).map(|i| (i % 1000) as f64).collect());
+    let df = DataFrame::from_cols(vec![("total_population", tp)]);
+    let capture = |ctx: &MozartContext| {
         let tp = sa::col(ctx, &df, "total_population").unwrap();
         let total = sa::sum(ctx, &tp).unwrap();
-        let doubled = sa::mul_scalar(ctx, &tp, 2.0).unwrap();
-        if !held {
-            ctx.evaluate().unwrap();
-        }
-        sa::get_col(&doubled).unwrap();
+        (total, sa::mul_scalar(ctx, &tp, 2.0).unwrap())
+    };
+    let reference = {
+        let ctx = ctx();
+        let (total, _doubled) = capture(&ctx);
+        ctx.evaluate().unwrap();
         sa::get_scalar(&total).unwrap()
     };
-    let reference = sum_of(&ctx(), false);
+    // Only `doubled` is read: `total`, alive, is a reduction, which a
+    // replay would sum in another order, so its stage merges it.
     let ctx = ctx();
-    let got = sum_of(&ctx, true);
-    let stats = ctx.stats();
+    let (total, doubled) = capture(&ctx);
+    sa::get_col(&doubled).unwrap();
+    let before = ctx.stats();
+    assert_eq!(before.deferred_outputs, 0, "{before:?}");
+    let got = sa::get_scalar(&total).unwrap();
+    let after = ctx.stats();
     assert_eq!(
-        (stats.deferred_materialized, stats.recomputed_values),
-        (1, 0),
-        "{stats:?}"
+        (
+            after.stages,
+            after.deferred_materialized,
+            after.recomputed_values
+        ),
+        (before.stages, 0, 0),
+        "the read runs nothing: {after:?}"
     );
-    assert!(
-        (got - reference).abs() <= reference.abs() * 1e-12,
-        "{got} {reference}"
-    );
+    assert_eq!(got.to_bits(), reference.to_bits());
 }
 
 #[test]
-fn a_narrow_read_over_a_shared_vec_still_holds_pieces() {
+fn a_narrow_read_over_a_shared_vec_merges_the_held_output_in_its_stage() {
+    // Products and sums of quarters stay exact, so every grouping of
+    // the partial sums has the same bits.
     let x = SharedVec::from_vec((0..1 << 12).map(|i| i as f64 * 0.25).collect());
     let y = SharedVec::from_vec((0..1 << 12).map(|i| 1.0 - i as f64).collect());
+    let reference = {
+        let ctx = ctx();
+        let held = sv::ddot(&ctx, &x, &x).unwrap();
+        ctx.evaluate().unwrap();
+        held.get().unwrap()
+    };
     let ctx = ctx();
     let held = sv::ddot(&ctx, &x, &x).unwrap();
     let read = sv::ddot(&ctx, &x, &y).unwrap();
     read.get().unwrap();
-    let stats = ctx.stats();
+    let before = ctx.stats();
+    assert_eq!(before.deferred_outputs, 0, "{before:?}");
+    let got = held.get().unwrap();
+    let after = ctx.stats();
     assert_eq!(
-        (stats.deferred_outputs, stats.recomputed_values),
-        (1, 0),
-        "{stats:?}"
+        (
+            after.stages,
+            after.deferred_materialized,
+            after.recomputed_values
+        ),
+        (before.stages, 0, 0),
+        "the read runs nothing: {after:?}"
     );
-    held.get().unwrap();
+    let float = |v: &DataValue| v.downcast_ref::<FloatValue>().unwrap().0.to_bits();
+    assert_eq!(float(&got), float(&reference));
+}
+
+#[test]
+fn a_replay_past_its_deadline_is_cancelled_and_retryable() {
+    let df = crime_index::generate(1 << 14, 3);
+    let reference = {
+        let ctx = ctx();
+        let (_total, held) = crime_index::capture(&df, &ctx).unwrap();
+        ctx.evaluate().unwrap();
+        bits(&held[6].get().unwrap())
+    };
+    let ctx = ctx();
+    let (total, held) = crime_index::capture(&df, &ctx).unwrap();
+    sa::get_scalar(&total).unwrap();
+    assert_eq!(ctx.stats().deferred_outputs, 8);
+    // `index` replays ten calls: its own block's four, then those of
+    // `tp`, `adult` and `rob` and of the steps they stand on.
+    ctx.set_cancel_token(CancelToken::with_deadline(Instant::now()));
+    let err = held[6].get().unwrap_err();
+    assert!(matches!(err, Error::Cancelled(_)), "{err:?}");
     let stats = ctx.stats();
     assert_eq!(
         (stats.deferred_materialized, stats.recomputed_values),
-        (1, 0),
-        "merged from its pieces: {stats:?}"
+        (0, 0),
+        "{stats:?}"
     );
+    // A live token again: the same handle reads what it stands for.
+    ctx.set_cancel_token(CancelToken::new());
+    assert_eq!(bits(&held[6].get().unwrap()), reference);
+    assert_eq!(ctx.stats().recomputed_values, replays(6, &mut [false; 8]));
 }
 
 // ---------------------------------------------------------------------
@@ -282,26 +341,46 @@ impl Splitter for CellSplit {
 }
 
 /// `c + k`, functional.
-fn offset(ctx: &MozartContext, c: &DataValue, k: f64) -> FutureHandle {
-    static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
-        Annotation::new("lineage_cells_offset", |inv| {
-            let k = inv.float(1)?;
-            let out = cells(&inv.args[0])?
-                .0
-                .as_slice()
-                .iter()
-                .map(|x| x + k)
-                .collect();
-            Ok(Some(DataValue::new(Cells(SharedVec::from_vec(out)))))
-        })
+fn add(inv: &Invocation) -> Result<Option<DataValue>> {
+    let k = inv.float(1)?;
+    let out = cells(&inv.args[0])?
+        .0
+        .as_slice()
+        .iter()
+        .map(|x| x + k)
+        .collect();
+    Ok(Some(DataValue::new(Cells(SharedVec::from_vec(out)))))
+}
+
+/// `func(c, k)` over cells, annotated `c: CellSplit, k: _ -> CellSplit`.
+fn cells_op(
+    name: &'static str,
+    func: impl Fn(&Invocation) -> Result<Option<DataValue>> + Send + Sync + 'static,
+) -> Arc<Annotation> {
+    Annotation::new(name, func)
         .arg("c", concrete(Arc::new(CellSplit), vec![0]))
         .arg("k", missing())
         .ret(concrete(Arc::new(CellSplit), vec![0]))
         .build()
-    });
-    ctx.call(&A, &[Arg::Value(c), Arg::Float(k)])
+}
+
+fn call(ctx: &MozartContext, annot: &Arc<Annotation>, c: &DataValue, k: f64) -> FutureHandle {
+    ctx.call(annot, &[Arg::Value(c), Arg::Float(k)])
         .unwrap()
         .unwrap()
+}
+
+/// [`add`], annotated once: the plan cache keys on its identity.
+fn offset(ctx: &MozartContext, c: &DataValue, k: f64) -> FutureHandle {
+    static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| cells_op("lineage_cells_offset", add));
+    call(ctx, &A, c, k)
+}
+
+/// `0, 1, …, n - 1` as cells.
+fn counting(n: usize) -> DataValue {
+    DataValue::new(Cells(SharedVec::from_vec(
+        (0..n).map(|i| i as f64).collect(),
+    )))
 }
 
 fn elems(h: &FutureHandle) -> Vec<f64> {
@@ -350,4 +429,82 @@ fn dropping_a_lineage_handle_releases_it() {
     // `tp` is still held and still reads; nothing else was replayed.
     assert_eq!(sa::get_col(&tp).unwrap().len(), 1 << 12);
     assert_eq!(ctx.stats().recomputed_values, 1);
+}
+
+#[test]
+fn a_held_input_is_replayed_once_before_its_readers_stage() {
+    // A default split type gives a segment over cells a shape to be
+    // cached under.
+    register_default_splitter::<Cells>(Arc::new(CellSplit));
+    const N: usize = 1 << 12;
+    let first_elems: Vec<f64> = (0..N).map(|i| i as f64 + 1.0).collect();
+    let cache = Arc::new(PlanCache::new(8));
+    for _ in 0..2 {
+        let (ctx, input) = (ctx(), counting(N));
+        ctx.attach_plan_cache(cache.clone());
+        let first = offset(&ctx, &input, 1.0);
+        let second = offset(&ctx, &input, 2.0);
+        elems(&second);
+        // `first` is held as lineage. A call captured over it finds it
+        // replayed before its stage is fingerprinted and planned, and a
+        // later read of `first` replays nothing again.
+        let half = offset(&ctx, &first.as_value(), 0.5);
+        let half = elems(&half);
+        let s = ctx.stats();
+        let counts = (s.stages, s.deferred_outputs, s.deferred_materialized);
+        assert_eq!((counts, s.recomputed_values), ((2, 1, 1), 1), "{s:?}");
+        assert_eq!(elems(&first), first_elems);
+        assert_eq!(ctx.stats().recomputed_values, 1, "replayed once");
+        let expect: Vec<f64> = first_elems.iter().map(|x| x + 0.5).collect();
+        assert_eq!(half, expect);
+    }
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses), (2, 2), "both segments cached: {s:?}");
+}
+
+#[test]
+fn a_panicking_replay_is_typed_and_retryable() {
+    /// Set to make the next call of [`add`] through `PANICKY` panic.
+    static ARMED: AtomicBool = AtomicBool::new(false);
+    static PANICKY: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
+        cells_op("lineage_cells_offset_panicking_once", |inv| {
+            if ARMED.swap(false, Ordering::Relaxed) {
+                panic!("a library call that fails once");
+            }
+            add(inv)
+        })
+    });
+    const N: usize = 1 << 12;
+    let input = counting(N);
+    let reference = {
+        let ctx = ctx();
+        let held = call(&ctx, &PANICKY, &input, 1.0);
+        ctx.evaluate().unwrap();
+        elems(&held)
+    };
+    let ctx = ctx();
+    let held = call(&ctx, &PANICKY, &input, 1.0);
+    let read = call(&ctx, &PANICKY, &input, 2.0);
+    elems(&read);
+    assert_eq!(ctx.stats().deferred_outputs, 1);
+
+    ARMED.store(true, Ordering::Relaxed);
+    let err = held.get().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::TaskPanicked {
+                stage: FaultPhase::Task,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(ctx.stats().deferred_materialized, 0, "still held");
+    // The context is not poisoned: a new call evaluates, and the retry
+    // replays the value the evaluated context read.
+    assert_eq!(elems(&offset(&ctx, &input, 3.0))[0], 3.0);
+    let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(elems(&held)), bits(reference));
+    assert_eq!(ctx.stats().deferred_materialized, 1);
 }

@@ -548,7 +548,7 @@ proptest! {
 
 /// Holding every intermediate handle across the read merges exactly
 /// the bytes that dropping them first merges — the demanded total and
-/// nothing else — and the 8 intermediates stay pieces.
+/// nothing else — and the 8 intermediates stay lineage.
 #[test]
 fn crime_index_held_handles_merge_no_extra_bytes() {
     use mozart_repro::workloads::crime_index;
