@@ -9,10 +9,15 @@
 //! * every call performs a **full pass** over its operand arrays, so a
 //!   chain of calls on large arrays is memory-bound (the bottleneck SAs
 //!   attack, §2.1);
-//! * kernels are written so LLVM **autovectorizes** them, including the
-//!   transcendentals ([`fastmath`]) — this is the "code developers have
-//!   already hand-optimized" that lets Mozart beat IR compilers that
-//!   emit scalar `erf`/`exp` (Figure 1);
+//! * kernels **vectorize**, the transcendentals ([`fastmath`]) included:
+//!   every kernel is branch-free straight-line code (special cases are
+//!   selects, `2^n` is built from exponent bits, nothing calls libm), and
+//!   each call runs its loop at the host's vector width — AVX2 when the
+//!   CPU has it, baseline SSE2 otherwise — chosen at one dispatch point
+//!   inside the library's threading, with the same output bits at either
+//!   width. This is the "code developers have already hand-optimized"
+//!   that lets Mozart beat IR compilers that emit scalar `erf`/`exp`
+//!   (Figure 1);
 //! * the raw-pointer entry points allow MKL's **exact in-place aliasing**
 //!   convention (`vdLog1p(len, d1, d1)`);
 //! * calls parallelize internally across a configurable number of

@@ -22,11 +22,11 @@ pub fn num_threads() -> usize {
 }
 
 /// Run `f(start, len)` over `[0, n)`, splitting across the library's
-/// internal threads when profitable.
+/// internal threads when profitable; each part runs through [`wide`].
 pub(crate) fn run_parallel(n: usize, f: impl Fn(usize, usize) + Send + Sync) {
     let t = num_threads();
     if t <= 1 || n < PAR_THRESHOLD {
-        f(0, n);
+        wide(&f, 0, n);
         return;
     }
     let per = n.div_ceil(t);
@@ -38,9 +38,34 @@ pub(crate) fn run_parallel(n: usize, f: impl Fn(usize, usize) + Send + Sync) {
             }
             let len = per.min(n - start);
             let f = &f;
-            s.spawn(move || f(start, len));
+            s.spawn(move || wide(f, start, len));
         }
     });
+}
+
+/// Run `f(start, len)` at the host's vector width: inside an AVX2
+/// function when the CPU has AVX2, so a kernel loop inlined into `f` is
+/// compiled 4 doubles wide; directly, at the baseline target's 2, when
+/// it has not. The library's only CPU-feature dispatch. Both widths give
+/// the same bits: the kernels are IEEE adds, multiplies, divides, square
+/// roots and selects, and no FMA is enabled to contract them. (Which
+/// operand's NaN an operation on two NaNs returns is left unspecified by
+/// Rust, and the two widths may pick differently.)
+#[inline(always)]
+fn wide<F: Fn(usize, usize) + ?Sized>(f: &F, start: usize, len: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above.
+        unsafe { avx2(f, start, len) };
+        return;
+    }
+    f(start, len)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<F: Fn(usize, usize) + ?Sized>(f: &F, start: usize, len: usize) {
+    f(start, len)
 }
 
 #[cfg(test)]

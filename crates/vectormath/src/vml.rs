@@ -13,7 +13,16 @@
 //! Like MKL, operand arrays must be **identical or disjoint**. Partial
 //! overlap is undefined behaviour. The implementations branch on exact
 //! aliasing so each specialization works on ordinary slices and
-//! autovectorizes.
+//! vectorizes.
+//!
+//! # Vector width
+//!
+//! Each kernel's loop is an `#[inline(always)]` closure handed to the
+//! library's threading, which runs every part of a call through one
+//! dispatch point: inside an AVX2 function when the CPU has AVX2, at the
+//! baseline width otherwise. The closure and the branch-free
+//! [`fastmath`] functions it calls compile into that function, so the
+//! whole loop is AVX2 code there. Both widths give the same bits.
 //!
 //! Kernels honor the library's internal thread count
 //! ([`crate::set_num_threads`]), mirroring MKL's TBB-backed internal
@@ -46,7 +55,7 @@ macro_rules! vml_unary {
         pub unsafe fn $raw(n: usize, a: *const f64, out: *mut f64) {
             trace::record_unary(n, a as usize, out as usize);
             let (ap, op) = (a as usize, out as usize);
-            run_parallel(n, move |start, len| {
+            run_parallel(n, #[inline(always)] move |start, len| {
                 let f = $f;
                 let a = ap as *const f64;
                 let o = op as *mut f64;
@@ -98,7 +107,7 @@ macro_rules! vml_binary {
         pub unsafe fn $raw(n: usize, a: *const f64, b: *const f64, out: *mut f64) {
             trace::record_binary(n, a as usize, b as usize, out as usize);
             let (ap, bp, op) = (a as usize, b as usize, out as usize);
-            run_parallel(n, move |start, len| {
+            run_parallel(n, #[inline(always)] move |start, len| {
                 let f = $f;
                 let a = ap as *const f64;
                 let b = bp as *const f64;
@@ -179,7 +188,7 @@ macro_rules! vml_scalar {
         pub unsafe fn $raw(n: usize, a: *const f64, k: f64, out: *mut f64) {
             trace::record_unary(n, a as usize, out as usize);
             let (ap, op) = (a as usize, out as usize);
-            run_parallel(n, move |start, len| {
+            run_parallel(n, #[inline(always)] move |start, len| {
                 let f = $f;
                 let a = ap as *const f64;
                 let o = op as *mut f64;
@@ -262,7 +271,7 @@ vml_unary!(
     vd_neg, vd_neg_raw, |x: f64| -x
 );
 vml_unary!(
-    /// Elementwise `e^x` (MKL `vdExp`), vectorizable polynomial kernel.
+    /// Elementwise `e^x` (MKL `vdExp`), branch-free polynomial kernel.
     vd_exp, vd_exp_raw, fastmath::exp
 );
 vml_unary!(
