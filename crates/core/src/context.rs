@@ -18,11 +18,12 @@
 //! columns, images, scalars) and merged by concatenation, is not merged:
 //! it keeps only its lineage (`OutputKind::Lineage`), its pieces are
 //! dropped as a dead value's are, and the first read that asks
-//! recomputes it, calling the library on whole arguments — under the
-//! context lock, or before the next evaluation of a call that reads the
-//! value, or before a stage that writes storage in place. The lineage
-//! is dropped with its `Future`. Any other live output, such as one
-//! over a `SharedVec` or a reduction, is merged in its stage. See
+//! recomputes it, planning and running its calls again as stages —
+//! under the context lock, or before the next evaluation of a call that
+//! reads the value, or before a stage that writes storage in place.
+//! The lineage is dropped with its `Future`. Any other live output,
+//! such as one over a `SharedVec` or a reduction, is merged in its
+//! stage. See
 //! "Demand-driven materialization" in [`crate::planner`].
 //!
 //! Whenever a context lets go of a placement-merged value — its
@@ -588,9 +589,7 @@ impl MozartContext {
             // Still held: an output an earlier read left as lineage.
             // Make it now; on failure it stays held, so the read can be
             // retried.
-            if materialize(&mut st, id)? {
-                st.stats.deferred_materialized += 1;
-            }
+            materialize(&mut st, id)?;
         }
         st.graph
             .value_data(id)
@@ -687,11 +686,10 @@ fn parker(cache: &Option<Arc<PlanCache>>) -> impl FnMut(MergeOrigin, DataValue) 
     }
 }
 
-/// Make value `id` whole if it is held as lineage, by replaying it.
-/// Whether a replay ran. A failure leaves the value held and does not
-/// poison the context: nothing was written, so there is no half-updated
-/// state.
-fn materialize(st: &mut State, id: ValueId) -> Result<bool> {
+/// Make value `id` whole if it is held as lineage, by replaying it. A
+/// failure puts the replay's values back as they were and does not
+/// poison the context: no half-updated state is left.
+fn materialize(st: &mut State, id: ValueId) -> Result<()> {
     let trace = trace_ctx(st);
     let cache = st.plan_cache.clone();
     let mut park = parker(&cache);
@@ -709,9 +707,7 @@ fn flush_deferred(st: &mut State) -> Result<()> {
         if !st.graph.values[id.0 as usize].observable() {
             st.release(id);
         }
-        if materialize(st, id)? {
-            st.stats.deferred_materialized += 1;
-        }
+        materialize(st, id)?;
         st.graph.deferred.pop();
     }
     Ok(())
@@ -741,7 +737,8 @@ fn evaluate_locked(st: &mut State, demand: Demand) -> Result<()> {
 fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     let trace = trace_ctx(st);
     let planner_before = st.stats.planner;
-    let mut planner_cpu = std::time::Duration::ZERO;
+    // Planner CPU time, read only for the span.
+    let mut planner_cpu = trace.as_ref().map(|_| std::time::Duration::ZERO);
     let eval_start_ns = trace.as_ref().map(|t| t.recorder.now_ns());
 
     // Unprotect everything first: during execution the runtime itself
@@ -794,10 +791,8 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     while let Some(&id) = st.graph.deferred.get(i) {
         i += 1;
         let reader = st.graph.values[id.0 as usize].last_consumer;
-        if reader.is_some_and(|c| !st.graph.nodes[c.0 as usize].executed)
-            && materialize(st, id).map_err(|e| poison(st, e))?
-        {
-            st.stats.deferred_materialized += 1;
+        if reader.is_some_and(|c| !st.graph.nodes[c.0 as usize].executed) {
+            materialize(st, id).map_err(|e| poison(st, e))?;
         }
     }
 
@@ -815,13 +810,9 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
         }
     };
     if let Some(cache) = &cache {
-        let t1 = Instant::now();
-        let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
-        let shape = st.graph.pending_shape();
-        st.stats.planner += t1.elapsed();
-        if let Some(c1) = c1 {
-            planner_cpu += crate::cputime::cpu_elapsed(c1, crate::cputime::thread_cpu_now());
-        }
+        let shape = st
+            .stats
+            .planning(planner_cpu.as_mut(), || st.graph.pending_shape());
         if let Some(mut shape) = shape {
             // Mix planning-relevant configuration into the key: the
             // `pipeline` ablation changes stage grouping, so a plan
@@ -834,14 +825,9 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
                 Some(plan) if plan.nodes_total == st.graph.pending_nodes() => {
                     let mut replayed = true;
                     for idx in 0..plan.stage_count() {
-                        let t1 = Instant::now();
-                        let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
-                        let bound = plan.bind_stage(idx, &st.graph, &shape.values, demand);
-                        st.stats.planner += t1.elapsed();
-                        if let Some(c1) = c1 {
-                            planner_cpu +=
-                                crate::cputime::cpu_elapsed(c1, crate::cputime::thread_cpu_now());
-                        }
+                        let bound = st.stats.planning(planner_cpu.as_mut(), || {
+                            plan.bind_stage(idx, &st.graph, &shape.values, demand)
+                        });
                         match bound {
                             Ok(stage) => {
                                 let site = PlanSite {
@@ -894,13 +880,9 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     }
 
     while !st.graph.fully_executed() {
-        let t1 = Instant::now();
-        let c1 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
-        let plan = plan_next_stage(&st.graph, &st.config, demand);
-        st.stats.planner += t1.elapsed();
-        if let Some(c1) = c1 {
-            planner_cpu += crate::cputime::cpu_elapsed(c1, crate::cputime::thread_cpu_now());
-        }
+        let plan = st.stats.planning(planner_cpu.as_mut(), || {
+            plan_next_stage(&st.graph, &st.config, demand)
+        });
         let stage = match plan {
             Ok(Some(stage)) => stage,
             Ok(None) => break,
@@ -928,7 +910,7 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
             0,
             start,
             duration_ns(st.stats.planner.saturating_sub(planner_before)),
-            duration_ns(planner_cpu),
+            duration_ns(planner_cpu.unwrap_or_default()),
         );
     }
     Ok(())
@@ -961,7 +943,12 @@ fn execute_locked(
         flush_deferred(st).map_err(|e| poison(st, e))?;
     }
     let (graph, stats, env) = st.exec_parts(trace, site);
-    execute_stage(graph, stage, stats, &env).map_err(|e| poison(st, e))
+    execute_stage(graph, stage, stats, &env).map_err(|e| poison(st, e))?;
+    for &n in &stage.nodes {
+        st.graph.nodes[n.0 as usize].executed = true;
+    }
+    st.graph.next_unplanned += stage.nodes.len();
+    Ok(())
 }
 
 /// An untyped lazy result handle (the paper's `Future<T>` before

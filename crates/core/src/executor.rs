@@ -77,13 +77,16 @@
 //! **[`OutputKind::Lineage`]** has no sink: like a discarded output its
 //! pieces are dropped per batch, and the value is marked
 //! [held as lineage](crate::graph::ValueEntry::lineage), pins what its
-//! replay reads and is counted in `deferred_outputs`. It is made by
-//! `replay_lineage` when something asks for it: its call, the calls its
-//! stage dropped for it, and the replay of each input held as lineage,
-//! each once, on the caller, in registration order, as the un-annotated
-//! library call over the whole arguments — no split, no merge. Each
-//! replayed call counts in `calls` and `recomputed_values`, and is one
-//! `Task` span.
+//! replay reads and is counted in `lineage_outputs`. It is made by
+//! `replay_lineage` when something asks for it. The replay's slice —
+//! its call, the calls its stage dropped for it, and those of each
+//! input held as lineage, each once, in registration order — is planned
+//! by the planner's one entry and run here stage by stage, like any
+//! other: verified, split into batches on the pool, merged through its
+//! sinks, polled for cancellation per batch, addressable by a fault
+//! plan, and counted and traced as any stage. Only the plan cache stays
+//! out of it. Each replayed call also counts once in
+//! `recomputed_values`, when the whole replay has run.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -96,13 +99,14 @@ use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
-use crate::graph::{DataflowGraph, MergeOrigin, NodeId, ValueId, ValueOrigin, WordMap, WordSet};
-use crate::planner::{OutputKind, PlanCache, PlanSite, StageOutput, StagePlan};
+use crate::graph::{DataflowGraph, MergeOrigin, NodeId, ValueId, ValueOrigin, WordSet};
+use crate::planner::{plan_stage, Demand, OutputKind, PlanCache, PlanSite, StageOutput, StagePlan};
 use crate::pool::{Job, WorkerPool};
 use crate::split::{MergeStrategy, Params, Placement, RuntimeInfo, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
 use crate::value::DataValue;
+use crate::verify::verify_stage;
 
 /// Saturating `Duration -> u64` nanoseconds for span fields.
 #[inline]
@@ -513,7 +517,7 @@ impl MergeOutput {
         let info = self.info(&merged);
         let bytes = info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes));
         stats.bytes_merged += bytes;
-        (entry.data, entry.ready, entry.lineage) = (Some(merged), true, false);
+        (entry.data, entry.ready) = (Some(merged), true);
         // A placement target remembers its spare slot, so whoever lets
         // go of the value can park it for the plan's next evaluation.
         entry.merge_origin = env.spares.zip(target).map(|((_, site), t)| MergeOrigin {
@@ -537,7 +541,7 @@ fn hold(graph: &mut DataflowGraph, id: ValueId, stats: &mut PhaseStats) {
     let entry = &mut graph.values[id.0 as usize];
     (entry.data, entry.ready, entry.merge_origin) = (None, false, None);
     entry.lineage = true;
-    stats.deferred_outputs += 1;
+    stats.lineage_outputs += 1;
     graph.deferred.push(id);
     graph.pin_inputs(id);
 }
@@ -616,7 +620,8 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) spares: Option<(&'a PlanCache, PlanSite)>,
 }
 
-/// Execute one stage, materializing its outputs into the graph.
+/// Execute one stage, materializing its outputs into the graph. The
+/// caller marks its nodes executed, if they were pending.
 pub(crate) fn execute_stage(
     graph: &mut DataflowGraph,
     stage: &StagePlan,
@@ -637,39 +642,36 @@ pub(crate) fn execute_stage(
             OutputKind::Merge => {}
         }
     }
-
-    for &n in &stage.nodes {
-        graph.nodes[n.0 as usize].executed = true;
-    }
-    graph.next_unplanned += stage.nodes.len();
     stats.stages += 1;
     stats.bytes_split += bytes_split;
     Ok(())
 }
 
 /// Recompute value `id` from its lineage, if it is held as lineage —
-/// the on-demand half of `OutputKind::Lineage` (module docs). Returns
-/// whether a replay ran. The slice is every value on the way back to
-/// ready data that has none: the value, what its stage dropped for it,
-/// and inputs held as lineage, in turn. The planner keeps a value as
+/// the on-demand half of `OutputKind::Lineage` (module docs). The
+/// slice is every value on the way back to ready data that has none:
+/// the value, what its stage dropped for it, and inputs held as
+/// lineage, in turn. The planner keeps a value as
 /// lineage only over inputs that outlast its stage, and those stay
 /// pinned while it is held (see `planner::output_kind` and
 /// [`DataflowGraph::pin_inputs`]), so the slice ends at the stage that
-/// made each value it holds. The value, and every value of the slice a
-/// `Future` still observes, is stored whole; what only the made values
-/// pinned is released into `park`.
+/// made each value it holds. The slice's calls are planned and run
+/// stage by stage as an evaluation's are, never through the plan
+/// cache. The value, and every value of the slice a `Future` still
+/// observes, is kept whole; what only the made values pinned is
+/// released into `park`.
 ///
-/// A failure leaves the value held as lineage, so the read can be
-/// retried.
+/// A failure puts every value of the slice back the way it was, held
+/// or dropped, so the read can be retried.
 pub(crate) fn replay_lineage(
     graph: &mut DataflowGraph,
     id: ValueId,
     stats: &mut PhaseStats,
     env: &ExecEnv<'_>,
     park: &mut impl FnMut(MergeOrigin, DataValue),
-) -> Result<bool> {
+) -> Result<()> {
     if !graph.held(id) {
-        return Ok(false);
+        return Ok(());
     }
     let mut slice: Vec<NodeId> = Vec::new();
     let mut seen: WordSet<ValueId> = WordSet::default();
@@ -688,42 +690,45 @@ pub(crate) fn replay_lineage(
     // Registration order is a topological order.
     slice.sort_unstable();
 
-    let mut made: WordMap<ValueId, DataValue> = WordMap::default();
-    for &n in &slice {
-        if env.cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(Error::Cancelled(format!(
-                "deadline passed or token cancelled recomputing v{}",
-                id.0
-            )));
-        }
-        let node = &graph.nodes[n.0 as usize];
-        let data = graph
-            .args(node)
-            .iter()
-            .map(|a| graph.value_data(*a).or(made.get(a)).cloned())
-            .collect::<Option<Vec<DataValue>>>()
-            .ok_or(Error::ValueUnavailable)?;
-        let t0 = std::time::Instant::now();
-        let ret = call_library(&node.annot, &data, true)?.expect("a declared return");
-        let wall = t0.elapsed();
-        stats.task += wall;
-        if let Some(t) = env.trace {
-            let ns = duration_ns(wall);
-            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t0), ns, ns);
-        }
-        stats.calls += 1;
-        stats.recomputed_values += 1;
-        made.insert(node.ret.expect("a return value"), ret);
-    }
-    for n in slice {
+    let ran = replay_stages(graph, id, &slice, stats, env);
+    // A stage stores what it merges and leaves `lineage` as it was: a
+    // value kept is made, any other goes back to held or dropped.
+    for n in &slice {
         let v = graph.nodes[n.0 as usize].ret.expect("a return value");
         let e = &mut graph.values[v.0 as usize];
-        if v == id || e.observable() {
-            (e.data, e.ready, e.lineage) = (made.remove(&v), true, false);
+        if ran.is_ok() && (v == id || e.observable()) {
+            e.lineage = false;
             graph.unpin_inputs(v, park);
+        } else {
+            (e.data, e.ready, e.merge_origin) = (None, false, None);
         }
     }
-    Ok(true)
+    ran?;
+    stats.lineage_replays += 1;
+    stats.recomputed_values += slice.len() as u64;
+    Ok(())
+}
+
+/// Plan `slice`, the calls of the replay of `read`, a stage at a time
+/// through the planner's one entry, and verify and run each stage.
+fn replay_stages(
+    graph: &mut DataflowGraph,
+    read: ValueId,
+    mut slice: &[NodeId],
+    stats: &mut PhaseStats,
+    env: &ExecEnv<'_>,
+) -> Result<()> {
+    let demand = Demand::Value(read);
+    while !slice.is_empty() {
+        let nodes = slice.iter().copied();
+        let plan = || plan_stage(graph, env.config, nodes, demand, Some(slice));
+        let stage = stats.planning(None, plan)?;
+        verify_stage(graph, &stage, env.config, demand).map_err(Error::Verify)?;
+        stats.plans_verified += 1;
+        execute_stage(graph, &stage, stats, env)?;
+        slice = &slice[stage.nodes.len()..];
+    }
+    Ok(())
 }
 
 /// Run a built stage — driver loop on the participants, then the final
@@ -963,7 +968,11 @@ impl Worker<'_> {
         }
         for (i, input) in exec.inputs.iter().enumerate() {
             let (splitter, params) = (&input.instance.splitter, &input.instance.params);
-            let Some(piece) = splitter.split(&input.data, range.clone(), params)? else {
+            let piece = match exec.total_elements {
+                0 => Some(input.data.clone()),
+                _ => splitter.split(&input.data, range.clone(), params)?,
+            };
+            let Some(piece) = piece else {
                 if i > 0 {
                     return Err(Error::Pedantic(format!(
                         "split type {} returned NULL for elements [{}, {}) \
@@ -1041,28 +1050,18 @@ pub(crate) fn call_whole(
     ret: Option<&SplitInstance>,
     total: u64,
 ) -> Result<Option<DataValue>> {
-    let (Some(piece), Some(ret)) = (call_library(annot, pieces, ret.is_some())?, ret) else {
+    let inv = Invocation {
+        function: annot.name,
+        args: pieces,
+    };
+    let piece = catch_phase(FaultPhase::Task, || (annot.func)(&inv))?;
+    let (Some(piece), Some(ret)) = (returned(annot.name, piece, ret.is_some())?, ret) else {
         return Ok(None);
     };
     catch_phase(FaultPhase::Merge, || {
         let merged = ret.splitter.merge(vec![piece], &ret.params, total)?;
         Ok(Some(merged))
     })
-}
-
-/// The task phase alone: the annotated function called on `args`,
-/// which returns a value iff `declared`.
-fn call_library(
-    annot: &Annotation,
-    args: &[DataValue],
-    declared: bool,
-) -> Result<Option<DataValue>> {
-    let inv = Invocation {
-        function: annot.name,
-        args,
-    };
-    let ret = catch_phase(FaultPhase::Task, || (annot.func)(&inv))?;
-    returned(annot.name, ret, declared)
 }
 
 /// The driver loop (§5.2 step 2) for one participant: claim batches
@@ -1104,6 +1103,9 @@ pub(crate) fn run_worker(
         .div_ceil(exec.participants.max(1) as u64)
         .max(1);
     let batch = exec.batch.max(1);
+    // A stage over zero elements runs one batch, whose pieces are the
+    // whole (empty) inputs: split types return `NULL` past the end.
+    let elements = exec.total_elements.max(1);
 
     'driver: loop {
         if failed.load(Ordering::Relaxed) {
@@ -1117,17 +1119,17 @@ pub(crate) fn run_worker(
         // cursor, which only affects span length, never claim ownership.
         let span_batches = {
             let pos = cursor.load(Ordering::Relaxed);
-            if pos >= exec.total_elements {
+            if pos >= elements {
                 break;
             }
-            let remaining = (exec.total_elements - pos).div_ceil(batch);
+            let remaining = (elements - pos).div_ceil(batch);
             (remaining / (2 * exec.participants.max(1) as u64)).max(1)
         };
         let mut start = cursor.fetch_add(span_batches * batch, Ordering::Relaxed);
-        if start >= exec.total_elements {
+        if start >= elements {
             break;
         }
-        let claim_end = (start + span_batches * batch).min(exec.total_elements);
+        let claim_end = (start + span_batches * batch).min(elements);
         w.out.claims += 1;
         while start < claim_end {
             if failed.load(Ordering::Relaxed) {
@@ -1146,7 +1148,7 @@ pub(crate) fn run_worker(
                 )));
             }
             let end = (start + batch).min(claim_end);
-            (w.index, w.start, w.end) = (start / batch, start, end);
+            (w.index, w.start, w.end) = (start / batch, start, end.min(exec.total_elements));
             if w.phase(FaultPhase::Split, Worker::split)? {
                 break 'driver;
             }

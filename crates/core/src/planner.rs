@@ -46,18 +46,21 @@
 //! dropped, and the value keeps only the graph's record of how it was
 //! made — calls that mutate nothing, over values that cannot change.
 //! The first later read replays that record: the value's call, the
-//! calls its stage dropped for it, and the replay of each input held as
-//! lineage in turn, each once, in registration order, as un-annotated
-//! library calls over whole arguments (the paper's soundness
-//! contract). Concatenation makes that bit-equal to the merged pieces;
+//! calls its stage dropped for it, and those of each input held as
+//! lineage in turn, each once, in registration order. The replay is
+//! planned by `plan_stage`, the entry evaluations plan with, and each
+//! of its stages runs as any stage does, in batches on the pool; only
+//! the plan cache is left out. Its stages follow the table with the
+//! replay's own later calls counted as consumers and no value kept as
+//! lineage: `Merge` for the value being read, a value a `Future`
+//! observes, or one a later call of the replay (or a pending call)
+//! reads, and `Discard` otherwise. Concatenation makes a replay
+//! bit-equal to the first run's merged pieces, however its batches fall;
 //! a reduction's partial sums would group differently, so it is merged
 //! in its stage. What a replay reads is pinned while the value is held
 //! ([`DataflowGraph::pin_inputs`](crate::graph::DataflowGraph)), so a
 //! replay never reaches past the stage that made the value and the
-//! held values it reads. It costs the calls on one core where the
-//! pieces cost a parallel write and a concat: reading every held value
-//! costs about what merging them did, reading one deep in a chain of
-//! held values costs more. A lineage value is made by the first read of
+//! held values it reads. A lineage value is made by the first read of
 //! its `Future`, before the next evaluation of a call that reads it, or
 //! before a stage that writes storage in place.
 //! A live output that is not replayable — over storage that can
@@ -256,8 +259,8 @@ impl SlotTable {
     }
 }
 
-/// Incremental state while growing a stage. Its nodes are always a
-/// contiguous run from `graph.next_unplanned`.
+/// Incremental state while growing a stage from a prefix of a node
+/// list (see [`plan_stage`]).
 struct StageBuilder {
     nodes: Vec<NodeId>,
     /// Required split type per stage input value.
@@ -313,29 +316,40 @@ pub fn plan_next_stage(
     if graph.fully_executed() {
         return Ok(None);
     }
+    let pending = (graph.next_unplanned..graph.nodes.len()).map(|n| NodeId(n as u32));
+    plan_stage(graph, config, pending, demand, None).map(Some)
+}
+
+/// Plan the longest pipelinable prefix of `nodes` (non-empty, in
+/// registration order) as one stage under `demand`. The one planner
+/// entry: evaluations plan their pending calls with it, and lineage
+/// replays their slices, passing the slice from the stage's first call
+/// on as `replay` (see [`output_kind`]).
+pub(crate) fn plan_stage(
+    graph: &DataflowGraph,
+    config: &Config,
+    nodes: impl IntoIterator<Item = NodeId>,
+    demand: Demand,
+    replay: Option<&[NodeId]>,
+) -> Result<StagePlan> {
     let mut b = StageBuilder::new();
-    let mut cursor = graph.next_unplanned;
-    while cursor < graph.nodes.len() {
-        let node_id = NodeId(cursor as u32);
+    for node_id in nodes {
         match try_add(graph, &mut b, node_id)? {
-            AddOutcome::Added => {
-                cursor += 1;
-                if !config.pipeline {
-                    break; // "-pipe" ablation: one function per stage.
-                }
-            }
+            // "-pipe" ablation: one function per stage.
+            AddOutcome::Added if !config.pipeline => break,
+            AddOutcome::Added => {}
             AddOutcome::Incompatible if !b.nodes.is_empty() => break,
             AddOutcome::Incompatible => {
                 // A single node must always be schedulable by itself;
                 // reaching this indicates a broken annotation.
                 return Err(Error::Pedantic(format!(
                     "node {} cannot be scheduled even in a fresh stage",
-                    graph.nodes[cursor].annot.name
+                    graph.nodes[node_id.0 as usize].annot.name
                 )));
             }
         }
     }
-    Ok(Some(finish_stage(graph, b, demand)))
+    Ok(finish_stage(graph, b, demand, replay))
 }
 
 /// Attempt to add `node_id` to the stage; on success, commits the node's
@@ -614,21 +628,27 @@ pub(crate) fn construct_instance<'a>(
 /// value `value` of split type `instance` — the rule table of
 /// "Demand-driven materialization" in the module docs. Shared by fresh
 /// planning and plan-cache replay, which re-derives it from the
-/// *current* liveness and demand. Called for the stage's return values
-/// in node order; `dropped` collects those discarded that a replay may
-/// recompute.
+/// *current* liveness and demand, and by the stages of lineage
+/// replays: for those, `replay` is the replay's calls after the stage.
+/// A value one of them reads is consumed later, and none is kept as
+/// lineage — it is being made — so a live one is merged and the rest
+/// dropped. Called for the stage's return values in node order;
+/// `dropped` collects those discarded that a replay may recompute.
 fn output_kind(
     graph: &DataflowGraph,
     stage_end: usize,
     value: ValueId,
     instance: &SplitInstance,
     demand: Demand,
+    replay: Option<&[NodeId]>,
     dropped: &mut Vec<ValueId>,
 ) -> OutputKind {
     let consumed_later = |v: ValueId| {
-        graph.values[v.0 as usize]
-            .last_consumer
-            .is_some_and(|c| c.0 as usize >= stage_end && !graph.nodes[c.0 as usize].executed)
+        let replayed = |n: &NodeId| graph.args(&graph.nodes[n.0 as usize]).contains(&v);
+        replay.is_some_and(|later| later.iter().any(replayed))
+            || graph.values[v.0 as usize]
+                .last_consumer
+                .is_some_and(|c| c.0 as usize >= stage_end && !graph.nodes[c.0 as usize].executed)
     };
     let entry = &graph.values[value.0 as usize];
     let live = entry.observable();
@@ -640,7 +660,7 @@ fn output_kind(
     // live handle, a later reader — or that the stage drops and are
     // replayable themselves.
     let replayable = match entry.origin {
-        ValueOrigin::Ret(n) if entry.recomputable => {
+        ValueOrigin::Ret(n) if entry.recomputable && replay.is_none() => {
             graph.args(&graph.nodes[n.0 as usize]).iter().all(|&a| {
                 let e = &graph.values[a.0 as usize];
                 e.ready || e.observable() || consumed_later(a) || dropped.contains(&a)
@@ -660,11 +680,18 @@ fn output_kind(
 }
 
 /// Close the stage: compute its outputs and their merge plans.
-fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> StagePlan {
+fn finish_stage(
+    graph: &DataflowGraph,
+    b: StageBuilder,
+    demand: Demand,
+    replay: Option<&[NodeId]>,
+) -> StagePlan {
+    let nodes = || b.nodes.iter().map(|n| &graph.nodes[n.0 as usize]);
     let first = b.nodes[0].0 as usize;
-    let stage = first..first + b.nodes.len();
+    let end = b.nodes[b.nodes.len() - 1].0 as usize + 1;
+    let later = replay.map(|slice| &slice[b.nodes.len()..]);
     let (mut outputs, mut dropped) = (Vec::new(), Vec::new());
-    for node in &graph.nodes[stage.clone()] {
+    for node in nodes() {
         for (_, mv) in graph.mut_outs(node) {
             if let Some(inst) = b.produced.get(&mv) {
                 outputs.push(StageOutput {
@@ -679,7 +706,7 @@ fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> Stage
             outputs.push(StageOutput {
                 value: rv,
                 instance: instance.clone(),
-                kind: output_kind(graph, stage.end, rv, instance, demand, &mut dropped),
+                kind: output_kind(graph, end, rv, instance, demand, later, &mut dropped),
             });
         }
     }
@@ -687,7 +714,7 @@ fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> Stage
     // values first (written per worker), then everything the nodes read
     // or produce. The executor indexes a flat `Vec` with these, keeping
     // hash lookups out of the per-batch driver loop.
-    let mut slots = SlotTable::window(graph.id_window(stage.clone()));
+    let mut slots = SlotTable::window(graph.id_window(first..end));
     let mut num_slots = 0;
     let mut assign = |v: ValueId| {
         if slots.get(v).is_none() {
@@ -698,7 +725,7 @@ fn finish_stage(graph: &DataflowGraph, b: StageBuilder, demand: Demand) -> Stage
     for &v in b.input_order.iter().chain(&b.broadcast_order) {
         assign(v);
     }
-    for node in &graph.nodes[stage] {
+    for node in nodes() {
         for &a in graph.args(node) {
             assign(a);
         }
@@ -1171,15 +1198,15 @@ impl CachedPlan {
 
         let (mut outputs, mut dropped) = (Vec::with_capacity(cs.outputs.len()), Vec::new());
         for co in &cs.outputs {
-            let vid = get(co.value)?;
+            let (vid, instance) = (get(co.value)?, &co.instance);
             let kind = if co.in_place {
                 OutputKind::InPlace
             } else {
-                output_kind(graph, stage.end, vid, &co.instance, demand, &mut dropped)
+                output_kind(graph, stage.end, vid, instance, demand, None, &mut dropped)
             };
             outputs.push(StageOutput {
                 value: vid,
-                instance: co.instance.clone(),
+                instance: instance.clone(),
                 kind,
             });
         }

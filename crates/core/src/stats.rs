@@ -1,7 +1,9 @@
 //! Per-phase timing statistics, used to regenerate Figure 5 (system
 //! overhead breakdown) of the paper.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use crate::cputime::{cpu_elapsed, thread_cpu_now};
 
 /// Cumulative wall-clock time spent in each runtime phase.
 ///
@@ -68,15 +70,16 @@ pub struct PhaseStats {
     /// not ask for, held as lineage instead of merged
     /// (`OutputKind::Lineage`; see "Demand-driven materialization" in
     /// [`crate::planner`]).
-    pub deferred_outputs: u64,
+    pub lineage_outputs: u64,
     /// Held values made whole because something did ask — a later read
     /// of their `Future`, a pending call that reads them, an explicit
     /// `evaluate()`, or the flush before a stage that mutates storage in
     /// place: their lineage replayed.
-    pub deferred_materialized: u64,
+    pub lineage_replays: u64,
     /// Values recomputed by lineage replays: each call of a replayed
-    /// slice that ran again, whole (`OutputKind::Lineage`; see
-    /// "Demand-driven materialization" in [`crate::planner`]).
+    /// slice, counted once the replay's stages have all run
+    /// (`OutputKind::Lineage`; see "Demand-driven materialization" in
+    /// [`crate::planner`]).
     pub recomputed_values: u64,
     /// Stage plans statically verified before execution (see
     /// [`verify_stage`](crate::verify::verify_stage)). Every stage is
@@ -99,6 +102,18 @@ impl PhaseStats {
         self.client + self.unprotect + self.planner + self.split + self.task + self.merge
     }
 
+    /// Run `f`, counting its wall time as planner time and, when
+    /// `cpu` is given, adding the thread CPU time it took there.
+    pub(crate) fn planning<T>(&mut self, cpu: Option<&mut Duration>, f: impl FnOnce() -> T) -> T {
+        let (t0, c0) = (Instant::now(), cpu.is_some().then(thread_cpu_now));
+        let planned = f();
+        self.planner += t0.elapsed();
+        if let (Some(cpu), Some(c0)) = (cpu, c0) {
+            *cpu += cpu_elapsed(c0, thread_cpu_now());
+        }
+        planned
+    }
+
     /// Merge another stats block into this one.
     pub fn accumulate(&mut self, other: &PhaseStats) {
         self.client += other.client;
@@ -115,8 +130,8 @@ impl PhaseStats {
         self.bytes_split += other.bytes_split;
         self.bytes_merged += other.bytes_merged;
         self.split_form_handoffs += other.split_form_handoffs;
-        self.deferred_outputs += other.deferred_outputs;
-        self.deferred_materialized += other.deferred_materialized;
+        self.lineage_outputs += other.lineage_outputs;
+        self.lineage_replays += other.lineage_replays;
         self.recomputed_values += other.recomputed_values;
         self.plans_verified += other.plans_verified;
         self.merge_targets_reused += other.merge_targets_reused;

@@ -30,7 +30,8 @@
 //!
 //! * **Layer 2 — [`verify_stage`]**: a structural proof over one
 //!   [`StagePlan`] against its [`DataflowGraph`], run before every
-//!   stage executes, planned or replayed from the plan cache: slot
+//!   stage executes, planned, replayed from the plan cache or part of
+//!   a lineage replay: slot
 //!   assignments are dense, in range and alias-free; every value a node
 //!   reads is defined before use (a stage input, broadcast, or an
 //!   earlier in-stage product) and never a stale pre-mutation version;
@@ -245,8 +246,9 @@ pub enum VerifyError {
     /// An output marked `Lineage` is not recomputable from the graph —
     /// its call mutates an argument, or reads storage that can change,
     /// so a replay could not make the value it stands for — or its
-    /// split type does not merge by concatenation, so a replay's whole
-    /// call could differ in the last bits from the merged pieces.
+    /// split type does not merge by concatenation, so a replay, whose
+    /// batches may fall differently, could differ in the last bits from
+    /// the merged pieces.
     LineageNotRecomputable {
         /// The mismarked value.
         value: u32,
@@ -675,9 +677,10 @@ struct SlotFacts {
 
 /// Layer 2: statically prove one stage plan sound against its graph.
 ///
-/// Run before every stage executes — fresh plans and plan-cache replay
-/// binds alike — against the [`Demand`] of the read that triggered the
-/// evaluation. Returns the first violation found; the caller surfaces
+/// Run before every stage executes — fresh plans, plan-cache replay
+/// binds and the stages of lineage replays alike — against the
+/// [`Demand`] of the read that triggered the evaluation (for a lineage
+/// replay, the value it makes). Returns the first violation found; the caller surfaces
 /// it as [`Error::Verify`](crate::error::Error) and refuses to execute
 /// the stage.
 pub fn verify_stage(
@@ -741,7 +744,8 @@ pub fn verify_stage(
         .unwrap_or(0);
     if readers_end > 0 {
         // Stage membership over the span of the stage's node ids (a
-        // planned stage is a contiguous run).
+        // stage of pending calls is a contiguous run; one of a lineage
+        // replay need not be).
         let first = plan.nodes.iter().map(|n| n.0 as usize).min().unwrap_or(0);
         let span = plan.nodes.iter().map(|n| n.0 as usize + 1 - first).max();
         let mut in_stage = vec![false; span.unwrap_or(0)];

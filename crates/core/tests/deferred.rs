@@ -232,7 +232,7 @@ fn run(cfg: &Config, cache: &Arc<PlanCache>, reads: Reads) -> (Vec<Vec<f64>>, Ph
         Reads::Reversed => (0..4).rev().collect(),
         Reads::EvaluateFirst => {
             ctx.evaluate().unwrap();
-            assert_eq!(ctx.stats().deferred_outputs, 0, "evaluate() demands all");
+            assert_eq!(ctx.stats().lineage_outputs, 0, "evaluate() demands all");
             vec![]
         }
     };
@@ -266,7 +266,7 @@ fn every_read_order_matches_evaluate_then_read() {
                     let (got, stats) = run(&cfg, &cache, reads);
                     assert_eq!(got, reference, "{label} {reads:?} warm={warm}");
                     assert_eq!(
-                        (stats.deferred_outputs, stats.deferred_materialized),
+                        (stats.lineage_outputs, stats.lineage_replays),
                         (0, 0),
                         "{label} {reads:?}: nothing here is replayable: {stats:?}"
                     );
@@ -347,7 +347,7 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
     // copied out of `buf`.
     assert_eq!(elems(&other.get().unwrap()), original);
     let stats = ctx.stats();
-    assert_eq!((stats.stages, stats.deferred_outputs), (1, 0));
+    assert_eq!((stats.stages, stats.lineage_outputs), (1, 0));
 
     // Mutate the viewed storage in place, then read it (which forces
     // the evaluation): `view` keeps the elements it was merged from.
@@ -361,7 +361,7 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
         original,
         "the view was merged before the mutation"
     );
-    assert_eq!(ctx.stats().deferred_materialized, 0);
+    assert_eq!(ctx.stats().lineage_replays, 0);
 
     // A view whose handle is dropped after a later call captured it
     // reads the pre-mutation elements too.

@@ -273,7 +273,7 @@ fn deferred_null_split_tail_underfills_like_the_eager_merge() {
             }
             let stats = c.stats();
             assert_eq!(
-                (stats.deferred_outputs, stats.deferred_materialized),
+                (stats.lineage_outputs, stats.lineage_replays),
                 (0, 0),
                 "{stats:?}"
             );
@@ -685,7 +685,7 @@ struct Profile {
     batches: u64,
     placement_writes: u64,
     bytes_merged: u64,
-    /// `(deferred_outputs, deferred_materialized)`.
+    /// `(lineage_outputs, lineage_replays)`.
     deferred: (u64, u64),
     /// `(merge_targets_reused, merge_targets_allocated)`.
     targets: (u64, u64),
@@ -698,7 +698,7 @@ impl Profile {
             batches: s.batches,
             placement_writes: s.placement_writes,
             bytes_merged: s.bytes_merged,
-            deferred: (s.deferred_outputs, s.deferred_materialized),
+            deferred: (s.lineage_outputs, s.lineage_replays),
             targets: targets(s),
         }
     }

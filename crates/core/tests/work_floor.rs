@@ -464,7 +464,7 @@ fn an_in_place_call_over_a_held_view_stays_captured() {
     let other = offset(1.0);
     let plus_one: Vec<f64> = original.iter().map(|x| x + 1.0).collect();
     assert_eq!(cells(&other.get().unwrap()).unwrap(), plus_one);
-    assert_eq!(ctx.stats().deferred_outputs, 1);
+    assert_eq!(ctx.stats().lineage_outputs, 1);
 
     // Below the floor from here on — but the context holds lineage, so
     // the write over the storage it reads is captured and replays it
@@ -475,7 +475,7 @@ fn an_in_place_call_over_a_held_view_stays_captured() {
     assert_eq!(ctx.pending_calls(), 1);
     let doubled: Vec<f64> = original.iter().map(|x| x * 2.0).collect();
     assert_eq!(buf.as_slice(), &doubled[..]);
-    assert_eq!(ctx.stats().deferred_materialized, 1);
+    assert_eq!(ctx.stats().lineage_replays, 1);
     assert_eq!(
         cells(&held.get().unwrap()).unwrap(),
         original,

@@ -173,10 +173,10 @@ pub static STAT_TABLE: [StatRow; 35] = [
     row(Some((27, "split_form_handoffs")), Counter, |s| s.engine.split_form_handoffs,
         Some("mozart_split_form_handoffs_total"),
         "Retired, always 0: stage outputs are merged, never handed across as pieces"),
-    row(Some((28, "deferred_outputs")), Counter, |s| s.engine.deferred_outputs,
+    row(Some((28, "deferred_outputs")), Counter, |s| s.engine.lineage_outputs,
         Some("mozart_deferred_outputs_total"),
         "Live but undemanded outputs held as lineage instead of merged"),
-    row(Some((29, "deferred_materialized")), Counter, |s| s.engine.deferred_materialized,
+    row(Some((29, "deferred_materialized")), Counter, |s| s.engine.lineage_replays,
         Some("mozart_deferred_materialized_total"),
         "Outputs held as lineage, made whole on demand by a later read or in-place stage"),
     row(Some((30, "merge_targets_reused")), Counter, |s| s.engine.merge_targets_reused,

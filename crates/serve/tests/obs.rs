@@ -316,10 +316,12 @@ fn slow_requests_are_logged_with_trace_ids() {
 }
 
 /// The service of the second-read test: a traced pool of 2 running
-/// `pipeline` in multi-batch stages.
+/// `pipeline` in multi-batch stages. 128 batches a stage keep every
+/// span of both stages inside one worker's trace ring, however the
+/// batches fall between the workers.
 fn second_read_service(pipeline: Arc<dyn Pipeline>) -> PipelineService {
     let mut cfg = Config::with_workers(2);
-    cfg.batch_override = Some(512);
+    cfg.batch_override = Some(2048);
     PipelineService::builder()
         .workers(2)
         .session_config(cfg)
@@ -331,9 +333,10 @@ fn second_read_service(pipeline: Arc<dyn Pipeline>) -> PipelineService {
 /// A pipeline over dataframe columns that reads a second handle: the
 /// first read evaluates and leaves the outputs it did not ask for held
 /// as lineage; the second read recomputes `shifted` and the `tp` it
-/// reads, each call whole on the caller as one `Task` span in the
-/// request's trace; the coverage bar holds, no merge runs for it, and
-/// the recomputed values reach `STATS` and `METRICS`.
+/// reads in a stage of their own, on the pool, with a `Task` span per
+/// batch and one `FinalMerge` span, in the request's trace; the
+/// coverage bar holds, and the recomputed values reach `STATS` and
+/// `METRICS`.
 #[test]
 fn lineage_replay_of_a_second_read_is_traced_and_counted() {
     struct TwoReads;
@@ -366,14 +369,20 @@ fn lineage_replay_of_a_second_read_is_traced_and_counted() {
         tree.render_line()
     );
     let spans = service.trace_spans(trace);
+    assert_eq!(service.recorder().expect("tracing is on").dropped(), 0);
     let count = |kind| spans.iter().filter(|s| s.kind == kind).count() as u64;
     let stats = service.stats();
-    assert_eq!(count(SpanKind::FinalMerge), 1, "{}", tree.render_line());
-    assert_eq!(count(SpanKind::Task), stats.engine.batches + 2);
+    assert_eq!(
+        count(SpanKind::FinalMerge),
+        stats.engine.stages,
+        "{}",
+        tree.render_line()
+    );
+    assert_eq!(count(SpanKind::Task), stats.engine.batches);
     assert_eq!(
         (
-            stats.engine.deferred_outputs,
-            stats.engine.deferred_materialized,
+            stats.engine.lineage_outputs,
+            stats.engine.lineage_replays,
             stats.engine.recomputed_values
         ),
         (2, 1, 2)

@@ -146,3 +146,33 @@ fn oversubscribed_workers_are_safe() {
     let expect = bs::numpy_base(&inp);
     assert!(close(expect.call_sum, got.call_sum, 1e-5));
 }
+
+#[test]
+fn a_stage_over_zero_elements_returns_what_the_library_returns() {
+    use mozart_repro::dataframe::{ops, Column, DataFrame};
+    use mozart_repro::sa_dataframe as sa;
+    use workloads::crime_index::BIG_CITY;
+    // Every city is small, so the filter keeps no rows.
+    let small = |k: f64| Column::from_f64((0..1000).map(|i| k * (1 + i) as f64).collect());
+    let df = DataFrame::from_cols(vec![
+        ("total_population", small(100.0)),
+        ("adult_population", small(70.0)),
+    ]);
+    let plain = df.filter(&ops::gt_scalar(df.col("total_population"), BIG_CITY));
+    assert_eq!(plain.num_rows(), 0);
+    for workers in [1, 2] {
+        let ctx = ctx_with(workers, None, true);
+        let tp = sa::col(&ctx, &df, "total_population").unwrap();
+        let mask = sa::gt_scalar(&ctx, &tp, BIG_CITY).unwrap();
+        let big = sa::get_df(&sa::filter(&ctx, &df, &mask).unwrap()).unwrap();
+        assert_eq!(big.num_rows(), 0);
+        // The next stage's split inputs add up to zero elements: it runs
+        // the library on them whole, as the plain library would.
+        let tp = sa::col(&ctx, &big, "total_population").unwrap();
+        let adult = sa::col(&ctx, &big, "adult_population").unwrap();
+        let ratio = sa::get_col(&sa::div(&ctx, &adult, &tp).unwrap()).unwrap();
+        let expect = ops::div(plain.col("adult_population"), plain.col("total_population"));
+        assert_eq!((ratio.len(), ratio.dtype()), (expect.len(), expect.dtype()));
+        assert_eq!(sa::get_col(&tp).unwrap().len(), 0, "workers={workers}");
+    }
+}

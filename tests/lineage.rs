@@ -21,10 +21,13 @@
 //!   when it was recorded;
 //! * a value held as lineage that a later call reads is replayed once,
 //!   before that call's stage is planned and cached;
+//! * a replay is planned and run as stages: a held value that spans
+//!   many batches replays in many batches on the pool, bit-equal;
 //! * a replay whose library call panics fails with the typed
 //!   `TaskPanicked`, and one past its deadline with `Cancelled`; either
 //!   leaves the value held and the context usable, and a retry reads
-//!   the evaluated bits;
+//!   the evaluated bits; a failure in a later stage of a replay puts
+//!   back what its earlier stages made;
 //! * dropping a lineage handle releases it: a later lazy use fails with
 //!   `ValueUnavailable`.
 
@@ -37,8 +40,9 @@ use mozart_repro::core::annotation::{concrete, missing, Annotation, Invocation};
 use mozart_repro::core::prelude::register_default_splitter;
 use mozart_repro::core::value::DataObject;
 use mozart_repro::core::{
-    Arg, CancelToken, Config, DataValue, Error, FaultPhase, FloatValue, FutureHandle,
-    MergeStrategy, MozartContext, Params, PlanCache, Result, RuntimeInfo, SharedVec, Splitter,
+    Arg, CancelToken, Config, DataValue, Error, FaultKind, FaultPhase, FaultPlan, FaultPoint,
+    FloatValue, FutureHandle, MergeStrategy, MozartContext, Params, PlanCache, Result, RuntimeInfo,
+    SharedVec, Splitter,
 };
 use mozart_repro::dataframe::{Column, DataFrame};
 use mozart_repro::sa_dataframe::{self as sa, ColValue, DfValue};
@@ -113,7 +117,7 @@ fn read_after_the_total(df: &DataFrame) {
         sa::get_scalar(&total).unwrap();
         let stats = ctx.stats();
         assert_eq!(
-            (stats.deferred_outputs, stats.recomputed_values),
+            (stats.lineage_outputs, stats.recomputed_values),
             (8, 0),
             "{stats:?}"
         );
@@ -128,7 +132,7 @@ fn read_after_the_total(df: &DataFrame) {
             let after = ctx.stats();
             let replayed = after.recomputed_values - before.recomputed_values;
             assert_eq!(replayed, expect, "intermediate {i}, order {order:?}");
-            let materialized = after.deferred_materialized - before.deferred_materialized;
+            let materialized = after.lineage_replays - before.lineage_replays;
             assert_eq!(materialized, u64::from(first), "intermediate {i}");
         }
         let all: u64 = LINEAGE.iter().map(|(calls, _)| calls).sum();
@@ -201,15 +205,11 @@ fn a_held_reduction_is_merged_from_its_pieces() {
     let (total, doubled) = capture(&ctx);
     sa::get_col(&doubled).unwrap();
     let before = ctx.stats();
-    assert_eq!(before.deferred_outputs, 0, "{before:?}");
+    assert_eq!(before.lineage_outputs, 0, "{before:?}");
     let got = sa::get_scalar(&total).unwrap();
     let after = ctx.stats();
     assert_eq!(
-        (
-            after.stages,
-            after.deferred_materialized,
-            after.recomputed_values
-        ),
+        (after.stages, after.lineage_replays, after.recomputed_values),
         (before.stages, 0, 0),
         "the read runs nothing: {after:?}"
     );
@@ -233,15 +233,11 @@ fn a_narrow_read_over_a_shared_vec_merges_the_held_output_in_its_stage() {
     let read = sv::ddot(&ctx, &x, &y).unwrap();
     read.get().unwrap();
     let before = ctx.stats();
-    assert_eq!(before.deferred_outputs, 0, "{before:?}");
+    assert_eq!(before.lineage_outputs, 0, "{before:?}");
     let got = held.get().unwrap();
     let after = ctx.stats();
     assert_eq!(
-        (
-            after.stages,
-            after.deferred_materialized,
-            after.recomputed_values
-        ),
+        (after.stages, after.lineage_replays, after.recomputed_values),
         (before.stages, 0, 0),
         "the read runs nothing: {after:?}"
     );
@@ -261,7 +257,7 @@ fn a_replay_past_its_deadline_is_cancelled_and_retryable() {
     let ctx = ctx();
     let (total, held) = crime_index::capture(&df, &ctx).unwrap();
     sa::get_scalar(&total).unwrap();
-    assert_eq!(ctx.stats().deferred_outputs, 8);
+    assert_eq!(ctx.stats().lineage_outputs, 8);
     // `index` replays ten calls: its own block's four, then those of
     // `tp`, `adult` and `rob` and of the steps they stand on.
     ctx.set_cancel_token(CancelToken::with_deadline(Instant::now()));
@@ -269,7 +265,7 @@ fn a_replay_past_its_deadline_is_cancelled_and_retryable() {
     assert!(matches!(err, Error::Cancelled(_)), "{err:?}");
     let stats = ctx.stats();
     assert_eq!(
-        (stats.deferred_materialized, stats.recomputed_values),
+        (stats.lineage_replays, stats.recomputed_values),
         (0, 0),
         "{stats:?}"
     );
@@ -277,6 +273,84 @@ fn a_replay_past_its_deadline_is_cancelled_and_retryable() {
     ctx.set_cancel_token(CancelToken::new());
     assert_eq!(bits(&held[6].get().unwrap()), reference);
     assert_eq!(ctx.stats().recomputed_values, replays(6, &mut [false; 8]));
+}
+
+#[test]
+fn a_replay_is_a_stage_of_many_batches_on_the_pool() {
+    let df = crime_index::generate(1 << 16, 3);
+    let reference = {
+        let ctx = ctx();
+        let (_total, held) = crime_index::capture(&df, &ctx).unwrap();
+        ctx.evaluate().unwrap();
+        bits(&held[0].get().unwrap())
+    };
+    let ctx = ctx();
+    let (total, held) = crime_index::capture(&df, &ctx).unwrap();
+    sa::get_scalar(&total).unwrap();
+    let before = ctx.stats();
+    // `tp_col` spans the whole input frame: its replay is split into
+    // batches the two workers share, as its stage was.
+    assert_eq!(bits(&held[0].get().unwrap()), reference);
+    let after = ctx.stats();
+    assert!(after.batches - before.batches >= 4, "{after:?}");
+    assert!(after.stages > before.stages, "{after:?}");
+    assert_eq!(after.recomputed_values - before.recomputed_values, 1);
+}
+
+#[test]
+fn a_replay_failing_in_its_second_stage_leaves_its_slice_as_it_was() {
+    let df = crime_index::generate(1 << 14, 3);
+    let reference = {
+        let ctx = ctx();
+        let (_total, held) = crime_index::capture(&df, &ctx).unwrap();
+        ctx.evaluate().unwrap();
+        bits(&held[6].get().unwrap())
+    };
+    let ctx = ctx();
+    let (total, held) = crime_index::capture(&df, &ctx).unwrap();
+    sa::get_scalar(&total).unwrap();
+    let before = ctx.stats();
+    // A replay is planned under the config of its read. The "-pipe"
+    // ablation plans one stage per call, so `index` replays its ten
+    // calls as ten stages; the second one panics.
+    let mut unpipelined = ctx.config();
+    unpipelined.pipeline = false;
+    let point = FaultPoint::once(FaultPhase::Task, FaultKind::Panic).at_stage(before.stages + 1);
+    let mut faulty = unpipelined.clone();
+    faulty.fault_plan = Some(Arc::new(FaultPlan::new().point(point)));
+    ctx.set_config(faulty);
+    let err = held[6].get().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::TaskPanicked {
+                stage: FaultPhase::Task,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    let after = ctx.stats();
+    assert_eq!(after.stages, before.stages + 1, "the first stage ran");
+    assert_eq!(after.plans_verified, before.plans_verified + 2);
+    assert_eq!(
+        (after.lineage_replays, after.recomputed_values),
+        (before.lineage_replays, before.recomputed_values),
+        "{after:?}"
+    );
+    // The context is not poisoned: a new call evaluates.
+    ctx.set_config(unpipelined);
+    let tp = sa::col(&ctx, &df, "total_population").unwrap();
+    assert_eq!(sa::get_col(&tp).unwrap().len(), 1 << 14);
+    // Nothing the first stage made was kept: the retry replays every
+    // call of the slice again, in ten stages, and reads the evaluated
+    // bits.
+    let retried = ctx.stats();
+    assert_eq!(bits(&held[6].get().unwrap()), reference);
+    let done = ctx.stats();
+    assert_eq!(done.stages - retried.stages, 10);
+    let replayed = done.recomputed_values - retried.recomputed_values;
+    assert_eq!(replayed, replays(6, &mut [false; 8]));
 }
 
 // ---------------------------------------------------------------------
@@ -396,7 +470,7 @@ fn an_in_place_stage_after_a_narrow_read_replays_lineage_before_it_writes() {
     let held = offset(&ctx, &input, 1.0);
     let read = offset(&ctx, &input, 2.0);
     assert_eq!(elems(&read)[N - 1], (N + 1) as f64);
-    assert_eq!(ctx.stats().deferred_outputs, 1);
+    assert_eq!(ctx.stats().lineage_outputs, 1);
 
     // Negate the storage under `input` in place. Its stage replays
     // `held` first, while the storage still holds what it read.
@@ -420,7 +494,7 @@ fn dropping_a_lineage_handle_releases_it() {
     let doubled = sa::mul_scalar(&ctx, &tp, 2.0).unwrap();
     let shifted = sa::add_scalar(&ctx, &tp, 1.0).unwrap();
     sa::get_col(&doubled).unwrap();
-    assert_eq!(ctx.stats().deferred_outputs, 2, "tp and shifted");
+    assert_eq!(ctx.stats().lineage_outputs, 2, "tp and shifted");
 
     let copy = shifted.as_value();
     drop(shifted);
@@ -447,12 +521,13 @@ fn a_held_input_is_replayed_once_before_its_readers_stage() {
         elems(&second);
         // `first` is held as lineage. A call captured over it finds it
         // replayed before its stage is fingerprinted and planned, and a
-        // later read of `first` replays nothing again.
+        // later read of `first` replays nothing again. The replay is a
+        // stage of its own, between the two segments' stages.
         let half = offset(&ctx, &first.as_value(), 0.5);
         let half = elems(&half);
         let s = ctx.stats();
-        let counts = (s.stages, s.deferred_outputs, s.deferred_materialized);
-        assert_eq!((counts, s.recomputed_values), ((2, 1, 1), 1), "{s:?}");
+        let counts = (s.stages, s.lineage_outputs, s.lineage_replays);
+        assert_eq!((counts, s.recomputed_values), ((3, 1, 1), 1), "{s:?}");
         assert_eq!(elems(&first), first_elems);
         assert_eq!(ctx.stats().recomputed_values, 1, "replayed once");
         let expect: Vec<f64> = first_elems.iter().map(|x| x + 0.5).collect();
@@ -486,7 +561,7 @@ fn a_panicking_replay_is_typed_and_retryable() {
     let held = call(&ctx, &PANICKY, &input, 1.0);
     let read = call(&ctx, &PANICKY, &input, 2.0);
     elems(&read);
-    assert_eq!(ctx.stats().deferred_outputs, 1);
+    assert_eq!(ctx.stats().lineage_outputs, 1);
 
     ARMED.store(true, Ordering::Relaxed);
     let err = held.get().unwrap_err();
@@ -500,11 +575,11 @@ fn a_panicking_replay_is_typed_and_retryable() {
         ),
         "{err:?}"
     );
-    assert_eq!(ctx.stats().deferred_materialized, 0, "still held");
+    assert_eq!(ctx.stats().lineage_replays, 0, "still held");
     // The context is not poisoned: a new call evaluates, and the retry
     // replays the value the evaluated context read.
     assert_eq!(elems(&offset(&ctx, &input, 3.0))[0], 3.0);
     let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(elems(&held)), bits(reference));
-    assert_eq!(ctx.stats().deferred_materialized, 1);
+    assert_eq!(ctx.stats().lineage_replays, 1);
 }

@@ -566,9 +566,6 @@ fn crime_index_held_handles_merge_no_extra_bytes() {
     let (dropped_sum, dropped) = run(false);
     assert!(mozart_repro::workloads::close(held_sum, dropped_sum, 1e-12));
     assert_eq!(held.bytes_merged, dropped.bytes_merged);
-    assert_eq!((held.deferred_outputs, dropped.deferred_outputs), (8, 0));
-    assert_eq!(
-        held.deferred_materialized, 0,
-        "nobody read the intermediates"
-    );
+    assert_eq!((held.lineage_outputs, dropped.lineage_outputs), (8, 0));
+    assert_eq!(held.lineage_replays, 0, "nobody read the intermediates");
 }
