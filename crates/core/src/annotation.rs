@@ -82,23 +82,25 @@ pub struct ArgSpec {
 /// Arguments handed to the black-box function for one batch.
 ///
 /// Pieces appear in the same order as the annotation's arguments;
-/// `_`-typed arguments receive the original unsplit value.
+/// `_`-typed arguments receive the original unsplit value. The pieces
+/// are borrowed from the runtime for the length of the call; a function
+/// that returns or keeps one clones its handle.
 pub struct Invocation<'a> {
     /// The annotated function's name (for diagnostics).
     pub function: &'static str,
     /// Argument pieces for this batch.
-    pub args: &'a [DataValue],
+    pub args: &'a [&'a DataValue],
 }
 
 impl<'a> Invocation<'a> {
     /// Downcast argument `i` to a concrete library type.
-    pub fn arg<T: DataObject>(&self, i: usize) -> Result<&T> {
-        let v = self.args.get(i).ok_or(Error::ArgCount {
+    pub fn arg<T: DataObject>(&self, i: usize) -> Result<&'a T> {
+        let v = self.args.get(i).ok_or_else(|| Error::ArgCount {
             function: self.function,
             expected: i + 1,
             actual: self.args.len(),
         })?;
-        v.downcast_ref::<T>().ok_or(Error::ArgType {
+        v.downcast_ref::<T>().ok_or_else(|| Error::ArgType {
             function: self.function,
             arg: i,
             expected: std::any::type_name::<T>(),
@@ -147,10 +149,10 @@ pub struct Annotation {
     /// once by [`AnnotationBuilder::build`]: a call of an unsound
     /// annotation is refused at registration without checking it again.
     pub(crate) unsound: Option<crate::verify::VerifyError>,
-    /// How a call of each shape runs at registration, decided by its
-    /// first call (see "Calls below the work floor" in
-    /// [`crate::context`]).
-    pub(crate) floor: crate::floor::Decisions,
+    /// What the shape of a call of this annotation reads of its
+    /// arguments, and the key its decisions are kept under (see "Calls
+    /// below the work floor" in [`crate::context`]).
+    pub(crate) floor: crate::floor::CallShape,
 }
 
 impl Annotation {
@@ -249,7 +251,7 @@ impl AnnotationBuilder {
                 .iter()
                 .position(|b| concrete_expr(b) == Some(expr))
         });
-        let floor = crate::floor::Decisions::new(&self.args, self.ret.as_ref());
+        let floor = crate::floor::CallShape::new(&self.args, self.ret.as_ref());
         let mut annot = Annotation {
             name: self.name,
             split_like: split_like.collect(),
@@ -401,21 +403,32 @@ mod tests {
 
     #[test]
     fn invocation_downcasts_and_reports_errors() {
-        let args = vec![DataValue::new(IntValue(5))];
+        let five = DataValue::new(IntValue(5));
         let inv = Invocation {
             function: "f",
-            args: &args,
+            args: &[&five],
         };
         assert_eq!(inv.int(0).unwrap(), 5);
         match inv.float(0) {
-            Err(Error::ArgType { function, arg, .. }) => {
+            Err(Error::ArgType {
+                function,
+                arg,
+                expected,
+                actual,
+            }) => {
                 assert_eq!(function, "f");
                 assert_eq!(arg, 0);
+                assert_eq!(expected, std::any::type_name::<crate::value::FloatValue>());
+                assert_eq!(actual, five.type_name());
             }
             other => panic!("expected ArgType error, got {other:?}"),
         }
         match inv.int(3) {
-            Err(Error::ArgCount { .. }) => {}
+            Err(Error::ArgCount {
+                function,
+                expected,
+                actual,
+            }) => assert_eq!((function, expected, actual), ("f", 4, 1)),
             other => panic!("expected ArgCount error, got {other:?}"),
         }
     }

@@ -77,22 +77,25 @@
 //! cancel token is polled first, as at a batch boundary.
 //!
 //! Such a call should cost what the library call costs, so the runtime
-//! decides once and splits once:
+//! decides once and splits once, reads each argument once, and takes one
+//! lock, the context's:
 //!
 //! * [`MozartContext::call`] borrows its arguments ([`Arg`]) and wraps
 //!   one as an owned [`DataValue`] only where it keeps it.
 //! * How a call takes each argument — the split types, element total
 //!   and bytes the checks above derive, which arguments share a piece,
-//!   the return's split type — is decided by the first call of each
-//!   shape and kept on its annotation, for every context. The shape is
-//!   each argument's kind with its length (arrays), the value of each
-//!   scalar that is split or read by a split type's constructor, and
-//!   which arguments share storage; a scalar taken whole that no
-//!   constructor reads, such as a per-call factor, is wrapped afresh on
-//!   every call and does not split the memo. What can change between
-//!   calls is checked on every call: pending and deferred work, protect
-//!   flags, the config, and whether a default split type the decision
-//!   looked up has been replaced. A call with an argument of another
+//!   the return's split type — is decided by a thread's first call of
+//!   each shape and kept by that thread, for every context, and read
+//!   under no lock: a decision is a function of the shape and of the
+//!   registry generation, which every use checks. The shape is each
+//!   argument's kind with its length (arrays), the value of each scalar
+//!   that is split or read by a split type's constructor, and which
+//!   arguments share storage; a scalar taken whole that no constructor
+//!   reads, such as a per-call factor, is wrapped afresh on every call
+//!   and does not split the memo. What can change between calls is
+//!   checked on every call: pending and deferred work, protect flags,
+//!   the config, and whether a default split type the decision looked
+//!   up has been replaced. A call with an argument of another
 //!   kind decides afresh. A first call makes the decision and then runs
 //!   the same code as every later one.
 //! * A split type that declares
@@ -101,11 +104,17 @@
 //!   holding the storage alive so that its address cannot name another,
 //!   until its next evaluation (a bounded number of pieces; a full memo
 //!   is emptied). Any other split type is split on every call.
+//! * The function borrows its pieces ([`Invocation`](crate::Invocation)):
+//!   the caller's handles, the decision's and the kept ones are lent to
+//!   it, not cloned.
 //!
-//! The call reads the clock three times: on entry, once it is decided,
-//! and once it has run. Entry to decision counts as planner time (see
-//! [`PhaseStats::planner`]), the rest as task time, and under tracing
-//! the rest is one `Task` span.
+//! The call reads the clock on entry and once it has run, and counts
+//! that time as task time; under tracing it is one `Task` span. Looking
+//! a decision up costs less than the clock reading that would end it, so
+//! only the first call at the floor the context's statistics count, and
+//! a call that makes its decision, read the clock a third time once
+//! decided: entry to decision counts as planner time (see
+//! [`PhaseStats::planner`]).
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,8 +126,9 @@ use parking_lot::Mutex;
 use crate::annotation::Annotation;
 use crate::buffer::EvalTrigger;
 use crate::config::Config;
+use crate::cputime::thread_cpu_now;
 use crate::error::{Error, Result};
-use crate::executor::{call_whole, duration_ns, execute_stage, replay_lineage, ExecEnv};
+use crate::executor::{duration_ns, execute_stage, replay_lineage, ExecEnv};
 use crate::floor::Floor;
 use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
@@ -129,7 +139,7 @@ use crate::planner::{
 };
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::stats::{PhaseStats, PoolStats};
-use crate::trace::{SpanKind, TraceCtx, TraceId, SERVICE_WORKER};
+use crate::trace::{SpanKind, SpanRecord, TraceCtx, TraceId, SERVICE_WORKER};
 use crate::value::{Arg, DataObject, DataValue};
 
 static CTX_COUNTER: AtomicU64 = AtomicU64::new(1);
@@ -403,13 +413,9 @@ impl MozartContext {
             ready &= st.graph.lazy_arg(value)?.is_some();
         }
         if ready {
-            let mut floor = std::mem::take(&mut st.floor);
-            let ran = self.run_at_floor(&mut st, &mut floor, annot, args, t0);
-            floor.done();
-            st.floor = floor;
             // `None`: above the floor, or a split returned `NULL` and
             // nothing ran — either way the call is captured.
-            if let Some(ran) = ran.transpose() {
+            if let Some(ran) = self.run_at_floor(&mut st, annot, args, t0) {
                 return ran;
             }
         }
@@ -472,99 +478,101 @@ impl MozartContext {
         st.owned = owned;
 
         // Create the return value and its liveness token.
-        let mut future = None;
-        let mut ret = None;
-        if annot.ret.is_some() {
-            let token = Arc::new(FutureToken);
-            let rv = st.graph.push_value(ValueEntry {
-                origin: ValueOrigin::Ret(node_id),
-                data: None,
-                ready: false,
-                lineage: false,
-                recomputable: false,
-                merge_origin: None,
-                last_consumer: None,
-                user_token: Some(Arc::downgrade(&token)),
-            });
-            ret = Some(rv);
-            future = Some(FutureHandle {
-                ctx: self.clone(),
-                value: rv,
-                _token: token,
-            });
-        }
-
+        let origin = ValueOrigin::Ret(node_id);
+        let future = annot
+            .ret
+            .as_ref()
+            .map(|_| self.future(&mut st, origin, None));
+        let ret = future.as_ref().map(|f| f.value);
         st.graph.push_captured(annot.clone(), ids as u32, ret);
         st.stats.client += t0.elapsed();
         Ok(future)
     }
 
     /// Run a call below the work floor at registration (module docs),
-    /// failing the context as a failed stage would. `Ok(None)` when the
-    /// call is above the floor, or a split returned `NULL` and nothing
-    /// ran: the caller captures the call instead.
+    /// failing the context as a failed stage would. `None` when the call
+    /// is above the floor, or a split returned `NULL` and nothing ran:
+    /// the caller captures the call instead.
     fn run_at_floor(
         &self,
         st: &mut State,
-        floor: &mut Floor,
         annot: &Annotation,
         args: &[Arg<'_>],
         t0: Instant,
-    ) -> Result<Option<Option<FutureHandle>>> {
-        let Some(plan) = floor.decide(&st.graph, &st.config, annot, args) else {
-            return Ok(None);
+    ) -> Option<Result<Option<FutureHandle>>> {
+        let (mut t1, mut ret) = (t0, None);
+        let decided = |made: bool, stats: &mut PhaseStats| {
+            // Deciding how the call runs — its checks and the making or
+            // lookup of its decision — was its planning; what follows is
+            // its task. A lookup costs less than the clock reading that
+            // would end it, so it is timed only on the first call the
+            // statistics count, and otherwise counts as task time.
+            if made || stats.inline_calls == 0 {
+                t1 = Instant::now();
+                stats.planner += t1 - t0;
+            }
+            // Polled once, as at a batch boundary.
+            let why = "deadline passed or token cancelled at registration";
+            match &st.cancel {
+                Some(c) if c.is_cancelled() => Err(Error::Cancelled(why.into())),
+                _ => Ok(()),
+            }
         };
-        // Deciding how the call runs — its checks and the lookup of its
-        // decision — was its planning; what follows is its task.
-        let t1 = Instant::now();
-        st.stats.planner += t1 - t0;
-        // Polled once, as at a batch boundary.
-        if st.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            let e = Error::Cancelled("deadline passed or token cancelled at registration".into());
-            return Err(poison(st, e));
+        let (graph, config) = (&st.graph, &st.config);
+        match st
+            .floor
+            .run(graph, config, &mut st.stats, annot, args, decided, &mut ret)
+        {
+            Ok(true) => {}
+            Ok(false) => return None,
+            Err(e) => return Some(Err(poison(st, *e))),
         }
-        let ran = match floor.split(&st.graph, args, &plan) {
-            Ok(true) => call_whole(annot, floor.pieces(), plan.ret.as_ref(), plan.total).map(Some),
-            split => split.map(|_| None),
-        };
-        let ret = match ran {
-            Ok(Some(ret)) => ret,
-            Ok(None) => return Ok(None),
-            Err(e) => return Err(poison(st, e)),
-        };
         let t2 = Instant::now();
         st.stats.task += t2 - t1;
         // One task span for the call, from the same two readings. Its
         // CPU time is taken as its wall time: the call runs on this
         // thread without blocking, and two reads of the thread CPU
         // clock would cost as much as a small call.
-        if let Some(t) = trace_ctx(st) {
-            let wall = duration_ns(t2 - t1);
-            t.emit(SpanKind::Task, 0, 0, 0, t.recorder.ns_at(t1), wall, wall);
-        }
-        st.stats.calls += 1;
-        st.stats.inline_calls += 1;
-        st.stats.bytes_split += plan.bytes();
-        let future = ret.map(|merged| {
-            st.stats.bytes_merged += plan.merged_bytes(&merged);
-            let token = Arc::new(FutureToken);
-            let value = st.graph.push_value(ValueEntry {
-                origin: ValueOrigin::Source,
-                data: Some(merged),
-                ready: true,
-                lineage: false,
-                recomputable: false,
-                merge_origin: None,
-                last_consumer: None,
-                user_token: Some(Arc::downgrade(&token)),
-            });
-            FutureHandle {
-                ctx: self.clone(),
-                value,
-                _token: token,
+        if let Some(recorder) = &st.config.tracing {
+            if st.trace_id == 0 {
+                st.trace_id = recorder.mint();
             }
+            let wall = duration_ns(t2 - t1);
+            recorder.record(SpanRecord {
+                seq: 0,
+                trace: st.trace_id,
+                kind: SpanKind::Task,
+                worker: 0,
+                arg: 0,
+                link: 0,
+                start_ns: recorder.ns_at(t1),
+                wall_ns: wall,
+                cpu_ns: wall,
+            });
+        }
+        let future = ret.map(|merged| self.future(st, ValueOrigin::Source, Some(merged)));
+        Some(Ok(future))
+    }
+
+    /// A new value of the graph and the `Future` that keeps it live:
+    /// ready with `data` if it was made already.
+    fn future(&self, st: &mut State, origin: ValueOrigin, data: Option<DataValue>) -> FutureHandle {
+        let token = Arc::new(FutureToken);
+        let value = st.graph.push_value(ValueEntry {
+            origin,
+            ready: data.is_some(),
+            data,
+            lineage: false,
+            recomputable: false,
+            merge_origin: None,
+            last_consumer: None,
+            user_token: Some(Arc::downgrade(&token)),
         });
-        Ok(Some(future))
+        FutureHandle {
+            ctx: self.clone(),
+            value,
+            _token: token,
+        }
     }
 
     /// Evaluate all pending calls (the paper's `evaluate()`) and make
@@ -745,7 +753,7 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     // reads and writes these buffers through the unchecked APIs, and the
     // data will be up to date when evaluation returns.
     let t0 = Instant::now();
-    let c0 = trace.as_ref().map(|_| crate::cputime::thread_cpu_now());
+    let c0 = trace.as_ref().map(|_| thread_cpu_now());
     for dv in st.protected.drain(..) {
         if let Some(flag) = dv.protect_flag() {
             flag.unprotect();
@@ -753,18 +761,9 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     }
     st.stats.unprotect += t0.elapsed();
     if let (Some(t), Some(start), Some(c0)) = (&trace, eval_start_ns, c0) {
-        t.emit(
-            SpanKind::Unprotect,
-            SERVICE_WORKER,
-            0,
-            0,
-            start,
-            duration_ns(t0.elapsed()),
-            duration_ns(crate::cputime::cpu_elapsed(
-                c0,
-                crate::cputime::thread_cpu_now(),
-            )),
-        );
+        let wall = duration_ns(t0.elapsed());
+        let cpu = duration_ns(crate::cputime::cpu_elapsed(c0, thread_cpu_now()));
+        t.emit(SpanKind::Unprotect, SERVICE_WORKER, 0, 0, start, wall, cpu);
     }
 
     // Make sure the persistent pool matches the configured parallelism:
@@ -903,15 +902,9 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     // One accumulated planner span per evaluation (fingerprinting, stage
     // planning, plan binding), anchored at evaluation start.
     if let (Some(t), Some(start)) = (&trace, eval_start_ns) {
-        t.emit(
-            SpanKind::Planner,
-            SERVICE_WORKER,
-            0,
-            0,
-            start,
-            duration_ns(st.stats.planner.saturating_sub(planner_before)),
-            duration_ns(planner_cpu.unwrap_or_default()),
-        );
+        let wall = duration_ns(st.stats.planner.saturating_sub(planner_before));
+        let cpu = duration_ns(planner_cpu.unwrap_or_default());
+        t.emit(SpanKind::Planner, SERVICE_WORKER, 0, 0, start, wall, cpu);
     }
     Ok(())
 }

@@ -94,7 +94,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::annotation::{Annotation, Invocation};
+use crate::annotation::Invocation;
 use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
@@ -916,8 +916,9 @@ struct Worker<'a> {
     end: u64,
     /// The batch's pieces by value slot (broadcast values stay put).
     slots: Vec<Option<DataValue>>,
-    /// One argument buffer for every call this worker makes.
-    args: Vec<DataValue>,
+    /// One argument buffer for every call this worker makes, empty
+    /// between calls (see [`reuse`]).
+    args: Vec<&'static DataValue>,
     out: WorkerOut,
 }
 
@@ -992,20 +993,23 @@ impl Worker<'_> {
     /// The task phase: call every node of the stage on the batch's
     /// pieces.
     fn call(&mut self) -> Result<()> {
-        let (exec, slots, args) = (self.exec, &mut self.slots, &mut self.args);
+        let (exec, slots) = (self.exec, &mut self.slots);
         for node in &exec.nodes {
-            args.clear();
-            for &slot in &exec.arg_slots[node.args.clone()] {
+            let arg_slots = &exec.arg_slots[node.args.clone()];
+            let mut args = reuse(std::mem::take(&mut self.args));
+            for &slot in arg_slots {
                 let piece = slots[slot as usize].as_ref();
-                args.push(piece.ok_or(Error::ValueUnavailable)?.clone());
+                args.push(piece.ok_or(Error::ValueUnavailable)?);
             }
             let inv = Invocation {
                 function: node.name,
-                args,
+                args: &args,
             };
-            let ret = (node.func)(&inv)?;
+            let ret = (node.func)(&inv);
+            self.args = reuse(args);
+            let ret = ret?;
             for &(arg_idx, mv_slot) in &exec.mut_aliases[node.muts.clone()] {
-                slots[mv_slot as usize] = Some(args[arg_idx as usize].clone());
+                slots[mv_slot as usize] = slots[arg_slots[arg_idx as usize] as usize].clone();
             }
             let piece = returned(node.name, ret, node.ret.is_some())?;
             if let (Some(piece), Some(rv_slot)) = (piece, node.ret) {
@@ -1013,7 +1017,6 @@ impl Worker<'_> {
             }
             self.out.calls += 1;
         }
-        args.clear();
         Ok(())
     }
 
@@ -1029,7 +1032,12 @@ impl Worker<'_> {
 
 /// What function `name` returned, checked against whether its
 /// annotation declares a return value.
-fn returned(name: &str, ret: Option<DataValue>, declared: bool) -> Result<Option<DataValue>> {
+#[inline]
+pub(crate) fn returned(
+    name: &str,
+    ret: Option<DataValue>,
+    declared: bool,
+) -> Result<Option<DataValue>> {
     match (ret, declared) {
         (Some(_), false) => Err(Error::Library(format!(
             "{name} returned a value but its annotation declares none"
@@ -1041,27 +1049,12 @@ fn returned(name: &str, ret: Option<DataValue>, declared: bool) -> Result<Option
     }
 }
 
-/// The task phase of a call run whole at registration, then the merge
-/// of the piece it returns through the return's split type `ret` — a
-/// one-piece final merge over the stage's `total` elements.
-pub(crate) fn call_whole(
-    annot: &Annotation,
-    pieces: &[DataValue],
-    ret: Option<&SplitInstance>,
-    total: u64,
-) -> Result<Option<DataValue>> {
-    let inv = Invocation {
-        function: annot.name,
-        args: pieces,
-    };
-    let piece = catch_phase(FaultPhase::Task, || (annot.func)(&inv))?;
-    let (Some(piece), Some(ret)) = (returned(annot.name, piece, ret.is_some())?, ret) else {
-        return Ok(None);
-    };
-    catch_phase(FaultPhase::Merge, || {
-        let merged = ret.splitter.merge(vec![piece], &ret.params, total)?;
-        Ok(Some(merged))
-    })
+/// An empty buffer over `v`'s allocation, for elements of another type
+/// of the same size and alignment — here, references that borrow for
+/// one call only. `v`'s elements are dropped, so no borrow outlives the
+/// call; the standard library collects in place, so nothing allocates.
+pub(crate) fn reuse<T, U>(v: Vec<T>) -> Vec<U> {
+    v.into_iter().filter_map(|_| None).collect()
 }
 
 /// The driver loop (§5.2 step 2) for one participant: claim batches

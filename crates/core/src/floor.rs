@@ -1,49 +1,65 @@
 //! The machinery of calls below the work floor (see "Calls below the
 //! work floor" in [`crate::context`]): how such a call takes each
-//! argument, decided once per call shape and kept on its annotation,
-//! and the whole-range pieces it runs on, kept per context until the
-//! context's next evaluation.
+//! argument, decided once per call shape and kept by the calling
+//! thread, and the whole-range pieces it runs on, kept per context until
+//! the context's next evaluation.
 
 use std::any::TypeId;
 use std::borrow::Cow;
-use std::hash::Hasher;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::annotation::{Annotation, ArgSpec, GenericId, SplitTypeExpr};
+use crate::annotation::{Annotation, ArgSpec, GenericId, Invocation, SplitTypeExpr};
 use crate::buffer::{SharedVec, VecValue};
 use crate::config::Config;
-use crate::error::Result;
-use crate::executor::catch_phase;
+use crate::error::{Error, Result};
+use crate::executor::{catch_phase, returned, reuse};
 use crate::faultinject::FaultPhase;
 use crate::graph::{DataflowGraph, WordHasher, WordMap};
 use crate::planner::construct_instance;
 use crate::registry::{default_instance_for, generation};
-use crate::split::SplitInstance;
+use crate::split::{Params, SplitInstance};
+use crate::stats::PhaseStats;
 use crate::value::{Arg, DataIdentity, DataValue, FloatValue, IntValue};
 
-/// Call shapes one annotation keeps a decision for. A full memo is
-/// emptied and refills from the calls that follow.
-const SHAPES: usize = 64;
+/// Call shapes one thread keeps a decision for, over every annotation it
+/// calls. A full memo is emptied and refills from the calls that follow.
+const SHAPES: usize = 256;
 
-/// Whole pieces one context keeps between evaluations. A full memo is
-/// emptied; each entry holds its storage alive, so the bound is also
-/// what a long-lived context that never evaluates can hold.
+/// Split types [`split_type_key`] keeps a number for.
+const SPLIT_TYPES: usize = 4096;
+
+/// Whole pieces one context keeps between evaluations. A memo that is
+/// full when a call starts is emptied; each entry holds its storage
+/// alive, so the bound (plus one call's arguments) is also what a
+/// long-lived context that never evaluates can hold.
 const PIECES: usize = 32;
+
+thread_local! {
+    /// This thread's decisions, by annotation and the hash of the call
+    /// shape. Read and written under no lock: a decision is a function
+    /// of the shape and of the registry generation it looked a default
+    /// split type up at, which every use checks.
+    static DECIDED: RefCell<WordMap<(u64, u64), Decision>> =
+        const { RefCell::new(HashMap::with_hasher(BuildHasherDefault::new())) };
+}
 
 /// How a call run at registration hands one argument to its function.
 enum How {
     /// Whole (the `_` split type).
     Broadcast,
-    /// As its piece `0..total` of `inst`. `key` names the split type
-    /// among kept pieces; `stable` is
-    /// [`Splitter::whole_piece_stable`](crate::split::Splitter::whole_piece_stable).
-    Split {
-        inst: SplitInstance,
-        key: u64,
-        stable: bool,
-    },
+    /// As its piece `0..total` of the split type. If the split type
+    /// declares
+    /// [`Splitter::whole_piece_stable`](crate::split::Splitter::whole_piece_stable),
+    /// its number (see [`split_type_key`]), under which the piece is
+    /// kept.
+    Split(SplitInstance, Option<u64>),
     /// As the piece of an earlier argument over the same storage: one
     /// stage input serves both, as the planner's slots would.
     SameAs(usize),
@@ -55,37 +71,50 @@ enum How {
 
 impl How {
     fn split(inst: SplitInstance) -> How {
-        let mut h = WordHasher::default();
-        h.bytes(inst.splitter.name().as_bytes());
-        h.word(inst.unique.unwrap_or(u64::MAX));
-        for &p in inst.params.iter() {
-            h.word(p as u64);
-        }
-        How::Split {
-            stable: inst.splitter.whole_piece_stable(),
-            key: h.finish(),
-            inst,
-        }
+        let key = inst
+            .splitter
+            .whole_piece_stable()
+            .then(|| split_type_key(&inst));
+        How::Split(inst, key)
     }
 
     /// The split type argument `i` of `how` is split by, if it is split.
     fn split_type(how: &[How], i: usize) -> Option<&SplitInstance> {
         match &how[i] {
-            How::Split { inst, .. } => Some(inst),
+            How::Split(inst, _) => Some(inst),
             How::SameAs(j) => How::split_type(how, *j),
             How::Broadcast | How::Fixed(_) => None,
         }
     }
 }
 
+/// A number for `inst`'s split type — its name, uniqueness token and
+/// parameters — by which kept pieces are found: two split types with one
+/// number are the same. Numbers start at 1 and are never reused; a full
+/// table is emptied, and a split type numbered again gets a new number
+/// (its pieces are then split again).
+fn split_type_key(inst: &SplitInstance) -> u64 {
+    type Key = (&'static str, Option<u64>, Arc<Params>);
+    static KEYS: Mutex<WordMap<Key, u64>> =
+        Mutex::new(HashMap::with_hasher(BuildHasherDefault::new()));
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    let mut keys = KEYS.lock();
+    if keys.len() >= SPLIT_TYPES {
+        keys.clear();
+    }
+    let key = (inst.splitter.name(), inst.unique, inst.params.clone());
+    let next = || NEXT.fetch_add(1, Ordering::Relaxed);
+    *keys.entry(key).or_insert_with(next)
+}
+
 /// How a call of one shape runs at registration.
-pub(crate) struct Plan {
+struct Plan {
     /// Per argument, in annotation order.
     how: Vec<How>,
     /// The return value's split type, if the annotation declares one.
-    pub(crate) ret: Option<SplitInstance>,
+    ret: Option<SplitInstance>,
     /// The element count every split argument agrees on.
-    pub(crate) total: u64,
+    total: u64,
     /// `elem_size_bytes` summed over the split arguments.
     elem_bytes: u64,
 }
@@ -93,7 +122,7 @@ pub(crate) struct Plan {
 impl Plan {
     /// Nominal bytes split: `total · elem_size_bytes` summed over the
     /// split arguments.
-    pub(crate) fn bytes(&self) -> u64 {
+    fn bytes(&self) -> u64 {
         self.total.saturating_mul(self.elem_bytes)
     }
 
@@ -108,7 +137,7 @@ impl Plan {
     /// Nominal size of the merged return value, as a stage output
     /// counts it in [`PhaseStats::bytes_merged`](crate::PhaseStats) (0
     /// for `unknown`).
-    pub(crate) fn merged_bytes(&self, merged: &DataValue) -> u64 {
+    fn merged_bytes(&self, merged: &DataValue) -> u64 {
         let inst = self.ret.as_ref().filter(|i| !i.is_unknown());
         let info = inst.and_then(|i| i.splitter.info(merged, &i.params).ok());
         info.map_or(0, |i| i.total_elements.saturating_mul(i.elem_size_bytes))
@@ -126,27 +155,30 @@ struct Decision {
     /// an `unknown` argument, disagreeing element totals, one storage
     /// needed whole and split, or anything the planner would reject, so
     /// that it fails where it always has.
-    plan: Option<Arc<Plan>>,
+    plan: Option<Rc<Plan>>,
 }
 
-/// The decisions of one annotation, by call shape: each argument's kind
-/// with its length (arrays), the value of each scalar the decision reads
-/// (one that is split, or that a constructor takes), and which arguments
-/// share storage. That is all a decision reads from the arguments, by
-/// the contract of [`Splitter::construct`](crate::split::Splitter::construct)
-/// and [`Splitter::info`](crate::split::Splitter::info). A scalar taken
+/// What a call's shape reads of one annotation's arguments: each
+/// argument's kind with its length (arrays), the value of each scalar
+/// the decision reads (one that is split, or that a constructor takes),
+/// and which arguments share storage. That is all a decision reads from
+/// the arguments, by the contract of
+/// [`Splitter::construct`](crate::split::Splitter::construct) and
+/// [`Splitter::info`](crate::split::Splitter::info). A scalar taken
 /// whole that no constructor reads counts by its kind alone, so calls
 /// that differ only in such a scalar share a decision. A call with any
 /// other kind of argument decides afresh and keeps nothing.
-pub(crate) struct Decisions {
+pub(crate) struct CallShape {
+    /// The annotation's key among a thread's decisions, never reused.
+    id: u64,
     /// Per argument: whether its value, if a scalar, is part of the
     /// shape.
     valued: Box<[bool]>,
-    map: Mutex<WordMap<u64, Decision>>,
 }
 
-impl Decisions {
-    pub(crate) fn new(args: &[ArgSpec], ret: Option<&SplitTypeExpr>) -> Decisions {
+impl CallShape {
+    pub(crate) fn new(args: &[ArgSpec], ret: Option<&SplitTypeExpr>) -> CallShape {
+        static IDS: AtomicU64 = AtomicU64::new(0);
         let ctors: Vec<usize> = args
             .iter()
             .map(|a| &a.ty)
@@ -161,26 +193,10 @@ impl Decisions {
             .iter()
             .enumerate()
             .map(|(i, a)| !matches!(a.ty, SplitTypeExpr::Missing) || ctors.contains(&i));
-        Decisions {
+        CallShape {
+            id: IDS.fetch_add(1, Ordering::Relaxed),
             valued: valued.collect(),
-            map: Mutex::default(),
         }
-    }
-
-    /// The plan for `shape`, if it was decided and nothing it looked up
-    /// has changed since. The outer `None` is a miss.
-    fn get(&self, hash: u64, shape: &[u64]) -> Option<Option<Arc<Plan>>> {
-        let map = self.map.lock();
-        let d = map.get(&hash)?;
-        (*d.shape == *shape && d.registry.is_none_or(|g| g == generation())).then(|| d.plan.clone())
-    }
-
-    fn insert(&self, hash: u64, decision: Decision) {
-        let mut map = self.map.lock();
-        if map.len() >= SHAPES && !map.contains_key(&hash) {
-            map.clear();
-        }
-        map.insert(hash, decision);
     }
 }
 
@@ -191,6 +207,12 @@ struct Seen<'a> {
     /// The value handle the caller passed, or the data of the ready
     /// lazy value it named; `None` for a buffer or scalar passed as is.
     value: Option<&'a DataValue>,
+    /// The storage the argument names, to find arguments over one
+    /// storage; `None` for a scalar passed by value, which shares
+    /// storage with nothing.
+    ident: Option<DataIdentity>,
+    /// Where the current call's piece of the argument is, once made.
+    at: At,
 }
 
 #[derive(Clone, Copy)]
@@ -202,24 +224,9 @@ enum Kind<'a> {
     Other,
 }
 
-/// What keeps a kept piece's storage alive, so that its address cannot
-/// name another storage while the entry lives.
-enum Owner {
-    Vec(#[allow(dead_code)] SharedVec<f64>),
-    Value(#[allow(dead_code)] DataValue),
-}
-
-impl<'a> Seen<'a> {
-    /// Argument `arg`, every lazy argument being ready.
-    fn of(arg: &Arg<'a>, graph: &'a DataflowGraph) -> Seen<'a> {
-        let value = match *arg {
-            Arg::Vec(v) => return Seen::bare(Kind::Vec(v)),
-            Arg::Int(i) => return Seen::bare(Kind::Int(i)),
-            Arg::Float(x) => return Seen::bare(Kind::Float(x)),
-            Arg::Future(f) => graph.value_data(f.value_id()),
-            Arg::Value(DataValue::Lazy { value, .. }) => graph.value_data(*value),
-            Arg::Value(v) => Some(v),
-        };
+impl<'a> Kind<'a> {
+    /// The kind of ready data, with its handle.
+    fn of(value: Option<&'a DataValue>) -> (Kind<'a>, Option<&'a DataValue>) {
         let value = value.expect("a lazy argument at the floor is ready");
         let kind = if let Some(v) = value.downcast_ref::<VecValue>() {
             Kind::Vec(&v.0)
@@ -230,14 +237,44 @@ impl<'a> Seen<'a> {
         } else {
             Kind::Other
         };
+        (kind, Some(value))
+    }
+}
+
+/// Where a piece the current call runs on is held.
+#[derive(Clone, Copy)]
+enum At {
+    /// The argument's own value handle.
+    Caller,
+    /// [`Floor::kept`], at this index.
+    Kept(u32),
+    /// [`Floor::made`], at this index.
+    Made(u32),
+}
+
+impl<'a> Seen<'a> {
+    /// Argument `arg`, every lazy argument being ready.
+    fn of(arg: &Arg<'a>, graph: &'a DataflowGraph) -> Seen<'a> {
+        let (kind, value) = match *arg {
+            Arg::Vec(v) => (Kind::Vec(v), None),
+            Arg::Int(i) => (Kind::Int(i), None),
+            Arg::Float(x) => (Kind::Float(x), None),
+            Arg::Future(f) => Kind::of(graph.value_data(f.value_id())),
+            Arg::Value(DataValue::Lazy { value, .. }) => Kind::of(graph.value_data(*value)),
+            Arg::Value(v) => Kind::of(Some(v)),
+        };
+        let vec_type = TypeId::of::<VecValue>();
+        let ident = match (kind, value) {
+            (Kind::Vec(v), None) => Some(DataIdentity::new(v.storage_addr(), vec_type)),
+            (_, value) => value.and_then(DataValue::identity),
+        };
+        let at = At::Caller;
         Seen {
             kind,
-            value: Some(value),
+            value,
+            ident,
+            at,
         }
-    }
-
-    fn bare(kind: Kind<'a>) -> Seen<'a> {
-        Seen { kind, value: None }
     }
 
     /// Whether some context has a pending write to the storage.
@@ -246,20 +283,6 @@ impl<'a> Seen<'a> {
             (Kind::Vec(v), _) => v.protect_flag().is_protected(),
             (_, Some(v)) => v.protect_flag().is_some_and(|f| f.is_protected()),
             _ => false,
-        }
-    }
-
-    /// The storage the argument names, to find arguments over one
-    /// storage; `None` for a scalar passed by value, which shares
-    /// storage with nothing.
-    fn identity(&self) -> Option<DataIdentity> {
-        match (self.kind, self.value) {
-            (Kind::Vec(v), _) => Some(DataIdentity::new(
-                v.storage_addr(),
-                TypeId::of::<VecValue>(),
-            )),
-            (_, Some(v)) => v.identity(),
-            _ => None,
         }
     }
 
@@ -289,203 +312,254 @@ impl<'a> Seen<'a> {
     fn scalar(&self) -> bool {
         matches!(self.kind, Kind::Int(_) | Kind::Float(_))
     }
-
-    /// What keeps the argument's storage alive.
-    fn owner(&self) -> Owner {
-        match (self.kind, self.value) {
-            (Kind::Vec(v), _) => Owner::Vec(v.clone()),
-            (_, v) => Owner::Value(v.expect("stored data always has a handle").clone()),
-        }
-    }
 }
 
 /// A kept piece.
 struct Kept {
-    /// Keeps the keyed storage alive.
-    _owner: Owner,
-    /// The split type the piece is of; `None` for a whole value.
-    inst: Option<SplitInstance>,
+    /// The storage of the argument and the key of its split type (0 for
+    /// a whole value).
+    key: (DataIdentity, u64),
+    /// The argument's whole value, which keeps the keyed storage alive so
+    /// that its address cannot name another storage while the entry
+    /// lives.
+    _owner: DataValue,
     piece: DataValue,
 }
 
 /// A context's side of the work floor: the whole pieces of its calls
 /// since its last evaluation, and the current call's buffers. Its
-/// buffers are allocated once per context, not per call.
+/// buffers are allocated once per context, not per call; the ones that
+/// borrow for one call are empty between calls.
 #[derive(Default)]
 pub(crate) struct Floor {
-    /// The pieces the current call's function runs on, one per
-    /// argument; emptied by [`done`](Self::done).
-    pieces: Vec<DataValue>,
     /// Whole-range pieces and whole values, by the storage of the
-    /// argument and the key of its split type (0 for a whole value).
-    kept: WordMap<(DataIdentity, u64), Kept>,
+    /// argument and the key of its split type.
+    kept: Vec<Kept>,
+    /// The pieces the current call made for itself alone.
+    made: Vec<DataValue>,
     /// The current call's shape.
     shape: Vec<u64>,
-    /// The storage of each of the current call's arguments.
-    idents: Vec<Option<DataIdentity>>,
+    /// The current call's arguments, as read.
+    seen: Vec<Seen<'static>>,
+    /// The pieces the current call's function runs on.
+    pieces: Vec<&'static DataValue>,
 }
 
 impl Floor {
-    /// How `annot` over `args` runs at registration, if it does: the
-    /// conditions of the context docs, checked cheapest first, with the
-    /// decision for the call's shape taken from its annotation or made
-    /// and kept there. Every lazy argument is ready.
-    pub(crate) fn decide(
+    /// Run `annot` over `args` at registration if it is below the floor
+    /// (the conditions of the context docs, checked cheapest first, with
+    /// the decision for the call's shape taken from this thread's memo
+    /// or made and kept there), and count it in `stats` as a stage would:
+    /// its call and the bytes it split and merged. `decided` runs once
+    /// the call is known to run here, before any split, with whether
+    /// this call made the decision; an error from it fails the call.
+    /// The merged return value, if the function returned one, is left in
+    /// `ret`. `false` when the call is above the floor, or a split
+    /// returned the paper's `NULL` and there was nothing to call the
+    /// function on: either way the caller captures it. The error, if the
+    /// call fails, is boxed so that the outcome is two words on its way
+    /// out. Every lazy argument is ready.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<'a>(
         &mut self,
-        graph: &DataflowGraph,
+        graph: &'a DataflowGraph,
         config: &Config,
+        stats: &mut PhaseStats,
         annot: &Annotation,
-        args: &[Arg<'_>],
-    ) -> Option<Arc<Plan>> {
+        args: &[Arg<'a>],
+        decided: impl FnOnce(bool, &mut PhaseStats) -> Result<()>,
+        ret: &mut Option<DataValue>,
+    ) -> std::result::Result<bool, Box<Error>> {
         if !graph.fully_executed()
             || !graph.deferred.is_empty()
             || config.batch_override.is_some()
             || config.fault_plan.is_some()
         {
-            return None;
+            return Ok(false);
         }
-        self.shape.clear();
-        self.idents.clear();
-        let mut keep = true;
-        for (i, arg) in args.iter().enumerate() {
-            let seen = Seen::of(arg, graph);
-            // Storage some context has a pending write to stays
-            // captured, so that write is ordered before this call as it
-            // always was.
-            if seen.protected() {
-                return None;
-            }
-            let ident = seen.identity();
-            self.idents.push(ident);
-            let Some([kind, word]) = seen.shape(annot.floor.valued[i]) else {
-                keep = false;
-                continue;
-            };
-            let alias = ident.and_then(|id| self.idents.iter().position(|&j| j == Some(id)));
-            self.shape
-                .extend([kind | (alias.unwrap_or(i) as u64) << 8, word]);
-        }
-        let mut h = WordHasher::default();
-        for &w in &self.shape {
-            h.word(w);
-        }
-        let hash = h.finish();
-        let plan = match keep.then(|| annot.floor.get(hash, &self.shape)).flatten() {
-            Some(plan) => plan,
-            None => {
-                let registry = generation();
-                let mut looked_up = false;
-                let plan = make_plan(graph, annot, args, &mut looked_up).map(Arc::new);
-                if keep {
-                    let decision = Decision {
-                        shape: self.shape.as_slice().into(),
-                        registry: looked_up.then_some(registry),
-                        plan: plan.clone(),
-                    };
-                    annot.floor.insert(hash, decision);
+        // The arguments as read, borrowed for this call; given back, and
+        // the pieces made for the call let go of, when it is over. A
+        // failed call leaves them to its context, which is poisoned.
+        let mut seen = reuse(std::mem::take(&mut self.seen));
+        let ran = 'run: {
+            // One pass over the arguments reads each once, for the checks,
+            // the shape, and the pieces.
+            self.shape.clear();
+            let mut hash = WordHasher::default();
+            let mut keep = true;
+            for (i, arg) in args.iter().enumerate() {
+                let s = Seen::of(arg, graph);
+                // Storage some context has a pending write to stays
+                // captured, so that write is ordered before this call as it
+                // always was.
+                if s.protected() {
+                    break 'run Ok(false);
                 }
-                plan
+                if let Some([kind, word]) = s.shape(annot.floor.valued[i]) {
+                    let same = |o: &Seen| s.ident.is_some() && o.ident == s.ident;
+                    let kind = kind | (seen.iter().position(same).unwrap_or(i) as u64) << 8;
+                    hash.word(kind);
+                    hash.word(word);
+                    self.shape.extend([kind, word]);
+                } else {
+                    keep = false;
+                }
+                seen.push(s);
             }
+            let (plan, made) = self.plan(annot, &seen, keep.then(|| hash.finish()));
+            let Some(plan) = plan.filter(|p| p.fits(config)) else {
+                break 'run Ok(false);
+            };
+            decided(made, stats)?;
+            if !self.split(&mut seen, &plan)? {
+                break 'run Ok(false);
+            }
+
+            // The task phase, on pieces the function borrows: the caller's
+            // handles, the plan's, the kept ones and the ones made for this
+            // call. Then the merge of the piece it returns, as a one-piece
+            // final merge over the stage's elements.
+            let mut pieces = reuse(std::mem::take(&mut self.pieces));
+            for (i, how) in plan.how.iter().enumerate() {
+                let piece: &DataValue = match (how, seen[i].at) {
+                    (How::Fixed(piece), _) => piece,
+                    (How::SameAs(j), _) => pieces[*j],
+                    (_, At::Caller) => seen[i].value.expect("a caller's piece is its handle"),
+                    (_, At::Kept(k)) => &self.kept[k as usize].piece,
+                    (_, At::Made(k)) => &self.made[k as usize],
+                };
+                pieces.push(piece);
+            }
+            let inv = Invocation {
+                function: annot.name,
+                args: &pieces,
+            };
+            let piece = catch_phase(FaultPhase::Task, || (annot.func)(&inv));
+            self.pieces = reuse(pieces);
+            if let (Some(piece), Some(merge)) =
+                (returned(annot.name, piece?, plan.ret.is_some())?, &plan.ret)
+            {
+                let merged = catch_phase(FaultPhase::Merge, || {
+                    merge.splitter.merge(vec![piece], &merge.params, plan.total)
+                })?;
+                stats.bytes_merged += plan.merged_bytes(&merged);
+                *ret = Some(merged);
+            }
+            stats.calls += 1;
+            stats.inline_calls += 1;
+            stats.bytes_split += plan.bytes();
+            Ok(true)
         };
-        plan.filter(|p| p.fits(config))
+        self.made.clear();
+        self.seen = reuse(seen);
+        ran
+    }
+
+    /// The plan for the current call's shape, whose hash is `hash`, from
+    /// this thread's memo, or made now and kept there. A call without a
+    /// shape (`hash` is `None`) decides afresh and keeps nothing. `None`
+    /// if the call is captured whatever the floor; with it, whether the
+    /// decision was made now.
+    fn plan(
+        &self,
+        annot: &Annotation,
+        seen: &[Seen<'_>],
+        hash: Option<u64>,
+    ) -> (Option<Rc<Plan>>, bool) {
+        let key = hash.map(|h| (annot.floor.id, h));
+        let kept = key.and_then(|key| {
+            DECIDED.with_borrow(|memo| {
+                let d = memo.get(&key)?;
+                let fresh = *d.shape == *self.shape && d.registry.is_none_or(|g| g == generation());
+                fresh.then(|| d.plan.clone())
+            })
+        });
+        if let Some(plan) = kept {
+            return (plan, false);
+        }
+        let registry = generation();
+        let mut looked_up = false;
+        let plan = make_plan(annot, seen, &mut looked_up).map(Rc::new);
+        if let Some(key) = key {
+            let decision = Decision {
+                shape: self.shape.as_slice().into(),
+                registry: looked_up.then_some(registry),
+                plan: plan.clone(),
+            };
+            DECIDED.with_borrow_mut(|memo| {
+                if memo.len() >= SHAPES && !memo.contains_key(&key) {
+                    memo.clear();
+                }
+                memo.insert(key, decision);
+            });
+        }
+        (plan, true)
     }
 
     /// The split phase of a call run at registration — what a one-batch
     /// stage of the call alone splits, in the same order: one piece per
-    /// argument into [`pieces`](Self::pieces). A stable split type's
-    /// piece of a storage, and a buffer taken whole, is made once and
-    /// kept until the next evaluation. `false` when a split returns the
-    /// paper's `NULL`: there is nothing to call the function on.
-    pub(crate) fn split(
-        &mut self,
-        graph: &DataflowGraph,
-        args: &[Arg<'_>],
-        plan: &Plan,
-    ) -> Result<bool> {
-        for (i, how) in plan.how.iter().enumerate() {
-            let seen = Seen::of(&args[i], graph);
-            let split = |inst: &SplitInstance| {
-                let whole = seen.whole();
-                catch_phase(FaultPhase::Split, || {
-                    inst.splitter.split(&whole, 0..plan.total, &inst.params)
-                })
+    /// argument, whose place is left in its [`Seen::at`]. A stable split
+    /// type's piece of a storage, and a buffer taken whole, is made once
+    /// and kept until the next evaluation. `false` when a split returns
+    /// the paper's `NULL`: there is nothing to call the function on.
+    fn split(&mut self, seen: &mut [Seen<'_>], plan: &Plan) -> Result<bool> {
+        if self.kept.len() >= PIECES {
+            self.kept.clear();
+        }
+        let split = |inst: &SplitInstance, whole: &DataValue| {
+            catch_phase(FaultPhase::Split, || {
+                inst.splitter.split(whole, 0..plan.total, &inst.params)
+            })
+        };
+        for (s, how) in seen.iter_mut().zip(&plan.how) {
+            let at = match how {
+                How::Fixed(_) | How::SameAs(_) => continue,
+                How::Broadcast if s.value.is_some() => Some(At::Caller),
+                How::Broadcast if s.ident.is_some() => {
+                    self.keep(s, 0, |whole| Ok(Some(whole.clone())))?
+                }
+                How::Split(inst, Some(key)) if s.ident.is_some() => {
+                    self.keep(s, *key, |whole| split(inst, whole))?
+                }
+                How::Broadcast => Some(self.make(s.whole().into_owned())),
+                How::Split(inst, _) => split(inst, &s.whole())?.map(|piece| self.make(piece)),
             };
-            let piece = match how {
-                How::Fixed(piece) => Some(piece.clone()),
-                How::SameAs(j) => Some(self.pieces[*j].clone()),
-                How::Broadcast => match seen.value {
-                    Some(v) => Some(v.clone()),
-                    None => self.kept(seen, None, || Ok(Some(seen.whole().into_owned())))?,
-                },
-                How::Split {
-                    inst,
-                    key,
-                    stable: true,
-                } => self.kept(seen, Some((inst, *key)), || split(inst))?,
-                How::Split { inst, .. } => split(inst)?,
-            };
-            let Some(piece) = piece else {
-                return Ok(false);
-            };
-            self.pieces.push(piece);
+            let Some(at) = at else { return Ok(false) };
+            s.at = at;
         }
         Ok(true)
     }
 
-    /// The pieces of the current call, in argument order.
-    pub(crate) fn pieces(&self) -> &[DataValue] {
-        &self.pieces
-    }
-
-    /// The current call is over: let go of its pieces.
-    pub(crate) fn done(&mut self) {
-        self.pieces.clear();
-    }
-
-    /// The kept piece of `seen` under split type `inst` (`None`: the
-    /// whole value), made by `make` and kept if there is none; `None` if
-    /// `make` returns the paper's `NULL`. Data with no storage of its
-    /// own (a scalar passed by value) is made every time.
-    fn kept(
+    /// Where the kept piece of `seen`, which has storage, under the split
+    /// type numbered `key` (0: the whole value) is: made from the whole
+    /// value by `make` and kept if there is none. `None` if `make`
+    /// returns the paper's `NULL`.
+    fn keep(
         &mut self,
-        seen: Seen<'_>,
-        inst: Option<(&SplitInstance, u64)>,
-        make: impl FnOnce() -> Result<Option<DataValue>>,
-    ) -> Result<Option<DataValue>> {
-        let Some(id) = seen.identity() else {
-            return make();
-        };
-        let key = (id, inst.map_or(0, |(_, k)| k));
-        let inst = inst.map(|(i, _)| i);
-        if let Some(k) = self.kept.get(&key) {
-            let same = match (&k.inst, inst) {
-                (Some(a), Some(b)) => Arc::ptr_eq(&a.params, &b.params) || a.same_type(b),
-                (a, b) => a.is_none() && b.is_none(),
-            };
-            // Otherwise the key is another split type's (the keys are
-            // hashes), and this piece is not kept.
-            return if same {
-                Ok(Some(k.piece.clone()))
-            } else {
-                make()
-            };
+        seen: &Seen<'_>,
+        key: u64,
+        make: impl FnOnce(&DataValue) -> Result<Option<DataValue>>,
+    ) -> Result<Option<At>> {
+        let key = (seen.ident.expect("kept data has storage"), key);
+        if let Some(k) = self.kept.iter().rposition(|k| k.key == key) {
+            return Ok(Some(At::Kept(k as u32)));
         }
-        let Some(piece) = make()? else {
+        let whole = seen.whole();
+        let Some(piece) = make(&whole)? else {
             return Ok(None);
         };
-        if self.kept.len() >= PIECES {
-            self.kept.clear();
-        }
         if self.kept.capacity() == 0 {
             self.kept.reserve(PIECES);
         }
-        let kept = Kept {
-            _owner: seen.owner(),
-            inst: inst.cloned(),
-            piece: piece.clone(),
-        };
-        self.kept.insert(key, kept);
-        Ok(Some(piece))
+        let _owner = whole.into_owned();
+        self.kept.push(Kept { key, _owner, piece });
+        Ok(Some(At::Kept(self.kept.len() as u32 - 1)))
+    }
+
+    /// Hold `piece` for the current call alone.
+    fn make(&mut self, piece: DataValue) -> At {
+        self.made.push(piece);
+        At::Made(self.made.len() as u32 - 1)
     }
 
     /// Let go of every kept piece (the end of an evaluation).
@@ -494,28 +568,22 @@ impl Floor {
     }
 }
 
-/// Decide how a call of `annot` over `args` runs at registration:
-/// split types as `try_add` binds them in a fresh stage — concrete
-/// types from the call's own arguments, an unbound generic from its
-/// data's default split — agreeing element totals, and one piece per
+/// Decide how a call of `annot` over the arguments `seen` runs at
+/// registration: split types as `try_add` binds them in a fresh stage —
+/// concrete types from the call's own arguments, an unbound generic from
+/// its data's default split — agreeing element totals, and one piece per
 /// storage. `looked_up` is set if a default split type was looked up.
-fn make_plan(
-    graph: &DataflowGraph,
-    annot: &Annotation,
-    args: &[Arg<'_>],
-    looked_up: &mut bool,
-) -> Option<Plan> {
-    let seen: Vec<Seen> = args.iter().map(|a| Seen::of(a, graph)).collect();
+fn make_plan(annot: &Annotation, seen: &[Seen<'_>], looked_up: &mut bool) -> Option<Plan> {
     let wholes: Vec<Cow<DataValue>> = seen.iter().map(Seen::whole).collect();
     let whole = |i: usize| wholes.get(i).map(|w| &**w);
     // What the planner would fail on is captured, to fail there.
     let construct = |splitter, ctor_args| {
-        construct_instance(splitter, ctor_args, args.len(), whole)
+        construct_instance(splitter, ctor_args, seen.len(), whole)
             .ok()
             .flatten()
     };
 
-    let mut how: Vec<How> = Vec::with_capacity(args.len());
+    let mut how: Vec<How> = Vec::with_capacity(seen.len());
     let mut generics: Vec<(GenericId, usize)> = Vec::new();
     let (mut total, mut elem_bytes) = (None, 0u64);
     for (i, spec) in annot.args.iter().enumerate() {
@@ -553,12 +621,10 @@ fn make_plan(
     // stage input; needed whole and split, or split two ways, the call
     // cannot be planned at all.
     for i in 1..how.len() {
-        let Some(id) = seen[i].identity() else {
-            continue;
-        };
-        let Some(first) = (0..i).find(|&j| seen[j].identity() == Some(id)) else {
-            continue;
-        };
+        let first = seen[i]
+            .ident
+            .and_then(|id| (0..i).find(|&j| seen[j].ident == Some(id)));
+        let Some(first) = first else { continue };
         how[i] = match (How::split_type(&how, first), How::split_type(&how, i)) {
             (Some(a), Some(b)) if a.same_type(b) => How::SameAs(first),
             (None, None) => continue,
@@ -588,9 +654,7 @@ fn make_plan(
     // to fail where it always has, at the call.
     for (i, h) in how.iter_mut().enumerate() {
         let piece = match h {
-            How::Split {
-                inst, stable: true, ..
-            } if seen[i].scalar() => catch_phase(FaultPhase::Split, || {
+            How::Split(inst, Some(_)) if seen[i].scalar() => catch_phase(FaultPhase::Split, || {
                 inst.splitter.split(&wholes[i], 0..total, &inst.params)
             }),
             _ => continue,

@@ -54,7 +54,7 @@ fn vmul() -> Arc<Annotation> {
     static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Annotation::new("df_vmul", |inv| {
             let k = inv.float(1)?;
-            let out = piece_elems(&inv.args[0])?.iter().map(|x| x * k).collect();
+            let out = piece_elems(inv.args[0])?.iter().map(|x| x * k).collect();
             Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
         })
         .arg("xs", generic(0))
@@ -69,7 +69,7 @@ fn vmul() -> Arc<Annotation> {
 fn vadd() -> Arc<Annotation> {
     static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Annotation::new("df_vadd", |inv| {
-            let (a, b) = (piece_elems(&inv.args[0])?, piece_elems(&inv.args[1])?);
+            let (a, b) = (piece_elems(inv.args[0])?, piece_elems(inv.args[1])?);
             let out = a.iter().zip(&b).map(|(x, y)| x + y).collect();
             Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
         })
@@ -145,7 +145,7 @@ fn chunk_offset() -> Arc<Annotation> {
     static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Annotation::new("df_chunk_offset", |inv| {
             let k = inv.float(1)?;
-            let out = as_chunk(&inv.args[0])?.0.iter().map(|x| x + k).collect();
+            let out = as_chunk(inv.args[0])?.0.iter().map(|x| x + k).collect();
             Ok(Some(DataValue::new(Chunk(Arc::new(out)))))
         })
         .arg("c", concrete(Arc::new(ChunkSplit), vec![0]))
@@ -161,7 +161,7 @@ fn chunk_offset() -> Arc<Annotation> {
 fn chunk_keep_thirds() -> Arc<Annotation> {
     static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Annotation::new("df_chunk_keep_thirds", |inv| {
-            let kept = as_chunk(&inv.args[0])?
+            let kept = as_chunk(inv.args[0])?
                 .0
                 .iter()
                 .copied()

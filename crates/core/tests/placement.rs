@@ -595,7 +595,7 @@ fn elems(v: &DataValue) -> Vec<f64> {
 fn vmul() -> Arc<Annotation> {
     Annotation::new("profile_vmul", |inv| {
         let k = inv.float(1)?;
-        let ys = elems(&inv.args[0]).iter().map(|x| x * k).collect();
+        let ys = elems(inv.args[0]).iter().map(|x| x * k).collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
     })
     .arg("xs", generic(0))
@@ -609,7 +609,7 @@ fn vmul() -> Arc<Annotation> {
 fn every_third() -> Arc<Annotation> {
     let split: Arc<dyn Splitter> = Arc::new(PlacedSplit { claim_factor: 1 });
     Annotation::new("profile_every_third", |inv| {
-        let kept = elems(&inv.args[0])
+        let kept = elems(inv.args[0])
             .into_iter()
             .filter(|x| *x as i64 % 3 == 0)
             .collect();
@@ -648,7 +648,7 @@ impl Splitter for SumReduce {
 
 fn sum() -> Arc<Annotation> {
     Annotation::new("profile_sum", |inv| {
-        let partial = elems(&inv.args[0]).iter().sum();
+        let partial = elems(inv.args[0]).iter().sum();
         Ok(Some(DataValue::new(FloatValue(partial))))
     })
     .arg(

@@ -331,7 +331,7 @@ fn piece_elems(piece: &DataValue) -> Result<Vec<f64>> {
 fn mul_annotation() -> Arc<Annotation> {
     Annotation::new("cache_mul", |inv| {
         let k = inv.float(1)?;
-        let ys = piece_elems(&inv.args[0])?.iter().map(|x| x * k).collect();
+        let ys = piece_elems(inv.args[0])?.iter().map(|x| x * k).collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
     })
     .arg("xs", mozart_core::annotation::generic(0))
@@ -346,7 +346,7 @@ fn mul_annotation() -> Arc<Annotation> {
 fn mul_own_len_annotation() -> Arc<Annotation> {
     Annotation::new("cache_mul_own_len", |inv| {
         let k = inv.float(1)?;
-        let ys = piece_elems(&inv.args[0])?.iter().map(|x| x * k).collect();
+        let ys = piece_elems(inv.args[0])?.iter().map(|x| x * k).collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
     })
     .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
@@ -390,7 +390,7 @@ impl Splitter for Compact {
 /// shape the fingerprint pins.
 fn positives_annotation() -> Arc<Annotation> {
     Annotation::new("cache_positives", |inv| {
-        let kept = piece_elems(&inv.args[0])?
+        let kept = piece_elems(inv.args[0])?
             .into_iter()
             .filter(|x| *x > 0.0)
             .collect();

@@ -26,13 +26,20 @@
 //!   where a dropped one was gets its own piece, a default split type
 //!   registered between two calls is honoured, a split type that
 //!   does not declare a stable whole piece is split on every call, and
-//!   a scalar taken whole is read afresh by every call of one shape.
+//!   a scalar taken whole is read afresh by every call of one shape;
+//! * the function borrows its pieces: one that returns an argument's
+//!   piece — a kept whole piece, a piece split for the call, or the
+//!   handle of a scalar passed by value — gives the plain function's
+//!   bits on both paths, and its result outlives the call;
+//! * decisions are kept per thread and the memo is bounded: more call
+//!   shapes than a thread keeps, from two threads at once, all run at
+//!   registration and match the plain library bit for bit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
-use mozart_core::annotation::{concrete, generic, missing, Annotation};
+use mozart_core::annotation::{concrete, generic, missing, unknown, Annotation, Invocation};
 use mozart_core::prelude::*;
 use ndarray_lite::NdArray;
 use workloads::{black_scholes as bs, crime_index, images};
@@ -251,7 +258,7 @@ fn vmul() -> Arc<Annotation> {
         ArraySplit::register_default();
         Annotation::new("wf_vmul", |inv| {
             let k = inv.float(1)?;
-            let out = piece_elems(&inv.args[0])?.iter().map(|x| x * k).collect();
+            let out = piece_elems(inv.args[0])?.iter().map(|x| x * k).collect();
             Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
         })
         .arg("xs", generic(0))
@@ -433,7 +440,7 @@ fn cells_offset() -> Arc<Annotation> {
     static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Annotation::new("wf_cells_offset", |inv| {
             let k = inv.float(1)?;
-            let out = cells(&inv.args[0])?.iter().map(|x| x + k).collect();
+            let out = cells(inv.args[0])?.iter().map(|x| x + k).collect();
             Ok(Some(DataValue::new(Cells(SharedVec::from_vec(out)))))
         })
         .arg("c", concrete(Arc::new(CellSplit), vec![0]))
@@ -737,4 +744,147 @@ fn a_scalar_taken_whole_is_read_on_every_call() {
         assert_eq!(bits(out.as_slice()), bits(&want), "k = {k}");
     }
     assert_eq!(ctx.stats().inline_calls, 4);
+}
+
+// ---------------------------------------------------------------------
+// Borrowed pieces and the decision memo.
+// ---------------------------------------------------------------------
+
+/// Merges a stage's pieces of an `unknown` result by keeping the first:
+/// for a function that returns one of its whole arguments, every piece
+/// is that argument.
+struct First;
+
+impl Splitter for First {
+    fn name(&self) -> &'static str {
+        "WfFirst"
+    }
+    fn construct(&self, _ctor_args: &[&DataValue]) -> Result<Params> {
+        Ok(Vec::new())
+    }
+    fn info(&self, _arg: &DataValue, _p: &Params) -> Result<RuntimeInfo> {
+        Err(Error::Library("WfFirst only merges".into()))
+    }
+    fn split(
+        &self,
+        _arg: &DataValue,
+        _r: std::ops::Range<u64>,
+        _p: &Params,
+    ) -> Result<Option<DataValue>> {
+        Err(Error::Library("WfFirst only merges".into()))
+    }
+    fn merge(&self, pieces: Vec<DataValue>, _p: &Params, _total: u64) -> Result<DataValue> {
+        pieces
+            .into_iter()
+            .next()
+            .ok_or_else(|| Error::Library("no piece to merge".into()))
+    }
+}
+
+/// Returns its argument `arg`'s piece as it was handed in.
+fn returns_arg(
+    name: &'static str,
+    arg: usize,
+) -> impl Fn(&Invocation<'_>) -> Result<Option<DataValue>> {
+    move |inv| {
+        let piece = inv
+            .args
+            .get(arg)
+            .ok_or_else(|| Error::Library(format!("{name}: no piece")))?;
+        Ok(Some((*piece).clone()))
+    }
+}
+
+#[test]
+fn a_function_returning_an_argument_piece_gives_the_plain_bits_and_outlives_the_call() {
+    ArraySplit::register_default();
+    // A kept whole piece: `ArraySplit` declares a stable whole piece, so
+    // the floor splits the buffer once and lends the piece to each call.
+    let view = Annotation::new("wf_returns_view", returns_arg("wf_returns_view", 0))
+        .arg("xs", generic(0))
+        .ret(generic(0))
+        .build();
+    // A piece split for the call alone, a copy of its range.
+    let copy = Annotation::new("wf_returns_copy", returns_arg("wf_returns_copy", 0))
+        .arg("c", concrete(Arc::new(CellSplit), vec![0]))
+        .ret(concrete(Arc::new(CellSplit), vec![0]))
+        .build();
+    // The handle a scalar passed by value is wrapped in.
+    let factor = Annotation::new("wf_returns_factor", returns_arg("wf_returns_factor", 1))
+        .arg("xs", generic(0))
+        .arg("k", missing())
+        .ret(unknown(Arc::new(First)))
+        .build();
+
+    for config in [below_floor(), captured()] {
+        let at_floor = config.batch_override.is_none();
+        let ctx = MozartContext::new(config);
+        let xs: Vec<f64> = (0..16).map(|i| i as f64 * 0.75 - 3.0).collect();
+        let buf = SharedVec::from_vec(xs.clone());
+        let c = DataValue::new(Cells(SharedVec::from_vec(xs.clone())));
+        let same = ctx.call(&view, &[Arg::Vec(&buf)]).unwrap().unwrap();
+        let copied = ctx.call(&copy, &[Arg::Value(&c)]).unwrap().unwrap();
+        // Two calls of one shape, each returning its own factor.
+        let two = ctx
+            .call(&factor, &[Arg::Vec(&buf), Arg::Float(2.0)])
+            .unwrap()
+            .unwrap();
+        let three = ctx
+            .call(&factor, &[Arg::Vec(&buf), Arg::Float(3.0)])
+            .unwrap()
+            .unwrap();
+        ctx.evaluate().unwrap();
+        let stats = ctx.stats();
+        if at_floor {
+            assert_at_registration(&stats);
+        } else {
+            assert_captured(&stats);
+        }
+        // The arguments and everything the floor kept are gone; the
+        // results stand on their own.
+        drop((buf, c));
+        let float = |v: &FutureHandle| v.get().unwrap().downcast_ref::<FloatValue>().unwrap().0;
+        assert_eq!(
+            bits(&elems(&same.get().unwrap())),
+            bits(&xs),
+            "at floor: {at_floor}"
+        );
+        assert_eq!(bits(&cells(&copied.get().unwrap()).unwrap()), bits(&xs));
+        assert_eq!(
+            (float(&two), float(&three)),
+            (2.0, 3.0),
+            "at floor: {at_floor}"
+        );
+    }
+}
+
+#[test]
+fn more_shapes_than_a_thread_keeps_all_run_at_the_floor_from_two_threads() {
+    // A thread keeps 256 decisions; each length below is a shape of its
+    // own, and each thread runs them all twice, so its memo is emptied
+    // and refilled while the other thread does the same.
+    const LENGTHS: usize = 320;
+    sa_vectormath::register_defaults();
+    let ctx = MozartContext::new(below_floor());
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let ctx = ctx.clone();
+            s.spawn(move || {
+                for round in 0..2 {
+                    for n in 1..=LENGTHS {
+                        let a: Vec<f64> = (0..n).map(|i| (i + t) as f64 * 0.5 - 7.25).collect();
+                        let k = 1.5 + (n * (round + 1)) as f64 * 1e-3;
+                        let (shared, out) = (SharedVec::from_vec(a.clone()), SharedVec::zeros(n));
+                        sa_vectormath::vd_scale(&ctx, n, &shared, k, &out).unwrap();
+                        let mut want = vec![0.0; n];
+                        vectormath::vd_scale(&a, k, &mut want);
+                        assert_eq!(bits(out.as_slice()), bits(&want), "thread {t}, n = {n}");
+                    }
+                }
+            });
+        }
+    });
+    let stats = ctx.stats();
+    assert_at_registration(&stats);
+    assert_eq!(stats.inline_calls, 2 * 2 * LENGTHS as u64, "{stats:?}");
 }

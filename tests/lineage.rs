@@ -417,7 +417,7 @@ impl Splitter for CellSplit {
 /// `c + k`, functional.
 fn add(inv: &Invocation) -> Result<Option<DataValue>> {
     let k = inv.float(1)?;
-    let out = cells(&inv.args[0])?
+    let out = cells(inv.args[0])?
         .0
         .as_slice()
         .iter()
