@@ -29,8 +29,8 @@
 //! Whenever a context lets go of a placement-merged value — its
 //! `Future` is dropped, the end of an evaluation finds it unreachable,
 //! or the context itself goes away — the value's storage is *parked* in
-//! the attached plan cache for the next evaluation of the same plan to
-//! write over, instead of being freed (see "Merge-target spares" in
+//! the attached plan cache for the next evaluation of the same segment
+//! to write over, instead of being freed (see "Merge-target spares" in
 //! [`crate::planner`]). Without a plan cache nothing is parked.
 //!
 //! A lazy argument must be a value of the calling context that is ready
@@ -133,10 +133,7 @@ use crate::floor::Floor;
 use crate::graph::{
     DataflowGraph, FutureToken, MergeOrigin, NodeId, ValueEntry, ValueId, ValueOrigin,
 };
-use crate::planner::{
-    plan_next_stage, Demand, OutputKind, PlanCache, PlanCacheStats, PlanRecorder, PlanSite,
-    StagePlan,
-};
+use crate::planner::{plan_next_stage, Demand, OutputKind, PlanCache, PlanSite, StagePlan};
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::stats::{PhaseStats, PoolStats};
 use crate::trace::{SpanKind, SpanRecord, TraceCtx, TraceId, SERVICE_WORKER};
@@ -273,9 +270,10 @@ impl MozartContext {
         self
     }
 
-    /// Attach a shared plan cache (see [`PlanCache`]): evaluations whose
-    /// pending call graph fingerprints to a cached plan skip planning
-    /// and replay the memoized stage skeletons.
+    /// Attach a shared plan cache (see [`PlanCache`]): each evaluation
+    /// still plans its own stages, and its placement-merged outputs
+    /// write over the merge targets an earlier evaluation of a segment
+    /// with the same fingerprint released.
     pub fn attach_plan_cache(&self, cache: Arc<PlanCache>) -> &Self {
         self.inner.state.lock().plan_cache = Some(cache);
         self
@@ -320,12 +318,6 @@ impl MozartContext {
     pub fn trace_id(&self) -> Option<TraceId> {
         let id = self.inner.state.lock().trace_id;
         (id != 0).then_some(id)
-    }
-
-    /// Counters of the attached plan cache, if any.
-    pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        let st = self.inner.state.lock();
-        st.plan_cache.as_ref().map(|c| c.stats())
     }
 
     /// Unique id of this context (used to tag lazy values).
@@ -654,7 +646,7 @@ fn trace_ctx(st: &mut State) -> Option<TraceCtx> {
 impl State {
     /// Split borrow for one executor call: the graph and stats it
     /// mutates, and the read-only environment it runs in. `site` is
-    /// where the stage sits in a cached (or being-recorded) plan.
+    /// where the stage sits in its plan-cache entry, if it has one.
     fn exec_parts<'a>(
         &'a mut self,
         trace: Option<&'a TraceCtx>,
@@ -784,8 +776,7 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
     }
 
     // Values an earlier read left held are made whole before a pending
-    // call reads them, so every stage input — planned or replayed — is
-    // a whole value.
+    // call reads them, so every stage input is a whole value.
     let mut i = 0;
     while let Some(&id) = st.graph.deferred.get(i) {
         i += 1;
@@ -795,89 +786,37 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
         }
     }
 
-    // Plan-cache lookup: fingerprint the pending segment once per
-    // evaluation. A hit replays the memoized stage skeletons (re-binding
-    // materialized values, re-validating element totals before anything
-    // runs); a miss plans from scratch while recording, and inserts the
-    // segment's plan when every stage executed cleanly.
-    let cache = st.plan_cache.clone();
-    let mut recorder: Option<PlanRecorder> = None;
-    // Zero-duration marker span for the lookup's outcome.
-    let mark = |kind: SpanKind| {
-        if let Some(t) = &trace {
-            t.emit(kind, SERVICE_WORKER, 0, 0, t.recorder.now_ns(), 0, 0);
-        }
-    };
-    if let Some(cache) = &cache {
+    // Plan-cache entry: fingerprint the pending segment once per
+    // evaluation and fetch or insert its entry, where the stages'
+    // placement outputs find the merge targets earlier evaluations of
+    // the fingerprint released (see "Merge-target spares" in
+    // `crate::planner`). Planning is the same either way.
+    let mut fingerprint = None;
+    if let Some(cache) = &st.plan_cache {
         let shape = st
             .stats
             .planning(planner_cpu.as_mut(), || st.graph.pending_shape());
-        if let Some(mut shape) = shape {
-            // Mix planning-relevant configuration into the key: the
-            // `pipeline` ablation changes stage grouping, so a plan
-            // recorded under one setting must never replay under the
-            // other (one shared cache can serve contexts with both).
+        if let Some(mut fp) = shape {
+            // The `pipeline` ablation changes stage grouping, and so
+            // which stage index an output sits at: its setting is part
+            // of the key (one shared cache can serve contexts with both).
             if !st.config.pipeline {
-                shape.fingerprint ^= 0x9e37_79b9_7f4a_7c15;
+                fp ^= 0x9e37_79b9_7f4a_7c15;
             }
-            match cache.lookup(shape.fingerprint) {
-                Some(plan) if plan.nodes_total == st.graph.pending_nodes() => {
-                    let mut replayed = true;
-                    for idx in 0..plan.stage_count() {
-                        let bound = st.stats.planning(planner_cpu.as_mut(), || {
-                            plan.bind_stage(idx, &st.graph, &shape.values, demand)
-                        });
-                        match bound {
-                            Ok(stage) => {
-                                let site = PlanSite {
-                                    fingerprint: shape.fingerprint,
-                                    stage: idx as u32,
-                                };
-                                if let Err(e) =
-                                    execute_locked(st, &stage, demand, trace.as_ref(), Some(site))
-                                {
-                                    // Execution failures poison the
-                                    // context either way; drop the entry
-                                    // so the next identical request
-                                    // replans instead of replaying.
-                                    cache.invalidate(shape.fingerprint);
-                                    cache.note_miss();
-                                    return Err(e);
-                                }
-                            }
-                            Err(_) => {
-                                // Bind-time validation failed (shape
-                                // drifted under an identical
-                                // fingerprint): invalidate and fall back
-                                // to fresh planning — always sound,
-                                // since planning depends only on
-                                // `graph.next_unplanned`.
-                                cache.invalidate(shape.fingerprint);
-                                replayed = false;
-                                break;
-                            }
-                        }
-                    }
-                    if replayed {
-                        cache.note_hit();
-                    } else {
-                        cache.note_miss();
-                    }
-                    mark(if replayed {
-                        SpanKind::PlanCacheHit
-                    } else {
-                        SpanKind::PlanCacheMiss
-                    });
-                }
-                _ => {
-                    cache.note_miss();
-                    mark(SpanKind::PlanCacheMiss);
-                    recorder = Some(PlanRecorder::new(&shape));
-                }
+            let kind = if cache.enter(fp) {
+                SpanKind::PlanCacheHit
+            } else {
+                SpanKind::PlanCacheMiss
+            };
+            // A zero-duration marker span for the lookup's outcome.
+            if let Some(t) = &trace {
+                t.emit(kind, SERVICE_WORKER, 0, 0, t.recorder.now_ns(), 0, 0);
             }
+            fingerprint = Some(fp);
         }
     }
 
+    let mut stage_index = 0;
     while !st.graph.fully_executed() {
         let plan = st.stats.planning(planner_cpu.as_mut(), || {
             plan_next_stage(&st.graph, &st.config, demand)
@@ -887,20 +826,15 @@ fn evaluate_pending(st: &mut State, demand: Demand) -> Result<()> {
             Ok(None) => break,
             Err(e) => return Err(poison(st, e)),
         };
-        let site = recorder.as_ref().map(PlanRecorder::next_site);
-        if let Some(r) = &mut recorder {
-            r.record(&stage, &st.graph);
-        }
+        let site = fingerprint.map(|fingerprint| PlanSite {
+            fingerprint,
+            stage: stage_index,
+        });
+        stage_index += 1;
         execute_locked(st, &stage, demand, trace.as_ref(), site)?;
     }
-    if let (Some(cache), Some(recorder)) = (cache, recorder) {
-        let fingerprint = recorder.fingerprint();
-        if let Some(plan) = recorder.finish() {
-            cache.insert(fingerprint, plan);
-        }
-    }
-    // One accumulated planner span per evaluation (fingerprinting, stage
-    // planning, plan binding), anchored at evaluation start.
+    // One accumulated planner span per evaluation (fingerprinting and
+    // stage planning), anchored at evaluation start.
     if let (Some(t), Some(start)) = (&trace, eval_start_ns) {
         let wall = duration_ns(st.stats.planner.saturating_sub(planner_before));
         let cpu = duration_ns(planner_cpu.unwrap_or_default());
@@ -916,8 +850,8 @@ fn poison(st: &mut State, e: Error) -> Error {
 }
 
 /// Execute one planned stage against the locked state, poisoning the
-/// context on failure. `site` is the stage's position in the cached or
-/// being-recorded plan, if there is one.
+/// context on failure. `site` is the stage's position in its plan-cache
+/// entry, if there is one.
 fn execute_locked(
     st: &mut State,
     stage: &StagePlan,
@@ -926,8 +860,8 @@ fn execute_locked(
     site: Option<PlanSite>,
 ) -> Result<()> {
     // Layer-2 static check: prove the plan sound before anything
-    // executes. This single site covers both fresh plans and
-    // plan-cache replay binds — both funnel through here.
+    // executes. Every stage of an evaluation funnels through here (the
+    // stages of lineage replays are verified where they run).
     if let Err(v) = crate::verify::verify_stage(&st.graph, stage, &st.config, demand) {
         return Err(poison(st, Error::Verify(v)));
     }

@@ -68,8 +68,8 @@
 //! The worker-local pre-merge and the serial final concat disappear, and
 //! out-of-claim-order batches are harmless because offsets are absolute.
 //! Under an attached plan cache the point that resolved a target when it
-//! was new first offers the *spare* an earlier evaluation of the plan
-//! parked for the output to [`Placement::reuse`], which hands it back
+//! was new first offers the *spare* an earlier evaluation of the same
+//! fingerprint parked for the output to [`Placement::reuse`], which hands it back
 //! only if nobody else holds its storage any more (see "Merge-target
 //! spares" in [`crate::planner`]); the stored value records its
 //! [`MergeOrigin`] so the context can park it in turn when it lets go.
@@ -615,8 +615,9 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) trace: Option<&'a TraceCtx>,
     /// The attached plan cache and where the stage sits in its plan:
     /// the spare slots its placement outputs take from and are later
-    /// parked in. `None` without a cache and for uncacheable segments —
-    /// those allocate as ever.
+    /// parked in. `None` without a cache, for a segment without a
+    /// fingerprint and for the stages of lineage replays — those
+    /// allocate as ever.
     pub(crate) spares: Option<(&'a PlanCache, PlanSite)>,
 }
 

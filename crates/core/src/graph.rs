@@ -74,13 +74,13 @@ pub struct FutureToken;
 /// output it was allocated (or reused) for. Recorded when the executor
 /// installs a placement target on a value, so that whichever path lets
 /// go of the value can park the storage for the next evaluation of the
-/// same plan instead of freeing it (see "Merge-target spares" in
+/// same segment instead of freeing it (see "Merge-target spares" in
 /// [`crate::planner`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeOrigin {
-    /// Fingerprint of the plan whose stage produced the value.
+    /// Fingerprint of the segment whose stage produced the value.
     pub fingerprint: u64,
-    /// Index of the producing stage in that plan.
+    /// Index of the producing stage in that segment's evaluation.
     pub stage: u32,
     /// Index of the value among that stage's outputs.
     pub output: u32,
@@ -493,47 +493,41 @@ impl DataflowGraph {
         self.values.get(id.0 as usize)?.data.as_ref()
     }
 
-    /// Canonicalize the pending segment (the nodes registered but not
-    /// yet executed) into a [`SegmentShape`]: a structural fingerprint
-    /// plus a canonical numbering of every value the segment touches.
+    /// The structural fingerprint of the pending segment (the nodes
+    /// registered but not yet executed): the key of its
+    /// [plan cache](crate::planner::PlanCache) entry.
     ///
     /// Two graphs whose pending segments call the same annotations in
     /// the same dependency pattern over values of the same shapes (and,
-    /// for scalars, the same values) produce equal fingerprints and
-    /// matching canonical numberings, even across different contexts —
-    /// this is what lets the [plan cache](crate::planner::PlanCache)
-    /// replay a plan recorded in one session for a request arriving in
-    /// another.
+    /// for scalars, the same values) produce equal fingerprints, even
+    /// across different contexts — this is what lets a request arriving
+    /// in one session write over the merge targets another released.
     ///
     /// Returns `None` when nothing is pending, or when some external
     /// value's shape cannot be characterized (no default splitter and
-    /// not a known scalar) — such segments are simply not cacheable.
+    /// not a known scalar) — such segments have no entry.
     ///
     /// The walk is word-hashed (`WordHasher`): per node, the
     /// annotation's address and its [signature](Annotation) (hashed
-    /// once when it was built), then one word per value reference.
-    /// Canonical numbers live in a [`SlotTable`] over the segment's id
-    /// window, so only values much older than the segment hash their
-    /// id.
-    pub fn pending_shape(&self) -> Option<SegmentShape> {
+    /// once when it was built), then one word per value reference, by
+    /// its canonical number — the order in which the segment first
+    /// touches it. Canonical numbers live in a [`SlotTable`] over the
+    /// segment's id window, so only values much older than the segment
+    /// hash their id.
+    pub fn pending_shape(&self) -> Option<u64> {
         if self.fully_executed() {
             return None;
         }
         let pending = self.next_unplanned..self.nodes.len();
-        let window = self.id_window(pending.clone());
-        let hint = window.len();
-        let mut canon = SlotTable::window(window);
-        let mut values: Vec<ValueId> = Vec::with_capacity(hint);
-        let mut externals: Vec<bool> = Vec::with_capacity(hint);
-        let mut intern = |v: ValueId, ext: bool| {
+        let mut canon = SlotTable::window(self.id_window(pending.clone()));
+        let mut next = 0;
+        let mut intern = |v: ValueId| {
             if let Some(c) = canon.get(v) {
                 return (c as u64, false);
             }
-            let c = values.len() as u32;
-            canon.insert(v, c);
-            values.push(v);
-            externals.push(ext);
-            (c as u64, true)
+            canon.insert(v, next);
+            next += 1;
+            (next as u64 - 1, true)
         };
         let mut h = WordHasher::default();
         for node in &self.nodes[pending] {
@@ -545,7 +539,7 @@ impl DataflowGraph {
             h.word(Arc::as_ptr(&node.annot) as *const () as usize as u64);
             h.word(node.annot.signature);
             for &vid in self.args(node) {
-                let (c, first) = intern(vid, true);
+                let (c, first) = intern(vid);
                 h.word(c);
                 if first {
                     // A value first seen as an argument was produced
@@ -554,24 +548,20 @@ impl DataflowGraph {
                 }
             }
             for (_, mv) in self.mut_outs(node) {
-                h.word(0x4d55_5456 ^ intern(mv, false).0); // "MUTV"
+                h.word(0x4d55_5456 ^ intern(mv).0); // "MUTV"
             }
             match node.ret {
-                Some(rv) => h.word(0x5245_5456 ^ intern(rv, false).0), // "RETV"
+                Some(rv) => h.word(0x5245_5456 ^ intern(rv).0), // "RETV"
                 None => h.word(0),
             }
         }
         h.word(self.pending_nodes() as u64);
-        Some(SegmentShape {
-            fingerprint: h.finish(),
-            values,
-            externals,
-        })
+        Some(h.finish())
     }
 
     /// Hash the shape signature of a value produced outside the pending
-    /// segment. Returns `None` (uncacheable) when the value has no data
-    /// yet or no way to characterize its shape.
+    /// segment. Returns `None` (no fingerprint) when the value has no
+    /// data yet or no way to characterize its shape.
     fn hash_external(&self, h: &mut WordHasher, vid: ValueId) -> Option<()> {
         use crate::value::{BoolValue, FloatValue, IntValue, StrValue};
         let data = self.captured_data(vid)?;
@@ -600,7 +590,7 @@ impl DataflowGraph {
         // Library values hash by their type and their default split
         // type's parameters — the annotator's own shape characterization
         // (lengths, rows, dimensions). No default splitter means no shape
-        // key: refuse to cache rather than risk replaying a stale plan.
+        // key, and so no fingerprint.
         let splitter = crate::registry::default_splitter_for(data)?;
         let params = splitter.default_params(data).ok()?;
         h.word(5);
@@ -646,25 +636,8 @@ fn release_value(
     }
 }
 
-/// Canonical shape of a graph's pending segment: the plan-cache key and
-/// the mapping from canonical value numbers back to this graph's
-/// [`ValueId`]s (see [`DataflowGraph::pending_shape`]).
-pub struct SegmentShape {
-    /// Structural fingerprint of the segment.
-    pub fingerprint: u64,
-    /// Canonical number → [`ValueId`] in this graph, in first-use order.
-    pub values: Vec<ValueId>,
-    /// Per canonical number: whether the value was produced *outside*
-    /// the segment (its shape — and, for scalars, its value — is pinned
-    /// by the fingerprint). Internal values (returns and mut-versions of
-    /// pending nodes) are only pinned structurally, so cached split
-    /// parameters derived from them are not trustworthy unless they can
-    /// be re-derived from the bound data at replay time.
-    pub externals: Vec<bool>,
-}
-
 /// The runtime's one hash function, for the plan-cache fingerprint and
-/// the maps the warm path touches (storage identities, cached plans,
+/// the maps the warm path touches (storage identities, plan-cache entries,
 /// default splitters): a 64-bit word at a time, each folded in with one
 /// 64×64→128-bit multiply (the folded-multiply mix of wyhash and
 /// foldhash) — where byte-at-a-time FNV paid a multiply per byte and

@@ -63,8 +63,8 @@
 //!
 //! ## Serving pipelines
 //!
-//! A context no longer has to own its threads or replan every
-//! evaluation — the primitives behind the `mozart-serve` crate's
+//! A context no longer has to own its threads or allocate its merge
+//! targets afresh on every evaluation — the primitives behind the `mozart-serve` crate's
 //! multi-tenant [`PipelineService`] live here:
 //!
 //! * [`PoolHandle`] / [`global_pool`]: a shareable worker pool. Any
@@ -74,10 +74,12 @@
 //!   a pool per context, with per-session usage accounted in
 //!   [`PoolStats::sessions`].
 //! * [`PlanCache`]: evaluations fingerprint their pending call graph
-//!   ([`graph::DataflowGraph::pending_shape`]) and replay memoized
-//!   stage skeletons on a hit, re-binding only the materialized values;
-//!   shape or split-type changes change the fingerprint, so stale plans
-//!   never replay. Attach with
+//!   ([`graph::DataflowGraph::pending_shape`]) and keep, per
+//!   fingerprint, the placement-merge targets their stages released,
+//!   for the next evaluation of the same fingerprint to write over.
+//!   Every evaluation still plans its own stages; shape or split-type
+//!   changes change the fingerprint, so a spare never meets a stage of
+//!   another shape unchecked. Attach with
 //!   [`attach_plan_cache`](MozartContext::attach_plan_cache).
 //!
 //! ```

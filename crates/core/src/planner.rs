@@ -23,11 +23,9 @@
 //!
 //! The paper's client library evaluates when a lazy value is
 //! *accessed* (§4); which value was accessed is the [`Demand`] every
-//! evaluation carries down to `finish_stage` and
-//! `CachedPlan::bind_stage`. A return value's [`OutputKind`] follows
-//! from the facts below, re-derived on every plan and every replay (so
-//! the plan-cache fingerprint does not depend on them) except
-//! *recomputable*, fixed when the call was captured
+//! evaluation carries down to `finish_stage`. A return value's
+//! [`OutputKind`] follows from the facts below, derived when its stage
+//! is planned except *recomputable*, fixed when the call was captured
 //! ([`ValueEntry::recomputable`](crate::graph::ValueEntry::recomputable)).
 //! A value is *replayable* if it is recomputable, its split type merges
 //! by concatenation, and each input of its call outlasts the stage
@@ -50,7 +48,7 @@
 //! lineage in turn, each once, in registration order. The replay is
 //! planned by `plan_stage`, the entry evaluations plan with, and each
 //! of its stages runs as any stage does, in batches on the pool; only
-//! the plan cache is left out. Its stages follow the table with the
+//! the plan cache's spares are left out. Its stages follow the table with the
 //! replay's own later calls counted as consumers and no value kept as
 //! lineage: `Merge` for the value being read, a value a `Future`
 //! observes, or one a later call of the replay (or a pending call)
@@ -71,26 +69,33 @@
 //!
 //! # Merge-target spares
 //!
-//! A cached plan also keeps, per stage output, at most one *spare*
-//! placement-merge target: the merged value an earlier evaluation of
-//! the plan produced there and has since let go of (its `Future`
-//! dropped, the evaluation's end found it unreachable, or its context
-//! went away). The next evaluation's stage takes the spare and asks the
-//! split type's [`Placement::reuse`](crate::split::Placement::reuse)
-//! whether it can be written over — only if nobody else holds its
-//! storage *at that moment* and its layout is the one a fresh
-//! allocation would have; otherwise it is dropped and the stage
-//! allocates as if there had been none. A warm plan therefore stops
-//! paying the allocation, zeroing and first-touch page faults of its
-//! merge targets, which for buffers above the allocator's `mmap`
-//! threshold recur on every evaluation.
+//! Every evaluation plans its stages afresh with `plan_stage`: a
+//! split type's constructor may read values earlier stages computed,
+//! and only the planner sees them. What an evaluation under a
+//! [`PlanCache`] shares with earlier ones of the same segment
+//! fingerprint is the entry of that fingerprint, which keeps, per stage
+//! index and output index, at most one *spare* placement-merge target:
+//! the merged value an earlier evaluation produced there and has since
+//! let go of (its `Future` dropped, the evaluation's end found it
+//! unreachable, or its context went away). The next evaluation's stage
+//! at that index takes the spare and asks the split type's
+//! [`Placement::reuse`](crate::split::Placement::reuse) whether it can
+//! be written over — only if nobody else holds its storage *at that
+//! moment* and its layout is the one a fresh allocation would have;
+//! otherwise it is dropped and the stage allocates as if there had
+//! been none. That check is also what makes a spare safe when one
+//! fingerprint plans into different stages over different data: a
+//! spare of another shape is never written over. A warm segment
+//! therefore stops paying the allocation, zeroing and first-touch page
+//! faults of its merge targets, which for buffers above the allocator's
+//! `mmap` threshold recur on every evaluation.
 //!
-//! Parked memory is bounded by construction: one spare per cached
-//! stage output, replaced (never accumulated) by a later release;
-//! spares die with their plan entry on eviction or invalidation;
-//! nothing is parked while [`membudget::pressured`](crate::membudget::pressured);
-//! and a context without a plan cache never parks. Stages without a
-//! placement output never consult the slots.
+//! Parked memory is bounded by construction: one spare per stage
+//! output slot, replaced (never accumulated) by a later release; spares
+//! die with their entry on eviction; nothing is parked while
+//! [`membudget::pressured`](crate::membudget::pressured); and a context
+//! without a plan cache never parks. Stages without a placement output
+//! never consult the slots.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,9 +104,7 @@ use std::sync::{Arc, Mutex};
 use crate::annotation::{GenericId, SplitTypeExpr};
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::graph::{
-    DataflowGraph, MergeOrigin, NodeId, SegmentShape, ValueId, ValueOrigin, WordMap, WordSet,
-};
+use crate::graph::{DataflowGraph, MergeOrigin, NodeId, ValueId, ValueOrigin, WordMap, WordSet};
 use crate::registry::default_instance_for;
 use crate::split::{MergeStrategy, SplitInstance, Splitter};
 use crate::value::{DataValue, IntValue};
@@ -247,15 +250,6 @@ impl SlotTable {
                 self.outside.insert(value, slot);
             }
         }
-    }
-
-    /// Every assignment.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (ValueId, u32)> + '_ {
-        let inside = (self.base..)
-            .zip(&self.slots)
-            .filter(|&(_, &s)| s != Self::NONE)
-            .map(|(v, &s)| (ValueId(v), s));
-        inside.chain(self.outside.iter().map(|(&v, &s)| (v, s)))
     }
 }
 
@@ -566,9 +560,8 @@ thread_local! {
 /// Returns `Ok(None)` when a constructor argument has no data yet (the
 /// node must wait for the next stage). One constructed from a single
 /// integer (`ArraySplit(size)`) is built once per thread and splitter
-/// and reused: a constructor is a function of its arguments' values —
-/// what the plan cache relies on for scalars too — and a call would
-/// otherwise allocate its parameters every time.
+/// and reused: a constructor is a function of its arguments' values,
+/// and a call would otherwise allocate its parameters every time.
 pub(crate) fn construct_instance<'a>(
     splitter: &Arc<dyn Splitter>,
     ctor_args: &[usize],
@@ -626,10 +619,9 @@ pub(crate) fn construct_instance<'a>(
 
 /// How a stage ending before node `stage_end` materializes return
 /// value `value` of split type `instance` — the rule table of
-/// "Demand-driven materialization" in the module docs. Shared by fresh
-/// planning and plan-cache replay, which re-derives it from the
-/// *current* liveness and demand, and by the stages of lineage
-/// replays: for those, `replay` is the replay's calls after the stage.
+/// "Demand-driven materialization" in the module docs, for the stages
+/// of evaluations and of lineage replays alike: for those, `replay` is
+/// the replay's calls after the stage.
 /// A value one of them reads is consumed later, and none is kept as
 /// lineage — it is being made — so a live one is merged and the rest
 /// dropped. Called for the stage's return values in node order;
@@ -752,65 +744,18 @@ fn finish_stage(
 }
 
 // ---------------------------------------------------------------------
-// Plan cache: memoized stage skeletons keyed by graph fingerprint.
+// Plan cache: merge-target spares keyed by graph fingerprint.
 // ---------------------------------------------------------------------
 
-/// One stage input as recorded in a cached plan.
-struct CachedInput {
-    /// Canonical value number (see [`DataflowGraph::pending_shape`]).
-    value: u32,
-    /// The split instance as planned in the recording run.
-    instance: SplitInstance,
-    /// Whether the instance's parameters can be re-derived from the
-    /// bound value via [`crate::split::Splitter::default_params`]. Set
-    /// at record time iff re-derivation reproduced the planned
-    /// parameters, so replays rebind against *current* data where the
-    /// splitter supports it and fall back to recorded parameters where
-    /// it does not (e.g. `MatrixSplit`, whose dimensions come from
-    /// scalar arguments that the fingerprint already pins). Never set
-    /// for a scalar from outside the segment: the fingerprint pins its
-    /// value, so its recorded parameters are its current ones.
-    rederive: bool,
-}
+/// One fingerprint's entry: its parked merge targets, each with the
+/// origin it was released under, by `(stage, output)` (see
+/// "Merge-target spares" in the module docs). Living inside the entry
+/// is what makes them die with it.
+type Spares = Mutex<WordMap<(u32, u32), (MergeOrigin, DataValue)>>;
 
-/// One stage output as recorded in a cached plan. How a return value
-/// materializes is *not* recorded: it depends on whether the
-/// application still holds a `Future` for the value and on what the
-/// replaying read demands, so bind time re-derives it through the same
-/// `output_kind` rule [`finish_stage`] uses.
-struct CachedOutput {
-    value: u32,
-    instance: SplitInstance,
-    in_place: bool,
-}
-
-/// The memoized skeleton of one planned stage, with every value
-/// reference rewritten to canonical numbers.
-struct CachedStage {
-    node_count: usize,
-    inputs: Vec<CachedInput>,
-    broadcast: Vec<u32>,
-    outputs: Vec<CachedOutput>,
-    slots: Vec<(u32, u32)>,
-    num_slots: u32,
-}
-
-/// A fully recorded segment plan.
-pub(crate) struct CachedPlan {
-    stages: Vec<CachedStage>,
-    /// Total nodes the stages consume; must equal the pending-node
-    /// count of the graph being replayed (guards fingerprint
-    /// collisions).
-    pub(crate) nodes_total: usize,
-    /// Parked merge targets, each with the origin it was released
-    /// under, by `(stage, output)`: see "Merge-target spares" in the
-    /// module docs. Living inside the entry is what makes them die
-    /// with it.
-    spares: Mutex<WordMap<(u32, u32), (MergeOrigin, DataValue)>>,
-}
-
-/// A stage's position in a cached (or being-recorded) plan: the key
-/// prefix of its outputs' spare slots.
+/// A stage's position in its evaluation: the fingerprint of the
+/// evaluated segment and the stage's index in it — the key prefix of
+/// its outputs' spare slots.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanSite {
     pub(crate) fingerprint: u64,
@@ -820,22 +765,19 @@ pub(crate) struct PlanSite {
 /// Counters and size of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Evaluations fully replayed from a cached plan.
+    /// Evaluations whose segment's fingerprint already had an entry.
     pub hits: u64,
-    /// Evaluations that planned from scratch (no entry, shape changed,
-    /// or a replay failed validation mid-way).
+    /// Evaluations whose fingerprint had none, and inserted it.
     pub misses: u64,
-    /// Entries dropped because replay validation rejected them.
-    pub invalidations: u64,
-    /// Plans currently cached.
+    /// Fingerprints currently cached.
     pub entries: usize,
     /// Nominal bytes (split info API) of the merge targets currently
-    /// parked for reuse, over all cached plans.
+    /// parked for reuse, over all entries.
     pub parked_bytes: u64,
 }
 
 impl PlanCacheStats {
-    /// Fraction of evaluations served from cache (0 when none ran).
+    /// Fraction of evaluations that found an entry (0 when none ran).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -846,40 +788,26 @@ impl PlanCacheStats {
     }
 }
 
-/// A shareable cache of planned stage skeletons, keyed by the
+/// A shareable cache of per-plan state, keyed by the
 /// [fingerprint](DataflowGraph::pending_shape) of a graph's pending
 /// segment.
 ///
 /// Attach one cache to many contexts (`MozartContext::attach_plan_cache`)
-/// — typically one per serving process — and repeated, structurally
-/// identical pipelines skip split-type inference and stage grouping
-/// entirely: the planner returns the memoized skeletons, re-binding only
-/// the materialized values (and re-validating element counts before
-/// anything executes). A shape change — different array lengths, a
-/// different split type, a different call sequence — changes the
-/// fingerprint, so stale plans are not replayed; entries that fail
-/// bind-time validation are additionally invalidated eagerly.
-///
-/// Each entry also holds at most one released placement-merge target
-/// per stage output for the plan's next evaluation to write over (see
-/// "Merge-target spares" in the module docs);
-/// [`PlanCacheStats::parked_bytes`] reports their size.
-///
-/// Caching is refused (the segment simply plans fresh every time) when
-/// a value's shape cannot be characterized (no default splitter, not a
-/// known scalar) or when a planned split instance derives parameters
-/// from values computed *inside* the evaluation that cannot be
-/// re-derived from the bound data at replay time. Residual assumption:
-/// a splitter whose `default_params` fails (e.g. matrix splits) must
-/// take its constructor arguments from evaluation inputs — which the
-/// fingerprint pins by value — not from computed intermediates attached
-/// to a different input value.
+/// — typically one per serving process. Every evaluation still plans its
+/// own stages, from the data it sees; what an entry keeps for the next
+/// evaluation of a structurally identical segment is at most one
+/// released placement-merge target per stage output, for it to write
+/// over (see "Merge-target spares" in the module docs);
+/// [`PlanCacheStats::parked_bytes`] reports their size. A shape change —
+/// different array lengths, a different split type, a different call
+/// sequence — changes the fingerprint and so the entry. A segment with a
+/// value whose shape cannot be characterized (no default splitter, not a
+/// known scalar) has no fingerprint and no entry.
 pub struct PlanCache {
-    entries: Mutex<WordMap<u64, Arc<CachedPlan>>>,
+    entries: Mutex<WordMap<u64, Arc<Spares>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl Default for PlanCache {
@@ -889,7 +817,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Create a cache bounded to `capacity` plans. At capacity, an
+    /// Create a cache bounded to `capacity` entries. At capacity, an
     /// arbitrary entry is evicted per insertion.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
@@ -897,7 +825,6 @@ impl PlanCache {
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -907,56 +834,53 @@ impl PlanCache {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             entries: entries.len(),
             parked_bytes: entries
                 .values()
-                .map(|plan| {
-                    lock(&plan.spares)
-                        .values()
-                        .map(|(o, _)| o.bytes)
-                        .sum::<u64>()
-                })
+                .map(|spares| lock(spares).values().map(|(o, _)| o.bytes).sum::<u64>())
                 .sum(),
         }
     }
 
-    pub(crate) fn lookup(&self, fingerprint: u64) -> Option<Arc<CachedPlan>> {
-        lock(&self.entries).get(&fingerprint).cloned()
-    }
-
-    pub(crate) fn insert(&self, fingerprint: u64, plan: CachedPlan) {
-        // Displaced entries (and the spares that die with them) are
-        // freed after the map lock is released.
-        let mut displaced = Vec::new();
+    /// Fetch the entry of `fingerprint`, or insert an empty one, and
+    /// count the lookup: whether the entry was there.
+    pub(crate) fn enter(&self, fingerprint: u64) -> bool {
+        // An evicted entry (and the spares that die with it) is freed
+        // after the map lock is released.
+        let mut evicted = None;
         let mut entries = lock(&self.entries);
-        if entries.len() >= self.capacity && !entries.contains_key(&fingerprint) {
-            if let Some(&evict) = entries.keys().next() {
-                displaced.extend(entries.remove(&evict));
+        let hit = entries.contains_key(&fingerprint);
+        if !hit {
+            if entries.len() >= self.capacity {
+                if let Some(&evict) = entries.keys().next() {
+                    evicted = entries.remove(&evict);
+                }
             }
+            entries.insert(fingerprint, Arc::default());
         }
-        displaced.extend(entries.insert(fingerprint, Arc::new(plan)));
         drop(entries);
+        drop(evicted);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    pub(crate) fn invalidate(&self, fingerprint: u64) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        let removed = lock(&self.entries).remove(&fingerprint);
-        drop(removed);
+    fn spares(&self, fingerprint: u64) -> Option<Arc<Spares>> {
+        lock(&self.entries).get(&fingerprint).cloned()
     }
 
     /// Park a released placement target in the spare slot of the stage
     /// output it was allocated for, replacing (and freeing) whatever
-    /// was parked there. Dropped instead when the plan is no longer
+    /// was parked there. Dropped instead when the entry is no longer
     /// cached or the process is under memory pressure.
     pub(crate) fn park(&self, origin: MergeOrigin, target: DataValue) {
         if crate::membudget::pressured() {
             return;
         }
-        let Some(plan) = self.lookup(origin.fingerprint) else {
+        let Some(spares) = self.spares(origin.fingerprint) else {
             return;
         };
-        let replaced = lock(&plan.spares).insert((origin.stage, origin.output), (origin, target));
+        let replaced = lock(&spares).insert((origin.stage, origin.output), (origin, target));
         drop(replaced);
     }
 
@@ -968,261 +892,12 @@ impl PlanCache {
         site: PlanSite,
         output: u32,
     ) -> Option<(MergeOrigin, DataValue)> {
-        let plan = self.lookup(site.fingerprint)?;
-        let spare = lock(&plan.spares).remove(&(site.stage, output));
+        let spares = self.spares(site.fingerprint)?;
+        let spare = lock(&spares).remove(&(site.stage, output));
         spare
-    }
-
-    pub(crate) fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Records the stages of one freshly planned segment for insertion into
-/// a [`PlanCache`].
-pub(crate) struct PlanRecorder {
-    fingerprint: u64,
-    /// ValueId → canonical number, from the segment shape.
-    numbering: WordMap<ValueId, u32>,
-    /// ValueIds produced outside the segment (fingerprint-pinned).
-    external: WordSet<ValueId>,
-    stages: Vec<CachedStage>,
-    nodes_total: usize,
-    /// Set if a stage referenced a value outside the canonical
-    /// numbering, or planned a split instance whose parameters can
-    /// neither be re-derived from data nor trusted across replays; the
-    /// segment is then not recorded.
-    poisoned: bool,
-}
-
-impl PlanRecorder {
-    pub(crate) fn new(shape: &SegmentShape) -> PlanRecorder {
-        PlanRecorder {
-            fingerprint: shape.fingerprint,
-            numbering: shape
-                .values
-                .iter()
-                .enumerate()
-                .map(|(c, v)| (*v, c as u32))
-                .collect(),
-            external: shape
-                .values
-                .iter()
-                .zip(&shape.externals)
-                .filter(|(_, &ext)| ext)
-                .map(|(v, _)| *v)
-                .collect(),
-            stages: Vec::new(),
-            nodes_total: 0,
-            poisoned: false,
-        }
-    }
-
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Where the next recorded stage will sit in the plan.
-    pub(crate) fn next_site(&self) -> PlanSite {
-        PlanSite {
-            fingerprint: self.fingerprint,
-            stage: self.stages.len() as u32,
-        }
-    }
-
-    /// Record one planned stage. `graph` supplies the data the planner
-    /// bound, used to decide per input whether parameters are
-    /// re-derivable at replay time.
-    pub(crate) fn record(&mut self, plan: &StagePlan, graph: &DataflowGraph) {
-        if self.poisoned {
-            return;
-        }
-        let canon = |v: ValueId, poisoned: &mut bool| -> u32 {
-            match self.numbering.get(&v) {
-                Some(&c) => c,
-                None => {
-                    *poisoned = true;
-                    0
-                }
-            }
-        };
-        let mut poisoned = false;
-        let stage = CachedStage {
-            node_count: plan.nodes.len(),
-            inputs: plan
-                .inputs
-                .iter()
-                .map(|(v, inst)| {
-                    let external = self.external.contains(v);
-                    let data = graph.value_data(*v);
-                    // A scalar from outside the segment is pinned by
-                    // value (see `pending_shape`): re-deriving from it
-                    // can only reproduce the recorded parameters.
-                    let pinned = external && data.is_some_and(crate::value::is_scalar);
-                    let rederive = !pinned
-                        && !inst.is_unknown()
-                        && data
-                            .and_then(|d| inst.splitter.default_params(d).ok())
-                            .is_some_and(|p| p == *inst.params);
-                    // A non-re-derivable instance over a value computed
-                    // *inside* the segment (the interleaved-planning
-                    // case: constructor args depending on earlier
-                    // stages' results) carries parameters the
-                    // fingerprint does not pin — refuse to cache the
-                    // segment rather than risk replaying stale params.
-                    if !rederive && !external {
-                        poisoned = true;
-                    }
-                    CachedInput {
-                        value: canon(*v, &mut poisoned),
-                        instance: inst.clone(),
-                        rederive,
-                    }
-                })
-                .collect(),
-            broadcast: plan
-                .broadcast
-                .iter()
-                .map(|v| canon(*v, &mut poisoned))
-                .collect(),
-            outputs: plan
-                .outputs
-                .iter()
-                .map(|o| CachedOutput {
-                    value: canon(o.value, &mut poisoned),
-                    instance: o.instance.clone(),
-                    in_place: o.kind == OutputKind::InPlace,
-                })
-                .collect(),
-            slots: plan
-                .slots
-                .iter()
-                .map(|(v, s)| (canon(v, &mut poisoned), s))
-                .collect(),
-            num_slots: plan.num_slots,
-        };
-        self.poisoned = poisoned;
-        self.nodes_total += plan.nodes.len();
-        self.stages.push(stage);
-    }
-
-    /// Finish recording; `None` if the segment turned out unrecordable.
-    pub(crate) fn finish(self) -> Option<CachedPlan> {
-        if self.poisoned {
-            return None;
-        }
-        Some(CachedPlan {
-            stages: self.stages,
-            nodes_total: self.nodes_total,
-            spares: Mutex::new(WordMap::default()),
-        })
-    }
-}
-
-impl CachedPlan {
-    /// Number of cached stages.
-    pub(crate) fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Bind cached stage `idx` against the current graph state,
-    /// producing an executable [`StagePlan`].
-    ///
-    /// Validates before anything runs: every input and broadcast value
-    /// must be materialized, re-derived split parameters must agree on
-    /// one element total across the stage's inputs. Any failure returns
-    /// an error — the caller invalidates the entry and falls back to
-    /// fresh planning, which is always correct because planning only
-    /// depends on the graph's `next_unplanned` state.
-    pub(crate) fn bind_stage(
-        &self,
-        idx: usize,
-        graph: &DataflowGraph,
-        canon: &[ValueId],
-        demand: Demand,
-    ) -> Result<StagePlan> {
-        let cs = self.stages.get(idx).ok_or(Error::ValueUnavailable)?;
-        let stage = graph.next_unplanned..graph.next_unplanned + cs.node_count;
-        if stage.is_empty() || stage.end > graph.nodes.len() {
-            return Err(Error::ValueUnavailable);
-        }
-        let get = |c: u32| -> Result<ValueId> {
-            canon
-                .get(c as usize)
-                .copied()
-                .ok_or(Error::ValueUnavailable)
-        };
-
-        // All split inputs must agree on one element total.
-        let mut total: Option<u64> = None;
-        let mut agree = |actual: u64| match total {
-            None => {
-                total = Some(actual);
-                Ok(())
-            }
-            Some(expected) if expected == actual => Ok(()),
-            Some(expected) => Err(Error::ElementMismatch { expected, actual }),
-        };
-        let mut inputs = Vec::with_capacity(cs.inputs.len());
-        for ci in &cs.inputs {
-            let vid = get(ci.value)?;
-            let data = graph.value_data(vid).ok_or(Error::ValueUnavailable)?;
-            let rederived = ci
-                .rederive
-                .then(|| ci.instance.splitter.default_params(data).ok())
-                .flatten()
-                // Unchanged parameters keep sharing the recorded ones.
-                .filter(|params| *params != *ci.instance.params);
-            let inst = match rederived {
-                Some(params) => SplitInstance::new(ci.instance.splitter.clone(), params),
-                None => ci.instance.clone(),
-            };
-            agree(inst.splitter.info(data, &inst.params)?.total_elements)?;
-            inputs.push((vid, inst));
-        }
-
-        let mut broadcast = Vec::with_capacity(cs.broadcast.len());
-        for c in &cs.broadcast {
-            let vid = get(*c)?;
-            graph.value_data(vid).ok_or(Error::ValueUnavailable)?;
-            broadcast.push(vid);
-        }
-
-        let (mut outputs, mut dropped) = (Vec::with_capacity(cs.outputs.len()), Vec::new());
-        for co in &cs.outputs {
-            let (vid, instance) = (get(co.value)?, &co.instance);
-            let kind = if co.in_place {
-                OutputKind::InPlace
-            } else {
-                output_kind(graph, stage.end, vid, instance, demand, None, &mut dropped)
-            };
-            outputs.push(StageOutput {
-                value: vid,
-                instance: instance.clone(),
-                kind,
-            });
-        }
-
-        let mut slots = SlotTable::window(graph.id_window(stage.clone()));
-        for &(c, s) in &cs.slots {
-            slots.insert(get(c)?, s);
-        }
-
-        Ok(StagePlan {
-            nodes: stage.map(|i| NodeId(i as u32)).collect(),
-            inputs,
-            broadcast,
-            outputs,
-            slots,
-            num_slots: cs.num_slots,
-        })
-    }
 }

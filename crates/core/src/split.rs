@@ -228,8 +228,8 @@ pub trait Placement: Send + Sync {
     ) -> Result<Option<DataValue>>;
 
     /// Offer a *spare* — the placement output an earlier evaluation of
-    /// the same cached plan produced for this very stage output and has
-    /// since let go of — in place of a fresh
+    /// the same plan-cache fingerprint produced at this stage and output
+    /// index and has since let go of — in place of a fresh
     /// [`alloc_merged`](Placement::alloc_merged) allocation. Called
     /// with the arguments `alloc_merged` would get, immediately before
     /// it, at the call site that resolved the spare when it was new: at
@@ -438,8 +438,8 @@ pub struct SplitInstance {
     /// The splitting API implementation.
     pub splitter: Arc<dyn Splitter>,
     /// Concrete parameter values (empty for `unknown`), shared: copies
-    /// of an instance (plan skeletons, bound stages, executor inputs
-    /// and outputs) bump a count instead of cloning the vector.
+    /// of an instance (planned stages, executor inputs and outputs,
+    /// the per-thread constructor memo) bump a count instead of cloning the vector.
     pub params: Arc<Params>,
     /// Uniqueness token for `unknown` instances.
     pub unique: Option<u64>,

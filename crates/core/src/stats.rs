@@ -87,8 +87,8 @@ pub struct PhaseStats {
     /// verified stage then failed to execute.
     pub plans_verified: u64,
     /// Placement-merge targets that were a spare parked by an earlier
-    /// evaluation of the same cached plan, written over instead of
-    /// allocated (see
+    /// evaluation of the same plan-cache fingerprint, written over
+    /// instead of allocated (see
     /// [`Placement::reuse`](crate::split::Placement::reuse)).
     pub merge_targets_reused: u64,
     /// Placement-merge targets freshly allocated by

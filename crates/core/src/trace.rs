@@ -78,12 +78,14 @@ pub enum SpanKind {
     DeadlineShed = 5,
     /// Clearing lazy-evaluation protection at evaluation start.
     Unprotect = 6,
-    /// Planning (fingerprinting, stage planning, plan binding),
-    /// accumulated over the evaluation.
+    /// Planning (fingerprinting and stage planning), accumulated over
+    /// the evaluation.
     Planner = 7,
-    /// The evaluation replayed a cached plan (zero-duration marker).
+    /// The evaluation's fingerprint already had a plan-cache entry
+    /// (zero-duration marker).
     PlanCacheHit = 8,
-    /// The evaluation planned from scratch (zero-duration marker).
+    /// The evaluation's fingerprint had no entry yet (zero-duration
+    /// marker).
     PlanCacheMiss = 9,
     /// Split phase of one batch (`arg` = stage index, `link` = batch
     /// index).

@@ -262,14 +262,6 @@ pub fn as_f64(v: &DataValue) -> Option<f64> {
     v.downcast_ref::<FloatValue>().map(|x| x.0)
 }
 
-/// Whether `v` holds one of the scalar argument types above.
-pub(crate) fn is_scalar(v: &DataValue) -> bool {
-    v.downcast_ref::<IntValue>().is_some()
-        || v.downcast_ref::<FloatValue>().is_some()
-        || v.downcast_ref::<BoolValue>().is_some()
-        || v.downcast_ref::<StrValue>().is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,8 +30,7 @@
 //!
 //! * **Layer 2 — [`verify_stage`]**: a structural proof over one
 //!   [`StagePlan`] against its [`DataflowGraph`], run before every
-//!   stage executes, planned, replayed from the plan cache or part of
-//!   a lineage replay: slot
+//!   stage executes, of an evaluation or of a lineage replay: slot
 //!   assignments are dense, in range and alias-free; every value a node
 //!   reads is defined before use (a stage input, broadcast, or an
 //!   earlier in-stage product) and never a stale pre-mutation version;
@@ -677,8 +676,8 @@ struct SlotFacts {
 
 /// Layer 2: statically prove one stage plan sound against its graph.
 ///
-/// Run before every stage executes — fresh plans, plan-cache replay
-/// binds and the stages of lineage replays alike — against the
+/// Run before every stage executes — the stages of evaluations and of
+/// lineage replays alike — against the
 /// [`Demand`] of the read that triggered the evaluation (for a lineage
 /// replay, the value it makes). Returns the first violation found; the caller surfaces
 /// it as [`Error::Verify`](crate::error::Error) and refuses to execute

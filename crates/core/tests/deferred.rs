@@ -259,8 +259,8 @@ fn every_read_order_matches_evaluate_then_read() {
                 [3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0, 33.0, 36.0, 39.0]
             );
             for reads in [Reads::LastOnly, Reads::CaptureOrder, Reads::Reversed] {
-                // Cold then warm: the second run replays the first's
-                // cached plan under the same demand.
+                // Cold then warm: the second run finds the first's
+                // plan-cache entry and plans under the same demand.
                 let cache = Arc::new(PlanCache::new(8));
                 for warm in [false, true] {
                     let (got, stats) = run(&cfg, &cache, reads);

@@ -478,7 +478,7 @@ fn a_null_split_truncated_output_is_never_reused() {
 }
 
 #[test]
-fn eviction_and_invalidation_free_the_spare() {
+fn eviction_and_a_failed_evaluation_free_the_spare() {
     let (_, annot) = &reuse_annotations(1)[1];
     // A clone of the result shares its storage, so `is_exclusive` on it
     // says whether the cache still holds the parked target.
@@ -499,7 +499,9 @@ fn eviction_and_invalidation_free_the_spare() {
     drop(warm.eval(annot, 48).unwrap());
     assert!(probe.is_exclusive(), "eviction freed the spare");
 
-    // Invalidation: a failing replay drops the entry it replayed.
+    // A failing evaluation: its stage takes the spare (shared with the
+    // probe, so it allocates instead) and fails before it stores a
+    // target to park in its place.
     mozart_core::faultinject::silence_injected_panics();
     let mut warm = Warm::new(2, 8);
     let mut probe = parked_probe(&warm);
@@ -507,7 +509,10 @@ fn eviction_and_invalidation_free_the_spare() {
     warm.config.fault_plan = Some(Arc::new(plan));
     assert!(warm.eval(annot, 64).is_err());
     assert_eq!(warm.cache.stats().parked_bytes, 0);
-    assert!(probe.is_exclusive(), "invalidation freed the spare");
+    assert!(
+        probe.is_exclusive(),
+        "the failed evaluation freed the spare"
+    );
 }
 
 #[test]
@@ -572,6 +577,89 @@ fn a_long_lived_context_reuses_its_own_released_targets() {
         );
         assert_eq!(c.stats().merge_targets_reused, round, "round {round}");
     }
+}
+
+/// The positive elements of an array, collected: how many there are is
+/// data, not a shape the plan-cache fingerprint pins.
+fn positives() -> Arc<Annotation> {
+    let collected: Arc<dyn Splitter> = Arc::new(CollectedSplit(PlacedSplit { claim_factor: 1 }));
+    Annotation::new("reuse_positives", |inv| {
+        let kept = elems(inv.args[0])
+            .into_iter()
+            .filter(|x| *x > 0.0)
+            .collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(kept)))))
+    })
+    .arg("xs", generic(0))
+    .ret(unknown(collected))
+    .build()
+}
+
+/// `ys = xs * k`, split by an `ArraySplit` built from `xs` itself: a
+/// call over a value its own stage produces cannot join that stage.
+fn mul_own_len() -> Arc<Annotation> {
+    Annotation::new("reuse_mul_own_len", |inv| {
+        let k = inv.float(1)?;
+        let ys = elems(inv.args[0]).iter().map(|x| x * k).collect();
+        Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
+    })
+    .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
+    .arg("k", missing())
+    .ret(concrete(Arc::new(ArraySplit), vec![0]))
+    .build()
+}
+
+#[test]
+fn one_fingerprint_planned_two_ways_never_misplaces_a_spare() {
+    // The fingerprint pins the shapes of a segment's inputs, not the
+    // lengths its stages compute. With 16 of 32 elements positive, the
+    // two products pipeline into stage 1 as its outputs 0 and 1; with
+    // 12, they run apart, as stage 1 output 0 (12 elements) and stage 2
+    // output 0. Both products are placement-merged (`ArraySplit` over
+    // fresh arrays), so each structure finds the other's spares in its
+    // slots.
+    let (keep, mul_own, mul) = (positives(), mul_own_len(), vmul());
+    let eval = |warm: &Warm, positives: usize| {
+        let c = MozartContext::new(warm.config.clone());
+        c.attach_plan_cache(warm.cache.clone());
+        let xs = (0..32).map(|i| if i < positives { 0.5 + i as f64 } else { -1.0 });
+        let xs = DataValue::new(VecValue(SharedVec::from_vec(xs.collect())));
+        let ys = call1(&c, &keep, vec![xs]);
+        let a = call1(&c, &mul_own, times(ys.as_value(), 3.0));
+        let b = call1(&c, &mul, times(vec_value(16), 0.1));
+        c.evaluate().unwrap();
+        let bits = |f: &FutureHandle| read(f).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        ([bits(&a), bits(&b)], c.stats())
+    };
+    let warm = Warm::new(2, 4);
+    let (first, stats) = eval(&warm, 16);
+    assert_eq!((stats.stages, targets(&stats)), (2, (0, 2)));
+
+    // The second structure, warm: stage 1's spare is 16 elements, its
+    // output 12, so it is never written over.
+    let (second, stats) = eval(&warm, 12);
+    assert_eq!(stats.stages, 3);
+    assert_eq!(targets(&stats), (0, 2), "no spare in another shape");
+    let (cold, _) = eval(&Warm::new(2, 4), 12);
+    assert_eq!(second, cold, "warm bits equal a cold cache's");
+    assert_eq!(second[0].len(), 12);
+
+    // The first structure again: stage 1 output 1 still holds the first
+    // evaluation's target, exclusive now, and writes over it.
+    let (again, stats) = eval(&warm, 16);
+    assert_eq!(stats.stages, 2);
+    assert!(stats.merge_targets_reused >= 1, "{stats:?}");
+    assert_eq!(again, first);
+
+    // The second structure twice more: by the second time, each of its
+    // two placement stages finds its own last target at its own stage
+    // index.
+    eval(&warm, 12);
+    let (second_again, stats) = eval(&warm, 12);
+    assert_eq!(targets(&stats), (2, 0));
+    assert_eq!(second_again, cold);
+    let s = warm.cache.stats();
+    assert_eq!((s.hits, s.misses), (4, 1));
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 //! Tests of the plan cache: repeated structurally identical pipelines
-//! replay memoized stage skeletons (including across contexts); shape
-//! or split-type changes miss; replayed plans produce correct results.
+//! find their fingerprint's entry (including across contexts); shape
+//! or split-type changes miss; every evaluation plans from its own data
+//! and produces correct results.
 
 use std::sync::Arc;
 
@@ -82,16 +83,16 @@ fn repeated_pipeline_hits_across_contexts() {
     let cache = Arc::new(PlanCache::new(16));
     let annot = scale_annotation();
 
-    // First context: plans from scratch, records.
+    // First context: a miss, which inserts the entry.
     let out1 = run_scale(&cached_ctx(&cache, 1, 4), &annot, 16, 2.0);
     let expect: Vec<f64> = (0..16).map(|i| i as f64 * 4.0).collect();
     assert_eq!(out1, expect);
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
 
-    // Fresh context, identical structure and shapes: replays the plan.
+    // Fresh context, identical structure and shapes: hits the entry.
     let out2 = run_scale(&cached_ctx(&cache, 1, 4), &annot, 16, 2.0);
-    assert_eq!(out2, expect, "replayed plan must compute the same result");
+    assert_eq!(out2, expect, "a hit must compute the same result");
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
 
@@ -133,15 +134,15 @@ fn shape_change_misses_and_recomputes() {
     let annot = scale_annotation();
 
     run_scale(&cached_ctx(&cache, 1, 4), &annot, 16, 2.0);
-    // Same pipeline over a different length: must not replay the n=16
-    // plan (its ArraySplit parameters would be stale).
+    // Same pipeline over a different length: must not share the n=16
+    // entry (its spares are another length's).
     let out = run_scale(&cached_ctx(&cache, 1, 4), &annot, 24, 2.0);
     let expect: Vec<f64> = (0..24).map(|i| i as f64 * 4.0).collect();
     assert_eq!(out, expect);
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
 
-    // And each shape now replays independently.
+    // And each shape now hits its own entry.
     run_scale(&cached_ctx(&cache, 1, 4), &annot, 16, 2.0);
     run_scale(&cached_ctx(&cache, 1, 4), &annot, 24, 2.0);
     let s = cache.stats();
@@ -176,9 +177,9 @@ fn pipeline_structure_change_misses() {
 
 #[test]
 fn pipeline_ablation_does_not_share_plans() {
-    // The "-pipe" ablation (one function per stage) must not replay a
-    // plan recorded with pipelining on, or vice versa, even through one
-    // shared cache.
+    // The "-pipe" ablation (one function per stage) must not share an
+    // entry with pipelining on, or vice versa, even through one shared
+    // cache: its stage indices name other stages.
     ArraySplit::register_default();
     let cache = Arc::new(PlanCache::new(16));
     let annot = scale_annotation();
@@ -207,7 +208,7 @@ fn pipeline_ablation_does_not_share_plans() {
         (0, 2, 2),
         "the two settings key distinct cache entries"
     );
-    // And each setting replays its own entry with its own granularity.
+    // And each setting hits its own entry with its own granularity.
     let (_, stages_again) = run(false);
     assert_eq!(stages_again, 2);
     assert_eq!(cache.stats().hits, 1);
@@ -227,7 +228,7 @@ fn cache_capacity_is_bounded() {
 
 #[test]
 fn multi_worker_replay_is_correct() {
-    // Replayed plans must execute identically on the pool path.
+    // A hit must execute identically on the pool path.
     let cache = Arc::new(PlanCache::new(4));
     let annot = scale_annotation();
     let out1 = run_scale(&cached_ctx(&cache, 3, 8), &annot, 64, 2.0);
@@ -402,13 +403,12 @@ fn positives_annotation() -> Arc<Annotation> {
 }
 
 #[test]
-fn a_replay_that_fails_to_bind_invalidates_and_replans() {
+fn a_cached_fingerprint_plans_from_the_data_it_sees() {
     // Only the shapes of a segment's inputs are in the fingerprint, not
-    // the lengths its stages compute. A plan recorded while a filtered
-    // array matched another input's length pipelines their consumers
-    // into one stage; replayed over data that filters to another length,
-    // that stage fails to bind. The entry is invalidated and the
-    // evaluation plans afresh, with the right result.
+    // the lengths its stages compute. While a filtered array matches
+    // another input's length, their consumers pipeline into one stage;
+    // over data that filters to another length, the same fingerprint
+    // plans them apart, with the right result.
     let cache = Arc::new(PlanCache::new(16));
     let (keep, mul_own, mul) = (
         positives_annotation(),
@@ -442,8 +442,8 @@ fn a_replay_that_fails_to_bind_invalidates_and_replans() {
         ctx.stats().stages
     };
     ArraySplit::register_default();
-    assert_eq!(run(16), 2, "the recorded plan pipelines both products");
-    assert_eq!(run(12), 3, "the replan runs them apart");
+    assert_eq!(run(16), 2, "equal lengths pipeline both products");
+    assert_eq!(run(12), 3, "the cached fingerprint runs them apart");
     let s = cache.stats();
-    assert_eq!((s.hits, s.misses, s.invalidations), (0, 2, 1));
+    assert_eq!((s.hits, s.misses), (1, 1));
 }

@@ -24,11 +24,11 @@
 //!   starvation is bounded by a deficit cap and by caller
 //!   participation (see `mozart_core::pool`).
 //! * **A plan cache** ([`mozart_core::PlanCache`]): evaluations
-//!   fingerprint their pending call graph; repeats replay memoized
-//!   stage skeletons instead of re-running split-type inference and
-//!   stage grouping, re-binding only the materialized values. Shape or
-//!   split-type changes change the fingerprint, so stale plans never
-//!   replay.
+//!   fingerprint their pending call graph, and repeats of a fingerprint
+//!   write their merged outputs over the placement targets an earlier
+//!   request released instead of allocating them. Every evaluation
+//!   still plans its own stages; shape or split-type changes change the
+//!   fingerprint.
 //! * **Cross-request coalescing**: queued blocking requests whose
 //!   pending-segment fingerprints match ([`Pipeline::coalesce_key`])
 //!   evaluate as *one* pipeline over concatenated inputs, and the
@@ -97,7 +97,7 @@
 //!     .call("black_scholes", &Request::new().with("n", 2048))
 //!     .unwrap();
 //! assert!(resp.body.starts_with("call_sum="));
-//! // The second, structurally identical request replays the cached plan.
+//! // The second, structurally identical request finds the first's entry.
 //! session
 //!     .call("black_scholes", &Request::new().with("n", 2048))
 //!     .unwrap();

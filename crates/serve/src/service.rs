@@ -409,7 +409,8 @@ const CODEL: CodelCfg = CodelCfg {
     interval: Duration::from_millis(100),
 };
 
-/// Plans the shared [`PlanCache`] retains.
+/// Fingerprints the shared [`PlanCache`] keeps an entry (and its parked
+/// merge targets) for.
 const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Observability state of a tracing-enabled service: the shared span

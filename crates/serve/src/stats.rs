@@ -208,13 +208,13 @@ pub static STAT_TABLE: [StatRow; 35] = [
         "1 once drain() has been called"),
     row(Some((13, "plan_hits")), Counter, |s| s.plan_cache.hits,
         Some("mozart_plan_cache_hits_total"),
-        "Evaluations replayed from a cached plan"),
+        "Evaluations whose pending-segment fingerprint already had a plan-cache entry"),
     row(Some((14, "plan_misses")), Counter, |s| s.plan_cache.misses,
         Some("mozart_plan_cache_misses_total"),
-        "Evaluations planned from scratch"),
+        "Evaluations whose fingerprint had no entry yet, and inserted one"),
     row(Some((15, "plan_entries")), Gauge, |s| s.plan_cache.entries as u64,
         Some("mozart_plan_cache_entries"),
-        "Plans currently cached"),
+        "Fingerprints with a plan-cache entry (their parked merge targets)"),
     row(None, Gauge, |s| s.plan_cache.parked_bytes,
         Some("mozart_merge_targets_parked_bytes"),
         "Released merge targets parked in the plan cache for reuse (split info bytes)"),

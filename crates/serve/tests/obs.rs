@@ -529,9 +529,9 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_coalesce_waiting", "gauge", "Followers parked in open coalesced batches"),
         ("mozart_sessions", "gauge", "Sessions opened"),
         ("mozart_draining", "gauge", "1 once drain() has been called"),
-        ("mozart_plan_cache_hits_total", "counter", "Evaluations replayed from a cached plan"),
-        ("mozart_plan_cache_misses_total", "counter", "Evaluations planned from scratch"),
-        ("mozart_plan_cache_entries", "gauge", "Plans currently cached"),
+        ("mozart_plan_cache_hits_total", "counter", "Evaluations whose pending-segment fingerprint already had a plan-cache entry"),
+        ("mozart_plan_cache_misses_total", "counter", "Evaluations whose fingerprint had no entry yet, and inserted one"),
+        ("mozart_plan_cache_entries", "gauge", "Fingerprints with a plan-cache entry (their parked merge targets)"),
         ("mozart_merge_targets_parked_bytes", "gauge", "Released merge targets parked in the plan cache for reuse (split info bytes)"),
         ("mozart_pool_workers", "gauge", "Worker threads in the shared pool"),
         ("mozart_pool_jobs_total", "counter", "Stages dispatched to the shared pool"),

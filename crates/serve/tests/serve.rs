@@ -95,7 +95,7 @@ fn shape_and_pipeline_changes_invalidate_cached_plans() {
     let s = service.stats().plan_cache;
     assert_eq!((s.hits, s.misses), (1, 3));
     assert_eq!(s.entries, 3);
-    // Every variant now replays from its own entry.
+    // Every variant now hits its own entry.
     session
         .call("black_scholes", &Request::new().with("n", 1536))
         .unwrap();

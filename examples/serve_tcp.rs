@@ -282,7 +282,7 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         ("BUDGET 500000000", "OK"),
         ("black_scholes n=2048", "OK"),
         // Identical, and above the work floor so it is planned: the
-        // second replays the cached plan.
+        // second hits the first's plan-cache entry.
         ("black_scholes n=65536", "OK"),
         ("black_scholes n=65536", "OK"),
         ("haversine n=1024 seed=3", "OK"),

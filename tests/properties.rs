@@ -115,7 +115,8 @@ proptest! {
     }
 
     /// Mozart execution of a random in-place vector-op program equals
-    /// eager execution, for arbitrary worker counts and batch sizes.
+    /// eager execution, for arbitrary worker counts and batch sizes —
+    /// cold, and then warm on the plan cache the cold run filled.
     #[test]
     fn executor_equals_eager_for_random_programs(
         data in prop::collection::vec(0.1f64..10.0, 8..300),
@@ -129,19 +130,29 @@ proptest! {
         for &op in &ops {
             apply_eager(op, &mut eager);
         }
-        // Mozart.
-        let c = ctx(workers, batch);
-        let buf = SharedVec::from_vec(data);
-        for &op in &ops {
-            apply_mozart(op, &c, n, &buf).unwrap();
-        }
-        let got = buf.to_vec();
-        for i in 0..n {
-            prop_assert!((got[i] - eager[i]).abs() <= 1e-9 * eager[i].abs().max(1.0),
-                "index {}: {} vs {}", i, got[i], eager[i]);
-        }
+        // Mozart, on a fresh context per run and one shared cache.
+        let cache = std::sync::Arc::new(PlanCache::new(8));
+        let run = || {
+            let c = ctx(workers, batch);
+            c.attach_plan_cache(cache.clone());
+            let buf = SharedVec::from_vec(data.clone());
+            for &op in &ops {
+                apply_mozart(op, &c, n, &buf).unwrap();
+            }
+            (buf.to_vec(), c.stats())
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (cold, cold_stats) = run();
+        prop_assert_eq!(bits(&cold), bits(&eager), "the cold run");
         // The whole program must have pipelined into one stage.
-        prop_assert_eq!(c.stats().stages, 1);
+        prop_assert_eq!(cold_stats.stages, 1);
+        let (warm, warm_stats) = run();
+        prop_assert_eq!(bits(&warm), bits(&eager), "the warm run");
+        prop_assert_eq!(
+            (warm_stats.stages, warm_stats.batches),
+            (cold_stats.stages, cold_stats.batches)
+        );
+        prop_assert_eq!(cache.stats().hits, 1);
     }
 
     /// Reductions agree with serial sums under arbitrary batch sizes.
@@ -385,7 +396,7 @@ fn read_handles(
     handles.iter().map(|h| render(&h.get().unwrap())).collect()
 }
 
-/// Every read order — cold, then replaying the cached plan — reads
+/// Every read order — cold, then warm on the plan cache — reads
 /// exactly what `evaluate()`-then-read reads.
 fn check_read_orders(
     axes: &DemandAxes,

@@ -84,8 +84,12 @@ fn planning_cost_stays_flat_on_a_reused_context() {
     }
     let hits_before = cache.stats().hits;
     let (late, got) = evaluation();
-    assert_eq!(got, expect, "replay changed the result");
-    assert_eq!(cache.stats().hits, hits_before + 1, "the plan replays");
+    assert_eq!(got, expect, "a later evaluation changed the result");
+    assert_eq!(
+        cache.stats().hits,
+        hits_before + 1,
+        "the evaluation hits its entry"
+    );
     assert!(
         late <= early + 1024,
         "evaluate() allocated {early} B on a young context but {late} B \

@@ -1,4 +1,4 @@
-//! A plan-cache hit is cheap in heap allocations, not only in time
+//! A warm evaluation is cheap in heap allocations, not only in time
 //! (ISSUE 21): one warm `bs_mkl.small` operation — a fresh context on a
 //! shared pool and plan cache, the 28 calls of `bs::mkl_chain`, then
 //! `evaluate()` — stays within a fixed allocation budget. It made 607
@@ -49,7 +49,7 @@ static ALLOCATOR: Counting = Counting;
 
 /// The budget: the operation's own `SharedVec` temporaries and the
 /// wrappers' argument vectors and handles (~150) plus the runtime's
-/// capture, fingerprint, bind and stage launch.
+/// capture, fingerprint, stage planning and stage launch.
 const BUDGET: usize = 350;
 
 #[test]
@@ -64,7 +64,7 @@ fn a_warm_evaluation_stays_within_its_allocation_budget() {
     // `MOZART_L2_BYTES`) cannot change what runs: at 64 KiB every stage
     // of the 512-element chain is one batch (682 elements fit), and the
     // work floor (4 KiB) is below its smallest call (8 KiB), so every
-    // call is captured and the plan-cache hit path is what is counted.
+    // call is captured and planned, on a plan-cache hit.
     let mut config = Config::with_workers(2);
     config.l2_bytes = 64 << 10;
     let pool = PoolHandle::new(1);
@@ -90,12 +90,18 @@ fn a_warm_evaluation_stays_within_its_allocation_budget() {
     let cache_before = cache.stats();
     for round in 0..5 {
         let (allocs, got) = op();
-        assert_eq!(got, expect, "round {round}: replay changed the result");
+        assert_eq!(
+            got, expect,
+            "round {round}: a warm evaluation changed the result"
+        );
         assert!(
             allocs <= BUDGET,
             "round {round}: a warm evaluation made {allocs} heap allocations (budget {BUDGET})"
         );
     }
     let hits = cache.stats().hits - cache_before.hits;
-    assert_eq!(hits, 5, "every measured evaluation replays the cached plan");
+    assert_eq!(
+        hits, 5,
+        "every measured evaluation hits its plan-cache entry"
+    );
 }
