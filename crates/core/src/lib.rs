@@ -11,7 +11,9 @@
 //!
 //! 1. defines [split types](split::Splitter) for the library's data types
 //!    and implements the splitting API (constructor / split / merge /
-//!    info, Table 1 of the paper), and
+//!    info, Table 1 of the paper) — for a split type whose values split
+//!    into bands of rows, only its name, constructor, info and value
+//!    type ([`row_bands`]), and
 //! 2. attaches an [`Annotation`] to each side-effect-free function,
 //!    assigning each argument and return value a
 //!    [`SplitTypeExpr`].
@@ -118,6 +120,7 @@ pub mod membudget;
 pub mod planner;
 pub mod pool;
 pub mod registry;
+pub mod row_bands;
 pub mod split;
 pub mod stats;
 pub mod trace;

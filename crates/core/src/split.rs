@@ -38,6 +38,14 @@
 //! inputs — the split/merge duality run in reverse, with zero
 //! per-pipeline concatenation code.
 //!
+//! Split types whose values split into bands of rows (arrays along
+//! the leading axis, images, DataFrames and Series) do not implement
+//! these traits by hand: they implement
+//! [`RowSplitter`](crate::row_bands::RowSplitter) and their values
+//! [`RowBand`](crate::row_bands::RowBand), and [`crate::row_bands`]
+//! derives `Splitter`, `Placement` and `Concat` from those, once for
+//! all of them.
+//!
 //! ## Migrating from the v1 trait
 //!
 //! | v1 | v2 |

@@ -9,7 +9,11 @@
 //!
 //! The `dataframe` crate itself is not modified; the splitting API is
 //! implemented with its existing public functions, like the paper's
-//! "<20 LoC each" Pandas splitters.
+//! "<20 LoC each" Pandas splitters. `RowSplit` is a row-band split type:
+//! [`DfValue`] and [`ColValue`] implement
+//! `mozart_core::row_bands::RowBand` with the library's slice, concat,
+//! allocation and row-write calls, and the runtime's generic row-band
+//! implementation does the rest, picking frames or columns per value.
 
 #![warn(missing_docs)]
 
@@ -236,5 +240,41 @@ mod tests {
             assert_eq!(third.0.col("half_age").f64s().as_ptr(), addr);
             assert!(same(&third, &cold), "{workers} workers");
         }
+    }
+
+    #[test]
+    fn an_unknown_output_of_two_schemas_is_a_merge_error_not_a_panic() {
+        // A function returning `unknown` merges through the collect path,
+        // whose concat used to assert on the schema and panic, which
+        // surfaced as the transient `TaskPanicked`. Pieces starting at an
+        // odd row gain a column here, so batches of 7 rows disagree.
+        let bad = Annotation::new("schema_by_piece", |inv| {
+            let d = &inv.arg::<DfValue>(0)?.0;
+            let extra = Column::from_f64(vec![0.0; d.num_rows()]);
+            let out = match d.col("id").i64s().first() {
+                Some(id) if id % 2 == 1 => d.with_column("extra", extra),
+                _ => d.clone(),
+            };
+            Ok(Some(DataValue::new(DfValue(out))))
+        })
+        .arg("df", mozart_core::annotation::generic(0))
+        .ret(mozart_core::annotation::unknown(RowSplit::shared()))
+        .build();
+        let c = ctx();
+        let out = c
+            .call(&bad, &[Arg::Value(&dfv(&people()))])
+            .unwrap()
+            .unwrap();
+        let err = out.get().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Merge {
+                    split_type: "RowSplit",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -4,22 +4,24 @@
 //! DataFrames and Series by splitting by row" (§7). Split type equality
 //! is by name and parameters, so a frame and a column with the same row
 //! count carry the *same* split type `RowSplit<rows>` and pipeline
-//! freely (e.g. `df.col(...)` flows into Series arithmetic); `split`
-//! and `merge` dispatch on the concrete piece type.
+//! freely (e.g. `df.col(...)` flows into Series arithmetic).
 //!
-//! Merged frames and columns are placement-written into one
-//! preallocated target per output ([`Placement`]); on a warm plan cache
-//! a released target of the same schema and row count that nobody else
-//! holds any more is written over instead of allocating a new one
-//! ([`Placement::reuse`]).
+//! `RowSplit` is a row-band split type ([`mozart_core::row_bands`]):
+//! [`DfValue`] and [`ColValue`] each implement [`RowBand`] with the
+//! `dataframe` crate's own calls, and [`RowSplitter::bands`] picks
+//! between them by the value's type. The runtime's one generic
+//! implementation does the rest: zero-copy row slices, merges
+//! placement-written into one target per output, allocated on the first
+//! piece (which supplies what the parameters cannot: a frame's schema,
+//! a column's dtype), and, on a warm plan cache, a released target of
+//! the same schema and row count that nobody else holds any more
+//! written over instead of allocating a new one.
 
-use std::ops::Range;
 use std::sync::Arc;
-
-use mozart_core::split::{Concat, MergeStrategy, Placement};
 
 use dataframe::{Column, DataFrame};
 use mozart_core::prelude::*;
+use mozart_core::row_bands::{bands, Bands, RowBand, RowSplitter};
 
 /// `DataValue` wrapper for [`DataFrame`].
 #[derive(Debug, Clone)]
@@ -47,7 +49,76 @@ impl mozart_core::value::DataObject for ColValue {
     }
 }
 
+impl RowBand for DfValue {
+    fn rows(&self) -> usize {
+        self.0.num_rows()
+    }
+
+    /// The same column names and dtypes, in order.
+    fn same_cross_section(&self, other: &Self) -> bool {
+        self.0.names() == other.0.names()
+            && (self.0.columns().iter())
+                .zip(other.0.columns())
+                .all(|((_, x), (_, y))| x.dtype() == y.dtype())
+    }
+
+    fn view(&self, start: usize, end: usize) -> Self {
+        DfValue(self.0.slice_rows(start, end))
+    }
+
+    fn concat(parts: &[&Self]) -> Self {
+        let frames: Vec<DataFrame> = parts.iter().map(|p| p.0.clone()).collect();
+        DfValue(DataFrame::concat(&frames))
+    }
+
+    unsafe fn alloc_uninit(rows: usize, _: &Params, exemplar: Option<&Self>) -> Option<Self> {
+        exemplar.map(|e| DfValue(e.0.alloc_like(rows)))
+    }
+
+    unsafe fn write_rows(&self, offset: usize, band: &Self) {
+        // SAFETY: forwarded contract.
+        unsafe { self.0.write_rows_at(offset, &band.0) }
+    }
+
+    fn is_exclusive(&mut self) -> bool {
+        self.0.is_exclusive()
+    }
+}
+
+impl RowBand for ColValue {
+    fn rows(&self) -> usize {
+        self.0.len()
+    }
+
+    fn same_cross_section(&self, other: &Self) -> bool {
+        self.0.dtype() == other.0.dtype()
+    }
+
+    fn view(&self, start: usize, end: usize) -> Self {
+        ColValue(self.0.slice(start, end))
+    }
+
+    fn concat(parts: &[&Self]) -> Self {
+        let cols: Vec<Column> = parts.iter().map(|p| p.0.clone()).collect();
+        ColValue(Column::concat(&cols))
+    }
+
+    unsafe fn alloc_uninit(rows: usize, _: &Params, exemplar: Option<&Self>) -> Option<Self> {
+        exemplar.map(|e| ColValue(e.0.alloc_like(rows)))
+    }
+
+    unsafe fn write_rows(&self, offset: usize, band: &Self) {
+        // SAFETY: forwarded contract.
+        unsafe { self.0.write_at(offset, &band.0) }
+    }
+
+    fn is_exclusive(&mut self) -> bool {
+        self.0.is_exclusive()
+    }
+}
+
 /// Row-based split type for frames and columns. Parameter: row count.
+#[derive(Default)]
 pub struct RowSplit;
 
 impl RowSplit {
@@ -55,321 +126,38 @@ impl RowSplit {
     pub fn shared() -> Arc<dyn Splitter> {
         Arc::new(RowSplit)
     }
-
-    fn rows_of(v: &DataValue) -> Result<usize> {
-        if let Some(d) = v.downcast_ref::<DfValue>() {
-            return Ok(d.0.num_rows());
-        }
-        if let Some(c) = v.downcast_ref::<ColValue>() {
-            return Ok(c.0.len());
-        }
-        Err(Error::Split {
-            split_type: "RowSplit",
-            message: format!("expected DfValue or ColValue, got {}", v.type_name()),
-        })
-    }
 }
 
-impl Splitter for RowSplit {
-    fn name(&self) -> &'static str {
-        "RowSplit"
-    }
+impl RowSplitter for RowSplit {
+    const NAME: &'static str = "RowSplit";
 
-    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
-        let v = ctor_args.first().ok_or_else(|| Error::Constructor {
+    fn construct(ctor_args: &[&DataValue]) -> Result<Params> {
+        let rows = ctor_args.first().and_then(|v| {
+            (v.downcast_ref::<DfValue>().map(RowBand::rows))
+                .or_else(|| v.downcast_ref::<ColValue>().map(RowBand::rows))
+        });
+        let rows = rows.ok_or_else(|| Error::Constructor {
             split_type: "RowSplit",
             message: "expected a frame or series argument".into(),
         })?;
-        Ok(vec![Self::rows_of(v)? as i64])
+        Ok(vec![rows as i64])
     }
 
-    fn info(&self, _arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
-        Ok(RuntimeInfo {
+    fn info(params: &Params) -> RuntimeInfo {
+        RuntimeInfo {
             total_elements: params.first().copied().unwrap_or(0).max(0) as u64,
             // Approximate row footprint; Pandas rows are wide, use a
             // conservative 64 bytes so batches stay cache-resident.
             elem_size_bytes: 64,
-        })
-    }
-
-    fn split(
-        &self,
-        arg: &DataValue,
-        range: Range<u64>,
-        params: &Params,
-    ) -> Result<Option<DataValue>> {
-        let rows = Self::rows_of(arg)?;
-        let declared = params.first().copied().unwrap_or(0).max(0) as usize;
-        if rows != declared {
-            return Err(Error::Split {
-                split_type: "RowSplit",
-                message: format!("value has {rows} rows, split type says {declared}"),
-            });
-        }
-        if range.start >= rows as u64 {
-            return Ok(None);
-        }
-        let start = range.start as usize;
-        let end = (range.end as usize).min(rows);
-        if let Some(d) = arg.downcast_ref::<DfValue>() {
-            return Ok(Some(DataValue::new(DfValue(d.0.slice_rows(start, end)))));
-        }
-        if let Some(c) = arg.downcast_ref::<ColValue>() {
-            return Ok(Some(DataValue::new(ColValue(c.0.slice(start, end)))));
-        }
-        unreachable!("rows_of validated the type");
-    }
-
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _params: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        merge_rows(pieces)
-    }
-
-    /// Row concatenation with placement: the exemplar piece supplies
-    /// what the parameters cannot (a frame's schema, a column's dtype).
-    fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Concat {
-            placement: Some(Arc::new(RowSplit)),
         }
     }
 
-    fn concat(&self) -> Option<Arc<dyn Concat>> {
-        Some(Arc::new(RowSplit))
+    fn bands(value: Option<&DataValue>) -> &'static dyn Bands {
+        match value {
+            Some(v) if v.downcast_ref::<ColValue>().is_some() => bands::<Self, ColValue>(),
+            _ => bands::<Self, DfValue>(),
+        }
     }
-}
-
-impl Placement for RowSplit {
-    fn alloc_merged(
-        &self,
-        total_elements: u64,
-        _params: &Params,
-        exemplar: Option<&DataValue>,
-    ) -> Result<Option<DataValue>> {
-        // The exemplar (the first piece produced) supplies what the
-        // parameters cannot: the schema of a frame, the dtype of a
-        // column. The stage-start probe (no exemplar yet) is declined.
-        let Some(exemplar) = exemplar else {
-            return Ok(None);
-        };
-        let rows = total_elements as usize;
-        if let Some(d) = exemplar.downcast_ref::<DfValue>() {
-            return Ok(Some(DataValue::new(DfValue(d.0.alloc_like(rows)))));
-        }
-        if let Some(c) = exemplar.downcast_ref::<ColValue>() {
-            return Ok(Some(DataValue::new(ColValue(c.0.alloc_like(rows)))));
-        }
-        Err(Error::Merge {
-            split_type: "RowSplit",
-            message: format!("unexpected piece type {}", exemplar.type_name()),
-        })
-    }
-
-    fn reuse(
-        &self,
-        spare: DataValue,
-        total_elements: u64,
-        _params: &Params,
-        exemplar: Option<&DataValue>,
-    ) -> Option<DataValue> {
-        // Like `alloc_merged`, only the first piece says what the
-        // target must look like: same kind, schema and dtypes, the
-        // stage's row count, and storage nobody else holds — no
-        // application clone of the previous result, no row slice.
-        let exemplar = exemplar?;
-        let rows = total_elements as usize;
-        if let (Some(d), Some(e)) = (
-            spare.downcast_ref::<DfValue>(),
-            exemplar.downcast_ref::<DfValue>(),
-        ) {
-            let mut df = d.0.clone();
-            // Let go of the wrapper first: if it was the last one, `df`
-            // holds the only handles a sole owner would have.
-            drop(spare);
-            return (df.num_rows() == rows && same_schema(&df, &e.0) && df.is_exclusive())
-                .then(|| DataValue::new(DfValue(df)));
-        }
-        if let (Some(c), Some(e)) = (
-            spare.downcast_ref::<ColValue>(),
-            exemplar.downcast_ref::<ColValue>(),
-        ) {
-            let mut col = c.0.clone();
-            drop(spare);
-            return (col.len() == rows && col.dtype() == e.0.dtype() && col.is_exclusive())
-                .then(|| DataValue::new(ColValue(col)));
-        }
-        None
-    }
-
-    fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
-        let offset = offset as usize;
-        if let (Some(dst), Some(src)) = (
-            out.downcast_ref::<DfValue>(),
-            piece.downcast_ref::<DfValue>(),
-        ) {
-            check_fit(
-                offset,
-                src.0.num_rows(),
-                dst.0.num_rows(),
-                same_schema(&src.0, &dst.0),
-            )?;
-            // SAFETY: the executor guarantees concurrent `write_piece`
-            // calls cover disjoint row ranges of the not-yet-observable
-            // output; schema and bounds were checked above.
-            unsafe { dst.0.write_rows_at(offset, &src.0) };
-            return Ok(src.0.num_rows() as u64);
-        }
-        if let (Some(dst), Some(src)) = (
-            out.downcast_ref::<ColValue>(),
-            piece.downcast_ref::<ColValue>(),
-        ) {
-            check_fit(
-                offset,
-                src.0.len(),
-                dst.0.len(),
-                src.0.dtype() == dst.0.dtype(),
-            )?;
-            // SAFETY: as above.
-            unsafe { dst.0.write_at(offset, &src.0) };
-            return Ok(src.0.len() as u64);
-        }
-        Err(Error::Merge {
-            split_type: "RowSplit",
-            message: format!(
-                "placement piece {} does not match output {}",
-                piece.type_name(),
-                out.type_name()
-            ),
-        })
-    }
-
-    fn truncate_merged(
-        &self,
-        out: DataValue,
-        elements: u64,
-        _params: &Params,
-    ) -> Result<DataValue> {
-        // NULL-split tail: the written prefix as a zero-copy row slice.
-        let rows = elements as usize;
-        if let Some(d) = out.downcast_ref::<DfValue>() {
-            let rows = rows.min(d.0.num_rows());
-            return Ok(DataValue::new(DfValue(d.0.slice_rows(0, rows))));
-        }
-        if let Some(c) = out.downcast_ref::<ColValue>() {
-            let rows = rows.min(c.0.len());
-            return Ok(DataValue::new(ColValue(c.0.slice(0, rows))));
-        }
-        Err(Error::Merge {
-            split_type: "RowSplit",
-            message: format!("unexpected placement output {}", out.type_name()),
-        })
-    }
-}
-
-impl Concat for RowSplit {
-    fn concat(&self, values: &[DataValue]) -> Result<(DataValue, Vec<u64>)> {
-        if values.is_empty() {
-            return Err(Error::Merge {
-                split_type: "RowSplit",
-                message: "nothing to concatenate".into(),
-            });
-        }
-        let mut offsets = Vec::with_capacity(values.len());
-        let mut rows = 0u64;
-        for v in values {
-            offsets.push(rows);
-            rows += Self::rows_of(v)? as u64;
-        }
-        // Reuse the merge: mixed piece types and schema mismatches
-        // surface as the same typed errors.
-        let cat = merge_rows(values.to_vec())?;
-        Ok((cat, offsets))
-    }
-
-    fn slice_back(&self, out: &DataValue, offset: u64, len: u64) -> Result<DataValue> {
-        let rows = Self::rows_of(out)?;
-        let (offset, len) = (offset as usize, len as usize);
-        if offset.checked_add(len).is_none_or(|e| e > rows) {
-            return Err(Error::Merge {
-                split_type: "RowSplit",
-                message: format!("slice [{offset}, {offset}+{len}) exceeds {rows} rows"),
-            });
-        }
-        if let Some(d) = out.downcast_ref::<DfValue>() {
-            return Ok(DataValue::new(DfValue(
-                d.0.slice_rows(offset, offset + len),
-            )));
-        }
-        if let Some(c) = out.downcast_ref::<ColValue>() {
-            return Ok(DataValue::new(ColValue(c.0.slice(offset, offset + len))));
-        }
-        unreachable!("rows_of validated the type");
-    }
-}
-
-/// Whether two frames have the same column names and dtypes, in order.
-fn same_schema(a: &DataFrame, b: &DataFrame) -> bool {
-    a.names() == b.names()
-        && a.columns()
-            .iter()
-            .zip(b.columns())
-            .all(|((_, x), (_, y))| x.dtype() == y.dtype())
-}
-
-/// Validate a placement write: schema/dtype agreement and row bounds.
-fn check_fit(offset: usize, src_rows: usize, dst_rows: usize, schema_ok: bool) -> Result<()> {
-    if !schema_ok || offset.checked_add(src_rows).is_none_or(|e| e > dst_rows) {
-        return Err(Error::Merge {
-            split_type: "RowSplit",
-            message: format!(
-                "piece of {src_rows} rows at offset {offset} does not fit \
-                 placement output of {dst_rows} rows (or schema/dtype mismatch)"
-            ),
-        });
-    }
-    Ok(())
-}
-
-fn merge_rows(pieces: Vec<DataValue>) -> Result<DataValue> {
-    let first = pieces.first().ok_or_else(|| Error::Merge {
-        split_type: "RowSplit",
-        message: "no pieces".into(),
-    })?;
-    if first.downcast_ref::<DfValue>().is_some() {
-        let frames: Vec<DataFrame> = pieces
-            .iter()
-            .map(|p| {
-                p.downcast_ref::<DfValue>()
-                    .map(|d| d.0.clone())
-                    .ok_or_else(|| Error::Merge {
-                        split_type: "RowSplit",
-                        message: "mixed piece types".into(),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        return Ok(DataValue::new(DfValue(DataFrame::concat(&frames))));
-    }
-    if first.downcast_ref::<ColValue>().is_some() {
-        let cols: Vec<Column> = pieces
-            .iter()
-            .map(|p| {
-                p.downcast_ref::<ColValue>()
-                    .map(|c| c.0.clone())
-                    .ok_or_else(|| Error::Merge {
-                        split_type: "RowSplit",
-                        message: "mixed piece types".into(),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        return Ok(DataValue::new(ColValue(Column::concat(&cols))));
-    }
-    Err(Error::Merge {
-        split_type: "RowSplit",
-        message: format!("unexpected piece type {}", first.type_name()),
-    })
 }
 
 #[cfg(test)]
@@ -539,5 +327,46 @@ mod tests {
         assert!(s.reuse(cout, 5, &params, Some(&col)).is_none());
         let cout = s.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
         assert!(s.reuse(cout, 5, &params, Some(&cpiece)).is_some());
+    }
+
+    #[test]
+    fn merge_of_mismatched_pieces_is_a_merge_error() {
+        // `DataFrame::concat` and `Column::concat` assert on these; the
+        // merge checks the cross-sections first.
+        let s = RowSplit;
+        let frame = |id: Column| DataValue::new(DfValue(DataFrame::from_cols(vec![("id", id)])));
+        let col = |c: Column| DataValue::new(ColValue(c));
+        let renamed = DataValue::new(DfValue(DataFrame::from_cols(vec![(
+            "key",
+            Column::from_i64(vec![2]),
+        )])));
+        let mismatched = [
+            (frame(Column::from_i64(vec![1])), renamed),
+            (
+                frame(Column::from_i64(vec![1])),
+                frame(Column::from_f64(vec![2.0])),
+            ),
+            (
+                col(Column::from_i64(vec![1])),
+                col(Column::from_f64(vec![2.0])),
+            ),
+            (
+                frame(Column::from_i64(vec![1])),
+                col(Column::from_i64(vec![2])),
+            ),
+        ];
+        for (a, b) in mismatched {
+            let err = s.merge(vec![a, b], &vec![2], 2).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Merge {
+                        split_type: "RowSplit",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! pipelining (§8.2, Figures 4n–o). This integration drives that tax
 //! toward zero:
 //!
-//! * **splits are zero-copy** — [`ImageSplit::split`] hands out
+//! * **splits are zero-copy** — `ImageSplit` hands out
 //!   [`Image::rows`] views aliasing the parent pixel buffer instead of
 //!   crop clones;
 //! * **merges are placement writes** — the runtime preallocates the
@@ -30,18 +30,26 @@
 //! back out as zero-copy views, which the serving layer uses to
 //! coalesce fingerprint-identical image requests into one evaluation.
 //!
+//! All of that is the runtime's generic row-band implementation
+//! ([`mozart_core::row_bands`]): [`ImgValue`] implements [`RowBand`]
+//! with `imagelib`'s own calls (`rows`, `append_rows`,
+//! `alloc_rows_uninit`, `write_rows_from`, `is_exclusive`), and
+//! `ImageSplit` names its parameters, `(height, width)`, and its runtime
+//! info. The width check before every append and row write is made
+//! there, so a band of another width is an `Error::Merge`, never the
+//! library's assertion.
+//!
 //! `imagelib::blur` is deliberately **not** annotated: its edge
 //! boundary condition violates the SA correctness condition (§7.1).
 
 #![warn(missing_docs)]
 
-use std::ops::Range;
 use std::sync::{Arc, LazyLock};
 
 use imagelib::Image;
 use mozart_core::annotation::{generic, missing};
 use mozart_core::prelude::*;
-use mozart_core::split::{Concat, MergeStrategy, Placement};
+use mozart_core::row_bands::{bands, Bands, RowBand, RowSplitter};
 
 /// `DataValue` wrapper for [`Image`].
 #[derive(Debug, Clone)]
@@ -56,7 +64,48 @@ impl mozart_core::value::DataObject for ImgValue {
     }
 }
 
+impl RowBand for ImgValue {
+    fn rows(&self) -> usize {
+        self.0.height()
+    }
+
+    fn same_cross_section(&self, other: &Self) -> bool {
+        self.0.width() == other.0.width()
+    }
+
+    /// Zero-copy row view (the paper's crop clones here; see the module
+    /// docs on why this integration does not).
+    fn view(&self, start: usize, end: usize) -> Self {
+        ImgValue(self.0.rows(start, end))
+    }
+
+    fn concat(parts: &[&Self]) -> Self {
+        let images: Vec<Image> = parts.iter().map(|p| p.0.clone()).collect();
+        ImgValue(Image::append_rows(&images))
+    }
+
+    unsafe fn alloc_uninit(rows: usize, params: &Params, _: Option<&Self>) -> Option<Self> {
+        // `(height, width)` parameters fully determine the layout, so
+        // the image allocates at stage start — on the caller, while the
+        // pool is parked, where its first-touch page faults run
+        // uncontended. A zero-width image has nothing to place.
+        let width = params.get(1).copied().unwrap_or(0).max(0) as usize;
+        // SAFETY: forwarded contract.
+        (width > 0).then(|| ImgValue(unsafe { Image::alloc_rows_uninit(width, rows) }))
+    }
+
+    unsafe fn write_rows(&self, offset: usize, band: &Self) {
+        // SAFETY: forwarded contract.
+        unsafe { self.0.write_rows_from(offset, &band.0) }
+    }
+
+    fn is_exclusive(&mut self) -> bool {
+        self.0.is_exclusive()
+    }
+}
+
 /// Row-band split type for images. Parameters: `(height, width)`.
+#[derive(Default)]
 pub struct ImageSplit;
 
 impl ImageSplit {
@@ -66,12 +115,10 @@ impl ImageSplit {
     }
 }
 
-impl Splitter for ImageSplit {
-    fn name(&self) -> &'static str {
-        "ImageSplit"
-    }
+impl RowSplitter for ImageSplit {
+    const NAME: &'static str = "ImageSplit";
 
-    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
+    fn construct(ctor_args: &[&DataValue]) -> Result<Params> {
         let img = ctor_args
             .first()
             .and_then(|v| v.downcast_ref::<ImgValue>())
@@ -82,229 +129,18 @@ impl Splitter for ImageSplit {
         Ok(vec![img.0.height() as i64, img.0.width() as i64])
     }
 
-    fn info(&self, _arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
+    fn info(params: &Params) -> RuntimeInfo {
         let h = params.first().copied().unwrap_or(0).max(0) as u64;
         let w = params.get(1).copied().unwrap_or(0).max(0) as u64;
-        Ok(RuntimeInfo {
+        RuntimeInfo {
             total_elements: h,
             elem_size_bytes: w * (Image::CHANNELS as u64) * 4,
-        })
-    }
-
-    fn split(
-        &self,
-        arg: &DataValue,
-        range: Range<u64>,
-        params: &Params,
-    ) -> Result<Option<DataValue>> {
-        let img = arg.downcast_ref::<ImgValue>().ok_or_else(|| Error::Split {
-            split_type: "ImageSplit",
-            message: format!("expected ImgValue, got {}", arg.type_name()),
-        })?;
-        let h = params.first().copied().unwrap_or(0).max(0) as u64;
-        if img.0.height() as u64 != h {
-            return Err(Error::Split {
-                split_type: "ImageSplit",
-                message: format!(
-                    "image height {} does not match split type parameter {h}",
-                    img.0.height()
-                ),
-            });
-        }
-        if range.start >= h {
-            return Ok(None);
-        }
-        let end = range.end.min(h);
-        // Zero-copy row view (the paper's crop clones here; see the
-        // module docs on why this integration does not).
-        Ok(Some(DataValue::new(ImgValue(
-            img.0.rows(range.start as usize, end as usize),
-        ))))
-    }
-
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _params: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        Ok(DataValue::new(ImgValue(Image::append_rows(&band_pieces(
-            &pieces,
-        )?))))
-    }
-
-    /// Row concatenation with placement: the `(height, width)`
-    /// parameters fully determine the output layout.
-    fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Concat {
-            placement: Some(Arc::new(ImageSplit)),
         }
     }
 
-    fn concat(&self) -> Option<Arc<dyn Concat>> {
-        Some(Arc::new(ImageSplit))
+    fn bands(_: Option<&DataValue>) -> &'static dyn Bands {
+        bands::<Self, ImgValue>()
     }
-}
-
-impl Placement for ImageSplit {
-    fn alloc_merged(
-        &self,
-        total_elements: u64,
-        params: &Params,
-        _exemplar: Option<&DataValue>,
-    ) -> Result<Option<DataValue>> {
-        // `(height, width)` parameters fully determine the output
-        // layout, so the image allocates at stage start — on the
-        // caller, while the pool is parked, where its first-touch page
-        // faults run uncontended — and the exemplar is not needed. A
-        // function that changes the image geometry under this split
-        // type violates the annotation (split type equality is
-        // `(h, w)`); `write_piece` rejects its bands with a
-        // descriptive error instead of the width-mismatch panic the
-        // append fallback would raise.
-        let width = params.get(1).copied().unwrap_or(0).max(0) as usize;
-        if width == 0 {
-            return Ok(None);
-        }
-        // SAFETY: the executor's coverage check guarantees every row of
-        // the placement output is written before the merged value is
-        // released (or it is truncated to a view of the written
-        // prefix), so the unspecified initial contents are never read.
-        let img = unsafe { Image::alloc_rows_uninit(width, total_elements as usize) };
-        Ok(Some(DataValue::new(ImgValue(img))))
-    }
-
-    fn reuse(
-        &self,
-        spare: DataValue,
-        total_elements: u64,
-        params: &Params,
-        _exemplar: Option<&DataValue>,
-    ) -> Option<DataValue> {
-        let mut img = spare.downcast_ref::<ImgValue>()?.0.clone();
-        // Let go of the wrapper first: if it was the last one, `img` is
-        // now the only handle a sole owner of the pixels would have.
-        drop(spare);
-        // The layout `alloc_merged` would produce, held by nobody else:
-        // not the application's clone of the previous result, not a
-        // row view, not a coalesced request's `slice_back` band.
-        let width = params.get(1).copied().unwrap_or(0).max(0) as usize;
-        (width > 0
-            && img.width() == width
-            && img.height() as u64 == total_elements
-            && img.is_exclusive())
-        .then(|| DataValue::new(ImgValue(img)))
-    }
-
-    fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
-        let dst = out.downcast_ref::<ImgValue>().ok_or_else(|| Error::Merge {
-            split_type: "ImageSplit",
-            message: format!("placement output is {}, not ImgValue", out.type_name()),
-        })?;
-        let band = piece
-            .downcast_ref::<ImgValue>()
-            .ok_or_else(|| Error::Merge {
-                split_type: "ImageSplit",
-                message: format!("expected ImgValue piece, got {}", piece.type_name()),
-            })?;
-        let offset = offset as usize;
-        if band.0.width() != dst.0.width()
-            || offset
-                .checked_add(band.0.height())
-                .is_none_or(|e| e > dst.0.height())
-        {
-            return Err(Error::Merge {
-                split_type: "ImageSplit",
-                message: format!(
-                    "band {}x{} at row {offset} does not fit output {}x{}",
-                    band.0.width(),
-                    band.0.height(),
-                    dst.0.width(),
-                    dst.0.height()
-                ),
-            });
-        }
-        // SAFETY: the executor guarantees concurrent `write_piece` calls
-        // cover disjoint row ranges of the not-yet-observable output.
-        unsafe { dst.0.write_rows_from(offset, &band.0) };
-        Ok(band.0.height() as u64)
-    }
-
-    fn truncate_merged(
-        &self,
-        out: DataValue,
-        elements: u64,
-        _params: &Params,
-    ) -> Result<DataValue> {
-        let img = out.downcast_ref::<ImgValue>().ok_or_else(|| Error::Merge {
-            split_type: "ImageSplit",
-            message: format!("placement output is {}, not ImgValue", out.type_name()),
-        })?;
-        // NULL-split tail: the written prefix as a zero-copy row view.
-        let rows = (elements as usize).min(img.0.height());
-        Ok(DataValue::new(ImgValue(img.0.rows(0, rows))))
-    }
-}
-
-impl Concat for ImageSplit {
-    fn concat(&self, values: &[DataValue]) -> Result<(DataValue, Vec<u64>)> {
-        let bands = band_pieces(values)?;
-        if bands.is_empty() {
-            return Err(Error::Merge {
-                split_type: "ImageSplit",
-                message: "nothing to concatenate".into(),
-            });
-        }
-        if bands[1..].iter().any(|b| b.width() != bands[0].width()) {
-            return Err(Error::Merge {
-                split_type: "ImageSplit",
-                message: "width mismatch across concatenated images".into(),
-            });
-        }
-        let mut offsets = Vec::with_capacity(bands.len());
-        let mut rows = 0u64;
-        for b in &bands {
-            offsets.push(rows);
-            rows += b.height() as u64;
-        }
-        Ok((
-            DataValue::new(ImgValue(Image::append_rows(&bands))),
-            offsets,
-        ))
-    }
-
-    fn slice_back(&self, out: &DataValue, offset: u64, len: u64) -> Result<DataValue> {
-        let img = out.downcast_ref::<ImgValue>().ok_or_else(|| Error::Merge {
-            split_type: "ImageSplit",
-            message: format!("expected ImgValue, got {}", out.type_name()),
-        })?;
-        let (offset, len) = (offset as usize, len as usize);
-        if offset.checked_add(len).is_none_or(|e| e > img.0.height()) {
-            return Err(Error::Merge {
-                split_type: "ImageSplit",
-                message: format!(
-                    "slice [{offset}, {offset}+{len}) exceeds {} rows",
-                    img.0.height()
-                ),
-            });
-        }
-        // Zero-copy row view of the requested band.
-        Ok(DataValue::new(ImgValue(img.0.rows(offset, offset + len))))
-    }
-}
-
-fn band_pieces(pieces: &[DataValue]) -> Result<Vec<Image>> {
-    pieces
-        .iter()
-        .map(|p| {
-            p.downcast_ref::<ImgValue>()
-                .map(|i| i.0.clone())
-                .ok_or_else(|| Error::Merge {
-                    split_type: "ImageSplit",
-                    message: format!("expected ImgValue piece, got {}", p.type_name()),
-                })
-        })
-        .collect()
 }
 
 /// Register this integration's default split types. Idempotent.
@@ -846,5 +682,24 @@ mod tests {
         let band = Concat::slice_back(&s, &out, 5, 10).unwrap();
         assert!(s.reuse(out, 20, &params, None).is_none());
         drop(band);
+    }
+
+    #[test]
+    fn merge_of_mismatched_pieces_is_a_merge_error() {
+        // `Image::append_rows` asserts on the width; the merge checks it
+        // first.
+        let s = ImageSplit;
+        let band = |w| DataValue::new(ImgValue(Image::synthetic(w, 2, 1)));
+        let err = s.merge(vec![band(4), band(5)], &vec![4, 4], 4).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Merge {
+                    split_type: "ImageSplit",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 }

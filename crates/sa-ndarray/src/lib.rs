@@ -9,7 +9,11 @@
 //!
 //! * [`NdSplit`] splits arrays by their leading axis (rows), returning
 //!   zero-copy views; results are fresh arrays merged by concatenation
-//!   (the functional NumPy convention).
+//!   (the functional NumPy convention). It is a row-band split type:
+//!   [`NdValue`] implements `mozart_core::row_bands::RowBand` with
+//!   `ndarray-lite`'s own calls, `NdSplit` names its shape parameters,
+//!   and the runtime's generic row-band implementation splits, merges,
+//!   places and concatenates.
 //! * [`reduce`] holds the merge-only split types for reductions,
 //!   including the axis reductions of Listing 4's Ex. 5.
 //!

@@ -1,22 +1,23 @@
 //! The `NdSplit` split type: shape-parameterized row splitting of
 //! [`NdArray`] values.
 //!
-//! Merges are leading-axis concatenation with **placement** support:
-//! the shape parameters `(d0, d1)` fully determine the output layout,
-//! so the runtime preallocates the merged array at stage start and
-//! workers copy their result rows in at their offsets
-//! ([`NdArray::write_rows_at`]) — no per-piece collection, no final
-//! O(total) concat; a released result array of the same shape that
-//! nobody else holds any more is written over instead of allocating a
-//! new one ([`Placement::reuse`]). `NdSplit` also exposes the [`Concat`] capability
-//! (the inverse of `split`) for the serving layer's generic
-//! cross-request coalescing.
-
-use std::ops::Range;
-
-use std::sync::Arc;
+//! `NdSplit` is a row-band split type ([`mozart_core::row_bands`]):
+//! [`NdValue`] implements [`RowBand`] with `ndarray-lite`'s own calls
+//! (`view_rows`, `concat`, `alloc_rows_uninit`, `write_rows_at`,
+//! `is_exclusive`), and the runtime's one generic implementation does
+//! the rest. Splits are zero-copy leading-axis views; merges are
+//! leading-axis concatenation with **placement**: the shape parameters
+//! `(d0, d1)` of a rank-2 array fully determine the output layout, so
+//! the runtime preallocates the merged array at stage start (a rank-1
+//! array's, on the first piece) and workers copy their result rows in
+//! at their offsets — no per-piece collection, no final O(total)
+//! concat; a released result array of the same shape that nobody else
+//! holds any more is written over instead of allocating a new one. The
+//! same implementation gives `NdSplit` the `Concat` capability (the
+//! inverse of `split`) for the serving layer's cross-request coalescing.
 
 use mozart_core::prelude::*;
+use mozart_core::row_bands::{bands, Bands, RowBand, RowSplitter};
 use ndarray_lite::NdArray;
 
 /// `DataValue` wrapper for [`NdArray`].
@@ -35,11 +36,57 @@ impl mozart_core::value::DataObject for NdValue {
     }
 }
 
+impl RowBand for NdValue {
+    fn rows(&self) -> usize {
+        self.0.rows()
+    }
+
+    fn same_cross_section(&self, other: &Self) -> bool {
+        self.0.ndim() == other.0.ndim() && self.0.shape()[1..] == other.0.shape()[1..]
+    }
+
+    fn view(&self, start: usize, end: usize) -> Self {
+        NdValue(self.0.view_rows(start, end))
+    }
+
+    fn concat(parts: &[&Self]) -> Self {
+        let arrays: Vec<NdArray> = parts.iter().map(|p| p.0.clone()).collect();
+        NdValue(ndarray_lite::concat(&arrays))
+    }
+
+    unsafe fn alloc_uninit(rows: usize, params: &Params, exemplar: Option<&Self>) -> Option<Self> {
+        // `(d0, d1)` with `d1 > 0` is a rank-2 layout, allocated at
+        // stage start. `d1 == 0` encodes both rank-1 arrays and
+        // zero-column matrices (`params_of` conflates them), so those
+        // wait for the first piece: rank 1 takes its rank, and zero
+        // columns decline (nothing to place; the concat merge handles
+        // the empty payload).
+        let d1 = params.get(1).copied().unwrap_or(0).max(0) as usize;
+        let shape = match exemplar {
+            _ if d1 > 0 => vec![rows, d1],
+            Some(e) if e.0.ndim() == 1 => vec![rows],
+            _ => return None,
+        };
+        // SAFETY: forwarded contract.
+        Some(NdValue(unsafe { NdArray::alloc_rows_uninit(&shape) }))
+    }
+
+    unsafe fn write_rows(&self, offset: usize, band: &Self) {
+        // SAFETY: forwarded contract.
+        unsafe { self.0.write_rows_at(offset, &band.0) }
+    }
+
+    fn is_exclusive(&mut self) -> bool {
+        self.0.is_exclusive()
+    }
+}
+
 /// Split type for `NdValue`: parameters are the array shape
 /// `(d0, d1)` with `d1 = 0` for rank-1 arrays (the paper's "single
 /// split type for ndarray, whose splitting behavior depends on its
 /// shape"). Splits are zero-copy leading-axis views; merges
 /// concatenate along the leading axis.
+#[derive(Default)]
 pub struct NdSplit;
 
 impl NdSplit {
@@ -52,13 +99,11 @@ impl NdSplit {
     }
 }
 
-impl Splitter for NdSplit {
-    fn name(&self) -> &'static str {
-        "NdSplit"
-    }
+impl RowSplitter for NdSplit {
+    const NAME: &'static str = "NdSplit";
 
     /// Constructor from the array argument itself (shape-derived).
-    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
+    fn construct(ctor_args: &[&DataValue]) -> Result<Params> {
         let a = ctor_args
             .first()
             .and_then(|v| v.downcast_ref::<NdValue>())
@@ -69,249 +114,24 @@ impl Splitter for NdSplit {
         Ok(Self::params_of(&a.0))
     }
 
-    fn info(&self, _arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
+    fn info(params: &Params) -> RuntimeInfo {
         let d0 = params.first().copied().unwrap_or(0).max(0) as u64;
         let d1 = params.get(1).copied().unwrap_or(0).max(1) as u64;
-        Ok(RuntimeInfo {
+        RuntimeInfo {
             total_elements: d0,
             elem_size_bytes: d1 * std::mem::size_of::<f64>() as u64,
-        })
-    }
-
-    fn split(
-        &self,
-        arg: &DataValue,
-        range: Range<u64>,
-        params: &Params,
-    ) -> Result<Option<DataValue>> {
-        let a = arg.downcast_ref::<NdValue>().ok_or_else(|| Error::Split {
-            split_type: "NdSplit",
-            message: format!("expected NdValue, got {}", arg.type_name()),
-        })?;
-        if Self::params_of(&a.0) != *params {
-            return Err(Error::Split {
-                split_type: "NdSplit",
-                message: format!(
-                    "array shape {:?} does not match split type parameters {params:?}",
-                    a.0.shape()
-                ),
-            });
-        }
-        let d0 = params[0].max(0) as u64;
-        if range.start >= d0 {
-            return Ok(None);
-        }
-        let end = range.end.min(d0);
-        Ok(Some(DataValue::new(NdValue(
-            a.0.view_rows(range.start as usize, end as usize),
-        ))))
-    }
-
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _params: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        let arrays: Vec<NdArray> = pieces
-            .iter()
-            .map(|p| {
-                p.downcast_ref::<NdValue>()
-                    .map(|v| v.0.clone())
-                    .ok_or_else(|| Error::Merge {
-                        split_type: "NdSplit",
-                        message: format!("expected NdValue piece, got {}", p.type_name()),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        Ok(DataValue::new(NdValue(ndarray_lite::concat(&arrays))))
-    }
-
-    fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Concat {
-            placement: Some(Arc::new(NdSplit)),
         }
     }
 
-    fn concat(&self) -> Option<Arc<dyn Concat>> {
-        Some(Arc::new(NdSplit))
-    }
-}
-
-impl Placement for NdSplit {
-    fn alloc_merged(
-        &self,
-        total_elements: u64,
-        params: &Params,
-        exemplar: Option<&DataValue>,
-    ) -> Result<Option<DataValue>> {
-        // `(d0, d1)` with `d1 > 0` is unambiguously a rank-2 layout, so
-        // allocation happens at stage start (exemplar not needed):
-        // first-touch page faults run on the caller while the pool is
-        // still parked. `d1 == 0` encodes BOTH rank-1 arrays and
-        // degenerate zero-column matrices (`params_of` conflates them),
-        // so those wait for the first piece and take its rank.
-        // `total_elements` replaces `d0` — a stage's element total can
-        // exceed one input's row count only if the annotation is
-        // broken, and `write_piece` bounds-checks anyway.
-        let d1 = params.get(1).copied().unwrap_or(0).max(0) as usize;
-        let shape: Vec<usize> = if d1 > 0 {
-            vec![total_elements as usize, d1]
-        } else {
-            match exemplar.and_then(|e| e.downcast_ref::<NdValue>()) {
-                None => return Ok(None), // stage-start probe: rank unknown yet
-                Some(e) if e.0.ndim() == 1 => vec![total_elements as usize],
-                // Zero-column rank-2 pieces: nothing to place, and the
-                // concat merge handles the empty payload fine.
-                Some(_) => return Ok(None),
-            }
-        };
-        // SAFETY: the executor's coverage check guarantees every row of
-        // the placement output is written before the merged value is
-        // released (or it is truncated to a view of the written
-        // prefix), so the unspecified initial contents are never read.
-        let out = unsafe { NdArray::alloc_rows_uninit(&shape) };
-        Ok(Some(DataValue::new(NdValue(out))))
-    }
-
-    fn reuse(
-        &self,
-        spare: DataValue,
-        total_elements: u64,
-        params: &Params,
-        exemplar: Option<&DataValue>,
-    ) -> Option<DataValue> {
-        // The shape `alloc_merged` would allocate for these arguments
-        // (and `None` exactly where it would decline).
-        let d1 = params.get(1).copied().unwrap_or(0).max(0) as usize;
-        let shape: Vec<usize> = if d1 > 0 {
-            vec![total_elements as usize, d1]
-        } else {
-            match exemplar?.downcast_ref::<NdValue>()? {
-                e if e.0.ndim() == 1 => vec![total_elements as usize],
-                _ => return None,
-            }
-        };
-        let mut arr = spare.downcast_ref::<NdValue>()?.0.clone();
-        // Let go of the wrapper first: if it was the last one, `arr` is
-        // now the only handle a sole owner of the buffer would have.
-        drop(spare);
-        (arr.shape() == shape && arr.is_exclusive()).then(|| DataValue::new(NdValue(arr)))
-    }
-
-    fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
-        let dst = out.downcast_ref::<NdValue>().ok_or_else(|| Error::Merge {
-            split_type: "NdSplit",
-            message: format!("placement output is {}, not NdValue", out.type_name()),
-        })?;
-        let band = piece
-            .downcast_ref::<NdValue>()
-            .ok_or_else(|| Error::Merge {
-                split_type: "NdSplit",
-                message: format!("expected NdValue piece, got {}", piece.type_name()),
-            })?;
-        let offset = offset as usize;
-        let rows = band.0.shape()[0];
-        if band.0.ndim() != dst.0.ndim()
-            || band.0.shape()[1..] != dst.0.shape()[1..]
-            || offset
-                .checked_add(rows)
-                .is_none_or(|e| e > dst.0.shape()[0])
-        {
-            return Err(Error::Merge {
-                split_type: "NdSplit",
-                message: format!(
-                    "piece of shape {:?} at row {offset} does not fit output {:?}",
-                    band.0.shape(),
-                    dst.0.shape()
-                ),
-            });
-        }
-        // SAFETY: the executor guarantees concurrent `write_piece` calls
-        // cover disjoint row ranges of the not-yet-observable output;
-        // shape and bounds were checked above.
-        unsafe { dst.0.write_rows_at(offset, &band.0) };
-        Ok(rows as u64)
-    }
-
-    fn truncate_merged(
-        &self,
-        out: DataValue,
-        elements: u64,
-        _params: &Params,
-    ) -> Result<DataValue> {
-        let a = out.downcast_ref::<NdValue>().ok_or_else(|| Error::Merge {
-            split_type: "NdSplit",
-            message: format!("placement output is {}, not NdValue", out.type_name()),
-        })?;
-        // NULL-split tail: the written prefix as a zero-copy row view.
-        let rows = (elements as usize).min(a.0.shape()[0]);
-        Ok(DataValue::new(NdValue(a.0.view_rows(0, rows))))
-    }
-}
-
-impl Concat for NdSplit {
-    fn concat(&self, values: &[DataValue]) -> Result<(DataValue, Vec<u64>)> {
-        let arrays: Vec<NdArray> = values
-            .iter()
-            .map(|v| {
-                v.downcast_ref::<NdValue>()
-                    .map(|v| v.0.clone())
-                    .ok_or_else(|| Error::Merge {
-                        split_type: "NdSplit",
-                        message: format!("expected NdValue, got {}", v.type_name()),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        if arrays.is_empty() {
-            return Err(Error::Merge {
-                split_type: "NdSplit",
-                message: "nothing to concatenate".into(),
-            });
-        }
-        if arrays[1..]
-            .iter()
-            .any(|a| a.ndim() != arrays[0].ndim() || a.shape()[1..] != arrays[0].shape()[1..])
-        {
-            return Err(Error::Merge {
-                split_type: "NdSplit",
-                message: "trailing shape mismatch across concatenated arrays".into(),
-            });
-        }
-        let mut offsets = Vec::with_capacity(arrays.len());
-        let mut rows = 0u64;
-        for a in &arrays {
-            offsets.push(rows);
-            rows += a.shape()[0] as u64;
-        }
-        Ok((
-            DataValue::new(NdValue(ndarray_lite::concat(&arrays))),
-            offsets,
-        ))
-    }
-
-    fn slice_back(&self, out: &DataValue, offset: u64, len: u64) -> Result<DataValue> {
-        let a = out.downcast_ref::<NdValue>().ok_or_else(|| Error::Merge {
-            split_type: "NdSplit",
-            message: format!("expected NdValue, got {}", out.type_name()),
-        })?;
-        let (offset, len) = (offset as usize, len as usize);
-        if offset.checked_add(len).is_none_or(|e| e > a.0.shape()[0]) {
-            return Err(Error::Merge {
-                split_type: "NdSplit",
-                message: format!(
-                    "slice [{offset}, {offset}+{len}) exceeds {} rows",
-                    a.0.shape()[0]
-                ),
-            });
-        }
-        Ok(DataValue::new(NdValue(a.0.view_rows(offset, offset + len))))
+    fn bands(_: Option<&DataValue>) -> &'static dyn Bands {
+        bands::<Self, NdValue>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn nd(a: NdArray) -> DataValue {
         DataValue::new(NdValue(a))
@@ -493,5 +313,29 @@ mod tests {
         assert_eq!(i.elem_size_bytes, 32);
         let i = s.info(&nd(NdArray::zeros(&[10])), &vec![10, 0]).unwrap();
         assert_eq!(i.elem_size_bytes, 8);
+    }
+
+    #[test]
+    fn merge_of_mismatched_pieces_is_a_merge_error() {
+        // `ndarray_lite::concat` asserts on these; the merge checks the
+        // trailing shapes first.
+        let s = NdSplit;
+        let mismatched = [
+            (NdArray::zeros(&[2, 2]), NdArray::zeros(&[1, 3])),
+            (NdArray::zeros(&[2, 2]), NdArray::zeros(&[1])),
+        ];
+        for (a, b) in mismatched {
+            let err = s.merge(vec![nd(a), nd(b)], &vec![3, 2], 3).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Merge {
+                        split_type: "NdSplit",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -6,6 +6,11 @@
 //!   registered splitter exposing the v2 `Concat` capability — the
 //!   inverse-of-split law the serving layer's generic cross-request
 //!   coalescing relies on;
+//! * the placement law for every row-band split type (`NdSplit` rank 1
+//!   and 2, `ImageSplit`, `RowSplit` over frames and columns): pieces
+//!   placed at shuffled offsets equal the merge, a truncated prefix
+//!   equals the merge of the prefix, `reuse` takes only an exclusive
+//!   spare of the right layout, and a misfit piece is `Error::Merge`;
 //! * `F(a, b, ...) = Merge(F(a1, b1, ...), F(a2, b2, ...), ...)` for
 //!   annotated functions under arbitrary split points;
 //! * Mozart execution equals eager library execution for arbitrary
@@ -302,6 +307,185 @@ proptest! {
         let dv = sa_text::corpus(&docs);
         check_split_concat_roundtrip(&sa_text::CorpusSplit, &dv, &cut_points(n, cuts), |v| {
             v.downcast_ref::<sa_text::CorpusValue>().unwrap().0.as_ref().clone()
+        });
+    }
+}
+
+/// The placement law for one row-band splitter and one value: the
+/// pieces split at `points`, written through `alloc_merged` and
+/// `write_piece` at offsets in the order `keys` sorts them, equal
+/// `Splitter::merge` of the same pieces; `truncate_merged` to a written
+/// prefix equals the merge of that prefix; `reuse` refuses a spare
+/// while a view of it is alive or when its layout differs, and takes it
+/// once it is exclusive; and `write_piece` of `other` (a value of
+/// another cross-section) or of a piece that runs past the end is
+/// `Error::Merge`. Targets are allocated where the executor allocates
+/// them: at stage start, or else on the first piece.
+fn check_placement_law<T: Eq + std::fmt::Debug>(
+    splitter: &dyn Splitter,
+    value: &DataValue,
+    other: &DataValue,
+    points: &[usize],
+    keys: &[u32],
+    extract: impl Fn(&DataValue) -> T,
+) {
+    let placement = splitter
+        .merge_strategy()
+        .placement()
+        .expect("splitter under test places its merges")
+        .clone();
+    let cap = splitter
+        .concat()
+        .expect("splitter under test exposes Concat");
+    let params = splitter.default_params(value).unwrap();
+    let total = splitter.info(value, &params).unwrap().total_elements;
+    let ranges: Vec<(u64, u64)> = points
+        .windows(2)
+        .filter(|w| w[0] < w[1])
+        .map(|w| (w[0] as u64, w[1] as u64))
+        .collect();
+    let pieces: Vec<DataValue> = ranges
+        .iter()
+        .map(|&(a, b)| splitter.split(value, a..b, &params).unwrap().unwrap())
+        .collect();
+    let merged = |upto: usize| {
+        extract(
+            &splitter
+                .merge(pieces[..upto].to_vec(), &params, total)
+                .unwrap(),
+        )
+    };
+    let at_start = placement
+        .alloc_merged(total, &params, None)
+        .unwrap()
+        .is_some();
+    let exemplar = (!at_start).then_some(&pieces[0]);
+    let target = |rows: u64, params: &Params, first: &DataValue| {
+        let ex = (!at_start).then_some(first);
+        placement
+            .alloc_merged(rows, params, None)
+            .unwrap()
+            .or_else(|| placement.alloc_merged(rows, params, ex).unwrap())
+            .expect("a placement target")
+    };
+    let mut order: Vec<usize> = (0..pieces.len()).collect();
+    order.sort_by_key(|&i| keys[i % keys.len()]);
+    let fill = |out: &DataValue, upto: usize| {
+        for &i in order.iter().filter(|&&i| i < upto) {
+            let written = placement.write_piece(out, ranges[i].0, &pieces[i]).unwrap();
+            prop_assert_eq!(
+                written,
+                ranges[i].1 - ranges[i].0,
+                "write_piece returns the piece's rows"
+            );
+        }
+    };
+
+    // Shuffled placement writes reproduce the merge.
+    let out = target(total, &params, &pieces[0]);
+    fill(&out, pieces.len());
+    prop_assert_eq!(extract(&out), merged(pieces.len()), "placed == merged");
+
+    // A written prefix truncates to the merge of that prefix.
+    let upto = 1 + keys[0] as usize % pieces.len();
+    let out = target(total, &params, &pieces[0]);
+    fill(&out, upto);
+    let prefix = placement
+        .truncate_merged(out, ranges[upto - 1].1, &params)
+        .unwrap();
+    prop_assert_eq!(extract(&prefix), merged(upto), "truncated == merged prefix");
+
+    // `reuse` refuses a spare a view of which is alive, and one of
+    // another row count or cross-section ...
+    let out = target(total, &params, &pieces[0]);
+    let view = cap.slice_back(&out, 0, ranges[0].1).unwrap();
+    prop_assert!(
+        placement.reuse(out, total, &params, exemplar).is_none(),
+        "a view is alive"
+    );
+    drop(view);
+    let longer = target(total + 1, &params, &pieces[0]);
+    prop_assert!(
+        placement.reuse(longer, total, &params, exemplar).is_none(),
+        "other rows"
+    );
+    let other_params = splitter.default_params(other).unwrap();
+    let wide = target(total, &other_params, other);
+    prop_assert!(
+        placement.reuse(wide, total, &params, exemplar).is_none(),
+        "other cross-section"
+    );
+    // ... and takes an exclusive one, which then places like a fresh one.
+    let out = target(total, &params, &pieces[0]);
+    let out = placement
+        .reuse(out, total, &params, exemplar)
+        .expect("an exclusive spare is taken");
+    fill(&out, pieces.len());
+    prop_assert_eq!(extract(&out), merged(pieces.len()), "reused == merged");
+
+    // Mismatched and overlong pieces are typed merge errors.
+    let is_merge = |r: Result<u64>| matches!(r, Err(Error::Merge { .. }));
+    prop_assert!(
+        is_merge(placement.write_piece(&out, 0, other)),
+        "other cross-section"
+    );
+    let (last, rows) = (pieces.last().unwrap(), ranges.last().unwrap());
+    prop_assert!(
+        is_merge(placement.write_piece(&out, total - (rows.1 - rows.0) + 1, last)),
+        "past the end"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// NdSplit (rank-1 and rank-2 arrays): the placement law.
+    #[test]
+    fn nd_split_placement_law(rows in 1usize..80, colsel in 0usize..4, cuts in prop::collection::vec(0usize..80, 0..5), keys in prop::collection::vec(0u32..1000, 6..7)) {
+        let (arr, other) = match colsel {
+            0 => (ndarray_lite::NdArray::from_fn(&[rows], |i| i as f64 * 1.5), ndarray_lite::NdArray::zeros(&[1, 2])),
+            c => (ndarray_lite::NdArray::from_fn(&[rows, c], |i| i as f64 - 7.0), ndarray_lite::NdArray::zeros(&[1, c + 1])),
+        };
+        let nd = |a| DataValue::new(sa_ndarray::NdValue(a));
+        check_placement_law(&sa_ndarray::NdSplit, &nd(arr), &nd(other), &cut_points(rows, cuts), &keys, |v| {
+            let a = &v.downcast_ref::<sa_ndarray::NdValue>().unwrap().0;
+            (a.shape().to_vec(), a.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<u64>>())
+        });
+    }
+
+    /// ImageSplit (row bands): the placement law.
+    #[test]
+    fn image_split_placement_law(w in 1usize..24, h in 1usize..40, seed in 0u64..64, cuts in prop::collection::vec(0usize..40, 0..4), keys in prop::collection::vec(0u32..1000, 6..7)) {
+        let img = |w, h| DataValue::new(sa_image::ImgValue(imagelib::Image::synthetic(w, h, seed)));
+        check_placement_law(&sa_image::ImageSplit, &img(w, h), &img(w + 1, 1), &cut_points(h, cuts), &keys, |v| {
+            let i = &v.downcast_ref::<sa_image::ImgValue>().unwrap().0;
+            (i.width(), i.height(), i.data().iter().map(|f| f.to_bits()).collect::<Vec<u32>>())
+        });
+    }
+
+    /// RowSplit over frames and over columns: the placement law.
+    #[test]
+    fn row_split_placement_law(vals in prop::collection::vec(-1e3f64..1e3, 1..100), cuts in prop::collection::vec(0usize..100, 0..5), keys in prop::collection::vec(0u32..1000, 6..7)) {
+        let n = vals.len();
+        let df = DataFrame::from_cols(vec![
+            ("id", Column::from_i64((0..n as i64).collect())),
+            ("v", Column::from_f64(vals.clone())),
+        ]);
+        let other = DataFrame::from_cols(vec![
+            ("id", Column::from_f64(vec![0.0])),
+            ("v", Column::from_f64(vec![0.0])),
+        ]);
+        check_placement_law(&sa_dataframe::RowSplit, &sa_dataframe::dfv(&df), &sa_dataframe::dfv(&other), &cut_points(n, cuts.clone()), &keys, |v| {
+            let d = &v.downcast_ref::<sa_dataframe::DfValue>().unwrap().0;
+            (
+                d.col("id").i64s().to_vec(),
+                d.col("v").f64s().iter().map(|f| f.to_bits()).collect::<Vec<u64>>(),
+            )
+        });
+        let col = sa_dataframe::colv(&Column::from_f64(vals));
+        let other = sa_dataframe::colv(&Column::from_i64(vec![1]));
+        check_placement_law(&sa_dataframe::RowSplit, &col, &other, &cut_points(n, cuts), &keys, |v| {
+            v.downcast_ref::<sa_dataframe::ColValue>().unwrap().0.f64s().iter().map(|f| f.to_bits()).collect::<Vec<u64>>()
         });
     }
 }
