@@ -2,8 +2,10 @@
 //! measured directly from this repository's `sa-*` crates, split into
 //! SA/wrapper code vs splitting-API code, next to the paper's reported
 //! numbers for its Mozart and Weld integrations, with the row-band
-//! splitting code the NumPy, Pandas and ImageMagick integrations share
-//! (`core/src/row_bands.rs`) on a line of its own — followed by the
+//! splitting code the NumPy, Pandas, spaCy and ImageMagick integrations
+//! share (`core/src/row_bands.rs`) and the merge-only code the NumPy,
+//! Pandas and MKL reductions share (`core/src/merge_only.rs`) on lines
+//! of their own — followed by the
 //! runtime's own size per layer, so a PR that grows or shrinks the
 //! machinery under the integrations shows it.
 
@@ -89,7 +91,7 @@ const INTEGRATIONS: &[Integration] = &[
         library: "spaCy",
         crate_dir: "sa-text",
         sa_files: &["lib.rs"],
-        split_files: &[],
+        split_files: &["split.rs"],
         paper: (8, 12, None),
     },
     Integration {
@@ -132,14 +134,25 @@ fn main() {
         );
     }
 
-    // The row-band half of the splitting API lives in `core`, written
-    // once for every integration whose split types are row bands; it is
-    // counted here so their columns do not hide it.
-    let shared = loc(&root.join("core/src/row_bands.rs"));
-    println!(
-        "{:<14} {:>10} {:>12} {:>8} | shared by NumPy, Pandas, ImageMagick",
-        "core row bands", "-", shared, shared
-    );
+    // The generic halves of the splitting API live in `core`, written
+    // once for every integration whose split types are row bands or
+    // merge-only reductions; they are counted here so the integrations'
+    // columns do not hide them.
+    let shared = [
+        (
+            "core row bands",
+            "row_bands.rs",
+            "NumPy, Pandas, spaCy, ImageMagick",
+        ),
+        ("core merge-only", "merge_only.rs", "NumPy, Pandas, MKL"),
+    ];
+    for (name, file, users) in shared {
+        let lines = loc(&root.join("core/src").join(file));
+        println!(
+            "{name:<15} {:>9} {lines:>12} {lines:>8} | shared by {users}",
+            "-"
+        );
+    }
 
     println!("\n=== runtime size: non-test lines of code per layer ===");
     let mut total = 0;

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Convenience alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, Error>;
+pub type Result<T, E = Error> = std::result::Result<T, E>;
 
 /// Errors produced by the annotation layer, planner, or executor.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,7 +13,8 @@
 //!    and implements the splitting API (constructor / split / merge /
 //!    info, Table 1 of the paper) — for a split type whose values split
 //!    into bands of rows, only its name, constructor, info and value
-//!    type ([`row_bands`]), and
+//!    type ([`row_bands`]); for a reduction's merge-only split type,
+//!    only its name, merge strategy and merge ([`merge_only`]) — and
 //! 2. attaches an [`Annotation`] to each side-effect-free function,
 //!    assigning each argument and return value a
 //!    [`SplitTypeExpr`].
@@ -117,6 +118,7 @@ pub mod faultinject;
 mod floor;
 pub mod graph;
 pub mod membudget;
+pub mod merge_only;
 pub mod planner;
 pub mod pool;
 pub mod registry;
@@ -155,6 +157,7 @@ pub mod prelude {
     pub use crate::context::{Future, FutureHandle, MozartContext};
     pub use crate::error::{Error, Result};
     pub use crate::faultinject::{CancelToken, FaultKind, FaultPhase, FaultPlan, FaultPoint};
+    pub use crate::merge_only::MergeOnly;
     pub use crate::planner::{PlanCache, PlanCacheStats};
     pub use crate::pool::{global_pool, PoolHandle};
     pub use crate::registry::{register_annotation, register_default_splitter};

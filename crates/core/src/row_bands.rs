@@ -2,10 +2,11 @@
 //! that split into bands of rows and merge by stacking them.
 //!
 //! An array split along its leading axis, an image split into row
-//! bands, a DataFrame or a Series split by row: each is cut into
-//! zero-copy row views, and each merges by concatenation along the row
-//! axis. Everything else about the splitting API is the same for all of
-//! them, and is implemented here, once:
+//! bands, a DataFrame or a Series split by row, a corpus split by
+//! documents: each is cut into zero-copy row views, and each merges by
+//! concatenation along the row axis. Everything else about the
+//! splitting API is the same for all of them, and is implemented here,
+//! once:
 //!
 //! * [`Splitter::split`] checks the value against the split type's
 //!   parameters (what [`RowSplitter::construct`] makes of it), returns
@@ -30,10 +31,11 @@
 //! runtime derives [`Splitter`], [`Placement`] and [`Concat`] from that,
 //! with [`MergeStrategy::Concat`] and placement.
 //!
-//! Split types that are not row bands stay bespoke: `ArraySplit`, whose
-//! pieces alias one buffer and usually need no merge at all;
-//! reductions, whose pieces are partial results; and grouped or
-//! corpus splits.
+//! Reductions, whose pieces are partial results, are merge-only split
+//! types ([`crate::merge_only`]). Two split types are neither and stay
+//! bespoke: `ArraySplit`, whose pieces alias one buffer and usually
+//! need no merge at all, and `MatrixSplit`, whose merge only recovers
+//! an in-place parent.
 //!
 //! [`write_piece`]: Placement::write_piece
 //! [`truncate_merged`]: Placement::truncate_merged
@@ -46,7 +48,7 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::split::{Concat, MergeStrategy, Params, Placement, RuntimeInfo, Splitter};
-use crate::value::{DataObject, DataValue};
+use crate::value::{short_type_name, DataObject, DataValue};
 
 /// A library value made of rows, as the generic row-band split type
 /// sees it: each method is one call of the library's own API.
@@ -146,7 +148,7 @@ impl<T: RowSplitter, V: RowBand> Of<T, V> {
     /// `value` as a `V`, or an error saying what it is instead.
     fn band(value: &DataValue) -> Result<&V> {
         value.downcast_ref::<V>().ok_or_else(|| {
-            let v = std::any::type_name::<V>().rsplit("::").next().unwrap_or("");
+            let v = short_type_name::<V>();
             Self::error(format!("expected {v}, got {}", value.type_name()))
         })
     }

@@ -38,13 +38,16 @@
 //! inputs — the split/merge duality run in reverse, with zero
 //! per-pipeline concatenation code.
 //!
-//! Split types whose values split into bands of rows (arrays along
-//! the leading axis, images, DataFrames and Series) do not implement
-//! these traits by hand: they implement
+//! Most split types do not implement these traits by hand. Those whose
+//! values split into bands of rows (arrays along the leading axis,
+//! images, DataFrames and Series, corpora) implement
 //! [`RowSplitter`](crate::row_bands::RowSplitter) and their values
 //! [`RowBand`](crate::row_bands::RowBand), and [`crate::row_bands`]
 //! derives `Splitter`, `Placement` and `Concat` from those, once for
-//! all of them.
+//! all of them. Merge-only split types, whose pieces are the partial
+//! results of reductions, implement
+//! [`MergeOnly`](crate::merge_only::MergeOnly), and
+//! [`crate::merge_only`] derives their `Splitter`.
 //!
 //! ## Migrating from the v1 trait
 //!

@@ -262,6 +262,12 @@ pub fn as_f64(v: &DataValue) -> Option<f64> {
     v.downcast_ref::<FloatValue>().map(|x| x.0)
 }
 
+/// `T`'s name without its module path, for error messages about a
+/// value that is not a `T`.
+pub(crate) fn short_type_name<T>() -> &'static str {
+    std::any::type_name::<T>().rsplit("::").next().unwrap_or("")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

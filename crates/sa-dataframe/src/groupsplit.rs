@@ -11,9 +11,6 @@
 //! the final aggregated frame; the [`crate::wrappers::groupby_agg`]
 //! wrapper's future does this on `get`.
 
-use std::ops::Range;
-use std::sync::Arc;
-
 use dataframe::{groupby_agg as df_groupby, Agg, AggSpec, DataFrame};
 use mozart_core::prelude::*;
 
@@ -129,56 +126,16 @@ pub fn finish(p: &GroupedPartial) -> DataFrame {
 /// Merge-only split type whose pieces are [`GroupedPartial`]s.
 pub struct GroupSplit;
 
-impl GroupSplit {
-    /// Shared instance.
-    pub fn shared() -> Arc<dyn Splitter> {
-        Arc::new(GroupSplit)
-    }
-}
+/// Grouped partials must re-aggregate before further use; the
+/// re-grouping merge is order-sensitive but not a concatenation.
+impl MergeOnly for GroupSplit {
+    const NAME: &'static str = "GroupSplit";
+    const COMMUTATIVE: bool = false;
+    type Partial = GroupedPartial;
 
-impl Splitter for GroupSplit {
-    fn name(&self) -> &'static str {
-        "GroupSplit"
-    }
-
-    /// Grouped partials must re-aggregate before further use; the
-    /// re-grouping merge is order-sensitive but not a concatenation.
-    fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Custom { terminal: true }
-    }
-    fn construct(&self, _ctor_args: &[&DataValue]) -> Result<Params> {
-        Ok(vec![])
-    }
-    fn info(&self, _arg: &DataValue, _p: &Params) -> Result<RuntimeInfo> {
-        Err(Error::Split {
-            split_type: "GroupSplit",
-            message: "merge-only".into(),
-        })
-    }
-    fn split(&self, _a: &DataValue, _r: Range<u64>, _p: &Params) -> Result<Option<DataValue>> {
-        Err(Error::Split {
-            split_type: "GroupSplit",
-            message: "merge-only".into(),
-        })
-    }
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _p: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        let parts: Vec<GroupedPartial> = pieces
-            .iter()
-            .map(|p| {
-                p.downcast_ref::<GroupedPartial>()
-                    .cloned()
-                    .ok_or_else(|| Error::Merge {
-                        split_type: "GroupSplit",
-                        message: format!("expected GroupedPartial, got {}", p.type_name()),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        Ok(DataValue::new(combine(&parts)?))
+    fn merge(parts: &[&GroupedPartial], _: &Params) -> Result<GroupedPartial, String> {
+        let parts: Vec<GroupedPartial> = parts.iter().map(|&p| p.clone()).collect();
+        combine(&parts).map_err(|e| e.to_string())
     }
 }
 
@@ -223,7 +180,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_wrong_piece_type() {
-        let s = GroupSplit;
+        let s = GroupSplit::shared();
         assert!(s
             .merge(vec![DataValue::new(IntValue(1))], &vec![], 0)
             .is_err());

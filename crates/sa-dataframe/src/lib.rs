@@ -14,6 +14,9 @@
 //! `mozart_core::row_bands::RowBand` with the library's slice, concat,
 //! allocation and row-write calls, and the runtime's generic row-band
 //! implementation does the rest, picking frames or columns per value.
+//! `GroupSplit` and the Series sum's `ColSumReduce` are merge-only
+//! split types: each writes its merge, and `mozart_core::merge_only`
+//! the rest.
 
 #![warn(missing_docs)]
 
@@ -276,5 +279,18 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn col_sum_of_an_empty_column_is_zero() {
+        crate::register_defaults();
+        // Staged, and below the work floor.
+        for batch in [Some(7), None] {
+            let mut cfg = Config::with_workers(2);
+            cfg.batch_override = batch;
+            let c = MozartContext::new(cfg);
+            let total = sum(&c, &Column::from_f64(vec![])).unwrap();
+            assert_eq!(get_scalar(&total).unwrap().to_bits(), 0.0f64.to_bits());
+        }
     }
 }

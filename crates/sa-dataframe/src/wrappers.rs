@@ -3,7 +3,6 @@
 //! "Pandas"). Filters and joins return the `unknown` split type; most
 //! functions accept generics.
 
-use std::ops::Range;
 use std::sync::{Arc, LazyLock};
 
 use dataframe::{AggSpec, Column, DataFrame};
@@ -553,48 +552,17 @@ pub fn groupby_agg(
 /// Merge-only additive scalar reduce for Series sums/counts.
 struct ColSumReduce;
 
-impl Splitter for ColSumReduce {
-    fn name(&self) -> &'static str {
-        "ColSumReduce"
-    }
+/// Partial sums must merge before further use; kept order-sensitive so
+/// they add in element order. Which worker's run of batches each
+/// partial covers still varies, so with several workers the FP sum can
+/// differ in its last bits from run to run.
+impl MergeOnly for ColSumReduce {
+    const NAME: &'static str = "ColSumReduce";
+    const COMMUTATIVE: bool = false;
+    type Partial = FloatValue;
 
-    /// Partial sums must merge before further use; kept order-sensitive
-    /// so the fold order (and thus the FP sum) is batch-deterministic.
-    fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Custom { terminal: true }
-    }
-    fn construct(&self, _c: &[&DataValue]) -> Result<Params> {
-        Ok(vec![])
-    }
-    fn info(&self, _a: &DataValue, _p: &Params) -> Result<RuntimeInfo> {
-        Err(Error::Split {
-            split_type: "ColSumReduce",
-            message: "merge-only".into(),
-        })
-    }
-    fn split(&self, _a: &DataValue, _r: Range<u64>, _p: &Params) -> Result<Option<DataValue>> {
-        Err(Error::Split {
-            split_type: "ColSumReduce",
-            message: "merge-only".into(),
-        })
-    }
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _p: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        let mut acc = 0.0;
-        for p in pieces {
-            acc += p
-                .downcast_ref::<FloatValue>()
-                .map(|f| f.0)
-                .ok_or_else(|| Error::Merge {
-                    split_type: "ColSumReduce",
-                    message: format!("expected FloatValue, got {}", p.type_name()),
-                })?;
-        }
-        Ok(DataValue::new(FloatValue(acc)))
+    fn merge(parts: &[&FloatValue], _: &Params) -> Result<FloatValue, String> {
+        Ok(FloatValue(parts.iter().fold(0.0, |acc, p| acc + p.0)))
     }
 }
 
@@ -604,7 +572,7 @@ static COL_SUM: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Ok(Some(DataValue::new(FloatValue(dataframe::ops::sum(&a)))))
     })
     .arg("a", generic(0))
-    .ret(concrete(Arc::new(ColSumReduce), vec![]))
+    .ret(concrete(ColSumReduce::shared(), vec![]))
     .build()
 });
 
@@ -623,7 +591,7 @@ static COL_COUNT: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         ))))
     })
     .arg("a", generic(0))
-    .ret(concrete(Arc::new(ColSumReduce), vec![]))
+    .ret(concrete(ColSumReduce::shared(), vec![]))
     .build()
 });
 

@@ -15,7 +15,10 @@
 //!   and the runtime's generic row-band implementation splits, merges,
 //!   places and concatenates.
 //! * [`reduce`] holds the merge-only split types for reductions,
-//!   including the axis reductions of Listing 4's Ex. 5.
+//!   including the axis reductions of Listing 4's Ex. 5: each
+//!   implements `mozart_core::merge_only::MergeOnly` — its name,
+//!   strategy, partial type and merge — and the runtime's generic
+//!   merge-only implementation does the rest.
 //!
 //! The `ndarray-lite` crate itself is not modified.
 

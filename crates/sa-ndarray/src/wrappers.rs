@@ -471,4 +471,17 @@ mod tests {
         assert_eq!(get_scalar(&total).unwrap(), 9.0 * 64.0);
         assert_eq!(c.stats().stages, 1);
     }
+
+    #[test]
+    fn sum_of_an_empty_array_is_zero() {
+        crate::register_defaults();
+        // Staged, and below the work floor.
+        for batch in [Some(9), None] {
+            let mut cfg = Config::with_workers(2);
+            cfg.batch_override = batch;
+            let c = MozartContext::new(cfg);
+            let total = sum(&c, &NdArray::from_vec(vec![])).unwrap();
+            assert_eq!(get_scalar(&total).unwrap().to_bits(), 0.0f64.to_bits());
+        }
+    }
 }

@@ -18,7 +18,8 @@
 //! ([`MatrixSplit`], parameterized by rows/cols), and one for the size
 //! argument (`SizeSplit`). In-place updates mean no merge functions are
 //! needed; the two reductions (`ddot`, `dasum`) add a merge-only
-//! [`AddReduce`] split type.
+//! [`AddReduce`] split type, whose merge is all it writes
+//! (`mozart_core::merge_only`).
 
 #![warn(missing_docs)]
 

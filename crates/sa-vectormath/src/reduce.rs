@@ -1,7 +1,6 @@
-//! Merge-only split type for scalar reductions (`ddot`, `dasum`).
-
-use std::ops::Range;
-use std::sync::Arc;
+//! Merge-only split type for scalar reductions (`ddot`, `dasum`): a
+//! [`MergeOnly`] implementation, whose splitting API
+//! `mozart_core::merge_only` derives.
 
 use mozart_core::prelude::*;
 
@@ -10,57 +9,15 @@ use mozart_core::prelude::*;
 /// merges compose (§3.4).
 pub struct AddReduce;
 
-impl AddReduce {
-    /// Shared instance.
-    pub fn shared() -> Arc<dyn Splitter> {
-        Arc::new(AddReduce)
-    }
-}
+/// Partial sums fold in any order (addition commutes) and must merge
+/// before any other function consumes them.
+impl MergeOnly for AddReduce {
+    const NAME: &'static str = "AddReduce";
+    const COMMUTATIVE: bool = true;
+    type Partial = FloatValue;
 
-impl Splitter for AddReduce {
-    fn name(&self) -> &'static str {
-        "AddReduce"
-    }
-
-    /// Partial sums fold in any order (addition commutes) and must
-    /// merge before any other function consumes them.
-    fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Commutative { terminal: true }
-    }
-
-    fn construct(&self, _ctor_args: &[&DataValue]) -> Result<Params> {
-        Ok(vec![])
-    }
-
-    fn info(&self, _arg: &DataValue, _params: &Params) -> Result<RuntimeInfo> {
-        Err(Error::Split {
-            split_type: "AddReduce",
-            message: "merge-only split type cannot be an input".into(),
-        })
-    }
-
-    fn split(&self, _arg: &DataValue, _r: Range<u64>, _p: &Params) -> Result<Option<DataValue>> {
-        Err(Error::Split {
-            split_type: "AddReduce",
-            message: "merge-only split type cannot be split".into(),
-        })
-    }
-
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _params: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        let mut acc = 0.0;
-        for p in pieces {
-            let v = p.downcast_ref::<FloatValue>().ok_or_else(|| Error::Merge {
-                split_type: "AddReduce",
-                message: format!("expected FloatValue piece, got {}", p.type_name()),
-            })?;
-            acc += v.0;
-        }
-        Ok(DataValue::new(FloatValue(acc)))
+    fn merge(parts: &[&FloatValue], _: &Params) -> Result<FloatValue, String> {
+        Ok(FloatValue(parts.iter().fold(0.0, |acc, p| acc + p.0)))
     }
 }
 
@@ -70,7 +27,7 @@ mod tests {
 
     #[test]
     fn merge_sums_and_is_associative() {
-        let s = AddReduce;
+        let s = AddReduce::shared();
         let mk = |x: f64| DataValue::new(FloatValue(x));
         let all = s
             .merge(vec![mk(1.0), mk(2.0), mk(3.0)], &vec![], 0)
@@ -85,7 +42,7 @@ mod tests {
 
     #[test]
     fn split_and_info_are_rejected() {
-        let s = AddReduce;
+        let s = AddReduce::shared();
         let v = DataValue::new(FloatValue(0.0));
         assert!(s.info(&v, &vec![]).is_err());
         assert!(s.split(&v, 0..1, &vec![]).is_err());

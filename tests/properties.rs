@@ -11,6 +11,11 @@
 //!   placed at shuffled offsets equal the merge, a truncated prefix
 //!   equals the merge of the prefix, `reuse` takes only an exclusive
 //!   spare of the right layout, and a misfit piece is `Error::Merge`;
+//! * the fold law for every merge-only split type (the NumPy, MKL and
+//!   Pandas reductions and `GroupSplit`): merging all partials equals
+//!   merging the merges of a prefix and the rest, bit for bit, and in
+//!   any order for the commutative ones; a piece of another type is
+//!   `Error::Merge`;
 //! * `F(a, b, ...) = Merge(F(a1, b1, ...), F(a2, b2, ...), ...)` for
 //!   annotated functions under arbitrary split points;
 //! * Mozart execution equals eager library execution for arbitrary
@@ -306,7 +311,162 @@ proptest! {
         let n = docs.len();
         let dv = sa_text::corpus(&docs);
         check_split_concat_roundtrip(&sa_text::CorpusSplit, &dv, &cut_points(n, cuts), |v| {
-            v.downcast_ref::<sa_text::CorpusValue>().unwrap().0.as_ref().clone()
+            v.downcast_ref::<sa_text::CorpusValue>().unwrap().docs().to_vec()
+        });
+    }
+}
+
+/// The fold law for one merge-only split type over partial results
+/// `parts` (at least two): merging them all equals merging the merges
+/// of a prefix and of the rest, compared through `extract`; for a
+/// commutative merge, so does merging them in the order `keys` sorts
+/// them; and a piece of another type (`other`) among them is
+/// `Error::Merge`.
+fn check_fold_law<T: PartialEq + std::fmt::Debug>(
+    splitter: &dyn Splitter,
+    params: &Params,
+    parts: &[DataValue],
+    cut: usize,
+    keys: &[u32],
+    other: &DataValue,
+    extract: impl Fn(&DataValue) -> T,
+) {
+    let merge = |pieces: &[DataValue]| splitter.merge(pieces.to_vec(), params, 0).unwrap();
+    let all = extract(&merge(parts));
+    let cut = 1 + cut % (parts.len() - 1);
+    let nested = merge(&[merge(&parts[..cut]), merge(&parts[cut..])]);
+    prop_assert_eq!(
+        &extract(&nested),
+        &all,
+        "merge(all) == merge([merge(prefix), merge(suffix)])"
+    );
+    if splitter.merge_strategy().commutative() {
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        order.sort_by_key(|&i| keys[i % keys.len()]);
+        let shuffled: Vec<DataValue> = order.iter().map(|&i| parts[i].clone()).collect();
+        prop_assert_eq!(
+            &extract(&merge(&shuffled)),
+            &all,
+            "merge is permutation-invariant"
+        );
+    }
+    let mut mixed = parts.to_vec();
+    mixed.insert(cut, other.clone());
+    let err = splitter.merge(mixed, params, 0);
+    prop_assert!(
+        matches!(err, Err(Error::Merge { .. })),
+        "a piece of another type"
+    );
+}
+
+/// The Series sum's split type, which `sa-dataframe` does not export.
+fn col_sum_reduce() -> std::sync::Arc<dyn Splitter> {
+    let col_sum = sa_dataframe::annotations()
+        .into_iter()
+        .find(|a| a.name == "col_sum")
+        .expect("col_sum is annotated");
+    match &col_sum.ret {
+        Some(mozart_repro::core::annotation::SplitTypeExpr::Concrete { splitter, .. }) => {
+            splitter.clone()
+        }
+        _ => panic!("col_sum returns a concrete split type"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scalar folds (`SumReduce`, `MinReduce`, `MaxReduce`,
+    /// `AddReduce` and the Series sum's order-sensitive
+    /// `ColSumReduce`): the fold law, bit for bit. Partials are
+    /// integer-valued, so every grouping of the sums is exact.
+    #[test]
+    fn scalar_fold_law(xs in prop::collection::vec(-1000i32..1000, 2..9), cut in 0usize..8, keys in prop::collection::vec(0u32..1000, 8..9)) {
+        let parts: Vec<DataValue> = xs.iter().map(|&x| DataValue::new(FloatValue(x as f64))).collect();
+        let splitters = [
+            sa_ndarray::reduce::SumReduce::shared(),
+            sa_ndarray::reduce::MinReduce::shared(),
+            sa_ndarray::reduce::MaxReduce::shared(),
+            sa_vectormath::AddReduce::shared(),
+            col_sum_reduce(),
+        ];
+        for s in &splitters {
+            check_fold_law(s.as_ref(), &vec![], &parts, cut, &keys, &DataValue::new(IntValue(1)), |v| {
+                v.downcast_ref::<FloatValue>().unwrap().0.to_bits()
+            });
+        }
+    }
+
+    /// `MeanReduce` over `(sum, count)` partials: the fold law.
+    #[test]
+    fn mean_fold_law(ps in prop::collection::vec((-1000i32..1000, 0u64..50), 2..9), cut in 0usize..8, keys in prop::collection::vec(0u32..1000, 8..9)) {
+        use sa_ndarray::reduce::{MeanReduce, PartialMean};
+        let parts: Vec<DataValue> = ps
+            .iter()
+            .map(|&(sum, count)| DataValue::new(PartialMean { sum: sum as f64, count }))
+            .collect();
+        check_fold_law(MeanReduce::shared().as_ref(), &vec![], &parts, cut, &keys, &DataValue::new(FloatValue(1.0)), |v| {
+            let m = v.downcast_ref::<PartialMean>().unwrap();
+            (m.sum.to_bits(), m.count)
+        });
+    }
+
+    /// `AxisReduce`: partial column vectors of one length add (axis 0),
+    /// per-row results of any length concatenate (axis 1).
+    #[test]
+    fn axis_fold_law(len in 1usize..6, rows in prop::collection::vec(prop::collection::vec(-100i32..100, 1..6), 2..9), cut in 0usize..8, keys in prop::collection::vec(0u32..1000, 8..9)) {
+        let nd = |a| DataValue::new(sa_ndarray::NdValue(a));
+        let extract = |v: &DataValue| {
+            let a = &v.downcast_ref::<sa_ndarray::NdValue>().unwrap().0;
+            (a.shape().to_vec(), a.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<u64>>())
+        };
+        let splitter = sa_ndarray::reduce::AxisReduce::shared();
+        let other = DataValue::new(FloatValue(1.0));
+        let columns: Vec<DataValue> = rows
+            .iter()
+            .map(|r| nd(ndarray_lite::NdArray::from_fn(&[len], |i| r[i % r.len()] as f64)))
+            .collect();
+        check_fold_law(splitter.as_ref(), &vec![0], &columns, cut, &keys, &other, extract);
+        let per_row: Vec<DataValue> = rows
+            .iter()
+            .map(|r| nd(ndarray_lite::NdArray::from_vec(r.iter().map(|&x| x as f64).collect())))
+            .collect();
+        check_fold_law(splitter.as_ref(), &vec![1], &per_row, cut, &keys, &other, extract);
+    }
+
+    /// `GroupSplit` over partial aggregations of row chunks of a frame:
+    /// the fold law on the partial frames.
+    #[test]
+    fn group_fold_law(rows in prop::collection::vec((0usize..4, -100i32..100), 2..60), cuts in prop::collection::vec(0usize..60, 1..6), cut in 0usize..8) {
+        use dataframe::{Agg, AggSpec};
+        let n = rows.len();
+        let df = DataFrame::from_cols(vec![
+            ("g", Column::from_strs(&rows.iter().map(|r| ["a", "b", "c", "d"][r.0]).collect::<Vec<_>>())),
+            ("v", Column::from_f64(rows.iter().map(|r| r.1 as f64).collect())),
+        ]);
+        let specs = vec![
+            AggSpec::new("v", Agg::Mean, "avg"),
+            AggSpec::new("v", Agg::Sum, "total"),
+            AggSpec::new("v", Agg::Count, "n"),
+            AggSpec::new("v", Agg::Min, "lo"),
+            AggSpec::new("v", Agg::Max, "hi"),
+        ];
+        let mut points = cut_points(n, cuts);
+        if points.len() < 3 {
+            points = vec![0, n / 2, n];
+        }
+        let parts: Vec<DataValue> = points
+            .windows(2)
+            .map(|w| {
+                DataValue::new(sa_dataframe::GroupedPartial {
+                    partial: dataframe::partial_groupby_agg(&df.slice_rows(w[0], w[1]), &["g"], &specs),
+                    keys: vec!["g".to_string()],
+                    specs: specs.clone(),
+                })
+            })
+            .collect();
+        check_fold_law(sa_dataframe::GroupSplit::shared().as_ref(), &vec![], &parts, cut, &[], &DataValue::new(FloatValue(1.0)), |v| {
+            format!("{:?}", v.downcast_ref::<sa_dataframe::GroupedPartial>().unwrap().partial)
         });
     }
 }
