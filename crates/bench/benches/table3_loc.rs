@@ -2,10 +2,10 @@
 //! measured directly from this repository's `sa-*` crates, split into
 //! SA/wrapper code vs splitting-API code, next to the paper's reported
 //! numbers for its Mozart and Weld integrations, with the row-band
-//! splitting code the NumPy, Pandas, spaCy and ImageMagick integrations
-//! share (`core/src/row_bands.rs`) and the merge-only code the NumPy,
-//! Pandas and MKL reductions share (`core/src/merge_only.rs`) on lines
-//! of their own — followed by the
+//! splitting code the NumPy, Pandas, spaCy, MKL and ImageMagick
+//! integrations share (`core/src/row_bands.rs`) and the merge-only code
+//! the NumPy, Pandas and MKL reductions share (`core/src/merge_only.rs`)
+//! on lines of their own — followed by the
 //! runtime's own size per layer, so a PR that grows or shrinks the
 //! machinery under the integrations shows it.
 
@@ -98,7 +98,14 @@ const INTEGRATIONS: &[Integration] = &[
         library: "MKL",
         crate_dir: "sa-vectormath",
         sa_files: &["wrappers.rs"],
-        split_files: &["matrix.rs", "reduce.rs", "lib.rs"],
+        // `ArraySplit` and `VecValue`'s row band live in `core`, where
+        // the buffer type is.
+        split_files: &[
+            "matrix.rs",
+            "reduce.rs",
+            "lib.rs",
+            "../../core/src/array_split.rs",
+        ],
         paper: (74, 90, None),
     },
     Integration {
@@ -142,7 +149,7 @@ fn main() {
         (
             "core row bands",
             "row_bands.rs",
-            "NumPy, Pandas, spaCy, ImageMagick",
+            "NumPy, Pandas, spaCy, MKL, ImageMagick",
         ),
         ("core merge-only", "merge_only.rs", "NumPy, Pandas, MKL"),
     ];

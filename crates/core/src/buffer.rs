@@ -9,6 +9,9 @@
 //!   wrapping application data costs nothing per byte, and
 //!   [`SharedVec::zeros`] is one zeroed allocation (`calloc`),
 //! * cheap cloning (handles share one allocation),
+//! * zero-copy views: a handle covers a range of its storage, so a
+//!   split piece of a buffer is a `SharedVec` of the same type, and a
+//!   write through it lands in the buffer,
 //! * *disjoint* mutable range access from multiple worker threads, which
 //!   is what lets Mozart run unmodified kernels on split pieces in
 //!   parallel, and
@@ -136,16 +139,24 @@ impl<T> Drop for Inner<T> {
 /// A shared, fixed-length vector supporting disjoint parallel mutation.
 ///
 /// This is the "C array" of the reproduction: the substrate libraries take
-/// plain slices, and the split types hand out [`SliceView`] pieces that
-/// reference ranges of a `SharedVec`.
+/// plain slices. A `SharedVec` is a view: a handle to shared storage and
+/// the range of its elements the handle covers. The constructors view
+/// the whole storage; the split types hand out pieces that view ranges
+/// of it, so a write through a piece lands in the buffer itself.
 pub struct SharedVec<T: Copy + Send + Sync + 'static> {
     inner: Arc<Inner<T>>,
+    /// First storage element of the view.
+    start: usize,
+    /// Elements in the view.
+    len: usize,
 }
 
 impl<T: Copy + Send + Sync + 'static> Clone for SharedVec<T> {
     fn clone(&self) -> Self {
         SharedVec {
             inner: Arc::clone(&self.inner),
+            start: self.start,
+            len: self.len,
         }
     }
 }
@@ -192,15 +203,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedVec<T> {
         // have no drop obligations, and the caller contract defers
         // initialization to the first writes.
         unsafe { v.set_len(len) };
-        let bytes = len * std::mem::size_of::<T>();
-        crate::membudget::note_alloc(bytes);
-        let sv = SharedVec {
-            inner: Arc::new(Inner {
-                storage: RawStorage(v.into_boxed_slice()),
-                protect: ProtectFlag::default(),
-                bytes,
-            }),
-        };
+        let sv = SharedVec::adopt(v.into_boxed_slice());
         // SAFETY: freshly created, no other observer. Clobbering one
         // byte per page of unspecified contents is itself unspecified
         // contents, so zero-writing is the page touch of choice (a
@@ -341,8 +344,13 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
         // above, so it is uniquely owned and was allocated by the
         // global allocator with exactly the layout the rebuilt
         // `Box<[UnsafeCell<T>]>` will free it with.
-        let storage = unsafe { Box::from_raw(storage as *mut [UnsafeCell<T>]) };
-        let bytes = storage.len() * std::mem::size_of::<T>();
+        SharedVec::adopt(unsafe { Box::from_raw(storage as *mut [UnsafeCell<T>]) })
+    }
+
+    /// A view of all of `storage`, metered with [`crate::membudget`].
+    fn adopt(storage: Box<[UnsafeCell<T>]>) -> Self {
+        let len = storage.len();
+        let bytes = len * std::mem::size_of::<T>();
         crate::membudget::note_alloc(bytes);
         SharedVec {
             inner: Arc::new(Inner {
@@ -350,12 +358,14 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
                 protect: ProtectFlag::default(),
                 bytes,
             }),
+            start: 0,
+            len,
         }
     }
 
-    /// Number of elements.
+    /// Number of elements in the view.
     pub fn len(&self) -> usize {
-        self.inner.storage.0.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
@@ -363,20 +373,62 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
         self.len() == 0
     }
 
-    /// Address of the backing allocation; used as the buffer's stable
-    /// identity for dependency tracking.
+    /// Address of the backing allocation; the stable identity of a view
+    /// of all of it for dependency tracking.
     pub fn storage_addr(&self) -> usize {
         Arc::as_ptr(&self.inner) as *const () as usize
     }
 
-    /// Whether this handle is the only reference to its storage: no
-    /// clone, no [`SliceView`], no value wrapping a clone is alive
-    /// anywhere. `Arc::get_mut`-exact, so a `true` cannot go stale
-    /// while the caller keeps the handle to itself — the check a
-    /// [`Placement::reuse`](crate::split::Placement::reuse) makes
-    /// before writing a new result over a released one.
+    /// Whether the view covers all of its storage.
+    pub(crate) fn is_whole(&self) -> bool {
+        self.start == 0 && self.len == self.inner.storage.0.len()
+    }
+
+    /// The view of elements `[start, end)` of this view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not inside the view.
+    pub(crate) fn view(&self, start: usize, end: usize) -> Self {
+        assert!(
+            start <= end && end <= self.len,
+            "view [{start}, {end}) of {}",
+            self.len
+        );
+        SharedVec {
+            inner: Arc::clone(&self.inner),
+            start: self.start + start,
+            len: end - start,
+        }
+    }
+
+    /// The one view spanning `parts`, if they are views of one storage
+    /// that follow each other without a gap, in order.
+    pub(crate) fn spanning<'a>(mut parts: impl Iterator<Item = &'a Self>) -> Option<Self> {
+        let first = parts.next()?;
+        let mut end = first.start + first.len;
+        for p in parts {
+            if !p.same_storage(first) || p.start != end {
+                return None;
+            }
+            end += p.len;
+        }
+        Some(SharedVec {
+            inner: Arc::clone(&first.inner),
+            start: first.start,
+            len: end - first.start,
+        })
+    }
+
+    /// Whether this handle is the only reference to its storage and views
+    /// all of it: no clone, no other view, no value wrapping either is
+    /// alive anywhere, and the handle is not itself a view of part of the
+    /// storage. `Arc::get_mut`-exact, so a `true` cannot go stale while
+    /// the caller keeps the handle to itself — the check a
+    /// [`Placement::reuse`](crate::split::Placement::reuse) makes before
+    /// writing a new result over a released one.
     pub fn is_exclusive(&mut self) -> bool {
-        Arc::get_mut(&mut self.inner).is_some()
+        self.is_whole() && Arc::get_mut(&mut self.inner).is_some()
     }
 
     /// Whether two handles share the same backing storage.
@@ -389,7 +441,7 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
         &self.inner.protect
     }
 
-    /// Read access to the whole buffer, forcing any pending lazy
+    /// Read access to the viewed elements, forcing any pending lazy
     /// computation that mutates it first (the paper's evaluation point
     /// for values "allocated outside of the dataflow graph but mutated by
     /// an annotated function", §4.1).
@@ -408,7 +460,7 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
         self.as_slice().to_vec()
     }
 
-    /// Read a range without checking the protect flag.
+    /// Read a range of the view without checking the protect flag.
     ///
     /// # Safety
     ///
@@ -417,14 +469,13 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     /// this by assigning workers disjoint element ranges.
     pub unsafe fn slice_unchecked(&self, start: usize, len: usize) -> &[T] {
         debug_assert!(start + len <= self.len());
-        let base = self.inner.storage.0.as_ptr() as *const T;
         // SAFETY: in-bounds per the debug_assert and the type invariant
-        // that `storage` is a single allocation; aliasing discipline is
-        // the caller's obligation per this function's contract.
-        unsafe { std::slice::from_raw_parts(base.add(start), len) }
+        // that the view lies inside one allocation; aliasing discipline
+        // is the caller's obligation per this function's contract.
+        unsafe { std::slice::from_raw_parts(self.base_ptr().add(start), len) }
     }
 
-    /// Mutable access to a range of the buffer.
+    /// Mutable access to a range of the view.
     ///
     /// # Safety
     ///
@@ -436,15 +487,18 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut_unchecked(&self, start: usize, len: usize) -> &mut [T] {
         debug_assert!(start + len <= self.len());
-        let base = self.inner.storage.0.as_ptr() as *mut T;
         // SAFETY: see function contract.
-        unsafe { std::slice::from_raw_parts_mut(base.add(start), len) }
+        unsafe { std::slice::from_raw_parts_mut(self.base_ptr().add(start), len) }
     }
 
-    /// Raw base pointer (for kernels with MKL-style aliasing semantics,
-    /// e.g. in-place `out == a`).
+    /// Raw pointer to the view's first element (for kernels with
+    /// MKL-style aliasing semantics, e.g. in-place `out == a`).
     pub fn base_ptr(&self) -> *mut T {
-        self.inner.storage.0.as_ptr() as *mut T
+        let base = self.inner.storage.0.as_ptr() as *mut T;
+        // SAFETY: `start <= storage length` is a construction invariant
+        // of every view, so the offset stays inside (or one past) the
+        // allocation.
+        unsafe { base.add(self.start) }
     }
 }
 
@@ -454,11 +508,17 @@ impl<T: Copy + Send + Sync + std::fmt::Debug + 'static> std::fmt::Debug for Shar
     }
 }
 
-/// A `DataValue` wrapper around a whole [`SharedVec<f64>`].
+/// A `DataValue` wrapper around a [`SharedVec<f64>`].
 ///
 /// This is the value type the MKL-style integrations capture in the
-/// dataflow graph. Identity is the backing storage, so in-place mutation
-/// chains (`d1 = log(d1); d1 = d1 + tmp; ...`) produce dependency edges.
+/// dataflow graph, and the type of `ArraySplit`'s pieces, which view
+/// ranges of the value they were split from. The identity of a view of
+/// a whole buffer is its storage, so in-place mutation chains
+/// (`d1 = log(d1); d1 = d1 + tmp; ...`) produce dependency edges. A
+/// view of part of a buffer never passes for the buffer: it has no
+/// storage identity, and each handle to it is a value of its own. So
+/// no dependency edge joins calls on two views of one buffer: calls
+/// that write a buffer should take it whole.
 #[derive(Clone, Debug)]
 pub struct VecValue(pub SharedVec<f64>);
 
@@ -467,7 +527,7 @@ impl DataObject for VecValue {
         "VecValue"
     }
     fn stable_identity(&self) -> Option<usize> {
-        Some(self.0.storage_addr())
+        self.0.is_whole().then(|| self.0.storage_addr())
     }
     fn protect_flag(&self) -> Option<&ProtectFlag> {
         Some(self.0.protect_flag())
@@ -481,64 +541,6 @@ impl VecValue {
     /// Wrap into a dynamic value handle.
     pub fn into_value(self) -> DataValue {
         DataValue::new(self)
-    }
-}
-
-/// A split piece of a [`SharedVec<f64>`]: the element range
-/// `[start, start + len)` of `parent`.
-///
-/// Pieces alias the parent's storage; "merging" in-place pieces is a
-/// no-op, exactly like the paper's MKL integration (§3.3: "updates occur
-/// in-place, so no merge operation is needed").
-#[derive(Clone, Debug)]
-pub struct SliceView {
-    /// Buffer the piece refers into.
-    pub parent: SharedVec<f64>,
-    /// First element of the piece.
-    pub start: usize,
-    /// Number of elements in the piece.
-    pub len: usize,
-}
-
-impl SliceView {
-    /// Read the piece's elements.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SharedVec::slice_unchecked`]: no concurrent
-    /// mutation of this range.
-    pub unsafe fn as_slice(&self) -> &[f64] {
-        // SAFETY: forwarded contract.
-        unsafe { self.parent.slice_unchecked(self.start, self.len) }
-    }
-
-    /// Mutate the piece's elements.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SharedVec::slice_mut_unchecked`].
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn as_slice_mut(&self) -> &mut [f64] {
-        // SAFETY: forwarded contract.
-        unsafe { self.parent.slice_mut_unchecked(self.start, self.len) }
-    }
-
-    /// Raw pointer to the first element of the piece. Kernels that allow
-    /// `out == in` aliasing (the MKL in-place convention) should use the
-    /// pointer API.
-    pub fn ptr(&self) -> *mut f64 {
-        // SAFETY: `start <= parent.len()` is a construction invariant,
-        // so the offset stays inside (or one past) the allocation.
-        unsafe { self.parent.base_ptr().add(self.start) }
-    }
-}
-
-impl DataObject for SliceView {
-    fn type_name(&self) -> &'static str {
-        "SliceView"
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -622,19 +624,47 @@ mod tests {
     }
 
     #[test]
-    fn slice_view_aliases_parent() {
+    fn a_view_aliases_its_storage() {
         let v = SharedVec::from_vec(vec![1.0, 2.0, 3.0, 4.0]);
-        let piece = SliceView {
-            parent: v.clone(),
-            start: 1,
-            len: 2,
-        };
+        let piece = v.view(1, 3);
+        assert_eq!(piece.len(), 2);
+        assert!(piece.same_storage(&v) && !piece.is_whole());
         // SAFETY: no concurrent mutation in this test.
         unsafe {
-            piece.as_slice_mut()[0] = 20.0;
-            assert_eq!(piece.as_slice(), &[20.0, 3.0]);
+            piece.slice_mut_unchecked(0, 2)[0] = 20.0;
+            assert_eq!(piece.slice_unchecked(0, 2), &[20.0, 3.0]);
         }
+        assert_eq!(piece.base_ptr(), v.base_ptr().wrapping_add(1));
+        assert_eq!(piece.as_slice(), &[20.0, 3.0]);
         assert_eq!(v.as_slice(), &[1.0, 20.0, 3.0, 4.0]);
+        // A view of a view is relative to it.
+        assert_eq!(piece.view(1, 2).as_slice(), &[3.0]);
+    }
+
+    #[test]
+    fn views_that_follow_each_other_span_one_view() {
+        let v = SharedVec::from_vec(vec![1.0, 2.0, 3.0, 4.0]);
+        let (a, b, c) = (v.view(0, 1), v.view(1, 3), v.view(3, 4));
+        let all = SharedVec::spanning([&a, &b, &c].into_iter()).unwrap();
+        assert!(all.is_whole() && all.same_storage(&v));
+        let inner = SharedVec::spanning([&b].into_iter()).unwrap();
+        assert_eq!(inner.as_slice(), &[2.0, 3.0]);
+        // A gap, a wrong order or another storage spans nothing.
+        assert!(SharedVec::spanning([&a, &c].into_iter()).is_none());
+        assert!(SharedVec::spanning([&b, &a].into_iter()).is_none());
+        let other = SharedVec::from_vec(vec![9.0]);
+        assert!(SharedVec::spanning([&a, &other].into_iter()).is_none());
+    }
+
+    #[test]
+    fn only_a_sole_handle_to_all_of_its_storage_is_exclusive() {
+        let mut v = SharedVec::from_vec(vec![1.0, 2.0]);
+        assert!(v.is_exclusive());
+        let mut piece = v.view(0, 1);
+        assert!(!v.is_exclusive() && !piece.is_exclusive());
+        drop(v);
+        // The last handle, but a view of part of the storage.
+        assert!(!piece.is_exclusive());
     }
 
     #[test]
@@ -646,5 +676,14 @@ mod tests {
         assert_eq!(a.identity(), b.identity());
         let other = DataValue::new(VecValue(SharedVec::from_vec(vec![0.0])));
         assert_ne!(a.identity(), other.identity());
+        // A view of part of the buffer is not the buffer.
+        let w = SharedVec::from_vec(vec![0.0, 1.0]);
+        let whole = DataValue::new(VecValue(w.clone()));
+        let part = DataValue::new(VecValue(w.view(0, 1)));
+        assert_ne!(part.identity(), whole.identity());
+        assert_eq!(
+            DataValue::new(VecValue(w.view(0, 2))).identity(),
+            whole.identity()
+        );
     }
 }

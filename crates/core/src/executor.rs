@@ -228,7 +228,7 @@ enum Sink {
 /// One output's placement merge: the split type's capability object and
 /// the resolve-once state shared across workers.
 struct PlacementMerge {
-    cap: Arc<dyn Placement>,
+    cap: &'static dyn Placement,
     /// `Some(target)` once the placement output exists (every piece is
     /// then written in place); `None` once the split type declined it
     /// (pieces collect). Unset until [`resolve`](Self::resolve) decides.

@@ -264,8 +264,12 @@ impl<'a> Seen<'a> {
             Arg::Value(v) => Kind::of(Some(v)),
         };
         let vec_type = TypeId::of::<VecValue>();
+        // A view of part of a buffer is not the buffer (`VecValue`'s
+        // identity): it has none.
         let ident = match (kind, value) {
-            (Kind::Vec(v), None) => Some(DataIdentity::new(v.storage_addr(), vec_type)),
+            (Kind::Vec(v), None) => v
+                .is_whole()
+                .then(|| DataIdentity::new(v.storage_addr(), vec_type)),
             (_, value) => value.and_then(DataValue::identity),
         };
         let at = At::Caller;

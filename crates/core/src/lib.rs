@@ -45,9 +45,10 @@
 //! // explicit size argument (the MKL convention) — never from the
 //! // mutable array itself, which `mozart-check` rejects.
 //! let annot = Annotation::new("double", |inv| {
-//!     let piece = inv.arg::<SliceView>(1)?;
+//!     // The piece is a view of the caller's buffer.
+//!     let piece = &inv.arg::<VecValue>(1)?.0;
 //!     // SAFETY: the Mozart executor hands each worker disjoint ranges.
-//!     double(unsafe { piece.as_slice_mut() });
+//!     double(unsafe { piece.slice_mut_unchecked(0, piece.len()) });
 //!     Ok(None)
 //! })
 //! .arg("n", missing())
@@ -131,7 +132,7 @@ pub mod verify;
 
 pub use annotation::{Annotation, ArgSpec, Invocation, SplitTypeExpr};
 pub use array_split::ArraySplit;
-pub use buffer::{ProtectFlag, SharedVec, SliceView, VecValue};
+pub use buffer::{ProtectFlag, SharedVec, VecValue};
 pub use config::Config;
 pub use context::{Future, FutureHandle, MozartContext};
 pub use error::{Error, Result};
@@ -152,7 +153,7 @@ pub use verify::{check_annotation, lint_annotation, verify_stage, VerifyError};
 pub mod prelude {
     pub use crate::annotation::{concrete, generic, missing, unknown, Annotation, Invocation};
     pub use crate::array_split::ArraySplit;
-    pub use crate::buffer::{SharedVec, SliceView, VecValue};
+    pub use crate::buffer::{SharedVec, VecValue};
     pub use crate::config::Config;
     pub use crate::context::{Future, FutureHandle, MozartContext};
     pub use crate::error::{Error, Result};

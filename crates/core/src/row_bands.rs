@@ -31,11 +31,13 @@
 //! runtime derives [`Splitter`], [`Placement`] and [`Concat`] from that,
 //! with [`MergeStrategy::Concat`] and placement.
 //!
-//! Reductions, whose pieces are partial results, are merge-only split
-//! types ([`crate::merge_only`]). Two split types are neither and stay
-//! bespoke: `ArraySplit`, whose pieces alias one buffer and usually
-//! need no merge at all, and `MatrixSplit`, whose merge only recovers
-//! an in-place parent.
+//! A piece that aliases the merged value's storage needs no copy: an
+//! array's pieces are views of its buffer, and its concat of views that
+//! follow each other in one buffer is the view spanning them. That is
+//! the MKL convention ("updates occur in-place, so no merge operation
+//! is needed", §3.3), and it is a property of the row band, not a kind
+//! of split type. Reductions, whose pieces are partial results, are
+//! merge-only split types ([`crate::merge_only`]).
 //!
 //! [`write_piece`]: Placement::write_piece
 //! [`truncate_merged`]: Placement::truncate_merged
@@ -98,17 +100,26 @@ pub trait RowBand: DataObject + Clone {
 
 /// A row-band split type: everything about it the generic row-band
 /// implementation cannot know. Implementing it implements
-/// [`Splitter`], [`Placement`] and [`Concat`] (see the module docs).
+/// [`Splitter`] and [`Concat`], and gives the split type its
+/// [`Placement`] capability (see the module docs).
 ///
-/// `Default` makes the placement and concat capability objects.
+/// `Default` makes the concat capability object.
 pub trait RowSplitter: Default + Send + Sync + 'static {
     /// The split type's name ([`Splitter::name`]).
     const NAME: &'static str;
 
-    /// The constructor ([`Splitter::construct`]). [`Splitter::split`]
-    /// also calls it, on the value it splits, to check the value against
-    /// the split type's parameters.
+    /// The constructor ([`Splitter::construct`]).
     fn construct(ctor_args: &[&DataValue]) -> Result<Params>;
+
+    /// Whether `value` has the parameters `params`, as
+    /// [`construct`](RowSplitter::construct) would make them of it:
+    /// what [`Splitter::split`] checks before it cuts a piece. The
+    /// default constructs and compares; a split type that can tell
+    /// without building the parameters overrides it, since the check
+    /// runs once per piece.
+    fn fits(value: &DataValue, params: &Params) -> bool {
+        Self::construct(&[value]).is_ok_and(|own| own == *params)
+    }
 
     /// Runtime info for batch sizing ([`Splitter::info`]): the row count
     /// and the bytes of one row.
@@ -265,10 +276,13 @@ impl<T: RowSplitter> Splitter for T {
             split_type: T::NAME,
             message,
         };
-        let own = <T as RowSplitter>::construct(&[arg])
-            .map_err(|_| error(format!("cannot split a {}", arg.type_name())))?;
-        if own != *params {
-            let message = format!("value has parameters {own:?}, split type says {params:?}");
+        if !T::fits(arg, params) {
+            let message = match <T as RowSplitter>::construct(&[arg]) {
+                Ok(own) if own != *params => {
+                    format!("value has parameters {own:?}, split type says {params:?}")
+                }
+                _ => format!("cannot split a {}", arg.type_name()),
+            };
             return Err(error(message));
         }
         let rows = <T as RowSplitter>::info(params).total_elements;
@@ -287,16 +301,25 @@ impl<T: RowSplitter> Splitter for T {
 
     fn merge_strategy(&self) -> MergeStrategy {
         MergeStrategy::Concat {
-            placement: Some(Arc::new(T::default())),
+            placement: Some(&Placed::<T>(PhantomData)),
         }
     }
 
     fn concat(&self) -> Option<Arc<dyn Concat>> {
         Some(Arc::new(T::default()))
     }
+
+    /// A whole piece is a row view ([`RowBand::view`] is zero-copy).
+    fn whole_piece_stable(&self) -> bool {
+        true
+    }
 }
 
-impl<T: RowSplitter> Placement for T {
+/// The [`Placement`] of row-band split type `T` as a `'static` object,
+/// which the merge strategy hands out without allocating.
+struct Placed<T>(PhantomData<fn() -> T>);
+
+impl<T: RowSplitter> Placement for Placed<T> {
     fn alloc_merged(
         &self,
         total: u64,

@@ -16,16 +16,16 @@
 //! capability probe**, [`Splitter::merge_strategy`], which returns a
 //! [`MergeStrategy`] descriptor:
 //!
-//! * [`MergeStrategy::None`] — pieces are in-place views of storage
-//!   that is already whole (the MKL mut-argument convention); `merge`
-//!   recovers the parent without touching elements.
 //! * [`MergeStrategy::Commutative`] — partial results fold in any
 //!   order (reductions). `terminal: true` marks partials that must
 //!   merge before any other function consumes them.
 //! * [`MergeStrategy::Concat`] — `merge` is pure concatenation in
 //!   element order. The optional [`Placement`] capability object
 //!   enables the zero-copy fast path where workers write result pieces
-//!   directly into a preallocated output.
+//!   directly into a preallocated output. In-place pieces (the MKL
+//!   mut-argument convention) are one case of it: views that follow
+//!   each other in one buffer concatenate to that buffer without
+//!   touching an element.
 //! * [`MergeStrategy::Custom`] — an order-sensitive associative merge
 //!   that is not a concatenation (e.g. re-aggregating grouped
 //!   partials).
@@ -57,7 +57,7 @@
 //! | `merge_hinted(pieces, params, total)` | `merge(pieces, params, total_elements)` |
 //! | `commutative_merge() -> bool` | `merge_strategy() -> MergeStrategy::Commutative { .. }` |
 //! | `terminal() -> bool` | `terminal: true` on `Commutative` / `Custom` |
-//! | `needs_merge() -> bool` | gone — the planner decides in-place-ness from the annotation's mut-arguments. Pick the strategy that describes what `merge` *does*: [`MergeStrategy::None`] when it only recovers an in-place parent (`MatrixSplit`), `Concat` when view recovery is one case of a concatenation (`ArraySplit`), `Commutative` when the result ignores piece order (`SizeSplit`) |
+//! | `needs_merge() -> bool` | gone — the planner decides in-place-ness from the annotation's mut-arguments. Pick the strategy that describes what `merge` *does*: `Concat` when it concatenates pieces, of which recovering an in-place parent from its views is one case (`ArraySplit`, `MatrixSplit`), `Commutative` when the result ignores piece order (`SizeSplit`) |
 //! | `alloc_merged` / `write_piece` / `truncate_merged` | [`Placement`] object inside `MergeStrategy::Concat` |
 //! | — | [`Concat`] capability (`concat` / `slice_back`), new in v2 |
 
@@ -96,10 +96,6 @@ pub struct RuntimeInfo {
 /// receives every merge-related capability at once.
 #[derive(Clone)]
 pub enum MergeStrategy {
-    /// Pieces are views of storage that is already whole (in-place
-    /// mut-argument splits, the MKL convention): [`Splitter::merge`]
-    /// recovers the parent buffer without touching elements.
-    None,
     /// [`Splitter::merge`] is a commutative as well as associative fold
     /// of partial results (scalar sums, elementwise partial
     /// reductions). Commutative merges let a worker fold *all* of its
@@ -127,8 +123,10 @@ pub enum MergeStrategy {
     /// partial results have no meaningful element offsets.
     Concat {
         /// Zero-copy placement-merge capability, or `None` to always
-        /// collect-and-concatenate.
-        placement: Option<Arc<dyn Placement>>,
+        /// collect-and-concatenate. A `'static` object, so the probe
+        /// allocates nothing: it runs for every input and output of
+        /// every planned and verified stage.
+        placement: Option<&'static dyn Placement>,
     },
     /// An order-sensitive associative merge that is not a concatenation
     /// (e.g. re-grouping partial aggregations). This is the default,
@@ -164,11 +162,9 @@ impl MergeStrategy {
 
     /// The placement capability, if the strategy is a placement-capable
     /// concatenation.
-    pub fn placement(&self) -> Option<&Arc<dyn Placement>> {
+    pub fn placement(&self) -> Option<&'static dyn Placement> {
         match self {
-            MergeStrategy::Concat {
-                placement: Some(p), ..
-            } => Some(p),
+            MergeStrategy::Concat { placement } => *placement,
             _ => None,
         }
     }
@@ -177,7 +173,6 @@ impl MergeStrategy {
 impl std::fmt::Debug for MergeStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MergeStrategy::None => write!(f, "None"),
             MergeStrategy::Commutative { terminal } => {
                 write!(f, "Commutative {{ terminal: {terminal} }}")
             }
@@ -196,9 +191,9 @@ impl std::fmt::Debug for MergeStrategy {
 /// collecting pieces and re-copying them in a final merge, the executor
 /// preallocates the merged value once and has every worker
 /// [`write_piece`](Placement::write_piece) its results directly at
-/// their element offsets — the returned-value analogue of the
-/// mut-argument `SliceView` path, where writes already land in the
-/// final buffer.
+/// their element offsets — the returned-value analogue of a
+/// mut-argument's pieces, views whose writes already land in the final
+/// buffer.
 pub trait Placement: Send + Sync {
     /// Allocate a placement output covering `total_elements` elements
     /// (in [`RuntimeInfo`] units), or `Ok(None)` to decline.
@@ -427,11 +422,11 @@ pub trait Splitter: Send + Sync + 'static {
     /// Whether the piece `split` returns for a value's whole range
     /// `0..total` stays that value's whole piece for as long as its
     /// storage lives, whatever is written into the storage meanwhile:
-    /// a view that aliases the storage (`ArraySplit`), or a piece that
-    /// depends on the parameters alone (`SizeSplit`). A call run at
-    /// registration (see "Calls below the work floor" in
-    /// [`crate::context`]) then splits each value once per evaluation
-    /// instead of once per call. The default, `false`, splits on every
+    /// a view that aliases the storage (every row-band split type,
+    /// [`crate::row_bands`]), or a piece that depends on the parameters
+    /// alone (`SizeSplit`). A call run at registration (see "Calls below
+    /// the work floor" in [`crate::context`]) then splits each value
+    /// once per evaluation instead of once per call. The default, `false`, splits on every
     /// call.
     fn whole_piece_stable(&self) -> bool {
         false

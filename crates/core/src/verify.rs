@@ -18,9 +18,9 @@
 //!   argument indices must be in range and never name `mut` positions
 //!   (the constructor runs before the call, against pre-mutation
 //!   values); `mut` arguments require a merge strategy that recovers
-//!   in-place views ([`MergeStrategy::None`] or
-//!   [`MergeStrategy::Concat`] — the v1→v2 migration rule); terminal
-//!   split types describe partial results and may not type arguments;
+//!   in-place views ([`MergeStrategy::Concat`] — the v1→v2 migration
+//!   rule); terminal split types describe partial results and may not
+//!   type arguments;
 //!   and a concatenation-strategy return should carry the
 //!   [`Concat`](crate::split::Concat) capability so the serving layer
 //!   can coalesce requests over it. It runs once per annotation, when
@@ -119,11 +119,10 @@ pub enum VerifyError {
         index: usize,
     },
     /// A `mut` argument's split type cannot recover in-place views:
-    /// its merge strategy is not [`MergeStrategy::None`] or
-    /// [`MergeStrategy::Concat`], or the type is generic/missing so
-    /// nothing can be proven about it. Mut pieces alias the caller's
-    /// storage; a commutative or custom merge would build a *new*
-    /// value and silently drop the in-place writes.
+    /// its merge strategy is not [`MergeStrategy::Concat`], or the
+    /// type is generic/missing so nothing can be proven about it. Mut
+    /// pieces alias the caller's storage; a commutative or custom merge
+    /// would build a *new* value and silently drop the in-place writes.
     MutArgNotInPlace {
         /// Annotated function name.
         annotation: String,
@@ -260,7 +259,7 @@ pub enum VerifyError {
         value: u32,
     },
     /// An `InPlace` output's *resolved* split instance cannot recover
-    /// in-place views (strategy is not `None`/`Concat`) — the plan-time
+    /// in-place views (strategy is not `Concat`) — the plan-time
     /// counterpart of [`VerifyError::MutArgNotInPlace`] for generic mut
     /// arguments, whose concrete type is only known after inference.
     InPlaceBadStrategy {
@@ -562,9 +561,7 @@ pub fn check_annotation(annot: &Annotation) -> Vec<VerifyError> {
                         split_type: splitter.name().to_string(),
                     });
                 }
-                if spec.mutable
-                    && !matches!(strategy, MergeStrategy::None | MergeStrategy::Concat { .. })
-                {
+                if spec.mutable && !matches!(strategy, MergeStrategy::Concat { .. }) {
                     errs.push(VerifyError::MutArgNotInPlace {
                         annotation: name.clone(),
                         arg: spec.name.to_string(),
@@ -620,36 +617,27 @@ pub fn check_annotation(annot: &Annotation) -> Vec<VerifyError> {
 /// Advisory lints over one annotation: findings that indicate a missed
 /// optimization or a suspicious declaration rather than unsoundness.
 /// The runtime gate ([`check_annotation`]) does not enforce these —
-/// a Concat-strategy splitter without the [`Concat`](crate::split::Concat)
+/// a Concat-strategy return without the [`Concat`](crate::split::Concat)
 /// capability still merges correctly through placement or
 /// [`Splitter::merge`](crate::split::Splitter::merge) — but
 /// `mozart-check` reports them so annotators
-/// notice that requests over such a type can never be coalesced.
+/// notice that requests over such a type can never be coalesced. An
+/// argument's split type is not linted: one whose pieces concatenate in
+/// units no value can tell (`MatrixSplit`'s rows of a flat buffer) has
+/// no `Concat` to offer.
 pub fn lint_annotation(annot: &Annotation) -> Vec<VerifyError> {
-    let mut lints = Vec::new();
-    let exprs = annot
-        .args
-        .iter()
-        .map(|a| Some(&a.ty))
-        .chain(std::iter::once(annot.ret.as_ref()));
-    let mut seen: Vec<&str> = Vec::new();
-    for expr in exprs.flatten() {
-        if let SplitTypeExpr::Concrete { splitter, .. } = expr {
-            if seen.contains(&splitter.name()) {
-                continue;
-            }
-            seen.push(splitter.name());
+    match &annot.ret {
+        Some(SplitTypeExpr::Concrete { splitter, .. })
             if matches!(splitter.merge_strategy(), MergeStrategy::Concat { .. })
-                && splitter.concat().is_none()
-            {
-                lints.push(VerifyError::ConcatWithoutCapability {
-                    annotation: annot.name.to_string(),
-                    split_type: splitter.name().to_string(),
-                });
-            }
+                && splitter.concat().is_none() =>
+        {
+            vec![VerifyError::ConcatWithoutCapability {
+                annotation: annot.name.to_string(),
+                split_type: splitter.name().to_string(),
+            }]
         }
+        _ => Vec::new(),
     }
-    lints
 }
 
 /// What [`verify_stage`] has learned about one slot of the plan it
@@ -814,10 +802,7 @@ pub fn verify_stage(
                 // The annotation checker can only vet *concrete* mut
                 // arg types; a generic one resolves here, so re-check
                 // that the resolved strategy recovers in-place views.
-                if !matches!(
-                    out.instance.merge_strategy(),
-                    MergeStrategy::None | MergeStrategy::Concat { .. }
-                ) {
+                if !matches!(out.instance.merge_strategy(), MergeStrategy::Concat { .. }) {
                     return Err(VerifyError::InPlaceBadStrategy {
                         value: out.value.0,
                         split_type: out.instance.splitter.name().to_string(),
@@ -1176,6 +1161,11 @@ mod tests {
             matches!(lints[0], VerifyError::ConcatWithoutCapability { .. }),
             "{lints:?}"
         );
+        // An argument's split type is not linted.
+        let a = Annotation::new("arg", noop)
+            .arg("x", concrete(Arc::new(ConcatNoCap), vec![]))
+            .build();
+        assert!(lint_annotation(&a).is_empty());
     }
 
     #[test]

@@ -37,15 +37,13 @@ fn input(n: usize) -> DataValue {
 /// Piece elements, whether the piece is a view of a materialized value
 /// or an owned batch result.
 fn piece_elems(v: &DataValue) -> Result<Vec<f64>> {
-    if let Some(v) = v.downcast_ref::<VecValue>() {
-        return Ok(v.0.as_slice().to_vec());
-    }
-    let view = v
-        .downcast_ref::<SliceView>()
-        .ok_or_else(|| Error::Library(format!("expected an array piece, got {}", v.type_name())))?;
+    let view = &v
+        .downcast_ref::<VecValue>()
+        .ok_or_else(|| Error::Library(format!("expected an array piece, got {}", v.type_name())))?
+        .0;
     // SAFETY: the executor hands each worker disjoint ranges and no one
     // mutates the parent during the task phase.
-    Ok(unsafe { view.as_slice() }.to_vec())
+    Ok(unsafe { view.slice_unchecked(0, view.len()) }.to_vec())
 }
 
 /// `xs * k`, functional (a fresh array piece per batch). Annotations
@@ -317,9 +315,9 @@ fn deferred_views_are_merged_before_their_storage_is_mutated() {
         .ret(concrete(Arc::new(ViewCopySplit), vec![0]))
         .build();
     let double = Annotation::new("df_double", |inv| {
-        let piece = inv.arg::<SliceView>(1)?;
+        let piece = &inv.arg::<VecValue>(1)?.0;
         // SAFETY: the executor hands each worker disjoint ranges.
-        for x in unsafe { piece.as_slice_mut() } {
+        for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
             *x *= 2.0;
         }
         Ok(None)

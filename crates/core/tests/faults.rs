@@ -181,10 +181,13 @@ fn chunk_scale_with(
 /// pieces are written in place into one preallocated output.
 fn array_scale() -> Arc<Annotation> {
     Annotation::new("chaos_array_scale", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         let k = inv.float(1)?;
         // SAFETY: the piece is only read, by the batch it belongs to.
-        let ys = unsafe { piece.as_slice() }.iter().map(|x| x * k).collect();
+        let ys = unsafe { piece.slice_unchecked(0, piece.len()) }
+            .iter()
+            .map(|x| x * k)
+            .collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))
     })
     .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
@@ -197,10 +200,10 @@ fn array_scale() -> Arc<Annotation> {
 /// slice views, no merge at all.
 fn vec_scale() -> Arc<Annotation> {
     Annotation::new("chaos_vec_scale", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         let k = inv.float(1)?;
         // SAFETY: the executor hands each worker disjoint ranges.
-        for x in unsafe { piece.as_slice_mut() } {
+        for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
             *x *= k;
         }
         Ok(None)

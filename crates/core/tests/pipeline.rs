@@ -169,10 +169,10 @@ impl Splitter for SumReduce {
 
 fn scale_annotation() -> Arc<Annotation> {
     Annotation::new("scale", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         let k = inv.float(1)?;
         // SAFETY: the executor hands each worker disjoint ranges.
-        lib_scale(unsafe { piece.as_slice_mut() }, k);
+        lib_scale(unsafe { piece.slice_mut_unchecked(0, piece.len()) }, k);
         Ok(None)
     })
     // MKL convention: split parameters come from the explicit size
@@ -185,12 +185,18 @@ fn scale_annotation() -> Arc<Annotation> {
 
 fn add_annotation() -> Arc<Annotation> {
     Annotation::new("add", |inv| {
-        let a = inv.arg::<SliceView>(0)?;
-        let b = inv.arg::<SliceView>(1)?;
-        let out = inv.arg::<SliceView>(2)?;
+        let a = &inv.arg::<VecValue>(0)?.0;
+        let b = &inv.arg::<VecValue>(1)?.0;
+        let out = &inv.arg::<VecValue>(2)?.0;
         // SAFETY: disjoint ranges per worker; `out` may alias `a`/`b`
         // only with identical ranges (elementwise ops tolerate this).
-        unsafe { lib_add(a.as_slice(), b.as_slice(), out.as_slice_mut()) };
+        unsafe {
+            lib_add(
+                a.slice_unchecked(0, a.len()),
+                b.slice_unchecked(0, b.len()),
+                out.slice_mut_unchecked(0, out.len()),
+            )
+        };
         Ok(None)
     })
     .arg("a", generic(0))
@@ -201,9 +207,9 @@ fn add_annotation() -> Arc<Annotation> {
 
 fn sum_annotation() -> Arc<Annotation> {
     Annotation::new("sum", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         // SAFETY: disjoint ranges per worker.
-        let s = lib_sum(unsafe { piece.as_slice() });
+        let s = lib_sum(unsafe { piece.slice_unchecked(0, piece.len()) });
         Ok(Some(DataValue::new(FloatValue(s))))
     })
     .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
@@ -341,12 +347,10 @@ fn pipe_ablation_runs_one_stage_per_function() {
 /// batch, so a chain of calls has real intermediates to merge.
 fn vmul_annotation() -> Arc<Annotation> {
     Annotation::new("pipe_vmul", |inv| {
-        let xs = match inv.args[0].downcast_ref::<SliceView>() {
-            // SAFETY: the executor hands each worker disjoint ranges and
-            // nobody mutates the parent during the task phase.
-            Some(view) => unsafe { view.as_slice() }.to_vec(),
-            None => inv.arg::<VecValue>(0)?.0.to_vec(),
-        };
+        let view = &inv.arg::<VecValue>(0)?.0;
+        // SAFETY: the executor hands each worker disjoint ranges and
+        // nobody mutates the parent during the task phase.
+        let xs = unsafe { view.slice_unchecked(0, view.len()) };
         let k = inv.float(1)?;
         let ys = xs.iter().map(|x| x * k).collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(ys)))))

@@ -73,7 +73,7 @@ impl Splitter for PlacedSplit {
     }
     fn merge_strategy(&self) -> MergeStrategy {
         MergeStrategy::Concat {
-            placement: Some(Arc::new(PlacedPlacement)),
+            placement: Some(&PlacedPlacement),
         }
     }
 }
@@ -108,11 +108,16 @@ impl Placement for PlacedPlacement {
             .then(|| DataValue::new(VecValue(buf)))
     }
     fn write_piece(&self, out: &DataValue, offset: u64, piece: &DataValue) -> Result<u64> {
-        Placement::write_piece(&ArraySplit, out, offset, piece)
+        array_placement().write_piece(out, offset, piece)
     }
     fn truncate_merged(&self, out: DataValue, elements: u64, params: &Params) -> Result<DataValue> {
-        Placement::truncate_merged(&ArraySplit, out, elements, params)
+        array_placement().truncate_merged(out, elements, params)
     }
+}
+
+/// `ArraySplit`'s placement capability.
+fn array_placement() -> &'static dyn Placement {
+    ArraySplit.merge_strategy().placement().unwrap()
 }
 
 /// [`PlacedSplit`] without its placement capability: its outputs are
@@ -285,17 +290,17 @@ fn deferred_null_split_tail_underfills_like_the_eager_merge() {
 #[test]
 fn placement_and_mut_alias_outputs_coexist_in_one_stage() {
     // One call both mutates an argument in place (the MKL convention:
-    // an ArraySplit mut arg whose SliceView writes land in the parent)
+    // an ArraySplit mut arg whose piece views write into the parent)
     // and returns fresh pieces (merged by placement). Both outputs must
     // come out right from a single stage.
     let n = 32usize;
     let c = ctx(3, 4);
     let annot = Annotation::new("scale_and_square", |inv| {
         let xs = inv.arg::<VecValue>(0)?;
-        let out = inv.arg::<mozart_core::SliceView>(1)?;
+        let out = &inv.arg::<VecValue>(1)?.0;
         let src = xs.0.as_slice();
         // SAFETY: the executor hands each worker disjoint ranges.
-        let dst = unsafe { out.as_slice_mut() };
+        let dst = unsafe { out.slice_mut_unchecked(0, out.len()) };
         for (d, s) in dst.iter_mut().zip(src) {
             *d = s * s;
         }
@@ -339,9 +344,12 @@ fn reuse_annotations(claim_factor: i64) -> [(&'static str, Arc<Annotation>); 2] 
     // are what its placement capability allocates a target for.
     let split: Arc<dyn Splitter> = Arc::new(ArraySplit);
     let by_exemplar = Annotation::new("scaled_fresh_array", |inv| {
-        let v = inv.arg::<mozart_core::SliceView>(0)?;
+        let v = &inv.arg::<VecValue>(0)?.0;
         // SAFETY: the input piece is only read, by this batch alone.
-        let out: Vec<f64> = unsafe { v.as_slice() }.iter().map(|x| x * 2.0).collect();
+        let out: Vec<f64> = unsafe { v.slice_unchecked(0, v.len()) }
+            .iter()
+            .map(|x| x * 2.0)
+            .collect();
         Ok(Some(DataValue::new(VecValue(SharedVec::from_vec(out)))))
     })
     .arg("xs", concrete(split.clone(), vec![0]))
@@ -671,12 +679,9 @@ fn one_fingerprint_planned_two_ways_never_misplaces_a_spare() {
 /// Elements of an array piece: a view of a split input or a fresh
 /// per-batch array.
 fn elems(v: &DataValue) -> Vec<f64> {
-    if let Some(view) = v.downcast_ref::<mozart_core::SliceView>() {
-        // SAFETY: the piece is only read, by the batch it belongs to.
-        return unsafe { view.as_slice() }.to_vec();
-    }
-    let owned = v.downcast_ref::<VecValue>().expect("an array piece");
-    owned.0.as_slice().to_vec()
+    let view = &v.downcast_ref::<VecValue>().expect("an array piece").0;
+    // SAFETY: the piece is only read, by the batch it belongs to.
+    unsafe { view.slice_unchecked(0, view.len()) }.to_vec()
 }
 
 /// `ys = xs * k`, a fresh array per batch.

@@ -8,14 +8,14 @@ use std::sync::Arc;
 use mozart_core::annotation::{concrete, Annotation};
 use mozart_core::prelude::*;
 
-/// In-place scale over a shared buffer (the MKL idiom: aliasing
-/// `SliceView` pieces, nothing to merge).
+/// In-place scale over a shared buffer (the MKL idiom: pieces are views
+/// of the buffer, nothing to merge).
 fn scale_annotation() -> Arc<Annotation> {
     Annotation::new("cache_scale", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         let k = inv.float(1)?;
         // SAFETY: the executor hands each worker disjoint ranges.
-        for x in unsafe { piece.as_slice_mut() } {
+        for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
             *x *= k;
         }
         Ok(None)
@@ -34,11 +34,11 @@ fn scale_annotation() -> Arc<Annotation> {
 /// shift argument), which must fingerprint differently.
 fn scale_shift_annotation() -> Arc<Annotation> {
     Annotation::new("cache_scale_shift", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         let k = inv.float(1)?;
         let b = inv.float(2)?;
         // SAFETY: disjoint ranges per worker.
-        for x in unsafe { piece.as_slice_mut() } {
+        for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
             *x = *x * k + b;
         }
         Ok(None)
@@ -245,10 +245,10 @@ fn multi_worker_replay_is_correct() {
 /// split by `SizeSplit`.
 fn dyn_scale(mutable: bool, ctor: usize, split_n: bool) -> Arc<Annotation> {
     let b = Annotation::new("cache_dyn", |inv| {
-        let piece = inv.arg::<SliceView>(0)?;
+        let piece = &inv.arg::<VecValue>(0)?.0;
         let k = inv.float(1)?;
         // SAFETY: the executor hands each worker disjoint ranges.
-        for x in unsafe { piece.as_slice_mut() } {
+        for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
             *x *= k;
         }
         Ok(None)
@@ -317,15 +317,12 @@ fn fingerprint_keys_every_planning_input() {
 /// An array piece's elements, whether a view of a whole value or an
 /// owned batch result.
 fn piece_elems(piece: &DataValue) -> Result<Vec<f64>> {
-    Ok(match piece.downcast_ref::<SliceView>() {
-        // SAFETY: the executor hands each worker disjoint ranges.
-        Some(view) => unsafe { view.as_slice() }.to_vec(),
-        None => piece
-            .downcast_ref::<VecValue>()
-            .ok_or(Error::ValueUnavailable)?
-            .0
-            .to_vec(),
-    })
+    let v = &piece
+        .downcast_ref::<VecValue>()
+        .ok_or(Error::ValueUnavailable)?
+        .0;
+    // SAFETY: the executor hands each worker disjoint ranges.
+    Ok(unsafe { v.slice_unchecked(0, v.len()) }.to_vec())
 }
 
 /// `ys = xs * k`, returning a fresh array per batch.

@@ -41,6 +41,7 @@ use std::time::Instant;
 
 use mozart_core::annotation::{concrete, generic, missing, unknown, Annotation, Invocation};
 use mozart_core::prelude::*;
+use mozart_core::row_bands::RowBand;
 use ndarray_lite::NdArray;
 use workloads::{black_scholes as bs, crime_index, images};
 
@@ -242,14 +243,12 @@ fn elems(v: &DataValue) -> Vec<f64> {
 }
 
 fn piece_elems(v: &DataValue) -> Result<Vec<f64>> {
-    if let Some(v) = v.downcast_ref::<VecValue>() {
-        return Ok(v.0.as_slice().to_vec());
-    }
-    let view = v
-        .downcast_ref::<SliceView>()
-        .ok_or_else(|| Error::Library(format!("expected an array piece, got {}", v.type_name())))?;
+    let view = &v
+        .downcast_ref::<VecValue>()
+        .ok_or_else(|| Error::Library(format!("expected an array piece, got {}", v.type_name())))?
+        .0;
     // SAFETY: nobody mutates the parent during the task phase.
-    Ok(unsafe { view.as_slice() }.to_vec())
+    Ok(unsafe { view.slice_unchecked(0, view.len()) }.to_vec())
 }
 
 /// `xs * k`, functional. Built once: the plan cache keys on identity.
@@ -273,9 +272,9 @@ fn vmul() -> Arc<Annotation> {
 fn double() -> Arc<Annotation> {
     static A: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         Annotation::new("wf_double", |inv| {
-            let piece = inv.arg::<SliceView>(1)?;
+            let piece = &inv.arg::<VecValue>(1)?.0;
             // SAFETY: each call gets its own range of the buffer.
-            for x in unsafe { piece.as_slice_mut() } {
+            for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
                 *x *= 2.0;
             }
             Ok(None)
@@ -701,9 +700,9 @@ fn only_a_stable_split_type_is_split_once_per_buffer() {
             splits: AtomicUsize::new(0),
         });
         let double = Annotation::new("wf_counted_double", |inv| {
-            let piece = inv.arg::<SliceView>(1)?;
+            let piece = &inv.arg::<VecValue>(1)?.0;
             // SAFETY: the call has the buffer to itself.
-            for x in unsafe { piece.as_slice_mut() } {
+            for x in unsafe { piece.slice_mut_unchecked(0, piece.len()) } {
                 *x *= 2.0;
             }
             Ok(None)
@@ -887,4 +886,37 @@ fn more_shapes_than_a_thread_keeps_all_run_at_the_floor_from_two_threads() {
     let stats = ctx.stats();
     assert_at_registration(&stats);
     assert_eq!(stats.inline_calls, 2 * 2 * LENGTHS as u64, "{stats:?}");
+}
+
+#[test]
+fn a_view_never_passes_for_another_view_of_its_buffer() {
+    // Two halves of one buffer, of one length: the same call shape over
+    // the same storage, but not the same elements.
+    for config in [below_floor(), captured()] {
+        let at_floor = config.batch_override.is_none();
+        let ctx = MozartContext::new(config);
+        let buf = input(32);
+        let whole = buf.downcast_ref::<VecValue>().unwrap();
+        let (head, tail) = (whole.view(0, 16).0, whole.view(16, 32).0);
+        let a = ctx
+            .call(&vmul(), &[Arg::Vec(&head), Arg::Value(&k(2.0))])
+            .unwrap()
+            .unwrap();
+        let b = ctx
+            .call(&vmul(), &[Arg::Vec(&tail), Arg::Value(&k(2.0))])
+            .unwrap()
+            .unwrap();
+        let twice = |xs: &[f64]| xs.iter().map(|x| x * 2.0).collect::<Vec<_>>();
+        let want = elems(&buf);
+        assert_eq!(
+            elems(&a.get().unwrap()),
+            twice(&want[..16]),
+            "at floor: {at_floor}"
+        );
+        assert_eq!(
+            elems(&b.get().unwrap()),
+            twice(&want[16..]),
+            "at floor: {at_floor}"
+        );
+    }
 }

@@ -164,6 +164,11 @@ impl RowSplitter for RowSplit {
 mod tests {
     use super::*;
 
+    /// The split type's placement capability.
+    fn placement() -> &'static dyn Placement {
+        RowSplit.merge_strategy().placement().unwrap()
+    }
+
     fn test_df() -> DataFrame {
         DataFrame::from_cols(vec![
             ("id", Column::from_i64((0..10).collect())),
@@ -215,19 +220,20 @@ mod tests {
 
     #[test]
     fn placement_matches_concat_for_frames_and_columns() {
+        let p = placement();
         let s = RowSplit;
         let df = test_df();
         let d = DataValue::new(DfValue(df.clone()));
         let params = vec![10];
         let p1 = s.split(&d, 0..4, &params).unwrap().unwrap();
         let p2 = s.split(&d, 4..10, &params).unwrap().unwrap();
-        let out = s
+        let out = p
             .alloc_merged(10, &params, Some(&p1))
             .unwrap()
             .expect("RowSplit supports placement");
         // Out-of-claim-order writes land at the right offsets.
-        s.write_piece(&out, 4, &p2).unwrap();
-        s.write_piece(&out, 0, &p1).unwrap();
+        p.write_piece(&out, 4, &p2).unwrap();
+        p.write_piece(&out, 0, &p1).unwrap();
         let m = out.downcast_ref::<DfValue>().unwrap();
         assert_eq!(m.0.col("id").i64s(), df.col("id").i64s());
         assert_eq!(m.0.col("v").f64s(), df.col("v").f64s());
@@ -238,12 +244,12 @@ mod tests {
         let params = vec![5];
         let p1 = s.split(&c, 0..2, &params).unwrap().unwrap();
         let p2 = s.split(&c, 2..5, &params).unwrap().unwrap();
-        let out = s.alloc_merged(5, &params, Some(&p2)).unwrap().unwrap();
-        s.write_piece(&out, 2, &p2).unwrap();
-        s.write_piece(&out, 0, &p1).unwrap();
+        let out = p.alloc_merged(5, &params, Some(&p2)).unwrap().unwrap();
+        p.write_piece(&out, 2, &p2).unwrap();
+        p.write_piece(&out, 0, &p1).unwrap();
         assert_eq!(out.downcast_ref::<ColValue>().unwrap().0.strs(), col.strs());
         // A truncated (NULL-tail) output is the written prefix.
-        let trunc = s.truncate_merged(out, 3, &params).unwrap();
+        let trunc = p.truncate_merged(out, 3, &params).unwrap();
         assert_eq!(
             trunc.downcast_ref::<ColValue>().unwrap().0.strs(),
             &["a".to_string(), "b".to_string(), "c".to_string()]
@@ -252,19 +258,20 @@ mod tests {
 
     #[test]
     fn placement_rejects_mismatched_pieces() {
+        let p = placement();
         let s = RowSplit;
         let col = DataValue::new(ColValue(Column::from_i64(vec![1, 2, 3])));
         let params = vec![3];
         let piece = s.split(&col, 0..2, &params).unwrap().unwrap();
-        let out = s.alloc_merged(3, &params, Some(&piece)).unwrap().unwrap();
+        let out = p.alloc_merged(3, &params, Some(&piece)).unwrap().unwrap();
         // Out-of-bounds offset.
-        assert!(s.write_piece(&out, 2, &piece).is_err());
+        assert!(p.write_piece(&out, 2, &piece).is_err());
         // Dtype mismatch.
         let other = DataValue::new(ColValue(Column::from_f64(vec![1.0])));
-        assert!(s.write_piece(&out, 0, &other).is_err());
+        assert!(p.write_piece(&out, 0, &other).is_err());
         // Frame piece into a column output.
         let frame = DataValue::new(DfValue(test_df()));
-        assert!(s.write_piece(&out, 0, &frame).is_err());
+        assert!(p.write_piece(&out, 0, &frame).is_err());
     }
 
     #[test]
@@ -276,13 +283,14 @@ mod tests {
     }
     #[test]
     fn reuse_takes_only_an_exclusive_target_of_the_same_schema_and_rows() {
+        let p = placement();
         let s = RowSplit;
         let params = vec![10];
         let piece = s
             .split(&DataValue::new(DfValue(test_df())), 0..4, &params)
             .unwrap()
             .unwrap();
-        let fresh = || s.alloc_merged(10, &params, Some(&piece)).unwrap().unwrap();
+        let fresh = || p.alloc_merged(10, &params, Some(&piece)).unwrap().unwrap();
         let v_ptr = |v: &DataValue| {
             v.downcast_ref::<DfValue>()
                 .unwrap()
@@ -295,38 +303,38 @@ mod tests {
         // Exclusive, same schema, same rows: handed back as is.
         let out = fresh();
         let addr = v_ptr(&out);
-        let reused = s.reuse(out, 10, &params, Some(&piece)).expect("exclusive");
+        let reused = p.reuse(out, 10, &params, Some(&piece)).expect("exclusive");
         assert_eq!(v_ptr(&reused), addr);
         // No exemplar (the stage-start probe), another row count,
         // another schema, a column offered for a frame.
-        assert!(s.reuse(fresh(), 10, &params, None).is_none());
-        assert!(s.reuse(fresh(), 12, &params, Some(&piece)).is_none());
+        assert!(p.reuse(fresh(), 10, &params, None).is_none());
+        assert!(p.reuse(fresh(), 12, &params, Some(&piece)).is_none());
         let other = DataValue::new(DfValue(DataFrame::from_cols(vec![
             ("id", Column::from_f64(vec![0.0; 4])),
             ("v", Column::from_f64(vec![0.0; 4])),
         ])));
-        assert!(s.reuse(fresh(), 10, &params, Some(&other)).is_none());
+        assert!(p.reuse(fresh(), 10, &params, Some(&other)).is_none());
         let col = DataValue::new(ColValue(Column::from_f64(vec![0.0; 4])));
-        assert!(s.reuse(fresh(), 10, &params, Some(&col)).is_none());
+        assert!(p.reuse(fresh(), 10, &params, Some(&col)).is_none());
         // One column still held by the application, or a row slice of
         // the frame (a NULL-tail truncation, a coalesced request's band).
         let out = fresh();
         let held = out.downcast_ref::<DfValue>().unwrap().0.col("v").clone();
-        assert!(s.reuse(out, 10, &params, Some(&piece)).is_none());
+        assert!(p.reuse(out, 10, &params, Some(&piece)).is_none());
         drop(held);
         let out = fresh();
         let band = Concat::slice_back(&s, &out, 2, 3).unwrap();
-        assert!(s.reuse(out, 10, &params, Some(&piece)).is_none());
+        assert!(p.reuse(out, 10, &params, Some(&piece)).is_none());
         drop(band);
-        let truncated = s.truncate_merged(fresh(), 6, &params).unwrap();
-        assert!(s.reuse(truncated, 10, &params, Some(&piece)).is_none());
+        let truncated = p.truncate_merged(fresh(), 6, &params).unwrap();
+        assert!(p.reuse(truncated, 10, &params, Some(&piece)).is_none());
 
         // Columns: dtype must match the exemplar's.
         let cpiece = DataValue::new(ColValue(Column::from_strs(&["a", "b"])));
-        let cout = s.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
-        assert!(s.reuse(cout, 5, &params, Some(&col)).is_none());
-        let cout = s.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
-        assert!(s.reuse(cout, 5, &params, Some(&cpiece)).is_some());
+        let cout = p.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
+        assert!(p.reuse(cout, 5, &params, Some(&col)).is_none());
+        let cout = p.alloc_merged(5, &params, Some(&cpiece)).unwrap().unwrap();
+        assert!(p.reuse(cout, 5, &params, Some(&cpiece)).is_some());
     }
 
     #[test]

@@ -440,6 +440,11 @@ pub fn annotations() -> Vec<Arc<Annotation>> {
 mod tests {
     use super::*;
 
+    /// The split type's placement capability.
+    fn placement() -> &'static dyn Placement {
+        ImageSplit.merge_strategy().placement().unwrap()
+    }
+
     fn ctx() -> MozartContext {
         register_defaults();
         let mut cfg = Config::with_workers(2);
@@ -464,6 +469,7 @@ mod tests {
 
     #[test]
     fn view_split_matches_copying_crop_pixel_for_pixel() {
+        let p = placement();
         // The ImageRows view path must be indistinguishable from the
         // paper's crop-clone split, and the placement merge from the
         // copying append.
@@ -481,12 +487,12 @@ mod tests {
             views.push(piece);
         }
         // Placement: allocate from the first piece, write out of order.
-        let out = s
+        let out = p
             .alloc_merged(23, &params, Some(&views[0]))
             .unwrap()
             .expect("ImageSplit supports placement");
         for (&(a, _), piece) in ranges.iter().zip(&views).rev() {
-            s.write_piece(&out, a, piece).unwrap();
+            p.write_piece(&out, a, piece).unwrap();
         }
         let placed = out.downcast_ref::<ImgValue>().unwrap();
         assert_eq!(placed.0.mean_abs_diff(&img), 0.0);
@@ -637,42 +643,43 @@ mod tests {
 
     #[test]
     fn reuse_takes_only_an_exclusive_whole_target_of_the_right_geometry() {
+        let p = placement();
         let s = ImageSplit;
         let params = vec![20, 7];
-        let fresh = || s.alloc_merged(20, &params, None).unwrap().unwrap();
+        let fresh = || p.alloc_merged(20, &params, None).unwrap().unwrap();
         let fill = |out: &DataValue| {
             let band = DataValue::new(ImgValue(Image::synthetic(7, 20, 3)));
-            s.write_piece(out, 0, &band).unwrap();
+            p.write_piece(out, 0, &band).unwrap();
         };
         let pixels = |v: &DataValue| v.downcast_ref::<ImgValue>().unwrap().0.data().as_ptr();
 
         // Exclusive, whole, right geometry: handed back as is.
         let out = fresh();
         let addr = pixels(&out);
-        let reused = s.reuse(out, 20, &params, None).expect("exclusive target");
+        let reused = p.reuse(out, 20, &params, None).expect("exclusive target");
         assert_eq!(pixels(&reused), addr);
 
         // An application clone of the image, or of the value handle.
         let out = fresh();
         let held = out.downcast_ref::<ImgValue>().unwrap().0.clone();
-        assert!(s.reuse(out, 20, &params, None).is_none());
+        assert!(p.reuse(out, 20, &params, None).is_none());
         drop(held);
         let out = fresh();
         let handle = out.clone();
-        assert!(s.reuse(out, 20, &params, None).is_none());
+        assert!(p.reuse(out, 20, &params, None).is_none());
         drop(handle);
 
         // A NULL-split tail: the stored value is a view of the prefix.
         let out = fresh();
         fill(&out);
-        let truncated = s.truncate_merged(out, 12, &params).unwrap();
-        assert!(s.reuse(truncated, 20, &params, None).is_none());
+        let truncated = p.truncate_merged(out, 12, &params).unwrap();
+        assert!(p.reuse(truncated, 20, &params, None).is_none());
         assert!(
-            s.reuse(fresh(), 12, &params, None).is_none(),
+            p.reuse(fresh(), 12, &params, None).is_none(),
             "other height"
         );
         assert!(
-            s.reuse(fresh(), 20, &vec![20, 9], None).is_none(),
+            p.reuse(fresh(), 20, &vec![20, 9], None).is_none(),
             "other width"
         );
 
@@ -680,7 +687,7 @@ mod tests {
         let out = fresh();
         fill(&out);
         let band = Concat::slice_back(&s, &out, 5, 10).unwrap();
-        assert!(s.reuse(out, 20, &params, None).is_none());
+        assert!(p.reuse(out, 20, &params, None).is_none());
         drop(band);
     }
 

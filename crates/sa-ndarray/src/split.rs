@@ -131,6 +131,11 @@ impl RowSplitter for NdSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The split type's placement capability.
+    fn placement() -> &'static dyn Placement {
+        NdSplit.merge_strategy().placement().unwrap()
+    }
     use std::sync::Arc;
 
     fn nd(a: NdArray) -> DataValue {
@@ -171,6 +176,7 @@ mod tests {
 
     #[test]
     fn placement_roundtrip_rank1_and_rank2() {
+        let p = placement();
         // NdSplit placement (PR 3 ROADMAP leftover): params determine
         // the layout, so allocation succeeds without an exemplar, and
         // out-of-order row writes reproduce the concat merge exactly.
@@ -183,33 +189,30 @@ mod tests {
             // Rank-2 shapes allocate from params alone (stage start);
             // d1 == 0 is ambiguous (rank-1 vs zero-column rank-2), so
             // rank-1 allocation waits for the first piece.
-            let out = Placement::alloc_merged(&s, 9, &params, Some(&p1))
+            let out = p
+                .alloc_merged(9, &params, Some(&p1))
                 .unwrap()
                 .expect("NdSplit supports placement");
-            s.write_piece(&out, 4, &p2).unwrap();
-            s.write_piece(&out, 0, &p1).unwrap();
+            p.write_piece(&out, 4, &p2).unwrap();
+            p.write_piece(&out, 0, &p1).unwrap();
             assert_eq!(out.downcast_ref::<NdValue>().unwrap().0, arr);
             // NULL-tail truncation is a zero-copy view of the prefix.
-            let t = s.truncate_merged(out, 4, &params).unwrap();
+            let t = p.truncate_merged(out, 4, &params).unwrap();
             assert_eq!(t.downcast_ref::<NdValue>().unwrap().0, arr.view_rows(0, 4));
         }
         // Mis-shaped pieces and out-of-range offsets are rejected.
         let arr = NdArray::zeros(&[4, 2]);
         let params = vec![4, 2];
-        let out = Placement::alloc_merged(&s, 4, &params, None)
-            .unwrap()
-            .unwrap();
+        let out = p.alloc_merged(4, &params, None).unwrap().unwrap();
         let wide = nd(NdArray::zeros(&[1, 3]));
-        assert!(s.write_piece(&out, 0, &wide).is_err());
+        assert!(p.write_piece(&out, 0, &wide).is_err());
         let band = s.split(&nd(arr), 0..2, &params).unwrap().unwrap();
-        assert!(s.write_piece(&out, 3, &band).is_err());
+        assert!(p.write_piece(&out, 3, &band).is_err());
         // Degenerate zero-column rank-2 arrays decline placement (their
         // params are indistinguishable from rank-1) and still merge.
         let empty = nd(NdArray::from_shape_vec(&[3, 0], vec![]));
         let params = vec![3, 0];
-        assert!(Placement::alloc_merged(&s, 3, &params, Some(&empty))
-            .unwrap()
-            .is_none());
+        assert!(p.alloc_merged(3, &params, Some(&empty)).unwrap().is_none());
         let p = s.split(&empty, 0..2, &params).unwrap().unwrap();
         let q = s.split(&empty, 2..3, &params).unwrap().unwrap();
         let merged = s.merge(vec![p, q], &params, 3).unwrap();

@@ -16,9 +16,12 @@
 //! Three split types cover the whole header, as in the paper: one for
 //! arrays (`ArraySplit`, parameterized by length), one for matrices
 //! ([`MatrixSplit`], parameterized by rows/cols), and one for the size
-//! argument (`SizeSplit`). In-place updates mean no merge functions are
-//! needed; the two reductions (`ddot`, `dasum`) add a merge-only
-//! [`AddReduce`] split type, whose merge is all it writes
+//! argument (`SizeSplit`). Array and matrix pieces are `VecValue` views
+//! of the caller's buffer, so in-place updates land in it and the
+//! pieces concatenate back to it without a copy: no merge functions are
+//! needed. `ArraySplit` is a row-band split type of the runtime
+//! (`mozart_core::row_bands`); the two reductions (`ddot`, `dasum`) add
+//! a merge-only [`AddReduce`] split type, whose merge is all it writes
 //! (`mozart_core::merge_only`).
 
 #![warn(missing_docs)]

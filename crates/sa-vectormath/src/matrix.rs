@@ -11,6 +11,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use mozart_core::prelude::*;
+use mozart_core::row_bands::RowBand;
 
 /// Row-splitting split type for matrices in shared buffers.
 pub struct MatrixSplit;
@@ -22,12 +23,19 @@ impl MatrixSplit {
     }
 }
 
+/// `(rows, cols)` of the split type's parameters.
+fn dims(params: &Params) -> (u64, u64) {
+    let dim = |i: usize| params.get(i).copied().unwrap_or(0).max(0) as u64;
+    (dim(0), dim(1))
+}
+
 impl Splitter for MatrixSplit {
     fn name(&self) -> &'static str {
         "MatrixSplit"
     }
 
-    /// Constructor from `(rows, cols)` integer arguments.
+    /// Constructor from `(rows, cols)` integer arguments; a flat buffer
+    /// does not tell its dimensions, so there are no default parameters.
     fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {
         let get = |i: usize| -> Result<i64> {
             ctor_args
@@ -41,22 +49,15 @@ impl Splitter for MatrixSplit {
         Ok(vec![get(0)?, get(1)?])
     }
 
-    fn default_params(&self, _arg: &DataValue) -> Result<Params> {
-        Err(Error::Constructor {
-            split_type: "MatrixSplit",
-            message: "matrix dimensions cannot be inferred from a flat buffer".into(),
-        })
-    }
-
     fn info(&self, _arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {
-        let rows = params.first().copied().unwrap_or(0).max(0) as u64;
-        let cols = params.get(1).copied().unwrap_or(0).max(0) as u64;
+        let (rows, cols) = dims(params);
         Ok(RuntimeInfo {
             total_elements: rows,
             elem_size_bytes: cols * std::mem::size_of::<f64>() as u64,
         })
     }
 
+    /// The view of rows `range`: elements `[a·cols, b·cols)`.
     fn split(
         &self,
         arg: &DataValue,
@@ -67,9 +68,8 @@ impl Splitter for MatrixSplit {
             split_type: "MatrixSplit",
             message: format!("expected VecValue, got {}", arg.type_name()),
         })?;
-        let rows = params.first().copied().unwrap_or(0).max(0) as u64;
-        let cols = params.get(1).copied().unwrap_or(0).max(0) as usize;
-        if v.0.len() as u64 != rows * cols as u64 {
+        let (rows, cols) = dims(params);
+        if v.0.len() as u64 != rows * cols {
             return Err(Error::Split {
                 split_type: "MatrixSplit",
                 message: format!(
@@ -81,40 +81,27 @@ impl Splitter for MatrixSplit {
         if range.start >= rows {
             return Ok(None);
         }
-        let end = range.end.min(rows);
-        Ok(Some(DataValue::new(SliceView {
-            parent: v.0.clone(),
-            start: range.start as usize * cols,
-            len: (end - range.start) as usize * cols,
-        })))
+        let (a, b) = (range.start * cols, range.end.min(rows) * cols);
+        Ok(Some(DataValue::new(v.view(a as usize, b as usize))))
     }
 
-    fn merge(
-        &self,
-        pieces: Vec<DataValue>,
-        _params: &Params,
-        _total_elements: u64,
-    ) -> Result<DataValue> {
-        // In-place views of one parent buffer, like ArraySplit.
-        let first = pieces.first().ok_or_else(|| Error::Merge {
-            split_type: "MatrixSplit",
-            message: "no pieces".into(),
-        })?;
-        let parent = first
-            .downcast_ref::<SliceView>()
-            .ok_or_else(|| Error::Merge {
+    /// The array concat of the pieces: views that follow each other in
+    /// one buffer span it without a copy.
+    fn merge(&self, pieces: Vec<DataValue>, _: &Params, _: u64) -> Result<DataValue> {
+        let parts: Option<Vec<&VecValue>> = pieces.iter().map(|p| p.downcast_ref()).collect();
+        match parts {
+            Some(parts) if !parts.is_empty() => Ok(DataValue::new(VecValue::concat(&parts))),
+            _ => Err(Error::Merge {
                 split_type: "MatrixSplit",
-                message: format!("expected SliceView piece, got {}", first.type_name()),
-            })?
-            .parent
-            .clone();
-        Ok(DataValue::new(VecValue(parent)))
+                message: "expected one or more VecValue pieces".into(),
+            }),
+        }
     }
 
-    /// Pieces are in-place views of one parent buffer; `merge` recovers
-    /// the parent without touching elements.
+    /// A concatenation, but of rows, where a placement's offsets would
+    /// be elements of the buffer.
     fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::None
+        MergeStrategy::Concat { placement: None }
     }
 }
 
@@ -136,10 +123,38 @@ mod tests {
         assert_eq!(info.total_elements, 4);
         assert_eq!(info.elem_size_bytes, 24);
         let piece = s.split(&arg, 1..3, &params).unwrap().unwrap();
-        let view = piece.downcast_ref::<SliceView>().unwrap();
-        assert_eq!(view.start, 3);
-        assert_eq!(view.len, 6);
+        let view = &piece.downcast_ref::<VecValue>().unwrap().0;
+        assert_eq!(view.as_slice(), &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert!(view.same_storage(&arg.downcast_ref::<VecValue>().unwrap().0));
         assert!(s.split(&arg, 4..5, &params).unwrap().is_none());
+        // The pieces of every row merge to the buffer itself.
+        let pieces = vec![
+            s.split(&arg, 0..1, &params).unwrap().unwrap(),
+            s.split(&arg, 1..4, &params).unwrap().unwrap(),
+        ];
+        let merged = s.merge(pieces, &params, 4).unwrap();
+        assert_eq!(merged.identity(), arg.identity());
+    }
+
+    #[test]
+    fn pieces_merge_to_their_own_elements() {
+        // Pieces of two buffers, or one view of rows 1..2, merge to the
+        // concatenation of their own elements, not to a parent.
+        let s = MatrixSplit;
+        let params = vec![2, 2];
+        let a = DataValue::new(VecValue(SharedVec::from_vec(vec![1.0, 2.0, 3.0, 4.0])));
+        let b = DataValue::new(VecValue(SharedVec::from_vec(vec![5.0, 6.0, 7.0, 8.0])));
+        let elems = |v: &DataValue| v.downcast_ref::<VecValue>().unwrap().0.to_vec();
+        let pieces = vec![
+            s.split(&a, 0..1, &params).unwrap().unwrap(),
+            s.split(&b, 1..2, &params).unwrap().unwrap(),
+        ];
+        let merged = s.merge(pieces, &params, 2).unwrap();
+        assert_eq!(elems(&merged), vec![1.0, 2.0, 7.0, 8.0]);
+        let row = s.split(&a, 1..2, &params).unwrap().unwrap();
+        let merged = s.merge(vec![row], &params, 1).unwrap();
+        assert_eq!(elems(&merged), vec![3.0, 4.0]);
+        assert!(s.merge(vec![], &params, 0).is_err());
     }
 
     #[test]

@@ -34,15 +34,15 @@ macro_rules! sa_binary {
         static $annot: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
             Annotation::new(stringify!($name), |inv| {
                 let n = inv.int(0)? as usize;
-                let a = inv.arg::<SliceView>(1)?;
-                let b = inv.arg::<SliceView>(2)?;
-                let out = inv.arg::<SliceView>(3)?;
-                debug_assert!(a.len == n && b.len == n && out.len == n);
+                let a = &inv.arg::<VecValue>(1)?.0;
+                let b = &inv.arg::<VecValue>(2)?.0;
+                let out = &inv.arg::<VecValue>(3)?.0;
+                debug_assert!(a.len() == n && b.len() == n && out.len() == n);
                 // SAFETY: the Mozart executor hands this worker disjoint
                 // element ranges of each buffer; within a batch, views
                 // are either exactly aliased (in-place arguments) or
                 // disjoint, which is the kernel's documented contract.
-                unsafe { $raw(n, a.ptr(), b.ptr(), out.ptr()) };
+                unsafe { $raw(n, a.base_ptr(), b.base_ptr(), out.base_ptr()) };
                 Ok(None)
             })
             .arg("size", concrete(size_split(), vec![0]))
@@ -74,11 +74,11 @@ macro_rules! sa_unary {
         static $annot: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
             Annotation::new(stringify!($name), |inv| {
                 let n = inv.int(0)? as usize;
-                let a = inv.arg::<SliceView>(1)?;
-                let out = inv.arg::<SliceView>(2)?;
-                debug_assert!(a.len == n && out.len == n);
+                let a = &inv.arg::<VecValue>(1)?.0;
+                let out = &inv.arg::<VecValue>(2)?.0;
+                debug_assert!(a.len() == n && out.len() == n);
                 // SAFETY: see the binary wrapper; same contract.
-                unsafe { $raw(n, a.ptr(), out.ptr()) };
+                unsafe { $raw(n, a.base_ptr(), out.base_ptr()) };
                 Ok(None)
             })
             .arg("size", concrete(size_split(), vec![0]))
@@ -107,12 +107,12 @@ macro_rules! sa_scalar {
         static $annot: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
             Annotation::new(stringify!($name), |inv| {
                 let n = inv.int(0)? as usize;
-                let a = inv.arg::<SliceView>(1)?;
+                let a = &inv.arg::<VecValue>(1)?.0;
                 let k = inv.float(2)?;
-                let out = inv.arg::<SliceView>(3)?;
-                debug_assert!(a.len == n && out.len == n);
+                let out = &inv.arg::<VecValue>(3)?.0;
+                debug_assert!(a.len() == n && out.len() == n);
                 // SAFETY: see the binary wrapper; same contract.
-                unsafe { $raw(n, a.ptr(), k, out.ptr()) };
+                unsafe { $raw(n, a.base_ptr(), k, out.base_ptr()) };
                 Ok(None)
             })
             .arg("size", concrete(size_split(), vec![0]))
@@ -244,10 +244,10 @@ static DAXPY: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
     Annotation::new("daxpy", |inv| {
         let n = inv.int(0)? as usize;
         let alpha = inv.float(1)?;
-        let x = inv.arg::<SliceView>(2)?;
-        let y = inv.arg::<SliceView>(3)?;
+        let x = &inv.arg::<VecValue>(2)?.0;
+        let y = &inv.arg::<VecValue>(3)?.0;
         // SAFETY: disjoint worker ranges; exact aliasing allowed.
-        unsafe { vectormath::daxpy_raw(n, alpha, x.ptr(), y.ptr()) };
+        unsafe { vectormath::daxpy_raw(n, alpha, x.base_ptr(), y.base_ptr()) };
         Ok(None)
     })
     .arg("size", concrete(size_split(), vec![0]))
@@ -275,10 +275,12 @@ pub fn daxpy(
 
 static DDOT: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
     Annotation::new("ddot", |inv| {
-        let x = inv.arg::<SliceView>(0)?;
-        let y = inv.arg::<SliceView>(1)?;
+        let x = &inv.arg::<VecValue>(0)?.0;
+        let y = &inv.arg::<VecValue>(1)?.0;
         // SAFETY: read-only views of disjoint worker ranges.
-        let partial = unsafe { vectormath::ddot(x.as_slice(), y.as_slice()) };
+        let partial = unsafe {
+            vectormath::ddot(x.slice_unchecked(0, x.len()), y.slice_unchecked(0, y.len()))
+        };
         Ok(Some(DataValue::new(FloatValue(partial))))
     })
     .arg("x", concrete(array_split(), vec![0]))
@@ -295,9 +297,9 @@ pub fn ddot(ctx: &MozartContext, x: &SharedVec<f64>, y: &SharedVec<f64>) -> Resu
 
 static DASUM: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
     Annotation::new("dasum", |inv| {
-        let x = inv.arg::<SliceView>(0)?;
+        let x = &inv.arg::<VecValue>(0)?.0;
         // SAFETY: read-only view of this worker's range.
-        let partial = vectormath::dasum(unsafe { x.as_slice() });
+        let partial = vectormath::dasum(unsafe { x.slice_unchecked(0, x.len()) });
         Ok(Some(DataValue::new(FloatValue(partial))))
     })
     .arg("x", concrete(array_split(), vec![0]))
@@ -316,17 +318,17 @@ static DGEMV: LazyLock<Arc<Annotation>> = LazyLock::new(|| {
         let _m = inv.int(0)?;
         let n = inv.int(1)? as usize;
         let alpha = inv.float(2)?;
-        let a = inv.arg::<SliceView>(3)?;
+        let a = &inv.arg::<VecValue>(3)?.0;
         let x = inv.arg::<VecValue>(4)?;
         let beta = inv.float(5)?;
-        let y = inv.arg::<SliceView>(6)?;
-        let m_piece = y.len;
+        let y = &inv.arg::<VecValue>(6)?.0;
+        let m_piece = y.len();
         // SAFETY: `a` and `y` are this worker's disjoint row ranges;
         // `x` is a broadcast read-only operand, and the executor
         // guarantees no pending writer exists during execution.
         unsafe {
-            let a_rows = a.as_slice();
-            let y_rows = y.as_slice_mut();
+            let a_rows = a.slice_unchecked(0, a.len());
+            let y_rows = y.slice_mut_unchecked(0, m_piece);
             vectormath::dgemv(m_piece, n, alpha, a_rows, x.0.as_slice(), beta, y_rows);
         }
         Ok(None)

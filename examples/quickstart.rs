@@ -36,10 +36,18 @@ mod mylib {
 fn saxpy_annotation() -> Arc<Annotation> {
     Annotation::new("saxpy", |inv| {
         let alpha = inv.float(0)?;
-        let x = inv.arg::<SliceView>(1)?;
-        let y = inv.arg::<SliceView>(2)?;
+        // Each array piece is a `VecValue` viewing this batch's range of
+        // the caller's buffer: writes to `y` land in it, nothing merges.
+        let x = &inv.arg::<VecValue>(1)?.0;
+        let y = &inv.arg::<VecValue>(2)?.0;
         // SAFETY: Mozart hands each worker disjoint element ranges.
-        unsafe { mylib::saxpy(alpha, x.as_slice(), y.as_slice_mut()) };
+        unsafe {
+            mylib::saxpy(
+                alpha,
+                x.slice_unchecked(0, x.len()),
+                y.slice_mut_unchecked(0, y.len()),
+            )
+        };
         Ok(None)
     })
     .arg("alpha", missing()) // `_`: copied to every pipeline
@@ -52,9 +60,9 @@ fn clamp_annotation() -> Arc<Annotation> {
     Annotation::new("clamp", |inv| {
         let lo = inv.float(0)?;
         let hi = inv.float(1)?;
-        let y = inv.arg::<SliceView>(2)?;
+        let y = &inv.arg::<VecValue>(2)?.0;
         // SAFETY: disjoint ranges per worker.
-        unsafe { mylib::clamp(lo, hi, y.as_slice_mut()) };
+        unsafe { mylib::clamp(lo, hi, y.slice_mut_unchecked(0, y.len())) };
         Ok(None)
     })
     .arg("lo", missing())

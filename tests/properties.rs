@@ -238,22 +238,34 @@ fn check_split_concat_roundtrip<T: Eq + std::fmt::Debug>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// ArraySplit (VecValue buffers): split → concat round trip.
+    /// ArraySplit (VecValue buffers): split → concat round trip; and
+    /// the same buffer as a `MatrixSplit` matrix of `cols` columns,
+    /// split by rows and merged back to the buffer itself.
     #[test]
-    fn array_split_concat_roundtrip(data in prop::collection::vec(-1e6f64..1e6, 1..160), cuts in prop::collection::vec(0usize..160, 0..5)) {
-        // Rebuild each aliasing SliceView piece as an owned buffer
-        // first: concat accepts both, and mixing exercises the copy
-        // path the serving layer's coalescer uses.
+    fn array_split_concat_roundtrip(data in prop::collection::vec(-1e6f64..1e6, 1..160), cuts in prop::collection::vec(0usize..160, 0..5), cols in 1usize..4) {
         let n = data.len();
-        let dv = DataValue::new(VecValue(SharedVec::from_vec(data)));
-        check_split_concat_roundtrip(&ArraySplit, &dv, &cut_points(n, cuts), |v| {
-            if let Some(v) = v.downcast_ref::<VecValue>() {
-                return v.0.to_vec().iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
-            }
-            let v = v.downcast_ref::<SliceView>().unwrap();
-            // SAFETY: single-threaded test, no concurrent mutation.
-            unsafe { v.as_slice() }.iter().map(|f| f.to_bits()).collect()
-        });
+        let bits = |v: &DataValue| {
+            let v = v.downcast_ref::<VecValue>().unwrap();
+            v.0.to_vec().iter().map(|f| f.to_bits()).collect::<Vec<u64>>()
+        };
+        let dv = DataValue::new(VecValue(SharedVec::from_vec(data.clone())));
+        check_split_concat_roundtrip(&ArraySplit, &dv, &cut_points(n, cuts.clone()), bits);
+
+        let rows = n / cols;
+        let matrix = DataValue::new(VecValue(SharedVec::from_vec(data[..rows * cols].to_vec())));
+        let split = sa_vectormath::MatrixSplit;
+        let dims = [rows, cols].map(|d| DataValue::new(IntValue(d as i64)));
+        let params = split.construct(&[&dims[0], &dims[1]]).unwrap();
+        let pieces: Vec<DataValue> = cut_points(rows, cuts)
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| split.split(&matrix, w[0] as u64..w[1] as u64, &params).unwrap().unwrap())
+            .collect();
+        if !pieces.is_empty() {
+            let merged = split.merge(pieces, &params, rows as u64).unwrap();
+            prop_assert_eq!(bits(&merged), bits(&matrix), "merge(split(m)) == m");
+            prop_assert_eq!(merged.identity(), matrix.identity(), "the buffer itself");
+        }
     }
 
     /// NdSplit (rank-1 and rank-2 arrays): split → concat round trip.
@@ -478,13 +490,16 @@ proptest! {
 /// prefix equals the merge of that prefix; `reuse` refuses a spare
 /// while a view of it is alive or when its layout differs, and takes it
 /// once it is exclusive; and `write_piece` of `other` (a value of
-/// another cross-section) or of a piece that runs past the end is
-/// `Error::Merge`. Targets are allocated where the executor allocates
-/// them: at stage start, or else on the first piece.
+/// another cross-section, for a type that has one) or of a piece that
+/// runs past the end is `Error::Merge`. Targets are allocated where the
+/// executor allocates them: at stage start, or else on the first result
+/// piece, here `value` itself — a fresh result of the output's layout,
+/// as a function returning new values makes them (an array piece that
+/// views part of its buffer declines placement).
 fn check_placement_law<T: Eq + std::fmt::Debug>(
     splitter: &dyn Splitter,
     value: &DataValue,
-    other: &DataValue,
+    other: Option<&DataValue>,
     points: &[usize],
     keys: &[u32],
     extract: impl Fn(&DataValue) -> T,
@@ -492,8 +507,7 @@ fn check_placement_law<T: Eq + std::fmt::Debug>(
     let placement = splitter
         .merge_strategy()
         .placement()
-        .expect("splitter under test places its merges")
-        .clone();
+        .expect("splitter under test places its merges");
     let cap = splitter
         .concat()
         .expect("splitter under test exposes Concat");
@@ -519,7 +533,7 @@ fn check_placement_law<T: Eq + std::fmt::Debug>(
         .alloc_merged(total, &params, None)
         .unwrap()
         .is_some();
-    let exemplar = (!at_start).then_some(&pieces[0]);
+    let exemplar = (!at_start).then_some(value);
     let target = |rows: u64, params: &Params, first: &DataValue| {
         let ex = (!at_start).then_some(first);
         placement
@@ -542,13 +556,13 @@ fn check_placement_law<T: Eq + std::fmt::Debug>(
     };
 
     // Shuffled placement writes reproduce the merge.
-    let out = target(total, &params, &pieces[0]);
+    let out = target(total, &params, value);
     fill(&out, pieces.len());
     prop_assert_eq!(extract(&out), merged(pieces.len()), "placed == merged");
 
     // A written prefix truncates to the merge of that prefix.
     let upto = 1 + keys[0] as usize % pieces.len();
-    let out = target(total, &params, &pieces[0]);
+    let out = target(total, &params, value);
     fill(&out, upto);
     let prefix = placement
         .truncate_merged(out, ranges[upto - 1].1, &params)
@@ -557,26 +571,28 @@ fn check_placement_law<T: Eq + std::fmt::Debug>(
 
     // `reuse` refuses a spare a view of which is alive, and one of
     // another row count or cross-section ...
-    let out = target(total, &params, &pieces[0]);
+    let out = target(total, &params, value);
     let view = cap.slice_back(&out, 0, ranges[0].1).unwrap();
     prop_assert!(
         placement.reuse(out, total, &params, exemplar).is_none(),
         "a view is alive"
     );
     drop(view);
-    let longer = target(total + 1, &params, &pieces[0]);
+    let longer = target(total + 1, &params, value);
     prop_assert!(
         placement.reuse(longer, total, &params, exemplar).is_none(),
         "other rows"
     );
-    let other_params = splitter.default_params(other).unwrap();
-    let wide = target(total, &other_params, other);
-    prop_assert!(
-        placement.reuse(wide, total, &params, exemplar).is_none(),
-        "other cross-section"
-    );
+    if let Some(other) = other {
+        let other_params = splitter.default_params(other).unwrap();
+        let wide = target(total, &other_params, other);
+        prop_assert!(
+            placement.reuse(wide, total, &params, exemplar).is_none(),
+            "other cross-section"
+        );
+    }
     // ... and takes an exclusive one, which then places like a fresh one.
-    let out = target(total, &params, &pieces[0]);
+    let out = target(total, &params, value);
     let out = placement
         .reuse(out, total, &params, exemplar)
         .expect("an exclusive spare is taken");
@@ -585,10 +601,12 @@ fn check_placement_law<T: Eq + std::fmt::Debug>(
 
     // Mismatched and overlong pieces are typed merge errors.
     let is_merge = |r: Result<u64>| matches!(r, Err(Error::Merge { .. }));
-    prop_assert!(
-        is_merge(placement.write_piece(&out, 0, other)),
-        "other cross-section"
-    );
+    if let Some(other) = other {
+        prop_assert!(
+            is_merge(placement.write_piece(&out, 0, other)),
+            "other cross-section"
+        );
+    }
     let (last, rows) = (pieces.last().unwrap(), ranges.last().unwrap());
     prop_assert!(
         is_merge(placement.write_piece(&out, total - (rows.1 - rows.0) + 1, last)),
@@ -599,6 +617,17 @@ fn check_placement_law<T: Eq + std::fmt::Debug>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// ArraySplit: the placement law. Arrays have no cross-section
+    /// besides their element type, so there is no `other`.
+    #[test]
+    fn array_split_placement_law(data in prop::collection::vec(-1e6f64..1e6, 1..160), cuts in prop::collection::vec(0usize..160, 0..5), keys in prop::collection::vec(0u32..1000, 6..7)) {
+        let n = data.len();
+        let dv = DataValue::new(VecValue(SharedVec::from_vec(data)));
+        check_placement_law(&ArraySplit, &dv, None, &cut_points(n, cuts), &keys, |v| {
+            v.downcast_ref::<VecValue>().unwrap().0.to_vec().iter().map(|f| f.to_bits()).collect::<Vec<u64>>()
+        });
+    }
+
     /// NdSplit (rank-1 and rank-2 arrays): the placement law.
     #[test]
     fn nd_split_placement_law(rows in 1usize..80, colsel in 0usize..4, cuts in prop::collection::vec(0usize..80, 0..5), keys in prop::collection::vec(0u32..1000, 6..7)) {
@@ -607,7 +636,7 @@ proptest! {
             c => (ndarray_lite::NdArray::from_fn(&[rows, c], |i| i as f64 - 7.0), ndarray_lite::NdArray::zeros(&[1, c + 1])),
         };
         let nd = |a| DataValue::new(sa_ndarray::NdValue(a));
-        check_placement_law(&sa_ndarray::NdSplit, &nd(arr), &nd(other), &cut_points(rows, cuts), &keys, |v| {
+        check_placement_law(&sa_ndarray::NdSplit, &nd(arr), Some(&nd(other)), &cut_points(rows, cuts), &keys, |v| {
             let a = &v.downcast_ref::<sa_ndarray::NdValue>().unwrap().0;
             (a.shape().to_vec(), a.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<u64>>())
         });
@@ -617,7 +646,7 @@ proptest! {
     #[test]
     fn image_split_placement_law(w in 1usize..24, h in 1usize..40, seed in 0u64..64, cuts in prop::collection::vec(0usize..40, 0..4), keys in prop::collection::vec(0u32..1000, 6..7)) {
         let img = |w, h| DataValue::new(sa_image::ImgValue(imagelib::Image::synthetic(w, h, seed)));
-        check_placement_law(&sa_image::ImageSplit, &img(w, h), &img(w + 1, 1), &cut_points(h, cuts), &keys, |v| {
+        check_placement_law(&sa_image::ImageSplit, &img(w, h), Some(&img(w + 1, 1)), &cut_points(h, cuts), &keys, |v| {
             let i = &v.downcast_ref::<sa_image::ImgValue>().unwrap().0;
             (i.width(), i.height(), i.data().iter().map(|f| f.to_bits()).collect::<Vec<u32>>())
         });
@@ -635,7 +664,7 @@ proptest! {
             ("id", Column::from_f64(vec![0.0])),
             ("v", Column::from_f64(vec![0.0])),
         ]);
-        check_placement_law(&sa_dataframe::RowSplit, &sa_dataframe::dfv(&df), &sa_dataframe::dfv(&other), &cut_points(n, cuts.clone()), &keys, |v| {
+        check_placement_law(&sa_dataframe::RowSplit, &sa_dataframe::dfv(&df), Some(&sa_dataframe::dfv(&other)), &cut_points(n, cuts.clone()), &keys, |v| {
             let d = &v.downcast_ref::<sa_dataframe::DfValue>().unwrap().0;
             (
                 d.col("id").i64s().to_vec(),
@@ -644,7 +673,7 @@ proptest! {
         });
         let col = sa_dataframe::colv(&Column::from_f64(vals));
         let other = sa_dataframe::colv(&Column::from_i64(vec![1]));
-        check_placement_law(&sa_dataframe::RowSplit, &col, &other, &cut_points(n, cuts), &keys, |v| {
+        check_placement_law(&sa_dataframe::RowSplit, &col, Some(&other), &cut_points(n, cuts), &keys, |v| {
             v.downcast_ref::<sa_dataframe::ColValue>().unwrap().0.f64s().iter().map(|f| f.to_bits()).collect::<Vec<u64>>()
         });
     }
