@@ -95,12 +95,11 @@ fn generate_split_type(name: &str, params: &[String], file: &AnnotationFile) -> 
         "    }",
         "",
         "    fn merge_strategy(&self) -> MergeStrategy {",
-        "        // TODO: pick the capability descriptor — Commutative { terminal }",
-        "        // for reductions, Concat { placement } for concatenation, in-place",
-        "        // views included (placement enables the zero-copy merge; also",
-        "        // consider implementing `Concat` via `Splitter::concat` so the",
-        "        // serving layer can coalesce requests), Custom { terminal }",
-        "        // otherwise.",
+        "        // TODO: pick the capability descriptor — Concat { placement }",
+        "        // for concatenation, in-place views included (placement enables",
+        "        // the zero-copy merge; also consider implementing `Concat` via",
+        "        // `Splitter::concat` so the serving layer can coalesce requests),",
+        "        // Custom { terminal } otherwise (terminal: true for reductions).",
         "        MergeStrategy::Custom { terminal: false }",
         "    }",
         "",

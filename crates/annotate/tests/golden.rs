@@ -60,7 +60,8 @@ fn codegen_matches_golden_v2_output() {
     for removed in [
         "merge_hinted",
         "needs_merge",
-        "commutative_merge",
+        "commutative",
+        "Commutative",
         "fn terminal",
         "alloc_merged",
         "write_piece",

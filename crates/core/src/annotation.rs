@@ -11,11 +11,10 @@
 //! [`Splitter`] methods (`construct`/`info`/`split`/`merge`) plus the
 //! single [`merge_strategy`](crate::split::Splitter::merge_strategy)
 //! capability probe, which tells the runtime how pieces merge
-//! (in-place view recovery, commutative fold, placement-capable
-//! concatenation, or custom) — the planner reads `terminal` from it to
-//! end stages at partial results, and the executor reads
-//! commutativity and the optional placement capability from it. See
-//! the [`crate::split`] module docs for the v1 → v2 migration map.
+//! (concatenation, which may be placement-capable, or a custom fold) —
+//! the planner reads `terminal` from it to end stages at partial
+//! results, and the executor reads the optional placement capability
+//! from it. See the [`crate::split`] module docs.
 
 use std::hash::Hasher;
 use std::sync::Arc;

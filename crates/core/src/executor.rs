@@ -30,11 +30,20 @@
 //!   phase boundary (`cputime::PhaseClock`).
 //!
 //! Because batches may complete out of claim order, every stashed piece
-//! carries the element range that produced it. Workers pre-merge
-//! contiguous runs (or everything, for
-//! [commutative](crate::split::MergeStrategy::Commutative) merges such
-//! as reductions), and the final merge orders runs by element offset, so
-//! split types still observe pieces in element order (§3.4).
+//! carries the element range that produced it. Collected pieces merge
+//! over one fixed grouping that depends only on the stage's batch count
+//! `n`: batches `[b·K, (b+1)·K)` form *block* `b`, with `K = ⌈√n⌉`. A
+//! worker merges each block it holds completely and leaves the pieces
+//! of any block it holds only part of; the caller orders everything by
+//! element offset, merges each block's leftover pieces, then merges the
+//! block values in order. A block always merges as the merge of its
+//! pieces in element order, whichever thread does it, so split types
+//! observe pieces in element order (§3.4) and a result's bits depend on
+//! the plan alone, not on which worker claimed which batch. A stage
+//! that collects an output claims batches in spans that end on block
+//! boundaries, so the workers hold whole blocks and merge them in
+//! parallel; a claim made from a stale cursor reading, or a `NULL`
+//! split, can still leave a block to the caller.
 //!
 //! # Output paths
 //!
@@ -47,7 +56,7 @@
 //! | Sink | Per batch (`accept`) | Worker end (`local`) | Caller (`finish`) | Spans | Counters |
 //! |------|----------------------|----------------------|-------------------|-------|----------|
 //! | `Place` | write the piece in place at its element offset | nothing to do | coverage check, truncation to the written prefix after a `NULL`-split tail | `PlacementWrite` per batch | `placement_writes`, `bytes_merged`, `merge_targets_{reused,allocated}` |
-//! | `Collect` | stash `(start, end, piece)` | merge each contiguous run, or fold everything when the merge is commutative | order the runs by offset, merge once | — | `bytes_merged` |
+//! | `Collect` | stash `(start, end, piece)` | merge each block whose pieces it holds completely | order by offset, merge each block's leftover pieces, merge the block values in order | — | `bytes_merged` |
 //!
 //! Both sinks share the phase spans: `Split` and `Task` per batch, one
 //! `Merge` per worker that ran a batch (its `local` window) and one
@@ -56,17 +65,17 @@
 //! **`Place`** takes every `Merge` output whose split type's
 //! [`merge_strategy`](crate::split::Splitter::merge_strategy) is
 //! [`MergeStrategy::Concat`] with a [`Placement`] capability — never an
-//! `unknown` output, whose pieces may compact, and never a commutative
-//! merge, which cannot carry one; every other `Merge` output takes
-//! `Collect`. A placed output's merged value is resolved once, at the
-//! first of two points: stage start, on the caller while the pool is
-//! parked, when the parameters determine the layout (first-touch page
-//! faults then run uncontended); else the first piece any worker
-//! produces, which serves as the exemplar for data-dependent layouts
-//! (DataFrame schemas, column dtypes). A split type that declines at
-//! both points collects instead.
-//! The worker-local pre-merge and the serial final concat disappear, and
-//! out-of-claim-order batches are harmless because offsets are absolute.
+//! `unknown` output, whose pieces may compact; every other `Merge`
+//! output takes `Collect`. A placed output's merged value is resolved
+//! once, at the first of two points: stage start, on the caller while
+//! the pool is parked, when the parameters determine the layout
+//! (first-touch page faults then run uncontended); else the first piece
+//! any worker produces, which serves as the exemplar for data-dependent
+//! layouts (DataFrame schemas, column dtypes). A split type that
+//! declines at both points collects instead.
+//! The worker-local block merges and the serial final concat disappear,
+//! and out-of-claim-order batches are harmless because offsets are
+//! absolute.
 //! Under an attached plan cache the point that resolved a target when it
 //! was new first offers the *spare* an earlier evaluation of the same
 //! fingerprint parked for the output to [`Placement::reuse`], which hands it back
@@ -114,7 +123,7 @@ pub(crate) fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A result piece (or a merged run of them) with the element range
+/// A result piece (or a merged block of them) with the element range
 /// `(start, end, piece)` that produced it.
 type Piece = (u64, u64, DataValue);
 
@@ -144,6 +153,9 @@ pub(crate) struct ExecStage {
     /// split cost in bytes, the signal behind per-session byte budgets.
     pub(crate) sum_elem_bytes: u64,
     batch: u64,
+    num_batches: u64,
+    /// Batches per merge block (module docs): `⌈√num_batches⌉`.
+    block: u64,
     /// Worker count for this stage (callers + pool workers), already
     /// capped by the number of batches.
     pub(crate) participants: usize,
@@ -163,6 +175,34 @@ pub(crate) struct ExecStage {
 }
 
 impl ExecStage {
+    /// A claim of `span` batches from batch `at`, cut back or stretched
+    /// to end on a merge-block boundary when the stage collects an
+    /// output (past the last batch, the claim ends with the elements):
+    /// a claim that ends inside a block leaves that block split between
+    /// workers, and the caller merges a split block's pieces alone,
+    /// after the pool is done.
+    fn block_aligned(&self, at: u64, span: u64) -> u64 {
+        if !(self.merge_outputs.iter()).any(|mo| matches!(mo.sink, Sink::Collect)) {
+            return span;
+        }
+        let k = self.block;
+        ((at + span) / k * k).max((at / k + 1) * k) - at
+    }
+
+    /// `pieces`, sorted by element offset, as runs of one merge block
+    /// each, with the block's index.
+    fn blocks(&self, pieces: Vec<Piece>) -> impl Iterator<Item = (u64, Vec<Piece>)> + '_ {
+        let of = |p: &Piece| p.0 / self.batch.max(1) / self.block;
+        let mut pieces = pieces.into_iter().peekable();
+        std::iter::from_fn(move || {
+            let first = pieces.next()?;
+            let b = of(&first);
+            let mut group = vec![first];
+            group.extend(std::iter::from_fn(|| pieces.next_if(|p| of(p) == b)));
+            Some((b, group))
+        })
+    }
+
     /// When a traced phase starts on the wall clock; `None` untraced.
     fn span_start(&self) -> Option<u64> {
         self.trace.as_ref().map(|t| t.recorder.now_ns())
@@ -221,8 +261,8 @@ enum Sink {
     /// Written in place into one preallocated value; collected instead
     /// if the split type declines the allocation.
     Place(PlacementMerge),
-    /// Merged per worker, then once more on the caller.
-    Collect { commutative: bool },
+    /// Merged per block of batches, then once more on the caller.
+    Collect,
 }
 
 /// One output's placement merge: the split type's capability object and
@@ -324,9 +364,7 @@ impl MergeOutput {
                     written: AtomicU64::new(0),
                     high: AtomicU64::new(0),
                 }),
-                strategy => Sink::Collect {
-                    commutative: strategy.commutative(),
-                },
+                _ => Sink::Collect,
             },
         };
         Some(MergeOutput {
@@ -390,45 +428,43 @@ impl MergeOutput {
     }
 
     /// At the end of each worker, over its stash (in claim order, which
-    /// is element order): fold everything into one partial when the
-    /// merge is commutative, or merge each contiguous run for the
-    /// caller to order.
-    fn local(&self, pieces: Vec<Piece>) -> Result<Vec<Piece>> {
-        let fold_all = matches!(self.sink, Sink::Collect { commutative: true });
-        // Merge a group of pieces covering `covered` elements, skipping
-        // the library call for singletons.
-        let (splitter, params) = (&self.instance.splitter, &self.instance.params);
-        let merge = |mut group: Vec<DataValue>, covered| match group.len() {
-            1 => Ok(group.pop().expect("one piece")),
-            _ => splitter.merge(group, params, covered),
-        };
-        let mut runs = Vec::new();
-        let mut group = Vec::new();
-        let (mut run_start, mut run_end, mut covered) = (0, 0, 0);
-        for (start, end, piece) in pieces {
-            if !group.is_empty() && !fold_all && start != run_end {
-                let merged = merge(std::mem::take(&mut group), covered)?;
-                runs.push((run_start, run_end, merged));
+    /// is element order): merge each block whose pieces the worker holds
+    /// completely, and keep the pieces of any block it holds only part
+    /// of for the caller.
+    fn local(&self, pieces: Vec<Piece>, exec: &ExecStage) -> Result<Vec<Piece>> {
+        let mut kept = Vec::with_capacity(pieces.len());
+        for (b, group) in exec.blocks(pieces) {
+            // Every block has `block` batches but the last.
+            if group.len() as u64 == exec.block.min(exec.num_batches - b * exec.block) {
+                kept.push(self.merge_block(group)?);
+            } else {
+                kept.extend(group);
             }
-            if group.is_empty() {
-                (run_start, covered) = (start, 0);
-            }
-            (run_end, covered) = (end, covered + end - start);
-            group.push(piece);
         }
-        if !group.is_empty() {
-            runs.push((run_start, run_end, merge(group, covered)?));
-        }
-        Ok(runs)
+        Ok(kept)
     }
 
-    /// On the caller, with every worker's runs: check a placement
-    /// target's coverage, or order the runs by element offset (§5.2
-    /// step 3) and merge them once. Returns the merged value and the
+    /// Merge `group`, pieces of one block in element order, into one
+    /// piece, skipping the library call for a singleton. The size hint
+    /// is the elements the block's pieces span.
+    fn merge_block(&self, mut group: Vec<Piece>) -> Result<Piece> {
+        if group.len() == 1 {
+            return Ok(group.pop().expect("one piece"));
+        }
+        let (start, end) = (group[0].0, group[group.len() - 1].1);
+        let pieces = group.into_iter().map(|p| p.2).collect();
+        let merged = (self.instance.splitter).merge(pieces, &self.instance.params, end - start)?;
+        Ok((start, end, merged))
+    }
+
+    /// On the caller, with what every worker kept: check a placement
+    /// target's coverage, or order the pieces and merged blocks by
+    /// element offset (§5.2 step 3), merge each block's leftover pieces
+    /// and then the block values. Returns the merged value and the
     /// placement target it was written into.
     fn finish(
         &self,
-        mut runs: Vec<Piece>,
+        mut kept: Vec<Piece>,
         exec: &ExecStage,
     ) -> Result<(DataValue, Option<&Target>)> {
         let (split_type, params) = (self.instance.splitter.name(), &self.instance.params);
@@ -459,7 +495,7 @@ impl MergeOutput {
             };
             return Ok((merged, Some(target)));
         }
-        if runs.is_empty() {
+        if kept.is_empty() {
             return Err(Error::Merge {
                 split_type,
                 message: format!(
@@ -469,12 +505,15 @@ impl MergeOutput {
                 ),
             });
         }
-        runs.sort_by_key(|r| r.0);
-        // The stage's element total is the merge-size hint: concat-style
-        // mergers preallocate once instead of growing per piece.
-        let pieces = runs.into_iter().map(|r| r.2).collect();
+        kept.sort_unstable_by_key(|p| p.0);
         let merged = catch_phase(FaultPhase::Merge, || {
-            self.instance.splitter.merge(pieces, params, total)
+            let blocks = (exec.blocks(kept))
+                .map(|(_, group)| self.merge_block(group).map(|p| p.2))
+                .collect::<Result<_>>()?;
+            // The stage's element total is the merge-size hint:
+            // concat-style mergers preallocate once instead of growing
+            // per piece.
+            self.instance.splitter.merge(blocks, params, total)
         })?;
         Ok((merged, None))
     }
@@ -582,11 +621,12 @@ fn inject(exec: &ExecStage, phase: FaultPhase, batch_idx: u64, worker_idx: usize
     Ok(())
 }
 
-/// Per-worker result: pre-merged partial runs and phase timings.
+/// Per-worker result: merged blocks, leftover pieces and phase timings.
 #[derive(Default)]
 pub(crate) struct WorkerOut {
     /// Per merge output: the pieces stashed by the driver loop, then
-    /// the worker's runs in increasing element order.
+    /// the worker's merged blocks and the pieces of blocks it holds only
+    /// part of, in increasing element order.
     partials: Vec<Vec<Piece>>,
     split: Duration,
     task: Duration,
@@ -776,14 +816,14 @@ fn run_exec(
     };
 
     // Final merge on the calling thread (§5.2 step 3). Each output's
-    // runs are moved out of the worker results, not cloned into it.
+    // pieces are moved out of the worker results, not cloned into it.
     let w0 = exec.span_start();
     for (i, mo) in exec.merge_outputs.iter().enumerate() {
-        let runs = outs
+        let kept = outs
             .iter_mut()
             .flat_map(|o| std::mem::take(&mut o.partials[i]))
             .collect();
-        let merged = mo.finish(runs, exec)?;
+        let merged = mo.finish(kept, exec)?;
         mo.store(merged, graph, env, stats);
     }
     let final_merge = clock.lap();
@@ -896,6 +936,8 @@ fn build_exec_stage(
         total_elements,
         sum_elem_bytes,
         batch,
+        num_batches,
+        block: num_batches.isqrt() + u64::from(num_batches.isqrt().pow(2) < num_batches),
         participants: config.workers.max(1).min(num_batches as usize),
         stage_idx,
         faults: config.fault_plan.clone(),
@@ -1117,7 +1159,8 @@ pub(crate) fn run_worker(
                 break;
             }
             let remaining = (elements - pos).div_ceil(batch);
-            (remaining / (2 * exec.participants.max(1) as u64)).max(1)
+            let span = (remaining / (2 * exec.participants.max(1) as u64)).max(1);
+            exec.block_aligned(pos / batch, span)
         };
         let mut start = cursor.fetch_add(span_batches * batch, Ordering::Relaxed);
         if start >= elements {
@@ -1163,7 +1206,7 @@ pub(crate) fn run_worker(
     let w0 = exec.span_start();
     let local = catch_phase(FaultPhase::Merge, || {
         for (mo, pieces) in exec.merge_outputs.iter().zip(&mut w.out.partials) {
-            *pieces = mo.local(std::mem::take(pieces))?;
+            *pieces = mo.local(std::mem::take(pieces), exec)?;
         }
         Ok(())
     });

@@ -16,12 +16,18 @@
 //! * [`Splitter::merge`] downcasts every piece to the split type's
 //!   partial type and refuses an empty list or a piece of another type
 //!   with an [`Error::Merge`] naming the split type;
-//! * [`Splitter::merge_strategy`] is terminal, commutative or
-//!   order-sensitive as the split type declares.
+//! * [`Splitter::merge_strategy`] is
+//!   [`Custom { terminal: true }`](MergeStrategy::Custom): partials
+//!   merge before any other function consumes them.
 //!
-//! An integration implements [`MergeOnly`]: the name, whether the merge
-//! commutes, the partial type, the merge of a non-empty list of
-//! partials, and a constructor when the split type has parameters.
+//! The merge is associative and sees its partials in element order. It
+//! need not commute: the executor groups partials by a fixed block of
+//! batches, never by which worker ran them, so a floating-point fold
+//! returns the same bits on any number of workers.
+//!
+//! An integration implements [`MergeOnly`]: the name, the partial type,
+//! the merge of a non-empty list of partials, and a constructor when
+//! the split type has parameters.
 //! [`MergeOnly::shared`] makes the [`Splitter`].
 
 use std::marker::PhantomData;
@@ -38,12 +44,6 @@ pub trait MergeOnly: Send + Sync + 'static {
     /// The split type's name ([`Splitter::name`]).
     const NAME: &'static str;
 
-    /// Whether partials fold in any order
-    /// ([`MergeStrategy::Commutative`]) or only in element order
-    /// ([`MergeStrategy::Custom`]). Either way the partials are
-    /// terminal: they merge before any other function consumes them.
-    const COMMUTATIVE: bool;
-
     /// The partial result each piece holds, and the merge returns.
     type Partial: DataObject;
 
@@ -54,8 +54,10 @@ pub trait MergeOnly: Send + Sync + 'static {
         Ok(Vec::new())
     }
 
-    /// Merge `parts` — never empty, in element order unless the merge
-    /// commutes — into one partial, or say why they do not merge.
+    /// Merge `parts` — never empty, in element order — into one
+    /// partial, or say why they do not merge. The merge must be
+    /// associative: the executor merges blocks of partials, then the
+    /// blocks' results.
     fn merge(parts: &[&Self::Partial], params: &Params) -> Result<Self::Partial, String>;
 
     /// The split type as a [`Splitter`].
@@ -106,10 +108,7 @@ impl<T: MergeOnly> Splitter for Fold<T> {
     }
 
     fn merge_strategy(&self) -> MergeStrategy {
-        match T::COMMUTATIVE {
-            true => MergeStrategy::Commutative { terminal: true },
-            false => MergeStrategy::Custom { terminal: true },
-        }
+        MergeStrategy::Custom { terminal: true }
     }
 }
 

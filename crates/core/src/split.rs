@@ -11,14 +11,10 @@
 //! The core [`Splitter`] trait is deliberately small: `name`,
 //! `construct`, `default_params`, `info`, `split`, and a single `merge`
 //! entry point that always receives the merged element total as a size
-//! hint. Everything else the runtime used to learn through boolean
-//! probes and optional method overrides is now expressed through **one
-//! capability probe**, [`Splitter::merge_strategy`], which returns a
+//! hint. Everything else the runtime learns about merging comes from
+//! **one capability probe**, [`Splitter::merge_strategy`], which returns a
 //! [`MergeStrategy`] descriptor:
 //!
-//! * [`MergeStrategy::Commutative`] — partial results fold in any
-//!   order (reductions). `terminal: true` marks partials that must
-//!   merge before any other function consumes them.
 //! * [`MergeStrategy::Concat`] — `merge` is pure concatenation in
 //!   element order. The optional [`Placement`] capability object
 //!   enables the zero-copy fast path where workers write result pieces
@@ -26,9 +22,16 @@
 //!   mut-argument convention) are one case of it: views that follow
 //!   each other in one buffer concatenate to that buffer without
 //!   touching an element.
-//! * [`MergeStrategy::Custom`] — an order-sensitive associative merge
-//!   that is not a concatenation (e.g. re-aggregating grouped
-//!   partials).
+//! * [`MergeStrategy::Custom`] — an associative merge that is not a
+//!   concatenation (reductions, re-aggregating grouped partials).
+//!   `terminal: true` marks partials that must merge before any other
+//!   function consumes them.
+//!
+//! Every merge is associative and sees its pieces in element order;
+//! none is assumed to commute. The executor merges collected pieces
+//! over a fixed grouping of batches that depends on the plan alone
+//! (see [`crate::executor`]), so a floating-point fold returns the same
+//! bits whichever worker ran which batch.
 //!
 //! Concatenation-shaped split types can additionally expose a
 //! [`Concat`] capability via [`Splitter::concat`]: the *inverse* of
@@ -48,18 +51,6 @@
 //! results of reductions, implement
 //! [`MergeOnly`](crate::merge_only::MergeOnly), and
 //! [`crate::merge_only`] derives their `Splitter`.
-//!
-//! ## Migrating from the v1 trait
-//!
-//! | v1 | v2 |
-//! |---|---|
-//! | `merge(pieces, params)` | `merge(pieces, params, total_elements)` |
-//! | `merge_hinted(pieces, params, total)` | `merge(pieces, params, total_elements)` |
-//! | `commutative_merge() -> bool` | `merge_strategy() -> MergeStrategy::Commutative { .. }` |
-//! | `terminal() -> bool` | `terminal: true` on `Commutative` / `Custom` |
-//! | `needs_merge() -> bool` | gone — the planner decides in-place-ness from the annotation's mut-arguments. Pick the strategy that describes what `merge` *does*: `Concat` when it concatenates pieces, of which recovering an in-place parent from its views is one case (`ArraySplit`, `MatrixSplit`), `Commutative` when the result ignores piece order (`SizeSplit`) |
-//! | `alloc_merged` / `write_piece` / `truncate_merged` | [`Placement`] object inside `MergeStrategy::Concat` |
-//! | — | [`Concat`] capability (`concat` / `slice_back`), new in v2 |
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,40 +78,17 @@ pub struct RuntimeInfo {
     pub elem_size_bytes: u64,
 }
 
-/// How result pieces of a split type become a whole value — the v2
-/// capability descriptor returned by [`Splitter::merge_strategy`].
-///
-/// The descriptor replaces the v1 boolean probes (`needs_merge`,
-/// `commutative_merge`, `terminal`) and the free-standing placement
-/// method trio: the runtime asks one question per split type and
-/// receives every merge-related capability at once.
+/// How result pieces of a split type become a whole value — the
+/// capability descriptor returned by [`Splitter::merge_strategy`]: the
+/// runtime asks one question per split type and receives every
+/// merge-related capability at once.
 #[derive(Clone)]
 pub enum MergeStrategy {
-    /// [`Splitter::merge`] is a commutative as well as associative fold
-    /// of partial results (scalar sums, elementwise partial
-    /// reductions). Commutative merges let a worker fold *all* of its
-    /// claimed batches into one partial even when the shared-cursor
-    /// scheduler handed it non-contiguous ranges.
-    ///
-    /// Trade-off: because which worker claims which batch varies run to
-    /// run, a commutative floating-point fold (e.g. a sum) may group
-    /// differently across runs and return results that differ in the
-    /// last ulps. Declare a merge commutative only if consumers
-    /// tolerate that (as FP reductions under any parallel schedule
-    /// must).
-    Commutative {
-        /// Whether pieces are *partial results* rather than a partition
-        /// of the final value (reductions, grouped aggregations).
-        /// Terminal values must be merged before any other function
-        /// consumes them, so they always end their stage.
-        terminal: bool,
-    },
     /// [`Splitter::merge`] is pure concatenation in element order. The
     /// optional [`Placement`] capability enables the zero-copy merge
     /// fast path, which every such output takes: the runtime
     /// preallocates the output once and workers write pieces at their
-    /// element offsets. Never combine placement with a commutative merge —
-    /// partial results have no meaningful element offsets.
+    /// element offsets.
     Concat {
         /// Zero-copy placement-merge capability, or `None` to always
         /// collect-and-concatenate. A `'static` object, so the probe
@@ -128,11 +96,16 @@ pub enum MergeStrategy {
         /// every planned and verified stage.
         placement: Option<&'static dyn Placement>,
     },
-    /// An order-sensitive associative merge that is not a concatenation
-    /// (e.g. re-grouping partial aggregations). This is the default,
-    /// and the weakest assumption the runtime can make.
+    /// An associative merge that is not a concatenation: a fold of
+    /// partial results (sums, means, re-grouped aggregations) or of a
+    /// partition that carries no elements. This is the default, and the
+    /// weakest assumption the runtime can make.
     Custom {
-        /// See [`MergeStrategy::Commutative`]'s `terminal`.
+        /// Whether pieces are *partial results* rather than a partition
+        /// of the final value (reductions, grouped aggregations).
+        /// Terminal values must be merged before any other function
+        /// consumes them, so they always end their stage. Partial
+        /// results have no element offsets, so they cannot be placed.
         terminal: bool,
     },
 }
@@ -147,17 +120,7 @@ impl MergeStrategy {
     /// Whether pieces are partial results that must merge before any
     /// other function consumes them (ends the stage in the planner).
     pub fn terminal(&self) -> bool {
-        matches!(
-            self,
-            MergeStrategy::Commutative { terminal: true }
-                | MergeStrategy::Custom { terminal: true }
-        )
-    }
-
-    /// Whether the merge is commutative (worker-local folds may combine
-    /// non-contiguous batch ranges).
-    pub fn commutative(&self) -> bool {
-        matches!(self, MergeStrategy::Commutative { .. })
+        matches!(self, MergeStrategy::Custom { terminal: true })
     }
 
     /// The placement capability, if the strategy is a placement-capable
@@ -173,9 +136,6 @@ impl MergeStrategy {
 impl std::fmt::Debug for MergeStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MergeStrategy::Commutative { terminal } => {
-                write!(f, "Commutative {{ terminal: {terminal} }}")
-            }
             MergeStrategy::Concat { placement } => {
                 write!(f, "Concat {{ placement: {} }}", placement.is_some())
             }
@@ -335,7 +295,7 @@ pub trait Concat: Send + Sync {
 }
 
 /// The splitting API an annotator implements per split type (Table 1,
-/// v2 surface — see the module docs for the v1 migration map).
+/// v2 surface — see the module docs).
 ///
 /// All methods receive the instance's `params` (produced by
 /// [`Splitter::construct`]) so one implementation can serve every
@@ -384,19 +344,20 @@ pub trait Splitter: Send + Sync + 'static {
 
     /// Associatively merge pieces back into a full value.
     ///
-    /// Pieces arrive in element order unless
-    /// [`merge_strategy`](Splitter::merge_strategy) declares the merge
-    /// commutative: the executor tags every piece with the batch range
-    /// that produced it and sorts before merging, so dynamic
-    /// (out-of-order) batch scheduling is invisible to split types.
+    /// Pieces arrive in element order: the executor tags every piece
+    /// with the batch range that produced it and sorts before merging,
+    /// so dynamic (out-of-order) batch scheduling is invisible to split
+    /// types. Which pieces merge together depends on the plan alone:
+    /// first each block of batches, then the block values (see
+    /// [`crate::executor`]).
     ///
     /// `total_elements` is the merge-size hint: the number of
     /// splittable elements (in [`RuntimeInfo`] units — array elements,
     /// matrix/DataFrame/image rows) the merged result will cover.
     /// Concat-style merges should preallocate the result once from the
     /// hint instead of growing piece by piece; merges that do not care
-    /// simply ignore it. The executor passes the run's element count at
-    /// worker-local merges and the stage total at the final merge.
+    /// simply ignore it. The executor passes the block's element count at
+    /// block merges and the stage total at the final merge.
     fn merge(
         &self,
         pieces: Vec<DataValue>,
@@ -493,12 +454,6 @@ impl SplitInstance {
         self.splitter.merge_strategy().terminal()
     }
 
-    /// Whether this instance's merge is commutative (derived from
-    /// [`Splitter::merge_strategy`]).
-    pub fn commutative_merge(&self) -> bool {
-        self.splitter.merge_strategy().commutative()
-    }
-
     /// Split type equality: same name, same parameters, same uniqueness
     /// token (§3.2).
     pub fn same_type(&self, other: &SplitInstance) -> bool {
@@ -572,10 +527,10 @@ impl Splitter for SizeSplit {
     }
 
     fn merge_strategy(&self) -> MergeStrategy {
-        // The merge result does not depend on the pieces at all, so it
-        // is trivially commutative; the sizes are a partition, not
-        // partial results, so it is not terminal.
-        MergeStrategy::Commutative { terminal: false }
+        // The merge result does not depend on the pieces at all; the
+        // sizes are a partition, not partial results, so it is not
+        // terminal.
+        MergeStrategy::Custom { terminal: false }
     }
 
     fn whole_piece_stable(&self) -> bool {
@@ -649,17 +604,14 @@ mod tests {
     #[test]
     fn strategy_probe_derives_instance_capabilities() {
         let inst = size_instance(4);
-        assert!(inst.commutative_merge());
         assert!(!inst.terminal());
         assert!(inst.merge_strategy().placement().is_none());
         assert!(inst.splitter.concat().is_none());
         // Default strategy is the weakest assumption.
         let d = MergeStrategy::default();
-        assert!(!d.terminal() && !d.commutative() && d.placement().is_none());
-        // Terminal customs and commutatives both report terminal.
+        assert!(!d.terminal() && d.placement().is_none());
+        // Terminal customs report terminal.
         assert!(MergeStrategy::Custom { terminal: true }.terminal());
-        assert!(MergeStrategy::Commutative { terminal: true }.terminal());
-        assert!(MergeStrategy::Commutative { terminal: true }.commutative());
     }
 
     #[test]

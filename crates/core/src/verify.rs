@@ -121,8 +121,8 @@ pub enum VerifyError {
     /// A `mut` argument's split type cannot recover in-place views:
     /// its merge strategy is not [`MergeStrategy::Concat`], or the
     /// type is generic/missing so nothing can be proven about it. Mut
-    /// pieces alias the caller's storage; a commutative or custom merge
-    /// would build a *new* value and silently drop the in-place writes.
+    /// pieces alias the caller's storage; a custom merge would build a
+    /// *new* value and silently drop the in-place writes.
     MutArgNotInPlace {
         /// Annotated function name.
         annotation: String,
@@ -976,7 +976,7 @@ mod tests {
             Ok(pieces.into_iter().next().expect("nonempty"))
         }
         fn merge_strategy(&self) -> MergeStrategy {
-            MergeStrategy::Commutative { terminal: true }
+            MergeStrategy::Custom { terminal: true }
         }
     }
 
@@ -1097,7 +1097,7 @@ mod tests {
 
     #[test]
     fn mut_arg_strategy_rules() {
-        // Commutative strategy cannot recover in-place views.
+        // A custom merge (`SizeSplit`) cannot recover in-place views.
         let a = Annotation::new("bad", noop)
             .mut_arg("out", concrete(Arc::new(SizeSplit), vec![]))
             .build();

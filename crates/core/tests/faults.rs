@@ -545,10 +545,11 @@ fn organic_task_panic_fails_job_not_worker() {
 #[test]
 fn organic_merge_panics_are_typed_in_either_merge_mode() {
     // The flaky splitter panics on its `panic_at`-th merge call. On one
-    // worker, every batch is one contiguous run: the first merge call is
-    // the worker-local merge, the second the caller's final merge.
-    // Wherever it lands, it must surface typed.
-    for panic_at in [1, 2] {
+    // worker, the 32 one-element batches form six merge blocks of up to
+    // ⌈√32⌉ = 6 batches: merge calls 1 to 6 are the worker's block
+    // merges, call 7 the caller's final merge. Wherever it lands, it
+    // must surface typed.
+    for panic_at in [1, 7] {
         let pool = PoolHandle::new(2);
         let splitter = Arc::new(FlakyMergeSplit {
             panic_at,

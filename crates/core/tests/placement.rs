@@ -2,8 +2,9 @@
 //! must land at the right element offsets, `NULL`-split tails must
 //! under-fill without corrupting neighbors, and placement outputs must
 //! coexist with mut-alias outputs in one stage. The last test profiles
-//! every output path of the executor — placement, collect, commutative
-//! fold, a live output nobody read — by its spans and counters.
+//! every output path of the executor — placement, collect, a fold of
+//! partial results, a live output nobody read — by its spans and
+//! counters.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -735,7 +736,7 @@ impl Splitter for SumReduce {
         Ok(DataValue::new(FloatValue(pieces.iter().map(partial).sum())))
     }
     fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Commutative { terminal: true }
+        MergeStrategy::Custom { terminal: true }
     }
 }
 
@@ -838,13 +839,13 @@ fn every_output_path_records_its_spans_and_counters() {
             Profile { ..placed },
         ),
         (
-            "collect in ordered runs",
+            "collect in blocks",
             |c| read(&call1(c, &every_third(), vec![vec_value(N)])),
             (0..N).step_by(3).map(|i| i as f64).collect(),
             Profile { ..collected },
         ),
         (
-            "commutative fold",
+            "fold of partial results",
             |c| read(&call1(c, &sum(), vec![vec_value(N)])),
             vec![(N * (N - 1) / 2) as f64],
             Profile { ..collected },

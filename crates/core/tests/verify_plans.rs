@@ -36,7 +36,7 @@ fn noop(_: &Invocation<'_>) -> Result<Option<DataValue>> {
 }
 
 /// Configurable stub splitter for the non-`ArraySplit` corruption
-/// cases: commutative merge (so the strategy cannot recover in-place
+/// cases: custom merge (so the strategy cannot recover in-place
 /// views), optionally terminal, optionally refusing `info` like a
 /// merge-only reducer.
 struct Stub {
@@ -75,7 +75,7 @@ impl Splitter for Stub {
         Ok(pieces.into_iter().next().expect("nonempty"))
     }
     fn merge_strategy(&self) -> MergeStrategy {
-        MergeStrategy::Commutative {
+        MergeStrategy::Custom {
             terminal: self.terminal,
         }
     }
@@ -103,10 +103,10 @@ fn no_info_inst() -> SplitInstance {
     )
 }
 
-fn commut_inst() -> SplitInstance {
+fn custom_inst() -> SplitInstance {
     SplitInstance::new(
         Arc::new(Stub {
-            name: "CommutStub",
+            name: "CustomStub",
             terminal: false,
             info_ok: true,
         }),
@@ -267,7 +267,7 @@ enum Mutation {
     LineageNotRecomputable,
     /// Mark the returned v3 as an InPlace output.
     InPlaceOnReturn,
-    /// Resolve the InPlace output v2 to a commutative-merge instance.
+    /// Resolve the InPlace output v2 to a custom-merge instance.
     InPlaceBadStrategy,
     /// Rewire n1 to read pre-mutation v0 after n0 mutated its storage.
     StaleRead,
@@ -364,7 +364,7 @@ fn apply(s: &mut Scenario, m: &Mutation) {
             s.plan.outputs[1].kind = OutputKind::InPlace;
         }
         Mutation::InPlaceBadStrategy => {
-            s.plan.outputs[0].instance = commut_inst();
+            s.plan.outputs[0].instance = custom_inst();
         }
         Mutation::StaleRead => *s = scenario_with_n1_reading(ValueId(0)),
         Mutation::MutSharedAlias => {

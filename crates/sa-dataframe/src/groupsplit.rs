@@ -130,7 +130,6 @@ pub struct GroupSplit;
 /// re-grouping merge is order-sensitive but not a concatenation.
 impl MergeOnly for GroupSplit {
     const NAME: &'static str = "GroupSplit";
-    const COMMUTATIVE: bool = false;
     type Partial = GroupedPartial;
 
     fn merge(parts: &[&GroupedPartial], _: &Params) -> Result<GroupedPartial, String> {

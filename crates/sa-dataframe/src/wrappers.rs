@@ -552,13 +552,11 @@ pub fn groupby_agg(
 /// Merge-only additive scalar reduce for Series sums/counts.
 struct ColSumReduce;
 
-/// Partial sums must merge before further use; kept order-sensitive so
-/// they add in element order. Which worker's run of batches each
-/// partial covers still varies, so with several workers the FP sum can
-/// differ in its last bits from run to run.
+/// Partial sums must merge before further use. They add in element
+/// order over the executor's fixed blocks of batches, so the FP sum has
+/// the same bits on any number of workers.
 impl MergeOnly for ColSumReduce {
     const NAME: &'static str = "ColSumReduce";
-    const COMMUTATIVE: bool = false;
     type Partial = FloatValue;
 
     fn merge(parts: &[&FloatValue], _: &Params) -> Result<FloatValue, String> {

@@ -1,7 +1,7 @@
 //! Merge-only split types for reduction operators ("we implemented
 //! split types for each reduction operator to merge the partial
 //! results: these only required merge functions", §7). Each implements
-//! [`MergeOnly`] — name, strategy, partial type and merge — and
+//! [`MergeOnly`] — name, partial type and merge — and
 //! `mozart_core::merge_only` supplies the rest of the splitting API.
 
 use mozart_core::prelude::*;
@@ -47,10 +47,9 @@ macro_rules! scalar_reduce {
         $(#[$doc])*
         pub struct $name;
 
-        /// sum/min/max folds are order-insensitive partial results.
+        /// sum/min/max folds of partial results, in element order.
         impl MergeOnly for $name {
             const NAME: &'static str = stringify!($name);
-            const COMMUTATIVE: bool = true;
             type Partial = FloatValue;
 
             fn merge(parts: &[&FloatValue], _: &Params) -> Result<FloatValue, String> {
@@ -76,10 +75,9 @@ scalar_reduce!(
 /// Merge for full `mean` reductions over [`PartialMean`] pieces.
 pub struct MeanReduce;
 
-/// Partial (sum, count) pairs fold in any order.
+/// Partial (sum, count) pairs fold in element order.
 impl MergeOnly for MeanReduce {
     const NAME: &'static str = "MeanReduce";
-    const COMMUTATIVE: bool = true;
     type Partial = PartialMean;
 
     fn merge(parts: &[&PartialMean], _: &Params) -> Result<PartialMean, String> {
@@ -102,7 +100,6 @@ pub struct AxisReduce;
 /// is order-sensitive (axis 1 concatenates per-row results).
 impl MergeOnly for AxisReduce {
     const NAME: &'static str = "AxisReduce";
-    const COMMUTATIVE: bool = false;
     type Partial = NdValue;
 
     /// Constructor from the `axis` argument (the paper's

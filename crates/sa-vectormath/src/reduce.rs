@@ -9,11 +9,10 @@ use mozart_core::prelude::*;
 /// merges compose (§3.4).
 pub struct AddReduce;
 
-/// Partial sums fold in any order (addition commutes) and must merge
-/// before any other function consumes them.
+/// Partial sums fold in element order and must merge before any other
+/// function consumes them.
 impl MergeOnly for AddReduce {
     const NAME: &'static str = "AddReduce";
-    const COMMUTATIVE: bool = true;
     type Partial = FloatValue;
 
     fn merge(parts: &[&FloatValue], _: &Params) -> Result<FloatValue, String> {

@@ -13,9 +13,9 @@
 //!   spare of the right layout, and a misfit piece is `Error::Merge`;
 //! * the fold law for every merge-only split type (the NumPy, MKL and
 //!   Pandas reductions and `GroupSplit`): merging all partials equals
-//!   merging the merges of a prefix and the rest, bit for bit, and in
-//!   any order for the commutative ones; a piece of another type is
-//!   `Error::Merge`;
+//!   merging the merges of a prefix and the rest, bit for bit (the law
+//!   the executor's two-level block merge relies on); a piece of
+//!   another type is `Error::Merge`;
 //! * `F(a, b, ...) = Merge(F(a1, b1, ...), F(a2, b2, ...), ...)` for
 //!   annotated functions under arbitrary split points;
 //! * Mozart execution equals eager library execution for arbitrary
@@ -330,16 +330,13 @@ proptest! {
 
 /// The fold law for one merge-only split type over partial results
 /// `parts` (at least two): merging them all equals merging the merges
-/// of a prefix and of the rest, compared through `extract`; for a
-/// commutative merge, so does merging them in the order `keys` sorts
-/// them; and a piece of another type (`other`) among them is
-/// `Error::Merge`.
+/// of a prefix and of the rest, compared through `extract`; and a
+/// piece of another type (`other`) among them is `Error::Merge`.
 fn check_fold_law<T: PartialEq + std::fmt::Debug>(
     splitter: &dyn Splitter,
     params: &Params,
     parts: &[DataValue],
     cut: usize,
-    keys: &[u32],
     other: &DataValue,
     extract: impl Fn(&DataValue) -> T,
 ) {
@@ -352,16 +349,6 @@ fn check_fold_law<T: PartialEq + std::fmt::Debug>(
         &all,
         "merge(all) == merge([merge(prefix), merge(suffix)])"
     );
-    if splitter.merge_strategy().commutative() {
-        let mut order: Vec<usize> = (0..parts.len()).collect();
-        order.sort_by_key(|&i| keys[i % keys.len()]);
-        let shuffled: Vec<DataValue> = order.iter().map(|&i| parts[i].clone()).collect();
-        prop_assert_eq!(
-            &extract(&merge(&shuffled)),
-            &all,
-            "merge is permutation-invariant"
-        );
-    }
     let mut mixed = parts.to_vec();
     mixed.insert(cut, other.clone());
     let err = splitter.merge(mixed, params, 0);
@@ -393,7 +380,7 @@ proptest! {
     /// `ColSumReduce`): the fold law, bit for bit. Partials are
     /// integer-valued, so every grouping of the sums is exact.
     #[test]
-    fn scalar_fold_law(xs in prop::collection::vec(-1000i32..1000, 2..9), cut in 0usize..8, keys in prop::collection::vec(0u32..1000, 8..9)) {
+    fn scalar_fold_law(xs in prop::collection::vec(-1000i32..1000, 2..9), cut in 0usize..8) {
         let parts: Vec<DataValue> = xs.iter().map(|&x| DataValue::new(FloatValue(x as f64))).collect();
         let splitters = [
             sa_ndarray::reduce::SumReduce::shared(),
@@ -403,7 +390,7 @@ proptest! {
             col_sum_reduce(),
         ];
         for s in &splitters {
-            check_fold_law(s.as_ref(), &vec![], &parts, cut, &keys, &DataValue::new(IntValue(1)), |v| {
+            check_fold_law(s.as_ref(), &vec![], &parts, cut, &DataValue::new(IntValue(1)), |v| {
                 v.downcast_ref::<FloatValue>().unwrap().0.to_bits()
             });
         }
@@ -411,13 +398,13 @@ proptest! {
 
     /// `MeanReduce` over `(sum, count)` partials: the fold law.
     #[test]
-    fn mean_fold_law(ps in prop::collection::vec((-1000i32..1000, 0u64..50), 2..9), cut in 0usize..8, keys in prop::collection::vec(0u32..1000, 8..9)) {
+    fn mean_fold_law(ps in prop::collection::vec((-1000i32..1000, 0u64..50), 2..9), cut in 0usize..8) {
         use sa_ndarray::reduce::{MeanReduce, PartialMean};
         let parts: Vec<DataValue> = ps
             .iter()
             .map(|&(sum, count)| DataValue::new(PartialMean { sum: sum as f64, count }))
             .collect();
-        check_fold_law(MeanReduce::shared().as_ref(), &vec![], &parts, cut, &keys, &DataValue::new(FloatValue(1.0)), |v| {
+        check_fold_law(MeanReduce::shared().as_ref(), &vec![], &parts, cut, &DataValue::new(FloatValue(1.0)), |v| {
             let m = v.downcast_ref::<PartialMean>().unwrap();
             (m.sum.to_bits(), m.count)
         });
@@ -426,7 +413,7 @@ proptest! {
     /// `AxisReduce`: partial column vectors of one length add (axis 0),
     /// per-row results of any length concatenate (axis 1).
     #[test]
-    fn axis_fold_law(len in 1usize..6, rows in prop::collection::vec(prop::collection::vec(-100i32..100, 1..6), 2..9), cut in 0usize..8, keys in prop::collection::vec(0u32..1000, 8..9)) {
+    fn axis_fold_law(len in 1usize..6, rows in prop::collection::vec(prop::collection::vec(-100i32..100, 1..6), 2..9), cut in 0usize..8) {
         let nd = |a| DataValue::new(sa_ndarray::NdValue(a));
         let extract = |v: &DataValue| {
             let a = &v.downcast_ref::<sa_ndarray::NdValue>().unwrap().0;
@@ -438,12 +425,12 @@ proptest! {
             .iter()
             .map(|r| nd(ndarray_lite::NdArray::from_fn(&[len], |i| r[i % r.len()] as f64)))
             .collect();
-        check_fold_law(splitter.as_ref(), &vec![0], &columns, cut, &keys, &other, extract);
+        check_fold_law(splitter.as_ref(), &vec![0], &columns, cut, &other, extract);
         let per_row: Vec<DataValue> = rows
             .iter()
             .map(|r| nd(ndarray_lite::NdArray::from_vec(r.iter().map(|&x| x as f64).collect())))
             .collect();
-        check_fold_law(splitter.as_ref(), &vec![1], &per_row, cut, &keys, &other, extract);
+        check_fold_law(splitter.as_ref(), &vec![1], &per_row, cut, &other, extract);
     }
 
     /// `GroupSplit` over partial aggregations of row chunks of a frame:
@@ -477,7 +464,7 @@ proptest! {
                 })
             })
             .collect();
-        check_fold_law(sa_dataframe::GroupSplit::shared().as_ref(), &vec![], &parts, cut, &[], &DataValue::new(FloatValue(1.0)), |v| {
+        check_fold_law(sa_dataframe::GroupSplit::shared().as_ref(), &vec![], &parts, cut, &DataValue::new(FloatValue(1.0)), |v| {
             format!("{:?}", v.downcast_ref::<sa_dataframe::GroupedPartial>().unwrap().partial)
         });
     }
