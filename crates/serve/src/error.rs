@@ -57,17 +57,6 @@ pub enum ServeError {
     /// evaluations run to completion. Clients should reconnect
     /// elsewhere; retrying against a draining server cannot succeed.
     Draining,
-    /// The request was shed by the CoDel sojourn controller: it sat at
-    /// the head of the admission queue with its wait persistently above
-    /// target, so the standing queue was serving nobody. Distinct from
-    /// [`ServeError::Saturated`] (the queue was *full* at arrival) —
-    /// here the request was accepted and then sacrificed to keep the
-    /// queue a burst absorber instead of a latency reservoir.
-    QueueShed {
-        /// How long the request waited before being shed, in
-        /// milliseconds.
-        sojourn_ms: u64,
-    },
     /// Admitting the request would push the process past its global
     /// memory ceiling (see `mozart_core::membudget`). Load shedding by
     /// *footprint*: the estimated allocation cost of the request (an
@@ -106,7 +95,6 @@ impl ServeError {
             ServeError::BadRequest(_) => "bad_request",
             ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServeError::Draining => "draining",
-            ServeError::QueueShed { .. } => "queue_shed",
             ServeError::OverMemory { .. } => "over_memory",
             ServeError::CircuitOpen { .. } => "circuit_open",
             ServeError::Runtime(_) => "runtime",
@@ -160,10 +148,6 @@ impl fmt::Display for ServeError {
             ServeError::Draining => {
                 write!(f, "service is draining; no new requests are admitted")
             }
-            ServeError::QueueShed { sojourn_ms } => write!(
-                f,
-                "shed after {sojourn_ms} ms at the head of a standing queue; retry later"
-            ),
             ServeError::OverMemory {
                 live_bytes,
                 ceiling_bytes,
@@ -228,9 +212,6 @@ mod tests {
         assert_eq!(e.kind(), "deadline_exceeded");
         assert!(e.to_string().contains("50 ms"));
         assert_eq!(ServeError::Draining.kind(), "draining");
-        let e = ServeError::QueueShed { sojourn_ms: 120 };
-        assert_eq!(e.kind(), "queue_shed");
-        assert!(e.to_string().contains("120 ms"));
         let e = ServeError::OverMemory {
             live_bytes: 900,
             ceiling_bytes: 1000,
@@ -260,7 +241,6 @@ mod tests {
             ServeError::UnknownPipeline("zap".into()),
             ServeError::Draining,
             ServeError::DeadlineExceeded { deadline_ms: 1 },
-            ServeError::QueueShed { sojourn_ms: 5 },
             ServeError::OverMemory {
                 live_bytes: 1,
                 ceiling_bytes: 2,

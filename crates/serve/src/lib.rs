@@ -36,11 +36,11 @@
 //!   analogue of model-server micro-batching.
 //!   [`ServiceStats::coalesced_requests`] counts the piggybacked
 //!   requests.
-//! * **Bounded admission**: at most `max_inflight` evaluations run, at
-//!   most `queue_depth` callers wait (FIFO — released slots go to the
-//!   oldest waiter; `try_call` never barges past the queue), and
-//!   everyone else gets the typed [`ServeError::Saturated`]
-//!   backpressure error immediately.
+//! * **Bounded admission**: at most `max_inflight` evaluations run (a
+//!   fixed limit, `workers` by default), at most `queue_depth` callers
+//!   wait (FIFO — released slots go to the oldest waiter; `try_call`
+//!   never barges past the queue), and everyone else gets the typed
+//!   [`ServeError::Saturated`] backpressure error immediately.
 //! * **Session byte budgets**: the bytes split and merged per session
 //!   (from the split info API's element sizes) are metered; sessions
 //!   over their budget are shed with [`ServeError::OverBudget`] —
@@ -56,10 +56,10 @@
 //!   cooperatively mid-evaluation; and [`PipelineService::drain`]
 //!   closes admission gracefully. Faults are injected deterministically
 //!   for testing via [`mozart_core::FaultPlan`].
-//! * **Overload resilience**: the in-flight limit adapts by AIMD on
-//!   measured end-to-end latency ([`adaptive`]) with CoDel-style
-//!   sojourn shedding of standing queues ([`ServeError::QueueShed`]);
-//!   a process-wide memory ceiling (`mozart_core::membudget`) sheds
+//! * **Overload resilience**: admission is the one fixed limit and
+//!   bounded FIFO queue above, and a queued request leaves only when
+//!   admitted, at its deadline or on drain; a process-wide memory
+//!   ceiling (`mozart_core::membudget`) sheds
 //!   requests whose estimated footprint cannot fit
 //!   ([`ServeError::OverMemory`]) and stops coalesced batches from
 //!   growing under pressure; and per-pipeline circuit breakers
@@ -112,7 +112,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod adaptive;
 mod admission;
 pub mod breaker;
 pub mod error;
@@ -123,7 +122,6 @@ mod service;
 pub mod stats;
 pub mod tcpfront;
 
-pub use adaptive::{AimdConfig, AimdController};
 pub use breaker::{BreakerConfig, BreakerState};
 pub use error::{Result, ServeError};
 pub use metrics::{Histogram, HistogramSnapshot};

@@ -22,9 +22,13 @@
 //!    publishes a batch and *leads* it. Everything else — `try_call`,
 //!    coalescing off, no key, memory pressure, a full or sealed batch —
 //!    is a batch of one that was never published.
-//! 7. **admit** (`admit`) — the evaluating request takes an admission
-//!    slot, waiting in the bounded queue (`call`) or not (`try_call`).
-//!    Followers join while a leader waits here.
+//! 7. **admit** (`admit`) — the evaluating request takes one of the
+//!    fixed `max_inflight` admission slots, waiting in the bounded FIFO
+//!    queue (`call`) or not (`try_call`). A queued request leaves only
+//!    when admitted, at its deadline ([`ServeError::DeadlineExceeded`])
+//!    or on drain ([`ServeError::Draining`]); a full queue turns it away
+//!    ([`ServeError::Saturated`]). Followers join while a leader waits
+//!    here.
 //! 8. **attempts** (`eval_batch` → `attempts`) — the batch's members
 //!    evaluate under that one slot: as one coalesced pipeline when there
 //!    are several and the pipeline can, else one by one; transient
@@ -33,7 +37,7 @@
 //!    report to the breaker, count the outcome, release the followers.
 //!
 //! `execute_traced` wraps all of it in the `Request` span, the
-//! end-to-end histogram, the slow-request log and the AIMD sample.
+//! end-to-end histogram and the slow-request log.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -51,8 +55,7 @@ use mozart_core::{
     Splitter,
 };
 
-use crate::adaptive::{AimdConfig, AimdController};
-use crate::admission::{Admission, AdmissionPermit, CodelCfg};
+use crate::admission::{Admission, AdmissionPermit};
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerMap, BreakerPass, BreakerState};
 use crate::error::{Result, ServeError};
 use crate::metrics::{
@@ -286,14 +289,9 @@ pub struct ServiceConfig {
     /// Worker threads available to an evaluation (the shared pool holds
     /// `workers - 1` threads; the evaluating thread participates).
     pub workers: usize,
-    /// Concurrent evaluations admitted (defaults to `workers`). Left
-    /// at its default, this is only the *starting* limit: the service
-    /// adapts it by AIMD on measured end-to-end latency (see
-    /// [`crate::adaptive`]) and sheds standing queues CoDel-style
-    /// ([`ServeError::QueueShed`]). Pinned with
-    /// [`ServiceBuilder::max_inflight`], it is the AIMD window's floor
-    /// and ceiling alike, so the limit never moves, and the queue is
-    /// not shed.
+    /// Concurrent evaluations admitted (defaults to `workers`). The
+    /// limit is fixed for the service's lifetime; callers past it wait
+    /// in the bounded FIFO queue (`queue_depth`).
     pub max_inflight: usize,
     /// Callers allowed to wait for admission beyond `max_inflight`
     /// before [`ServeError::Saturated`] is returned.
@@ -400,14 +398,6 @@ pub const PHASE_NAMES: [&str; 5] = ["unprotect", "planner", "split", "task", "me
 
 /// Entries the slow-request log retains (oldest evicted first).
 const SLOW_LOG_CAP: usize = 64;
-
-/// CoDel sojourn control of an adaptive service's admission queue: the
-/// acceptable standing queue wait, and how long the head waiter's
-/// sojourn must stay above it before the first shed.
-const CODEL: CodelCfg = CodelCfg {
-    target: Duration::from_millis(50),
-    interval: Duration::from_millis(100),
-};
 
 /// Fingerprints the shared [`PlanCache`] keeps an entry (and its parked
 /// merge targets) for.
@@ -641,9 +631,6 @@ struct ServiceInner {
     /// retry.
     drain_mu: Mutex<bool>,
     drain_cv: Condvar,
-    /// AIMD concurrency controller; its window is pinned (min = max)
-    /// on a service built with [`ServiceBuilder::max_inflight`].
-    aimd: AimdController,
     /// Per-pipeline circuit breakers.
     breakers: BreakerMap,
     /// EWMA of per-request byte footprint per pipeline (split + merge
@@ -850,7 +837,6 @@ impl PipelineService {
             plan_cache: inner.cache.stats(),
             pool: inner.pool.stats(),
             admission_limit: inner.admission.limit(),
-            queue_shed: inner.admission.queue_shed_total() as u64,
             breaker_open: inner
                 .breakers
                 .snapshot()
@@ -873,13 +859,6 @@ impl PipelineService {
             .into_iter()
             .map(|(name, state, opened)| (name, state.as_str(), opened))
             .collect()
-    }
-
-    /// The current adaptive concurrency limit (the configured
-    /// `max_inflight` on a pinned service) and, when adaptive, the AIMD
-    /// latency target once established.
-    pub fn admission_limit(&self) -> (usize, Option<Duration>) {
-        (self.inner.admission.limit(), self.inner.aimd.target())
     }
 
     /// Whether the service was built with tracing
@@ -1093,9 +1072,6 @@ impl PipelineService {
             .deadline_ms()
             .or_else(|| session.deadline_ms())
             .map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
-        // The AIMD controller needs e2e latency whether or not tracing
-        // is on; one Instant pair is cheap enough to take always.
-        let t0 = Instant::now();
         let result = self.execute_inner(&Flight {
             session,
             pipeline,
@@ -1112,15 +1088,6 @@ impl PipelineService {
                 Err(e) => e.kind(),
             };
             o.note_slow(&inner.counters, trace, pipeline, outcome, deadline, wall_ns);
-        }
-        // Feed the limit controller with *successful* completions only:
-        // a shed request's latency says nothing about evaluation speed
-        // (rejections resolve instantly, queue sheds report pure wait).
-        // The controller seeds its own latency target from its first
-        // samples.
-        if result.is_ok() {
-            inner.aimd.on_sample(t0.elapsed());
-            inner.admission.set_limit(inner.aimd.limit());
         }
         (result, (trace != 0).then_some(trace))
     }
@@ -1712,11 +1679,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Concurrent evaluations admitted, as a **static** limit: pinning
-    /// it pins the AIMD window at `n` (its floor, ceiling and start)
-    /// and turns off the CoDel queue shedding that an unpinned service
-    /// runs (see [`ServiceConfig::max_inflight`]) — an operator who
-    /// states a number usually means it.
+    /// Concurrent evaluations admitted (default `workers`); see
+    /// [`ServiceConfig::max_inflight`].
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.max_inflight = Some(n.max(1));
         self
@@ -1832,10 +1796,6 @@ impl ServiceBuilder {
         let mut config = self.config;
         config.max_inflight = self.max_inflight.unwrap_or(config.workers);
         config.queue_depth = self.queue_depth.unwrap_or(4 * config.workers);
-        // Adaptive unless the operator pinned max_inflight: a pinned
-        // limit is meant, an unpinned one is a guess the controller can
-        // do better than.
-        let pinned = self.max_inflight.is_some();
         let pool = PoolHandle::new(config.workers.max(1) - 1);
         let mut session_config = self
             .session_config
@@ -1858,29 +1818,9 @@ impl ServiceBuilder {
         if config.memory_ceiling_bytes > 0 {
             membudget::set_ceiling(config.memory_ceiling_bytes);
         }
-        let (admission, min_limit, max_limit) = if pinned {
-            // A window of one size, and a queue that is never shed.
-            let n = config.max_inflight;
-            (Admission::new(n, config.queue_depth), n, n)
-        } else {
-            // Headroom above the default: the controller may discover
-            // the pool sustains more concurrency than one evaluation
-            // per worker, but a runaway limit is capped.
-            let codel = Admission::with_codel(config.max_inflight, config.queue_depth, CODEL);
-            (codel, 1, (4 * config.workers).max(8))
-        };
-        let aimd = AimdController::new(AimdConfig {
-            min_limit,
-            max_limit,
-            initial_limit: config.max_inflight,
-            // Seeded from the measured latency distribution: the
-            // median of a warmup window × a slowdown multiple.
-            target: None,
-            decrease_ratio_permille: 900,
-        });
         let service = PipelineService {
             inner: Arc::new(ServiceInner {
-                admission,
+                admission: Admission::new(config.max_inflight, config.queue_depth),
                 cache: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
                 session_config,
                 pool,
@@ -1891,7 +1831,6 @@ impl ServiceBuilder {
                 draining: AtomicBool::new(false),
                 drain_mu: Mutex::new(false),
                 drain_cv: Condvar::new(),
-                aimd,
                 breakers: BreakerMap::new(BreakerConfig {
                     threshold: config.breaker_threshold,
                     cooldown: Duration::from_millis(config.breaker_cooldown_ms),

@@ -70,11 +70,12 @@ pub struct ServiceStats {
     pub plan_cache: PlanCacheStats,
     /// Shared worker pool counters (includes per-session fairness).
     pub pool: PoolStats,
-    /// Current adaptive concurrency limit (equals the configured
-    /// `max_inflight` on a static-limit service).
+    /// The concurrency limit: the configured `max_inflight` (`workers`
+    /// unless set), fixed for the service's lifetime.
     pub admission_limit: usize,
-    /// Waiters shed by the CoDel sojourn controller
-    /// (`ServeError::QueueShed`).
+    /// Retired: always 0. A queued caller leaves only when admitted, at
+    /// its deadline or on drain; no waiter is shed. Kept for the
+    /// `STATS` wire position and the benchmark's reader.
     pub queue_shed: u64,
     /// Pipelines whose breaker is currently open (half-open counts as
     /// not open: it is accepting a probe).
@@ -232,10 +233,10 @@ pub static STAT_TABLE: [StatRow; 35] = [
         "Pool workers respawned after dying"),
     row(Some((20, "admission_limit")), Gauge, |s| s.admission_limit as u64,
         Some("mozart_admission_limit"),
-        "Current (adaptive) concurrency limit"),
+        "Current concurrency limit"),
     row(Some((21, "queue_shed")), Counter, |s| s.queue_shed,
         Some("mozart_queue_shed_total"),
-        "Waiters shed by the CoDel sojourn controller"),
+        "Retired, always 0: queued callers leave only when admitted, at their deadline or on drain"),
     row(Some((22, "over_memory")), Counter, |s| s.over_memory,
         Some("mozart_over_memory_total"),
         "Requests shed by the process memory ceiling"),

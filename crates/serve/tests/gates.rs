@@ -135,32 +135,26 @@ fn fair_share() {
     );
 }
 
-/// The adaptive service's closed-loop peak goodput is measured, then a
-/// paced open loop offers 2× that rate through `try_call`. Excess load
-/// must shed with a typed error and admitted bodies must be
-/// bit-identical, for the adaptive service and the pinned-limit
-/// ablation; the adaptive service must keep ≥ 70% of its peak.
+/// The service's closed-loop peak goodput is measured, then a paced
+/// open loop offers 2× that rate through `try_call`. The service runs
+/// the one admission policy: a fixed limit (`max_inflight` at its
+/// default, `workers`) and a bounded FIFO queue. Excess load must shed
+/// with a typed error, admitted bodies must be bit-identical, and the
+/// goodput must keep ≥ 70% of the peak.
 fn overload() {
     let want = reference_body(42);
-    let build = |max_inflight: Option<usize>| {
-        let mut b = PipelineService::builder().workers(WORKERS);
-        if let Some(limit) = max_inflight {
-            b = b.max_inflight(limit);
-        }
-        let service = b
-            .queue_depth(2 * CLIENTS)
-            .session_config(session_config())
-            .coalescing(false)
-            .builtin_pipelines()
-            .build();
-        service
-            .session()
-            .call("black_scholes", &request(42))
-            .unwrap();
-        service
-    };
-    let adaptive = build(None);
-    let sessions: Vec<_> = (0..CLIENTS).map(|_| adaptive.session()).collect();
+    let service = PipelineService::builder()
+        .workers(WORKERS)
+        .queue_depth(2 * CLIENTS)
+        .session_config(session_config())
+        .coalescing(false)
+        .builtin_pipelines()
+        .build();
+    service
+        .session()
+        .call("black_scholes", &request(42))
+        .unwrap();
+    let sessions: Vec<_> = (0..CLIENTS).map(|_| service.session()).collect();
     let req = request(42);
     let t0 = Instant::now();
     std::thread::scope(|s| {
@@ -180,55 +174,48 @@ fn overload() {
     let (threads, offered) = (2 * CLIENTS, (2 * CLIENTS * REQUESTS) as u64);
     const _: () = assert!(2 * CLIENTS * REQUESTS >= 40);
     let interval = Duration::from_secs_f64(threads as f64 / (2.0 * peak_rps).max(1.0));
-    let drive = |name: &str, service: &PipelineService| {
-        let (admitted, shed, ok) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(true));
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let session = service.session();
-                let (admitted, shed, ok, want, req) = (&admitted, &shed, &ok, &want, request(42));
-                // Each thread keeps its own due times, so a slow
-                // admitted call never holds the offered rate back.
-                s.spawn(move || {
-                    let start = Instant::now();
-                    for i in 0..REQUESTS {
-                        let due = start + interval.mul_f64(i as f64);
-                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                        match session.try_call("black_scholes", &req) {
-                            Ok(resp) => {
-                                admitted.fetch_add(1, Ordering::Relaxed);
-                                if resp.body != *want {
-                                    ok.store(false, Ordering::Relaxed);
-                                }
+    let (admitted, shed, ok) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(true));
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let session = service.session();
+            let (admitted, shed, ok, want, req) = (&admitted, &shed, &ok, &want, request(42));
+            // Each thread keeps its own due times, so a slow admitted
+            // call never holds the offered rate back.
+            s.spawn(move || {
+                let start = Instant::now();
+                for i in 0..REQUESTS {
+                    let due = start + interval.mul_f64(i as f64);
+                    std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                    match session.try_call("black_scholes", &req) {
+                        Ok(resp) => {
+                            admitted.fetch_add(1, Ordering::Relaxed);
+                            if resp.body != *want {
+                                ok.store(false, Ordering::Relaxed);
                             }
-                            Err(
-                                ServeError::Saturated { .. }
-                                | ServeError::QueueShed { .. }
-                                | ServeError::OverMemory { .. },
-                            ) => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("overload shed must be typed, got {e}"),
                         }
+                        Err(ServeError::Saturated { .. } | ServeError::OverMemory { .. }) => {
+                            shed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => panic!("overload shed must be typed, got {e}"),
                     }
-                });
-            }
-        });
-        let (admitted, shed) = (admitted.into_inner(), shed.into_inner());
-        assert!(
-            ok.into_inner(),
-            "{name}: admitted responses must be bit-identical to the reference"
-        );
-        assert!(admitted > 0, "{name}: overload starved every request");
-        assert_eq!(
-            admitted + shed,
-            offered,
-            "{name}: every offered request must be admitted or typed-shed"
-        );
-        admitted as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let goodput = drive("adaptive", &adaptive);
-    drive("static", &build(Some(WORKERS)));
+                }
+            });
+        }
+    });
+    let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
+    let (admitted, shed) = (admitted.into_inner(), shed.into_inner());
+    assert!(
+        ok.into_inner(),
+        "admitted responses must be bit-identical to the reference"
+    );
+    assert!(admitted > 0, "overload starved every request");
+    assert_eq!(
+        admitted + shed,
+        offered,
+        "every offered request must be admitted or typed-shed"
+    );
+    let goodput = admitted as f64 / elapsed;
     assert!(
         goodput / peak_rps.max(1e-9) >= 0.70,
         "overload goodput {goodput:.1} req/s fell below 70% of the {peak_rps:.1} req/s peak"

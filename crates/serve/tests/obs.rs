@@ -537,8 +537,8 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_pool_jobs_total", "counter", "Stages dispatched to the shared pool"),
         ("mozart_pool_panicked_batches_total", "counter", "Batch runs that ended in a caught panic"),
         ("mozart_pool_respawned_workers_total", "counter", "Pool workers respawned after dying"),
-        ("mozart_admission_limit", "gauge", "Current (adaptive) concurrency limit"),
-        ("mozart_queue_shed_total", "counter", "Waiters shed by the CoDel sojourn controller"),
+        ("mozart_admission_limit", "gauge", "Current concurrency limit"),
+        ("mozart_queue_shed_total", "counter", "Retired, always 0: queued callers leave only when admitted, at their deadline or on drain"),
         ("mozart_over_memory_total", "counter", "Requests shed by the process memory ceiling"),
         ("mozart_breaker_fastfail_total", "counter", "Requests fast-failed by an open circuit breaker"),
         ("mozart_memory_live_bytes", "gauge", "Live metered buffer bytes (process-wide)"),

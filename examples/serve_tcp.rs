@@ -35,10 +35,10 @@
 //! buffering; clients that stall mid-request or idle past the timeout
 //! are dropped; accepts past the connection cap get one
 //! `ERR saturated` line and are closed before a serving thread exists.
-//! The service itself runs with the adaptive overload controls on
-//! (AIMD concurrency limit, CoDel queue shedding, per-pipeline circuit
-//! breakers; see the `mozart_serve` crate docs), and
-//! `MOZART_SERVE_MEM_CEILING` arms the process-wide memory budget.
+//! The service itself admits through a fixed concurrency limit and a
+//! bounded FIFO queue, with per-pipeline circuit breakers on (see the
+//! `mozart_serve` crate docs), and `MOZART_SERVE_MEM_CEILING` arms the
+//! process-wide memory budget.
 //!
 //! Observability: the example serves with tracing **on** by default
 //! (set `MOZART_SERVE_TRACING=0` to disable) — every `OK` call reply
@@ -70,8 +70,9 @@
 //! `ERR over_budget` (0 = unlimited). `STATS` reports the service
 //! counters in the stable order documented in
 //! [`mozart_serve::protocol`], including the overload fields
-//! (`admission_limit`, `queue_shed`, `over_memory`, `breaker_shed`,
-//! `breaker_open`, `memory_live_bytes`, `memory_ceiling_bytes`).
+//! (`admission_limit`, `queue_shed` (retired, always 0), `over_memory`,
+//! `breaker_shed`, `breaker_open`, `memory_live_bytes`,
+//! `memory_ceiling_bytes`).
 //!
 //! `PIPELINE <0|1>` picks the session's stage evaluation mode: `1`
 //! (the default) fuses whole pipelines, `0` evaluates one stage per
