@@ -162,7 +162,7 @@ fn over_memory_sheds_with_typed_error_and_recovers() {
 
 #[test]
 fn admission_limit_is_max_inflight_and_never_moves() {
-    // Unset, the limit is `workers`, and a stream of fast completions
+    // Unset, `max_inflight` is `workers`, and a stream of fast completions
     // does not raise it.
     let service = PipelineService::builder()
         .workers(1)
@@ -173,7 +173,12 @@ fn admission_limit_is_max_inflight_and_never_moves() {
         session.call("tiny", &Request::new()).unwrap();
     }
     assert_eq!(service.stats().admission_limit, 1);
+}
 
+#[test]
+fn pinned_max_inflight_is_the_static_ablation() {
+    // A set `max_inflight` is the limit, whatever `workers` is, and it
+    // never moves either.
     let service = PipelineService::builder()
         .workers(1)
         .max_inflight(3)
@@ -183,5 +188,9 @@ fn admission_limit_is_max_inflight_and_never_moves() {
     for _ in 0..40 {
         session.call("tiny", &Request::new()).unwrap();
     }
-    assert_eq!(service.stats().admission_limit, 3);
+    assert_eq!(
+        service.stats().admission_limit,
+        3,
+        "a pinned limit never moves"
+    );
 }
