@@ -1,139 +1,64 @@
 //! Fused image filters: the Nashville and Gotham pipelines composed
 //! into one per-pixel pass (maximal fusion of the instagram-filter
-//! operator chains).
+//! operator chains), as a compiler would emit it: `imagelib`'s own
+//! kernels back to back over each tile, with the clamp every operator
+//! applies between them, so the output is the chain's bit for bit.
 
-use imagelib::Image;
+use std::mem::MaybeUninit;
+
+use imagelib::image::map_rgb;
+use imagelib::{pixel, Image};
 
 use crate::parallel::parallel_ranges;
 
 /// Fused Nashville filter: the full operator chain applied per pixel in
 /// one pass, parallel over rows.
 pub fn nashville(img: &Image, threads: usize) -> Image {
-    fuse_rows(img, threads, |px| {
-        let px = colortone_px(px, [0.13, 0.17, 0.43], false);
-        let px = colortone_px(px, [0.97, 0.85, 0.68], true);
-        let px = gamma_px(px, 1.2);
-        modulate_px(px, 1.0, 1.5, 0.0)
-    })
+    let a = pixel::colortone([0.13, 0.17, 0.43], false).per_pixel();
+    let b = pixel::colortone([0.97, 0.85, 0.68], true).per_pixel();
+    let c = pixel::gamma(1.2).per_pixel();
+    let d = pixel::modulate(100.0, 150.0, 100.0);
+    fuse_rows(
+        img,
+        threads,
+        #[inline(always)]
+        move |px| d(pixel::clamp(c(pixel::clamp(b(pixel::clamp(a(px))))))),
+    )
 }
 
 /// Fused Gotham filter.
 pub fn gotham(img: &Image, threads: usize) -> Image {
-    fuse_rows(img, threads, |px| {
-        let px = modulate_px(px, 1.2, 0.1, 0.0);
-        let px = colorize_px(px, [0.13, 0.16, 0.32], 0.2);
-        let px = gamma_px(px, 0.5);
-        contrast_px(px, 6.0)
-    })
+    let a = pixel::modulate(120.0, 10.0, 100.0);
+    let b = pixel::colorize([0.13, 0.16, 0.32], 0.2).per_pixel();
+    let c = pixel::gamma(0.5).per_pixel();
+    let d = pixel::sigmoidal_contrast(6.0).per_pixel();
+    fuse_rows(
+        img,
+        threads,
+        #[inline(always)]
+        move |px| d(pixel::clamp(c(pixel::clamp(b(pixel::clamp(a(px))))))),
+    )
 }
 
 fn fuse_rows(img: &Image, threads: usize, f: impl Fn([f32; 3]) -> [f32; 3] + Send + Sync) -> Image {
     let (w, h) = (img.width(), img.height());
     let src = img.data();
-    let mut out = vec![0.0f32; src.len()];
+    let stride = w * Image::CHANNELS;
+    let mut out: Vec<f32> = Vec::with_capacity(src.len());
     let out_addr = out.as_mut_ptr() as usize;
     parallel_ranges(h, threads, |r0, r1| {
-        let dst = out_addr as *mut f32;
-        for y in r0..r1 {
-            for x in 0..w {
-                let i = (y * w + x) * 3;
-                let px = f([src[i], src[i + 1], src[i + 2]]);
-                // SAFETY: each worker writes its own disjoint rows.
-                unsafe {
-                    *dst.add(i) = px[0].clamp(0.0, 1.0);
-                    *dst.add(i + 1) = px[1].clamp(0.0, 1.0);
-                    *dst.add(i + 2) = px[2].clamp(0.0, 1.0);
-                }
-            }
-        }
-    });
-    Image::from_rgb(w, h, out)
-}
-
-// Per-pixel forms matching imagelib's operators exactly.
-
-fn colortone_px([r, g, b]: [f32; 3], rgb: [f32; 3], negate: bool) -> [f32; 3] {
-    let blend = |c: f32, t: f32| -> f32 {
-        let m = if negate {
-            1.0 - (1.0 - c) * (1.0 - t)
-        } else {
-            c * t
+        let (start, len) = (r0 * stride, (r1 - r0) * stride);
+        // SAFETY: `out` has capacity for every row, and each worker
+        // writes its own disjoint rows, into capacity nothing reads.
+        let dst = unsafe {
+            std::slice::from_raw_parts_mut((out_addr as *mut MaybeUninit<f32>).add(start), len)
         };
-        0.5 * c + 0.5 * m
-    };
-    [blend(r, rgb[0]), blend(g, rgb[1]), blend(b, rgb[2])]
-}
-
-fn gamma_px([r, g, b]: [f32; 3], gamma: f32) -> [f32; 3] {
-    let inv = 1.0 / gamma;
-    [
-        r.clamp(0.0, 1.0).powf(inv),
-        g.clamp(0.0, 1.0).powf(inv),
-        b.clamp(0.0, 1.0).powf(inv),
-    ]
-}
-
-fn colorize_px([r, g, b]: [f32; 3], rgb: [f32; 3], alpha: f32) -> [f32; 3] {
-    [
-        r * (1.0 - alpha) + rgb[0] * alpha,
-        g * (1.0 - alpha) + rgb[1] * alpha,
-        b * (1.0 - alpha) + rgb[2] * alpha,
-    ]
-}
-
-fn modulate_px(px: [f32; 3], brightness: f32, saturation: f32, _huedeg: f32) -> [f32; 3] {
-    let px = [
-        px[0].clamp(0.0, 1.0),
-        px[1].clamp(0.0, 1.0),
-        px[2].clamp(0.0, 1.0),
-    ];
-    let max = px[0].max(px[1]).max(px[2]);
-    let min = px[0].min(px[1]).min(px[2]);
-    let d = max - min;
-    // HSV round trip matching imagelib::modulate with hue unchanged.
-    let h = if d == 0.0 {
-        0.0
-    } else if max == px[0] {
-        60.0 * (((px[1] - px[2]) / d).rem_euclid(6.0))
-    } else if max == px[1] {
-        60.0 * ((px[2] - px[0]) / d + 2.0)
-    } else {
-        60.0 * ((px[0] - px[1]) / d + 4.0)
-    };
-    let s = if max == 0.0 { 0.0 } else { d / max };
-    let v = (max * brightness).clamp(0.0, 1.0);
-    let s = (s * saturation).clamp(0.0, 1.0);
-    let c = v * s;
-    let x = c * (1.0 - ((h / 60.0).rem_euclid(2.0) - 1.0).abs());
-    let m = v - c;
-    let (r, g, b) = match (h / 60.0) as u32 % 6 {
-        0 => (c, x, 0.0),
-        1 => (x, c, 0.0),
-        2 => (0.0, c, x),
-        3 => (0.0, x, c),
-        4 => (x, 0.0, c),
-        _ => (c, 0.0, x),
-    };
-    [r + m, g + m, b + m]
-}
-
-fn contrast_px([r, g, b]: [f32; 3], amount: f32) -> [f32; 3] {
-    let alpha = amount.abs().max(1e-4);
-    let apply = |c: f32| -> f32 {
-        let c = c.clamp(0.0, 1.0);
-        if amount >= 0.0 {
-            let s = |x: f32| 1.0 / (1.0 + (-alpha * (x - 0.5)).exp());
-            let lo = s(0.0);
-            let hi = s(1.0);
-            (s(c) - lo) / (hi - lo)
-        } else {
-            let lo = 1.0 / (1.0 + (alpha * 0.5).exp());
-            let hi = 1.0 / (1.0 + (-alpha * 0.5).exp());
-            let y = lo + c * (hi - lo);
-            0.5 - (1.0 / y - 1.0).ln() / alpha
-        }
-    };
-    [apply(r), apply(g), apply(b)]
+        map_rgb(&src[start..start + len], dst, &f);
+    });
+    // SAFETY: the row ranges cover `[0, h)`, so `map_rgb` wrote every
+    // element.
+    unsafe { out.set_len(src.len()) };
+    Image::from_rgb(w, h, out)
 }
 
 #[cfg(test)]
@@ -141,7 +66,8 @@ mod tests {
     use super::*;
 
     /// The fused pipelines must match the operator-by-operator library
-    /// composition — the correctness bar Weld-generated code meets.
+    /// composition bit for bit — the correctness bar Weld-generated
+    /// code meets.
     #[test]
     fn fused_nashville_matches_composition() {
         let img = Image::synthetic(40, 30, 5);
@@ -160,9 +86,8 @@ mod tests {
             100.0,
         );
         assert!(
-            fused.mean_abs_diff(&composed) < 1e-5,
-            "diff = {}",
-            fused.mean_abs_diff(&composed)
+            fused.data() == composed.data(),
+            "fused differs from the chain"
         );
     }
 
@@ -182,9 +107,8 @@ mod tests {
             6.0,
         );
         assert!(
-            fused.mean_abs_diff(&composed) < 1e-5,
-            "diff = {}",
-            fused.mean_abs_diff(&composed)
+            fused.data() == composed.data(),
+            "fused differs from the chain"
         );
     }
 }

@@ -19,6 +19,16 @@
 //!   from multiple threads, replacing the copying append on the merge
 //!   side (placement merging).
 //!
+//! Every color operator is one of two loops over a new image:
+//! `Image::map_channels` for kernels that map each channel on its own,
+//! `Image::map_pixels` for kernels that mix a pixel's channels. Each
+//! writes its output once, into the new image's uninitialized buffer,
+//! one range of pixels per internal thread, and each range runs through
+//! [`map_rgb_channels`] or [`map_rgb`]: the kernel loop at the host's
+//! vector width, behind the library's one CPU-feature dispatch point.
+//! See [`crate::pixel`] for the kernels and why their bits do not
+//! depend on any of it.
+//!
 //! Pixel storage is a shared `PixelBuf` with interior mutability so
 //! disjoint row ranges can be written in parallel; the safe read APIs
 //! assume no concurrent writes, which holds because writes only happen
@@ -26,8 +36,11 @@
 //! constructed, before any reader can observe it.
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use crate::pixel;
 
 static THREADS: AtomicUsize = AtomicUsize::new(1);
 
@@ -339,45 +352,58 @@ impl Image {
         Image::from_rgb(width, height, data)
     }
 
-    /// Map every pixel through `f` (the shared loop all color operators
-    /// use). Returns a new image. Parallelizes across the library's
-    /// internal threads when the image is large enough.
+    /// Map every pixel through the pixel kernel `f`, clamping each
+    /// output channel to `[0, 1]` (NaN stays NaN): the loop of every
+    /// operator that mixes channels, with its kernel from
+    /// [`crate::pixel`]. Returns a new image. Each internal thread's
+    /// share runs through [`map_rgb`].
     pub(crate) fn map_pixels(&self, f: impl Fn([f32; 3]) -> [f32; 3] + Send + Sync) -> Image {
+        self.map_parallel(|src, dst| map_rgb(src, dst, &f))
+    }
+
+    /// Map every channel value through the channel kernel `k` (value
+    /// `c` of channel `i` goes to `(k.f)(c, k.params[i])`), clamping to
+    /// `[0, 1]` (NaN stays NaN): the loop of every operator that maps
+    /// channels on their own. Returns a new image. Each internal
+    /// thread's share runs through [`map_rgb_channels`].
+    pub(crate) fn map_channels<F>(&self, k: pixel::Channelwise<F>) -> Image
+    where
+        F: Fn(f32, f32) -> f32 + Send + Sync,
+    {
+        self.map_parallel(|src, dst| map_rgb_channels(src, dst, k.params, &k.f))
+    }
+
+    /// A new image of this one's size, its channels written by `run`
+    /// from this image's: once the image reaches 2¹⁴ pixels, one whole
+    /// range of pixels per internal thread. The output is written once,
+    /// into the new image's uninitialized buffer. The kernels see each
+    /// pixel alone, so the bits do not depend on the thread count.
+    fn map_parallel(&self, run: impl Fn(&[f32], &mut [MaybeUninit<f32>]) + Sync) -> Image {
         let n = self.width * self.height;
-        let mut out = vec![0.0f32; n * Self::CHANNELS];
+        let len = n * Self::CHANNELS;
+        let src = self.data();
+        let mut out: Vec<f32> = Vec::with_capacity(len);
+        let dst = &mut out.spare_capacity_mut()[..len];
         let t = num_threads();
-        if t <= 1 || n < 1 << 14 {
-            map_range(self.data(), &mut out, &f, 0, n);
+        if t <= 1 || n < PAR_THRESHOLD {
+            run(src, dst);
         } else {
-            let per = n.div_ceil(t);
-            let out_addr = out.as_mut_ptr() as usize;
-            let src = self.data();
+            let per = n.div_ceil(t) * Self::CHANNELS;
+            let run = &run;
             std::thread::scope(|s| {
-                for w in 0..t {
-                    let start = w * per;
-                    if start >= n {
-                        break;
-                    }
-                    let len = per.min(n - start);
-                    let f = &f;
-                    s.spawn(move || {
-                        // SAFETY: each worker writes the disjoint pixel
-                        // range [start, start + len).
-                        let dst = unsafe {
-                            std::slice::from_raw_parts_mut(
-                                (out_addr as *mut f32).add(start * Self::CHANNELS),
-                                len * Self::CHANNELS,
-                            )
-                        };
-                        map_chunk(
-                            &src[start * Self::CHANNELS..(start + len) * Self::CHANNELS],
-                            dst,
-                            f,
-                        );
-                    });
+                let mut parts = src.chunks(per).zip(dst.chunks_mut(per));
+                let last = parts.next_back();
+                for (src, dst) in parts {
+                    s.spawn(move || run(src, dst));
+                }
+                if let Some((src, dst)) = last {
+                    run(src, dst);
                 }
             });
         }
+        // SAFETY: `run` wrote every one of the first `len` elements
+        // (each range above, together the whole of `dst`).
+        unsafe { out.set_len(len) };
         Image::from_rgb(self.width, self.height, out)
     }
 
@@ -400,27 +426,161 @@ impl Image {
     }
 }
 
-fn map_range(
-    src: &[f32],
-    out: &mut [f32],
-    f: &(impl Fn([f32; 3]) -> [f32; 3] + Send + Sync),
-    start: usize,
-    len: usize,
-) {
-    let s = &src[start * Image::CHANNELS..(start + len) * Image::CHANNELS];
-    let d = &mut out[start * Image::CHANNELS..(start + len) * Image::CHANNELS];
-    map_chunk(s, d, f);
+/// Pixels from which an image is mapped on the internal threads.
+const PAR_THRESHOLD: usize = 1 << 14;
+
+/// Pixels per tile of [`map_rgb`]: the three channel arrays of one tile
+/// take 768 bytes.
+pub const TILE: usize = 64;
+
+/// Map interleaved RGB pixels `src` through the pixel kernel `f` into
+/// `dst`, clamping each output channel to `[0, 1]` (NaN stays NaN), at
+/// the host's vector width. `dst` is written once, element by element,
+/// and never read. One thread; `Image::map_pixels` runs one call per
+/// internal thread.
+///
+/// Each tile of [`TILE`] pixels is copied into three channel arrays,
+/// `f` runs across them with the clamp, and the arrays are interleaved
+/// into `dst`. With `f` one of [`crate::pixel`]'s branch-free kernels,
+/// the middle loop compiles to full-width vector code. Those kernels are
+/// `#[inline(always)]` closures; a composition of them must be one too,
+/// or the loop calls it once per pixel and stays scalar. Stale lanes
+/// past a short last tile are computed and dropped.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or are not a whole number of pixels.
+pub fn map_rgb<F: Fn([f32; 3]) -> [f32; 3]>(src: &[f32], dst: &mut [MaybeUninit<f32>], f: &F) {
+    check_lengths(src, dst);
+    wide(
+        #[inline(always)]
+        || map_tiles(src, dst, f),
+    )
 }
 
-fn map_chunk(src: &[f32], dst: &mut [f32], f: &(impl Fn([f32; 3]) -> [f32; 3] + Send + Sync)) {
-    for (s, d) in src
-        .chunks_exact(Image::CHANNELS)
-        .zip(dst.chunks_exact_mut(Image::CHANNELS))
-    {
-        let [r, g, b] = f([s[0], s[1], s[2]]);
-        d[0] = r.clamp(0.0, 1.0);
-        d[1] = g.clamp(0.0, 1.0);
-        d[2] = b.clamp(0.0, 1.0);
+/// Map interleaved RGB channel values `src` through the channel kernel
+/// `f` into `dst`: value `c` of channel `i` goes to `f(c, params[i])`,
+/// clamped to `[0, 1]` (NaN stays NaN), at the host's vector width.
+/// `dst` is written once and never read. One thread;
+/// `Image::map_channels` runs one call per internal thread.
+///
+/// The channels are mapped where they lie, beside a block of the
+/// parameters repeated in the same interleaved order, so there is
+/// nothing to shuffle.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or are not a whole number of pixels.
+pub fn map_rgb_channels<F: Fn(f32, f32) -> f32>(
+    src: &[f32],
+    dst: &mut [MaybeUninit<f32>],
+    params: [f32; 3],
+    f: &F,
+) {
+    check_lengths(src, dst);
+    wide(
+        #[inline(always)]
+        || map_flat(src, dst, params, f),
+    )
+}
+
+/// [`map_rgb`] at the baseline target's width whatever the CPU has: the
+/// dispatch's other arm, for tests that compare the two.
+#[doc(hidden)]
+pub fn map_rgb_baseline<F: Fn([f32; 3]) -> [f32; 3]>(
+    src: &[f32],
+    dst: &mut [MaybeUninit<f32>],
+    f: &F,
+) {
+    check_lengths(src, dst);
+    map_tiles(src, dst, f)
+}
+
+/// [`map_rgb_channels`] at the baseline target's width whatever the
+/// CPU has, for tests that compare the two.
+#[doc(hidden)]
+pub fn map_rgb_channels_baseline<F: Fn(f32, f32) -> f32>(
+    src: &[f32],
+    dst: &mut [MaybeUninit<f32>],
+    params: [f32; 3],
+    f: &F,
+) {
+    check_lengths(src, dst);
+    map_flat(src, dst, params, f)
+}
+
+/// Run a kernel loop at the host's vector width: inside an AVX2
+/// function when the CPU has AVX2, so the loop inlined into it compiles
+/// 8 channels wide; directly, at the baseline target's 4, when it has
+/// not. The library's only CPU-feature dispatch. Both widths give the
+/// same bits (see the [`crate::pixel`] docs).
+#[inline(always)]
+fn wide(run: impl FnOnce()) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above.
+        unsafe { avx2(run) };
+        return;
+    }
+    run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2(run: impl FnOnce()) {
+    run()
+}
+
+fn check_lengths(src: &[f32], dst: &[MaybeUninit<f32>]) {
+    assert!(
+        src.len() == dst.len() && src.len().is_multiple_of(Image::CHANNELS),
+        "map_rgb: {} source and {} output channels",
+        src.len(),
+        dst.len()
+    );
+}
+
+#[inline(always)]
+fn map_tiles<F: Fn([f32; 3]) -> [f32; 3]>(src: &[f32], dst: &mut [MaybeUninit<f32>], f: &F) {
+    let mut lanes = [[0.0f32; TILE]; 3];
+    let tile = TILE * Image::CHANNELS;
+    for (s, d) in src.chunks(tile).zip(dst.chunks_mut(tile)) {
+        let [r, g, b] = &mut lanes;
+        for (p, (r, (g, b))) in s
+            .chunks_exact(Image::CHANNELS)
+            .zip(r.iter_mut().zip(g.iter_mut().zip(b.iter_mut())))
+        {
+            (*r, *g, *b) = (p[0], p[1], p[2]);
+        }
+        for (r, (g, b)) in r.iter_mut().zip(g.iter_mut().zip(b.iter_mut())) {
+            [*r, *g, *b] = pixel::clamp(f([*r, *g, *b]));
+        }
+        for (p, (r, (g, b))) in d
+            .chunks_exact_mut(Image::CHANNELS)
+            .zip(r.iter().zip(g.iter().zip(b.iter())))
+        {
+            p[0].write(*r);
+            p[1].write(*g);
+            p[2].write(*b);
+        }
+    }
+}
+
+#[inline(always)]
+fn map_flat<F: Fn(f32, f32) -> f32>(
+    src: &[f32],
+    dst: &mut [MaybeUninit<f32>],
+    params: [f32; 3],
+    f: &F,
+) {
+    let mut block = [0.0f32; TILE * Image::CHANNELS];
+    for (i, p) in block.iter_mut().enumerate() {
+        *p = params[i % Image::CHANNELS];
+    }
+    for (s, d) in src.chunks(block.len()).zip(dst.chunks_mut(block.len())) {
+        for ((c, d), p) in s.iter().zip(d.iter_mut()).zip(&block) {
+            d.write(pixel::unit(f(*c, *p)));
+        }
     }
 }
 

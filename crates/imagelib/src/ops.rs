@@ -7,113 +7,68 @@
 //! paper's canonical example of a function that must NOT be annotated
 //! (§7.1): split/merge would re-run the boundary condition at every
 //! split edge and corrupt the result.
+//!
+//! Each per-pixel operator is `Image::map_channels` or
+//! `Image::map_pixels` over its kernel from [`crate::pixel`], where
+//! the arithmetic and its accuracy are documented: the operators here
+//! only choose the kernel. Their bits do not depend on the row band, so
+//! the row-split commutation above holds bit for bit.
 
 use crate::image::Image;
+use crate::pixel;
 
 /// Per-channel gamma correction: `c ^ (1/gamma)` (like `MagickGammaImage`).
 pub fn gamma(img: &Image, gamma: f32) -> Image {
-    let inv = 1.0 / gamma;
-    img.map_pixels(|[r, g, b]| [r.powf(inv), g.powf(inv), b.powf(inv)])
+    img.map_channels(pixel::gamma(gamma))
 }
 
 /// Brightness / saturation / hue modulation in percent, 100 = unchanged
 /// (like `MagickModulateImage`).
 pub fn modulate(img: &Image, brightness: f32, saturation: f32, hue: f32) -> Image {
-    let bf = brightness / 100.0;
-    let sf = saturation / 100.0;
-    let hshift = (hue - 100.0) / 100.0 * 180.0; // degrees
-    img.map_pixels(|px| {
-        let (mut h, s, v) = rgb_to_hsv(px);
-        h = (h + hshift).rem_euclid(360.0);
-        hsv_to_rgb(h, (s * sf).clamp(0.0, 1.0), (v * bf).clamp(0.0, 1.0))
-    })
+    img.map_pixels(pixel::modulate(brightness, saturation, hue))
 }
 
 /// Sigmoidal contrast adjustment; positive `amount` increases contrast
 /// (like `MagickSigmoidalContrastImage`).
 pub fn contrast(img: &Image, amount: f32) -> Image {
-    let alpha = amount.abs().max(1e-4);
-    let apply = |c: f32| -> f32 {
-        if amount >= 0.0 {
-            // Sigmoid centered at 0.5.
-            let s = |x: f32| 1.0 / (1.0 + (-alpha * (x - 0.5)).exp());
-            let lo = s(0.0);
-            let hi = s(1.0);
-            (s(c) - lo) / (hi - lo)
-        } else {
-            // Inverse sigmoid.
-            let lo = 1.0 / (1.0 + (alpha * 0.5).exp());
-            let hi = 1.0 / (1.0 + (-alpha * 0.5).exp());
-            let y = lo + c * (hi - lo);
-            0.5 - (1.0 / y - 1.0).ln() / alpha
-        }
-    };
-    img.map_pixels(|[r, g, b]| [apply(r), apply(g), apply(b)])
+    if amount >= 0.0 {
+        img.map_channels(pixel::sigmoidal_contrast(amount))
+    } else {
+        img.map_channels(pixel::inverse_sigmoidal_contrast(amount))
+    }
 }
 
 /// Blend a solid color over the image with `alpha` opacity (the
 /// `colorize`/fill step of the instagram filters).
 pub fn colorize(img: &Image, rgb: [f32; 3], alpha: f32) -> Image {
-    img.map_pixels(|[r, g, b]| {
-        [
-            r * (1.0 - alpha) + rgb[0] * alpha,
-            g * (1.0 - alpha) + rgb[1] * alpha,
-            b * (1.0 - alpha) + rgb[2] * alpha,
-        ]
-    })
+    img.map_channels(pixel::colorize(rgb, alpha))
 }
 
 /// The instagram-filters `colortone` step: overlay `rgb` using multiply
 /// (`negate = false`) or screen (`negate = true`) blending at 50%.
 pub fn colortone(img: &Image, rgb: [f32; 3], negate: bool) -> Image {
-    img.map_pixels(|[r, g, b]| {
-        let blend = |c: f32, t: f32| -> f32 {
-            let m = if negate {
-                1.0 - (1.0 - c) * (1.0 - t)
-            } else {
-                c * t
-            };
-            0.5 * c + 0.5 * m
-        };
-        [blend(r, rgb[0]), blend(g, rgb[1]), blend(b, rgb[2])]
-    })
+    img.map_channels(pixel::colortone(rgb, negate))
 }
 
 /// Luminance grayscale.
 pub fn grayscale(img: &Image) -> Image {
-    img.map_pixels(|[r, g, b]| {
-        let y = 0.299 * r + 0.587 * g + 0.114 * b;
-        [y, y, y]
-    })
+    img.map_pixels(pixel::grayscale())
 }
 
 /// Channel inversion (negative).
 pub fn invert(img: &Image) -> Image {
-    img.map_pixels(|[r, g, b]| [1.0 - r, 1.0 - g, 1.0 - b])
+    img.map_channels(pixel::invert())
 }
 
 /// Classic sepia tone.
 pub fn sepia(img: &Image) -> Image {
-    img.map_pixels(|[r, g, b]| {
-        [
-            0.393 * r + 0.769 * g + 0.189 * b,
-            0.349 * r + 0.686 * g + 0.168 * b,
-            0.272 * r + 0.534 * g + 0.131 * b,
-        ]
-    })
+    img.map_pixels(pixel::sepia())
 }
 
 /// Per-channel linear level adjustment mapping `[black, white]` to
 /// `[0, 1]` (like `MagickLevelImage`).
 pub fn levels(img: &Image, black: f32, white: f32) -> Image {
-    let scale = 1.0 / (white - black).max(1e-6);
-    img.map_pixels(|[r, g, b]| {
-        [
-            (r - black) * scale,
-            (g - black) * scale,
-            (b - black) * scale,
-        ]
-    })
+    img.map_channels(pixel::levels(black, white))
 }
 
 /// Separable Gaussian blur with **clamped (replicated) edges**.
@@ -169,38 +124,6 @@ pub fn blur(img: &Image, radius: usize) -> Image {
     Image::from_rgb(w, h, out)
 }
 
-fn rgb_to_hsv([r, g, b]: [f32; 3]) -> (f32, f32, f32) {
-    let max = r.max(g).max(b);
-    let min = r.min(g).min(b);
-    let d = max - min;
-    let h = if d == 0.0 {
-        0.0
-    } else if max == r {
-        60.0 * (((g - b) / d).rem_euclid(6.0))
-    } else if max == g {
-        60.0 * ((b - r) / d + 2.0)
-    } else {
-        60.0 * ((r - g) / d + 4.0)
-    };
-    let s = if max == 0.0 { 0.0 } else { d / max };
-    (h, s, max)
-}
-
-fn hsv_to_rgb(h: f32, s: f32, v: f32) -> [f32; 3] {
-    let c = v * s;
-    let x = c * (1.0 - ((h / 60.0).rem_euclid(2.0) - 1.0).abs());
-    let m = v - c;
-    let (r, g, b) = match (h / 60.0) as u32 % 6 {
-        0 => (c, x, 0.0),
-        1 => (x, c, 0.0),
-        2 => (0.0, c, x),
-        3 => (0.0, x, c),
-        4 => (x, 0.0, c),
-        _ => (c, 0.0, x),
-    };
-    [r + m, g + m, b + m]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,26 +132,36 @@ mod tests {
         Image::synthetic(16, 12, 3)
     }
 
-    /// Per-pixel ops must commute with row splitting (§3.4).
-    fn splits_cleanly(f: impl Fn(&Image) -> Image) -> bool {
-        let i = img();
+    /// Per-pixel ops must commute with row splitting (§3.4), bit for
+    /// bit. The 24-pixel-wide image's 256-pixel tile ends mid-row 10,
+    /// and the splits move it: a band starting at row 7 ends its first
+    /// tile mid-row 17.
+    fn splits_exactly(f: impl Fn(&Image) -> Image) -> bool {
+        let i = Image::synthetic(24, 20, 3);
         let whole = f(&i);
-        let parts = vec![f(&i.crop_rows(0, 5)), f(&i.crop_rows(5, 12))];
-        let merged = Image::append_rows(&parts);
-        whole.mean_abs_diff(&merged) < 1e-7
+        [vec![0, 5, 20], vec![0, 7, 13, 20], vec![0, 11, 20]]
+            .iter()
+            .all(|cuts| {
+                let parts: Vec<Image> = cuts
+                    .windows(2)
+                    .map(|w| f(&i.crop_rows(w[0], w[1])))
+                    .collect();
+                Image::append_rows(&parts).data() == whole.data()
+            })
     }
 
     #[test]
     fn per_pixel_ops_commute_with_row_splits() {
-        assert!(splits_cleanly(|i| gamma(i, 2.2)));
-        assert!(splits_cleanly(|i| modulate(i, 120.0, 80.0, 100.0)));
-        assert!(splits_cleanly(|i| contrast(i, 5.0)));
-        assert!(splits_cleanly(|i| colorize(i, [0.9, 0.2, 0.1], 0.3)));
-        assert!(splits_cleanly(|i| colortone(i, [0.13, 0.17, 0.43], false)));
-        assert!(splits_cleanly(grayscale));
-        assert!(splits_cleanly(invert));
-        assert!(splits_cleanly(sepia));
-        assert!(splits_cleanly(|i| levels(i, 0.1, 0.9)));
+        assert!(splits_exactly(|i| gamma(i, 2.2)));
+        assert!(splits_exactly(|i| modulate(i, 120.0, 80.0, 100.0)));
+        assert!(splits_exactly(|i| contrast(i, 5.0)));
+        assert!(splits_exactly(|i| contrast(i, -5.0)));
+        assert!(splits_exactly(|i| colorize(i, [0.9, 0.2, 0.1], 0.3)));
+        assert!(splits_exactly(|i| colortone(i, [0.13, 0.17, 0.43], false)));
+        assert!(splits_exactly(grayscale));
+        assert!(splits_exactly(invert));
+        assert!(splits_exactly(sepia));
+        assert!(splits_exactly(|i| levels(i, 0.1, 0.9)));
     }
 
     #[test]
@@ -264,8 +197,8 @@ mod tests {
             [0.5, 0.5, 0.5],
             [0.0, 1.0, 0.0],
         ] {
-            let (h, s, v) = rgb_to_hsv(px);
-            let back = hsv_to_rgb(h, s, v);
+            let (h, s, v) = pixel::rgb_to_hsv(px);
+            let back = pixel::hsv_to_rgb(h, s, v);
             for ch in 0..3 {
                 assert!((px[ch] - back[ch]).abs() < 1e-5, "{px:?} -> {back:?}");
             }
