@@ -156,7 +156,7 @@ struct State {
     /// A shared plan cache attached with
     /// [`MozartContext::attach_plan_cache`].
     plan_cache: Option<Arc<PlanCache>>,
-    /// Session tag for shared-pool fairness accounting; defaults to the
+    /// Session tag for shared-pool usage accounting; defaults to the
     /// context id.
     session_tag: u64,
     /// Cooperative cancellation token
@@ -279,7 +279,7 @@ impl MozartContext {
         self
     }
 
-    /// Set the session tag used for shared-pool fairness accounting
+    /// Set the session tag used for shared-pool usage accounting
     /// (defaults to the context id). Serving layers tag every request
     /// context with its session so [`PoolStats::sessions`] aggregates
     /// per client, not per short-lived context.

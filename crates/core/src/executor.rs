@@ -647,7 +647,7 @@ pub(crate) struct WorkerOut {
 pub(crate) struct ExecEnv<'a> {
     pub(crate) config: &'a Config,
     pub(crate) pool: Option<&'a WorkerPool>,
-    /// Tags pool jobs for per-session fairness accounting when the pool
+    /// Tags pool jobs for per-session usage accounting when the pool
     /// is shared between contexts (see
     /// [`PoolStats::sessions`](crate::stats::PoolStats)).
     pub(crate) session: u64,

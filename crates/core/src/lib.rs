@@ -95,7 +95,7 @@
 //! let session_ctx = MozartContext::with_workers(2);
 //! session_ctx.attach_pool(pool.clone());
 //! session_ctx.attach_plan_cache(cache.clone());
-//! session_ctx.set_session_tag(42); // fairness accounting key
+//! session_ctx.set_session_tag(42); // usage accounting key
 //! ```
 //!
 //! See the `mozart-serve` crate for the full service front-end

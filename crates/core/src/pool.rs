@@ -17,30 +17,14 @@
 //! worth of threads instead of oversubscribing it with one pool per
 //! context.
 //!
-//! # Deficit-weighted round-robin across sessions
+//! # Queue order across sessions
 //!
-//! Idle workers do **not** simply serve the oldest open job: a hot
-//! tenant submitting stage after stage would then monopolize the pool
-//! while a light tenant's occasional job waited behind it. Instead every
-//! session carries a *weight* ([`WorkerPool::set_session_weight`],
-//! default 1) and a *virtual service time* that advances by
-//! `batches / weight` whenever one of its jobs completes. Workers pick
-//! the open job of the session with the smallest virtual time — the
-//! most-underserved session per unit weight — with queue order breaking
-//! ties, so over time each session's batch share converges to its
-//! weight share of the contended pool.
-//!
-//! Two bounds keep this well-behaved:
-//!
-//! * **Deficit cap.** A session that went idle stops advancing its
-//!   virtual clock; re-admitted naively it would hold absolute priority
-//!   until it caught up to the hot sessions. On submit, a session's
-//!   virtual time is therefore clamped to at most
-//!   [`DEFICIT_CAP_BATCHES`] weighted batches behind the furthest-ahead
-//!   session — a bounded burst credit, not an unbounded debt.
-//! * **Caller participation.** The submitting thread always runs its
-//!   own job, so even a session the scheduler never favors progresses
-//!   at single-thread speed — no session can be starved outright.
+//! An idle worker joins the first open job in the queue, which is the
+//! oldest one. No session is starved: the submitting thread always
+//! runs its own job, so a stage progresses at single-thread speed even
+//! while every pool worker serves other sessions' jobs. Requests are
+//! ordered across sessions before they reach the pool, by admission
+//! (`mozart-serve`'s fixed in-flight limit and its FIFO queue).
 //!
 //! Scheduling within a job is dynamic: instead of carving the element
 //! range into one static span per worker, every participant claims the
@@ -101,15 +85,14 @@ pub(crate) struct Job {
     pub(crate) cursor: AtomicU64,
     /// Set when any participant fails, so the others stop claiming.
     pub(crate) failed: AtomicBool,
-    /// Session tag of the submitting context (fairness accounting).
+    /// Session tag of the submitting context (usage accounting).
     session: u64,
     /// Nominal bytes this stage splits (`total_elements · Σ elem bytes`
     /// from the split info API), charged to the session's byte totals.
     bytes: u64,
     /// Batches served by pool workers (ticket >= 1; the submitting
-    /// caller's share is excluded). Observability only: the DRR clock
-    /// charges *total* service (see [`SessionEntry::vtime`]), but this
-    /// split shows how the contended worker capacity was divided.
+    /// caller's share is excluded): how the contended worker capacity
+    /// was divided.
     worker_batches: AtomicU64,
     /// Cleared once the job is closed or fully ticketed, so queue scans
     /// skip it without taking its state lock.
@@ -172,8 +155,7 @@ impl Job {
 
 /// What parked workers wake up to: the open stage jobs, in submission
 /// order. Multiple contexts sharing the pool may each have a job
-/// queued; workers serve the most-underserved session's open job, so no
-/// session's stage is starved by later arrivals.
+/// queued; workers join the first open one.
 struct Queue {
     jobs: VecDeque<Arc<Job>>,
     shutdown: bool,
@@ -183,61 +165,23 @@ struct Queue {
     respawned: Vec<JoinHandle<()>>,
 }
 
-/// Per-session scheduling and accounting state (see the module docs on
-/// deficit-weighted round-robin).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Per-session usage accounting.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SessionEntry {
     /// Completed pool jobs.
     jobs: u64,
     /// Batches processed across all participants of this session's jobs.
     batches: u64,
     /// Of those, batches served by pool workers (submitting callers
-    /// excluded) — the contended capacity DRR divides.
+    /// excluded).
     worker_batches: u64,
     /// Nominal bytes split by this session's pool jobs.
     bytes: u64,
-    /// Fair-share weight (>= 1); a weight-2 session is entitled to twice
-    /// the contended batch share of a weight-1 session.
-    weight: u32,
-    /// Weighted virtual service time: advances by
-    /// `batches · VTIME_SCALE / weight` per completed job, counting the
-    /// session's *total* service — pool-worker batches and the
-    /// submitting caller's own. Charging self-service is deliberate: a
-    /// session whose caller drains its own jobs is demonstrably getting
-    /// work done, so the scarce pool assist tilts toward sessions that
-    /// are not. Workers serve the open job of the session with the
-    /// smallest value.
-    vtime: u64,
     /// Jobs currently queued or running. A session with open jobs is
     /// never folded into the overflow bucket — evicting it would split
     /// its accounting across two entries when the jobs complete.
     open_jobs: u32,
 }
-
-impl Default for SessionEntry {
-    fn default() -> Self {
-        SessionEntry {
-            jobs: 0,
-            batches: 0,
-            worker_batches: 0,
-            bytes: 0,
-            weight: 1,
-            vtime: 0,
-            open_jobs: 0,
-        }
-    }
-}
-
-/// Fixed-point scale of [`SessionEntry::vtime`] (so integer division by
-/// the weight keeps sub-batch resolution).
-const VTIME_SCALE: u64 = 1024;
-
-/// Deficit cap, in weighted batches: on submit, a session's virtual time
-/// is clamped to at most this many weighted batches behind the
-/// furthest-ahead session, bounding the burst a long-idle session can
-/// claim when it returns (and, symmetrically, how long it can hold
-/// strict priority over the hot sessions).
-pub const DEFICIT_CAP_BATCHES: u64 = 256;
 
 /// Monotonic counters aggregated across jobs (see [`PoolStats`]).
 struct Counters {
@@ -255,8 +199,8 @@ struct Counters {
     /// Cursor claims per participant slot (one claim may cover a guided
     /// span of several batches; see the module docs).
     per_worker_claims: Vec<AtomicU64>,
-    /// Per-session scheduling and accounting entries, keyed by the
-    /// submitting context's session tag. Bounded: once
+    /// Per-session accounting entries, keyed by the submitting
+    /// context's session tag. Bounded: once
     /// `MAX_TRACKED_SESSIONS` distinct tags are live, the least-used
     /// *idle* entry is folded into the catch-all [`OVERFLOW_SESSION`]
     /// bucket, so a server opening one session per connection cannot
@@ -283,20 +227,14 @@ fn session_entry(sessions: &mut HashMap<u64, SessionEntry>, session: u64) -> &mu
 ///
 /// Sessions with jobs currently open are skipped: evicting a live
 /// session would let its in-flight completions re-create a fresh entry
-/// and split its totals across two buckets — corrupting exactly the
-/// per-session batch counts the deficit-weighted scheduler ranks by.
-/// If every candidate is live the map transiently exceeds the cap
-/// (bounded by the number of concurrently open jobs).
-///
-/// Among idle candidates, default-weight entries go first: eviction
-/// drops an entry's weight and virtual time, so a session whose
-/// operator explicitly set a non-default weight keeps its entry as
-/// long as any default-weight idle session can be folded instead.
+/// and split its totals across two buckets. If every candidate is live
+/// the map transiently exceeds the cap (bounded by the number of
+/// concurrently open jobs).
 fn evict_one_idle(sessions: &mut HashMap<u64, SessionEntry>) {
     let victim = sessions
         .iter()
         .filter(|(&s, e)| s != OVERFLOW_SESSION && e.open_jobs == 0)
-        .min_by_key(|(_, e)| (e.weight != 1, e.jobs))
+        .min_by_key(|(_, e)| e.jobs)
         .map(|(&s, _)| s);
     if let Some(victim) = victim {
         let e = sessions.remove(&victim).unwrap_or_default();
@@ -326,20 +264,13 @@ impl Counters {
         }
     }
 
-    /// Session accounting at job submit: count the job open and clamp
-    /// the session's virtual time to the deficit cap (module docs).
+    /// Session accounting at job submit: count the job open.
     fn note_submit(&self, session: u64) {
-        let mut sessions = lock(&self.sessions);
-        let max_vtime = sessions.values().map(|e| e.vtime).max().unwrap_or(0);
-        let entry = session_entry(&mut sessions, session);
-        entry.open_jobs += 1;
-        let floor = max_vtime.saturating_sub(DEFICIT_CAP_BATCHES * VTIME_SCALE);
-        entry.vtime = entry.vtime.max(floor);
+        session_entry(&mut lock(&self.sessions), session).open_jobs += 1;
     }
 
     /// Session accounting at job completion: fold in the served batches
-    /// and bytes and advance the session's virtual time by its weighted
-    /// service.
+    /// and bytes.
     fn note_complete(&self, session: u64, batches: u64, worker_batches: u64, bytes: u64) {
         let mut sessions = lock(&self.sessions);
         let entry = session_entry(&mut sessions, session);
@@ -348,27 +279,7 @@ impl Counters {
         entry.worker_batches += worker_batches;
         entry.bytes += bytes;
         entry.open_jobs = entry.open_jobs.saturating_sub(1);
-        // Every job advances the clock by at least one batch so a
-        // stream of degenerate jobs still rotates fairly.
-        entry.vtime += batches.max(1) * VTIME_SCALE / u64::from(entry.weight.max(1));
     }
-}
-
-/// Pick the queue index of the open job whose session is most
-/// underserved (smallest weighted virtual time); queue order breaks
-/// ties, so equal-service sessions are served FIFO.
-fn pick_fair(
-    open_jobs: impl Iterator<Item = (usize, u64)>,
-    sessions: &HashMap<u64, SessionEntry>,
-) -> Option<usize> {
-    let mut best: Option<(usize, u64)> = None;
-    for (idx, session) in open_jobs {
-        let vtime = sessions.get(&session).map(|e| e.vtime).unwrap_or(0);
-        if best.is_none_or(|(_, bv)| vtime < bv) {
-            best = Some((idx, vtime));
-        }
-    }
-    best.map(|(idx, _)| idx)
 }
 
 struct PoolShared {
@@ -438,23 +349,12 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Set the fair-share weight of `session` (clamped to >= 1; every
-    /// session defaults to 1). Under deficit-weighted scheduling a
-    /// weight-`w` session is entitled to `w` times the contended batch
-    /// share of a weight-1 session. Takes effect for jobs completing
-    /// after the call.
-    pub fn set_session_weight(&self, session: u64, weight: u32) {
-        let mut sessions = lock(&self.shared.counters.sessions);
-        session_entry(&mut sessions, session).weight = weight.max(1);
-    }
-
     /// Execute a multi-participant stage on the pool. The caller
     /// participates as worker 0 and blocks until every participant is
     /// done. Safe to call from many threads concurrently: each job is
-    /// queued and pool workers pick among the open jobs by session
-    /// (module docs). The caller's phases are timed on `clock`; the
-    /// submit before its driver loop and the join after it are not
-    /// counted as any phase.
+    /// queued and pool workers join the open jobs in queue order. The
+    /// caller's phases are timed on `clock`; the submit before its
+    /// driver loop and the join after it are not counted as any phase.
     pub(crate) fn run_stage(
         &self,
         job: &Arc<Job>,
@@ -467,8 +367,7 @@ impl WorkerPool {
         let c = &self.shared.counters;
         c.jobs.fetch_add(1, Ordering::Relaxed);
         // Open the session's accounting before the job becomes visible:
-        // the fair pick reads the entry under the queue lock, and the
-        // open-job count must already protect the entry from eviction.
+        // the open-job count must protect the entry from eviction.
         c.note_submit(job.session);
         {
             let mut q = lock(&self.shared.queue);
@@ -506,7 +405,7 @@ impl WorkerPool {
             q.jobs.retain(|j| !Arc::ptr_eq(j, job));
         }
 
-        // Per-session fairness accounting (pool jobs only; single-batch
+        // Per-session usage accounting (pool jobs only; single-batch
         // stages run inline on their caller and are not counted).
         let batches: u64 = outs.iter().map(|o| o.batches).sum();
         let worker_batches = job.worker_batches.load(Ordering::Relaxed);
@@ -530,7 +429,6 @@ impl WorkerPool {
                 batches: e.batches,
                 worker_batches: e.worker_batches,
                 bytes: e.bytes,
-                weight: e.weight,
             })
             .collect();
         sessions.sort_by_key(|s| s.session);
@@ -702,23 +600,8 @@ fn worker_main(shared: &PoolShared) {
                 if q.shutdown {
                     return;
                 }
-                // Deficit-weighted round-robin (module docs): serve the
-                // open job of the most-underserved session. The nested
-                // sessions lock is fine — lock order is always
-                // queue -> sessions, never the reverse.
-                let picked = {
-                    let sessions = lock(&shared.counters.sessions);
-                    pick_fair(
-                        q.jobs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, j)| j.open.load(Ordering::Relaxed))
-                            .map(|(i, j)| (i, j.session)),
-                        &sessions,
-                    )
-                    .and_then(|i| q.jobs.get(i))
-                };
-                if let Some(job) = picked {
+                // The first open job is the oldest (module docs).
+                if let Some(job) = q.jobs.iter().find(|j| j.open.load(Ordering::Relaxed)) {
                     break job.clone();
                 }
                 c.parks.fetch_add(1, Ordering::Relaxed);
@@ -772,8 +655,6 @@ fn worker_main(shared: &PoolShared) {
         };
         c.bump_batches(ticket, &out);
         if let Ok(o) = &out {
-            // Worker-served share, the capacity DRR divides (the
-            // submitting caller's own batches are excluded).
             job.worker_batches.fetch_add(o.batches, Ordering::Relaxed);
         }
         job.record(out);
@@ -856,50 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn fair_pick_prefers_underserved_session_weighted() {
-        let c = counters();
-        // Session 1 has been served 30 batches at weight 1, session 2
-        // served 40 batches at weight 2: per unit weight, session 2 is
-        // the more underserved (40/2 = 20 < 30/1).
-        {
-            let mut sessions = lock(&c.sessions);
-            session_entry(&mut sessions, 2).weight = 2;
-        }
-        c.note_submit(1);
-        c.note_complete(1, 30, 0, 0);
-        c.note_submit(2);
-        c.note_complete(2, 40, 0, 0);
-        let sessions = lock(&c.sessions);
-        let open = [(0usize, 1u64), (1usize, 2u64)];
-        assert_eq!(pick_fair(open.iter().copied(), &sessions), Some(1));
-        // Queue order breaks exact ties (fresh sessions at vtime 0).
-        let fresh = [(0usize, 7u64), (1usize, 8u64)];
-        assert_eq!(pick_fair(fresh.iter().copied(), &sessions), Some(0));
-        // No open jobs: nothing to pick.
-        assert_eq!(pick_fair(std::iter::empty(), &sessions), None);
-    }
-
-    #[test]
-    fn deficit_cap_bounds_idle_credit() {
-        let c = counters();
-        // A hot session races ahead of the clock...
-        c.note_submit(1);
-        c.note_complete(1, 10 * DEFICIT_CAP_BATCHES, 0, 0);
-        // ...then a long-idle session submits: its vtime is clamped to
-        // at most DEFICIT_CAP_BATCHES weighted batches behind.
-        c.note_submit(2);
-        let sessions = lock(&c.sessions);
-        let hot = sessions[&1].vtime;
-        let cold = sessions[&2].vtime;
-        assert!(cold < hot, "cold session still holds priority");
-        assert_eq!(
-            hot - cold,
-            DEFICIT_CAP_BATCHES * VTIME_SCALE,
-            "idle credit is capped, not unbounded"
-        );
-    }
-
-    #[test]
     fn eviction_skips_sessions_with_open_jobs() {
         // Regression (ISSUE 4): evicting a session with jobs in flight
         // splits its accounting across the overflow bucket and a fresh
@@ -929,26 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_prefers_default_weight_sessions() {
-        // An operator-set weight marks an entry worth keeping: eviction
-        // folds a default-weight idle session first, even one with more
-        // completed jobs.
-        let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-        for s in 0..MAX_TRACKED_SESSIONS as u64 {
-            let e = sessions.entry(s).or_default();
-            e.jobs = s + 1;
-            e.weight = 3; // everyone premium...
-        }
-        sessions.get_mut(&7).unwrap().weight = 1; // ...except one
-        session_entry(&mut sessions, 5_000);
-        assert!(
-            !sessions.contains_key(&7),
-            "the default-weight session is folded first"
-        );
-        assert!(sessions.contains_key(&0), "premium sessions survive");
-    }
-
-    #[test]
     fn eviction_declines_when_every_session_is_live() {
         let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
         for s in 0..MAX_TRACKED_SESSIONS as u64 {
@@ -962,12 +779,8 @@ mod tests {
     }
 
     #[test]
-    fn completed_jobs_advance_weighted_vtime_and_totals() {
+    fn completed_jobs_add_to_session_totals() {
         let c = counters();
-        {
-            let mut sessions = lock(&c.sessions);
-            session_entry(&mut sessions, 5).weight = 4;
-        }
         c.note_submit(5);
         c.note_complete(5, 8, 6, 4096);
         let sessions = lock(&c.sessions);
@@ -977,6 +790,5 @@ mod tests {
             (1, 8, 6, 4096)
         );
         assert_eq!(e.open_jobs, 0);
-        assert_eq!(e.vtime, 8 * VTIME_SCALE / 4);
     }
 }

@@ -174,8 +174,7 @@ impl PhaseStats {
 /// Sessions are identified by the submitting context's session tag
 /// (`MozartContext::set_session_tag`; defaults to the context id).
 /// Comparing `batches` across sessions shows how pool capacity was
-/// divided between concurrent clients — the fairness signal the serving
-/// layer watches. The pool tracks a bounded number of tags; evicted
+/// divided between concurrent clients. The pool tracks a bounded number of tags; evicted
 /// sessions' totals aggregate under
 /// [`crate::pool::OVERFLOW_SESSION`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -190,18 +189,12 @@ pub struct SessionPoolStats {
     /// Of [`SessionPoolStats::batches`], the batches served by *pool
     /// workers* — the submitting caller's own driver-loop share is
     /// excluded. This shows how the contended worker capacity was
-    /// divided. (The scheduler's virtual clock charges *total* service,
-    /// including self-served batches, so sessions that drain their own
-    /// jobs yield pool assist to sessions that cannot; under sustained
-    /// contention the worker-served split still tracks weights.)
+    /// divided.
     pub worker_batches: u64,
     /// Nominal bytes split by this session's pool jobs
     /// (`total_elements · Σ elem_size_bytes` per stage, from the split
     /// info API) — the cost signal behind per-session byte budgets.
     pub bytes: u64,
-    /// Fair-share weight under deficit-weighted round-robin (see
-    /// [`crate::pool::WorkerPool::set_session_weight`]); defaults to 1.
-    pub weight: u32,
 }
 
 /// Counters of the persistent worker pool (see [`crate::pool`]),

@@ -215,9 +215,8 @@ fn guided_claim_spans_cut_cursor_claims() {
 }
 
 #[test]
-fn session_stats_carry_weights_and_bytes() {
+fn session_stats_carry_batches_and_bytes() {
     let pool = PoolHandle::new(1);
-    pool.set_session_weight(55, 4);
     let ctx = ctx_on(&pool, 2, 1, 55);
     let n = 32u64;
     let annot = scale_annotation(Duration::ZERO);
@@ -237,21 +236,9 @@ fn session_stats_carry_weights_and_bytes() {
         .iter()
         .find(|s| s.session == 55)
         .expect("session tracked");
-    assert_eq!(s.weight, 4, "weight set before any job must persist");
     assert_eq!(s.batches, n);
     // ChunkSplit reports 8 bytes per element; one split input.
     assert_eq!(s.bytes, n * 8, "nominal split bytes accounted per job");
-
-    // Weights clamp to >= 1 and update in place.
-    pool.set_session_weight(55, 0);
-    let s = pool
-        .stats()
-        .sessions
-        .iter()
-        .find(|s| s.session == 55)
-        .cloned()
-        .unwrap();
-    assert_eq!(s.weight, 1);
 }
 
 #[test]

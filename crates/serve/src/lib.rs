@@ -16,13 +16,10 @@
 //!   clients no longer spawn two pools and oversubscribe the host;
 //!   per-session usage is accounted in
 //!   [`PoolStats::sessions`](mozart_core::PoolStats).
-//! * **Deficit-weighted fair scheduling**: idle pool workers serve the
-//!   open job of the most-underserved session per unit weight, not the
-//!   oldest job, so one hot tenant cannot monopolize the pool.
-//!   Sessions carry weights ([`Session::set_weight`], the
-//!   builder's default, or the wire protocol's `WEIGHT` line);
-//!   starvation is bounded by a deficit cap and by caller
-//!   participation (see `mozart_core::pool`).
+//! * **Queue-order pool jobs**: an idle pool worker joins the oldest
+//!   open job, and each request's own thread always runs its job, so no
+//!   session starves (see `mozart_core::pool`); admission orders
+//!   requests across sessions.
 //! * **A plan cache** ([`mozart_core::PlanCache`]): evaluations
 //!   fingerprint their pending call graph, and repeats of a fingerprint
 //!   write their merged outputs over the placement targets an earlier

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! <pipeline> [key=value]...      run a pipeline
-//! WEIGHT <w>                     set this session's fair-share weight
 //! BUDGET <bytes>                 set this session's byte budget (0 = unlimited)
 //! DEADLINE <ms>                  set this session's default request deadline (0 = none)
 //! PIPELINE <0|1>                 set this session's stage evaluation mode (1 = fused
@@ -27,6 +26,10 @@
 //! verified before it runs, whatever the connection asks. There is no
 //! `VERIFY` directive; a `VERIFY 1` line parses as a call whose operand
 //! is not `key=value` and replies `ERR bad_request`.
+//!
+//! Pool workers join open jobs in submission order, so sessions carry
+//! no scheduling weight. There is no `WEIGHT` directive either: a
+//! `WEIGHT 2` line replies `ERR bad_request` the same way.
 //!
 //! # Stable reply formats
 //!
@@ -76,8 +79,6 @@ use crate::service::Request;
 pub enum ClientLine {
     /// Run the named pipeline with the given parameters.
     Call(String, Request),
-    /// Set the connection session's fair-share weight (>= 1).
-    Weight(u32),
     /// Set the connection session's byte budget (0 = unlimited).
     Budget(u64),
     /// Set the connection session's default request deadline in
@@ -104,7 +105,7 @@ pub enum ClientLine {
     Quit,
 }
 
-/// Parse the single operand of a control line (`WEIGHT`/`BUDGET`).
+/// Parse the single operand of a control line (`BUDGET`, `DEADLINE`, ...).
 fn parse_operand<T: std::str::FromStr>(
     head: &str,
     words: &mut std::str::SplitWhitespace<'_>,
@@ -141,13 +142,6 @@ pub fn parse_line(line: &str) -> Result<ClientLine, ServeError> {
         "METRICS" => bare(ClientLine::Metrics, &mut words),
         "TRACE" => Ok(ClientLine::Trace(parse_operand(head, &mut words)?)),
         "QUIT" => bare(ClientLine::Quit, &mut words),
-        "WEIGHT" => {
-            let w: u32 = parse_operand(head, &mut words)?;
-            if w == 0 {
-                return Err(ServeError::BadRequest("WEIGHT must be at least 1".into()));
-            }
-            Ok(ClientLine::Weight(w))
-        }
         "BUDGET" => Ok(ClientLine::Budget(parse_operand(head, &mut words)?)),
         "DEADLINE" => Ok(ClientLine::Deadline(parse_operand(head, &mut words)?)),
         "PIPELINE" => match parse_operand::<u64>(head, &mut words)? {
@@ -242,24 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_weight_and_budget_lines() {
-        assert_eq!(parse_line("WEIGHT 3").unwrap(), ClientLine::Weight(3));
+    fn parses_budget_lines() {
         assert_eq!(
             parse_line("BUDGET 1000000").unwrap(),
             ClientLine::Budget(1_000_000)
         );
         assert_eq!(parse_line("BUDGET 0").unwrap(), ClientLine::Budget(0));
         // Malformed control lines are typed bad requests.
-        for bad in [
-            "WEIGHT",
-            "WEIGHT 0",
-            "WEIGHT -1",
-            "WEIGHT two",
-            "WEIGHT 1 2",
-            "BUDGET",
-            "BUDGET x",
-            "BUDGET 1 2",
-        ] {
+        for bad in ["BUDGET", "BUDGET x", "BUDGET 1 2"] {
             assert!(
                 matches!(parse_line(bad), Err(ServeError::BadRequest(_))),
                 "{bad:?} must be rejected"
@@ -288,7 +272,17 @@ mod tests {
     #[test]
     fn verify_lines_are_bad_requests() {
         // Plan verification always runs; no line turns it on or off.
-        for bad in ["VERIFY 0", "VERIFY 1", "VERIFY x", "VERIFY 0 1"] {
+        // Sessions carry no scheduling weight; no line sets one.
+        for bad in [
+            "VERIFY 0",
+            "VERIFY 1",
+            "VERIFY x",
+            "VERIFY 0 1",
+            "WEIGHT 0",
+            "WEIGHT 2",
+            "WEIGHT two",
+            "WEIGHT 1 2",
+        ] {
             assert!(
                 matches!(parse_line(bad), Err(ServeError::BadRequest(_))),
                 "{bad:?} must be rejected"

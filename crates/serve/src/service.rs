@@ -40,7 +40,7 @@
 //! end-to-end histogram and the slow-request log.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -296,11 +296,6 @@ pub struct ServiceConfig {
     /// Callers allowed to wait for admission beyond `max_inflight`
     /// before [`ServeError::Saturated`] is returned.
     pub queue_depth: usize,
-    /// Default fair-share weight of new sessions (>= 1). Under the
-    /// pool's deficit-weighted round-robin, a weight-`w` session is
-    /// entitled to `w` times the contended batch share of a weight-1
-    /// session.
-    pub session_weight: u32,
     /// Default byte budget of new sessions (0 = unlimited): once the
     /// bytes split + merged on a session's behalf reach the budget, its
     /// requests are shed with [`ServeError::OverBudget`].
@@ -344,7 +339,6 @@ impl Default for ServiceConfig {
             workers,
             max_inflight: workers,
             queue_depth: 4 * workers,
-            session_weight: 1,
             session_byte_budget: 0,
             coalescing: true,
             max_retries: 2,
@@ -726,7 +720,6 @@ impl ServiceInner {
 /// tentpole): every session shares one process-wide worker pool — no
 /// per-client thread oversubscription — and one plan cache, so repeated
 /// structurally identical pipelines skip the planner. Sessions carry
-/// fair-share weights (deficit-weighted round-robin on the pool) and
 /// optional byte budgets, and queued fingerprint-identical requests
 /// coalesce into one evaluation.
 ///
@@ -762,12 +755,11 @@ impl PipelineService {
         names
     }
 
-    /// Open a session: the unit of fairness accounting and the handle
+    /// Open a session: the unit of usage accounting and the handle
     /// requests go through. Sessions are cheap and `Send`; open one per
     /// client connection or per client thread. The session starts with
-    /// the service's default weight and byte budget
-    /// ([`ServiceConfig::session_weight`] /
-    /// [`ServiceConfig::session_byte_budget`]).
+    /// the service's default byte budget
+    /// ([`ServiceConfig::session_byte_budget`]).
     ///
     /// Session ids are allocated from a process-global counter, so a
     /// session tag in pool accounting or a trace names one session of
@@ -777,19 +769,10 @@ impl PipelineService {
         let inner = &self.inner;
         inner.session_counter.fetch_add(1, Ordering::Relaxed);
         let id = SESSION_IDS.fetch_add(1, Ordering::Relaxed);
-        let weight = inner.config.session_weight.max(1);
-        if weight != 1 {
-            // Default-weight sessions are registered lazily (on their
-            // first pool job): eagerly creating an entry per connection
-            // would churn the pool's bounded session map with idle
-            // sessions and evict entries that carry real accounting.
-            inner.pool.set_session_weight(id, weight);
-        }
         Session {
             service: self.clone(),
             id,
             requests: AtomicU64::new(0),
-            weight: AtomicU32::new(weight),
             byte_budget: AtomicU64::new(inner.config.session_byte_budget),
             bytes_used: AtomicU64::new(0),
             default_deadline_ms: AtomicU64::new(0),
@@ -1711,13 +1694,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Default fair-share weight for new sessions (clamped to >= 1).
-    /// Individual sessions can override it with [`Session::set_weight`].
-    pub fn session_weight(mut self, weight: u32) -> Self {
-        self.config.session_weight = weight.max(1);
-        self
-    }
-
     /// Default byte budget for new sessions (0 = unlimited); see
     /// [`ServeError::OverBudget`]. Individual sessions can override it
     /// with [`Session::set_byte_budget`].
@@ -1849,14 +1825,13 @@ impl ServiceBuilder {
 
 /// One client's handle onto a [`PipelineService`]. The session id tags
 /// every request context, so the shared pool's
-/// [`PoolStats::sessions`](mozart_core::PoolStats) fairness accounting aggregates per client
+/// [`PoolStats::sessions`](mozart_core::PoolStats) usage accounting aggregates per client
 /// rather than per short-lived request context; the session also
-/// carries its fair-share weight and byte budget.
+/// carries its byte budget.
 pub struct Session {
     service: PipelineService,
     id: u64,
     requests: AtomicU64,
-    weight: AtomicU32,
     /// Byte budget (0 = unlimited); see [`ServeError::OverBudget`].
     byte_budget: AtomicU64,
     /// Bytes split + merged on this session's behalf, accumulated from
@@ -1873,7 +1848,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// This session's id (the pool's fairness key).
+    /// This session's id (the pool's usage accounting key).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -1881,20 +1856,6 @@ impl Session {
     /// Requests this session has submitted.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
-    }
-
-    /// This session's fair-share weight.
-    pub fn weight(&self) -> u32 {
-        self.weight.load(Ordering::Relaxed)
-    }
-
-    /// Set this session's fair-share weight (clamped to >= 1): its
-    /// entitled share of the contended pool, relative to other sessions'
-    /// weights, under deficit-weighted round-robin.
-    pub fn set_weight(&self, weight: u32) {
-        let weight = weight.max(1);
-        self.weight.store(weight, Ordering::Relaxed);
-        self.service.inner.pool.set_session_weight(self.id, weight);
     }
 
     /// This session's byte budget (0 = unlimited).

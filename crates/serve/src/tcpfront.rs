@@ -340,10 +340,6 @@ pub fn serve_connection(
             }
             Ok(ClientLine::List) => ok_line(&service.pipeline_names().join(" ")),
             Ok(ClientLine::Stats) => ok_line(&stats_body(service)),
-            Ok(ClientLine::Weight(w)) => {
-                session.set_weight(w);
-                ok_line(&format!("weight={w}"))
-            }
             Ok(ClientLine::Budget(b)) => {
                 session.set_byte_budget(b);
                 ok_line(&format!("budget={b}"))

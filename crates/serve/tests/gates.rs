@@ -1,5 +1,4 @@
-//! Serving gates read off wall time and scheduling shares: fair share
-//! under deficit-weighted scheduling, overload at 2× the closed-loop
+//! Serving gates read off wall time: overload at 2× the closed-loop
 //! peak, and the circuit breaker's fast-fail and recovery.
 //!
 //! One test in this file, so that no sibling test shares the cores.
@@ -11,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mozart_core::{Config, FaultKind, FaultPhase, FaultPlan, FaultPoint, PoolStats};
+use mozart_core::{Config, FaultKind, FaultPhase, FaultPlan, FaultPoint};
 use mozart_serve::{PipelineService, Request, ServeError};
 use workloads::black_scholes as bs;
 
@@ -42,97 +41,9 @@ fn session_config() -> Config {
     debug_assertions,
     ignore = "wall-time gate; runs in the release CI leg"
 )]
-fn fair_share_overload_and_breaker_hold_their_bounds() {
-    fair_share();
+fn overload_and_breaker_hold_their_bounds() {
     overload();
     breaker();
-}
-
-/// 2 hot sessions (2 closed-loop threads each, weight 1) flood the
-/// service while a cold session (1 thread, weight 2) runs 40 requests.
-/// Over the cold session's window its share of worker-served batches
-/// must be at least half its entitlement: its weight share (2 of 4),
-/// capped by its share of all batches, since a closed loop cannot be
-/// served batches it never submits.
-fn fair_share() {
-    let cold_requests = (REQUESTS * 4).clamp(40, 240);
-    // Many scheduling decisions per request, so the shares reflect the
-    // pick policy rather than a handful of coarse claims.
-    let mut cfg = session_config();
-    cfg.batch_override = Some(((N as u64) / 32).max(256));
-    // Admission is FIFO by contract, so it must not be the bottleneck:
-    // every evaluation runs at once and the pool picks whose batches to
-    // serve.
-    let service = PipelineService::builder()
-        .workers(WORKERS)
-        .max_inflight(8)
-        .queue_depth(32)
-        .session_config(cfg)
-        .coalescing(false)
-        .builtin_pipelines()
-        .build();
-    let (hot1, hot2, cold) = (service.session(), service.session(), service.session());
-    cold.set_weight(2);
-    let seeds = [11u64, 22, 33];
-    let refs = seeds.map(reference_body);
-    for (seed, want) in seeds.iter().zip(&refs) {
-        let resp = hot1.call("black_scholes", &request(*seed)).unwrap();
-        assert_eq!(&resp.body, want, "warmup checksum");
-    }
-
-    let stop = AtomicBool::new(false);
-    let ok = AtomicBool::new(true);
-    let before = service.stats().pool;
-    let after = std::thread::scope(|s| {
-        for (session, i) in [(&hot1, 0), (&hot1, 0), (&hot2, 1), (&hot2, 1)] {
-            let (stop, ok, want, req) = (&stop, &ok, &refs[i], request(seeds[i]));
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match session.call("black_scholes", &req) {
-                        Ok(resp) if resp.body != *want => ok.store(false, Ordering::Relaxed),
-                        Ok(_) => {}
-                        Err(e) => panic!("hot request failed: {e}"),
-                    }
-                }
-            });
-        }
-        let req = request(seeds[2]);
-        for _ in 0..cold_requests {
-            let resp = cold.call("black_scholes", &req).unwrap();
-            if resp.body != refs[2] {
-                ok.store(false, Ordering::Relaxed);
-            }
-        }
-        let after = service.stats().pool;
-        stop.store(true, Ordering::Relaxed);
-        after
-    });
-
-    // Batches served to a session over the cold window: (all, by workers).
-    let delta = |id: u64| {
-        let at = |stats: &PoolStats| {
-            let s = stats.sessions.iter().find(|s| s.session == id);
-            s.map_or((0, 0), |s| (s.batches, s.worker_batches))
-        };
-        let ((b0, w0), (b1, w1)) = (at(&before), at(&after));
-        (b1 - b0, w1 - w0)
-    };
-    let deltas = [hot1.id(), hot2.id(), cold.id()].map(delta);
-    let (all, by_workers) = deltas.iter().fold((0, 0), |(a, w), d| (a + d.0, w + d.1));
-    let share = |part: u64, total: u64| (total > 0).then(|| part as f64 / total as f64);
-    let demand_share = share(deltas[2].0, all).unwrap_or(0.0);
-    // A host that drains every job on its callers has no worker-served
-    // batches to divide; then the share is the demand share.
-    let cold_share = share(deltas[2].1, by_workers).unwrap_or(demand_share);
-    let entitled = 0.5f64.min(demand_share);
-    assert!(
-        cold_share >= entitled / 2.0,
-        "cold session share {cold_share:.3} fell below half its entitled share {entitled:.3} under DRR"
-    );
-    assert!(
-        ok.load(Ordering::Relaxed),
-        "the fair-share run must produce reference-identical responses"
-    );
 }
 
 /// The service's closed-loop peak goodput is measured, then a paced

@@ -52,8 +52,6 @@
 //! ```text
 //! > LIST
 //! OK black_scholes crime_index haversine nashville
-//! > WEIGHT 2
-//! OK weight=2
 //! > BUDGET 500000000
 //! OK budget=500000000
 //! > black_scholes n=4096
@@ -64,11 +62,11 @@
 //! OK bye
 //! ```
 //!
-//! `WEIGHT` sets the connection session's fair-share weight (deficit-
-//! weighted scheduling on the shared pool); `BUDGET` caps the bytes the
-//! session may split/merge before requests are shed with
-//! `ERR over_budget` (0 = unlimited). `STATS` reports the service
-//! counters in the stable order documented in
+//! `BUDGET` caps the bytes the session may split/merge before requests
+//! are shed with `ERR over_budget` (0 = unlimited). Sessions carry no
+//! scheduling weight (pool workers join open jobs in submission order),
+//! so a `WEIGHT` line replies `ERR bad_request`. `STATS` reports the
+//! service counters in the stable order documented in
 //! [`mozart_serve::protocol`], including the overload fields
 //! (`admission_limit`, `queue_shed` (retired, always 0), `over_memory`,
 //! `breaker_shed`, `breaker_open`, `memory_live_bytes`,
@@ -279,7 +277,6 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
     // error is the point of the exchange.
     let script = [
         ("LIST", "OK"),
-        ("WEIGHT 2", "OK"),
         ("BUDGET 500000000", "OK"),
         ("black_scholes n=2048", "OK"),
         // Identical, and above the work floor so it is planned: the
@@ -292,7 +289,9 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         ("no_such_pipeline", "ERR"),
         ("black_scholes n=abc", "ERR"),
         ("black_scholes n=2048 n=4096", "ERR"), // duplicate key rejected
-        ("WEIGHT 0", "ERR"),
+        // Sessions carry no scheduling weight: a `WEIGHT` line is a
+        // call whose operand is not `key=value`.
+        ("WEIGHT 2", "ERR bad_request"),
         ("BUDGET lots", "ERR"),
         // An already-expired deadline sheds with the typed error before
         // any work starts.
