@@ -156,9 +156,6 @@ struct State {
     /// A shared plan cache attached with
     /// [`MozartContext::attach_plan_cache`].
     plan_cache: Option<Arc<PlanCache>>,
-    /// Session tag for shared-pool usage accounting; defaults to the
-    /// context id.
-    session_tag: u64,
     /// Cooperative cancellation token
     /// ([`MozartContext::set_cancel_token`]): workers poll it at batch
     /// boundaries and abandon the evaluation with [`Error::Cancelled`].
@@ -240,7 +237,6 @@ impl MozartContext {
                     pool: None,
                     attached_pool: None,
                     plan_cache: None,
-                    session_tag: id,
                     cancel: None,
                     trace_id: 0,
                     protected: Vec::new(),
@@ -279,12 +275,12 @@ impl MozartContext {
         self
     }
 
-    /// Set the session tag used for shared-pool usage accounting
-    /// (defaults to the context id). Serving layers tag every request
-    /// context with its session so [`PoolStats::sessions`] aggregates
-    /// per client, not per short-lived context.
-    pub fn set_session_tag(&self, session: u64) -> &Self {
-        self.inner.state.lock().session_tag = session;
+    /// Retired: does nothing. The pool no longer keeps per-session
+    /// accounts (a serving layer meters its sessions from each
+    /// request's [`PhaseStats`]); the method stays, with its
+    /// signature, only until the repository benchmark (`benchmark/`)
+    /// stops calling it in its next revision.
+    pub fn set_session_tag(&self, _session: u64) -> &Self {
         self
     }
 
@@ -659,7 +655,6 @@ impl State {
                 .as_ref()
                 .or(self.pool.as_ref())
                 .map(|h| &**h),
-            session: self.session_tag,
             cancel: self.cancel.as_ref(),
             trace,
             spares: self.plan_cache.as_deref().zip(site),

@@ -150,7 +150,8 @@ pub(crate) struct ExecStage {
     pub(crate) total_elements: u64,
     /// Per-element footprint summed over the split inputs (split info
     /// API); `total_elements · sum_elem_bytes` is the stage's nominal
-    /// split cost in bytes, the signal behind per-session byte budgets.
+    /// split cost in bytes (`PhaseStats::bytes_split`), the signal
+    /// behind per-session byte budgets.
     pub(crate) sum_elem_bytes: u64,
     batch: u64,
     num_batches: u64,
@@ -647,10 +648,6 @@ pub(crate) struct WorkerOut {
 pub(crate) struct ExecEnv<'a> {
     pub(crate) config: &'a Config,
     pub(crate) pool: Option<&'a WorkerPool>,
-    /// Tags pool jobs for per-session usage accounting when the pool
-    /// is shared between contexts (see
-    /// [`PoolStats::sessions`](crate::stats::PoolStats)).
-    pub(crate) session: u64,
     pub(crate) cancel: Option<&'a Arc<CancelToken>>,
     pub(crate) trace: Option<&'a TraceCtx>,
     /// The attached plan cache and where the stage sits in its plan:
@@ -801,7 +798,7 @@ fn run_exec(
     let job;
     let (exec, mut outs) = match env.pool {
         Some(pool) if exec.participants > 1 => {
-            job = Job::new(exec, env.session);
+            job = Job::new(exec);
             let outs = pool.run_stage(&job, &mut clock)?;
             (&job.exec, outs)
         }

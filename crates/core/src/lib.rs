@@ -71,12 +71,13 @@
 //! targets afresh on every evaluation — the primitives behind the `mozart-serve` crate's
 //! multi-tenant [`PipelineService`] live here:
 //!
-//! * [`PoolHandle`] / [`global_pool`]: a shareable worker pool. Any
-//!   number of contexts [`attach_pool`](MozartContext::attach_pool) the
-//!   same handle; concurrently submitted stages queue on one
-//!   machine-sized thread set instead of oversubscribing the host with
-//!   a pool per context, with per-session usage accounted in
-//!   [`PoolStats::sessions`].
+//! * [`PoolHandle`]: a shareable worker pool. Any number of contexts
+//!   [`attach_pool`](MozartContext::attach_pool) the same handle;
+//!   concurrently submitted stages queue on one machine-sized thread
+//!   set instead of oversubscribing the host with a pool per context.
+//!   The pool counts jobs and batches ([`PoolStats`]), not sessions: a
+//!   serving layer meters each session from its requests'
+//!   [`PhaseStats`].
 //! * [`PlanCache`]: evaluations fingerprint their pending call graph
 //!   ([`graph::DataflowGraph::pending_shape`]) and keep, per
 //!   fingerprint, the placement-merge targets their stages released,
@@ -90,12 +91,11 @@
 //! use std::sync::Arc;
 //! use mozart_core::prelude::*;
 //!
-//! let pool = PoolHandle::new(1); // shared by every session below
+//! let pool = PoolHandle::new(1); // shared by every context that attaches it
 //! let cache = Arc::new(PlanCache::new(64));
 //! let session_ctx = MozartContext::with_workers(2);
 //! session_ctx.attach_pool(pool.clone());
 //! session_ctx.attach_plan_cache(cache.clone());
-//! session_ctx.set_session_tag(42); // usage accounting key
 //! ```
 //!
 //! See the `mozart-serve` crate for the full service front-end
@@ -138,11 +138,11 @@ pub use context::{Future, FutureHandle, MozartContext};
 pub use error::{Error, Result};
 pub use faultinject::{CancelToken, FaultKind, FaultPhase, FaultPlan, FaultPoint};
 pub use planner::{PlanCache, PlanCacheStats};
-pub use pool::{global_pool, PoolHandle, WorkerPool, OVERFLOW_SESSION};
+pub use pool::{PoolHandle, WorkerPool};
 pub use split::{
     Concat, MergeStrategy, Params, Placement, RuntimeInfo, SizeSplit, SplitInstance, Splitter,
 };
-pub use stats::{PhaseStats, PoolStats, SessionPoolStats};
+pub use stats::{PhaseStats, PoolStats};
 pub use trace::{
     chrome_trace_json, SpanKind, SpanRecord, SpanTree, TraceCtx, TraceId, TraceRecorder,
 };
@@ -160,12 +160,12 @@ pub mod prelude {
     pub use crate::faultinject::{CancelToken, FaultKind, FaultPhase, FaultPlan, FaultPoint};
     pub use crate::merge_only::MergeOnly;
     pub use crate::planner::{PlanCache, PlanCacheStats};
-    pub use crate::pool::{global_pool, PoolHandle};
+    pub use crate::pool::PoolHandle;
     pub use crate::registry::{register_annotation, register_default_splitter};
     pub use crate::split::{
         Concat, MergeStrategy, Params, Placement, RuntimeInfo, SizeSplit, SplitInstance, Splitter,
     };
-    pub use crate::stats::{PhaseStats, PoolStats, SessionPoolStats};
+    pub use crate::stats::{PhaseStats, PoolStats};
     pub use crate::trace::{SpanKind, SpanRecord, SpanTree, TraceId, TraceRecorder};
     pub use crate::value::{Arg, BoolValue, DataValue, FloatValue, IntValue, StrValue};
     pub use crate::verify::{check_annotation, lint_annotation, verify_stage, VerifyError};

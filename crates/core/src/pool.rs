@@ -37,9 +37,11 @@
 //!
 //! Per-job bookkeeping (claimed batches and cursor claims per
 //! participant, batches that static partitioning would have given to
-//! another worker, park/unpark transitions, per-session job and batch
-//! totals) is aggregated into [`PoolStats`]; see
-//! `MozartContext::pool_stats` and `PoolHandle::stats`.
+//! another worker, park/unpark transitions) is aggregated into
+//! [`PoolStats`]; see `MozartContext::pool_stats` and
+//! `PoolHandle::stats`. The pool keeps no per-session or per-context
+//! accounts: a serving layer meters its sessions from each request's
+//! `PhaseStats`.
 //!
 //! # Panic isolation and worker respawn
 //!
@@ -58,16 +60,16 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::cputime::PhaseClock;
 use crate::error::{Error, Result};
 use crate::executor::{run_worker, ExecStage, WorkerOut};
 use crate::faultinject::{panic_message, FaultPhase};
-use crate::stats::{PoolStats, SessionPoolStats};
+use crate::stats::PoolStats;
 
 /// One stage dispatched to the pool: the immutable stage description,
 /// the shared batch cursor workers claim ranges from, and completion
@@ -85,15 +87,6 @@ pub(crate) struct Job {
     pub(crate) cursor: AtomicU64,
     /// Set when any participant fails, so the others stop claiming.
     pub(crate) failed: AtomicBool,
-    /// Session tag of the submitting context (usage accounting).
-    session: u64,
-    /// Nominal bytes this stage splits (`total_elements · Σ elem bytes`
-    /// from the split info API), charged to the session's byte totals.
-    bytes: u64,
-    /// Batches served by pool workers (ticket >= 1; the submitting
-    /// caller's share is excluded): how the contended worker capacity
-    /// was divided.
-    worker_batches: AtomicU64,
     /// Cleared once the job is closed or fully ticketed, so queue scans
     /// skip it without taking its state lock.
     open: AtomicBool,
@@ -119,16 +112,12 @@ struct JobState {
 }
 
 impl Job {
-    /// Wrap a stage for execution on behalf of `session`.
-    pub(crate) fn new(exec: ExecStage, session: u64) -> Arc<Job> {
-        let bytes = exec.total_elements.saturating_mul(exec.sum_elem_bytes);
+    /// Wrap a stage for execution on the pool.
+    pub(crate) fn new(exec: ExecStage) -> Arc<Job> {
         Arc::new(Job {
             exec,
             cursor: AtomicU64::new(0),
             failed: AtomicBool::new(false),
-            session,
-            bytes,
-            worker_batches: AtomicU64::new(0),
             open: AtomicBool::new(true),
             tickets: AtomicUsize::new(1),
             state: Mutex::new(JobState::default()),
@@ -165,24 +154,6 @@ struct Queue {
     respawned: Vec<JoinHandle<()>>,
 }
 
-/// Per-session usage accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SessionEntry {
-    /// Completed pool jobs.
-    jobs: u64,
-    /// Batches processed across all participants of this session's jobs.
-    batches: u64,
-    /// Of those, batches served by pool workers (submitting callers
-    /// excluded).
-    worker_batches: u64,
-    /// Nominal bytes split by this session's pool jobs.
-    bytes: u64,
-    /// Jobs currently queued or running. A session with open jobs is
-    /// never folded into the overflow bucket — evicting it would split
-    /// its accounting across two entries when the jobs complete.
-    open_jobs: u32,
-}
-
 /// Monotonic counters aggregated across jobs (see [`PoolStats`]).
 struct Counters {
     jobs: AtomicU64,
@@ -199,51 +170,6 @@ struct Counters {
     /// Cursor claims per participant slot (one claim may cover a guided
     /// span of several batches; see the module docs).
     per_worker_claims: Vec<AtomicU64>,
-    /// Per-session accounting entries, keyed by the submitting
-    /// context's session tag. Bounded: once
-    /// `MAX_TRACKED_SESSIONS` distinct tags are live, the least-used
-    /// *idle* entry is folded into the catch-all [`OVERFLOW_SESSION`]
-    /// bucket, so a server opening one session per connection cannot
-    /// grow this map without limit.
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
-}
-
-/// Cap on individually tracked session tags (see [`Counters::sessions`]).
-const MAX_TRACKED_SESSIONS: usize = 64;
-
-/// Synthetic session tag aggregating evicted sessions' totals.
-pub const OVERFLOW_SESSION: u64 = u64::MAX;
-
-/// Fetch (or create) the entry for `session`, evicting one idle entry
-/// first if the map is at capacity and the tag is new.
-fn session_entry(sessions: &mut HashMap<u64, SessionEntry>, session: u64) -> &mut SessionEntry {
-    if sessions.len() >= MAX_TRACKED_SESSIONS && !sessions.contains_key(&session) {
-        evict_one_idle(sessions);
-    }
-    sessions.entry(session).or_default()
-}
-
-/// Fold the least-used *idle* tracked session into the overflow bucket.
-///
-/// Sessions with jobs currently open are skipped: evicting a live
-/// session would let its in-flight completions re-create a fresh entry
-/// and split its totals across two buckets. If every candidate is live
-/// the map transiently exceeds the cap (bounded by the number of
-/// concurrently open jobs).
-fn evict_one_idle(sessions: &mut HashMap<u64, SessionEntry>) {
-    let victim = sessions
-        .iter()
-        .filter(|(&s, e)| s != OVERFLOW_SESSION && e.open_jobs == 0)
-        .min_by_key(|(_, e)| e.jobs)
-        .map(|(&s, _)| s);
-    if let Some(victim) = victim {
-        let e = sessions.remove(&victim).unwrap_or_default();
-        let overflow = sessions.entry(OVERFLOW_SESSION).or_default();
-        overflow.jobs += e.jobs;
-        overflow.batches += e.batches;
-        overflow.worker_batches += e.worker_batches;
-        overflow.bytes += e.bytes;
-    }
 }
 
 impl Counters {
@@ -262,23 +188,6 @@ impl Counters {
                 slot.fetch_add(out.claims, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Session accounting at job submit: count the job open.
-    fn note_submit(&self, session: u64) {
-        session_entry(&mut lock(&self.sessions), session).open_jobs += 1;
-    }
-
-    /// Session accounting at job completion: fold in the served batches
-    /// and bytes.
-    fn note_complete(&self, session: u64, batches: u64, worker_batches: u64, bytes: u64) {
-        let mut sessions = lock(&self.sessions);
-        let entry = session_entry(&mut sessions, session);
-        entry.jobs += 1;
-        entry.batches += batches;
-        entry.worker_batches += worker_batches;
-        entry.bytes += bytes;
-        entry.open_jobs = entry.open_jobs.saturating_sub(1);
     }
 }
 
@@ -322,7 +231,6 @@ impl WorkerPool {
                 respawned: AtomicU64::new(0),
                 per_worker_batches: (0..=pool_workers).map(|_| AtomicU64::new(0)).collect(),
                 per_worker_claims: (0..=pool_workers).map(|_| AtomicU64::new(0)).collect(),
-                sessions: Mutex::new(HashMap::new()),
             },
         });
         let handles = (0..pool_workers)
@@ -366,9 +274,6 @@ impl WorkerPool {
         );
         let c = &self.shared.counters;
         c.jobs.fetch_add(1, Ordering::Relaxed);
-        // Open the session's accounting before the job becomes visible:
-        // the open-job count must protect the entry from eviction.
-        c.note_submit(job.session);
         {
             let mut q = lock(&self.shared.queue);
             q.jobs.push_back(job.clone());
@@ -405,12 +310,6 @@ impl WorkerPool {
             q.jobs.retain(|j| !Arc::ptr_eq(j, job));
         }
 
-        // Per-session usage accounting (pool jobs only; single-batch
-        // stages run inline on their caller and are not counted).
-        let batches: u64 = outs.iter().map(|o| o.batches).sum();
-        let worker_batches = job.worker_batches.load(Ordering::Relaxed);
-        c.note_complete(job.session, batches, worker_batches, job.bytes);
-
         clock.lap();
         match error {
             Some(e) => Err(e),
@@ -421,17 +320,6 @@ impl WorkerPool {
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         let c = &self.shared.counters;
-        let mut sessions: Vec<SessionPoolStats> = lock(&c.sessions)
-            .iter()
-            .map(|(&session, e)| SessionPoolStats {
-                session,
-                jobs: e.jobs,
-                batches: e.batches,
-                worker_batches: e.worker_batches,
-                bytes: e.bytes,
-            })
-            .collect();
-        sessions.sort_by_key(|s| s.session);
         PoolStats {
             workers: self.handles.len(),
             jobs: c.jobs.load(Ordering::Relaxed),
@@ -448,7 +336,6 @@ impl WorkerPool {
                 .iter()
                 .map(|a| a.load(Ordering::Relaxed))
                 .collect(),
-            sessions,
             panicked_batches: c.panicked.load(Ordering::Relaxed),
             respawned_workers: c.respawned.load(Ordering::Relaxed),
         }
@@ -520,17 +407,6 @@ impl std::fmt::Debug for PoolHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PoolHandle({} workers)", self.pool.pool_workers())
     }
-}
-
-/// The process-global shared pool, created on first use and sized
-/// `default_workers() - 1` so that one saturated session uses the whole
-/// machine. Serving layers that want explicit sizing should create
-/// their own [`PoolHandle`] instead.
-pub fn global_pool() -> PoolHandle {
-    static GLOBAL: OnceLock<PoolHandle> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| PoolHandle::new(crate::config::default_workers().max(1) - 1))
-        .clone()
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -654,9 +530,6 @@ fn worker_main(shared: &PoolShared) {
             ),
         };
         c.bump_batches(ticket, &out);
-        if let Ok(o) = &out {
-            job.worker_batches.fetch_add(o.batches, Ordering::Relaxed);
-        }
         job.record(out);
         {
             let mut st = lock(&job.state);
@@ -691,7 +564,6 @@ mod tests {
             "3 pool workers + caller slot"
         );
         assert_eq!(s.per_worker_claims.len(), 4);
-        assert!(s.sessions.is_empty());
         drop(pool); // must not hang
     }
 
@@ -713,82 +585,5 @@ mod tests {
         // The pool survives while any handle is alive.
         assert_eq!(b.stats().workers, 2);
         drop(b);
-    }
-
-    #[test]
-    fn global_pool_is_a_singleton() {
-        let a = global_pool();
-        let b = global_pool();
-        assert!(Arc::ptr_eq(&a.pool, &b.pool));
-    }
-
-    fn counters() -> Counters {
-        Counters {
-            jobs: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            respawned: AtomicU64::new(0),
-            per_worker_batches: Vec::new(),
-            per_worker_claims: Vec::new(),
-            sessions: Mutex::new(HashMap::new()),
-        }
-    }
-
-    #[test]
-    fn eviction_skips_sessions_with_open_jobs() {
-        // Regression (ISSUE 4): evicting a session with jobs in flight
-        // splits its accounting across the overflow bucket and a fresh
-        // entry once the jobs complete.
-        let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-        for s in 0..MAX_TRACKED_SESSIONS as u64 {
-            let e = sessions.entry(s).or_default();
-            // Session 0 is the least-used *and* live; 1 is the least
-            // used idle session.
-            e.jobs = s.max(1);
-        }
-        sessions.get_mut(&0).unwrap().open_jobs = 1;
-        let live = sessions[&0].clone();
-        // A new tag at capacity evicts exactly one idle session.
-        session_entry(&mut sessions, 1_000);
-        assert_eq!(
-            sessions.get(&0),
-            Some(&live),
-            "live session must not be folded into overflow"
-        );
-        assert!(
-            !sessions.contains_key(&1),
-            "least-used idle session evicted"
-        );
-        assert_eq!(sessions[&OVERFLOW_SESSION].jobs, 1);
-        assert!(sessions.contains_key(&1_000));
-    }
-
-    #[test]
-    fn eviction_declines_when_every_session_is_live() {
-        let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-        for s in 0..MAX_TRACKED_SESSIONS as u64 {
-            sessions.entry(s).or_default().open_jobs = 1;
-        }
-        session_entry(&mut sessions, 9_999);
-        // The map transiently exceeds the cap instead of corrupting a
-        // live session's totals.
-        assert_eq!(sessions.len(), MAX_TRACKED_SESSIONS + 1);
-        assert!(!sessions.contains_key(&OVERFLOW_SESSION));
-    }
-
-    #[test]
-    fn completed_jobs_add_to_session_totals() {
-        let c = counters();
-        c.note_submit(5);
-        c.note_complete(5, 8, 6, 4096);
-        let sessions = lock(&c.sessions);
-        let e = &sessions[&5];
-        assert_eq!(
-            (e.jobs, e.batches, e.worker_batches, e.bytes),
-            (1, 8, 6, 4096)
-        );
-        assert_eq!(e.open_jobs, 0);
     }
 }

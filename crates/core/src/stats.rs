@@ -168,35 +168,6 @@ impl PhaseStats {
     }
 }
 
-/// Per-session usage of a shared worker pool (see
-/// [`crate::pool::PoolHandle`]).
-///
-/// Sessions are identified by the submitting context's session tag
-/// (`MozartContext::set_session_tag`; defaults to the context id).
-/// Comparing `batches` across sessions shows how pool capacity was
-/// divided between concurrent clients. The pool tracks a bounded number of tags; evicted
-/// sessions' totals aggregate under
-/// [`crate::pool::OVERFLOW_SESSION`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SessionPoolStats {
-    /// The submitting context's session tag.
-    pub session: u64,
-    /// Pool jobs (multi-worker stages) this session submitted.
-    pub jobs: u64,
-    /// Batches processed on behalf of this session, summed over all
-    /// participants of its jobs.
-    pub batches: u64,
-    /// Of [`SessionPoolStats::batches`], the batches served by *pool
-    /// workers* — the submitting caller's own driver-loop share is
-    /// excluded. This shows how the contended worker capacity was
-    /// divided.
-    pub worker_batches: u64,
-    /// Nominal bytes split by this session's pool jobs
-    /// (`total_elements · Σ elem_size_bytes` per stage, from the split
-    /// info API) — the cost signal behind per-session byte budgets.
-    pub bytes: u64,
-}
-
 /// Counters of the persistent worker pool (see [`crate::pool`]),
 /// observable through `MozartContext::pool_stats` and
 /// [`crate::pool::PoolHandle::stats`].
@@ -232,10 +203,6 @@ pub struct PoolStats {
     /// cursor-contention reduction the ROADMAP's "guided claim spans"
     /// item asks for.
     pub per_worker_claims: Vec<u64>,
-    /// Per-session usage, sorted by session tag. Only stages dispatched
-    /// to the pool are accounted; inline single-worker stages cost the
-    /// pool nothing.
-    pub sessions: Vec<SessionPoolStats>,
     /// Batch-driver runs that ended in a caught panic
     /// ([`Error::TaskPanicked`](crate::Error)): the panic failed its
     /// job, the worker survived.

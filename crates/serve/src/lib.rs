@@ -13,9 +13,10 @@
 //!
 //! * **A shared worker pool** ([`mozart_core::PoolHandle`]): one
 //!   machine-sized set of threads serves every session. Two concurrent
-//!   clients no longer spawn two pools and oversubscribe the host;
-//!   per-session usage is accounted in
-//!   [`PoolStats::sessions`](mozart_core::PoolStats).
+//!   clients no longer spawn two pools and oversubscribe the host.
+//!   The pool counts jobs and batches only; each session's bytes and
+//!   requests are metered from its requests' phase stats
+//!   ([`Session::bytes_used`], [`Session::requests`]).
 //! * **Queue-order pool jobs**: an idle pool worker joins the oldest
 //!   open job, and each request's own thread always runs its job, so no
 //!   session starves (see `mozart_core::pool`); admission orders

@@ -762,8 +762,8 @@ impl PipelineService {
     /// ([`ServiceConfig::session_byte_budget`]).
     ///
     /// Session ids are allocated from a process-global counter, so a
-    /// session tag in pool accounting or a trace names one session of
-    /// the process, whichever service opened it.
+    /// session id in an error or a trace names one session of the
+    /// process, whichever service opened it.
     pub fn session(&self) -> Session {
         static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
         let inner = &self.inner;
@@ -1028,8 +1028,7 @@ impl PipelineService {
         config.pipeline = session.pipeline.load(Ordering::Relaxed);
         let ctx = MozartContext::new(config);
         ctx.attach_pool(inner.pool.clone())
-            .attach_plan_cache(inner.cache.clone())
-            .set_session_tag(session.id);
+            .attach_plan_cache(inner.cache.clone());
         ctx
     }
 
@@ -1823,11 +1822,11 @@ impl ServiceBuilder {
     }
 }
 
-/// One client's handle onto a [`PipelineService`]. The session id tags
-/// every request context, so the shared pool's
-/// [`PoolStats::sessions`](mozart_core::PoolStats) usage accounting aggregates per client
-/// rather than per short-lived request context; the session also
-/// carries its byte budget.
+/// One client's handle onto a [`PipelineService`]: the unit of usage
+/// accounting. A session meters the requests it started and the bytes
+/// split and merged on its behalf (from each request context's
+/// [`PhaseStats`]), and carries its byte budget, default deadline and
+/// stage evaluation mode.
 pub struct Session {
     service: PipelineService,
     id: u64,
@@ -1848,12 +1847,15 @@ pub struct Session {
 }
 
 impl Session {
-    /// This session's id (the pool's usage accounting key).
+    /// This session's id: it names the session in
+    /// [`ServeError::OverBudget`] and seeds its retry jitter.
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Requests this session has submitted.
+    /// Requests of this session that started: admitted to evaluate,
+    /// or joined to another request's coalesced batch. Requests turned
+    /// away before admission are not counted.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
@@ -1961,7 +1963,7 @@ impl Session {
     }
 
     /// A fresh context wired like this session's request contexts
-    /// (shared pool, shared plan cache, this session's tag) — for
+    /// (shared pool, shared plan cache, this session's mode) — for
     /// callers that want to run ad-hoc annotated calls under the
     /// service's resource envelope. Bypasses admission control and
     /// byte-budget metering.

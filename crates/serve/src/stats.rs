@@ -68,7 +68,7 @@ pub struct ServiceStats {
     /// Shared plan cache counters (`parked_bytes`: released merge
     /// targets currently held for reuse).
     pub plan_cache: PlanCacheStats,
-    /// Shared worker pool counters (includes per-session usage).
+    /// Shared worker pool counters (jobs, batches, parks).
     pub pool: PoolStats,
     /// The concurrency limit: the configured `max_inflight` (`workers`
     /// unless set), fixed for the service's lifetime.

@@ -65,9 +65,8 @@ fn concurrent_sessions_compute_correct_results() {
     // 21 structurally identical requests: one cold miss, 20 replays.
     assert_eq!(stats.plan_cache.hits, 20);
     assert!(stats.plan_cache.hit_rate() > 0.9);
-    // The shared pool ran jobs for several distinct sessions.
+    // The shared pool ran the sessions' jobs.
     assert!(stats.pool.jobs > 0, "pool stats: {:?}", stats.pool);
-    assert!(stats.pool.sessions.len() >= 2);
 }
 
 #[test]
@@ -750,8 +749,8 @@ fn drain_rejects_new_work_and_waits_for_inflight() {
 /// Multi-session sharing: 3 sessions with skewed demand (two hot
 /// sessions driving two threads each, one cold single-threaded session)
 /// over one shared pool. Workers join open jobs in queue order and every
-/// caller runs its own job, so no session starves, and the per-session
-/// usage is visible in the pool stats.
+/// caller runs its own job, so no session starves; each session's
+/// usage is metered on the session itself.
 #[test]
 fn sessions_share_the_pool_without_starvation() {
     let mut cfg = Config::with_workers(2);
@@ -788,24 +787,22 @@ fn sessions_share_the_pool_without_starvation() {
     });
 
     let pool = service.stats().pool;
-    let share = |id: u64| {
-        pool.sessions
-            .iter()
-            .find(|e| e.session == id)
-            .cloned()
-            .unwrap_or_default()
-    };
-    let (e1, e2, ec) = (share(hot1.id()), share(hot2.id()), share(cold.id()));
-    // No session starves: everyone's jobs ran batches on the pool.
-    for e in [&e1, &e2, &ec] {
-        assert!(e.jobs > 0 && e.batches > 0, "starved session: {pool:?}");
-        assert!(e.bytes > 0, "byte accounting missing: {pool:?}");
+    assert!(pool.jobs > 0, "no request reached the pool: {pool:?}");
+    // No session starves: every session's requests ran and split bytes.
+    for s in [&hot1, &hot2, &cold] {
+        assert!(
+            s.requests() > 0 && s.bytes_used() > 0,
+            "starved session {}: {} requests, {} bytes",
+            s.id(),
+            s.requests(),
+            s.bytes_used()
+        );
     }
-    // The cold session is 1 of 5 closed-loop threads: its share of
-    // served batches must not collapse below half of an equal
+    // The cold session is 1 of 5 closed-loop threads: its share of the
+    // metered bytes must not collapse below half of an equal
     // per-*thread* split.
-    let total = (e1.batches + e2.batches + ec.batches) as f64;
-    let cold_share = ec.batches as f64 / total;
+    let total = (hot1.bytes_used() + hot2.bytes_used() + cold.bytes_used()) as f64;
+    let cold_share = cold.bytes_used() as f64 / total;
     assert!(
         cold_share > 0.10,
         "cold session share {cold_share:.3} collapsed: {pool:?}"
