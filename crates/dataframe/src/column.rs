@@ -20,6 +20,8 @@
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
+use crate::wide::Width;
+
 /// Interior-mutable backing store of a column (see the module docs).
 struct ColBuf<T>(Box<[UnsafeCell<T>]>);
 
@@ -136,13 +138,15 @@ impl<T: Clone> ColData<T> {
             offset.checked_add(src.len()).is_some_and(|e| e <= self.len),
             "write_range out of bounds"
         );
-        let base = self.start + offset;
-        for (i, v) in src.iter().enumerate() {
-            // SAFETY: in-bounds per the assert; exclusivity of the
-            // range is the caller's obligation per this function's
-            // contract.
-            unsafe { *self.data.0[base + i].get() = v.clone() };
-        }
+        let rows = &self.data.0[self.start + offset..][..src.len()];
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
+        // the cells are `src.len()` contiguous `T`s, in bounds per the
+        // assert; no other reference accesses them while the call runs
+        // (this function's contract), so the slice is exclusive.
+        let dst = unsafe {
+            std::slice::from_raw_parts_mut(UnsafeCell::raw_get(rows.as_ptr()), rows.len())
+        };
+        dst.clone_from_slice(src);
     }
 
     /// Number of rows in the view.
@@ -182,20 +186,24 @@ impl<T: Clone> ColData<T> {
         }
     }
 
-    /// Copy the rows selected by a boolean mask.
+    /// Copy the rows selected by a boolean mask, cloning each into a
+    /// vector of exactly the kept rows' size.
     ///
     /// # Panics
     ///
     /// Panics if the mask length differs.
     pub fn filter(&self, mask: &[bool]) -> Self {
         assert_eq!(mask.len(), self.len, "mask length mismatch");
-        let out: Vec<T> = self
-            .as_slice()
-            .iter()
-            .zip(mask)
-            .filter(|(_, keep)| **keep)
-            .map(|(v, _)| v.clone())
-            .collect();
+        self.clone_kept(mask, Selection::of(Width::host(), mask))
+    }
+
+    fn clone_kept(&self, mask: &[bool], sel: Selection) -> Self {
+        let mut out = Vec::with_capacity(sel.kept);
+        for (v, &keep) in self.as_slice().iter().zip(mask) {
+            if keep {
+                out.push(v.clone());
+            }
+        }
         ColData::new(out)
     }
 
@@ -203,6 +211,55 @@ impl<T: Clone> ColData<T> {
     pub fn take(&self, idx: &[usize]) -> Self {
         let s = self.as_slice();
         ColData::new(idx.iter().map(|&i| s[i].clone()).collect())
+    }
+}
+
+impl<T: Copy> ColData<T> {
+    /// The rows `mask` keeps, compacted without a branch: every row up
+    /// to the last kept one is written to the next free slot, which
+    /// advances only past a kept row. A row `i` before the last kept
+    /// one finds at most `kept − 1` kept rows before it, so its slot is
+    /// in the buffer, which is sized to the kept rows exactly.
+    fn compact(&self, width: Width, mask: &[bool], sel: Selection) -> Self {
+        let src = &self.as_slice()[..sel.end];
+        let mask = &mask[..sel.end];
+        let mut out = Vec::with_capacity(sel.kept);
+        let dst = &mut out.spare_capacity_mut()[..sel.kept];
+        let written = width.run(
+            #[inline(always)]
+            || {
+                let mut j = 0;
+                for (&v, &keep) in src.iter().zip(mask) {
+                    dst[j].write(v);
+                    j += usize::from(keep);
+                }
+                j
+            },
+        );
+        assert_eq!(written, sel.kept, "filter: a selection of another mask");
+        // SAFETY: slots `0..written` were written: the loop writes slot
+        // `j` before it moves `j` past it.
+        unsafe { out.set_len(written) };
+        ColData::new(out)
+    }
+}
+
+/// What a mask keeps: its kept rows and the end of the last one. A
+/// frame's filter counts it once for all of its columns.
+#[derive(Clone, Copy)]
+pub(crate) struct Selection {
+    kept: usize,
+    end: usize,
+}
+
+impl Selection {
+    pub(crate) fn of(width: Width, mask: &[bool]) -> Selection {
+        let kept = width.run(
+            #[inline(always)]
+            || mask.iter().map(|&keep| usize::from(keep)).sum(),
+        );
+        let end = mask.iter().rposition(|&keep| keep).map_or(0, |i| i + 1);
+        Selection { kept, end }
     }
 }
 
@@ -330,12 +387,33 @@ impl Column {
     }
 
     /// Copy rows selected by a boolean mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length differs.
     pub fn filter(&self, mask: &[bool]) -> Column {
+        self.filter_at(Width::host(), mask)
+    }
+
+    /// [`Column::filter`] at one arm of the dispatch, for tests that
+    /// compare the arms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length differs.
+    #[doc(hidden)]
+    pub fn filter_at(&self, width: Width, mask: &[bool]) -> Column {
+        self.select(width, mask, Selection::of(width, mask))
+    }
+
+    /// The rows `sel` counted of `mask`.
+    pub(crate) fn select(&self, width: Width, mask: &[bool], sel: Selection) -> Column {
+        assert_eq!(mask.len(), self.len(), "mask length mismatch");
         match self {
-            Column::I64(c) => Column::I64(c.filter(mask)),
-            Column::F64(c) => Column::F64(c.filter(mask)),
-            Column::Str(c) => Column::Str(c.filter(mask)),
-            Column::Bool(c) => Column::Bool(c.filter(mask)),
+            Column::I64(c) => Column::I64(c.compact(width, mask, sel)),
+            Column::F64(c) => Column::F64(c.compact(width, mask, sel)),
+            Column::Str(c) => Column::Str(c.clone_kept(mask, sel)),
+            Column::Bool(c) => Column::Bool(c.compact(width, mask, sel)),
         }
     }
 
@@ -495,6 +573,27 @@ mod tests {
             t.strs(),
             &["d".to_string(), "a".to_string(), "a".to_string()]
         );
+    }
+
+    #[test]
+    fn write_range_writes_the_rows_of_the_view() {
+        let f = ColData::new(vec![0.0f64; 8]).slice(2, 7);
+        let s = ColData::new(vec![String::new(); 8]).slice(1, 6);
+        // SAFETY: no other reference reads or writes the columns.
+        unsafe {
+            f.write_range(1, &[1.5, 2.5]);
+            s.write_range(3, &["a".to_string(), "b".to_string()]);
+        }
+        assert_eq!(f.as_slice(), &[0.0, 1.5, 2.5, 0.0, 0.0]);
+        assert_eq!(s.as_slice(), &["", "", "", "a", "b"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "write_range out of bounds")]
+    fn write_range_stays_inside_the_view() {
+        let c = ColData::new(vec![0i64; 8]).slice(0, 4);
+        // SAFETY: as above; the call panics before it writes.
+        unsafe { c.write_range(3, &[1, 2]) };
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The [`DataFrame`]: an ordered collection of named, equal-length
 //! columns with zero-copy row slicing.
 
-use crate::column::Column;
+use crate::column::{Column, Selection};
+use crate::wide::Width;
 
 /// A columnar table (the reproduction's `pandas.DataFrame`).
 ///
@@ -125,11 +126,13 @@ impl DataFrame {
     /// Panics if the mask is not boolean or has the wrong length.
     pub fn filter(&self, mask: &Column) -> DataFrame {
         let m = mask.bools();
+        let width = Width::host();
+        let sel = Selection::of(width, m);
         DataFrame {
             cols: self
                 .cols
                 .iter()
-                .map(|(n, c)| (n.clone(), c.filter(m)))
+                .map(|(n, c)| (n.clone(), c.select(width, m, sel)))
                 .collect(),
         }
     }

@@ -7,14 +7,9 @@
 //! columns, which is what makes them safely splittable by rows.
 
 use crate::column::Column;
+use crate::wide::{self, Width};
 
 // ------------------------------ arithmetic ------------------------------
-
-fn zip_f64(a: &Column, b: &Column, f: impl Fn(f64, f64) -> f64, op: &str) -> Column {
-    let (x, y) = (a.f64s(), b.f64s());
-    assert_eq!(x.len(), y.len(), "{op}: length mismatch");
-    Column::from_f64(x.iter().zip(y).map(|(p, q)| f(*p, *q)).collect())
-}
 
 macro_rules! series_binary {
     ($(#[$doc:meta])* $name:ident, $sname:ident, $f:expr) => {
@@ -24,13 +19,13 @@ macro_rules! series_binary {
         ///
         /// Panics if lengths differ or a column is not `f64`.
         pub fn $name(a: &Column, b: &Column) -> Column {
-            zip_f64(a, b, $f, stringify!($name))
+            Column::from_f64(wide::zip(a.f64s(), b.f64s(), stringify!($name), $f))
         }
 
         /// Scalar variant of the operator.
         pub fn $sname(a: &Column, k: f64) -> Column {
             let f = $f;
-            Column::from_f64(a.f64s().iter().map(|&x| f(x, k)).collect())
+            Column::from_f64(wide::map(a.f64s(), |x| f(x, k)))
         }
     };
 }
@@ -58,7 +53,7 @@ macro_rules! series_compare {
     ($(#[$doc:meta])* $name:ident, $op:tt) => {
         $(#[$doc])*
         pub fn $name(a: &Column, k: f64) -> Column {
-            Column::from_bool(a.f64s().iter().map(|&x| x $op k).collect())
+            Column::from_bool(wide::map(a.f64s(), |x| x $op k))
         }
     };
 }
@@ -82,7 +77,7 @@ series_compare!(
 
 /// `a == k` mask over an integer series.
 pub fn eq_i64(a: &Column, k: i64) -> Column {
-    Column::from_bool(a.i64s().iter().map(|&x| x == k).collect())
+    Column::from_bool(wide::map(a.i64s(), |x| x == k))
 }
 
 /// Elementwise `a > b` over two `f64` series.
@@ -91,9 +86,7 @@ pub fn eq_i64(a: &Column, k: i64) -> Column {
 ///
 /// Panics if lengths differ.
 pub fn gt(a: &Column, b: &Column) -> Column {
-    let (x, y) = (a.f64s(), b.f64s());
-    assert_eq!(x.len(), y.len(), "gt: length mismatch");
-    Column::from_bool(x.iter().zip(y).map(|(p, q)| p > q).collect())
+    Column::from_bool(wide::zip(a.f64s(), b.f64s(), "gt", |p, q| p > q))
 }
 
 // ------------------------------ boolean ---------------------------------
@@ -104,9 +97,7 @@ pub fn gt(a: &Column, b: &Column) -> Column {
 ///
 /// Panics if lengths differ.
 pub fn and(a: &Column, b: &Column) -> Column {
-    let (x, y) = (a.bools(), b.bools());
-    assert_eq!(x.len(), y.len(), "and: length mismatch");
-    Column::from_bool(x.iter().zip(y).map(|(p, q)| *p && *q).collect())
+    Column::from_bool(wide::zip(a.bools(), b.bools(), "and", |p, q| p & q))
 }
 
 /// Elementwise OR of two boolean masks.
@@ -115,14 +106,12 @@ pub fn and(a: &Column, b: &Column) -> Column {
 ///
 /// Panics if lengths differ.
 pub fn or(a: &Column, b: &Column) -> Column {
-    let (x, y) = (a.bools(), b.bools());
-    assert_eq!(x.len(), y.len(), "or: length mismatch");
-    Column::from_bool(x.iter().zip(y).map(|(p, q)| *p || *q).collect())
+    Column::from_bool(wide::zip(a.bools(), b.bools(), "or", |p, q| p | q))
 }
 
 /// Elementwise NOT of a boolean mask.
 pub fn not(a: &Column) -> Column {
-    Column::from_bool(a.bools().iter().map(|b| !b).collect())
+    Column::from_bool(wide::map(a.bools(), |b| !b))
 }
 
 // ------------------------------ nulls -----------------------------------
@@ -131,19 +120,14 @@ pub fn not(a: &Column) -> Column {
 /// null-free column types.
 pub fn is_null(a: &Column) -> Column {
     match a {
-        Column::F64(c) => Column::from_bool(c.as_slice().iter().map(|x| x.is_nan()).collect()),
+        Column::F64(c) => Column::from_bool(wide::map(c.as_slice(), f64::is_nan)),
         other => Column::from_bool(vec![false; other.len()]),
     }
 }
 
 /// Replace NaN with `v` (like `Series.fillna`).
 pub fn fillna(a: &Column, v: f64) -> Column {
-    Column::from_f64(
-        a.f64s()
-            .iter()
-            .map(|&x| if x.is_nan() { v } else { x })
-            .collect(),
-    )
+    Column::from_f64(wide::map(a.f64s(), |x| if x.is_nan() { v } else { x }))
 }
 
 /// Conditionally replace values: where `mask` is true, use `v`
@@ -154,14 +138,12 @@ pub fn fillna(a: &Column, v: f64) -> Column {
 ///
 /// Panics if lengths differ or the column is not `f64`.
 pub fn mask_assign(a: &Column, mask: &Column, v: f64) -> Column {
-    let (x, m) = (a.f64s(), mask.bools());
-    assert_eq!(x.len(), m.len(), "mask_assign: length mismatch");
-    Column::from_f64(
-        x.iter()
-            .zip(m)
-            .map(|(&val, &hit)| if hit { v } else { val })
-            .collect(),
-    )
+    Column::from_f64(wide::zip(
+        a.f64s(),
+        mask.bools(),
+        "mask_assign",
+        |val, hit| if hit { v } else { val },
+    ))
 }
 
 /// Conditionally replace string values where `mask` is true.
@@ -228,9 +210,90 @@ pub fn str_upper(a: &Column) -> Column {
 
 // ------------------------------ reductions ------------------------------
 
-/// Sum of an `f64` series, skipping NaN (Pandas semantics).
+/// Sum of an `f64` series, skipping NaN (Pandas semantics), as NumPy
+/// sums: pairwise.
+///
+/// Blocks of at most [`PAIRWISE_BLOCK`] rows are summed into eight
+/// partial sums, one per row modulo 8, which are then added as a
+/// balanced tree; a longer series is halved (at a multiple of 8) and
+/// its halves' sums added. The rounding error grows with the log of the
+/// length, not the length, and the eight partial sums are one vector
+/// add per eight rows at the host's width. A NaN row is read as −0.0,
+/// the additive identity (`−0.0 + x` is `x` for every `x`, `+0.0`
+/// included), so skipping NaN leaves no trace: the sum of nothing, of
+/// `[-0.0]` or of all-NaN rows is −0.0, as a serial sum from −0.0 gives.
 pub fn sum(a: &Column) -> f64 {
-    a.f64s().iter().filter(|x| !x.is_nan()).sum()
+    sum_at(Width::host(), a)
+}
+
+/// [`sum`] at one arm of the dispatch, for tests that compare the arms.
+#[doc(hidden)]
+pub fn sum_at(width: Width, a: &Column) -> f64 {
+    let x = a.f64s();
+    width.run(
+        #[inline(always)]
+        || pairwise_sum(x),
+    )
+}
+
+/// Rows summed serially into eight partial sums by [`sum`]; longer runs
+/// are halved. NumPy's `PW_BLOCKSIZE`.
+pub const PAIRWISE_BLOCK: usize = 128;
+
+/// NumPy's recursion, run off a stack of its own: a recursive call
+/// would leave the arm the caller compiled this into, and the leaves
+/// would run at the baseline width. Only the tree's shape decides the
+/// bits, since IEEE addition of two values commutes.
+#[inline(always)]
+fn pairwise_sum(x: &[f64]) -> f64 {
+    // Halving takes at most 0.57 of a run above `PAIRWISE_BLOCK`, so a
+    // slice (at most 2^60 doubles) nests below 80 levels; each level
+    // leaves at most a right half and an addition on `todo`.
+    const DEPTH: usize = 128;
+    // A run still to sum, or `None`: add the top two sums.
+    let mut todo: [Option<&[f64]>; 2 * DEPTH + 1] = [None; 2 * DEPTH + 1];
+    let mut sums = [0.0f64; DEPTH];
+    let (mut t, mut s) = (1, 0);
+    todo[0] = Some(x);
+    while t > 0 {
+        t -= 1;
+        match todo[t] {
+            Some(run) if run.len() > PAIRWISE_BLOCK => {
+                let half = run.len() / 2 / 8 * 8;
+                todo[t] = None;
+                todo[t + 1] = Some(&run[half..]);
+                todo[t + 2] = Some(&run[..half]);
+                t += 3;
+            }
+            Some(run) => {
+                sums[s] = block_sum(run);
+                s += 1;
+            }
+            None => {
+                s -= 1;
+                sums[s - 1] += sums[s];
+            }
+        }
+    }
+    sums[0]
+}
+
+/// One leaf of [`pairwise_sum`]: at most [`PAIRWISE_BLOCK`] rows.
+#[inline(always)]
+fn block_sum(x: &[f64]) -> f64 {
+    let skip_nan = |v: f64| if v.is_nan() { -0.0 } else { v };
+    if x.len() < 8 {
+        return x.iter().fold(-0.0, |s, &v| s + skip_nan(v));
+    }
+    let (rows, tail) = x.split_at(x.len() / 8 * 8);
+    let mut r = [-0.0f64; 8];
+    for row in rows.chunks_exact(8) {
+        for (r, &v) in r.iter_mut().zip(row) {
+            *r += skip_nan(v);
+        }
+    }
+    let s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    tail.iter().fold(s, |s, &v| s + skip_nan(v))
 }
 
 /// Count of non-null values.

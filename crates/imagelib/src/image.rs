@@ -451,11 +451,7 @@ pub const TILE: usize = 64;
 ///
 /// Panics if the lengths differ or are not a whole number of pixels.
 pub fn map_rgb<F: Fn([f32; 3]) -> [f32; 3]>(src: &[f32], dst: &mut [MaybeUninit<f32>], f: &F) {
-    check_lengths(src, dst);
-    wide(
-        #[inline(always)]
-        || map_tiles(src, dst, f),
-    )
+    map_rgb_at(Width::host(), src, dst, f)
 }
 
 /// Map interleaved RGB channel values `src` through the channel kernel
@@ -477,58 +473,140 @@ pub fn map_rgb_channels<F: Fn(f32, f32) -> f32>(
     params: [f32; 3],
     f: &F,
 ) {
-    check_lengths(src, dst);
-    wide(
-        #[inline(always)]
-        || map_flat(src, dst, params, f),
-    )
+    map_rgb_channels_at(Width::host(), src, dst, params, f)
 }
 
-/// [`map_rgb`] at the baseline target's width whatever the CPU has: the
-/// dispatch's other arm, for tests that compare the two.
+/// [`map_rgb`] at one arm of the dispatch, for tests that compare the
+/// arms.
 #[doc(hidden)]
-pub fn map_rgb_baseline<F: Fn([f32; 3]) -> [f32; 3]>(
+pub fn map_rgb_at<F: Fn([f32; 3]) -> [f32; 3]>(
+    width: Width,
     src: &[f32],
     dst: &mut [MaybeUninit<f32>],
     f: &F,
 ) {
     check_lengths(src, dst);
-    map_tiles(src, dst, f)
+    width.run(
+        #[inline(always)]
+        || map_tiles(src, dst, f),
+    )
 }
 
-/// [`map_rgb_channels`] at the baseline target's width whatever the
-/// CPU has, for tests that compare the two.
+/// [`map_rgb_channels`] at one arm of the dispatch, for tests that
+/// compare the arms.
 #[doc(hidden)]
-pub fn map_rgb_channels_baseline<F: Fn(f32, f32) -> f32>(
+pub fn map_rgb_channels_at<F: Fn(f32, f32) -> f32>(
+    width: Width,
     src: &[f32],
     dst: &mut [MaybeUninit<f32>],
     params: [f32; 3],
     f: &F,
 ) {
     check_lengths(src, dst);
-    map_flat(src, dst, params, f)
+    width.run(
+        #[inline(always)]
+        || map_flat(src, dst, params, f),
+    )
 }
 
-/// Run a kernel loop at the host's vector width: inside an AVX2
-/// function when the CPU has AVX2, so the loop inlined into it compiles
-/// 8 channels wide; directly, at the baseline target's 4, when it has
-/// not. The library's only CPU-feature dispatch. Both widths give the
-/// same bits (see the [`crate::pixel`] docs).
-#[inline(always)]
-fn wide(run: impl FnOnce()) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, checked just above.
-        unsafe { avx2(run) };
-        return;
+/// The host's vector width: the library's only CPU-feature dispatch.
+///
+/// Every kernel loop runs inside [`Width::run`], which calls it from a
+/// function compiled for the widest instruction set the CPU has, so the
+/// loop inlined into it is compiled that wide: 16 channels per
+/// instruction under AVX-512 (x86-64-v4: F, BW, CD, DQ and VL), 8 under
+/// AVX2, and 4 at the baseline target (SSE2) on a CPU with neither. All
+/// three arms give the same bits (see the [`crate::pixel`] docs):
+/// although the AVX-512 arm has FMA instructions, Rust never contracts
+/// a multiply and an add into one.
+///
+/// Public only so that tests can run each arm the host has
+/// ([`map_rgb_at`], [`map_rgb_channels_at`]) and compare their bits.
+/// Only [`Width::available`] and the library's own dispatch make one,
+/// each from the CPU's features, so a `Width` is proof that the CPU can
+/// run it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Width(Arm);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arm {
+    Baseline,
+    Avx2,
+    Avx512,
+}
+
+impl Width {
+    /// Every arm the running CPU has, narrowest first.
+    pub fn available() -> Vec<Width> {
+        [Arm::Baseline, Arm::Avx2, Arm::Avx512]
+            .into_iter()
+            .filter(|a| a.detected())
+            .map(Width)
+            .collect()
     }
-    run()
+
+    /// The widest arm the running CPU has: the one the operators run.
+    fn host() -> Width {
+        let widest = [Arm::Avx512, Arm::Avx2].into_iter().find(|a| a.detected());
+        Width(widest.unwrap_or(Arm::Baseline))
+    }
+
+    /// Run `f` compiled for this arm: a loop in an `#[inline(always)]`
+    /// `f` compiles to its width.
+    #[inline(always)]
+    fn run(self, f: impl FnOnce()) {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => {
+                // SAFETY: a `Width` holds only an arm the CPU has.
+                unsafe { avx512(f) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => {
+                // SAFETY: as above.
+                unsafe { avx2(f) }
+            }
+            _ => f(),
+        }
+    }
+}
+
+impl Arm {
+    fn detected(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                Arm::Baseline => true,
+                Arm::Avx2 => has!("avx2"),
+                Arm::Avx512 => {
+                    has!("avx2")
+                        && has!("avx512f")
+                        && has!("avx512bw")
+                        && has!("avx512cd")
+                        && has!("avx512dq")
+                        && has!("avx512vl")
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Arm::Baseline
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
+fn avx512(f: impl FnOnce()) {
+    f()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn avx2(run: impl FnOnce()) {
-    run()
+fn avx2(f: impl FnOnce()) {
+    f()
 }
 
 fn check_lengths(src: &[f32], dst: &[MaybeUninit<f32>]) {

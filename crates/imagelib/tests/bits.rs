@@ -5,9 +5,10 @@
 //! in `[0, 1]`, and must give the same bits
 //!
 //! * through the operator, through `map_rgb`/`map_rgb_channels` called
-//!   directly, and through the baseline-width loop those dispatch away
-//!   from on an AVX2 host (`map_rgb_baseline`,
-//!   `map_rgb_channels_baseline`);
+//!   directly, and through each arm of the dispatch the host has, the
+//!   ones those calls dispatch away from included (`map_rgb_at`,
+//!   `map_rgb_channels_at` at every `Width::available`: the baseline,
+//!   AVX2 and AVX-512 arms on an AVX-512 host);
 //! * on 1 and 2 internal threads;
 //! * for every pixel count from 1 to two tiles and one more, and at the
 //!   internal-parallel threshold and one either side: each is a prefix
@@ -15,7 +16,7 @@
 //!
 //! and an FNV-1a hash of those bits must equal the one pinned below.
 //! (A NaN counts as any NaN: Rust leaves its sign and payload
-//! unspecified, and the two widths differ in them.)
+//! unspecified, and the widths differ in them.)
 //!
 //! Against the scalar operators the library shipped before its kernels
 //! were made branch-free (`tests/reference`): on channels in `[0, 1]`,
@@ -27,7 +28,7 @@ mod reference;
 
 use std::mem::MaybeUninit;
 
-use imagelib::image::{self, TILE};
+use imagelib::image::{self, Width, TILE};
 use imagelib::{pixel, Image};
 
 /// The library's parallel threshold in pixels (`image::PAR_THRESHOLD`).
@@ -112,8 +113,12 @@ fn image(data: &[f32], n: usize) -> Image {
     Image::from_rgb(n, 1, data[..n * 3].to_vec())
 }
 
-/// A slice loop: the direct call or the baseline-width one.
-type Loop = Box<dyn Fn(&[f32], &mut [MaybeUninit<f32>])>;
+/// A slice loop.
+type Map<'a> = dyn Fn(&[f32], &mut [MaybeUninit<f32>]) + 'a;
+/// The direct call's slice loop.
+type Loop = Box<Map<'static>>;
+/// A slice loop at one arm of the dispatch.
+type ArmLoop = Box<dyn Fn(Width, &[f32], &mut [MaybeUninit<f32>])>;
 /// A scalar pixel function.
 type Pixel = Box<dyn Fn([f32; 3]) -> [f32; 3]>;
 
@@ -121,7 +126,7 @@ struct Op {
     name: String,
     op: Box<dyn Fn(&Image) -> Image>,
     direct: Loop,
-    baseline: Loop,
+    at: ArmLoop,
     /// The scalar form, for operators that must match it bit for bit.
     reference: Option<Pixel>,
     hash: u64,
@@ -135,7 +140,7 @@ where
         name: name.to_string(),
         op: Box::new(op),
         direct: Box::new(move |s, d| image::map_rgb(s, d, &k)),
-        baseline: Box::new(move |s, d| image::map_rgb_baseline(s, d, &k)),
+        at: Box::new(move |w, s, d| image::map_rgb_at(w, s, d, &k)),
         reference: None,
         hash,
     }
@@ -154,7 +159,7 @@ where
         name: name.to_string(),
         op: Box::new(op),
         direct: Box::new(move |s, d| image::map_rgb_channels(s, d, k.params, &k.f)),
-        baseline: Box::new(move |s, d| image::map_rgb_channels_baseline(s, d, k.params, &k.f)),
+        at: Box::new(move |w, s, d| image::map_rgb_channels_at(w, s, d, k.params, &k.f)),
         reference: None,
         hash,
     }
@@ -325,7 +330,7 @@ fn first_difference(a: &[f32], b: &[f32]) -> Option<String> {
     ))
 }
 
-fn run(f: &Loop, src: &[f32]) -> Vec<f32> {
+fn run(f: &Map<'_>, src: &[f32]) -> Vec<f32> {
     let mut out = Vec::with_capacity(src.len());
     f(src, &mut out.spare_capacity_mut()[..src.len()]);
     // SAFETY: the map wrote every element of the spare capacity it was
@@ -356,10 +361,10 @@ fn every_operator_reproduces_its_pinned_bits() {
             "direct call",
             first_difference(want, &run(&op.direct, &input)),
         );
-        fail(
-            "baseline width",
-            first_difference(want, &run(&op.baseline, &input)),
-        );
+        for w in Width::available() {
+            let at = |s: &[f32], d: &mut [MaybeUninit<f32>]| (op.at)(w, s, d);
+            fail(&format!("{w:?}"), first_difference(want, &run(&at, &input)));
+        }
         for threads in [1, 2] {
             imagelib::set_num_threads(threads);
             for &n in &counts {

@@ -158,7 +158,13 @@ pub fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let ax = x.abs();
     let t = 1.0 / (1.0 + P * ax);
-    let y = 1.0 - ((((A5 * t + A4) * t + A3) * t + A2) * t + A1) * t * exp(-ax * ax);
+    // A NaN `x` leaves `t` the only NaN operand of every operation, so
+    // the result is `x`'s NaN, quieted and positive, at every vector
+    // width. `exp`'s own NaN would meet it in one multiply, and which
+    // of two NaNs a multiply returns depends on how the compiler orders
+    // its operands: the SSE2 loop returned `exp`'s.
+    let e = if x.is_nan() { 1.0 } else { exp(-ax * ax) };
+    let y = 1.0 - ((((A5 * t + A4) * t + A3) * t + A2) * t + A1) * t * e;
     sign * y
 }
 

@@ -22,11 +22,21 @@ pub fn num_threads() -> usize {
 }
 
 /// Run `f(start, len)` over `[0, n)`, splitting across the library's
-/// internal threads when profitable; each part runs through [`wide`].
+/// internal threads when profitable; each part runs at the host's
+/// vector width ([`Width`]).
 pub(crate) fn run_parallel(n: usize, f: impl Fn(usize, usize) + Send + Sync) {
+    run_parallel_at(Width::host(), n, f)
+}
+
+/// [`run_parallel`] at one arm of the dispatch: every part, on every
+/// internal thread, runs at `width`.
+pub(crate) fn run_parallel_at(width: Width, n: usize, f: impl Fn(usize, usize) + Send + Sync) {
     let t = num_threads();
     if t <= 1 || n < PAR_THRESHOLD {
-        wide(&f, 0, n);
+        width.run(
+            #[inline(always)]
+            || f(0, n),
+        );
         return;
     }
     let per = n.div_ceil(t);
@@ -38,34 +48,117 @@ pub(crate) fn run_parallel(n: usize, f: impl Fn(usize, usize) + Send + Sync) {
             }
             let len = per.min(n - start);
             let f = &f;
-            s.spawn(move || wide(f, start, len));
+            s.spawn(move || {
+                width.run(
+                    #[inline(always)]
+                    || f(start, len),
+                )
+            });
         }
     });
 }
 
-/// Run `f(start, len)` at the host's vector width: inside an AVX2
-/// function when the CPU has AVX2, so a kernel loop inlined into `f` is
-/// compiled 4 doubles wide; directly, at the baseline target's 2, when
-/// it has not. The library's only CPU-feature dispatch. Both widths give
-/// the same bits: the kernels are IEEE adds, multiplies, divides, square
-/// roots and selects, and no FMA is enabled to contract them. (Which
-/// operand's NaN an operation on two NaNs returns is left unspecified by
-/// Rust, and the two widths may pick differently.)
-#[inline(always)]
-fn wide<F: Fn(usize, usize) + ?Sized>(f: &F, start: usize, len: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, checked just above.
-        unsafe { avx2(f, start, len) };
-        return;
+/// The host's vector width: the library's only CPU-feature dispatch.
+///
+/// Every kernel loop runs inside [`Width::run`], which calls it from a
+/// function compiled for the widest instruction set the CPU has, so a
+/// loop inlined into it is compiled that wide: 8 doubles per
+/// instruction under AVX-512 (x86-64-v4: F, BW, CD, DQ and VL), 4 under
+/// AVX2, and 2 at the baseline target (SSE2) on a CPU with neither.
+/// All three arms give the same bits: the kernels are IEEE adds,
+/// multiplies, divides, square roots and selects, and although the
+/// AVX-512 arm has FMA instructions, Rust never contracts a multiply
+/// and an add into one. (Which operand's NaN an operation on two NaNs
+/// returns is left unspecified by Rust, and the arms may pick
+/// differently.)
+///
+/// Public only so that tests can run each arm the host has through the
+/// kernels' `_at` forms and compare their bits. Only
+/// [`Width::available`] and the library's own dispatch make one, each
+/// from the CPU's features, so a `Width` is proof that the CPU can run
+/// it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Width(Arm);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arm {
+    Baseline,
+    Avx2,
+    Avx512,
+}
+
+impl Width {
+    /// Every arm the running CPU has, narrowest first.
+    pub fn available() -> Vec<Width> {
+        [Arm::Baseline, Arm::Avx2, Arm::Avx512]
+            .into_iter()
+            .filter(|a| a.detected())
+            .map(Width)
+            .collect()
     }
-    f(start, len)
+
+    /// The widest arm the running CPU has: the one the kernels run.
+    pub(crate) fn host() -> Width {
+        let widest = [Arm::Avx512, Arm::Avx2].into_iter().find(|a| a.detected());
+        Width(widest.unwrap_or(Arm::Baseline))
+    }
+
+    /// Run `f` compiled for this arm: a loop in an `#[inline(always)]`
+    /// `f` compiles to its width.
+    #[inline(always)]
+    fn run(self, f: impl FnOnce()) {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => {
+                // SAFETY: a `Width` holds only an arm the CPU has.
+                unsafe { avx512(f) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => {
+                // SAFETY: as above.
+                unsafe { avx2(f) }
+            }
+            _ => f(),
+        }
+    }
+}
+
+impl Arm {
+    fn detected(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                Arm::Baseline => true,
+                Arm::Avx2 => has!("avx2"),
+                Arm::Avx512 => {
+                    has!("avx2")
+                        && has!("avx512f")
+                        && has!("avx512bw")
+                        && has!("avx512cd")
+                        && has!("avx512dq")
+                        && has!("avx512vl")
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Arm::Baseline
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
+fn avx512(f: impl FnOnce()) {
+    f()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn avx2<F: Fn(usize, usize) + ?Sized>(f: &F, start: usize, len: usize) {
-    f(start, len)
+fn avx2(f: impl FnOnce()) {
+    f()
 }
 
 #[cfg(test)]

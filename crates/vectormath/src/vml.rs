@@ -19,10 +19,13 @@
 //!
 //! Each kernel's loop is an `#[inline(always)]` closure handed to the
 //! library's threading, which runs every part of a call through one
-//! dispatch point: inside an AVX2 function when the CPU has AVX2, at the
-//! baseline width otherwise. The closure and the branch-free
+//! dispatch point ([`crate::Width`]): inside an AVX-512 function when
+//! the CPU has AVX-512 (x86-64-v4), an AVX2 function when it has AVX2,
+//! at the baseline width otherwise. The closure and the branch-free
 //! [`fastmath`] functions it calls compile into that function, so the
-//! whole loop is AVX2 code there. Both widths give the same bits.
+//! whole loop is code of that width. All three widths give the same
+//! bits. Each kernel's hidden `_at` form runs it at a given arm, for
+//! tests that compare them.
 //!
 //! Kernels honor the library's internal thread count
 //! ([`crate::set_num_threads`]), mirroring MKL's TBB-backed internal
@@ -30,11 +33,11 @@
 //! the paper's Figures 4j–m.
 
 use crate::fastmath;
-use crate::parallel::run_parallel;
+use crate::parallel::{run_parallel_at, Width};
 use crate::trace;
 
 macro_rules! vml_unary {
-    ($(#[$doc:meta])* $name:ident, $raw:ident, $f:expr) => {
+    ($(#[$doc:meta])* $name:ident, $raw:ident, $at:ident, $f:expr) => {
         $(#[$doc])*
         ///
         /// # Panics
@@ -53,9 +56,21 @@ macro_rules! vml_unary {
         /// `a` and `out` must each point to `n` readable (resp. writable)
         /// doubles, and must be either exactly equal or disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, out: *mut f64) {
+            // SAFETY: forwarded contract.
+            unsafe { $at(Width::host(), n, a, out) }
+        }
+
+        /// The raw form at one arm of the dispatch, for tests that
+        /// compare the arms.
+        ///
+        /// # Safety
+        ///
+        /// As for the raw form.
+        #[doc(hidden)]
+        pub unsafe fn $at(width: Width, n: usize, a: *const f64, out: *mut f64) {
             trace::record_unary(n, a as usize, out as usize);
             let (ap, op) = (a as usize, out as usize);
-            run_parallel(n, #[inline(always)] move |start, len| {
+            run_parallel_at(width, n, #[inline(always)] move |start, len| {
                 let f = $f;
                 let a = ap as *const f64;
                 let o = op as *mut f64;
@@ -85,7 +100,7 @@ macro_rules! vml_unary {
 }
 
 macro_rules! vml_binary {
-    ($(#[$doc:meta])* $name:ident, $raw:ident, $f:expr) => {
+    ($(#[$doc:meta])* $name:ident, $raw:ident, $at:ident, $f:expr) => {
         $(#[$doc])*
         ///
         /// # Panics
@@ -105,9 +120,21 @@ macro_rules! vml_binary {
         /// All three pointers must cover `n` doubles and be pairwise
         /// either exactly equal or disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, b: *const f64, out: *mut f64) {
+            // SAFETY: forwarded contract.
+            unsafe { $at(Width::host(), n, a, b, out) }
+        }
+
+        /// The raw form at one arm of the dispatch, for tests that
+        /// compare the arms.
+        ///
+        /// # Safety
+        ///
+        /// As for the raw form.
+        #[doc(hidden)]
+        pub unsafe fn $at(width: Width, n: usize, a: *const f64, b: *const f64, out: *mut f64) {
             trace::record_binary(n, a as usize, b as usize, out as usize);
             let (ap, bp, op) = (a as usize, b as usize, out as usize);
-            run_parallel(n, #[inline(always)] move |start, len| {
+            run_parallel_at(width, n, #[inline(always)] move |start, len| {
                 let f = $f;
                 let a = ap as *const f64;
                 let b = bp as *const f64;
@@ -167,7 +194,7 @@ macro_rules! vml_binary {
 }
 
 macro_rules! vml_scalar {
-    ($(#[$doc:meta])* $name:ident, $raw:ident, $f:expr) => {
+    ($(#[$doc:meta])* $name:ident, $raw:ident, $at:ident, $f:expr) => {
         $(#[$doc])*
         ///
         /// # Panics
@@ -186,9 +213,21 @@ macro_rules! vml_scalar {
         /// `a` and `out` must cover `n` doubles and be exactly equal or
         /// disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, k: f64, out: *mut f64) {
+            // SAFETY: forwarded contract.
+            unsafe { $at(Width::host(), n, a, k, out) }
+        }
+
+        /// The raw form at one arm of the dispatch, for tests that
+        /// compare the arms.
+        ///
+        /// # Safety
+        ///
+        /// As for the raw form.
+        #[doc(hidden)]
+        pub unsafe fn $at(width: Width, n: usize, a: *const f64, k: f64, out: *mut f64) {
             trace::record_unary(n, a as usize, out as usize);
             let (ap, op) = (a as usize, out as usize);
-            run_parallel(n, #[inline(always)] move |start, len| {
+            run_parallel_at(width, n, #[inline(always)] move |start, len| {
                 let f = $f;
                 let a = ap as *const f64;
                 let o = op as *mut f64;
@@ -221,105 +260,105 @@ macro_rules! vml_scalar {
 
 vml_binary!(
     /// Elementwise addition: `out[i] = a[i] + b[i]` (MKL `vdAdd`).
-    vd_add, vd_add_raw, |x: f64, y: f64| x + y
+    vd_add, vd_add_raw, vd_add_at, |x: f64, y: f64| x + y
 );
 vml_binary!(
     /// Elementwise subtraction: `out[i] = a[i] - b[i]` (MKL `vdSub`).
-    vd_sub, vd_sub_raw, |x: f64, y: f64| x - y
+    vd_sub, vd_sub_raw, vd_sub_at, |x: f64, y: f64| x - y
 );
 vml_binary!(
     /// Elementwise multiplication: `out[i] = a[i] * b[i]` (MKL `vdMul`).
-    vd_mul, vd_mul_raw, |x: f64, y: f64| x * y
+    vd_mul, vd_mul_raw, vd_mul_at, |x: f64, y: f64| x * y
 );
 vml_binary!(
     /// Elementwise division: `out[i] = a[i] / b[i]` (MKL `vdDiv`).
-    vd_div, vd_div_raw, |x: f64, y: f64| x / y
+    vd_div, vd_div_raw, vd_div_at, |x: f64, y: f64| x / y
 );
 vml_binary!(
     /// Elementwise power: `out[i] = a[i] ^ b[i]` (MKL `vdPow`).
-    vd_pow, vd_pow_raw, fastmath::pow
+    vd_pow, vd_pow_raw, vd_pow_at, fastmath::pow
 );
 vml_binary!(
     /// Elementwise maximum (MKL `vdFmax`).
-    vd_fmax, vd_fmax_raw, |x: f64, y: f64| if x > y { x } else { y }
+    vd_fmax, vd_fmax_raw, vd_fmax_at, |x: f64, y: f64| if x > y { x } else { y }
 );
 vml_binary!(
     /// Elementwise minimum (MKL `vdFmin`).
-    vd_fmin, vd_fmin_raw, |x: f64, y: f64| if x < y { x } else { y }
+    vd_fmin, vd_fmin_raw, vd_fmin_at, |x: f64, y: f64| if x < y { x } else { y }
 );
 
 // ----------------------------- unary ops ------------------------------
 
 vml_unary!(
     /// Elementwise square: `out[i] = a[i]²` (MKL `vdSqr`).
-    vd_sqr, vd_sqr_raw, |x: f64| x * x
+    vd_sqr, vd_sqr_raw, vd_sqr_at, |x: f64| x * x
 );
 vml_unary!(
     /// Elementwise square root (MKL `vdSqrt`).
-    vd_sqrt, vd_sqrt_raw, fastmath::sqrt
+    vd_sqrt, vd_sqrt_raw, vd_sqrt_at, fastmath::sqrt
 );
 vml_unary!(
     /// Elementwise absolute value (MKL `vdAbs`).
-    vd_abs, vd_abs_raw, |x: f64| x.abs()
+    vd_abs, vd_abs_raw, vd_abs_at, |x: f64| x.abs()
 );
 vml_unary!(
     /// Elementwise reciprocal (MKL `vdInv`).
-    vd_inv, vd_inv_raw, |x: f64| 1.0 / x
+    vd_inv, vd_inv_raw, vd_inv_at, |x: f64| 1.0 / x
 );
 vml_unary!(
     /// Elementwise negation.
-    vd_neg, vd_neg_raw, |x: f64| -x
+    vd_neg, vd_neg_raw, vd_neg_at, |x: f64| -x
 );
 vml_unary!(
     /// Elementwise `e^x` (MKL `vdExp`), branch-free polynomial kernel.
-    vd_exp, vd_exp_raw, fastmath::exp
+    vd_exp, vd_exp_raw, vd_exp_at, fastmath::exp
 );
 vml_unary!(
     /// Elementwise natural log (MKL `vdLn`).
-    vd_ln, vd_ln_raw, fastmath::ln
+    vd_ln, vd_ln_raw, vd_ln_at, fastmath::ln
 );
 vml_unary!(
     /// Elementwise `ln(1 + x)` (MKL `vdLog1p`).
-    vd_log1p, vd_log1p_raw, fastmath::log1p
+    vd_log1p, vd_log1p_raw, vd_log1p_at, fastmath::log1p
 );
 vml_unary!(
     /// Elementwise error function (MKL `vdErf`).
-    vd_erf, vd_erf_raw, fastmath::erf
+    vd_erf, vd_erf_raw, vd_erf_at, fastmath::erf
 );
 vml_unary!(
     /// Elementwise sine (MKL `vdSin`).
-    vd_sin, vd_sin_raw, fastmath::sin
+    vd_sin, vd_sin_raw, vd_sin_at, fastmath::sin
 );
 vml_unary!(
     /// Elementwise cosine (MKL `vdCos`).
-    vd_cos, vd_cos_raw, fastmath::cos
+    vd_cos, vd_cos_raw, vd_cos_at, fastmath::cos
 );
 vml_unary!(
     /// Elementwise arcsine (MKL `vdAsin`).
-    vd_asin, vd_asin_raw, fastmath::asin
+    vd_asin, vd_asin_raw, vd_asin_at, fastmath::asin
 );
 
 // ----------------------------- scalar ops -----------------------------
 
 vml_scalar!(
     /// Scale by a constant: `out[i] = a[i] * k`.
-    vd_scale, vd_scale_raw, |x: f64, k: f64| x * k
+    vd_scale, vd_scale_raw, vd_scale_at, |x: f64, k: f64| x * k
 );
 vml_scalar!(
     /// Shift by a constant: `out[i] = a[i] + k`.
-    vd_shift, vd_shift_raw, |x: f64, k: f64| x + k
+    vd_shift, vd_shift_raw, vd_shift_at, |x: f64, k: f64| x + k
 );
 vml_scalar!(
     /// Constant power: `out[i] = a[i] ^ k`.
-    vd_powx, vd_powx_raw, fastmath::pow
+    vd_powx, vd_powx_raw, vd_powx_at, fastmath::pow
 );
 vml_scalar!(
     /// Constant-minus: `out[i] = k - a[i]` (for `1 - x` idioms).
-    vd_rsub, vd_rsub_raw, |x: f64, k: f64| k - x
+    vd_rsub, vd_rsub_raw, vd_rsub_at, |x: f64, k: f64| k - x
 );
 vml_scalar!(
     /// Constant-divide: `out[i] = k / a[i]`.
-    vd_rdiv, vd_rdiv_raw, |x: f64, k: f64| k / x
+    vd_rdiv, vd_rdiv_raw, vd_rdiv_at, |x: f64, k: f64| k / x
 );
 
 /// Fill `out` with a constant.

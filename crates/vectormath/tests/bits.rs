@@ -4,9 +4,11 @@
 //! specials (NaN, ±∞, ±0, subnormals), the clamp edges of `exp` and
 //! `log1p`, and constructed exact rounding ties (`x·log₂e` or `x·2/π` a
 //! half-integer), at every length 0–67 and at `PAR_THRESHOLD + 17`; in
-//! place and out of place; at 1 and 2 internal threads. Every variant
-//! must produce the same bits, and an FNV-1a hash of those bits must
-//! equal the one pinned below. The hashes were taken from the scalar
+//! place and out of place; at 1 and 2 internal threads; dispatched and
+//! through each kernel's `_at` form at every arm of the dispatch the
+//! host has (`Width::available`: the baseline, AVX2 and AVX-512 arms
+//! on an AVX-512 host). Every variant must produce the same bits, and
+//! an FNV-1a hash of those bits must equal the one pinned below. The hashes were taken from the scalar
 //! kernels this library shipped before they were made branch-free, so a
 //! pass means every kernel's output is bit-identical to theirs.
 //!
@@ -16,7 +18,7 @@
 //! compiler cannot inline and so runs at the baseline target's codegen.
 
 use std::hint::black_box;
-use vectormath::fastmath;
+use vectormath::{fastmath, Width};
 
 /// The library's parallel threshold (`parallel::PAR_THRESHOLD`); one
 /// length above it makes 2 internal threads actually split the call.
@@ -27,10 +29,13 @@ const INPUTS: usize = LONG + 256;
 
 type UnarySafe = fn(&[f64], &mut [f64]);
 type UnaryRaw = unsafe fn(usize, *const f64, *mut f64);
+type UnaryAt = unsafe fn(Width, usize, *const f64, *mut f64);
 type BinarySafe = fn(&[f64], &[f64], &mut [f64]);
 type BinaryRaw = unsafe fn(usize, *const f64, *const f64, *mut f64);
+type BinaryAt = unsafe fn(Width, usize, *const f64, *const f64, *mut f64);
 type ScalarSafe = fn(&[f64], f64, &mut [f64]);
 type ScalarRaw = unsafe fn(usize, *const f64, f64, *mut f64);
+type ScalarAt = unsafe fn(Width, usize, *const f64, f64, *mut f64);
 
 /// The ranges seeded inputs are drawn from, cycled per element. `BITS`
 /// draws a random bit pattern: any double, NaN payloads included.
@@ -45,6 +50,7 @@ struct Unary {
     name: &'static str,
     safe: UnarySafe,
     raw: UnaryRaw,
+    at: UnaryAt,
     scalar: fn(f64) -> f64,
     ranges: Ranges,
     hash: u64,
@@ -54,6 +60,7 @@ struct Binary {
     name: &'static str,
     safe: BinarySafe,
     raw: BinaryRaw,
+    at: BinaryAt,
     scalar: fn(f64, f64) -> f64,
     ranges: (Ranges, Ranges),
     hash: u64,
@@ -63,18 +70,21 @@ struct Scalar {
     name: &'static str,
     safe: ScalarSafe,
     raw: ScalarRaw,
+    at: ScalarAt,
     scalar: fn(f64, f64) -> f64,
     ranges: Ranges,
     hash: u64,
 }
 
-/// A kernel table: one `name, raw, scalar, ranges, hash;` row per kernel.
+/// A kernel table: one `name, raw, at, scalar, ranges, hash;` row per
+/// kernel.
 macro_rules! table {
-    ($kind:ident: $($name:ident, $raw:ident, $scalar:expr, $ranges:expr, $hash:expr;)*) => {
+    ($kind:ident: $($name:ident, $raw:ident, $at:ident, $scalar:expr, $ranges:expr, $hash:expr;)*) => {
         vec![$($kind {
             name: stringify!($name),
             safe: vectormath::$name,
             raw: vectormath::$raw,
+            at: vectormath::$at,
             scalar: $scalar,
             ranges: $ranges,
             hash: $hash,
@@ -105,40 +115,40 @@ const ASIN: Ranges = &[(-1.0, 1.0), (-0.6, 0.6), (-1.2, 1.2), BITS];
 fn unaries() -> Vec<Unary> {
     use fastmath::*;
     table![Unary:
-        vd_sqr, vd_sqr_raw, |x| x * x, WIDE, 0xc186b1d7ea112625;
-        vd_sqrt, vd_sqrt_raw, sqrt, POSITIVE, 0xdfd5add0113ffa65;
-        vd_abs, vd_abs_raw, |x| x.abs(), WIDE, 0x8e1e2c0f8477fbd4;
-        vd_inv, vd_inv_raw, |x| 1.0 / x, WIDE, 0x04fdc075b6803430;
-        vd_neg, vd_neg_raw, |x| -x, WIDE, 0x3132afcd18ae2080;
-        vd_exp, vd_exp_raw, exp, EXP, 0xff2cadc545163a96;
-        vd_ln, vd_ln_raw, ln, LN, 0x88dd7478ef6208e3;
-        vd_log1p, vd_log1p_raw, log1p, LOG1P, 0xb3d29e20edad7c20;
-        vd_erf, vd_erf_raw, erf, ERF, 0x8ab632a2f354c0b6;
-        vd_sin, vd_sin_raw, sin, TRIG, 0x08fb207ca6c06094;
-        vd_cos, vd_cos_raw, cos, TRIG, 0x790e95fc6083402d;
-        vd_asin, vd_asin_raw, asin, ASIN, 0xd8670d0839ac43d9;
+        vd_sqr, vd_sqr_raw, vd_sqr_at, |x| x * x, WIDE, 0xc186b1d7ea112625;
+        vd_sqrt, vd_sqrt_raw, vd_sqrt_at, sqrt, POSITIVE, 0xdfd5add0113ffa65;
+        vd_abs, vd_abs_raw, vd_abs_at, |x| x.abs(), WIDE, 0x8e1e2c0f8477fbd4;
+        vd_inv, vd_inv_raw, vd_inv_at, |x| 1.0 / x, WIDE, 0x04fdc075b6803430;
+        vd_neg, vd_neg_raw, vd_neg_at, |x| -x, WIDE, 0x3132afcd18ae2080;
+        vd_exp, vd_exp_raw, vd_exp_at, exp, EXP, 0xff2cadc545163a96;
+        vd_ln, vd_ln_raw, vd_ln_at, ln, LN, 0x88dd7478ef6208e3;
+        vd_log1p, vd_log1p_raw, vd_log1p_at, log1p, LOG1P, 0xb3d29e20edad7c20;
+        vd_erf, vd_erf_raw, vd_erf_at, erf, ERF, 0x8ab632a2f354c0b6;
+        vd_sin, vd_sin_raw, vd_sin_at, sin, TRIG, 0x08fb207ca6c06094;
+        vd_cos, vd_cos_raw, vd_cos_at, cos, TRIG, 0x790e95fc6083402d;
+        vd_asin, vd_asin_raw, vd_asin_at, asin, ASIN, 0xd8670d0839ac43d9;
     ]
 }
 
 fn binaries() -> Vec<Binary> {
     table![Binary:
-        vd_add, vd_add_raw, |x, y| x + y, (WIDE, WIDE), 0x0df69f6d4567f57e;
-        vd_sub, vd_sub_raw, |x, y| x - y, (WIDE, WIDE), 0x2a9f0ad2853fb0d4;
-        vd_mul, vd_mul_raw, |x, y| x * y, (WIDE, WIDE), 0x313645d497c91e74;
-        vd_div, vd_div_raw, |x, y| x / y, (WIDE, WIDE), 0x7fed192b61554da2;
-        vd_pow, vd_pow_raw, fastmath::pow, (BASES, EXPONENTS), 0xd84badcfb8555554;
-        vd_fmax, vd_fmax_raw, |x, y| if x > y { x } else { y }, (WIDE, WIDE), 0x3335647c1b2aefa2;
-        vd_fmin, vd_fmin_raw, |x, y| if x < y { x } else { y }, (WIDE, WIDE), 0xaa7d10cd93a47f40;
+        vd_add, vd_add_raw, vd_add_at, |x, y| x + y, (WIDE, WIDE), 0x0df69f6d4567f57e;
+        vd_sub, vd_sub_raw, vd_sub_at, |x, y| x - y, (WIDE, WIDE), 0x2a9f0ad2853fb0d4;
+        vd_mul, vd_mul_raw, vd_mul_at, |x, y| x * y, (WIDE, WIDE), 0x313645d497c91e74;
+        vd_div, vd_div_raw, vd_div_at, |x, y| x / y, (WIDE, WIDE), 0x7fed192b61554da2;
+        vd_pow, vd_pow_raw, vd_pow_at, fastmath::pow, (BASES, EXPONENTS), 0xd84badcfb8555554;
+        vd_fmax, vd_fmax_raw, vd_fmax_at, |x, y| if x > y { x } else { y }, (WIDE, WIDE), 0x3335647c1b2aefa2;
+        vd_fmin, vd_fmin_raw, vd_fmin_at, |x, y| if x < y { x } else { y }, (WIDE, WIDE), 0xaa7d10cd93a47f40;
     ]
 }
 
 fn scalars() -> Vec<Scalar> {
     table![Scalar:
-        vd_scale, vd_scale_raw, |x, k| x * k, WIDE, 0x0ddad23f08873d16;
-        vd_shift, vd_shift_raw, |x, k| x + k, WIDE, 0x8577ab59212fde0c;
-        vd_powx, vd_powx_raw, fastmath::pow, BASES, 0xe0c8b3b9244a23a4;
-        vd_rsub, vd_rsub_raw, |x, k| k - x, WIDE, 0x524e35f5ef9e3b94;
-        vd_rdiv, vd_rdiv_raw, |x, k| k / x, WIDE, 0x5f63f3eb9cadff0c;
+        vd_scale, vd_scale_raw, vd_scale_at, |x, k| x * k, WIDE, 0x0ddad23f08873d16;
+        vd_shift, vd_shift_raw, vd_shift_at, |x, k| x + k, WIDE, 0x8577ab59212fde0c;
+        vd_powx, vd_powx_raw, vd_powx_at, fastmath::pow, BASES, 0xe0c8b3b9244a23a4;
+        vd_rsub, vd_rsub_raw, vd_rsub_at, |x, k| k - x, WIDE, 0x524e35f5ef9e3b94;
+        vd_rdiv, vd_rdiv_raw, vd_rdiv_at, |x, k| k / x, WIDE, 0x5f63f3eb9cadff0c;
     ]
 }
 
@@ -394,7 +404,41 @@ fn every_kernel_reproduces_its_pinned_bits() {
             unsafe { (k.raw)(n, d.as_ptr(), d.as_mut_ptr()) };
             d
         };
-        let got = run_variants(k.name, &[&out_of_place, &in_place], NO_MASK, &mut failures);
+        let (arms, at, a) = (Width::available(), k.at, &a);
+        let per_arm: Vec<_> = arms
+            .iter()
+            .map(|&w| {
+                move |s: usize, n: usize| {
+                    let mut out = vec![0.0; n];
+                    // SAFETY: `a[s..]` and `out` hold `n` doubles, disjoint.
+                    unsafe { at(w, n, a[s..].as_ptr(), out.as_mut_ptr()) };
+                    out
+                }
+            })
+            .collect();
+        let per_arm_in_place: Vec<_> = arms
+            .iter()
+            .map(|&w| {
+                move |s: usize, n: usize| {
+                    let mut d = a[s..s + n].to_vec();
+                    // SAFETY: `d` holds `n` doubles; in and out exactly alias.
+                    unsafe { at(w, n, d.as_ptr(), d.as_mut_ptr()) };
+                    d
+                }
+            })
+            .collect();
+        let mut variants: Vec<&dyn Fn(usize, usize) -> Vec<f64>> = vec![&out_of_place, &in_place];
+        variants.extend(
+            per_arm
+                .iter()
+                .map(|f| f as &dyn Fn(usize, usize) -> Vec<f64>),
+        );
+        variants.extend(
+            per_arm_in_place
+                .iter()
+                .map(|f| f as &dyn Fn(usize, usize) -> Vec<f64>),
+        );
+        let got = run_variants(k.name, &variants, NO_MASK, &mut failures);
         check_hash(k.name, got, k.hash, &mut failures);
     }
     for k in binaries() {
@@ -428,19 +472,46 @@ fn every_kernel_reproduces_its_pinned_bits() {
             unsafe { (k.raw)(n, d.as_ptr(), d.as_ptr(), d.as_mut_ptr()) };
             d
         };
-        let got = run_variants(
-            k.name,
-            &[&out_of_place, &out_is_a, &out_is_b],
-            &both_nan,
-            &mut failures,
+        let (arms, at, a, b) = (Width::available(), k.at, &a, &b);
+        let per_arm: Vec<_> = arms
+            .iter()
+            .map(|&w| {
+                move |s: usize, n: usize| {
+                    let mut out = vec![0.0; n];
+                    // SAFETY: all operands hold `n` doubles, pairwise disjoint.
+                    unsafe { at(w, n, a[s..].as_ptr(), b[s..].as_ptr(), out.as_mut_ptr()) };
+                    out
+                }
+            })
+            .collect();
+        let squared_per_arm: Vec<_> = arms
+            .iter()
+            .map(|&w| {
+                move |s: usize, n: usize| {
+                    let mut d = a[s..s + n].to_vec();
+                    // SAFETY: `d` holds `n` doubles; all three operands exactly alias.
+                    unsafe { at(w, n, d.as_ptr(), d.as_ptr(), d.as_mut_ptr()) };
+                    d
+                }
+            })
+            .collect();
+        let mut variants: Vec<&dyn Fn(usize, usize) -> Vec<f64>> =
+            vec![&out_of_place, &out_is_a, &out_is_b];
+        variants.extend(
+            per_arm
+                .iter()
+                .map(|f| f as &dyn Fn(usize, usize) -> Vec<f64>),
         );
+        let got = run_variants(k.name, &variants, &both_nan, &mut failures);
         // One NaN in both operands: nothing left unspecified.
-        let got_squared = run_variants(
-            k.name,
-            &[&squared, &squared_in_place],
-            NO_MASK,
-            &mut failures,
+        let mut variants: Vec<&dyn Fn(usize, usize) -> Vec<f64>> =
+            vec![&squared, &squared_in_place];
+        variants.extend(
+            squared_per_arm
+                .iter()
+                .map(|f| f as &dyn Fn(usize, usize) -> Vec<f64>),
         );
+        let got_squared = run_variants(k.name, &variants, NO_MASK, &mut failures);
         check_hash(
             k.name,
             got ^ got_squared.rotate_left(1),
@@ -463,13 +534,27 @@ fn every_kernel_reproduces_its_pinned_bits() {
                 unsafe { (k.raw)(n, d.as_ptr(), c, d.as_mut_ptr()) };
                 d
             };
-            let both_nan = |i: usize| a[i].is_nan() && c.is_nan();
-            let got = run_variants(
-                k.name,
-                &[&out_of_place, &in_place],
-                &both_nan,
-                &mut failures,
+            let (at, a) = (k.at, &a);
+            let per_arm: Vec<_> = Width::available()
+                .into_iter()
+                .map(|w| {
+                    move |s: usize, n: usize| {
+                        let mut d = a[s..s + n].to_vec();
+                        // SAFETY: `d` holds `n` doubles; in and out exactly alias.
+                        unsafe { at(w, n, d.as_ptr(), c, d.as_mut_ptr()) };
+                        d
+                    }
+                })
+                .collect();
+            let mut variants: Vec<&dyn Fn(usize, usize) -> Vec<f64>> =
+                vec![&out_of_place, &in_place];
+            variants.extend(
+                per_arm
+                    .iter()
+                    .map(|f| f as &dyn Fn(usize, usize) -> Vec<f64>),
             );
+            let both_nan = |i: usize| a[i].is_nan() && c.is_nan();
+            let got = run_variants(k.name, &variants, &both_nan, &mut failures);
             hash = hash.rotate_left(7) ^ got;
         }
         check_hash(k.name, hash, k.hash, &mut failures);
