@@ -20,7 +20,7 @@
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
-use crate::wide::Width;
+use crate::width::Width;
 
 /// Interior-mutable backing store of a column (see the module docs).
 struct ColBuf<T>(Box<[UnsafeCell<T>]>);
@@ -194,7 +194,7 @@ impl<T: Clone> ColData<T> {
     /// Panics if the mask length differs.
     pub fn filter(&self, mask: &[bool]) -> Self {
         assert_eq!(mask.len(), self.len, "mask length mismatch");
-        self.clone_kept(mask, Selection::of(Width::host(), mask))
+        self.clone_kept(mask, Selection::of(Width::host(512), mask))
     }
 
     fn clone_kept(&self, mask: &[bool], sel: Selection) -> Self {
@@ -392,7 +392,7 @@ impl Column {
     ///
     /// Panics if the mask length differs.
     pub fn filter(&self, mask: &[bool]) -> Column {
-        self.filter_at(Width::host(), mask)
+        self.filter_at(Width::host(512), mask)
     }
 
     /// [`Column::filter`] at one arm of the dispatch, for tests that

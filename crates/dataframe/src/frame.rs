@@ -2,7 +2,7 @@
 //! columns with zero-copy row slicing.
 
 use crate::column::{Column, Selection};
-use crate::wide::Width;
+use crate::width::Width;
 
 /// A columnar table (the reproduction's `pandas.DataFrame`).
 ///
@@ -126,7 +126,7 @@ impl DataFrame {
     /// Panics if the mask is not boolean or has the wrong length.
     pub fn filter(&self, mask: &Column) -> DataFrame {
         let m = mask.bools();
-        let width = Width::host();
+        let width = Width::host(512);
         let sel = Selection::of(width, m);
         DataFrame {
             cols: self

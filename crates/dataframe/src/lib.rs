@@ -31,10 +31,12 @@ pub mod groupby;
 pub mod join;
 pub mod ops;
 mod wide;
+#[path = "../../vector_width.rs"]
+mod width;
 
 pub use column::{ColData, Column};
 pub use frame::DataFrame;
 pub use groupby::{groupby_agg, partial_groupby_agg, reaggregate, Agg, AggSpec, KeyPart};
 pub use join::inner_join;
 #[doc(hidden)]
-pub use wide::Width;
+pub use width::Width;

@@ -7,7 +7,8 @@
 //! columns, which is what makes them safely splittable by rows.
 
 use crate::column::Column;
-use crate::wide::{self, Width};
+use crate::wide;
+use crate::width::Width;
 
 // ------------------------------ arithmetic ------------------------------
 
@@ -223,59 +224,31 @@ pub fn str_upper(a: &Column) -> Column {
 /// included), so skipping NaN leaves no trace: the sum of nothing, of
 /// `[-0.0]` or of all-NaN rows is −0.0, as a serial sum from −0.0 gives.
 pub fn sum(a: &Column) -> f64 {
-    sum_at(Width::host(), a)
+    sum_at(Width::host(512), a)
 }
 
 /// [`sum`] at one arm of the dispatch, for tests that compare the arms.
 #[doc(hidden)]
 pub fn sum_at(width: Width, a: &Column) -> f64 {
-    let x = a.f64s();
-    width.run(
-        #[inline(always)]
-        || pairwise_sum(x),
-    )
+    pairwise_sum(width, a.f64s())
 }
 
 /// Rows summed serially into eight partial sums by [`sum`]; longer runs
 /// are halved. NumPy's `PW_BLOCKSIZE`.
 pub const PAIRWISE_BLOCK: usize = 128;
 
-/// NumPy's recursion, run off a stack of its own: a recursive call
-/// would leave the arm the caller compiled this into, and the leaves
-/// would run at the baseline width. Only the tree's shape decides the
-/// bits, since IEEE addition of two values commutes.
-#[inline(always)]
-fn pairwise_sum(x: &[f64]) -> f64 {
-    // Halving takes at most 0.57 of a run above `PAIRWISE_BLOCK`, so a
-    // slice (at most 2^60 doubles) nests below 80 levels; each level
-    // leaves at most a right half and an addition on `todo`.
-    const DEPTH: usize = 128;
-    // A run still to sum, or `None`: add the top two sums.
-    let mut todo: [Option<&[f64]>; 2 * DEPTH + 1] = [None; 2 * DEPTH + 1];
-    let mut sums = [0.0f64; DEPTH];
-    let (mut t, mut s) = (1, 0);
-    todo[0] = Some(x);
-    while t > 0 {
-        t -= 1;
-        match todo[t] {
-            Some(run) if run.len() > PAIRWISE_BLOCK => {
-                let half = run.len() / 2 / 8 * 8;
-                todo[t] = None;
-                todo[t + 1] = Some(&run[half..]);
-                todo[t + 2] = Some(&run[..half]);
-                t += 3;
-            }
-            Some(run) => {
-                sums[s] = block_sum(run);
-                s += 1;
-            }
-            None => {
-                s -= 1;
-                sums[s - 1] += sums[s];
-            }
-        }
+/// NumPy's recursion. Only the leaves run at `width`: the adds above
+/// them are single scalar adds, the same at every arm, so only the
+/// tree's shape decides the bits.
+fn pairwise_sum(width: Width, x: &[f64]) -> f64 {
+    if x.len() <= PAIRWISE_BLOCK {
+        return width.run(
+            #[inline(always)]
+            || block_sum(x),
+        );
     }
-    sums[0]
+    let half = x.len() / 2 / 8 * 8;
+    pairwise_sum(width, &x[..half]) + pairwise_sum(width, &x[half..])
 }
 
 /// One leaf of [`pairwise_sum`]: at most [`PAIRWISE_BLOCK`] rows.

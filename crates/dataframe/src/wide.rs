@@ -1,114 +1,18 @@
-//! The library's one CPU-feature dispatch point, and the Series loops
-//! that run behind it.
+//! The Series loops that run behind the library's one CPU-feature
+//! dispatch point ([`Width`]).
 //!
 //! Every numeric Series loop runs inside [`Width::run`] for the widest
 //! instruction set the CPU has, so a loop inlined into it compiles to
 //! that width: 8 doubles per instruction under AVX-512, 4 under AVX2,
-//! 2 at the baseline target (SSE2). The loops are branch-free
-//! IEEE adds, multiplies, divides, compares and selects, and Rust never
-//! contracts a multiply and an add into one FMA, so a row's bits do not
-//! depend on the arm. (Which operand's NaN an operation on two NaNs
-//! returns is left unspecified by Rust, and the arms may pick
-//! differently.)
+//! 2 at the baseline target (SSE2). The loops are branch-free IEEE
+//! operations and selects, so a row's bits do not depend on the arm.
 
-/// An arm of the dispatch the running CPU has: the instruction set a
-/// loop is compiled for. Only [`Width::available`] and the library's
-/// own dispatch make one, each from the CPU's features, so a `Width` is
-/// proof that the CPU can run it.
-///
-/// Public only so that tests can run each arm the host has and compare
-/// their bits ([`crate::ops::sum_at`], [`crate::Column::filter_at`]).
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Width(Arm);
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Arm {
-    /// The baseline target: SSE2 on x86-64.
-    Baseline,
-    /// AVX2.
-    Avx2,
-    /// AVX-512 as x86-64-v4 has it: F, BW, CD, DQ and VL.
-    Avx512,
-}
-
-impl Width {
-    /// Every arm the running CPU has, narrowest first.
-    pub fn available() -> Vec<Width> {
-        [Arm::Baseline, Arm::Avx2, Arm::Avx512]
-            .into_iter()
-            .filter(|a| a.detected())
-            .map(Width)
-            .collect()
-    }
-
-    /// The widest arm the running CPU has: the one the library runs.
-    pub(crate) fn host() -> Width {
-        let widest = [Arm::Avx512, Arm::Avx2].into_iter().find(|a| a.detected());
-        Width(widest.unwrap_or(Arm::Baseline))
-    }
-
-    /// Run `f` compiled for this arm: a loop in an `#[inline(always)]`
-    /// `f` compiles to its width.
-    #[inline(always)]
-    pub(crate) fn run<R>(self, f: impl FnOnce() -> R) -> R {
-        match self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx512 => {
-                // SAFETY: a `Width` holds only an arm the CPU has.
-                unsafe { avx512(f) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx2 => {
-                // SAFETY: as above.
-                unsafe { avx2(f) }
-            }
-            _ => f(),
-        }
-    }
-}
-
-impl Arm {
-    fn detected(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected as has;
-            match self {
-                Arm::Baseline => true,
-                Arm::Avx2 => has!("avx2"),
-                Arm::Avx512 => {
-                    has!("avx2")
-                        && has!("avx512f")
-                        && has!("avx512bw")
-                        && has!("avx512cd")
-                        && has!("avx512dq")
-                        && has!("avx512vl")
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == Arm::Baseline
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
-fn avx512<R>(f: impl FnOnce() -> R) -> R {
-    f()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn avx2<R>(f: impl FnOnce() -> R) -> R {
-    f()
-}
+use crate::width::Width;
 
 /// `f` of each row of `a`, into a new vector, at the host's width.
 #[inline(always)]
 pub(crate) fn map<T: Copy, U>(a: &[T], f: impl Fn(T) -> U) -> Vec<U> {
-    Width::host().run(
+    Width::host(512).run(
         #[inline(always)]
         || {
             let mut out = Vec::with_capacity(a.len());
@@ -137,7 +41,7 @@ pub(crate) fn zip<T: Copy, U: Copy, V>(
     f: impl Fn(T, U) -> V,
 ) -> Vec<V> {
     assert_eq!(a.len(), b.len(), "{op}: length mismatch");
-    Width::host().run(
+    Width::host(512).run(
         #[inline(always)]
         || {
             let mut out = Vec::with_capacity(a.len());

@@ -6,8 +6,8 @@
 //!   (`Str` included), on whole columns and on views that start past
 //!   row 0, at every length 0–67 and 2¹⁴ ± 1, for masks that keep no
 //!   row, every row, alternating rows and seeded patterns.
-//! * `sum` must equal NumPy's pairwise recursion (written out below as
-//!   the recursion it is) bit for bit, and the serial reference to
+//! * `sum` must equal NumPy's pairwise recursion (written out below
+//!   from NumPy's C) bit for bit, and the serial reference to
 //!   rounding. Where the reference's result is exact — nothing, signed
 //!   zeros, NaN, ±∞ — it must equal it bit for bit, sign included.
 //! * Every arm must give the bits the dispatched call gives.

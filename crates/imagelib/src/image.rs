@@ -25,9 +25,10 @@
 //! writes its output once, into the new image's uninitialized buffer,
 //! one range of pixels per internal thread, and each range runs through
 //! [`map_rgb_channels`] or [`map_rgb`]: the kernel loop at the host's
-//! vector width, behind the library's one CPU-feature dispatch point.
-//! See [`crate::pixel`] for the kernels and why their bits do not
-//! depend on any of it.
+//! vector width, behind the library's one CPU-feature dispatch point
+//! ([`Width`]): 16 channels per instruction under AVX-512, 8 under AVX2
+//! and 4 at the baseline target (SSE2). See [`crate::pixel`] for the
+//! kernels and why their bits do not depend on any of it.
 //!
 //! Pixel storage is a shared `PixelBuf` with interior mutability so
 //! disjoint row ranges can be written in parallel; the safe read APIs
@@ -41,6 +42,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::pixel;
+#[doc(hidden)]
+pub use crate::width::Width;
 
 static THREADS: AtomicUsize = AtomicUsize::new(1);
 
@@ -451,7 +454,7 @@ pub const TILE: usize = 64;
 ///
 /// Panics if the lengths differ or are not a whole number of pixels.
 pub fn map_rgb<F: Fn([f32; 3]) -> [f32; 3]>(src: &[f32], dst: &mut [MaybeUninit<f32>], f: &F) {
-    map_rgb_at(Width::host(), src, dst, f)
+    map_rgb_at(Width::host(512), src, dst, f)
 }
 
 /// Map interleaved RGB channel values `src` through the channel kernel
@@ -473,7 +476,7 @@ pub fn map_rgb_channels<F: Fn(f32, f32) -> f32>(
     params: [f32; 3],
     f: &F,
 ) {
-    map_rgb_channels_at(Width::host(), src, dst, params, f)
+    map_rgb_channels_at(Width::host(512), src, dst, params, f)
 }
 
 /// [`map_rgb`] at one arm of the dispatch, for tests that compare the
@@ -507,106 +510,6 @@ pub fn map_rgb_channels_at<F: Fn(f32, f32) -> f32>(
         #[inline(always)]
         || map_flat(src, dst, params, f),
     )
-}
-
-/// The host's vector width: the library's only CPU-feature dispatch.
-///
-/// Every kernel loop runs inside [`Width::run`], which calls it from a
-/// function compiled for the widest instruction set the CPU has, so the
-/// loop inlined into it is compiled that wide: 16 channels per
-/// instruction under AVX-512 (x86-64-v4: F, BW, CD, DQ and VL), 8 under
-/// AVX2, and 4 at the baseline target (SSE2) on a CPU with neither. All
-/// three arms give the same bits (see the [`crate::pixel`] docs):
-/// although the AVX-512 arm has FMA instructions, Rust never contracts
-/// a multiply and an add into one.
-///
-/// Public only so that tests can run each arm the host has
-/// ([`map_rgb_at`], [`map_rgb_channels_at`]) and compare their bits.
-/// Only [`Width::available`] and the library's own dispatch make one,
-/// each from the CPU's features, so a `Width` is proof that the CPU can
-/// run it.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Width(Arm);
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Arm {
-    Baseline,
-    Avx2,
-    Avx512,
-}
-
-impl Width {
-    /// Every arm the running CPU has, narrowest first.
-    pub fn available() -> Vec<Width> {
-        [Arm::Baseline, Arm::Avx2, Arm::Avx512]
-            .into_iter()
-            .filter(|a| a.detected())
-            .map(Width)
-            .collect()
-    }
-
-    /// The widest arm the running CPU has: the one the operators run.
-    fn host() -> Width {
-        let widest = [Arm::Avx512, Arm::Avx2].into_iter().find(|a| a.detected());
-        Width(widest.unwrap_or(Arm::Baseline))
-    }
-
-    /// Run `f` compiled for this arm: a loop in an `#[inline(always)]`
-    /// `f` compiles to its width.
-    #[inline(always)]
-    fn run(self, f: impl FnOnce()) {
-        match self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx512 => {
-                // SAFETY: a `Width` holds only an arm the CPU has.
-                unsafe { avx512(f) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx2 => {
-                // SAFETY: as above.
-                unsafe { avx2(f) }
-            }
-            _ => f(),
-        }
-    }
-}
-
-impl Arm {
-    fn detected(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected as has;
-            match self {
-                Arm::Baseline => true,
-                Arm::Avx2 => has!("avx2"),
-                Arm::Avx512 => {
-                    has!("avx2")
-                        && has!("avx512f")
-                        && has!("avx512bw")
-                        && has!("avx512cd")
-                        && has!("avx512dq")
-                        && has!("avx512vl")
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == Arm::Baseline
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
-fn avx512(f: impl FnOnce()) {
-    f()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn avx2(f: impl FnOnce()) {
-    f()
 }
 
 fn check_lengths(src: &[f32], dst: &[MaybeUninit<f32>]) {

@@ -27,6 +27,8 @@
 pub mod image;
 pub mod ops;
 pub mod pixel;
+#[path = "../../vector_width.rs"]
+mod width;
 
 pub use image::{num_threads, set_num_threads, Image};
 pub use ops::{

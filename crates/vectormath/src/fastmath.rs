@@ -158,13 +158,16 @@ pub fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let ax = x.abs();
     let t = 1.0 / (1.0 + P * ax);
-    // A NaN `x` leaves `t` the only NaN operand of every operation, so
-    // the result is `x`'s NaN, quieted and positive, at every vector
-    // width. `exp`'s own NaN would meet it in one multiply, and which
-    // of two NaNs a multiply returns depends on how the compiler orders
-    // its operands: the SSE2 loop returned `exp`'s.
-    let e = if x.is_nan() { 1.0 } else { exp(-ax * ax) };
-    let y = 1.0 - ((((A5 * t + A4) * t + A3) * t + A2) * t + A1) * t * e;
+    // `exp` sees `|x|` capped at 10: past 6 the product below is under
+    // half an ulp of 1.0, so `y` is 1.0 either way. The cap (a compare
+    // and a select, which a NaN fails) also keeps a NaN `x` out of
+    // `exp`, so `t` is the only NaN operand of every operation and the
+    // result is `x`'s NaN, quieted and positive, at every vector width.
+    // `exp`'s own NaN would meet `t`'s in one multiply, and which of two
+    // NaNs a multiply returns depends on how the compiler orders its
+    // operands: the SSE2 loop returned `exp`'s.
+    let ae = if ax < 10.0 { ax } else { 10.0 };
+    let y = 1.0 - ((((A5 * t + A4) * t + A3) * t + A2) * t + A1) * t * exp(-ae * ae);
     sign * y
 }
 

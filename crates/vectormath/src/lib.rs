@@ -12,12 +12,13 @@
 //! * kernels **vectorize**, the transcendentals ([`fastmath`]) included:
 //!   every kernel is branch-free straight-line code (special cases are
 //!   selects, `2^n` is built from exponent bits, nothing calls libm), and
-//!   each call runs its loop at the host's vector width — AVX-512 when
-//!   the CPU has it (x86-64-v4), AVX2 when it has that, baseline SSE2
-//!   otherwise — chosen at one dispatch point inside the library's
-//!   threading, with the same output bits at every width. This is the "code developers have already hand-optimized"
-//!   that lets Mozart beat IR compilers that emit scalar `erf`/`exp`
-//!   (Figure 1);
+//!   each call runs its loop at the host's vector width — AVX2 when the
+//!   CPU has it, baseline SSE2 otherwise (the kernels compile at
+//!   AVX-512 too, held back for now: see [`vml`]) — chosen at one
+//!   dispatch point inside the library's threading, with the same
+//!   output bits at every width. This is the "code developers have
+//!   already hand-optimized" that lets Mozart beat IR compilers that
+//!   emit scalar `erf`/`exp` (Figure 1);
 //! * the raw-pointer entry points allow MKL's **exact in-place aliasing**
 //!   convention (`vdLog1p(len, d1, d1)`);
 //! * calls parallelize internally across a configurable number of
@@ -38,9 +39,11 @@ pub mod fastmath;
 mod parallel;
 pub mod trace;
 pub mod vml;
+#[path = "../../vector_width.rs"]
+mod width;
 
 pub use blas::{dasum, daxpy, daxpy_raw, ddot, dgemv, dscal};
-#[doc(hidden)]
-pub use parallel::Width;
 pub use parallel::{num_threads, set_num_threads};
 pub use vml::*;
+#[doc(hidden)]
+pub use width::Width;

@@ -6,6 +6,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::width::Width;
+
 static THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Minimum elements before a kernel bothers spawning threads.
@@ -21,11 +23,19 @@ pub fn num_threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
+/// Widest vectors the kernels run at: AVX2's 256 bits, although the
+/// kernels give the same bits at AVX-512 and take a third to a half
+/// less time there. At AVX-512 a Mozart pipeline of a 512-element Black
+/// Scholes chain costs more than 1.55 times the library
+/// (`tests/floor_cost.rs`): the runtime's cost per call stays while the
+/// library's work shrinks. Raise this to 512 once that cost is cut.
+pub(crate) const MAX_BITS: u32 = 256;
+
 /// Run `f(start, len)` over `[0, n)`, splitting across the library's
 /// internal threads when profitable; each part runs at the host's
-/// vector width ([`Width`]).
+/// vector width up to [`MAX_BITS`] ([`Width`]).
 pub(crate) fn run_parallel(n: usize, f: impl Fn(usize, usize) + Send + Sync) {
-    run_parallel_at(Width::host(), n, f)
+    run_parallel_at(Width::host(MAX_BITS), n, f)
 }
 
 /// [`run_parallel`] at one arm of the dispatch: every part, on every
@@ -56,109 +66,6 @@ pub(crate) fn run_parallel_at(width: Width, n: usize, f: impl Fn(usize, usize) +
             });
         }
     });
-}
-
-/// The host's vector width: the library's only CPU-feature dispatch.
-///
-/// Every kernel loop runs inside [`Width::run`], which calls it from a
-/// function compiled for the widest instruction set the CPU has, so a
-/// loop inlined into it is compiled that wide: 8 doubles per
-/// instruction under AVX-512 (x86-64-v4: F, BW, CD, DQ and VL), 4 under
-/// AVX2, and 2 at the baseline target (SSE2) on a CPU with neither.
-/// All three arms give the same bits: the kernels are IEEE adds,
-/// multiplies, divides, square roots and selects, and although the
-/// AVX-512 arm has FMA instructions, Rust never contracts a multiply
-/// and an add into one. (Which operand's NaN an operation on two NaNs
-/// returns is left unspecified by Rust, and the arms may pick
-/// differently.)
-///
-/// Public only so that tests can run each arm the host has through the
-/// kernels' `_at` forms and compare their bits. Only
-/// [`Width::available`] and the library's own dispatch make one, each
-/// from the CPU's features, so a `Width` is proof that the CPU can run
-/// it.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Width(Arm);
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Arm {
-    Baseline,
-    Avx2,
-    Avx512,
-}
-
-impl Width {
-    /// Every arm the running CPU has, narrowest first.
-    pub fn available() -> Vec<Width> {
-        [Arm::Baseline, Arm::Avx2, Arm::Avx512]
-            .into_iter()
-            .filter(|a| a.detected())
-            .map(Width)
-            .collect()
-    }
-
-    /// The widest arm the running CPU has: the one the kernels run.
-    pub(crate) fn host() -> Width {
-        let widest = [Arm::Avx512, Arm::Avx2].into_iter().find(|a| a.detected());
-        Width(widest.unwrap_or(Arm::Baseline))
-    }
-
-    /// Run `f` compiled for this arm: a loop in an `#[inline(always)]`
-    /// `f` compiles to its width.
-    #[inline(always)]
-    fn run(self, f: impl FnOnce()) {
-        match self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx512 => {
-                // SAFETY: a `Width` holds only an arm the CPU has.
-                unsafe { avx512(f) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx2 => {
-                // SAFETY: as above.
-                unsafe { avx2(f) }
-            }
-            _ => f(),
-        }
-    }
-}
-
-impl Arm {
-    fn detected(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected as has;
-            match self {
-                Arm::Baseline => true,
-                Arm::Avx2 => has!("avx2"),
-                Arm::Avx512 => {
-                    has!("avx2")
-                        && has!("avx512f")
-                        && has!("avx512bw")
-                        && has!("avx512cd")
-                        && has!("avx512dq")
-                        && has!("avx512vl")
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == Arm::Baseline
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
-fn avx512(f: impl FnOnce()) {
-    f()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn avx2(f: impl FnOnce()) {
-    f()
 }
 
 #[cfg(test)]

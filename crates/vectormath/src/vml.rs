@@ -19,11 +19,13 @@
 //!
 //! Each kernel's loop is an `#[inline(always)]` closure handed to the
 //! library's threading, which runs every part of a call through one
-//! dispatch point ([`crate::Width`]): inside an AVX-512 function when
-//! the CPU has AVX-512 (x86-64-v4), an AVX2 function when it has AVX2,
-//! at the baseline width otherwise. The closure and the branch-free
-//! [`fastmath`] functions it calls compile into that function, so the
-//! whole loop is code of that width. All three widths give the same
+//! dispatch point ([`crate::Width`]): inside an AVX2 function when the
+//! CPU has AVX2, at the baseline width (SSE2) otherwise. The closure
+//! and the branch-free [`fastmath`] functions it calls compile into
+//! that function, so the whole loop is code of that width. The kernels
+//! also compile at AVX-512 (x86-64-v4), which the library holds back
+//! for now: a Mozart pipeline of short calls would then cost too much
+//! beside it (see `parallel::MAX_BITS`). All three widths give the same
 //! bits. Each kernel's hidden `_at` form runs it at a given arm, for
 //! tests that compare them.
 //!
@@ -33,8 +35,9 @@
 //! the paper's Figures 4j–m.
 
 use crate::fastmath;
-use crate::parallel::{run_parallel_at, Width};
+use crate::parallel::{run_parallel_at, MAX_BITS};
 use crate::trace;
+use crate::width::Width;
 
 macro_rules! vml_unary {
     ($(#[$doc:meta])* $name:ident, $raw:ident, $at:ident, $f:expr) => {
@@ -57,7 +60,7 @@ macro_rules! vml_unary {
         /// doubles, and must be either exactly equal or disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, out: *mut f64) {
             // SAFETY: forwarded contract.
-            unsafe { $at(Width::host(), n, a, out) }
+            unsafe { $at(Width::host(MAX_BITS), n, a, out) }
         }
 
         /// The raw form at one arm of the dispatch, for tests that
@@ -121,7 +124,7 @@ macro_rules! vml_binary {
         /// either exactly equal or disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, b: *const f64, out: *mut f64) {
             // SAFETY: forwarded contract.
-            unsafe { $at(Width::host(), n, a, b, out) }
+            unsafe { $at(Width::host(MAX_BITS), n, a, b, out) }
         }
 
         /// The raw form at one arm of the dispatch, for tests that
@@ -214,7 +217,7 @@ macro_rules! vml_scalar {
         /// disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, k: f64, out: *mut f64) {
             // SAFETY: forwarded contract.
-            unsafe { $at(Width::host(), n, a, k, out) }
+            unsafe { $at(Width::host(MAX_BITS), n, a, k, out) }
         }
 
         /// The raw form at one arm of the dispatch, for tests that
