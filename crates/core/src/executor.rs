@@ -151,7 +151,7 @@ pub(crate) struct ExecStage {
     /// Per-element footprint summed over the split inputs (split info
     /// API); `total_elements · sum_elem_bytes` is the stage's nominal
     /// split cost in bytes (`PhaseStats::bytes_split`), the signal
-    /// behind per-session byte budgets.
+    /// behind per-session byte metering.
     pub(crate) sum_elem_bytes: u64,
     batch: u64,
     num_batches: u64,

@@ -1,31 +1,15 @@
-//! Process-wide memory governance for Mozart buffers.
+//! Process-wide metering of Mozart buffers.
 //!
-//! The paper's thesis is that memory traffic — not compute — is the
-//! bottleneck, and the serving layer's failure mode under production
-//! load is memory exhaustion, not CPU saturation. This module meters
-//! every [`SharedVec`](crate::SharedVec) allocation against one
-//! process-global byte ceiling so the service front-end can *shed*
-//! requests before they allocate instead of letting the allocator (or
-//! the OOM killer) decide for it.
+//! Every [`SharedVec`](crate::SharedVec) allocation adds
+//! `len * size_of::<T>()` to one global live-byte counter at
+//! construction and subtracts it when the last reference drops. Split
+//! pieces are views and allocate nothing; placement-merge targets and
+//! coalesce concatenations are ordinary `SharedVec` allocations and are
+//! therefore metered too. The serving layer reports the counter as its
+//! `memory_live_bytes` gauge; nothing enforces a limit on it.
 //!
-//! The accounting is intentionally simple and exact:
-//!
-//! * every `SharedVec` allocation adds `len * size_of::<T>()` to a
-//!   global live-byte counter at construction and subtracts it when the
-//!   last reference drops (split pieces are views and allocate
-//!   nothing; placement-merge targets and coalesce concatenations are
-//!   ordinary `SharedVec` allocations and are therefore metered too);
-//! * a ceiling of `0` (the default) disables enforcement but keeps the
-//!   live counter running, so observability is free even when
-//!   governance is off;
-//! * *pressure* is a softer signal than the ceiling: once live bytes
-//!   cross [`PRESSURE_NUM`]/[`PRESSURE_DEN`] of the ceiling, callers
-//!   that can degrade gracefully (the request coalescer, batch sizing)
-//!   should decline optional growth while required allocations still
-//!   proceed until the hard ceiling.
-//!
-//! The counters are relaxed atomics: admission decisions tolerate a
-//! stale-by-one-allocation view, and the executor never blocks on them.
+//! The counter is a relaxed atomic: readers tolerate a
+//! stale-by-one-allocation view, and the executor never blocks on it.
 //!
 //! # Freed pieces stay mapped
 //!
@@ -45,17 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Live metered bytes across the whole process.
 static LIVE: AtomicU64 = AtomicU64::new(0);
 
-/// Hard ceiling in bytes; `0` disables enforcement.
-static CEILING: AtomicU64 = AtomicU64::new(0);
-
-/// Total bytes ever metered (monotone; for rate observability).
-static TOTAL_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Numerator of the pressure threshold fraction.
-pub const PRESSURE_NUM: u64 = 7;
-/// Denominator of the pressure threshold fraction.
-pub const PRESSURE_DEN: u64 = 8;
-
 /// Record `bytes` of freshly allocated buffer memory.
 ///
 /// Called by the [`SharedVec`](crate::SharedVec) constructors; not
@@ -66,7 +39,6 @@ pub fn note_alloc(bytes: usize) {
         return;
     }
     LIVE.fetch_add(bytes as u64, Ordering::Relaxed);
-    TOTAL_ALLOCATED.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// Record `bytes` of buffer memory released.
@@ -82,51 +54,6 @@ pub fn note_free(bytes: usize) {
 #[inline]
 pub fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed)
-}
-
-/// Total bytes ever metered (monotone counter).
-#[inline]
-pub fn total_allocated_bytes() -> u64 {
-    TOTAL_ALLOCATED.load(Ordering::Relaxed)
-}
-
-/// Current hard ceiling in bytes (`0` = unlimited).
-#[inline]
-pub fn ceiling_bytes() -> u64 {
-    CEILING.load(Ordering::Relaxed)
-}
-
-/// Install a process-wide hard ceiling (`0` disables enforcement).
-///
-/// The ceiling is advisory *placement*: it does not fail allocations
-/// (a mid-pipeline allocation failure would strand partial state);
-/// instead admission layers consult [`would_exceed`] before accepting
-/// work whose estimated footprint does not fit.
-pub fn set_ceiling(bytes: u64) {
-    CEILING.store(bytes, Ordering::Relaxed);
-}
-
-/// Whether admitting an additional `estimate` bytes would exceed the
-/// ceiling. Always `false` when no ceiling is set.
-#[inline]
-pub fn would_exceed(estimate: u64) -> bool {
-    let ceiling = ceiling_bytes();
-    ceiling != 0 && live_bytes().saturating_add(estimate) > ceiling
-}
-
-/// Whether the process is under memory *pressure*: live bytes at or
-/// above [`PRESSURE_NUM`]/[`PRESSURE_DEN`] of the ceiling. Always
-/// `false` when no ceiling is set.
-///
-/// Pressure is the degrade-gracefully signal: the request coalescer
-/// declines batch growth (serving members individually instead), and
-/// optional prefetch/batching layers should shrink, while already
-/// admitted work runs to completion.
-#[inline]
-pub fn pressured() -> bool {
-    let ceiling = ceiling_bytes();
-    ceiling != 0
-        && live_bytes().saturating_mul(PRESSURE_DEN) >= ceiling.saturating_mul(PRESSURE_NUM)
 }
 
 /// Pin glibc's `mmap` threshold at its maximum, 32 MiB (pieces come
@@ -167,10 +94,9 @@ pub fn keep_freed_pieces_mapped() -> bool {
 mod tests {
     use super::*;
 
-    // NOTE: these tests share process-global state with every other
-    // test in the binary; they only assert *relative* movement and
-    // restore the ceiling to 0, so concurrent SharedVec traffic from
-    // other tests cannot fail them.
+    // NOTE: this test shares the process-global counter with every
+    // other test in the binary; it only asserts *relative* movement,
+    // so concurrent SharedVec traffic from other tests cannot fail it.
 
     #[test]
     fn alloc_free_roundtrip() {
@@ -178,20 +104,5 @@ mod tests {
         note_alloc(4096);
         assert!(live_bytes() >= before + 4096);
         note_free(4096);
-    }
-
-    #[test]
-    fn ceiling_disabled_by_zero() {
-        assert!(!would_exceed(u64::MAX / 2) || ceiling_bytes() != 0);
-    }
-
-    #[test]
-    fn total_is_monotone() {
-        let a = total_allocated_bytes();
-        note_alloc(128);
-        let b = total_allocated_bytes();
-        assert!(b >= a + 128);
-        note_free(128);
-        assert!(total_allocated_bytes() >= b);
     }
 }

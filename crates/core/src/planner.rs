@@ -92,9 +92,8 @@
 //!
 //! Parked memory is bounded by construction: one spare per stage
 //! output slot, replaced (never accumulated) by a later release; spares
-//! die with their entry on eviction; nothing is parked while
-//! [`membudget::pressured`](crate::membudget::pressured); and a context
-//! without a plan cache never parks. Stages without a placement output
+//! die with their entry on eviction; and a context without a plan cache
+//! never parks. Stages without a placement output
 //! never consult the slots.
 
 use std::cell::RefCell;
@@ -872,11 +871,8 @@ impl PlanCache {
     /// Park a released placement target in the spare slot of the stage
     /// output it was allocated for, replacing (and freeing) whatever
     /// was parked there. Dropped instead when the entry is no longer
-    /// cached or the process is under memory pressure.
+    /// cached.
     pub(crate) fn park(&self, origin: MergeOrigin, target: DataValue) {
-        if crate::membudget::pressured() {
-            return;
-        }
         let Some(spares) = self.spares(origin.fingerprint) else {
             return;
         };

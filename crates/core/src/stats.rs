@@ -56,7 +56,7 @@ pub struct PhaseStats {
     /// Nominal bytes split across all stages: per stage,
     /// `total_elements · Σ elem_size_bytes` over the split inputs as
     /// reported by the split info API. The cost signal serving layers
-    /// meter per-session byte budgets against.
+    /// meter per session.
     pub bytes_split: u64,
     /// Nominal bytes materialized by merge outputs (placement and
     /// collected), via the split info API on the merged value.

@@ -13,8 +13,8 @@
 //! * **Closed** (healthy): requests flow. Each *post-retry* transient
 //!   failure ([`ServeError::is_transient`] — `TaskPanicked` /
 //!   `Injected` only) increments a consecutive-failure counter; any
-//!   success resets it. Deterministic errors (bad requests, budget or
-//!   deadline sheds) are neutral — they say nothing about pipeline
+//!   success resets it. Deterministic errors (bad requests, deadline
+//!   sheds) are neutral — they say nothing about pipeline
 //!   health. At `threshold` consecutive failures the breaker **opens**.
 //! * **Open**: requests fast-fail with [`ServeError::CircuitOpen`]
 //!   without touching admission or the pool, until `cooldown` elapses.

@@ -23,20 +23,6 @@ pub enum ServeError {
         /// Waiters the admission queue holds beyond that.
         queue_depth: usize,
     },
-    /// The session has exhausted its byte budget: the cumulative bytes
-    /// split and merged on its behalf (tracked through the split info
-    /// API's element sizes) reached the configured cap. Load shedding by
-    /// *cost*, complementing the admission queue's shedding by *count* —
-    /// a session issuing few but enormous requests is bounded all the
-    /// same.
-    OverBudget {
-        /// The session whose budget ran out.
-        session: u64,
-        /// Bytes split + merged on the session's behalf so far.
-        used_bytes: u64,
-        /// The session's configured budget.
-        budget_bytes: u64,
-    },
     /// No pipeline registered under the requested name.
     UnknownPipeline(String),
     /// The request could not be parsed or is missing parameters.
@@ -57,20 +43,6 @@ pub enum ServeError {
     /// evaluations run to completion. Clients should reconnect
     /// elsewhere; retrying against a draining server cannot succeed.
     Draining,
-    /// Admitting the request would push the process past its global
-    /// memory ceiling (see `mozart_core::membudget`). Load shedding by
-    /// *footprint*: the estimated allocation cost of the request (an
-    /// EWMA of the pipeline's recent split + merge byte traffic) does
-    /// not fit under the ceiling right now. Retryable once live memory
-    /// drains.
-    OverMemory {
-        /// Live metered bytes at rejection time.
-        live_bytes: u64,
-        /// The process-wide ceiling.
-        ceiling_bytes: u64,
-        /// The request's estimated footprint.
-        estimated_bytes: u64,
-    },
     /// The pipeline's circuit breaker is open: recent evaluations
     /// failed with consecutive transient faults, so the service
     /// fast-fails new requests for this pipeline instead of burning
@@ -90,12 +62,10 @@ impl ServeError {
     pub fn kind(&self) -> &'static str {
         match self {
             ServeError::Saturated { .. } => "saturated",
-            ServeError::OverBudget { .. } => "over_budget",
             ServeError::UnknownPipeline(_) => "unknown_pipeline",
             ServeError::BadRequest(_) => "bad_request",
             ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServeError::Draining => "draining",
-            ServeError::OverMemory { .. } => "over_memory",
             ServeError::CircuitOpen { .. } => "circuit_open",
             ServeError::Runtime(_) => "runtime",
         }
@@ -105,7 +75,7 @@ impl ServeError {
     /// error. Only *transient* runtime failures qualify — a caught
     /// panic ([`mozart_core::Error::TaskPanicked`]) or an injected
     /// fault ([`mozart_core::Error::Injected`]); deterministic errors
-    /// (bad requests, invalid configs, exhausted budgets) would fail
+    /// (bad requests, invalid configs, open breakers) would fail
     /// identically on every attempt and are never retried.
     pub fn is_transient(&self) -> bool {
         matches!(
@@ -128,15 +98,6 @@ impl fmt::Display for ServeError {
                 "service saturated: {max_inflight} requests in flight and \
                  {queue_depth} queued; retry later"
             ),
-            ServeError::OverBudget {
-                session,
-                used_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "session {session} exceeded its byte budget: \
-                 {used_bytes} of {budget_bytes} bytes used"
-            ),
             ServeError::UnknownPipeline(name) => {
                 write!(f, "no pipeline registered under {name:?}")
             }
@@ -148,15 +109,6 @@ impl fmt::Display for ServeError {
             ServeError::Draining => {
                 write!(f, "service is draining; no new requests are admitted")
             }
-            ServeError::OverMemory {
-                live_bytes,
-                ceiling_bytes,
-                estimated_bytes,
-            } => write!(
-                f,
-                "over memory ceiling: {live_bytes} bytes live of {ceiling_bytes}, \
-                 request estimated at {estimated_bytes}; retry later"
-            ),
             ServeError::CircuitOpen { pipeline } => write!(
                 f,
                 "circuit breaker open for pipeline {pipeline:?}; retry after cooldown"
@@ -198,27 +150,12 @@ mod tests {
         let e = ServeError::UnknownPipeline("nope".into());
         assert_eq!(e.kind(), "unknown_pipeline");
         assert!(e.to_string().contains("nope"));
-        let e = ServeError::OverBudget {
-            session: 3,
-            used_bytes: 2048,
-            budget_bytes: 1024,
-        };
-        assert_eq!(e.kind(), "over_budget");
-        assert!(e.to_string().contains("2048"));
-        assert!(e.to_string().contains("1024"));
         let e: ServeError = mozart_core::Error::ValueUnavailable.into();
         assert_eq!(e.kind(), "runtime");
         let e = ServeError::DeadlineExceeded { deadline_ms: 50 };
         assert_eq!(e.kind(), "deadline_exceeded");
         assert!(e.to_string().contains("50 ms"));
         assert_eq!(ServeError::Draining.kind(), "draining");
-        let e = ServeError::OverMemory {
-            live_bytes: 900,
-            ceiling_bytes: 1000,
-            estimated_bytes: 200,
-        };
-        assert_eq!(e.kind(), "over_memory");
-        assert!(e.to_string().contains("900"));
         let e = ServeError::CircuitOpen {
             pipeline: "bs".into(),
         };
@@ -241,11 +178,6 @@ mod tests {
             ServeError::UnknownPipeline("zap".into()),
             ServeError::Draining,
             ServeError::DeadlineExceeded { deadline_ms: 1 },
-            ServeError::OverMemory {
-                live_bytes: 1,
-                ceiling_bytes: 2,
-                estimated_bytes: 3,
-            },
             ServeError::CircuitOpen {
                 pipeline: "p".into(),
             },

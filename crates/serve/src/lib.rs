@@ -39,10 +39,9 @@
 //!   wait (FIFO — released slots go to the oldest waiter; `try_call`
 //!   never barges past the queue), and everyone else gets the typed
 //!   [`ServeError::Saturated`] backpressure error immediately.
-//! * **Session byte budgets**: the bytes split and merged per session
-//!   (from the split info API's element sizes) are metered; sessions
-//!   over their budget are shed with [`ServeError::OverBudget`] —
-//!   load shedding by cost, not just by count.
+//! * **Session metering**: the bytes split and merged per session
+//!   (from the split info API's element sizes) are counted
+//!   ([`Session::bytes_used`]); metering never turns a request away.
 //! * **Fault tolerance**: a panicking split/evaluate/merge fails only
 //!   its request with the typed
 //!   [`mozart_core::Error::TaskPanicked`] while the shared pool
@@ -56,14 +55,10 @@
 //!   for testing via [`mozart_core::FaultPlan`].
 //! * **Overload resilience**: admission is the one fixed limit and
 //!   bounded FIFO queue above, and a queued request leaves only when
-//!   admitted, at its deadline or on drain; a process-wide memory
-//!   ceiling (`mozart_core::membudget`) sheds
-//!   requests whose estimated footprint cannot fit
-//!   ([`ServeError::OverMemory`]) and stops coalesced batches from
-//!   growing under pressure; and per-pipeline circuit breakers
-//!   ([`breaker`]) fast-fail pipelines stuck in consecutive transient
-//!   failures ([`ServeError::CircuitOpen`]) until a half-open probe
-//!   succeeds.
+//!   admitted, at its deadline or on drain; and per-pipeline circuit
+//!   breakers ([`breaker`]) fast-fail pipelines stuck in consecutive
+//!   transient failures ([`ServeError::CircuitOpen`]) until a half-open
+//!   probe succeeds.
 //! * **Observability** ([`ServiceBuilder::tracing`]): per-request span
 //!   trees (queue wait, coalesce wait, retry attempts with cause, and
 //!   the executor's per-batch split/task/merge spans — see

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! <pipeline> [key=value]...      run a pipeline
-//! BUDGET <bytes>                 set this session's byte budget (0 = unlimited)
 //! DEADLINE <ms>                  set this session's default request deadline (0 = none)
 //! PIPELINE <0|1>                 set this session's stage evaluation mode (1 = fused
 //!                                pipelines, the default; 0 = per-call stages that
@@ -30,6 +29,11 @@
 //! Pool workers join open jobs in submission order, so sessions carry
 //! no scheduling weight. There is no `WEIGHT` directive either: a
 //! `WEIGHT 2` line replies `ERR bad_request` the same way.
+//!
+//! Sessions meter the bytes split and merged on their behalf but carry
+//! no byte budget, and the process has no memory ceiling: load is shed
+//! by admission, deadlines and circuit breakers alone. There is no
+//! `BUDGET` directive; a `BUDGET 5` line replies `ERR bad_request`.
 //!
 //! # Stable reply formats
 //!
@@ -79,8 +83,6 @@ use crate::service::Request;
 pub enum ClientLine {
     /// Run the named pipeline with the given parameters.
     Call(String, Request),
-    /// Set the connection session's byte budget (0 = unlimited).
-    Budget(u64),
     /// Set the connection session's default request deadline in
     /// milliseconds (0 clears it).
     Deadline(u64),
@@ -105,7 +107,7 @@ pub enum ClientLine {
     Quit,
 }
 
-/// Parse the single operand of a control line (`BUDGET`, `DEADLINE`, ...).
+/// Parse the single operand of a control line (`DEADLINE`, `TRACE`, ...).
 fn parse_operand<T: std::str::FromStr>(
     head: &str,
     words: &mut std::str::SplitWhitespace<'_>,
@@ -142,7 +144,6 @@ pub fn parse_line(line: &str) -> Result<ClientLine, ServeError> {
         "METRICS" => bare(ClientLine::Metrics, &mut words),
         "TRACE" => Ok(ClientLine::Trace(parse_operand(head, &mut words)?)),
         "QUIT" => bare(ClientLine::Quit, &mut words),
-        "BUDGET" => Ok(ClientLine::Budget(parse_operand(head, &mut words)?)),
         "DEADLINE" => Ok(ClientLine::Deadline(parse_operand(head, &mut words)?)),
         "PIPELINE" => match parse_operand::<u64>(head, &mut words)? {
             0 => Ok(ClientLine::Pipeline(false)),
@@ -236,22 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_budget_lines() {
-        assert_eq!(
-            parse_line("BUDGET 1000000").unwrap(),
-            ClientLine::Budget(1_000_000)
-        );
-        assert_eq!(parse_line("BUDGET 0").unwrap(), ClientLine::Budget(0));
-        // Malformed control lines are typed bad requests.
-        for bad in ["BUDGET", "BUDGET x", "BUDGET 1 2"] {
-            assert!(
-                matches!(parse_line(bad), Err(ServeError::BadRequest(_))),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn parses_pipeline_lines() {
         assert_eq!(
             parse_line("PIPELINE 0").unwrap(),
@@ -272,7 +257,8 @@ mod tests {
     #[test]
     fn verify_lines_are_bad_requests() {
         // Plan verification always runs; no line turns it on or off.
-        // Sessions carry no scheduling weight; no line sets one.
+        // Sessions carry no scheduling weight and no byte budget; no
+        // line sets either.
         for bad in [
             "VERIFY 0",
             "VERIFY 1",
@@ -282,6 +268,10 @@ mod tests {
             "WEIGHT 2",
             "WEIGHT two",
             "WEIGHT 1 2",
+            "BUDGET 0",
+            "BUDGET 5",
+            "BUDGET lots",
+            "BUDGET 1 2",
         ] {
             assert!(
                 matches!(parse_line(bad), Err(ServeError::BadRequest(_))),

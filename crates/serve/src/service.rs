@@ -10,30 +10,26 @@
 //! 1. **drain** — a draining service sheds everything
 //!    ([`ServeError::Draining`]).
 //! 2. **lookup** — the named pipeline ([`ServeError::UnknownPipeline`]).
-//! 3. **budget** — the session's byte budget
-//!    ([`ServeError::OverBudget`]).
-//! 4. **breaker** — the pipeline's circuit breaker; the pass it hands
-//!    out is reported to in stage 9 ([`ServeError::CircuitOpen`]).
-//! 5. **memory** — the pipeline's estimated footprint against the
-//!    process ceiling ([`ServeError::OverMemory`]).
-//! 6. **coalesce role** (`coalesce_role`) — a blocking request with a
+//! 3. **breaker** — the pipeline's circuit breaker; the pass it hands
+//!    out is reported to in stage 7 ([`ServeError::CircuitOpen`]).
+//! 4. **coalesce role** (`coalesce_role`) — a blocking request with a
 //!    [`Pipeline::coalesce_key`] either *follows* the open batch of its
 //!    key (`follow`: park until the leader resolves it, then settle) or
 //!    publishes a batch and *leads* it. Everything else — `try_call`,
-//!    coalescing off, no key, memory pressure, a full or sealed batch —
-//!    is a batch of one that was never published.
-//! 7. **admit** (`admit`) — the evaluating request takes one of the
+//!    coalescing off, no key, a full or sealed batch — is a batch of one
+//!    that was never published.
+//! 5. **admit** (`admit`) — the evaluating request takes one of the
 //!    fixed `max_inflight` admission slots, waiting in the bounded FIFO
 //!    queue (`call`) or not (`try_call`). A queued request leaves only
 //!    when admitted, at its deadline ([`ServeError::DeadlineExceeded`])
 //!    or on drain ([`ServeError::Draining`]); a full queue turns it away
 //!    ([`ServeError::Saturated`]). Followers join while a leader waits
 //!    here.
-//! 8. **attempts** (`eval_batch` → `attempts`) — the batch's members
+//! 6. **attempts** (`eval_batch` → `attempts`) — the batch's members
 //!    evaluate under that one slot: as one coalesced pipeline when there
 //!    are several and the pipeline can, else one by one; transient
 //!    failures retry with backoff.
-//! 9. **settle** (`settle`) — charge each member its share of the bytes,
+//! 7. **settle** (`settle`) — charge each member its share of the bytes,
 //!    report to the breaker, count the outcome, release the followers.
 //!
 //! `execute_traced` wraps all of it in the `Request` span, the
@@ -296,10 +292,6 @@ pub struct ServiceConfig {
     /// Callers allowed to wait for admission beyond `max_inflight`
     /// before [`ServeError::Saturated`] is returned.
     pub queue_depth: usize,
-    /// Default byte budget of new sessions (0 = unlimited): once the
-    /// bytes split + merged on a session's behalf reach the budget, its
-    /// requests are shed with [`ServeError::OverBudget`].
-    pub session_byte_budget: u64,
     /// Cross-request batch coalescing (on by default): queued blocking
     /// requests with matching [`Pipeline::coalesce_key`]s evaluate as
     /// one pipeline over concatenated inputs.
@@ -318,12 +310,6 @@ pub struct ServiceConfig {
     /// default; see [`ServiceBuilder::tracing`]). When off, the request
     /// path records nothing — one `Option` branch per would-be span.
     pub tracing: bool,
-    /// Process-wide memory ceiling in bytes (0 = unlimited), installed
-    /// into `mozart_core::membudget` at build time. Requests whose
-    /// estimated footprint does not fit are shed with
-    /// [`ServeError::OverMemory`] before admission, and the coalescer
-    /// declines batch growth once live bytes cross ⅞ of the ceiling.
-    pub memory_ceiling_bytes: u64,
     /// Consecutive post-retry transient failures that open a pipeline's
     /// circuit breaker (0 disables breakers); see [`crate::breaker`].
     pub breaker_threshold: u32,
@@ -339,12 +325,10 @@ impl Default for ServiceConfig {
             workers,
             max_inflight: workers,
             queue_depth: 4 * workers,
-            session_byte_budget: 0,
             coalescing: true,
             max_retries: 2,
             retry_backoff_ms: 5,
             tracing: false,
-            memory_ceiling_bytes: 0,
             breaker_threshold: 8,
             breaker_cooldown_ms: 200,
         }
@@ -392,10 +376,6 @@ pub const PHASE_NAMES: [&str; 5] = ["unprotect", "planner", "split", "task", "me
 
 /// Entries the slow-request log retains (oldest evicted first).
 const SLOW_LOG_CAP: usize = 64;
-
-/// Fingerprints the shared [`PlanCache`] keeps an entry (and its parked
-/// merge targets) for.
-const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Observability state of a tracing-enabled service: the shared span
 /// recorder plus the serve-side latency histograms and the slow-request
@@ -627,10 +607,6 @@ struct ServiceInner {
     drain_cv: Condvar,
     /// Per-pipeline circuit breakers.
     breakers: BreakerMap,
-    /// EWMA of per-request byte footprint per pipeline (split + merge
-    /// traffic of recent evaluations) — the pre-admission estimate the
-    /// memory ceiling checks against.
-    pipeline_cost: Mutex<HashMap<String, u64>>,
     /// Tracing/metrics state; `None` when tracing is off, and then the
     /// request path records nothing.
     obs: Option<Obs>,
@@ -688,40 +664,14 @@ impl ServiceInner {
             });
         }
     }
-
-    /// Update `pipeline`'s footprint EWMA with one request's measured
-    /// byte cost (¼ new, ¾ old — a few requests re-center the estimate
-    /// after a workload shift without letting one outlier swing it).
-    fn note_cost(&self, pipeline: &str, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let mut costs = lock(&self.pipeline_cost);
-        match costs.get_mut(pipeline) {
-            Some(c) => *c = (*c * 3 + bytes) / 4,
-            None => {
-                costs.insert(pipeline.to_string(), bytes);
-            }
-        }
-    }
-
-    /// The current footprint estimate for `pipeline` (0 = unknown; an
-    /// unknown pipeline is never memory-shed — the first request
-    /// measures it).
-    fn estimated_cost(&self, pipeline: &str) -> u64 {
-        lock(&self.pipeline_cost)
-            .get(pipeline)
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 /// A multi-tenant, in-process pipeline service (the `mozart-serve`
 /// tentpole): every session shares one process-wide worker pool — no
 /// per-client thread oversubscription — and one plan cache, so repeated
-/// structurally identical pipelines skip the planner. Sessions carry
-/// optional byte budgets, and queued fingerprint-identical requests
-/// coalesce into one evaluation.
+/// structurally identical pipelines skip the planner. Sessions meter
+/// the bytes split and merged on their behalf, and queued
+/// fingerprint-identical requests coalesce into one evaluation.
 ///
 /// Cloning is cheap; clones share all state. See the crate docs for a
 /// quickstart.
@@ -757,9 +707,7 @@ impl PipelineService {
 
     /// Open a session: the unit of usage accounting and the handle
     /// requests go through. Sessions are cheap and `Send`; open one per
-    /// client connection or per client thread. The session starts with
-    /// the service's default byte budget
-    /// ([`ServiceConfig::session_byte_budget`]).
+    /// client connection or per client thread.
     ///
     /// Session ids are allocated from a process-global counter, so a
     /// session id in an error or a trace names one session of the
@@ -773,7 +721,6 @@ impl PipelineService {
             service: self.clone(),
             id,
             requests: AtomicU64::new(0),
-            byte_budget: AtomicU64::new(inner.config.session_byte_budget),
             bytes_used: AtomicU64::new(0),
             default_deadline_ms: AtomicU64::new(0),
             pipeline: AtomicBool::new(inner.session_config.pipeline),
@@ -827,7 +774,6 @@ impl PipelineService {
                 .filter(|(_, state, _)| *state == BreakerState::Open)
                 .count(),
             memory_live_bytes: membudget::live_bytes(),
-            memory_ceiling_bytes: membudget::ceiling_bytes(),
             ..counted
         }
     }
@@ -1074,8 +1020,8 @@ impl PipelineService {
         (result, (trace != 0).then_some(trace))
     }
 
-    /// The lifecycle (module docs), stages 1–6, then the evaluating
-    /// request's stages 7–9 in [`PipelineService::run_batch`].
+    /// The lifecycle (module docs), stages 1–4, then the evaluating
+    /// request's stages 5–7 in [`PipelineService::run_batch`].
     fn execute_inner(&self, rq: &Flight<'_>) -> Result<Response> {
         let inner = &self.inner;
         if inner.draining.load(Ordering::SeqCst) {
@@ -1085,7 +1031,6 @@ impl PipelineService {
             .get(rq.pipeline)
             .cloned()
             .ok_or_else(|| ServeError::UnknownPipeline(rq.pipeline.to_string()))?;
-        rq.session.check_budget(inner)?;
 
         // Circuit breaker: a pipeline stuck in consecutive transient
         // failures fast-fails here — no admission permit, no pool time.
@@ -1098,19 +1043,6 @@ impl PipelineService {
                 });
             }
         };
-
-        // Process memory ceiling: shed before admission when the
-        // pipeline's estimated footprint (EWMA of its recent split +
-        // merge byte traffic) does not fit under the global ceiling.
-        let estimated = inner.estimated_cost(rq.pipeline);
-        if membudget::would_exceed(estimated) {
-            lock(&inner.counters).over_memory += 1;
-            return Err(ServeError::OverMemory {
-                live_bytes: membudget::live_bytes(),
-                ceiling_bytes: membudget::ceiling_bytes(),
-                estimated_bytes: estimated,
-            });
-        }
 
         let published = match self.coalesce_role(&*handler, rq) {
             // A follower leaves its breaker pass untouched (neutral on
@@ -1128,16 +1060,13 @@ impl PipelineService {
         self.run_batch(rq, &*handler, breaker_pass, published)
     }
 
-    /// Stage 6 — cross-request coalescing: blocking requests whose
+    /// Stage 4 — cross-request coalescing: blocking requests whose
     /// coalesce keys match may share one evaluation. `try_call`
     /// requests never coalesce — joining a batch means waiting for its
-    /// leader. Under memory pressure (live bytes ≥ ⅞ of the ceiling)
-    /// the coalescer declines batch growth: a coalesced evaluation's
-    /// concatenated inputs and outputs peak higher than any single
-    /// member's, which is exactly the wrong shape near the ceiling.
+    /// leader.
     fn coalesce_role(&self, handler: &dyn Pipeline, rq: &Flight<'_>) -> Role<'_> {
         let inner = &self.inner;
-        if !rq.wait || !inner.config.coalescing || membudget::pressured() {
+        if !rq.wait || !inner.config.coalescing {
             return Role::Solo;
         }
         let Some(key) = handler.coalesce_key(rq.req) else {
@@ -1171,7 +1100,7 @@ impl PipelineService {
         e
     }
 
-    /// Stage 7 — take an admission slot, queueing for it (`call`) or
+    /// Stage 5 — take an admission slot, queueing for it (`call`) or
     /// not (`try_call`), and count the request started.
     fn admit(&self, rq: &Flight<'_>) -> Result<AdmissionPermit<'_>> {
         let inner = &self.inner;
@@ -1191,7 +1120,7 @@ impl PipelineService {
         Ok(permit)
     }
 
-    /// Stages 7–9 for the request that evaluates. `published` is the
+    /// Stages 5–7 for the request that evaluates. `published` is the
     /// batch it leads; `None` is a batch of one the coalescer never
     /// saw. The request carries the batch's breaker pass.
     fn run_batch(
@@ -1224,9 +1153,8 @@ impl PipelineService {
         let results = self.eval_batch(rq, handler, reqs, &mut spent);
 
         // The byte cost (failed work included) splits evenly across the
-        // members: it must not land on the leader's budget alone.
+        // members: it must not land on the leader's session alone.
         let share = spent.bytes_split.saturating_add(spent.bytes_merged) / reqs.len() as u64;
-        self.inner.note_cost(rq.pipeline, share);
         let own = results.first().cloned().unwrap_or_else(|| Err(aborted()));
         // Only post-retry transient failures move the breaker;
         // deterministic errors say nothing about health.
@@ -1242,7 +1170,7 @@ impl PipelineService {
         own
     }
 
-    /// Stage 9 — close the books on a request that was evaluated, by
+    /// Stage 7 — close the books on a request that was evaluated, by
     /// itself or by its leader: charge its byte share to the session
     /// and count the outcome. `spent` is what the request's own
     /// attempts cost the engine; a follower has none and is counted
@@ -1271,7 +1199,7 @@ impl PipelineService {
         }
     }
 
-    /// Stage 8 — evaluate under the held admission slot, retrying
+    /// Stage 6 — evaluate under the held admission slot, retrying
     /// transient failures (caught panics, injected faults) up to
     /// [`ServiceConfig::max_retries`] times with jittered backoff.
     /// `eval` is the evaluation: one request's pipeline, or a batch's
@@ -1280,7 +1208,7 @@ impl PipelineService {
     /// token, so an expired request stops claiming batches instead of
     /// running to completion. Every attempt's phase stats land in
     /// `spent`: failed work still cost the machine, and the session's
-    /// budget sees it.
+    /// metering sees it.
     fn attempts<T>(
         &self,
         rq: &Flight<'_>,
@@ -1421,7 +1349,7 @@ impl PipelineService {
         }
     }
 
-    /// Stage 6, the follower's side: park on a forming batch until its
+    /// Stage 4, the follower's side: park on a forming batch until its
     /// leader resolves it, then settle this member's result. Returns
     /// `None` if the batch cannot be joined (sealed by its leader or at
     /// capacity). A follower whose deadline passes while parked sheds
@@ -1511,7 +1439,7 @@ struct Flight<'a> {
     trace: TraceId,
 }
 
-/// A request's part in cross-request coalescing (lifecycle stage 6).
+/// A request's part in cross-request coalescing (lifecycle stage 4).
 enum Role<'a> {
     /// Evaluate alone, unpublished.
     Solo,
@@ -1668,16 +1596,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Process-wide memory ceiling in bytes (0 = unlimited), installed
-    /// into `mozart_core::membudget` when the service is built. Note
-    /// the ceiling is **global** to the process — the last service
-    /// built wins — because the buffers it governs are shared across
-    /// every service and session.
-    pub fn memory_ceiling_bytes(mut self, bytes: u64) -> Self {
-        self.config.memory_ceiling_bytes = bytes;
-        self
-    }
-
     /// Circuit-breaker tuning: consecutive post-retry transient
     /// failures that open a pipeline's breaker (0 disables breakers)
     /// and the fast-fail cooldown before a half-open probe.
@@ -1690,14 +1608,6 @@ impl ServiceBuilder {
     /// Waiters allowed beyond `max_inflight` before `Saturated`.
     pub fn queue_depth(mut self, n: usize) -> Self {
         self.queue_depth = Some(n);
-        self
-    }
-
-    /// Default byte budget for new sessions (0 = unlimited); see
-    /// [`ServeError::OverBudget`]. Individual sessions can override it
-    /// with [`Session::set_byte_budget`].
-    pub fn session_byte_budget(mut self, bytes: u64) -> Self {
-        self.config.session_byte_budget = bytes;
         self
     }
 
@@ -1790,13 +1700,10 @@ impl ServiceBuilder {
         if let Err(e) = session_config.validate() {
             panic!("mozart-serve: session_config rejected: {e}");
         }
-        if config.memory_ceiling_bytes > 0 {
-            membudget::set_ceiling(config.memory_ceiling_bytes);
-        }
         let service = PipelineService {
             inner: Arc::new(ServiceInner {
                 admission: Admission::new(config.max_inflight, config.queue_depth),
-                cache: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
+                cache: Arc::new(PlanCache::default()),
                 session_config,
                 pool,
                 pipelines: RwLock::new(HashMap::new()),
@@ -1810,7 +1717,6 @@ impl ServiceBuilder {
                     threshold: config.breaker_threshold,
                     cooldown: Duration::from_millis(config.breaker_cooldown_ms),
                 }),
-                pipeline_cost: Mutex::new(HashMap::new()),
                 obs,
                 config,
             }),
@@ -1825,14 +1731,12 @@ impl ServiceBuilder {
 /// One client's handle onto a [`PipelineService`]: the unit of usage
 /// accounting. A session meters the requests it started and the bytes
 /// split and merged on its behalf (from each request context's
-/// [`PhaseStats`]), and carries its byte budget, default deadline and
-/// stage evaluation mode.
+/// [`PhaseStats`]), and carries its default deadline and stage
+/// evaluation mode.
 pub struct Session {
     service: PipelineService,
     id: u64,
     requests: AtomicU64,
-    /// Byte budget (0 = unlimited); see [`ServeError::OverBudget`].
-    byte_budget: AtomicU64,
     /// Bytes split + merged on this session's behalf, accumulated from
     /// each request context's phase stats.
     bytes_used: AtomicU64,
@@ -1847,8 +1751,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// This session's id: it names the session in
-    /// [`ServeError::OverBudget`] and seeds its retry jitter.
+    /// This session's id: it seeds the session's retry jitter.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -1860,39 +1763,9 @@ impl Session {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// This session's byte budget (0 = unlimited).
-    pub fn byte_budget(&self) -> u64 {
-        self.byte_budget.load(Ordering::Relaxed)
-    }
-
-    /// Set this session's byte budget (0 = unlimited). Once
-    /// [`Session::bytes_used`] reaches the budget, further requests are
-    /// shed with [`ServeError::OverBudget`].
-    pub fn set_byte_budget(&self, bytes: u64) {
-        self.byte_budget.store(bytes, Ordering::Relaxed);
-    }
-
     /// Bytes split + merged on this session's behalf so far.
     pub fn bytes_used(&self) -> u64 {
         self.bytes_used.load(Ordering::Relaxed)
-    }
-
-    /// Shed the request if the session's byte budget is exhausted.
-    fn check_budget(&self, inner: &ServiceInner) -> Result<()> {
-        let budget = self.byte_budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return Ok(());
-        }
-        let used = self.bytes_used.load(Ordering::Relaxed);
-        if used >= budget {
-            lock(&inner.counters).over_budget += 1;
-            return Err(ServeError::OverBudget {
-                session: self.id,
-                used_bytes: used,
-                budget_bytes: budget,
-            });
-        }
-        Ok(())
     }
 
     /// This session's default deadline in milliseconds for requests
@@ -1966,7 +1839,7 @@ impl Session {
     /// (shared pool, shared plan cache, this session's mode) — for
     /// callers that want to run ad-hoc annotated calls under the
     /// service's resource envelope. Bypasses admission control and
-    /// byte-budget metering.
+    /// the session's byte metering.
     pub fn context(&self) -> MozartContext {
         self.service.request_context(self)
     }

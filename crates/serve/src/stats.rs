@@ -23,8 +23,6 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests that failed inside the pipeline.
     pub failed: u64,
-    /// Requests shed because their session exhausted its byte budget.
-    pub over_budget: u64,
     /// Requests shed because their deadline passed — while queued for
     /// admission, while parked in a coalesced batch, or mid-evaluation
     /// (cooperative cancellation at batch-claim boundaries).
@@ -41,9 +39,6 @@ pub struct ServiceStats {
     /// (cross-request coalescing followers; the leader of a coalesced
     /// batch is not counted).
     pub coalesced_requests: u64,
-    /// Requests shed pre-admission by the process memory ceiling
-    /// (`ServeError::OverMemory`).
-    pub over_memory: u64,
     /// Requests fast-failed by an open circuit breaker
     /// (`ServeError::CircuitOpen`).
     pub breaker_shed: u64,
@@ -83,8 +78,6 @@ pub struct ServiceStats {
     /// Live process-wide metered buffer bytes
     /// (`mozart_core::membudget`).
     pub memory_live_bytes: u64,
-    /// The process-wide memory ceiling (0 = unlimited).
-    pub memory_ceiling_bytes: u64,
 }
 
 /// How a [`StatRow`] renders.
@@ -159,9 +152,9 @@ pub static STAT_TABLE: [StatRow; 35] = [
     row(Some((3, "failed")), Counter, |s| s.failed,
         Some("mozart_requests_failed_total"),
         "Requests failed inside the pipeline"),
-    row(Some((4, "over_budget")), Counter, |s| s.over_budget,
+    row(Some((4, "over_budget")), Counter, |_| 0,
         Some("mozart_requests_over_budget_total"),
-        "Requests shed by session byte budgets"),
+        "Retired, always 0: sessions meter their bytes but carry no budget"),
     row(Some((5, "deadline_shed")), Counter, |s| s.deadline_shed,
         Some("mozart_requests_deadline_shed_total"),
         "Requests shed because their deadline passed"),
@@ -237,9 +230,9 @@ pub static STAT_TABLE: [StatRow; 35] = [
     row(Some((21, "queue_shed")), Counter, |s| s.queue_shed,
         Some("mozart_queue_shed_total"),
         "Retired, always 0: queued callers leave only when admitted, at their deadline or on drain"),
-    row(Some((22, "over_memory")), Counter, |s| s.over_memory,
+    row(Some((22, "over_memory")), Counter, |_| 0,
         Some("mozart_over_memory_total"),
-        "Requests shed by the process memory ceiling"),
+        "Retired, always 0: no process memory ceiling sheds requests"),
     row(Some((23, "breaker_shed")), Counter, |s| s.breaker_shed,
         Some("mozart_breaker_fastfail_total"),
         "Requests fast-failed by an open circuit breaker"),
@@ -251,9 +244,9 @@ pub static STAT_TABLE: [StatRow; 35] = [
     row(Some((25, "memory_live_bytes")), Gauge, |s| s.memory_live_bytes,
         Some("mozart_memory_live_bytes"),
         "Live metered buffer bytes (process-wide)"),
-    row(Some((26, "memory_ceiling_bytes")), Gauge, |s| s.memory_ceiling_bytes,
+    row(Some((26, "memory_ceiling_bytes")), Gauge, |_| 0,
         Some("mozart_memory_ceiling_bytes"),
-        "Process-wide memory ceiling (0 = unlimited)"),
+        "Retired, always 0: the process has no memory ceiling"),
 ];
 
 /// The rows that appear on the `STATS` line, in line order, each with

@@ -340,10 +340,6 @@ pub fn serve_connection(
             }
             Ok(ClientLine::List) => ok_line(&service.pipeline_names().join(" ")),
             Ok(ClientLine::Stats) => ok_line(&stats_body(service)),
-            Ok(ClientLine::Budget(b)) => {
-                session.set_byte_budget(b);
-                ok_line(&format!("budget={b}"))
-            }
             Ok(ClientLine::Deadline(ms)) => {
                 session.set_deadline((ms > 0).then(|| Duration::from_millis(ms)));
                 ok_line(&format!("deadline_ms={ms}"))

@@ -193,9 +193,11 @@ fn verify_directive_is_a_bad_request() {
     let (addr, _service) = spawn_frontend(corpus_cfg());
     let (mut w, mut r) = connect(addr);
     // Plan verification is not a session setting, and sessions carry
-    // no scheduling weight: each old directive is a malformed call,
-    // typed bad_request, and the connection serves on.
-    for line in ["VERIFY 1", "VERIFY 0", "WEIGHT 2", "WEIGHT 0"] {
+    // no scheduling weight and no byte budget: each old directive is a
+    // malformed call, typed bad_request, and the connection serves on.
+    for line in [
+        "VERIFY 1", "VERIFY 0", "WEIGHT 2", "WEIGHT 0", "BUDGET 5", "BUDGET 0",
+    ] {
         let reply = roundtrip(&mut w, &mut r, line);
         assert!(
             reply.starts_with("ERR bad_request"),

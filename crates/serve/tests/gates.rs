@@ -4,7 +4,7 @@
 //! One test in this file, so that no sibling test shares the cores.
 //! Run it in release: `cargo test --release -p mozart-serve --test gates`.
 //! Every phase serves `black_scholes` at n = 4096 on 4 workers; the
-//! closed loops are 3 clients × 10 requests.
+//! closed loops are 3 clients × 30 requests.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use workloads::black_scholes as bs;
 
 const WORKERS: usize = 4;
 const CLIENTS: usize = 3;
-const REQUESTS: usize = 10;
+const REQUESTS: usize = 30;
 const N: usize = 4096;
 
 /// The reply body of one `(N, seed)` black_scholes request.
@@ -62,8 +62,10 @@ fn overload() {
     const SLICES: usize = 5;
     const PER_SLICE: usize = REQUESTS / SLICES;
     const _: () = assert!(PER_SLICE * SLICES == REQUESTS);
-    // 2 × CLIENTS paced threads offer REQUESTS each: 60 requests, above
-    // the 40 the goodput bound needs.
+    // 2 × CLIENTS paced threads offer REQUESTS each: 180 requests, above
+    // the 40 the goodput bound needs. Each slice runs PER_SLICE = 6
+    // requests per thread, so a stall of a few milliseconds is a small
+    // share of every measured window.
     const THREADS: usize = 2 * CLIENTS;
     const _: () = assert!(THREADS * REQUESTS >= 40);
     let want = reference_body(42);
@@ -106,7 +108,7 @@ fn overload() {
                             ok.store(false, Ordering::Relaxed);
                         }
                     }
-                    Err(ServeError::Saturated { .. } | ServeError::OverMemory { .. }) => {
+                    Err(ServeError::Saturated { .. }) => {
                         shed.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(e) => panic!("overload shed must be typed, got {e}"),

@@ -513,7 +513,7 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_requests_completed_total", "counter", "Requests completed successfully"),
         ("mozart_requests_rejected_total", "counter", "Requests rejected by admission control"),
         ("mozart_requests_failed_total", "counter", "Requests failed inside the pipeline"),
-        ("mozart_requests_over_budget_total", "counter", "Requests shed by session byte budgets"),
+        ("mozart_requests_over_budget_total", "counter", "Retired, always 0: sessions meter their bytes but carry no budget"),
         ("mozart_requests_deadline_shed_total", "counter", "Requests shed because their deadline passed"),
         ("mozart_retries_total", "counter", "Evaluation attempts re-run after a transient failure"),
         ("mozart_requests_coalesced_total", "counter", "Requests served by piggybacking on another evaluation"),
@@ -539,10 +539,10 @@ fn stats_keys_and_metric_headers_are_pinned() {
         ("mozart_pool_respawned_workers_total", "counter", "Pool workers respawned after dying"),
         ("mozart_admission_limit", "gauge", "Current concurrency limit"),
         ("mozart_queue_shed_total", "counter", "Retired, always 0: queued callers leave only when admitted, at their deadline or on drain"),
-        ("mozart_over_memory_total", "counter", "Requests shed by the process memory ceiling"),
+        ("mozart_over_memory_total", "counter", "Retired, always 0: no process memory ceiling sheds requests"),
         ("mozart_breaker_fastfail_total", "counter", "Requests fast-failed by an open circuit breaker"),
         ("mozart_memory_live_bytes", "gauge", "Live metered buffer bytes (process-wide)"),
-        ("mozart_memory_ceiling_bytes", "gauge", "Process-wide memory ceiling (0 = unlimited)"),
+        ("mozart_memory_ceiling_bytes", "gauge", "Retired, always 0: the process has no memory ceiling"),
         ("mozart_request_seconds", "histogram", "End-to-end request latency"),
         ("mozart_admission_wait_seconds", "histogram", "Time waiting for an admission slot"),
         ("mozart_phase_unprotect_seconds", "histogram", "Per-attempt evaluation phase time"),
@@ -561,6 +561,17 @@ fn stats_keys_and_metric_headers_are_pinned() {
         .collect();
     assert_eq!(keys, STATS_KEYS, "{line}");
     assert!(line.contains(" draining=false "), "a flag, not 0/1: {line}");
+    for retired in [
+        "over_budget",
+        "queue_shed",
+        "over_memory",
+        "memory_ceiling_bytes",
+    ] {
+        assert!(
+            line.contains(&format!(" {retired}=0 ")),
+            "{retired}: {line}"
+        );
+    }
 
     let got = page_headers(&service.metrics_text());
     let want: Vec<_> = METRICS

@@ -1,11 +1,10 @@
 //! Overload-resilience tests: circuit-breaker lifecycle under a
-//! deterministic [`FaultPlan`], the fixed admission limit, and
-//! memory-ceiling shedding.
+//! deterministic [`FaultPlan`] and the fixed admission limit.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mozart_core::{membudget, Config, FaultKind, FaultPhase, FaultPlan, FaultPoint, MozartContext};
+use mozart_core::{Config, FaultKind, FaultPhase, FaultPlan, FaultPoint, MozartContext};
 use mozart_serve::{Pipeline, PipelineService, Request, Response, ServeError};
 
 /// A service whose evaluations fail with injected transient faults
@@ -118,46 +117,6 @@ impl Pipeline for TinyPipeline {
     fn run(&self, _ctx: &MozartContext, _req: &Request) -> mozart_core::Result<Response> {
         Ok(Response::new("ok"))
     }
-}
-
-#[test]
-fn over_memory_sheds_with_typed_error_and_recovers() {
-    const CEILING: u64 = 1 << 20;
-    let service = PipelineService::builder()
-        .workers(1)
-        .memory_ceiling_bytes(CEILING)
-        .pipeline(Arc::new(TinyPipeline))
-        .build();
-    let session = service.session();
-    session.call("tiny", &Request::new()).unwrap();
-
-    // Simulate live buffer traffic past the ceiling: admission must
-    // shed with the typed error before evaluating.
-    let inflate = (CEILING as usize) * 2;
-    membudget::note_alloc(inflate);
-    let err = session.call("tiny", &Request::new()).unwrap_err();
-    match &err {
-        ServeError::OverMemory {
-            live_bytes,
-            ceiling_bytes,
-            ..
-        } => {
-            assert!(*live_bytes >= CEILING * 2, "{err}");
-            assert_eq!(*ceiling_bytes, CEILING);
-        }
-        other => panic!("expected over_memory, got {other:?}"),
-    }
-    assert_eq!(err.kind(), "over_memory");
-    let stats = service.stats();
-    assert_eq!(stats.over_memory, 1, "{stats:?}");
-    assert!(stats.memory_live_bytes >= CEILING * 2);
-    assert_eq!(stats.memory_ceiling_bytes, CEILING);
-
-    // Memory drains: the same request is admitted again.
-    membudget::note_free(inflate);
-    session.call("tiny", &Request::new()).unwrap();
-    // Leave the process-global ceiling disarmed for other tests.
-    membudget::set_ceiling(0);
 }
 
 #[test]

@@ -28,7 +28,6 @@
 //! MOZART_SERVE_READ_TIMEOUT_MS  mid-line stall cap          (10000)
 //! MOZART_SERVE_IDLE_MS       idle connection reap          (300000)
 //! MOZART_SERVE_MAX_CONNS     concurrent connection cap        (256)
-//! MOZART_SERVE_MEM_CEILING   process memory ceiling, bytes (0 = off)
 //! ```
 //!
 //! Oversized lines are answered `ERR bad_request` and discarded without
@@ -37,8 +36,7 @@
 //! `ERR saturated` line and are closed before a serving thread exists.
 //! The service itself admits through a fixed concurrency limit and a
 //! bounded FIFO queue, with per-pipeline circuit breakers on (see the
-//! `mozart_serve` crate docs), and `MOZART_SERVE_MEM_CEILING` arms the
-//! process-wide memory budget.
+//! `mozart_serve` crate docs).
 //!
 //! Observability: the example serves with tracing **on** by default
 //! (set `MOZART_SERVE_TRACING=0` to disable) — every `OK` call reply
@@ -52,8 +50,6 @@
 //! ```text
 //! > LIST
 //! OK black_scholes crime_index haversine nashville
-//! > BUDGET 500000000
-//! OK budget=500000000
 //! > black_scholes n=4096
 //! OK call_sum=47332.145277 put_sum=39160.581264
 //! > STATS
@@ -62,15 +58,14 @@
 //! OK bye
 //! ```
 //!
-//! `BUDGET` caps the bytes the session may split/merge before requests
-//! are shed with `ERR over_budget` (0 = unlimited). Sessions carry no
-//! scheduling weight (pool workers join open jobs in submission order),
-//! so a `WEIGHT` line replies `ERR bad_request`. `STATS` reports the
-//! service counters in the stable order documented in
-//! [`mozart_serve::protocol`], including the overload fields
-//! (`admission_limit`, `queue_shed` (retired, always 0), `over_memory`,
-//! `breaker_shed`, `breaker_open`, `memory_live_bytes`,
-//! `memory_ceiling_bytes`).
+//! Sessions carry no scheduling weight (pool workers join open jobs in
+//! submission order) and no byte budget, so a `WEIGHT` or `BUDGET` line
+//! replies `ERR bad_request`. `STATS` reports the service counters in
+//! the stable order documented in [`mozart_serve::protocol`], including
+//! the overload fields (`admission_limit`, `breaker_shed`,
+//! `breaker_open`, `memory_live_bytes`) and the retired ones, which
+//! keep their positions and always read 0 (`over_budget`, `queue_shed`,
+//! `over_memory`, `memory_ceiling_bytes`).
 //!
 //! `PIPELINE <0|1>` picks the session's stage evaluation mode: `1`
 //! (the default) fuses whole pipelines, `0` evaluates one stage per
@@ -167,15 +162,11 @@ fn main() {
     // row (1.00-1.03 in benchmark/results/seed.json), and the trace ids
     // on OK replies are what make TRACE usable. Self-test always traces — it asserts on TRACE output.
     let tracing = self_test || std::env::var("MOZART_SERVE_TRACING").map_or(true, |v| v != "0");
-    let mut builder = PipelineService::builder()
+    let service = PipelineService::builder()
         .workers(mozart_core::config::default_workers().min(4))
         .tracing(tracing)
-        .builtin_pipelines();
-    let mem_ceiling = env_u64("MOZART_SERVE_MEM_CEILING", 0);
-    if mem_ceiling > 0 {
-        builder = builder.memory_ceiling_bytes(mem_ceiling);
-    }
-    let service = builder.build();
+        .builtin_pipelines()
+        .build();
 
     let frontend = FrontendConfig {
         max_line_bytes: env_u64("MOZART_SERVE_MAX_LINE", 8192) as usize,
@@ -277,7 +268,6 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
     // error is the point of the exchange.
     let script = [
         ("LIST", "OK"),
-        ("BUDGET 500000000", "OK"),
         ("black_scholes n=2048", "OK"),
         // Identical, and above the work floor so it is planned: the
         // second hits the first's plan-cache entry.
@@ -289,10 +279,11 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         ("no_such_pipeline", "ERR"),
         ("black_scholes n=abc", "ERR"),
         ("black_scholes n=2048 n=4096", "ERR"), // duplicate key rejected
-        // Sessions carry no scheduling weight: a `WEIGHT` line is a
-        // call whose operand is not `key=value`.
+        // Sessions carry no scheduling weight and no byte budget: a
+        // `WEIGHT` or `BUDGET` line is a call whose operand is not
+        // `key=value`.
         ("WEIGHT 2", "ERR bad_request"),
-        ("BUDGET lots", "ERR"),
+        ("BUDGET 5", "ERR bad_request"),
         // An already-expired deadline sheds with the typed error before
         // any work starts.
         (
