@@ -14,7 +14,11 @@
 //!   write through it lands in the buffer,
 //! * *disjoint* mutable range access from multiple worker threads, which
 //!   is what lets Mozart run unmodified kernels on split pieces in
-//!   parallel, and
+//!   parallel: the storage is the cell store every base library's
+//!   buffer also sits on (`crates/cells.rs`), and
+//!   [`SharedVec::slice_mut_unchecked`] forwards that store's
+//!   band-write contract (disjoint ranges across threads, no reader
+//!   until the target is complete), and
 //! * a protection flag that reproduces the paper's `mprotect`-based lazy
 //!   evaluation trigger (§4.1): when an annotated call that mutates the
 //!   buffer is registered with a context, the buffer is *protected*; any
@@ -23,12 +27,12 @@
 //!   paper (but at the cost of an atomic load instead of a page fault —
 //!   the paper's proposed `pkeys` optimization has the same effect).
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
+use crate::cells::Cells;
 use crate::value::{DataObject, DataValue};
 
 /// Something that can evaluate a pending dataflow graph.
@@ -108,22 +112,8 @@ impl ProtectFlag {
     }
 }
 
-/// Raw storage cell. Interior mutability is required because disjoint
-/// ranges of one allocation are mutated concurrently by worker threads.
-struct RawStorage<T>(Box<[UnsafeCell<T>]>);
-
-// SAFETY: `RawStorage` is a plain array of `Copy` data. All mutable access
-// goes through `SharedVec::slice_mut_unchecked`, whose contract requires
-// callers (the Mozart executor and annotated wrappers) to access disjoint
-// ranges from different threads. Shared reads through the safe API only
-// happen when no execution is in flight (enforced by the protect flag and
-// the context's evaluation lock).
-unsafe impl<T: Send + Sync> Sync for RawStorage<T> {}
-// SAFETY: as above.
-unsafe impl<T: Send + Sync> Send for RawStorage<T> {}
-
 struct Inner<T> {
-    storage: RawStorage<T>,
+    storage: Cells<T>,
     protect: ProtectFlag,
     /// Metered footprint registered with [`crate::membudget`] at
     /// construction; returned on drop of the last reference.
@@ -169,26 +159,15 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedVec<T> {
         Self::from_vec(vec![T::default(); len])
     }
 
-    /// [`SharedVec::zeros`], with every page of the buffer faulted in
-    /// up front (see [`prefault_writable`]): placement-merge targets
-    /// take their first-touch page faults once, single-threaded, at
-    /// allocation, so the parallel placement writes are pure memory
-    /// copies.
-    pub fn zeros_prefaulted(len: usize) -> Self {
-        let v = Self::zeros(len);
-        // SAFETY: the buffer was just created, is UnsafeCell-backed,
-        // and has no other observer.
-        unsafe { prefault_writable(v.base_ptr() as *mut u8, len * std::mem::size_of::<T>()) };
-        v
-    }
-
-    /// Allocate a buffer of `len` elements with *unspecified* contents,
-    /// prefaulted like [`SharedVec::zeros_prefaulted`] but without the
-    /// zeroing pass. For placement-merge targets the zeroing is dead
-    /// work in every outcome: full coverage overwrites every element,
-    /// a `NULL`-split tail is truncated to the written prefix, and an
-    /// interior gap fails the merge — no unwritten element is ever
-    /// read.
+    /// Allocate a buffer of `len` elements with *unspecified* contents:
+    /// one allocation, not zeroed, advised for huge pages (best effort,
+    /// `MADV_HUGEPAGE`) and then faulted in page by page, so a
+    /// placement-merge target takes its first-touch page faults once,
+    /// single-threaded, at allocation, and the parallel placement writes
+    /// are pure memory copies. Zeroing would be dead work in every
+    /// outcome: full coverage overwrites every element, a `NULL`-split
+    /// tail is truncated to the written prefix, and an interior gap
+    /// fails the merge — no unwritten element is ever read.
     ///
     /// # Safety
     ///
@@ -196,98 +175,20 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedVec<T> {
     /// is read through any API of the returned buffer. The placement
     /// executor guarantees this: the merged value is only released
     /// after its coverage check, restricted to the written prefix.
-    #[allow(clippy::uninit_vec)] // the uninit window is this function's documented contract
     pub unsafe fn uninit_prefaulted(len: usize) -> Self {
-        let mut v: Vec<UnsafeCell<T>> = Vec::with_capacity(len);
-        // SAFETY: capacity was just reserved; `T: Copy` so the elements
-        // have no drop obligations, and the caller contract defers
-        // initialization to the first writes.
-        unsafe { v.set_len(len) };
-        let sv = SharedVec::adopt(v.into_boxed_slice());
-        // SAFETY: freshly created, no other observer. Clobbering one
-        // byte per page of unspecified contents is itself unspecified
-        // contents, so zero-writing is the page touch of choice (a
-        // read-back touch would read uninitialized memory).
-        unsafe { prefault_pages_clobber(sv.base_ptr() as *mut u8, len * std::mem::size_of::<T>()) };
-        sv
-    }
-}
-
-/// Fault in every page of a writable buffer, single-threaded, before
-/// parallel writers hit it.
-///
-/// Zeroed allocations are lazy (copy-on-write zero pages); a buffer
-/// that many threads immediately fill in parallel — a placement-merge
-/// target — would otherwise take its first-touch faults concurrently
-/// on one shared mapping, serializing on kernel page-table locks (and
-/// spinning against preempted lock holders on oversubscribed hosts).
-/// On Linux the region is first `madvise(MADV_HUGEPAGE)`d (best
-/// effort): under THP `madvise` policy that turns one fault per 4 KiB
-/// page into one per 2 MiB region, which on fault-expensive
-/// virtualized hosts is most of the allocation's cost.
-///
-/// # Safety
-///
-/// `ptr..ptr + bytes` must be a live allocation the caller may write
-/// through (interior-mutable or exclusively owned), with no concurrent
-/// access.
-pub unsafe fn prefault_writable(ptr: *mut u8, bytes: usize) {
-    if bytes == 0 {
-        return;
-    }
-    // SAFETY: forwarded contract.
-    unsafe {
-        advise_hugepages(ptr, bytes);
-    }
-    let mut off = 0;
-    while off < bytes {
-        // SAFETY: in-bounds per the loop condition; exclusivity is the
-        // caller's obligation. Rewriting the byte already there is a
-        // bitwise no-op but forces the page present for writing;
-        // volatile defeats the malloc+memset→calloc optimization that
-        // would make the touch lazy again.
-        unsafe {
-            let b = std::ptr::read_volatile(ptr.add(off) as *const u8);
-            std::ptr::write_volatile(ptr.add(off), b);
-        }
-        off += 4096;
-    }
-}
-
-/// Page-touch variant for buffers with unspecified contents: writes a
-/// zero byte per page instead of reading anything back.
-///
-/// # Safety
-///
-/// Same range/exclusivity contract as [`prefault_writable`]; in
-/// addition the caller must tolerate one byte per page being
-/// clobbered (trivially true for uninitialized buffers).
-unsafe fn prefault_pages_clobber(ptr: *mut u8, bytes: usize) {
-    if bytes == 0 {
-        return;
-    }
-    // SAFETY: forwarded contract.
-    unsafe {
-        advise_hugepages(ptr, bytes);
-    }
-    let mut off = 0;
-    while off < bytes {
-        // SAFETY: in-bounds per the loop condition; exclusivity is the
-        // caller's obligation.
-        unsafe { std::ptr::write_volatile(ptr.add(off), 0) };
-        off += 4096;
+        // SAFETY: forwarded contract.
+        SharedVec::adopt(unsafe { Cells::uninit(len, advise_hugepages) })
     }
 }
 
 /// Best-effort `madvise(MADV_HUGEPAGE)` over the page-aligned interior
-/// of the range: under THP `madvise` policy, one fault per 2 MiB
-/// region instead of one per 4 KiB page.
-///
-/// # Safety
-///
-/// `ptr..ptr + bytes` must be a live allocation owned by the caller.
+/// of `bytes` bytes from `ptr`: under THP `madvise` policy, one fault
+/// per 2 MiB region instead of one per 4 KiB page, which on
+/// fault-expensive virtualized hosts is most of a fresh target's cost.
+/// Advice reads and writes no memory, so any range will do; failure is
+/// ignored.
 #[allow(unused_variables)]
-unsafe fn advise_hugepages(ptr: *mut u8, bytes: usize) {
+fn advise_hugepages(ptr: *mut u8, bytes: usize) {
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -300,8 +201,8 @@ unsafe fn advise_hugepages(ptr: *mut u8, bytes: usize) {
         if end > start {
             let _ret: i64;
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: madvise(2) on an owned mapping range; advisory
-            // only, failure is ignored.
+            // SAFETY: madvise(2) with MADV_HUGEPAGE is advisory: it
+            // changes no byte of the process, whatever the range.
             unsafe {
                 std::arch::asm!(
                     "syscall",
@@ -336,25 +237,17 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     /// with spare capacity (`capacity > len`) pays one shrinking
     /// `realloc` first, as `Vec::into_boxed_slice` does.
     pub fn from_vec(v: Vec<T>) -> Self {
-        let storage = Box::into_raw(v.into_boxed_slice());
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
-        // `[T]` and `[UnsafeCell<T>]` have the same size, alignment and
-        // element layout, and the slice length rides along unchanged in
-        // the fat pointer. The pointer came from `Box::into_raw` just
-        // above, so it is uniquely owned and was allocated by the
-        // global allocator with exactly the layout the rebuilt
-        // `Box<[UnsafeCell<T>]>` will free it with.
-        SharedVec::adopt(unsafe { Box::from_raw(storage as *mut [UnsafeCell<T>]) })
+        SharedVec::adopt(Cells::from_vec(v))
     }
 
     /// A view of all of `storage`, metered with [`crate::membudget`].
-    fn adopt(storage: Box<[UnsafeCell<T>]>) -> Self {
+    fn adopt(storage: Cells<T>) -> Self {
         let len = storage.len();
         let bytes = len * std::mem::size_of::<T>();
         crate::membudget::note_alloc(bytes);
         SharedVec {
             inner: Arc::new(Inner {
-                storage: RawStorage(storage),
+                storage,
                 protect: ProtectFlag::default(),
                 bytes,
             }),
@@ -381,7 +274,7 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
 
     /// Whether the view covers all of its storage.
     pub(crate) fn is_whole(&self) -> bool {
-        self.start == 0 && self.len == self.inner.storage.0.len()
+        self.start == 0 && self.len == self.inner.storage.len()
     }
 
     /// The view of elements `[start, end)` of this view.
@@ -469,10 +362,10 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     /// this by assigning workers disjoint element ranges.
     pub unsafe fn slice_unchecked(&self, start: usize, len: usize) -> &[T] {
         debug_assert!(start + len <= self.len());
-        // SAFETY: in-bounds per the debug_assert and the type invariant
-        // that the view lies inside one allocation; aliasing discipline
-        // is the caller's obligation per this function's contract.
-        unsafe { std::slice::from_raw_parts(self.base_ptr().add(start), len) }
+        // SAFETY: in bounds per the debug_assert and the invariant that
+        // the view lies inside its storage; no band write over the
+        // range is in flight, per this function's contract.
+        unsafe { self.inner.storage.slice(self.start + start, len) }
     }
 
     /// Mutable access to a range of the view.
@@ -487,14 +380,15 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut_unchecked(&self, start: usize, len: usize) -> &mut [T] {
         debug_assert!(start + len <= self.len());
-        // SAFETY: see function contract.
-        unsafe { std::slice::from_raw_parts_mut(self.base_ptr().add(start), len) }
+        // SAFETY: in bounds as above; exclusive per this function's
+        // contract, which is the band-write contract.
+        unsafe { self.inner.storage.band_mut(self.start + start, len) }
     }
 
     /// Raw pointer to the view's first element (for kernels with
     /// MKL-style aliasing semantics, e.g. in-place `out == a`).
     pub fn base_ptr(&self) -> *mut T {
-        let base = self.inner.storage.0.as_ptr() as *mut T;
+        let base = self.inner.storage.as_ptr();
         // SAFETY: `start <= storage length` is a construction invariant
         // of every view, so the offset stays inside (or one past) the
         // allocation.

@@ -110,6 +110,8 @@
 pub mod annotation;
 pub mod array_split;
 pub mod buffer;
+#[path = "../../cells.rs"]
+mod cells;
 pub mod config;
 pub mod context;
 pub mod cputime;

@@ -90,7 +90,7 @@ impl Placement for PlacedPlacement {
         _params: &Params,
         _exemplar: Option<&DataValue>,
     ) -> Result<Option<DataValue>> {
-        Ok(Some(DataValue::new(VecValue(SharedVec::zeros_prefaulted(
+        Ok(Some(DataValue::new(VecValue(SharedVec::zeros(
             total_elements as usize,
         )))))
     }

@@ -10,33 +10,23 @@
 //! the null sentinel (integer and string columns are null-free; casting
 //! with [`Column::to_f64`]-style parsers introduces NaN).
 //!
-//! Storage has interior mutability so *placement merges* can fill
-//! disjoint row ranges of one preallocated column from multiple
-//! threads ([`ColData::alloc`] + [`ColData::write_range`]); the safe
-//! read APIs assume no concurrent writes, which holds because writes
-//! only happen while a column is being constructed, before any reader
-//! can observe it.
+//! Storage is the cell store every base library's buffer sits on
+//! (`crates/cells.rs`, compiled in as the private `cells` module), so
+//! *placement merges* can fill disjoint row ranges of one preallocated
+//! column from multiple threads ([`ColData::alloc`] +
+//! [`ColData::write_range`]) under that store's band-write contract:
+//! disjoint ranges across threads, and no reader until the column is
+//! complete.
 
-use std::cell::UnsafeCell;
 use std::sync::Arc;
 
+use crate::cells::Cells;
 use crate::width::Width;
-
-/// Interior-mutable backing store of a column (see the module docs).
-struct ColBuf<T>(Box<[UnsafeCell<T>]>);
-
-// SAFETY: all mutation goes through `ColData::write_range`, whose
-// contract requires disjoint row ranges from different threads and no
-// concurrent readers; shared reads through the safe APIs only happen
-// once construction is complete.
-unsafe impl<T: Send> Send for ColBuf<T> {}
-// SAFETY: as above.
-unsafe impl<T: Send + Sync> Sync for ColBuf<T> {}
 
 /// Shared storage for one column's values plus a row-range view.
 #[derive(Clone)]
 pub struct ColData<T> {
-    data: Arc<ColBuf<T>>,
+    data: Arc<Cells<T>>,
     start: usize,
     len: usize,
 }
@@ -53,20 +43,15 @@ impl<T: Clone> ColData<T> {
     /// capacity pays one shrinking `realloc` first, as
     /// `Vec::into_boxed_slice` does).
     pub fn new(v: Vec<T>) -> Self {
-        let len = v.len();
-        let raw = Box::into_raw(v.into_boxed_slice());
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
-        // `[T]` and `[UnsafeCell<T>]` have the same size, alignment and
-        // element layout (drop glue included: `UnsafeCell<T>` drops its
-        // `T`) and the fat pointer's length carries over. `raw` came
-        // from `Box::into_raw` just above: it is uniquely owned, and
-        // the rebuilt box frees it with the very layout the global
-        // allocator handed it out under.
-        let data = unsafe { Box::from_raw(raw as *mut [UnsafeCell<T>]) };
+        Self::adopt(Cells::from_vec(v))
+    }
+
+    /// A view of all of `cells`.
+    fn adopt(cells: Cells<T>) -> Self {
         ColData {
-            data: Arc::new(ColBuf(data)),
+            len: cells.len(),
+            data: Arc::new(cells),
             start: 0,
-            len,
         }
     }
 
@@ -79,7 +64,7 @@ impl<T: Clone> ColData<T> {
     /// through [`ColData::write_range`].
     pub fn is_exclusive(&mut self) -> bool {
         let len = self.len;
-        self.start == 0 && Arc::get_mut(&mut self.data).is_some_and(|b| b.0.len() == len)
+        self.start == 0 && Arc::get_mut(&mut self.data).is_some_and(|b| b.len() == len)
     }
 
     /// Allocate a default-initialized column of `len` rows, for use as
@@ -91,31 +76,15 @@ impl<T: Clone> ColData<T> {
     where
         T: Default,
     {
-        let col = Self::new(vec![T::default(); len]);
-        // Pre-fault the backing pages (one volatile touch per 4K) so
-        // the parallel placement writers never take concurrent
-        // first-touch faults on one shared fresh mapping — those
-        // serialize on kernel page-table locks. For non-trivial `T`
-        // the construction above already wrote every slot; for
-        // zero-default primitives it is a lazy zeroed allocation,
-        // which the volatile touches defeat. A *reused* target (see
-        // [`ColData::is_exclusive`]) never comes through here: its
-        // pages are resident already.
-        let bytes = len * std::mem::size_of::<T>();
-        let base = col.data.0.as_ptr() as *mut u8;
-        let mut off = 0;
-        while off < bytes {
-            // SAFETY: in-bounds; the buffer was just created and has no
-            // other observer. Rewriting the byte it already holds is a
-            // bitwise no-op for any `T`, but forces the page present
-            // for writing.
-            unsafe {
-                let b = std::ptr::read_volatile(base.add(off) as *const u8);
-                std::ptr::write_volatile(base.add(off), b);
-            }
-            off += 4096;
-        }
-        col
+        let mut cells = Cells::from_vec(vec![T::default(); len]);
+        // Fault the pages in here, so that the parallel placement
+        // writers never take concurrent first-touch faults on one fresh
+        // mapping. For non-trivial `T` the fill above already wrote
+        // every slot; for zero-default primitives it is a lazy zeroed
+        // allocation. A *reused* target (see [`ColData::is_exclusive`])
+        // never comes through here: its pages are resident already.
+        cells.prefault();
+        Self::adopt(cells)
     }
 
     /// Write `src` into rows `[offset, offset + src.len())` (the
@@ -128,25 +97,20 @@ impl<T: Clone> ColData<T> {
     ///
     /// # Safety
     ///
-    /// The caller must guarantee that the written row range is not
-    /// accessed (read or written) by any other live reference while
-    /// the call runs. The Mozart executor upholds this by handing
-    /// workers disjoint element ranges of a freshly allocated,
-    /// not-yet-observable column.
+    /// The cell store's band-write contract (see the module docs): no
+    /// other thread writes the row range meanwhile, and nothing reads it
+    /// until the column is complete. The Mozart executor upholds this
+    /// by handing workers disjoint element ranges of a not-yet-released
+    /// column.
     pub unsafe fn write_range(&self, offset: usize, src: &[T]) {
         assert!(
             offset.checked_add(src.len()).is_some_and(|e| e <= self.len),
             "write_range out of bounds"
         );
-        let rows = &self.data.0[self.start + offset..][..src.len()];
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
-        // the cells are `src.len()` contiguous `T`s, in bounds per the
-        // assert; no other reference accesses them while the call runs
-        // (this function's contract), so the slice is exclusive.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(UnsafeCell::raw_get(rows.as_ptr()), rows.len())
-        };
-        dst.clone_from_slice(src);
+        // SAFETY: in bounds per the assert and the view invariant; the
+        // contract is this function's.
+        let rows = unsafe { self.data.band_mut(self.start + offset, src.len()) };
+        rows.clone_from_slice(src);
     }
 
     /// Number of rows in the view.
@@ -161,12 +125,9 @@ impl<T: Clone> ColData<T> {
 
     /// The viewed values.
     pub fn as_slice(&self) -> &[T] {
-        // SAFETY: safe reads assume no concurrent writes; writes only
-        // happen through the `unsafe` placement API while the column is
-        // under construction (see the module docs).
-        unsafe {
-            std::slice::from_raw_parts(self.data.0.as_ptr().add(self.start) as *const T, self.len)
-        }
+        // SAFETY: a view lies inside its store, and no band write is in
+        // flight over a column anyone can read (the band-write contract).
+        unsafe { self.data.slice(self.start, self.len) }
     }
 
     /// Zero-copy sub-view of rows `[start, end)`.
@@ -360,9 +321,8 @@ impl Column {
     ///
     /// # Safety
     ///
-    /// Same contract as [`ColData::write_range`]: the written row range
-    /// must not be accessed by any other live reference while the call
-    /// runs.
+    /// Same contract as [`ColData::write_range`]: the cell store's
+    /// band-write contract.
     pub unsafe fn write_at(&self, offset: usize, src: &Column) {
         // SAFETY: forwarded contract.
         unsafe {

@@ -178,9 +178,8 @@ impl DataFrame {
     ///
     /// # Safety
     ///
-    /// Same contract as [`Column::write_at`]: the written row range
-    /// must not be accessed by any other live reference while the call
-    /// runs.
+    /// Same contract as [`Column::write_at`]: the cell store's
+    /// band-write contract (see the [`crate::column`] docs).
     pub unsafe fn write_rows_at(&self, offset: usize, src: &DataFrame) {
         assert_eq!(src.names(), self.names(), "write_rows_at: schema mismatch");
         for ((_, dst), (_, s)) in self.cols.iter().zip(&src.cols) {

@@ -25,6 +25,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+#[path = "../../cells.rs"]
+mod cells;
 pub mod column;
 pub mod frame;
 pub mod groupby;

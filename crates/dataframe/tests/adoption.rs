@@ -1,73 +1,17 @@
-//! Buffer adoption (ISSUE 14): `ColData::new` takes the vector's
+//! Buffer adoption: `ColData::new` takes the vector's
 //! allocation as is — same address, no new buffer, no pass over the
 //! rows — and `ColData::alloc` builds its zero column as one zeroed
 //! allocation instead of an element-by-element fill.
 //!
-//! Measured with a counting global allocator, which is why this file
-//! holds exactly one test: nothing else may allocate while it runs.
+//! Measured with a counting global allocator
+//! (`crates/adoption_harness.rs`), which is why this file holds exactly
+//! one test: nothing else may allocate while it runs.
+
+#[path = "../../adoption_harness.rs"]
+mod harness;
 
 use dataframe::{ColData, Column};
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Allocations (`alloc` + `alloc_zeroed`), how many of them were
-/// `alloc_zeroed`, `realloc`s, and the largest allocation requested.
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static ZEROED: AtomicUsize = AtomicUsize::new(0);
-static REALLOCS: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are only statistics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        LARGEST.fetch_max(layout.size(), Relaxed);
-        // SAFETY: `layout` is the caller's, passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        ZEROED.fetch_add(1, Relaxed);
-        LARGEST.fetch_max(layout.size(), Relaxed);
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's `realloc` contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// What `f` asked of the allocator: `(allocations, of which zeroed,
-/// reallocs, largest allocation in bytes)`.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, [usize; 4]) {
-    let before = [
-        ALLOCS.load(Relaxed),
-        ZEROED.load(Relaxed),
-        REALLOCS.load(Relaxed),
-    ];
-    LARGEST.store(0, Relaxed);
-    let r = f();
-    let counts = [
-        ALLOCS.load(Relaxed) - before[0],
-        ZEROED.load(Relaxed) - before[1],
-        REALLOCS.load(Relaxed) - before[2],
-        LARGEST.load(Relaxed),
-    ];
-    (r, counts)
-}
+use harness::counted;
 
 #[test]
 fn new_adopts_the_allocation_and_alloc_is_one_calloc() {

@@ -30,17 +30,17 @@
 //! and 4 at the baseline target (SSE2). See [`crate::pixel`] for the
 //! kernels and why their bits do not depend on any of it.
 //!
-//! Pixel storage is a shared `PixelBuf` with interior mutability so
-//! disjoint row ranges can be written in parallel; the safe read APIs
-//! assume no concurrent writes, which holds because writes only happen
-//! through the `unsafe` placement API while an image is being
-//! constructed, before any reader can observe it.
+//! Pixels sit on the cell store every base library's buffer sits on
+//! (`crates/cells.rs`, compiled in as the private `cells` module), so
+//! disjoint row bands can be written in parallel under that store's
+//! band-write contract: disjoint ranges across threads, and no reader
+//! until the image is complete.
 
-use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::cells::Cells;
 use crate::pixel;
 #[doc(hidden)]
 pub use crate::width::Width;
@@ -59,63 +59,6 @@ pub fn num_threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
-/// Shared interleaved pixel storage supporting disjoint parallel row
-/// writes (interior mutability, like a C float buffer).
-struct PixelBuf(Box<[UnsafeCell<f32>]>);
-
-// SAFETY: a plain array of `Copy` floats. All mutation goes through
-// `Image::write_rows_from`, whose contract requires disjoint row ranges
-// from different threads and no concurrent readers; shared reads through
-// the safe APIs only happen once construction is complete.
-unsafe impl Sync for PixelBuf {}
-// SAFETY: as above.
-unsafe impl Send for PixelBuf {}
-
-impl PixelBuf {
-    /// Adopt `v`'s allocation as is: same address, no pass over the
-    /// pixels (a vector with spare capacity pays one shrinking
-    /// `realloc` first, as `Vec::into_boxed_slice` does).
-    fn from_vec(v: Vec<f32>) -> PixelBuf {
-        let raw = Box::into_raw(v.into_boxed_slice());
-        // SAFETY: `UnsafeCell<f32>` is `repr(transparent)` over `f32`,
-        // so `[f32]` and `[UnsafeCell<f32>]` have the same size,
-        // alignment and element layout and the fat pointer's length
-        // carries over. `raw` came from `Box::into_raw` just above: it
-        // is uniquely owned, and the rebuilt box frees it with the very
-        // layout the global allocator handed it out under.
-        PixelBuf(unsafe { Box::from_raw(raw as *mut [UnsafeCell<f32>]) })
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Read a channel range.
-    ///
-    /// # Safety
-    ///
-    /// No thread may concurrently mutate any element of the range.
-    unsafe fn slice(&self, start: usize, len: usize) -> &[f32] {
-        debug_assert!(start + len <= self.len());
-        // SAFETY: in-bounds per the debug_assert; aliasing discipline is
-        // the caller's obligation per this function's contract.
-        unsafe { std::slice::from_raw_parts((self.0.as_ptr() as *const f32).add(start), len) }
-    }
-
-    /// Mutate a channel range.
-    ///
-    /// # Safety
-    ///
-    /// The range must not be accessed (read or written) by any other
-    /// live reference while the returned slice is alive.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
-        debug_assert!(start + len <= self.len());
-        // SAFETY: see function contract.
-        unsafe { std::slice::from_raw_parts_mut((self.0.as_ptr() as *mut f32).add(start), len) }
-    }
-}
-
 /// An RGB image with `f32` channels in `[0, 1]`, row-major interleaved.
 ///
 /// Cloning is O(1) (shared storage); all pixel operators return new
@@ -129,7 +72,7 @@ pub struct Image {
     height: usize,
     /// First buffer row of this view.
     row_start: usize,
-    data: Arc<PixelBuf>,
+    data: Arc<Cells<f32>>,
 }
 
 impl Image {
@@ -147,11 +90,16 @@ impl Image {
             width * height * Self::CHANNELS,
             "image data size mismatch"
         );
+        Self::adopt(width, height, Cells::from_vec(data))
+    }
+
+    /// An image of all of `cells`.
+    fn adopt(width: usize, height: usize, cells: Cells<f32>) -> Self {
         Image {
             width,
             height,
             row_start: 0,
-            data: Arc::new(PixelBuf::from_vec(data)),
+            data: Arc::new(cells),
         }
     }
 
@@ -164,7 +112,7 @@ impl Image {
     }
 
     /// [`Image::alloc_rows`] without the zeroing pass: the pixel buffer
-    /// has *unspecified* contents, with every page pre-touched so
+    /// has *unspecified* contents, with every page faulted in so
     /// parallel [`Image::write_rows_from`] calls are pure memory copies
     /// (no first-touch page faults, which would otherwise serialize on
     /// kernel page-table locks under concurrent writers).
@@ -175,32 +123,10 @@ impl Image {
     /// before any read of it — including reads through row views that
     /// survive the image, so a partially-filled image may only be
     /// observed through views restricted to its written rows.
-    #[allow(clippy::uninit_vec)] // the uninit window is this function's documented contract
     pub unsafe fn alloc_rows_uninit(width: usize, height: usize) -> Self {
         let n = width * height * Self::CHANNELS;
-        let mut v: Vec<UnsafeCell<f32>> = Vec::with_capacity(n);
-        // SAFETY: capacity was just reserved; f32 has no drop
-        // obligations, and the caller contract defers initialization
-        // to the first writes.
-        unsafe { v.set_len(n) };
-        let img = Image {
-            width,
-            height,
-            row_start: 0,
-            data: Arc::new(PixelBuf(v.into_boxed_slice())),
-        };
-        // Pre-touch one byte per 4K page (a zero write — the contents
-        // are unspecified anyway) so the parallel writers never fault.
-        let base = img.data.0.as_ptr() as *mut u8;
-        let bytes = n * 4;
-        let mut off = 0;
-        while off < bytes {
-            // SAFETY: in-bounds; the buffer was just created and has
-            // no other observer.
-            unsafe { std::ptr::write_volatile(base.add(off), 0) };
-            off += 4096;
-        }
-        img
+        // SAFETY: forwarded contract.
+        Self::adopt(width, height, unsafe { Cells::uninit(n, |_, _| {}) })
     }
 
     /// Solid-color image.
@@ -256,9 +182,9 @@ impl Image {
     /// The interleaved channel data of this view's rows.
     pub fn data(&self) -> &[f32] {
         let stride = self.width * Self::CHANNELS;
-        // SAFETY: safe reads assume no concurrent writes; writes only
-        // happen through the `unsafe` placement API while the image is
-        // under construction (see the module docs).
+        // SAFETY: a view's rows lie inside its store, and no band write
+        // is in flight over an image anyone can read (the band-write
+        // contract).
         unsafe {
             self.data
                 .slice(self.row_start * stride, self.height * stride)
@@ -315,11 +241,11 @@ impl Image {
     ///
     /// # Safety
     ///
-    /// The caller must guarantee that the row range `[y0, y0 +
-    /// src.height())` of this image is not accessed (read or written)
-    /// by any other live reference while the call runs. The Mozart
-    /// executor upholds this by handing workers disjoint element
-    /// ranges of a freshly allocated, not-yet-observable image.
+    /// The cell store's band-write contract (see the module docs): no
+    /// other thread writes the rows `[y0, y0 + src.height())` meanwhile,
+    /// and nothing reads them until the image is complete. The Mozart
+    /// executor upholds this by handing workers disjoint element ranges
+    /// of a not-yet-released image.
     pub unsafe fn write_rows_from(&self, y0: usize, src: &Image) {
         assert_eq!(src.width, self.width, "write_rows_from: width mismatch");
         assert!(
@@ -327,12 +253,11 @@ impl Image {
             "write_rows_from: row range out of bounds"
         );
         let stride = self.width * Self::CHANNELS;
-        // SAFETY: in-bounds per the asserts; exclusivity of the
-        // destination range is the caller's obligation per this
-        // function's contract.
+        // SAFETY: in bounds per the asserts and the view invariant; the
+        // contract is this function's.
         let dst = unsafe {
             self.data
-                .slice_mut((self.row_start + y0) * stride, src.height * stride)
+                .band_mut((self.row_start + y0) * stride, src.height * stride)
         };
         dst.copy_from_slice(src.data());
     }

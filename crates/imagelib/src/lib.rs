@@ -24,6 +24,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+#[path = "../../cells.rs"]
+mod cells;
 pub mod image;
 pub mod ops;
 pub mod pixel;

@@ -5,49 +5,17 @@
 //! backing allocation. This mirrors how the paper's Python integration
 //! treats NumPy values (split functions return views, operators return
 //! fresh arrays, mergers concatenate).
+//!
+//! Arrays are immutable through every safe API. Their elements sit on
+//! the cell store every base library's buffer sits on
+//! (`crates/cells.rs`, compiled in as the private `cells` module) only
+//! for [`NdArray::write_rows_at`], the runtime's placement-merge hook,
+//! which forwards that store's band-write contract: disjoint ranges
+//! across threads, and no reader until the array is complete.
 
-use std::cell::UnsafeCell;
 use std::sync::Arc;
 
-/// Interior-mutable backing storage.
-///
-/// Arrays are immutable through every safe API; the cells exist solely
-/// for [`NdArray::write_rows_at`], the runtime's placement-merge hook,
-/// whose contract requires disjoint row ranges from different threads
-/// and no readers until construction completes.
-struct Buf(Box<[UnsafeCell<f64>]>);
-
-// SAFETY: a plain array of `Copy` floats. All mutation goes through
-// `NdArray::write_rows_at`, whose contract requires disjoint row ranges
-// from different threads and no concurrent readers; shared reads through
-// the safe APIs only happen once construction is complete.
-unsafe impl Sync for Buf {}
-// SAFETY: as above.
-unsafe impl Send for Buf {}
-
-impl Buf {
-    /// Adopt `v`'s allocation as is: same address, no pass over the
-    /// elements (a vector with spare capacity pays one shrinking
-    /// `realloc` first, as `Vec::into_boxed_slice` does).
-    fn from_vec(v: Vec<f64>) -> Buf {
-        let raw = Box::into_raw(v.into_boxed_slice());
-        // SAFETY: `UnsafeCell<f64>` is `repr(transparent)` over `f64`,
-        // so `[f64]` and `[UnsafeCell<f64>]` have the same size,
-        // alignment and element layout and the fat pointer's length
-        // carries over. `raw` came from `Box::into_raw` just above: it
-        // is uniquely owned, and the rebuilt box frees it with the very
-        // layout the global allocator handed it out under.
-        Buf(unsafe { Box::from_raw(raw as *mut [UnsafeCell<f64>]) })
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn as_ptr(&self) -> *const f64 {
-        self.0.as_ptr() as *const f64
-    }
-}
+use crate::cells::Cells;
 
 /// A dense, row-major, immutable `f64` array of rank 1 or 2.
 ///
@@ -56,7 +24,7 @@ impl Buf {
 /// backing buffer, which is what allows zero-copy row splits.
 #[derive(Clone)]
 pub struct NdArray {
-    data: Arc<Buf>,
+    data: Arc<Cells<f64>>,
     offset: usize,
     shape: Vec<usize>,
 }
@@ -66,7 +34,7 @@ impl NdArray {
     pub fn from_vec(v: Vec<f64>) -> Self {
         let shape = vec![v.len()];
         NdArray {
-            data: Arc::new(Buf::from_vec(v)),
+            data: Arc::new(Cells::from_vec(v)),
             offset: 0,
             shape,
         }
@@ -92,7 +60,7 @@ impl NdArray {
             v.len()
         );
         NdArray {
-            data: Arc::new(Buf::from_vec(v)),
+            data: Arc::new(Cells::from_vec(v)),
             offset: 0,
             shape: shape.to_vec(),
         }
@@ -172,11 +140,10 @@ impl NdArray {
 
     /// The contiguous elements in row-major order.
     pub fn as_slice(&self) -> &[f64] {
-        debug_assert!(self.offset + self.len() <= self.data.len());
-        // SAFETY: in-bounds per the invariant checked above; mutation
-        // only happens through `write_rows_at`, whose contract forbids
-        // concurrent readers (see `Buf`).
-        unsafe { std::slice::from_raw_parts(self.data.as_ptr().add(self.offset), self.len()) }
+        // SAFETY: a view lies inside its store, and no band write is in
+        // flight over an array anyone can read (the band-write
+        // contract).
+        unsafe { self.data.slice(self.offset, self.len()) }
     }
 
     /// Allocate an **uninitialized** array of `shape`, its pages
@@ -190,7 +157,6 @@ impl NdArray {
     /// result to the written row prefix with
     /// [`NdArray::view_rows`]. Reading unwritten elements is undefined
     /// behavior.
-    #[allow(clippy::uninit_vec)] // the uninit window is this function's documented contract
     pub unsafe fn alloc_rows_uninit(shape: &[usize]) -> Self {
         assert!(
             shape.len() == 1 || shape.len() == 2,
@@ -198,29 +164,9 @@ impl NdArray {
             shape.len()
         );
         let n: usize = shape.iter().product();
-        let mut v: Vec<UnsafeCell<f64>> = Vec::with_capacity(n);
-        // SAFETY: f64 cells have no validity invariant the subsequent
-        // writes could violate; the caller promises every element is
-        // written (or truncated away) before it is read.
-        unsafe { v.set_len(n) };
-        // Pre-touch one element per 4 KiB page (plus the last) so the
-        // first-touch faults happen here, uncontended, instead of
-        // inside the parallel write phase.
-        const STRIDE: usize = 4096 / std::mem::size_of::<f64>();
-        let mut i = 0;
-        while i < n {
-            // SAFETY: `i < n == v.len()` and nothing else can hold a
-            // reference into `v` yet — it is a local this function is
-            // still building.
-            unsafe { *v[i].get() = 0.0 };
-            i += STRIDE;
-        }
-        if n > 0 {
-            // SAFETY: as above, `n - 1` is in bounds and `v` is private.
-            unsafe { *v[n - 1].get() = 0.0 };
-        }
         NdArray {
-            data: Arc::new(Buf(v.into_boxed_slice())),
+            // SAFETY: forwarded contract.
+            data: Arc::new(unsafe { Cells::uninit(n, |_, _| {}) }),
             offset: 0,
             shape: shape.to_vec(),
         }
@@ -236,10 +182,9 @@ impl NdArray {
     ///
     /// # Safety
     ///
-    /// Concurrent calls must cover disjoint row ranges, no other code
-    /// may read the written range while a call is in flight, and `self`
-    /// must view its full backing buffer (be an allocation root, not a
-    /// row view).
+    /// The cell store's band-write contract (see the module docs):
+    /// concurrent calls cover disjoint row ranges, and nothing reads
+    /// the array until it is complete.
     pub unsafe fn write_rows_at(&self, row0: usize, src: &NdArray) {
         assert_eq!(self.ndim(), src.ndim(), "write_rows_at: rank mismatch");
         assert_eq!(
@@ -253,13 +198,9 @@ impl NdArray {
         );
         let row_len: usize = self.shape.iter().skip(1).product();
         let start = self.offset + row0 * row_len;
-        let n = src.len();
-        debug_assert!(start + n <= self.data.len());
-        // SAFETY: in-bounds per the asserts; disjointness and
-        // no-concurrent-readers per this function's contract.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(self.data.0.as_ptr().add(start) as *mut f64, n)
-        };
+        // SAFETY: in bounds per the asserts and the view invariant; the
+        // contract is this function's.
+        let dst = unsafe { self.data.band_mut(start, src.len()) };
         dst.copy_from_slice(src.as_slice());
     }
 

@@ -15,6 +15,8 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod array;
+#[path = "../../cells.rs"]
+mod cells;
 pub mod elementwise;
 pub mod reduce;
 pub mod structure;
