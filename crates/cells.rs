@@ -111,6 +111,18 @@ impl<T> Cells<T> {
         self.touch_pages(true);
     }
 
+    /// [`Cells::prefault`] for a store whose every byte is zero, as a
+    /// zeroed allocation's are: the touch writes a zero, one write fault
+    /// per page, where reading the byte back first takes a read fault
+    /// (which maps the shared zero page) and then a copy-on-write fault.
+    ///
+    /// # Safety
+    ///
+    /// Every byte of the store is zero.
+    pub(crate) unsafe fn prefault_zeroed(&mut self) {
+        self.touch_pages(false);
+    }
+
     /// One volatile byte write per [`PAGE`] from the store's first
     /// byte, and one to its last byte, so the final page is touched
     /// also when the store does not start on a page boundary. `keep`

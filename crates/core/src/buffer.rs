@@ -426,9 +426,6 @@ impl DataObject for VecValue {
     fn protect_flag(&self) -> Option<&ProtectFlag> {
         Some(self.0.protect_flag())
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 impl VecValue {

@@ -101,20 +101,32 @@
 //! * A split type that declares
 //!   [`Splitter::whole_piece_stable`](crate::split::Splitter::whole_piece_stable)
 //!   is split once per storage: the context keeps the whole piece,
-//!   holding the storage alive so that its address cannot name another,
-//!   until its next evaluation (a bounded number of pieces; a full memo
-//!   is emptied). Any other split type is split on every call.
+//!   which holds the storage alive so that its address cannot name
+//!   another (or, if the piece does not name the storage, a handle to
+//!   the argument does), until its next evaluation (a bounded number of
+//!   pieces; a full memo is emptied). Any other split type is split on
+//!   every call. A buffer or scalar the caller passed as itself is
+//!   wrapped in a handle the context rewrites in place for the next
+//!   call while nothing else holds it, so a kept piece is a call's only
+//!   allocation.
 //! * The function borrows its pieces ([`Invocation`](crate::Invocation)):
 //!   the caller's handles, the decision's and the kept ones are lent to
 //!   it, not cloned.
 //!
-//! The call reads the clock on entry and once it has run, and counts
-//! that time as task time; under tracing it is one `Task` span. Looking
-//! a decision up costs less than the clock reading that would end it, so
-//! only the first call at the floor the context's statistics count, and
-//! a call that makes its decision, read the clock a third time once
-//! decided: entry to decision counts as planner time (see
-//! [`PhaseStats::planner`]).
+//! ## Timing
+//!
+//! A call at the floor counts its time from its decision on as task
+//! time, as a stage counts its task phase; under tracing it is one
+//! `Task` span. Two readings of the clock (the time-stamp counter on
+//! x86-64) cost a fifth of a small call, so not every call reads it:
+//! one in 16 calls of a shape on a thread is timed, and every traced
+//! call, and each of the others counts the time its shape's last timed
+//! call took, which differs from its own only as much as two calls over
+//! the same lengths differ. The first call at the floor the context's
+//! statistics count, and a call that makes its decision, also read the
+//! clock on entry to the decision: that much is planner time (see
+//! [`PhaseStats::planner`]), and such a call is timed. A captured call
+//! counts as client time from when the floor declined it.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +138,7 @@ use parking_lot::Mutex;
 use crate::annotation::Annotation;
 use crate::buffer::EvalTrigger;
 use crate::config::Config;
-use crate::cputime::thread_cpu_now;
+use crate::cputime::{thread_cpu_now, Stamp};
 use crate::error::{Error, Result};
 use crate::executor::{duration_ns, execute_stage, replay_lineage, ExecEnv};
 use crate::floor::Floor;
@@ -363,7 +375,6 @@ impl MozartContext {
     /// call is captured as a graph node, which holds each argument as an
     /// owned [`DataValue`].
     pub fn call(&self, annot: &Arc<Annotation>, args: &[Arg<'_>]) -> Result<Option<FutureHandle>> {
-        let t0 = Instant::now();
         let mut st = self.inner.state.lock();
         if let Some(e) = &st.poisoned {
             return Err(e.clone());
@@ -403,10 +414,11 @@ impl MozartContext {
         if ready {
             // `None`: above the floor, or a split returned `NULL` and
             // nothing ran — either way the call is captured.
-            if let Some(ran) = self.run_at_floor(&mut st, annot, args, t0) {
+            if let Some(ran) = self.run_at_floor(&mut st, annot, args) {
                 return ran;
             }
         }
+        let t0 = Stamp::now();
 
         // The node's ids go straight into the graph's arena: arguments
         // first — resolved before any mut-version exists, so an in-place
@@ -473,7 +485,7 @@ impl MozartContext {
             .map(|_| self.future(&mut st, origin, None));
         let ret = future.as_ref().map(|f| f.value);
         st.graph.push_captured(annot.clone(), ids as u32, ret);
-        st.stats.client += t0.elapsed();
+        st.stats.client += t0.until(Stamp::now());
         Ok(future)
     }
 
@@ -486,46 +498,26 @@ impl MozartContext {
         st: &mut State,
         annot: &Annotation,
         args: &[Arg<'_>],
-        t0: Instant,
     ) -> Option<Result<Option<FutureHandle>>> {
-        let (mut t1, mut ret) = (t0, None);
-        let decided = |made: bool, stats: &mut PhaseStats| {
-            // Deciding how the call runs — its checks and the making or
-            // lookup of its decision — was its planning; what follows is
-            // its task. A lookup costs less than the clock reading that
-            // would end it, so it is timed only on the first call the
-            // statistics count, and otherwise counts as task time.
-            if made || stats.inline_calls == 0 {
-                t1 = Instant::now();
-                stats.planner += t1 - t0;
-            }
-            // Polled once, as at a batch boundary.
-            let why = "deadline passed or token cancelled at registration";
-            match &st.cancel {
-                Some(c) if c.is_cancelled() => Err(Error::Cancelled(why.into())),
-                _ => Ok(()),
-            }
-        };
-        let (graph, config) = (&st.graph, &st.config);
-        match st
+        let mut ret = None;
+        let (graph, config, cancel) = (&st.graph, &st.config, st.cancel.as_deref());
+        let task = match st
             .floor
-            .run(graph, config, &mut st.stats, annot, args, decided, &mut ret)
+            .run(graph, config, &mut st.stats, annot, args, cancel, &mut ret)
         {
-            Ok(true) => {}
-            Ok(false) => return None,
+            Ok(Some(task)) => task,
+            Ok(None) => return None,
             Err(e) => return Some(Err(poison(st, *e))),
-        }
-        let t2 = Instant::now();
-        st.stats.task += t2 - t1;
-        // One task span for the call, from the same two readings. Its
-        // CPU time is taken as its wall time: the call runs on this
-        // thread without blocking, and two reads of the thread CPU
-        // clock would cost as much as a small call.
+        };
+        // One task span for a traced call, which is timed, ending now on
+        // the recorder's clock. Its CPU time is taken as its wall time:
+        // the call runs on this thread without blocking, and two reads of
+        // the thread CPU clock would cost as much as a small call.
         if let Some(recorder) = &st.config.tracing {
             if st.trace_id == 0 {
                 st.trace_id = recorder.mint();
             }
-            let wall = duration_ns(t2 - t1);
+            let wall = duration_ns(task);
             recorder.record(SpanRecord {
                 seq: 0,
                 trace: st.trace_id,
@@ -533,7 +525,7 @@ impl MozartContext {
                 worker: 0,
                 arg: 0,
                 link: 0,
-                start_ns: recorder.ns_at(t1),
+                start_ns: recorder.now_ns().saturating_sub(wall),
                 wall_ns: wall,
                 cpu_ns: wall,
             });

@@ -13,8 +13,14 @@
 //! The workspace is std-only, so the clock is read with a raw
 //! `clock_gettime` syscall on Linux (x86-64 and aarch64); other
 //! targets fall back to the wall clock.
+//!
+//! A call below the work floor is timed on a cheaper wall clock, the
+//! crate's `Stamp`: the call is shorter than a scheduler tick, so
+//! preemption is not what its readings have to exclude, and two
+//! readings of `Instant` would cost a third of it.
 
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// CPU time consumed by the calling thread, from an arbitrary
 /// per-thread epoch. Subtract two readings to time a window.
@@ -78,6 +84,59 @@ pub fn cpu_elapsed(start: Duration, end: Duration) -> Duration {
     end.saturating_sub(start)
 }
 
+/// A wall-clock reading that costs a fraction of `Instant::now`: the
+/// time-stamp counter on x86-64 (`rdtsc`, which, unlike the ordered
+/// read behind `Instant::now`, does not wait for the loads and stores
+/// in flight before it), `Instant` elsewhere. Only the span between two
+/// readings means anything; it is converted to time at a rate measured
+/// once against `Instant`, which assumes a constant-rate counter, as
+/// every x86-64 CPU with an invariant TSC has.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stamp(u64);
+
+impl Stamp {
+    #[inline]
+    pub(crate) fn now() -> Stamp {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `rdtsc` reads the time-stamp counter, which every
+        // x86-64 CPU has, and has no other effect.
+        let ticks = unsafe { std::arch::x86_64::_rdtsc() };
+        #[cfg(not(target_arch = "x86_64"))]
+        let ticks = epoch().elapsed().as_nanos() as u64;
+        Stamp(ticks)
+    }
+
+    /// The time from this reading to `later` (zero if `later` is
+    /// earlier, as a reading on another core may be).
+    pub(crate) fn until(self, later: Stamp) -> Duration {
+        let ticks = later.0.saturating_sub(self.0);
+        Duration::from_nanos((ticks as f64 * ns_per_tick()) as u64)
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Nanoseconds per [`Stamp`] tick, measured by the first conversion over
+/// a 20 µs wait on `Instant`: both are wall clocks, so a preemption in
+/// the wait moves both, and the two readings' own cost is a fraction of
+/// a percent of it.
+fn ns_per_tick() -> f64 {
+    static NS_PER_TICK: OnceLock<f64> = OnceLock::new();
+    *NS_PER_TICK.get_or_init(|| {
+        if cfg!(not(target_arch = "x86_64")) {
+            return 1.0;
+        }
+        let (t0, s0) = (Instant::now(), Stamp::now());
+        while t0.elapsed() < Duration::from_micros(20) {}
+        let (s1, elapsed) = (Stamp::now(), t0.elapsed());
+        elapsed.as_nanos() as f64 / s1.0.saturating_sub(s0.0).max(1) as f64
+    })
+}
+
 /// Back-to-back phases timed on the thread CPU clock with one reading
 /// per phase boundary: the reading that ends one phase starts the next.
 /// Each reading is a `clock_gettime` syscall (~0.2 µs), and a
@@ -116,6 +175,20 @@ mod tests {
         assert!(t1 > t0, "thread CPU time must advance: {t0:?} -> {t1:?}");
         assert!(cpu_elapsed(t0, t1) > Duration::ZERO);
         assert_eq!(cpu_elapsed(t1, t0), Duration::ZERO, "clamped");
+    }
+
+    #[test]
+    fn a_stamp_span_is_wall_time() {
+        let (t0, s0) = (Instant::now(), Stamp::now());
+        std::thread::sleep(Duration::from_millis(20));
+        let (s1, wall) = (Stamp::now(), t0.elapsed());
+        let span = s0.until(s1);
+        let off = span.abs_diff(wall);
+        assert!(
+            off < wall / 20,
+            "a span of {span:?} over {wall:?} of wall time"
+        );
+        assert_eq!(s1.until(s0), Duration::ZERO, "clamped");
     }
 
     #[test]

@@ -4,23 +4,25 @@
 //! thread, and the whole-range pieces it runs on, kept per context until
 //! the context's next evaluation.
 
-use std::any::TypeId;
+use std::any::{Any, TypeId};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::annotation::{Annotation, ArgSpec, GenericId, Invocation, SplitTypeExpr};
 use crate::buffer::{SharedVec, VecValue};
 use crate::config::Config;
+use crate::cputime::Stamp;
 use crate::error::{Error, Result};
 use crate::executor::{catch_phase, returned, reuse};
-use crate::faultinject::FaultPhase;
+use crate::faultinject::{CancelToken, FaultPhase};
 use crate::graph::{DataflowGraph, WordHasher, WordMap};
 use crate::planner::construct_instance;
 use crate::registry::{default_instance_for, generation};
@@ -31,6 +33,13 @@ use crate::value::{Arg, DataIdentity, DataValue, FloatValue, IntValue};
 /// Call shapes one thread keeps a decision for, over every annotation it
 /// calls. A full memo is emptied and refills from the calls that follow.
 const SHAPES: usize = 256;
+
+/// Of every `TIMED_EVERY` calls of one shape on one thread, one has its
+/// task time measured (two readings of a [`Stamp`]); each of the others
+/// counts the time the last measured one took. A shape's work is a
+/// function of its arguments' lengths, and the two readings cost a fifth
+/// of a small call.
+const TIMED_EVERY: u32 = 16;
 
 /// Split types [`split_type_key`] keeps a number for.
 const SPLIT_TYPES: usize = 4096;
@@ -117,6 +126,10 @@ struct Plan {
     total: u64,
     /// `elem_size_bytes` summed over the split arguments.
     elem_bytes: u64,
+    /// The task time of the last call of this shape that was timed, and
+    /// how many calls may still count it before one is timed again (see
+    /// [`TIMED_EVERY`]).
+    timing: Cell<(Duration, u32)>,
 }
 
 impl Plan {
@@ -132,6 +145,24 @@ impl Plan {
     /// unset at the floor.
     fn fits(&self, config: &Config) -> bool {
         self.total > 0 && self.bytes().saturating_mul(16) <= config.l2_bytes
+    }
+
+    /// The task time a call of this shape counts: `measured`, if it was
+    /// timed, which the calls after it count in turn, or else the last
+    /// one measured.
+    fn count(&self, measured: Option<Duration>) -> Duration {
+        let (last, untimed) = self.timing.get();
+        let (task, untimed) = match measured {
+            Some(task) => (task, TIMED_EVERY - 1),
+            None => (last, untimed.saturating_sub(1)),
+        };
+        self.timing.set((task, untimed));
+        task
+    }
+
+    /// Whether the next call of this shape is timed.
+    fn due(&self) -> bool {
+        self.timing.get().1 == 0
     }
 
     /// Nominal size of the merged return value, as a stage output
@@ -250,6 +281,8 @@ enum At {
     Kept(u32),
     /// [`Floor::made`], at this index.
     Made(u32),
+    /// [`Floor::scalars`], at the argument's index.
+    Scalar,
 }
 
 impl<'a> Seen<'a> {
@@ -323,10 +356,11 @@ struct Kept {
     /// The storage of the argument and the key of its split type (0 for
     /// a whole value).
     key: (DataIdentity, u64),
-    /// The argument's whole value, which keeps the keyed storage alive so
+    /// The argument's handle, which keeps the keyed storage alive so
     /// that its address cannot name another storage while the entry
-    /// lives.
-    _owner: DataValue,
+    /// lives, unless the piece names the storage itself (a view of all
+    /// of it), and so does that.
+    _owner: Option<DataValue>,
     piece: DataValue,
 }
 
@@ -347,6 +381,16 @@ pub(crate) struct Floor {
     seen: Vec<Seen<'static>>,
     /// The pieces the current call's function runs on.
     pieces: Vec<&'static DataValue>,
+    /// A handle to the last buffer passed as itself that a call split
+    /// into a kept piece, rewritten for the next such buffer while
+    /// nothing else holds it: the split borrows a handle, and a piece
+    /// that names its storage holds it, so the piece is the only
+    /// allocation.
+    spare: Option<DataValue>,
+    /// Handles to the scalars passed as themselves and taken whole, by
+    /// argument index, rewritten for the next call while nothing else
+    /// holds them, as the spare is.
+    scalars: Vec<Option<DataValue>>,
 }
 
 impl Floor {
@@ -354,15 +398,16 @@ impl Floor {
     /// (the conditions of the context docs, checked cheapest first, with
     /// the decision for the call's shape taken from this thread's memo
     /// or made and kept there), and count it in `stats` as a stage would:
-    /// its call and the bytes it split and merged. `decided` runs once
-    /// the call is known to run here, before any split, with whether
-    /// this call made the decision; an error from it fails the call.
-    /// The merged return value, if the function returned one, is left in
-    /// `ret`. `false` when the call is above the floor, or a split
-    /// returned the paper's `NULL` and there was nothing to call the
-    /// function on: either way the caller captures it. The error, if the
-    /// call fails, is boxed so that the outcome is two words on its way
-    /// out. Every lazy argument is ready.
+    /// its call, its planning and task time (see "Timing" in the context
+    /// docs), and the bytes it split and merged. `cancel` is polled once
+    /// the call is known to run here, before any split. The merged return
+    /// value, if the function returned one, is left in `ret`. The task
+    /// time the call counted, measured if the config traces; `None` when
+    /// the call is above the floor, or a split returned the paper's
+    /// `NULL` and there was nothing to call the function on: either way
+    /// the caller captures it. The error, if the call fails, is boxed so
+    /// that the outcome is two words on its way out. Every lazy argument
+    /// is ready.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<'a>(
         &mut self,
@@ -371,16 +416,19 @@ impl Floor {
         stats: &mut PhaseStats,
         annot: &Annotation,
         args: &[Arg<'a>],
-        decided: impl FnOnce(bool, &mut PhaseStats) -> Result<()>,
+        cancel: Option<&CancelToken>,
         ret: &mut Option<DataValue>,
-    ) -> std::result::Result<bool, Box<Error>> {
+    ) -> std::result::Result<Option<Duration>, Box<Error>> {
         if !graph.fully_executed()
             || !graph.deferred.is_empty()
             || config.batch_override.is_some()
             || config.fault_plan.is_some()
         {
-            return Ok(false);
+            return Ok(None);
         }
+        // The first call the statistics count is timed from here to its
+        // decision, as planning.
+        let entry = (stats.inline_calls == 0).then(Stamp::now);
         // The arguments as read, borrowed for this call; given back, and
         // the pieces made for the call let go of, when it is over. A
         // failed call leaves them to its context, which is poisoned.
@@ -397,7 +445,7 @@ impl Floor {
                 // captured, so that write is ordered before this call as it
                 // always was.
                 if s.protected() {
-                    break 'run Ok(false);
+                    break 'run Ok(None);
                 }
                 if let Some([kind, word]) = s.shape(annot.floor.valued[i]) {
                     let same = |o: &Seen| s.ident.is_some() && o.ident == s.ident;
@@ -412,11 +460,25 @@ impl Floor {
             }
             let (plan, made) = self.plan(annot, &seen, keep.then(|| hash.finish()));
             let Some(plan) = plan.filter(|p| p.fits(config)) else {
-                break 'run Ok(false);
+                break 'run Ok(None);
             };
-            decided(made, stats)?;
+            // Deciding how the call runs was its planning; what follows
+            // is its task.
+            let mut start = made.or(entry).map(|t0| {
+                let t1 = Stamp::now();
+                stats.planner += t0.until(t1);
+                t1
+            });
+            if config.tracing.is_some() || plan.due() {
+                start = start.or_else(|| Some(Stamp::now()));
+            }
+            // Polled once, as at a batch boundary.
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                let why = "deadline passed or token cancelled at registration";
+                break 'run Err(Error::Cancelled(why.into()).into());
+            }
             if !self.split(&mut seen, &plan)? {
-                break 'run Ok(false);
+                break 'run Ok(None);
             }
 
             // The task phase, on pieces the function borrows: the caller's
@@ -431,6 +493,7 @@ impl Floor {
                     (_, At::Caller) => seen[i].value.expect("a caller's piece is its handle"),
                     (_, At::Kept(k)) => &self.kept[k as usize].piece,
                     (_, At::Made(k)) => &self.made[k as usize],
+                    (_, At::Scalar) => self.scalars[i].as_ref().expect("rewritten"),
                 };
                 pieces.push(piece);
             }
@@ -449,10 +512,12 @@ impl Floor {
                 stats.bytes_merged += plan.merged_bytes(&merged);
                 *ret = Some(merged);
             }
+            let task = plan.count(start.map(|t| t.until(Stamp::now())));
+            stats.task += task;
             stats.calls += 1;
             stats.inline_calls += 1;
             stats.bytes_split += plan.bytes();
-            Ok(true)
+            Ok(Some(task))
         };
         self.made.clear();
         self.seen = reuse(seen);
@@ -462,14 +527,14 @@ impl Floor {
     /// The plan for the current call's shape, whose hash is `hash`, from
     /// this thread's memo, or made now and kept there. A call without a
     /// shape (`hash` is `None`) decides afresh and keeps nothing. `None`
-    /// if the call is captured whatever the floor; with it, whether the
-    /// decision was made now.
+    /// if the call is captured whatever the floor; with it, when the
+    /// decision started to be made, if it was made now.
     fn plan(
         &self,
         annot: &Annotation,
         seen: &[Seen<'_>],
         hash: Option<u64>,
-    ) -> (Option<Rc<Plan>>, bool) {
+    ) -> (Option<Rc<Plan>>, Option<Stamp>) {
         let key = hash.map(|h| (annot.floor.id, h));
         let kept = key.and_then(|key| {
             DECIDED.with_borrow(|memo| {
@@ -479,8 +544,9 @@ impl Floor {
             })
         });
         if let Some(plan) = kept {
-            return (plan, false);
+            return (plan, None);
         }
+        let made = Stamp::now();
         let registry = generation();
         let mut looked_up = false;
         let plan = make_plan(annot, seen, &mut looked_up).map(Rc::new);
@@ -497,7 +563,7 @@ impl Floor {
                 memo.insert(key, decision);
             });
         }
-        (plan, true)
+        (plan, Some(made))
     }
 
     /// The split phase of a call run at registration — what a one-batch
@@ -508,17 +574,24 @@ impl Floor {
     /// the paper's `NULL`: there is nothing to call the function on.
     fn split(&mut self, seen: &mut [Seen<'_>], plan: &Plan) -> Result<bool> {
         if self.kept.len() >= PIECES {
-            self.kept.clear();
+            self.forget();
         }
         let split = |inst: &SplitInstance, whole: &DataValue| {
             catch_phase(FaultPhase::Split, || {
                 inst.splitter.split(whole, 0..plan.total, &inst.params)
             })
         };
-        for (s, how) in seen.iter_mut().zip(&plan.how) {
+        for (i, (s, how)) in seen.iter_mut().zip(&plan.how).enumerate() {
             let at = match how {
                 How::Fixed(_) | How::SameAs(_) => continue,
                 How::Broadcast if s.value.is_some() => Some(At::Caller),
+                How::Broadcast if s.scalar() => {
+                    if self.scalars.len() <= i {
+                        self.scalars.resize(i + 1, None);
+                    }
+                    Self::rewrite(&mut self.scalars[i], s);
+                    Some(At::Scalar)
+                }
                 How::Broadcast if s.ident.is_some() => {
                     self.keep(s, 0, |whole| Ok(Some(whole.clone())))?
                 }
@@ -548,16 +621,40 @@ impl Floor {
         if let Some(k) = self.kept.iter().rposition(|k| k.key == key) {
             return Ok(Some(At::Kept(k as u32)));
         }
-        let whole = seen.whole();
-        let Some(piece) = make(&whole)? else {
+        let whole = match (seen.kind, seen.value) {
+            (_, Some(whole)) => whole,
+            (Kind::Vec(_), None) => Self::rewrite(&mut self.spare, seen),
+            _ => unreachable!("kept data has storage"),
+        };
+        let Some(piece) = make(whole)? else {
             return Ok(None);
         };
+        let _owner = (piece.identity() != Some(key.0)).then(|| whole.clone());
         if self.kept.capacity() == 0 {
             self.kept.reserve(PIECES);
         }
-        let _owner = whole.into_owned();
         self.kept.push(Kept { key, _owner, piece });
         Ok(Some(At::Kept(self.kept.len() as u32 - 1)))
+    }
+
+    /// A handle to `seen`, which the caller passed as itself: the one in
+    /// `slot`, rewritten, if nothing else holds it and it has the same
+    /// type, or else a new one, left in `slot`.
+    fn rewrite<'s>(slot: &'s mut Option<DataValue>, seen: &Seen<'_>) -> &'s DataValue {
+        let held = match slot {
+            Some(DataValue::Data(d)) => Arc::get_mut(d).map(|d| d as &mut dyn Any),
+            _ => None,
+        };
+        let rewritten = match (held, seen.kind) {
+            (Some(h), Kind::Vec(v)) => h.downcast_mut().map(|h: &mut VecValue| h.0 = v.clone()),
+            (Some(h), Kind::Int(i)) => h.downcast_mut().map(|h: &mut IntValue| h.0 = i),
+            (Some(h), Kind::Float(x)) => h.downcast_mut().map(|h: &mut FloatValue| h.0 = x),
+            _ => None,
+        };
+        if rewritten.is_none() {
+            *slot = Some(seen.whole().into_owned());
+        }
+        slot.as_ref().expect("just set")
     }
 
     /// Hold `piece` for the current call alone.
@@ -569,6 +666,7 @@ impl Floor {
     /// Let go of every kept piece (the end of an evaluation).
     pub(crate) fn forget(&mut self) {
         self.kept.clear();
+        self.spare = None;
     }
 }
 
@@ -676,5 +774,6 @@ fn make_plan(annot: &Annotation, seen: &[Seen<'_>], looked_up: &mut bool) -> Opt
         // With no split argument, the call is one batch of one element.
         total,
         elem_bytes,
+        timing: Cell::default(),
     })
 }

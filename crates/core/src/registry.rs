@@ -56,7 +56,7 @@ pub(crate) fn generation() -> u64 {
 /// Look up the default splitter for a value's concrete type.
 pub fn default_splitter_for(value: &DataValue) -> Option<Arc<dyn Splitter>> {
     let type_id = match value {
-        DataValue::Data(d) => d.as_any().type_id(),
+        DataValue::Data(d) => (&**d as &dyn std::any::Any).type_id(),
         DataValue::Lazy { .. } => return None,
     };
     REGISTRY.read().as_ref()?.get(&type_id).cloned()

@@ -25,14 +25,17 @@ pub struct PhaseStats {
     /// Clearing protection flags at evaluation start.
     pub unprotect: Duration,
     /// Converting the dataflow graph into stages; for a call below the
-    /// work floor, from its entry to its decision (its checks and the
-    /// lookup of its kept decision).
+    /// work floor that makes its decision, the making, and for the first
+    /// one these statistics count, its checks and the lookup of its kept
+    /// decision.
     pub planner: Duration,
     /// Running split functions.
     pub split: Duration,
     /// Running the library functions themselves; for a call below the
     /// work floor, everything after its decision (its splits, the
-    /// function and the merge of its return value).
+    /// function and the merge of its return value), measured on one in
+    /// 16 calls of its shape and counted as that on the others (see
+    /// "Timing" in [`crate::context`]).
     pub task: Duration,
     /// Running merge functions (worker-local and final).
     pub merge: Duration,

@@ -371,13 +371,7 @@ impl TraceRecorder {
 
     /// Nanoseconds since this recorder's epoch (the `start_ns` clock).
     pub fn now_ns(&self) -> u64 {
-        self.ns_at(Instant::now())
-    }
-
-    /// [`now_ns`](Self::now_ns) as of the reading `t`.
-    pub(crate) fn ns_at(&self, t: Instant) -> u64 {
-        let since = t.saturating_duration_since(self.epoch);
-        u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Shard for a recording thread: pool workers map by index, service

@@ -55,6 +55,8 @@ pub trait DataObject: Any + Send + Sync {
 
     /// Address identifying the value's backing storage, if the value has
     /// identifiable mutable storage. `None` means each handle is distinct.
+    /// A handle keeps the storage it names alive, so that no other
+    /// storage can take the address while the handle lives.
     fn stable_identity(&self) -> Option<usize> {
         None
     }
@@ -64,9 +66,6 @@ pub trait DataObject: Any + Send + Sync {
     fn protect_flag(&self) -> Option<&ProtectFlag> {
         None
     }
-
-    /// Upcast helper; implement as `self`.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// A dynamically typed value handle.
@@ -106,7 +105,7 @@ impl DataValue {
     /// type mismatches.
     pub fn downcast_ref<T: DataObject>(&self) -> Option<&T> {
         match self {
-            DataValue::Data(d) => d.as_any().downcast_ref::<T>(),
+            DataValue::Data(d) => (&**d as &dyn Any).downcast_ref::<T>(),
             DataValue::Lazy { .. } => None,
         }
     }
@@ -130,7 +129,7 @@ impl DataValue {
                 let addr = d
                     .stable_identity()
                     .unwrap_or(Arc::as_ptr(d) as *const () as usize);
-                Some(DataIdentity::new(addr, d.as_any().type_id()))
+                Some(DataIdentity::new(addr, (&**d as &dyn Any).type_id()))
             }
             DataValue::Lazy { .. } => None,
         }
@@ -209,9 +208,6 @@ macro_rules! scalar_value {
             fn type_name(&self) -> &'static str {
                 stringify!($name)
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
         }
     };
 }
@@ -246,9 +242,6 @@ impl StrValue {
 impl DataObject for StrValue {
     fn type_name(&self) -> &'static str {
         "StrValue"
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -23,9 +23,6 @@ impl mozart_core::value::DataObject for Rows {
     fn type_name(&self) -> &'static str {
         "Rows"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Splits [`Rows`] by range, or — `null` — answers every range with

@@ -92,9 +92,6 @@ impl mozart_core::value::DataObject for Chunk {
     fn stable_identity(&self) -> Option<usize> {
         Some(Arc::as_ptr(&self.0) as usize)
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 fn chunk(n: usize) -> DataValue {

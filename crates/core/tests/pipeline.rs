@@ -44,9 +44,6 @@ impl mozart_core::value::DataObject for OwnedChunk {
     fn type_name(&self) -> &'static str {
         "OwnedChunk"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Splits `OwnedChunk` values by copying ranges; merges by concatenation.

@@ -18,9 +18,6 @@ impl mozart_core::value::DataObject for Chunk {
     fn type_name(&self) -> &'static str {
         "Chunk"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Copying range splitter over [`Chunk`]s; merge concatenates in order.

@@ -37,7 +37,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mozart_core::annotation::{concrete, generic, missing, unknown, Annotation, Invocation};
 use mozart_core::prelude::*;
@@ -341,6 +341,31 @@ fn a_traced_call_at_registration_records_one_task_span() {
     assert_eq!(kinds, [SpanKind::Task]);
 }
 
+#[test]
+fn every_call_at_registration_counts_task_time_though_few_are_timed() {
+    // Each call sleeps 1 ms: a call that is not timed counts what its
+    // shape's last timed call took, so every call counts at least that.
+    const CALLS: u32 = 40;
+    let nap = Annotation::new("wf_nap", |_inv| {
+        std::thread::sleep(Duration::from_millis(1));
+        Ok(None)
+    })
+    .arg("xs", concrete(Arc::new(ArraySplit), vec![0]))
+    .build();
+    let ctx = MozartContext::new(below_floor());
+    let buf = SharedVec::from_vec(vec![0.0; 16]);
+    for _ in 0..CALLS {
+        ctx.call(&nap, &[Arg::Vec(&buf)]).unwrap();
+    }
+    let stats = ctx.stats();
+    assert_eq!(stats.inline_calls, u64::from(CALLS));
+    assert!(
+        stats.task >= Duration::from_millis(1) * CALLS,
+        "{CALLS} calls of 1 ms counted {:?}",
+        stats.task
+    );
+}
+
 // ---------------------------------------------------------------------
 // What stays captured.
 // ---------------------------------------------------------------------
@@ -380,9 +405,6 @@ struct Cells(SharedVec<f64>);
 impl mozart_core::value::DataObject for Cells {
     fn type_name(&self) -> &'static str {
         "WfCells"
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -18,6 +18,7 @@
 //! disjoint ranges across threads, and no reader until the column is
 //! complete.
 
+use std::any::TypeId;
 use std::sync::Arc;
 
 use crate::cells::Cells;
@@ -74,16 +75,29 @@ impl<T: Clone> ColData<T> {
     /// (`calloc`), adopted without a pass over it.
     pub fn alloc(len: usize) -> Self
     where
-        T: Default,
+        T: Default + 'static,
     {
         let mut cells = Cells::from_vec(vec![T::default(); len]);
         // Fault the pages in here, so that the parallel placement
         // writers never take concurrent first-touch faults on one fresh
-        // mapping. For non-trivial `T` the fill above already wrote
-        // every slot; for zero-default primitives it is a lazy zeroed
-        // allocation. A *reused* target (see [`ColData::is_exclusive`])
+        // mapping. A *reused* target (see [`ColData::is_exclusive`])
         // never comes through here: its pages are resident already.
-        cells.prefault();
+        let primitive = [
+            TypeId::of::<i64>(),
+            TypeId::of::<f64>(),
+            TypeId::of::<bool>(),
+        ];
+        if primitive.contains(&TypeId::of::<T>()) {
+            // SAFETY: the default of each of these types is all-zero
+            // bits, so every byte of the fill is zero. It is a lazy
+            // zeroed allocation, which a zero write faults in once per
+            // page.
+            unsafe { cells.prefault_zeroed() };
+        } else {
+            // The fill wrote every slot; the touch writes back each byte
+            // it reads.
+            cells.prefault();
+        }
         Self::adopt(cells)
     }
 
@@ -155,7 +169,7 @@ impl<T: Clone> ColData<T> {
     /// Panics if the mask length differs.
     pub fn filter(&self, mask: &[bool]) -> Self {
         assert_eq!(mask.len(), self.len, "mask length mismatch");
-        self.clone_kept(mask, Selection::of(Width::host(512), mask))
+        self.clone_kept(mask, Selection::of(Width::host(), mask))
     }
 
     fn clone_kept(&self, mask: &[bool], sel: Selection) -> Self {
@@ -352,7 +366,7 @@ impl Column {
     ///
     /// Panics if the mask length differs.
     pub fn filter(&self, mask: &[bool]) -> Column {
-        self.filter_at(Width::host(512), mask)
+        self.filter_at(Width::host(), mask)
     }
 
     /// [`Column::filter`] at one arm of the dispatch, for tests that

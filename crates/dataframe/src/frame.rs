@@ -126,7 +126,7 @@ impl DataFrame {
     /// Panics if the mask is not boolean or has the wrong length.
     pub fn filter(&self, mask: &Column) -> DataFrame {
         let m = mask.bools();
-        let width = Width::host(512);
+        let width = Width::host();
         let sel = Selection::of(width, m);
         DataFrame {
             cols: self

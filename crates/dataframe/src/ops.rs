@@ -224,7 +224,7 @@ pub fn str_upper(a: &Column) -> Column {
 /// included), so skipping NaN leaves no trace: the sum of nothing, of
 /// `[-0.0]` or of all-NaN rows is −0.0, as a serial sum from −0.0 gives.
 pub fn sum(a: &Column) -> f64 {
-    sum_at(Width::host(512), a)
+    sum_at(Width::host(), a)
 }
 
 /// [`sum`] at one arm of the dispatch, for tests that compare the arms.

@@ -12,7 +12,7 @@ use crate::width::Width;
 /// `f` of each row of `a`, into a new vector, at the host's width.
 #[inline(always)]
 pub(crate) fn map<T: Copy, U>(a: &[T], f: impl Fn(T) -> U) -> Vec<U> {
-    Width::host(512).run(
+    Width::host().run(
         #[inline(always)]
         || {
             let mut out = Vec::with_capacity(a.len());
@@ -41,7 +41,7 @@ pub(crate) fn zip<T: Copy, U: Copy, V>(
     f: impl Fn(T, U) -> V,
 ) -> Vec<V> {
     assert_eq!(a.len(), b.len(), "{op}: length mismatch");
-    Width::host(512).run(
+    Width::host().run(
         #[inline(always)]
         || {
             let mut out = Vec::with_capacity(a.len());

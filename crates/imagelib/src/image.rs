@@ -379,7 +379,7 @@ pub const TILE: usize = 64;
 ///
 /// Panics if the lengths differ or are not a whole number of pixels.
 pub fn map_rgb<F: Fn([f32; 3]) -> [f32; 3]>(src: &[f32], dst: &mut [MaybeUninit<f32>], f: &F) {
-    map_rgb_at(Width::host(512), src, dst, f)
+    map_rgb_at(Width::host(), src, dst, f)
 }
 
 /// Map interleaved RGB channel values `src` through the channel kernel
@@ -401,7 +401,7 @@ pub fn map_rgb_channels<F: Fn(f32, f32) -> f32>(
     params: [f32; 3],
     f: &F,
 ) {
-    map_rgb_channels_at(Width::host(512), src, dst, params, f)
+    map_rgb_channels_at(Width::host(), src, dst, params, f)
 }
 
 /// [`map_rgb`] at one arm of the dispatch, for tests that compare the

@@ -29,9 +29,6 @@ impl mozart_core::value::DataObject for GroupedPartial {
     fn type_name(&self) -> &'static str {
         "GroupedPartial"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Combine partial aggregations of the same grouping (associative).

@@ -31,9 +31,6 @@ impl mozart_core::value::DataObject for DfValue {
     fn type_name(&self) -> &'static str {
         "DfValue"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// `DataValue` wrapper for [`Column`] (a Series).
@@ -43,9 +40,6 @@ pub struct ColValue(pub Column);
 impl mozart_core::value::DataObject for ColValue {
     fn type_name(&self) -> &'static str {
         "ColValue"
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -59,9 +59,6 @@ impl mozart_core::value::DataObject for ImgValue {
     fn type_name(&self) -> &'static str {
         "ImgValue"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 impl RowBand for ImgValue {

@@ -37,9 +37,6 @@ impl mozart_core::value::DataObject for PartialMean {
     fn type_name(&self) -> &'static str {
         "PartialMean"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 macro_rules! scalar_reduce {

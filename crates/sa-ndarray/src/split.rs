@@ -31,9 +31,6 @@ impl mozart_core::value::DataObject for NdValue {
     fn type_name(&self) -> &'static str {
         "NdValue"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 impl RowBand for NdValue {

@@ -51,17 +51,11 @@ impl DataObject for CorpusValue {
     fn type_name(&self) -> &'static str {
         "CorpusValue"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 impl DataObject for TaggedValue {
     fn type_name(&self) -> &'static str {
         "TaggedValue"
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

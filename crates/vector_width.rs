@@ -45,13 +45,10 @@ impl Width {
             .collect()
     }
 
-    /// The widest arm the running CPU has whose vectors are at most
-    /// `max_bits` wide: the one the library runs.
-    pub(crate) fn host(max_bits: u32) -> Width {
-        let widest = [(Arm::Avx512, 512), (Arm::Avx2, 256)]
-            .into_iter()
-            .find(|&(a, bits)| bits <= max_bits && a.detected());
-        Width(widest.map_or(Arm::Baseline, |(a, _)| a))
+    /// The widest arm the running CPU has: the one the library runs.
+    pub(crate) fn host() -> Width {
+        let widest = [Arm::Avx512, Arm::Avx2].into_iter().find(|a| a.detected());
+        Width(widest.unwrap_or(Arm::Baseline))
     }
 
     /// Run `f` compiled for this arm: a loop in an `#[inline(always)]`

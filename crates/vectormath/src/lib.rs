@@ -12,11 +12,10 @@
 //! * kernels **vectorize**, the transcendentals ([`fastmath`]) included:
 //!   every kernel is branch-free straight-line code (special cases are
 //!   selects, `2^n` is built from exponent bits, nothing calls libm), and
-//!   each call runs its loop at the host's vector width — AVX2 when the
-//!   CPU has it, baseline SSE2 otherwise (the kernels compile at
-//!   AVX-512 too, held back for now: see [`vml`]) — chosen at one
-//!   dispatch point inside the library's threading, with the same
-//!   output bits at every width. This is the "code developers have
+//!   each call runs its loop at the host's vector width — AVX-512 when
+//!   the CPU has it, else AVX2, else baseline SSE2 (see [`vml`]) —
+//!   chosen at one dispatch point inside the library's threading, with
+//!   the same output bits at every width. This is the "code developers have
 //!   already hand-optimized" that lets Mozart beat IR compilers that
 //!   emit scalar `erf`/`exp` (Figure 1);
 //! * the raw-pointer entry points allow MKL's **exact in-place aliasing**

@@ -23,19 +23,17 @@ pub fn num_threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
-/// Widest vectors the kernels run at: AVX2's 256 bits, although the
-/// kernels give the same bits at AVX-512 and take a third to a half
-/// less time there. At AVX-512 a Mozart pipeline of a 512-element Black
-/// Scholes chain costs more than 1.55 times the library
-/// (`tests/floor_cost.rs`): the runtime's cost per call stays while the
-/// library's work shrinks. Raise this to 512 once that cost is cut.
-pub(crate) const MAX_BITS: u32 = 256;
+/// The arm every kernel runs at: the widest the CPU has (AVX-512, then
+/// AVX2, then the baseline; [`Width::host`]). The kernels give the same
+/// bits at each.
+pub(crate) fn width() -> Width {
+    Width::host()
+}
 
 /// Run `f(start, len)` over `[0, n)`, splitting across the library's
-/// internal threads when profitable; each part runs at the host's
-/// vector width up to [`MAX_BITS`] ([`Width`]).
+/// internal threads when profitable; each part runs at [`width`].
 pub(crate) fn run_parallel(n: usize, f: impl Fn(usize, usize) + Send + Sync) {
-    run_parallel_at(Width::host(MAX_BITS), n, f)
+    run_parallel_at(width(), n, f)
 }
 
 /// [`run_parallel`] at one arm of the dispatch: every part, on every
@@ -87,6 +85,12 @@ mod tests {
         set_num_threads(1);
         let expected: u64 = (0..n as u64).sum();
         assert_eq!(sum.load(Ordering::SeqCst), expected);
+    }
+
+    #[test]
+    fn kernels_run_at_the_widest_arm_the_cpu_has() {
+        let widest = *Width::available().last().expect("the baseline arm");
+        assert_eq!(width(), widest);
     }
 
     #[test]

@@ -19,13 +19,11 @@
 //!
 //! Each kernel's loop is an `#[inline(always)]` closure handed to the
 //! library's threading, which runs every part of a call through one
-//! dispatch point ([`crate::Width`]): inside an AVX2 function when the
-//! CPU has AVX2, at the baseline width (SSE2) otherwise. The closure
-//! and the branch-free [`fastmath`] functions it calls compile into
-//! that function, so the whole loop is code of that width. The kernels
-//! also compile at AVX-512 (x86-64-v4), which the library holds back
-//! for now: a Mozart pipeline of short calls would then cost too much
-//! beside it (see `parallel::MAX_BITS`). All three widths give the same
+//! dispatch point ([`crate::Width`]) at the widest arm the CPU has:
+//! inside an AVX-512 (x86-64-v4) function, else an AVX2 one, else at
+//! the baseline width (SSE2). The closure and the branch-free
+//! [`fastmath`] functions it calls compile into that function, so the
+//! whole loop is code of that width. All three widths give the same
 //! bits. Each kernel's hidden `_at` form runs it at a given arm, for
 //! tests that compare them.
 //!
@@ -35,7 +33,7 @@
 //! the paper's Figures 4j–m.
 
 use crate::fastmath;
-use crate::parallel::{run_parallel_at, MAX_BITS};
+use crate::parallel::{run_parallel_at, width};
 use crate::trace;
 use crate::width::Width;
 
@@ -60,7 +58,7 @@ macro_rules! vml_unary {
         /// doubles, and must be either exactly equal or disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, out: *mut f64) {
             // SAFETY: forwarded contract.
-            unsafe { $at(Width::host(MAX_BITS), n, a, out) }
+            unsafe { $at(width(), n, a, out) }
         }
 
         /// The raw form at one arm of the dispatch, for tests that
@@ -124,7 +122,7 @@ macro_rules! vml_binary {
         /// either exactly equal or disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, b: *const f64, out: *mut f64) {
             // SAFETY: forwarded contract.
-            unsafe { $at(Width::host(MAX_BITS), n, a, b, out) }
+            unsafe { $at(width(), n, a, b, out) }
         }
 
         /// The raw form at one arm of the dispatch, for tests that
@@ -217,7 +215,7 @@ macro_rules! vml_scalar {
         /// disjoint.
         pub unsafe fn $raw(n: usize, a: *const f64, k: f64, out: *mut f64) {
             // SAFETY: forwarded contract.
-            unsafe { $at(Width::host(MAX_BITS), n, a, k, out) }
+            unsafe { $at(width(), n, a, k, out) }
         }
 
         /// The raw form at one arm of the dispatch, for tests that

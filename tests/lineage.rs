@@ -365,9 +365,6 @@ impl DataObject for Cells {
     fn type_name(&self) -> &'static str {
         "Cells"
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 fn cells(v: &DataValue) -> Result<&Cells> {
