@@ -8,6 +8,9 @@
 
 use dataframe::ColData;
 
+const BYTES: usize = 64 << 20;
+const PAGE: usize = 4096;
+
 /// Minor page faults of the process so far.
 fn minor_faults() -> u64 {
     let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
@@ -21,18 +24,33 @@ fn minor_faults() -> u64 {
         .expect("a count")
 }
 
+/// The faults `f` takes.
+fn faults_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = minor_faults();
+    let out = f();
+    (minor_faults() - before, out)
+}
+
 #[test]
 #[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/stat")]
 fn a_zeroed_column_is_faulted_in_once_per_page() {
-    const BYTES: usize = 64 << 20;
-    const PAGE: usize = 4096;
-    let before = minor_faults();
-    let column = ColData::<f64>::alloc(BYTES / 8);
-    let faults = minor_faults() - before;
+    // What one zero write per page of a zeroed allocation of the same
+    // size takes: one fault per page, plus, in an instrumented build,
+    // what its checks of each write take.
+    let (once, _) = faults_of(|| {
+        let mut bytes = vec![0u8; BYTES];
+        for b in bytes.iter_mut().step_by(PAGE) {
+            // SAFETY: `b` is a valid, exclusive reference.
+            unsafe { std::ptr::write_volatile(b, 0) };
+        }
+    });
+    let (faults, column) = faults_of(|| ColData::<f64>::alloc(BYTES / 8));
     assert_eq!(column.len(), BYTES / 8);
-    let pages = (BYTES / PAGE) as f64;
+    let pages = BYTES / PAGE;
+    eprintln!("{faults} minor faults for {pages} pages ({once} for one write per page)");
     assert!(
-        faults as f64 <= 1.1 * pages,
-        "{faults} minor faults for {pages} pages of a fresh column"
+        faults <= once + once / 10,
+        "{faults} minor faults for {pages} pages of a fresh column, \
+         against {once} for one zero write per page"
     );
 }
