@@ -153,23 +153,36 @@ impl<T> Cells<T> {
 }
 
 impl<T: Copy> Cells<T> {
-    /// A store of `len` elements with unspecified contents, every page
-    /// faulted in (see [`Cells::prefault`]) but none zeroed: the
-    /// allocation of a placement target, whose every element is written
-    /// or truncated away before it is read. `advise` gets the store's
-    /// first byte and its size before any page is touched.
+    /// A store of `len` elements with unspecified contents: one
+    /// allocation, neither zeroed nor touched, so a store above the
+    /// allocator's `mmap` threshold stays a lazy mapping and one below
+    /// it costs no pass over a recycled chunk.
     ///
     /// # Safety
     ///
     /// Every element is written (by a band write) before it is read.
     #[allow(clippy::uninit_vec)] // the unspecified contents are this function's contract
-    pub(crate) unsafe fn uninit(len: usize, advise: impl FnOnce(*mut u8, usize)) -> Self {
+    pub(crate) unsafe fn untouched(len: usize) -> Self {
         let mut v: Vec<UnsafeCell<T>> = Vec::with_capacity(len);
         // SAFETY: the capacity was just reserved; `T: Copy` has no drop
         // glue to run on the unwritten elements, and the caller writes
         // each before it is read.
         unsafe { v.set_len(len) };
-        let mut cells = Cells(v.into_boxed_slice());
+        Cells(v.into_boxed_slice())
+    }
+
+    /// [`Cells::untouched`] with every page faulted in (see
+    /// [`Cells::prefault`]) but none zeroed: the allocation of a
+    /// placement target, whose every element is written or truncated
+    /// away before it is read. `advise` gets the store's first byte and
+    /// its size before any page is touched.
+    ///
+    /// # Safety
+    ///
+    /// Every element is written (by a band write) before it is read.
+    pub(crate) unsafe fn uninit(len: usize, advise: impl FnOnce(*mut u8, usize)) -> Self {
+        // SAFETY: forwarded contract.
+        let mut cells = unsafe { Self::untouched(len) };
         advise(cells.as_ptr() as *mut u8, len * std::mem::size_of::<T>());
         cells.touch_pages(false);
         cells

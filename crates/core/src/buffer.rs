@@ -7,7 +7,8 @@
 //! * O(1) *adoption*: [`SharedVec::from_vec`] takes a `Vec`'s allocation
 //!   as is — same address, no copy, no pass over the elements — so
 //!   wrapping application data costs nothing per byte, and
-//!   [`SharedVec::zeros`] is one zeroed allocation (`calloc`),
+//!   [`SharedVec::zeros`] is one allocation that nothing writes until
+//!   the buffer is used (see "Fresh buffers" below),
 //! * cheap cloning (handles share one allocation),
 //! * zero-copy views: a handle covers a range of its storage, so a
 //!   split piece of a buffer is a `SharedVec` of the same type, and a
@@ -26,6 +27,34 @@
 //!   its dataflow graph first, exactly like the SIGSEGV handler in the
 //!   paper (but at the cost of an atomic load instead of a page fault —
 //!   the paper's proposed `pkeys` optimization has the same effect).
+//!
+//! # Fresh buffers
+//!
+//! A buffer from [`SharedVec::zeros`] starts *fresh*: every element is
+//! logically `T::default()`, but the allocation is neither zeroed nor
+//! touched. (A zeroed allocation is no cheaper: below the 32 MiB `mmap`
+//! threshold the worker pool pins, `calloc` recycles a freed heap chunk
+//! and `memset`s it, on the thread that allocates.) Every API that reads
+//! or writes elements first *materializes* a fresh buffer: it fills the
+//! whole buffer with the default, once, under the buffer's lock, so no
+//! API returns unwritten memory. A call at the work floor does so on
+//! its first access, as a `calloc` did.
+//!
+//! The one exception is a stage that writes the buffer in place (a `mut`
+//! argument of one of its nodes) as a whole view, over a split that
+//! covers every element. The executor *claims* the buffer when the
+//! stage starts. Each worker then fills its batch's band with the
+//! default in the split phase, just before the band's first call, so
+//! the batch's first writes find the lines in cache, and no thread makes
+//! a pass of its own over the buffer. When the stage ends, the executor
+//! *releases* the claim. After a stage that ran, the buffer is ready,
+//! and any tail that no batch reached (a `NULL` split) is filled with
+//! the default. After a failed or cancelled stage, the buffer is fresh
+//! again, so a read finds every element at the default. A stage that
+//! only reads a fresh buffer, or whose split covers part of it,
+//! materializes it whole when the stage is built: another context may
+//! read it at the same time, which the band-write contract does not
+//! cover.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -115,6 +144,18 @@ impl ProtectFlag {
 struct Inner<T> {
     storage: Cells<T>,
     protect: ProtectFlag,
+    /// Whether the buffer is fresh: every element is logically
+    /// `T::default()`, and none is written (module docs, "Fresh
+    /// buffers"). A claim clears it, since the stage that holds the
+    /// claim is then the buffer's one writer; a failed stage sets it
+    /// again.
+    fresh: AtomicBool,
+    /// Writes `T::default()` over a band: set by [`SharedVec::zeros`],
+    /// where `T: Default` is known, and called only on its buffers.
+    fill: fn(&mut [T]),
+    /// Held while a fresh buffer is materialized or claimed, so that
+    /// neither sees the other half done.
+    settling: Mutex<()>,
     /// Metered footprint registered with [`crate::membudget`] at
     /// construction; returned on drop of the last reference.
     bytes: usize,
@@ -152,11 +193,19 @@ impl<T: Copy + Send + Sync + 'static> Clone for SharedVec<T> {
 }
 
 impl<T: Copy + Send + Sync + Default + 'static> SharedVec<T> {
-    /// Allocate a zero-initialized (default-initialized) buffer of `len`
-    /// elements: for all-zero defaults (`f64`, integers) one zeroed
-    /// allocation (`calloc`), adopted without a pass over it.
+    /// Allocate a default-initialized buffer of `len` elements: one
+    /// allocation, neither zeroed nor touched, whose elements read as
+    /// `T::default()` through every API. The defaults are written when
+    /// the buffer is first used: band by band, inside a stage that
+    /// writes the whole buffer in place, else all at once on first
+    /// access (module docs, "Fresh buffers").
     pub fn zeros(len: usize) -> Self {
-        Self::from_vec(vec![T::default(); len])
+        // SAFETY: the buffer is fresh, so every element API writes the
+        // defaults before it reads, and a stage that claims the buffer
+        // zeroes each band before its first call: rule 2 of the
+        // band-write contract (module docs, "Fresh buffers").
+        let storage = unsafe { Cells::untouched(len) };
+        SharedVec::adopt(storage, Some(|band| band.fill(T::default())))
     }
 
     /// Allocate a buffer of `len` elements with *unspecified* contents:
@@ -177,7 +226,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedVec<T> {
     /// after its coverage check, restricted to the written prefix.
     pub unsafe fn uninit_prefaulted(len: usize) -> Self {
         // SAFETY: forwarded contract.
-        SharedVec::adopt(unsafe { Cells::uninit(len, advise_hugepages) })
+        SharedVec::adopt(unsafe { Cells::uninit(len, advise_hugepages) }, None)
     }
 }
 
@@ -237,11 +286,13 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     /// with spare capacity (`capacity > len`) pays one shrinking
     /// `realloc` first, as `Vec::into_boxed_slice` does.
     pub fn from_vec(v: Vec<T>) -> Self {
-        SharedVec::adopt(Cells::from_vec(v))
+        SharedVec::adopt(Cells::from_vec(v), None)
     }
 
-    /// A view of all of `storage`, metered with [`crate::membudget`].
-    fn adopt(storage: Cells<T>) -> Self {
+    /// A view of all of `storage`, metered with [`crate::membudget`]:
+    /// fresh with `Some` of the fill of its elements' default (module
+    /// docs, "Fresh buffers"), else ready.
+    fn adopt(storage: Cells<T>, fresh: Option<fn(&mut [T])>) -> Self {
         let len = storage.len();
         let bytes = len * std::mem::size_of::<T>();
         crate::membudget::note_alloc(bytes);
@@ -249,11 +300,76 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
             inner: Arc::new(Inner {
                 storage,
                 protect: ProtectFlag::default(),
+                fresh: AtomicBool::new(fresh.is_some()),
+                fill: fresh.unwrap_or(|_| {}),
+                settling: Mutex::new(()),
                 bytes,
             }),
             start: 0,
             len,
         }
+    }
+
+    /// Fill a fresh buffer with `T::default()`, once; every element API
+    /// calls this first. One atomic load once the buffer is not fresh:
+    /// a claimed buffer's one writer is the stage that claimed it, and
+    /// its bands are zeroed before they are read.
+    #[inline]
+    pub(crate) fn materialize(&self) {
+        let inner = &*self.inner;
+        if inner.fresh.load(Ordering::Acquire) {
+            let _settling = inner.settling.lock();
+            if inner.fresh.load(Ordering::Acquire) {
+                // SAFETY: the band-write contract over the whole store.
+                // Rule 1: a fresh buffer has no claim, so no stage writes
+                // it, and other materializers wait on the lock. Rule 2:
+                // every element API reaches this call before it reads.
+                (inner.fill)(unsafe { inner.storage.band_mut(0, inner.storage.len()) });
+                inner.fresh.store(false, Ordering::Release);
+            }
+        }
+    }
+
+    /// Claim a fresh buffer for the stage about to run (module docs,
+    /// "Fresh buffers"); `false` if it is not fresh. The caller
+    /// [`release`](Self::release)s it once the stage's workers are done.
+    pub(crate) fn claim(&self) -> bool {
+        let _settling = self.inner.settling.lock();
+        self.inner.fresh.swap(false, Ordering::AcqRel)
+    }
+
+    /// Write `T::default()` over this view of a claimed buffer — a
+    /// batch's band, on its worker, before the batch's first call — and
+    /// return the storage index where the view ends.
+    ///
+    /// # Safety
+    ///
+    /// The band-write contract over the view: no other thread reads or
+    /// writes any of it meanwhile (rule 1: each batch's band is its
+    /// worker's alone, and rule 2: nothing reads a claimed buffer until
+    /// its stage ends).
+    pub(crate) unsafe fn zero_band(&self) -> usize {
+        // SAFETY: in bounds (the view lies in its storage); rules 1 and
+        // 2 of the band-write contract per this function's contract.
+        (self.inner.fill)(unsafe { self.inner.storage.band_mut(self.start, self.len) });
+        self.start + self.len
+    }
+
+    /// Settle a [`claim`](Self::claim) once the stage's workers are
+    /// done. `Some(end)`: the stage ran and every element below `end`
+    /// was zeroed by a band; the rest is filled with `T::default()` and
+    /// the buffer is ready. `None`: the stage failed, and the buffer is
+    /// fresh again.
+    pub(crate) fn release(&self, covered: Option<usize>) {
+        let inner = &*self.inner;
+        if let Some(end) = covered {
+            // SAFETY: the band-write contract over the tail. Rule 1: the
+            // claim is this caller's and its stage's workers are done, so
+            // nothing else writes the buffer. Rule 2: nothing reads it
+            // until this release marks it ready.
+            (inner.fill)(unsafe { inner.storage.band_mut(end, inner.storage.len() - end) });
+        }
+        inner.fresh.store(covered.is_none(), Ordering::Release);
     }
 
     /// Number of elements in the view.
@@ -353,7 +469,8 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
         self.as_slice().to_vec()
     }
 
-    /// Read a range of the view without checking the protect flag.
+    /// Read a range of the view without checking the protect flag (a
+    /// fresh buffer is materialized first, as by every element API).
     ///
     /// # Safety
     ///
@@ -362,6 +479,7 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     /// this by assigning workers disjoint element ranges.
     pub unsafe fn slice_unchecked(&self, start: usize, len: usize) -> &[T] {
         debug_assert!(start + len <= self.len());
+        self.materialize();
         // SAFETY: in bounds per the debug_assert and the invariant that
         // the view lies inside its storage; no band write over the
         // range is in flight, per this function's contract.
@@ -380,14 +498,18 @@ impl<T: Copy + Send + Sync + 'static> SharedVec<T> {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut_unchecked(&self, start: usize, len: usize) -> &mut [T] {
         debug_assert!(start + len <= self.len());
+        self.materialize();
         // SAFETY: in bounds as above; exclusive per this function's
         // contract, which is the band-write contract.
         unsafe { self.inner.storage.band_mut(self.start + start, len) }
     }
 
     /// Raw pointer to the view's first element (for kernels with
-    /// MKL-style aliasing semantics, e.g. in-place `out == a`).
+    /// MKL-style aliasing semantics, e.g. in-place `out == a`). A fresh
+    /// buffer is materialized first, unless a running stage claimed it
+    /// and zeroes its bands (module docs, "Fresh buffers").
     pub fn base_ptr(&self) -> *mut T {
+        self.materialize();
         let base = self.inner.storage.as_ptr();
         // SAFETY: `start <= storage length` is a construction invariant
         // of every view, so the offset stays inside (or one past) the

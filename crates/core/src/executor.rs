@@ -104,6 +104,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::annotation::Invocation;
+use crate::buffer::{SharedVec, VecValue};
 use crate::config::Config;
 use crate::cputime::{cpu_elapsed, thread_cpu_now, PhaseClock};
 use crate::error::{Error, Result};
@@ -225,6 +226,24 @@ impl ExecStage {
             );
         }
     }
+
+    /// Release every buffer the stage claimed, on the caller once the
+    /// participants are done (`ran` is their outcome): ready if the
+    /// stage ran and its bands are a prefix of the buffer, fresh again
+    /// if not. A gap below the highest band — a split that returned
+    /// `NULL` and then data again — fails the stage: the elements
+    /// between were never written.
+    fn release(&self, ran: Result<Vec<WorkerOut>>) -> Result<Vec<WorkerOut>> {
+        let mut gap = false;
+        for (buffer, [zeroed, high]) in self.inputs.iter().filter_map(|i| i.claim.as_ref()) {
+            let high = high.load(Ordering::Relaxed);
+            gap |= zeroed.load(Ordering::Relaxed) != high;
+            buffer.release((ran.is_ok() && !gap).then_some(high as usize));
+        }
+        let gap = gap
+            .then(|| Error::Pedantic(format!("stage {}: a gap in a fresh buffer", self.stage_idx)));
+        ran.and_then(|outs| gap.map_or(Ok(outs), Err))
+    }
 }
 
 struct ExecInput {
@@ -233,6 +252,18 @@ struct ExecInput {
     /// The whole value; batches are cut by the split type's `split`
     /// function.
     data: DataValue,
+    /// `Some` for a fresh buffer the stage writes whole in place
+    /// ("Fresh buffers" in [`crate::buffer`]), from the stage's build:
+    /// the buffer, and `[zeroed, high]`, the elements its bands zeroed
+    /// and the end of the highest. Cleared when the stage starts if the
+    /// claim fails. Each batch zeroes its band of a claimed buffer in
+    /// the split phase.
+    claim: Option<(SharedVec<f64>, [AtomicU64; 2])>,
+}
+
+/// The buffer `value` holds, if it is a [`VecValue`].
+fn buffer_of(value: &DataValue) -> Option<&SharedVec<f64>> {
+    value.downcast_ref::<VecValue>().map(|v| &v.0)
 }
 
 struct ExecNode {
@@ -774,7 +805,7 @@ fn replay_stages(
 /// graph value.
 fn run_exec(
     graph: &mut DataflowGraph,
-    exec: ExecStage,
+    mut exec: ExecStage,
     stats: &mut PhaseStats,
     env: &ExecEnv<'_>,
 ) -> Result<()> {
@@ -795,11 +826,16 @@ fn run_exec(
     }
     let prealloc = clock.lap();
 
+    // Claim each fresh buffer the stage writes whole, and release every
+    // claim once the participants are done, whatever their outcome.
+    for input in &mut exec.inputs {
+        input.claim = input.claim.take().filter(|(buffer, _)| buffer.claim());
+    }
     let job;
-    let (exec, mut outs) = match env.pool {
+    let (exec, outs) = match env.pool {
         Some(pool) if exec.participants > 1 => {
             job = Job::new(exec);
-            let outs = pool.run_stage(&job, &mut clock)?;
+            let outs = pool.run_stage(&job, &mut clock);
             (&job.exec, outs)
         }
         // A single batch runs inline, with no pool job to hand out.
@@ -807,10 +843,11 @@ fn run_exec(
         // rules out: a context with no attached pool owns one.)
         _ => {
             let (cursor, failed) = (AtomicU64::new(0), AtomicBool::new(false));
-            let out = run_worker(&exec, &cursor, &failed, 0, &mut clock)?;
-            (&exec, vec![out])
+            let out = run_worker(&exec, &cursor, &failed, 0, &mut clock);
+            (&exec, out.map(|out| vec![out]))
         }
     };
+    let mut outs = exec.release(outs)?;
 
     // Final merge on the calling thread (§5.2 step 3). Each output's
     // pieces are moved out of the worker results, not cloned into it.
@@ -852,6 +889,8 @@ fn build_exec_stage(
     let mut total: Option<u64> = None;
     let mut sum_elem_bytes: u64 = 0;
 
+    let nodes_of = || stage.nodes.iter().map(|n| &graph.nodes[n.0 as usize]);
+    let written = |v| nodes_of().any(|n| graph.mut_outs(n).any(|(i, _)| graph.args(n)[i] == v));
     for (vid, instance) in &stage.inputs {
         let data = graph
             .value_data(*vid)
@@ -864,10 +903,25 @@ fn build_exec_stage(
         }
         total = Some(info.total_elements);
         sum_elem_bytes += info.elem_size_bytes;
+        // A fresh buffer is claimed when the stage runs if a node writes
+        // it in place as a whole view, over a split that covers every
+        // element; any other is materialized here ("Fresh buffers" in
+        // `crate::buffer`).
+        let bytes = info.total_elements.saturating_mul(info.elem_size_bytes);
+        let buffer = buffer_of(&data);
+        let whole =
+            |b: &&SharedVec<f64>| b.is_whole() && bytes == (b.len() * size_of::<f64>()) as u64;
+        let claim = buffer
+            .filter(|b| whole(b) && written(*vid))
+            .map(|b| (b.clone(), Default::default()));
+        if let (None, Some(buffer)) = (&claim, buffer) {
+            buffer.materialize();
+        }
         inputs.push(ExecInput {
             slot: stage.slot_of(*vid),
             instance: instance.clone(),
             data,
+            claim,
         });
     }
 
@@ -887,7 +941,6 @@ fn build_exec_stage(
         broadcast.push((stage.slot_of(*vid), data));
     }
 
-    let nodes_of = || stage.nodes.iter().map(|n| &graph.nodes[n.0 as usize]);
     let arity: usize = nodes_of().map(|node| node.annot.args.len()).sum();
     let mut nodes = Vec::with_capacity(stage.nodes.len());
     let mut arg_slots = Vec::with_capacity(arity);
@@ -1026,6 +1079,25 @@ impl Worker<'_> {
                 return Ok(true);
             };
             self.slots[input.slot as usize] = Some(piece);
+        }
+        // Zero each claimed buffer's band. A piece that is not a view of
+        // it zeroes nothing: the release fills, or fails on, what no band
+        // zeroed.
+        for input in &exec.inputs {
+            let Some((whole, [zeroed, high])) = &input.claim else {
+                continue;
+            };
+            let piece = self.slots[input.slot as usize].as_ref().and_then(buffer_of);
+            let Some(band) = piece.filter(|p| p.same_storage(whole)) else {
+                continue;
+            };
+            // SAFETY: the band-write contract over the band: it is this
+            // batch's piece of the claimed buffer, which no other batch's
+            // overlaps (rule 1), and nothing reads the buffer until the
+            // stage releases it (rule 2).
+            let end = unsafe { band.zero_band() };
+            zeroed.fetch_add(band.len() as u64, Ordering::Relaxed);
+            high.fetch_max(end as u64, Ordering::Relaxed);
         }
         Ok(false)
     }

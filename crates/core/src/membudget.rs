@@ -62,6 +62,15 @@ pub fn live_bytes() -> u64 {
 /// 256 MiB (every participant's pieces many times over, small beside
 /// the values a workload holds). Once per process.
 ///
+/// Below 32 MiB a zeroed allocation (`calloc`) then comes from the
+/// recycled heap too, and is a `memset` on the allocating thread: a
+/// 16 MiB buffer costs a pass over memory before any stage runs. That is
+/// why the runtime's own buffers use none: [`SharedVec::zeros`]
+/// allocates untouched and writes its zeros on first use ("Fresh
+/// buffers" in [`crate::buffer`]).
+///
+/// [`SharedVec::zeros`]: crate::SharedVec::zeros
+///
 /// Returns whether the process's `malloc` took both thresholds: `false`
 /// without glibc, or where something replaces glibc's `malloc` — an
 /// AddressSanitizer build's allocator refuses them — and freed pieces

@@ -1,8 +1,9 @@
 //! Buffer adoption: `SharedVec::from_vec` takes a `Vec`'s
 //! allocation as is — same address, no new buffer, no pass over the
-//! elements — and `SharedVec::zeros` is one zeroed allocation, while
-//! `SharedVec::uninit_prefaulted` is one allocation, not zeroed, with
-//! every page it spans resident.
+//! elements — and `SharedVec::zeros` is one allocation, neither zeroed
+//! nor touched (its elements read as zero through every API: see
+//! `lazy_zeros.rs`), while `SharedVec::uninit_prefaulted` is one
+//! allocation, not zeroed, with every page it spans resident.
 //!
 //! Measured with a counting global allocator and the process's resident
 //! set size (`crates/adoption_harness.rs`), which is why this file holds
@@ -19,7 +20,7 @@ use harness::{present_pages, resident_bytes};
 use mozart_core::SharedVec;
 
 #[test]
-fn from_vec_adopts_the_allocation_and_zeros_is_one_calloc() {
+fn from_vec_adopts_the_allocation_and_zeros_is_one_untouched_malloc() {
     const N: usize = 1 << 16;
     let bytes = N * std::mem::size_of::<f64>();
 
@@ -58,12 +59,14 @@ fn from_vec_adopts_the_allocation_and_zeros_is_one_calloc() {
         .enumerate()
         .all(|(i, &x)| x == i as f64 * 0.5));
 
-    // zeros: exactly one buffer-sized allocation, and it is a calloc.
+    // zeros: exactly one buffer-sized allocation, and it is not zeroed:
+    // below the `mmap` threshold a zeroed allocation is a `memset` of a
+    // recycled chunk on this thread.
     let (z, [allocs, zeroed, reallocs, largest]) = counted(|| SharedVec::<f64>::zeros(N));
     assert_eq!(
         (allocs, zeroed, reallocs),
-        (2, 1, 0),
-        "calloc + handle header"
+        (2, 0, 0),
+        "malloc + handle header"
     );
     assert_eq!(largest, bytes);
     assert!(z.as_slice().iter().all(|&x| x == 0.0));
