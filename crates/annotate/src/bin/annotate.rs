@@ -27,8 +27,11 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    if let Err(e) = mozart_annotate::check_consistent_types(&file) {
-        eprintln!("annotate: {path}: {e}");
+    let diagnostics = mozart_annotate::check(&file);
+    for d in &diagnostics {
+        eprintln!("{path}:{d}");
+    }
+    if !diagnostics.is_empty() {
         return ExitCode::from(1);
     }
     print!("{}", mozart_annotate::generate(&file, &doc));

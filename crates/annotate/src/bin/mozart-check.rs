@@ -1,16 +1,19 @@
 //! `mozart-check`: static soundness verification for split annotations.
 //!
-//! Two layers, one command:
+//! One rule set, two sources of annotations:
 //!
 //! 1. **Builtin annotations** — registers every workload integration's
-//!    defaults, then runs the runtime annotation checker
+//!    defaults, then runs the annotation checker
 //!    ([`mozart_core::verify::check_annotation`]) and the advisory lints
 //!    ([`mozart_core::verify::lint_annotation`]) over each registered
 //!    [`Annotation`](mozart_core::Annotation).
 //! 2. **`.sa` files** — each path argument (a file, or a directory
-//!    walked recursively for `*.sa`) is parsed and run through the
-//!    DSL-level checker ([`mozart_annotate::check()`]), producing
-//!    line-numbered diagnostics.
+//!    walked recursively for `*.sa`) goes through
+//!    [`mozart_annotate::check_source`]: its names are resolved, and each
+//!    `@splittable` is lowered to an `Annotation` and run through the
+//!    same `check_annotation` and `lint_annotation` as a builtin. Every
+//!    finding of a file prints in line order as `path:line: message`; a
+//!    rule the text cannot decide prints as a `note:` and fails nothing.
 //!
 //! Exits nonzero on any diagnostic, so CI can gate on a clean tree:
 //!
@@ -28,11 +31,8 @@ use std::process::ExitCode;
 
 fn collect_sa_files(path: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if path.is_dir() {
-        let mut entries: Vec<_> = std::fs::read_dir(path)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .collect();
+        let entries = std::fs::read_dir(path)?.map(|e| e.map(|e| e.path()));
+        let mut entries = entries.collect::<std::io::Result<Vec<_>>>()?;
         entries.sort();
         for entry in entries {
             collect_sa_files(&entry, out)?;
@@ -46,26 +46,26 @@ fn collect_sa_files(path: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
 fn main() -> ExitCode {
     let mut diagnostics = 0usize;
 
-    // Layer 1 over every builtin annotation the integrations register.
+    // Every builtin annotation the integrations register.
     workloads::register_all_defaults();
     let builtins = mozart_core::registry::registered_annotations();
+    // Builtins must also be lint-clean: a Concat-strategy split type
+    // without its concat() capability silently disables request
+    // coalescing.
     for annot in &builtins {
-        for err in mozart_core::verify::check_annotation(annot) {
+        let lints = mozart_core::verify::lint_annotation(annot);
+        for err in mozart_core::verify::check_annotation(annot)
+            .into_iter()
+            .chain(lints)
+        {
             eprintln!("mozart-check: builtin: {err}");
-            diagnostics += 1;
-        }
-        // Builtins must also be lint-clean: a Concat-strategy split
-        // type without its concat() capability silently disables
-        // request coalescing.
-        for lint in mozart_core::verify::lint_annotation(annot) {
-            eprintln!("mozart-check: builtin: {lint}");
             diagnostics += 1;
         }
     }
 
-    // DSL checks over every .sa file named on the command line; with
-    // no arguments, fall back to the repo's positive corpus when the
-    // working directory has one.
+    // Every .sa file named on the command line; with no arguments, fall
+    // back to the repo's positive corpus when the working directory has
+    // one.
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() && Path::new("corpus/sa").is_dir() {
         args.push("corpus/sa".to_string());
@@ -79,7 +79,7 @@ fn main() -> ExitCode {
     }
     let num_files = files.len();
     for file in files {
-        let display = file.display();
+        let display = file.display().to_string();
         let src = match std::fs::read_to_string(&file) {
             Ok(s) => s,
             Err(e) => {
@@ -88,21 +88,9 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let parsed = match mozart_annotate::parse(&src) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("mozart-check: {display}: {e}");
-                diagnostics += 1;
-                continue;
-            }
-        };
-        if let Err(e) = mozart_annotate::check_consistent_types(&parsed) {
-            eprintln!("mozart-check: {display}: {e}");
-            diagnostics += 1;
-        }
-        for d in mozart_annotate::check(&parsed) {
-            eprintln!("mozart-check: {display}: {d}");
-            diagnostics += 1;
+        for d in mozart_annotate::check_source(&display, &src) {
+            eprintln!("{display}:{d}");
+            diagnostics += usize::from(!d.note);
         }
     }
 

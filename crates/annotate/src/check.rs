@@ -1,25 +1,21 @@
-//! Static soundness checks over a parsed annotation file.
+//! Name resolution over a parsed annotation file: the checks of a `.sa`
+//! file that have no runtime counterpart, since a built
+//! [`mozart_core::Annotation`] keeps no declarations, no argument names
+//! to repeat and no C types:
 //!
-//! This is the DSL-level half of `mozart-check` (the runtime half —
-//! [`mozart_core::verify`]-style checks over built `Annotation` values —
-//! lives in `crates/core`). Every rule here is checkable from the `.sa`
-//! text alone, before any splitter code exists:
+//! * `splittype` declarations are unique and used;
+//! * every constructor targets a declared split type, with its arity;
+//! * argument names within one `@splittable` are unique;
+//! * every constructor argument names an annotated argument (a
+//!   declared parameter that the `@splittable` types);
+//! * the §7.1 lint: a split type is always applied to parameters of one
+//!   C type ("the annotate tool ... will ensure that a split type is
+//!   always associated with the same concrete type").
 //!
-//! * generics bind consistently: a generic used in the return position
-//!   must also type at least one argument, and an argument-position
-//!   generic is fine on its own;
-//! * constructor arguments name declared function parameters and never
-//!   a `mut` argument (in-place mutation may leave the parameter's
-//!   value stale by the time a replayed plan re-constructs);
-//! * `unknown` appears only in the return position;
-//! * `_` (missing) never types the return;
-//! * `splittype` declarations are unique, constructors refer to a
-//!   declared split type with matching arity, and every declaration is
-//!   actually used (dead declarations are flagged);
-//! * argument names within one `@splittable` are unique.
-//!
-//! Diagnostics carry the 1-based source line so editors and CI logs can
-//! jump straight to the offending declaration.
+//! The paper's §3 typing rules are not here: [`crate::check_source`]
+//! lowers each annotation ([`crate::lower()`]) and runs the
+//! [`mozart_core::verify::check_annotation`] that checks the builtins.
+//! Diagnostics carry the 1-based source line.
 
 use std::collections::{HashMap, HashSet};
 
@@ -32,16 +28,30 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable description of the defect.
     pub message: String,
+    /// A rule the text cannot decide, reported without failing the file.
+    pub note: bool,
+}
+
+impl Diagnostic {
+    /// A finding that fails the file.
+    pub fn error(line: usize, message: String) -> Self {
+        Diagnostic {
+            line,
+            message,
+            note: false,
+        }
+    }
 }
 
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        let note = if self.note { "note: " } else { "" };
+        write!(f, "{}: {note}{}", self.line, self.message)
     }
 }
 
-/// Run every DSL-level check over `file`, returning all findings in
-/// source order. An empty vector means the file is sound.
+/// Run every name-resolution check over `file`, returning all findings
+/// in source order. An empty vector means every name resolves.
 pub fn check(file: &AnnotationFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     check_split_type_decls(file, &mut out);
@@ -55,40 +65,40 @@ fn check_split_type_decls(file: &AnnotationFile, out: &mut Vec<Diagnostic>) {
     let mut seen: HashMap<&str, usize> = HashMap::new();
     for st in &file.split_types {
         if let Some(first) = seen.get(st.name.as_str()) {
-            out.push(Diagnostic {
-                line: st.line,
-                message: format!(
+            out.push(Diagnostic::error(
+                st.line,
+                format!(
                     "duplicate splittype declaration `{}` (first declared on line {first})",
                     st.name
                 ),
-            });
+            ));
         } else {
             seen.insert(&st.name, st.line);
         }
     }
 
-    let arity: HashMap<&str, (usize, usize)> = file
+    let arity: HashMap<&str, usize> = file
         .split_types
         .iter()
-        .map(|st| (st.name.as_str(), (st.params.len(), st.line)))
+        .map(|st| (st.name.as_str(), st.params.len()))
         .collect();
 
     // Constructors must target a declared split type with matching arity.
     for ctor in &file.constructors {
         match arity.get(ctor.name.as_str()) {
-            None => out.push(Diagnostic {
-                line: ctor.line,
-                message: format!("constructor for undeclared splittype `{}`", ctor.name),
-            }),
-            Some((n, _)) if *n != ctor.exprs.len() => out.push(Diagnostic {
-                line: ctor.line,
-                message: format!(
+            None => out.push(Diagnostic::error(
+                ctor.line,
+                format!("constructor for undeclared splittype `{}`", ctor.name),
+            )),
+            Some(n) if *n != ctor.exprs.len() => out.push(Diagnostic::error(
+                ctor.line,
+                format!(
                     "constructor for `{}` produces {} parameter(s), but the \
                      splittype declares {n}",
                     ctor.name,
                     ctor.exprs.len()
                 ),
-            }),
+            )),
             Some(_) => {}
         }
     }
@@ -96,8 +106,7 @@ fn check_split_type_decls(file: &AnnotationFile, out: &mut Vec<Diagnostic>) {
     // Dead declarations: never named by a constructor or a type expr.
     let mut used: HashSet<&str> = file.constructors.iter().map(|c| c.name.as_str()).collect();
     for f in &file.functions {
-        let exprs = f.args.iter().map(|a| &a.ty).chain(f.ret.iter());
-        for ty in exprs {
+        for ty in f.args.iter().map(|a| &a.ty).chain(&f.ret) {
             if let TypeExpr::Concrete { name, .. } = ty {
                 used.insert(name);
             }
@@ -105,134 +114,74 @@ fn check_split_type_decls(file: &AnnotationFile, out: &mut Vec<Diagnostic>) {
     }
     for st in &file.split_types {
         if !used.contains(st.name.as_str()) {
-            out.push(Diagnostic {
-                line: st.line,
-                message: format!(
+            out.push(Diagnostic::error(
+                st.line,
+                format!(
                     "splittype `{}` is declared but never used by a constructor \
                      or annotation",
                     st.name
                 ),
-            });
+            ));
         }
     }
 }
 
 fn check_functions(file: &AnnotationFile, out: &mut Vec<Diagnostic>) {
+    // Per split type: the C type it was first applied to, and where.
+    let mut ctypes: HashMap<&str, (&str, usize)> = HashMap::new();
     for f in &file.functions {
-        let mut_args: HashSet<&str> = f
-            .args
-            .iter()
-            .filter(|a| a.mutable)
-            .map(|a| a.name.as_str())
-            .collect();
-
         // Unique argument names.
         let mut names: HashSet<&str> = HashSet::new();
         for a in &f.args {
             if !names.insert(&a.name) {
-                out.push(Diagnostic {
-                    line: a.line,
-                    message: format!("{}: duplicate annotated argument `{}`", f.name, a.name),
-                });
+                out.push(Diagnostic::error(
+                    a.line,
+                    format!("{}: duplicate annotated argument `{}`", f.name, a.name),
+                ));
             }
         }
 
-        // Argument-position rules.
-        let mut arg_generics: HashSet<&str> = HashSet::new();
-        for a in &f.args {
-            match &a.ty {
-                TypeExpr::Unknown => out.push(Diagnostic {
-                    line: a.line,
-                    message: format!(
-                        "{}: argument `{}` is typed `unknown`; unknown describes \
-                         values whose split shape exists only after the call and \
-                         is legal only in the return position",
-                        f.name, a.name
-                    ),
-                }),
-                TypeExpr::Generic(g) => {
-                    arg_generics.insert(g);
-                }
-                TypeExpr::Concrete { name, ctor_args } => {
-                    check_ctor_args(f, name, ctor_args, a.line, &mut_args, out);
-                }
-                TypeExpr::Missing => {}
-            }
-        }
-
-        // Return-position rules.
-        if let Some(ret) = &f.ret {
-            match ret {
-                TypeExpr::Missing => out.push(Diagnostic {
-                    line: f.line,
-                    message: format!(
-                        "{}: return value typed `_`; a returned value must have \
-                         a real split type (or `unknown`) so Mozart can merge it",
+        let positions = f.args.iter().map(|a| (a.line, Some(a), &a.ty));
+        for (line, arg, ty) in positions.chain(f.ret.iter().map(|r| (f.line, None, r))) {
+            let TypeExpr::Concrete { name, ctor_args } = ty else {
+                continue;
+            };
+            // Only annotated arguments reach a constructor at run time.
+            for ca in ctor_args.iter().filter(|ca| f.arg_index(ca).is_none()) {
+                out.push(Diagnostic::error(
+                    line,
+                    format!(
+                        "{}: constructor argument `{ca}` of {name} does not \
+                         name an annotated argument",
                         f.name
                     ),
-                }),
-                TypeExpr::Generic(g) => {
-                    if !arg_generics.contains(g.as_str()) {
-                        out.push(Diagnostic {
-                            line: f.line,
-                            message: format!(
-                                "{}: return generic `{g}` is not bound by any \
-                                 argument; the planner could never infer its \
-                                 split type",
-                                f.name
-                            ),
-                        });
-                    }
-                }
-                TypeExpr::Concrete { name, ctor_args } => {
-                    check_ctor_args(f, name, ctor_args, f.line, &mut_args, out);
-                }
-                TypeExpr::Unknown => {}
+                ));
             }
-        }
-    }
-}
-
-fn check_ctor_args(
-    f: &crate::ast::AnnotatedFn,
-    split_type: &str,
-    ctor_args: &[String],
-    line: usize,
-    mut_args: &HashSet<&str>,
-    out: &mut Vec<Diagnostic>,
-) {
-    for ca in ctor_args {
-        if f.params.iter().all(|p| p.name != *ca) {
-            out.push(Diagnostic {
-                line,
-                message: format!(
-                    "{}: constructor argument `{ca}` of {split_type} does not \
-                     name a declared parameter",
-                    f.name
-                ),
-            });
-        } else if mut_args.contains(ca.as_str()) {
-            out.push(Diagnostic {
-                line,
-                message: format!(
-                    "{}: constructor argument `{ca}` of {split_type} names a \
-                     `mut` argument; derive split parameters from an explicit \
-                     size argument instead (the MKL convention), never from \
-                     storage the call mutates",
-                    f.name
-                ),
-            });
+            let Some(param) = arg.and_then(|a| f.params.iter().find(|p| p.name == a.name)) else {
+                continue;
+            };
+            let (ctype, first) = *ctypes.entry(name).or_insert((&param.ctype, line));
+            if ctype != param.ctype {
+                out.push(Diagnostic::error(
+                    line,
+                    format!(
+                        "{}: split type {name} applied to parameter `{}` of C type \
+                         {:?}, but to {ctype:?} on line {first}; a split type is \
+                         always associated with one concrete type",
+                        f.name, param.name, param.ctype
+                    ),
+                ));
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::parser::parse;
+    use crate::{check_source, Diagnostic};
 
     fn diags(src: &str) -> Vec<Diagnostic> {
-        check(&parse(src).unwrap())
+        check_source("test.sa", src)
     }
 
     #[test]
@@ -252,7 +201,7 @@ mod tests {
         let d = diags(src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 1);
-        assert!(d[0].message.contains("`mut` argument"), "{}", d[0].message);
+        assert!(d[0].message.contains("mut argument 0"), "{}", d[0].message);
     }
 
     #[test]
@@ -268,7 +217,7 @@ mod tests {
         let src = "@splittable(x: _) -> S\ndouble f(double x);\n";
         let d = diags(src);
         assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("generic `S`"), "{}", d[0].message);
+        assert!(d[0].message.contains("generic S0"), "{}", d[0].message);
     }
 
     #[test]
@@ -281,6 +230,16 @@ mod tests {
         assert_eq!(d[0].line, 2);
         assert!(d[1].message.contains("never used"), "{}", d[1].message);
         assert_eq!(d[1].line, 3);
+    }
+
+    #[test]
+    fn constructor_arguments_name_annotated_arguments() {
+        let d = diags("@splittable(a: ArraySplit(n))\nvoid f(double *a, long n);\n");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(
+            d[0].message.contains("`n` of ArraySplit does not name"),
+            "{d:?}"
+        );
     }
 
     #[test]

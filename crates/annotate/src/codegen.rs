@@ -6,7 +6,11 @@
 //! Here the emitted code is a Rust module using `mozart_core`'s builder
 //! API, matching the hand-written wrappers in the `sa-*` crates.
 
-use crate::ast::{AnnotatedFn, AnnotationFile, TypeExpr};
+use std::collections::HashMap;
+
+use mozart_core::{Annotation, SplitTypeExpr};
+
+use crate::ast::{AnnotatedFn, AnnotationFile};
 
 /// Generate a Rust wrapper module for a parsed annotation file,
 /// targeting the **splitting API v2**: declared split types become
@@ -15,20 +19,25 @@ use crate::ast::{AnnotatedFn, AnnotationFile, TypeExpr};
 /// merge variants), and the three-argument `merge` that always
 /// receives the merged element total as a size hint.
 pub fn generate(file: &AnnotationFile, module_doc: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("//! {module_doc}\n"));
-    out.push_str("//! Generated by the `annotate` tool — do not edit.\n\n");
-    out.push_str("use std::sync::{Arc, LazyLock};\n");
-    out.push_str("use mozart_core::annotation::{concrete, generic, missing, unknown};\n");
-    out.push_str("use mozart_core::prelude::*;\n\n");
+    let mut out = format!(
+        r#"//! {module_doc}
+//! Generated by the `annotate` tool — do not edit.
 
+use std::sync::{{Arc, LazyLock}};
+use mozart_core::annotation::{{concrete, generic, missing, unknown}};
+use mozart_core::prelude::*;
+
+"#
+    );
     for st in &file.split_types {
-        out.push_str(&generate_split_type(&st.name, &st.params, file));
+        out += &generate_split_type(&st.name, &st.params, file);
         out.push('\n');
     }
-
-    for f in &file.functions {
-        out.push_str(&generate_fn(f));
+    // The builder chains print the lowered annotations, so generic ids and
+    // constructor indices are resolved where the checker resolves them.
+    let annots = crate::lower(file, "", &HashMap::new());
+    for (f, annot) in file.functions.iter().zip(&annots) {
+        out += &generate_fn(f, annot);
         out.push('\n');
     }
     out
@@ -36,235 +45,175 @@ pub fn generate(file: &AnnotationFile, module_doc: &str) -> String {
 
 /// Skeleton v2 `Splitter` impl for one declared split type: the five
 /// core methods plus the `merge_strategy` capability probe, followed by
-/// a skeleton `Concat` capability impl. The annotator fills the
-/// `todo!()` bodies and picks the strategy variant that matches the
-/// type's merge semantics (and, for concatenations, optionally
-/// implements `Placement` and wires up the emitted `Concat` skeleton).
+/// a skeleton `Concat` capability impl — the `concat`/`slice_back` pair
+/// that lets the serving layer coalesce requests into one evaluation
+/// over concatenated inputs. The annotator fills the `todo!()` bodies
+/// and picks the strategy variant that matches the type's merge
+/// semantics (and, for concatenations, optionally implements
+/// `Placement` and wires up the `Concat` skeleton, or deletes it).
 fn generate_split_type(name: &str, params: &[String], file: &AnnotationFile) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "/// Split type `{name}<{}>` (generated v2 skeleton).\n",
-        params.join(", ")
-    ));
-    s.push_str(&format!("pub struct {name};\n\n"));
-    s.push_str(&format!("impl Splitter for {name} {{\n"));
-    s.push_str(&format!(
-        "    fn name(&self) -> &'static str {{\n        \"{name}\"\n    }}\n\n"
-    ));
-    s.push_str("    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {\n");
-    for c in file.constructors.iter().filter(|c| c.name == *name) {
-        s.push_str(&format!(
-            "        // constructor {}({}) => ({})\n",
-            c.name,
-            c.args.join(", "),
-            c.exprs.join(", ")
-        ));
-    }
-    s.push_str(&format!(
-        "        // TODO: map the constructor arguments to ({}).\n",
-        params.join(", ")
-    ));
-    s.push_str("        let _ = ctor_args;\n        todo!()\n    }\n\n");
-    for line in [
-        "    fn info(&self, arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {",
-        "        // TODO: report total_elements and elem_size_bytes.",
-        "        let _ = (arg, params);",
-        "        todo!()",
-        "    }",
-        "",
-        "    fn split(",
-        "        &self,",
-        "        arg: &DataValue,",
-        "        range: std::ops::Range<u64>,",
-        "        params: &Params,",
-        "    ) -> Result<Option<DataValue>> {",
-        "        // TODO: return the piece covering `range`, or Ok(None) past the end.",
-        "        let _ = (arg, range, params);",
-        "        todo!()",
-        "    }",
-        "",
-        "    fn merge(",
-        "        &self,",
-        "        pieces: Vec<DataValue>,",
-        "        params: &Params,",
-        "        total_elements: u64,",
-        "    ) -> Result<DataValue> {",
-        "        // TODO: merge in element order; `total_elements` is the size hint.",
-        "        let _ = (pieces, params, total_elements);",
-        "        todo!()",
-        "    }",
-        "",
-        "    fn merge_strategy(&self) -> MergeStrategy {",
-        "        // TODO: pick the capability descriptor — Concat { placement }",
-        "        // for concatenation, in-place views included (placement enables",
-        "        // the zero-copy merge; also consider implementing `Concat` via",
-        "        // `Splitter::concat` so the serving layer can coalesce requests),",
-        "        // Custom { terminal } otherwise (terminal: true for reductions).",
-        "        MergeStrategy::Custom { terminal: false }",
-        "    }",
-        "",
-        "    fn concat(&self) -> Option<Arc<dyn Concat>> {",
-        "        // TODO: for concatenation types, return",
-    ] {
-        s.push_str(line);
-        s.push('\n');
-    }
-    s.push_str(&format!(
-        "        // Some(Arc::new({name}Concat)) once the skeleton below is\n"
-    ));
-    for line in [
-        "        // implemented; keeping None disables request coalescing for",
-        "        // this type.",
-        "        None",
-        "    }",
-        "}",
-        "",
-    ] {
-        s.push_str(line);
-        s.push('\n');
-    }
-    s.push_str(&generate_concat(name));
-    s
+    let params = params.join(", ");
+    let ctors: String = file
+        .constructors
+        .iter()
+        .filter(|c| c.name == *name)
+        .map(|c| {
+            let (args, exprs) = (c.args.join(", "), c.exprs.join(", "));
+            format!("        // constructor {name}({args}) => ({exprs})\n")
+        })
+        .collect();
+    format!(
+        r#"/// Split type `{name}<{params}>` (generated v2 skeleton).
+pub struct {name};
+
+impl Splitter for {name} {{
+    fn name(&self) -> &'static str {{
+        "{name}"
+    }}
+
+    fn construct(&self, ctor_args: &[&DataValue]) -> Result<Params> {{
+{ctors}        // TODO: map the constructor arguments to ({params}).
+        let _ = ctor_args;
+        todo!()
+    }}
+
+    fn info(&self, arg: &DataValue, params: &Params) -> Result<RuntimeInfo> {{
+        // TODO: report total_elements and elem_size_bytes.
+        let _ = (arg, params);
+        todo!()
+    }}
+
+    fn split(
+        &self,
+        arg: &DataValue,
+        range: std::ops::Range<u64>,
+        params: &Params,
+    ) -> Result<Option<DataValue>> {{
+        // TODO: return the piece covering `range`, or Ok(None) past the end.
+        let _ = (arg, range, params);
+        todo!()
+    }}
+
+    fn merge(
+        &self,
+        pieces: Vec<DataValue>,
+        params: &Params,
+        total_elements: u64,
+    ) -> Result<DataValue> {{
+        // TODO: merge in element order; `total_elements` is the size hint.
+        let _ = (pieces, params, total_elements);
+        todo!()
+    }}
+
+    fn merge_strategy(&self) -> MergeStrategy {{
+        // TODO: pick the capability descriptor — Concat {{ placement }}
+        // for concatenation, in-place views included (placement enables
+        // the zero-copy merge; also consider implementing `Concat` via
+        // `Splitter::concat` so the serving layer can coalesce requests),
+        // Custom {{ terminal }} otherwise (terminal: true for reductions).
+        MergeStrategy::Custom {{ terminal: false }}
+    }}
+
+    fn concat(&self) -> Option<Arc<dyn Concat>> {{
+        // TODO: for concatenation types, return
+        // Some(Arc::new({name}Concat)) once the skeleton below is
+        // implemented; keeping None disables request coalescing for
+        // this type.
+        None
+    }}
+}}
+
+/// `Concat` capability for `{name}` (generated v2 skeleton).
+///
+/// Implement when values of this split type concatenate end to
+/// end, then return it from `Splitter::concat`; delete it (keeping
+/// the default `None`) otherwise.
+pub struct {name}Concat;
+
+impl Concat for {name}Concat {{
+    fn concat(&self, values: &[DataValue]) -> Result<(DataValue, Vec<u64>)> {{
+        // TODO: concatenate end to end and report each input's starting
+        // element offset (offsets[0] == 0, nondecreasing).
+        let _ = values;
+        todo!()
+    }}
+
+    fn slice_back(&self, out: &DataValue, offset: u64, len: u64) -> Result<DataValue> {{
+        // TODO: return elements [offset, offset + len) as a standalone
+        // value (a zero-copy view where the data type supports one).
+        let _ = (out, offset, len);
+        todo!()
+    }}
+}}
+"#
+    )
 }
 
-/// Skeleton `Concat` capability impl for one declared split type: the
-/// `concat`/`slice_back` pair that lets the serving layer coalesce
-/// requests into one evaluation over concatenated inputs. Delete it for
-/// types whose values cannot be concatenated outside the runtime.
-fn generate_concat(name: &str) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "/// `Concat` capability for `{name}` (generated v2 skeleton).\n"
-    ));
-    s.push_str("///\n");
-    s.push_str("/// Implement when values of this split type concatenate end to\n");
-    s.push_str("/// end, then return it from `Splitter::concat`; delete it (keeping\n");
-    s.push_str("/// the default `None`) otherwise.\n");
-    s.push_str(&format!("pub struct {name}Concat;\n\n"));
-    s.push_str(&format!("impl Concat for {name}Concat {{\n"));
-    for line in [
-        "    fn concat(&self, values: &[DataValue]) -> Result<(DataValue, Vec<u64>)> {",
-        "        // TODO: concatenate end to end and report each input's starting",
-        "        // element offset (offsets[0] == 0, nondecreasing).",
-        "        let _ = values;",
-        "        todo!()",
-        "    }",
-        "",
-        "    fn slice_back(&self, out: &DataValue, offset: u64, len: u64) -> Result<DataValue> {",
-        "        // TODO: return elements [offset, offset + len) as a standalone",
-        "        // value (a zero-copy view where the data type supports one).",
-        "        let _ = (out, offset, len);",
-        "        todo!()",
-        "    }",
-        "}",
-    ] {
-        s.push_str(line);
-        s.push('\n');
-    }
-    s
-}
-
-fn type_expr_code(f: &AnnotatedFn, ty: &TypeExpr, generics: &mut Vec<String>) -> String {
+/// The builder expression of a lowered split type expression.
+fn expr_code(ty: &SplitTypeExpr) -> String {
     match ty {
-        TypeExpr::Missing => "missing()".to_string(),
-        TypeExpr::Unknown => {
+        SplitTypeExpr::Concrete {
+            splitter,
+            ctor_args,
+        } => {
+            let idxs: Vec<String> = ctor_args.iter().map(usize::to_string).collect();
+            let splitter = snake(splitter.name());
+            format!("concrete({splitter}_splitter(), vec![{}])", idxs.join(", "))
+        }
+        SplitTypeExpr::Generic(g) => format!("generic({g})"),
+        SplitTypeExpr::Missing => "missing()".to_string(),
+        SplitTypeExpr::Unknown { .. } => {
             "unknown(/* TODO: merger for the unknown result */ todo_merger())".to_string()
         }
-        TypeExpr::Generic(g) => {
-            if !generics.contains(g) {
-                generics.push(g.clone());
-            }
-            let id = generics.iter().position(|x| x == g).expect("just pushed");
-            format!("generic({id})")
-        }
-        TypeExpr::Concrete { name, ctor_args } => {
-            let idxs: Vec<String> = ctor_args
-                .iter()
-                .map(|a| {
-                    f.arg_index(a)
-                        .map(|i| i.to_string())
-                        .unwrap_or_else(|| format!("/* unresolved: {a} */ 0"))
-                })
-                .collect();
-            format!(
-                "concrete({}_splitter(), vec![{}])",
-                snake(name),
-                idxs.join(", ")
-            )
-        }
     }
 }
 
-fn generate_fn(f: &AnnotatedFn) -> String {
-    let mut generics = Vec::new();
-    let upper = f.name.to_uppercase();
-    let mut s = String::new();
-    s.push_str(&format!(
-        "static {upper}: LazyLock<Arc<Annotation>> = LazyLock::new(|| {{\n"
-    ));
-    s.push_str(&format!("    Annotation::new(\"{}\", |inv| {{\n", f.name));
-    s.push_str("        // TODO: downcast the pieces and call the unmodified\n");
-    s.push_str(&format!(
-        "        // library function `{}({})`.\n",
-        f.name,
-        f.params
-            .iter()
-            .map(|p| p.name.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str("        let _ = inv;\n        unimplemented!()\n    })\n");
-    for a in &f.args {
-        let expr = type_expr_code(f, &a.ty, &mut generics);
-        if a.mutable {
-            s.push_str(&format!("    .mut_arg(\"{}\", {expr})\n", a.name));
-        } else {
-            s.push_str(&format!("    .arg(\"{}\", {expr})\n", a.name));
-        }
+/// The annotation (a `LazyLock` over the builder chain) and the public
+/// wrapper stub for one function.
+fn generate_fn(f: &AnnotatedFn, annot: &Annotation) -> String {
+    let (name, upper) = (&f.name, f.name.to_uppercase());
+    let mut chain = String::new();
+    for a in &annot.args {
+        let method = if a.mutable { "mut_arg" } else { "arg" };
+        chain += &format!("    .{method}(\"{}\", {})\n", a.name, expr_code(&a.ty));
     }
-    if let Some(r) = &f.ret {
-        let expr = type_expr_code(f, r, &mut generics);
-        s.push_str(&format!("    .ret({expr})\n"));
+    if let Some(r) = &annot.ret {
+        chain += &format!("    .ret({})\n", expr_code(r));
     }
-    s.push_str("    .build()\n});\n");
+    let names: Vec<&str> = f.params.iter().map(|p| p.name.as_str()).collect();
+    let (mut params, mut args) = (String::new(), String::new());
+    for p in &f.params {
+        let (arg, (ty, variant)) = (snake(&p.name), rust_param(&p.ctype));
+        params += &format!(", {arg}: {ty}");
+        args += &format!("        Arg::{variant}({arg}), // {}\n", p.ctype);
+    }
+    let (returns, call) = if f.ret.is_some() {
+        let call = format!("Ok(ctx.call(&{upper}, &args)?.expect(\"annotated return value\"))");
+        ("FutureHandle", call)
+    } else {
+        ("()", format!("ctx.call(&{upper}, &args)?;\n    Ok(())"))
+    };
+    format!(
+        r#"static {upper}: LazyLock<Arc<Annotation>> = LazyLock::new(|| {{
+    Annotation::new("{name}", |inv| {{
+        // TODO: downcast the pieces and call the unmodified
+        // library function `{name}({names})`.
+        let _ = inv;
+        unimplemented!()
+    }})
+{chain}    .build()
+}});
 
-    // Public wrapper stub.
-    s.push_str(&format!(
-        "\n/// Annotated wrapper for `{}` (generated; see the SA above).\n",
-        f.name
-    ));
-    s.push_str(&format!("pub fn {}(ctx: &MozartContext", snake(&f.name)));
-    for p in &f.params {
-        s.push_str(&format!(
-            ", {}: {}",
-            snake(&p.name),
-            rust_param_type(&p.ctype)
-        ));
-    }
-    let returns = f.ret.is_some();
-    if returns {
-        s.push_str(") -> Result<FutureHandle> {\n");
-    } else {
-        s.push_str(") -> Result<()> {\n");
-    }
-    s.push_str("    let args = [\n");
-    for p in &f.params {
-        s.push_str(&format!(
-            "        {}, // {}\n",
-            wrap_param(&p.ctype, &snake(&p.name)),
-            p.ctype
-        ));
-    }
-    s.push_str("    ];\n");
-    if returns {
-        s.push_str(&format!(
-            "    Ok(ctx.call(&{upper}, &args)?.expect(\"annotated return value\"))\n"
-        ));
-    } else {
-        s.push_str(&format!("    ctx.call(&{upper}, &args)?;\n    Ok(())\n"));
-    }
-    s.push_str("}\n");
-    s
+/// Annotated wrapper for `{name}` (generated; see the SA above).
+pub fn {snake}(ctx: &MozartContext{params}) -> Result<{returns}> {{
+    let args = [
+{args}    ];
+    {call}
+}}
+"#,
+        names = names.join(", "),
+        snake = snake(name),
+    )
 }
 
 fn snake(name: &str) -> String {
@@ -282,23 +231,14 @@ fn snake(name: &str) -> String {
     out
 }
 
-fn rust_param_type(ctype: &str) -> &'static str {
+/// The Rust type and the `Arg` variant a C parameter type maps to.
+fn rust_param(ctype: &str) -> (&'static str, &'static str) {
     if ctype.contains('*') {
-        "&SharedVec<f64>"
+        ("&SharedVec<f64>", "Vec")
     } else if ctype.contains("double") || ctype.contains("float") {
-        "f64"
+        ("f64", "Float")
     } else {
-        "i64"
-    }
-}
-
-fn wrap_param(ctype: &str, name: &str) -> String {
-    if ctype.contains('*') {
-        format!("Arg::Vec({name})")
-    } else if ctype.contains("double") || ctype.contains("float") {
-        format!("Arg::Float({name})")
-    } else {
-        format!("Arg::Int({name})")
+        ("i64", "Int")
     }
 }
 

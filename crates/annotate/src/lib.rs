@@ -1,4 +1,4 @@
-//! # mozart-annotate — the SA parser and wrapper generator
+//! # mozart-annotate — the SA parser, checker and wrapper generator
 //!
 //! The Rust analogue of the paper's `annotate` command-line tool
 //! (§4.1): "An annotator registers split types, the splitting API, and
@@ -11,51 +11,95 @@
 //! `splittype` declarations, constructor mappings, and
 //! `@splittable(...)` SAs over C-style declarations. The [`codegen`]
 //! emits a Rust wrapper module in the same style as the hand-written
-//! `sa-*` crates. The tool also performs the §7.1 sanity check that a
-//! split type is always used consistently.
+//! `sa-*` crates.
+//!
+//! A file is checked in two passes, which [`check_source`] runs
+//! together:
+//!
+//! * [`check()`] resolves names: declarations, constructors, argument
+//!   names, and the §7.1 lint that a split type is always applied to one
+//!   C type. These have no runtime counterpart.
+//! * [`lower()`] turns each `@splittable` into a
+//!   [`mozart_core::Annotation`], which the same
+//!   [`check_annotation`] and [`lint_annotation`] that check the
+//!   builtins then check against the paper's §3 typing rules.
 
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod check;
 pub mod codegen;
+pub mod lower;
 pub mod parser;
 
 pub use ast::{AnnotatedFn, AnnotationFile, TypeExpr};
 pub use check::{check, Diagnostic};
 pub use codegen::generate;
+pub use lower::lower;
 pub use parser::{parse, ParseError};
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-/// The §7.1 lint: "the annotate tool ... will ensure that a split type
-/// is always associated with the same concrete type". Here we check the
-/// analogous property available at parse time: every concrete split
-/// type is always applied to C parameters of one type.
-pub fn check_consistent_types(file: &AnnotationFile) -> Result<(), String> {
-    let mut seen: HashMap<&str, &str> = HashMap::new();
-    for f in &file.functions {
-        for a in &f.args {
-            if let TypeExpr::Concrete { name, .. } = &a.ty {
-                let Some(param) = f.params.iter().find(|p| p.name == a.name) else {
-                    continue;
-                };
-                match seen.get(name.as_str()) {
-                    None => {
-                        seen.insert(name, &param.ctype);
-                    }
-                    Some(t) if *t == param.ctype => {}
-                    Some(t) => {
-                        return Err(format!(
-                            "split type {name} applied to both {t:?} and {:?} (in {})",
-                            param.ctype, f.name
-                        ))
-                    }
-                }
-            }
+use mozart_core::{check_annotation, lint_annotation, Annotation, SplitTypeExpr, Splitter};
+
+/// Check the `.sa` source `src`, read from `path`: resolve its names,
+/// lower it and run the builtins' rules over each annotation. Returns
+/// every finding in line order (a parse error is the only finding of a
+/// file that does not parse); `mozart-check` prints each as
+/// `{path}:{diagnostic}`, that is `path:line: message`.
+pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
+    let file = match parse(src) {
+        Ok(file) => file,
+        Err(e) => return vec![Diagnostic::error(e.line, e.message)],
+    };
+    let mut out = check(&file);
+    let mut builtins = HashMap::new();
+    workloads::register_all_defaults();
+    for annot in mozart_core::registry::registered_annotations() {
+        for splitter in split_types(&annot) {
+            builtins.entry(splitter.name()).or_insert(splitter.clone());
         }
     }
-    Ok(())
+    let mut placeholders = HashSet::new();
+    for annot in lower(&file, path, &builtins) {
+        let line = annot.source.map_or(0, |(_, line)| line);
+        for splitter in split_types(&annot).filter(|s| s.placeholder()) {
+            if placeholders.insert(splitter.name()) {
+                out.push(Diagnostic {
+                    line,
+                    message: format!(
+                        "split type {} is referenced by no builtin: its merge \
+                         strategy is not checkable from the text",
+                        splitter.name()
+                    ),
+                    note: true,
+                });
+            }
+        }
+        // An error names its annotation after `path:line: `, which the
+        // diagnostic keeps apart.
+        let at = format!("{path}:{line}: ");
+        for err in check_annotation(&annot)
+            .into_iter()
+            .chain(lint_annotation(&annot))
+        {
+            let text = err.to_string();
+            let message = text.strip_prefix(&at).unwrap_or(&text).to_string();
+            out.push(Diagnostic::error(line, message));
+        }
+    }
+    out.sort_by_key(|d| d.line);
+    out
+}
+
+/// The concrete split types of an annotation's arguments and return.
+fn split_types(annot: &Annotation) -> impl Iterator<Item = &Arc<dyn Splitter>> {
+    let types = annot.args.iter().map(|a| &a.ty).chain(&annot.ret);
+    types.filter_map(|ty| match ty {
+        SplitTypeExpr::Concrete { splitter, .. } => Some(splitter),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -71,7 +115,7 @@ mod tests {
             void g(long size, double *b);
         "#;
         let file = parse(src).unwrap();
-        assert!(check_consistent_types(&file).is_ok());
+        assert!(check(&file).is_empty());
     }
 
     #[test]
@@ -81,9 +125,14 @@ mod tests {
             void f(double *a);
             @splittable(mut b: ArraySplit(b))
             void g(long b);
+            @splittable(c: ArraySplit(c))
+            void h(long c);
         "#;
         let file = parse(src).unwrap();
-        let err = check_consistent_types(&file).unwrap_err();
-        assert!(err.contains("ArraySplit"), "{err}");
+        let d = check(&file);
+        assert_eq!(d.len(), 2, "every finding, not the first: {d:?}");
+        assert_eq!((d[0].line, d[1].line), (4, 6));
+        assert!(d[0].message.contains("ArraySplit"), "{}", d[0].message);
+        assert!(d[0].message.contains("line 2"), "{}", d[0].message);
     }
 }

@@ -42,76 +42,44 @@ fn lex(src: &str) -> Result<Lexer, ParseError> {
         let line = line.split("//").next().unwrap_or("");
         let mut chars = line.chars().peekable();
         while let Some(&c) = chars.peek() {
-            match c {
+            let tok = match c {
                 c if c.is_whitespace() => {
                     chars.next();
+                    continue;
                 }
-                c if c.is_alphabetic() => {
+                // An identifier; a lone underscore is the missing split type.
+                c if c.is_alphabetic() || c == '_' => {
                     let mut s = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c.is_alphanumeric() || c == '_' {
-                            s.push(c);
-                            chars.next();
-                        } else {
-                            break;
-                        }
+                    while let Some(c) = chars.next_if(|c| c.is_alphanumeric() || *c == '_') {
+                        s.push(c);
                     }
-                    toks.push((line_no, Tok::Ident(s)));
-                }
-                '_' => {
-                    chars.next();
-                    // A lone underscore is the missing split type; an
-                    // underscore-led identifier is still an identifier.
-                    if chars.peek().map(|c| c.is_alphanumeric()).unwrap_or(false) {
-                        let mut s = String::from("_");
-                        while let Some(&c) = chars.peek() {
-                            if c.is_alphanumeric() || c == '_' {
-                                s.push(c);
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                        toks.push((line_no, Tok::Ident(s)));
+                    if s == "_" {
+                        Tok::Underscore
                     } else {
-                        toks.push((line_no, Tok::Underscore));
+                        Tok::Ident(s)
                     }
                 }
-                '-' => {
+                '-' | '=' => {
                     chars.next();
-                    if chars.peek() == Some(&'>') {
-                        chars.next();
-                        toks.push((line_no, Tok::Arrow));
-                    } else {
+                    if chars.next_if_eq(&'>').is_none() {
                         return Err(ParseError {
                             line: line_no,
-                            message: "expected '->' after '-'".into(),
+                            message: format!("expected '{c}>' after '{c}'"),
                         });
                     }
-                }
-                '=' => {
-                    chars.next();
-                    if chars.peek() == Some(&'>') {
-                        chars.next();
-                        toks.push((line_no, Tok::FatArrow));
+                    if c == '-' {
+                        Tok::Arrow
                     } else {
-                        return Err(ParseError {
-                            line: line_no,
-                            message: "expected '=>' after '='".into(),
-                        });
+                        Tok::FatArrow
                     }
                 }
-                '@' => {
+                '@' | '*' | '(' | ')' | ',' | ':' | ';' | '.' => {
                     chars.next();
-                    toks.push((line_no, Tok::At));
-                }
-                '*' => {
-                    chars.next();
-                    toks.push((line_no, Tok::Star));
-                }
-                '(' | ')' | ',' | ':' | ';' | '.' => {
-                    chars.next();
-                    toks.push((line_no, Tok::Punct(c)));
+                    match c {
+                        '@' => Tok::At,
+                        '*' => Tok::Star,
+                        _ => Tok::Punct(c),
+                    }
                 }
                 other => {
                     return Err(ParseError {
@@ -119,7 +87,8 @@ fn lex(src: &str) -> Result<Lexer, ParseError> {
                         message: format!("unexpected character {other:?}"),
                     })
                 }
-            }
+            };
+            toks.push((line_no, tok));
         }
     }
     Ok(Lexer { toks, pos: 0 })
@@ -193,23 +162,7 @@ fn parse_splittype(lx: &mut Lexer) -> Result<SplitTypeDecl, ParseError> {
     let line = lx.line();
     let name = lx.expect_ident()?;
     lx.expect_punct('(')?;
-    let mut params = Vec::new();
-    loop {
-        match lx.next() {
-            Some(Tok::Punct(')')) => break,
-            Some(Tok::Ident(p)) => {
-                params.push(p);
-                match lx.peek() {
-                    Some(Tok::Punct(',')) => {
-                        lx.next();
-                    }
-                    Some(Tok::Punct(')')) => {}
-                    other => return Err(lx.err(format!("expected ',' or ')', got {other:?}"))),
-                }
-            }
-            other => return Err(lx.err(format!("expected parameter type, got {other:?}"))),
-        }
-    }
+    let params = parse_ident_list(lx)?;
     lx.expect_punct(';')?;
     Ok(SplitTypeDecl { line, name, params })
 }
@@ -349,25 +302,17 @@ fn parse_splittable(lx: &mut Lexer) -> Result<Vec<AnnotatedFn>, ParseError> {
         None
     };
 
-    // One or more C function declarations until something that isn't a
-    // declaration start.
-    let mut fns = Vec::new();
-    loop {
-        let f = parse_c_decl(lx, line, &args, &ret)?;
-        fns.push(f);
-        match lx.peek() {
-            Some(Tok::Ident(kw)) if kw != "splittype" => {
-                // Could be another shared declaration; attempt it.
-                let save = lx.pos;
-                match parse_c_decl(lx, line, &args, &ret) {
-                    Ok(f) => fns.push(f),
-                    Err(_) => {
-                        lx.pos = save;
-                        break;
-                    }
-                }
+    // One or more C function declarations, while what follows parses
+    // as one.
+    let mut fns = vec![parse_c_decl(lx, line, &args, &ret)?];
+    while matches!(lx.peek(), Some(Tok::Ident(kw)) if kw != "splittype") {
+        let save = lx.pos;
+        match parse_c_decl(lx, line, &args, &ret) {
+            Ok(f) => fns.push(f),
+            Err(_) => {
+                lx.pos = save;
+                break;
             }
-            _ => break,
         }
     }
     Ok(fns)
@@ -402,7 +347,6 @@ fn parse_c_decl(
                         Some(Tok::Ident(_)) => {
                             // The last identifier before ',' or ')' is
                             // the parameter name.
-                            let save = lx.pos;
                             let word = lx.expect_ident()?;
                             match lx.peek() {
                                 Some(Tok::Punct(',')) | Some(Tok::Punct(')')) => {
@@ -413,7 +357,6 @@ fn parse_c_decl(
                                     break;
                                 }
                                 _ => {
-                                    let _ = save;
                                     ctype.push(' ');
                                     ctype.push_str(&word);
                                 }

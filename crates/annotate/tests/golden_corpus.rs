@@ -1,20 +1,23 @@
 //! Golden-diagnostic tests over the `.sa` corpus: every malformed file
 //! in `corpus/sa-bad/` must produce exactly the expected diagnostics
 //! (message text and 1-based line), and every file in `corpus/sa/`
-//! must check clean. Keeps `mozart-check`'s output stable for CI logs
-//! and editors.
+//! must check clean. They call [`check_source`], the entry point
+//! `mozart-check` prints from (each finding as `path:line: message`),
+//! so they pin what CI logs and editors see.
 
-use mozart_annotate::{check, parse};
+use mozart_annotate::check_source;
 
-fn corpus(rel: &str) -> String {
-    let path = format!("{}/../../corpus/{rel}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
+/// `(line, message)` of every finding in `corpus/{rel}`, checked under
+/// the path `mozart-check` is given from the repository root.
 fn diags(rel: &str) -> Vec<(usize, String)> {
-    check(&parse(&corpus(rel)).expect("corpus file must parse"))
+    let path = format!("{}/../../corpus/{rel}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    check_source(&format!("corpus/{rel}"), &src)
         .into_iter()
-        .map(|d| (d.line, d.message))
+        .map(|d| {
+            assert!(!d.note, "{rel}: a finding the text cannot decide: {d}");
+            (d.line, d.message)
+        })
         .collect()
 }
 
@@ -32,10 +35,8 @@ fn ctor_mut_golden() {
         diags("sa-bad/ctor-mut.sa"),
         vec![(
             3,
-            "scaleInPlace: constructor argument `out` of ArraySplit names a \
-             `mut` argument; derive split parameters from an explicit size \
-             argument instead (the MKL convention), never from storage the \
-             call mutates"
+            "scaleInPlace: argument `out` constructor references mut argument \
+             0; constructors must not depend on storage the call mutates"
                 .to_string()
         )]
     );
@@ -47,9 +48,8 @@ fn unknown_arg_golden() {
         diags("sa-bad/unknown-arg.sa"),
         vec![(
             3,
-            "consume: argument `x` is typed `unknown`; unknown describes \
-             values whose split shape exists only after the call and is \
-             legal only in the return position"
+            "consume: argument `x` has the `unknown` split type; `unknown` is \
+             only legal in return position"
                 .to_string()
         )]
     );
@@ -61,9 +61,7 @@ fn unbound_generic_golden() {
         diags("sa-bad/unbound-generic.sa"),
         vec![(
             3,
-            "make: return generic `S` is not bound by any argument; the \
-             planner could never infer its split type"
-                .to_string()
+            "make: return type uses generic S0 that no argument binds".to_string()
         )]
     );
 }
@@ -108,9 +106,44 @@ fn missing_ret_golden() {
         diags("sa-bad/missing-ret.sa"),
         vec![(
             2,
-            "head: return value typed `_`; a returned value must have a real \
-             split type (or `unknown`) so Mozart can merge it"
+            "head: return type is `_`; a missing-typed return cannot be merged".to_string()
+        )]
+    );
+}
+
+#[test]
+fn mixed_ctype_golden() {
+    assert_eq!(
+        diags("sa-bad/mixed-ctype.sa"),
+        vec![(
+            7,
+            "count: split type ArraySplit applied to parameter `out` of C type \
+             \"long\", but to \"double*\" on line 4; a split type is always \
+             associated with one concrete type"
                 .to_string()
         )]
+    );
+}
+
+/// Every file of the negative corpus has its golden above.
+#[test]
+fn every_bad_file_has_a_golden() {
+    let dir = format!("{}/../../corpus/sa-bad", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "ctor-arity.sa",
+            "ctor-mut.sa",
+            "dup-dead-splittype.sa",
+            "missing-ret.sa",
+            "mixed-ctype.sa",
+            "unbound-generic.sa",
+            "unknown-arg.sa",
+        ]
     );
 }

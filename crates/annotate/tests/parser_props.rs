@@ -128,3 +128,17 @@ proptest! {
         let _ = parse(&src);
     }
 }
+
+/// One `@splittable` may head several declarations; the list ends where
+/// the next token does not start one, here a constructor.
+#[test]
+fn shared_declarations_end_at_the_next_item() {
+    let src = "@splittable(a: ArraySplit(n), n: _)\n\
+               void f(double *a, long n);\n\
+               void g(double *a, long n);\n\
+               ArraySplit(n) => (n);\n";
+    let file = parse(src).expect("two shared declarations, then a constructor");
+    let names: Vec<_> = file.functions.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["f", "g"]);
+    assert_eq!(file.constructors.len(), 1);
+}

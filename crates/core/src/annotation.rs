@@ -132,6 +132,11 @@ pub struct Annotation {
     pub ret: Option<SplitTypeExpr>,
     /// The function itself.
     pub func: LibFn,
+    /// The `.sa` file and 1-based line the annotation was lowered from,
+    /// if it was (see [`AnnotationBuilder::source`]). Diagnostics over
+    /// the annotation name it; the planner never reads it, so it is not
+    /// part of the signature.
+    pub source: Option<(&'static str, usize)>,
     /// Hash of everything the planner reads from the annotation — the
     /// name, each argument's mutability and split type expression, the
     /// return expression — computed once by
@@ -168,6 +173,7 @@ impl Annotation {
             args: Vec::new(),
             ret: None,
             func: Arc::new(func),
+            source: None,
         }
     }
 
@@ -203,6 +209,7 @@ pub struct AnnotationBuilder {
     args: Vec<ArgSpec>,
     ret: Option<SplitTypeExpr>,
     func: LibFn,
+    source: Option<(&'static str, usize)>,
 }
 
 impl AnnotationBuilder {
@@ -232,6 +239,12 @@ impl AnnotationBuilder {
         self
     }
 
+    /// Record the `.sa` file and line the annotation was written at.
+    pub fn source(mut self, file: &'static str, line: usize) -> Self {
+        self.source = Some((file, line));
+        self
+    }
+
     /// Finish, producing a shareable annotation.
     pub fn build(self) -> Arc<Annotation> {
         let mut h = WordHasher::default();
@@ -257,6 +270,7 @@ impl AnnotationBuilder {
             args: self.args,
             ret: self.ret,
             func: self.func,
+            source: self.source,
             signature: h.finish(),
             unsound: None,
             floor,

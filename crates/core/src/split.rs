@@ -373,6 +373,15 @@ pub trait Splitter: Send + Sync + 'static {
         MergeStrategy::default()
     }
 
+    /// Whether this is a split type's name alone, with no implementation
+    /// behind it: a `.sa` file's split type that no registered builtin
+    /// references. Its merge strategy is unknown, so
+    /// [`check_annotation`](crate::verify::check_annotation) neither
+    /// passes nor fails the rules that read it.
+    fn placeholder(&self) -> bool {
+        false
+    }
+
     /// Whole-value concatenation capability — the inverse of `split` —
     /// or `None` (the default) when values of this split type cannot be
     /// concatenated outside the runtime. See [`Concat`].

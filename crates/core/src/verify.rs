@@ -12,9 +12,9 @@
 //! Two layers, one diagnostic type ([`VerifyError`]):
 //!
 //! * **Layer 1 — [`check_annotation`]**: the paper's annotation typing
-//!   rules over a runtime-registered [`Annotation`]. Generic split-type
-//!   variables must be bound by an argument before the return may use
-//!   them; `unknown` is only legal in return position; constructor
+//!   rules over an [`Annotation`]. Generic split-type variables must be
+//!   bound by an argument before the return may use them; `unknown` is
+//!   only legal in return position; constructor
 //!   argument indices must be in range and never name `mut` positions
 //!   (the constructor runs before the call, against pre-mutation
 //!   values); `mut` arguments require a merge strategy that recovers
@@ -23,10 +23,23 @@
 //!   type arguments;
 //!   and a concatenation-strategy return should carry the
 //!   [`Concat`](crate::split::Concat) capability so the serving layer
-//!   can coalesce requests over it. It runs once per annotation, when
+//!   can coalesce requests over it (that last one is a lint,
+//!   [`lint_annotation`]). It runs once per annotation, when
 //!   [`AnnotationBuilder::build`](crate::annotation::AnnotationBuilder::build)
 //!   finishes it; a call of an unsound annotation is refused at
 //!   registration with [`Error::Verify`](crate::error::Error).
+//!
+//!   These rules are written once, here. A builtin built by the builder
+//!   chain and a `@splittable` in a `.sa` file pass through the same
+//!   [`check_annotation`]: `mozart-check` lowers each parsed annotation
+//!   to an [`Annotation`] whose
+//!   [`source`](crate::annotation::Annotation::source) is its
+//!   `file:line`, which its errors print before the function name. A
+//!   split type the text names but no builtin references lowers to a
+//!   [`placeholder`](crate::split::Splitter::placeholder): the rules
+//!   that read a merge strategy (mut arguments, terminal arguments, the
+//!   `Concat` lint) cannot be checked from the text, and neither pass
+//!   nor fail it.
 //!
 //! * **Layer 2 — [`verify_stage`]**: a structural proof over one
 //!   [`StagePlan`] against its [`DataflowGraph`], run before every
@@ -61,7 +74,8 @@ use crate::split::MergeStrategy;
 
 /// A soundness violation found by the static verifier.
 ///
-/// Layer-1 variants carry the annotation and argument names; Layer-2
+/// Layer-1 variants carry the annotation and argument names (the
+/// annotation's after its `file:line: ` when it has a source); Layer-2
 /// variants carry graph value/node indices (`v{n}` / `n{n}` in the
 /// rendered message). Every variant is a *rejection*: the runtime
 /// refuses to execute rather than risk an unsound run.
@@ -511,7 +525,7 @@ impl std::fmt::Display for VerifyError {
 /// annotation is sound.
 pub fn check_annotation(annot: &Annotation) -> Vec<VerifyError> {
     let mut errs = Vec::new();
-    let name = annot.name.to_string();
+    let name = label(annot);
     let arity = annot.args.len();
     let mutable = |i: usize| annot.args.get(i).map(|s| s.mutable).unwrap_or(false);
 
@@ -553,6 +567,9 @@ pub fn check_annotation(annot: &Annotation) -> Vec<VerifyError> {
                 ctor_args,
             } => {
                 check_ctor(&format!("argument `{}`", spec.name), ctor_args, &mut errs);
+                if splitter.placeholder() {
+                    continue;
+                }
                 let strategy = splitter.merge_strategy();
                 if strategy.terminal() {
                     errs.push(VerifyError::TerminalArgType {
@@ -628,15 +645,25 @@ pub fn check_annotation(annot: &Annotation) -> Vec<VerifyError> {
 pub fn lint_annotation(annot: &Annotation) -> Vec<VerifyError> {
     match &annot.ret {
         Some(SplitTypeExpr::Concrete { splitter, .. })
-            if matches!(splitter.merge_strategy(), MergeStrategy::Concat { .. })
+            if !splitter.placeholder()
+                && matches!(splitter.merge_strategy(), MergeStrategy::Concat { .. })
                 && splitter.concat().is_none() =>
         {
             vec![VerifyError::ConcatWithoutCapability {
-                annotation: annot.name.to_string(),
+                annotation: label(annot),
                 split_type: splitter.name().to_string(),
             }]
         }
         _ => Vec::new(),
+    }
+}
+
+/// How a Layer-1 error names its annotation: `file:line: name` when the
+/// annotation was lowered from a `.sa` file, else its name.
+fn label(annot: &Annotation) -> String {
+    match annot.source {
+        Some((file, line)) => format!("{file}:{line}: {}", annot.name),
+        None => annot.name.to_string(),
     }
 }
 
@@ -1166,6 +1193,82 @@ mod tests {
             .arg("x", concrete(Arc::new(ConcatNoCap), vec![]))
             .build();
         assert!(lint_annotation(&a).is_empty());
+    }
+
+    /// A split type known by name only, as a `.sa` file lowers one that
+    /// no builtin references.
+    struct Named;
+    impl Splitter for Named {
+        fn name(&self) -> &'static str {
+            "Named"
+        }
+        fn construct(&self, _c: &[&DataValue]) -> crate::error::Result<crate::split::Params> {
+            Err(crate::error::Error::Library("no body".into()))
+        }
+        fn info(
+            &self,
+            _a: &DataValue,
+            _p: &crate::split::Params,
+        ) -> crate::error::Result<crate::split::RuntimeInfo> {
+            Err(crate::error::Error::Library("no body".into()))
+        }
+        fn split(
+            &self,
+            _a: &DataValue,
+            _r: Range<u64>,
+            _p: &crate::split::Params,
+        ) -> crate::error::Result<Option<DataValue>> {
+            Err(crate::error::Error::Library("no body".into()))
+        }
+        fn merge(
+            &self,
+            _pieces: Vec<DataValue>,
+            _p: &crate::split::Params,
+            _t: u64,
+        ) -> crate::error::Result<DataValue> {
+            Err(crate::error::Error::Library("no body".into()))
+        }
+        fn merge_strategy(&self) -> MergeStrategy {
+            // Reads as terminal and not in-place: a rule that read it
+            // would fail the annotation.
+            MergeStrategy::Custom { terminal: true }
+        }
+        fn placeholder(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn placeholders_skip_the_merge_strategy_rules_only() {
+        let a = Annotation::new("f", noop)
+            .mut_arg("out", concrete(Arc::new(Named), vec![]))
+            .ret(concrete(Arc::new(Named), vec![]))
+            .build();
+        assert!(check_annotation(&a).is_empty());
+        assert!(lint_annotation(&a).is_empty());
+        // The constructor rules still read a placeholder's arguments.
+        let a = Annotation::new("f", noop)
+            .mut_arg("out", concrete(Arc::new(Named), vec![0]))
+            .build();
+        assert!(matches!(
+            check_annotation(&a)[..],
+            [VerifyError::CtorArgMutable { index: 0, .. }]
+        ));
+    }
+
+    #[test]
+    fn sourced_errors_name_their_file_and_line() {
+        let build = |sourced: bool| {
+            let b = Annotation::new("f", noop).arg("x", unknown(Arc::new(SizeSplit)));
+            let b = if sourced { b.source("lib.sa", 7) } else { b };
+            b.build()
+        };
+        let (plain, sourced) = (build(false), build(true));
+        assert_eq!(sourced.source, Some(("lib.sa", 7)));
+        assert_eq!(plain.signature, sourced.signature, "not hashed");
+        let text = check_annotation(&sourced)[0].to_string();
+        assert!(text.starts_with("lib.sa:7: f: argument `x`"), "{text}");
+        assert!(check_annotation(&plain)[0].to_string().starts_with("f: "));
     }
 
     #[test]
